@@ -3,6 +3,8 @@
 //! decisions, the Simplex-Downhill minimiser, and the wire path (frame
 //! encode/decode plus transport round trips).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use grouting_core::cache::{Cache, LruCache};
@@ -28,6 +30,25 @@ fn bench_graph() -> grouting_core::graph::CsrGraph {
         },
         7,
     )
+}
+
+/// A storage endpoint on an ephemeral address charging `net` per exchange.
+fn spawn_storage(
+    transport: &Arc<dyn grouting_core::wire::Transport>,
+    tier: &Arc<grouting_core::storage::StorageTier>,
+    net: grouting_core::storage::NetworkModel,
+) -> grouting_core::wire::ServiceHandle {
+    use grouting_core::wire::{StorageOptions, StorageService};
+    StorageService::spawn_opts(
+        Arc::clone(transport),
+        &transport.any_addr(),
+        Arc::clone(tier),
+        StorageOptions {
+            net,
+            ..StorageOptions::default()
+        },
+    )
+    .unwrap()
 }
 
 fn murmur(c: &mut Criterion) {
@@ -221,9 +242,9 @@ fn wire_frames(c: &mut Criterion) {
         },
         trace: None,
     });
-    let fetch_response = Frame::FetchResponse {
-        node: NodeId::new(42),
-        payload: Some((1, bytes::Bytes::from(vec![0xA5u8; 256]))),
+    let fetch_response = Frame::FetchBatchResponse {
+        req_id: 42,
+        payloads: vec![Some((1, bytes::Bytes::from(vec![0xA5u8; 256])))],
     };
 
     let mut g = c.benchmark_group("wire_frame");
@@ -243,61 +264,6 @@ fn wire_frames(c: &mut Criterion) {
     g.finish();
 }
 
-fn wire_round_trip(c: &mut Criterion) {
-    if !criterion::group_enabled("wire_round_trip") {
-        return;
-    }
-    use grouting_core::wire::{
-        ConnectionPool, Frame, InProcTransport, TcpTransport, Transport, TransportKind,
-    };
-    use std::sync::Arc;
-
-    // An echo peer per transport; the bench measures one framed
-    // request/response exchange through a connection pool.
-    fn echo_endpoint(transport: &Arc<dyn Transport>) -> (String, std::thread::JoinHandle<()>) {
-        let mut listener = transport.listen(&transport.any_addr()).unwrap();
-        let addr = listener.addr();
-        let join = std::thread::spawn(move || {
-            let Ok(mut conn) = listener.accept() else {
-                return;
-            };
-            while let Ok(frame) = conn.recv() {
-                if matches!(frame, Frame::Shutdown) || conn.send(&frame).is_err() {
-                    break;
-                }
-            }
-        });
-        (addr, join)
-    }
-
-    let transports: Vec<(&str, Arc<dyn Transport>)> =
-        if TransportKind::from_env() == TransportKind::InProc {
-            vec![("inproc", Arc::new(InProcTransport::new()))]
-        } else {
-            vec![
-                ("tcp_loopback", Arc::new(TcpTransport::new())),
-                ("inproc", Arc::new(InProcTransport::new())),
-            ]
-        };
-
-    let mut g = c.benchmark_group("wire_round_trip");
-    for (name, transport) in transports {
-        let (addr, join) = echo_endpoint(&transport);
-        let mut pool = ConnectionPool::new(Arc::clone(&transport), addr, 1);
-        let request = Frame::FetchRequest {
-            node: NodeId::new(7),
-        };
-        g.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(pool.request(&request).unwrap()))
-        });
-        // Dropping the pool closes its parked connection; the echo peer's
-        // recv fails and its thread exits.
-        drop(pool);
-        let _ = join.join();
-    }
-    g.finish();
-}
-
 fn wire_frontier_fetch(c: &mut Criterion) {
     if !criterion::group_enabled("wire_fetch_frontier64")
         && !criterion::group_enabled("wire_bfs_2hop")
@@ -306,17 +272,14 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     }
     use grouting_core::cache::NullCache;
     use grouting_core::engine::Worker;
-    use grouting_core::query::{BatchSource, ProcessorCache, RecordSource};
+    use grouting_core::query::{BatchSource, ProcessorCache};
     use grouting_core::storage::{NetworkModel, StorageTier};
-    use grouting_core::wire::{
-        MultiplexedStorageSource, RemoteStorageSource, StorageService, TcpTransport, Transport,
-        TransportKind,
-    };
-    use std::sync::Arc;
+    use grouting_core::wire::{MultiplexedStorageSource, TcpTransport, Transport, TransportKind};
 
     if TransportKind::from_env() == TransportKind::InProc {
-        // No loopback in this sandbox; the comparison is meaningless over
-        // channels, so skip rather than publish misleading numbers.
+        // No loopback in this sandbox; a socket round-trip cost is
+        // meaningless over channels, so skip rather than publish
+        // misleading numbers.
         return;
     }
 
@@ -328,35 +291,18 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     tier.load_graph(&graph).unwrap();
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
     let handles: Vec<_> = (0..tier.server_count())
-        .map(|_| {
-            StorageService::spawn(
-                Arc::clone(&transport),
-                Arc::clone(&tier),
-                NetworkModel::local(),
-            )
-            .unwrap()
-        })
+        .map(|_| spawn_storage(&transport, &tier, NetworkModel::local()))
         .collect();
     let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
 
     // A frontier of 64 known-stored nodes — every one a miss under
-    // NullCache, so "per_node" pays 64 serialised RTTs where "batched"
-    // pays one pipelined exchange per server.
+    // NullCache, fetched as one pipelined exchange per server.
     let frontier: Vec<NodeId> = (0..64u32).map(NodeId::new).collect();
-    let mut scalar_source =
-        RemoteStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
     let mut batched_source =
         MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
 
     let mut g = c.benchmark_group("wire_fetch_frontier64");
     g.sample_size(20);
-    g.bench_function("per_node", |b| {
-        b.iter(|| {
-            for &node in &frontier {
-                std::hint::black_box(scalar_source.fetch_raw(node));
-            }
-        })
-    });
     g.bench_function("batched", |b| {
         b.iter(|| std::hint::black_box(batched_source.fetch_batch(&frontier)))
     });
@@ -372,29 +318,19 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("wire_bfs_2hop");
     g.sample_size(10);
-    for name in ["per_node", "batched"] {
-        let cache: ProcessorCache = Box::new(NullCache::new());
-        let source: Box<dyn BatchSource + Send> = if name == "per_node" {
-            Box::new(RemoteStorageSource::new(
-                Arc::clone(&transport),
-                &addrs,
-                tier.partitioner(),
-            ))
-        } else {
-            Box::new(MultiplexedStorageSource::new(
-                Arc::clone(&transport),
-                &addrs,
-                tier.partitioner(),
-            ))
-        };
-        let mut worker = Worker::from_parts(0, source, cache);
-        g.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(worker.run(&query)))
-        });
-    }
+    let cache: ProcessorCache = Box::new(NullCache::new());
+    let source: Box<dyn BatchSource + Send> = Box::new(MultiplexedStorageSource::new(
+        Arc::clone(&transport),
+        &addrs,
+        tier.partitioner(),
+    ));
+    let mut worker = Worker::from_parts(0, source, cache);
+    g.bench_function("batched", |b| {
+        b.iter(|| std::hint::black_box(worker.run(&query)))
+    });
     g.finish();
 
-    drop(scalar_source);
+    drop(worker);
     drop(batched_source);
     for h in handles {
         h.shutdown();
@@ -408,7 +344,6 @@ fn reactor_dispatch_latency(c: &mut Criterion) {
     use grouting_core::wire::{
         Frame, InProcTransport, Reactor, ReactorEvent, TcpTransport, Transport, TransportKind,
     };
-    use std::sync::Arc;
 
     // One reactor thread echoing every frame it sees — the exact wake-up
     // path a router dispatch takes (poll sweep in, send out), measured as
@@ -456,8 +391,10 @@ fn reactor_dispatch_latency(c: &mut Criterion) {
     for (name, transport) in transports {
         let (addr, join) = echo_reactor(&transport);
         let mut conn = transport.dial(&addr).unwrap();
-        let request = Frame::FetchRequest {
-            node: NodeId::new(7),
+        let request = Frame::FetchBatchRequest {
+            req_id: 7,
+            nodes: vec![NodeId::new(7)],
+            issued_ns: None,
         };
         g.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(conn.request(&request).unwrap()))
@@ -473,7 +410,6 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
         return;
     }
     use grouting_core::wire::{PollerKind, Reactor, TcpTransport, Transport, TransportKind};
-    use std::sync::Arc;
 
     if TransportKind::from_env() == TransportKind::InProc {
         // The comparison is about kernel readiness over real descriptors;
@@ -536,10 +472,8 @@ fn wire_overlap_throughput(c: &mut Criterion) {
     use grouting_core::query::ProcessorCache;
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        MultiplexedStorageSource, QueryPipeline, StorageService, TcpTransport, Transport,
-        TransportKind,
+        MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind,
     };
-    use std::sync::Arc;
 
     if TransportKind::from_env() == TransportKind::InProc {
         // No loopback in this sandbox; overlap numbers over channels say
@@ -579,7 +513,7 @@ fn wire_overlap_throughput(c: &mut Criterion) {
     g.sample_size(10);
     for (net_name, net) in [("remote", remote_net), ("local", NetworkModel::local())] {
         let handles: Vec<_> = (0..tier.server_count())
-            .map(|_| StorageService::spawn(Arc::clone(&transport), Arc::clone(&tier), net).unwrap())
+            .map(|_| spawn_storage(&transport, &tier, net))
             .collect();
         let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
         for overlap in [1usize, 2, 4] {
@@ -621,10 +555,8 @@ fn wire_prefetch(c: &mut Criterion) {
     use grouting_core::query::{PrefetchConfig, PrefetchPolicy, ProcessorCache};
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        Backoff, MultiplexedStorageSource, QueryPipeline, StorageService, TcpTransport, Transport,
-        TransportKind,
+        Backoff, MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind,
     };
-    use std::sync::Arc;
 
     if TransportKind::from_env() == TransportKind::InProc {
         // No loopback in this sandbox; prefetch numbers over channels say
@@ -656,9 +588,7 @@ fn wire_prefetch(c: &mut Criterion) {
         gbps: 10.0,
     };
     let handles: Vec<_> = (0..tier.server_count())
-        .map(|_| {
-            StorageService::spawn(Arc::clone(&transport), Arc::clone(&tier), remote_net).unwrap()
-        })
+        .map(|_| spawn_storage(&transport, &tier, remote_net))
         .collect();
     let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
 
@@ -794,10 +724,9 @@ fn wire_failover(c: &mut Criterion) {
     use grouting_core::query::BatchSource;
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        InProcTransport, MultiplexedStorageSource, RetryPolicy, StorageService, TcpTransport,
-        Transport, TransportKind,
+        InProcTransport, MultiplexedStorageSource, RetryPolicy, TcpTransport, Transport,
+        TransportKind,
     };
-    use std::sync::Arc;
     use std::time::Duration;
 
     // Recovery cost of replica-chain failover: a 64-miss frontier fetched
@@ -832,12 +761,7 @@ fn wire_failover(c: &mut Criterion) {
             .unwrap()
             .addr()
             .to_string();
-        let live = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
+        let live = spawn_storage(&transport, &tier, NetworkModel::local());
         // Every node homed on server 0 (the dead address); the live
         // replica at (0 + 1) serves the identical tier.
         let addrs = vec![dead_addr, live.addr().to_string()];
@@ -874,8 +798,7 @@ fn trace_overhead(c: &mut Criterion) {
     use grouting_core::route::RoutingKind;
     use grouting_core::storage::{Preset, StorageTier};
     use grouting_core::trace::{Stage, TraceLevel};
-    use grouting_core::wire::{FetchMode, TransportKind};
-    use std::sync::Arc;
+    use grouting_core::wire::TransportKind;
 
     // The tracing layer's acceptance gate: the same small wire cluster run
     // end to end with tracing off vs stats. "off" must be the exact
@@ -913,7 +836,6 @@ fn trace_overhead(c: &mut Criterion) {
             &cfg_at(level),
             transport,
             Preset::Local,
-            FetchMode::Batched,
         )
         .expect("cluster run completes")
     };
@@ -984,8 +906,7 @@ fn obs_overhead(c: &mut Criterion) {
     use grouting_core::live::LiveConfig;
     use grouting_core::route::RoutingKind;
     use grouting_core::storage::StorageTier;
-    use grouting_core::wire::{launch_cluster, ClusterConfig, FetchMode, ObsConfig, TransportKind};
-    use std::sync::Arc;
+    use grouting_core::wire::{launch_cluster, ClusterConfig, ObsConfig, TransportKind};
 
     if TransportKind::from_env() == TransportKind::InProc {
         // The scrape endpoint is a socket feature; without loopback the
@@ -1019,9 +940,8 @@ fn obs_overhead(c: &mut Criterion) {
     };
     let run_with = |obs: &ObsConfig| {
         let assets = EngineAssets::new(Arc::clone(&tier));
-        let config = ClusterConfig::new(cfg.engine_config(), TransportKind::Tcp)
-            .with_fetch(FetchMode::Batched)
-            .with_obs(obs.clone());
+        let config =
+            ClusterConfig::new(cfg.engine_config(), TransportKind::Tcp).with_obs(obs.clone());
         launch_cluster(&assets, &queries, &config).expect("cluster run completes")
     };
     let sampled = ObsConfig {
@@ -1071,7 +991,6 @@ criterion_group!(
     partitioning,
     simplex,
     wire_frames,
-    wire_round_trip,
     wire_frontier_fetch,
     reactor_dispatch_latency,
     reactor_idle_cpu_1k,

@@ -277,10 +277,8 @@ impl GRouting {
     /// Runs the queries on a wire cluster: the router, every processor,
     /// and every storage server deployed as framed-transport peers
     /// (real loopback sockets for [`TransportKind::Tcp`]), with all
-    /// dispatches, acknowledgements, and adjacency fetches crossing
-    /// connections. The fetch path follows `GROUTING_BATCH` (pipelined
-    /// frontier batches by default, `GROUTING_BATCH=0` for scalar
-    /// per-node round trips).
+    /// dispatches, acknowledgements, and adjacency fetches (pipelined
+    /// frontier batches) crossing connections.
     ///
     /// # Errors
     ///
@@ -299,7 +297,6 @@ impl GRouting {
             &self.live_config(),
             transport,
             grouting_storage::Preset::Local,
-            grouting_wire::FetchMode::from_env(),
         )
     }
 

@@ -102,10 +102,6 @@ pub struct ClusterConfig {
     /// Emulated processor↔storage network (charged per fetch at the
     /// storage endpoints; [`Preset::Local`] charges nothing).
     pub net: Preset,
-    /// The processor↔storage fetch path: scalar per-node round trips, or
-    /// pipelined frontier batches ([`FetchMode::from_env`] honours
-    /// `GROUTING_BATCH=0`).
-    pub fetch: FetchMode,
     /// Emit a mid-run metrics snapshot to the client every this many
     /// completions (`0` = final snapshot only).
     pub snapshot_every: u64,
@@ -135,14 +131,12 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A cluster over `engine` on the given transport with a free network
-    /// and the default (batched) fetch path.
+    /// A cluster over `engine` on the given transport with a free network.
     pub fn new(engine: EngineConfig, transport: TransportKind) -> Self {
         Self {
             engine,
             transport,
             net: Preset::Local,
-            fetch: FetchMode::default(),
             snapshot_every: 0,
             reactor: PollerKind::from_env(),
             trace: TraceLevel::from_env(),
@@ -183,13 +177,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the processor↔storage fetch path.
-    #[must_use]
-    pub fn with_fetch(mut self, fetch: FetchMode) -> Self {
-        self.fetch = fetch;
-        self
-    }
-
     /// Overrides the readiness backend every peer's poll loop runs on.
     #[must_use]
     pub fn with_reactor(mut self, reactor: PollerKind) -> Self {
@@ -213,8 +200,6 @@ impl ClusterConfig {
 
     /// Overrides the speculative-prefetch policy and budget (the engine's
     /// [`grouting_engine::EngineConfig::prefetch`] knob; default off).
-    /// Only the batched fetch path speculates — scalar-mode processors
-    /// ignore it.
     #[must_use]
     pub fn with_prefetch(mut self, prefetch: grouting_query::PrefetchConfig) -> Self {
         self.engine.prefetch = prefetch;
@@ -387,7 +372,7 @@ pub fn launch_cluster(
                 storage_addrs.clone(),
                 Arc::clone(&partitioner),
                 config.engine,
-                config.fetch,
+                FetchMode::Batched,
                 ProcessorOptions {
                     poller: config.reactor,
                     telemetry: telemetry.clone(),

@@ -1,9 +1,9 @@
 //! `grouting-flow`: pipelined, frontier-batched adjacency fetching.
 //!
-//! The scalar fetch path ([`crate::service::RemoteStorageSource`]) issues
-//! one blocking request/reply exchange per frontier node, so a multi-hop
-//! BFS pays one loopback RTT (~16 µs) per discovered node, serialised.
-//! This module keeps many fetches in flight per processor instead:
+//! The one processor→storage miss path. A blocking request/reply
+//! exchange per frontier node would make a multi-hop BFS pay one loopback
+//! RTT (~16 µs) per discovered node, serialised; this module keeps many
+//! fetches in flight per processor instead:
 //!
 //! * [`BatchMux`] — a connection multiplexer holding one framed connection
 //!   per storage server. Batches are *submitted* (written, correlation id
@@ -14,13 +14,10 @@
 //!   ([`crate::transport::FrameStream::try_recv`], `set_nonblocking`
 //!   under TCP) draining whichever server answers first, with replies
 //!   matched to requests by `req_id` so out-of-order completion is fine;
-//! * [`MultiplexedStorageSource`] — the [`BatchSource`] a batched-mode
-//!   processor plugs behind its cache: it groups a frontier's miss set by
-//!   the placement function and ships exactly one batch per storage
-//!   server per hop;
-//! * [`FetchMode`] — the scalar/batched toggle carried by cluster
-//!   configuration, `GROUTING_BATCH=0` in the environment forcing the
-//!   scalar path for comparison runs.
+//! * [`MultiplexedStorageSource`] — the [`BatchSource`] a processor plugs
+//!   behind its cache: it groups a frontier's miss set by the placement
+//!   function and ships exactly one batch per storage server per hop; a
+//!   single-node fetch is a batch of one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,39 +35,13 @@ use crate::frame::Frame;
 use crate::reactor::{sample_pool, Poller, PollerKind};
 use crate::transport::{Connection, FrameSink, FrameStream, RetryPolicy, Transport};
 
-/// Which processor↔storage fetch path a deployment runs.
+/// The processor↔storage fetch path — there is only one. Named by the
+/// benchmark (`load/`); the next `benchmark` PR drops it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FetchMode {
-    /// One blocking request/reply round trip per node (the PR 2 path).
-    Scalar,
     /// Frontier-batched, pipelined fetching through [`BatchMux`].
     #[default]
     Batched,
-}
-
-impl FetchMode {
-    /// Honours the `GROUTING_BATCH` toggle: batched by default,
-    /// `GROUTING_BATCH=0` (or `false`/`off`) forcing the scalar path so CI
-    /// and benches can exercise both.
-    pub fn from_env() -> Self {
-        match std::env::var("GROUTING_BATCH") {
-            Ok(v)
-                if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off") =>
-            {
-                FetchMode::Scalar
-            }
-            _ => FetchMode::Batched,
-        }
-    }
-}
-
-impl std::fmt::Display for FetchMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FetchMode::Scalar => write!(f, "scalar"),
-            FetchMode::Batched => write!(f, "batched"),
-        }
-    }
 }
 
 /// One batch's worth of per-node payloads: the serving server id and
@@ -214,8 +185,7 @@ impl BatchMux {
     }
 
     /// Times a dead connection was replaced by a fresh dial (with its
-    /// outstanding requests resubmitted) — the batched counterpart of
-    /// [`crate::transport::ConnectionPool::reconnects`].
+    /// outstanding requests resubmitted).
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
@@ -313,9 +283,9 @@ impl BatchMux {
     /// Replaces a dead connection with a fresh dial — down the replica
     /// chain when the primary stays unreachable through the backoff ladder
     /// — and resubmits every outstanding request on it, masking a storage
-    /// endpoint death exactly as the scalar path's pooled reconnect does.
-    /// Partially accumulated chunks are discarded — the fresh connection
-    /// re-answers each request in full, so nothing is double-counted.
+    /// endpoint death. Partially accumulated chunks are discarded — the
+    /// fresh connection re-answers each request in full, so nothing is
+    /// double-counted.
     ///
     /// # Errors
     ///
@@ -546,12 +516,12 @@ impl BatchMux {
     }
 }
 
-/// The batched-mode miss path behind a processor's cache: a frontier's
-/// miss set grouped per storage server, one pipelined batch frame each.
+/// The miss path behind a processor's cache: a frontier's miss set
+/// grouped per storage server, one pipelined batch frame each.
 ///
 /// Single-node fetches (reachability expansions, random-walk steps) travel
 /// as one-element batches over the same multiplexed connections, so a
-/// batched processor speaks only the batch protocol.
+/// processor speaks only the batch protocol.
 pub struct MultiplexedStorageSource {
     partitioner: Arc<dyn Partitioner>,
     mux: BatchMux,
@@ -1208,14 +1178,6 @@ mod tests {
         for s in servers {
             s.join().unwrap();
         }
-    }
-
-    #[test]
-    fn fetch_mode_env_values() {
-        // Only the parser; the env var itself belongs to CI.
-        assert_eq!(FetchMode::default(), FetchMode::Batched);
-        assert_eq!(FetchMode::Scalar.to_string(), "scalar");
-        assert_eq!(FetchMode::Batched.to_string(), "batched");
     }
 
     /// A batch server that accepts ONE connection, unbinds its listener

@@ -6,17 +6,18 @@
 //! call. This crate makes the hops real:
 //!
 //! * [`frame`] — the router↔processor↔storage message set (submit,
-//!   dispatch, adjacency fetch/response, completion records, metrics
-//!   snapshots) and its length-prefixed little-endian binary codec;
+//!   dispatch, batched adjacency fetch/response, completion records,
+//!   metrics snapshots) and its length-prefixed little-endian binary codec;
 //! * [`transport`] — the [`Transport`](transport::Transport) abstraction
 //!   with two fabrics: [`TcpTransport`](transport::TcpTransport) (real
-//!   `std::net` sockets, framed streams, pooled connections with
-//!   reconnect) and [`InProcTransport`](transport::InProcTransport)
-//!   (hermetic channels that still move encoded bytes);
-//! * [`flow`] — pipelined, frontier-batched adjacency fetching: a
-//!   non-blocking connection multiplexer keeping one batch frame per
-//!   storage server in flight per BFS hop, correlated by request id,
-//!   instead of one blocking round trip per frontier node;
+//!   `std::net` sockets, framed streams) and
+//!   [`InProcTransport`](transport::InProcTransport) (hermetic channels
+//!   that still move encoded bytes);
+//! * [`flow`] — the one processor→storage miss path: pipelined,
+//!   frontier-batched adjacency fetching through a non-blocking
+//!   connection multiplexer keeping one batch frame per storage server in
+//!   flight per BFS hop, correlated by request id, with redial / replica
+//!   walk / resubmit on failure; a single-node fetch is a batch of one;
 //! * [`reactor`] — the readiness reactor: ONE poll loop per node
 //!   multiplexing the listener and every framed connection, replacing the
 //!   thread-per-connection control path (O(connections) → O(1) threads);
@@ -25,7 +26,7 @@
 //!   flight per processor as resumable staged executions, double-buffering
 //!   frontiers so one query's batch travels while another computes;
 //! * [`service`] — the three tiers as independently runnable endpoints:
-//!   storage servers answering fetches (scalar and batched), processors
+//!   storage servers answering batch fetches, processors
 //!   executing dispatched queries with a remote miss path, and the router
 //!   node driving the *same* [`grouting_engine::Engine`] the in-proc
 //!   runtimes drive — masking mid-run processor deaths, re-admitting
@@ -64,12 +65,12 @@ pub use grouting_obs::{NodeObs, NodeRole, ObsConfig, Registry, RegistrySnapshot}
 pub use overlap::{CompletedQuery, QueryPipeline};
 pub use reactor::{Backoff, Poller, PollerKind, Reactor, ReactorEvent, SweepPoller};
 pub use service::{
-    now_ns, run_router, FailoverCell, ProcessorOptions, ProcessorService, RemoteStorageSource,
-    RouterOptions, ServiceHandle, StorageOptions, StorageService,
+    now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions, ServiceHandle,
+    StorageOptions, StorageService,
 };
 pub use transport::{
-    Connection, ConnectionPool, FrameSink, FrameStream, InProcTransport, Listener, RetryPolicy,
-    TcpTransport, Transport,
+    Connection, FrameSink, FrameStream, InProcTransport, Listener, RetryPolicy, TcpTransport,
+    Transport,
 };
 
 #[cfg(test)]
@@ -81,7 +82,7 @@ mod tests {
     use grouting_partition::HashPartitioner;
     use grouting_query::{Query, RecordSource};
     use grouting_route::RoutingKind;
-    use grouting_storage::{NetworkModel, StorageTier};
+    use grouting_storage::StorageTier;
     use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {
@@ -110,18 +111,24 @@ mod tests {
             .collect()
     }
 
+    /// A storage endpoint at an ephemeral address with default options.
+    fn spawn_storage(transport: &Arc<dyn Transport>, tier: &Arc<StorageTier>) -> ServiceHandle {
+        StorageService::spawn_opts(
+            Arc::clone(transport),
+            &transport.any_addr(),
+            Arc::clone(tier),
+            StorageOptions::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn storage_service_serves_remote_fetches() {
         let tier = loaded_tier(16, 2);
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-        let handle = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
+        let handle = spawn_storage(&transport, &tier);
 
-        let mut source = RemoteStorageSource::new(
+        let mut source = MultiplexedStorageSource::new(
             Arc::clone(&transport),
             &[handle.addr().to_string(), handle.addr().to_string()],
             tier.partitioner(),
@@ -133,6 +140,52 @@ mod tests {
             assert_eq!(&bytes[..], &want_bytes[..]);
         }
         assert!(source.fetch_raw(n(999)).is_none());
+        drop(source);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn retired_fetch_tag_drops_the_peer_not_the_storage_node() {
+        use std::io::{Read, Write};
+        let tier = loaded_tier(16, 1);
+        let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+        let handle = spawn_storage(&transport, &tier);
+        let mut healthy = transport.dial(handle.addr()).unwrap();
+
+        // A peer still speaking the per-node protocol: a well-formed old
+        // request (length prefix, tag 6, node id).
+        let mut stale = std::net::TcpStream::connect(handle.addr()).unwrap();
+        stale
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        stale.write_all(&5u32.to_le_bytes()).unwrap();
+        stale.write_all(&[6, 3, 0, 0, 0]).unwrap();
+        // The server answers nothing and closes: EOF or a reset — a read
+        // timeout would mean the stale peer was left connected.
+        let mut buf = [0u8; 16];
+        match stale.read(&mut buf) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("stale peer was not dropped: {other:?}"),
+        }
+
+        // The node itself is untouched: another connection is still served.
+        let reply = healthy
+            .request(&Frame::FetchBatchRequest {
+                req_id: 1,
+                nodes: vec![n(3)],
+                issued_ns: None,
+            })
+            .unwrap();
+        let want = tier.get(n(3)).map(|(s, b)| (s as u16, b));
+        assert_eq!(
+            reply,
+            Frame::FetchBatchResponse {
+                req_id: 1,
+                payloads: vec![want],
+            }
+        );
+        drop(healthy);
         handle.shutdown();
     }
 
@@ -228,16 +281,7 @@ mod tests {
     fn batched_source_agrees_with_storage_service() {
         let tier = loaded_tier(64, 3);
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                StorageService::spawn(
-                    Arc::clone(&transport),
-                    Arc::clone(&tier),
-                    NetworkModel::local(),
-                )
-                .unwrap()
-            })
-            .collect();
+        let handles: Vec<_> = (0..3).map(|_| spawn_storage(&transport, &tier)).collect();
         let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
 
         let mut source =
@@ -250,8 +294,7 @@ mod tests {
             let want = tier.get(node).map(|(s, b)| (s as u16, b));
             assert_eq!(*payload, want, "node {node}");
         }
-        // Scalar fetches ride the same multiplexed connections.
-        use grouting_query::RecordSource;
+        // Single-node fetches ride the same multiplexed connections.
         assert_eq!(
             source.fetch_raw(n(5)),
             tier.get(n(5)).map(|(s, b)| (s as u16, b))
@@ -283,12 +326,7 @@ mod tests {
             run_router(listener, &router_assets, &config, &RouterOptions::default())
         });
 
-        let storage = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
+        let storage = spawn_storage(&transport, &tier);
 
         // The flaky processor: hello, execute exactly one dispatch, then
         // die *without* acknowledging the next one.
@@ -328,8 +366,11 @@ mod tests {
             let _ = conn.recv().unwrap();
         });
 
-        // The healthy processor is the real service, batched fetch path.
-        let healthy = ProcessorService::spawn(
+        // The healthy processor is the real service. The workload is only
+        // submitted once the router has acknowledged its join, so the
+        // flaky peer can never be the sole (and then dead) processor.
+        let joined = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let healthy = ProcessorService::spawn_opts(
             Arc::clone(&transport),
             1,
             addr.clone(),
@@ -337,7 +378,14 @@ mod tests {
             tier.partitioner(),
             config,
             FetchMode::Batched,
+            ProcessorOptions {
+                ready: Some(Arc::clone(&joined)),
+                ..ProcessorOptions::default()
+            },
         );
+        while !joined.load(std::sync::atomic::Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
 
         // The client streams enough work that the flaky processor is
         // mid-flight when it dies.
@@ -408,12 +456,7 @@ mod tests {
         let router = std::thread::spawn(move || {
             run_router(listener, &router_assets, &config, &RouterOptions::default())
         });
-        let storage = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
+        let storage = spawn_storage(&transport, &tier);
 
         // Dials the router as processor `id`, then blocks until the router
         // has processed the hello (a MetricsRequest on the same connection
@@ -617,13 +660,8 @@ mod tests {
         let router = std::thread::spawn(move || {
             run_router(listener, &router_assets, &config, &RouterOptions::default())
         });
-        let storage = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
-        let processor = ProcessorService::spawn(
+        let storage = spawn_storage(&transport, &tier);
+        let processor = ProcessorService::spawn_opts(
             Arc::clone(&transport),
             0,
             addr.clone(),
@@ -631,6 +669,7 @@ mod tests {
             tier.partitioner(),
             config,
             FetchMode::Batched,
+            ProcessorOptions::default(),
         );
 
         let mut client = transport.dial(&addr).unwrap();

@@ -360,14 +360,14 @@ impl QueryPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::StorageService;
+    use crate::service::{StorageOptions, StorageService};
     use crate::transport::{InProcTransport, Transport};
     use grouting_cache::LruCache;
     use grouting_engine::Worker;
     use grouting_graph::{GraphBuilder, NodeId};
     use grouting_partition::HashPartitioner;
     use grouting_query::PrefetchPolicy;
-    use grouting_storage::{NetworkModel, StorageTier};
+    use grouting_storage::StorageTier;
     use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {
@@ -425,10 +425,11 @@ mod tests {
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
         let handles: Vec<_> = (0..tier.server_count())
             .map(|_| {
-                StorageService::spawn(
+                StorageService::spawn_opts(
                     Arc::clone(&transport),
+                    &transport.any_addr(),
                     Arc::clone(&tier),
-                    NetworkModel::local(),
+                    StorageOptions::default(),
                 )
                 .unwrap()
             })
@@ -555,10 +556,11 @@ mod tests {
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
         let handles: Vec<_> = (0..tier.server_count())
             .map(|_| {
-                StorageService::spawn(
+                StorageService::spawn_opts(
                     Arc::clone(&transport),
+                    &transport.any_addr(),
                     Arc::clone(&tier),
-                    NetworkModel::local(),
+                    StorageOptions::default(),
                 )
                 .unwrap()
             })

@@ -761,8 +761,10 @@ mod tests {
     use std::sync::Arc;
 
     fn frame(i: u32) -> Frame {
-        Frame::FetchRequest {
-            node: NodeId::new(i),
+        Frame::FetchBatchRequest {
+            req_id: u64::from(i),
+            nodes: vec![NodeId::new(i)],
+            issued_ns: None,
         }
     }
 
@@ -914,9 +916,12 @@ mod tests {
         // seen within the first sweep rather than after 200 frames.
         let mut events = Vec::new();
         reactor.poll(&mut events).unwrap();
-        let quiet_seen = events
-            .iter()
-            .any(|e| matches!(e, ReactorEvent::Frame(_, Frame::FetchRequest { node }) if node.raw() == 9999));
+        let quiet_seen = events.iter().any(|e| {
+            matches!(
+                e,
+                ReactorEvent::Frame(_, Frame::FetchBatchRequest { req_id: 9999, .. })
+            )
+        });
         assert!(quiet_seen, "bounded drain must reach the second peer");
         let flood_frames = events
             .iter()
@@ -964,8 +969,8 @@ mod tests {
                 events.clear();
                 reactor.wait(&mut events, &|| false).unwrap();
                 for event in events.drain(..) {
-                    if let ReactorEvent::Frame(id, Frame::FetchRequest { node }) = event {
-                        received.entry(id).or_default().push(node.raw());
+                    if let ReactorEvent::Frame(id, Frame::FetchBatchRequest { req_id, .. }) = event {
+                        received.entry(id).or_default().push(req_id as u32);
                         got += 1;
                     }
                 }

@@ -6,16 +6,12 @@
 //! connections, rather than a thread per connection:
 //!
 //! * [`StorageService`] — wraps a [`StorageTier`] handle and answers
-//!   [`Frame::FetchRequest`]s and [`Frame::FetchBatchRequest`]s from every
-//!   inbound connection through one poll loop, with an optional
-//!   [`NetworkModel`] delay charged per exchange (the `gRouting-E`
-//!   emulation knob);
-//! * [`ProcessorService`] — a query processor. In [`FetchMode::Scalar`] it
-//!   runs the classic blocking loop: an engine [`Worker`] over a
-//!   [`RemoteStorageSource`] (pooled connections, one round trip per
-//!   node), one query at a time. In [`FetchMode::Batched`] it polls its
-//!   router connection and drives a [`QueryPipeline`] over a
-//!   [`MultiplexedStorageSource`]: up to [`EngineConfig::overlap`]
+//!   [`Frame::FetchBatchRequest`]s from every inbound connection through
+//!   one poll loop, with an optional [`NetworkModel`] delay charged per
+//!   exchange (the `gRouting-E` emulation knob);
+//! * [`ProcessorService`] — a query processor: polls its router
+//!   connection and drives a [`QueryPipeline`] over a
+//!   [`MultiplexedStorageSource`] — up to [`EngineConfig::overlap`]
 //!   dispatched queries in flight, one query's frontier batch travelling
 //!   while another's compute stage runs;
 //! * [`run_router`] — the router node: accepts client and processor
@@ -32,23 +28,22 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 use grouting_embed::landmarks::Landmarks;
-use grouting_engine::{Engine, EngineAssets, EngineConfig, Worker};
+use grouting_engine::{Engine, EngineAssets, EngineConfig};
 use grouting_graph::NodeId;
 use grouting_metrics::timeline::QueryRecord;
 use grouting_metrics::{set_node_role, DecayingHeat, FailoverStats, HeatMap, RunSnapshot};
 use grouting_obs::{NodeObs, NodeRole, ObsConfig};
 use grouting_partition::Partitioner;
-use grouting_query::{BatchSource, RecordSource};
 use grouting_storage::{NetworkModel, StorageTier};
 use grouting_trace::{
-    span_ring_from_env, QuerySpan, QueryTrace, SpanRing, Stage, StageStats, TelemetryCounters,
-    TraceLevel, TraceSnapshot,
+    span_ring_from_env, QuerySpan, SpanRing, Stage, StageStats, TelemetryCounters, TraceLevel,
+    TraceSnapshot,
 };
 
 use crate::error::{WireError, WireResult};
@@ -56,7 +51,7 @@ use crate::flow::{BatchMux, FetchMode, MultiplexedStorageSource};
 use crate::frame::{Completion, DispatchTrace, Frame, Role};
 use crate::overlap::QueryPipeline;
 use crate::reactor::{PollerKind, Reactor, ReactorEvent};
-use crate::transport::{ConnectionPool, Listener, RetryPolicy, Transport};
+use crate::transport::{Listener, RetryPolicy, Transport};
 
 /// How long an idle service loop parks on its readiness backend before
 /// re-checking its stop flag (epoll wakes early on any traffic; the sweep
@@ -146,97 +141,21 @@ impl Default for StorageOptions {
 pub struct StorageService;
 
 impl StorageService {
-    /// Spawns a storage endpoint on `transport`, serving `tier` with an
-    /// emulated per-fetch `net` delay ([`NetworkModel::local`] charges
-    /// nothing). One reactor thread serves every inbound connection —
-    /// O(1) threads per storage node regardless of how many processors
-    /// dial it.
+    /// Spawns a storage endpoint on `transport` at `addr`
+    /// ([`Transport::any_addr`] for an ephemeral one; a concrete address
+    /// for the restart half of a kill/restart cycle — TCP listeners bind
+    /// with `SO_REUSEADDR`, so a restart does not wait out `TIME_WAIT`),
+    /// serving `tier` under `opts`. One reactor thread serves every
+    /// inbound connection — O(1) threads per storage node regardless of
+    /// how many processors dial it.
     ///
-    /// Emulated delays model *wire latency*, not server occupancy:
-    /// microsecond-scale delays (RDMA/Ethernet presets) are spun inline
-    /// for accuracy, while delays of 100 µs and up park the finished
-    /// response in a due-time queue and keep serving — so concurrent
-    /// exchanges overlap their emulated flight time exactly as they would
-    /// over a real remote wire, instead of queueing behind one another's
-    /// sleeps.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the transport cannot bind a listener.
-    pub fn spawn(
-        transport: Arc<dyn Transport>,
-        tier: Arc<StorageTier>,
-        net: NetworkModel,
-    ) -> WireResult<ServiceHandle> {
-        Self::spawn_with_poller(transport, tier, net, PollerKind::from_env())
-    }
-
-    /// Like [`StorageService::spawn`], on an explicitly chosen readiness
-    /// backend instead of the `GROUTING_REACTOR` default.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the transport cannot bind a listener.
-    pub fn spawn_with_poller(
-        transport: Arc<dyn Transport>,
-        tier: Arc<StorageTier>,
-        net: NetworkModel,
-        poller: PollerKind,
-    ) -> WireResult<ServiceHandle> {
-        Self::spawn_full(transport, tier, net, poller, None)
-    }
-
-    /// Like [`StorageService::spawn_with_poller`], additionally wiring a
-    /// deployment-shared [`TelemetryCounters`] into the node's reactor so
-    /// its poll-loop and frame traffic show up in traced snapshots.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the transport cannot bind a listener.
-    pub fn spawn_full(
-        transport: Arc<dyn Transport>,
-        tier: Arc<StorageTier>,
-        net: NetworkModel,
-        poller: PollerKind,
-        telemetry: Option<Arc<TelemetryCounters>>,
-    ) -> WireResult<ServiceHandle> {
-        let addr = transport.any_addr();
-        Self::spawn_bound(transport, &addr, tier, net, poller, telemetry)
-    }
-
-    /// Like [`StorageService::spawn_full`], binding the listener at `addr`
-    /// instead of an ephemeral address — the restart half of a
-    /// kill/restart cycle, where peers must find the replacement at the
-    /// address they already know. (TCP listeners bind with `SO_REUSEADDR`,
-    /// so a restart does not wait out `TIME_WAIT`.)
-    ///
-    /// # Errors
-    ///
-    /// Fails when the transport cannot bind a listener at `addr`.
-    pub fn spawn_bound(
-        transport: Arc<dyn Transport>,
-        addr: &str,
-        tier: Arc<StorageTier>,
-        net: NetworkModel,
-        poller: PollerKind,
-        telemetry: Option<Arc<TelemetryCounters>>,
-    ) -> WireResult<ServiceHandle> {
-        Self::spawn_opts(
-            transport,
-            addr,
-            tier,
-            StorageOptions {
-                net,
-                poller,
-                telemetry,
-                ..StorageOptions::default()
-            },
-        )
-    }
-
-    /// Like [`StorageService::spawn_bound`], taking the full
-    /// [`StorageOptions`] set — including the observability bundle and the
-    /// router address sampled registries are pushed to.
+    /// Emulated delays ([`StorageOptions::net`]) model *wire latency*, not
+    /// server occupancy: microsecond-scale delays (RDMA/Ethernet presets)
+    /// are spun inline for accuracy, while delays of 100 µs and up park
+    /// the finished response in a due-time queue and keep serving — so
+    /// concurrent exchanges overlap their emulated flight time exactly as
+    /// they would over a real remote wire, instead of queueing behind one
+    /// another's sleeps.
     ///
     /// # Errors
     ///
@@ -259,8 +178,12 @@ impl StorageService {
             push_addr,
             id,
         } = opts;
-        let join = std::thread::spawn(move || {
-            set_node_role(format!("storage-{id}"));
+        // The thread carries the same name the log prefix does, so
+        // `/proc/self/task/*/comm` attributes CPU by role.
+        let role = format!("storage-{id}");
+        let thread = std::thread::Builder::new().name(role.clone());
+        let join = thread.spawn(move || {
+            set_node_role(role);
             let mut reactor = Reactor::with_poller(listener, poller);
             if let Some(t) = &telemetry {
                 reactor.set_telemetry(Arc::clone(t));
@@ -268,7 +191,7 @@ impl StorageService {
             let mut obs = NodeObs::new(NodeRole::Storage, id, &obs_cfg);
             // Served-request tallies (cheap enough to count always; only
             // read while observability is on).
-            let (mut fetches, mut batches, mut records) = (0u64, 0u64, 0u64);
+            let (mut batches, mut records) = (0u64, 0u64);
             // The lazily dialled anonymous connection `ObsPush` frames ride.
             let mut push_conn = None;
             let mut events: Vec<ReactorEvent> = Vec::new();
@@ -277,8 +200,7 @@ impl StorageService {
             // depends on payload bytes), so delivery scans the whole
             // queue — a large response must not head-of-line-block a
             // small one behind it. Per-connection reordering is safe:
-            // batch responses correlate by req_id, and the scalar pool
-            // keeps one outstanding request per connection.
+            // batch responses correlate by req_id.
             let mut in_flight: VecDeque<DelayedResponse> = VecDeque::new();
             loop {
                 if stop_loop.load(Ordering::SeqCst) {
@@ -291,16 +213,9 @@ impl StorageService {
                 let mut progressed = false;
                 for event in events.drain(..) {
                     if let ReactorEvent::Frame(conn_id, frame) = event {
-                        match &frame {
-                            Frame::FetchRequest { .. } => {
-                                fetches += 1;
-                                records += 1;
-                            }
-                            Frame::FetchBatchRequest { nodes, .. } => {
-                                batches += 1;
-                                records += nodes.len() as u64;
-                            }
-                            _ => {}
+                        if let Frame::FetchBatchRequest { nodes, .. } = &frame {
+                            batches += 1;
+                            records += nodes.len() as u64;
                         }
                         serve_storage_frame(
                             &mut reactor,
@@ -332,7 +247,6 @@ impl StorageService {
                     let delayed = in_flight.len();
                     let now = now_ns();
                     o.maybe_sample(now, |r| {
-                        r.counter("grouting_storage_fetches_total", fetches);
                         r.counter("grouting_storage_batches_total", batches);
                         r.counter("grouting_storage_records_total", records);
                         r.gauge("grouting_storage_delayed_responses", delayed as f64);
@@ -371,7 +285,7 @@ impl StorageService {
             if let Some(o) = obs.as_ref() {
                 o.teardown();
             }
-        });
+        })?;
         Ok(ServiceHandle {
             addr,
             stop,
@@ -405,27 +319,6 @@ fn serve_storage_frame(
     in_flight: &mut VecDeque<DelayedResponse>,
 ) {
     match frame {
-        Frame::FetchRequest { node } => {
-            let payload = tier.get(node).map(|(server, value)| (server as u16, value));
-            let delay_ns = if net.is_free() {
-                0
-            } else {
-                net.fetch_ns(payload.as_ref().map_or(0, |(_, v)| v.len()))
-            };
-            let response = Frame::FetchResponse { node, payload };
-            if delay_ns >= DELAY_QUEUE_THRESHOLD_NS {
-                in_flight.push_back(DelayedResponse {
-                    due: Instant::now() + std::time::Duration::from_nanos(delay_ns),
-                    conn_id,
-                    frames: vec![response],
-                });
-                return;
-            }
-            spin_for_ns(delay_ns);
-            if reactor.send(conn_id, &response).is_err() {
-                reactor.close(conn_id);
-            }
-        }
         Frame::FetchBatchRequest { req_id, nodes, .. } => {
             let payloads: Vec<Option<(u16, bytes::Bytes)>> = tier
                 .get_many(&nodes)
@@ -481,8 +374,7 @@ fn serve_storage_frame(
 /// `req_id` (the multiplexer reassembles by node count), keeping every
 /// frame comfortably under [`crate::frame::MAX_FRAME_BYTES`] no matter how
 /// large the requested frontier is. A *single* record larger than the
-/// frame cap still cannot be shipped — the same limit the scalar path has
-/// always had.
+/// frame cap still cannot be shipped.
 pub const BATCH_RESPONSE_SOFT_BYTES: usize = 8 << 20;
 
 /// Per-payload framing overhead assumed by the response chunker (flag +
@@ -523,7 +415,7 @@ fn send_batch_response(
 /// Busy-waits `ns` nanoseconds — the emulation is about *relative* cost,
 /// and sleeping has far too coarse a floor for microsecond RTTs. Delays
 /// large enough to matter go through the due-time queue instead (see
-/// [`StorageService::spawn`]).
+/// [`StorageService::spawn_opts`]).
 fn spin_for_ns(ns: u64) {
     let start = Instant::now();
     while (start.elapsed().as_nanos() as u64) < ns {
@@ -535,217 +427,11 @@ fn spin_for_ns(ns: u64) {
 // Processor
 // ---------------------------------------------------------------------------
 
-/// A [`RecordSource`] that fetches adjacency records from remote storage
-/// endpoints over pooled framed connections.
-///
-/// The placement function (the tier's partitioner) is stateless metadata
-/// every processor knows — exactly how the paper's processors address
-/// RAMCloud servers — so a fetch dials the owning endpoint directly.
-pub struct RemoteStorageSource {
-    partitioner: Arc<dyn Partitioner>,
-    pools: Vec<ConnectionPool>,
-    timer: Arc<FetchTimer>,
-    /// Replica-chain length: endpoints `(home + k) % servers` for
-    /// `k < replication` can all serve a node homed on `home`.
-    replication: usize,
-    /// Backoff ladder pacing the replica-chain walk after the active
-    /// endpoint's own pool gives up.
-    retry: RetryPolicy,
-    /// Sticky chain offset per home server (`0` = primary). A chain walk
-    /// that finds the primary answering again resets it.
-    active: Vec<usize>,
-    failover: Arc<FailoverCell>,
-}
-
-/// Shared failover tally for the scalar path (the same role
-/// [`FetchTimer`] plays for fetch waits): the blocking worker owns its
-/// boxed source, so the processor loop keeps this handle to stamp
-/// cumulative recovery counters into every completion it sends.
-///
-/// `redials` counts chain-walk probe attempts, `replica_failovers`
-/// recoveries that landed on a non-primary endpoint, and `resubmitted`
-/// requests replayed on a different connection after a failure.
-#[derive(Debug, Default)]
-pub struct FailoverCell {
-    redials: AtomicU64,
-    replica_failovers: AtomicU64,
-    resubmitted: AtomicU64,
-}
-
-impl FailoverCell {
-    /// The counters as a [`FailoverStats`] value.
-    pub fn snapshot(&self) -> FailoverStats {
-        FailoverStats {
-            redials: self.redials.load(Ordering::Relaxed),
-            replica_failovers: self.replica_failovers.load(Ordering::Relaxed),
-            batches_resubmitted: self.resubmitted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Shared fetch-wait accumulator for the scalar path: the blocking worker
-/// owns its boxed source, so the processor loop keeps this handle to read
-/// how much of each query's wall time went to storage round trips. Inert
-/// (one relaxed load per fetch) until a traced dispatch enables it.
-#[derive(Debug, Default)]
-pub struct FetchTimer {
-    enabled: AtomicBool,
-    waited_ns: AtomicU64,
-}
-
-impl FetchTimer {
-    /// Starts accumulating (idempotent).
-    pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Total nanoseconds spent inside fetch round trips since enabled.
-    pub fn total_ns(&self) -> u64 {
-        self.waited_ns.load(Ordering::Relaxed)
-    }
-}
-
-impl RemoteStorageSource {
-    /// A source fetching from `storage_addrs` (index = storage server id)
-    /// with `partitioner` as the placement function.
-    pub fn new(
-        transport: Arc<dyn Transport>,
-        storage_addrs: &[String],
-        partitioner: Arc<dyn Partitioner>,
-    ) -> Self {
-        let pools: Vec<ConnectionPool> = storage_addrs
-            .iter()
-            .map(|a| ConnectionPool::new(Arc::clone(&transport), a.clone(), 2))
-            .collect();
-        let active = vec![0; pools.len()];
-        Self {
-            partitioner,
-            pools,
-            timer: Arc::new(FetchTimer::default()),
-            replication: 1,
-            retry: RetryPolicy::from_env(),
-            active,
-            failover: Arc::new(FailoverCell::default()),
-        }
-    }
-
-    /// Serve fetches from a replica chain of this length (`1` = primary
-    /// only; values are clamped to the server count at use). Mirrors
-    /// [`MultiplexedStorageSource::with_replication`] on the batched path.
-    #[must_use]
-    pub fn with_replication(mut self, replication: usize) -> Self {
-        self.replication = replication.max(1);
-        self
-    }
-
-    /// Overrides the redial backoff ladder — both the chain walk's pacing
-    /// and every per-endpoint pool's.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        for pool in &mut self.pools {
-            pool.set_retry(retry);
-        }
-        self
-    }
-
-    /// Total reconnects across the per-server pools.
-    pub fn reconnects(&self) -> u64 {
-        self.pools.iter().map(ConnectionPool::reconnects).sum()
-    }
-
-    /// The source's fetch-wait timer (see [`FetchTimer`]).
-    pub fn timer(&self) -> Arc<FetchTimer> {
-        Arc::clone(&self.timer)
-    }
-
-    /// The source's shared failover tally (see [`FailoverCell`]).
-    pub fn failover_cell(&self) -> Arc<FailoverCell> {
-        Arc::clone(&self.failover)
-    }
-
-    /// Cumulative failover counters so far.
-    pub fn failover_stats(&self) -> FailoverStats {
-        self.failover.snapshot()
-    }
-
-    /// One unary exchange against `home`'s replica chain: the sticky
-    /// active replica first (whose pool masks a plain restart with its
-    /// own redial ladder), then — on persistent failure — a paced walk
-    /// over the whole chain starting at the primary, so a restarted
-    /// primary is recovered at the next failure event. The same ladder
-    /// [`BatchMux`] runs on the batched path.
-    fn request_chain(&mut self, home: usize, frame: &Frame) -> WireResult<Frame> {
-        let servers = self.pools.len();
-        let chain = self.replication.min(servers).max(1);
-        let offset = self.active[home] % chain;
-        let first = self.pools[(home + offset) % servers].request(frame);
-        if first.is_ok() || chain == 1 {
-            return first;
-        }
-        let mut last = first;
-        for attempt in 0..self.retry.attempts {
-            for k in 0..chain {
-                let target = (home + k) % servers;
-                self.failover.redials.fetch_add(1, Ordering::Relaxed);
-                match self.pools[target].try_request(frame) {
-                    Ok(reply) => {
-                        self.active[home] = k;
-                        if k != 0 {
-                            self.failover
-                                .replica_failovers
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.failover.resubmitted.fetch_add(1, Ordering::Relaxed);
-                        return Ok(reply);
-                    }
-                    Err(e) => last = Err(e),
-                }
-            }
-            if attempt + 1 < self.retry.attempts {
-                std::thread::sleep(self.retry.delay(attempt, home as u64));
-            }
-        }
-        last
-    }
-}
-
-impl RecordSource for RemoteStorageSource {
-    fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, Bytes)> {
-        let home = self.partitioner.assign(node) % self.pools.len();
-        let started = self
-            .timer
-            .enabled
-            .load(Ordering::Relaxed)
-            .then(Instant::now);
-        let payload = match self.request_chain(home, &Frame::FetchRequest { node }) {
-            Ok(Frame::FetchResponse { node: got, payload }) => {
-                assert_eq!(got, node, "storage stream desynced");
-                payload
-            }
-            Ok(other) => panic!("storage sent {} to a fetch", other.kind()),
-            Err(e) => panic!("storage fetch failed on every replica: {e}"),
-        };
-        if let Some(started) = started {
-            self.timer
-                .waited_ns
-                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        payload
-    }
-}
-
-/// The scalar wire path deliberately keeps the default per-node loop: one
-/// blocking round trip per frontier node. [`MultiplexedStorageSource`] is
-/// the batched alternative.
-impl BatchSource for RemoteStorageSource {}
-
 /// Processor-side knobs beyond the engine configuration.
 pub struct ProcessorOptions {
-    /// Readiness backend for the batched path's storage mux (the scalar
-    /// path's blocking exchanges never poll).
+    /// Readiness backend for the processor's storage mux.
     pub poller: PollerKind,
-    /// Deployment-shared reactor telemetry (batched path only).
+    /// Deployment-shared reactor telemetry.
     pub telemetry: Option<Arc<TelemetryCounters>>,
     /// Replica-chain length for storage failover: a fetch its home
     /// endpoint cannot serve fails over to `(home + k) % servers` for
@@ -757,8 +443,7 @@ pub struct ProcessorOptions {
     pub retry: Option<RetryPolicy>,
     /// External kill switch: when raised, the processor exits its loop as
     /// if it had crashed — its connections drop and the router masks the
-    /// death. The scalar loop switches from blocking to polled receive to
-    /// honour it; `None` keeps the classic blocking loop.
+    /// death.
     pub stop: Option<Arc<AtomicBool>>,
     /// Re-join acknowledgement flag: when set, the processor sends a
     /// [`Frame::MetricsRequest`] right after its hello and raises the flag
@@ -794,105 +479,16 @@ pub struct ProcessorService;
 impl ProcessorService {
     /// Spawns processor `id`: dials the router and the storage endpoints,
     /// then serves dispatched queries until the router says
-    /// [`Frame::Shutdown`].
+    /// [`Frame::Shutdown`] (or [`ProcessorOptions::stop`] is raised).
     ///
     /// The cache is built exactly as the in-proc engine builds its own
     /// ([`EngineConfig::build_cache`]), with the miss path swapped for a
-    /// wire-backed source. [`FetchMode::Scalar`] runs the classic
-    /// ack-driven loop: one blocking query at a time over a
-    /// [`RemoteStorageSource`] (one round trip per node).
-    /// [`FetchMode::Batched`] polls the router connection and drives a
-    /// [`QueryPipeline`] over a [`MultiplexedStorageSource`]: up to
-    /// [`EngineConfig::overlap`] dispatched queries in flight, one query's
-    /// frontier batch on the wire while another computes. At `overlap = 1`
-    /// the pipeline replays byte-identical cache accounting to the serial
-    /// paths, which is why wire runs agree with in-proc runs on every
-    /// cache statistic in either fetch mode.
-    pub fn spawn(
-        transport: Arc<dyn Transport>,
-        id: usize,
-        router_addr: String,
-        storage_addrs: Vec<String>,
-        partitioner: Arc<dyn Partitioner>,
-        config: EngineConfig,
-        fetch: FetchMode,
-    ) -> std::thread::JoinHandle<WireResult<()>> {
-        Self::spawn_with_poller(
-            transport,
-            id,
-            router_addr,
-            storage_addrs,
-            partitioner,
-            config,
-            fetch,
-            PollerKind::from_env(),
-        )
-    }
-
-    /// Like [`ProcessorService::spawn`], on an explicitly chosen readiness
-    /// backend instead of the `GROUTING_REACTOR` default. (The scalar
-    /// path's blocking per-node exchanges never poll, so the choice only
-    /// affects [`FetchMode::Batched`].)
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with_poller(
-        transport: Arc<dyn Transport>,
-        id: usize,
-        router_addr: String,
-        storage_addrs: Vec<String>,
-        partitioner: Arc<dyn Partitioner>,
-        config: EngineConfig,
-        fetch: FetchMode,
-        poller: PollerKind,
-    ) -> std::thread::JoinHandle<WireResult<()>> {
-        Self::spawn_full(
-            transport,
-            id,
-            router_addr,
-            storage_addrs,
-            partitioner,
-            config,
-            fetch,
-            poller,
-            None,
-        )
-    }
-
-    /// Like [`ProcessorService::spawn_with_poller`], additionally wiring a
-    /// deployment-shared [`TelemetryCounters`] into the processor's batch
-    /// mux (batch depth, buffer-pool reuse). The scalar path has no mux
-    /// and ignores it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_full(
-        transport: Arc<dyn Transport>,
-        id: usize,
-        router_addr: String,
-        storage_addrs: Vec<String>,
-        partitioner: Arc<dyn Partitioner>,
-        config: EngineConfig,
-        fetch: FetchMode,
-        poller: PollerKind,
-        telemetry: Option<Arc<TelemetryCounters>>,
-    ) -> std::thread::JoinHandle<WireResult<()>> {
-        Self::spawn_opts(
-            transport,
-            id,
-            router_addr,
-            storage_addrs,
-            partitioner,
-            config,
-            fetch,
-            ProcessorOptions {
-                poller,
-                telemetry,
-                ..ProcessorOptions::default()
-            },
-        )
-    }
-
-    /// Like [`ProcessorService::spawn_full`], taking the full
-    /// [`ProcessorOptions`] set — readiness backend, telemetry,
-    /// replica-chain failover, retry policy, and an external kill switch
-    /// for chaos harnesses.
+    /// [`MultiplexedStorageSource`]. The loop polls the router connection
+    /// and drives a [`QueryPipeline`]: up to [`EngineConfig::overlap`]
+    /// dispatched queries in flight, one query's frontier batch on the
+    /// wire while another computes. At `overlap = 1` the pipeline replays
+    /// byte-identical cache accounting to the serial paths, which is why
+    /// wire runs agree with in-proc runs on every cache statistic.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_opts(
         transport: Arc<dyn Transport>,
@@ -904,183 +500,34 @@ impl ProcessorService {
         fetch: FetchMode,
         opts: ProcessorOptions,
     ) -> std::thread::JoinHandle<WireResult<()>> {
-        std::thread::spawn(move || match fetch {
-            FetchMode::Scalar => run_processor_scalar(
-                &transport,
-                id,
-                &router_addr,
-                &storage_addrs,
-                partitioner,
-                &config,
-                &opts,
-            ),
-            FetchMode::Batched => run_processor_overlapped(
-                &transport,
-                id,
-                &router_addr,
-                &storage_addrs,
-                partitioner,
-                &config,
-                opts,
-            ),
-        })
+        // Named by the benchmark (`load/`); the next `benchmark` PR drops it.
+        let FetchMode::Batched = fetch;
+        // Thread name = log prefix, as for storage.
+        let role = format!("proc-{id}");
+        std::thread::Builder::new()
+            .name(role.clone())
+            .spawn(move || {
+                set_node_role(role);
+                run_processor(
+                    &transport,
+                    id,
+                    &router_addr,
+                    &storage_addrs,
+                    partitioner,
+                    &config,
+                    opts,
+                )
+            })
+            .expect("spawn processor thread")
     }
 }
 
-/// The classic blocking processor: ack-driven dispatch, one query at a
-/// time, scalar per-node fetches.
-fn run_processor_scalar(
-    transport: &Arc<dyn Transport>,
-    id: usize,
-    router_addr: &str,
-    storage_addrs: &[String],
-    partitioner: Arc<dyn Partitioner>,
-    config: &EngineConfig,
-    opts: &ProcessorOptions,
-) -> WireResult<()> {
-    set_node_role(format!("proc-{id}"));
-    let mut remote = RemoteStorageSource::new(Arc::clone(transport), storage_addrs, partitioner)
-        .with_replication(opts.replication);
-    if let Some(retry) = opts.retry {
-        remote = remote.with_retry(retry);
-    }
-    let timer = remote.timer();
-    let failover = remote.failover_cell();
-    let source: Box<dyn BatchSource + Send> = Box::new(remote);
-    let mut worker = Worker::from_parts(id, source, config.build_cache());
-    let router = transport.dial(router_addr)?;
-    let (mut sink, mut stream) = router.split();
-    sink.send(&Frame::Hello {
-        role: Role::Processor,
-        id: id as u32,
-    })?;
-    if opts.ready.is_some() {
-        sink.send(&Frame::MetricsRequest)?;
-    }
-    let mut obs = NodeObs::new(NodeRole::Processor, id as u16, &opts.obs);
-    // Cumulative per-processor tallies: the per-partition heat rides every
-    // completion (counted unconditionally, so frames are byte-identical
-    // with sampling on or off); the cache totals feed the sampler only.
-    let mut heat = HeatMap::new();
-    let mut cum = grouting_query::AccessStats::default();
-    let mut queries_done = 0u64;
-    let outcome: WireResult<()> = loop {
-        if opts
-            .stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
-        {
-            break Ok(());
-        }
-        // With a kill switch armed the loop polls so the switch is seen
-        // between frames; without one it blocks exactly as before.
-        let frame = if opts.stop.is_some() {
-            match stream.try_recv() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    continue;
-                }
-                Err(WireError::Closed) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        } else {
-            match stream.recv() {
-                Ok(frame) => frame,
-                Err(WireError::Closed) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        match frame {
-            Frame::Dispatch { seq, query, trace } => {
-                if trace.is_some() {
-                    timer.enable();
-                }
-                let fetch_before = timer.total_ns();
-                let started_ns = now_ns();
-                let (out, miss_log) = worker.run(&query);
-                let completed_ns = now_ns();
-                for ev in &miss_log {
-                    heat.record_demand(ev.server as usize, 1);
-                }
-                cum.cache_hits += out.stats.cache_hits;
-                cum.cache_misses += out.stats.cache_misses;
-                cum.evictions += out.stats.evictions;
-                queries_done += 1;
-                // The scalar loop has no per-level staging, so the trace
-                // block splits the query's wall time into "inside a fetch
-                // round trip" vs "everything else" with zero levels.
-                let query_trace = trace.map(|_| {
-                    let fetch_wait_ns = timer.total_ns().saturating_sub(fetch_before);
-                    QueryTrace {
-                        fetch_wait_ns,
-                        compute_ns: completed_ns
-                            .saturating_sub(started_ns)
-                            .saturating_sub(fetch_wait_ns),
-                        levels: 0,
-                        level_spans: Vec::new(),
-                    }
-                });
-                if let Err(e) = sink.send(&Frame::Completion(Completion {
-                    seq,
-                    processor: id as u32,
-                    result: out.result,
-                    stats: out.stats,
-                    // The scalar path never speculates (piggybacking on
-                    // per-node round trips would *add* RTTs).
-                    prefetch: grouting_query::PrefetchStats::default(),
-                    failover: failover.snapshot(),
-                    arrived_ns: 0,
-                    started_ns,
-                    completed_ns,
-                    heat: heat.clone(),
-                    trace: query_trace,
-                })) {
-                    break Err(e);
-                }
-            }
-            Frame::Metrics { .. } if opts.ready.is_some() => {
-                if let Some(ready) = &opts.ready {
-                    ready.store(true, Ordering::SeqCst);
-                }
-            }
-            Frame::Shutdown => break Ok(()),
-            other => {
-                break Err(WireError::Protocol(format!(
-                    "processor {id} got {}",
-                    other.kind()
-                )))
-            }
-        }
-        if let Some(o) = obs.as_mut() {
-            let now = now_ns();
-            o.maybe_sample(now, |r| {
-                r.counter("grouting_queries_total", queries_done);
-                r.absorb_cache(cum.cache_hits, cum.cache_misses, cum.evictions);
-                r.absorb_failover(&failover.snapshot());
-                r.absorb_heat("partition", &heat);
-            });
-            if let Some(snap) = o.take_push() {
-                if let Err(e) = sink.send(&Frame::ObsPush { snapshot: snap }) {
-                    break Err(e);
-                }
-            }
-            o.poll_scrape(now);
-        }
-    };
-    if let Some(o) = obs.as_ref() {
-        o.teardown();
-    }
-    outcome
-}
-
-/// The overlapped processor: polls the router connection for dispatches
+/// The processor loop: polls the router connection for dispatches
 /// (the router sends up to `overlap` ahead of acknowledgements) and
 /// drives the [`QueryPipeline`], acknowledging completions as they land —
 /// possibly out of dispatch order, which the router correlates by
 /// sequence number.
-#[allow(clippy::too_many_arguments)]
-fn run_processor_overlapped(
+fn run_processor(
     transport: &Arc<dyn Transport>,
     id: usize,
     router_addr: &str,
@@ -1089,7 +536,6 @@ fn run_processor_overlapped(
     config: &EngineConfig,
     opts: ProcessorOptions,
 ) -> WireResult<()> {
-    set_node_role(format!("proc-{id}"));
     let mut source = MultiplexedStorageSource::with_poller(
         Arc::clone(transport),
         storage_addrs,

@@ -12,10 +12,6 @@
 //!   tests and sandboxes without loopback. It still moves *encoded* bytes
 //!   (not `Frame` values), so the codec is exercised on both paths.
 //!
-//! [`ConnectionPool`] adds the client-side discipline processors use
-//! towards storage: keep idle connections, re-dial on failure, retry a
-//! request exactly once on a fresh connection.
-//!
 //! The TCP data plane is zero-copy on both directions: receives land in
 //! pooled buffers ([`bytes::BufferPool`]) out of which frame payloads are
 //! decoded as `Arc`-backed slice views (no per-payload copy), and sends of
@@ -214,9 +210,8 @@ pub trait Transport: Send + Sync {
 const MAX_RETRY_DELAY: Duration = Duration::from_millis(500);
 
 /// Bounded exponential backoff with deterministic jitter, shared by every
-/// client-side redial path (the batch multiplexer and the scalar
-/// connection pools). `GROUTING_RETRY=attempts:base_ms` overrides the
-/// defaults; the jitter is a pure function of `(attempt, salt)` so a
+/// client-side redial path. `GROUTING_RETRY=attempts:base_ms` overrides
+/// the defaults; the jitter is a pure function of `(attempt, salt)` so a
 /// seeded run retries on an identical schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -949,147 +944,6 @@ impl FrameStream for ChanStream {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pool
-// ---------------------------------------------------------------------------
-
-/// A small client-side connection pool to one address, with reconnect.
-///
-/// Used by processors towards storage endpoints: requests check a
-/// connection out, run one send/recv exchange, and check it back in. A
-/// failed exchange drops the (presumed dead) connection and retries once
-/// on a freshly dialled one, which masks storage restarts.
-pub struct ConnectionPool {
-    transport: Arc<dyn Transport>,
-    addr: String,
-    idle: Vec<Connection>,
-    max_idle: usize,
-    retry: RetryPolicy,
-    /// De-synchronises the jitter of pools redialling the same endpoint.
-    salt: u64,
-    reconnects: u64,
-}
-
-impl ConnectionPool {
-    /// A pool towards `addr` keeping at most `max_idle` parked connections.
-    pub fn new(transport: Arc<dyn Transport>, addr: impl Into<String>, max_idle: usize) -> Self {
-        let addr = addr.into();
-        let salt = addr.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-        });
-        Self {
-            transport,
-            addr,
-            idle: Vec::new(),
-            max_idle: max_idle.max(1),
-            retry: RetryPolicy::from_env(),
-            salt,
-            reconnects: 0,
-        }
-    }
-
-    /// Overrides the redial backoff ladder (default: `GROUTING_RETRY` or
-    /// the built-in 8-attempt exponential).
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// In-place variant of [`ConnectionPool::with_retry`] for pools that
-    /// are already constructed (e.g. inside a source built over many
-    /// endpoints at once).
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The address this pool dials.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Times a request hit a dead connection and was retried on a fresh
-    /// dial.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    /// Whether a request right now would reuse a parked connection.
-    pub fn has_idle(&self) -> bool {
-        !self.idle.is_empty()
-    }
-
-    fn checkout(&mut self) -> WireResult<Connection> {
-        match self.idle.pop() {
-            Some(conn) => Ok(conn),
-            // First dial towards this endpoint: the transport's own
-            // patience covers services that are still starting up.
-            None => self.transport.dial(&self.addr),
-        }
-    }
-
-    fn checkin(&mut self, conn: Connection) {
-        if self.idle.len() < self.max_idle {
-            self.idle.push(conn);
-        }
-    }
-
-    /// One unary exchange with redial-and-retry-once semantics: a failed
-    /// exchange drops the (presumed dead) connection, redials through the
-    /// bounded backoff ladder, and replays the request exactly once on the
-    /// fresh connection.
-    ///
-    /// # Errors
-    ///
-    /// Returns the final failure once the redial ladder is exhausted (the
-    /// caller's cue to fail over to another replica).
-    pub fn request(&mut self, frame: &Frame) -> WireResult<Frame> {
-        let had_idle = !self.idle.is_empty();
-        let mut conn = self.checkout()?;
-        match conn.request(frame) {
-            Ok(reply) => {
-                self.checkin(conn);
-                Ok(reply)
-            }
-            Err(_) if had_idle => {
-                // The parked connection went stale (peer restarted): drop
-                // it and retry once on a connection from the backoff
-                // ladder.
-                drop(conn);
-                self.reconnects += 1;
-                let mut fresh = self.retry.dial(&*self.transport, &self.addr, self.salt)?;
-                let reply = fresh.request(frame)?;
-                self.checkin(fresh);
-                Ok(reply)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// One single-attempt exchange: reuses a parked connection if one
-    /// exists, otherwise dials exactly once ([`Transport::dial_once`]) —
-    /// no backoff ladder, no replay. A replica-chain walk probes each
-    /// endpoint with this so a dead one fails fast instead of being
-    /// waited out; the walk itself owns the pacing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the dial or exchange failure as-is.
-    pub fn try_request(&mut self, frame: &Frame) -> WireResult<Frame> {
-        let mut conn = match self.idle.pop() {
-            Some(conn) => conn,
-            None => self.transport.dial_once(&self.addr)?,
-        };
-        match conn.request(frame) {
-            Ok(reply) => {
-                self.checkin(conn);
-                Ok(reply)
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1117,8 +971,10 @@ mod tests {
     }
 
     fn frame(i: u32) -> Frame {
-        Frame::FetchRequest {
-            node: NodeId::new(i),
+        Frame::FetchBatchRequest {
+            req_id: u64::from(i),
+            nodes: vec![NodeId::new(i)],
+            issued_ns: None,
         }
     }
 
@@ -1186,51 +1042,6 @@ mod tests {
         let mut server_side = listener.accept().unwrap();
         drop(conn);
         assert!(matches!(server_side.recv(), Err(WireError::Closed)));
-    }
-
-    fn pool_reconnects_over(transport: Arc<dyn Transport>) {
-        let listener = transport.listen(&transport.any_addr()).unwrap();
-        let addr = listener.addr();
-        // Serve two connections in sequence: the pool's first connection
-        // dies after one exchange, forcing a reconnect for the second.
-        let mut listener = listener;
-        let server = std::thread::spawn(move || {
-            for served in 0..2 {
-                let mut conn = listener.accept().unwrap();
-                loop {
-                    match conn.recv() {
-                        Ok(Frame::Shutdown) | Err(_) => break,
-                        Ok(f) => {
-                            conn.send(&f).unwrap();
-                            if served == 0 {
-                                break; // Die after the first reply.
-                            }
-                        }
-                    }
-                }
-            }
-        });
-
-        let mut pool = ConnectionPool::new(transport, addr, 2);
-        assert_eq!(pool.request(&frame(1)).unwrap(), frame(1));
-        // The parked connection is now dead server-side; the next request
-        // must transparently re-dial.
-        assert_eq!(pool.request(&frame(2)).unwrap(), frame(2));
-        assert_eq!(pool.reconnects(), 1);
-        // Dropping the pool closes its parked connection; the server's
-        // second serving loop sees the close and exits.
-        drop(pool);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn inproc_pool_reconnects_after_peer_death() {
-        pool_reconnects_over(Arc::new(InProcTransport::new()));
-    }
-
-    #[test]
-    fn tcp_pool_reconnects_after_peer_death() {
-        pool_reconnects_over(Arc::new(TcpTransport::new()));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!
 //! ```bash
 //! cargo run --release --example chaos
-//! GROUTING_BATCH=0 cargo run --release --example chaos
 //! GROUTING_NO_SOCKETS=1 cargo run --release --example chaos
 //! ```
 
@@ -25,7 +24,7 @@ use grouting_core::partition::HashPartitioner;
 use grouting_core::prelude::*;
 use grouting_core::storage::StorageTier;
 use grouting_core::wire::{
-    launch_chaos_cluster, ChaosAction, ChaosScript, ClusterConfig, FetchMode, RetryPolicy,
+    launch_chaos_cluster, ChaosAction, ChaosScript, ClusterConfig, RetryPolicy,
 };
 
 fn n(i: u32) -> NodeId {
@@ -34,7 +33,6 @@ fn n(i: u32) -> NodeId {
 
 fn main() {
     let transport = TransportKind::from_env();
-    let fetch = FetchMode::from_env();
 
     // Disjoint star-and-tail components, one per query: no two queries
     // share an adjacency record, so a restarted (cold) cache re-misses
@@ -87,12 +85,11 @@ fn main() {
         ..EngineConfig::paper_default(2, RoutingKind::Hash)
     };
     let config = ClusterConfig::new(engine, transport)
-        .with_fetch(fetch)
         .with_retry(RetryPolicy::new(4, Duration::from_millis(2)));
 
     println!(
         "Topology: 1 router + 2 processors + 3 storage endpoints (replication 2); \
-         transport: {transport}; fetch: {fetch}"
+         transport: {transport}"
     );
     println!(
         "Script: {} queries in 4 waves; between waves we kill the storage \

@@ -6,8 +6,10 @@
 //! sampled registries to it (`ObsPush` frames), and a single scrape of
 //! the router therefore reads the whole cluster — router dispatch
 //! counters, per-processor cache and heat series, and per-storage served
-//! tallies — while queries are still in flight. The smoke test runs the
-//! same check under both readiness backends, since scrape polling rides
+//! tallies — while the run is still open. The test's own client holds it
+//! open (`SubmitEnd` is sent only after a scrape has succeeded), so the
+//! poll can never lose a race against the workload draining. The same
+//! check runs under both readiness backends, since scrape polling rides
 //! the service poll loops.
 
 use std::io::{Read as _, Write as _};
@@ -17,10 +19,15 @@ use std::time::{Duration, Instant};
 
 use grouting_core::engine::EngineAssets;
 use grouting_core::gen::{DatasetProfile, ProfileName};
+use grouting_core::metrics::RunSnapshot;
 use grouting_core::partition::HashPartitioner;
 use grouting_core::query::Query;
-use grouting_core::storage::{Preset, StorageTier};
-use grouting_core::wire::{launch_cluster, ClusterConfig, ObsConfig, PollerKind, TransportKind};
+use grouting_core::storage::StorageTier;
+use grouting_core::wire::{
+    run_router, FetchMode, Frame, ObsConfig, PollerKind, ProcessorOptions, ProcessorService, Role,
+    RouterOptions, StorageOptions, StorageService, TcpTransport, Transport, TransportKind,
+    WireError,
+};
 use grouting_core::workload::{hotspot_workload, QueryMix, WorkloadConfig};
 
 /// Binds an ephemeral loopback port and releases it, so the router can
@@ -55,7 +62,7 @@ fn setup() -> (Arc<StorageTier>, Vec<Query>) {
         &graph,
         &WorkloadConfig {
             hotspots: 8,
-            per_hotspot: 60,
+            per_hotspot: 8,
             radius: 2,
             hops: 2,
             mix: QueryMix::uniform(),
@@ -75,36 +82,93 @@ fn assert_scrape_covers_cluster(reactor: PollerKind) {
     };
     let (tier, queries) = setup();
     let assets = EngineAssets::new(Arc::clone(&tier));
-    let mut config = ClusterConfig::new(
-        grouting_core::live::LiveConfig {
-            processors: 4,
-            stealing: false,
-            cache_capacity: 256 << 10,
-            overlap: 2,
-            ..grouting_core::live::LiveConfig::paper_default(
-                4,
-                grouting_core::route::RoutingKind::Hash,
-            )
-        }
-        .engine_config(),
-        TransportKind::Tcp,
-    )
-    .with_reactor(reactor)
-    .with_obs(ObsConfig {
+    let engine = grouting_core::live::LiveConfig {
+        processors: 4,
+        stealing: false,
+        cache_capacity: 256 << 10,
+        overlap: 2,
+        ..grouting_core::live::LiveConfig::paper_default(4, grouting_core::route::RoutingKind::Hash)
+    }
+    .engine_config();
+    let obs = ObsConfig {
         metrics_addr: Some(metrics_addr.clone()),
         dump: false,
-        // Sample fast so pushed registries reach the router well inside
-        // the run, whatever the host's scheduling jitter.
+        // Sample fast so pushed registries reach the router promptly,
+        // whatever the host's scheduling jitter.
         sample_every_ns: 1_000_000,
-    });
-    // The emulated cross-rack network stretches the run to a comfortably
-    // scrapeable length without inflating the workload.
-    config.net = Preset::Ethernet10G;
+    };
 
-    let cluster = std::thread::spawn(move || launch_cluster(&assets, &queries, &config));
+    // The cluster is assembled here rather than through `launch_cluster`
+    // so the test's own client connection decides when the run ends: the
+    // router keeps serving (and every node keeps sampling) until
+    // `SubmitEnd`, which is only sent once a scrape has succeeded.
+    let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+    let router_listener = transport.listen(&transport.any_addr()).unwrap();
+    let router_addr = router_listener.addr();
+    let storage: Vec<_> = (0..tier.server_count())
+        .map(|id| {
+            StorageService::spawn_opts(
+                Arc::clone(&transport),
+                &transport.any_addr(),
+                Arc::clone(&tier),
+                StorageOptions {
+                    poller: reactor,
+                    obs: obs.clone(),
+                    push_addr: Some(router_addr.clone()),
+                    id: id as u16,
+                    ..StorageOptions::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    let storage_addrs: Vec<String> = storage.iter().map(|h| h.addr().to_string()).collect();
+    let router_opts = RouterOptions {
+        poller: reactor,
+        obs: obs.clone(),
+        ..RouterOptions::default()
+    };
+    let router =
+        std::thread::spawn(move || run_router(router_listener, &assets, &engine, &router_opts));
+    let processors: Vec<_> = (0..engine.processors)
+        .map(|id| {
+            ProcessorService::spawn_opts(
+                Arc::clone(&transport),
+                id,
+                router_addr.clone(),
+                storage_addrs.clone(),
+                tier.partitioner(),
+                engine,
+                FetchMode::Batched,
+                ProcessorOptions {
+                    poller: reactor,
+                    obs: obs.clone(),
+                    ..ProcessorOptions::default()
+                },
+            )
+        })
+        .collect();
+
+    let mut client = transport.dial(&router_addr).unwrap();
+    client
+        .send(&Frame::Hello {
+            role: Role::Client,
+            id: 0,
+        })
+        .unwrap();
+    for (seq, query) in queries.iter().enumerate() {
+        client
+            .send(&Frame::Submit {
+                seq: seq as u64,
+                query: *query,
+                submitted_ns: None,
+            })
+            .unwrap();
+    }
 
     // Poll the endpoint until ONE body carries all three tiers, including
     // the per-partition heat counters — the cluster-wide-scrape contract.
+    // The run cannot finish underneath the poll: `SubmitEnd` comes after.
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut last = String::new();
     let complete = loop {
@@ -114,31 +178,52 @@ fn assert_scrape_covers_cluster(reactor: PollerKind) {
                 && last.contains("node=\"proc-")
                 && last.contains("node=\"storage-")
                 && last.contains("grouting_partition_demand_total")
-                && last.contains("grouting_storage_fetches_total")
+                && last.contains("grouting_storage_batches_total")
             {
                 break true;
             }
         }
-        if cluster.is_finished() || Instant::now() > deadline {
+        if Instant::now() > deadline {
             break false;
         }
         std::thread::sleep(Duration::from_millis(2));
     };
 
-    let run = cluster
+    client.send(&Frame::SubmitEnd).unwrap();
+    let mut completions = 0usize;
+    let mut snapshot: Option<RunSnapshot> = None;
+    loop {
+        match client.recv() {
+            Ok(Frame::Completion(_)) => completions += 1,
+            Ok(Frame::Metrics { snapshot: s, .. }) => snapshot = Some(s),
+            Ok(Frame::Shutdown) | Err(WireError::Closed) => break,
+            Ok(other) => panic!("client got {}", other.kind()),
+            Err(e) => panic!("client recv failed: {e}"),
+        }
+    }
+    router
         .join()
-        .expect("cluster thread joins")
+        .expect("router thread joins")
         .expect("observed cluster run completes");
+    for processor in processors {
+        processor.join().expect("processor thread joins").unwrap();
+    }
+    for handle in storage {
+        handle.shutdown();
+    }
+
     assert!(
         complete,
         "no single scrape covered all three tiers under {reactor:?}; last body:\n{last}"
     );
+    assert_eq!(completions, queries.len());
     // The same heat that was scrapeable mid-run lands in the final
     // snapshot, still in demand units (one count per fetched record).
-    assert!(run.snapshot.partition_heat.total_demand() > 0);
+    let snapshot = snapshot.expect("router sends a final snapshot");
+    assert!(snapshot.partition_heat.total_demand() > 0);
     assert_eq!(
-        run.snapshot.partition_heat.total_demand(),
-        run.snapshot.cache_misses,
+        snapshot.partition_heat.total_demand(),
+        snapshot.cache_misses,
         "partition heat counts exactly the demand misses"
     );
 }

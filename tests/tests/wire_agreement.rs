@@ -8,10 +8,10 @@
 //! identical per-query routing decisions and produce identical cache
 //! statistics on the same seeded workload, regardless of socket timing.
 //!
-//! The agreement must hold in *both* fetch modes: scalar (one round trip
-//! per frontier node) and batched (one pipelined batch per storage server
-//! per hop) — frontier batching changes how many times the wire is
-//! crossed, never what the caches count.
+//! The wire miss path ships one pipelined batch per storage server per
+//! hop where the in-process engine fetches node by node — frontier
+//! batching changes how many times the wire is crossed, never what the
+//! caches count.
 
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ use grouting_core::partition::HashPartitioner;
 use grouting_core::query::Query;
 use grouting_core::route::RoutingKind;
 use grouting_core::storage::{Preset, StorageTier};
-use grouting_core::wire::{FetchMode, TransportKind};
+use grouting_core::wire::TransportKind;
 use grouting_core::workload::{hotspot_workload, QueryMix, WorkloadConfig};
 
 fn seeded_setup() -> (Arc<StorageTier>, Vec<Query>) {
@@ -80,7 +80,7 @@ fn assignments(report: &LiveReport, queries: usize) -> Vec<usize> {
     by_seq
 }
 
-fn assert_agreement(transport: TransportKind, fetch: FetchMode) {
+fn assert_agreement(transport: TransportKind) {
     let (tier, queries) = seeded_setup();
     let cfg = deterministic_config();
 
@@ -93,7 +93,6 @@ fn assert_agreement(transport: TransportKind, fetch: FetchMode) {
         &cfg,
         transport,
         Preset::Local,
-        fetch,
     )
     .expect("wire cluster completes");
 
@@ -103,12 +102,12 @@ fn assert_agreement(transport: TransportKind, fetch: FetchMode) {
     assert_eq!(
         assignments(&wired, queries.len()),
         assignments(&inproc, queries.len()),
-        "routing assignments diverged over {transport}/{fetch}"
+        "routing assignments diverged over {transport}"
     );
     // …and identical cache statistics (hence identical hit rates).
     assert_eq!(
         wired.cache_hits, inproc.cache_hits,
-        "hit counts diverged over {transport}/{fetch}"
+        "hit counts diverged over {transport}"
     );
     assert_eq!(wired.cache_misses, inproc.cache_misses);
     assert_eq!(wired.stolen, 0);
@@ -117,28 +116,18 @@ fn assert_agreement(transport: TransportKind, fetch: FetchMode) {
 }
 
 #[test]
-fn tcp_cluster_agrees_with_inproc_engine() {
-    // `GROUTING_NO_SOCKETS=1` falls back to the in-proc fabric so
-    // sandboxes without loopback still exercise the full protocol path.
-    assert_agreement(TransportKind::from_env(), FetchMode::Scalar);
-}
-
-#[test]
-fn inproc_fabric_agrees_with_inproc_engine() {
-    assert_agreement(TransportKind::InProc, FetchMode::Scalar);
-}
-
-#[test]
 fn batched_tcp_cluster_agrees_with_inproc_engine() {
     // The acceptance gate for `grouting-flow`: frontier-batched fetching
     // over real sockets lands on the same routing assignments and the
-    // same hit/miss counts as the in-proc scalar engine.
-    assert_agreement(TransportKind::from_env(), FetchMode::Batched);
+    // same hit/miss counts as the in-proc serial engine.
+    // `GROUTING_NO_SOCKETS=1` falls back to the in-proc fabric so
+    // sandboxes without loopback still exercise the full protocol path.
+    assert_agreement(TransportKind::from_env());
 }
 
 #[test]
 fn batched_inproc_fabric_agrees_with_inproc_engine() {
-    assert_agreement(TransportKind::InProc, FetchMode::Batched);
+    assert_agreement(TransportKind::InProc);
 }
 
 #[test]
@@ -165,7 +154,6 @@ fn overlap4_cluster_matches_assignments_and_results() {
         &cfg,
         TransportKind::from_env(),
         Preset::Local,
-        FetchMode::Batched,
     )
     .expect("overlap-4 wire cluster completes");
     assert_eq!(wired.results, inproc.results);
@@ -211,7 +199,6 @@ fn prefetching_cluster_agrees_with_prefetch_off_engine() {
         &on_cfg,
         TransportKind::from_env(),
         Preset::Local,
-        FetchMode::Batched,
     )
     .expect("prefetching wire cluster completes");
 
@@ -271,7 +258,6 @@ fn epoll_and_sweep_backends_agree_byte_for_byte() {
             &cfg,
             TransportKind::from_env(),
             Preset::Local,
-            FetchMode::Batched,
         )
         .expect("wire cluster completes");
         std::env::remove_var("GROUTING_REACTOR");
@@ -336,7 +322,6 @@ fn tracing_levels_pin_byte_identical_statistics() {
             &cfg,
             TransportKind::from_env(),
             Preset::Local,
-            FetchMode::Batched,
         )
         .expect("traced wire cluster completes")
     };
@@ -406,9 +391,7 @@ fn observability_pins_byte_identical_statistics() {
     let cfg = deterministic_config();
     let run_with = |transport: TransportKind, obs: ObsConfig| -> ClusterRun {
         let assets = EngineAssets::new(Arc::clone(&tier));
-        let cluster_cfg = ClusterConfig::new(cfg.engine_config(), transport)
-            .with_fetch(FetchMode::Batched)
-            .with_obs(obs);
+        let cluster_cfg = ClusterConfig::new(cfg.engine_config(), transport).with_obs(obs);
         launch_cluster(&assets, &queries, &cluster_cfg).expect("observed cluster completes")
     };
     // `sample_every_ns: 1` makes every service poll round a sampling
@@ -477,7 +460,6 @@ fn no_cache_scheme_has_zero_hits_over_the_wire() {
         &cfg,
         TransportKind::from_env(),
         Preset::Local,
-        FetchMode::Batched,
     )
     .expect("wire cluster completes");
     let inproc = run_live(tier, None, None, &queries, &cfg);
@@ -505,7 +487,6 @@ fn stealing_over_the_wire_still_answers_identically() {
         &cfg,
         TransportKind::from_env(),
         Preset::Local,
-        FetchMode::Batched,
     )
     .expect("wire cluster completes");
     let inproc = run_live(tier, None, None, &queries, &cfg);
