@@ -5,15 +5,15 @@
 //! promote. Under the paper's hotspot workloads FIFO should trail LRU
 //! because repeated hits inside a hotspot no longer protect its records.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::Hash;
 
-use crate::Cache;
+use crate::{Cache, Index};
 
 /// First-in-first-out byte-capacity cache.
 #[derive(Debug)]
 pub struct FifoCache<K, V> {
-    map: HashMap<K, (V, usize)>,
+    map: Index<K, (V, usize)>,
     order: VecDeque<K>,
     bytes: usize,
     capacity: usize,
@@ -23,7 +23,7 @@ impl<K: Eq + Hash + Clone, V> FifoCache<K, V> {
     /// Creates a cache bounded by `capacity` payload bytes.
     pub fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::new(),
+            map: Index::default(),
             order: VecDeque::new(),
             bytes: 0,
             capacity,

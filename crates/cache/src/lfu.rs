@@ -6,10 +6,10 @@
 //! without an intrusive frequency list.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::hash::Hash;
 
-use crate::Cache;
+use crate::{Cache, Index};
 
 #[derive(Debug)]
 struct Slot<V> {
@@ -22,7 +22,7 @@ struct Slot<V> {
 /// Least-frequently-used byte-capacity cache.
 #[derive(Debug)]
 pub struct LfuCache<K: Ord, V> {
-    map: HashMap<K, Slot<V>>,
+    map: Index<K, Slot<V>>,
     heap: BinaryHeap<Reverse<(u64, u64, K)>>,
     bytes: usize,
     capacity: usize,
@@ -33,7 +33,7 @@ impl<K: Eq + Hash + Clone + Ord, V> LfuCache<K, V> {
     /// Creates a cache bounded by `capacity` payload bytes.
     pub fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::new(),
+            map: Index::default(),
             heap: BinaryHeap::new(),
             bytes: 0,
             capacity,

@@ -25,7 +25,13 @@ pub use lru::LruCache;
 pub use null::NullCache;
 pub use unbounded::UnboundedCache;
 
+use std::collections::HashMap;
 use std::hash::Hash;
+
+/// The key → entry table inside every policy. In this system the keys are
+/// node ids, so the tables hash with the record path's integer hasher (see
+/// [`grouting_graph::hash`]); none of them is ever iterated.
+type Index<K, V> = HashMap<K, V, grouting_graph::IdBuildHasher>;
 
 /// A byte-capacity cache with pluggable eviction.
 ///

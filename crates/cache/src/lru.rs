@@ -1,14 +1,13 @@
 //! Byte-capacity LRU cache with an intrusive index-linked list.
 //!
-//! All operations are O(1): a `HashMap` keys into a slab of entries that
+//! All operations are O(1): a hash index keys into a slab of entries that
 //! form a doubly-linked recency list via `usize` indices (no pointer
 //! juggling, no unsafe). The head is most-recently-used; eviction pops the
 //! tail while over capacity.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::Cache;
+use crate::{Cache, Index};
 
 const NIL: usize = usize::MAX;
 
@@ -24,7 +23,7 @@ struct Entry<K, V> {
 /// The paper's default processor cache (§2.3).
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    map: Index<K, usize>,
     slab: Vec<Option<Entry<K, V>>>,
     free: Vec<usize>,
     head: usize,
@@ -37,7 +36,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Creates a cache bounded by `capacity` payload bytes.
     pub fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::new(),
+            map: Index::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,

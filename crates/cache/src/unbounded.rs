@@ -5,15 +5,14 @@
 //! eviction ever happens. This cache never evicts and reports
 //! `usize::MAX` capacity, which keeps accounting code uniform.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::Cache;
+use crate::{Cache, Index};
 
 /// A cache that never evicts.
 #[derive(Debug, Default)]
 pub struct UnboundedCache<K, V> {
-    map: HashMap<K, (V, usize)>,
+    map: Index<K, (V, usize)>,
     bytes: usize,
 }
 
@@ -21,7 +20,7 @@ impl<K: Eq + Hash + Clone, V> UnboundedCache<K, V> {
     /// Creates an empty unbounded cache.
     pub fn new() -> Self {
         Self {
-            map: HashMap::new(),
+            map: Index::default(),
             bytes: 0,
         }
     }

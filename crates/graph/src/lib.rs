@@ -8,6 +8,8 @@
 //! This crate provides:
 //!
 //! * [`ids`] — compact node/label identifier newtypes;
+//! * [`hash`] — the integer hasher (and `NodeMap` / `NodeSet` aliases)
+//!   every id-keyed lookup table on the record path uses;
 //! * [`builder`] — an edge-list accumulator that deduplicates and sorts;
 //! * [`csr`] — the immutable compressed-sparse-row graph with both edge
 //!   directions, the workhorse for preprocessing and query execution;
@@ -25,6 +27,7 @@ pub mod codec;
 pub mod csr;
 pub mod dynamic;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod labels;
 pub mod serialize;
@@ -36,6 +39,7 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use dynamic::DynamicGraph;
 pub use error::GraphError;
+pub use hash::{IdBuildHasher, NodeMap, NodeSet};
 pub use ids::{EdgeLabelId, NodeId, NodeLabelId};
 pub use labels::LabelTable;
 

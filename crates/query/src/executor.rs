@@ -18,12 +18,13 @@
 //!   Driven strictly serially it replays byte-identical cache accounting
 //!   to [`Executor::run`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use grouting_graph::codec::AdjacencyRecord;
-use grouting_graph::{NodeId, NodeLabelId};
+use grouting_graph::{NodeId, NodeLabelId, NodeMap, NodeSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -175,7 +176,7 @@ fn neighbor_aggregation<S: BatchSource>(
 struct BfsState {
     hops: u32,
     label: Option<NodeLabelId>,
-    dist: HashMap<NodeId, u32>,
+    dist: NodeMap<u32>,
     count: u64,
     /// Records of the current level, in discovery order. A node at
     /// depth d is expanded iff d < hops; the query node always is.
@@ -190,10 +191,12 @@ impl BfsState {
         label: Option<NodeLabelId>,
         start: Arc<AdjacencyRecord>,
     ) -> Self {
+        let mut dist = NodeMap::default();
+        dist.insert(node, 0);
         Self {
             hops,
             label,
-            dist: HashMap::from([(node, 0)]),
+            dist,
             count: 0,
             level: vec![start],
             depth: 0,
@@ -209,8 +212,8 @@ impl BfsState {
         let next_depth = self.depth + 1;
         let mut frontier: Vec<NodeId> = Vec::new();
         for rec in &self.level {
-            for w in rec.all_neighbors() {
-                if let std::collections::hash_map::Entry::Vacant(e) = self.dist.entry(w) {
+            for &w in rec.all_neighbors() {
+                if let Entry::Vacant(e) = self.dist.entry(w) {
                     e.insert(next_depth);
                     frontier.push(w);
                 }
@@ -252,7 +255,7 @@ fn random_walk<S: RecordSource>(
 ) -> QueryResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut current = node;
-    let mut visited: HashSet<NodeId> = HashSet::new();
+    let mut visited = NodeSet::default();
     visited.insert(node);
     for _ in 0..steps {
         if rng.gen::<f64>() < restart_prob {
@@ -262,10 +265,10 @@ fn random_walk<S: RecordSource>(
         let Some(rec) = store.fetch(current) else {
             break;
         };
-        let next = if !rec.out.is_empty() {
-            rec.out[rng.gen_range(0..rec.out.len())]
-        } else if !rec.inc.is_empty() {
-            rec.inc[rng.gen_range(0..rec.inc.len())]
+        let next = if !rec.out().is_empty() {
+            rec.out()[rng.gen_range(0..rec.out().len())]
+        } else if !rec.inc().is_empty() {
+            rec.inc()[rng.gen_range(0..rec.inc().len())]
         } else {
             node // Isolated: restart.
         };
@@ -300,8 +303,10 @@ fn reachability<S: RecordSource>(
     if hops == 0 {
         return QueryResult::Reachable(false);
     }
-    let mut fwd: HashMap<NodeId, u32> = HashMap::from([(source, 0)]);
-    let mut bwd: HashMap<NodeId, u32> = HashMap::from([(target, 0)]);
+    let mut fwd: NodeMap<u32> = NodeMap::default();
+    fwd.insert(source, 0);
+    let mut bwd: NodeMap<u32> = NodeMap::default();
+    bwd.insert(target, 0);
     let mut fq: VecDeque<NodeId> = VecDeque::from([source]);
     let mut bq: VecDeque<NodeId> = VecDeque::from([target]);
     let fwd_budget = hops / 2 + hops % 2;
@@ -340,18 +345,14 @@ fn reachability<S: RecordSource>(
                 }
             }
         }
-        let next: Vec<NodeId> = if forward {
-            rec.out.clone()
-        } else {
-            rec.inc.clone()
-        };
-        for w in next {
+        let next = if forward { rec.out() } else { rec.inc() };
+        for &w in next {
             if let Some(&dw) = other.get(&w) {
                 if dv + 1 + dw <= hops && meeting_ok(store, w, source, target, via_label) {
                     return QueryResult::Reachable(true);
                 }
             }
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
+            if let Entry::Vacant(e) = dist.entry(w) {
                 e.insert(dv + 1);
                 queue.push_back(w);
             }
@@ -988,8 +989,9 @@ mod tests {
 
     proptest::proptest! {
         /// Staged execution replays byte-identical results, statistics, and
-        /// miss logs to the blocking executor for ANY query mix, graph, and
-        /// (tiny) cache capacity — the overlap=1 agreement contract.
+        /// miss logs to the blocking executor for ANY mix of the four query
+        /// kinds, graph, and (tiny) cache capacity — the overlap=1
+        /// agreement contract.
         #[test]
         fn prop_staged_equals_serial(
             edges in proptest::collection::vec((0u32..20, 0u32..20), 1..80),
@@ -1002,14 +1004,25 @@ mod tests {
             for (s, d) in &edges {
                 b.add_edge(n(*s), n(*d));
             }
+            // Two node labels, so the constrained kind both passes and
+            // prunes intermediates.
+            for v in 0..20 {
+                b.set_node_label(n(v), NodeLabelId::new((v % 2) as u16));
+            }
             let g = b.build().unwrap();
             let tier = setup(&g);
             let queries: Vec<Query> = anchors
                 .iter()
                 .enumerate()
-                .map(|(i, &a)| match i % 3 {
+                .map(|(i, &a)| match i % 4 {
                     0 => Query::NeighborAggregation { node: n(a), hops: h, label: None },
                     1 => Query::Reachability { source: n(a), target: n(a / 2), hops: h },
+                    2 => Query::ConstrainedReachability {
+                        source: n(a),
+                        target: n(a / 2),
+                        hops: h,
+                        via_label: NodeLabelId::new(0),
+                    },
                     _ => Query::RandomWalk {
                         node: n(a),
                         steps: h * 3,

@@ -8,13 +8,12 @@
 //! (Eq. 8/9), and the miss byte counts are what the simulator feeds into
 //! the network cost model.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use grouting_cache::Cache;
 use grouting_graph::codec::AdjacencyRecord;
-use grouting_graph::NodeId;
+use grouting_graph::{NodeId, NodeSet};
 use grouting_storage::StorageTier;
 
 use crate::prefetch::PrefetchState;
@@ -188,19 +187,20 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
 
     /// Fetches the adjacency record of `node`, counting a hit or miss.
     pub fn fetch(&mut self, node: NodeId) -> Option<Arc<AdjacencyRecord>> {
-        self.fetch_prefetched(node, &mut HashMap::new())
+        self.access(node, None)
     }
 
-    /// One cache-then-source access, optionally satisfied from a prefetch
-    /// map. This is the *only* place hits, misses, bytes, evictions, and
-    /// the miss log are recorded, so the scalar and batched paths cannot
-    /// drift: [`CacheBackedStore::fetch_many`] replays exactly this
-    /// sequence per node, merely sourcing the miss payloads from one batch
-    /// exchange instead of one round trip each.
-    fn fetch_prefetched(
+    /// One cache-then-source access; `batched` is the batch exchange's
+    /// answer for this node, when the frontier's plan requested one. This
+    /// is the *only* place hits, misses, bytes, evictions, and the miss log
+    /// are recorded, so the scalar and batched paths cannot drift:
+    /// [`CacheBackedStore::fetch_many`] replays exactly this sequence per
+    /// node, merely sourcing the miss payloads from one batch exchange
+    /// instead of one round trip each.
+    fn access(
         &mut self,
         node: NodeId,
-        prefetched: &mut HashMap<NodeId, Option<(u16, Bytes)>>,
+        batched: Option<Option<(u16, Bytes)>>,
     ) -> Option<Arc<AdjacencyRecord>> {
         if let Some(rec) = self.cache.get(&node) {
             self.stats.cache_hits += 1;
@@ -210,7 +210,7 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
         // the speculative staging buffer (bytes already fetched ahead of
         // time — counted below exactly like any other miss), then a scalar
         // source fetch.
-        let payload = match prefetched.remove(&node) {
+        let payload = match batched {
             Some(p) => p,
             None => match self.prefetch.as_mut().and_then(|s| s.take(node)) {
                 Some(p) => Some(p),
@@ -218,13 +218,13 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
             },
         };
         let (server, bytes) = payload?;
+        let size = bytes.len();
         self.stats.cache_misses += 1;
-        self.stats.miss_bytes += bytes.len() as u64;
+        self.stats.miss_bytes += size as u64;
         self.miss_log.push(MissEvent {
             server,
-            bytes: bytes.len() as u32,
+            bytes: size as u32,
         });
-        let size = bytes.len();
         let rec = Arc::new(AdjacencyRecord::decode(bytes).expect("tier stores valid records"));
         let evicted = self.cache.insert(node, Arc::clone(&rec), size);
         // An insert that bounces back (NullCache / oversized) is not an
@@ -284,7 +284,7 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
     /// pass serves them from the staging buffer.
     pub fn plan_many(&mut self, nodes: &[NodeId]) -> Vec<NodeId> {
         let mut miss_nodes: Vec<NodeId> = Vec::new();
-        let mut miss_set: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+        let mut miss_set = NodeSet::default();
         for &node in nodes {
             if self.cache.contains(&node) {
                 continue;
@@ -331,10 +331,16 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
     /// sequence over `nodes` in order, sourcing miss payloads from
     /// `payloads` (one entry per `miss_nodes` entry, in that order —
     /// normally the answer to a fetch of [`CacheBackedStore::plan_many`]'s
-    /// return). A node that slipped between the plan and this apply (the
-    /// cache evicted a predicted hit, or another query's apply raced the
-    /// plan) falls back to a scalar source fetch, exactly as the serial
-    /// path would have.
+    /// return).
+    ///
+    /// The payloads are consumed positionally: `miss_nodes` is the
+    /// subsequence of `nodes` that missed, first occurrences only, so a
+    /// cursor over it meets each answer at the node that asked for it. A
+    /// node that slipped between the plan and this apply (the cache evicted
+    /// a predicted hit, another query's apply raced the plan, or a
+    /// duplicate's first insert bounced) finds no answer under the cursor
+    /// and falls back to a scalar source fetch, exactly as the serial path
+    /// would have; an answer whose node turned into a hit is dropped.
     pub fn apply_many(
         &mut self,
         nodes: &[NodeId],
@@ -342,11 +348,13 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
         payloads: Vec<Option<(u16, Bytes)>>,
     ) -> Vec<Option<Arc<AdjacencyRecord>>> {
         debug_assert_eq!(miss_nodes.len(), payloads.len(), "one payload per miss");
-        let mut prefetched: HashMap<NodeId, Option<(u16, Bytes)>> =
-            miss_nodes.iter().copied().zip(payloads).collect();
+        let mut answers = miss_nodes.iter().zip(payloads).peekable();
         nodes
             .iter()
-            .map(|&node| self.fetch_prefetched(node, &mut prefetched))
+            .map(|&node| {
+                let batched = answers.next_if(|(&asked, _)| asked == node);
+                self.access(node, batched.map(|(_, payload)| payload))
+            })
             .collect()
     }
 
@@ -401,7 +409,7 @@ mod tests {
         let mut cache: ProcessorCache = Box::new(LruCache::new(1 << 20));
         let mut store = CacheBackedStore::new(&t, &mut cache);
         let a = store.fetch(n(3)).unwrap();
-        assert_eq!(a.out, vec![n(4)]);
+        assert_eq!(a.out(), &[n(4)]);
         let b = store.fetch(n(3)).unwrap();
         assert_eq!(a, b);
         let s = store.stats();
@@ -611,45 +619,168 @@ mod tests {
         assert_eq!(store.stats(), AccessStats::default());
     }
 
+    /// An LRU that hands its final recency order out when dropped: the
+    /// store only ever sees a `ProcessorCache`, and the order is part of
+    /// what the two fetch paths must agree on.
+    struct ProbedLru {
+        inner: LruCache<NodeId, Arc<AdjacencyRecord>>,
+        mru_at_drop: Arc<std::sync::Mutex<Vec<NodeId>>>,
+    }
+
+    impl Drop for ProbedLru {
+        fn drop(&mut self) {
+            *self.mru_at_drop.lock().unwrap() = self.inner.keys_mru().copied().collect();
+        }
+    }
+
+    impl Cache<NodeId, Arc<AdjacencyRecord>> for ProbedLru {
+        fn get(&mut self, key: &NodeId) -> Option<&Arc<AdjacencyRecord>> {
+            self.inner.get(key)
+        }
+        fn insert(
+            &mut self,
+            key: NodeId,
+            value: Arc<AdjacencyRecord>,
+            bytes: usize,
+        ) -> Vec<(NodeId, Arc<AdjacencyRecord>)> {
+            self.inner.insert(key, value, bytes)
+        }
+        fn contains(&self, key: &NodeId) -> bool {
+            self.inner.contains(key)
+        }
+        fn peek(&self, key: &NodeId) -> Option<&Arc<AdjacencyRecord>> {
+            self.inner.peek(key)
+        }
+        fn bytes(&self) -> usize {
+            self.inner.bytes()
+        }
+        fn capacity(&self) -> usize {
+            self.inner.capacity()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn clear(&mut self) {
+            self.inner.clear()
+        }
+    }
+
+    /// Cache `pick`: 0 is a `NullCache` (every insert bounces), 1–3 are
+    /// LRUs holding about one, three and eight of the test tier's records
+    /// (so predicted hits get evicted mid-batch), 4 holds everything.
+    fn picked_cache(pick: usize) -> (ProcessorCache, Arc<std::sync::Mutex<Vec<NodeId>>>) {
+        let mru = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let cache: ProcessorCache = match pick {
+            0 => Box::new(NullCache::new()),
+            _ => Box::new(ProbedLru {
+                inner: LruCache::new([40usize, 80, 200, 1 << 20][pick - 1]),
+                mru_at_drop: Arc::clone(&mru),
+            }),
+        };
+        (cache, mru)
+    }
+
+    /// Everything one fetch path leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        records: Vec<Option<Arc<AdjacencyRecord>>>,
+        stats: AccessStats,
+        miss_log: Vec<MissEvent>,
+        mru: Vec<NodeId>,
+    }
+
+    /// Runs `accesses`, chopped into frontiers by `splits`, down one fetch
+    /// path: `fetch` per node, or `fetch_many` per frontier. With
+    /// `interlopers`, a *second* store over the same cache fetches them
+    /// before each frontier's records are read — on the batched path that
+    /// is between `plan_many` and `apply_many`, where an overlapped query's
+    /// apply lands; on the scalar path, where the plan has no counterpart,
+    /// just ahead of the frontier's fetches. The second store's own
+    /// accounting is not part of the trace; what it did to the cache is.
+    fn run_path(
+        batched: bool,
+        accesses: &[u32],
+        splits: &[usize],
+        pick: usize,
+        interlopers: &[u32],
+    ) -> Trace {
+        let t = tier();
+        let (mut cache, mru) = picked_cache(pick);
+        let mut records = Vec::new();
+        let mut stats = AccessStats::default();
+        let mut miss_log = Vec::new();
+        let mut widths = splits.iter().copied().cycle();
+        let mut rest = accesses;
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at(widths.next().unwrap().min(rest.len()));
+            rest = tail;
+            let frontier: Vec<NodeId> = head.iter().map(|&v| n(v)).collect();
+            let planned = (batched && !interlopers.is_empty()).then(|| {
+                let miss = CacheBackedStore::new(&t, &mut cache).plan_many(&frontier);
+                let payloads: Vec<_> = miss
+                    .iter()
+                    .map(|&v| t.get(v).map(|(s, b)| (s as u16, b)))
+                    .collect();
+                (miss, payloads)
+            });
+            {
+                let mut other = CacheBackedStore::new(&t, &mut cache);
+                for &v in interlopers {
+                    other.fetch(n(v));
+                }
+            }
+            let mut store = CacheBackedStore::new(&t, &mut cache);
+            store.swap_accounting(&mut stats, &mut miss_log);
+            records.extend(match planned {
+                Some((miss, payloads)) => store.apply_many(&frontier, &miss, payloads),
+                None if batched => store.fetch_many(&frontier),
+                None => frontier.iter().map(|&v| store.fetch(v)).collect(),
+            });
+            store.swap_accounting(&mut stats, &mut miss_log);
+        }
+        drop(cache);
+        let mru = mru.lock().unwrap().clone();
+        Trace {
+            records,
+            stats,
+            miss_log,
+            mru,
+        }
+    }
+
     proptest::proptest! {
-        /// The batched fetch path produces byte-identical accounting to
-        /// serial scalar fetches for ANY access sequence, batch split, and
-        /// (tiny) cache capacity — including mid-batch evictions and
-        /// duplicates, the cases where the two paths could plausibly
-        /// diverge.
+        /// The batched fetch path leaves behind exactly what serial scalar
+        /// fetches do — records, statistics, miss log and the LRU's
+        /// recency order — for ANY access sequence (duplicates and unknown
+        /// nodes included), batch split, and cache: one that bounces every
+        /// insert, ones small enough to evict a predicted hit mid-batch,
+        /// one that holds everything.
         #[test]
         fn prop_fetch_many_accounting_equals_scalar(
-            accesses in proptest::collection::vec(0u32..12, 1..60),
+            accesses in proptest::collection::vec(0u32..13, 1..60),
             splits in proptest::collection::vec(1usize..8, 1..12),
-            capacity_pick in 0usize..4,
+            cache_pick in 0usize..5,
         ) {
-            let capacity = [40usize, 80, 200, 1 << 20][capacity_pick];
-            let t = tier();
+            let scalar = run_path(false, &accesses, &splits, cache_pick, &[]);
+            let batched = run_path(true, &accesses, &splits, cache_pick, &[]);
+            proptest::prop_assert_eq!(batched, scalar);
+        }
 
-            // Scalar reference.
-            let mut scalar_cache: ProcessorCache = Box::new(LruCache::new(capacity));
-            let mut scalar = CacheBackedStore::new(&t, &mut scalar_cache);
-            let scalar_recs: Vec<_> = accesses.iter().map(|&v| scalar.fetch(n(v))).collect();
-            let scalar_stats = scalar.stats();
-            let scalar_log = scalar.take_miss_log();
-
-            // Batched: the same sequence chopped into arbitrary frontiers.
-            let mut cache: ProcessorCache = Box::new(LruCache::new(capacity));
-            let mut store = CacheBackedStore::new(&t, &mut cache);
-            let mut recs = Vec::new();
-            let mut offset = 0;
-            let mut split_iter = splits.iter().copied().cycle();
-            while offset < accesses.len() {
-                let width = split_iter.next().unwrap().min(accesses.len() - offset);
-                let frontier: Vec<NodeId> =
-                    accesses[offset..offset + width].iter().map(|&v| n(v)).collect();
-                recs.extend(store.fetch_many(&frontier));
-                offset += width;
-            }
-
-            proptest::prop_assert_eq!(recs, scalar_recs);
-            proptest::prop_assert_eq!(store.stats(), scalar_stats);
-            proptest::prop_assert_eq!(store.take_miss_log(), scalar_log);
+        /// Positional apply under interleaving: the same equality when a
+        /// second store inserts into the cache between a frontier's
+        /// `plan_many` and its `apply_many`, so planned misses turn into
+        /// hits and planned hits into misses before the answers are
+        /// consumed.
+        #[test]
+        fn prop_positional_apply_equals_scalar_fetches(
+            accesses in proptest::collection::vec(0u32..13, 1..60),
+            splits in proptest::collection::vec(1usize..9, 1..12),
+            cache_pick in 0usize..5,
+            interlopers in proptest::collection::vec(0u32..12, 1..4),
+        ) {
+            let scalar = run_path(false, &accesses, &splits, cache_pick, &interlopers);
+            let batched = run_path(true, &accesses, &splits, cache_pick, &interlopers);
+            proptest::prop_assert_eq!(batched, scalar);
         }
     }
 

@@ -86,12 +86,12 @@ pub fn match_pattern<S: crate::fetch::RecordSource>(
             let Some(rec) = executor.fetch_record(v) else {
                 continue;
             };
-            let candidates: Vec<NodeId> = if pattern.directed {
-                rec.out.clone()
+            let candidates = if pattern.directed {
+                rec.out()
             } else {
-                rec.all_neighbors().collect()
+                rec.all_neighbors()
             };
-            for w in candidates {
+            for &w in candidates {
                 if next.contains(&w) {
                     continue;
                 }

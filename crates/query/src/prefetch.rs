@@ -32,12 +32,12 @@
 //! budget — the property the prefetch proptests pin. The speculative side
 //! is tallied separately in [`PrefetchStats`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use grouting_graph::codec::AdjacencyRecord;
-use grouting_graph::NodeId;
+use grouting_graph::{NodeId, NodeMap, NodeSet};
 
 use crate::fetch::ProcessorCache;
 
@@ -243,9 +243,9 @@ impl Prefetcher for DegreePrefetcher {
         cached.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
         let mut proposed: Vec<NodeId> = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut seen = NodeSet::default();
         'members: for (_, _, rec) in &cached {
-            for w in rec.all_neighbors() {
+            for &w in rec.all_neighbors() {
                 if proposed.len() >= budget {
                     break 'members;
                 }
@@ -359,25 +359,25 @@ struct Staged {
 pub struct PrefetchState {
     config: PrefetchConfig,
     prefetcher: Option<Box<dyn Prefetcher>>,
-    buffer: HashMap<NodeId, Staged>,
+    buffer: NodeMap<Staged>,
     /// Arrival order for budget eviction (may contain ids already taken;
     /// membership in `buffer` is authoritative).
     order: VecDeque<NodeId>,
     buffer_bytes: usize,
     /// Speculations submitted but not yet arrived (excluded from new
     /// predictions so pipelined batches don't re-request them).
-    in_flight: HashSet<NodeId>,
+    in_flight: NodeSet,
     /// Staged nodes a frontier plan is counting on: excluded from the
     /// demand batch on the promise the payload is here, so budget
     /// eviction must not drop them before the apply consumes them (a
     /// broken promise would force a *blocking* scalar fetch inside the
     /// otherwise non-blocking pipeline step). Cleared on take.
-    reserved: HashSet<NodeId>,
+    reserved: NodeSet,
     /// Nodes some overlapped query's *demand* batch is currently
     /// fetching (reference-counted — interleaved queries may legally
     /// request the same node). Predictions exclude them: speculating on
     /// bytes already crossing the wire would ship them twice.
-    demand_in_flight: HashMap<NodeId, u32>,
+    demand_in_flight: NodeMap<u32>,
     stats: PrefetchStats,
 }
 
@@ -397,12 +397,12 @@ impl PrefetchState {
         Self {
             config,
             prefetcher,
-            buffer: HashMap::new(),
+            buffer: NodeMap::default(),
             order: VecDeque::new(),
             buffer_bytes: 0,
-            in_flight: HashSet::new(),
-            reserved: HashSet::new(),
-            demand_in_flight: HashMap::new(),
+            in_flight: NodeSet::default(),
+            reserved: NodeSet::default(),
+            demand_in_flight: NodeMap::default(),
             stats: PrefetchStats::default(),
         }
     }
@@ -485,7 +485,7 @@ impl PrefetchState {
         if miss.is_empty() {
             return Vec::new();
         }
-        let frontier_set: HashSet<NodeId> = frontier.iter().chain(miss).copied().collect();
+        let frontier_set: NodeSet = frontier.iter().chain(miss).copied().collect();
         let buffer = &self.buffer;
         let in_flight = &self.in_flight;
         let demand_in_flight = &self.demand_in_flight;
@@ -575,11 +575,10 @@ mod tests {
     }
 
     fn rec(out: &[u32], inc: &[u32]) -> Arc<AdjacencyRecord> {
-        Arc::new(AdjacencyRecord {
-            out: out.iter().map(|&v| n(v)).collect(),
-            inc: inc.iter().map(|&v| n(v)).collect(),
-            ..Default::default()
-        })
+        Arc::new(AdjacencyRecord::new(
+            out.iter().map(|&v| n(v)),
+            inc.iter().map(|&v| n(v)),
+        ))
     }
 
     #[test]

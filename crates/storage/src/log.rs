@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use grouting_graph::IdBuildHasher;
 
 use crate::{Result, StorageError};
 
@@ -57,7 +58,9 @@ impl Segment {
 #[derive(Debug)]
 pub struct LogStore {
     segments: Vec<Segment>,
-    index: HashMap<u64, Location>,
+    /// Keys are node ids the tier widened to `u64`: the record path's
+    /// integer hasher (see [`grouting_graph::hash`]), never iterated.
+    index: HashMap<u64, Location, IdBuildHasher>,
     /// Live payload+header bytes per segment (for cleaning decisions).
     live: Vec<usize>,
     segment_bytes: usize,
@@ -83,7 +86,7 @@ impl LogStore {
         assert!(segment_bytes > HEADER_BYTES, "segment too small");
         Self {
             segments: vec![Segment::Open(BytesMut::with_capacity(segment_bytes))],
-            index: HashMap::new(),
+            index: HashMap::default(),
             live: vec![0],
             segment_bytes,
             clean_threshold: 0.5,

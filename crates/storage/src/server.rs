@@ -1,7 +1,7 @@
 //! One storage server: a locked log store plus access statistics.
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::log::LogStore;
 use crate::Result;
@@ -41,6 +41,19 @@ impl StorageServer {
     pub fn get(&self, key: u64) -> Option<Bytes> {
         self.gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.log.read().get(key)
+    }
+
+    /// Opens a read session: any number of gets under one acquisition of
+    /// the read lock, their count added to [`StorageServer::gets_served`]
+    /// when the session drops — what a multi-get pays once per server
+    /// instead of once per record. Writers to this server wait while a
+    /// session is open, so hold it for a batch, not across other work.
+    pub fn reader(&self) -> ServerReader<'_> {
+        ServerReader {
+            log: self.log.read(),
+            gets: &self.gets,
+            served: 0,
+        }
     }
 
     /// Stores a value.
@@ -84,6 +97,28 @@ impl StorageServer {
     }
 }
 
+/// A read session on one [`StorageServer`] (see [`StorageServer::reader`]).
+pub struct ServerReader<'a> {
+    log: RwLockReadGuard<'a, LogStore>,
+    gets: &'a std::sync::atomic::AtomicU64,
+    served: u64,
+}
+
+impl ServerReader<'_> {
+    /// Fetches a value, counted like [`StorageServer::get`].
+    pub fn get(&mut self, key: u64) -> Option<Bytes> {
+        self.served += 1;
+        self.log.get(key)
+    }
+}
+
+impl Drop for ServerReader<'_> {
+    fn drop(&mut self) {
+        self.gets
+            .fetch_add(self.served, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +135,22 @@ mod tests {
         assert_eq!(s.puts_applied(), 1);
         assert!(s.delete(1));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn reader_session_counts_its_gets_once_closed() {
+        let s = StorageServer::new(0, DEFAULT_SEGMENT_BYTES);
+        s.put(1, b"abc").unwrap();
+        s.put(2, b"de").unwrap();
+        {
+            let mut reader = s.reader();
+            assert_eq!(reader.get(1).unwrap().as_ref(), b"abc");
+            assert_eq!(reader.get(2).unwrap().as_ref(), b"de");
+            assert_eq!(reader.get(3), None);
+        }
+        assert_eq!(s.gets_served(), 3);
+        let _ = s.get(1);
+        assert_eq!(s.gets_served(), 4);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use grouting_graph::{CsrGraph, NodeId};
 use grouting_partition::Partitioner;
 
 use crate::log::DEFAULT_SEGMENT_BYTES;
-use crate::server::StorageServer;
+use crate::server::{ServerReader, StorageServer};
 use crate::Result;
 
 /// The decoupled storage tier (paper Figure 2, bottom).
@@ -143,20 +143,24 @@ impl StorageTier {
         Ok(())
     }
 
+    /// The one definition of a read: walk `node`'s replica chain, skip
+    /// servers marked down, and take the first copy `read(server, key)`
+    /// finds.
+    fn first_live_copy(
+        &self,
+        node: NodeId,
+        mut read: impl FnMut(usize, u64) -> Option<Bytes>,
+    ) -> Option<(usize, Bytes)> {
+        self.replica_chain(node)
+            .filter(|&s| self.is_up(s))
+            .find_map(|s| Some((s, read(s, node.raw() as u64)?)))
+    }
+
     /// Fetches the raw adjacency value for `node` with the serving server
     /// id — the primary, or the first live replica when the primary is
     /// down.
     pub fn get(&self, node: NodeId) -> Option<(usize, Bytes)> {
-        let chain: Vec<usize> = self.replica_chain(node).collect();
-        for s in chain {
-            if !self.is_up(s) {
-                continue;
-            }
-            if let Some(b) = self.servers[s].get(node.raw() as u64) {
-                return Some((s, b));
-            }
-        }
-        None
+        self.first_live_copy(node, |s, key| self.servers[s].get(key))
     }
 
     /// Fetches the raw adjacency values for many nodes at once, one entry
@@ -164,8 +168,23 @@ impl StorageTier {
     /// fetch. A wire deployment serves this from one batch frame per
     /// server; the in-process tier answers it directly, so both paths share
     /// the same multi-get contract.
+    ///
+    /// Each node is looked up exactly as [`StorageTier::get`] would (same
+    /// chain walk, same per-server get counts), but every server touched is
+    /// locked once for the whole batch, not once per record.
     pub fn get_many(&self, nodes: &[NodeId]) -> Vec<Option<(usize, Bytes)>> {
-        nodes.iter().map(|&n| self.get(n)).collect()
+        let mut readers: Vec<Option<ServerReader<'_>>> =
+            self.servers.iter().map(|_| None).collect();
+        nodes
+            .iter()
+            .map(|&node| {
+                self.first_live_copy(node, |s, key| {
+                    readers[s]
+                        .get_or_insert_with(|| self.servers[s].reader())
+                        .get(key)
+                })
+            })
+            .collect()
     }
 
     /// Fetches and decodes the adjacency record for `node`.
@@ -182,7 +201,7 @@ impl StorageTier {
     /// Propagates storage errors (oversized records).
     pub fn put_record(&self, node: NodeId, record: &AdjacencyRecord) -> Result<()> {
         let encoded = record.encode();
-        for s in self.replica_chain(node).collect::<Vec<_>>() {
+        for s in self.replica_chain(node) {
             self.servers[s].put(node.raw() as u64, &encoded)?;
         }
         Ok(())
@@ -191,9 +210,8 @@ impl StorageTier {
     /// Deletes `node`'s record from its replica chain, returning whether
     /// the primary copy existed.
     pub fn delete(&self, node: NodeId) -> bool {
-        let chain: Vec<usize> = self.replica_chain(node).collect();
         let mut existed = false;
-        for (i, s) in chain.into_iter().enumerate() {
+        for (i, s) in self.replica_chain(node).enumerate() {
             let removed = self.servers[s].delete(node.raw() as u64);
             if i == 0 {
                 existed = removed;
@@ -212,11 +230,7 @@ impl StorageTier {
     pub fn apply_update(&self, g: &DynamicGraph, update: GraphUpdate) -> Result<()> {
         let rewrite = |node: NodeId| -> Result<()> {
             if g.contains(node) {
-                let rec = AdjacencyRecord {
-                    out: g.out_neighbors(node).collect(),
-                    inc: g.in_neighbors(node).collect(),
-                    ..Default::default()
-                };
+                let rec = AdjacencyRecord::new(g.out_neighbors(node), g.in_neighbors(node));
                 self.put_record(node, &rec)?;
             } else {
                 self.delete(node);
@@ -236,7 +250,7 @@ impl StorageTier {
                 rewrite(n)?;
                 if let Some((_, rec)) = old {
                     let mut seen = std::collections::BTreeSet::new();
-                    for v in rec.all_neighbors() {
+                    for &v in rec.all_neighbors() {
                         if v != n && seen.insert(v) {
                             rewrite(v)?;
                         }
@@ -287,8 +301,8 @@ mod tests {
         for v in g.nodes() {
             let (s, rec) = tier.get_record(v).unwrap();
             assert_eq!(s, tier.server_of(v));
-            assert_eq!(rec.out, g.out_neighbors(v).collect::<Vec<_>>());
-            assert_eq!(rec.inc, g.in_neighbors(v).collect::<Vec<_>>());
+            assert_eq!(rec.out(), g.out_neighbors(v).collect::<Vec<_>>());
+            assert_eq!(rec.inc(), g.in_neighbors(v).collect::<Vec<_>>());
         }
     }
 
@@ -314,9 +328,9 @@ mod tests {
         tier.apply_update(&dynamic, GraphUpdate::AddEdge(n(0), n(5)))
             .unwrap();
         let (_, rec0) = tier.get_record(n(0)).unwrap();
-        assert!(rec0.out.contains(&n(5)));
+        assert!(rec0.out().contains(&n(5)));
         let (_, rec5) = tier.get_record(n(5)).unwrap();
-        assert!(rec5.inc.contains(&n(0)));
+        assert!(rec5.inc().contains(&n(0)));
     }
 
     #[test]
@@ -329,9 +343,9 @@ mod tests {
         assert!(tier.get(n(4)).is_none());
         // Neighbour records no longer mention node 4.
         let (_, rec3) = tier.get_record(n(3)).unwrap();
-        assert!(!rec3.out.contains(&n(4)));
+        assert!(!rec3.out().contains(&n(4)));
         let (_, rec5) = tier.get_record(n(5)).unwrap();
-        assert!(!rec5.inc.contains(&n(4)));
+        assert!(!rec5.inc().contains(&n(4)));
     }
 
     #[test]
@@ -410,7 +424,7 @@ mod tests {
         let primary = tier.server_of(n(0));
         tier.mark_down(primary);
         let (_, rec) = tier.get_record(n(0)).unwrap();
-        assert!(rec.out.contains(&n(2)));
+        assert!(rec.out().contains(&n(2)));
     }
 
     #[test]
@@ -421,6 +435,46 @@ mod tests {
             crate::log::DEFAULT_SEGMENT_BYTES,
             3,
         );
+    }
+
+    #[test]
+    fn get_many_equals_get_per_node_in_results_and_get_counts() {
+        let mut b = GraphBuilder::new();
+        for i in 0..30 {
+            b.add_edge(n(i), n((i * 7 + 1) % 30));
+        }
+        let g = b.build().unwrap();
+        let build = || {
+            let tier = StorageTier::with_replication(
+                Arc::new(HashPartitioner::new(3)),
+                crate::log::DEFAULT_SEGMENT_BYTES,
+                2,
+            );
+            tier.load_graph(&g).unwrap();
+            tier
+        };
+        let (scalar, batched) = (build(), build());
+        // Duplicates, an unknown node, and every primary in turn down (so
+        // some lookups walk on to a replica).
+        let nodes: Vec<NodeId> = (0..40u32).map(|i| n((i * 11) % 33)).collect();
+        for down in [None, Some(0), Some(1), Some(2)] {
+            for tier in [&scalar, &batched] {
+                if let Some(s) = down {
+                    tier.mark_down(s);
+                }
+            }
+            let want: Vec<_> = nodes.iter().map(|&v| scalar.get(v)).collect();
+            assert_eq!(batched.get_many(&nodes), want, "down: {down:?}");
+            for s in 0..3 {
+                assert_eq!(
+                    batched.server(s).gets_served(),
+                    scalar.server(s).gets_served(),
+                    "server {s}, down: {down:?}"
+                );
+                scalar.mark_up(s);
+                batched.mark_up(s);
+            }
+        }
     }
 
     #[test]

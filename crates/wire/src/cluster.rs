@@ -405,12 +405,15 @@ pub fn launch_cluster(
     let router_result = router
         .join()
         .map_err(|_| WireError::Protocol("router thread panicked".to_string()))?;
-    let mut dead_processors = 0usize;
-    for handle in processors {
-        // Both a panic and a processor that bailed with a wire error count
-        // as dead — only a clean Shutdown-driven exit is healthy.
-        if !matches!(handle.join(), Ok(Ok(()))) {
-            dead_processors += 1;
+    // Both a panic and a processor that bailed with a wire error count as
+    // dead — only a clean Shutdown-driven exit is healthy. What each died
+    // of goes into the error, not just how many did.
+    let mut dead_processors: Vec<String> = Vec::new();
+    for (id, handle) in processors.into_iter().enumerate() {
+        match handle.join() {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => dead_processors.push(format!("processor {id}: {e}")),
+            Err(_) => dead_processors.push(format!("processor {id}: panicked")),
         }
     }
     for handle in storage_handles {
@@ -429,9 +432,11 @@ pub fn launch_cluster(
         Err(router_err) => return Err(router_err),
     };
     let (results, timeline, client_snapshot, mid_snapshots, trace, wall_ns) = run?;
-    if dead_processors > 0 {
+    if !dead_processors.is_empty() {
         return Err(WireError::Protocol(format!(
-            "{dead_processors} processor thread(s) died mid-run"
+            "{} processor thread(s) died mid-run ({})",
+            dead_processors.len(),
+            dead_processors.join("; ")
         )));
     }
     debug_assert_eq!(

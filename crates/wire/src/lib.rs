@@ -307,6 +307,62 @@ mod tests {
     }
 
     #[test]
+    fn processor_exit_is_decided_by_the_router_stream_not_a_failed_obs_push() {
+        // The end-of-run race behind a tier-1 flake
+        // (`observability_pins_byte_identical_statistics`, "1 processor
+        // thread(s) died mid-run"): the router had finished and stopped
+        // reading, its Shutdown was still unread, and a sampler push into
+        // the closed connection failed first — the processor reported that
+        // failure instead of the clean exit its stream held for it. Here a
+        // scripted router forces exactly that order.
+        let tier = loaded_tier(16, 1);
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let storage = spawn_storage(&transport, &tier);
+        let mut listener = transport.listen(&transport.any_addr()).unwrap();
+        let drained = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let processor = ProcessorService::spawn_opts(
+            Arc::clone(&transport),
+            0,
+            listener.addr(),
+            vec![storage.addr().to_string()],
+            tier.partitioner(),
+            EngineConfig::paper_default(1, RoutingKind::Hash),
+            FetchMode::Batched,
+            ProcessorOptions {
+                ready: Some(Arc::clone(&drained)),
+                // Every service round samples and pushes.
+                obs: ObsConfig {
+                    metrics_addr: None,
+                    dump: true,
+                    sample_every_ns: 1,
+                },
+                ..ProcessorOptions::default()
+            },
+        );
+        let (mut sink, mut stream) = listener.accept().unwrap().split();
+        // A first push proves the sampler runs in the service loop.
+        while !matches!(stream.recv().unwrap(), Frame::ObsPush { .. }) {}
+        // The router stops reading, but has not said Shutdown yet.
+        drop(stream);
+        // `ready` flips where the processor drains its stream, at the top
+        // of a round; the push later in that same round finds no reader.
+        sink.send(&Frame::Metrics {
+            snapshot: RunSnapshot::default(),
+            trace: None,
+        })
+        .unwrap();
+        while !drained.load(std::sync::atomic::Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        sink.send(&Frame::Shutdown).unwrap();
+        match processor.join() {
+            Ok(Ok(())) => {}
+            other => panic!("processor did not exit cleanly: {other:?}"),
+        }
+        storage.shutdown();
+    }
+
+    #[test]
     fn router_masks_processor_death_mid_run() {
         // One flaky processor (serves one query, then vanishes with a
         // second dispatch outstanding) and one healthy one: the router

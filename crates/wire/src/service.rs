@@ -651,9 +651,11 @@ fn run_processor(
                 }
             });
             if let Some(snap) = o.take_push() {
-                if let Err(e) = sink.send(&Frame::ObsPush { snapshot: snap }) {
-                    break Err(e);
-                }
+                // A push the router no longer takes — the run is over and
+                // its Shutdown is not read yet — must not decide how this
+                // processor exits: the router stream, drained at the top of
+                // the loop, does (Shutdown or a close is a clean exit).
+                let _ = sink.send(&Frame::ObsPush { snapshot: snap });
             }
             o.poll_scrape(now);
         }

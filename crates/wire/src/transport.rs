@@ -294,28 +294,6 @@ impl RetryPolicy {
         let jitter_frac = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u32; // 0..=255
         exp + exp.mul_f64(f64::from(jitter_frac) / 1024.0)
     }
-
-    /// Dials `addr` through the ladder: single-attempt dials, sleeping
-    /// [`RetryPolicy::delay`] between failures.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error once the ladder is exhausted.
-    pub fn dial(&self, transport: &dyn Transport, addr: &str, salt: u64) -> WireResult<Connection> {
-        let mut last = None;
-        for attempt in 0..self.attempts {
-            match transport.dial_once(addr) {
-                Ok(conn) => return Ok(conn),
-                Err(e) => {
-                    last = Some(e);
-                    if attempt + 1 < self.attempts {
-                        std::thread::sleep(self.delay(attempt, salt));
-                    }
-                }
-            }
-        }
-        Err(last.unwrap_or_else(|| WireError::Unroutable(addr.to_string())))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1160,23 +1138,6 @@ mod tests {
         }
         // The exponential part grows until the cap.
         assert!(policy.delay(3, 1) > policy.delay(0, 1));
-    }
-
-    #[test]
-    fn retry_dial_ladder_fails_fast_and_succeeds_on_live_listener() {
-        let transport = TcpTransport::new();
-        let policy = RetryPolicy::new(2, Duration::from_millis(1));
-        // Port 1 is never listening: two quick attempts, then the error.
-        let started = std::time::Instant::now();
-        assert!(policy.dial(&transport, "127.0.0.1:1", 9).is_err());
-        assert!(started.elapsed() < Duration::from_secs(1));
-        let listener = transport.listen(&transport.any_addr()).unwrap();
-        let addr = listener.addr();
-        let server = echo_server(listener, 1);
-        let mut conn = policy.dial(&transport, &addr, 9).unwrap();
-        assert_eq!(conn.request(&frame(3)).unwrap(), frame(3));
-        conn.send(&Frame::Shutdown).unwrap();
-        server.join().unwrap();
     }
 
     fn truncated_send_corrupts_not_completes(transport: Arc<dyn Transport>) {

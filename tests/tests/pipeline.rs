@@ -105,8 +105,8 @@ fn storage_tier_holds_every_record() {
     // Every record decodes back to the graph's adjacency.
     for v in g.nodes().take(50) {
         let (_, rec) = cluster.assets.tier.get_record(v).unwrap();
-        assert_eq!(rec.out, g.out_neighbors(v).collect::<Vec<_>>());
-        assert_eq!(rec.inc, g.in_neighbors(v).collect::<Vec<_>>());
+        assert_eq!(rec.out(), g.out_neighbors(v).collect::<Vec<_>>());
+        assert_eq!(rec.inc(), g.in_neighbors(v).collect::<Vec<_>>());
     }
 }
 

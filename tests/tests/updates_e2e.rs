@@ -48,7 +48,7 @@ fn added_nodes_become_queryable_and_routable() {
         let fresh = NodeId::new(n0 + i);
         // Stored record exists and mentions the attachment.
         let (_, rec) = c.assets.tier.get_record(fresh).unwrap();
-        assert_eq!(rec.out.len() + rec.inc.len(), 1);
+        assert_eq!(rec.degree(), 1);
         // Routing rows exist and are finite (reachable via the hub).
         let row = table.row(fresh);
         assert!(
@@ -76,9 +76,9 @@ fn edge_removal_updates_storage_and_distances() {
         .apply_update(&dynamic, GraphUpdate::RemoveEdge(v, w))
         .unwrap();
     let (_, rec) = c.assets.tier.get_record(v).unwrap();
-    assert!(!rec.out.contains(&w));
+    assert!(!rec.out().contains(&w));
     let (_, rec_w) = c.assets.tier.get_record(w).unwrap();
-    assert!(!rec_w.inc.contains(&v));
+    assert!(!rec_w.inc().contains(&v));
 
     // Distances recomputed from the dynamic graph reflect the removal.
     let d = landmark_distances_from(&dynamic, v, &c.assets.landmarks.nodes);

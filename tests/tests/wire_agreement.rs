@@ -392,7 +392,10 @@ fn observability_pins_byte_identical_statistics() {
     let run_with = |transport: TransportKind, obs: ObsConfig| -> ClusterRun {
         let assets = EngineAssets::new(Arc::clone(&tier));
         let cluster_cfg = ClusterConfig::new(cfg.engine_config(), transport).with_obs(obs);
-        launch_cluster(&assets, &queries, &cluster_cfg).expect("observed cluster completes")
+        let observed = cluster_cfg.obs.enabled();
+        launch_cluster(&assets, &queries, &cluster_cfg).unwrap_or_else(|e| {
+            panic!("cluster over {transport} (observability on: {observed}) failed: {e}")
+        })
     };
     // `sample_every_ns: 1` makes every service poll round a sampling
     // tick — the most intrusive cadence possible. The dump flag enables
