@@ -10,7 +10,7 @@
 //! is what a re-placement policy (and the scrape endpoint) should read,
 //! while the raw map is what crosses the wire in snapshots.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// One slot's access tallies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,7 +119,7 @@ impl HeatMap {
 
     /// Appends the little-endian wire layout: u32 slot count, then
     /// `(u64 demand, u64 speculative)` per slot.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u32_le(self.cells.len() as u32);
         for c in &self.cells {
             buf.put_u64_le(c.demand);
@@ -278,10 +278,10 @@ mod tests {
         let mut h = HeatMap::with_slots(2);
         h.record_demand(1, 9);
         h.record_speculative(0, 4);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode_into(&mut buf);
         assert_eq!(buf.len(), h.encoded_len());
-        let bytes = buf.freeze();
+        let bytes = Bytes::from(buf);
         let mut data = bytes.clone();
         assert_eq!(HeatMap::decode_prefix(&mut data).unwrap(), h);
         assert!(!data.has_remaining());
@@ -295,10 +295,10 @@ mod tests {
     fn decode_prefix_leaves_suffix() {
         let mut h = HeatMap::new();
         h.record_demand(0, 1);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode_into(&mut buf);
         buf.put_u64_le(0xDEAD);
-        let mut data = buf.freeze();
+        let mut data = Bytes::from(buf);
         assert_eq!(HeatMap::decode_prefix(&mut data).unwrap(), h);
         assert_eq!(data.remaining(), 8);
     }
@@ -343,10 +343,10 @@ mod tests {
                 h.record_demand(slot, *d);
                 h.record_speculative(slot, *s);
             }
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             h.encode_into(&mut buf);
             proptest::prop_assert_eq!(buf.len(), h.encoded_len());
-            let mut data = buf.freeze();
+            let mut data = Bytes::from(buf);
             proptest::prop_assert_eq!(HeatMap::decode_prefix(&mut data).unwrap(), h);
             proptest::prop_assert!(!data.has_remaining());
         }

@@ -7,7 +7,7 @@
 //! sub-buckets, giving a bounded relative error of `2^-precision` with O(1)
 //! record cost and a few KiB of memory.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use grouting_metrics_sealed::Sealed;
 
 mod grouting_metrics_sealed {
@@ -191,7 +191,7 @@ impl Histogram {
     /// then one `(bucket index, count)` pair per non-empty bucket in index
     /// order. Two histograms with the same recorded multiset encode
     /// identically.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u64_le(self.count);
         buf.put_u128_le(self.sum);
         buf.put_u64_le(self.min);
@@ -208,9 +208,9 @@ impl Histogram {
 
     /// Encodes to a standalone buffer (see [`Histogram::encode_into`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut buf);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Decodes one histogram from the front of `data`, consuming exactly

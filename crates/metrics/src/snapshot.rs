@@ -8,7 +8,7 @@
 //! recoveries, and the per-processor service counts — in a compact
 //! little-endian encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::heat::HeatMap;
 
@@ -139,7 +139,7 @@ impl RunSnapshot {
 
     /// Encodes to the little-endian wire layout.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        let mut buf = Vec::with_capacity(self.encoded_len());
         buf.put_u64_le(self.queries);
         buf.put_u64_le(self.cache_hits);
         buf.put_u64_le(self.cache_misses);
@@ -158,7 +158,7 @@ impl RunSnapshot {
         }
         self.partition_heat.encode_into(&mut buf);
         self.region_heat.encode_into(&mut buf);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Decodes from the wire layout, rejecting trailing bytes.

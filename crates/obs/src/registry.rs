@@ -1,6 +1,6 @@
 //! The named-series registry and its wire snapshot.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use grouting_metrics::{DecayingHeat, FailoverStats, HeatMap, Histogram};
 use grouting_trace::{ReactorStats, Stage, StageStats};
 
@@ -267,7 +267,7 @@ pub struct RegistrySnapshot {
 /// far above anything the registry emits.
 const MAX_STR: usize = 4096;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_u16_le(s.len() as u16);
     buf.put_slice(s.as_bytes());
 }
@@ -305,7 +305,7 @@ impl RegistrySnapshot {
     }
 
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u8(self.role.as_u8());
         buf.put_u16_le(self.id);
         buf.put_u64_le(self.at_ns);
@@ -324,9 +324,9 @@ impl RegistrySnapshot {
 
     /// Encodes to a standalone buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut buf);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Decodes one snapshot from the front of `data`, consuming exactly
@@ -530,12 +530,12 @@ mod tests {
 
     #[test]
     fn decode_rejects_hostile_sample_count() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(0);
         buf.put_u16_le(0);
         buf.put_u64_le(0);
         buf.put_u32_le(u32::MAX);
-        assert!(RegistrySnapshot::decode(buf.freeze()).is_err());
+        assert!(RegistrySnapshot::decode(Bytes::from(buf)).is_err());
     }
 
     #[test]

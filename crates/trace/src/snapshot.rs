@@ -1,6 +1,6 @@
 //! The mergeable, encodable bundle of everything the trace layer saw.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::span::QuerySpan;
 use crate::stage::StageStats;
@@ -60,7 +60,7 @@ impl TraceSnapshot {
     }
 
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u8(self.level.as_u8());
         self.stages.encode_into(buf);
         self.reactor.encode_into(buf);
@@ -73,9 +73,9 @@ impl TraceSnapshot {
 
     /// Encodes to a standalone buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut buf);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Decodes one snapshot from the front of `data`.

@@ -1,7 +1,7 @@
 //! Per-query trace context: processor-side span blocks and the
 //! router-side span ring.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::collections::VecDeque;
 
 /// Default capacity of the router's in-memory span ring.
@@ -43,7 +43,7 @@ impl QueryTrace {
     }
 
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u64_le(self.fetch_wait_ns);
         buf.put_u64_le(self.compute_ns);
         buf.put_u32_le(self.levels);
@@ -116,7 +116,7 @@ impl QuerySpan {
     pub const ENCODED_LEN: usize = 8 + 4 + 4 + 8 * 5;
 
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u64_le(self.seq);
         buf.put_u32_le(self.processor);
         buf.put_u32_le(self.levels);
@@ -228,10 +228,10 @@ mod tests {
     #[test]
     fn query_trace_round_trips() {
         for trace in [sample_trace(), QueryTrace::default()] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             trace.encode_into(&mut buf);
             assert_eq!(buf.len(), trace.encoded_len());
-            let mut data = buf.freeze();
+            let mut data = Bytes::from(buf);
             assert_eq!(QueryTrace::decode_prefix(&mut data).unwrap(), trace);
             assert!(!data.has_remaining());
         }
@@ -239,9 +239,9 @@ mod tests {
 
     #[test]
     fn query_trace_rejects_truncation() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         sample_trace().encode_into(&mut buf);
-        let bytes = buf.freeze();
+        let bytes = Bytes::from(buf);
         for cut in 0..bytes.len() {
             let mut data = bytes.slice(0..cut);
             assert!(QueryTrace::decode_prefix(&mut data).is_err(), "cut {cut}");
@@ -260,10 +260,10 @@ mod tests {
             compute_ns: 1_500,
             completion_ns: 250,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         span.encode_into(&mut buf);
         assert_eq!(buf.len(), QuerySpan::ENCODED_LEN);
-        let mut data = buf.freeze();
+        let mut data = Bytes::from(buf);
         assert_eq!(QuerySpan::decode_prefix(&mut data).unwrap(), span);
     }
 

@@ -1,6 +1,6 @@
 //! The pipeline stages a query crosses, and their latency histograms.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use grouting_metrics::report::Cell;
 use grouting_metrics::{nanos_to_millis, Histogram, TableReport};
 
@@ -115,7 +115,7 @@ impl StageStats {
     }
 
     /// Appends the wire layout: each stage's histogram in index order.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         for h in &self.hists {
             h.encode_into(buf);
         }
@@ -204,10 +204,10 @@ mod tests {
                 s.record(*stage, 1_000 * (k + 1));
             }
         }
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         s.encode_into(&mut buf);
         assert_eq!(buf.len(), s.encoded_len());
-        let mut data = buf.freeze();
+        let mut data = Bytes::from(buf);
         let decoded = StageStats::decode_prefix(&mut data).unwrap();
         assert_eq!(decoded, s);
         assert!(!data.has_remaining());

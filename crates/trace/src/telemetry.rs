@@ -8,7 +8,7 @@
 //! [`ReactorStats`], which is what travels inside a
 //! [`crate::TraceSnapshot`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Point-in-time reactor/connection telemetry totals.
@@ -80,7 +80,7 @@ impl ReactorStats {
     pub const ENCODED_LEN: usize = 8 * 11;
 
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         for v in [
             self.busy_ns,
             self.idle_ns,
@@ -271,10 +271,10 @@ mod tests {
             pool_reused: 10,
             pool_peak_free: 11,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         a.encode_into(&mut buf);
         assert_eq!(buf.len(), ReactorStats::ENCODED_LEN);
-        let mut data = buf.freeze();
+        let mut data = Bytes::from(buf);
         assert_eq!(ReactorStats::decode_prefix(&mut data).unwrap(), a);
 
         let mut merged = a;

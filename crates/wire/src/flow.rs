@@ -97,7 +97,7 @@ pub struct BatchMux {
     /// Recovery counters (dial attempts, chain failovers, resubmissions).
     failover: FailoverStats,
     /// Readiness backend the collect loops park on when every pending
-    /// stream has reported `WouldBlock`. Connection tokens are the server
+    /// stream has reported an empty socket. Connection tokens are the server
     /// index; callers may register extra descriptors (a processor's router
     /// connection) under tokens ≥ [`BatchMux::EXTERNAL_TOKEN_BASE`].
     poller: Box<dyn Poller>,
@@ -163,7 +163,7 @@ impl BatchMux {
 
     /// Parks on the readiness backend until any registered connection has
     /// traffic, or `timeout` passes. Only safe to call when every pending
-    /// stream last reported `WouldBlock` (see
+    /// stream's last poll returned `None` — its socket was empty then (see
     /// [`crate::transport::FrameStream::try_recv`]) — which is exactly the
     /// no-progress state the collect loops call it from.
     pub fn idle_wait(&mut self, timeout: Duration) {
@@ -502,8 +502,8 @@ impl BatchMux {
                     }
                 }
             }
-            // An empty sweep means every pending stream reported
-            // `WouldBlock`; park on the readiness backend until a reply
+            // An empty sweep means every pending stream found its socket
+            // empty; park on the readiness backend until a reply
             // byte lands (epoll) or briefly yield (sweep ladder) so a slow
             // server doesn't cost a core.
             if progressed {
@@ -764,7 +764,7 @@ impl BatchSource for MultiplexedStorageSource {
         // Collect phase: readiness loop over every pending connection —
         // the same submit/poll primitives the overlapped pipeline drives,
         // just awaited inline. An unproductive poll round means every
-        // involved stream reported `WouldBlock`, so parking on the
+        // involved stream found its socket empty, so parking on the
         // readiness backend is safe.
         loop {
             let before = pending.remaining;

@@ -40,7 +40,7 @@
 //! `wire_agreement` suite), and a PR 6-shaped frame decodes to a frame
 //! with an absent block.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use grouting_graph::{NodeId, NodeLabelId};
 use grouting_metrics::{FailoverStats, HeatMap, RunSnapshot};
 use grouting_obs::RegistrySnapshot;
@@ -238,7 +238,20 @@ impl Frame {
 
     /// Encodes this frame to its payload bytes (no length prefix).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(32);
+        let mut framed = Vec::new();
+        self.encode_into(&mut framed);
+        Bytes::from(framed).slice(4..)
+    }
+
+    /// Appends this frame to `buf` exactly as it crosses a socket: the
+    /// `u32` little-endian payload length, then the payload
+    /// [`Frame::encode`] returns. The one definition of every frame's
+    /// encoding; a sender that keeps `buf` between frames encodes without
+    /// allocating.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.reserve(4 + self.encoded_len());
+        let prefix_at = buf.len();
+        buf.put_u32_le(0);
         match self {
             Frame::Hello { role, id } => {
                 buf.put_u8(TAG_HELLO);
@@ -255,7 +268,7 @@ impl Frame {
             } => {
                 buf.put_u8(TAG_SUBMIT);
                 buf.put_u64_le(*seq);
-                put_query(&mut buf, query);
+                put_query(buf, query);
                 if let Some(ns) = submitted_ns {
                     buf.put_u64_le(*ns);
                 }
@@ -264,7 +277,7 @@ impl Frame {
             Frame::Dispatch { seq, query, trace } => {
                 buf.put_u8(TAG_DISPATCH);
                 buf.put_u64_le(*seq);
-                put_query(&mut buf, query);
+                put_query(buf, query);
                 if let Some(t) = trace {
                     buf.put_u8(t.level.as_u8());
                     buf.put_u64_le(t.dispatched_ns);
@@ -274,7 +287,7 @@ impl Frame {
                 buf.put_u8(TAG_COMPLETION);
                 buf.put_u64_le(c.seq);
                 buf.put_u32_le(c.processor);
-                put_result(&mut buf, &c.result);
+                put_result(buf, &c.result);
                 buf.put_u64_le(c.stats.cache_hits);
                 buf.put_u64_le(c.stats.cache_misses);
                 buf.put_u64_le(c.stats.miss_bytes);
@@ -288,9 +301,9 @@ impl Frame {
                 buf.put_u64_le(c.arrived_ns);
                 buf.put_u64_le(c.started_ns);
                 buf.put_u64_le(c.completed_ns);
-                c.heat.encode_into(&mut buf);
+                c.heat.encode_into(buf);
                 if let Some(t) = &c.trace {
-                    t.encode_into(&mut buf);
+                    t.encode_into(buf);
                 }
             }
             Frame::FetchBatchRequest {
@@ -326,19 +339,20 @@ impl Frame {
             }
             Frame::ObsPush { snapshot } => {
                 buf.put_u8(TAG_OBS_PUSH);
-                snapshot.encode_into(&mut buf);
+                snapshot.encode_into(buf);
             }
             Frame::MetricsRequest => buf.put_u8(TAG_METRICS_REQUEST),
             Frame::Metrics { snapshot, trace } => {
                 buf.put_u8(TAG_METRICS);
                 buf.put_slice(&snapshot.encode());
                 if let Some(t) = trace {
-                    t.encode_into(&mut buf);
+                    t.encode_into(buf);
                 }
             }
             Frame::Shutdown => buf.put_u8(TAG_SHUTDOWN),
         }
-        buf.freeze()
+        let len = (buf.len() - prefix_at - 4) as u32;
+        buf[prefix_at..prefix_at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// The exact byte length [`Frame::encode`] would produce, computed
@@ -388,54 +402,12 @@ impl Frame {
         }
     }
 
-    /// Encodes this frame as a chunk sequence whose concatenation is
-    /// byte-identical to [`Frame::encode`]'s output, with each response
-    /// payload handed out as its own zero-copy [`Bytes`] view — so a
-    /// vectored send can scatter-gather a large batch response straight
-    /// from the storage tier's buffers instead of flattening it into one
-    /// allocation. Frames without payload sections return a single chunk.
+    /// [`Frame::encode`] as a one-element list. Nothing in this crate calls
+    /// it — a frame leaves as one flat write (see [`crate::transport`]) —
+    /// and it stays only until the benchmark's layer pass, frozen between
+    /// benchmark changes, stops naming it.
     pub fn encode_chunks(&self) -> Vec<Bytes> {
-        match self {
-            Frame::FetchBatchResponse { req_id, payloads } => {
-                // Fixed-width fields accumulate into one meta buffer;
-                // `cuts` marks where a payload interleaves. The chunks are
-                // then meta slices and payload views — payload bytes are
-                // never copied.
-                let mut meta = BytesMut::with_capacity(13 + payloads.len() * 7);
-                let mut cuts: Vec<(usize, Bytes)> = Vec::new();
-                meta.put_u8(TAG_FETCH_BATCH_RESPONSE);
-                meta.put_u64_le(*req_id);
-                meta.put_u32_le(payloads.len() as u32);
-                for payload in payloads {
-                    match payload {
-                        None => meta.put_u8(0),
-                        Some((server, value)) => {
-                            meta.put_u8(1);
-                            meta.put_u16_le(*server);
-                            meta.put_u32_le(value.len() as u32);
-                            if !value.is_empty() {
-                                cuts.push((meta.len(), value.clone()));
-                            }
-                        }
-                    }
-                }
-                let meta = meta.freeze();
-                let mut chunks = Vec::with_capacity(cuts.len() * 2 + 1);
-                let mut at = 0;
-                for (cut, value) in cuts {
-                    if cut > at {
-                        chunks.push(meta.slice(at..cut));
-                    }
-                    chunks.push(value);
-                    at = cut;
-                }
-                if at < meta.len() || chunks.is_empty() {
-                    chunks.push(meta.slice(at..));
-                }
-                chunks
-            }
-            _ => vec![self.encode()],
-        }
+        vec![self.encode()]
     }
 
     /// Decodes a frame from payload bytes.
@@ -563,7 +535,9 @@ impl Frame {
                 need(&data, 12)?;
                 let req_id = data.get_u64_le();
                 let count = data.get_u32_le() as usize;
-                let mut payloads = Vec::with_capacity(count.min(1 << 16));
+                // Every entry takes at least its flag byte, so the bytes
+                // at hand bound what a hostile count can reserve.
+                let mut payloads = Vec::with_capacity(count.min(data.remaining()));
                 for _ in 0..count {
                     need(&data, 1)?;
                     let payload = match data.get_u8() {
@@ -626,7 +600,7 @@ fn query_encoded_len(query: &Query) -> usize {
     }
 }
 
-fn put_query(buf: &mut BytesMut, query: &Query) {
+fn put_query(buf: &mut Vec<u8>, query: &Query) {
     match query {
         Query::NeighborAggregation { node, hops, label } => {
             buf.put_u8(QUERY_AGG);
@@ -736,7 +710,7 @@ fn result_encoded_len(result: &QueryResult) -> usize {
     }
 }
 
-fn put_result(buf: &mut BytesMut, result: &QueryResult) {
+fn put_result(buf: &mut Vec<u8>, result: &QueryResult) {
     match result {
         QueryResult::Count(c) => {
             buf.put_u8(RESULT_COUNT);
@@ -1196,24 +1170,33 @@ mod tests {
         }
     }
 
+    /// Every way of encoding a frame says the same thing: `encoded_len`
+    /// is `encode`'s length, `encode_into` appends the prefixed `encode`
+    /// behind whatever the buffer held, and `encode_chunks` joins to it.
+    fn assert_encodings_agree(frame: &Frame) {
+        let flat = frame.encode();
+        assert_eq!(frame.encoded_len(), flat.len(), "{}", frame.kind());
+        let mut framed = vec![0xEE; 3];
+        frame.encode_into(&mut framed);
+        assert_eq!(framed[..3], [0xEE; 3], "{}", frame.kind());
+        assert_eq!(framed[3..7], (flat.len() as u32).to_le_bytes());
+        assert_eq!(framed[7..], flat[..], "{}", frame.kind());
+        let joined: Vec<u8> = frame
+            .encode_chunks()
+            .iter()
+            .flat_map(|c| c.to_vec())
+            .collect();
+        assert_eq!(joined[..], flat[..], "{}", frame.kind());
+    }
+
     #[test]
     fn encoded_len_matches_encode() {
         for frame in sample_frames() {
-            assert_eq!(
-                frame.encoded_len(),
-                frame.encode().len(),
-                "{}",
-                frame.kind()
-            );
+            assert_encodings_agree(&frame);
         }
         for (traced, untraced) in traced_frame_pairs() {
-            assert_eq!(
-                traced.encoded_len(),
-                traced.encode().len(),
-                "{}",
-                traced.kind()
-            );
-            assert_eq!(untraced.encoded_len(), untraced.encode().len());
+            assert_encodings_agree(&traced);
+            assert_encodings_agree(&untraced);
         }
     }
 
@@ -1613,6 +1596,7 @@ mod tests {
                 }
                 _ => Frame::Shutdown,
             };
+            assert_encodings_agree(&frame);
             proptest::prop_assert_eq!(Frame::decode(frame.encode()).unwrap(), frame);
         }
     }

@@ -363,6 +363,47 @@ mod tests {
     }
 
     #[test]
+    fn storage_shuts_down_promptly_after_its_router_has_closed() {
+        // With observability on, storage pushes its registry to the router
+        // over a connection it dials lazily. Once the router is gone every
+        // push redials, and a refused TCP dial that retried with the
+        // start-up patience (~2 s) held the serving loop — and with it the
+        // shutdown — for that long each time.
+        let tier = loaded_tier(16, 1);
+        let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+        let mut router = transport.listen(&transport.any_addr()).unwrap();
+        let storage = StorageService::spawn_opts(
+            Arc::clone(&transport),
+            &transport.any_addr(),
+            Arc::clone(&tier),
+            StorageOptions {
+                // Every service round samples and pushes.
+                obs: ObsConfig {
+                    metrics_addr: None,
+                    dump: true,
+                    sample_every_ns: 1,
+                },
+                push_addr: Some(router.addr()),
+                ..StorageOptions::default()
+            },
+        )
+        .unwrap();
+        let mut pushes = router.accept().unwrap();
+        assert!(matches!(pushes.recv().unwrap(), Frame::ObsPush { .. }));
+        drop(pushes);
+        drop(router);
+        // Long enough for a push to fail and the redial to be refused.
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let asked = std::time::Instant::now();
+        storage.shutdown();
+        let took = asked.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(500),
+            "storage took {took:?} to stop"
+        );
+    }
+
+    #[test]
     fn router_masks_processor_death_mid_run() {
         // One flaky processor (serves one query, then vanishes with a
         // second dispatch outstanding) and one healthy one: the router

@@ -256,7 +256,12 @@ impl StorageService {
                     });
                     if let Some(snap) = o.take_push() {
                         if push_conn.is_none() {
-                            push_conn = push_addr.as_deref().and_then(|a| transport.dial(a).ok());
+                            // One attempt, no patience: a push that
+                            // cannot be delivered is dropped anyway, and
+                            // this loop has fetches to serve.
+                            push_conn = push_addr
+                                .as_deref()
+                                .and_then(|a| transport.dial_once(a).ok());
                         }
                         if let Some(conn) = push_conn.as_mut() {
                             if conn.send(&Frame::ObsPush { snapshot: snap }).is_err() {
@@ -340,7 +345,7 @@ fn serve_storage_frame(
                 let mut frames = Vec::new();
                 send_batch_response(
                     |f| {
-                        frames.push(f.clone());
+                        frames.push(f);
                         Ok(())
                     },
                     req_id,
@@ -355,7 +360,7 @@ fn serve_storage_frame(
                 return;
             }
             spin_for_ns(delay_ns);
-            if send_batch_response(|f| reactor.send(conn_id, f), req_id, payloads).is_err() {
+            if send_batch_response(|f| reactor.send(conn_id, &f), req_id, payloads).is_err() {
                 reactor.close(conn_id);
             }
         }
@@ -381,8 +386,10 @@ pub const BATCH_RESPONSE_SOFT_BYTES: usize = 8 << 20;
 /// server id + length prefix, rounded up).
 const PAYLOAD_OVERHEAD: usize = 8;
 
+/// Hands `send` the response frames one by one, by value: the immediate
+/// path writes each and drops it, the due-time queue keeps it as built.
 fn send_batch_response(
-    mut send: impl FnMut(&Frame) -> WireResult<()>,
+    mut send: impl FnMut(Frame) -> WireResult<()>,
     req_id: u64,
     payloads: Vec<Option<(u16, Bytes)>>,
 ) -> WireResult<()> {
@@ -401,7 +408,7 @@ fn send_batch_response(
             take += 1;
         }
         let tail = rest.split_off(take);
-        send(&Frame::FetchBatchResponse {
+        send(Frame::FetchBatchResponse {
             req_id,
             payloads: rest,
         })?;
@@ -663,7 +670,7 @@ fn run_processor(
             source.note_progress();
         } else {
             // No dispatch drained, no query finished: the router stream
-            // and every awaited storage stream reported `WouldBlock`
+            // and every awaited storage stream found their sockets empty
             // (pipeline.step never parks runnable compute), so blocking
             // until one of those sockets has traffic is safe.
             source.idle_wait(SERVICE_IDLE_WAIT);
@@ -1386,7 +1393,7 @@ mod tests {
             .collect();
         let expected = payloads.clone();
         let writer = std::thread::spawn(move || {
-            send_batch_response(|f| sender.send(f), 42, payloads).unwrap();
+            send_batch_response(|f| sender.send(&f), 42, payloads).unwrap();
         });
 
         let mut frames = 0;
@@ -1414,7 +1421,7 @@ mod tests {
         let mut listener = transport.listen(&transport.any_addr()).unwrap();
         let mut sender = transport.dial(&listener.addr()).unwrap();
         let mut receiver = listener.accept().unwrap();
-        send_batch_response(|f| sender.send(f), 7, Vec::new()).unwrap();
+        send_batch_response(|f| sender.send(&f), 7, Vec::new()).unwrap();
         match receiver.recv().unwrap() {
             Frame::FetchBatchResponse { req_id, payloads } => {
                 assert_eq!(req_id, 7);

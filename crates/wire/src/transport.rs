@@ -12,15 +12,19 @@
 //!   tests and sandboxes without loopback. It still moves *encoded* bytes
 //!   (not `Frame` values), so the codec is exercised on both paths.
 //!
-//! The TCP data plane is zero-copy on both directions: receives land in
-//! pooled buffers ([`bytes::BufferPool`]) out of which frame payloads are
-//! decoded as `Arc`-backed slice views (no per-payload copy), and sends of
-//! payload-bearing frames above [`VECTORED_SEND_MIN_BYTES`] go out through
-//! `write_vectored` as `[len][meta][payload…]` scatter-gather lists
-//! instead of being flattened into one allocation.
+//! A frame costs the TCP data plane one `write` going out and one copy
+//! coming in. Send: the sink encodes `[len][payload]` into a buffer it
+//! keeps between frames ([`Frame::encode_into`]) and hands the kernel the
+//! whole frame at once — one syscall and as few segments as the frame
+//! needs, whatever its size. Receive: the socket is read straight into the
+//! spare room of a pooled buffer ([`bytes::BufferPool`],
+//! [`bytes::BytesMut::read_from`]), sized from the peeked length prefix so
+//! a batch response completes in as few reads as the socket allows, and
+//! frame payloads are decoded as `Arc`-backed slice views of that buffer
+//! (no per-payload copy).
 
 use std::collections::HashMap;
-use std::io::{IoSlice, Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,9 +71,11 @@ pub trait FrameStream: Send {
     /// without parking on any single connection.
     ///
     /// Readiness contract: `Ok(None)` means the stream holds no complete
-    /// buffered frame *and* the underlying source is drained (a socket
-    /// read hit `WouldBlock`) — so a level-triggered readiness poller may
-    /// safely block until the source becomes readable again.
+    /// buffered frame *and* its last read of the underlying source came
+    /// back short or `WouldBlock` — the source was empty at that moment.
+    /// Whatever arrives afterwards leaves the descriptor readable, so a
+    /// level-triggered readiness poller may safely block on it, and a
+    /// sweeping one picks it up on its next pass.
     fn try_recv(&mut self) -> WireResult<Option<Frame>>;
 
     /// The underlying OS file descriptor, when the stream is backed by
@@ -402,7 +408,10 @@ fn tcp_connection(stream: TcpStream) -> WireResult<Connection> {
     stream.set_nodelay(true)?;
     let writer = stream.try_clone()?;
     Ok(Connection::from_halves(
-        Box::new(TcpSink { stream: writer }),
+        Box::new(TcpSink {
+            stream: writer,
+            buf: Vec::new(),
+        }),
         Box::new(TcpStreamHalf::new(stream)),
     ))
 }
@@ -460,52 +469,41 @@ impl Listener for TcpFrameListener {
 
 struct TcpSink {
     stream: TcpStream,
+    /// The frame being sent, as `[len][payload]`. Kept between sends, so a
+    /// warm connection encodes without allocating.
+    buf: Vec<u8>,
 }
 
-/// Below this many payload bytes a frame is flattened into one buffer and
-/// sent with a single `write` — for small frames the syscall saved beats
-/// the copy avoided. At or above it, the length prefix, the encoded meta
-/// sections, and every payload view go out through one `write_vectored`
-/// scatter-gather list, so a large batch response is never flattened into
-/// a fresh allocation.
-const VECTORED_SEND_MIN_BYTES: usize = 4096;
+/// Most send-buffer capacity a connection keeps between frames: enough for
+/// any ordinary batch response, small enough that one multi-megabyte frame
+/// does not stay pinned to every connection that ever carried one.
+const SEND_BUFFER_RETAIN: usize = 256 << 10;
+
+impl TcpSink {
+    /// Encodes `frame` into the send buffer and writes the first
+    /// `keep(encoded length)` bytes of it — in one `write`, unless the
+    /// kernel takes less.
+    fn write_frame(&mut self, frame: &Frame, keep: impl FnOnce(usize) -> usize) -> WireResult<()> {
+        self.buf.clear();
+        frame.encode_into(&mut self.buf);
+        let keep = keep(self.buf.len());
+        let sent = write_all_blocking(&mut self.stream, &self.buf[..keep]);
+        if self.buf.capacity() > SEND_BUFFER_RETAIN {
+            self.buf = Vec::new();
+        }
+        sent
+    }
+}
 
 impl FrameSink for TcpSink {
     fn send(&mut self, frame: &Frame) -> WireResult<()> {
-        let chunks = frame.encode_chunks();
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        let len = (total as u32).to_le_bytes();
-        if chunks.len() == 1 || total < VECTORED_SEND_MIN_BYTES {
-            let mut flat = Vec::with_capacity(4 + total);
-            flat.extend_from_slice(&len);
-            for chunk in &chunks {
-                flat.extend_from_slice(chunk);
-            }
-            write_all_blocking(&mut self.stream, &flat)?;
-        } else {
-            let mut parts: Vec<&[u8]> = Vec::with_capacity(1 + chunks.len());
-            parts.push(&len);
-            parts.extend(chunks.iter().map(|c| &c[..]));
-            write_vectored_all(&mut self.stream, &parts)?;
-        }
-        self.stream.flush()?;
-        Ok(())
+        self.write_frame(frame, |len| len)
     }
 
     fn send_truncated(&mut self, frame: &Frame, keep: usize) -> WireResult<()> {
-        // Flatten [len][payload…] and cut at `keep` raw bytes: the peer
-        // sees a frame header promising more bytes than ever arrive.
-        let chunks = frame.encode_chunks();
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        let mut flat = Vec::with_capacity(4 + total);
-        flat.extend_from_slice(&(total as u32).to_le_bytes());
-        for chunk in &chunks {
-            flat.extend_from_slice(chunk);
-        }
-        flat.truncate(keep.min(flat.len().saturating_sub(1)).max(1));
-        write_all_blocking(&mut self.stream, &flat)?;
-        self.stream.flush()?;
-        Ok(())
+        // Cut `[len][payload]` at `keep` raw bytes: the peer sees a frame
+        // header promising more bytes than ever arrive.
+        self.write_frame(frame, |len| keep.min(len - 1).max(1))
     }
 }
 
@@ -543,60 +541,21 @@ fn write_all_blocking(stream: &mut TcpStream, mut buf: &[u8]) -> WireResult<()> 
     Ok(())
 }
 
-/// Writes the concatenation of `parts` with `write_vectored`, batching at
-/// most [`MAX_WRITE_SLICES`] slices per syscall and resuming mid-part
-/// after short writes. Same `WouldBlock` discipline as
-/// [`write_all_blocking`].
-fn write_vectored_all(stream: &mut TcpStream, parts: &[&[u8]]) -> WireResult<()> {
-    const MAX_WRITE_SLICES: usize = 64;
-    let mut idx = 0usize;
-    let mut off = 0usize;
-    loop {
-        // Skip exhausted (or empty) parts.
-        while idx < parts.len() && off >= parts[idx].len() {
-            idx += 1;
-            off = 0;
-        }
-        if idx >= parts.len() {
-            return Ok(());
-        }
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_WRITE_SLICES);
-        for (i, part) in parts.iter().enumerate().skip(idx).take(MAX_WRITE_SLICES) {
-            let p = if i == idx { &part[off..] } else { part };
-            if !p.is_empty() {
-                slices.push(IoSlice::new(p));
-            }
-        }
-        match stream.write_vectored(&slices) {
-            Ok(0) => return Err(WireError::Closed),
-            Ok(mut n) => {
-                // Advance the (part, offset) cursor past the bytes the
-                // kernel took, which may end mid-part.
-                while n > 0 {
-                    let remaining = parts[idx].len() - off;
-                    if n >= remaining {
-                        n -= remaining;
-                        idx += 1;
-                        off = 0;
-                    } else {
-                        off += n;
-                        n = 0;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => wait_for_writable(stream),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
 /// Capacity of each pooled receive buffer. Most frames are far smaller
 /// (a buffer accumulates many); larger frames simply grow the `Vec`
 /// underneath and the grown allocation is pooled all the same.
 const RECV_BUFFER_CAPACITY: usize = 64 << 10;
 /// Free receive buffers retained per connection.
 const RECV_POOL_BUFFERS: usize = 4;
+/// Least room a read is given: a page. A buffer's room is zeroed as it
+/// grows, so it grows to what the frames on its connection have needed —
+/// the next bound — and a control connection's buffers stay one page.
+const MIN_READ_ROOM: usize = 4 << 10;
+/// Most room one read makes for a frame that has only announced itself:
+/// four bytes of length prefix are trusted for a megabyte — more than a
+/// socket buffer usually holds, so the read count does not rise — and the
+/// buffer grows past that only as the frame's bytes really arrive.
+const MAX_READ_AHEAD: usize = 1 << 20;
 
 struct TcpStreamHalf {
     stream: TcpStream,
@@ -608,10 +567,15 @@ struct TcpStreamHalf {
     /// are sliced out of here zero-copy (payloads stay `Arc`-backed views
     /// into this buffer) and the cursor advanced past them.
     frozen: Bytes,
-    /// Accumulating tail: bytes read off the socket after `frozen` froze.
-    /// Non-blocking reads can land mid-frame, so partial input parks here
-    /// between polls. Invariant: unconsumed bytes = `frozen` ++ `acc`.
+    /// Accumulating tail: the pooled buffer socket reads land in, holding
+    /// what arrived after `frozen` froze. Reads can end mid-frame, so
+    /// partial input parks here between polls. Invariant: unconsumed bytes
+    /// = `frozen` ++ `acc`.
     acc: BytesMut,
+    /// The last `try_recv` read came back short: the socket was empty at
+    /// that moment, so the next poll that finds no complete frame says so
+    /// without a `read` that could only report `WouldBlock`.
+    drained: bool,
     /// Whether the socket has been switched to non-blocking mode. Set on
     /// the first `try_recv` and never reverted, so a polling caller pays
     /// the fcntl once instead of twice per poll; a connection is driven
@@ -629,6 +593,7 @@ impl TcpStreamHalf {
             pool,
             frozen: Bytes::new(),
             acc,
+            drained: false,
             nonblocking: false,
         }
     }
@@ -674,21 +639,21 @@ impl TcpStreamHalf {
         self.pool.checkin(old);
     }
 
-    /// Pops one complete frame off the front of the buffered bytes, if
-    /// present — payloads decoded as zero-copy views into the frozen
-    /// receive buffer.
-    fn parse_buffered(&mut self) -> WireResult<Option<Frame>> {
+    /// Pops one complete frame off the front of the buffered bytes —
+    /// payloads decoded as zero-copy views into the frozen receive buffer
+    /// — or says how many bytes that frame still lacks.
+    fn parse_buffered(&mut self) -> WireResult<Parsed> {
         if self.buffered() < 4 {
-            return Ok(None);
+            return Ok(Parsed::Lacks(4 - self.buffered()));
         }
         let len = self.peek_len()?;
         if self.buffered() < 4 + len {
-            return Ok(None);
+            return Ok(Parsed::Lacks(4 + len - self.buffered()));
         }
         if self.frozen.len() < 4 + len {
-            // The frame spans the frozen/acc boundary: merge once. Any
-            // received byte is copied at most twice in its lifetime
-            // (socket → acc, acc → merged).
+            // The frame spans the frozen/acc boundary: merge once. A byte
+            // is copied at most twice in its lifetime (kernel → acc, acc →
+            // merged), and only once when its frame arrived whole.
             self.consolidate();
         }
         let payload = self.frozen.slice(4..4 + len);
@@ -700,20 +665,35 @@ impl TcpStreamHalf {
             let old = std::mem::replace(&mut self.frozen, Bytes::new());
             self.pool.checkin(old);
         }
-        frame.map(Some)
+        frame.map(Parsed::Frame)
     }
+}
+
+/// What the buffered bytes amount to.
+enum Parsed {
+    /// A complete frame, now consumed.
+    Frame(Frame),
+    /// No complete frame: the one at the front lacks this many bytes
+    /// (counting its length prefix). The next read makes room for all of
+    /// them, within [`MIN_READ_ROOM`] and [`MAX_READ_AHEAD`], so the rest
+    /// of a batch response is asked for in one read rather than in
+    /// buffer-sized pieces.
+    Lacks(usize),
 }
 
 impl FrameStream for TcpStreamHalf {
     fn recv(&mut self) -> WireResult<Frame> {
         loop {
-            if let Some(frame) = self.parse_buffered()? {
-                return Ok(frame);
-            }
-            let mut chunk = [0u8; 16 << 10];
-            match self.stream.read(&mut chunk) {
+            let lacks = match self.parse_buffered()? {
+                Parsed::Frame(frame) => return Ok(frame),
+                Parsed::Lacks(n) => n,
+            };
+            match self
+                .acc
+                .read_from(&mut self.stream, lacks.clamp(MIN_READ_ROOM, MAX_READ_AHEAD))
+            {
                 Ok(0) => return Err(WireError::Closed),
-                Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 // Only reachable when `try_recv` has been used on this
                 // connection too; honour the blocking contract by waiting.
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -726,38 +706,31 @@ impl FrameStream for TcpStreamHalf {
     }
 
     fn try_recv(&mut self) -> WireResult<Option<Frame>> {
-        if let Some(frame) = self.parse_buffered()? {
-            return Ok(Some(frame));
-        }
-        if !self.nonblocking {
-            self.stream.set_nonblocking(true)?;
-            self.nonblocking = true;
-        }
-        let mut closed = false;
         loop {
-            let mut chunk = [0u8; 16 << 10];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.acc.extend_from_slice(&chunk[..n]);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            let lacks = match self.parse_buffered()? {
+                Parsed::Frame(frame) => return Ok(Some(frame)),
+                Parsed::Lacks(n) => n,
+            };
+            if std::mem::take(&mut self.drained) {
+                return Ok(None);
+            }
+            if !self.nonblocking {
+                self.stream.set_nonblocking(true)?;
+                self.nonblocking = true;
+            }
+            match self
+                .acc
+                .read_from(&mut self.stream, lacks.clamp(MIN_READ_ROOM, MAX_READ_AHEAD))
+            {
+                // A frame completed by the last bytes before EOF was
+                // returned above, before this read was made.
+                Ok(0) => return Err(WireError::Closed),
+                Ok(_) => self.drained = self.acc.room() > 0,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        // A frame completed by the final reads before EOF still counts;
-        // the close surfaces on the next poll.
-        if let Some(frame) = self.parse_buffered()? {
-            return Ok(Some(frame));
-        }
-        if closed {
-            return Err(WireError::Closed);
-        }
-        Ok(None)
     }
 
     #[cfg(unix)]
@@ -1023,17 +996,19 @@ mod tests {
     }
 
     #[test]
-    fn large_batch_response_round_trips_vectored() {
-        // Well above VECTORED_SEND_MIN_BYTES with far more chunks than one
-        // writev takes: exercises the scatter-gather send path (including
-        // mid-part resume across syscalls) and the pooled multi-read
-        // receive path.
-        let payloads: Vec<Option<(u16, Bytes)>> = (0..200u32)
+    fn large_batch_response_round_trips_through_refilled_socket_buffers() {
+        // ~7 MB in one frame, more than a loopback socket buffer ever
+        // holds, sent on a socket a poll has already made non-blocking and
+        // to a reader that starts late: the one flat write has to wait for
+        // the kernel to drain and resume mid-frame several times, the
+        // reader needs many reads, and the send buffer is let go of
+        // afterwards (the small frame behind it still arrives).
+        let payloads: Vec<Option<(u16, Bytes)>> = (0..1200u32)
             .map(|i| {
                 if i % 9 == 0 {
                     None
                 } else {
-                    Some(((i % 4) as u16, Bytes::from(vec![i as u8; 1500])))
+                    Some(((i % 4) as u16, Bytes::from(vec![i as u8; 6500])))
                 }
             })
             .collect();
@@ -1041,18 +1016,127 @@ mod tests {
             req_id: 77,
             payloads,
         };
+        assert!(f.encoded_len() > 6 << 20);
         let transport = TcpTransport::new();
         let mut listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let send_frame = f.clone();
         let writer = std::thread::spawn(move || {
             let mut conn = TcpTransport::new().dial(&addr).unwrap();
+            assert!(conn.try_recv().unwrap().is_none());
             conn.send(&send_frame).unwrap();
+            conn.send(&frame(5)).unwrap();
             conn // held open until the reader is done
         });
         let mut server = listener.accept().unwrap();
+        std::thread::sleep(Duration::from_millis(50));
         assert_eq!(server.recv().unwrap(), f);
+        assert_eq!(server.recv().unwrap(), frame(5));
         drop(writer.join().unwrap());
+    }
+
+    /// Writes `chunks` through a raw socket into an accepted connection
+    /// and closes it, returning every frame the reader got — all of them
+    /// still held when the last arrives — and the error that ended the
+    /// stream. Polled (`try_recv`), each chunk waits until the reader has
+    /// found the socket empty after the one before, so the chunk
+    /// boundaries are the read boundaries; blocking (`recv`), the chunks
+    /// go out back to back and the kernel decides.
+    fn feed(chunks: Vec<Vec<u8>>, polled: bool) -> (Vec<Frame>, WireError) {
+        let transport = TcpTransport::new();
+        let mut listener = transport.listen(&transport.any_addr()).unwrap();
+        let addr = listener.addr();
+        let empty_polls = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&empty_polls);
+        let writer = std::thread::spawn(move || {
+            let mut raw = TcpStream::connect(addr).unwrap();
+            raw.set_nodelay(true).unwrap();
+            for chunk in chunks {
+                raw.write_all(&chunk).unwrap();
+                // Two empty polls: the second one started after the write.
+                let before = seen.load(Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + Duration::from_millis(200);
+                while polled
+                    && seen.load(Ordering::SeqCst) < before + 2
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let mut server = listener.accept().unwrap();
+        let mut frames = Vec::new();
+        let end = loop {
+            let next = if polled {
+                server.try_recv()
+            } else {
+                server.recv().map(Some)
+            };
+            match next {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => {
+                    empty_polls.fetch_add(1, Ordering::SeqCst);
+                    std::thread::yield_now();
+                }
+                Err(e) => break e,
+            }
+        };
+        writer.join().unwrap();
+        (frames, end)
+    }
+
+    /// The bytes `frames` occupy on a socket.
+    fn wire_bytes(frames: &[Frame]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for f in frames {
+            f.encode_into(&mut bytes);
+        }
+        bytes
+    }
+
+    /// A batch response of `records` records of `record_len` bytes each,
+    /// every byte a function of `salt`, with a missing record now and then.
+    fn response(salt: u64, records: usize, record_len: usize) -> Frame {
+        Frame::FetchBatchResponse {
+            req_id: salt,
+            payloads: (0..records)
+                .map(|i| {
+                    (i % 11 != 10).then(|| {
+                        let byte = |j: usize| (salt as usize + i * 31 + j) as u8;
+                        (
+                            (i % 4) as u16,
+                            (0..record_len).map(byte).collect::<Vec<u8>>().into(),
+                        )
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn frames_survive_a_split_at_every_offset() {
+        let frames = vec![
+            Frame::Hello {
+                role: crate::frame::Role::Processor,
+                id: 3,
+            },
+            response(1, 4, 40),
+            response(2, 0, 0),
+            Frame::Shutdown,
+        ];
+        let bytes = wire_bytes(&frames);
+        for polled in [true, false] {
+            for at in 0..=bytes.len() {
+                let chunks = vec![bytes[..at].to_vec(), bytes[at..].to_vec()];
+                let (got, end) = feed(chunks, polled);
+                assert_eq!(got, frames, "split at {at}, polled {polled}");
+                assert!(matches!(end, WireError::Closed), "{end:?}");
+            }
+            // Byte at a time: every boundary at once.
+            let (got, end) = feed(bytes.iter().map(|&b| vec![b]).collect(), polled);
+            assert_eq!(got, frames, "byte at a time, polled {polled}");
+            assert!(matches!(end, WireError::Closed), "{end:?}");
+        }
     }
 
     proptest::proptest! {
@@ -1107,6 +1191,62 @@ mod tests {
                 proptest::prop_assert_eq!(got, want);
             }
             drop(writer.join().unwrap());
+        }
+
+        /// Any sequence of frames — control frames of a few bytes, empty
+        /// and ordinary batch responses, one just past the pooled buffer,
+        /// one of several hundred KB — cut into any chunks (single bytes,
+        /// several frames at once, everything left) comes out of `recv`
+        /// and `try_recv` as exactly the frames sent. The reader holds
+        /// every frame until the stream ends, so a pooled buffer reused
+        /// under a live payload view would show as a mismatch; and a final
+        /// frame whose tail never arrives is a `Closed`, not a frame.
+        #[test]
+        fn prop_any_chunking_delivers_exactly_the_frames_sent(
+            specs in proptest::collection::vec((0u8..8, 0u64..1 << 40), 1..7),
+            cuts in proptest::collection::vec((0u8..4, 1usize..60_000), 0..120),
+            polled in proptest::bool::ANY,
+            lost_tail in proptest::option::of(1usize..3_000),
+        ) {
+            let frames: Vec<Frame> = specs
+                .iter()
+                .map(|&(kind, salt)| match kind {
+                    0 => Frame::Shutdown,
+                    1 => Frame::Hello { role: crate::frame::Role::Client, id: salt as u32 },
+                    2 => frame(salt as u32),
+                    3 => response(salt, 0, 0),
+                    4 => response(salt, 5, 60),
+                    5 => response(salt, 100, 295),
+                    6 => response(salt, 230, 300), // just past RECV_BUFFER_CAPACITY
+                    _ => response(salt, 600, 200 + (salt % 800) as usize),
+                })
+                .collect();
+            let mut bytes = wire_bytes(&frames);
+            let mut want = frames;
+            if let Some(lost) = lost_tail {
+                let last = want.pop().unwrap();
+                bytes.truncate(bytes.len() - lost.min(4 + last.encoded_len()));
+            }
+            let mut chunks = Vec::new();
+            let mut rest = &bytes[..];
+            for (class, size) in cuts {
+                let size = match class {
+                    0 => 1,
+                    1 => 1 + size % 8,
+                    2 => 1 + size % 700,
+                    _ => size,
+                };
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(size.min(rest.len()));
+                chunks.push(chunk.to_vec());
+                rest = tail;
+            }
+            chunks.push(rest.to_vec());
+            let (got, end) = feed(chunks, polled);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert!(matches!(end, WireError::Closed), "{:?}", end);
         }
     }
 
