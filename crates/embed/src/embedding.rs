@@ -10,11 +10,21 @@
 //!    distance error (Eq. 4) with Simplex Downhill — incrementally (each
 //!    landmark against those already placed) plus full refinement sweeps;
 //! 2. every other node is embedded independently (parallelisable) against
-//!    its nearest landmarks, again with Simplex Downhill;
+//!    its nearest landmarks, again with Simplex Downhill. A node's placement
+//!    is a pure function of that list — the `(landmark, hop)` pairs sorted
+//!    by hop, ties by landmark, cut to `nearest_landmarks` — so each
+//!    distinct list is solved once and its point copied to every node that
+//!    holds it (on the benchmark's WebGraph profile, ~106 k nodes share
+//!    ~25 k lists). Only a node that reaches no landmark has a per-node
+//!    placement, seeded by its id;
 //! 3. coordinates are stored as `f32` — 4 bytes × D per node, which at
 //!    D = 10 reproduces Table 3's 4 GB for the 106 M-node WebGraph.
 
-use grouting_graph::NodeId;
+use std::collections::HashMap;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+use grouting_graph::{IdBuildHasher, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,6 +75,19 @@ pub struct Embedding {
     landmark_ids: Vec<NodeId>,
     /// Landmark coordinates kept at `f64` for re-embedding new nodes.
     landmark_coords: Vec<f64>,
+    /// Wall-clock time of `build`'s landmark stage and node stage.
+    build_times: (Duration, Duration),
+}
+
+/// Where a node's coordinates come from.
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    /// It is landmark `i`.
+    Landmark(u32),
+    /// It reaches no landmark.
+    Unreached,
+    /// The solve of distinct nearest-landmark list `k`.
+    List(u32),
 }
 
 /// The relative-error term of Eq. 4 for one (graph-distance, point) pair.
@@ -93,48 +116,23 @@ impl Embedding {
         let d = config.dimensions;
         let n = landmarks.dist[0].len();
 
+        let t = Instant::now();
         let landmark_coords = embed_landmarks(landmarks, config);
+        let landmarks_time = t.elapsed();
 
-        // Per-node embedding, parallel over chunks of nodes.
+        let t = Instant::now();
+        // The table that outlives `build` first, beneath the stage's scratch.
         let mut coords = vec![0f32; n * d];
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-            .min(n.max(1));
-        let landmark_lookup: std::collections::HashMap<NodeId, usize> = landmarks
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-
-        {
-            let chunk = n.div_ceil(threads).max(1);
-            let lc = &landmark_coords;
-            let lk = &landmark_lookup;
-            let chunks: Vec<(usize, &mut [f32])> = coords
-                .chunks_mut(chunk * d)
-                .enumerate()
-                .map(|(i, c)| (i * chunk, c))
-                .collect();
-            std::thread::scope(|scope| {
-                for (start, slice) in chunks {
-                    scope.spawn(move || {
-                        for (row, out) in slice.chunks_mut(d).enumerate() {
-                            let v = NodeId::new((start + row) as u32);
-                            let point = if let Some(&li) = lk.get(&v) {
-                                lc[li * d..(li + 1) * d].to_vec()
-                            } else {
-                                embed_node(landmarks, lc, v, config)
-                            };
-                            for (o, p) in out.iter_mut().zip(&point) {
-                                *o = *p as f32;
-                            }
-                        }
-                    });
-                }
-            });
+        let (placements, lists) = nearest_lists(landmarks, config.nearest_landmarks);
+        let solved = solve_lists(&lists, &landmark_coords, d, config);
+        for (v, (out, placement)) in coords.chunks_mut(d).zip(&placements).enumerate() {
+            match *placement {
+                Placement::List(k) => out.copy_from_slice(&solved[k as usize * d..][..d]),
+                Placement::Landmark(i) => narrow(out, &landmark_coords[i as usize * d..][..d]),
+                Placement::Unreached => narrow(out, &unreached_point(NODE_SEED ^ v as u64, d)),
+            }
         }
+        let nodes_time = t.elapsed();
 
         Self {
             dim: d,
@@ -142,7 +140,14 @@ impl Embedding {
             nodes: n,
             landmark_ids: landmarks.nodes.clone(),
             landmark_coords,
+            build_times: (landmarks_time, nodes_time),
         }
+    }
+
+    /// Wall-clock time [`Embedding::build`] spent placing the landmarks and
+    /// then every other node (Table 2's two embedding stages).
+    pub fn build_times(&self) -> (Duration, Duration) {
+        self.build_times
     }
 
     /// Dimensionality D.
@@ -292,58 +297,145 @@ fn embed_landmarks(landmarks: &Landmarks, config: &EmbeddingConfig) -> Vec<f64> 
     coords
 }
 
-/// Embeds one non-landmark node against its nearest landmarks.
-fn embed_node(
-    landmarks: &Landmarks,
-    landmark_coords: &[f64],
-    v: NodeId,
-    config: &EmbeddingConfig,
-) -> Vec<f64> {
-    let dists = landmarks.node_vector(v);
-    embed_vector(
-        &dists,
-        landmark_coords,
-        config.dimensions,
-        config,
-        0x9E37 ^ v.raw() as u64,
-    )
+/// Seed salt of an unreached node's placement in [`Embedding::build`]
+/// (xor-ed with its id).
+const NODE_SEED: u64 = 0x9E37;
+
+/// Writes an `f64` point into `f32` storage.
+fn narrow(out: &mut [f32], point: &[f64]) {
+    for (o, p) in out.iter_mut().zip(point) {
+        *o = *p as f32;
+    }
 }
 
-/// Embeds a point from a landmark-distance vector (shared by initial build
-/// and incremental updates).
-pub(crate) fn embed_vector(
-    dists: &[u16],
+/// A point for a node disconnected from every landmark: deterministically
+/// far out, so such nodes cluster away from the embedded mass.
+fn unreached_point(seed: u64, d: usize) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..d).map(|_| 1e4 + rng.gen::<f64>() * 1e3).collect()
+}
+
+/// One entry of a nearest-landmark list: `hop << 32 | landmark`, so that
+/// ascending order is by hop, ties by landmark index.
+#[inline]
+fn entry(landmark: usize, hop: u16) -> u64 {
+    u64::from(hop) << 32 | landmark as u64
+}
+
+#[inline]
+fn split(entry: u64) -> (usize, u16) {
+    ((entry & u64::from(u32::MAX)) as usize, (entry >> 32) as u16)
+}
+
+/// Fills `out` with the `k` nearest reachable landmarks of a node whose
+/// landmark hops are `hops`, ascending (see [`entry`]).
+fn nearest_list(hops: impl Iterator<Item = u16>, k: usize, out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(
+        hops.enumerate()
+            .filter(|&(_, hop)| hop != UNREACHED_U16)
+            .map(|(i, hop)| entry(i, hop)),
+    );
+    let k = k.max(1);
+    if out.len() > k {
+        out.select_nth_unstable(k);
+        out.truncate(k);
+    }
+    out.sort_unstable();
+}
+
+/// Every node's placement, and the distinct nearest-landmark lists the
+/// non-landmark nodes hold, numbered in order of first appearance. Each
+/// list is stored once, at its exact length.
+fn nearest_lists(landmarks: &Landmarks, k: usize) -> (Vec<Placement>, Vec<Box<[u64]>>) {
+    let n = landmarks.dist[0].len();
+    let mut placements = vec![Placement::Unreached; n];
+    // A landmark listed twice takes its last index.
+    for (i, id) in landmarks.nodes.iter().enumerate() {
+        if let Some(p) = placements.get_mut(id.index()) {
+            *p = Placement::Landmark(i as u32);
+        }
+    }
+    let mut ids: HashMap<Box<[u64]>, u32, IdBuildHasher> = HashMap::default();
+    let mut list = Vec::with_capacity(landmarks.len());
+    for (v, placement) in placements.iter_mut().enumerate() {
+        if matches!(placement, Placement::Landmark(_)) {
+            continue;
+        }
+        nearest_list(landmarks.dist.iter().map(|row| row[v]), k, &mut list);
+        if list.is_empty() {
+            continue;
+        }
+        let id = match ids.get(&list[..]) {
+            Some(&id) => id,
+            None => {
+                let id = ids.len() as u32;
+                ids.insert(list[..].into(), id);
+                id
+            }
+        };
+        *placement = Placement::List(id);
+    }
+    let mut lists = vec![Box::default(); ids.len()];
+    for (list, id) in ids {
+        lists[id as usize] = list;
+    }
+    (placements, lists)
+}
+
+/// Lists a solver thread claims at a time.
+const SOLVE_BLOCK: usize = 256;
+
+/// Solves every list, in parallel: threads claim blocks of lists from one
+/// shared cursor, so a slow share cannot hold the others up. Row `k` of
+/// the result is list `k`'s point.
+fn solve_lists(
+    lists: &[Box<[u64]>],
     landmark_coords: &[f64],
     d: usize,
     config: &EmbeddingConfig,
-    seed: u64,
-) -> Vec<f64> {
-    // Pick the nearest reachable landmarks.
-    let mut reachable: Vec<(usize, u16)> = dists
-        .iter()
-        .enumerate()
-        .filter(|&(_, &x)| x != UNREACHED_U16)
-        .map(|(i, &x)| (i, x))
-        .collect();
-    if reachable.is_empty() {
-        // Disconnected from every landmark: place deterministically far out
-        // so such nodes cluster away from the embedded mass.
-        let mut rng = StdRng::seed_from_u64(seed);
-        return (0..d).map(|_| 1e4 + rng.gen::<f64>() * 1e3).collect();
-    }
-    reachable.sort_by_key(|&(_, x)| x);
-    reachable.truncate(config.nearest_landmarks.max(1));
+) -> Vec<f32> {
+    let mut out = vec![0f32; lists.len() * d];
+    let threads = std::thread::available_parallelism()
+        .map(|t| t.get())
+        .unwrap_or(1)
+        .min(lists.len().div_ceil(SOLVE_BLOCK));
+    let blocks = Mutex::new(
+        lists
+            .chunks(SOLVE_BLOCK)
+            .zip(out.chunks_mut(SOLVE_BLOCK * d)),
+    );
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let block = blocks.lock().expect("solver cursor").next();
+                let Some((lists, out)) = block else { break };
+                for (list, out) in lists.iter().zip(out.chunks_mut(d)) {
+                    narrow(out, &solve_list(list, landmark_coords, d, config));
+                }
+            });
+        }
+    });
+    out
+}
 
+/// Places a point against a non-empty nearest-landmark list with Simplex
+/// Downhill, minimising the summed relative error (Eq. 4).
+fn solve_list(
+    list: &[u64],
+    landmark_coords: &[f64],
+    d: usize,
+    config: &EmbeddingConfig,
+) -> Vec<f64> {
+    let k = list.len();
     // Seed at the weighted centroid of the chosen landmarks (closer ⇒
     // heavier).
     let mut seed_point = vec![0f64; d];
     let mut total_w = 0f64;
-    for &(i, dist) in &reachable {
-        let w = 1.0 / (dist as f64 + 1.0);
-        for (s, c) in seed_point
-            .iter_mut()
-            .zip(&landmark_coords[i * d..(i + 1) * d])
-        {
+    for &e in list {
+        let (i, hop) = split(e);
+        let w = 1.0 / (hop as f64 + 1.0);
+        for (s, c) in seed_point.iter_mut().zip(&landmark_coords[i * d..][..d]) {
             *s += w * c;
         }
         total_w += w;
@@ -352,14 +444,31 @@ pub(crate) fn embed_vector(
         *s /= total_w;
     }
 
+    // The listed landmarks' coordinates as structure of arrays: row `j`
+    // holds coordinate `j` of each, so each landmark's squared distance
+    // accumulates in its own lane, in `euclid`'s order, and the lanes
+    // vectorise. Same operations as `euclid` per landmark, same bits.
+    let mut columns = vec![0f64; d * k];
+    for (lane, &e) in list.iter().enumerate() {
+        let (i, _) = split(e);
+        for (j, &c) in landmark_coords[i * d..][..d].iter().enumerate() {
+            columns[j * k + lane] = c;
+        }
+    }
+    let hops: Vec<f64> = list.iter().map(|&e| split(e).1 as f64).collect();
+    let mut lanes = vec![0f64; k];
     let objective = |x: &[f64]| -> f64 {
-        reachable
-            .iter()
-            .map(|&(i, dist)| {
-                let e = euclid(x, &landmark_coords[i * d..(i + 1) * d]);
-                relative_error_term(dist as f64, e)
-            })
-            .sum()
+        lanes.fill(0.0);
+        for (&xj, column) in x.iter().zip(columns.chunks_exact(k)) {
+            for (acc, &c) in lanes.iter_mut().zip(column) {
+                *acc += (xj - c) * (xj - c);
+            }
+        }
+        let mut sum = 0.0;
+        for (&sq, &hop) in lanes.iter().zip(&hops) {
+            sum += relative_error_term(hop, sq.sqrt());
+        }
+        sum
     };
     minimize(
         objective,
@@ -371,6 +480,24 @@ pub(crate) fn embed_vector(
         },
     )
     .point
+}
+
+/// Embeds a point from a landmark-distance vector: the nearest-list solve
+/// [`Embedding::build`] memoises, or the seeded far placement when no
+/// landmark is reachable.
+pub(crate) fn embed_vector(
+    dists: &[u16],
+    landmark_coords: &[f64],
+    d: usize,
+    config: &EmbeddingConfig,
+    seed: u64,
+) -> Vec<f64> {
+    let mut list = Vec::new();
+    nearest_list(dists.iter().copied(), config.nearest_landmarks, &mut list);
+    if list.is_empty() {
+        return unreached_point(seed, d);
+    }
+    solve_list(&list, landmark_coords, d, config)
 }
 
 #[cfg(test)]
@@ -555,5 +682,96 @@ mod tests {
         let mut cfg = quick_config(1);
         cfg.dimensions = 0;
         let _ = Embedding::build(&lm, &cfg);
+    }
+
+    /// Asserts `build`'s coordinates equal, bit for bit, one `embed_vector`
+    /// per node (the last listed index for a landmark) — the per-node path
+    /// the memoised build replaced.
+    fn assert_equals_per_node(lm: &Landmarks, emb: &Embedding, config: &EmbeddingConfig) {
+        let d = config.dimensions;
+        let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for v in 0..emb.node_count() {
+            let v = n(v as u32);
+            let expected: Vec<f32> = match lm.nodes.iter().rposition(|&l| l == v) {
+                Some(i) => emb.landmark_coords[i * d..][..d].to_vec(),
+                None => embed_vector(
+                    &lm.node_vector(v),
+                    &emb.landmark_coords,
+                    d,
+                    config,
+                    NODE_SEED ^ v.raw() as u64,
+                ),
+            }
+            .into_iter()
+            .map(|x| x as f32)
+            .collect();
+            assert_eq!(bits(emb.coords(v)), bits(&expected), "node {v}");
+        }
+    }
+
+    #[test]
+    fn star_of_stars_shares_lists_and_keeps_seeded_strays() {
+        // Hub 0 with six sub-hubs, each with 30 leaves; nodes 187 and 188
+        // reach nothing.
+        let mut b = GraphBuilder::with_nodes(189);
+        let mut next = 7;
+        for hub in 1..=6u32 {
+            b.add_edge(n(0), n(hub));
+            for _ in 0..30 {
+                b.add_edge(n(hub), n(next));
+                next += 1;
+            }
+        }
+        let g = b.build().unwrap();
+        let lm = Landmarks::build(
+            &g,
+            &LandmarkConfig {
+                count: 7,
+                min_separation: 1,
+            },
+        );
+        let config = quick_config(4);
+        let emb = Embedding::build(&lm, &config);
+        assert_equals_per_node(&lm, &emb, &config);
+
+        // The seven landmarks are the hubs; the 180 leaves hold six lists
+        // between them, each naming all seven.
+        assert_eq!(lm.len(), 7);
+        let (_, lists) = nearest_lists(&lm, config.nearest_landmarks);
+        assert_eq!(lists.len(), 6);
+        assert!(lists.iter().all(|list| list.len() == 7));
+        let (a, b) = (emb.coords(n(187)), emb.coords(n(188)));
+        assert_ne!(a, b, "unreached nodes keep their own seeded placements");
+        assert!(a.iter().chain(b).all(|&x| x >= 1e4));
+    }
+
+    proptest::proptest! {
+        /// The memoised build equals one solve per node on random graphs
+        /// with several components and isolated nodes.
+        #[test]
+        fn prop_build_equals_per_node_embedding(
+            nodes in 8u32..60,
+            edges in proptest::collection::vec((0u32..60, 0u32..60), 4..120),
+            count in 1usize..12,
+            dim in 1usize..5,
+            nearest in 1usize..6,
+        ) {
+            let mut b = GraphBuilder::with_nodes(nodes as usize);
+            for (s, d) in edges {
+                if s < nodes && d < nodes {
+                    b.add_edge(n(s), n(d));
+                }
+            }
+            let g = b.build().unwrap();
+            let lm = Landmarks::build(&g, &LandmarkConfig { count, min_separation: 1 });
+            if !lm.is_empty() {
+                let config = EmbeddingConfig {
+                    nearest_landmarks: nearest,
+                    ..quick_config(dim)
+                };
+                let emb = Embedding::build(&lm, &config);
+                assert_equals_per_node(&lm, &emb, &config);
+            }
+        }
     }
 }

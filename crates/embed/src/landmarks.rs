@@ -9,10 +9,18 @@
 //! Selection walks nodes in descending bi-directed degree; accepting a
 //! landmark marks its `(min_separation − 1)`-hop ball as blocked, so any
 //! later (lower-degree) candidate inside the ball is skipped — equivalent to
-//! the paper's discard rule. One bi-directed BFS per accepted landmark then
-//! fills the `|L| × n` distance matrix (parallelised across landmarks).
+//! the paper's discard rule.
+//!
+//! The `|L| × n` distance matrix is filled by bit-parallel multi-source BFS:
+//! up to 64 landmarks share one traversal of the bi-directed view, each
+//! node carrying a `u64` of the landmarks that have reached it, so an edge
+//! is scanned once per distinct depth at which its endpoint enters the
+//! batch's frontier rather than once per landmark. The landmarks are split
+//! evenly over the available threads (96 on two cores: two batches of 48),
+//! and each row equals a single-source BFS from its landmark.
 
-use grouting_graph::traversal::{bfs_distances, bfs_within, Direction};
+use std::ops::Range;
+
 use grouting_graph::{CsrGraph, NodeId};
 
 use crate::UNREACHED_U16;
@@ -144,6 +152,13 @@ fn select(g: &CsrGraph, config: &LandmarkConfig) -> Vec<NodeId> {
     let order = g.nodes_by_degree_desc();
     let mut blocked = vec![false; g.node_count()];
     let mut chosen = Vec::with_capacity(config.count);
+    // The current landmark's ball, level by level; `seen[w]` holds the
+    // number of the last landmark whose ball reached `w`. One dense array
+    // rather than a hash map per ball (`bfs_within`): the balls around the
+    // hubs are the graph's largest, and building and freeing their tables
+    // here cost `load/`'s `hotspot_remote` ~8 MiB of `peak_rss_mb`.
+    let mut seen = vec![u32::MAX; g.node_count()];
+    let mut ball: Vec<u32> = Vec::new();
     for v in order {
         if chosen.len() >= config.count {
             break;
@@ -151,66 +166,167 @@ fn select(g: &CsrGraph, config: &LandmarkConfig) -> Vec<NodeId> {
         if blocked[v.index()] || g.degree(v) == 0 {
             continue;
         }
+        let stamp = chosen.len() as u32;
         chosen.push(v);
-        if config.min_separation > 0 {
-            for (w, _) in bfs_within(g, v, config.min_separation - 1, Direction::Both) {
-                blocked[w.index()] = true;
+        if config.min_separation == 0 {
+            continue;
+        }
+        ball.clear();
+        ball.push(v.raw());
+        seen[v.index()] = stamp;
+        let mut level = 0..1;
+        for _ in 1..config.min_separation {
+            for i in level.clone() {
+                let u = NodeId::new(ball[i]);
+                for &w in g.out_slice(u).iter().chain(g.in_slice(u)) {
+                    if seen[w as usize] != stamp {
+                        seen[w as usize] = stamp;
+                        ball.push(w);
+                    }
+                }
             }
+            level = level.end..ball.len();
+        }
+        for &w in &ball {
+            blocked[w as usize] = true;
         }
     }
     chosen
 }
 
-/// One full bi-directed BFS per landmark, parallelised across landmarks.
-fn distance_maps(g: &CsrGraph, landmarks: &[NodeId]) -> Vec<Vec<u16>> {
-    let compress = |d: Vec<u32>| -> Vec<u16> {
-        d.into_iter()
-            .map(|x| {
-                if x == grouting_graph::traversal::UNREACHED {
-                    UNREACHED_U16
-                } else {
-                    x.min((UNREACHED_U16 - 1) as u32) as u16
-                }
-            })
-            .collect()
-    };
+/// Sources one traversal carries: one bit of a `u64` each.
+const BATCH: usize = 64;
 
+/// `len` items cut into `parts` contiguous ranges whose sizes differ by at
+/// most one.
+fn even_ranges(len: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..parts).map(move |i| len * i / parts..len * (i + 1) / parts)
+}
+
+/// The bi-directed distance rows of `landmarks`, in order: each thread
+/// takes a contiguous share and walks it in batches of at most [`BATCH`].
+///
+/// Where each buffer is allocated is deliberate. The scratch, which dies
+/// here, comes from the calling thread, whose later set-up work reuses the
+/// freed memory; the rows, which outlive the call, come from the workers,
+/// as they did when each worker ran one BFS per landmark. Allocating both
+/// in the workers, or both here, left glibc's arenas holding 15–40 MiB
+/// more at `load/`'s peak (`peak_rss_mb` +8–25 % on some workloads).
+fn distance_maps(g: &CsrGraph, landmarks: &[NodeId]) -> Vec<Vec<u16>> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(landmarks.len().max(1));
-    if threads <= 1 || landmarks.len() <= 1 {
-        return landmarks
-            .iter()
-            .map(|&l| compress(bfs_distances(g, l, Direction::Both)))
-            .collect();
-    }
-
-    let mut rows: Vec<Option<Vec<u16>>> = vec![None; landmarks.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let rows_cell: Vec<std::sync::Mutex<&mut Option<Vec<u16>>>> =
-        rows.iter_mut().map(std::sync::Mutex::new).collect();
+        .min(landmarks.len());
+    let mut scratch: Vec<Scratch> = (0..threads).map(|_| Scratch::new(g)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= landmarks.len() {
-                    break;
-                }
-                let row = compress(bfs_distances(g, landmarks[i], Direction::Both));
-                **rows_cell[i].lock().expect("row lock") = Some(row);
-            });
+        let workers: Vec<_> = even_ranges(landmarks.len(), threads)
+            .zip(&mut scratch)
+            .map(|(share, scratch)| {
+                let ids = &landmarks[share];
+                scope.spawn(move || {
+                    let mut rows = Vec::with_capacity(ids.len());
+                    for batch in even_ranges(ids.len(), ids.len().div_ceil(BATCH)) {
+                        let first = rows.len();
+                        rows.resize(first + batch.len(), vec![UNREACHED_U16; g.node_count()]);
+                        multi_source_bfs(g, &ids[batch], &mut rows[first..], scratch);
+                    }
+                    rows
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("landmark BFS thread panicked"))
+            .collect()
+    })
+}
+
+/// One thread's multi-source BFS state, sized for the whole graph once and
+/// reused by each of its batches.
+struct Scratch {
+    /// Per node: the batch's sources that have reached it.
+    seen: Vec<u64>,
+    /// Per node: the sources reaching it at the next depth.
+    next: Vec<u64>,
+    /// The current depth's nodes, each with the sources that reached it.
+    frontier: Vec<(u32, u64)>,
+    /// The next depth's nodes, in discovery order.
+    upcoming: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(g: &CsrGraph) -> Self {
+        let n = g.node_count();
+        Self {
+            seen: vec![0; n],
+            next: vec![0; n],
+            frontier: Vec::with_capacity(n),
+            upcoming: Vec::with_capacity(n),
         }
-    });
-    drop(rows_cell);
-    rows.into_iter()
-        .map(|r| r.expect("all rows computed"))
-        .collect()
+    }
+}
+
+/// Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
+/// VLDB 2015) over the bi-directed view: source `i` of `sources` owns bit
+/// `i` of each node's `seen` mask, and a frontier node's edges are scanned
+/// once for all the sources that reached it at this depth. Fills `rows`
+/// (one per source, all [`UNREACHED_U16`] on entry) so that row `i` equals
+/// a single-source BFS from `sources[i]` compressed to `u16`: unreached
+/// stays [`UNREACHED_U16`], longer distances clamp to `UNREACHED_U16 − 1`,
+/// and a source outside the graph reaches nothing.
+fn multi_source_bfs(g: &CsrGraph, sources: &[NodeId], rows: &mut [Vec<u16>], s: &mut Scratch) {
+    debug_assert!(sources.len() <= BATCH);
+    s.seen.fill(0);
+    s.frontier.clear();
+    for (i, &source) in sources.iter().enumerate() {
+        if g.contains(source) {
+            let v = source.index();
+            if s.seen[v] == 0 {
+                s.frontier.push((source.raw(), 0));
+            }
+            s.seen[v] |= 1 << i;
+            rows[i][v] = 0;
+        }
+    }
+    for entry in &mut s.frontier {
+        entry.1 = s.seen[entry.0 as usize];
+    }
+    let mut depth = 0u32;
+    while !s.frontier.is_empty() {
+        depth += 1;
+        let hop = depth.min(u32::from(UNREACHED_U16 - 1)) as u16;
+        for &(v, mask) in &s.frontier {
+            let v = NodeId::new(v);
+            for &w in g.out_slice(v).iter().chain(g.in_slice(v)) {
+                let w = w as usize;
+                let fresh = mask & !s.seen[w];
+                if fresh != 0 {
+                    if s.next[w] == 0 {
+                        s.upcoming.push(w as u32);
+                    }
+                    s.next[w] |= fresh;
+                    s.seen[w] |= fresh;
+                }
+            }
+        }
+        s.frontier.clear();
+        for &w in &s.upcoming {
+            let mask = std::mem::take(&mut s.next[w as usize]);
+            s.frontier.push((w, mask));
+            let mut bits = mask;
+            while bits != 0 {
+                rows[bits.trailing_zeros() as usize][w as usize] = hop;
+                bits &= bits - 1;
+            }
+        }
+        s.upcoming.clear();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grouting_graph::traversal::{bfs_distances, bfs_within, Direction, UNREACHED};
     use grouting_graph::GraphBuilder;
 
     fn n(i: u32) -> NodeId {
@@ -367,6 +483,98 @@ mod tests {
         assert!(lm.len() <= 2);
         for &l in &lm.nodes {
             assert!(g.degree(l) > 0);
+        }
+    }
+
+    /// What one single-source BFS per landmark gives, compressed to `u16`.
+    fn per_landmark_rows(g: &CsrGraph, ids: &[NodeId]) -> Vec<Vec<u16>> {
+        ids.iter()
+            .map(|&l| {
+                bfs_distances(g, l, Direction::Both)
+                    .into_iter()
+                    .map(|x| match x {
+                        UNREACHED => UNREACHED_U16,
+                        x => x.min(u32::from(UNREACHED_U16 - 1)) as u16,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn long_path_clamps_below_unreached() {
+        let k = 70_000u32;
+        let mut b = GraphBuilder::new();
+        for i in 0..k - 1 {
+            b.add_edge(n(i), n(i + 1));
+        }
+        let g = b.build().unwrap();
+        let lm = Landmarks::for_nodes(&g, vec![n(0), n(k - 1), n(k / 2)], 3);
+        assert_eq!(lm.dist, per_landmark_rows(&g, &lm.nodes));
+        assert_eq!(lm.distance(0, n(65_533)), 65_533);
+        assert_eq!(lm.distance(0, n(65_534)), UNREACHED_U16 - 1);
+        assert_eq!(lm.distance(0, n(k - 1)), UNREACHED_U16 - 1);
+        assert_eq!(lm.distance(1, n(0)), UNREACHED_U16 - 1);
+        assert_eq!(lm.distance(2, n(0)), (k / 2) as u16);
+    }
+
+    proptest::proptest! {
+        /// Multi-source rows equal one BFS per landmark on graphs with
+        /// isolated nodes and several components, for landmark lists that
+        /// cross the 64-source batch boundary, split unevenly, repeat ids
+        /// and name ids outside the graph.
+        #[test]
+        fn prop_multi_source_rows_equal_per_landmark_bfs(
+            nodes in 1u32..200,
+            components in 1u32..5,
+            edges in proptest::collection::vec((0u32..200, 0u32..200), 0..300),
+            ids in proptest::collection::vec(0u32..260, 1..151),
+        ) {
+            let mut b = GraphBuilder::with_nodes(nodes as usize);
+            for (s, d) in edges {
+                // Keep both ends in one residue class mod `components`.
+                let d = d - d % components + s % components;
+                if s < nodes && d < nodes {
+                    b.add_edge(n(s), n(d));
+                }
+            }
+            let g = b.build().unwrap();
+            let ids: Vec<NodeId> = ids.into_iter().map(n).collect();
+            let lm = Landmarks::for_nodes(&g, ids.clone(), 2);
+            proptest::prop_assert_eq!(lm.dist, per_landmark_rows(&g, &ids));
+        }
+
+        /// Selection blocks exactly each accepted landmark's
+        /// `(min_separation − 1)`-hop ball, as marking `bfs_within` does.
+        #[test]
+        fn prop_selection_matches_bfs_within_balls(
+            nodes in 1u32..120,
+            edges in proptest::collection::vec((0u32..120, 0u32..120), 0..300),
+            count in 1usize..20,
+            min_separation in 0u32..5,
+        ) {
+            let mut b = GraphBuilder::with_nodes(nodes as usize);
+            for (s, d) in edges {
+                if s < nodes && d < nodes {
+                    b.add_edge(n(s), n(d));
+                }
+            }
+            let g = b.build().unwrap();
+            let mut blocked = vec![false; g.node_count()];
+            let mut expected = Vec::new();
+            for v in g.nodes_by_degree_desc() {
+                if expected.len() == count || blocked[v.index()] || g.degree(v) == 0 {
+                    continue;
+                }
+                expected.push(v);
+                if min_separation > 0 {
+                    for (w, _) in bfs_within(&g, v, min_separation - 1, Direction::Both) {
+                        blocked[w.index()] = true;
+                    }
+                }
+            }
+            let config = LandmarkConfig { count, min_separation };
+            proptest::prop_assert_eq!(select(&g, &config), expected);
         }
     }
 }

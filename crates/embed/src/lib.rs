@@ -3,8 +3,8 @@
 //! Both smart routers share a preprocessing pipeline:
 //!
 //! 1. [`landmarks`] selects a small set `L` of high-degree, well-separated
-//!    landmark nodes and runs one bi-directed BFS per landmark, producing
-//!    the `|L| × n` hop-distance matrix;
+//!    landmark nodes and runs bit-parallel bi-directed BFS over batches of
+//!    up to 64 landmarks, producing the `|L| × n` hop-distance matrix;
 //! 2. **Landmark routing** ([`pivots`]) assigns landmarks to processors via
 //!    farthest-point pivots and materialises the `n × P` node→processor
 //!    distance table the router consults in O(P);

@@ -44,6 +44,14 @@ const GAMMA: f64 = 2.0; // expansion
 const RHO: f64 = 0.5; // contraction
 const SIGMA: f64 = 0.5; // shrink
 
+/// `out = centroid + t · (centroid − worst)`, coordinate by coordinate.
+#[inline]
+fn blend(centroid: &[f64], worst: &[f64], t: f64, out: &mut [f64]) {
+    for ((o, c), w) in out.iter_mut().zip(centroid).zip(worst) {
+        *o = c + t * (c - w);
+    }
+}
+
 /// Minimises `f` starting from `x0`.
 ///
 /// # Panics
@@ -67,12 +75,21 @@ pub fn minimize<F: FnMut(&[f64]) -> f64>(
     }
     let mut values: Vec<f64> = points.iter().map(|p| f(p)).collect();
 
+    // Reused every iteration: the ordering, the centroid and two trial
+    // points; an accepted trial is swapped into the simplex, handing the
+    // rejected point's buffer back.
+    let mut idx: Vec<usize> = Vec::with_capacity(d + 1);
+    let mut centroid = vec![0.0; d];
+    let mut reflected = vec![0.0; d];
+    let mut trial = vec![0.0; d];
+
     let mut iterations = 0usize;
     while iterations < options.max_iters {
         iterations += 1;
 
-        // Order the simplex best → worst.
-        let mut idx: Vec<usize> = (0..=d).collect();
+        // Order the simplex best → worst (a stable sort from index order).
+        idx.clear();
+        idx.extend(0..=d);
         idx.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite objective"));
         let best = idx[0];
         let worst = idx[d];
@@ -83,7 +100,7 @@ pub fn minimize<F: FnMut(&[f64]) -> f64>(
         }
 
         // Centroid of all but the worst point.
-        let mut centroid = vec![0.0; d];
+        centroid.fill(0.0);
         for &i in idx.iter().take(d) {
             for (c, x) in centroid.iter_mut().zip(&points[i]) {
                 *c += x;
@@ -93,50 +110,42 @@ pub fn minimize<F: FnMut(&[f64]) -> f64>(
             *c /= d as f64;
         }
 
-        let blend = |t: f64| -> Vec<f64> {
-            centroid
-                .iter()
-                .zip(&points[worst])
-                .map(|(c, w)| c + t * (c - w))
-                .collect()
-        };
-
         // Reflection.
-        let reflected = blend(ALPHA);
+        blend(&centroid, &points[worst], ALPHA, &mut reflected);
         let fr = f(&reflected);
         if fr < values[best] {
             // Expansion.
-            let expanded = blend(GAMMA);
-            let fe = f(&expanded);
+            blend(&centroid, &points[worst], GAMMA, &mut trial);
+            let fe = f(&trial);
             if fe < fr {
-                points[worst] = expanded;
+                std::mem::swap(&mut points[worst], &mut trial);
                 values[worst] = fe;
             } else {
-                points[worst] = reflected;
+                std::mem::swap(&mut points[worst], &mut reflected);
                 values[worst] = fr;
             }
             continue;
         }
         if fr < values[second_worst] {
-            points[worst] = reflected;
+            std::mem::swap(&mut points[worst], &mut reflected);
             values[worst] = fr;
             continue;
         }
         // Contraction (toward the centroid, away from the worst point).
-        let contracted = blend(-RHO);
-        let fc = f(&contracted);
+        blend(&centroid, &points[worst], -RHO, &mut trial);
+        let fc = f(&trial);
         if fc < values[worst] {
-            points[worst] = contracted;
+            std::mem::swap(&mut points[worst], &mut trial);
             values[worst] = fc;
             continue;
         }
         // Shrink everything toward the best point.
-        let best_point = points[best].clone();
+        trial.copy_from_slice(&points[best]);
         for i in 0..=d {
             if i == best {
                 continue;
             }
-            for (x, b) in points[i].iter_mut().zip(&best_point) {
+            for (x, b) in points[i].iter_mut().zip(&trial) {
                 *x = b + SIGMA * (*x - b);
             }
             values[i] = f(&points[i]);

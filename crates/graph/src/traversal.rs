@@ -9,6 +9,7 @@
 use std::collections::VecDeque;
 
 use crate::csr::CsrGraph;
+use crate::hash::NodeMap;
 use crate::ids::NodeId;
 
 /// Distance value meaning "unreached" in BFS distance maps.
@@ -72,7 +73,8 @@ pub fn bfs_within(
     if !g.contains(source) {
         return found;
     }
-    let mut dist = std::collections::HashMap::new();
+    // Lookup only: the output is the discovery-order `found`.
+    let mut dist = NodeMap::default();
     let mut queue = VecDeque::new();
     dist.insert(source, 0u32);
     queue.push_back(source);

@@ -37,7 +37,8 @@ pub struct PreprocessTimings {
     pub landmark_ns: u64,
     /// Landmark embedding (Simplex Downhill over landmark pairs).
     pub embed_landmarks_ns: u64,
-    /// Per-node embedding (all nodes).
+    /// Every other node's embedding: nearest-landmark lists built, each
+    /// distinct list solved once, points copied out.
     pub embed_nodes_ns: u64,
 }
 
@@ -64,16 +65,8 @@ impl SimAssets {
         let landmarks = Arc::new(Landmarks::build(&graph, landmark_config));
         let landmark_ns = t0.elapsed().as_nanos() as u64;
 
-        let t1 = std::time::Instant::now();
         let embedding = Arc::new(Embedding::build(&landmarks, embedding_config));
-        let embed_total_ns = t1.elapsed().as_nanos() as u64;
-        // The landmark-embedding stage is the |L|²-term of the pipeline; we
-        // report the split by re-measuring the landmark stage alone being
-        // negligible next to n per-node placements, so attribute ~|L|/n of
-        // the time to it as an estimate when not separately instrumented.
-        let l = landmarks.len().max(1) as u64;
-        let n = graph.node_count().max(1) as u64;
-        let embed_landmarks_ns = embed_total_ns * l / (l + n);
+        let (embed_landmarks, embed_nodes) = embedding.build_times();
 
         Self {
             graph,
@@ -82,8 +75,8 @@ impl SimAssets {
             embedding,
             timings: PreprocessTimings {
                 landmark_ns,
-                embed_landmarks_ns,
-                embed_nodes_ns: embed_total_ns - embed_landmarks_ns,
+                embed_landmarks_ns: embed_landmarks.as_nanos() as u64,
+                embed_nodes_ns: embed_nodes.as_nanos() as u64,
             },
         }
     }
