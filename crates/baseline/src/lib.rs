@@ -5,7 +5,7 @@
 //! partition and only that server can process queries touching it:
 //!
 //! * [`bsp`] — a Pregel/Giraph-style vertex-centric bulk-synchronous engine
-//!   standing in for **SEDGE** [35]. It runs on METIS-style multilevel
+//!   standing in for **SEDGE** \[35\]. It runs on METIS-style multilevel
 //!   edge-cut partitions (`grouting-partition::multilevel`, the ParMETIS
 //!   stand-in) and pays a synchronisation barrier per superstep — the cost
 //!   that makes h-hop queries expensive on offline BSP engines;

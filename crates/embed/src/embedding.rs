@@ -4,7 +4,7 @@
 //! hop-count distance between graph nodes are approximately preserved via
 //! their Euclidean distance."
 //!
-//! The pipeline mirrors the paper (and Orion [36], which it builds on):
+//! The pipeline mirrors the paper (and Orion \[36\], which it builds on):
 //!
 //! 1. landmarks are embedded first, minimising the pairwise *relative*
 //!    distance error (Eq. 4) with Simplex Downhill — incrementally (each

@@ -2,7 +2,7 @@
 //!
 //! §3.4.1 on graph updates: "one needs to recompute the distances from
 //! every node to each of the landmarks. This can be performed efficiently
-//! by keeping an additional shortest-path-tree data structure [31]." The
+//! by keeping an additional shortest-path-tree data structure \[31\]." The
 //! paper itself takes the simpler per-node-BFS route
 //! ([`crate::updates::landmark_distances_from`]); this module implements
 //! the efficient alternative: one incrementally-maintained BFS tree per

@@ -2,8 +2,8 @@
 //!
 //! Both execution frontends — the deterministic discrete-event simulator
 //! (`grouting-sim`) and the threaded runtime (`grouting-live`) — drive the
-//! *same* cluster: a [`Router`](grouting_route::Router) wrapping one of the
-//! paper's routing strategies, a shared storage tier, one byte-capacity
+//! *same* cluster: a [`Router`] wrapping one of the paper's routing
+//! strategies, a shared storage tier, one byte-capacity
 //! cache per query processor, and a metrics timeline. This crate owns that
 //! assembly so a routing or storage change lands in exactly one place:
 //!
@@ -175,7 +175,7 @@ impl EngineAssets {
 /// socket service loop for a wire deployment (`Worker: Send`). The engine
 /// builds workers whose source is a direct [`StorageTier`] handle; a wire
 /// deployment builds them with [`Worker::from_parts`] around a
-/// transport-backed [`RecordSource`], so the same execution code drives
+/// transport-backed [`BatchSource`], so the same execution code drives
 /// bytes over real connections.
 pub struct Worker {
     id: usize,

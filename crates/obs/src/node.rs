@@ -178,8 +178,9 @@ impl NodeObs {
 
     /// Answers any pending scrapes with this node's series plus every
     /// pushed registry (cluster-wide on the router, local elsewhere).
-    /// Paced by [`SCRAPE_POLL_EVERY_NS`], so the per-round cost with no
-    /// scraper attached is one comparison, not a syscall.
+    /// Paced to one poll per millisecond (`SCRAPE_POLL_EVERY_NS`), so the
+    /// per-round cost with no scraper attached is one comparison, not a
+    /// syscall.
     pub fn poll_scrape(&mut self, now_ns: u64) {
         if now_ns < self.next_scrape_poll_ns {
             return;

@@ -1,7 +1,7 @@
 //! Linear Deterministic Greedy (LDG) streaming partitioner.
 //!
 //! Stanton & Kliot's one-pass heuristic (referenced by the paper as
-//! streaming partitioning [30]): nodes arrive in a stream and each is
+//! streaming partitioning \[30\]): nodes arrive in a stream and each is
 //! assigned to the partition maximising
 //! `|N(v) ∩ P_i| · (1 − |P_i| / C)` where `C` is the per-partition capacity.
 //! One pass over the graph, O(n) memory — the cheap middle ground between

@@ -169,8 +169,8 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
     /// state attached: staged payloads satisfy demand misses without a
     /// wire exchange, and [`CacheBackedStore::plan_speculative`] /
     /// [`CacheBackedStore::absorb_speculative`] become functional. An
-    /// inert ([`PrefetchConfig::OFF`]) state degrades every path to the
-    /// plain constructor's behaviour.
+    /// inert ([`PrefetchConfig::OFF`](crate::PrefetchConfig::OFF)) state
+    /// degrades every path to the plain constructor's behaviour.
     pub fn with_prefetch(
         source: S,
         cache: &'a mut ProcessorCache,

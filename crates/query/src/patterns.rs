@@ -2,7 +2,7 @@
 //!
 //! §2.2: the reachability query "can be employed in distance-constrained
 //! and label-constrained reachability search, as well as in approximate
-//! graph pattern matching queries [15]". This module provides that last
+//! graph pattern matching queries \[15\]". This module provides that last
 //! layer: a *path pattern* is a sequence of node labels, and a match is a
 //! path from an anchor whose i-th node carries the i-th label. ("Find all
 //! papers on distributed graph systems co-authored by Berkeley and CMU

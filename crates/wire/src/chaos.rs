@@ -1,13 +1,16 @@
-//! Chaos harness: a wire cluster that survives scripted node deaths.
+//! Chaos scripts: a wire workload that survives scripted node deaths.
 //!
-//! [`run_chaos_cluster`] deploys the same topology as
-//! [`crate::cluster::launch_cluster`], but drives the workload in *waves*
-//! and executes [`ChaosAction`]s at the wave boundaries — killing and
-//! restarting processors and storage endpoints mid-run while the client
-//! keeps collecting answers. Every kill is a real death: a storage
-//! endpoint's reactor stops and its listener closes (subsequent dials are
-//! refused, live connections drop); a processor exits its loop and its
-//! router connection closes, exactly as a crash would look from the wire.
+//! A [`ChaosScript`] is a workload in *waves*, with [`ChaosAction`]s at
+//! the wave boundaries — killing and restarting processors and storage
+//! endpoints mid-run while the client keeps collecting answers.
+//! [`crate::cluster::launch_chaos_cluster`] runs one on the same launcher
+//! every wire run uses (a plain [`crate::cluster::launch_cluster`]
+//! workload is a one-wave script with no actions), so a chaos run honours
+//! tracing and observability like any other. Every kill is a real death:
+//! a storage endpoint's reactor stops and its listener closes (subsequent
+//! dials are refused, live connections drop); a processor exits its loop
+//! and its router connection closes, exactly as a crash would look from
+//! the wire.
 //!
 //! Determinism contract: a wave fully drains before its actions run, so
 //! processor kills happen with an empty outstanding window, and a killed
@@ -25,20 +28,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use grouting_engine::EngineAssets;
-use grouting_metrics::timeline::QueryRecord;
-use grouting_metrics::{RunSnapshot, Timeline};
-use grouting_query::{Query, QueryResult};
-use grouting_storage::NetworkModel;
+use grouting_metrics::RunSnapshot;
+use grouting_query::Query;
 
-use crate::cluster::{validate_config, ClusterConfig, ClusterRun};
+use crate::cluster::Fleet;
 use crate::error::{WireError, WireResult};
-use crate::fault::FaultyTransport;
-use crate::flow::FetchMode;
-use crate::frame::{Frame, Role};
-use crate::service::{now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions};
-use crate::service::{ServiceHandle, StorageOptions, StorageService};
-use crate::transport::{Connection, Transport};
+use crate::frame::Frame;
+use crate::transport::Connection;
 
 /// How long the harness waits for a restarted processor's re-join to be
 /// acknowledged before declaring the restart failed.
@@ -64,8 +60,9 @@ pub enum ChaosAction {
     RestartStorage(usize),
 }
 
-/// One wave of a chaos script: queries to submit and fully drain, then
-/// actions to execute before the next wave.
+/// One wave of a chaos script: queries to submit, then actions to execute
+/// once they have all completed. A wave without actions is not drained:
+/// the next wave's queries follow its own straight away.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosWave {
     /// Queries submitted (and completed) before `after` runs.
@@ -134,293 +131,19 @@ impl ChaosScript {
     }
 }
 
-/// A spawned processor the harness can kill and account for.
-struct ProcSlot {
-    stop: Arc<AtomicBool>,
-    join: std::thread::JoinHandle<WireResult<()>>,
-}
-
-/// Launches the full cluster topology and runs `script` through it:
-/// submit a wave, drain its completions, execute its actions, repeat —
-/// then `SubmitEnd` and the normal teardown. Results, timeline, and the
-/// final snapshot come back as a [`ClusterRun`], with the snapshot's
-/// failover counters reflecting every recovery the script forced.
-///
-/// # Errors
-///
-/// Propagates transport failures and protocol violations; a script that
-/// kills an already-dead node (or restarts a live one) fails with an
-/// error naming the action, as does a restarted processor whose re-join
-/// the router never acknowledges.
-pub fn launch_chaos_cluster(
-    assets: &EngineAssets,
-    script: &ChaosScript,
-    config: &ClusterConfig,
-) -> WireResult<ClusterRun> {
-    validate_config(assets, config)?;
-    let transport = config.transport.build();
-    let net = NetworkModel::from(config.net);
-    let p = config.engine.processors;
-
-    // Storage endpoints, one per tier server, each restartable at the
-    // address it announces here.
-    let spawn_storage = |addr: &str| {
-        StorageService::spawn_opts(
-            Arc::clone(&transport),
-            addr,
-            Arc::clone(&assets.tier),
-            StorageOptions {
-                net,
-                poller: config.reactor,
-                ..StorageOptions::default()
-            },
-        )
-    };
-    let mut storage: Vec<Option<ServiceHandle>> = Vec::new();
-    for _ in 0..assets.tier.server_count() {
-        storage.push(Some(spawn_storage(&transport.any_addr())?));
-    }
-    let storage_addrs: Vec<String> = storage
-        .iter()
-        .map(|h| h.as_ref().expect("just spawned").addr().to_string())
-        .collect();
-
-    // The router node.
-    let router_listener = transport.listen(&transport.any_addr())?;
-    let router_addr = router_listener.addr();
-    let router_assets = assets.clone();
-    let router_config = config.engine;
-    let router_opts = RouterOptions {
-        snapshot_every: config.snapshot_every,
-        poller: config.reactor,
-        trace: config.trace,
-        telemetry: None,
-        obs: config.obs.clone(),
-    };
-    let router = std::thread::spawn(move || {
-        run_router(
-            router_listener,
-            &router_assets,
-            &router_config,
-            &router_opts,
-        )
-    });
-
-    // The processor fleet — every processor carries a kill switch. Faults
-    // arm on the processors' transport exactly as in `launch_cluster`.
-    let proc_transport = FaultyTransport::wrap(Arc::clone(&transport), config.faults.clone());
-    let partitioner = assets.tier.partitioner();
-    let spawn_proc = |id: usize, ready: Option<Arc<AtomicBool>>| -> ProcSlot {
-        let stop = Arc::new(AtomicBool::new(false));
-        let join = ProcessorService::spawn_opts(
-            Arc::clone(&proc_transport),
-            id,
-            router_addr.clone(),
-            storage_addrs.clone(),
-            Arc::clone(&partitioner),
-            config.engine,
-            FetchMode::Batched,
-            ProcessorOptions {
-                poller: config.reactor,
-                telemetry: None,
-                replication: assets.tier.replication(),
-                retry: config.retry,
-                stop: Some(Arc::clone(&stop)),
-                ready,
-                obs: config.obs.clone(),
-            },
-        );
-        ProcSlot { stop, join }
-    };
-    let mut procs: Vec<Option<ProcSlot>> = (0..p).map(|id| Some(spawn_proc(id, None))).collect();
-
-    // The client: waves, actions, SubmitEnd, final drain.
-    let started = now_ns();
-    let run = drive_chaos_client(
-        &*transport,
-        &router_addr,
-        script,
-        &mut procs,
-        &mut storage,
-        &storage_addrs,
-        &spawn_proc,
-        |server| spawn_storage(&storage_addrs[server]),
-    );
-    if run.is_err() {
-        // Abort a half-started run so the joins below cannot hang.
-        if let Ok(mut abort) = transport.dial(&router_addr) {
-            let _ = abort.send(&Frame::Shutdown);
-        }
-    }
-    let wall_ns = now_ns().saturating_sub(started);
-
-    let router_result = router
-        .join()
-        .map_err(|_| WireError::Protocol("router thread panicked".to_string()))?;
-    // Live processors exit on the router's Shutdown; a kill switch only
-    // short-circuits the ones the script left dead. Joins cannot hang:
-    // every surviving processor's router connection is closed by now.
-    for slot in procs.into_iter().flatten() {
-        let _ = slot.join.join();
-    }
-    for handle in storage.into_iter().flatten() {
-        handle.shutdown();
-    }
-
-    let snapshot = match router_result {
-        Ok(snapshot) => snapshot,
-        // The router's Closed is the client's own hangup after it bailed,
-        // and "run aborted" echoes the abort we sent above — in both
-        // cases the client error is the root cause.
-        Err(WireError::Closed) | Err(WireError::Protocol(_)) if run.is_err() => {
-            return Err(run.unwrap_err())
-        }
-        Err(router_err) => return Err(router_err),
-    };
-    let (results, timeline, mid_snapshots) = run?;
-    Ok(ClusterRun {
-        results,
-        timeline,
-        snapshot,
-        mid_snapshots,
-        trace: None,
-        wall_ns,
-    })
-}
-
-type ChaosClientRun = (Vec<QueryResult>, Timeline, Vec<RunSnapshot>);
-
-/// Streams the script through the router connection, executing actions at
-/// wave boundaries. Returns results (sequence order), the timeline, and
-/// any mid-run snapshots (the final snapshot is popped by the caller from
-/// this list's tail).
-#[allow(clippy::too_many_arguments)]
-fn drive_chaos_client(
-    transport: &dyn Transport,
-    router_addr: &str,
-    script: &ChaosScript,
-    procs: &mut [Option<ProcSlot>],
-    storage: &mut [Option<ServiceHandle>],
-    storage_addrs: &[String],
-    spawn_proc: &dyn Fn(usize, Option<Arc<AtomicBool>>) -> ProcSlot,
-    respawn_storage: impl Fn(usize) -> WireResult<ServiceHandle>,
-) -> WireResult<ChaosClientRun> {
-    let total = script.query_count();
-    let mut conn = transport.dial(router_addr)?;
-    conn.send(&Frame::Hello {
-        role: Role::Client,
-        id: 0,
-    })?;
-
-    let mut results: Vec<Option<QueryResult>> = vec![None; total];
-    let mut timeline = Timeline::new();
-    let mut snapshots: Vec<RunSnapshot> = Vec::new();
-    let mut seq = 0u64;
-    for wave in &script.waves {
-        let mut pending = wave.queries.len();
-        for query in &wave.queries {
-            conn.send(&Frame::Submit {
-                seq,
-                query: *query,
-                submitted_ns: None,
-            })?;
-            seq += 1;
-        }
-        while pending > 0 {
-            match conn.recv()? {
-                Frame::Completion(c) => {
-                    record_completion(&mut results, &mut timeline, c)?;
-                    pending -= 1;
-                }
-                Frame::Metrics { snapshot, .. } => snapshots.push(snapshot),
-                Frame::Shutdown => {
-                    return Err(WireError::Protocol("router shut down mid-wave".to_string()))
-                }
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "chaos client got {}",
-                        other.kind()
-                    )))
-                }
-            }
-        }
-        for action in &wave.after {
-            apply_action(
-                *action,
-                &mut conn,
-                procs,
-                storage,
-                storage_addrs,
-                spawn_proc,
-                &respawn_storage,
-                &mut snapshots,
-            )?;
-        }
-    }
-    conn.send(&Frame::SubmitEnd)?;
-    loop {
-        match conn.recv() {
-            Ok(Frame::Completion(c)) => record_completion(&mut results, &mut timeline, c)?,
-            Ok(Frame::Metrics { snapshot, .. }) => snapshots.push(snapshot),
-            Ok(Frame::Shutdown) | Err(WireError::Closed) => break,
-            Ok(other) => {
-                return Err(WireError::Protocol(format!(
-                    "chaos client got {}",
-                    other.kind()
-                )))
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    let results: Option<Vec<QueryResult>> = results.into_iter().collect();
-    let results = results
-        .ok_or_else(|| WireError::Protocol("run ended with incomplete results".to_string()))?;
-    if snapshots.is_empty() {
-        return Err(WireError::Protocol(
-            "run ended without a snapshot".to_string(),
-        ));
-    }
-    Ok((results, timeline, snapshots))
-}
-
-fn record_completion(
-    results: &mut [Option<QueryResult>],
-    timeline: &mut Timeline,
-    c: crate::frame::Completion,
-) -> WireResult<()> {
-    let seq = c.seq as usize;
-    if seq >= results.len() || results[seq].is_some() {
-        return Err(WireError::Protocol(format!(
-            "unexpected completion for seq {seq}"
-        )));
-    }
-    results[seq] = Some(c.result);
-    timeline.push(QueryRecord {
-        seq: c.seq,
-        arrived: c.arrived_ns,
-        started: c.started_ns,
-        completed: c.completed_ns,
-        processor: c.processor as usize,
-    });
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_action(
+/// Executes one scripted action against the running `fleet`, between
+/// waves: `conn` is the client's router connection, which carries the
+/// kill barrier (its reply lands in `snapshots`).
+pub(crate) fn apply_action(
     action: ChaosAction,
     conn: &mut Connection,
-    procs: &mut [Option<ProcSlot>],
-    storage: &mut [Option<ServiceHandle>],
-    storage_addrs: &[String],
-    spawn_proc: &dyn Fn(usize, Option<Arc<AtomicBool>>) -> ProcSlot,
-    respawn_storage: &impl Fn(usize) -> WireResult<ServiceHandle>,
+    fleet: &mut Fleet<'_>,
     snapshots: &mut Vec<RunSnapshot>,
 ) -> WireResult<()> {
     let script_err = |what: String| Err(WireError::Protocol(format!("chaos script: {what}")));
     match action {
         ChaosAction::KillProcessor(id) => {
-            let Some(slot) = procs.get_mut(id).and_then(Option::take) else {
+            let Some(slot) = fleet.procs.get_mut(id).and_then(Option::take) else {
                 return script_err(format!("processor {id} is not running"));
             };
             slot.stop.store(true, Ordering::SeqCst);
@@ -438,7 +161,7 @@ fn apply_action(
                 Frame::Metrics { snapshot, .. } => snapshots.push(snapshot),
                 other => {
                     return Err(WireError::Protocol(format!(
-                        "chaos client got {} awaiting the kill barrier",
+                        "client got {} awaiting the kill barrier",
                         other.kind()
                     )))
                 }
@@ -446,11 +169,11 @@ fn apply_action(
             Ok(())
         }
         ChaosAction::RestartProcessor(id) => {
-            if procs.get(id).is_none_or(Option::is_some) {
+            if fleet.procs.get(id).is_none_or(Option::is_some) {
                 return script_err(format!("processor {id} is not down"));
             }
             let ready = Arc::new(AtomicBool::new(false));
-            let slot = spawn_proc(id, Some(Arc::clone(&ready)));
+            let slot = (fleet.spawn_proc)(id, Some(Arc::clone(&ready)));
             let deadline = Instant::now() + REJOIN_TIMEOUT;
             while !ready.load(Ordering::SeqCst) {
                 if Instant::now() > deadline {
@@ -460,22 +183,21 @@ fn apply_action(
                 }
                 std::thread::sleep(Duration::from_micros(200));
             }
-            procs[id] = Some(slot);
+            fleet.procs[id] = Some(slot);
             Ok(())
         }
         ChaosAction::KillStorage(server) => {
-            let Some(handle) = storage.get_mut(server).and_then(Option::take) else {
+            let Some(handle) = fleet.storage.get_mut(server).and_then(Option::take) else {
                 return script_err(format!("storage {server} is not running"));
             };
             handle.shutdown();
             Ok(())
         }
         ChaosAction::RestartStorage(server) => {
-            if storage.get(server).is_none_or(Option::is_some) {
+            if fleet.storage.get(server).is_none_or(Option::is_some) {
                 return script_err(format!("storage {server} is not down"));
             }
-            debug_assert!(server < storage_addrs.len());
-            storage[server] = Some(respawn_storage(server)?);
+            fleet.storage[server] = Some((fleet.restart_storage)(server)?);
             Ok(())
         }
     }
@@ -484,13 +206,14 @@ fn apply_action(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::TransportKind;
+    use crate::cluster::{launch_chaos_cluster, ClusterConfig, TransportKind};
     use crate::transport::RetryPolicy;
-    use grouting_engine::EngineConfig;
+    use grouting_engine::{EngineAssets, EngineConfig};
     use grouting_graph::{GraphBuilder, NodeId};
     use grouting_partition::HashPartitioner;
     use grouting_route::RoutingKind;
     use grouting_storage::StorageTier;
+    use grouting_trace::{Stage, TraceLevel};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -539,18 +262,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kill_everything_once_batched() {
-        let tier = disjoint_tier(24, 2, 2);
-        let assets = EngineAssets::new(tier);
-        let script = ChaosScript::new()
+    /// One storage endpoint and one processor die and come back.
+    fn kill_everything_once() -> ChaosScript {
+        ChaosScript::new()
             .wave(wave(0..8))
             .then(ChaosAction::KillStorage(0))
             .wave(wave(8..16))
             .then(ChaosAction::RestartStorage(0))
             .then(ChaosAction::KillProcessor(1))
             .then(ChaosAction::RestartProcessor(1))
-            .wave(wave(16..24));
+            .wave(wave(16..24))
+    }
+
+    #[test]
+    fn kill_everything_once_batched() {
+        let tier = disjoint_tier(24, 2, 2);
+        let assets = EngineAssets::new(tier);
+        let script = kill_everything_once();
         let config = chaos_config();
         let chaos = launch_chaos_cluster(&assets, &script, &config).unwrap();
         let calm = launch_chaos_cluster(&assets, &script.fault_free(), &config).unwrap();
@@ -566,6 +294,35 @@ mod tests {
         assert_eq!(calm.snapshot.windows_resubmitted, 0);
         // Clean kills: the processor died with an empty dispatch window.
         assert_eq!(chaos.snapshot.windows_resubmitted, 0);
+        assert!(chaos.trace.is_none());
+    }
+
+    #[test]
+    fn traced_chaos_run_reports_its_trace() {
+        let assets = EngineAssets::new(disjoint_tier(24, 2, 2));
+        let script = kill_everything_once();
+        let traced = ClusterConfig {
+            trace: TraceLevel::Stats,
+            ..chaos_config()
+        };
+        let chaos = launch_chaos_cluster(&assets, &script, &traced).unwrap();
+        let calm = launch_chaos_cluster(&assets, &script.fault_free(), &chaos_config()).unwrap();
+        let trace = chaos
+            .trace
+            .as_ref()
+            .expect("a traced run reports its trace");
+        for stage in [Stage::RouterQueue, Stage::DispatchRtt, Stage::Completion] {
+            assert_eq!(
+                trace.stages.stage(stage).count(),
+                script.query_count() as u64,
+                "{stage:?}"
+            );
+        }
+        assert!(trace.reactor.frames_in > 0);
+        assert_eq!(chaos.results, calm.results);
+        assert_eq!(chaos.snapshot.cache_hits, calm.snapshot.cache_hits);
+        assert_eq!(chaos.snapshot.cache_misses, calm.snapshot.cache_misses);
+        assert_eq!(chaos.snapshot.per_processor, calm.snapshot.per_processor);
     }
 
     #[test]

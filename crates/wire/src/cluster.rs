@@ -1,15 +1,21 @@
 //! One-machine cluster harness: router + processors + storage as peers.
 //!
-//! [`launch_cluster`] deploys the full decoupled topology over a chosen
+//! One launcher deploys the full decoupled topology over a chosen
 //! transport — every router↔processor dispatch and every processor↔storage
 //! fetch crosses a framed connection — runs a workload through it from a
 //! client connection, and collects the results into a [`ClusterRun`].
+//! [`launch_chaos_cluster`] runs a [`ChaosScript`]: waves of queries with
+//! node kills and restarts between them. [`launch_cluster`] is the plain
+//! workload, a one-wave script with no actions — so every wire run gets
+//! the same router, fleet, client and teardown, and a chaos run honours
+//! [`ClusterConfig::trace`] and [`ClusterConfig::obs`] like any other.
 //!
 //! With [`TransportKind::Tcp`] the peers are real socket endpoints on
 //! loopback (the honest deployment); [`TransportKind::InProc`] swaps in
 //! the hermetic channel fabric for sandboxes without loopback — same
 //! services, same frames, same encoded bytes.
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use grouting_engine::{EngineAssets, EngineConfig};
@@ -19,8 +25,9 @@ use grouting_metrics::{RunSnapshot, Timeline};
 use grouting_obs::ObsConfig;
 use grouting_query::{PrefetchConfig, Query, QueryResult};
 use grouting_storage::{NetworkModel, Preset};
-use grouting_trace::{Stage, TelemetryCounters, TraceLevel, TraceSnapshot};
+use grouting_trace::{Stage, StageStats, TelemetryCounters, TraceLevel, TraceSnapshot};
 
+use crate::chaos::{apply_action, ChaosScript};
 use crate::error::{WireError, WireResult};
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::flow::FetchMode;
@@ -236,7 +243,7 @@ impl ClusterRun {
 /// Rejects configurations that would otherwise panic inside a service
 /// thread (where the failure surfaces as an opaque join error) with a
 /// [`WireError::Protocol`] naming the offending field up front.
-pub(crate) fn validate_config(assets: &EngineAssets, config: &ClusterConfig) -> WireResult<()> {
+fn validate_config(assets: &EngineAssets, config: &ClusterConfig) -> WireResult<()> {
     use grouting_route::RoutingKind;
     let bad = |field: &str, why: &str| {
         Err(WireError::Protocol(format!(
@@ -258,9 +265,24 @@ pub(crate) fn validate_config(assets: &EngineAssets, config: &ClusterConfig) -> 
     Ok(())
 }
 
+/// Streams `queries` through a freshly launched cluster and tears it
+/// down: [`launch_chaos_cluster`] on a one-wave script without actions,
+/// failing as it does.
+pub fn launch_cluster(
+    assets: &EngineAssets,
+    queries: &[Query],
+    config: &ClusterConfig,
+) -> WireResult<ClusterRun> {
+    launch_chaos_cluster(assets, &ChaosScript::new().wave(queries.to_vec()), config)
+}
+
 /// Launches router + `P` processors + `M` storage servers as transport
-/// peers, streams `queries` through the cluster, and tears everything
-/// down.
+/// peers and runs `script` through them: submit a wave, and if actions
+/// follow it, drain its completions and execute them — then `SubmitEnd`
+/// and the teardown. Results, timeline, the final snapshot (whose
+/// failover counters reflect every recovery the script forced) and, when
+/// [`ClusterConfig::trace`] is on, the run's trace come back as a
+/// [`ClusterRun`].
 ///
 /// `M` is `assets.tier.server_count()` — one storage endpoint per tier
 /// server. The tier handle itself stays on the storage side of the wire;
@@ -268,19 +290,19 @@ pub(crate) fn validate_config(assets: &EngineAssets, config: &ClusterConfig) -> 
 ///
 /// # Errors
 ///
-/// Propagates transport failures, protocol violations, and router errors.
-/// A config that would panic inside a service thread — a smart routing
-/// scheme without its preprocessing asset, or zero processors — is
-/// rejected up front with an error naming the field.
-pub fn launch_cluster(
+/// Propagates transport failures, protocol violations, and router errors,
+/// naming every processor that died unkilled. Errors also name the field
+/// of a config that would panic a service thread (a smart routing scheme
+/// without its asset, zero processors), a script action on a node in the
+/// wrong state, and a restarted processor that never re-joined.
+pub fn launch_chaos_cluster(
     assets: &EngineAssets,
-    queries: &[Query],
+    script: &ChaosScript,
     config: &ClusterConfig,
 ) -> WireResult<ClusterRun> {
     validate_config(assets, config)?;
     let transport = config.transport.build();
     let net = NetworkModel::from(config.net);
-    let p = config.engine.processors;
     // One shared telemetry sink for every peer in this deployment (all
     // peers are threads of this process); absent when tracing is off so
     // the hot paths skip their clock reads entirely.
@@ -295,13 +317,13 @@ pub fn launch_cluster(
     let router_listener = transport.listen(&transport.any_addr())?;
     let router_addr = router_listener.addr();
 
-    // Storage endpoints, one per tier server.
+    // Storage endpoints, one per tier server, each restartable at the
+    // address it announces here.
     let obs_push_addr = config.obs.enabled().then(|| router_addr.clone());
-    let mut storage_handles: Vec<ServiceHandle> = Vec::new();
-    for id in 0..assets.tier.server_count() {
-        storage_handles.push(StorageService::spawn_opts(
+    let spawn_storage = |id: usize, addr: &str| {
+        StorageService::spawn_opts(
             Arc::clone(&transport),
-            &transport.any_addr(),
+            addr,
             Arc::clone(&assets.tier),
             StorageOptions {
                 net,
@@ -311,10 +333,14 @@ pub fn launch_cluster(
                 push_addr: obs_push_addr.clone(),
                 id: id as u16,
             },
-        )?);
-    }
-    let storage_addrs: Vec<String> = storage_handles
+        )
+    };
+    let storage = (0..assets.tier.server_count())
+        .map(|id| spawn_storage(id, &transport.any_addr()).map(Some))
+        .collect::<WireResult<Vec<_>>>()?;
+    let storage_addrs: Vec<String> = storage
         .iter()
+        .flatten()
         .map(|h| h.addr().to_string())
         .collect();
 
@@ -337,38 +363,48 @@ pub fn launch_cluster(
         )
     });
 
-    // The processor fleet. Scripted faults arm only here: the processors'
-    // dials and sends misbehave; every other peer stays honest so the
-    // test exercises exactly the client-side recovery paths.
+    // The processor fleet, each with a kill switch that stays inert unless
+    // the script kills that processor. Scripted faults arm only here: the
+    // processors' dials and sends misbehave; every other peer stays honest
+    // so the run exercises exactly the client-side recovery paths.
     let proc_transport = FaultyTransport::wrap(Arc::clone(&transport), config.faults.clone());
     let partitioner = assets.tier.partitioner();
-    let processors: Vec<_> = (0..p)
-        .map(|id| {
-            ProcessorService::spawn_opts(
-                Arc::clone(&proc_transport),
-                id,
-                router_addr.clone(),
-                storage_addrs.clone(),
-                Arc::clone(&partitioner),
-                config.engine,
-                FetchMode::Batched,
-                ProcessorOptions {
-                    poller: config.reactor,
-                    telemetry: telemetry.clone(),
-                    // The tier IS the replica-chain layout: its factor
-                    // tells the wire path how far fetches may fail over.
-                    replication: assets.tier.replication(),
-                    retry: config.retry,
-                    stop: None,
-                    ready: None,
-                    obs: config.obs.clone(),
-                },
-            )
-        })
-        .collect();
+    let spawn_proc = |id: usize, ready: Option<Arc<AtomicBool>>| {
+        let stop = Arc::new(AtomicBool::new(false));
+        let join = ProcessorService::spawn_opts(
+            Arc::clone(&proc_transport),
+            id,
+            router_addr.clone(),
+            storage_addrs.clone(),
+            Arc::clone(&partitioner),
+            config.engine,
+            FetchMode::Batched,
+            ProcessorOptions {
+                poller: config.reactor,
+                telemetry: telemetry.clone(),
+                // The tier IS the replica-chain layout: its factor
+                // tells the wire path how far fetches may fail over.
+                replication: assets.tier.replication(),
+                retry: config.retry,
+                stop: Some(Arc::clone(&stop)),
+                ready,
+                obs: config.obs.clone(),
+            },
+        );
+        ProcSlot { stop, join }
+    };
+    let mut fleet = Fleet {
+        procs: (0..config.engine.processors)
+            .map(|id| Some(spawn_proc(id, None)))
+            .collect(),
+        storage,
+        spawn_proc: &spawn_proc,
+        restart_storage: &|server| spawn_storage(server, &storage_addrs[server]),
+    };
 
-    // The client: stream the workload, then collect completions.
-    let run = drive_client(&*transport, &router_addr, queries, config.trace);
+    let started = now_ns();
+    let run = drive_client(&*transport, &router_addr, script, config.trace, &mut fleet);
+    let wall_ns = now_ns().saturating_sub(started);
     if run.is_err() {
         // The router is still parked on its event loop; tell it to abort
         // so the joins below cannot hang on a half-started run.
@@ -384,12 +420,14 @@ pub fn launch_cluster(
     let router_result = router
         .join()
         .map_err(|_| WireError::Protocol("router thread panicked".to_string()))?;
-    // Both a panic and a processor that bailed with a wire error count as
-    // dead — only a clean Shutdown-driven exit is healthy. What each died
-    // of goes into the error, not just how many did.
+    // Processors the script killed were joined when it killed them. Of the
+    // survivors, both a panic and one that bailed with a wire error count
+    // as dead — only a clean Shutdown-driven exit is healthy. What each
+    // died of goes into the error, not just how many did.
     let mut dead_processors: Vec<String> = Vec::new();
-    for (id, handle) in processors.into_iter().enumerate() {
-        match handle.join() {
+    for (id, slot) in fleet.procs.into_iter().enumerate() {
+        let Some(slot) = slot else { continue };
+        match slot.join.join() {
             Ok(Ok(())) => {}
             // A short workload can drain on the processors that joined
             // first, and the router be gone, before a slow-starting thread
@@ -400,22 +438,27 @@ pub fn launch_cluster(
             Err(_) => dead_processors.push(format!("processor {id}: panicked")),
         }
     }
-    for handle in storage_handles {
+    for handle in fleet.storage.into_iter().flatten() {
         handle.shutdown();
     }
 
     // Error precedence: the router supervises every peer, so its error is
     // usually the root cause (the client only sees a generic "incomplete
-    // results") — unless the router merely echoes the abort *we* sent
-    // after the client failed, in which case the client error wins.
+    // results") — unless it merely echoes the client: `Closed` is the
+    // client's own hangup after it bailed, "run aborted" the abort sent
+    // above. Then the client error wins.
     let snapshot = match router_result {
         Ok(snapshot) => snapshot,
-        Err(WireError::Protocol(m)) if m.starts_with("run aborted") && run.is_err() => {
-            return Err(run.unwrap_err())
+        Err(router_err) => {
+            let echo = matches!(&router_err, WireError::Closed)
+                || matches!(&router_err, WireError::Protocol(m) if m.starts_with("run aborted"));
+            return Err(match run {
+                Err(client_err) if echo => client_err,
+                _ => router_err,
+            });
         }
-        Err(router_err) => return Err(router_err),
     };
-    let (results, timeline, client_snapshot, mid_snapshots, trace, wall_ns) = run?;
+    let run = run?;
     if !dead_processors.is_empty() {
         return Err(WireError::Protocol(format!(
             "{} processor thread(s) died mid-run ({})",
@@ -423,77 +466,65 @@ pub fn launch_cluster(
             dead_processors.join("; ")
         )));
     }
-    debug_assert_eq!(
-        client_snapshot, snapshot,
-        "router sent a different snapshot"
-    );
+    debug_assert_eq!(run.snapshot, snapshot, "router sent a different snapshot");
     Ok(ClusterRun {
-        results,
-        timeline,
         snapshot,
-        mid_snapshots,
-        trace,
         wall_ns,
+        ..run
     })
 }
 
-type ClientRun = (
-    Vec<QueryResult>,
-    Timeline,
-    RunSnapshot,
-    Vec<RunSnapshot>,
-    Option<TraceSnapshot>,
-    u64,
-);
+/// A spawned processor the script can kill and account for.
+pub(crate) struct ProcSlot {
+    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) join: std::thread::JoinHandle<WireResult<()>>,
+}
 
-fn drive_client(
-    transport: &dyn Transport,
-    router_addr: &str,
-    queries: &[Query],
-    trace: TraceLevel,
-) -> WireResult<ClientRun> {
-    let started = now_ns();
-    let mut conn = transport.dial(router_addr)?;
-    conn.send(&Frame::Hello {
-        role: Role::Client,
-        id: 0,
-    })?;
-    for (seq, query) in queries.iter().enumerate() {
-        conn.send(&Frame::Submit {
-            seq: seq as u64,
-            query: *query,
-            // Stamped at send time: the router's queue-wait stage starts
-            // here, so client→router transit is charged to the queue.
-            submitted_ns: trace.enabled().then(now_ns),
-        })?;
-    }
-    conn.send(&Frame::SubmitEnd)?;
+/// The nodes of a running deployment that a script kills and restarts.
+pub(crate) struct Fleet<'a> {
+    /// Processors by id; `None` while killed.
+    pub(crate) procs: Vec<Option<ProcSlot>>,
+    /// Storage endpoints by server; `None` while killed.
+    pub(crate) storage: Vec<Option<ServiceHandle>>,
+    /// Spawns processor `id`, raising `ready` once the router has
+    /// acknowledged its join.
+    pub(crate) spawn_proc: &'a dyn Fn(usize, Option<Arc<AtomicBool>>) -> ProcSlot,
+    /// Respawns storage endpoint `server` at the address it announced.
+    pub(crate) restart_storage: &'a dyn Fn(usize) -> WireResult<ServiceHandle>,
+}
 
-    let mut results: Vec<Option<QueryResult>> = vec![None; queries.len()];
-    let mut timeline = Timeline::new();
-    // The last Metrics frame before Shutdown is the run's final snapshot;
-    // anything earlier is a periodic mid-run emission.
-    let mut snapshots: Vec<RunSnapshot> = Vec::new();
-    // The completion stage — processor marks a query done to client holds
-    // the result — is only observable here, so the client records it and
-    // folds it into the router's trace snapshot below.
-    let mut traces: Vec<TraceSnapshot> = Vec::new();
-    let mut completion_stages = grouting_trace::StageStats::default();
-    loop {
-        match conn.recv() {
+/// What the client collects from the router connection.
+#[derive(Default)]
+struct Collected {
+    results: Vec<Option<QueryResult>>,
+    timeline: Timeline,
+    /// The last Metrics frame is the run's final snapshot (and trace).
+    snapshots: Vec<RunSnapshot>,
+    traces: Vec<TraceSnapshot>,
+    /// Processor marks a query done → client holds the result: a stage
+    /// only the client observes, grafted into the router's trace.
+    completion_stages: StageStats,
+    traced: bool,
+}
+
+impl Collected {
+    /// Files one receive from the router; `Ok(false)` once the run is
+    /// over (Shutdown, or the connection closed).
+    fn take(&mut self, received: WireResult<Frame>) -> WireResult<bool> {
+        match received {
             Ok(Frame::Completion(c)) => {
                 let seq = c.seq as usize;
-                if seq >= results.len() || results[seq].is_some() {
+                if seq >= self.results.len() || self.results[seq].is_some() {
                     return Err(WireError::Protocol(format!(
                         "unexpected completion for seq {seq}"
                     )));
                 }
-                if trace.enabled() {
-                    completion_stages
+                if self.traced {
+                    self.completion_stages
                         .record(Stage::Completion, now_ns().saturating_sub(c.completed_ns));
                 }
-                results[seq] = Some(c.result);
-                timeline.push(QueryRecord {
+                self.results[seq] = Some(c.result);
+                self.timeline.push(QueryRecord {
                     seq: c.seq,
                     arrived: c.arrived_ns,
                     started: c.started_ns,
@@ -502,35 +533,90 @@ fn drive_client(
                 });
             }
             Ok(Frame::Metrics { snapshot, trace }) => {
-                snapshots.push(snapshot);
-                traces.extend(trace.map(|t| *t));
+                self.snapshots.push(snapshot);
+                self.traces.extend(trace.map(|t| *t));
             }
-            Ok(Frame::Shutdown) | Err(WireError::Closed) => break,
+            Ok(Frame::Shutdown) | Err(WireError::Closed) => return Ok(false),
             Ok(other) => return Err(WireError::Protocol(format!("client got {}", other.kind()))),
             Err(e) => return Err(e),
         }
+        Ok(true)
     }
+}
 
-    let results: Option<Vec<QueryResult>> = results.into_iter().collect();
-    let results = results
+/// The client: submits each wave (stamping `submitted_ns` when traced),
+/// drains it and runs its actions when any follow it, then sends
+/// `SubmitEnd` and collects everything up to the router's Shutdown. A
+/// one-wave script without actions is Hello, the Submits and SubmitEnd
+/// back to back. `wall_ns` is left for the caller to fill in.
+fn drive_client(
+    transport: &dyn Transport,
+    router_addr: &str,
+    script: &ChaosScript,
+    trace: TraceLevel,
+    fleet: &mut Fleet<'_>,
+) -> WireResult<ClusterRun> {
+    let traced = trace.enabled();
+    let mut conn = transport.dial(router_addr)?;
+    conn.send(&Frame::Hello {
+        role: Role::Client,
+        id: 0,
+    })?;
+    let mut got = Collected {
+        results: vec![None; script.query_count()],
+        traced,
+        ..Collected::default()
+    };
+    let mut submitted = 0;
+    for wave in &script.waves {
+        for query in &wave.queries {
+            conn.send(&Frame::Submit {
+                seq: submitted as u64,
+                query: *query,
+                // Stamped at send time: the router's queue-wait stage starts
+                // here, so client→router transit is charged to the queue.
+                submitted_ns: traced.then(now_ns),
+            })?;
+            submitted += 1;
+        }
+        if wave.after.is_empty() {
+            continue;
+        }
+        // Actions run with every dispatch window empty.
+        while got.timeline.len() < submitted {
+            if !got.take(conn.recv())? {
+                return Err(WireError::Protocol(
+                    "router ended the run mid-wave".to_string(),
+                ));
+            }
+        }
+        for action in &wave.after {
+            apply_action(*action, &mut conn, fleet, &mut got.snapshots)?;
+        }
+    }
+    conn.send(&Frame::SubmitEnd)?;
+    while got.take(conn.recv())? {}
+
+    let results = (got.results.into_iter().collect::<Option<Vec<_>>>())
         .ok_or_else(|| WireError::Protocol("run ended with incomplete results".to_string()))?;
-    let snapshot = snapshots
+    let snapshot = got
+        .snapshots
         .pop()
         .ok_or_else(|| WireError::Protocol("run ended without a snapshot".to_string()))?;
-    // The router's final trace snapshot is cumulative, so earlier periodic
-    // ones are subsumed; graft the client-observed completion stage in.
-    let run_trace = traces.pop().map(|mut t| {
-        t.stages.merge(&completion_stages);
+    // The router's final trace snapshot is cumulative, so earlier ones are
+    // subsumed; graft the client-observed completion stage in.
+    let trace = got.traces.pop().map(|mut t| {
+        t.stages.merge(&got.completion_stages);
         t
     });
-    Ok((
+    Ok(ClusterRun {
         results,
-        timeline,
+        timeline: got.timeline,
         snapshot,
-        snapshots,
-        run_trace,
-        now_ns().saturating_sub(started),
-    ))
+        mid_snapshots: got.snapshots,
+        trace,
+        wall_ns: 0,
+    })
 }
 
 #[cfg(test)]

@@ -8,11 +8,10 @@
 //! * [`frame`] — the router↔processor↔storage message set (submit,
 //!   dispatch, batched adjacency fetch/response, completion records,
 //!   metrics snapshots) and its length-prefixed little-endian binary codec;
-//! * [`transport`] — the [`Transport`](transport::Transport) abstraction
-//!   with two fabrics: [`TcpTransport`](transport::TcpTransport) (real
-//!   `std::net` sockets, framed streams) and
-//!   [`InProcTransport`](transport::InProcTransport) (hermetic channels
-//!   that still move encoded bytes);
+//! * [`transport`] — the [`transport::Transport`] abstraction with two
+//!   fabrics: [`transport::TcpTransport`] (real `std::net` sockets, framed
+//!   streams) and [`transport::InProcTransport`] (hermetic channels that
+//!   still move encoded bytes);
 //! * [`flow`] — the one processor→storage miss path: pipelined,
 //!   frontier-batched adjacency fetching through a non-blocking
 //!   connection multiplexer keeping one batch frame per storage server in
@@ -31,9 +30,13 @@
 //!   node driving the *same* [`grouting_engine::Engine`] the in-proc
 //!   runtimes drive — masking mid-run processor deaths, re-admitting
 //!   restarted processors, and answering mid-run metrics requests;
-//! * [`cluster`] — a one-machine harness launching router + `P`
-//!   processors + `M` storage servers as socket peers and streaming a
-//!   workload through them.
+//! * [`cluster`] — the one wire launcher: router + `P` processors + `M`
+//!   storage servers as socket peers on one machine, a workload streamed
+//!   through them from a client connection, one teardown;
+//! * [`chaos`] — scripts of query waves with node kills and restarts
+//!   between them. A plain workload is a one-wave script with no actions,
+//!   so [`launch_cluster`] and [`launch_chaos_cluster`] share the launcher
+//!   and a chaos run honours tracing and observability like any other.
 //!
 //! Because the router runs the identical engine and the processors build
 //! the identical caches (only the miss path differs, byte-for-byte), a
@@ -55,8 +58,8 @@ pub mod service;
 pub(crate) mod sys;
 pub mod transport;
 
-pub use chaos::{launch_chaos_cluster, ChaosAction, ChaosScript, ChaosWave};
-pub use cluster::{launch_cluster, ClusterConfig, ClusterRun, TransportKind};
+pub use chaos::{ChaosAction, ChaosScript, ChaosWave};
+pub use cluster::{launch_chaos_cluster, launch_cluster, ClusterConfig, ClusterRun, TransportKind};
 pub use error::{WireError, WireResult};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultyTransport};
 pub use flow::{BatchMux, FetchMode, MultiplexedStorageSource, PendingBatch};
@@ -846,8 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn transport_kind_env_escape_hatch_parses() {
-        // Only exercises the parser (the env var itself belongs to CI).
+    fn transport_kind_defaults_to_tcp_and_displays() {
         assert_eq!(TransportKind::default(), TransportKind::Tcp);
         assert_eq!(TransportKind::Tcp.to_string(), "tcp");
         assert_eq!(TransportKind::InProc.to_string(), "inproc");

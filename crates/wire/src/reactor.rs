@@ -231,7 +231,7 @@ impl Poller for SweepPoller {
 
 /// The Linux backend: every fd-bearing source lives in one epoll set.
 ///
-/// Idle pacing is a hybrid: for the first [`YIELD_FOR`] of an idle
+/// Idle pacing is a hybrid: for the first 2 ms (`YIELD_FOR`) of an idle
 /// stretch it yields with a non-blocking `epoll_wait` (the hot path keeps
 /// sweep-grade latency on a loaded single-core host), then it blocks in
 /// `epoll_wait` with the caller's timeout — the flat-idle-cost state
@@ -663,7 +663,7 @@ impl Reactor {
     /// true). On the sweep backend this pays the [`Backoff`] ladder
     /// between full sweeps exactly as before; on epoll an idle reactor
     /// blocks in `epoll_wait` (re-checking `stop` every
-    /// [`DEFAULT_IDLE_WAIT`]) and a woken one drains only ready
+    /// 25 ms, `DEFAULT_IDLE_WAIT`) and a woken one drains only ready
     /// connections.
     ///
     /// # Errors

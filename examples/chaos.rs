@@ -13,6 +13,7 @@
 //! ```bash
 //! cargo run --release --example chaos
 //! GROUTING_NO_SOCKETS=1 cargo run --release --example chaos
+//! GROUTING_TRACE=stats cargo run --release --example chaos   # + per-stage trace of the chaos run
 //! ```
 
 use std::sync::Arc;
@@ -123,6 +124,11 @@ fn main() {
     }
     assert!(chaos.snapshot.redials > 0, "kills must force redials");
     assert!(chaos.snapshot.replica_failovers > 0);
+    assert_eq!(chaos.trace.is_some(), config.trace.enabled());
+    if let Some(trace) = &chaos.trace {
+        println!("\nTrace of the chaos run (level {}):", trace.level);
+        trace.stages.table().print();
+    }
     println!(
         "\nThree nodes died and came back; every answer and every demand-miss \
          byte matched the fault-free run."
