@@ -15,9 +15,12 @@
 //! * [`Frame::Hello`] — a peer introduces itself to the router;
 //! * [`Frame::Submit`]/[`Frame::SubmitEnd`] — a client streams a workload;
 //! * [`Frame::Dispatch`] — the router hands one query to a processor
-//!   (ack-driven: at most one outstanding per processor);
+//!   (up to `overlap` outstanding per processor, each freed by its
+//!   completion);
 //! * [`Frame::Completion`] — the processor's acknowledgement: result,
-//!   access stats, lifecycle timestamps;
+//!   access stats, lifecycle timestamps — the per-query facts — plus
+//!   whichever of the processor's cumulative tallies changed since its
+//!   previous completion (see [Completion tallies](#completion-tallies));
 //! * [`Frame::FetchBatchRequest`]/[`Frame::FetchBatchResponse`] — a
 //!   processor's cache-miss path to a storage server, one frontier per
 //!   exchange (the values are the *encoded* adjacency records, so byte
@@ -39,6 +42,19 @@
 //! encoding is byte-identical to an untraced deployment (pinned by the
 //! `wire_agreement` suite), and a PR 6-shaped frame decodes to a frame
 //! with an absent block.
+//!
+//! # Completion tallies
+//!
+//! A processor's prefetch, failover and heat tallies are cumulative, and
+//! the router keeps only the latest of each per processor. So after the
+//! timestamps a [`Frame::Completion`] carries one flags byte — bit 0
+//! prefetch (3 × u64), bit 1 failover (3 × u64), bit 2 heat (a
+//! [`HeatMap`]) — and the flagged blocks follow in that order. A block is
+//! present exactly when its value is not the default, and the decoder
+//! rejects unknown bits and a flagged block holding the default, so every
+//! completion has one encoding. The processor sends a tally only on the
+//! first completion after it changed; the router forwards completions to
+//! the client with all three at their defaults.
 
 use bytes::{Buf, BufMut, Bytes};
 use grouting_graph::{NodeId, NodeLabelId};
@@ -68,6 +84,12 @@ const TAG_FETCH_BATCH_REQUEST: u8 = 11;
 const TAG_FETCH_BATCH_RESPONSE: u8 = 12;
 const TAG_OBS_PUSH: u8 = 13;
 
+// A completion's tally flags (see "Completion tallies" above).
+const TALLY_PREFETCH: u8 = 1;
+const TALLY_FAILOVER: u8 = 1 << 1;
+const TALLY_HEAT: u8 = 1 << 2;
+const TALLY_ALL: u8 = TALLY_PREFETCH | TALLY_FAILOVER | TALLY_HEAT;
+
 /// Who a connection speaks for, announced in [`Frame::Hello`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -96,7 +118,9 @@ pub struct DispatchTrace {
 /// The processor fills everything except `arrived_ns` (only the router
 /// knows when the query arrived); the router stamps it before forwarding
 /// the completion to the client, making the forwarded frame a complete
-/// lifecycle record.
+/// lifecycle record. The three cumulative tallies (`prefetch`,
+/// `failover`, `heat`) are the exception to "per-query facts": each rides
+/// only when it changed, and the router strips them before forwarding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
     /// Workload sequence number.
@@ -108,18 +132,20 @@ pub struct Completion {
     /// Cache/storage access statistics.
     pub stats: AccessStats,
     /// The serving processor's *cumulative* speculative-prefetch tally
-    /// (issued/hits/wasted since it started). Cumulative rather than
+    /// (issued/hits/wasted since it started), when it changed since this
+    /// processor's previous completion; default = unchanged; always
+    /// default on the router → client hop. Cumulative rather than
     /// per-query because speculation crosses query boundaries — one
     /// query's piggybacked bytes serve another's demand — so the router
     /// keeps the latest value per processor and sums those for the run
-    /// snapshot. Zeros whenever prefetching is off.
+    /// snapshot.
     pub prefetch: PrefetchStats,
     /// The serving processor's *cumulative* storage-failover tally
     /// (redials, replica failovers, resubmitted batches since it
-    /// started) — cumulative for the same reason as `prefetch`: recovery
-    /// crosses query boundaries, so the router keeps the latest value per
-    /// processor and sums those for the run snapshot. Zeros while the
-    /// storage tier stays healthy.
+    /// started), when it changed since this processor's previous
+    /// completion; default = unchanged; always default on the router →
+    /// client hop. Cumulative for the same reason as `prefetch`: recovery
+    /// crosses query boundaries.
     pub failover: FailoverStats,
     /// Router arrival timestamp (0 until the router stamps it).
     pub arrived_ns: u64,
@@ -129,15 +155,32 @@ pub struct Completion {
     pub completed_ns: u64,
     /// The serving processor's *cumulative* per-partition workload heat
     /// (demand and speculative fetches per partition slot since it
-    /// started) — cumulative for the same reason as `prefetch`, and
-    /// counted unconditionally so the frame bytes are identical with
-    /// observability sampling on or off. Empty until the processor's
-    /// first fetch.
+    /// started), when it changed since this processor's previous
+    /// completion; default (empty) = unchanged; always default on the
+    /// router → client hop. Counted unconditionally, so the frame bytes
+    /// are identical with observability sampling on or off.
     pub heat: HeatMap,
     /// The processor-measured span block (fetch wait vs compute, per
     /// level at `spans`). `None` when tracing is off, keeping the frame
     /// byte-identical to an untraced run.
     pub trace: Option<QueryTrace>,
+}
+
+impl Completion {
+    /// The tally flags byte: one bit per tally that is not its default.
+    fn tally_flags(&self) -> u8 {
+        let mut flags = 0;
+        if self.prefetch != PrefetchStats::default() {
+            flags |= TALLY_PREFETCH;
+        }
+        if self.failover != FailoverStats::default() {
+            flags |= TALLY_FAILOVER;
+        }
+        if !self.heat.is_empty() {
+            flags |= TALLY_HEAT;
+        }
+        flags
+    }
 }
 
 /// A protocol message between cluster peers.
@@ -292,16 +335,24 @@ impl Frame {
                 buf.put_u64_le(c.stats.cache_misses);
                 buf.put_u64_le(c.stats.miss_bytes);
                 buf.put_u64_le(c.stats.evictions);
-                buf.put_u64_le(c.prefetch.issued);
-                buf.put_u64_le(c.prefetch.hits);
-                buf.put_u64_le(c.prefetch.wasted_bytes);
-                buf.put_u64_le(c.failover.redials);
-                buf.put_u64_le(c.failover.replica_failovers);
-                buf.put_u64_le(c.failover.batches_resubmitted);
                 buf.put_u64_le(c.arrived_ns);
                 buf.put_u64_le(c.started_ns);
                 buf.put_u64_le(c.completed_ns);
-                c.heat.encode_into(buf);
+                let flags = c.tally_flags();
+                buf.put_u8(flags);
+                if flags & TALLY_PREFETCH != 0 {
+                    buf.put_u64_le(c.prefetch.issued);
+                    buf.put_u64_le(c.prefetch.hits);
+                    buf.put_u64_le(c.prefetch.wasted_bytes);
+                }
+                if flags & TALLY_FAILOVER != 0 {
+                    buf.put_u64_le(c.failover.redials);
+                    buf.put_u64_le(c.failover.replica_failovers);
+                    buf.put_u64_le(c.failover.batches_resubmitted);
+                }
+                if flags & TALLY_HEAT != 0 {
+                    c.heat.encode_into(buf);
+                }
                 if let Some(t) = &c.trace {
                     t.encode_into(buf);
                 }
@@ -372,11 +423,19 @@ impl Frame {
                 1 + 8 + query_encoded_len(query) + trace.map_or(0, |_| 9)
             }
             Frame::Completion(c) => {
+                let flags = c.tally_flags();
                 1 + 8
                     + 4
                     + result_encoded_len(&c.result)
-                    + 8 * 13
-                    + c.heat.encoded_len()
+                    + 8 * 7
+                    + 1
+                    + if flags & TALLY_PREFETCH != 0 { 24 } else { 0 }
+                    + if flags & TALLY_FAILOVER != 0 { 24 } else { 0 }
+                    + if flags & TALLY_HEAT != 0 {
+                        c.heat.encoded_len()
+                    } else {
+                        0
+                    }
                     + c.trace.as_ref().map_or(0, QueryTrace::encoded_len)
             }
             Frame::FetchBatchRequest {
@@ -473,27 +532,41 @@ impl Frame {
                 let seq = data.get_u64_le();
                 let processor = data.get_u32_le();
                 let result = get_result(&mut data)?;
-                need(&data, 13 * 8)?;
+                need(&data, 7 * 8 + 1)?;
                 let stats = AccessStats {
                     cache_hits: data.get_u64_le(),
                     cache_misses: data.get_u64_le(),
                     miss_bytes: data.get_u64_le(),
                     evictions: data.get_u64_le(),
                 };
-                let prefetch = PrefetchStats {
-                    issued: data.get_u64_le(),
-                    hits: data.get_u64_le(),
-                    wasted_bytes: data.get_u64_le(),
-                };
-                let failover = FailoverStats {
-                    redials: data.get_u64_le(),
-                    replica_failovers: data.get_u64_le(),
-                    batches_resubmitted: data.get_u64_le(),
-                };
                 let arrived_ns = data.get_u64_le();
                 let started_ns = data.get_u64_le();
                 let completed_ns = data.get_u64_le();
-                let heat = HeatMap::decode_prefix(&mut data).map_err(WireError::Codec)?;
+                let flags = data.get_u8();
+                if flags & !TALLY_ALL != 0 {
+                    return Err(WireError::Codec(format!(
+                        "unknown completion tally flags {flags:#04x}"
+                    )));
+                }
+                let prefetch = tally_block(&mut data, flags, TALLY_PREFETCH, |data| {
+                    need(data, 24)?;
+                    Ok(PrefetchStats {
+                        issued: data.get_u64_le(),
+                        hits: data.get_u64_le(),
+                        wasted_bytes: data.get_u64_le(),
+                    })
+                })?;
+                let failover = tally_block(&mut data, flags, TALLY_FAILOVER, |data| {
+                    need(data, 24)?;
+                    Ok(FailoverStats {
+                        redials: data.get_u64_le(),
+                        replica_failovers: data.get_u64_le(),
+                        batches_resubmitted: data.get_u64_le(),
+                    })
+                })?;
+                let heat = tally_block(&mut data, flags, TALLY_HEAT, |data| {
+                    HeatMap::decode_prefix(data).map_err(WireError::Codec)
+                })?;
                 let trace = if data.has_remaining() {
                     Some(QueryTrace::decode_prefix(&mut data).map_err(WireError::Codec)?)
                 } else {
@@ -752,6 +825,28 @@ fn get_result(data: &mut Bytes) -> WireResult<QueryResult> {
         }
         t => Err(WireError::Codec(format!("unknown result tag {t}"))),
     }
+}
+
+/// Decodes the completion tally block `bit` announces in `flags`, or the
+/// default when it is absent. A flagged block holding the default is
+/// rejected: the encoder never writes one, so every completion has exactly
+/// one encoding.
+fn tally_block<T: Default + PartialEq>(
+    data: &mut Bytes,
+    flags: u8,
+    bit: u8,
+    decode: impl FnOnce(&mut Bytes) -> WireResult<T>,
+) -> WireResult<T> {
+    if flags & bit == 0 {
+        return Ok(T::default());
+    }
+    let value = decode(data)?;
+    if value == T::default() {
+        return Err(WireError::Codec(format!(
+            "completion tally {bit:#04x} flagged but default"
+        )));
+    }
+    Ok(value)
 }
 
 fn need(data: &Bytes, n: usize) -> WireResult<()> {
@@ -1129,6 +1224,116 @@ mod tests {
         let level_at = raw.len() - 9;
         raw[level_at] = 0; // TraceLevel::Off on the wire
         assert!(Frame::decode(Bytes::from(raw)).is_err());
+    }
+
+    fn tally_free_completion() -> Completion {
+        Completion {
+            seq: 44,
+            processor: 1,
+            result: QueryResult::Count(7),
+            stats: AccessStats {
+                cache_hits: 5,
+                cache_misses: 6,
+                miss_bytes: 300,
+                evictions: 1,
+            },
+            prefetch: PrefetchStats::default(),
+            failover: FailoverStats::default(),
+            arrived_ns: 10,
+            started_ns: 20,
+            completed_ns: 30,
+            heat: HeatMap::new(),
+            trace: None,
+        }
+    }
+
+    /// An unchanged tally costs nothing: a tally-free completion is the
+    /// per-query fields plus one flags byte, and each tally adds exactly
+    /// its own block.
+    #[test]
+    fn completion_size_is_per_query_fields_plus_changed_tallies() {
+        let bare = tally_free_completion();
+        let base = 1 + 8 + 4 + result_encoded_len(&bare.result) + 56 + 1;
+        let prefetch = PrefetchStats {
+            issued: 5,
+            hits: 2,
+            wasted_bytes: 64,
+        };
+        let failover = FailoverStats {
+            redials: 1,
+            ..FailoverStats::default()
+        };
+        let heat = heat(&[(3, 0), (1, 0)]);
+        let cases = [
+            (bare.clone(), base),
+            (
+                Completion {
+                    prefetch,
+                    ..bare.clone()
+                },
+                base + 24,
+            ),
+            (
+                Completion {
+                    failover,
+                    ..bare.clone()
+                },
+                base + 24,
+            ),
+            (
+                Completion {
+                    heat: heat.clone(),
+                    ..bare.clone()
+                },
+                base + heat.encoded_len(),
+            ),
+            (
+                Completion {
+                    prefetch,
+                    failover,
+                    heat: heat.clone(),
+                    ..bare
+                },
+                base + 48 + heat.encoded_len(),
+            ),
+        ];
+        for (completion, len) in cases {
+            let frame = Frame::Completion(completion);
+            let bytes = frame.encode();
+            assert_eq!(bytes.len(), len, "{frame:?}");
+            assert_encodings_agree(&frame);
+            assert_eq!(Frame::decode(bytes).unwrap(), frame);
+        }
+    }
+
+    /// Unknown tally bits and a flagged block holding its default are
+    /// both refused, so a decoded completion re-encodes to the bytes that
+    /// arrived.
+    #[test]
+    fn completion_tally_flags_are_strict() {
+        let bare = Frame::Completion(tally_free_completion()).encode().to_vec();
+        let flags_at = bare.len() - 1;
+        for bit in 3..8 {
+            let mut raw = bare.clone();
+            raw[flags_at] = 1 << bit;
+            assert!(Frame::decode(Bytes::from(raw)).is_err(), "bit {bit}");
+        }
+        let flagged = |flag: u8, block: &[u8]| {
+            let mut raw = bare.clone();
+            raw[flags_at] = flag;
+            raw.extend_from_slice(block);
+            Frame::decode(Bytes::from(raw))
+        };
+        let mut one = vec![0u8; 24];
+        one[0] = 1;
+        for flag in [TALLY_PREFETCH, TALLY_FAILOVER] {
+            assert!(flagged(flag, &[0; 24]).is_err(), "default {flag:#04x}");
+            assert!(flagged(flag, &one).is_ok(), "non-default {flag:#04x}");
+        }
+        assert!(flagged(TALLY_HEAT, &0u32.to_le_bytes()).is_err());
+        let mut one_slot = 1u32.to_le_bytes().to_vec();
+        one_slot.extend_from_slice(&[0; 16]);
+        assert!(flagged(TALLY_HEAT, &one_slot).is_ok());
     }
 
     #[test]

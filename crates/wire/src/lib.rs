@@ -114,6 +114,41 @@ mod tests {
             .collect()
     }
 
+    /// Dials the router at `addr` as processor `id`, then blocks until the
+    /// router has processed the hello (a MetricsRequest on the same
+    /// connection is answered strictly after it).
+    fn join_as_processor(transport: &dyn Transport, addr: &str, id: u32) -> Connection {
+        let mut conn = transport.dial(addr).unwrap();
+        conn.send(&Frame::Hello {
+            role: Role::Processor,
+            id,
+        })
+        .unwrap();
+        conn.send(&Frame::MetricsRequest).unwrap();
+        match conn.recv().unwrap() {
+            Frame::Metrics { .. } => conn,
+            other => panic!("processor {id} got {}", other.kind()),
+        }
+    }
+
+    /// A scripted processor's completion of `seq` with every tally at its
+    /// default ("unchanged").
+    fn scripted_completion(seq: u64, processor: u32) -> Completion {
+        Completion {
+            seq,
+            processor,
+            result: grouting_query::QueryResult::Count(seq),
+            stats: grouting_query::AccessStats::default(),
+            prefetch: grouting_query::PrefetchStats::default(),
+            failover: grouting_metrics::FailoverStats::default(),
+            arrived_ns: 0,
+            started_ns: 1,
+            completed_ns: 2,
+            heat: grouting_metrics::HeatMap::new(),
+            trace: None,
+        }
+    }
+
     /// A storage endpoint at an ephemeral address with default options.
     fn spawn_storage(transport: &Arc<dyn Transport>, tier: &Arc<StorageTier>) -> ServiceHandle {
         StorageService::spawn_opts(
@@ -538,6 +573,185 @@ mod tests {
     }
 
     #[test]
+    fn router_keeps_each_processors_last_reported_tallies() {
+        // A completion carries a cumulative tally only when it changed;
+        // the default means "unchanged". The router keeps each processor's
+        // last report across completions that carry none, banks it when
+        // the processor dies, and never forwards a tally to the client.
+        let tier = loaded_tier(32, 2);
+        let assets = EngineAssets::new(tier);
+        // Hash routing sends every even anchor to processor 0 while it is
+        // up; processor 1 keeps the run alive across 0's death.
+        let config = EngineConfig {
+            stealing: false,
+            ..EngineConfig::paper_default(2, RoutingKind::Hash)
+        };
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let listener = transport.listen(&transport.any_addr()).unwrap();
+        let addr = listener.addr();
+        let router = std::thread::spawn(move || {
+            run_router(listener, &assets, &config, &RouterOptions::default())
+        });
+        let mut scripted = join_as_processor(&*transport, &addr, 0);
+        let mut spare = join_as_processor(&*transport, &addr, 1);
+        let mut client = transport.dial(&addr).unwrap();
+        client
+            .send(&Frame::Hello {
+                role: Role::Client,
+                id: 0,
+            })
+            .unwrap();
+
+        let prefetch = grouting_query::PrefetchStats {
+            issued: 5,
+            hits: 2,
+            wasted_bytes: 64,
+        };
+        let failover = grouting_metrics::FailoverStats {
+            redials: 1,
+            ..Default::default()
+        };
+        let mut heat = grouting_metrics::HeatMap::new();
+        heat.record_demand(0, 3);
+        heat.record_demand(1, 1);
+        let submit = |client: &mut Connection, seq: u64| {
+            client
+                .send(&Frame::Submit {
+                    seq,
+                    query: Query::NeighborAggregation {
+                        node: n(2 * seq as u32),
+                        hops: 1,
+                        label: None,
+                    },
+                    submitted_ns: None,
+                })
+                .unwrap();
+        };
+        let dispatched = |conn: &mut Connection| match conn.recv().unwrap() {
+            Frame::Dispatch { seq, .. } => seq,
+            other => panic!("processor got {}", other.kind()),
+        };
+        // Every completion reaches the client with its tallies stripped.
+        let forwarded = |client: &mut Connection, seq: u64| match client.recv().unwrap() {
+            Frame::Completion(c) => {
+                assert_eq!(c.seq, seq);
+                assert_eq!(c.prefetch, Default::default(), "seq {seq}");
+                assert_eq!(c.failover, Default::default(), "seq {seq}");
+                assert!(c.heat.is_empty(), "seq {seq}");
+            }
+            other => panic!("client got {}", other.kind()),
+        };
+        let current = |client: &mut Connection| {
+            client.send(&Frame::MetricsRequest).unwrap();
+            match client.recv().unwrap() {
+                Frame::Metrics { snapshot, .. } => snapshot,
+                other => panic!("client got {}", other.kind()),
+            }
+        };
+        let assert_reported = |s: &RunSnapshot| {
+            assert_eq!(
+                (s.prefetch_issued, s.prefetch_hits, s.prefetch_wasted_bytes),
+                (5, 2, 64)
+            );
+            assert_eq!(
+                (s.redials, s.replica_failovers, s.batches_resubmitted),
+                (1, 0, 0)
+            );
+            assert_eq!(s.partition_heat, heat);
+        };
+
+        // Completion 1 reports all three tallies, completion 2 none.
+        submit(&mut client, 0);
+        assert_eq!(dispatched(&mut scripted), 0);
+        scripted
+            .send(&Frame::Completion(Completion {
+                prefetch,
+                failover,
+                heat: heat.clone(),
+                ..scripted_completion(0, 0)
+            }))
+            .unwrap();
+        forwarded(&mut client, 0);
+        submit(&mut client, 1);
+        assert_eq!(dispatched(&mut scripted), 1);
+        scripted
+            .send(&Frame::Completion(scripted_completion(1, 0)))
+            .unwrap();
+        forwarded(&mut client, 1);
+        assert_reported(&current(&mut client));
+
+        // Processor 0 dies with seq 2 outstanding: the router banks its
+        // tallies and hands seq 2 to processor 1.
+        submit(&mut client, 2);
+        assert_eq!(dispatched(&mut scripted), 2);
+        drop(scripted);
+        assert_eq!(dispatched(&mut spare), 2);
+        spare
+            .send(&Frame::Completion(scripted_completion(2, 1)))
+            .unwrap();
+        forwarded(&mut client, 2);
+
+        // A fresh incarnation has nothing to report; the banked values stay.
+        let mut restarted = join_as_processor(&*transport, &addr, 0);
+        submit(&mut client, 3);
+        assert_eq!(dispatched(&mut restarted), 3);
+        restarted
+            .send(&Frame::Completion(scripted_completion(3, 0)))
+            .unwrap();
+        forwarded(&mut client, 3);
+        assert_reported(&current(&mut client));
+
+        client.send(&Frame::SubmitEnd).unwrap();
+        let last = router.join().unwrap().expect("run completes");
+        assert_reported(&last);
+        assert_eq!(last.per_processor, vec![3, 1]);
+    }
+
+    #[test]
+    fn router_attributes_completions_by_connection() {
+        // A completion counts for the processor whose connection sent it.
+        // One from a connection that never said a processor hello, or one
+        // naming another processor than the hello did, is a protocol
+        // error rather than a tally credited to the wrong processor.
+        for liar_id in [None, Some(1)] {
+            let tier = loaded_tier(16, 1);
+            let assets = EngineAssets::new(tier);
+            let config = EngineConfig::paper_default(2, RoutingKind::Hash);
+            let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+            let listener = transport.listen(&transport.any_addr()).unwrap();
+            let addr = listener.addr();
+            // A router that believes the liar never finishes; the channel
+            // turns that into a failure instead of a hung test.
+            let (ended_tx, ended) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = ended_tx.send(run_router(
+                    listener,
+                    &assets,
+                    &config,
+                    &RouterOptions::default(),
+                ));
+            });
+            let _honest = join_as_processor(&*transport, &addr, 0);
+            let mut liar = match liar_id {
+                Some(id) => join_as_processor(&*transport, &addr, id),
+                None => transport.dial(&addr).unwrap(),
+            };
+            liar.send(&Frame::Completion(scripted_completion(0, 0)))
+                .unwrap();
+            match ended.recv_timeout(std::time::Duration::from_secs(30)) {
+                Ok(Err(WireError::Protocol(msg))) => {
+                    assert!(msg.contains("claiming processor 0"), "{msg}");
+                    let hello = liar_id.map_or("no processor hello".to_string(), |id| {
+                        format!("hello as processor {id}")
+                    });
+                    assert!(msg.contains(&hello), "{msg}");
+                }
+                other => panic!("liar {liar_id:?} was believed: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn restarted_processor_rejoins_rotation() {
         // The re-join path (ROADMAP item): a processor dies mid-run, the
         // router masks it, then the processor RESTARTS, re-dials with its
@@ -558,22 +772,6 @@ mod tests {
         });
         let storage = spawn_storage(&transport, &tier);
 
-        // Dials the router as processor `id`, then blocks until the router
-        // has processed the hello (a MetricsRequest on the same connection
-        // is answered strictly after it).
-        let connect_processor = |id: u32| -> crate::transport::Connection {
-            let mut conn = transport.dial(&addr).unwrap();
-            conn.send(&Frame::Hello {
-                role: Role::Processor,
-                id,
-            })
-            .unwrap();
-            conn.send(&Frame::MetricsRequest).unwrap();
-            match conn.recv().unwrap() {
-                Frame::Metrics { .. } => conn,
-                other => panic!("processor {id} got {}", other.kind()),
-            }
-        };
         let serve_one = {
             let tier = Arc::clone(&tier);
             move |conn: &mut crate::transport::Connection,
@@ -601,8 +799,8 @@ mod tests {
 
         // Both processors are router-acknowledged BEFORE any work is
         // submitted, so the dispatch pattern below is deterministic.
-        let mut flaky_conn = connect_processor(0);
-        let healthy_conn = connect_processor(1);
+        let mut flaky_conn = join_as_processor(&*transport, &addr, 0);
+        let healthy_conn = join_as_processor(&*transport, &addr, 1);
 
         // The healthy processor serves everything it is given until
         // shutdown.

@@ -40,6 +40,7 @@ use grouting_metrics::timeline::QueryRecord;
 use grouting_metrics::{set_node_role, DecayingHeat, FailoverStats, HeatMap, RunSnapshot};
 use grouting_obs::{NodeObs, NodeRole, ObsConfig};
 use grouting_partition::Partitioner;
+use grouting_query::PrefetchStats;
 use grouting_storage::{NetworkModel, StorageTier};
 use grouting_trace::{
     QuerySpan, SpanRing, Stage, StageStats, TelemetryCounters, TraceLevel, TraceSnapshot,
@@ -576,6 +577,12 @@ fn run_processor(
     let mut obs = NodeObs::new(NodeRole::Processor, id as u16, &opts.obs);
     let mut cum = grouting_query::AccessStats::default();
     let mut queries_done = 0u64;
+    // The cumulative tallies as last sent to the router: a completion
+    // carries a tally only when it differs from these, and the default
+    // (unchanged) otherwise.
+    let mut sent_prefetch = PrefetchStats::default();
+    let mut sent_failover = FailoverStats::default();
+    let mut sent_heat = HeatMap::new();
     let outcome: WireResult<()> = 'run: loop {
         if opts
             .stop
@@ -614,6 +621,8 @@ fn run_processor(
                 Err(e) => break 'run Err(e),
             }
         }
+        // `step` folds this round's tallies in before any completion is
+        // built, so the first completion after a change carries it.
         let finished = match pipeline.step(&mut source, &mut cache) {
             Ok(finished) => finished,
             Err(e) => break Err(e),
@@ -628,15 +637,12 @@ fn run_processor(
                 processor: id as u32,
                 result: done.outcome.result,
                 stats: done.outcome.stats,
-                // Cumulative per-processor speculation and recovery
-                // tallies; the router keeps the latest per processor for
-                // the run snapshot.
-                prefetch: pipeline.prefetch_stats(),
-                failover: source.failover_stats(),
+                prefetch: if_changed(&pipeline.prefetch_stats(), &mut sent_prefetch),
+                failover: if_changed(&source.failover_stats(), &mut sent_failover),
                 arrived_ns: 0,
                 started_ns: done.started_ns,
                 completed_ns: done.completed_ns,
-                heat: pipeline.heat().clone(),
+                heat: if_changed(pipeline.heat(), &mut sent_heat),
                 trace: done.trace,
             })) {
                 break 'run Err(e);
@@ -680,6 +686,18 @@ fn run_processor(
         o.teardown();
     }
     outcome
+}
+
+/// `current` when it differs from `sent` (which then becomes it), else
+/// the default a completion uses for "unchanged". Cumulative tallies never
+/// return to their default once they leave it, so the router can read a
+/// default as "keep what you have".
+fn if_changed<T: Clone + Default + PartialEq>(current: &T, sent: &mut T) -> T {
+    if current == sent {
+        return T::default();
+    }
+    sent.clone_from(current);
+    current.clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -792,19 +810,21 @@ pub fn run_router(
     // resubmitted.
     let mut outstanding: Vec<Vec<(u64, grouting_query::Query)>> = vec![Vec::new(); p];
     let mut ever_connected = 0usize;
-    // Latest cumulative speculation tally per processor (completions carry
-    // it); summed into every snapshot the router emits. A restarted
-    // processor restarts its tally — the pre-death speculation is folded
-    // into `prefetch_retired` when the death is noticed.
-    let mut prefetch_live: Vec<grouting_query::PrefetchStats> =
-        vec![grouting_query::PrefetchStats::default(); p];
-    let mut prefetch_retired = grouting_query::PrefetchStats::default();
-    // Same live/retired split for the processors' storage-failover
-    // tallies (redials, replica failovers, resubmitted batches).
+    // Latest cumulative speculation tally per processor, as last reported:
+    // a completion carries it only when it changed since that processor's
+    // previous completion (default = unchanged). Summed into every
+    // snapshot the router emits. A restarted processor restarts its tally
+    // — the pre-death speculation is folded into `prefetch_retired` when
+    // the death is noticed.
+    let mut prefetch_live: Vec<PrefetchStats> = vec![PrefetchStats::default(); p];
+    let mut prefetch_retired = PrefetchStats::default();
+    // Same last-reported live/retired split for the processors'
+    // storage-failover tallies (redials, replica failovers, resubmitted
+    // batches).
     let mut failover_live: Vec<FailoverStats> = vec![FailoverStats::default(); p];
     let mut failover_retired = FailoverStats::default();
-    // Same live/retired split for the cumulative per-partition heat every
-    // completion carries.
+    // Same last-reported live/retired split for the cumulative
+    // per-partition heat (empty = unchanged on a completion).
     let mut heat_live: Vec<HeatMap> = vec![HeatMap::new(); p];
     let mut heat_retired = HeatMap::new();
     // Router-local per-landmark-region heat: demand counted at dispatch
@@ -988,7 +1008,32 @@ pub fn run_router(
                         }
                         Frame::SubmitEnd => submit_done = true,
                         Frame::Completion(mut completion) => {
-                            let proc_id = completion.processor as usize;
+                            // Attributed by connection, not by the frame's
+                            // word: a tally is kept until the processor
+                            // reports a change, so a misattributed one
+                            // would stick to the wrong processor.
+                            let hello = processor_conn.iter().position(|&c| c == Some(conn_id));
+                            let proc_id = match hello {
+                                Some(id) if id == completion.processor as usize => id,
+                                _ => {
+                                    return Err(WireError::Protocol(format!(
+                                        "conn {conn_id} ({}) sent a completion for seq {} \
+                                         claiming processor {}",
+                                        hello.map_or_else(
+                                            || "no processor hello".to_string(),
+                                            |id| format!("hello as processor {id}")
+                                        ),
+                                        completion.seq,
+                                        completion.processor
+                                    )))
+                                }
+                            };
+                            // The tallies ride only when they changed
+                            // (default = unchanged) and never on to the
+                            // client, which gets run totals in `Metrics`.
+                            let prefetch = std::mem::take(&mut completion.prefetch);
+                            let failover = std::mem::take(&mut completion.failover);
+                            let heat = std::mem::take(&mut completion.heat);
                             // `remove`, not `get`: each seq completes
                             // exactly once, so this bounds the map at the
                             // admission window instead of the whole
@@ -1044,7 +1089,7 @@ pub fn run_router(
                                 &completion.stats,
                             );
                             completed += 1;
-                            if proc_id < p {
+                            if prefetch != PrefetchStats::default() {
                                 // Region speculation: the prefetch tally is
                                 // cumulative, so this completion's newly
                                 // issued speculative fetches are the delta
@@ -1052,8 +1097,7 @@ pub fn run_router(
                                 // attributed to the completing query's
                                 // anchor region.
                                 if let Some(lm) = &landmarks {
-                                    let delta = completion
-                                        .prefetch
+                                    let delta = prefetch
                                         .issued
                                         .saturating_sub(prefetch_live[proc_id].issued);
                                     if delta > 0 {
@@ -1068,18 +1112,22 @@ pub fn run_router(
                                         }
                                     }
                                 }
-                                heat_live[proc_id] = completion.heat.clone();
-                                prefetch_live[proc_id] = completion.prefetch;
-                                failover_live[proc_id] = completion.failover;
-                                in_flight[proc_id] = in_flight[proc_id].saturating_sub(1);
-                                // Out-of-order acknowledgement is legal
-                                // under overlap; correlate by seq.
-                                if let Some(pos) = outstanding[proc_id]
-                                    .iter()
-                                    .position(|&(s, _)| s == completion.seq)
-                                {
-                                    outstanding[proc_id].remove(pos);
-                                }
+                                prefetch_live[proc_id] = prefetch;
+                            }
+                            if failover != FailoverStats::default() {
+                                failover_live[proc_id] = failover;
+                            }
+                            if !heat.is_empty() {
+                                heat_live[proc_id] = heat;
+                            }
+                            in_flight[proc_id] = in_flight[proc_id].saturating_sub(1);
+                            // Out-of-order acknowledgement is legal under
+                            // overlap; correlate by seq.
+                            if let Some(pos) = outstanding[proc_id]
+                                .iter()
+                                .position(|&(s, _)| s == completion.seq)
+                            {
+                                outstanding[proc_id].remove(pos);
                             }
                             if let Some(client) = client_conn {
                                 reactor.send(client, &Frame::Completion(completion))?;
@@ -1181,7 +1229,7 @@ pub fn run_router(
                             // A restarted processor reports a fresh tally;
                             // bank what the dead incarnation speculated.
                             prefetch_retired.merge(&prefetch_live[proc_id]);
-                            prefetch_live[proc_id] = grouting_query::PrefetchStats::default();
+                            prefetch_live[proc_id] = PrefetchStats::default();
                             failover_retired.merge(&failover_live[proc_id]);
                             failover_live[proc_id] = FailoverStats::default();
                             heat_retired.merge(&heat_live[proc_id]);
@@ -1336,8 +1384,8 @@ fn fill_router_registry(
 #[allow(clippy::too_many_arguments)]
 fn snapshot_with_recovery(
     engine: &Engine,
-    prefetch_live: &[grouting_query::PrefetchStats],
-    prefetch_retired: &grouting_query::PrefetchStats,
+    prefetch_live: &[PrefetchStats],
+    prefetch_retired: &PrefetchStats,
     failover_live: &[FailoverStats],
     failover_retired: &FailoverStats,
     heat_live: &[HeatMap],

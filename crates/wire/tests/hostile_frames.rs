@@ -10,8 +10,10 @@ use std::net::TcpStream;
 
 use bytes::Bytes;
 use grouting_graph::NodeId;
+use grouting_metrics::{FailoverStats, HeatMap};
+use grouting_query::{AccessStats, PrefetchStats, QueryResult};
 use grouting_wire::frame::MAX_FRAME_BYTES;
-use grouting_wire::{Connection, Frame, TcpTransport, Transport, WireError};
+use grouting_wire::{Completion, Connection, Frame, TcpTransport, Transport, WireError};
 
 /// Counts the bytes each thread requests, so a test can measure one call
 /// while the harness runs others beside it (the counting allocator of
@@ -98,7 +100,42 @@ fn read_to_end(bytes: &[u8], polled: bool) -> (usize, WireError, usize) {
 }
 
 fn sample_frames(salt: u32) -> Vec<Frame> {
+    let tally_free = Completion {
+        seq: u64::from(salt),
+        processor: salt % 4,
+        result: QueryResult::Count(u64::from(salt) * 3),
+        stats: AccessStats {
+            cache_hits: u64::from(salt % 7),
+            cache_misses: u64::from(salt % 5),
+            miss_bytes: u64::from(salt % 5) * 295,
+            evictions: 0,
+        },
+        prefetch: PrefetchStats::default(),
+        failover: FailoverStats::default(),
+        arrived_ns: 0,
+        started_ns: u64::from(salt) * 11,
+        completed_ns: u64::from(salt) * 13,
+        heat: HeatMap::new(),
+        trace: None,
+    };
+    let mut heat = HeatMap::new();
+    heat.record_demand(salt as usize % 3, u64::from(salt) + 1);
+    let tallied = Completion {
+        prefetch: PrefetchStats {
+            issued: u64::from(salt % 9),
+            hits: u64::from(salt % 4),
+            wasted_bytes: 64,
+        },
+        failover: FailoverStats {
+            redials: 1,
+            ..FailoverStats::default()
+        },
+        heat,
+        ..tally_free.clone()
+    };
     vec![
+        Frame::Completion(tally_free),
+        Frame::Completion(tallied),
         Frame::FetchBatchRequest {
             req_id: u64::from(salt),
             nodes: (0..salt % 50).map(NodeId::new).collect(),
@@ -179,7 +216,7 @@ proptest::proptest! {
     #[test]
     fn prop_damaged_frames_into_decode(
         salt in 0u32..10_000,
-        which in 0usize..3,
+        which in 0usize..5,
         flips in proptest::collection::vec((0usize..10_000, 0u8..8), 0..4),
         cut in proptest::option::of(0usize..10_000),
         extra in proptest::collection::vec(0u8..=255, 0..4),

@@ -90,6 +90,16 @@ fn main() {
             wire.results, live.results,
             "socket and in-process deployments must agree on answers"
         );
+        // Processors report their cumulative tallies only when they
+        // change; a lost update would leave the router's copy behind.
+        // Demand heat folds in from each completed query's miss log, so
+        // it must account for every miss the engine counted.
+        assert_eq!(
+            wire.snapshot.partition_heat.total_demand(),
+            wire.snapshot.cache_misses,
+            "partition heat must account for every cache miss"
+        );
+        assert!(wire.snapshot.prefetch_hits <= wire.snapshot.prefetch_issued);
         if prefetch.enabled() {
             // The final snapshot's speculative tally — strictly separate
             // from the demand hit rate in the table. Zero issuance is a
