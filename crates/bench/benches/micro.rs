@@ -417,21 +417,21 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
     if !criterion::group_enabled("reactor_idle_cpu_1k") {
         return;
     }
-    use grouting_core::wire::{PollerKind, Reactor, TcpTransport, Transport, TransportKind};
+    use grouting_core::wire::{Reactor, TcpTransport, Transport, TransportKind};
 
     if env_transport() == TransportKind::InProc {
-        // The comparison is about kernel readiness over real descriptors;
-        // channels have neither, so skip.
+        // The number is about kernel readiness over real descriptors;
+        // channels have none, so skip.
         return;
     }
 
     // The idle-cost acceptance shape: ONE reactor holding ~1k established,
-    // silent TCP connections, measured per idle poll round. The sweep
-    // backend must try_recv every connection (O(connections) syscalls per
-    // round); epoll asks the kernel once (O(1) per round, regardless of
-    // connection count). `note_progress` before each round pins both
-    // backends to their non-blocking path, so the number is pure CPU cost,
-    // not sleep time.
+    // silent TCP connections, measured per idle poll round. Epoll asks the
+    // kernel once per round, whatever the connection count; the swept
+    // fallback try_recv's every connection (~495 µs per round on the
+    // reference host, README "Reactor").
+    // `note_progress` before each round pins the wait to its non-blocking
+    // rung, so the number is pure CPU cost, not sleep time.
     const CONNS: usize = 1000;
     // Dial in batches under the listener's accept backlog (128 in std),
     // draining accepts between batches so no connect ever parks.
@@ -439,36 +439,34 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("reactor_idle_cpu_1k");
     g.sample_size(20);
-    for (name, kind) in [("sweep", PollerKind::Sweep), ("epoll", PollerKind::Epoll)] {
-        let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
-        let listener = transport.listen(&transport.any_addr()).unwrap();
-        let mut reactor = Reactor::with_poller(listener, kind);
-        let addr = reactor.addr();
-        let mut clients = Vec::with_capacity(CONNS);
-        let mut events = Vec::new();
-        while clients.len() < CONNS {
-            for _ in 0..DIAL_BATCH.min(CONNS - clients.len()) {
-                clients.push(transport.dial(&addr).unwrap());
-            }
-            reactor.poll(&mut events).unwrap();
-            events.clear();
+    let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+    let listener = transport.listen(&transport.any_addr()).unwrap();
+    let mut reactor = Reactor::new(listener);
+    let addr = reactor.addr();
+    let mut clients = Vec::with_capacity(CONNS);
+    let mut events = Vec::new();
+    while clients.len() < CONNS {
+        for _ in 0..DIAL_BATCH.min(CONNS - clients.len()) {
+            clients.push(transport.dial(&addr).unwrap());
         }
-        while reactor.connections() < CONNS {
-            reactor.poll(&mut events).unwrap();
-            events.clear();
-        }
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                reactor.note_progress();
-                events.clear();
-                reactor
-                    .wait_timeout(&mut events, &|| true, std::time::Duration::ZERO)
-                    .unwrap();
-                assert!(events.is_empty(), "connections must stay silent");
-            })
-        });
-        drop(clients);
+        reactor.poll(&mut events).unwrap();
+        events.clear();
     }
+    while reactor.connections() < CONNS {
+        reactor.poll(&mut events).unwrap();
+        events.clear();
+    }
+    g.bench_function("epoll", |b| {
+        b.iter(|| {
+            reactor.note_progress();
+            events.clear();
+            reactor
+                .wait_timeout(&mut events, &|| true, std::time::Duration::ZERO)
+                .unwrap();
+            assert!(events.is_empty(), "connections must stay silent");
+        })
+    });
+    drop(clients);
     g.finish();
 }
 

@@ -13,7 +13,10 @@
 //! With [`TransportKind::Tcp`] the peers are real socket endpoints on
 //! loopback (the honest deployment); [`TransportKind::InProc`] swaps in
 //! the hermetic channel fabric for sandboxes without loopback — same
-//! services, same frames, same encoded bytes.
+//! services, same frames, same encoded bytes. The transport also decides
+//! how the peers idle, with no knob of its own: on Linux socket peers
+//! block in `epoll_wait`, while fd-less in-proc peers (and every peer
+//! elsewhere) take the poller's swept fallback (see [`crate::reactor`]).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -32,7 +35,6 @@ use crate::error::{WireError, WireResult};
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::flow::FetchMode;
 use crate::frame::{Frame, Role};
-use crate::reactor::PollerKind;
 use crate::service::{
     now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions, ServiceHandle,
     StorageOptions, StorageService,
@@ -85,9 +87,6 @@ pub struct ClusterConfig {
     /// Emit a mid-run metrics snapshot to the client every this many
     /// completions (`0` = final snapshot only).
     pub snapshot_every: u64,
-    /// Readiness backend every peer's poll loop runs on (default epoll on
-    /// Linux, the portable sweep elsewhere).
-    pub reactor: PollerKind,
     /// End-to-end tracing level (default off, which keeps every frame
     /// byte-identical to an untraced deployment).
     pub trace: TraceLevel,
@@ -116,7 +115,6 @@ impl ClusterConfig {
             transport,
             net: Preset::Local,
             snapshot_every: 0,
-            reactor: PollerKind::default_for_host(),
             trace: TraceLevel::Off,
             retry: None,
             faults: FaultPlan::new(),
@@ -133,7 +131,6 @@ impl ClusterConfig {
     /// | `GROUTING_OVERLAP=N` | [`EngineConfig::overlap`], clamped to ≥ 1 |
     /// | `GROUTING_PREFETCH=off\|degree\|hotspot[:N]` | [`EngineConfig::prefetch`] |
     /// | `GROUTING_TRACE=off\|stats\|spans` | [`ClusterConfig::trace`] |
-    /// | `GROUTING_REACTOR=sweep\|epoll` | [`ClusterConfig::reactor`] |
     /// | `GROUTING_FAULTS=rule;…` | [`ClusterConfig::faults`] |
     /// | `GROUTING_METRICS_ADDR=host:port` | [`ObsConfig::metrics_addr`] |
     /// | `GROUTING_OBS_DUMP=1` | [`ObsConfig::dump`] |
@@ -180,16 +177,6 @@ impl ClusterConfig {
             match TraceLevel::parse(&raw) {
                 Some(level) => config.trace = level,
                 None => log_warn!("unknown GROUTING_TRACE value {raw:?}; tracing stays off"),
-            }
-        }
-        if let Some(raw) = var("GROUTING_REACTOR") {
-            match PollerKind::parse(&raw) {
-                Some(reactor) => config.reactor = reactor,
-                None => log_warn!(
-                    "invalid GROUTING_REACTOR value {raw:?} \
-                     (expected \"sweep\" or \"epoll\"); using default {}",
-                    config.reactor
-                ),
             }
         }
         if let Some(raw) = var("GROUTING_FAULTS") {
@@ -327,11 +314,11 @@ pub fn launch_chaos_cluster(
             Arc::clone(&assets.tier),
             StorageOptions {
                 net,
-                poller: config.reactor,
                 telemetry: telemetry.clone(),
                 obs: config.obs.clone(),
                 push_addr: obs_push_addr.clone(),
                 id: id as u16,
+                ..StorageOptions::default()
             },
         )
     };
@@ -349,10 +336,10 @@ pub fn launch_chaos_cluster(
     let router_config = config.engine;
     let router_opts = RouterOptions {
         snapshot_every: config.snapshot_every,
-        poller: config.reactor,
         trace: config.trace,
         telemetry: telemetry.clone(),
         obs: config.obs.clone(),
+        ..RouterOptions::default()
     };
     let router = std::thread::spawn(move || {
         run_router(
@@ -380,7 +367,6 @@ pub fn launch_chaos_cluster(
             config.engine,
             FetchMode::Batched,
             ProcessorOptions {
-                poller: config.reactor,
                 telemetry: telemetry.clone(),
                 // The tier IS the replica-chain layout: its factor
                 // tells the wire path how far fetches may fail over.
@@ -389,6 +375,7 @@ pub fn launch_chaos_cluster(
                 stop: Some(Arc::clone(&stop)),
                 ready,
                 obs: config.obs.clone(),
+                ..ProcessorOptions::default()
             },
         );
         ProcSlot { stop, join }
@@ -667,7 +654,6 @@ mod tests {
             ("GROUTING_OVERLAP", "4"),
             ("GROUTING_PREFETCH", "degree:64"),
             ("GROUTING_TRACE", "spans"),
-            ("GROUTING_REACTOR", "sweep"),
             ("GROUTING_FAULTS", "kill:3@:9100"),
             ("GROUTING_METRICS_ADDR", "127.0.0.1:0"),
             ("GROUTING_OBS_DUMP", "1"),
@@ -677,7 +663,6 @@ mod tests {
         assert_eq!(c.engine.prefetch.policy, PrefetchPolicy::Degree);
         assert_eq!(c.engine.prefetch.max_nodes, 64);
         assert_eq!(c.trace, TraceLevel::Spans);
-        assert_eq!(c.reactor, PollerKind::Sweep);
         assert!(!c.faults.is_empty());
         assert_eq!(c.obs.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert!(c.obs.dump);
@@ -697,13 +682,11 @@ mod tests {
             ("GROUTING_OVERLAP", "lots"),
             ("GROUTING_PREFETCH", "always"),
             ("GROUTING_TRACE", "spans:64"),
-            ("GROUTING_REACTOR", "io_uring"),
             ("GROUTING_OBS_DUMP", "0"),
         ]);
         assert_eq!(c.engine.overlap, engine().overlap);
         assert_eq!(c.engine.prefetch, PrefetchConfig::OFF);
         assert_eq!(c.trace, TraceLevel::Off);
-        assert_eq!(c.reactor, PollerKind::default_for_host());
         assert!(!c.obs.dump);
     }
 

@@ -13,7 +13,8 @@
 //!   the pending connections — non-blocking polls
 //!   ([`crate::transport::FrameStream::try_recv`], `set_nonblocking`
 //!   under TCP) draining whichever server answers first, with replies
-//!   matched to requests by `req_id` so out-of-order completion is fine;
+//!   matched to requests by `req_id` so out-of-order completion is fine,
+//!   and an empty round parking on the one poller of [`crate::reactor`];
 //! * [`MultiplexedStorageSource`] — the [`BatchSource`] a processor plugs
 //!   behind its cache: it groups a frontier's miss set by the placement
 //!   function and ships exactly one batch per storage server per hop; a
@@ -32,7 +33,7 @@ use grouting_trace::TelemetryCounters;
 
 use crate::error::{WireError, WireResult};
 use crate::frame::Frame;
-use crate::reactor::{sample_pool, Poller, PollerKind};
+use crate::reactor::{sample_pool, Poller, PollerKind, IDLE_WAIT};
 use crate::transport::{Connection, FrameSink, FrameStream, RetryPolicy, Transport};
 
 /// The processor↔storage fetch path — there is only one. Named by the
@@ -48,17 +49,12 @@ pub enum FetchMode {
 /// encoded adjacency value, `None` where the node is not stored.
 pub type BatchPayloads = Vec<Option<(u16, Bytes)>>;
 
-/// How long an idle collect loop parks on the readiness backend before
-/// re-sweeping anyway (a safety net; with epoll the arrival of any reply
-/// byte wakes the wait early).
-const COLLECT_IDLE_WAIT: Duration = Duration::from_millis(5);
-
 /// One storage connection's multiplexer state.
 struct MuxConn {
     sink: Box<dyn FrameSink>,
     stream: Box<dyn FrameStream>,
     /// Raw descriptor registered with the poller (`None` for fd-less
-    /// transports, which degrade the wait to the sweep ladder).
+    /// transports, which turn each wait into a swept ladder rung).
     fd: Option<i32>,
     /// Payloads received so far per correlation id. A storage server may
     /// stream one batch's answer as *several* [`Frame::FetchBatchResponse`]
@@ -96,13 +92,11 @@ pub struct BatchMux {
     retry: RetryPolicy,
     /// Recovery counters (dial attempts, chain failovers, resubmissions).
     failover: FailoverStats,
-    /// Readiness backend the collect loops park on when every pending
+    /// Readiness source the collect loops park on when every pending
     /// stream has reported an empty socket. Connection tokens are the server
     /// index; callers may register extra descriptors (a processor's router
     /// connection) under tokens ≥ [`BatchMux::EXTERNAL_TOKEN_BASE`].
-    poller: Box<dyn Poller>,
-    /// Scratch for ready tokens (reused across waits).
-    poll_scratch: Vec<u64>,
+    poller: Poller,
     /// Batches submitted and not yet fully collected, across servers.
     outstanding: u64,
     /// Deployment-shared telemetry. Doubles as the trace switch: when set,
@@ -117,18 +111,8 @@ impl BatchMux {
     /// above any storage server index.
     pub const EXTERNAL_TOKEN_BASE: u64 = 1 << 32;
 
-    /// A multiplexer towards `storage_addrs` (index = storage server id),
-    /// on the platform's default readiness backend.
+    /// A multiplexer towards `storage_addrs` (index = storage server id).
     pub fn new(transport: Arc<dyn Transport>, storage_addrs: &[String]) -> Self {
-        Self::with_poller(transport, storage_addrs, PollerKind::default_for_host())
-    }
-
-    /// A multiplexer on an explicitly chosen readiness backend.
-    pub fn with_poller(
-        transport: Arc<dyn Transport>,
-        storage_addrs: &[String],
-        kind: PollerKind,
-    ) -> Self {
         Self {
             transport,
             addrs: storage_addrs.to_vec(),
@@ -138,8 +122,7 @@ impl BatchMux {
             replication: 1,
             retry: RetryPolicy::default(),
             failover: FailoverStats::default(),
-            poller: kind.build(),
-            poll_scratch: Vec::new(),
+            poller: Poller::new(),
             outstanding: 0,
             telemetry: None,
         }
@@ -153,28 +136,25 @@ impl BatchMux {
     }
 
     /// Registers a caller-owned descriptor (token ≥
-    /// [`BatchMux::EXTERNAL_TOKEN_BASE`]) with the readiness backend, so
-    /// an idle wait also wakes on that connection's traffic. An `fd` of
-    /// `None` (fd-less transport) degrades every wait to the sweep ladder.
+    /// [`BatchMux::EXTERNAL_TOKEN_BASE`]) with the poller, so an idle wait
+    /// also wakes on that connection's traffic. An `fd` of `None` (fd-less
+    /// transport) turns every wait into a swept ladder rung.
     pub fn register_external(&mut self, token: u64, fd: Option<i32>) {
         debug_assert!(token >= Self::EXTERNAL_TOKEN_BASE);
         self.poller.register(token, fd);
     }
 
-    /// Parks on the readiness backend until any registered connection has
-    /// traffic, or `timeout` passes. Only safe to call when every pending
-    /// stream's last poll returned `None` — its socket was empty then (see
+    /// Parks on the poller until any registered connection has traffic, or
+    /// `timeout` passes. Only safe to call when every pending stream's
+    /// last poll returned `None` — its socket was empty then (see
     /// [`crate::transport::FrameStream::try_recv`]) — which is exactly the
     /// no-progress state the collect loops call it from.
     pub fn idle_wait(&mut self, timeout: Duration) {
-        let mut ready = std::mem::take(&mut self.poll_scratch);
-        ready.clear();
-        let _ = self.poller.wait(&mut ready, timeout);
-        self.poll_scratch = ready;
+        self.poller.park(timeout);
     }
 
-    /// Tells the readiness backend progress happened, resetting its idle
-    /// ladder so the next wait spins briefly before blocking.
+    /// Tells the poller progress happened, resetting its idle clock so the
+    /// next wait yields briefly before blocking.
     pub fn note_progress(&mut self) {
         self.poller.reset();
     }
@@ -503,13 +483,13 @@ impl BatchMux {
                 }
             }
             // An empty sweep means every pending stream found its socket
-            // empty; park on the readiness backend until a reply
-            // byte lands (epoll) or briefly yield (sweep ladder) so a slow
-            // server doesn't cost a core.
+            // empty; park on the poller until a reply byte lands (epoll)
+            // or pay one ladder rung (swept fallback) so a slow server
+            // doesn't cost a core.
             if progressed {
                 self.note_progress();
             } else {
-                self.idle_wait(COLLECT_IDLE_WAIT);
+                self.idle_wait(IDLE_WAIT);
             }
         }
         Ok(out.into_iter().map(|p| p.expect("collected")).collect())
@@ -529,37 +509,32 @@ pub struct MultiplexedStorageSource {
 
 impl MultiplexedStorageSource {
     /// A source fetching from `storage_addrs` (index = storage server id)
-    /// with `partitioner` as the placement function, on the platform's
-    /// default readiness backend.
+    /// with `partitioner` as the placement function.
     pub fn new(
         transport: Arc<dyn Transport>,
         storage_addrs: &[String],
         partitioner: Arc<dyn Partitioner>,
     ) -> Self {
-        Self::with_poller(
-            transport,
-            storage_addrs,
+        Self {
             partitioner,
-            PollerKind::default_for_host(),
-        )
+            mux: BatchMux::new(transport, storage_addrs),
+        }
     }
 
-    /// A source on an explicitly chosen readiness backend.
+    /// [`MultiplexedStorageSource::new`]: there is one poller, so the
+    /// [`PollerKind`] selects nothing. Named by the benchmark (`load/`);
+    /// the next `benchmark` PR drops it.
     pub fn with_poller(
         transport: Arc<dyn Transport>,
         storage_addrs: &[String],
         partitioner: Arc<dyn Partitioner>,
-        kind: PollerKind,
+        _poller: PollerKind,
     ) -> Self {
-        Self {
-            partitioner,
-            mux: BatchMux::with_poller(transport, storage_addrs, kind),
-        }
+        Self::new(transport, storage_addrs, partitioner)
     }
 
     /// Registers a caller-owned descriptor with the underlying
-    /// multiplexer's readiness backend (see
-    /// [`BatchMux::register_external`]).
+    /// multiplexer's poller (see [`BatchMux::register_external`]).
     pub fn register_external(&mut self, token: u64, fd: Option<i32>) {
         self.mux.register_external(token, fd);
     }
@@ -570,8 +545,7 @@ impl MultiplexedStorageSource {
         self.mux.idle_wait(timeout);
     }
 
-    /// Resets the readiness backend's idle ladder (see
-    /// [`BatchMux::note_progress`]).
+    /// Resets the poller's idle clock (see [`BatchMux::note_progress`]).
     pub fn note_progress(&mut self) {
         self.mux.note_progress();
     }
@@ -765,7 +739,7 @@ impl BatchSource for MultiplexedStorageSource {
         // the same submit/poll primitives the overlapped pipeline drives,
         // just awaited inline. An unproductive poll round means every
         // involved stream found its socket empty, so parking on the
-        // readiness backend is safe.
+        // poller is safe.
         loop {
             let before = pending.remaining;
             match self.try_collect(&mut pending) {
@@ -774,7 +748,7 @@ impl BatchSource for MultiplexedStorageSource {
                     if pending.remaining < before {
                         self.mux.note_progress();
                     } else {
-                        self.mux.idle_wait(COLLECT_IDLE_WAIT);
+                        self.mux.idle_wait(IDLE_WAIT);
                     }
                 }
                 Err(e) => panic!("storage batch fetch failed: {e}"),

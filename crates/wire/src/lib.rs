@@ -19,7 +19,10 @@
 //!   walk / resubmit on failure; a single-node fetch is a batch of one;
 //! * [`reactor`] — the readiness reactor: ONE poll loop per node
 //!   multiplexing the listener and every framed connection, replacing the
-//!   thread-per-connection control path (O(connections) → O(1) threads);
+//!   thread-per-connection control path (O(connections) → O(1) threads),
+//!   and the one poller every loop waits on — epoll for sources with an
+//!   fd, a swept yield/sleep fallback for fd-less sources and hosts
+//!   without epoll;
 //! * [`overlap`] — cross-query fetch overlap: up to
 //!   [`grouting_engine::EngineConfig::overlap`] dispatched queries in
 //!   flight per processor as resumable staged executions, double-buffering
@@ -66,7 +69,7 @@ pub use flow::{BatchMux, FetchMode, MultiplexedStorageSource, PendingBatch};
 pub use frame::{Completion, Frame, Role};
 pub use grouting_obs::{NodeObs, NodeRole, ObsConfig, Registry, RegistrySnapshot};
 pub use overlap::{CompletedQuery, QueryPipeline};
-pub use reactor::{Backoff, Poller, PollerKind, Reactor, ReactorEvent, SweepPoller};
+pub use reactor::{Backoff, PollerKind, Reactor, ReactorEvent};
 pub use service::{
     now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions, ServiceHandle,
     StorageOptions, StorageService,

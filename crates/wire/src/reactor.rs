@@ -1,43 +1,26 @@
 //! A readiness-driven reactor: one poll loop over many framed connections.
 //!
-//! PR 3 made the *fetch* path non-blocking ([`crate::flow::BatchMux`]);
-//! the control path — dispatch, completion, metrics — still burned one
-//! parked thread per connection: the router ran an acceptor thread plus a
-//! reader thread per peer, and every storage endpoint spawned a thread per
-//! inbound connection. This module replaces all of that with a single
-//! [`Reactor`] per node: it multiplexes the listener
+//! Every node runs a single [`Reactor`]: it multiplexes the listener
 //! ([`Listener::try_accept`]) and every established connection
 //! ([`crate::transport::FrameStream::try_recv`]) through one non-blocking
-//! sweep, shrinking a node's thread count from O(connections) to O(1) and
-//! cutting wake-up latency on the dispatch path from a channel-handoff
-//! plus scheduler round trip to a poll-loop iteration.
+//! loop, so a node's thread count is O(1) rather than O(connections), and
+//! a dispatch wakes its processor in one poll-loop iteration rather than a
+//! channel hand-off plus a scheduler round trip.
 //!
-//! The [`Backoff`] ladder keeps an idle loop cheap *without* adding
-//! latency to a busy one: yield between empty sweeps (each sweep is a
-//! round of syscalls, so "spinning" would burn the core the peer needs —
-//! see [`Backoff`]), and only once the loop has been idle for a couple of
-//! milliseconds, sleep in short slices. The sleep threshold matters:
-//! `thread::sleep` pays the kernel's timer slack (~50 µs) per call, so
-//! sleeping between back-to-back requests would tax every exchange — a
-//! service under load never descends past the yield rung.
-//!
-//! This PR puts an OS-event backend behind that loop. The [`Poller`]
-//! trait abstracts "which connections might have bytes": the portable
-//! [`SweepPoller`] answers "all of them" and paces idle rounds with the
-//! [`Backoff`] ladder exactly as before, while the Linux `EpollPoller`
-//! (the Linux default; [`PollerKind`] picks the backend) tracks
-//! every fd in one epoll set, so an idle reactor *blocks* in
-//! `epoll_wait` — zero syscalls per idle connection — and a busy one
-//! drains only the connections the kernel reports ready, O(ready) per
-//! wake instead of O(connections) per sweep. Sources without an fd (the
-//! in-process transport) degrade the epoll backend to sweep semantics
-//! automatically, so backend choice never affects correctness.
+//! Between rounds every loop waits on one poller with one idle policy.
+//! Sources with an fd live in an epoll set (Linux): an idle reactor
+//! *blocks* in `epoll_wait` — zero syscalls per idle connection — and a
+//! woken one drains only the connections the kernel reports ready,
+//! O(ready) per wake instead of O(connections) per sweep. A source the
+//! poller cannot track — one without an fd (the in-process transport), or
+//! any source on a host without epoll — turns each wait into one rung of
+//! the [`Backoff`] yield → sleep ladder plus a full sweep. Which regime a
+//! wait takes never changes what a loop computes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use grouting_metrics::log_warn;
 use grouting_trace::TelemetryCounters;
 
 use crate::error::{WireError, WireResult};
@@ -61,10 +44,11 @@ pub struct Backoff {
 }
 
 /// How long into an idle stretch the loop keeps yielding before it starts
-/// sleeping. Request gaps on a loaded service are microseconds, far under
-/// this, so the hot path never pays `thread::sleep`'s timer-slack latency
-/// (~50 µs per call); a genuinely idle loop converges to ~10 k cheap
-/// sweeps per second instead of a 100 % yield-spin.
+/// sleeping (or, on an epoll wait, blocking). Request gaps on a loaded
+/// service are microseconds, far under this, so the hot path never pays
+/// `thread::sleep`'s timer-slack latency (~50 µs per call); a genuinely
+/// idle swept loop converges to ~10 k cheap sweeps per second instead of
+/// a 100 % yield-spin.
 const YIELD_FOR: Duration = Duration::from_millis(2);
 
 impl Backoff {
@@ -80,233 +64,151 @@ impl Backoff {
 
     /// Nothing happened this round: pay the current rung.
     pub fn idle(&mut self) {
-        let since = *self.idle_since.get_or_insert_with(Instant::now);
-        if since.elapsed() < YIELD_FOR {
+        if self.on_yield_rung() {
             std::thread::yield_now();
         } else {
             std::thread::sleep(Duration::from_micros(100));
         }
     }
+
+    /// Whether the current idle stretch (started now if none is running)
+    /// is still inside its yield window.
+    fn on_yield_rung(&mut self) -> bool {
+        self.idle_since.get_or_insert_with(Instant::now).elapsed() < YIELD_FOR
+    }
 }
 
-/// Which readiness backend a poll loop runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollerKind {
-    /// The portable non-blocking sweep: probe every source each round,
-    /// pace idle rounds with the [`Backoff`] ladder.
-    Sweep,
-    /// Linux `epoll`: block in the kernel until a tracked fd is ready.
-    /// On other platforms (or when a source has no fd) this falls back
-    /// to sweep behaviour.
-    Epoll,
-}
+/// How long a service or fetch-collect loop parks on its poller before
+/// re-checking its own state anyway: a safety net, since an epoll wait
+/// wakes on any tracked byte and the swept fallback after one rung.
+pub(crate) const IDLE_WAIT: Duration = Duration::from_millis(5);
+
+/// The readiness backend a poll loop runs on — there is only one, the
+/// epoll poller with its swept fallback. Named by the benchmark (`load/`),
+/// with the `poller` fields of the service options and
+/// `MultiplexedStorageSource::with_poller`; the next `benchmark` PR drops
+/// them all.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PollerKind;
 
 impl PollerKind {
-    /// The platform default: `epoll` where it exists, `sweep` elsewhere.
+    /// The one backend.
     pub fn default_for_host() -> Self {
-        if cfg!(target_os = "linux") {
-            Self::Epoll
-        } else {
-            Self::Sweep
-        }
-    }
-
-    /// Parses a `GROUTING_REACTOR` spelling (`sweep` | `epoll`); `None`
-    /// when unknown. `epoll` off Linux warns and sweeps.
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw {
-            "sweep" => Some(Self::Sweep),
-            "epoll" if cfg!(target_os = "linux") => Some(Self::Epoll),
-            "epoll" => {
-                log_warn!(
-                    "GROUTING_REACTOR=epoll is Linux-only; \
-                     using the portable sweep backend"
-                );
-                Some(Self::Sweep)
-            }
-            _ => None,
-        }
-    }
-
-    /// Instantiates the backend (falling back to sweep when epoll is
-    /// unavailable).
-    pub fn build(self) -> Box<dyn Poller> {
-        match self {
-            Self::Sweep => Box::new(SweepPoller::new()),
-            Self::Epoll => {
-                #[cfg(target_os = "linux")]
-                match EpollPoller::new() {
-                    Ok(poller) => return Box::new(poller),
-                    Err(e) => log_warn!("epoll unavailable ({e}); using sweep"),
-                }
-                Box::new(SweepPoller::new())
-            }
-        }
+        Self
     }
 }
 
-impl std::fmt::Display for PollerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Sweep => "sweep",
-            Self::Epoll => "epoll",
-        })
+/// Off Linux there is no epoll set to hold: an uninhabited stand-in, so
+/// the poller's `Option<EpollFd>` is simply always `None` there.
+#[cfg(not(target_os = "linux"))]
+enum EpollFd {}
+
+#[cfg(not(target_os = "linux"))]
+impl EpollFd {
+    fn add(&self, _fd: i32, _token: u64) -> std::io::Result<()> {
+        match *self {}
+    }
+
+    fn del(&self, _fd: i32) {
+        match *self {}
+    }
+
+    fn wait(&self, _ready: &mut Vec<u64>, _timeout: Duration) -> std::io::Result<usize> {
+        match *self {}
     }
 }
 
-/// A readiness backend for one poll loop.
+#[cfg(target_os = "linux")]
+use crate::sys::EpollFd;
+
+/// One poll loop's readiness source: an epoll set for every source with
+/// a trackable fd, a swept fallback for the rest.
 ///
-/// The contract is deliberately loose enough to cover both a kernel event
-/// queue and the portable probe-everything sweep: [`Poller::wait`] may
-/// either name the ready tokens (return `false`) or declare readiness
-/// unknown (return `true`), in which case the owner must probe every
-/// source. Sources are registered with an optional raw fd; a source
-/// without one (in-process channels) can never be kernel-tracked, and a
-/// correct backend must stop blocking while any such source is
-/// registered — its bytes arrive without any fd becoming readable.
-pub trait Poller: Send {
-    /// Which backend this is (diagnostics).
-    fn kind(&self) -> PollerKind;
+/// [`Poller::wait`] either names the ready tokens (returns `false`) or
+/// declares readiness unknown (returns `true`), in which case the owner
+/// must probe every source. It names tokens only while it tracks *every*
+/// registered source: one fd-less source — whose bytes arrive without any
+/// fd becoming readable — or a missing epoll set turns each wait into one
+/// [`Backoff`] rung plus a request to sweep.
+pub(crate) struct Poller {
+    /// Absent off Linux, or when the kernel refused to create one.
+    epoll: Option<EpollFd>,
+    /// Tokens registered without a tracked fd: while non-empty the poller
+    /// must not block, and the owner sweeps.
+    untracked: BTreeSet<u64>,
+    /// The one idle clock, for both the swept ladder and epoll's
+    /// yield-then-block hybrid.
+    backoff: Backoff,
+    /// Scratch for [`Poller::park`]'s discarded ready tokens.
+    scratch: Vec<u64>,
+}
 
-    /// Starts tracking a source. Returns whether the backend can report
-    /// readiness for it; on `false` the owner must keep probing the
-    /// source every round.
-    fn register(&mut self, token: u64, fd: Option<i32>) -> bool;
+impl Poller {
+    /// A poller on the host's epoll set, or on the swept fallback alone
+    /// where there is none.
+    pub fn new() -> Self {
+        #[cfg(target_os = "linux")]
+        match EpollFd::new() {
+            Ok(epoll) => return Self::with_epoll(Some(epoll)),
+            Err(e) => grouting_metrics::log_warn!("epoll unavailable ({e}); using sweep"),
+        }
+        Self::with_epoll(None)
+    }
+
+    fn with_epoll(epoll: Option<EpollFd>) -> Self {
+        Self {
+            epoll,
+            untracked: BTreeSet::new(),
+            backoff: Backoff::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Starts tracking a source. Without an fd, or without an epoll set,
+    /// it joins the untracked set and every wait sweeps until it is
+    /// deregistered.
+    pub fn register(&mut self, token: u64, fd: Option<i32>) {
+        if let (Some(epoll), Some(fd)) = (&self.epoll, fd) {
+            if epoll.add(fd, token).is_ok() {
+                return;
+            }
+        }
+        self.untracked.insert(token);
+    }
 
     /// Stops tracking a source (pass the same fd as at registration).
-    fn deregister(&mut self, token: u64, fd: Option<i32>);
-
-    /// Progress happened outside this poller (frames were drained); any
-    /// idle pacing restarts from its hot rung.
-    fn reset(&mut self);
-
-    /// One idle-path wait: blocks up to `timeout` (backend permitting),
-    /// appending ready tokens to `ready`. Returns `true` when the caller
-    /// must probe every source (readiness unknown), `false` when `ready`
-    /// is authoritative for kernel-tracked sources.
-    fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> bool;
-}
-
-/// The portable backend: readiness is never known, so every wait asks
-/// the owner to sweep, paced by the [`Backoff`] yield→sleep ladder.
-pub struct SweepPoller {
-    backoff: Backoff,
-}
-
-impl SweepPoller {
-    /// A fresh sweep backend.
-    pub fn new() -> Self {
-        Self {
-            backoff: Backoff::new(),
-        }
-    }
-}
-
-impl Default for SweepPoller {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Poller for SweepPoller {
-    fn kind(&self) -> PollerKind {
-        PollerKind::Sweep
-    }
-
-    fn register(&mut self, _token: u64, _fd: Option<i32>) -> bool {
-        false
-    }
-
-    fn deregister(&mut self, _token: u64, _fd: Option<i32>) {}
-
-    fn reset(&mut self) {
-        self.backoff.reset();
-    }
-
-    fn wait(&mut self, _ready: &mut Vec<u64>, _timeout: Duration) -> bool {
-        self.backoff.idle();
-        true
-    }
-}
-
-/// The Linux backend: every fd-bearing source lives in one epoll set.
-///
-/// Idle pacing is a hybrid: for the first 2 ms (`YIELD_FOR`) of an idle
-/// stretch it yields with a non-blocking `epoll_wait` (the hot path keeps
-/// sweep-grade latency on a loaded single-core host), then it blocks in
-/// `epoll_wait` with the caller's timeout — the flat-idle-cost state
-/// where a thousand quiet connections cost zero syscalls per round.
-/// While any registered source has no fd, blocking would deafen the loop
-/// to that source, so the poller degrades to laddered sweep behaviour.
-#[cfg(target_os = "linux")]
-pub struct EpollPoller {
-    ep: crate::sys::EpollFd,
-    /// Tokens registered without a trackable fd — while non-empty the
-    /// poller must not block and the owner sweeps those sources.
-    untracked: std::collections::HashSet<u64>,
-    backoff: Backoff,
-    idle_since: Option<Instant>,
-}
-
-#[cfg(target_os = "linux")]
-impl EpollPoller {
-    /// A fresh epoll backend.
-    ///
-    /// # Errors
-    ///
-    /// The OS error when the epoll instance cannot be created (fd
-    /// exhaustion).
-    pub fn new() -> std::io::Result<Self> {
-        Ok(Self {
-            ep: crate::sys::EpollFd::new()?,
-            untracked: std::collections::HashSet::new(),
-            backoff: Backoff::new(),
-            idle_since: None,
-        })
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Poller for EpollPoller {
-    fn kind(&self) -> PollerKind {
-        PollerKind::Epoll
-    }
-
-    fn register(&mut self, token: u64, fd: Option<i32>) -> bool {
-        match fd {
-            Some(fd) if self.ep.add(fd, token).is_ok() => true,
-            _ => {
-                self.untracked.insert(token);
-                false
-            }
-        }
-    }
-
-    fn deregister(&mut self, token: u64, fd: Option<i32>) {
+    pub fn deregister(&mut self, token: u64, fd: Option<i32>) {
         if self.untracked.remove(&token) {
             return;
         }
-        if let Some(fd) = fd {
-            self.ep.del(fd);
+        if let (Some(epoll), Some(fd)) = (&self.epoll, fd) {
+            epoll.del(fd);
         }
     }
 
-    fn reset(&mut self) {
+    /// Progress happened (frames were drained): idle pacing restarts from
+    /// its hot rung.
+    pub fn reset(&mut self) {
         self.backoff.reset();
-        self.idle_since = None;
     }
 
-    fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> bool {
-        if !self.untracked.is_empty() {
-            // Fd-less sources in the set: blocking would miss their
-            // bytes. Behave exactly like the sweep backend.
-            self.backoff.idle();
-            return true;
-        }
-        let since = *self.idle_since.get_or_insert_with(Instant::now);
-        let wait_for = if since.elapsed() < YIELD_FOR {
-            // Hot rung: hand the core to the peer (it may be about to
-            // produce our bytes) and harvest readiness without blocking.
+    /// One idle-path wait, the loop's whole spin-or-park policy. With every
+    /// source tracked: for the first 2 ms of an idle stretch, a yield (the
+    /// peer may be about to produce our bytes) plus a non-blocking
+    /// `epoll_wait`; after that, `epoll_wait` blocking up to `timeout` —
+    /// the flat-idle-cost state where a thousand quiet connections cost
+    /// zero syscalls per round. Otherwise one [`Backoff`] rung. Appends
+    /// ready tokens to `ready`; returns `true` when the caller must probe
+    /// every source, `false` when `ready` is authoritative.
+    pub fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> bool {
+        let epoll = match &self.epoll {
+            Some(epoll) if self.untracked.is_empty() => epoll,
+            _ => {
+                self.backoff.idle();
+                return true;
+            }
+        };
+        let wait_for = if self.backoff.on_yield_rung() {
             std::thread::yield_now();
             Duration::ZERO
         } else {
@@ -314,7 +216,16 @@ impl Poller for EpollPoller {
         };
         // An epoll failure mid-run (should not happen): fall back to
         // sweeping rather than spinning on the error.
-        self.ep.wait(ready, wait_for).is_err()
+        epoll.wait(ready, wait_for).is_err()
+    }
+
+    /// [`Poller::wait`] with the readiness report discarded: for owners
+    /// whose next round probes every source it cares about anyway.
+    pub fn park(&mut self, timeout: Duration) {
+        let mut ready = std::mem::take(&mut self.scratch);
+        ready.clear();
+        let _ = self.wait(&mut ready, timeout);
+        self.scratch = ready;
     }
 }
 
@@ -429,23 +340,18 @@ fn drain_conn(
 /// them — because each connection is a FIFO byte stream drained
 /// sequentially; no ordering holds *across* connections.
 ///
-/// The readiness backend is chosen per [`PollerKind`]:
-/// [`Reactor::poll`] is always the portable full sweep, while
-/// [`Reactor::wait`] lets an epoll backend block when idle and drain only
-/// ready connections when woken. Connections whose frame drain hit the
-/// per-sweep cap are remembered as *dirty* and re-drained on the next
-/// round regardless of kernel readiness — complete frames parked in a
-/// userspace buffer make no fd readable.
+/// [`Reactor::poll`] is always a full sweep, while [`Reactor::wait`]
+/// blocks an idle epoll-tracked reactor and drains only the connections
+/// reported ready when woken (the module docs give the fallback).
+/// Connections whose frame drain hit the per-sweep cap are remembered as
+/// *dirty* and re-drained on the next round regardless of kernel
+/// readiness — complete frames parked in a userspace buffer make no fd
+/// readable.
 pub struct Reactor {
     listener: Option<Box<dyn Listener>>,
-    /// Whether the poller can report listener readiness; if not, every
-    /// ready-round must also probe the listener.
-    listener_tracked: bool,
     // BTreeMap so sweeps visit connections in a deterministic order.
     conns: BTreeMap<u64, ReactorConn>,
-    poller: Box<dyn Poller>,
-    /// Connections the poller cannot track (no fd): probed every round.
-    untracked: BTreeSet<u64>,
+    poller: Poller,
     /// Connections whose last drain hit the frame cap: complete frames
     /// may still sit in their userspace buffers.
     dirty: BTreeSet<u64>,
@@ -458,32 +364,22 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// A reactor accepting inbound connections from `listener`, on the
-    /// platform's default backend.
+    /// A reactor accepting inbound connections from `listener`.
     pub fn new(listener: Box<dyn Listener>) -> Self {
-        Self::with_poller(listener, PollerKind::default_for_host())
+        Self::with(listener, Poller::new())
     }
 
-    /// A reactor on an explicitly chosen readiness backend.
-    pub fn with_poller(listener: Box<dyn Listener>, kind: PollerKind) -> Self {
-        let mut poller = kind.build();
-        let listener_tracked = poller.register(LISTENER_TOKEN, listener.raw_fd());
+    fn with(listener: Box<dyn Listener>, mut poller: Poller) -> Self {
+        poller.register(LISTENER_TOKEN, listener.raw_fd());
         Self {
             listener: Some(listener),
-            listener_tracked,
             conns: BTreeMap::new(),
             poller,
-            untracked: BTreeSet::new(),
             dirty: BTreeSet::new(),
             ready: Vec::new(),
             next_id: 0,
             telemetry: None,
         }
-    }
-
-    /// The backend this reactor polls with.
-    pub fn poller_kind(&self) -> PollerKind {
-        self.poller.kind()
     }
 
     /// Routes this reactor's frame, byte, busy/idle, and buffer-pool
@@ -510,9 +406,7 @@ impl Reactor {
         let id = self.next_id;
         self.next_id += 1;
         let fd = stream.raw_fd();
-        if !self.poller.register(id, fd) {
-            self.untracked.insert(id);
-        }
+        self.poller.register(id, fd);
         // Bytes may already be buffered (frames that arrived before
         // registration): force one drain regardless of readiness.
         self.dirty.insert(id);
@@ -532,7 +426,6 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&id) {
             self.poller.deregister(id, conn.fd);
         }
-        self.untracked.remove(&id);
         self.dirty.remove(&id);
     }
 
@@ -617,21 +510,18 @@ impl Reactor {
         Ok(())
     }
 
-    /// One ready-round: accept when the listener is (or may be) ready,
-    /// then drain only the connections the poller reported ready, plus
-    /// the always-probed sets (untracked sources and dirty connections
-    /// holding capped userspace frames).
+    /// One ready-round: accept when the listener is ready, then drain only
+    /// the connections the poller reported ready plus the dirty ones
+    /// holding capped userspace frames. The poller names ready tokens only
+    /// while it tracks every registered source, so nothing else can hold
+    /// frames.
     fn poll_ready(&mut self, events: &mut Vec<ReactorEvent>, ready: &[u64]) -> WireResult<()> {
         let started = self.telemetry.is_some().then(Instant::now);
-        if !self.listener_tracked || ready.contains(&LISTENER_TOKEN) {
+        if ready.contains(&LISTENER_TOKEN) {
             self.accept_new(events)?;
         }
-        let mut targets: BTreeSet<u64> = self
-            .untracked
-            .iter()
-            .chain(self.dirty.iter())
-            .copied()
-            .collect();
+        // After the accept: fresh connections are dirty (forced drain).
+        let mut targets = self.dirty.clone();
         targets.extend(ready.iter().copied().filter(|&t| t != LISTENER_TOKEN));
         for id in targets {
             let Some(conn) = self.conns.get_mut(&id) else {
@@ -660,11 +550,10 @@ impl Reactor {
     }
 
     /// Polls until at least one event is available (or `stop` returns
-    /// true). On the sweep backend this pays the [`Backoff`] ladder
-    /// between full sweeps exactly as before; on epoll an idle reactor
-    /// blocks in `epoll_wait` (re-checking `stop` every
-    /// 25 ms, `DEFAULT_IDLE_WAIT`) and a woken one drains only ready
-    /// connections.
+    /// true). An idle epoll-tracked reactor blocks in `epoll_wait`
+    /// (re-checking `stop` every 25 ms, `DEFAULT_IDLE_WAIT`) and a woken
+    /// one drains only ready connections; with an untracked source it
+    /// pays the [`Backoff`] ladder between full sweeps.
     ///
     /// # Errors
     ///
@@ -714,25 +603,30 @@ impl Reactor {
         }
     }
 
-    /// One idle-path wait *without* draining: parks (backend permitting)
-    /// until any source may be ready or `timeout` elapses; the caller's
-    /// next [`Reactor::poll`] picks up whatever arrived. Loops that must
-    /// interleave polling with their own work (the storage service's
-    /// delayed-response queue) use this instead of [`Reactor::wait`].
+    /// One idle-path wait *without* draining: parks (when every source is
+    /// tracked) until any source may be ready or `timeout` elapses; the
+    /// caller's next [`Reactor::poll`] picks up whatever arrived. Loops
+    /// that must interleave polling with their own work (the storage
+    /// service's delayed-response queue) use this instead of
+    /// [`Reactor::wait`].
     pub fn idle_wait(&mut self, timeout: Duration) {
         if !self.dirty.is_empty() {
             // Complete frames are parked in userspace; blocking would
             // stall them.
             return;
         }
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
         let parked = self.telemetry.is_some().then(Instant::now);
-        let _ = self.poller.wait(&mut ready, timeout);
+        self.poller.park(timeout);
         if let (Some(t), Some(parked)) = (&self.telemetry, parked) {
             t.add_idle_ns(parked.elapsed().as_nanos() as u64);
         }
-        self.ready = ready;
+    }
+
+    /// Hands the core over once, with no readiness wait and no change to
+    /// idle pacing: for work due within microseconds (the storage
+    /// service's delayed responses), where a park would overshoot.
+    pub(crate) fn yield_once(&self) {
+        std::thread::yield_now();
     }
 
     /// Progress happened outside the wait path (the owner drained frames
@@ -757,11 +651,17 @@ mod tests {
         }
     }
 
-    fn echo_reactor_over(transport: Arc<dyn Transport>, kind: PollerKind) {
+    /// The poller every host without epoll runs on: each wait takes the
+    /// swept fallback.
+    fn swept() -> Poller {
+        Poller::with_epoll(None)
+    }
+
+    fn echo_reactor_over(transport: Arc<dyn Transport>, poller: Poller) {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let server = std::thread::spawn(move || {
-            let mut reactor = Reactor::with_poller(listener, kind);
+            let mut reactor = Reactor::with(listener, poller);
             let mut events = Vec::new();
             let mut served = 0;
             loop {
@@ -795,27 +695,26 @@ mod tests {
 
     #[test]
     fn inproc_reactor_echoes() {
-        // In-process sources are fd-less: the epoll backend must degrade
-        // to sweep semantics for them rather than deafen itself.
-        echo_reactor_over(Arc::new(InProcTransport::new()), PollerKind::Sweep);
-        echo_reactor_over(Arc::new(InProcTransport::new()), PollerKind::Epoll);
+        // In-process sources are fd-less: the poller must fall back to
+        // sweeping them rather than deafen itself in `epoll_wait`.
+        echo_reactor_over(Arc::new(InProcTransport::new()), Poller::new());
     }
 
     #[test]
     fn tcp_reactor_echoes() {
-        echo_reactor_over(Arc::new(TcpTransport::new()), PollerKind::Sweep);
-        echo_reactor_over(Arc::new(TcpTransport::new()), PollerKind::Epoll);
+        echo_reactor_over(Arc::new(TcpTransport::new()), Poller::new());
+        echo_reactor_over(Arc::new(TcpTransport::new()), swept());
     }
 
     /// 1k concurrent TCP connections through one reactor: every dial is
     /// accepted, every frame echoed, every close observed.
-    fn thousand_connections_echo(kind: PollerKind) {
+    fn thousand_connections_echo(poller: Poller) {
         const CONNS: usize = 1000;
         let transport = TcpTransport::new();
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let server = std::thread::spawn(move || {
-            let mut reactor = Reactor::with_poller(listener, kind);
+            let mut reactor = Reactor::with(listener, poller);
             let mut events = Vec::new();
             let mut echoed = 0usize;
             let mut closed = 0usize;
@@ -847,12 +746,42 @@ mod tests {
 
     #[test]
     fn thousand_connections_echo_sweep() {
-        thousand_connections_echo(PollerKind::Sweep);
+        thousand_connections_echo(swept());
     }
 
     #[test]
     fn thousand_connections_echo_epoll() {
-        thousand_connections_echo(PollerKind::Epoll);
+        thousand_connections_echo(Poller::new());
+    }
+
+    #[test]
+    fn fd_less_source_sweeps_until_deregistered() {
+        let mut poller = Poller::new();
+        let mut ready = Vec::new();
+        poller.register(7, None);
+        let started = Instant::now();
+        assert!(
+            poller.wait(&mut ready, Duration::from_secs(10)),
+            "an fd-less source must turn the wait into a sweep"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "it must not park"
+        );
+        poller.deregister(7, None);
+        if poller.epoll.is_none() {
+            return; // No epoll set on this host: every wait sweeps.
+        }
+        // Past the yield window, an empty epoll set parks for the whole
+        // timeout and names no token.
+        std::thread::sleep(YIELD_FOR);
+        let parked = Instant::now();
+        assert!(!poller.wait(&mut ready, Duration::from_millis(50)));
+        assert!(
+            parked.elapsed() >= Duration::from_millis(40),
+            "it must park"
+        );
+        assert!(ready.is_empty());
     }
 
     #[test]

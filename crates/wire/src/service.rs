@@ -24,7 +24,10 @@
 //!   [`Frame::MetricsRequest`]s, and emits the final [`RunSnapshot`].
 //!
 //! All three speak only [`Frame`]s over [`Transport`] connections, so the
-//! same loops run over TCP loopback and the hermetic in-proc fabric.
+//! same loops run over TCP loopback and the hermetic in-proc fabric. All
+//! three idle the same way, on the one poller of [`crate::reactor`] —
+//! epoll-tracked over TCP on Linux, the swept yield/sleep fallback
+//! otherwise — and none carries a spin or park of its own.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -51,13 +54,8 @@ use crate::error::{WireError, WireResult};
 use crate::flow::{BatchMux, FetchMode, MultiplexedStorageSource};
 use crate::frame::{Completion, DispatchTrace, Frame, Role};
 use crate::overlap::QueryPipeline;
-use crate::reactor::{PollerKind, Reactor, ReactorEvent};
+use crate::reactor::{PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
 use crate::transport::{Listener, RetryPolicy, Transport};
-
-/// How long an idle service loop parks on its readiness backend before
-/// re-checking its stop flag (epoll wakes early on any traffic; the sweep
-/// backend degrades to the yield/sleep ladder, which returns far sooner).
-const SERVICE_IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(5);
 
 /// Monotonic nanoseconds since a process-wide epoch, shared by every
 /// service so lifecycle timestamps are comparable within one machine.
@@ -110,7 +108,8 @@ pub struct StorageOptions {
     /// Emulated per-fetch wire delay ([`NetworkModel::local`] charges
     /// nothing).
     pub net: NetworkModel,
-    /// Readiness backend for the node's reactor.
+    /// Selects nothing: there is one poller. Named by the benchmark
+    /// (`load/`); the next `benchmark` PR drops it.
     pub poller: PollerKind,
     /// Deployment-shared reactor telemetry.
     pub telemetry: Option<Arc<TelemetryCounters>>,
@@ -173,7 +172,7 @@ impl StorageService {
         let stop_loop = Arc::clone(&stop);
         let StorageOptions {
             net,
-            poller,
+            poller: _,
             telemetry,
             obs: obs_cfg,
             push_addr,
@@ -185,7 +184,7 @@ impl StorageService {
         let thread = std::thread::Builder::new().name(role.clone());
         let join = thread.spawn(move || {
             set_node_role(role);
-            let mut reactor = Reactor::with_poller(listener, poller);
+            let mut reactor = Reactor::new(listener);
             if let Some(t) = &telemetry {
                 reactor.set_telemetry(Arc::clone(t));
             }
@@ -277,15 +276,15 @@ impl StorageService {
                 if progressed {
                     reactor.note_progress();
                 } else if in_flight.is_empty() {
-                    // Nothing buffered, nothing due: park on the readiness
-                    // backend until a request arrives (epoll wakes on the
-                    // first byte; the stop flag is re-checked on return).
-                    reactor.idle_wait(SERVICE_IDLE_WAIT);
+                    // Nothing buffered, nothing due: park on the poller
+                    // until a request arrives (epoll wakes on the first
+                    // byte; the stop flag is re-checked on return).
+                    reactor.idle_wait(IDLE_WAIT);
                 } else {
                     // Responses are due within the emulated RTT; yielding
                     // keeps due-time precision tight without burning the
                     // core an overlapping processor is computing on.
-                    std::thread::yield_now();
+                    reactor.yield_once();
                 }
             }
             if let Some(o) = obs.as_ref() {
@@ -437,7 +436,8 @@ fn spin_for_ns(ns: u64) {
 
 /// Processor-side knobs beyond the engine configuration.
 pub struct ProcessorOptions {
-    /// Readiness backend for the processor's storage mux.
+    /// Selects nothing: there is one poller. Named by the benchmark
+    /// (`load/`); the next `benchmark` PR drops it.
     pub poller: PollerKind,
     /// Deployment-shared reactor telemetry.
     pub telemetry: Option<Arc<TelemetryCounters>>,
@@ -544,13 +544,9 @@ fn run_processor(
     config: &EngineConfig,
     opts: ProcessorOptions,
 ) -> WireResult<()> {
-    let mut source = MultiplexedStorageSource::with_poller(
-        Arc::clone(transport),
-        storage_addrs,
-        partitioner,
-        opts.poller,
-    )
-    .with_replication(opts.replication);
+    let mut source =
+        MultiplexedStorageSource::new(Arc::clone(transport), storage_addrs, partitioner)
+            .with_replication(opts.replication);
     if let Some(retry) = opts.retry {
         source = source.with_retry(retry);
     }
@@ -563,8 +559,8 @@ fn run_processor(
     let router = transport.dial(router_addr)?;
     let (mut sink, mut stream) = router.split();
     // The router connection joins the storage connections on the source's
-    // readiness backend, so an idle processor parks on ONE wait covering
-    // dispatches and fetch replies alike.
+    // poller, so an idle processor parks on ONE wait covering dispatches
+    // and fetch replies alike.
     source.register_external(BatchMux::EXTERNAL_TOKEN_BASE, stream.raw_fd());
     sink.send(&Frame::Hello {
         role: Role::Processor,
@@ -679,7 +675,7 @@ fn run_processor(
             // and every awaited storage stream found their sockets empty
             // (pipeline.step never parks runnable compute), so blocking
             // until one of those sockets has traffic is safe.
-            source.idle_wait(SERVICE_IDLE_WAIT);
+            source.idle_wait(IDLE_WAIT);
         }
     };
     if let Some(o) = obs.as_ref() {
@@ -711,7 +707,8 @@ pub struct RouterOptions {
     /// completions (`0` = only the final snapshot). Mid-run snapshots feed
     /// live dashboards without waiting for the workload to drain.
     pub snapshot_every: u64,
-    /// Readiness backend for the router's reactor.
+    /// Selects nothing: there is one poller. Named by the benchmark
+    /// (`load/`); the next `benchmark` PR drops it.
     pub poller: PollerKind,
     /// Trace level for the run. At [`TraceLevel::Off`] no frame carries a
     /// trace block and every emitted byte is identical to an untraced
@@ -789,7 +786,7 @@ pub fn run_router(
     let overlap = config.overlap.max(1);
     // Router half only: the processors (and their caches) are remote.
     let mut engine = Engine::new_router_only(assets, config);
-    let mut reactor = Reactor::with_poller(listener, opts.poller);
+    let mut reactor = Reactor::new(listener);
     if let Some(t) = &opts.telemetry {
         reactor.set_telemetry(Arc::clone(t));
     }
@@ -954,7 +951,7 @@ pub fn run_router(
                 if obs.is_some() {
                     // Bounded park so the sampler and the scrape endpoint
                     // keep running while the cluster idles between frames.
-                    reactor.wait_timeout(&mut events, &|| true, SERVICE_IDLE_WAIT)?;
+                    reactor.wait_timeout(&mut events, &|| true, IDLE_WAIT)?;
                 } else {
                     reactor.wait(&mut events, &|| false)?;
                 }

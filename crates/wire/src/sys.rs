@@ -1,10 +1,10 @@
-//! Minimal hand-written Linux syscall bindings for the epoll backend.
+//! Minimal hand-written Linux syscall bindings for the poller's epoll set.
 //!
 //! The build is offline — no `libc` crate — so the epoll and poll entry
 //! points the reactor needs are declared here directly against the C ABI.
 //! Everything is gated to Linux by the module declaration in `lib.rs`;
-//! other platforms use the portable sweep backend and never reference
-//! these symbols.
+//! on other platforms every wait takes the poller's swept fallback and
+//! nothing references these symbols.
 //!
 //! ABI notes worth keeping visible:
 //!

@@ -109,13 +109,12 @@ fn chaos_engine() -> EngineConfig {
     }
 }
 
-/// Built with `ClusterConfig::from_env`, so CI's `GROUTING_REACTOR=epoll`
-/// / `=sweep` matrix selects the readiness backend.
+/// Hermetic: built with `ClusterConfig::new`, so no environment variable
+/// moves the run.
 fn chaos_config(transport: TransportKind) -> ClusterConfig {
     ClusterConfig {
-        transport,
         retry: Some(RetryPolicy::new(2, Duration::from_millis(1))),
-        ..ClusterConfig::from_env(chaos_engine())
+        ..ClusterConfig::new(chaos_engine(), transport)
     }
 }
 

@@ -8,9 +8,7 @@
 //! counters, per-processor cache and heat series, and per-storage served
 //! tallies — while the run is still open. The test's own client holds it
 //! open (`SubmitEnd` is sent only after a scrape has succeeded), so the
-//! poll can never lose a race against the workload draining. The same
-//! check runs under both readiness backends, since scrape polling rides
-//! the service poll loops.
+//! poll can never lose a race against the workload draining.
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -24,9 +22,9 @@ use grouting_core::partition::HashPartitioner;
 use grouting_core::query::Query;
 use grouting_core::storage::StorageTier;
 use grouting_core::wire::{
-    run_router, ClusterConfig, FetchMode, Frame, ObsConfig, PollerKind, ProcessorOptions,
-    ProcessorService, Role, RouterOptions, StorageOptions, StorageService, TcpTransport, Transport,
-    TransportKind, WireError,
+    run_router, ClusterConfig, FetchMode, Frame, ObsConfig, ProcessorOptions, ProcessorService,
+    Role, RouterOptions, StorageOptions, StorageService, TcpTransport, Transport, TransportKind,
+    WireError,
 };
 use grouting_core::workload::{hotspot_workload, QueryMix, WorkloadConfig};
 
@@ -83,7 +81,11 @@ fn setup() -> (Arc<StorageTier>, Vec<Query>) {
     (tier, queries)
 }
 
-fn assert_scrape_covers_cluster(reactor: PollerKind) {
+#[test]
+fn router_scrape_reads_whole_cluster_mid_run() {
+    if no_sockets() {
+        return; // GROUTING_NO_SOCKETS sandbox: no loopback to scrape over.
+    }
     let Some(metrics_addr) = reserve_addr() else {
         // No loopback in this sandbox — the scrape endpoint is a socket
         // feature; the byte-identity agreement test still covers sampling.
@@ -123,7 +125,6 @@ fn assert_scrape_covers_cluster(reactor: PollerKind) {
                 &transport.any_addr(),
                 Arc::clone(&tier),
                 StorageOptions {
-                    poller: reactor,
                     obs: obs.clone(),
                     push_addr: Some(router_addr.clone()),
                     id: id as u16,
@@ -135,7 +136,6 @@ fn assert_scrape_covers_cluster(reactor: PollerKind) {
         .collect();
     let storage_addrs: Vec<String> = storage.iter().map(|h| h.addr().to_string()).collect();
     let router_opts = RouterOptions {
-        poller: reactor,
         obs: obs.clone(),
         ..RouterOptions::default()
     };
@@ -152,7 +152,6 @@ fn assert_scrape_covers_cluster(reactor: PollerKind) {
                 engine,
                 FetchMode::Batched,
                 ProcessorOptions {
-                    poller: reactor,
                     obs: obs.clone(),
                     ..ProcessorOptions::default()
                 },
@@ -225,7 +224,7 @@ fn assert_scrape_covers_cluster(reactor: PollerKind) {
 
     assert!(
         complete,
-        "no single scrape covered all three tiers under {reactor:?}; last body:\n{last}"
+        "no single scrape covered all three tiers; last body:\n{last}"
     );
     assert_eq!(completions, queries.len());
     // The same heat that was scrapeable mid-run lands in the final
@@ -237,20 +236,4 @@ fn assert_scrape_covers_cluster(reactor: PollerKind) {
         snapshot.cache_misses,
         "partition heat counts exactly the demand misses"
     );
-}
-
-#[test]
-fn router_scrape_reads_whole_cluster_mid_run_sweep() {
-    if no_sockets() {
-        return; // GROUTING_NO_SOCKETS sandbox: no loopback to scrape over.
-    }
-    assert_scrape_covers_cluster(PollerKind::Sweep);
-}
-
-#[test]
-fn router_scrape_reads_whole_cluster_mid_run_epoll() {
-    if no_sockets() {
-        return; // GROUTING_NO_SOCKETS sandbox: no loopback to scrape over.
-    }
-    assert_scrape_covers_cluster(PollerKind::Epoll);
 }

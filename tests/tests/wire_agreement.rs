@@ -23,7 +23,7 @@ use grouting_core::partition::HashPartitioner;
 use grouting_core::query::Query;
 use grouting_core::route::RoutingKind;
 use grouting_core::storage::StorageTier;
-use grouting_core::wire::{launch_cluster, ClusterConfig, ClusterRun, PollerKind, TransportKind};
+use grouting_core::wire::{launch_cluster, ClusterConfig, ClusterRun, TransportKind};
 use grouting_core::workload::{hotspot_workload, QueryMix, WorkloadConfig};
 
 fn seeded_setup() -> (EngineAssets, Vec<Query>) {
@@ -217,15 +217,16 @@ fn prefetching_cluster_agrees_with_prefetch_off_engine() {
 
 #[test]
 fn epoll_and_sweep_backends_agree_byte_for_byte() {
-    // The readiness backend (`ClusterConfig::reactor`) decides how the service
-    // poll loops *idle* — blocking `epoll_wait` on Linux vs the portable
-    // yield/sleep sweep — and must never change what a run computes or
-    // counts. Same seeded workload under both backends: identical
-    // answers, identical per-query routing assignments, identical demand
-    // cache statistics, and (at overlap 1, where execution is strictly
-    // serial) an identical speculative-prefetch tally. On non-Linux hosts
-    // `epoll` falls back to the sweep backend, making this vacuously true
-    // there and a real two-backend comparison on Linux.
+    // The one poller has two wait regimes, and the transport picks one:
+    // TCP connections are epoll-tracked (an idle loop blocks in
+    // `epoll_wait` on Linux), in-proc connections have no fd and take the
+    // swept yield/sleep fallback. How a loop *idles* must never change
+    // what a run computes or counts. Same seeded workload under both:
+    // identical answers, identical per-query routing assignments,
+    // identical demand cache statistics, and (at overlap 1, where
+    // execution is strictly serial) an identical speculative-prefetch
+    // tally. Where the TCP side is swept too (no epoll on the host, or
+    // `GROUTING_NO_SOCKETS=1`), this compares the fallback with itself.
     let (assets, queries) = seeded_setup();
     let cfg = EngineConfig {
         prefetch: grouting_core::query::PrefetchConfig::with_policy(
@@ -236,31 +237,28 @@ fn epoll_and_sweep_backends_agree_byte_for_byte() {
         cache_capacity: 64 << 10,
         ..deterministic_config()
     };
-    let run_with_backend = |reactor: PollerKind| {
-        let config = ClusterConfig {
-            reactor,
-            ..ClusterConfig::new(cfg, env_transport())
-        };
-        launch_cluster(&assets, &queries, &config).expect("wire cluster completes")
+    let run_over = |transport: TransportKind| {
+        launch_cluster(&assets, &queries, &ClusterConfig::new(cfg, transport))
+            .expect("wire cluster completes")
     };
-    let sweep = run_with_backend(PollerKind::Sweep);
-    let epoll = run_with_backend(PollerKind::Epoll);
+    let sweep = run_over(TransportKind::InProc);
+    let epoll = run_over(env_transport());
 
     assert_eq!(epoll.results, sweep.results);
     assert_eq!(
         assignments(&epoll, queries.len()),
         assignments(&sweep, queries.len()),
-        "routing assignments diverged between reactor backends"
+        "routing assignments diverged between wait regimes"
     );
     assert_eq!(
         epoll.snapshot.cache_hits, sweep.snapshot.cache_hits,
-        "hit counts diverged between reactor backends"
+        "hit counts diverged between wait regimes"
     );
     assert_eq!(epoll.snapshot.cache_misses, sweep.snapshot.cache_misses);
     assert_eq!(epoll.snapshot.stolen, sweep.snapshot.stolen);
     assert_eq!(
         epoll.snapshot.prefetch_issued, sweep.snapshot.prefetch_issued,
-        "speculation tallies diverged between reactor backends"
+        "speculation tallies diverged between wait regimes"
     );
     assert_eq!(epoll.snapshot.prefetch_hits, sweep.snapshot.prefetch_hits);
     assert_eq!(
