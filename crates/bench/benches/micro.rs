@@ -333,7 +333,7 @@ fn wire_frontier_fetch(c: &mut Criterion) {
         &addrs,
         tier.partitioner(),
     ));
-    let mut worker = Worker::from_parts(0, source, cache);
+    let mut worker = Worker::from_parts(source, cache);
     g.bench_function("batched", |b| {
         b.iter(|| std::hint::black_box(worker.run(&query)))
     });

@@ -133,8 +133,9 @@ impl GRoutingBuilder {
 }
 
 /// A preprocessed gRouting cluster, ready to serve workloads in the
-/// deterministic simulator, the live threaded runtime, or a wire cluster —
-/// all three with the same [`EngineConfig`].
+/// deterministic simulator ([`GRouting::simulate`]) or in real time on a
+/// wire cluster ([`GRouting::run_cluster`], over loopback sockets or the
+/// in-proc fabric) — both with the same [`EngineConfig`].
 pub struct GRouting {
     /// Preprocessing assets (graph, storage tier, landmarks, embedding).
     pub assets: SimAssets,
@@ -210,16 +211,10 @@ impl GRouting {
         simulate(&self.assets, queries, config)
     }
 
-    /// Runs the queries on real threads (wall-clock measurements).
-    /// `GROUTING_PREFETCH` applies, read by [`ClusterConfig::from_env`].
-    pub fn run_live(&self, queries: &[Query]) -> ClusterRun {
-        let config = ClusterConfig::from_env(self.engine);
-        grouting_live::run_live(&self.assets.engine_assets(), queries, &config.engine)
-    }
-
-    /// Runs the queries on a wire cluster: the router, every processor,
-    /// and every storage server deployed as framed-transport peers
-    /// (real loopback sockets for [`TransportKind::Tcp`]), with all
+    /// Runs the queries in real time on a wire cluster: the router, every
+    /// processor, and every storage server deployed as framed-transport
+    /// peers (real loopback sockets for [`TransportKind::Tcp`], the
+    /// socket-free channel fabric for [`TransportKind::InProc`]), with all
     /// dispatches, acknowledgements, and adjacency fetches (pipelined
     /// frontier batches) crossing connections. Every other deployment
     /// knob (`GROUTING_OVERLAP`, `GROUTING_PREFETCH`, `GROUTING_TRACE`, …)
@@ -289,10 +284,13 @@ mod tests {
     fn live_and_sim_agree_on_results() {
         let cluster = tiny_cluster(RoutingKind::Hash);
         let queries = cluster.hotspot_workload(4, 4, 2, 2, 9);
-        let live = cluster.run_live(&queries);
+        let live = cluster
+            .run_cluster(&queries, TransportKind::InProc)
+            .expect("in-proc cluster runs");
         assert_eq!(live.results.len(), queries.len());
-        // The simulator executes the same queries over the same data;
-        // check a few counts against ground truth.
+        // The simulator executes the same queries over the same data; both
+        // match it, and the counts match ground truth.
+        assert_eq!(live.results, cluster.simulate(&queries).results);
         for (q, r) in queries.iter().zip(&live.results) {
             if let grouting_query::Query::NeighborAggregation { node, hops, .. } = q {
                 let truth = grouting_graph::traversal::h_hop_neighborhood(
@@ -311,10 +309,15 @@ mod tests {
     fn socket_cluster_matches_live_results() {
         let cluster = tiny_cluster(RoutingKind::Hash);
         let queries = cluster.hotspot_workload(4, 4, 2, 2, 11);
+        // Loopback sockets, unless `GROUTING_NO_SOCKETS=1` says the sandbox
+        // has none.
+        let transport = ClusterConfig::from_env(cluster.engine).transport;
         let wire = cluster
-            .run_cluster(&queries, TransportKind::InProc)
+            .run_cluster(&queries, transport)
             .expect("cluster runs");
-        let live = cluster.run_live(&queries);
+        let live = cluster
+            .run_cluster(&queries, TransportKind::InProc)
+            .expect("in-proc cluster runs");
         assert_eq!(wire.results, live.results);
         assert_eq!(wire.results.len(), queries.len());
     }

@@ -46,8 +46,7 @@
 //! | [`workload`] | `grouting-workload` | hotspot workload generation |
 //! | [`engine`] | `grouting-engine` | the shared engine builder both runtimes drive |
 //! | [`sim`] | `grouting-sim` | deterministic discrete-event cluster |
-//! | [`live`] | `grouting-live` | real multi-threaded cluster (`run_live` → `ClusterRun`) |
-//! | [`wire`] | `grouting-wire` | framed RPC: transports, services, socket cluster |
+//! | [`wire`] | `grouting-wire` | framed RPC: transports, services, the real-time cluster (TCP or in-proc) |
 //! | [`baseline`] | `grouting-baseline` | SEDGE/Giraph-style BSP, PowerGraph-style GAS |
 //! | [`metrics`] | `grouting-metrics` | histograms, timelines, heatmaps, reporters |
 //! | [`obs`] | `grouting-obs` | metrics registry, scrape endpoint, flight recorder |
@@ -58,7 +57,6 @@ pub use grouting_embed as embed;
 pub use grouting_engine as engine;
 pub use grouting_gen as gen;
 pub use grouting_graph as graph;
-pub use grouting_live as live;
 pub use grouting_metrics as metrics;
 pub use grouting_obs as obs;
 pub use grouting_partition as partition;

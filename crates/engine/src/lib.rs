@@ -1,32 +1,30 @@
 //! The shared engine layer: one builder for the whole routing stack.
 //!
-//! Both execution frontends — the deterministic discrete-event simulator
-//! (`grouting-sim`) and the threaded runtime (`grouting-live`) — drive the
-//! *same* cluster: a [`Router`] wrapping one of the paper's routing
-//! strategies, a shared storage tier, one byte-capacity
-//! cache per query processor, and a metrics timeline. This crate owns that
-//! assembly so a routing or storage change lands in exactly one place:
+//! Both runtimes — the deterministic discrete-event simulator
+//! (`grouting-sim`) and the real-time wire cluster (`grouting-wire`) —
+//! drive the *same* cluster: a [`Router`] wrapping one of the paper's
+//! routing strategies, a shared storage tier, one byte-capacity cache per
+//! query processor, and a metrics timeline. This crate owns that assembly
+//! so a routing or storage change lands in exactly one place:
 //!
 //! * [`EngineConfig`] — the cluster-shape knobs common to every frontend
 //!   (processors, routing scheme, cache policy/capacity, EMA α, load
 //!   factor, stealing, admission window, overlap, prefetch, seed),
 //!   declared once: `grouting-sim`'s `SimConfig` pairs it with a cost
-//!   model, `grouting-live` takes it as is, and the wire `ClusterConfig`
-//!   pairs it with deployment knobs;
+//!   model and the wire `ClusterConfig` pairs it with deployment knobs;
 //! * [`EngineAssets`] — the preprocessing products the smart strategies
 //!   need (storage tier, landmarks, embedding);
 //! * [`Engine::new`] — builds the router (strategy chosen from
 //!   [`RoutingKind`]) and one [`Worker`] per processor, then mediates
 //!   admission, dispatch, and completion accounting;
 //! * [`Worker`] — a processor's executable half (cache + tier handle),
-//!   detachable via [`Engine::take_workers`] so the live runtime can move
-//!   each one onto its own thread while the simulator keeps them inline.
+//!   detached via [`Engine::take_workers`] for the simulator to drive.
 //!
-//! What stays frontend-specific is *time*: the simulator charges virtual
-//! nanoseconds from its cost model, the live runtime reads wall clocks.
+//! What stays runtime-specific is *time*: the simulator charges virtual
+//! nanoseconds from its cost model, the wire cluster reads wall clocks.
 //! Everything else — who serves a query, what its cache holds, what the
-//! metrics count — is decided here, which is why the two frontends agree
-//! (see the `runtime_agreement` integration tests).
+//! metrics count — is decided here, which is why the two runtimes agree
+//! (see the `runtime_agreement` and `wire_agreement` integration tests).
 
 use std::sync::Arc;
 
@@ -39,7 +37,7 @@ use grouting_metrics::RunSnapshot;
 use grouting_metrics::Timeline;
 use grouting_query::{
     AccessStats, BatchSource, ExecOutcome, Executor, MissEvent, PrefetchConfig, PrefetchState,
-    PrefetchStats, ProcessorCache, Query,
+    ProcessorCache, Query,
 };
 use grouting_route::{EmbedRouter, Router, RouterConfig, RoutingKind, Strategy};
 use grouting_storage::StorageTier;
@@ -70,9 +68,8 @@ pub struct EngineConfig {
     /// processor overlaps one query's frontier fetch with another's
     /// compute stage (double-buffered frontiers); at 1 execution is
     /// strictly serial and cache statistics are byte-identical to the
-    /// in-process engine. The simulator and the threaded runtime execute
-    /// serially regardless — overlap only changes behaviour where fetches
-    /// actually cross a wire.
+    /// in-process engine. The simulator executes serially regardless —
+    /// overlap only changes behaviour where fetches actually cross a wire.
     pub overlap: usize,
     /// Speculative frontier prefetching: policy plus per-batch/staging
     /// budgets (default [`PrefetchConfig::OFF`]). When enabled, frontier
@@ -169,16 +166,13 @@ impl EngineAssets {
 /// A query processor's executable half: its cache plus a record source
 /// (the miss path behind the cache).
 ///
-/// Detached from the [`Engine`] with [`Engine::take_workers`] so each
-/// frontend can place it where execution happens — inline for the
-/// simulator, on a dedicated thread for the live runtime, or inside a
-/// socket service loop for a wire deployment (`Worker: Send`). The engine
-/// builds workers whose source is a direct [`StorageTier`] handle; a wire
-/// deployment builds them with [`Worker::from_parts`] around a
-/// transport-backed [`BatchSource`], so the same execution code drives
-/// bytes over real connections.
+/// Detached from the [`Engine`] with [`Engine::take_workers`] so the
+/// simulator can drive it inline. The engine builds
+/// workers whose source is a direct [`StorageTier`] handle;
+/// [`Worker::from_parts`] takes any [`BatchSource`], such as a
+/// transport-backed one, so the same execution code drives bytes over
+/// real connections.
 pub struct Worker {
-    id: usize,
     source: Box<dyn BatchSource + Send>,
     cache: ProcessorCache,
     /// Per-processor speculation state (inert unless configured): the
@@ -188,20 +182,15 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Assembles a worker from explicit parts: a processor id, the miss
-    /// path the cache falls back to, and the cache itself (usually
+    /// Assembles a worker from explicit parts: the miss path the cache
+    /// falls back to and the cache itself (usually
     /// [`EngineConfig::build_cache`]). The source's
     /// [`BatchSource::fetch_batch`] is what the frontier-batched traversal
     /// drives — in-process tier handles serve it directly, wire sources
     /// turn it into one pipelined batch frame per storage server.
     /// Prefetching starts off; see [`Worker::with_prefetch`].
-    pub fn from_parts(
-        id: usize,
-        source: Box<dyn BatchSource + Send>,
-        cache: ProcessorCache,
-    ) -> Self {
+    pub fn from_parts(source: Box<dyn BatchSource + Send>, cache: ProcessorCache) -> Self {
         Self {
-            id,
             source,
             cache,
             prefetch: PrefetchState::new(PrefetchConfig::OFF),
@@ -216,11 +205,6 @@ impl Worker {
         self
     }
 
-    /// The processor id this worker serves.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Executes one query against this processor's cache and its record
     /// source, returning the outcome plus the ordered storage-miss log
     /// (the simulator replays it through its contention model).
@@ -230,17 +214,6 @@ impl Worker {
         let out = ex.run(query);
         let miss_log = ex.take_miss_log();
         (out, miss_log)
-    }
-
-    /// The speculative-traffic tally accumulated over everything this
-    /// worker ran (zeros while prefetching is off).
-    pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.prefetch.stats()
-    }
-
-    /// Resident bytes in this worker's cache.
-    pub fn cache_bytes(&self) -> usize {
-        self.cache.bytes()
     }
 }
 
@@ -341,8 +314,8 @@ impl Engine {
 
         let workers = if with_workers {
             (0..p)
-                .map(|id| {
-                    Worker::from_parts(id, Box::new(Arc::clone(&assets.tier)), config.build_cache())
+                .map(|_| {
+                    Worker::from_parts(Box::new(Arc::clone(&assets.tier)), config.build_cache())
                         .with_prefetch(config.prefetch)
                 })
                 .collect()
@@ -359,18 +332,13 @@ impl Engine {
         }
     }
 
-    /// The configuration this engine was built from.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Number of query processors.
     pub fn processors(&self) -> usize {
         self.config.processors
     }
 
-    /// Detaches the per-processor workers (index = processor id) so the
-    /// frontend can drive them inline or move them onto threads.
+    /// Detaches the per-processor workers (index = processor id) for the
+    /// runtime to drive.
     ///
     /// # Panics
     ///
@@ -452,10 +420,8 @@ impl Engine {
     /// this without finishing the run.
     ///
     /// Prefetch counters are zero here: speculation state lives with the
-    /// processors (local [`Worker`]s or remote pipeline services), so the
-    /// owner of those processors fills the counters in — the wire router
-    /// from the cumulative tallies its completions carry, the in-process
-    /// frontends from [`Worker::prefetch_stats`].
+    /// processors, so the wire router fills the counters in from the
+    /// cumulative tallies its completions carry.
     pub fn snapshot(&self) -> RunSnapshot {
         RunSnapshot {
             queries: self.timeline.len() as u64,
@@ -530,7 +496,6 @@ mod tests {
         assert_eq!(engine.processors(), 3);
         let mut workers = engine.take_workers();
         assert_eq!(workers.len(), 3);
-        assert_eq!(workers[2].id(), 2);
 
         let (out, misses) = workers[0].run(&q(0));
         assert!(out.stats.cache_misses > 0);
@@ -554,7 +519,6 @@ mod tests {
         let (second, _) = workers[0].run(&q(0));
         assert_eq!(first.stats.cache_hits, 0);
         assert_eq!(second.stats.cache_hits, 0, "null cache never hits");
-        assert_eq!(workers[0].cache_bytes(), 0);
     }
 
     #[test]

@@ -4,9 +4,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing event counter.
 ///
-/// The counter is thread-safe (relaxed atomics) so that the live threaded
-/// runtime can share one instance across processor threads; the simulator
-/// uses it single-threaded where the atomics cost nothing measurable.
+/// The counter is thread-safe (relaxed atomics) so that threads can share
+/// one instance; the simulator uses it single-threaded where the atomics
+/// cost nothing measurable.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,

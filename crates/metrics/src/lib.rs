@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates three metrics (§4.1): *query response time*, *query
 //! processing throughput*, and *cache hit rate*. This crate provides the
-//! counters, histograms, and meters that the simulator, the live runtime, and
-//! the benchmark harness use to compute them, plus fixed-width table and
+//! counters, histograms, and meters that the simulator, the wire cluster,
+//! and the benchmark harness use to compute them, plus fixed-width table and
 //! series reporters that print rows in the same shape the paper's tables and
 //! figures report.
 
@@ -28,7 +28,7 @@ pub use timeline::Timeline;
 /// Nanoseconds expressed as a plain integer.
 ///
 /// Both runtimes measure time in nanoseconds: the discrete-event simulator
-/// because its virtual clock is an integer, and the live runtime because
+/// because its virtual clock is an integer, and the wire cluster because
 /// [`std::time::Instant`] differences convert losslessly.
 pub type Nanos = u64;
 

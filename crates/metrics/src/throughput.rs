@@ -4,9 +4,9 @@ use crate::Nanos;
 
 /// Measures queries-per-second over an explicit time interval.
 ///
-/// Both runtimes feed this meter explicitly — the simulator with virtual
-/// nanoseconds, the live runtime with elapsed wall nanoseconds — so the same
-/// reporting code serves both.
+/// Both runtimes can feed this meter explicitly — the simulator with
+/// virtual nanoseconds, the wire cluster with elapsed wall nanoseconds — so
+/// the same reporting code serves both.
 #[derive(Debug, Default, Clone)]
 pub struct ThroughputMeter {
     completed: u64,

@@ -2,14 +2,14 @@
 //!
 //! One executor instance runs on each query processor. The same code backs
 //! the discrete-event simulator (which converts [`AccessStats`] into virtual
-//! time), the live threaded runtime, and the correctness tests (which check
-//! results against whole-graph traversals in `grouting-graph`).
+//! time), the wire cluster's processors, and the correctness tests (which
+//! check results against whole-graph traversals in `grouting-graph`).
 //!
 //! Two execution shapes share the same query algorithms:
 //!
 //! * [`Executor::run`] — runs a query to completion, blocking on every
-//!   storage fetch (the simulator, the threaded runtime, and the scalar
-//!   wire path);
+//!   storage fetch (the simulator, and the serial reference the staged
+//!   path is checked against);
 //! * [`StagedQuery`] — the same execution split at frontier-fetch
 //!   boundaries: each [`StagedQuery::resume`] advances until the query
 //!   either finishes or needs remote records ([`Step::Fetch`]), letting a

@@ -66,8 +66,8 @@ impl std::fmt::Display for PrefetchPolicy {
 /// The speculation policy plus its budget: how much a predictor may
 /// piggyback.
 ///
-/// Carried by `EngineConfig`, the one declaration every frontend (the
-/// simulator, the threaded runtime, the wire cluster) reads, and honoured
+/// Carried by `EngineConfig`, the one declaration both runtimes (the
+/// simulator, the wire cluster) read, and honoured
 /// per batch: at most `max_nodes` speculative nodes ride on one frontier
 /// fetch, and the staging buffer holds at most `max_bytes` of speculative
 /// payloads (oldest dropped first, counted as waste).

@@ -13,11 +13,12 @@
 //! * [`assets`] — preprocessing bundle shared across simulations (graph,
 //!   loaded storage tier, landmarks, embedding);
 //! * [`config`] — the shared `grouting_engine::EngineConfig` (the same
-//!   cluster shape the threaded runtime and the wire cluster run) plus
-//!   the cost model;
+//!   cluster shape the wire cluster runs) plus the cost model;
 //! * [`runner`] — the event loop (ack-driven closed loop with a bounded
 //!   admission window, per-server FCFS storage contention);
-//! * [`report`] — the measurements each run produces.
+//! * [`report`] — the measurements each run produces, answers included:
+//!   the deterministic reference the real-time wire cluster is checked
+//!   against (`wire_agreement`, `runtime_agreement`).
 
 pub mod assets;
 pub mod config;

@@ -1,10 +1,13 @@
 //! Measurements produced by one simulated run.
 
 use grouting_metrics::{Histogram, Timeline};
+use grouting_query::QueryResult;
 
 /// Everything a single cluster run measures — the inputs to every figure.
 #[derive(Debug, Clone)]
 pub struct SimReport {
+    /// Query results in sequence order.
+    pub results: Vec<QueryResult>,
     /// Per-query lifecycle records.
     pub timeline: Timeline,
     /// Total cache hits across processors (Eq. 8).
@@ -17,7 +20,7 @@ pub struct SimReport {
     pub stolen: u64,
     /// Virtual makespan of the whole run in nanoseconds.
     pub makespan_ns: u64,
-    /// Gets served per storage server.
+    /// Gets this run sent to each storage server (one per cache miss).
     pub storage_gets: Vec<u64>,
     /// Processors the run was configured with.
     pub processors: usize,
@@ -80,6 +83,7 @@ mod tests {
             processor: 1,
         });
         SimReport {
+            results: vec![QueryResult::Count(3), QueryResult::Reachable(true)],
             timeline: t,
             cache_hits: 30,
             cache_misses: 10,
@@ -103,6 +107,7 @@ mod tests {
     #[test]
     fn empty_report_is_zeroes() {
         let r = SimReport {
+            results: Vec::new(),
             timeline: Timeline::new(),
             cache_hits: 0,
             cache_misses: 0,

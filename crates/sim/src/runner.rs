@@ -18,7 +18,7 @@ use std::collections::BinaryHeap;
 
 use grouting_engine::Engine;
 use grouting_metrics::timeline::QueryRecord;
-use grouting_query::Query;
+use grouting_query::{Query, QueryResult};
 
 use crate::assets::SimAssets;
 use crate::config::SimConfig;
@@ -28,7 +28,8 @@ use crate::report::SimReport;
 ///
 /// The whole stack — router, strategy, per-processor caches, storage-tier
 /// handles, timeline — is assembled by the shared [`Engine`] builder (the
-/// same one the live runtime drives); this loop only owns *virtual time*.
+/// wire cluster's router node runs the same router half); this loop only
+/// owns *virtual time*.
 ///
 /// # Panics
 ///
@@ -40,6 +41,7 @@ pub fn simulate(assets: &SimAssets, queries: &[Query], cfg: &SimConfig) -> SimRe
 
     let mut backlog = queries.iter().copied().enumerate();
     let mut arrivals: Vec<u64> = vec![0; queries.len()];
+    let mut results: Vec<Option<QueryResult>> = vec![None; queries.len()];
 
     // Storage servers as fluid queues: each holds a work backlog that
     // drains in real time and grows by `storage_service_ns` per get. A get
@@ -49,6 +51,9 @@ pub fn simulate(assets: &SimAssets, queries: &[Query], cfg: &SimConfig) -> SimRe
     // capacity — the Figure 8(c) bottleneck.
     let mut server_backlog = vec![0u64; assets.tier.server_count()];
     let mut server_seen = vec![0u64; assets.tier.server_count()];
+    // This run's gets per server. The tier's own counters are lifetime
+    // totals over everything that shares it (other runs, wire clusters).
+    let mut storage_gets = vec![0u64; assets.tier.server_count()];
     let mut makespan = 0u64;
 
     // Completion events: (time, processor).
@@ -77,6 +82,7 @@ pub fn simulate(assets: &SimAssets, queries: &[Query], cfg: &SimConfig) -> SimRe
                     let mut t = started;
                     for m in &miss_log {
                         let s = m.server as usize;
+                        storage_gets[s] += 1;
                         // Drain the backlog for the time that passed since
                         // this server was last observed.
                         let drained = t.saturating_sub(server_seen[s]);
@@ -94,6 +100,7 @@ pub fn simulate(assets: &SimAssets, queries: &[Query], cfg: &SimConfig) -> SimRe
                         t += out.stats.cache_misses * cost.cache_insert_ns;
                     }
                     t += accesses * cost.compute_per_node_ns;
+                    results[seq as usize] = Some(out.result);
 
                     engine.complete(
                         QueryRecord {
@@ -114,20 +121,20 @@ pub fn simulate(assets: &SimAssets, queries: &[Query], cfg: &SimConfig) -> SimRe
         idle = still_idle;
 
         // Advance to the next completion; when none remain, the run is
-        // finished (or wedged with undispatchable work, which we surface by
-        // simply stopping).
+        // finished (or wedged with undispatchable work, which the missing
+        // results surface below).
         match completions.pop() {
             Some(Reverse((t, proc))) => idle.push((t, proc)),
             None => break,
         }
     }
 
-    let storage_gets = (0..assets.tier.server_count())
-        .map(|s| assets.tier.server(s).gets_served())
-        .collect();
-
     let run = engine.finish();
     SimReport {
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every query completed"))
+            .collect(),
         timeline: run.timeline,
         cache_hits: run.totals.cache_hits,
         cache_misses: run.totals.cache_misses,
@@ -305,11 +312,71 @@ mod tests {
 
     #[test]
     fn storage_gets_accounted() {
+        // Two runs on one set of assets share its storage tier: each must
+        // report its own gets, not the tier's lifetime totals.
         let a = assets(96);
         let q = workload(&a, 6);
         let cfg = sim_config(2, RoutingKind::Hash, 1 << 20);
-        let r = simulate(&a, &q, &cfg);
-        let total: u64 = r.storage_gets.iter().sum();
-        assert_eq!(total, r.cache_misses);
+        let first = simulate(&a, &q, &cfg);
+        let second = simulate(&a, &q, &cfg);
+        assert_eq!(first.storage_gets, second.storage_gets);
+        for r in [&first, &second] {
+            let total: u64 = r.storage_gets.iter().sum();
+            assert_eq!(total, r.cache_misses);
+        }
+    }
+
+    #[test]
+    fn results_match_the_serial_executor_for_every_query_kind() {
+        use grouting_graph::{GraphBuilder, NodeId, NodeLabelId};
+        use grouting_query::Executor;
+
+        // A chord ring whose nodes carry one of three labels, so label
+        // filters and label-constrained paths have something to decide.
+        let k = 96u32;
+        let mut b = GraphBuilder::new();
+        for i in 0..k {
+            b.add_edge(NodeId::new(i), NodeId::new((i + 1) % k));
+            b.add_edge(NodeId::new(i), NodeId::new((i + 2) % k));
+            b.set_node_label(NodeId::new(i), NodeLabelId::new((i % 3) as u16));
+        }
+        let a = SimAssets::paper_defaults(Arc::new(b.build().unwrap()), 4);
+        let q: Vec<Query> = (0..48u32)
+            .map(|i| {
+                let (node, other) = (NodeId::new(i * 5 % k), NodeId::new((i * 5 + i % 7) % k));
+                match i % 4 {
+                    0 => Query::NeighborAggregation {
+                        node,
+                        hops: 2,
+                        label: (i % 8 == 0).then_some(NodeLabelId::new(1)),
+                    },
+                    1 => Query::RandomWalk {
+                        node,
+                        steps: 6,
+                        restart_prob: 0.15,
+                        seed: u64::from(i),
+                    },
+                    2 => Query::Reachability {
+                        source: node,
+                        target: other,
+                        hops: 3,
+                    },
+                    _ => Query::ConstrainedReachability {
+                        source: node,
+                        target: other,
+                        hops: 3,
+                        via_label: NodeLabelId::new(2),
+                    },
+                }
+            })
+            .collect();
+
+        // A 1 KiB cache keeps the run missing and evicting.
+        let cfg = sim_config(4, RoutingKind::Embed, 1 << 10);
+        let report = simulate(&a, &q, &cfg);
+        let mut cache = cfg.engine.build_cache();
+        let mut serial = Executor::new(Arc::clone(&a.tier), &mut cache);
+        let expected: Vec<QueryResult> = q.iter().map(|q| serial.run(q).result).collect();
+        assert_eq!(report.results, expected);
     }
 }

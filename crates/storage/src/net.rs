@@ -3,10 +3,10 @@
 //! The paper runs over 40 Gbps Infiniband with RDMA ("a few microseconds";
 //! RAMCloud get/put take 5–10 µs) and over 10 Gbps Ethernet for the
 //! `gRouting-E` configuration. The simulator charges these models per
-//! fetch; the live runtime can optionally spin for the same duration to
-//! emulate the relative gap on a laptop.
+//! fetch; a wire cluster's storage endpoints can delay each reply by the
+//! same duration to emulate the relative gap on a laptop.
 
-/// Named network presets used by configs (`live`, `wire`, benches).
+/// Named network presets used by configs (`wire`, benches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Preset {
     /// 40 Gbps Infiniband with RDMA (the paper's default).

@@ -8,7 +8,7 @@ use crate::Result;
 
 /// A storage server in the tier.
 ///
-/// Thread-safe: the live runtime's processor threads call [`get`] on shared
+/// Thread-safe: a wire cluster's storage endpoints call [`get`] on shared
 /// references concurrently. Reads take the read lock; the log store's `get`
 /// hands out zero-copy [`Bytes`] slices of sealed segments.
 ///

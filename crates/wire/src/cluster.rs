@@ -76,8 +76,8 @@ impl std::fmt::Display for TransportKind {
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// The engine knobs (processors, routing, caches, window, overlap,
-    /// prefetch, …) — the same structure the in-proc runtimes consume,
-    /// which is what makes wire runs comparable to in-proc runs.
+    /// prefetch, …) — the same structure the simulator consumes, which is
+    /// what makes wire runs comparable to simulated ones.
     pub engine: EngineConfig,
     /// Connection fabric.
     pub transport: TransportKind,
@@ -610,13 +610,33 @@ fn drive_client(
 mod tests {
     use std::collections::HashMap;
 
+    use grouting_partition::HashPartitioner;
     use grouting_query::PrefetchPolicy;
     use grouting_route::RoutingKind;
+    use grouting_storage::StorageTier;
 
     use super::*;
 
     fn engine() -> EngineConfig {
         EngineConfig::paper_default(3, RoutingKind::Hash)
+    }
+
+    #[test]
+    fn smart_routing_without_its_asset_is_a_config_error() {
+        let tier = StorageTier::new(Arc::new(HashPartitioner::new(1)));
+        let assets = EngineAssets::new(Arc::new(tier));
+        for routing in [RoutingKind::Embed, RoutingKind::Landmark] {
+            let config = ClusterConfig::new(
+                EngineConfig::paper_default(1, routing),
+                TransportKind::InProc,
+            );
+            match launch_cluster(&assets, &[], &config) {
+                Err(WireError::Protocol(msg)) => {
+                    assert!(msg.contains("engine.routing"), "{routing}: {msg}")
+                }
+                other => panic!("{routing}: expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

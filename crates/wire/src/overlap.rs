@@ -468,7 +468,7 @@ mod tests {
 
     fn run_serial_with(queries: &[Query], cache: ProcessorCache) -> Vec<ExecOutcome> {
         let tier = loaded_tier(48, 3);
-        let mut worker = Worker::from_parts(0, Box::new(Arc::clone(&tier)), cache);
+        let mut worker = Worker::from_parts(Box::new(Arc::clone(&tier)), cache);
         queries.iter().map(|q| worker.run(q).0).collect()
     }
 

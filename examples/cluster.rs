@@ -3,8 +3,8 @@
 //! Launches the paper's full topology over `grouting-wire` — one router,
 //! `P` query processors, `M` storage servers, every hop a framed
 //! connection on TCP loopback — and replays the hotspot workload through
-//! it under each routing scheme, comparing against the in-process live
-//! runtime on the same queries. The decoupling stops being simulated
+//! it under each routing scheme, checking every answer against the
+//! simulator's on the same queries. The decoupling stops being simulated
 //! here: each cache miss is an adjacency fetch crossing a socket.
 //!
 //! Sandboxes without loopback networking can set `GROUTING_NO_SOCKETS=1`
@@ -66,10 +66,9 @@ fn main() {
     );
 
     let mut table = TableReport::new(
-        "Socket cluster vs in-process live runtime (same workload)",
+        format!("Wire cluster over {transport} (same workload per routing)"),
         &[
             "routing",
-            "deployment",
             "throughput_qps",
             "hit_rate_%",
             "stolen",
@@ -85,10 +84,10 @@ fn main() {
         let wire = cluster
             .run_cluster(&queries, transport)
             .expect("wire cluster run");
-        let live = cluster.run_live(&queries);
         assert_eq!(
-            wire.results, live.results,
-            "socket and in-process deployments must agree on answers"
+            wire.results,
+            cluster.simulate(&queries).results,
+            "the wire cluster and the simulator must agree on answers"
         );
         // Processors report their cumulative tallies only when they
         // change; a lost update would leave the router's copy behind.
@@ -148,16 +147,13 @@ fn main() {
         if let Some(trace) = wire.trace.clone() {
             traces.push((routing, trace));
         }
-        for (deployment, report) in [(transport.to_string(), &wire), ("threads".into(), &live)] {
-            table.row(vec![
-                routing.to_string().into(),
-                deployment.into(),
-                format!("{:.0}", report.throughput_qps()).into(),
-                format!("{:.1}", report.hit_rate() * 100.0).into(),
-                report.snapshot.stolen.to_string().into(),
-                format!("{:.1}", report.wall_ns as f64 / 1e6).into(),
-            ]);
-        }
+        table.row(vec![
+            routing.to_string().into(),
+            format!("{:.0}", wire.throughput_qps()).into(),
+            format!("{:.1}", wire.hit_rate() * 100.0).into(),
+            wire.snapshot.stolen.to_string().into(),
+            format!("{:.1}", wire.wall_ns as f64 / 1e6).into(),
+        ]);
     }
     table.print();
     for line in &prefetch_lines {
@@ -197,5 +193,5 @@ fn main() {
     if traces.is_empty() {
         println!("\n(set GROUTING_TRACE=stats for per-stage latency and reactor telemetry)");
     }
-    println!("\nBoth deployments answered every query identically.");
+    println!("\nThe wire cluster answered every query as the simulator did.");
 }

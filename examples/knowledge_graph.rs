@@ -2,7 +2,7 @@
 //!
 //! Uses the Freebase-like labelled profile to run the paper's §2.2 query
 //! menu with label constraints — "find Alice's 2-hop connections employed
-//! by Google" style — through the live threaded runtime, printing actual
+//! by Google" style — through the in-proc wire cluster, printing actual
 //! answers.
 //!
 //! ```bash
@@ -80,8 +80,10 @@ fn main() {
         .cache_capacity(16 << 20)
         .build();
 
-    let report = cluster.run_live(&queries);
-    println!("--- answers ({} queries, live run) ---", queries.len());
+    let report = cluster
+        .run_cluster(&queries, TransportKind::InProc)
+        .expect("in-proc cluster run");
+    println!("--- answers ({} queries, wire run) ---", queries.len());
     for (q, r) in queries.iter().zip(&report.results) {
         match (q, r) {
             (

@@ -88,7 +88,7 @@ fn main() {
         table.best_processor(fresh)
     );
 
-    // Run queries against the updated storage through the live runtime.
+    // Run queries against the updated storage on the in-proc wire cluster.
     let queries: Vec<Query> = (0..10)
         .map(|i| Query::NeighborAggregation {
             node: NodeId::new((n0 as u32) + i),
@@ -96,7 +96,9 @@ fn main() {
             label: None,
         })
         .collect();
-    let report = cluster.run_live(&queries);
+    let report = cluster
+        .run_cluster(&queries, TransportKind::InProc)
+        .expect("in-proc cluster run");
     println!("--- queries on freshly added nodes ---");
     for (q, r) in queries.iter().zip(&report.results) {
         println!("  |N_2({})| = {:?}", q.anchor(), r.count().unwrap_or(0));

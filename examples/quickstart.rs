@@ -51,10 +51,14 @@ fn main() {
     );
     println!("stolen queries: {}", report.stolen);
 
-    // 5. Or run it for real on OS threads.
-    let live = cluster.run_live(&queries);
-    println!("--- live (threads on this machine) ---");
-    println!("wall time:      {:.1} ms", live.wall_ns as f64 / 1e6);
-    println!("throughput:     {:.0} queries/s", live.throughput_qps());
-    println!("hit rate:       {:.1}%", live.hit_rate() * 100.0);
+    // 5. Or run it for real: router, processors and storage servers as
+    //    in-proc peers exchanging frames (`TransportKind::Tcp`: sockets).
+    let run = cluster
+        .run_cluster(&queries, TransportKind::InProc)
+        .expect("in-proc cluster run");
+    assert_eq!(run.results, report.results, "both runtimes answer alike");
+    println!("--- real time (in-proc cluster on this machine) ---");
+    println!("wall time:      {:.1} ms", run.wall_ns as f64 / 1e6);
+    println!("throughput:     {:.0} queries/s", run.throughput_qps());
+    println!("hit rate:       {:.1}%", run.hit_rate() * 100.0);
 }

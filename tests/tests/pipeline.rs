@@ -20,15 +20,16 @@ fn every_routing_scheme_answers_correctly() {
     // work happens, never *what* is computed.
     let cluster = tiny_cluster(ProfileName::WebGraph, RoutingKind::Hash);
     let queries = cluster.hotspot_workload(6, 5, 2, 2, 11);
+    let answers = cluster.simulate(&queries).results;
     for routing in RoutingKind::ALL {
         let mut cfg = grouting_core::sim::SimConfig::paper_default(4, routing);
         cfg.engine.cache_capacity = 8 << 20;
         let report = cluster.simulate_with(&queries, &cfg);
         assert_eq!(report.timeline.len(), queries.len(), "{routing}");
+        assert_eq!(report.results, answers, "{routing}");
     }
-    // Verify actual answers via the live runtime (it returns results).
-    let live = cluster.run_live(&queries);
-    for (q, r) in queries.iter().zip(&live.results) {
+    // Verify the answers themselves against whole-graph traversals.
+    for (q, r) in queries.iter().zip(&answers) {
         match q {
             Query::NeighborAggregation {
                 node,
@@ -86,9 +87,11 @@ fn labeled_queries_flow_through_the_stack() {
             label: None,
         },
     ];
-    let live = cluster.run_live(&queries);
-    let filtered = live.results[0].count().unwrap();
-    let unfiltered = live.results[1].count().unwrap();
+    let run = cluster
+        .run_cluster(&queries, TransportKind::InProc)
+        .expect("in-proc cluster completes");
+    let filtered = run.results[0].count().unwrap();
+    let unfiltered = run.results[1].count().unwrap();
     assert!(filtered <= unfiltered);
 }
 

@@ -1,10 +1,22 @@
-//! The two runtimes (deterministic simulator, live threads) must agree on
+//! The two runtimes (simulator, in-proc wire cluster) must agree on
 //! everything that is not timing: query results and total access counts.
 
 use grouting_core::prelude::*;
+use grouting_core::wire::{launch_cluster, ClusterConfig, ClusterRun};
+
+/// The cluster's shape on the in-proc fabric, serial like the simulator
+/// (`overlap: 1`), with nothing read from the environment.
+fn run_inproc(cluster: &GRouting, queries: &[Query]) -> ClusterRun {
+    let engine = EngineConfig {
+        overlap: 1,
+        ..*cluster.engine()
+    };
+    let config = ClusterConfig::new(engine, TransportKind::InProc);
+    launch_cluster(&cluster.assets.engine_assets(), queries, &config).expect("in-proc run")
+}
 
 #[test]
-fn sim_and_live_agree_on_access_totals_per_processor_count() {
+fn sim_and_inproc_cluster_agree_on_access_totals_per_processor_count() {
     let cluster = GRouting::builder()
         .graph(DatasetProfile::tiny(ProfileName::WebGraph).generate())
         .storage_servers(2)
@@ -17,14 +29,14 @@ fn sim_and_live_agree_on_access_totals_per_processor_count() {
     // With one processor there is no scheduling nondeterminism: the two
     // runtimes execute identical access sequences.
     let sim = cluster.simulate(&queries);
-    let live = cluster.run_live(&queries);
-    assert_eq!(sim.cache_hits, live.snapshot.cache_hits);
-    assert_eq!(sim.cache_misses, live.snapshot.cache_misses);
+    let inproc = run_inproc(&cluster, &queries);
+    assert_eq!(sim.cache_hits, inproc.snapshot.cache_hits);
+    assert_eq!(sim.cache_misses, inproc.snapshot.cache_misses);
 }
 
 #[test]
-fn live_results_match_across_routings() {
-    // Results must be routing-independent in the live runtime too.
+fn inproc_cluster_results_match_across_routings() {
+    // Results must be routing-independent in real time too.
     let cluster = GRouting::builder()
         .graph(DatasetProfile::tiny(ProfileName::Memetracker).generate())
         .storage_servers(2)
@@ -33,7 +45,7 @@ fn live_results_match_across_routings() {
         .cache_capacity(16 << 20)
         .build();
     let queries = cluster.hotspot_workload(5, 5, 2, 2, 22);
-    let baseline = cluster.run_live(&queries);
+    let baseline = run_inproc(&cluster, &queries);
     for routing in [
         RoutingKind::NextReady,
         RoutingKind::Landmark,
@@ -46,13 +58,13 @@ fn live_results_match_across_routings() {
             .routing(routing)
             .cache_capacity(16 << 20)
             .build();
-        let r = other.run_live(&queries);
+        let r = run_inproc(&other, &queries);
         assert_eq!(r.results, baseline.results, "{routing}");
     }
 }
 
 #[test]
-fn live_runtime_uses_all_processors() {
+fn inproc_cluster_uses_all_processors() {
     let cluster = GRouting::builder()
         .graph(DatasetProfile::tiny(ProfileName::WebGraph).generate())
         .storage_servers(2)
@@ -61,8 +73,8 @@ fn live_runtime_uses_all_processors() {
         .cache_capacity(16 << 20)
         .build();
     let queries = cluster.hotspot_workload(10, 10, 2, 2, 23);
-    let live = cluster.run_live(&queries);
-    let counts = live.timeline.per_processor_counts(4);
+    let inproc = run_inproc(&cluster, &queries);
+    let counts = inproc.timeline.per_processor_counts(4);
     let active = counts.iter().filter(|&&c| c > 0).count();
     assert!(active >= 3, "only {active} processors did work: {counts:?}");
 }

@@ -111,7 +111,9 @@ fn queries_stay_correct_after_updates() {
             hops: 1,
         },
     ];
-    let live = c.run_live(&queries);
-    assert_eq!(live.results[0].count(), Some(1));
-    assert_eq!(live.results[1].reachable(), Some(true));
+    let run = c
+        .run_cluster(&queries, TransportKind::InProc)
+        .expect("in-proc cluster completes");
+    assert_eq!(run.results[0].count(), Some(1));
+    assert_eq!(run.results[1].reachable(), Some(true));
 }

@@ -1,35 +1,32 @@
-//! A TCP socket cluster and the in-process engine must agree on routing.
+//! A TCP socket cluster and the simulator must agree on routing.
 //!
 //! The wire deployment (`grouting-wire`) replaces every in-process hop —
 //! dispatch, acknowledgement, adjacency fetch — with framed connections,
-//! but it drives the *same* engine: same strategy, same admission window,
-//! same caches, same byte accounting. With a deterministic scheme (hash
-//! routing, stealing off) the two deployments must therefore make
-//! identical per-query routing decisions and produce identical cache
-//! statistics on the same seeded workload, regardless of socket timing.
+//! but it drives the *same* engine as the simulator (`grouting-sim`):
+//! same strategy, same admission window, same caches, same byte
+//! accounting. With a deterministic scheme (hash routing, stealing off)
+//! the two must therefore make identical per-query routing decisions and
+//! produce identical cache statistics on the same seeded workload,
+//! regardless of socket timing.
 //!
 //! The wire miss path ships one pipelined batch per storage server per
-//! hop where the in-process engine fetches node by node — frontier
-//! batching changes how many times the wire is crossed, never what the
-//! caches count.
+//! hop where the simulator's workers fetch from the tier directly —
+//! frontier batching changes how many times the wire is crossed, never
+//! what the caches count.
 
 use std::sync::Arc;
 
-use grouting_core::engine::{EngineAssets, EngineConfig};
+use grouting_core::engine::EngineConfig;
 use grouting_core::gen::{DatasetProfile, ProfileName};
-use grouting_core::graph::CsrGraph;
-use grouting_core::live::run_live;
-use grouting_core::partition::HashPartitioner;
-use grouting_core::query::Query;
+use grouting_core::metrics::Timeline;
+use grouting_core::query::{PrefetchConfig, Query};
 use grouting_core::route::RoutingKind;
-use grouting_core::storage::StorageTier;
+use grouting_core::sim::{simulate, CostModel, SimAssets, SimConfig, SimReport};
 use grouting_core::wire::{launch_cluster, ClusterConfig, ClusterRun, TransportKind};
 use grouting_core::workload::{hotspot_workload, QueryMix, WorkloadConfig};
 
-fn seeded_setup() -> (EngineAssets, Vec<Query>) {
-    let graph: CsrGraph = DatasetProfile::tiny(ProfileName::WebGraph).generate();
-    let tier = Arc::new(StorageTier::new(Arc::new(HashPartitioner::new(3))));
-    tier.load_graph(&graph).unwrap();
+fn seeded_setup() -> (SimAssets, Vec<Query>) {
+    let graph = Arc::new(DatasetProfile::tiny(ProfileName::WebGraph).generate());
     let queries = hotspot_workload(
         &graph,
         &WorkloadConfig {
@@ -43,7 +40,21 @@ fn seeded_setup() -> (EngineAssets, Vec<Query>) {
         },
     )
     .queries;
-    (EngineAssets::new(tier), queries)
+    (SimAssets::paper_defaults(graph, 3), queries)
+}
+
+/// The in-process reference: the deterministic simulator on `engine`.
+fn reference(assets: &SimAssets, queries: &[Query], engine: EngineConfig) -> SimReport {
+    let config = SimConfig {
+        engine,
+        cost: CostModel::infiniband(),
+    };
+    simulate(assets, queries, &config)
+}
+
+/// The deployment under test, over the reference's storage tier.
+fn wire(assets: &SimAssets, queries: &[Query], config: &ClusterConfig) -> ClusterRun {
+    launch_cluster(&assets.engine_assets(), queries, config).expect("wire cluster completes")
 }
 
 /// Hash routing with stealing disabled is fully deterministic: the
@@ -53,7 +64,7 @@ fn seeded_setup() -> (EngineAssets, Vec<Query>) {
 ///
 /// `overlap: 1` pins the strictly serial processor path: with one query in
 /// flight per processor, the staged wire executor replays the exact access
-/// sequence of the in-process engine, making cache statistics
+/// sequence of the simulator's workers, making cache statistics
 /// byte-comparable. (Overlap ≥ 2 interleaves queries over a shared cache,
 /// which legally shifts the hit/miss split between them — covered by the
 /// overlap-4 test below, which pins answers and routing instead.)
@@ -75,9 +86,9 @@ fn env_transport() -> TransportKind {
 }
 
 /// Per-query processor assignments, in sequence order.
-fn assignments(report: &ClusterRun, queries: usize) -> Vec<usize> {
+fn assignments(timeline: &Timeline, queries: usize) -> Vec<usize> {
     let mut by_seq = vec![usize::MAX; queries];
-    for r in report.timeline.records() {
+    for r in timeline.records() {
         assert_eq!(by_seq[r.seq as usize], usize::MAX, "duplicate completion");
         by_seq[r.seq as usize] = r.processor;
     }
@@ -92,26 +103,25 @@ fn assert_agreement(transport: TransportKind) {
     let (assets, queries) = seeded_setup();
     let cfg = deterministic_config();
 
-    let inproc = run_live(&assets, &queries, &cfg);
-    let wired = launch_cluster(&assets, &queries, &ClusterConfig::new(cfg, transport))
-        .expect("wire cluster completes");
+    let sim = reference(&assets, &queries, cfg);
+    let wired = wire(&assets, &queries, &ClusterConfig::new(cfg, transport));
 
     // Identical answers…
-    assert_eq!(wired.results, inproc.results);
+    assert_eq!(wired.results, sim.results);
     // …identical per-query routing decisions…
     assert_eq!(
-        assignments(&wired, queries.len()),
-        assignments(&inproc, queries.len()),
+        assignments(&wired.timeline, queries.len()),
+        assignments(&sim.timeline, queries.len()),
         "routing assignments diverged over {transport}"
     );
     // …and identical cache statistics (hence identical hit rates).
     assert_eq!(
-        wired.snapshot.cache_hits, inproc.snapshot.cache_hits,
+        wired.snapshot.cache_hits, sim.cache_hits,
         "hit counts diverged over {transport}"
     );
-    assert_eq!(wired.snapshot.cache_misses, inproc.snapshot.cache_misses);
+    assert_eq!(wired.snapshot.cache_misses, sim.cache_misses);
     assert_eq!(wired.snapshot.stolen, 0);
-    assert_eq!(inproc.snapshot.stolen, 0);
+    assert_eq!(sim.stolen, 0);
     assert!(wired.hit_rate() > 0.0, "workload should produce hits");
 }
 
@@ -119,7 +129,7 @@ fn assert_agreement(transport: TransportKind) {
 fn batched_tcp_cluster_agrees_with_inproc_engine() {
     // The acceptance gate for `grouting-flow`: frontier-batched fetching
     // over real sockets lands on the same routing assignments and the
-    // same hit/miss counts as the in-proc serial engine.
+    // same hit/miss counts as the simulator's serial workers.
     // `GROUTING_NO_SOCKETS=1` falls back to the in-proc fabric so
     // sandboxes without loopback still exercise the full protocol path.
     assert_agreement(env_transport());
@@ -135,23 +145,22 @@ fn overlap4_cluster_matches_assignments_and_results() {
     // Cross-query fetch overlap must never change WHAT is computed or
     // WHERE: with hash routing and stealing off, the assignment is a pure
     // function of the query node, so even four queries in flight per
-    // processor must reproduce the in-process engine's routing decisions
-    // and answers exactly. (Cache-stat equality is deliberately not
-    // asserted here — interleaved queries may split hits/misses between
-    // themselves differently; total accesses are pinned by the
-    // overlap-pipeline unit tests.)
+    // processor must reproduce the simulator's routing decisions and
+    // answers exactly. (Cache-stat equality is deliberately not asserted
+    // here — interleaved queries may split hits/misses between themselves
+    // differently; total accesses are pinned by the overlap-pipeline unit
+    // tests.)
     let (assets, queries) = seeded_setup();
     let cfg = EngineConfig {
         overlap: 4,
         ..deterministic_config()
     };
-    let inproc = run_live(&assets, &queries, &cfg);
-    let wired = launch_cluster(&assets, &queries, &ClusterConfig::new(cfg, env_transport()))
-        .expect("overlap-4 wire cluster completes");
-    assert_eq!(wired.results, inproc.results);
+    let sim = reference(&assets, &queries, cfg);
+    let wired = wire(&assets, &queries, &ClusterConfig::new(cfg, env_transport()));
+    assert_eq!(wired.results, sim.results);
     assert_eq!(
-        assignments(&wired, queries.len()),
-        assignments(&inproc, queries.len()),
+        assignments(&wired.timeline, queries.len()),
+        assignments(&sim.timeline, queries.len()),
         "routing assignments diverged at overlap 4"
     );
     assert_eq!(wired.snapshot.stolen, 0);
@@ -162,16 +171,14 @@ fn prefetching_cluster_agrees_with_prefetch_off_engine() {
     // The speculative-prefetch acceptance gate: with `GROUTING_PREFETCH`
     // semantics on (hotspot policy, default budget) the wire cluster must
     // produce identical answers, identical per-query routing assignments,
-    // and identical *demand* cache statistics to the in-process engine
-    // running with prefetch off — speculation moves bytes earlier, never
+    // and identical *demand* cache statistics to the simulator running
+    // with prefetch off — speculation moves bytes earlier, never
     // what Eq. 8/9 count. The run must also actually speculate (a vacuous
     // pass with zero issued prefetches would prove nothing).
     let (assets, queries) = seeded_setup();
     let off_cfg = deterministic_config();
     let on_cfg = EngineConfig {
-        prefetch: grouting_core::query::PrefetchConfig::with_policy(
-            grouting_core::query::PrefetchPolicy::Hotspot,
-        ),
+        prefetch: PrefetchConfig::with_policy(grouting_core::query::PrefetchPolicy::Hotspot),
         // A cache too small to retain the hotspot region: repeat traffic
         // keeps missing, which is exactly where speculation fires.
         cache_capacity: 64 << 10,
@@ -182,25 +189,24 @@ fn prefetching_cluster_agrees_with_prefetch_off_engine() {
         ..off_cfg
     };
 
-    let inproc = run_live(&assets, &queries, &small_cache_off);
-    let wired = launch_cluster(
+    let sim = reference(&assets, &queries, small_cache_off);
+    let wired = wire(
         &assets,
         &queries,
         &ClusterConfig::new(on_cfg, env_transport()),
-    )
-    .expect("prefetching wire cluster completes");
+    );
 
-    assert_eq!(wired.results, inproc.results);
+    assert_eq!(wired.results, sim.results);
     assert_eq!(
-        assignments(&wired, queries.len()),
-        assignments(&inproc, queries.len()),
+        assignments(&wired.timeline, queries.len()),
+        assignments(&sim.timeline, queries.len()),
         "routing assignments diverged under prefetch"
     );
     assert_eq!(
-        wired.snapshot.cache_hits, inproc.snapshot.cache_hits,
+        wired.snapshot.cache_hits, sim.cache_hits,
         "demand hit counts diverged under prefetch"
     );
-    assert_eq!(wired.snapshot.cache_misses, inproc.snapshot.cache_misses);
+    assert_eq!(wired.snapshot.cache_misses, sim.cache_misses);
     assert!(
         wired.snapshot.prefetch_issued > 0,
         "the run must actually speculate to pin anything"
@@ -210,7 +216,8 @@ fn prefetching_cluster_agrees_with_prefetch_off_engine() {
         "hotspot repeats must be served from the staging buffer"
     );
     assert_eq!(
-        inproc.snapshot.prefetch_issued, 0,
+        small_cache_off.prefetch,
+        PrefetchConfig::OFF,
         "the reference must not speculate"
     );
 }
@@ -229,25 +236,21 @@ fn epoll_and_sweep_backends_agree_byte_for_byte() {
     // `GROUTING_NO_SOCKETS=1`), this compares the fallback with itself.
     let (assets, queries) = seeded_setup();
     let cfg = EngineConfig {
-        prefetch: grouting_core::query::PrefetchConfig::with_policy(
-            grouting_core::query::PrefetchPolicy::Hotspot,
-        ),
+        prefetch: PrefetchConfig::with_policy(grouting_core::query::PrefetchPolicy::Hotspot),
         // Small enough that the hotspot region keeps missing, so the run
         // actually speculates and the prefetch comparison pins something.
         cache_capacity: 64 << 10,
         ..deterministic_config()
     };
-    let run_over = |transport: TransportKind| {
-        launch_cluster(&assets, &queries, &ClusterConfig::new(cfg, transport))
-            .expect("wire cluster completes")
-    };
+    let run_over =
+        |transport: TransportKind| wire(&assets, &queries, &ClusterConfig::new(cfg, transport));
     let sweep = run_over(TransportKind::InProc);
     let epoll = run_over(env_transport());
 
     assert_eq!(epoll.results, sweep.results);
     assert_eq!(
-        assignments(&epoll, queries.len()),
-        assignments(&sweep, queries.len()),
+        assignments(&epoll.timeline, queries.len()),
+        assignments(&sweep.timeline, queries.len()),
         "routing assignments diverged between wait regimes"
     );
     assert_eq!(
@@ -286,9 +289,7 @@ fn tracing_levels_pin_byte_identical_statistics() {
     let (assets, queries) = seeded_setup();
     let run_at = |level: TraceLevel| {
         let cfg = EngineConfig {
-            prefetch: grouting_core::query::PrefetchConfig::with_policy(
-                grouting_core::query::PrefetchPolicy::Hotspot,
-            ),
+            prefetch: PrefetchConfig::with_policy(grouting_core::query::PrefetchPolicy::Hotspot),
             // Small enough that the run actually speculates, so the
             // prefetch-tally comparison pins something real.
             cache_capacity: 64 << 10,
@@ -298,7 +299,7 @@ fn tracing_levels_pin_byte_identical_statistics() {
             trace: level,
             ..ClusterConfig::new(cfg, env_transport())
         };
-        launch_cluster(&assets, &queries, &config).expect("traced wire cluster completes")
+        wire(&assets, &queries, &config)
     };
     let off = run_at(TraceLevel::Off);
     let stats = run_at(TraceLevel::Stats);
@@ -307,8 +308,8 @@ fn tracing_levels_pin_byte_identical_statistics() {
     for (level, traced) in [("stats", &stats), ("spans", &spans)] {
         assert_eq!(traced.results, off.results, "answers diverged at {level}");
         assert_eq!(
-            assignments(traced, queries.len()),
-            assignments(&off, queries.len()),
+            assignments(&traced.timeline, queries.len()),
+            assignments(&off.timeline, queries.len()),
             "routing assignments diverged at {level}"
         );
         assert_eq!(
@@ -365,6 +366,7 @@ fn observability_pins_byte_identical_statistics() {
     // accounting, NOT sampling artifacts, so they too must match exactly.
     use grouting_core::wire::ObsConfig;
     let (assets, queries) = seeded_setup();
+    let assets = assets.engine_assets();
     let cfg = deterministic_config();
     let run_with = |transport: TransportKind, obs: ObsConfig| -> ClusterRun {
         let cluster_cfg = ClusterConfig {
@@ -433,13 +435,12 @@ fn no_cache_scheme_has_zero_hits_over_the_wire() {
         stealing: false,
         ..EngineConfig::paper_default(3, RoutingKind::NoCache)
     };
-    let wired = launch_cluster(&assets, &queries, &ClusterConfig::new(cfg, env_transport()))
-        .expect("wire cluster completes");
-    let inproc = run_live(&assets, &queries, &cfg);
+    let wired = wire(&assets, &queries, &ClusterConfig::new(cfg, env_transport()));
+    let sim = reference(&assets, &queries, cfg);
     assert_eq!(wired.snapshot.cache_hits, 0);
-    assert_eq!(inproc.snapshot.cache_hits, 0);
-    assert_eq!(wired.snapshot.cache_misses, inproc.snapshot.cache_misses);
-    assert_eq!(wired.results, inproc.results);
+    assert_eq!(sim.cache_hits, 0);
+    assert_eq!(wired.snapshot.cache_misses, sim.cache_misses);
+    assert_eq!(wired.results, sim.results);
 }
 
 #[test]
@@ -452,9 +453,8 @@ fn stealing_over_the_wire_still_answers_identically() {
         cache_capacity: 8 << 20,
         ..EngineConfig::paper_default(4, RoutingKind::Hash)
     };
-    let wired = launch_cluster(&assets, &queries, &ClusterConfig::new(cfg, env_transport()))
-        .expect("wire cluster completes");
-    let inproc = run_live(&assets, &queries, &cfg);
-    assert_eq!(wired.results, inproc.results);
+    let wired = wire(&assets, &queries, &ClusterConfig::new(cfg, env_transport()));
+    let sim = reference(&assets, &queries, cfg);
+    assert_eq!(wired.results, sim.results);
     assert_eq!(wired.timeline.len(), queries.len());
 }
