@@ -17,12 +17,13 @@
 
 use grouting_graph::{CsrGraph, NodeId};
 use grouting_metrics::Histogram;
-use grouting_partition::{Partitioner, TablePartitioner};
 use grouting_query::{Query, QueryResult};
+use grouting_storage::Partitioner;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::BaselineReport;
+use crate::TablePartitioner;
 
 /// BSP engine cost model and shape.
 #[derive(Debug, Clone, Copy)]
@@ -295,9 +296,9 @@ fn bsp_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multilevel::{partition, MultilevelConfig};
     use grouting_graph::traversal::{h_hop_neighborhood, Direction};
     use grouting_graph::GraphBuilder;
-    use grouting_partition::multilevel::{partition, MultilevelConfig};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)

@@ -11,12 +11,12 @@
 
 use grouting_graph::{CsrGraph, NodeId};
 use grouting_metrics::Histogram;
-use grouting_partition::vertexcut::VertexCut;
 use grouting_query::{Query, QueryResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::BaselineReport;
+use crate::vertexcut::VertexCut;
 
 /// GAS engine cost model.
 #[derive(Debug, Clone, Copy)]
@@ -251,9 +251,9 @@ fn gas_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vertexcut::greedy_vertex_cut;
     use grouting_graph::traversal::{h_hop_neighborhood, Direction};
     use grouting_graph::GraphBuilder;
-    use grouting_partition::vertexcut::greedy_vertex_cut;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)

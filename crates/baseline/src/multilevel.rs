@@ -376,8 +376,8 @@ pub fn partition(g: &CsrGraph, config: &MultilevelConfig) -> TablePartitioner {
 mod tests {
     use super::*;
     use crate::quality::{balance, edge_cut, edge_cut_fraction};
-    use crate::{HashPartitioner, Partitioner};
     use grouting_graph::{GraphBuilder, NodeId};
+    use grouting_storage::{HashPartitioner, Partitioner};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)

@@ -1,8 +1,9 @@
-//! Partition-quality metrics: edge-cut, balance, replication factor.
+//! Partition-quality metrics: edge-cut, balance, replication factor. The
+//! cuts' tests use them as their oracle.
 
 use grouting_graph::CsrGraph;
 
-use crate::Partitioner;
+use grouting_storage::Partitioner;
 
 /// Number of directed edges whose endpoints live on different partitions.
 pub fn edge_cut(g: &CsrGraph, p: &dyn Partitioner) -> usize {
@@ -78,8 +79,9 @@ pub fn replication_factor(g: &CsrGraph, edge_parts: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HashPartitioner, TablePartitioner};
+    use crate::TablePartitioner;
     use grouting_graph::{GraphBuilder, NodeId};
+    use grouting_storage::HashPartitioner;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)

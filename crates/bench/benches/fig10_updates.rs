@@ -18,9 +18,9 @@ use grouting_core::embed::landmarks::{LandmarkConfig, Landmarks};
 use grouting_core::gen::ProfileName;
 use grouting_core::graph::subgraph::{fraction_mask, induced_subgraph};
 use grouting_core::metrics::TableReport;
-use grouting_core::partition::HashPartitioner;
 use grouting_core::prelude::*;
 use grouting_core::sim::{simulate, SimAssets, SimConfig};
+use grouting_core::storage::HashPartitioner;
 use grouting_core::storage::StorageTier;
 
 fn main() {

@@ -15,9 +15,9 @@ use grouting_core::embed::embedding::{Embedding, EmbeddingConfig};
 use grouting_core::embed::landmarks::{LandmarkConfig, Landmarks};
 use grouting_core::gen::ProfileName;
 use grouting_core::metrics::TableReport;
-use grouting_core::partition::HashPartitioner;
 use grouting_core::prelude::*;
 use grouting_core::sim::{simulate, SimAssets, SimConfig};
+use grouting_core::storage::HashPartitioner;
 use grouting_core::storage::StorageTier;
 
 fn run_with(

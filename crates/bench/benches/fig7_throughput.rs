@@ -12,11 +12,11 @@
 use std::time::Instant;
 
 use grouting_bench::{bench_assets, bench_sim_config, paper_workload, PAPER_PROCESSORS};
+use grouting_core::baseline::multilevel::{partition, MultilevelConfig};
+use grouting_core::baseline::vertexcut::greedy_vertex_cut;
 use grouting_core::baseline::{run_bsp, run_gas, BspConfig, GasConfig};
 use grouting_core::gen::ProfileName;
 use grouting_core::metrics::TableReport;
-use grouting_core::partition::multilevel::{partition, MultilevelConfig};
-use grouting_core::partition::vertexcut::greedy_vertex_cut;
 use grouting_core::prelude::*;
 use grouting_core::sim::{simulate, CostModel};
 

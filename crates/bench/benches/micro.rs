@@ -14,10 +14,10 @@ use grouting_core::embed::{EmbeddingConfig, ProcessorDistanceTable};
 use grouting_core::gen::community::{generate, CommunityConfig};
 use grouting_core::graph::traversal::{bfs_distances, Direction};
 use grouting_core::graph::NodeId;
-use grouting_core::partition::murmur3::{hash_node, murmur3_x64_128};
-use grouting_core::partition::{HashPartitioner, Partitioner};
 use grouting_core::query::Query;
 use grouting_core::route::{EmbedRouter, Strategy};
+use grouting_core::storage::murmur3::hash_node;
+use grouting_core::storage::{HashPartitioner, Partitioner};
 
 fn bench_graph() -> grouting_core::graph::CsrGraph {
     generate(
@@ -71,10 +71,6 @@ fn murmur(c: &mut Criterion) {
             i = i.wrapping_add(1);
             std::hint::black_box(hash_node(i, 0x9747_b28c))
         })
-    });
-    g.bench_function("x64_128_64B", |b| {
-        let data = [0xABu8; 64];
-        b.iter(|| std::hint::black_box(murmur3_x64_128(&data, 1)))
     });
     g.finish();
 }

@@ -5,28 +5,27 @@
 //! Processing Tier"). The paper uses LRU ("we chose the LRU eviction policy
 //! because of its simplicity … it favors recent queries, thus it performs
 //! well with our smart routing schemes"); [`LruCache`] is the default used
-//! everywhere. [`FifoCache`] and [`LfuCache`] exist for the cache-policy
-//! ablation bench, and [`UnboundedCache`] models the "sufficient capacity"
-//! configuration of §4.3.
+//! everywhere. FIFO and LFU exist for the cache-policy ablation bench
+//! ([`Policy::Fifo`], [`Policy::Lfu`]), and [`NullCache`] is the no-cache
+//! control.
 //!
 //! All caches implement [`Cache`] and account capacity in *bytes*, not
 //! entries, because adjacency records vary enormously in size on power-law
 //! graphs (a hub's record can be megabytes).
 
-pub mod fifo;
-pub mod lfu;
-pub mod lru;
-pub mod null;
-pub mod unbounded;
+mod fifo;
+mod lfu;
+mod lru;
+mod null;
 
-pub use fifo::FifoCache;
-pub use lfu::LfuCache;
 pub use lru::LruCache;
 pub use null::NullCache;
-pub use unbounded::UnboundedCache;
 
 use std::collections::HashMap;
 use std::hash::Hash;
+
+use fifo::FifoCache;
+use lfu::LfuCache;
 
 /// The key → entry table inside every policy. In this system the keys are
 /// node ids, so the tables hash with the record path's integer hasher (see

@@ -36,10 +36,9 @@
 //! | Module | Backing crate | Contents |
 //! |---|---|---|
 //! | [`graph`] | `grouting-graph` | CSR graph, labels, traversal, updates |
-//! | [`gen`] | `grouting-gen` | R-MAT/BA/ER/WS generators, dataset profiles |
-//! | [`partition`] | `grouting-partition` | MurmurHash3, multilevel, vertex-cut |
-//! | [`storage`] | `grouting-storage` | log-structured KV tier, network models |
-//! | [`cache`] | `grouting-cache` | LRU/FIFO/LFU/unbounded/null caches |
+//! | [`gen`] | `grouting-gen` | community and Erdős–Rényi generators, dataset profiles |
+//! | [`storage`] | `grouting-storage` | log-structured KV tier, MurmurHash3 hash placement, network models |
+//! | [`cache`] | `grouting-cache` | LRU/FIFO/LFU/null caches |
 //! | [`embed`] | `grouting-embed` | landmarks, pivots, simplex embedding |
 //! | [`route`] | `grouting-route` | the router and all routing strategies |
 //! | [`query`] | `grouting-query` | queries + executors + fetch layer |
@@ -47,8 +46,8 @@
 //! | [`engine`] | `grouting-engine` | the shared engine builder both runtimes drive |
 //! | [`sim`] | `grouting-sim` | deterministic discrete-event cluster |
 //! | [`wire`] | `grouting-wire` | framed RPC: transports, services, the real-time cluster (TCP or in-proc) |
-//! | [`baseline`] | `grouting-baseline` | SEDGE/Giraph-style BSP, PowerGraph-style GAS |
-//! | [`metrics`] | `grouting-metrics` | histograms, timelines, heatmaps, reporters |
+//! | [`baseline`] | `grouting-baseline` | SEDGE/Giraph-style BSP on multilevel edge-cuts, PowerGraph-style GAS on vertex-cuts |
+//! | [`metrics`] | `grouting-metrics` | histograms, timelines, heatmaps, table reporter |
 //! | [`obs`] | `grouting-obs` | metrics registry, scrape endpoint, flight recorder |
 
 pub use grouting_baseline as baseline;
@@ -59,7 +58,6 @@ pub use grouting_gen as gen;
 pub use grouting_graph as graph;
 pub use grouting_metrics as metrics;
 pub use grouting_obs as obs;
-pub use grouting_partition as partition;
 pub use grouting_query as query;
 pub use grouting_route as route;
 pub use grouting_sim as sim;
@@ -68,9 +66,7 @@ pub use grouting_trace as trace;
 pub use grouting_wire as wire;
 pub use grouting_workload as workload;
 
-pub mod cluster;
-
-pub use cluster::{GRouting, GRoutingBuilder};
+mod cluster;
 
 /// One-stop imports for applications.
 pub mod prelude {

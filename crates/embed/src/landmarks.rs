@@ -106,6 +106,7 @@ impl Landmarks {
     }
 
     /// Distances from `node` to every landmark.
+    #[cfg(test)]
     pub fn node_vector(&self, node: NodeId) -> Vec<u16> {
         self.dist.iter().map(|row| row[node.index()]).collect()
     }
@@ -113,36 +114,6 @@ impl Landmarks {
     /// Bytes consumed by the distance matrix (Table 2/3 accounting).
     pub fn storage_bytes(&self) -> usize {
         self.dist.iter().map(|row| row.len() * 2).sum::<usize>() + self.nodes.len() * 4
-    }
-
-    /// Upper bound on `d(u, v)` through the best landmark (Eq. 2).
-    pub fn distance_upper_bound(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        (0..self.len())
-            .filter_map(|i| {
-                let du = self.distance(i, u);
-                let dv = self.distance(i, v);
-                if du == UNREACHED_U16 || dv == UNREACHED_U16 {
-                    None
-                } else {
-                    Some(du as u32 + dv as u32)
-                }
-            })
-            .min()
-    }
-
-    /// Lower bound on `d(u, v)` through the best landmark (Eq. 2).
-    pub fn distance_lower_bound(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        (0..self.len())
-            .filter_map(|i| {
-                let du = self.distance(i, u);
-                let dv = self.distance(i, v);
-                if du == UNREACHED_U16 || dv == UNREACHED_U16 {
-                    None
-                } else {
-                    Some((du as i64 - dv as i64).unsigned_abs() as u32)
-                }
-            })
-            .max()
     }
 }
 
@@ -411,24 +382,6 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(lm.distance(0, v) as u32, truth[v.index()]);
         }
-    }
-
-    #[test]
-    fn triangle_inequality_bounds_hold() {
-        let g = ring(24);
-        let lm = Landmarks::build(
-            &g,
-            &LandmarkConfig {
-                count: 4,
-                min_separation: 3,
-            },
-        );
-        // Ring distance between nodes 2 and 7 is 5.
-        let (u, v) = (n(2), n(7));
-        let lo = lm.distance_lower_bound(u, v).unwrap();
-        let hi = lm.distance_upper_bound(u, v).unwrap();
-        assert!(lo <= 5, "lower bound {lo}");
-        assert!(hi >= 5, "upper bound {hi}");
     }
 
     #[test]

@@ -5,24 +5,25 @@
 //! 1. [`landmarks`] selects a small set `L` of high-degree, well-separated
 //!    landmark nodes and runs bit-parallel bi-directed BFS over batches of
 //!    up to 64 landmarks, producing the `|L| × n` hop-distance matrix;
-//! 2. **Landmark routing** ([`pivots`]) assigns landmarks to processors via
-//!    farthest-point pivots and materialises the `n × P` node→processor
-//!    distance table the router consults in O(P);
+//! 2. **Landmark routing** ([`ProcessorDistanceTable`]) assigns landmarks
+//!    to processors via farthest-point pivots and materialises the `n × P`
+//!    node→processor distance table the router consults in O(P);
 //! 3. **Embed routing** ([`embedding`]) instead embeds the graph into a
 //!    D-dimensional Euclidean space with the Simplex-Downhill minimiser
 //!    ([`simplex`]), preserving hop distances by relative error (Eq. 4);
 //!    the router then tracks an EMA of each processor's served coordinates.
 //!
 //! [`updates`] implements the paper's incremental maintenance rules for
-//! node/edge additions and deletions, and [`error`] the relative-error
-//! evaluation used for Figure 12(a).
+//! node/edge additions and deletions, [`DynamicLandmarks`] the
+//! shortest-path-tree alternative for keeping landmark distances current,
+//! and [`error`] the relative-error evaluation used for Figure 12(a).
 
 pub mod embedding;
 pub mod error;
 pub mod landmarks;
-pub mod pivots;
+mod pivots;
 pub mod simplex;
-pub mod spt;
+mod spt;
 pub mod updates;
 
 pub use embedding::{Embedding, EmbeddingConfig};

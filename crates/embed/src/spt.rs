@@ -239,7 +239,8 @@ impl LandmarkTree {
         }
     }
 
-    /// Test/diagnostic helper: does the tree match a from-scratch BFS?
+    /// Test oracle: does the tree match a from-scratch BFS?
+    #[cfg(test)]
     pub fn verify(&self, g: &DynamicGraph) -> bool {
         let fresh = LandmarkTree::build(g, self.root);
         fresh.dist == self.dist
@@ -280,8 +281,9 @@ impl DynamicLandmarks {
         }
     }
 
-    /// The node's distance vector to all landmarks — same shape as
-    /// [`crate::landmarks::Landmarks::node_vector`], but always current.
+    /// The node's distance vector to all landmarks, in landmark order —
+    /// one column of [`crate::landmarks::Landmarks`]' matrix, but always
+    /// current.
     pub fn node_vector(&self, v: NodeId) -> Vec<u16> {
         self.trees.iter().map(|t| t.distance_u16(v)).collect()
     }

@@ -459,7 +459,7 @@ impl Engine {
 mod tests {
     use super::*;
     use grouting_graph::{GraphBuilder, NodeId};
-    use grouting_partition::HashPartitioner;
+    use grouting_storage::HashPartitioner;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)

@@ -5,8 +5,7 @@
 //! something to filter on. Labels are drawn from Zipf distributions because
 //! real type/relation frequencies are heavily skewed.
 
-use grouting_graph::{CsrGraph, EdgeLabelId, GraphBuilder, NodeId, NodeLabelId};
-use rand::Rng;
+use grouting_graph::{CsrGraph, EdgeLabelId, GraphBuilder, NodeLabelId};
 
 use crate::rng;
 use crate::zipf::Zipf;
@@ -67,18 +66,6 @@ pub fn label_histogram(g: &CsrGraph) -> Vec<(NodeLabelId, usize)> {
     counts.into_iter().collect()
 }
 
-/// Picks a node carrying `label`, scanning from a seeded random offset.
-pub fn any_node_with_label(g: &CsrGraph, label: NodeLabelId, seed: u64) -> Option<NodeId> {
-    let n = g.node_count();
-    if n == 0 {
-        return None;
-    }
-    let start = rng(seed).gen_range(0..n);
-    (0..n)
-        .map(|i| NodeId::new(((start + i) % n) as u32))
-        .find(|&v| g.node_label(v) == Some(label))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,16 +110,5 @@ mod tests {
                 assert!(l.0 >= 1);
             }
         }
-    }
-
-    #[test]
-    fn find_node_with_label() {
-        let g = er::generate(200, 600, 7);
-        let lg = assign_labels(&g, &LabelConfig::default(), 8);
-        let hist = label_histogram(&lg);
-        let (label, _) = hist[0];
-        let found = any_node_with_label(&lg, label, 9).unwrap();
-        assert_eq!(lg.node_label(found), Some(label));
-        assert_eq!(any_node_with_label(&lg, NodeLabelId::new(9999), 1), None);
     }
 }

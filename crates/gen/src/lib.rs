@@ -3,30 +3,23 @@
 //! The paper evaluates on four real graphs (Table 1) that are not shipped
 //! with this reproduction, so [`profiles`] provides scaled synthetic
 //! stand-ins whose node:edge ratio and degree skew match each dataset (see
-//! DESIGN.md §1 for the substitution argument). The generator family:
+//! DESIGN.md §1 for the substitution argument). The generators behind them:
 //!
-//! * [`rmat`] — recursive-matrix (R-MAT) graphs, the standard power-law web
-//!   graph model;
-//! * [`ba`] — Barabási–Albert preferential attachment, the standard social
-//!   network model;
-//! * [`er`] — Erdős–Rényi `G(n, m)` random graphs (control case);
-//! * [`ws`] — Watts–Strogatz small-world graphs (high local clustering);
-//! * [`zipf`] — a bounded Zipf sampler used for skewed label/workload draws;
+//! * [`community`] — power-law graphs with planted communities, the
+//!   web/social stand-ins;
+//! * `er` — Erdős–Rényi `G(n, m)` random graphs (the Freebase stand-in);
+//! * `zipf` — a bounded Zipf sampler used for skewed label draws;
 //! * [`labels`] — node/edge label assignment for knowledge-graph workloads.
 //!
 //! Every generator is deterministic given a `u64` seed.
 
-pub mod ba;
 pub mod community;
-pub mod er;
+mod er;
 pub mod labels;
 pub mod profiles;
-pub mod rmat;
-pub mod ws;
-pub mod zipf;
+mod zipf;
 
 pub use profiles::{DatasetProfile, ProfileName};
-pub use zipf::Zipf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

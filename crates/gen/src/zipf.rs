@@ -38,32 +38,10 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the domain is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draws one rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-
-    /// Probability mass of `rank`.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        if rank >= self.cdf.len() {
-            return 0.0;
-        }
-        if rank == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[rank] - self.cdf[rank - 1]
-        }
     }
 }
 
@@ -71,14 +49,6 @@ impl Zipf {
 mod tests {
     use super::*;
     use crate::rng;
-
-    #[test]
-    fn pmf_sums_to_one() {
-        let z = Zipf::new(100, 1.0);
-        let total: f64 = (0..100).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert_eq!(z.pmf(100), 0.0);
-    }
 
     #[test]
     fn skew_prefers_low_ranks() {
@@ -95,8 +65,8 @@ mod tests {
     #[test]
     fn uniform_when_s_zero() {
         let z = Zipf::new(4, 0.0);
-        for k in 0..4 {
-            assert!((z.pmf(k) - 0.25).abs() < 1e-9);
+        for (k, c) in z.cdf.iter().enumerate() {
+            assert!((c - 0.25 * (k + 1) as f64).abs() < 1e-9);
         }
     }
 

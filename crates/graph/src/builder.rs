@@ -49,11 +49,6 @@ impl GraphBuilder {
         self.edges.reserve(n);
     }
 
-    /// Declares that the graph has at least `n` nodes (isolated nodes allowed).
-    pub fn ensure_nodes(&mut self, n: usize) {
-        self.min_nodes = self.min_nodes.max(n);
-    }
-
     /// Adds an unlabelled directed edge.
     #[inline]
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) {

@@ -9,7 +9,6 @@
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 
-use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::ids::NodeId;
@@ -210,29 +209,12 @@ impl DynamicGraph {
         }
         seen.into_iter().collect()
     }
-
-    /// Freezes into an immutable CSR graph (node ids are preserved; the CSR
-    /// covers `0..=max_id`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError::TooManyNodes`] from the builder.
-    pub fn to_csr(&self) -> Result<CsrGraph> {
-        let mut b = GraphBuilder::new();
-        let max_id = self.out.keys().map(|n| n.index() + 1).max().unwrap_or(0);
-        b.ensure_nodes(max_id);
-        for (&v, outs) in &self.out {
-            for &w in outs {
-                b.add_edge(v, w);
-            }
-        }
-        b.build()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -317,10 +299,10 @@ mod tests {
 
     #[test]
     fn round_trip_through_csr() {
-        let mut g = DynamicGraph::new();
-        g.add_edge(n(0), n(1));
-        g.add_edge(n(1), n(2));
-        let csr = g.to_csr().unwrap();
+        let mut b = GraphBuilder::new();
+        b.add_edge(n(0), n(1));
+        b.add_edge(n(1), n(2));
+        let csr = b.build().unwrap();
         let back = DynamicGraph::from_csr(&csr);
         assert_eq!(back.node_count(), 3);
         assert_eq!(back.edge_count(), 2);

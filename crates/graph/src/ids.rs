@@ -1,15 +1,11 @@
 //! Compact identifier newtypes for nodes and labels.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node in the graph.
 ///
 /// Stored as `u32`: the paper's largest graph (WebGraph) has ~106 M nodes,
 /// and this reproduction scales graphs down, so 32 bits are ample while
 /// halving adjacency-array memory versus `u64`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct NodeId(pub u32);
 
@@ -52,9 +48,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Interned identifier of a node label (entity attribute, §2.1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct NodeLabelId(pub u16);
 
@@ -73,9 +67,7 @@ impl NodeLabelId {
 }
 
 /// Interned identifier of an edge label (relationship type, §2.1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct EdgeLabelId(pub u16);
 

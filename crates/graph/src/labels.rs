@@ -6,10 +6,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// An interning table mapping label strings to dense ids.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LabelTable {
     names: Vec<String>,
     index: HashMap<String, u16>,

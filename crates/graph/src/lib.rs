@@ -7,37 +7,37 @@
 //!
 //! This crate provides:
 //!
-//! * [`ids`] — compact node/label identifier newtypes;
+//! * [`NodeId`], [`NodeLabelId`], [`EdgeLabelId`] — compact identifier
+//!   newtypes;
 //! * [`hash`] — the integer hasher (and `NodeMap` / `NodeSet` aliases)
 //!   every id-keyed lookup table on the record path uses;
-//! * [`builder`] — an edge-list accumulator that deduplicates and sorts;
-//! * [`csr`] — the immutable compressed-sparse-row graph with both edge
+//! * [`GraphBuilder`] — an edge-list accumulator that deduplicates and sorts;
+//! * [`CsrGraph`] — the immutable compressed-sparse-row graph with both edge
 //!   directions, the workhorse for preprocessing and query execution;
-//! * [`labels`] — interned label tables for nodes and edges;
-//! * [`traversal`] — BFS distance maps, k-hop neighbourhoods, and a
-//!   bidirectional reachability check over the in-memory graph;
+//! * [`LabelTable`] — interned label tables for nodes and edges;
+//! * [`traversal`] — BFS distance maps, k-hop neighbourhoods and hop
+//!   distances over the in-memory graph;
 //! * [`dynamic`] — a mutable adjacency-map graph supporting the paper's
 //!   update model (§3.4, "dealing with graph updates");
-//! * [`stats`] — degree distributions and summary statistics (Table 1);
+//! * [`subgraph`] — induced subgraphs (the refresh scope of an update);
+//! * [`stats`] — summary statistics (Table 1);
 //! * [`codec`] — the compact binary encoding of per-node adjacency values
 //!   used as storage-tier values.
 
-pub mod builder;
+mod builder;
 pub mod codec;
-pub mod csr;
+mod csr;
 pub mod dynamic;
-pub mod error;
+mod error;
 pub mod hash;
-pub mod ids;
-pub mod labels;
-pub mod serialize;
+mod ids;
+mod labels;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use dynamic::DynamicGraph;
 pub use error::GraphError;
 pub use hash::{IdBuildHasher, NodeMap, NodeSet};
 pub use ids::{EdgeLabelId, NodeId, NodeLabelId};

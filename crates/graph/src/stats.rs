@@ -54,40 +54,6 @@ impl GraphStats {
     }
 }
 
-/// Degree distribution as (degree, node-count) pairs sorted by degree.
-pub fn degree_distribution(g: &CsrGraph) -> Vec<(usize, usize)> {
-    let mut counts = std::collections::BTreeMap::new();
-    for v in g.nodes() {
-        *counts.entry(g.degree(v)).or_insert(0usize) += 1;
-    }
-    counts.into_iter().collect()
-}
-
-/// Estimates the power-law exponent of the degree distribution by a simple
-/// maximum-likelihood fit over degrees `>= d_min` (Clauset-style, without
-/// the d_min search).
-///
-/// Returns `None` when fewer than two nodes qualify. Real graphs in the
-/// paper are power-law ("due to power-law degree distribution of real-world
-/// graphs, it is difficult to get high-quality partitions"); tests use this
-/// to check the generators produce the intended skew.
-pub fn powerlaw_alpha_mle(g: &CsrGraph, d_min: usize) -> Option<f64> {
-    let d_min = d_min.max(1);
-    let mut sum_log = 0.0f64;
-    let mut count = 0usize;
-    for v in g.nodes() {
-        let d = g.degree(v);
-        if d >= d_min {
-            sum_log += (d as f64 / (d_min as f64 - 0.5)).ln();
-            count += 1;
-        }
-    }
-    if count < 2 || sum_log <= 0.0 {
-        return None;
-    }
-    Some(1.0 + count as f64 / sum_log)
-}
-
 /// Mean number of nodes within `h` hops over a sample of `sample` sources
 /// (deterministic stride sampling). Matches the paper's reporting of
 /// "average 2-hop neighborhood size".
@@ -148,13 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_distribution_of_star() {
-        let g = star(4);
-        let dist = degree_distribution(&g);
-        assert_eq!(dist, vec![(1, 4), (4, 1)]);
-    }
-
-    #[test]
     fn mean_h_hop_size_star() {
         let g = star(5);
         // Every leaf reaches hub at hop 1 and the other 4 leaves at hop 2;
@@ -164,17 +123,5 @@ mod tests {
         let m2 = mean_h_hop_size(&g, 2, 6);
         assert!(m2 >= m1);
         assert!((m2 - 5.0).abs() < 1e-9, "m2={m2}");
-    }
-
-    #[test]
-    fn alpha_mle_none_for_tiny() {
-        let mut b = GraphBuilder::new();
-        b.add_edge(n(0), n(1));
-        let g = b.build().unwrap();
-        // Both nodes have degree 1 -> sum_log = ln(1/0.5) * 2 > 0, count = 2.
-        let alpha = powerlaw_alpha_mle(&g, 1);
-        assert!(alpha.is_some());
-        let empty = GraphBuilder::new().build().unwrap();
-        assert_eq!(powerlaw_alpha_mle(&empty, 1), None);
     }
 }

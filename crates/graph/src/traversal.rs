@@ -105,38 +105,6 @@ pub fn h_hop_neighborhood(g: &CsrGraph, source: NodeId, h: u32, dir: Direction) 
         .collect()
 }
 
-/// Whether `target` is reachable from `source` within `h` hops following
-/// out-edges, computed by *bidirectional* BFS (forward from the source,
-/// backward from the target), per the paper's §2.2 query (3).
-pub fn reachable_within(g: &CsrGraph, source: NodeId, target: NodeId, h: u32) -> bool {
-    if !g.contains(source) || !g.contains(target) {
-        return false;
-    }
-    if source == target {
-        return true;
-    }
-    if h == 0 {
-        return false;
-    }
-    // Split the hop budget between the two frontiers.
-    let fwd_budget = h / 2 + h % 2;
-    let bwd_budget = h / 2;
-    let fwd = bfs_within(g, source, fwd_budget, Direction::Out);
-    let bwd = bfs_within(g, target, bwd_budget, Direction::In);
-    let mut best_fwd = std::collections::HashMap::new();
-    for (v, d) in fwd {
-        best_fwd.insert(v, d);
-    }
-    for (v, d) in bwd {
-        if let Some(&df) = best_fwd.get(&v) {
-            if df + d <= h {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 /// Exact shortest-path hop distance via forward BFS, `None` if unreachable.
 pub fn hop_distance(g: &CsrGraph, source: NodeId, target: NodeId, dir: Direction) -> Option<u32> {
     if !g.contains(source) || !g.contains(target) {
@@ -229,15 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability_bidirectional() {
-        let g = path_with_chord();
-        assert!(reachable_within(&g, n(0), n(4), 2)); // via chord 0->3->4
-        assert!(!reachable_within(&g, n(0), n(4), 1));
-        assert!(reachable_within(&g, n(0), n(0), 0));
-        assert!(!reachable_within(&g, n(4), n(0), 4)); // directed, no back path
-    }
-
-    #[test]
     fn hop_distance_matches_bfs() {
         let g = path_with_chord();
         assert_eq!(hop_distance(&g, n(0), n(4), Direction::Out), Some(2));
@@ -254,27 +213,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Bidirectional reachability must agree with plain forward BFS.
-        #[test]
-        fn prop_bidi_reach_matches_forward_bfs(
-            edges in proptest::collection::vec((0u32..24, 0u32..24), 1..120),
-            src in 0u32..24,
-            dst in 0u32..24,
-            h in 0u32..6,
-        ) {
-            let mut b = GraphBuilder::with_nodes(24);
-            for (s, d) in &edges {
-                b.add_edge(n(*s), n(*d));
-            }
-            let g = b.build().unwrap();
-            let via_bidi = reachable_within(&g, n(src), n(dst), h);
-            let via_bfs = match hop_distance(&g, n(src), n(dst), Direction::Out) {
-                Some(d) => d <= h,
-                None => false,
-            };
-            proptest::prop_assert_eq!(via_bidi, via_bfs);
-        }
-
         /// Triangle inequality of BFS distances through any intermediate node.
         #[test]
         fn prop_bfs_triangle_inequality(

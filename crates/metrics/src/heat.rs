@@ -44,13 +44,6 @@ impl HeatMap {
         Self::default()
     }
 
-    /// A map pre-sized to `slots` zeroed cells.
-    pub fn with_slots(slots: usize) -> Self {
-        Self {
-            cells: vec![HeatCell::default(); slots],
-        }
-    }
-
     /// Number of slots observed so far.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -275,7 +268,7 @@ mod tests {
 
     #[test]
     fn codec_round_trips_and_rejects_truncation() {
-        let mut h = HeatMap::with_slots(2);
+        let mut h = HeatMap::new();
         h.record_demand(1, 9);
         h.record_speculative(0, 4);
         let mut buf = Vec::new();

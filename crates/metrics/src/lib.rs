@@ -2,27 +2,24 @@
 //!
 //! The paper evaluates three metrics (§4.1): *query response time*, *query
 //! processing throughput*, and *cache hit rate*. This crate provides the
-//! counters, histograms, and meters that the simulator, the wire cluster,
-//! and the benchmark harness use to compute them, plus fixed-width table and
-//! series reporters that print rows in the same shape the paper's tables and
-//! figures report.
+//! histograms, timelines, meters, heatmaps and run snapshots that the
+//! simulator, the wire cluster, and the benchmark harness use to compute
+//! them, plus a fixed-width table reporter that prints rows in the same
+//! shape the paper's tables and figures report.
 
-pub mod counter;
-pub mod heat;
-pub mod histogram;
+mod heat;
+mod histogram;
 pub mod logger;
 pub mod report;
-pub mod snapshot;
-pub mod throughput;
+mod snapshot;
+mod throughput;
 pub mod timeline;
 
-pub use counter::{CacheCounters, Counter};
-pub use heat::{DecayingHeat, HeatCell, HeatMap};
+pub use heat::{DecayingHeat, HeatMap};
 pub use histogram::Histogram;
 pub use logger::set_node_role;
-pub use report::{SeriesReport, TableReport};
+pub use report::TableReport;
 pub use snapshot::{FailoverStats, RunSnapshot};
-pub use throughput::ThroughputMeter;
 pub use timeline::Timeline;
 
 /// Nanoseconds expressed as a plain integer.
@@ -43,11 +40,6 @@ pub fn nanos_to_millis(ns: Nanos) -> f64 {
     ns as f64 / 1e6
 }
 
-/// Converts nanoseconds to fractional seconds for reporting.
-pub fn nanos_to_secs(ns: Nanos) -> f64 {
-    ns as f64 / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,7 +48,5 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(nanos_to_millis(0), 0.0);
         assert_eq!(nanos_to_millis(2_000_000), 2.0);
-        assert_eq!(nanos_to_secs(1_000_000_000), 1.0);
-        assert!((nanos_to_secs(500_000_000) - 0.5).abs() < 1e-12);
     }
 }

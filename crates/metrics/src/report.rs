@@ -1,6 +1,6 @@
-//! Fixed-width table and series reporters for the bench harness.
+//! Fixed-width table reporter for the bench harness.
 //!
-//! Each experiment bench prints its output through these types so every
+//! Each experiment bench prints its output through [`TableReport`] so every
 //! figure/table reproduction has a uniform, diff-friendly shape: a header
 //! block naming the paper artefact, column headers, and one row per
 //! configuration (mirroring the rows/series the paper reports).
@@ -152,54 +152,6 @@ impl TableReport {
     }
 }
 
-/// A named series (x, y) pairs — one curve of a paper figure.
-#[derive(Debug, Clone)]
-pub struct SeriesReport {
-    title: String,
-    x_label: String,
-    series: Vec<(String, Vec<(f64, f64)>)>,
-}
-
-impl SeriesReport {
-    /// Creates a figure-style report with an x-axis label.
-    pub fn new(title: impl Into<String>, x_label: impl Into<String>) -> Self {
-        Self {
-            title: title.into(),
-            x_label: x_label.into(),
-            series: Vec::new(),
-        }
-    }
-
-    /// Adds a named curve.
-    pub fn series(&mut self, name: impl Into<String>, points: Vec<(f64, f64)>) -> &mut Self {
-        self.series.push((name.into(), points));
-        self
-    }
-
-    /// All curves added so far.
-    pub fn curves(&self) -> &[(String, Vec<(f64, f64)>)] {
-        &self.series
-    }
-
-    /// Renders every curve as `x -> y` rows, grouped per series.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "=== {} ===", self.title);
-        for (name, points) in &self.series {
-            let _ = writeln!(out, "[{name}]");
-            for (x, y) in points {
-                let _ = writeln!(out, "  {:>12} {x:>10.2} -> {y:>12.3}", self.x_label);
-            }
-        }
-        out
-    }
-
-    /// Renders and prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,15 +184,5 @@ mod tests {
         assert_eq!(Cell::Float(12345.6).render(), "12346");
         assert_eq!(Cell::Int(5).render(), "5");
         assert_eq!(Cell::Na.render(), "-");
-    }
-
-    #[test]
-    fn series_renders_curves() {
-        let mut s = SeriesReport::new("Fig Y", "processors");
-        s.series("embed", vec![(1.0, 20.0), (7.0, 140.0)]);
-        let out = s.render();
-        assert!(out.contains("[embed]"));
-        assert!(out.contains("140.000"));
-        assert_eq!(s.curves().len(), 1);
     }
 }

@@ -1,6 +1,7 @@
 //! Per-query event timeline used to derive latency and utilisation.
 
-use crate::{Histogram, Nanos, ThroughputMeter};
+use crate::throughput::ThroughputMeter;
+use crate::Nanos;
 
 /// One query's lifecycle timestamps inside a runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,20 +65,6 @@ impl Timeline {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Mean end-to-end response time in nanoseconds, `None` when empty.
-    pub fn mean_response_time(&self) -> Option<f64> {
-        self.latency_histogram().mean()
-    }
-
-    /// Builds a histogram over per-query latency.
-    pub fn latency_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for r in &self.records {
-            h.record(r.latency());
-        }
-        h
     }
 
     /// Builds a throughput meter over the whole run.
@@ -149,15 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_response_time() {
-        let mut t = Timeline::new();
-        t.push(rec(0, 0, 0, 100, 0));
-        t.push(rec(1, 0, 100, 300, 1));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.mean_response_time(), Some(200.0));
-    }
-
-    #[test]
     fn per_processor_counts_and_imbalance() {
         let mut t = Timeline::new();
         for i in 0..8 {
@@ -186,7 +164,6 @@ mod tests {
     fn empty_timeline() {
         let t = Timeline::new();
         assert!(t.is_empty());
-        assert_eq!(t.mean_response_time(), None);
         assert_eq!(t.load_imbalance(4), 0.0);
     }
 }

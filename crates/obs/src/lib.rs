@@ -18,28 +18,26 @@
 //! * [`RegistrySnapshot`] — a registry's current series in a compact wire
 //!   encoding, pushed by processors and storage servers to the router so
 //!   one scrape reads the whole cluster.
-//! * [`FlightRecorder`] — a bounded ring of per-interval counter deltas,
+//! * `FlightRecorder` — a bounded ring of per-interval counter deltas,
 //!   dumped through the logger on fault events or at teardown when
 //!   `GROUTING_OBS_DUMP` is set: the last seconds of a node's life,
 //!   attributable even after it died.
-//! * [`ScrapeServer`] — a non-blocking TCP listener serving the
-//!   Prometheus-style plain-text exposition ([`render_prometheus`]),
-//!   polled from the node's own service loop (`GROUTING_METRICS_ADDR`).
+//! * `ScrapeServer` — a non-blocking TCP listener serving the
+//!   Prometheus-style plain-text exposition, polled from the node's own
+//!   service loop (`GROUTING_METRICS_ADDR`).
 //! * [`NodeObs`] — the per-node bundle gluing the above to a service
 //!   loop: cadenced sampling, scrape polling, and push bookkeeping.
 //!
 //! Observability **observes**; it never steers. With sampling off the
 //! hot paths and every frame on the wire are byte-identical.
 
-pub mod node;
-pub mod recorder;
-pub mod registry;
-pub mod scrape;
+mod node;
+mod recorder;
+mod registry;
+mod scrape;
 
 pub use node::{NodeObs, ObsConfig, DEFAULT_SAMPLE_EVERY_NS};
-pub use recorder::{FlightFrame, FlightRecorder};
-pub use registry::{render_prometheus, Registry, RegistrySnapshot, Sample, SampleKind};
-pub use scrape::ScrapeServer;
+pub use registry::{Registry, RegistrySnapshot};
 
 /// Which tier a node belongs to — the top-level identity of every
 /// registry snapshot and scrape series.

@@ -1,7 +1,6 @@
 //! The per-node observability bundle a service loop drives.
 
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
 
 use grouting_metrics::log_warn;
 
@@ -133,11 +132,6 @@ impl NodeObs {
     /// The `role-id` name of this node.
     pub fn node_name(&self) -> String {
         self.registry.role().node_name(self.registry.id())
-    }
-
-    /// Where this node's exposition is served, when it is.
-    pub fn scrape_addr(&self) -> Option<SocketAddr> {
-        self.scrape.as_ref().map(ScrapeServer::addr)
     }
 
     /// Samples if the cadence says so: `fill` repopulates the registry

@@ -68,26 +68,6 @@ impl FlightRecorder {
         });
     }
 
-    /// Retained intervals, oldest first.
-    pub fn frames(&self) -> impl Iterator<Item = &FlightFrame> {
-        self.frames.iter()
-    }
-
-    /// Intervals retained right now.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Intervals evicted past capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Writes the retained intervals through the logger, newest last.
     /// `node` attributes the dump, `reason` says what triggered it.
     pub fn dump(&self, node: &str, reason: &str) {
@@ -126,8 +106,8 @@ mod tests {
         let mut rec = FlightRecorder::new(8);
         rec.record(&tick(&mut reg, 100, 10, 5.0));
         rec.record(&tick(&mut reg, 200, 25, 7.0));
-        assert_eq!(rec.len(), 2);
-        let frames: Vec<&FlightFrame> = rec.frames().collect();
+        assert_eq!(rec.frames.len(), 2);
+        let frames: Vec<&FlightFrame> = rec.frames.iter().collect();
         assert_eq!(
             frames[0].deltas,
             vec![("grouting_cache_hits_total".to_string(), 10.0)]
@@ -145,7 +125,7 @@ mod tests {
         rec.record(&tick(&mut reg, 100, 10, 0.0));
         rec.record(&tick(&mut reg, 200, 10, 0.0));
         rec.record(&tick(&mut reg, 300, 12, 0.0));
-        assert_eq!(rec.len(), 2, "the flat interval is skipped");
+        assert_eq!(rec.frames.len(), 2, "the flat interval is skipped");
     }
 
     #[test]
@@ -155,9 +135,9 @@ mod tests {
         for i in 1..=5u64 {
             rec.record(&tick(&mut reg, i * 100, i * 10, 0.0));
         }
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 3);
-        assert!(!rec.is_empty());
+        assert_eq!(rec.frames.len(), 2);
+        assert_eq!(rec.dropped, 3);
+        assert!(!rec.frames.is_empty());
         rec.dump("router", "test");
     }
 
@@ -166,7 +146,7 @@ mod tests {
         let mut reg = Registry::new(NodeRole::Router, 0);
         let mut rec = FlightRecorder::new(0);
         rec.record(&tick(&mut reg, 100, 10, 0.0));
-        assert!(rec.is_empty());
-        assert_eq!(rec.dropped(), 0);
+        assert!(rec.frames.is_empty());
+        assert_eq!(rec.dropped, 0);
     }
 }

@@ -9,7 +9,7 @@
 //! answers them on its idle-wait cadence.
 
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use grouting_metrics::{log_debug, log_warn};
@@ -23,7 +23,6 @@ const SCRAPE_IO_TIMEOUT: Duration = Duration::from_millis(100);
 #[derive(Debug)]
 pub struct ScrapeServer {
     listener: TcpListener,
-    addr: SocketAddr,
 }
 
 impl ScrapeServer {
@@ -36,13 +35,7 @@ impl ScrapeServer {
     pub fn bind(addr: &str) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        Ok(Self { listener, addr })
-    }
-
-    /// The actual bound address (resolves a `:0` request).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+        Ok(Self { listener })
     }
 
     /// Accepts and answers every pending scrape. `render` is called once
@@ -90,6 +83,7 @@ impl ScrapeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::SocketAddr;
 
     fn scrape_once(addr: SocketAddr, request: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -107,12 +101,12 @@ mod tests {
             // way the wire tests do.
             Err(_) => return,
         };
-        assert_ne!(server.addr().port(), 0);
+        assert_ne!(server.listener.local_addr().unwrap().port(), 0);
 
         // No pending connection: render must not run.
         server.poll(|| panic!("rendered without a connection"));
 
-        let addr = server.addr();
+        let addr = server.listener.local_addr().unwrap();
         let client = std::thread::spawn(move || scrape_once(addr, "GET /metrics HTTP/1.1\r\n\r\n"));
         // Poll until the connection lands (the client races our accept).
         let mut served = false;

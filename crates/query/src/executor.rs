@@ -60,8 +60,9 @@ impl<'a, S: RecordSource> Executor<'a, S> {
 
     /// An executor whose store carries the processor's speculation state:
     /// frontier fetches piggyback predicted next-hop nodes per the
-    /// configured [`crate::prefetch::Prefetcher`], and demand misses are
-    /// served from the staging buffer when the bytes already arrived.
+    /// configured [`PrefetchPolicy`](crate::PrefetchPolicy), and demand
+    /// misses are served from the staging buffer when the bytes already
+    /// arrived.
     /// Demand accounting stays byte-identical to [`Executor::new`].
     pub fn with_prefetch(
         source: S,
@@ -77,16 +78,6 @@ impl<'a, S: RecordSource> Executor<'a, S> {
     /// far (used by the simulator's storage-contention model).
     pub fn take_miss_log(&mut self) -> Vec<crate::fetch::MissEvent> {
         self.store.take_miss_log()
-    }
-
-    /// Fetches one adjacency record through the cache — the building block
-    /// for composite queries layered on the executor (e.g.
-    /// [`crate::patterns::match_pattern`]).
-    pub fn fetch_record(
-        &mut self,
-        node: NodeId,
-    ) -> Option<std::sync::Arc<grouting_graph::codec::AdjacencyRecord>> {
-        self.store.fetch(node)
     }
 
     /// Cumulative access statistics over everything run on this executor.
@@ -599,7 +590,7 @@ mod tests {
     use grouting_cache::{LruCache, NullCache};
     use grouting_graph::traversal::{h_hop_neighborhood, hop_distance, Direction};
     use grouting_graph::{CsrGraph, GraphBuilder, NodeLabelId};
-    use grouting_partition::HashPartitioner;
+    use grouting_storage::HashPartitioner;
     use grouting_storage::StorageTier;
     use std::sync::Arc;
 

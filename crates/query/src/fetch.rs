@@ -386,7 +386,7 @@ mod tests {
     use super::*;
     use grouting_cache::{LruCache, NullCache};
     use grouting_graph::{GraphBuilder, NodeId};
-    use grouting_partition::HashPartitioner;
+    use grouting_storage::HashPartitioner;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)

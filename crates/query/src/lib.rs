@@ -11,24 +11,19 @@
 //!    over out-edges, backward from the target over in-edges — possible
 //!    because both directions are stored).
 //!
-//! Execution runs against [`fetch::CacheBackedStore`] — the cache-then-
+//! Execution runs against [`CacheBackedStore`] — the cache-then-
 //! storage fetch layer whose hit/miss counts *are* the paper's Eq. 8/9
 //! metrics and whose per-query access statistics the runtimes turn into
 //! simulated (or real) time.
 
-pub mod executor;
-pub mod fetch;
-pub mod patterns;
-pub mod prefetch;
-pub mod types;
+mod executor;
+mod fetch;
+mod prefetch;
+mod types;
 
 pub use executor::{ExecOutcome, Executor, StagedQuery, Step};
 pub use fetch::{
     AccessStats, BatchSource, CacheBackedStore, MissEvent, ProcessorCache, RecordSource,
 };
-pub use patterns::{match_pattern, PathPattern, PatternMatch};
-pub use prefetch::{
-    DegreePrefetcher, HotspotPrefetcher, PrefetchConfig, PrefetchPolicy, PrefetchState,
-    PrefetchStats, Prefetcher,
-};
+pub use prefetch::{PrefetchConfig, PrefetchPolicy, PrefetchState, PrefetchStats};
 pub use types::{Query, QueryResult};

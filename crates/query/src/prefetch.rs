@@ -197,9 +197,6 @@ pub trait Prefetcher: Send {
     /// Observes the demand frontier (every node the query is about to
     /// access), before prediction. History policies learn here.
     fn observe(&mut self, frontier: &[NodeId]);
-
-    /// The policy's display name.
-    fn name(&self) -> &'static str;
 }
 
 /// Structural predictor: the next BFS frontier is the neighbours of the
@@ -242,10 +239,6 @@ impl Prefetcher for DegreePrefetcher {
     }
 
     fn observe(&mut self, _frontier: &[NodeId]) {}
-
-    fn name(&self) -> &'static str {
-        "degree"
-    }
 }
 
 /// History predictor: exponentially decayed per-node access counts (the
@@ -322,10 +315,6 @@ impl Prefetcher for HotspotPrefetcher {
                 self.counts.remove(v);
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "hotspot"
     }
 }
 
@@ -438,11 +427,6 @@ impl PrefetchState {
         } else {
             false
         }
-    }
-
-    /// Bytes currently staged (not yet demanded, not yet wasted).
-    pub fn staged_bytes(&self) -> usize {
-        self.buffer_bytes
     }
 
     /// The speculative tally so far.
@@ -659,7 +643,7 @@ mod tests {
         // Three 10-byte payloads against a 25-byte budget: the oldest is
         // evicted as waste.
         state.absorb(&[n(1), n(2), n(3)], vec![pay(10), pay(10), pay(10)], &cache);
-        assert_eq!(state.staged_bytes(), 20);
+        assert_eq!(state.buffer_bytes, 20);
         assert_eq!(state.stats().wasted_bytes, 10);
         assert!(!state.contains(n(1)), "oldest evicted");
         // Demanding a staged node is a prefetch hit and frees its bytes.
@@ -667,7 +651,7 @@ mod tests {
         assert_eq!(server, 0);
         assert_eq!(bytes.len(), 10);
         assert_eq!(state.stats().hits, 1);
-        assert_eq!(state.staged_bytes(), 10);
+        assert_eq!(state.buffer_bytes, 10);
         // A missing payload stages nothing.
         state.absorb(&[n(9)], vec![None], &cache);
         assert!(!state.contains(n(9)));
@@ -763,7 +747,7 @@ mod tests {
     use crate::fetch::{CacheBackedStore, MissEvent};
     use crate::types::{Query, QueryResult};
     use grouting_graph::GraphBuilder;
-    use grouting_partition::HashPartitioner;
+    use grouting_storage::HashPartitioner;
     use grouting_storage::StorageTier;
 
     fn proptest_tier(edges: &[(u32, u32)], nodes: u32) -> StorageTier {

@@ -103,31 +103,6 @@ impl EmbedRouter {
             *m = self.alpha * *m + (1.0 - self.alpha) * *x as f64;
         }
     }
-
-    /// Grows the mean table when processors are added at runtime (the
-    /// deployment-flexibility benefit of embed routing: preprocessing is
-    /// independent of the processor count).
-    pub fn add_processor(&mut self, seed: u64) {
-        let dim = self.embedding.dim();
-        let n = self.embedding.node_count();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mean = if n == 0 {
-            (0..dim).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect()
-        } else {
-            let node = grouting_graph::NodeId::new(rng.gen_range(0..n) as u32);
-            self.embedding
-                .coords(node)
-                .iter()
-                .map(|&c| c as f64 + rng.gen::<f64>() * 0.25)
-                .collect()
-        };
-        self.means.push(mean);
-    }
-
-    /// Swaps in a refreshed embedding (after offline re-preprocessing).
-    pub fn set_embedding(&mut self, embedding: Arc<Embedding>) {
-        self.embedding = embedding;
-    }
 }
 
 #[cfg(test)]
@@ -276,15 +251,6 @@ mod tests {
         assert!(d > 1e100);
         er.update(n(999), 0); // Must not panic or distort means.
         assert!(er.distance(n(0), 0).is_finite());
-    }
-
-    #[test]
-    fn add_processor_extends_means() {
-        let emb = embedding(16);
-        let mut er = EmbedRouter::new(emb, 2, 0.5, 6);
-        er.add_processor(7);
-        assert_eq!(er.processors(), 3);
-        assert!(er.distance(n(0), 2).is_finite());
     }
 
     #[test]

@@ -6,18 +6,18 @@
 //! node's neighbourhood — without ever inspecting those caches — while
 //! keeping the load balanced.
 //!
-//! * [`strategy`] — the four routing schemes: the two baselines (next-ready,
+//! * [`Strategy`] — the four routing schemes: the two baselines (next-ready,
 //!   modulo hash of Eq. 1) and the two smart schemes (landmark routing over
 //!   the `d(u, p)` table; embed routing over coordinates + per-processor
 //!   EMA, Eq. 5–7), plus the no-cache control;
-//! * [`ema`] — the exponential-moving-average cache-content estimate;
-//! * [`router`] — per-processor queues, acknowledgement-driven dispatch,
+//! * [`EmbedRouter`] — the exponential-moving-average cache-content estimate;
+//! * [`Router`] — per-processor queues, acknowledgement-driven dispatch,
 //!   query stealing (Requirement 2), the load-balanced distance `d_LB`
 //!   (Eq. 3/7), and processor fault masking.
 
-pub mod ema;
-pub mod router;
-pub mod strategy;
+mod ema;
+mod router;
+mod strategy;
 
 pub use ema::EmbedRouter;
 pub use router::{Router, RouterConfig};

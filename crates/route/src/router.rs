@@ -84,11 +84,6 @@ impl Router {
         self.queues.iter().map(VecDeque::len).sum::<usize>() + self.global.len()
     }
 
-    /// Whether any query is waiting.
-    pub fn has_work(&self) -> bool {
-        self.pending() > 0
-    }
-
     /// Queries dispatched so far.
     pub fn dispatched(&self) -> u64 {
         self.dispatched
@@ -259,7 +254,7 @@ mod tests {
         }
         let mut served = [0u64; 2];
         let mut turn = 0;
-        while r.has_work() {
+        while r.pending() > 0 {
             if r.next_for(turn).is_some() {
                 served[turn] += 1;
             }
@@ -300,7 +295,7 @@ mod tests {
         // Any processor can take the next query, in submission order.
         assert_eq!(r.next_for(2).unwrap().0, 0);
         assert_eq!(r.next_for(0).unwrap().0, 1);
-        assert!(!r.has_work());
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]
@@ -381,7 +376,7 @@ mod tests {
             }
             // Drain everything through the surviving processors.
             let mut guard = 0;
-            while r.has_work() && guard < 10_000 {
+            while r.pending() > 0 && guard < 10_000 {
                 guard += 1;
                 for p in 0..4 {
                     if let Some((seq, _)) = r.next_for(p) {

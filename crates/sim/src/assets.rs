@@ -11,8 +11,7 @@ use std::sync::Arc;
 use grouting_embed::embedding::{Embedding, EmbeddingConfig};
 use grouting_embed::landmarks::{LandmarkConfig, Landmarks};
 use grouting_graph::CsrGraph;
-use grouting_partition::HashPartitioner;
-use grouting_storage::StorageTier;
+use grouting_storage::{HashPartitioner, StorageTier};
 
 /// Everything a simulation needs that is independent of P, caches, and the
 /// routing scheme under test.

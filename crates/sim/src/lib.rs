@@ -10,20 +10,20 @@
 //! throughput scales with processors, where cache-size break-evens fall)
 //! reproduce without any wall-clock noise, and every run is deterministic.
 //!
-//! * [`assets`] — preprocessing bundle shared across simulations (graph,
+//! * [`SimAssets`] — preprocessing bundle shared across simulations (graph,
 //!   loaded storage tier, landmarks, embedding);
-//! * [`config`] — the shared `grouting_engine::EngineConfig` (the same
+//! * [`SimConfig`] — the shared `grouting_engine::EngineConfig` (the same
 //!   cluster shape the wire cluster runs) plus the cost model;
-//! * [`runner`] — the event loop (ack-driven closed loop with a bounded
+//! * [`simulate`] — the event loop (ack-driven closed loop with a bounded
 //!   admission window, per-server FCFS storage contention);
-//! * [`report`] — the measurements each run produces, answers included:
+//! * [`SimReport`] — the measurements each run produces, answers included:
 //!   the deterministic reference the real-time wire cluster is checked
 //!   against (`wire_agreement`, `runtime_agreement`).
 
-pub mod assets;
-pub mod config;
-pub mod report;
-pub mod runner;
+mod assets;
+mod config;
+mod report;
+mod runner;
 
 pub use assets::SimAssets;
 pub use config::{CostModel, SimConfig};

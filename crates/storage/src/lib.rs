@@ -5,23 +5,27 @@
 //! graph node's id is the key and its adjacency record the value, and keys
 //! are placed on servers by MurmurHash3. This crate rebuilds that substrate:
 //!
+//! * [`murmur3`] — MurmurHash3 (x86 32-bit), from scratch;
+//! * [`HashPartitioner`] — the stateless modulo-hash placement every
+//!   fetch consults, behind the [`Partitioner`] trait;
 //! * [`log`] — a log-structured in-memory store per server: append-only
 //!   segments, a hash index, and a cleaner that reclaims dead bytes
 //!   (RAMCloud's high-memory-utilisation design);
-//! * [`server`] — a storage server wrapping one log store behind a lock;
-//! * [`tier`] — the horizontal partitioning of the graph across servers and
-//!   the graph-level load/get/update API;
-//! * [`net`] — network cost models (Infiniband RDMA, 10 Gbps Ethernet, and
-//!   custom) that the simulator charges per fetch.
+//! * `server` — a storage server wrapping one log store behind a lock;
+//! * [`StorageTier`] — the horizontal partitioning of the graph across
+//!   servers and the graph-level load/get/update API;
+//! * [`NetworkModel`] — network cost models (Infiniband RDMA, 10 Gbps
+//!   Ethernet, and custom) that the simulator charges per fetch.
 
+mod hash;
 pub mod log;
-pub mod net;
-pub mod server;
-pub mod tier;
+pub mod murmur3;
+mod net;
+mod server;
+mod tier;
 
-pub use log::LogStore;
+pub use hash::{HashPartitioner, Partitioner};
 pub use net::{NetworkModel, Preset};
-pub use server::StorageServer;
 pub use tier::StorageTier;
 
 /// Storage-level errors.

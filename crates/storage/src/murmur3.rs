@@ -3,10 +3,9 @@
 //! RAMCloud — the paper's storage tier — hashes keys with MurmurHash3 to
 //! pick the owning storage server, and gRouting's hash partitioning uses
 //! "RAMCloud's default and inexpensive hash partitioning scheme,
-//! MurmurHash3 over graph nodes" (§4.1). Both the 32-bit x86 variant (used
-//! for partitioning) and the 128-bit x64 variant (used by the log-structured
-//! store's hash index) are provided, matching Austin Appleby's reference
-//! output (verified against published test vectors in the tests below).
+//! MurmurHash3 over graph nodes" (§4.1). This is the 32-bit x86 variant,
+//! matching Austin Appleby's reference output (verified against published
+//! test vectors in the tests below).
 
 /// MurmurHash3 x86 32-bit.
 pub fn murmur3_x86_32(data: &[u8], seed: u32) -> u32 {
@@ -42,71 +41,6 @@ pub fn murmur3_x86_32(data: &[u8], seed: u32) -> u32 {
     fmix32(h1)
 }
 
-/// MurmurHash3 x64 128-bit; returns `(low, high)` halves.
-pub fn murmur3_x64_128(data: &[u8], seed: u64) -> (u64, u64) {
-    const C1: u64 = 0x87c3_7b91_1142_53d5;
-    const C2: u64 = 0x4cf5_ad43_2745_937f;
-
-    let mut h1 = seed;
-    let mut h2 = seed;
-    let chunks = data.chunks_exact(16);
-    let tail = chunks.remainder();
-
-    for chunk in chunks {
-        let mut k1 = u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes"));
-        let mut k2 = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"));
-
-        k1 = k1.wrapping_mul(C1);
-        k1 = k1.rotate_left(31);
-        k1 = k1.wrapping_mul(C2);
-        h1 ^= k1;
-        h1 = h1.rotate_left(27);
-        h1 = h1.wrapping_add(h2);
-        h1 = h1.wrapping_mul(5).wrapping_add(0x52dc_e729);
-
-        k2 = k2.wrapping_mul(C2);
-        k2 = k2.rotate_left(33);
-        k2 = k2.wrapping_mul(C1);
-        h2 ^= k2;
-        h2 = h2.rotate_left(31);
-        h2 = h2.wrapping_add(h1);
-        h2 = h2.wrapping_mul(5).wrapping_add(0x3849_5ab5);
-    }
-
-    let mut k1 = 0u64;
-    let mut k2 = 0u64;
-    for i in (0..tail.len()).rev() {
-        let b = tail[i] as u64;
-        if i >= 8 {
-            k2 ^= b << (8 * (i - 8));
-        } else {
-            k1 ^= b << (8 * i);
-        }
-    }
-    if tail.len() > 8 {
-        k2 = k2.wrapping_mul(C2);
-        k2 = k2.rotate_left(33);
-        k2 = k2.wrapping_mul(C1);
-        h2 ^= k2;
-    }
-    if !tail.is_empty() {
-        k1 = k1.wrapping_mul(C1);
-        k1 = k1.rotate_left(31);
-        k1 = k1.wrapping_mul(C2);
-        h1 ^= k1;
-    }
-
-    h1 ^= data.len() as u64;
-    h2 ^= data.len() as u64;
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    h1 = fmix64(h1);
-    h2 = fmix64(h2);
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    (h1, h2)
-}
-
 /// Hashes a `u32` node id (little-endian bytes) with the 32-bit variant.
 #[inline]
 pub fn hash_node(id: u32, seed: u32) -> u32 {
@@ -120,15 +54,6 @@ fn fmix32(mut h: u32) -> u32 {
     h = h.wrapping_mul(0xc2b2_ae35);
     h ^= h >> 16;
     h
-}
-
-fn fmix64(mut k: u64) -> u64 {
-    k ^= k >> 33;
-    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    k ^= k >> 33;
-    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    k ^= k >> 33;
-    k
 }
 
 #[cfg(test)]
@@ -152,24 +77,6 @@ mod tests {
         assert_eq!(murmur3_x86_32(&[0x21, 0x43, 0x65], 0), 0x7E4A8634);
         assert_eq!(murmur3_x86_32(&[0x21, 0x43], 0), 0xA0F7B07A);
         assert_eq!(murmur3_x86_32(&[0x21], 0), 0x72661CF4);
-    }
-
-    #[test]
-    fn x64_128_reference_vectors() {
-        // Published vector: empty input, zero seed hashes to zero.
-        assert_eq!(murmur3_x64_128(b"", 0), (0, 0));
-        // "Hello, world!" with seed 0: canonical digest
-        // f1512dd1d2d665df 2c326650a8f3c564 (h1 and h2 printed big-endian).
-        let (h1, h2) = murmur3_x64_128(b"Hello, world!", 0);
-        assert_eq!(h1, 0xf151_2dd1_d2d6_65df);
-        assert_eq!(h2, 0x2c32_6650_a8f3_c564);
-    }
-
-    #[test]
-    fn x64_128_seed_sensitivity() {
-        let a = murmur3_x64_128(b"graph", 0);
-        let b = murmur3_x64_128(b"graph", 1);
-        assert_ne!(a, b);
     }
 
     #[test]
@@ -204,9 +111,6 @@ mod tests {
                 murmur3_x86_32(&data, seed),
                 murmur3_x86_32(&data, seed)
             );
-            let a = murmur3_x64_128(&data, seed as u64);
-            let b = murmur3_x64_128(&data, seed as u64);
-            proptest::prop_assert_eq!(a, b);
         }
     }
 }

@@ -18,7 +18,6 @@ pub struct StorageServer {
     id: usize,
     log: RwLock<LogStore>,
     gets: std::sync::atomic::AtomicU64,
-    puts: std::sync::atomic::AtomicU64,
 }
 
 impl StorageServer {
@@ -28,7 +27,6 @@ impl StorageServer {
             id,
             log: RwLock::new(LogStore::new(segment_bytes)),
             gets: std::sync::atomic::AtomicU64::new(0),
-            puts: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -62,7 +60,6 @@ impl StorageServer {
     ///
     /// Propagates [`crate::StorageError::ValueTooLarge`].
     pub fn put(&self, key: u64, value: &[u8]) -> Result<()> {
-        self.puts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.log.write().put(key, value)
     }
 
@@ -89,11 +86,6 @@ impl StorageServer {
     /// Total get operations served.
     pub fn gets_served(&self) -> u64 {
         self.gets.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Total put operations applied.
-    pub fn puts_applied(&self) -> u64 {
-        self.puts.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -132,7 +124,6 @@ mod tests {
         assert_eq!(s.get(1).unwrap().as_ref(), b"abc");
         assert_eq!(s.get(2), None);
         assert_eq!(s.gets_served(), 2);
-        assert_eq!(s.puts_applied(), 1);
         assert!(s.delete(1));
         assert!(s.is_empty());
     }

@@ -6,16 +6,15 @@ use bytes::Bytes;
 use grouting_graph::codec::AdjacencyRecord;
 use grouting_graph::dynamic::{DynamicGraph, GraphUpdate};
 use grouting_graph::{CsrGraph, NodeId};
-use grouting_partition::Partitioner;
 
 use crate::log::DEFAULT_SEGMENT_BYTES;
 use crate::server::{ServerReader, StorageServer};
-use crate::Result;
+use crate::{Partitioner, Result};
 
 /// The decoupled storage tier (paper Figure 2, bottom).
 ///
 /// Holds `M` storage servers and a [`Partitioner`] that places each node's
-/// adjacency record. gRouting uses [`grouting_partition::HashPartitioner`]
+/// adjacency record. gRouting uses [`HashPartitioner`](crate::HashPartitioner)
 /// here — the whole point of smart routing is that this placement does not
 /// need to be clever.
 ///
@@ -118,11 +117,6 @@ impl StorageTier {
     /// remote fetch layer knows which storage endpoint owns a node.
     pub fn partitioner(&self) -> Arc<dyn Partitioner> {
         Arc::clone(&self.partitioner)
-    }
-
-    /// The server owning `node`.
-    pub fn server_of(&self, node: NodeId) -> usize {
-        self.partitioner.assign(node)
     }
 
     /// Direct handle to a server (for per-server stats).
@@ -266,18 +260,13 @@ impl StorageTier {
     pub fn bytes_per_server(&self) -> Vec<usize> {
         self.servers.iter().map(|s| s.live_bytes()).collect()
     }
-
-    /// Total get operations across servers.
-    pub fn total_gets(&self) -> u64 {
-        self.servers.iter().map(|s| s.gets_served()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HashPartitioner;
     use grouting_graph::GraphBuilder;
-    use grouting_partition::HashPartitioner;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -300,7 +289,7 @@ mod tests {
         assert_eq!(tier.server_count(), 3);
         for v in g.nodes() {
             let (s, rec) = tier.get_record(v).unwrap();
-            assert_eq!(s, tier.server_of(v));
+            assert_eq!(s, tier.partitioner().assign(v));
             assert_eq!(rec.out(), g.out_neighbors(v).collect::<Vec<_>>());
             assert_eq!(rec.inc(), g.in_neighbors(v).collect::<Vec<_>>());
         }
@@ -365,7 +354,7 @@ mod tests {
 
         // Kill every node's primary in turn; reads fall over to the backup.
         for v in g.nodes() {
-            let primary = tier.server_of(v);
+            let primary = tier.partitioner().assign(v);
             tier.mark_down(primary);
             let (served_by, bytes) = tier.get(v).expect("replica serves");
             assert_ne!(served_by, primary);
@@ -378,7 +367,7 @@ mod tests {
     fn unreplicated_tier_loses_data_on_failure() {
         let (tier, g) = tier_with_path(3);
         let v = g.nodes().next().unwrap();
-        let primary = tier.server_of(v);
+        let primary = tier.partitioner().assign(v);
         tier.mark_down(primary);
         assert!(tier.get(v).is_none());
         tier.mark_up(primary);
@@ -421,7 +410,7 @@ mod tests {
         tier.apply_update(&dynamic, GraphUpdate::AddEdge(n(0), n(2)))
             .unwrap();
         // The updated record is visible even with the primary down.
-        let primary = tier.server_of(n(0));
+        let primary = tier.partitioner().assign(n(0));
         tier.mark_down(primary);
         let (_, rec) = tier.get_record(n(0)).unwrap();
         assert!(rec.out().contains(&n(2)));
@@ -480,9 +469,10 @@ mod tests {
     #[test]
     fn gets_are_counted() {
         let (tier, _) = tier_with_path(2);
-        let before = tier.total_gets();
+        let total_gets = || (0..2).map(|s| tier.server(s).gets_served()).sum::<u64>();
+        let before = total_gets();
         let _ = tier.get(n(0));
         let _ = tier.get(n(1));
-        assert_eq!(tier.total_gets(), before + 2);
+        assert_eq!(total_gets(), before + 2);
     }
 }

@@ -31,14 +31,14 @@
 //! statistics, and prefetch accounting are identical at every level —
 //! the `wire_agreement` suite pins that.
 
-pub mod snapshot;
-pub mod span;
-pub mod stage;
-pub mod telemetry;
+mod snapshot;
+mod span;
+mod stage;
+mod telemetry;
 
 pub use snapshot::TraceSnapshot;
 pub use span::{QuerySpan, QueryTrace, SpanRing, DEFAULT_SPAN_RING};
-pub use stage::{Stage, StageStats, STAGE_COUNT};
+pub use stage::{Stage, StageStats};
 pub use telemetry::{ReactorStats, TelemetryCounters};
 
 /// How much observation the cluster performs, `GROUTING_TRACE`.

@@ -210,8 +210,8 @@ mod tests {
     use crate::transport::RetryPolicy;
     use grouting_engine::{EngineAssets, EngineConfig};
     use grouting_graph::{GraphBuilder, NodeId};
-    use grouting_partition::HashPartitioner;
     use grouting_route::RoutingKind;
+    use grouting_storage::HashPartitioner;
     use grouting_storage::StorageTier;
     use grouting_trace::{Stage, TraceLevel};
 

@@ -610,9 +610,9 @@ fn drive_client(
 mod tests {
     use std::collections::HashMap;
 
-    use grouting_partition::HashPartitioner;
     use grouting_query::PrefetchPolicy;
     use grouting_route::RoutingKind;
+    use grouting_storage::HashPartitioner;
     use grouting_storage::StorageTier;
 
     use super::*;

@@ -5,7 +5,7 @@
 //! RTT (~16 µs) per discovered node, serialised; this module keeps many
 //! fetches in flight per processor instead:
 //!
-//! * [`BatchMux`] — a connection multiplexer holding one framed connection
+//! * `BatchMux` — a connection multiplexer holding one framed connection
 //!   per storage server. Batches are *submitted* (written, correlation id
 //!   assigned) separately from being *collected*, so a caller can put one
 //!   [`Frame::FetchBatchRequest`] on the wire towards every storage server
@@ -27,8 +27,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use grouting_graph::NodeId;
 use grouting_metrics::FailoverStats;
-use grouting_partition::Partitioner;
 use grouting_query::{BatchSource, RecordSource};
+use grouting_storage::Partitioner;
 use grouting_trace::TelemetryCounters;
 
 use crate::error::{WireError, WireResult};
@@ -40,7 +40,7 @@ use crate::transport::{Connection, FrameSink, FrameStream, RetryPolicy, Transpor
 /// benchmark (`load/`); the next `benchmark` PR drops it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FetchMode {
-    /// Frontier-batched, pipelined fetching through [`BatchMux`].
+    /// Frontier-batched, pipelined fetching through `BatchMux`.
     #[default]
     Batched,
 }
@@ -95,7 +95,7 @@ pub struct BatchMux {
     /// Readiness source the collect loops park on when every pending
     /// stream has reported an empty socket. Connection tokens are the server
     /// index; callers may register extra descriptors (a processor's router
-    /// connection) under tokens ≥ [`BatchMux::EXTERNAL_TOKEN_BASE`].
+    /// connection) under tokens ≥ `BatchMux::EXTERNAL_TOKEN_BASE`.
     poller: Poller,
     /// Batches submitted and not yet fully collected, across servers.
     outstanding: u64,
@@ -107,7 +107,7 @@ pub struct BatchMux {
 }
 
 impl BatchMux {
-    /// First token available to [`BatchMux::register_external`] — far
+    /// First token available to `BatchMux::register_external` — far
     /// above any storage server index.
     pub const EXTERNAL_TOKEN_BASE: u64 = 1 << 32;
 
@@ -136,7 +136,7 @@ impl BatchMux {
     }
 
     /// Registers a caller-owned descriptor (token ≥
-    /// [`BatchMux::EXTERNAL_TOKEN_BASE`]) with the poller, so an idle wait
+    /// `BatchMux::EXTERNAL_TOKEN_BASE`) with the poller, so an idle wait
     /// also wakes on that connection's traffic. An `fd` of `None` (fd-less
     /// transport) turns every wait into a swept ladder rung.
     pub fn register_external(&mut self, token: u64, fd: Option<i32>) {
@@ -162,12 +162,6 @@ impl BatchMux {
     /// Number of storage servers this multiplexer addresses.
     pub fn server_count(&self) -> usize {
         self.addrs.len()
-    }
-
-    /// Times a dead connection was replaced by a fresh dial (with its
-    /// outstanding requests resubmitted).
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
     }
 
     /// Declares the storage tier's replica-chain length: a home server's
@@ -338,7 +332,7 @@ impl BatchMux {
         Ok(req_id)
     }
 
-    /// Waits for one submitted batch (see [`BatchMux::collect_many`]).
+    /// Waits for one submitted batch (see `BatchMux::collect_many`).
     ///
     /// # Errors
     ///
@@ -534,30 +528,30 @@ impl MultiplexedStorageSource {
     }
 
     /// Registers a caller-owned descriptor with the underlying
-    /// multiplexer's poller (see [`BatchMux::register_external`]).
+    /// multiplexer's poller (see `BatchMux::register_external`).
     pub fn register_external(&mut self, token: u64, fd: Option<i32>) {
         self.mux.register_external(token, fd);
     }
 
     /// Parks until any registered connection has traffic (see
-    /// [`BatchMux::idle_wait`]).
+    /// `BatchMux::idle_wait`).
     pub fn idle_wait(&mut self, timeout: Duration) {
         self.mux.idle_wait(timeout);
     }
 
-    /// Resets the poller's idle clock (see [`BatchMux::note_progress`]).
+    /// Resets the poller's idle clock (see `BatchMux::note_progress`).
     pub fn note_progress(&mut self) {
         self.mux.note_progress();
     }
 
     /// Routes the multiplexer's batch-depth and buffer-pool telemetry
-    /// into `telemetry` (see [`BatchMux::set_telemetry`]).
+    /// into `telemetry` (see `BatchMux::set_telemetry`).
     pub fn set_telemetry(&mut self, telemetry: Arc<TelemetryCounters>) {
         self.mux.set_telemetry(telemetry);
     }
 
     /// Declares the tier's replica-chain length (see
-    /// [`BatchMux::with_replication`]).
+    /// `BatchMux::with_replication`).
     #[must_use]
     pub fn with_replication(mut self, replication: usize) -> Self {
         self.mux = self.mux.with_replication(replication);
@@ -565,14 +559,14 @@ impl MultiplexedStorageSource {
     }
 
     /// Overrides the recovery backoff schedule (see
-    /// [`BatchMux::with_retry`]).
+    /// `BatchMux::with_retry`).
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.mux = self.mux.with_retry(retry);
         self
     }
 
-    /// Recovery counters so far (see [`BatchMux::failover_stats`]).
+    /// Recovery counters so far (see `BatchMux::failover_stats`).
     pub fn failover_stats(&self) -> FailoverStats {
         self.mux.failover_stats()
     }
@@ -675,7 +669,7 @@ impl MultiplexedStorageSource {
     /// has answered, `Ok(None)` while responses are still travelling.
     ///
     /// A dead connection is masked by one redial-and-resubmit per server
-    /// per batch, mirroring [`BatchMux::collect_many`].
+    /// per batch, mirroring `BatchMux::collect_many`.
     ///
     /// # Errors
     ///
@@ -961,7 +955,7 @@ mod tests {
             mux.collect(0, second).unwrap(),
             vec![payload(2), payload(3)]
         );
-        assert_eq!(mux.reconnects(), 1);
+        assert_eq!(mux.reconnects, 1);
         drop(mux);
         server.join().unwrap();
     }
@@ -1028,7 +1022,7 @@ mod tests {
             vec![payload(1), payload(2), payload(3), payload(4)],
             "resubmitted batch must be answered in full, exactly once"
         );
-        assert_eq!(mux.reconnects(), 1);
+        assert_eq!(mux.reconnects, 1);
         // The mux is healthy afterwards: a new exchange works and no stale
         // reassembly entries interfere.
         let req = mux.submit(0, &[n(9)]).unwrap();
@@ -1104,8 +1098,7 @@ mod tests {
             addrs.push(listener.addr());
             servers.push(batch_server(listener, false));
         }
-        let partitioner: Arc<dyn Partitioner> =
-            Arc::new(grouting_partition::HashPartitioner::new(3));
+        let partitioner: Arc<dyn Partitioner> = Arc::new(grouting_storage::HashPartitioner::new(3));
         let mut source = MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, partitioner);
         let nodes: Vec<NodeId> = (0..30).map(n).collect();
         let mut pending = source.submit_frontier(&nodes).unwrap();
@@ -1220,7 +1213,7 @@ mod tests {
         );
         assert_eq!(stats.batches_resubmitted, 2);
         assert_eq!(stats.redials, 3, "primary-fail, replica-ok, primary-ok");
-        assert_eq!(mux.reconnects(), 2);
+        assert_eq!(mux.reconnects, 2);
         drop(mux);
         sa.join().unwrap();
         sb.join().unwrap();
@@ -1299,7 +1292,7 @@ mod tests {
                     proptest::prop_assert_eq!(payloads, &want, "batch {}", b);
                 }
                 if tear < sizes.len() as u64 {
-                    proptest::prop_assert_eq!(mux.reconnects(), 1);
+                    proptest::prop_assert_eq!(mux.reconnects, 1);
                     proptest::prop_assert!(mux.failover_stats().batches_resubmitted >= 1);
                 }
                 drop(mux);

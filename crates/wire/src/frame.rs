@@ -5,7 +5,7 @@
 //! the style of `grouting_graph::codec` (a tag byte, then fixed-width
 //! fields, variable-length sections carrying explicit counts). On the wire
 //! each frame travels behind a `u32` length prefix (see
-//! [`crate::transport`]); the encoding here is the payload only, so the
+//! [`Transport`](crate::Transport)); the encoding here is the payload only, so the
 //! in-process transport can carry the identical bytes without a length
 //! prefix and both paths exercise the same codec.
 //!
@@ -462,7 +462,7 @@ impl Frame {
     }
 
     /// [`Frame::encode`] as a one-element list. Nothing in this crate calls
-    /// it — a frame leaves as one flat write (see [`crate::transport`]) —
+    /// it — a frame leaves as one flat write (see [`Transport`](crate::Transport)) —
     /// and it stays only until the benchmark's layer pass, frozen between
     /// benchmark changes, stops naming it.
     pub fn encode_chunks(&self) -> Vec<Bytes> {

@@ -8,38 +8,40 @@
 //! * [`frame`] — the router↔processor↔storage message set (submit,
 //!   dispatch, batched adjacency fetch/response, completion records,
 //!   metrics snapshots) and its length-prefixed little-endian binary codec;
-//! * [`transport`] — the [`transport::Transport`] abstraction with two
-//!   fabrics: [`transport::TcpTransport`] (real `std::net` sockets, framed
-//!   streams) and [`transport::InProcTransport`] (hermetic channels that
-//!   still move encoded bytes);
-//! * [`flow`] — the one processor→storage miss path: pipelined,
+//! * `transport` — the [`Transport`] abstraction with two fabrics:
+//!   [`TcpTransport`] (real `std::net` sockets, framed streams) and
+//!   [`InProcTransport`] (hermetic channels that still move encoded bytes);
+//! * `flow` — the one processor→storage miss path
+//!   ([`MultiplexedStorageSource`]): pipelined,
 //!   frontier-batched adjacency fetching through a non-blocking
 //!   connection multiplexer keeping one batch frame per storage server in
 //!   flight per BFS hop, correlated by request id, with redial / replica
 //!   walk / resubmit on failure; a single-node fetch is a batch of one;
-//! * [`reactor`] — the readiness reactor: ONE poll loop per node
+//! * `reactor` — the readiness [`Reactor`]: ONE poll loop per node
 //!   multiplexing the listener and every framed connection, replacing the
 //!   thread-per-connection control path (O(connections) → O(1) threads),
 //!   and the one poller every loop waits on — epoll for sources with an
 //!   fd, a swept yield/sleep fallback for fd-less sources and hosts
 //!   without epoll;
-//! * [`overlap`] — cross-query fetch overlap: up to
+//! * `overlap` — cross-query fetch overlap ([`QueryPipeline`]): up to
 //!   [`grouting_engine::EngineConfig::overlap`] dispatched queries in
 //!   flight per processor as resumable staged executions, double-buffering
 //!   frontiers so one query's batch travels while another computes;
-//! * [`service`] — the three tiers as independently runnable endpoints:
-//!   storage servers answering batch fetches, processors
-//!   executing dispatched queries with a remote miss path, and the router
-//!   node driving the *same* [`grouting_engine::Engine`] the in-proc
-//!   runtimes drive — masking mid-run processor deaths, re-admitting
-//!   restarted processors, and answering mid-run metrics requests;
-//! * [`cluster`] — the one wire launcher: router + `P` processors + `M`
+//! * `service` — the three tiers as independently runnable endpoints:
+//!   storage servers ([`StorageService`]) answering batch fetches,
+//!   processors ([`ProcessorService`]) executing dispatched queries with a
+//!   remote miss path, and the router node ([`run_router`]) driving the
+//!   *same* [`grouting_engine::Engine`] the in-proc runtimes drive —
+//!   masking mid-run processor deaths, re-admitting restarted processors,
+//!   and answering mid-run metrics requests;
+//! * `cluster` — the one wire launcher: router + `P` processors + `M`
 //!   storage servers as socket peers on one machine, a workload streamed
 //!   through them from a client connection, one teardown;
-//! * [`chaos`] — scripts of query waves with node kills and restarts
-//!   between them. A plain workload is a one-wave script with no actions,
-//!   so [`launch_cluster`] and [`launch_chaos_cluster`] share the launcher
-//!   and a chaos run honours tracing and observability like any other.
+//! * `chaos` — scripts of query waves with node kills and restarts
+//!   between them ([`ChaosScript`]). A plain workload is a one-wave script
+//!   with no actions, so [`launch_cluster`] and [`launch_chaos_cluster`]
+//!   share the launcher and a chaos run honours tracing and observability
+//!   like any other.
 //!
 //! Because the router runs the identical engine and the processors build
 //! the identical caches (only the miss path differs, byte-for-byte), a
@@ -48,35 +50,33 @@
 //! `tests/tests/wire_agreement.rs` (which also pins answers and
 //! assignments at overlap 4).
 
-pub mod chaos;
-pub mod cluster;
-pub mod error;
-pub mod fault;
-pub mod flow;
+mod chaos;
+mod cluster;
+mod error;
+mod fault;
+mod flow;
 pub mod frame;
-pub mod overlap;
-pub mod reactor;
-pub mod service;
+mod overlap;
+mod reactor;
+mod service;
 #[cfg(target_os = "linux")]
-pub(crate) mod sys;
-pub mod transport;
+mod sys;
+mod transport;
 
-pub use chaos::{ChaosAction, ChaosScript, ChaosWave};
+pub use chaos::{ChaosAction, ChaosScript};
 pub use cluster::{launch_chaos_cluster, launch_cluster, ClusterConfig, ClusterRun, TransportKind};
 pub use error::{WireError, WireResult};
-pub use fault::{FaultKind, FaultPlan, FaultRule, FaultyTransport};
-pub use flow::{BatchMux, FetchMode, MultiplexedStorageSource, PendingBatch};
+pub use flow::{FetchMode, MultiplexedStorageSource};
 pub use frame::{Completion, Frame, Role};
-pub use grouting_obs::{NodeObs, NodeRole, ObsConfig, Registry, RegistrySnapshot};
-pub use overlap::{CompletedQuery, QueryPipeline};
+pub use grouting_obs::ObsConfig;
+pub use overlap::QueryPipeline;
 pub use reactor::{Backoff, PollerKind, Reactor, ReactorEvent};
 pub use service::{
     now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions, ServiceHandle,
     StorageOptions, StorageService,
 };
 pub use transport::{
-    Connection, FrameSink, FrameStream, InProcTransport, Listener, RetryPolicy, TcpTransport,
-    Transport,
+    Connection, FrameSink, FrameStream, InProcTransport, RetryPolicy, TcpTransport, Transport,
 };
 
 #[cfg(test)]
@@ -85,9 +85,9 @@ mod tests {
     use grouting_engine::{EngineAssets, EngineConfig};
     use grouting_graph::{GraphBuilder, NodeId};
     use grouting_metrics::RunSnapshot;
-    use grouting_partition::HashPartitioner;
     use grouting_query::{Query, RecordSource};
     use grouting_route::RoutingKind;
+    use grouting_storage::HashPartitioner;
     use grouting_storage::StorageTier;
     use std::sync::Arc;
 

@@ -365,8 +365,8 @@ mod tests {
     use grouting_cache::LruCache;
     use grouting_engine::Worker;
     use grouting_graph::{GraphBuilder, NodeId};
-    use grouting_partition::HashPartitioner;
     use grouting_query::PrefetchPolicy;
+    use grouting_storage::HashPartitioner;
     use grouting_storage::StorageTier;
     use std::sync::Arc;
 

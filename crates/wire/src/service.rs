@@ -42,8 +42,8 @@ use grouting_graph::NodeId;
 use grouting_metrics::timeline::QueryRecord;
 use grouting_metrics::{set_node_role, DecayingHeat, FailoverStats, HeatMap, RunSnapshot};
 use grouting_obs::{NodeObs, NodeRole, ObsConfig};
-use grouting_partition::Partitioner;
 use grouting_query::PrefetchStats;
+use grouting_storage::Partitioner;
 use grouting_storage::{NetworkModel, StorageTier};
 use grouting_trace::{
     QuerySpan, SpanRing, Stage, StageStats, TelemetryCounters, TraceLevel, TraceSnapshot,

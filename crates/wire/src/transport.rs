@@ -183,7 +183,7 @@ pub trait Listener: Send {
 /// A connection fabric: names addresses, listens, dials.
 pub trait Transport: Send + Sync {
     /// Opens a listener. Pass [`Transport::any_addr`] to let the transport
-    /// pick a free concrete address (returned by [`Listener::addr`]).
+    /// pick a free concrete address (returned by `Listener::addr`).
     fn listen(&self, addr: &str) -> WireResult<Box<dyn Listener>>;
 
     /// Dials a listening endpoint, retrying briefly so peers may start in
@@ -295,14 +295,6 @@ impl TcpTransport {
     /// A transport with default dial patience.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides how long `dial` keeps retrying a refused connection.
-    pub fn with_dial_patience(attempts: u32, backoff: Duration) -> Self {
-        Self {
-            dial_attempts: attempts.max(1),
-            dial_backoff: backoff,
-        }
     }
 }
 
@@ -947,7 +939,10 @@ mod tests {
 
     #[test]
     fn tcp_dial_without_listener_errors() {
-        let t = TcpTransport::with_dial_patience(2, Duration::from_millis(1));
+        let t = TcpTransport {
+            dial_attempts: 2,
+            dial_backoff: Duration::from_millis(1),
+        };
         assert!(t.dial("127.0.0.1:1").is_err());
     }
 

@@ -65,14 +65,6 @@ impl HotspotWorkload {
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
     }
-
-    /// Iterates over `(hotspot_index, query)` pairs in send order.
-    pub fn iter_grouped(&self) -> impl Iterator<Item = (usize, &Query)> + '_ {
-        self.queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (i / self.per_hotspot.max(1), q))
-    }
 }
 
 /// Generates the hotspot workload of §4.1.
@@ -150,6 +142,14 @@ mod tests {
     use grouting_graph::traversal::hop_distance;
     use grouting_graph::GraphBuilder;
 
+    /// `(hotspot_index, query)` pairs in send order.
+    fn iter_grouped(w: &HotspotWorkload) -> impl Iterator<Item = (usize, &Query)> + '_ {
+        w.queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| (i / w.per_hotspot.max(1), q))
+    }
+
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
     }
@@ -181,7 +181,7 @@ mod tests {
         assert_eq!(w.len(), 50);
         assert_eq!(w.centers.len(), 10);
         assert_eq!(w.per_hotspot, 5);
-        let groups: Vec<usize> = w.iter_grouped().map(|(g, _)| g).collect();
+        let groups: Vec<usize> = iter_grouped(&w).map(|(g, _)| g).collect();
         assert_eq!(groups[0], 0);
         assert_eq!(groups[4], 0);
         assert_eq!(groups[5], 1);
@@ -192,7 +192,7 @@ mod tests {
     fn query_nodes_within_radius_of_center() {
         let g = ring(64);
         let w = hotspot_workload(&g, &config(2));
-        for (group, q) in w.iter_grouped() {
+        for (group, q) in iter_grouped(&w) {
             let center = w.centers[group];
             let d =
                 hop_distance(&g, center, q.anchor(), Direction::Both).expect("anchor in component");
@@ -205,8 +205,7 @@ mod tests {
         let g = ring(64);
         let w = hotspot_workload(&g, &config(3));
         for group in 0..w.centers.len() {
-            let anchors: Vec<NodeId> = w
-                .iter_grouped()
+            let anchors: Vec<NodeId> = iter_grouped(&w)
                 .filter(|&(gi, _)| gi == group)
                 .map(|(_, q)| q.anchor())
                 .collect();

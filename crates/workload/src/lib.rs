@@ -7,13 +7,11 @@
 //! the same hotspot are grouped together and sent consecutively." Queries
 //! are a uniform mixture of the three h-hop types.
 //!
-//! [`hotspot`] builds exactly that; [`trace`] records workloads for replay.
+//! [`hotspot_workload`] builds exactly that.
 
-pub mod hotspot;
-pub mod trace;
+mod hotspot;
 
-pub use hotspot::{hotspot_workload, HotspotWorkload, WorkloadConfig};
-pub use trace::QueryTrace;
+pub use hotspot::{hotspot_workload, WorkloadConfig};
 
 /// Relative weights of the three query kinds in a generated workload.
 #[derive(Debug, Clone, Copy, PartialEq)]

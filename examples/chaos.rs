@@ -21,8 +21,8 @@ use std::time::Duration;
 
 use grouting_core::engine::EngineAssets;
 use grouting_core::graph::{GraphBuilder, NodeId};
-use grouting_core::partition::HashPartitioner;
 use grouting_core::prelude::*;
+use grouting_core::storage::HashPartitioner;
 use grouting_core::storage::StorageTier;
 use grouting_core::wire::{
     launch_chaos_cluster, ChaosAction, ChaosScript, ClusterConfig, RetryPolicy,

@@ -27,9 +27,9 @@ use std::time::Duration;
 
 use grouting_core::engine::{EngineAssets, EngineConfig};
 use grouting_core::graph::{GraphBuilder, NodeId};
-use grouting_core::partition::HashPartitioner;
 use grouting_core::query::Query;
 use grouting_core::route::RoutingKind;
+use grouting_core::storage::HashPartitioner;
 use grouting_core::storage::StorageTier;
 use grouting_core::wire::{
     launch_chaos_cluster, ChaosAction, ChaosScript, ClusterConfig, ClusterRun, RetryPolicy,

@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use grouting_core::engine::EngineAssets;
 use grouting_core::gen::{DatasetProfile, ProfileName};
 use grouting_core::metrics::RunSnapshot;
-use grouting_core::partition::HashPartitioner;
 use grouting_core::query::Query;
+use grouting_core::storage::HashPartitioner;
 use grouting_core::storage::StorageTier;
 use grouting_core::wire::{
     run_router, ClusterConfig, FetchMode, Frame, ObsConfig, ProcessorOptions, ProcessorService,
