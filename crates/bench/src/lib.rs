@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use grouting_core::gen::{DatasetProfile, ProfileName};
+use grouting_core::graph::codec::AdjacencyRecord;
 use grouting_core::prelude::*;
 use grouting_core::query::Query;
 use grouting_core::sim::{SimAssets, SimConfig};
@@ -83,10 +84,19 @@ pub fn ample_cache_config(
     cfg
 }
 
-/// Default bench cache: ~8% of the stored graph bytes, min 1 MiB.
+/// Default bench cache: 1/12 (~8 %) of what the whole graph's records
+/// occupy in a cache ([`AdjacencyRecord::resident_len`]), min 1 MiB.
 pub fn default_cache_bytes(assets: &SimAssets) -> usize {
-    let stored: usize = assets.tier.bytes_per_server().iter().sum();
-    (stored / 12).max(1 << 20)
+    let g = &assets.graph;
+    let resident: usize = g
+        .nodes()
+        .map(|v| {
+            AdjacencyRecord::from_graph(g, v)
+                .expect("node in range")
+                .resident_len()
+        })
+        .sum();
+    (resident / 12).max(1 << 20)
 }
 
 /// Formats a byte count as a human-readable string.

@@ -44,18 +44,37 @@ fn requested_by(f: impl FnOnce()) -> usize {
     REQUESTED.with(Cell::get) - before
 }
 
+/// `v` as the codec writes a count or a base: LEB128, shortest form.
+fn varint(mut v: u32) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+fn decode(raw: &[u8]) -> grouting_graph::Result<AdjacencyRecord> {
+    AdjacencyRecord::decode(Bytes::copy_from_slice(raw))
+}
+
 #[test]
 fn a_header_claiming_two_pow_32_neighbours_allocates_nothing() {
-    // flags, out_count, in_count: nine bytes in all, no body behind them.
-    for (flags, out_count, in_count) in [
-        (0u8, u32::MAX, 1u32),
-        (0, 1 << 31, 1 << 31),
-        (1, u32::MAX, u32::MAX),
-        (0, 0, u32::MAX),
+    // flags, out_count, in_count, base and width — up to 17 bytes in all,
+    // and no offsets or labels behind them.
+    for (flags, out_count, in_count, base, width) in [
+        (0u8, u32::MAX, 1u32, 0u32, 1u8),
+        (0, 1 << 31, 1 << 31, 7, 4),
+        (1, u32::MAX, u32::MAX, 0, 4),
+        (0, 0, u32::MAX, u32::MAX, 2),
     ] {
         let mut raw = vec![flags];
-        raw.extend_from_slice(&out_count.to_le_bytes());
-        raw.extend_from_slice(&in_count.to_le_bytes());
+        raw.extend(varint(out_count));
+        raw.extend(varint(in_count));
+        raw.extend(varint(base));
+        raw.push(width);
+        let len = raw.len();
         let input = Bytes::from(raw);
         let mut result = None;
         let requested = requested_by(|| result = Some(AdjacencyRecord::decode(input)));
@@ -63,9 +82,71 @@ fn a_header_claiming_two_pow_32_neighbours_allocates_nothing() {
         // The error's message is the only thing built.
         assert!(
             requested < 256,
-            "{requested} bytes requested for a 9-byte input"
+            "{requested} bytes requested for a {len}-byte input"
         );
     }
+}
+
+#[test]
+fn rejects_non_shortest_varints() {
+    // One out-neighbour, id 5: base 5, width 1, offset 0.
+    assert!(decode(&[0, 0x01, 0x00, 0x05, 1, 0]).is_ok());
+    // The same count, and then the same base, padded to two bytes.
+    assert!(decode(&[0, 0x81, 0x00, 0x00, 0x05, 1, 0]).is_err());
+    assert!(decode(&[0, 0x01, 0x00, 0x85, 0x00, 1, 0]).is_err());
+    // Zero in two bytes.
+    assert!(decode(&[0, 0x80, 0x00, 0x00]).is_err());
+}
+
+#[test]
+fn rejects_varints_past_u32() {
+    // u32::MAX itself is a five-byte varint, and a valid base.
+    assert!(decode(&[0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0]).is_ok());
+    // 2^32 in five bytes, then a sixth byte.
+    assert!(decode(&[0, 0x80, 0x80, 0x80, 0x80, 0x10, 0]).is_err());
+    assert!(decode(&[0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0]).is_err());
+}
+
+#[test]
+fn rejects_widths_outside_one_to_four() {
+    assert!(decode(&[0, 1, 0, 5, 0]).is_err());
+    assert!(decode(&[0, 1, 0, 5, 5, 0, 0, 0, 0, 0]).is_err());
+}
+
+#[test]
+fn rejects_a_width_wider_than_needed() {
+    // Ids 5 and 6: offsets 0 and 1 fit one byte.
+    assert!(decode(&[0, 2, 0, 5, 1, 0, 1]).is_ok());
+    assert!(decode(&[0, 2, 0, 5, 2, 0, 0, 1, 0]).is_err());
+}
+
+#[test]
+fn rejects_a_base_that_is_not_the_smallest_id() {
+    // Offsets 1 and 2: no neighbour sits at the base.
+    assert!(decode(&[0, 2, 0, 5, 1, 1, 2]).is_err());
+}
+
+#[test]
+fn rejects_ids_past_u32_max() {
+    let mut raw = vec![0, 2, 0];
+    raw.extend(varint(u32::MAX - 1));
+    raw.extend([1, 0, 1]);
+    assert!(decode(&raw).is_ok());
+    *raw.last_mut().unwrap() = 2;
+    assert!(decode(&raw).is_err());
+    // Offsets 0, 1 and 2 from u32::MAX − 2 end exactly at u32::MAX, though
+    // their OR (3) does not fit above the base.
+    let mut raw = vec![0, 3, 0];
+    raw.extend(varint(u32::MAX - 2));
+    raw.extend([1, 0, 1, 2]);
+    assert!(decode(&raw).is_ok());
+}
+
+#[test]
+fn rejects_the_edge_label_flag_without_neighbours() {
+    assert!(decode(&[0b10, 9, 0, 0, 0]).is_ok());
+    assert!(decode(&[0b01, 0, 0]).is_err());
+    assert!(decode(&[0b11, 9, 0, 0, 0]).is_err());
 }
 
 proptest::proptest! {
@@ -74,12 +155,16 @@ proptest::proptest! {
     #[test]
     fn prop_arbitrary_bytes_never_panic(raw in proptest::collection::vec(0u8..=255, 0..96)) {
         let len = raw.len();
-        let input = Bytes::from(raw);
+        let input = Bytes::copy_from_slice(&raw);
         let mut result = None;
         let requested = requested_by(|| result = Some(AdjacencyRecord::decode(input)));
-        proptest::prop_assert!(requested <= 2 * len + 256, "{} bytes for {} of input", requested, len);
+        // Each id costs at least one input byte (a width-1 offset) and
+        // decodes to four; an edge label costs two and decodes to two. So
+        // a record takes at most 4 bytes per input byte, and anything past
+        // that is the error's message.
+        proptest::prop_assert!(requested <= 4 * len + 256, "{} bytes for {} of input", requested, len);
         if let Some(Ok(rec)) = result {
-            proptest::prop_assert_eq!(rec.encoded_len(), len);
+            proptest::prop_assert_eq!(&rec.encode()[..], &raw[..]);
         }
     }
 
@@ -113,11 +198,11 @@ proptest::proptest! {
         }
         raw.extend_from_slice(&extra);
         let damaged = raw != good[..];
-        let len = raw.len();
-        match AdjacencyRecord::decode(Bytes::from(raw)) {
+        match decode(&raw) {
             Err(_) => proptest::prop_assert!(damaged, "a clean encoding was rejected"),
             Ok(back) => {
-                proptest::prop_assert_eq!(back.encoded_len(), len);
+                // Canonical: whatever decodes re-encodes to the same bytes.
+                proptest::prop_assert_eq!(&back.encode()[..], &raw[..]);
                 if !damaged {
                     proptest::prop_assert_eq!(back, rec);
                 }

@@ -95,7 +95,7 @@ impl<S: BatchSource + ?Sized> BatchSource for &mut S {
 }
 
 /// The concrete cache type a query processor holds: node id → shared
-/// decoded record, sized by its encoded byte length.
+/// decoded record, charged its [`AdjacencyRecord::resident_len`].
 pub type ProcessorCache = Box<dyn Cache<NodeId, Arc<AdjacencyRecord>>>;
 
 /// Per-query access statistics.
@@ -226,7 +226,9 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
             bytes: size as u32,
         });
         let rec = Arc::new(AdjacencyRecord::decode(bytes).expect("tier stores valid records"));
-        let evicted = self.cache.insert(node, Arc::clone(&rec), size);
+        let evicted = self
+            .cache
+            .insert(node, Arc::clone(&rec), rec.resident_len());
         // An insert that bounces back (NullCache / oversized) is not an
         // eviction of previously cached data.
         self.stats.evictions += evicted.iter().filter(|(k, _)| *k != node).count() as u64;
@@ -416,6 +418,25 @@ mod tests {
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
         assert!(s.miss_bytes > 0);
+    }
+
+    #[test]
+    fn a_miss_charges_the_cache_the_resident_size_and_counts_the_payload() {
+        // Node 0's record in a three-neighbour graph: 0 → 1, 0 → 2, 3 → 0.
+        let mut b = GraphBuilder::new();
+        b.add_edge(n(0), n(1));
+        b.add_edge(n(0), n(2));
+        b.add_edge(n(3), n(0));
+        let t = StorageTier::new(std::sync::Arc::new(HashPartitioner::new(1)));
+        t.load_graph(&b.build().unwrap()).unwrap();
+        let mut cache: ProcessorCache = Box::new(LruCache::new(1 << 20));
+        let mut store = CacheBackedStore::new(&t, &mut cache);
+        let rec = store.fetch(n(0)).unwrap();
+        assert_eq!(rec.resident_len(), 21);
+        assert_eq!(store.stats().miss_bytes, 8, "the payload as it travelled");
+        assert_eq!(store.take_miss_log()[0].bytes, 8);
+        drop(store);
+        assert_eq!(cache.bytes(), 21, "the record as it is held");
     }
 
     #[test]

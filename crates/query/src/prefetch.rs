@@ -77,7 +77,8 @@ pub struct PrefetchConfig {
     pub policy: PrefetchPolicy,
     /// Most speculative nodes appended to one frontier batch.
     pub max_nodes: usize,
-    /// Staging-buffer byte budget for not-yet-demanded payloads.
+    /// Staging-buffer byte budget for not-yet-demanded payloads, counted
+    /// as they arrived (encoded), not as a cache would charge them.
     pub max_bytes: usize,
 }
 

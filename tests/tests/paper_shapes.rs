@@ -2,6 +2,7 @@
 //! scale. These are the regression guards for the whole reproduction —
 //! if a change breaks one of these, a figure has stopped reproducing.
 
+use grouting_core::graph::codec::AdjacencyRecord;
 use grouting_core::prelude::*;
 use grouting_core::sim::{simulate, SimConfig};
 
@@ -14,10 +15,15 @@ fn cluster() -> GRouting {
         .build()
 }
 
+/// Caches hold 1/12 of what the whole graph's records occupy in a cache.
 fn paper_cfg(cluster: &GRouting, p: usize, routing: RoutingKind) -> SimConfig {
-    let stored: usize = cluster.assets.tier.bytes_per_server().iter().sum();
+    let g = &cluster.assets.graph;
+    let resident: usize = g
+        .nodes()
+        .map(|v| AdjacencyRecord::from_graph(g, v).unwrap().resident_len())
+        .sum();
     let mut cfg = SimConfig::paper_default(p, routing);
-    cfg.engine.cache_capacity = (stored / 12).max(1 << 20);
+    cfg.engine.cache_capacity = (resident / 12).max(1 << 20);
     cfg
 }
 
