@@ -15,16 +15,23 @@
 //! * [`EngineAssets`] — the preprocessing products the smart strategies
 //!   need (storage tier, landmarks, embedding);
 //! * [`Engine::new`] — builds the router (strategy chosen from
-//!   [`RoutingKind`]) and one [`Worker`] per processor, then mediates
-//!   admission, dispatch, and completion accounting;
+//!   [`RoutingKind`]) and one [`Worker`] per processor;
+//! * [`Engine`] — the router as one state machine: admission, the
+//!   per-processor queues and stealing, each processor's dispatch window
+//!   of at most [`EngineConfig::overlap`] unacknowledged queries
+//!   (acknowledged in any order), processor death (the window resubmitted
+//!   under its original sequence numbers) and rejoin, and each
+//!   processor's last reported prefetch / failover / heat tallies, banked
+//!   when it dies. It reads no clock: every input is an argument;
 //! * [`Worker`] — a processor's executable half (cache + tier handle),
 //!   detached via [`Engine::take_workers`] for the simulator to drive.
 //!
 //! What stays runtime-specific is *time*: the simulator charges virtual
-//! nanoseconds from its cost model, the wire cluster reads wall clocks.
-//! Everything else — who serves a query, what its cache holds, what the
-//! metrics count — is decided here, which is why the two runtimes agree
-//! (see the `runtime_agreement` and `wire_agreement` integration tests).
+//! nanoseconds from its cost model, the wire cluster reads wall clocks and
+//! moves frames. Everything else — who serves a query, what its cache
+//! holds, what the metrics count — is decided here, which is why the two
+//! runtimes agree (see the `runtime_agreement` and `wire_agreement`
+//! integration tests).
 
 use std::sync::Arc;
 
@@ -33,11 +40,11 @@ use grouting_embed::embedding::Embedding;
 use grouting_embed::landmarks::Landmarks;
 use grouting_embed::ProcessorDistanceTable;
 use grouting_metrics::timeline::QueryRecord;
-use grouting_metrics::RunSnapshot;
 use grouting_metrics::Timeline;
+use grouting_metrics::{FailoverStats, HeatMap, RunSnapshot};
 use grouting_query::{
     AccessStats, BatchSource, ExecOutcome, Executor, MissEvent, PrefetchConfig, PrefetchState,
-    ProcessorCache, Query,
+    PrefetchStats, ProcessorCache, Query,
 };
 use grouting_route::{EmbedRouter, Router, RouterConfig, RoutingKind, Strategy};
 use grouting_storage::StorageTier;
@@ -63,13 +70,14 @@ pub struct EngineConfig {
     /// Queries admitted into router queues ahead of dispatch
     /// (0 = `16 × processors`).
     pub admission_window: usize,
-    /// Queries a *wire* processor may hold in flight at once (clamped to
-    /// ≥ 1). At 2+ the router dispatches ahead of acknowledgements and the
-    /// processor overlaps one query's frontier fetch with another's
-    /// compute stage (double-buffered frontiers); at 1 execution is
-    /// strictly serial and cache statistics are byte-identical to the
-    /// in-process engine. The simulator executes serially regardless —
-    /// overlap only changes behaviour where fetches actually cross a wire.
+    /// Queries a processor may hold in flight at once (clamped to ≥ 1):
+    /// the size of its dispatch window in [`Engine`]. At 2+ the wire
+    /// router dispatches ahead of acknowledgements and the processor
+    /// overlaps one query's frontier fetch with another's compute stage
+    /// (double-buffered frontiers); at 1 execution is strictly serial and
+    /// cache statistics are byte-identical to the in-process engine. The
+    /// simulator executes serially regardless — overlap only changes
+    /// behaviour where fetches actually cross a wire.
     pub overlap: usize,
     /// Speculative frontier prefetching: policy plus per-batch/staging
     /// budgets (default [`PrefetchConfig::OFF`]). When enabled, frontier
@@ -238,6 +246,23 @@ pub struct EngineRun {
     pub stolen: u64,
 }
 
+/// A processor's cumulative speculation, storage-failover and
+/// per-partition heat tallies, as it last reported them.
+#[derive(Debug, Clone, Default)]
+struct Tallies {
+    prefetch: PrefetchStats,
+    failover: FailoverStats,
+    heat: HeatMap,
+}
+
+impl Tallies {
+    fn merge(&mut self, other: &Tallies) {
+        self.prefetch.merge(&other.prefetch);
+        self.failover.merge(&other.failover);
+        self.heat.merge(&other.heat);
+    }
+}
+
 /// The assembled routing stack both frontends drive.
 pub struct Engine {
     config: EngineConfig,
@@ -245,6 +270,15 @@ pub struct Engine {
     workers: Vec<Worker>,
     timeline: Timeline,
     totals: EngineTotals,
+    /// Per processor: dispatched, unacknowledged queries in dispatch
+    /// order, at most `config.overlap.max(1)` of them.
+    windows: Vec<Vec<(u64, Query)>>,
+    /// Deaths that found a non-empty window to resubmit.
+    windows_resubmitted: u64,
+    /// Per processor: the live incarnation's last reported tallies.
+    tallies: Vec<Tallies>,
+    /// What dead incarnations reported before they went away.
+    retired: Tallies,
 }
 
 impl Engine {
@@ -329,6 +363,10 @@ impl Engine {
             workers,
             timeline: Timeline::new(),
             totals: EngineTotals::default(),
+            windows: vec![Vec::new(); p],
+            windows_resubmitted: 0,
+            tallies: vec![Tallies::default(); p],
+            retired: Tallies::default(),
         }
     }
 
@@ -375,24 +413,83 @@ impl Engine {
         self.router.pending()
     }
 
-    /// Next query for an idle processor: own queue → global queue → steal.
+    /// Next query for `processor`, recorded in its dispatch window: own
+    /// queue → global queue → steal. `None` when the window already holds
+    /// [`EngineConfig::overlap`] (at least one) unacknowledged queries —
+    /// checked before the router is consulted, so a refused call pops no
+    /// queue, steals nothing and moves no strategy state — or when the
+    /// router has nothing for it (a down processor gets nothing).
     pub fn next_for(&mut self, processor: usize) -> Option<(u64, Query)> {
-        self.router.next_for(processor)
+        let window = &mut self.windows[processor];
+        if window.len() >= self.config.overlap.max(1) {
+            return None;
+        }
+        let picked = self.router.next_for(processor)?;
+        window.push(picked);
+        Some(picked)
     }
 
-    /// Records one completed query into the timeline and totals.
-    pub fn complete(&mut self, record: QueryRecord, stats: &AccessStats) {
+    /// Acknowledges `record.seq` from `record.processor`'s dispatch window
+    /// (in any order) and records the completion into the timeline and
+    /// totals, returning the acknowledged query. A seq that is not in
+    /// that processor's window — acknowledged twice, never dispatched to
+    /// it, or resubmitted after its death — counts nothing and returns
+    /// `None`.
+    pub fn complete(&mut self, record: QueryRecord, stats: &AccessStats) -> Option<Query> {
+        let window = &mut self.windows[record.processor];
+        let pos = window.iter().position(|&(seq, _)| seq == record.seq)?;
+        let (_, query) = window.remove(pos);
         self.totals.cache_hits += stats.cache_hits;
         self.totals.cache_misses += stats.cache_misses;
         self.totals.evictions += stats.evictions;
         self.timeline.push(record);
+        Some(query)
     }
 
-    /// Takes a processor out of rotation: its queued work is redistributed
-    /// through the strategy, and no further queries are routed to it. Used
-    /// by the wire router to mask a processor that died mid-run.
+    /// Keeps `processor`'s latest cumulative tallies, as a completion
+    /// carried them: each one rides only when it changed, so a default
+    /// (empty) tally means "unchanged" and keeps the last report. Returns
+    /// the speculative fetches the processor issued since its previous
+    /// report.
+    pub fn report_tallies(
+        &mut self,
+        processor: usize,
+        prefetch: PrefetchStats,
+        failover: FailoverStats,
+        heat: HeatMap,
+    ) -> u64 {
+        let live = &mut self.tallies[processor];
+        let mut issued = 0;
+        if prefetch != PrefetchStats::default() {
+            issued = prefetch.issued.saturating_sub(live.prefetch.issued);
+            live.prefetch = prefetch;
+        }
+        if failover != FailoverStats::default() {
+            live.failover = failover;
+        }
+        if !heat.is_empty() {
+            live.heat = heat;
+        }
+        issued
+    }
+
+    /// Takes a dead processor out of rotation. Its queued work is
+    /// redistributed through the strategy, then its unacknowledged
+    /// dispatches are resubmitted in dispatch order under their original
+    /// sequence numbers, and its last reported tallies are banked (a
+    /// restarted processor reports from zero). No further queries are
+    /// routed to it until [`Engine::mark_up`]. A no-op when it is down.
     pub fn mark_down(&mut self, processor: usize) {
         self.router.mark_down(processor);
+        let window = std::mem::take(&mut self.windows[processor]);
+        if !window.is_empty() {
+            self.windows_resubmitted += 1;
+        }
+        for (seq, query) in window {
+            self.router.submit(seq, query);
+        }
+        let banked = std::mem::take(&mut self.tallies[processor]);
+        self.retired.merge(&banked);
     }
 
     /// Brings a processor back into rotation after a [`Engine::mark_down`]
@@ -403,45 +500,33 @@ impl Engine {
         self.router.mark_up(processor);
     }
 
-    /// Whether `processor` is currently routed to.
-    pub fn is_up(&self, processor: usize) -> bool {
-        self.router.is_up(processor)
-    }
-
-    /// Re-enqueues a query that was dispatched but never acknowledged
-    /// (its processor died); routing sees it as a fresh submission under
-    /// its original sequence number.
-    pub fn resubmit(&mut self, seq: u64, query: Query) {
-        self.router.submit(seq, query);
-    }
-
     /// The measurements accumulated *so far*, as a wire-encodable
     /// snapshot — the router answers mid-run [`RunSnapshot`] requests with
-    /// this without finishing the run.
-    ///
-    /// Prefetch counters are zero here: speculation state lives with the
-    /// processors, so the wire router fills the counters in from the
-    /// cumulative tallies its completions carry.
+    /// this without finishing the run. Prefetch, failover and partition
+    /// heat are the live processors' last reports plus what dead
+    /// incarnations banked; `region_heat` is left empty for the wire
+    /// router, which attributes dispatches to landmark regions.
     pub fn snapshot(&self) -> RunSnapshot {
+        let mut tallies = self.retired.clone();
+        for live in &self.tallies {
+            tallies.merge(live);
+        }
         RunSnapshot {
             queries: self.timeline.len() as u64,
             cache_hits: self.totals.cache_hits,
             cache_misses: self.totals.cache_misses,
             evictions: self.totals.evictions,
             stolen: self.router.stolen(),
-            prefetch_issued: 0,
-            prefetch_hits: 0,
-            prefetch_wasted_bytes: 0,
-            redials: 0,
-            replica_failovers: 0,
-            batches_resubmitted: 0,
-            windows_resubmitted: 0,
+            prefetch_issued: tallies.prefetch.issued,
+            prefetch_hits: tallies.prefetch.hits,
+            prefetch_wasted_bytes: tallies.prefetch.wasted_bytes,
+            redials: tallies.failover.redials,
+            replica_failovers: tallies.failover.replica_failovers,
+            batches_resubmitted: tallies.failover.batches_resubmitted,
+            windows_resubmitted: self.windows_resubmitted,
             per_processor: self.timeline.per_processor_counts(self.config.processors),
-            // Heat lives with the processors too (miss logs / pipeline
-            // tallies); the owner folds it in alongside the prefetch
-            // counters above.
-            partition_heat: grouting_metrics::HeatMap::new(),
-            region_heat: grouting_metrics::HeatMap::new(),
+            partition_heat: tallies.heat,
+            region_heat: HeatMap::new(),
         }
     }
 
@@ -458,8 +543,11 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grouting_embed::{EmbeddingConfig, LandmarkConfig};
     use grouting_graph::{GraphBuilder, NodeId};
     use grouting_storage::HashPartitioner;
+    use std::collections::HashSet;
+    use std::hash::{BuildHasherDefault, Hasher};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -604,6 +692,87 @@ mod tests {
         assert_send::<Worker>();
     }
 
+    fn ack(seq: u64, processor: usize) -> QueryRecord {
+        QueryRecord {
+            seq,
+            arrived: 0,
+            started: 0,
+            completed: 0,
+            processor,
+        }
+    }
+
+    #[test]
+    fn a_full_window_leaves_the_router_untouched() {
+        // Embed routing moves a processor's EMA mean on every dispatch
+        // (Eq. 5), so a refused dispatch must not reach the router at all.
+        let mut b = GraphBuilder::new();
+        for i in 0..32 {
+            b.add_edge(n(i), n((i + 1) % 32));
+        }
+        let landmarks = Landmarks::build(
+            &b.build().unwrap(),
+            &LandmarkConfig {
+                count: 4,
+                min_separation: 4,
+            },
+        );
+        let embedding = Embedding::build(
+            &landmarks,
+            &EmbeddingConfig {
+                dimensions: 3,
+                landmark_sweeps: 1,
+                landmark_iters: 50,
+                node_iters: 20,
+                nearest_landmarks: 4,
+                seed: 7,
+            },
+        );
+        let assets = loaded_assets(1).with_embedding(Some(Arc::new(embedding)));
+        let cfg = EngineConfig {
+            overlap: 1,
+            ..EngineConfig::paper_default(2, RoutingKind::Embed)
+        };
+        let mut engine = Engine::new_router_only(&assets, &cfg);
+        let queries: Vec<Query> = (0..8u32).map(q).collect();
+        engine.admit(&mut queries.iter().copied().enumerate(), |_| {});
+        assert!(engine.next_for(0).is_some());
+        assert!(engine.next_for(1).is_some());
+        let router_state = |e: &Engine| {
+            let Strategy::Embed(ema) = e.router.strategy() else {
+                unreachable!("embed routing")
+            };
+            let distances: Vec<f64> = (0..32)
+                .flat_map(|v| (0..2).map(move |p| (v, p)))
+                .map(|(v, p)| ema.distance(n(v), p))
+                .collect();
+            (e.router.loads(), e.pending(), e.router.stolen(), distances)
+        };
+        let before = router_state(&engine);
+        assert_eq!(engine.next_for(0), None, "window of one is full");
+        assert_eq!(engine.next_for(1), None, "window of one is full");
+        assert_eq!(router_state(&engine), before);
+    }
+
+    #[test]
+    fn zero_overlap_is_a_window_of_one() {
+        let assets = loaded_assets(1);
+        let cfg = EngineConfig {
+            overlap: 0,
+            ..EngineConfig::paper_default(1, RoutingKind::Hash)
+        };
+        let mut engine = Engine::new_router_only(&assets, &cfg);
+        let queries: Vec<Query> = (0..3u32).map(q).collect();
+        engine.admit(&mut queries.iter().copied().enumerate(), |_| {});
+        let (seq, _) = engine.next_for(0).expect("work queued");
+        assert_eq!(engine.next_for(0), None, "one query in flight");
+        assert_eq!(
+            engine.complete(ack(seq, 0), &AccessStats::default()),
+            Some(queries[seq as usize])
+        );
+        assert!(engine.next_for(0).is_some(), "the ack reopens the window");
+    }
+
     #[test]
     fn router_only_engine_routes_without_workers() {
         let assets = loaded_assets(2);
@@ -617,5 +786,398 @@ mod tests {
         engine.admit(&mut backlog, |_| {});
         assert_eq!(engine.pending(), 4);
         assert!(engine.next_for(0).is_some(), "routing works workerless");
+    }
+
+    /// A copy of a router-only engine, so the explorer can branch.
+    fn fork(e: &Engine) -> Engine {
+        Engine {
+            config: e.config,
+            router: e.router.clone(),
+            workers: Vec::new(),
+            timeline: e.timeline.clone(),
+            totals: e.totals,
+            windows: e.windows.clone(),
+            windows_resubmitted: e.windows_resubmitted,
+            tallies: e.tallies.clone(),
+            retired: e.retired.clone(),
+        }
+    }
+
+    /// The one kill and the one rejoin an explored schedule may spend.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Phase {
+        Live,
+        Down(usize),
+        Rejoined,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Action {
+        Admit,
+        Next(usize),
+        Ack(usize, u64),
+        Kill(usize),
+        Rejoin,
+    }
+
+    /// An explored state: the engine plus what the schedule did to it.
+    struct State {
+        engine: Engine,
+        /// Queries taken from the backlog so far.
+        admitted: usize,
+        /// Per seq: acknowledgements the engine accepted.
+        completions: Vec<u32>,
+        /// Per processor: acknowledgements in its current incarnation —
+        /// the cumulative prefetch tally each acknowledgement reports.
+        incarnation_acks: Vec<u64>,
+        /// Kills that found a non-empty window.
+        kills_with_window: u64,
+        phase: Phase,
+    }
+
+    impl State {
+        fn fork(&self) -> State {
+            State {
+                engine: fork(&self.engine),
+                admitted: self.admitted,
+                completions: self.completions.clone(),
+                incarnation_acks: self.incarnation_acks.clone(),
+                kills_with_window: self.kills_with_window,
+                phase: self.phase,
+            }
+        }
+
+        /// A 128-bit hash of the canonical key: the router (up flags,
+        /// counters, each queue front to back, then the global queue), the
+        /// windows, totals, tallies (live and banked) and the explorer's own
+        /// bookkeeping. Formatting the router's `Debug` instead triples an
+        /// unoptimised test build's run time.
+        fn key(&self) -> u128 {
+            let e = &self.engine;
+            let (mut a, mut b) = (0u64, !0u64);
+            let mut put = |word: u64| {
+                a = (a.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+                b = (b ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                b ^= b >> 29;
+            };
+            // Own queues pop front first, so draining a copy `loads[p]`
+            // times from each processor reads every queue in order; what
+            // is left is the global queue.
+            let router = &e.router;
+            let mut drain = router.clone();
+            for p in 0..e.processors() {
+                put(u64::from(router.is_up(p)));
+                drain.mark_up(p);
+            }
+            put(router.stolen());
+            put(router.dispatched());
+            for (p, load) in router.loads().into_iter().enumerate() {
+                put(load as u64);
+                for _ in 0..load {
+                    put(drain.next_for(p).expect("own queue").0);
+                }
+            }
+            while let Some((seq, _)) = drain.next_for(0) {
+                put(seq);
+            }
+            for window in &e.windows {
+                put(window.len() as u64);
+                window.iter().for_each(|&(seq, _)| put(seq));
+            }
+            let t = e.totals;
+            [t.cache_hits, t.cache_misses, t.evictions]
+                .into_iter()
+                .for_each(&mut put);
+            for tally in e.tallies.iter().chain([&e.retired]) {
+                let (pf, fo) = (tally.prefetch, tally.failover);
+                [pf.issued, pf.hits, pf.wasted_bytes]
+                    .into_iter()
+                    .chain([fo.redials, fo.replica_failovers, fo.batches_resubmitted])
+                    .for_each(&mut put);
+                put(u64::from(tally.heat.is_empty()));
+            }
+            put(e.windows_resubmitted);
+            put(e.timeline.len() as u64);
+            self.completions.iter().for_each(|&c| put(c.into()));
+            self.incarnation_acks.iter().for_each(|&acks| put(acks));
+            put(self.admitted as u64);
+            put(match self.phase {
+                Phase::Live => 0,
+                Phase::Down(p) => 1 + p as u64,
+                Phase::Rejoined => 0xFF,
+            });
+            (u128::from(a) << 64) | u128::from(b)
+        }
+    }
+
+    /// Passes the explorer's already mixed 128-bit keys through.
+    #[derive(Default)]
+    struct KeyHasher(u64);
+
+    impl Hasher for KeyHasher {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+
+        fn write(&mut self, _: &[u8]) {
+            unreachable!("only u128 keys are hashed")
+        }
+
+        fn write_u128(&mut self, key: u128) {
+            self.0 = key as u64;
+        }
+    }
+
+    /// Distinct per seq, so a lost or doubled acknowledgement shows in
+    /// the totals.
+    fn ack_stats(seq: u64) -> AccessStats {
+        AccessStats {
+            cache_hits: 1 << seq,
+            cache_misses: 100 + seq,
+            miss_bytes: 0,
+            evictions: seq * seq + 1,
+        }
+    }
+
+    /// The state after `action`, or `None` when the engine refused it
+    /// (nothing to admit, nothing to dispatch).
+    fn apply(state: &State, action: Action, queries: &[Query]) -> Option<State> {
+        let mut next = state.fork();
+        let e = &mut next.engine;
+        match action {
+            Action::Admit => {
+                let from = next.admitted;
+                let mut backlog = queries.iter().copied().enumerate().skip(from);
+                e.admit(&mut backlog, |seq| {
+                    assert_eq!(seq, next.admitted, "admission is in order");
+                    next.admitted += 1;
+                });
+                if next.admitted == from {
+                    return None;
+                }
+            }
+            Action::Next(p) => {
+                let (seq, query) = e.next_for(p)?;
+                assert_eq!(query, queries[seq as usize]);
+            }
+            Action::Ack(p, seq) => {
+                let acked = e.complete(ack(seq, p), &ack_stats(seq));
+                assert_eq!(acked, Some(queries[seq as usize]), "ack {seq} from {p}");
+                next.completions[seq as usize] += 1;
+                next.incarnation_acks[p] += 1;
+                let prefetch = PrefetchStats {
+                    issued: next.incarnation_acks[p],
+                    ..PrefetchStats::default()
+                };
+                let issued =
+                    e.report_tallies(p, prefetch, FailoverStats::default(), HeatMap::new());
+                assert_eq!(issued, 1, "one new speculative fetch per ack");
+            }
+            Action::Kill(p) => {
+                if !e.windows[p].is_empty() {
+                    next.kills_with_window += 1;
+                }
+                e.mark_down(p);
+                next.incarnation_acks[p] = 0;
+                next.phase = Phase::Down(p);
+            }
+            Action::Rejoin => {
+                let Phase::Down(p) = next.phase else {
+                    unreachable!("rejoin follows a kill")
+                };
+                e.mark_up(p);
+                next.phase = Phase::Rejoined;
+            }
+        }
+        Some(next)
+    }
+
+    /// The invariants every reachable state must hold.
+    fn check(state: &mut State, queries: &[Query], key: u128) {
+        let e = &state.engine;
+        let procs = e.processors();
+        // Where each seq is: drain a copy of the router's queues.
+        let mut queued = vec![0u32; queries.len()];
+        let mut router = e.router.clone();
+        for p in 0..procs {
+            router.mark_up(p);
+        }
+        for p in 0..procs {
+            while let Some((seq, _)) = router.next_for(p) {
+                queued[seq as usize] += 1;
+            }
+        }
+        for (seq, &done) in state.completions.iter().enumerate() {
+            let windowed = e
+                .windows
+                .iter()
+                .flatten()
+                .filter(|&&(s, _)| s == seq as u64)
+                .count() as u32;
+            let expected = u32::from(seq < state.admitted);
+            assert_eq!(
+                queued[seq] + windowed + done,
+                expected,
+                "seq {seq}: queued {}, windowed {windowed}, completed {done}",
+                queued[seq]
+            );
+        }
+        for (p, window) in e.windows.iter().enumerate() {
+            assert!(
+                window.len() <= e.config.overlap.max(1),
+                "window {p} overflows"
+            );
+            if state.phase == Phase::Down(p) {
+                assert!(window.is_empty(), "down processor {p} holds a window");
+            }
+        }
+        let snap = e.snapshot();
+        let done: Vec<u64> = (0..queries.len() as u64)
+            .filter(|&s| state.completions[s as usize] == 1)
+            .collect();
+        let acks: u64 = state.completions.iter().map(|&c| u64::from(c)).sum();
+        assert_eq!(snap.queries, acks);
+        let sum = |f: fn(&AccessStats) -> u64| done.iter().map(|&s| f(&ack_stats(s))).sum::<u64>();
+        assert_eq!(snap.cache_hits, sum(|a| a.cache_hits));
+        assert_eq!(snap.cache_misses, sum(|a| a.cache_misses));
+        assert_eq!(snap.evictions, sum(|a| a.evictions));
+        assert_eq!(snap.windows_resubmitted, state.kills_with_window);
+        assert_eq!(
+            snap.prefetch_issued, acks,
+            "banking lost or doubled a tally"
+        );
+
+        // A stray acknowledgement — a duplicate, another processor's seq
+        // or one never dispatched — counts nothing and changes nothing.
+        let stray = (0..procs)
+            .flat_map(|p| (0..=queries.len() as u64).map(move |s| (p, s)))
+            .find(|&(p, s)| {
+                !e.windows[p].iter().any(|&(w, _)| w == s)
+                    && (state.completions.get(s as usize) == Some(&1)
+                        || e.windows.iter().flatten().any(|&(w, _)| w == s))
+            })
+            .unwrap_or((0, queries.len() as u64));
+        let (p, seq) = stray;
+        let e = &mut state.engine;
+        assert_eq!(
+            e.complete(ack(seq, p), &ack_stats(seq)),
+            None,
+            "stray {stray:?}"
+        );
+        // A full window or a down processor gets nothing, and the refusal
+        // moves nothing either.
+        for p in 0..procs {
+            if e.windows[p].len() >= e.config.overlap.max(1) || state.phase == Phase::Down(p) {
+                assert_eq!(e.next_for(p), None, "dispatch past window or to down {p}");
+            }
+        }
+        assert_eq!(state.key(), key, "a refused call changed the state");
+    }
+
+    /// Explores every interleaving for one configuration: 3 processors,
+    /// 4 queries, an admission window of 2, one kill and one rejoin.
+    /// Prints the number of distinct states and asserts `floor`, so a
+    /// broken action generator cannot pass vacuously.
+    fn explore(routing: RoutingKind, stealing: bool, overlap: usize, floor: usize) {
+        const PROCESSORS: usize = 3;
+        // Hash sends anchors 0, 3 and 6 to processor 0, so stealing and
+        // redistribution both have work to move.
+        let queries: Vec<Query> = [0, 3, 1, 6].into_iter().map(q).collect();
+        let cfg = EngineConfig {
+            stealing,
+            overlap,
+            admission_window: 2,
+            ..EngineConfig::paper_default(PROCESSORS, routing)
+        };
+        let root = State {
+            engine: Engine::new_router_only(&loaded_assets(1), &cfg),
+            admitted: 0,
+            completions: vec![0; queries.len()],
+            incarnation_acks: vec![0; PROCESSORS],
+            kills_with_window: 0,
+            phase: Phase::Live,
+        };
+        let mut seen: HashSet<u128, BuildHasherDefault<KeyHasher>> = HashSet::default();
+        seen.insert(root.key());
+        let mut stack = vec![(root.key(), root)];
+        while let Some((key, mut state)) = stack.pop() {
+            check(&mut state, &queries, key);
+            let e = &state.engine;
+            let mut actions = Vec::new();
+            if state.admitted < queries.len() && e.pending() < cfg.window() {
+                actions.push(Action::Admit);
+            }
+            for p in 0..PROCESSORS {
+                if e.windows[p].len() < overlap.max(1) && state.phase != Phase::Down(p) {
+                    actions.push(Action::Next(p));
+                }
+                for &(seq, _) in &e.windows[p] {
+                    actions.push(Action::Ack(p, seq));
+                }
+            }
+            let work = actions.len();
+            match state.phase {
+                // Never the last live processor: only one kill, P = 3.
+                Phase::Live => actions.extend((0..PROCESSORS).map(Action::Kill)),
+                Phase::Down(_) => actions.push(Action::Rejoin),
+                Phase::Rejoined => {}
+            }
+            let mut progressed = false;
+            for (i, &action) in actions.iter().enumerate() {
+                let Some(next) = apply(&state, action, &queries) else {
+                    continue;
+                };
+                let next_key = next.key();
+                assert_ne!(next_key, key, "{action:?} changed nothing");
+                progressed |= i < work;
+                if seen.insert(next_key) {
+                    stack.push((next_key, next));
+                }
+            }
+            if !progressed {
+                assert_eq!(state.admitted, queries.len(), "wedged before admitting all");
+                assert!(
+                    state.completions.iter().all(|&c| c == 1),
+                    "terminal state {:?} with {:?}",
+                    state.phase,
+                    state.completions
+                );
+            }
+        }
+        println!(
+            "{routing} stealing={stealing} overlap={overlap}: {} states",
+            seen.len()
+        );
+        assert!(seen.len() >= floor, "only {} states explored", seen.len());
+    }
+
+    #[test]
+    fn explore_hash_with_stealing_overlap_1() {
+        explore(RoutingKind::Hash, true, 1, 10_000);
+    }
+
+    #[test]
+    fn explore_hash_with_stealing_overlap_2() {
+        explore(RoutingKind::Hash, true, 2, 30_000);
+    }
+
+    #[test]
+    fn explore_hash_without_stealing_overlap_1() {
+        explore(RoutingKind::Hash, false, 1, 500);
+    }
+
+    #[test]
+    fn explore_hash_without_stealing_overlap_2() {
+        explore(RoutingKind::Hash, false, 2, 1_000);
+    }
+
+    #[test]
+    fn explore_next_ready_overlap_1() {
+        explore(RoutingKind::NextReady, true, 1, 5_000);
+    }
+
+    #[test]
+    fn explore_next_ready_overlap_2() {
+        explore(RoutingKind::NextReady, true, 2, 15_000);
     }
 }

@@ -32,7 +32,7 @@ impl Default for RouterConfig {
 }
 
 /// The router in front of the processing tier.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Router {
     strategy: Strategy,
     config: RouterConfig,

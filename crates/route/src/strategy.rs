@@ -55,6 +55,7 @@ impl std::fmt::Display for RoutingKind {
 }
 
 /// A routing strategy instance, holding whatever state its scheme needs.
+#[derive(Clone)]
 pub enum Strategy {
     /// Next-ready dispatch (also used for the no-cache control).
     NextReady {

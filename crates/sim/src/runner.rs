@@ -29,7 +29,9 @@ use crate::report::SimReport;
 /// The whole stack — router, strategy, per-processor caches, storage-tier
 /// handles, timeline — is assembled by the shared [`Engine`] builder (the
 /// wire cluster's router node runs the same router half); this loop only
-/// owns *virtual time*.
+/// owns *virtual time*. Each processor holds one query in flight, driven
+/// through the same dispatch window the wire router uses: `next_for`
+/// opens it, `complete` acknowledges it at once.
 ///
 /// # Panics
 ///

@@ -755,6 +755,64 @@ mod tests {
     }
 
     #[test]
+    fn router_rejects_a_repeated_acknowledgement() {
+        // A processor that acknowledges seq 0 twice while seq 1 is still
+        // in flight must not pass for two completions: that would end the
+        // run with seq 1 never answered.
+        let tier = loaded_tier(16, 1);
+        let assets = EngineAssets::new(tier);
+        let config = EngineConfig::paper_default(1, RoutingKind::Hash);
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let listener = transport.listen(&transport.any_addr()).unwrap();
+        let addr = listener.addr();
+        let (ended_tx, ended) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = ended_tx.send(run_router(
+                listener,
+                &assets,
+                &config,
+                &RouterOptions::default(),
+            ));
+        });
+        let mut scripted = join_as_processor(&*transport, &addr, 0);
+        let mut client = transport.dial(&addr).unwrap();
+        client
+            .send(&Frame::Hello {
+                role: Role::Client,
+                id: 0,
+            })
+            .unwrap();
+        for (seq, query) in queries(16, 2).into_iter().enumerate() {
+            client
+                .send(&Frame::Submit {
+                    seq: seq as u64,
+                    query,
+                    submitted_ns: None,
+                })
+                .unwrap();
+        }
+        client.send(&Frame::SubmitEnd).unwrap();
+        // Overlap 2: both queries are dispatched before any acknowledgement.
+        for expected in 0..2 {
+            match scripted.recv().unwrap() {
+                Frame::Dispatch { seq, .. } => assert_eq!(seq, expected),
+                other => panic!("processor got {}", other.kind()),
+            }
+        }
+        for _ in 0..2 {
+            scripted
+                .send(&Frame::Completion(scripted_completion(0, 0)))
+                .unwrap();
+        }
+        match ended.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(Err(WireError::Protocol(msg))) => {
+                assert!(msg.contains("processor 0 acknowledged seq 0"), "{msg}");
+            }
+            other => panic!("a repeated acknowledgement was counted: {other:?}"),
+        }
+    }
+
+    #[test]
     fn restarted_processor_rejoins_rotation() {
         // The re-join path (ROADMAP item): a processor dies mid-run, the
         // router masks it, then the processor RESTARTS, re-dials with its

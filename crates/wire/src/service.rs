@@ -15,12 +15,11 @@
 //!   dispatched queries in flight, one query's frontier batch travelling
 //!   while another's compute stage runs;
 //! * [`run_router`] — the router node: accepts client and processor
-//!   connections on its reactor, drives the shared [`Engine`] (admission
-//!   window, strategy, queues, stealing), dispatches up to `overlap`
-//!   queries ahead of acknowledgements per processor, stamps arrivals,
-//!   forwards completions, masks mid-run processor deaths (mark-down +
-//!   resubmission of every outstanding dispatch), re-admits restarted
-//!   processors that re-dial with their old id (mark-up), answers mid-run
+//!   connections on its reactor and moves frames for the shared
+//!   [`Engine`], which decides admission, routing, stealing, each
+//!   processor's dispatch window of up to `overlap` queries, death
+//!   (mark-down + resubmission of the window) and rejoin (mark-up); the
+//!   loop stamps arrivals, forwards completions, answers mid-run
 //!   [`Frame::MetricsRequest`]s, and emits the final [`RunSnapshot`].
 //!
 //! All three speak only [`Frame`]s over [`Transport`] connections, so the
@@ -738,33 +737,34 @@ impl Default for RouterOptions {
 
 /// Runs the router node over `listener` until the workload completes.
 ///
-/// The router owns the same [`Engine`] the in-proc runtimes drive — the
-/// strategy, the per-processor queues, admission windowing, stealing, and
-/// completion accounting all run through identical code; only the job and
-/// ack channels are replaced by framed connections, all multiplexed
-/// through ONE [`Reactor`] poll loop — no acceptor thread, no
-/// reader thread per peer. Returns the run's totals (also sent to the
-/// client as a [`Frame::Metrics`]).
+/// The engine decides; this loop moves frames. The router owns the same
+/// [`Engine`] the simulator drives — admission, the strategy and its
+/// queues, stealing, each processor's dispatch window, processor death and
+/// the reported tallies all run through identical code. What stays here
+/// is sockets: connections multiplexed through ONE [`Reactor`] poll loop
+/// (no acceptor thread, no reader thread per peer), arrival and trace
+/// stamps, landmark-region heat and the scrape. Returns the run's totals
+/// (also sent to the client as a [`Frame::Metrics`]).
 ///
 /// Protocol: processors connect and announce `Hello{Processor, id}`; one
 /// client connects, announces `Hello{Client}`, streams `Submit`s, and ends
-/// with `SubmitEnd`. The router keeps up to [`EngineConfig::overlap`]
+/// with `SubmitEnd`. The engine keeps up to [`EngineConfig::overlap`]
 /// dispatches in flight per processor (the classic ack-driven one-at-a-time
-/// protocol is `overlap = 1`). When every submitted query has completed,
-/// the router forwards the snapshot and `Shutdown` to the client, shuts
-/// processors down, and returns. A [`Frame::MetricsRequest`] from any peer
-/// is answered immediately with the *current* snapshot, and
+/// protocol is `overlap = 1`); a completion for a seq that is not in its
+/// processor's window is a protocol error. When every submitted query has
+/// completed, the router forwards the snapshot and `Shutdown` to the
+/// client, shuts processors down, and returns. A [`Frame::MetricsRequest`]
+/// from any peer is answered immediately with the *current* snapshot, and
 /// [`RouterOptions::snapshot_every`] streams periodic snapshots to the
 /// client unprompted.
 ///
 /// Fault masking and re-join: a processor that disconnects mid-run is
-/// marked down in the routing engine ([`Engine::mark_down`]), its queued
-/// work is redistributed through the strategy, and every outstanding
-/// dispatched query is resubmitted under its original sequence number —
-/// the run continues on the surviving processors. A restarted processor
-/// re-dialling with its old id is marked up again ([`Engine::mark_up`])
-/// and re-enters rotation. Losing the client, or the *last* processor, is
-/// still fatal.
+/// marked down in the routing engine ([`Engine::mark_down`]), which
+/// redistributes its queued work and resubmits its dispatch window under
+/// the original sequence numbers — the run continues on the surviving
+/// processors. A restarted processor re-dialling with its old id is
+/// marked up again ([`Engine::mark_up`]) and re-enters rotation. Losing
+/// the client, or the *last* processor, is still fatal.
 ///
 /// # Errors
 ///
@@ -783,7 +783,6 @@ pub fn run_router(
 ) -> WireResult<RunSnapshot> {
     set_node_role("router");
     let p = config.processors;
-    let overlap = config.overlap.max(1);
     // Router half only: the processors (and their caches) are remote.
     let mut engine = Engine::new_router_only(assets, config);
     let mut reactor = Reactor::new(listener);
@@ -801,36 +800,16 @@ pub fn run_router(
 
     // Router state: which connection is which peer.
     let mut processor_conn: Vec<Option<u64>> = vec![None; p];
-    let mut in_flight: Vec<usize> = vec![0; p];
-    // The dispatched-but-unacknowledged queries per processor (at most
-    // `overlap`), kept so a dying processor's in-flight work can be
-    // resubmitted.
-    let mut outstanding: Vec<Vec<(u64, grouting_query::Query)>> = vec![Vec::new(); p];
     let mut ever_connected = 0usize;
-    // Latest cumulative speculation tally per processor, as last reported:
-    // a completion carries it only when it changed since that processor's
-    // previous completion (default = unchanged). Summed into every
-    // snapshot the router emits. A restarted processor restarts its tally
-    // — the pre-death speculation is folded into `prefetch_retired` when
-    // the death is noticed.
-    let mut prefetch_live: Vec<PrefetchStats> = vec![PrefetchStats::default(); p];
-    let mut prefetch_retired = PrefetchStats::default();
-    // Same last-reported live/retired split for the processors'
-    // storage-failover tallies (redials, replica failovers, resubmitted
-    // batches).
-    let mut failover_live: Vec<FailoverStats> = vec![FailoverStats::default(); p];
-    let mut failover_retired = FailoverStats::default();
-    // Same last-reported live/retired split for the cumulative
-    // per-partition heat (empty = unchanged on a completion).
-    let mut heat_live: Vec<HeatMap> = vec![HeatMap::new(); p];
-    let mut heat_retired = HeatMap::new();
     // Router-local per-landmark-region heat: demand counted at dispatch
     // (anchor's nearest landmark), speculation via the per-completion
     // prefetch delta. Stays empty without a landmark asset.
     let mut region_heat = HeatMap::new();
-    // Router-local: processor-death events whose outstanding dispatch
-    // window was non-empty and got resubmitted wholesale.
-    let mut windows_resubmitted = 0u64;
+    // The engine's snapshot with the router's region heat filled in.
+    let snapshot_now = |engine: &Engine, region_heat: &HeatMap| RunSnapshot {
+        region_heat: region_heat.clone(),
+        ..engine.snapshot()
+    };
     let mut client_conn: Option<u64> = None;
     let mut backlog: VecDeque<(usize, grouting_query::Query)> = VecDeque::new();
     let mut arrivals: HashMap<u64, u64> = HashMap::new();
@@ -859,14 +838,11 @@ pub fn run_router(
             // Synthetic deaths noticed at dispatch time (a send failing
             // before the reactor has polled the peer's closed stream).
             let mut deaths: Vec<u64> = Vec::new();
-            for proc_id in 0..p {
-                let Some(conn_id) = processor_conn[proc_id] else {
+            for (proc_id, conn) in processor_conn.iter().enumerate() {
+                let Some(conn_id) = *conn else {
                     continue;
                 };
-                while in_flight[proc_id] < overlap {
-                    let Some((seq, query)) = engine.next_for(proc_id) else {
-                        break;
-                    };
+                while let Some((seq, query)) = engine.next_for(proc_id) {
                     let dispatch_trace = trace.enabled().then(|| DispatchTrace {
                         level: trace,
                         dispatched_ns: now_ns(),
@@ -883,10 +859,9 @@ pub fn run_router(
                         .is_err()
                     {
                         // The peer died between events; retire the
-                        // connection and give the query back — the death
-                        // handling below redistributes everything.
+                        // connection. The query is already in its window,
+                        // so the death handling below resubmits it.
                         reactor.close(conn_id);
-                        outstanding[proc_id].push((seq, query));
                         deaths.push(conn_id);
                         break;
                     }
@@ -907,8 +882,6 @@ pub fn run_router(
                             region_heat.record_demand(region, 1);
                         }
                     }
-                    in_flight[proc_id] += 1;
-                    outstanding[proc_id].push((seq, query));
                 }
             }
 
@@ -921,17 +894,7 @@ pub fn run_router(
             if let Some(o) = obs.as_mut() {
                 let now = now_ns();
                 o.maybe_sample(now, |r| {
-                    let snap = snapshot_with_recovery(
-                        &engine,
-                        &prefetch_live,
-                        &prefetch_retired,
-                        &failover_live,
-                        &failover_retired,
-                        &heat_live,
-                        &heat_retired,
-                        &region_heat,
-                        windows_resubmitted,
-                    );
+                    let snap = snapshot_now(&engine, &region_heat);
                     fill_router_registry(r, &snap, completed, submitted);
                     if trace.enabled() {
                         r.absorb_stages(&stages);
@@ -979,7 +942,6 @@ pub fn run_router(
                                 )));
                             }
                             processor_conn[id] = Some(conn_id);
-                            in_flight[id] = 0;
                             // Re-join: a restarted processor re-dialling
                             // with its old id goes back into rotation (a
                             // no-op on the first connect).
@@ -1036,6 +998,34 @@ pub fn run_router(
                             // admission window instead of the whole
                             // workload.
                             completion.arrived_ns = arrivals.remove(&completion.seq).unwrap_or(0);
+                            let record = QueryRecord {
+                                seq: completion.seq,
+                                arrived: completion.arrived_ns,
+                                started: completion.started_ns,
+                                completed: completion.completed_ns,
+                                processor: proc_id,
+                            };
+                            // A repeated or unknown seq would count a query
+                            // twice and end the run with another in flight.
+                            let Some(query) = engine.complete(record, &completion.stats) else {
+                                return Err(WireError::Protocol(format!(
+                                    "processor {proc_id} acknowledged seq {}, which is not \
+                                     in its dispatch window",
+                                    completion.seq
+                                )));
+                            };
+                            completed += 1;
+                            // Region speculation: the prefetch tally is
+                            // cumulative, so this completion's newly issued
+                            // speculative fetches are the delta against the
+                            // processor's previous report, attributed to the
+                            // completing query's anchor region.
+                            let issued = engine.report_tallies(proc_id, prefetch, failover, heat);
+                            if let Some(lm) = landmarks.as_ref().filter(|_| issued > 0) {
+                                if let Some(region) = nearest_region(lm, query.anchor()) {
+                                    region_heat.record_speculative(region, issued);
+                                }
+                            }
                             if trace.enabled() {
                                 let received_ns = now_ns();
                                 if let Some((queue_ns, dispatched_ns)) =
@@ -1075,74 +1065,13 @@ pub fn run_router(
                                     }
                                 }
                             }
-                            engine.complete(
-                                QueryRecord {
-                                    seq: completion.seq,
-                                    arrived: completion.arrived_ns,
-                                    started: completion.started_ns,
-                                    completed: completion.completed_ns,
-                                    processor: proc_id,
-                                },
-                                &completion.stats,
-                            );
-                            completed += 1;
-                            if prefetch != PrefetchStats::default() {
-                                // Region speculation: the prefetch tally is
-                                // cumulative, so this completion's newly
-                                // issued speculative fetches are the delta
-                                // against the processor's previous report,
-                                // attributed to the completing query's
-                                // anchor region.
-                                if let Some(lm) = &landmarks {
-                                    let delta = prefetch
-                                        .issued
-                                        .saturating_sub(prefetch_live[proc_id].issued);
-                                    if delta > 0 {
-                                        if let Some(&(_, query)) = outstanding[proc_id]
-                                            .iter()
-                                            .find(|&&(s, _)| s == completion.seq)
-                                        {
-                                            if let Some(region) = nearest_region(lm, query.anchor())
-                                            {
-                                                region_heat.record_speculative(region, delta);
-                                            }
-                                        }
-                                    }
-                                }
-                                prefetch_live[proc_id] = prefetch;
-                            }
-                            if failover != FailoverStats::default() {
-                                failover_live[proc_id] = failover;
-                            }
-                            if !heat.is_empty() {
-                                heat_live[proc_id] = heat;
-                            }
-                            in_flight[proc_id] = in_flight[proc_id].saturating_sub(1);
-                            // Out-of-order acknowledgement is legal under
-                            // overlap; correlate by seq.
-                            if let Some(pos) = outstanding[proc_id]
-                                .iter()
-                                .position(|&(s, _)| s == completion.seq)
-                            {
-                                outstanding[proc_id].remove(pos);
-                            }
                             if let Some(client) = client_conn {
                                 reactor.send(client, &Frame::Completion(completion))?;
                                 if opts.snapshot_every > 0
                                     && completed.is_multiple_of(opts.snapshot_every)
                                     && completed < submitted
                                 {
-                                    let snap = snapshot_with_recovery(
-                                        &engine,
-                                        &prefetch_live,
-                                        &prefetch_retired,
-                                        &failover_live,
-                                        &failover_retired,
-                                        &heat_live,
-                                        &heat_retired,
-                                        &region_heat,
-                                        windows_resubmitted,
-                                    );
+                                    let snap = snapshot_now(&engine, &region_heat);
                                     let snap_trace =
                                         trace_snapshot(trace, &stages, &spans, &opts.telemetry);
                                     reactor.send(
@@ -1160,17 +1089,7 @@ pub fn run_router(
                             // answer with the totals accumulated so far (a
                             // requester that died in the meantime is
                             // handled by its own Closed event).
-                            let snap = snapshot_with_recovery(
-                                &engine,
-                                &prefetch_live,
-                                &prefetch_retired,
-                                &failover_live,
-                                &failover_retired,
-                                &heat_live,
-                                &heat_retired,
-                                &region_heat,
-                                windows_resubmitted,
-                            );
+                            let snap = snapshot_now(&engine, &region_heat);
                             let snap_trace =
                                 trace_snapshot(trace, &stages, &spans, &opts.telemetry);
                             let _ = reactor.send(
@@ -1210,11 +1129,10 @@ pub fn run_router(
                         // rest of the submissions and every result) is
                         // always fatal. A processor death is masked: the
                         // engine marks it down (redistributing its queued
-                        // work through the strategy) and every outstanding
-                        // dispatched query is resubmitted, so the run
-                        // continues on the survivors — unless none remain.
-                        // A stray dial or a peer that never said hello is
-                        // ignorable.
+                        // work and resubmitting its dispatch window), so the
+                        // run continues on the survivors — unless none
+                        // remain. A stray dial or a peer that never said
+                        // hello is ignorable.
                         if client_conn == Some(conn_id) {
                             return Err(WireError::Closed);
                         }
@@ -1222,26 +1140,11 @@ pub fn run_router(
                             processor_conn.iter().position(|&c| c == Some(conn_id))
                         {
                             processor_conn[proc_id] = None;
-                            in_flight[proc_id] = 0;
-                            // A restarted processor reports a fresh tally;
-                            // bank what the dead incarnation speculated.
-                            prefetch_retired.merge(&prefetch_live[proc_id]);
-                            prefetch_live[proc_id] = PrefetchStats::default();
-                            failover_retired.merge(&failover_live[proc_id]);
-                            failover_live[proc_id] = FailoverStats::default();
-                            heat_retired.merge(&heat_live[proc_id]);
-                            heat_live[proc_id] = HeatMap::new();
                             engine.mark_down(proc_id);
                             // A fault event dumps the flight recorder
                             // regardless of the teardown dump flag.
                             if let Some(o) = obs.as_ref() {
                                 o.dump(&format!("processor {proc_id} died"));
-                            }
-                            if !outstanding[proc_id].is_empty() {
-                                windows_resubmitted += 1;
-                            }
-                            for (seq, query) in outstanding[proc_id].drain(..) {
-                                engine.resubmit(seq, query);
                             }
                             let unfinished =
                                 !submit_done || completed < submitted || engine.pending() > 0;
@@ -1260,17 +1163,7 @@ pub fn run_router(
 
     // Teardown: snapshot to the client, shutdown to everyone. Dropping the
     // reactor closes the listener and every connection.
-    let snapshot = snapshot_with_recovery(
-        &engine,
-        &prefetch_live,
-        &prefetch_retired,
-        &failover_live,
-        &failover_retired,
-        &heat_live,
-        &heat_retired,
-        &region_heat,
-        windows_resubmitted,
-    );
+    let snapshot = snapshot_now(&engine, &region_heat);
     if let Some(o) = obs.as_ref() {
         o.teardown();
     }
@@ -1372,47 +1265,6 @@ fn fill_router_registry(
     }
     r.absorb_heat("partition", &snap.partition_heat);
     r.absorb_heat("region", &snap.region_heat);
-}
-
-/// The engine's current snapshot with the speculation and recovery
-/// counters filled in: the live per-processor cumulative tallies plus
-/// whatever dead processor incarnations banked before they went away,
-/// and the router's own count of resubmitted dispatch windows.
-#[allow(clippy::too_many_arguments)]
-fn snapshot_with_recovery(
-    engine: &Engine,
-    prefetch_live: &[PrefetchStats],
-    prefetch_retired: &PrefetchStats,
-    failover_live: &[FailoverStats],
-    failover_retired: &FailoverStats,
-    heat_live: &[HeatMap],
-    heat_retired: &HeatMap,
-    region_heat: &HeatMap,
-    windows_resubmitted: u64,
-) -> RunSnapshot {
-    let mut prefetch = *prefetch_retired;
-    for stats in prefetch_live {
-        prefetch.merge(stats);
-    }
-    let mut failover = *failover_retired;
-    for stats in failover_live {
-        failover.merge(stats);
-    }
-    let mut heat = heat_retired.clone();
-    for h in heat_live {
-        heat.merge(h);
-    }
-    let mut snapshot = engine.snapshot();
-    snapshot.prefetch_issued = prefetch.issued;
-    snapshot.prefetch_hits = prefetch.hits;
-    snapshot.prefetch_wasted_bytes = prefetch.wasted_bytes;
-    snapshot.redials = failover.redials;
-    snapshot.replica_failovers = failover.replica_failovers;
-    snapshot.batches_resubmitted = failover.batches_resubmitted;
-    snapshot.windows_resubmitted = windows_resubmitted;
-    snapshot.partition_heat = heat;
-    snapshot.region_heat = region_heat.clone();
-    snapshot
 }
 
 #[cfg(test)]
