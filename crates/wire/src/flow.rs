@@ -3,24 +3,25 @@
 //! The one processor→storage miss path. A blocking request/reply
 //! exchange per frontier node would make a multi-hop BFS pay one loopback
 //! RTT (~16 µs) per discovered node, serialised; this module keeps many
-//! fetches in flight per processor instead:
+//! fetches in flight per processor instead. [`MultiplexedStorageSource`]
+//! is the [`BatchSource`] a processor plugs behind its cache: it groups a
+//! frontier's miss set by the placement function and puts one
+//! [`Frame::FetchBatchRequest`] per storage server on the wire before
+//! waiting for any reply; a single-node fetch is a batch of one.
 //!
-//! * `BatchMux` — a connection multiplexer holding one framed connection
-//!   per storage server. Batches are *submitted* (written, correlation id
-//!   assigned) separately from being *collected*, so a caller can put one
-//!   [`Frame::FetchBatchRequest`] on the wire towards every storage server
-//!   before waiting for any reply. Collection runs a readiness loop over
-//!   the pending connections — non-blocking polls
-//!   ([`crate::transport::FrameStream::try_recv`], `set_nonblocking`
-//!   under TCP) draining whichever server answers first, with replies
-//!   matched to requests by `req_id` so out-of-order completion is fine,
-//!   and an empty round parking on the one poller of [`crate::reactor`];
-//! * [`MultiplexedStorageSource`] — the [`BatchSource`] a processor plugs
-//!   behind its cache: it groups a frontier's miss set by the placement
-//!   function and ships exactly one batch per storage server per hop; a
-//!   single-node fetch is a batch of one.
+//! The source is the I/O shell over `mux::MuxState`, which decides
+//! everything else without a socket or a clock: correlation by `req_id`
+//! (so out-of-order completion is fine), chunk reassembly, connection
+//! epochs, the dial ladder down the replica chain, resubmission, and the
+//! rule that a request outlives at most one connection death. The shell
+//! holds one framed connection per storage server and runs the one
+//! collect loop, [`MultiplexedStorageSource::try_collect`]: non-blocking
+//! polls ([`crate::transport::FrameStream::try_recv`], `set_nonblocking`
+//! under TCP) that drain whichever server answers first, with an empty
+//! round parking on the one poller of [`crate::reactor`]. It is also the
+//! one place that waits out a dial's backoff; recovery blocks the
+//! processor until the ladder ends.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,14 +34,16 @@ use grouting_trace::TelemetryCounters;
 
 use crate::error::{WireError, WireResult};
 use crate::frame::Frame;
+use crate::mux::{Dial, Dialled, MuxState};
 use crate::reactor::{sample_pool, Poller, PollerKind, IDLE_WAIT};
-use crate::transport::{Connection, FrameSink, FrameStream, RetryPolicy, Transport};
+use crate::transport::{FrameSink, FrameStream, RetryPolicy, Transport};
 
 /// The processor↔storage fetch path — there is only one. Named by the
 /// benchmark (`load/`); the next `benchmark` PR drops it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FetchMode {
-    /// Frontier-batched, pipelined fetching through `BatchMux`.
+    /// Frontier-batched, pipelined fetching through
+    /// [`MultiplexedStorageSource`].
     #[default]
     Batched,
 }
@@ -49,459 +52,51 @@ pub enum FetchMode {
 /// encoded adjacency value, `None` where the node is not stored.
 pub type BatchPayloads = Vec<Option<(u16, Bytes)>>;
 
-/// One storage connection's multiplexer state.
+/// One storage connection: its halves, its poller registration, and the
+/// epoch [`MuxState`] numbered it with.
 struct MuxConn {
     sink: Box<dyn FrameSink>,
     stream: Box<dyn FrameStream>,
     /// Raw descriptor registered with the poller (`None` for fd-less
     /// transports, which turn each wait into a swept ladder rung).
     fd: Option<i32>,
-    /// Payloads received so far per correlation id. A storage server may
-    /// stream one batch's answer as *several* [`Frame::FetchBatchResponse`]
-    /// frames (it chunks responses that would otherwise exceed the frame
-    /// cap), so entries accumulate here until the requested node count is
-    /// reached — including replies to requests the caller is not currently
-    /// waiting on.
-    ready: HashMap<u64, BatchPayloads>,
-    /// The nodes of each outstanding request, recorded at submit: a
-    /// request is complete when its `ready` entry reaches this length,
-    /// and a reconnected connection resubmits exactly these.
-    pending: HashMap<u64, Vec<NodeId>>,
+    epoch: u64,
     /// Last buffer-pool counters folded into telemetry (delta sampling).
     pool_seen: (u64, u64),
 }
 
-/// A pipelined batch-fetch multiplexer over the storage endpoints.
+/// The miss path behind a processor's cache: a frontier's miss set
+/// grouped per storage server, one pipelined batch frame each, over one
+/// lazily dialled connection per server with any number of batches in
+/// flight on it.
 ///
-/// One lazily dialled connection per storage server; any number of
-/// batches may be in flight per connection, correlated by `req_id`. The
-/// submit/collect split is the pipelining: submitting writes the request
-/// and returns immediately, so a frontier's batches reach every storage
-/// server before the first reply is awaited.
-pub struct BatchMux {
+/// Single-node fetches (reachability expansions, random-walk steps) travel
+/// as one-element batches over the same connections, so a processor
+/// speaks only the batch protocol.
+pub struct MultiplexedStorageSource {
     transport: Arc<dyn Transport>,
     addrs: Vec<String>,
+    partitioner: Arc<dyn Partitioner>,
+    state: MuxState,
     conns: Vec<Option<MuxConn>>,
-    next_req_id: u64,
-    reconnects: u64,
-    /// Replica-chain length of the storage tier: node `home`'s payload is
-    /// also served by endpoints `(home + k) % servers` for
-    /// `k < replication`, so a recovery redial may land on any of them.
-    replication: usize,
-    /// Backoff schedule the recovery redial ladder paces itself by.
-    retry: RetryPolicy,
-    /// Recovery counters (dial attempts, chain failovers, resubmissions).
-    failover: FailoverStats,
-    /// Readiness source the collect loops park on when every pending
-    /// stream has reported an empty socket. Connection tokens are the server
-    /// index; callers may register extra descriptors (a processor's router
-    /// connection) under tokens ≥ `BatchMux::EXTERNAL_TOKEN_BASE`.
+    /// Readiness source an unproductive collect round parks on. Connection
+    /// tokens are the server index; callers may register extra descriptors
+    /// (a processor's router connection) under tokens ≥
+    /// [`MultiplexedStorageSource::EXTERNAL_TOKEN_BASE`].
     poller: Poller,
-    /// Batches submitted and not yet fully collected, across servers.
-    outstanding: u64,
     /// Deployment-shared telemetry. Doubles as the trace switch: when set,
     /// batch requests carry their issue stamp and pool/batch-depth
-    /// counters accumulate; when unset the mux's frames are byte-identical
-    /// to an untraced deployment.
+    /// counters accumulate; when unset the frames are byte-identical to an
+    /// untraced deployment.
     telemetry: Option<Arc<TelemetryCounters>>,
 }
 
-impl BatchMux {
-    /// First token available to `BatchMux::register_external` — far
-    /// above any storage server index.
+impl MultiplexedStorageSource {
+    /// First token available to
+    /// [`MultiplexedStorageSource::register_external`] — far above any
+    /// storage server index.
     pub const EXTERNAL_TOKEN_BASE: u64 = 1 << 32;
 
-    /// A multiplexer towards `storage_addrs` (index = storage server id).
-    pub fn new(transport: Arc<dyn Transport>, storage_addrs: &[String]) -> Self {
-        Self {
-            transport,
-            addrs: storage_addrs.to_vec(),
-            conns: storage_addrs.iter().map(|_| None).collect(),
-            next_req_id: 0,
-            reconnects: 0,
-            replication: 1,
-            retry: RetryPolicy::default(),
-            failover: FailoverStats::default(),
-            poller: Poller::new(),
-            outstanding: 0,
-            telemetry: None,
-        }
-    }
-
-    /// Wires deployment-shared telemetry into the multiplexer: batch
-    /// submissions count (with outstanding-depth peaks), receive-pool
-    /// reuse is sampled, and every batch request carries its issue stamp.
-    pub fn set_telemetry(&mut self, telemetry: Arc<TelemetryCounters>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Registers a caller-owned descriptor (token ≥
-    /// `BatchMux::EXTERNAL_TOKEN_BASE`) with the poller, so an idle wait
-    /// also wakes on that connection's traffic. An `fd` of `None` (fd-less
-    /// transport) turns every wait into a swept ladder rung.
-    pub fn register_external(&mut self, token: u64, fd: Option<i32>) {
-        debug_assert!(token >= Self::EXTERNAL_TOKEN_BASE);
-        self.poller.register(token, fd);
-    }
-
-    /// Parks on the poller until any registered connection has traffic, or
-    /// `timeout` passes. Only safe to call when every pending stream's
-    /// last poll returned `None` — its socket was empty then (see
-    /// [`crate::transport::FrameStream::try_recv`]) — which is exactly the
-    /// no-progress state the collect loops call it from.
-    pub fn idle_wait(&mut self, timeout: Duration) {
-        self.poller.park(timeout);
-    }
-
-    /// Tells the poller progress happened, resetting its idle clock so the
-    /// next wait yields briefly before blocking.
-    pub fn note_progress(&mut self) {
-        self.poller.reset();
-    }
-
-    /// Number of storage servers this multiplexer addresses.
-    pub fn server_count(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Declares the storage tier's replica-chain length: a home server's
-    /// payloads are also served by the next `replication - 1` endpoints
-    /// (mod server count), so a recovery redial that cannot reach the
-    /// primary fails over down the chain instead of giving up. `1` (the
-    /// default) means unreplicated.
-    #[must_use]
-    pub fn with_replication(mut self, replication: usize) -> Self {
-        self.replication = replication.max(1);
-        self
-    }
-
-    /// Overrides the recovery backoff schedule (defaults to
-    /// [`RetryPolicy::default`]).
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Recovery counters so far: dial attempts made by recovery paths,
-    /// times a home's traffic failed over to a replica endpoint, and
-    /// batches resubmitted on fresh connections.
-    pub fn failover_stats(&self) -> FailoverStats {
-        self.failover
-    }
-
-    /// Dials *somewhere* that serves home `server`'s data: the replica
-    /// chain is walked primary-first on every backoff attempt, so a
-    /// restarted primary is recovered on the first failure event after its
-    /// re-join rather than being abandoned for good.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error once every chain endpoint has refused
-    /// through the whole ladder.
-    fn redial(&mut self, server: usize) -> WireResult<(usize, Connection)> {
-        let chain = self.replication.min(self.addrs.len()).max(1);
-        let mut last = None;
-        for attempt in 0..self.retry.attempts {
-            for k in 0..chain {
-                let target = (server + k) % self.addrs.len();
-                self.failover.redials += 1;
-                match self.transport.dial_once(&self.addrs[target]) {
-                    Ok(conn) => return Ok((target, conn)),
-                    Err(e) => last = Some(e),
-                }
-            }
-            if attempt + 1 < self.retry.attempts {
-                std::thread::sleep(self.retry.delay(attempt, server as u64));
-            }
-        }
-        Err(last.unwrap_or_else(|| WireError::Unroutable(self.addrs[server].clone())))
-    }
-
-    fn conn(&mut self, server: usize) -> WireResult<&mut MuxConn> {
-        if self.conns[server].is_none() {
-            // First use. Without replicas: the patient dial (peers may
-            // still be starting). With a chain: one fast attempt at the
-            // primary, then the recovery ladder — its paced walk covers
-            // both a still-starting primary and a dead one that must fail
-            // over, without waiting out the transport's startup grace.
-            let fresh = if self.replication > 1 {
-                match self.transport.dial_once(&self.addrs[server]) {
-                    Ok(conn) => conn,
-                    Err(_) => {
-                        let (target, conn) = self.redial(server)?;
-                        if target != server {
-                            self.failover.replica_failovers += 1;
-                        }
-                        conn
-                    }
-                }
-            } else {
-                self.transport.dial(&self.addrs[server])?
-            };
-            let (sink, stream) = fresh.split();
-            let fd = stream.raw_fd();
-            self.poller.register(server as u64, fd);
-            self.conns[server] = Some(MuxConn {
-                sink,
-                stream,
-                fd,
-                ready: HashMap::new(),
-                pending: HashMap::new(),
-                pool_seen: (0, 0),
-            });
-        }
-        Ok(self.conns[server].as_mut().expect("just dialled"))
-    }
-
-    /// Replaces a dead connection with a fresh dial — down the replica
-    /// chain when the primary stays unreachable through the backoff ladder
-    /// — and resubmits every outstanding request on it, masking a storage
-    /// endpoint death. Partially accumulated chunks are discarded — the
-    /// fresh connection re-answers each request in full, so nothing is
-    /// double-counted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dial/resubmission failures (the whole chain is gone).
-    fn reconnect(&mut self, server: usize) -> WireResult<()> {
-        let (pending, old_fd) = self.conns[server]
-            .take()
-            .map(|c| (c.pending, c.fd))
-            .unwrap_or_default();
-        // The old connection (and its fd) is gone by now; deregister
-        // BEFORE dialling so a kernel-recycled descriptor number cannot be
-        // mistaken for the old registration.
-        self.poller.deregister(server as u64, old_fd);
-        let (target, fresh) = self.redial(server)?;
-        if target != server {
-            self.failover.replica_failovers += 1;
-        }
-        let (sink, stream) = fresh.split();
-        let fd = stream.raw_fd();
-        self.poller.register(server as u64, fd);
-        let mut conn = MuxConn {
-            sink,
-            stream,
-            fd,
-            ready: HashMap::new(),
-            pending,
-            pool_seen: (0, 0),
-        };
-        let resubmit_ns = self.telemetry.as_ref().map(|_| crate::service::now_ns());
-        for (req_id, nodes) in &conn.pending {
-            conn.sink.send(&Frame::FetchBatchRequest {
-                req_id: *req_id,
-                nodes: nodes.clone(),
-                issued_ns: resubmit_ns,
-            })?;
-            self.failover.batches_resubmitted += 1;
-        }
-        self.conns[server] = Some(conn);
-        self.reconnects += 1;
-        Ok(())
-    }
-
-    /// Puts one batch request on the wire towards `server` and returns its
-    /// correlation id without waiting for the reply. A send failure on a
-    /// kept connection (peer restarted since the last exchange) is retried
-    /// exactly once on a fresh dial.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dial failures and repeated send failures.
-    pub fn submit(&mut self, server: usize, nodes: &[NodeId]) -> WireResult<u64> {
-        let req_id = self.next_req_id;
-        self.next_req_id += 1;
-        let frame = Frame::FetchBatchRequest {
-            req_id,
-            nodes: nodes.to_vec(),
-            issued_ns: self.telemetry.as_ref().map(|_| crate::service::now_ns()),
-        };
-        let conn = self.conn(server)?;
-        conn.pending.insert(req_id, nodes.to_vec());
-        if conn.sink.send(&frame).is_err() {
-            // The reconnect resubmits everything pending, this request
-            // included.
-            self.reconnect(server)?;
-        }
-        self.outstanding += 1;
-        if let Some(t) = &self.telemetry {
-            t.batch_submitted(self.outstanding);
-        }
-        Ok(req_id)
-    }
-
-    /// Waits for one submitted batch (see `BatchMux::collect_many`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures and protocol violations.
-    pub fn collect(&mut self, server: usize, req_id: u64) -> WireResult<BatchPayloads> {
-        let mut out = self.collect_many(&[(server, req_id)])?;
-        Ok(out.pop().expect("one requested, one returned"))
-    }
-
-    /// Drains at most one ready frame from `server`'s connection into the
-    /// reassembly map, returning whether a frame landed.
-    ///
-    /// Chunked responses accumulate under their correlation id until the
-    /// requested node count is reached; a frame answering a request that
-    /// is *not* outstanding — a server bug, or a stale chunk after its
-    /// request completed — is rejected rather than stashed, so the
-    /// reassembly map cannot leak entries nobody will ever collect.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Protocol`] on non-batch frames and unknown correlation
-    /// ids; transport errors (the caller decides whether to reconnect).
-    pub fn poll_server(&mut self, server: usize) -> WireResult<bool> {
-        let conn = self.conns[server]
-            .as_mut()
-            .ok_or_else(|| WireError::Protocol(format!("server {server}: poll before submit")))?;
-        match conn.stream.try_recv() {
-            Ok(Some(Frame::FetchBatchResponse {
-                req_id: got,
-                payloads,
-            })) => {
-                if !conn.pending.contains_key(&got) {
-                    return Err(WireError::Protocol(format!(
-                        "storage server {server} answered request {got}, which is not outstanding"
-                    )));
-                }
-                conn.ready.entry(got).or_default().extend(payloads);
-                sample_pool(&self.telemetry, conn.stream.as_ref(), &mut conn.pool_seen);
-                Ok(true)
-            }
-            Ok(Some(other)) => Err(WireError::Protocol(format!(
-                "storage server {server} sent {} to a batch fetch",
-                other.kind()
-            ))),
-            Ok(None) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Takes `req_id`'s payloads if its response has fully arrived
-    /// (possibly across several chunked frames). Purely local: no I/O.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Protocol`] when the request was never submitted or the
-    /// server answered more nodes than were asked.
-    pub fn take_ready(&mut self, server: usize, req_id: u64) -> WireResult<Option<BatchPayloads>> {
-        let conn = self.conns[server].as_mut().ok_or_else(|| {
-            WireError::Protocol(format!("server {server}: collect before submit"))
-        })?;
-        let expected = conn.pending.get(&req_id).map(Vec::len).ok_or_else(|| {
-            WireError::Protocol(format!(
-                "server {server}: collect of unknown request {req_id}"
-            ))
-        })?;
-        // Complete once every requested node has been answered — possibly
-        // across several chunked response frames. The server sends at
-        // least one frame even for an empty batch, so presence of the
-        // entry marks "response began".
-        let Some(got) = conn.ready.get(&req_id) else {
-            return Ok(None);
-        };
-        match got.len().cmp(&expected) {
-            std::cmp::Ordering::Equal => {
-                let payloads = conn.ready.remove(&req_id);
-                conn.pending.remove(&req_id);
-                self.outstanding = self.outstanding.saturating_sub(1);
-                Ok(payloads)
-            }
-            std::cmp::Ordering::Greater => Err(WireError::Protocol(format!(
-                "storage server {server} answered {} nodes to a {expected}-node batch",
-                got.len()
-            ))),
-            std::cmp::Ordering::Less => Ok(None),
-        }
-    }
-
-    /// Masks one connection failure observed by a poll: redials and
-    /// resubmits (at most once per server per `budget`), or propagates
-    /// the error when the budget is spent or the failure is a protocol
-    /// violation (reconnecting cannot repair a misbehaving server).
-    fn mask_poll_failure(
-        &mut self,
-        server: usize,
-        error: WireError,
-        budget: &mut [bool],
-    ) -> WireResult<()> {
-        if matches!(error, WireError::Protocol(_)) || budget[server] {
-            return Err(error);
-        }
-        budget[server] = true;
-        self.reconnect(server)
-    }
-
-    /// Readiness loop: waits until every `(server, req_id)` in `wanted`
-    /// has its response, returning payload vectors in `wanted` order.
-    ///
-    /// Each iteration polls every still-pending connection without
-    /// blocking, so whichever storage server answers first is drained
-    /// first; replies for *other* outstanding requests on the same
-    /// connection are stashed by correlation id rather than rejected,
-    /// which is what makes out-of-order completion safe.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures, and [`WireError::Protocol`] when a
-    /// storage server sends anything but a batch response.
-    pub fn collect_many(&mut self, wanted: &[(usize, u64)]) -> WireResult<Vec<BatchPayloads>> {
-        let mut out: Vec<Option<BatchPayloads>> = vec![None; wanted.len()];
-        let mut remaining = wanted.len();
-        // One reconnect attempt per server per collect: masks a storage
-        // restart without looping forever against a peer that is gone.
-        let mut reconnected = vec![false; self.conns.len()];
-        while remaining > 0 {
-            let mut progressed = false;
-            for (slot, &(server, req_id)) in wanted.iter().enumerate() {
-                if out[slot].is_some() {
-                    continue;
-                }
-                if let Some(payloads) = self.take_ready(server, req_id)? {
-                    out[slot] = Some(payloads);
-                    remaining -= 1;
-                    progressed = true;
-                    continue;
-                }
-                match self.poll_server(server) {
-                    Ok(landed) => progressed |= landed,
-                    Err(e) => {
-                        self.mask_poll_failure(server, e, &mut reconnected)?;
-                        progressed = true;
-                    }
-                }
-            }
-            // An empty sweep means every pending stream found its socket
-            // empty; park on the poller until a reply byte lands (epoll)
-            // or pay one ladder rung (swept fallback) so a slow server
-            // doesn't cost a core.
-            if progressed {
-                self.note_progress();
-            } else {
-                self.idle_wait(IDLE_WAIT);
-            }
-        }
-        Ok(out.into_iter().map(|p| p.expect("collected")).collect())
-    }
-}
-
-/// The miss path behind a processor's cache: a frontier's miss set
-/// grouped per storage server, one pipelined batch frame each.
-///
-/// Single-node fetches (reachability expansions, random-walk steps) travel
-/// as one-element batches over the same multiplexed connections, so a
-/// processor speaks only the batch protocol.
-pub struct MultiplexedStorageSource {
-    partitioner: Arc<dyn Partitioner>,
-    mux: BatchMux,
-}
-
-impl MultiplexedStorageSource {
     /// A source fetching from `storage_addrs` (index = storage server id)
     /// with `partitioner` as the placement function.
     pub fn new(
@@ -510,8 +105,13 @@ impl MultiplexedStorageSource {
         partitioner: Arc<dyn Partitioner>,
     ) -> Self {
         Self {
+            transport,
+            addrs: storage_addrs.to_vec(),
             partitioner,
-            mux: BatchMux::new(transport, storage_addrs),
+            state: MuxState::new(storage_addrs.len()),
+            conns: storage_addrs.iter().map(|_| None).collect(),
+            poller: Poller::new(),
+            telemetry: None,
         }
     }
 
@@ -527,69 +127,166 @@ impl MultiplexedStorageSource {
         Self::new(transport, storage_addrs, partitioner)
     }
 
-    /// Registers a caller-owned descriptor with the underlying
-    /// multiplexer's poller (see `BatchMux::register_external`).
+    /// Registers a caller-owned descriptor (token ≥
+    /// [`MultiplexedStorageSource::EXTERNAL_TOKEN_BASE`]) with the poller,
+    /// so an idle wait also wakes on that connection's traffic. An `fd` of
+    /// `None` (fd-less transport) turns every wait into a swept ladder
+    /// rung.
     pub fn register_external(&mut self, token: u64, fd: Option<i32>) {
-        self.mux.register_external(token, fd);
+        debug_assert!(token >= Self::EXTERNAL_TOKEN_BASE);
+        self.poller.register(token, fd);
     }
 
-    /// Parks until any registered connection has traffic (see
-    /// `BatchMux::idle_wait`).
+    /// Parks on the poller until any registered connection has traffic, or
+    /// `timeout` passes. Only safe to call when every awaited stream's
+    /// last poll returned `None` — its socket was empty then (see
+    /// [`crate::transport::FrameStream::try_recv`]).
     pub fn idle_wait(&mut self, timeout: Duration) {
-        self.mux.idle_wait(timeout);
+        self.poller.park(timeout);
     }
 
-    /// Resets the poller's idle clock (see `BatchMux::note_progress`).
+    /// Tells the poller progress happened, resetting its idle clock so the
+    /// next wait yields briefly before blocking.
     pub fn note_progress(&mut self) {
-        self.mux.note_progress();
+        self.poller.reset();
     }
 
-    /// Routes the multiplexer's batch-depth and buffer-pool telemetry
-    /// into `telemetry` (see `BatchMux::set_telemetry`).
+    /// Wires deployment-shared telemetry in: batch submissions count (with
+    /// outstanding-depth peaks), receive-pool reuse is sampled, and every
+    /// batch request carries its issue stamp.
     pub fn set_telemetry(&mut self, telemetry: Arc<TelemetryCounters>) {
-        self.mux.set_telemetry(telemetry);
+        self.telemetry = Some(telemetry);
     }
 
-    /// Declares the tier's replica-chain length (see
-    /// `BatchMux::with_replication`).
+    /// Declares the storage tier's replica-chain length: a home server's
+    /// payloads are also served by the next `replication - 1` endpoints
+    /// (mod server count), so a dial that cannot reach the primary fails
+    /// over down the chain instead of giving up. `1` (the default) means
+    /// unreplicated.
     #[must_use]
     pub fn with_replication(mut self, replication: usize) -> Self {
-        self.mux = self.mux.with_replication(replication);
+        self.state.replication = replication.max(1);
         self
     }
 
-    /// Overrides the recovery backoff schedule (see
-    /// `BatchMux::with_retry`).
+    /// Overrides the dial ladder's backoff schedule (defaults to
+    /// [`RetryPolicy::default`]).
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.mux = self.mux.with_retry(retry);
+        self.state.retry = retry;
         self
     }
 
-    /// Recovery counters so far (see `BatchMux::failover_stats`).
+    /// Recovery counters so far: dials after each server's first, times a
+    /// home's traffic failed over to a replica endpoint, and batches
+    /// resubmitted on fresh connections.
     pub fn failover_stats(&self) -> FailoverStats {
-        self.mux.failover_stats()
+        self.state.failover()
     }
 
     fn home(&self, node: NodeId) -> usize {
-        self.partitioner.assign(node) % self.mux.server_count()
+        self.partitioner.assign(node) % self.addrs.len()
+    }
+
+    /// Connects home `server`: walks the dial ladder [`MuxState`] lays
+    /// out, waiting out each rung's backoff here, then resubmits the
+    /// server's outstanding requests on the fresh connection.
+    ///
+    /// # Errors
+    ///
+    /// The last dial's error once the whole ladder is refused, and
+    /// failures to resubmit.
+    fn connect(&mut self, server: usize) -> WireResult<()> {
+        let mut dial = Dial::primary(server);
+        let (conn, resubmit) = loop {
+            if !dial.delay.is_zero() {
+                std::thread::sleep(dial.delay);
+            }
+            let result = self.transport.dial_once(&self.addrs[dial.target]);
+            match self.state.on_dial(server, dial, result)? {
+                Dialled::Connected(conn, resubmit) => break (conn, resubmit),
+                Dialled::Retry(next) => dial = next,
+            }
+        };
+        let (sink, stream) = conn.split();
+        let fd = stream.raw_fd();
+        self.poller.register(server as u64, fd);
+        self.conns[server] = Some(MuxConn {
+            sink,
+            stream,
+            fd,
+            epoch: self.state.epoch(server),
+            pool_seen: (0, 0),
+        });
+        resubmit
+            .iter()
+            .try_for_each(|frame| self.send(server, frame))
+    }
+
+    /// Sends `frame` to `server`. A failed send is the connection's death.
+    fn send(&mut self, server: usize, frame: &Frame) -> WireResult<()> {
+        let conn = self.conns[server].as_mut().ok_or(WireError::Closed)?;
+        match conn.sink.send(frame) {
+            Ok(()) => Ok(()),
+            Err(e) => self.recover(server, e),
+        }
+    }
+
+    /// Masks the death of `server`'s connection, seen as `error`: reconnects
+    /// and resubmits, unless a request outstanding on it has already
+    /// outlived a death (then `error` is returned).
+    fn recover(&mut self, server: usize, error: WireError) -> WireResult<()> {
+        let Some(dead) = self.conns[server].take() else {
+            return Err(error);
+        };
+        // Deregister BEFORE dialling, so a kernel-recycled descriptor
+        // number cannot be mistaken for the old registration.
+        self.poller.deregister(server as u64, dead.fd);
+        self.state
+            .on_closed(server, dead.epoch)
+            .map_err(|_| error)?;
+        drop(dead);
+        self.connect(server)
+    }
+
+    /// Reads at most one frame from `server` into the state. Returns
+    /// whether anything happened: a frame landed, or a death was masked.
+    fn poll(&mut self, server: usize) -> WireResult<bool> {
+        let conn = self.conns[server].as_mut().ok_or(WireError::Closed)?;
+        match conn.stream.try_recv() {
+            Ok(Some(frame)) => {
+                sample_pool(&self.telemetry, conn.stream.as_ref(), &mut conn.pool_seen);
+                self.state.on_frame(server, conn.epoch, frame)?;
+                Ok(true)
+            }
+            Ok(None) => Ok(false),
+            Err(e) => self.recover(server, e).map(|()| true),
+        }
+    }
+
+    /// Puts one batch request on the wire towards `server`, dialling it
+    /// first if it has no connection yet, and returns its correlation id.
+    fn submit(&mut self, server: usize, nodes: &[NodeId]) -> WireResult<u64> {
+        if self.conns[server].is_none() {
+            self.connect(server)?;
+        }
+        let issued_ns = self.telemetry.as_ref().map(|_| crate::service::now_ns());
+        let (req_id, frame) = self.state.submit(server, nodes, issued_ns);
+        // A failed send reconnects, and the reconnect resubmits this
+        // request with the others outstanding.
+        self.send(server, &frame)?;
+        if let Some(t) = &self.telemetry {
+            t.batch_submitted(self.state.outstanding());
+        }
+        Ok(req_id)
     }
 }
 
 impl RecordSource for MultiplexedStorageSource {
     fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, Bytes)> {
-        let home = self.home(node);
-        let exchange = self
-            .mux
-            .submit(home, std::slice::from_ref(&node))
-            .and_then(|req_id| self.mux.collect(home, req_id));
-        match exchange {
-            Ok(mut payloads) => {
-                assert_eq!(payloads.len(), 1, "one node in, one payload out");
-                payloads.pop().expect("length checked")
-            }
-            Err(e) => panic!("storage batch fetch failed: {e}"),
-        }
+        self.fetch_batch(std::slice::from_ref(&node))
+            .pop()
+            .flatten()
     }
 }
 
@@ -615,10 +312,11 @@ pub struct PendingBatch {
     collected: Vec<Option<BatchPayloads>>,
     /// Requests still awaited.
     remaining: usize,
+    /// Whether the last [`MultiplexedStorageSource::try_collect`] read a
+    /// frame or completed a request.
+    progressed: bool,
     /// Caller's frontier length (shapes the final payload vector).
     node_count: usize,
-    /// One reconnect attempt per server over this batch's lifetime.
-    reconnected: Vec<bool>,
 }
 
 impl PendingBatch {
@@ -638,8 +336,7 @@ impl MultiplexedStorageSource {
     ///
     /// Propagates dial and send failures.
     pub fn submit_frontier(&mut self, nodes: &[NodeId]) -> WireResult<PendingBatch> {
-        let servers = self.mux.server_count();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); servers];
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.addrs.len()];
         for (i, &node) in nodes.iter().enumerate() {
             groups[self.home(node)].push(i);
         }
@@ -649,67 +346,48 @@ impl MultiplexedStorageSource {
             for slots in group.chunks(MAX_BATCH_REQUEST_NODES) {
                 batch.clear();
                 batch.extend(slots.iter().map(|&i| nodes[i]));
-                let req_id = self.mux.submit(server, &batch)?;
+                let req_id = self.submit(server, &batch)?;
                 requests.push((server, req_id, slots.to_vec()));
             }
         }
-        let remaining = requests.len();
-        let collected = requests.iter().map(|_| None).collect();
         Ok(PendingBatch {
+            collected: vec![None; requests.len()],
+            remaining: requests.len(),
+            progressed: false,
             requests,
-            collected,
-            remaining,
             node_count: nodes.len(),
-            reconnected: vec![false; servers],
         })
     }
 
-    /// Polls the in-flight batch without blocking: `Ok(Some)` with the
-    /// full frontier's payloads (caller order) once every involved server
-    /// has answered, `Ok(None)` while responses are still travelling.
-    ///
-    /// A dead connection is masked by one redial-and-resubmit per server
-    /// per batch, mirroring `BatchMux::collect_many`.
+    /// The one collect loop. Polls the in-flight batch without blocking:
+    /// `Ok(Some)` with the full frontier's payloads (caller order) once
+    /// every involved server has answered, `Ok(None)` while responses are
+    /// still travelling. Each awaited server is drained until its socket
+    /// is empty, and answers to other batches' requests are kept for them.
     ///
     /// # Errors
     ///
-    /// Propagates transport failures past the reconnect budget and
-    /// protocol violations.
+    /// A connection death a request cannot outlive (see `mux`), a refused
+    /// dial ladder, and protocol violations.
     pub fn try_collect(&mut self, pending: &mut PendingBatch) -> WireResult<Option<BatchPayloads>> {
-        for (i, &(server, req_id, _)) in pending.requests.iter().enumerate() {
-            if pending.collected[i].is_some() {
-                continue;
-            }
-            loop {
-                if let Some(payloads) = self.mux.take_ready(server, req_id)? {
-                    pending.collected[i] = Some(payloads);
+        pending.progressed = false;
+        for (&(server, req_id, _), slot) in pending.requests.iter().zip(&mut pending.collected) {
+            while slot.is_none() {
+                if let Some(payloads) = self.state.take(server, req_id)? {
+                    *slot = Some(payloads);
                     pending.remaining -= 1;
+                } else if !self.poll(server)? {
                     break;
                 }
-                match self.mux.poll_server(server) {
-                    Ok(true) => continue,
-                    Ok(false) => break,
-                    Err(e) => {
-                        self.mux
-                            .mask_poll_failure(server, e, &mut pending.reconnected)?;
-                    }
-                }
+                pending.progressed = true;
             }
         }
         if pending.remaining > 0 {
             return Ok(None);
         }
         let mut out: BatchPayloads = vec![None; pending.node_count];
-        for ((server, _, slots), payloads) in
-            pending.requests.iter().zip(pending.collected.drain(..))
-        {
-            let payloads = payloads.expect("remaining == 0 means all collected");
-            assert_eq!(
-                payloads.len(),
-                slots.len(),
-                "server {server} answered a different batch size"
-            );
-            for (&slot, payload) in slots.iter().zip(payloads) {
+        for ((_, _, slots), payloads) in pending.requests.iter().zip(pending.collected.drain(..)) {
+            for (&slot, payload) in slots.iter().zip(payloads.into_iter().flatten()) {
                 out[slot] = payload;
             }
         }
@@ -722,32 +400,26 @@ impl BatchSource for MultiplexedStorageSource {
         if nodes.is_empty() {
             return Vec::new();
         }
-        // Submit phase: every involved server's batch goes on the wire
-        // before any reply is awaited — the pipelining that amortises the
-        // per-exchange RTT across the whole frontier.
-        let mut pending = match self.submit_frontier(nodes) {
-            Ok(p) => p,
-            Err(e) => panic!("storage batch submit failed: {e}"),
-        };
-        // Collect phase: readiness loop over every pending connection —
-        // the same submit/poll primitives the overlapped pipeline drives,
-        // just awaited inline. An unproductive poll round means every
-        // involved stream found its socket empty, so parking on the
-        // poller is safe.
-        loop {
-            let before = pending.remaining;
-            match self.try_collect(&mut pending) {
-                Ok(Some(out)) => return out,
-                Ok(None) => {
-                    if pending.remaining < before {
-                        self.mux.note_progress();
-                    } else {
-                        self.mux.idle_wait(IDLE_WAIT);
-                    }
-                }
-                Err(e) => panic!("storage batch fetch failed: {e}"),
+        // Every involved server's batch goes on the wire before any reply
+        // is awaited, then the collect loop runs inline. A round that read
+        // nothing left every awaited socket empty, so parking on the
+        // poller is safe. A round that read anything, the last one
+        // included, is progress and puts the poller back on its hot rung.
+        // Without that, back-to-back blocking fetches leave the hot rung
+        // for good, and every wait returns at once on readiness this loop
+        // never drains (the router connection, other servers' answers).
+        let fetched = self.submit_frontier(nodes).and_then(|mut pending| loop {
+            let out = self.try_collect(&mut pending)?;
+            if pending.progressed {
+                self.note_progress();
+            } else {
+                self.idle_wait(IDLE_WAIT);
             }
-        }
+            if let Some(out) = out {
+                return Ok(out);
+            }
+        });
+        fetched.unwrap_or_else(|e| panic!("storage batch fetch failed: {e}"))
     }
 }
 
@@ -755,6 +427,7 @@ impl BatchSource for MultiplexedStorageSource {
 mod tests {
     use super::*;
     use crate::transport::{InProcTransport, Listener, TcpTransport};
+    use grouting_storage::HashPartitioner;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -762,6 +435,25 @@ mod tests {
 
     fn payload(i: u32) -> Option<(u16, Bytes)> {
         Some((0, Bytes::from(i.to_le_bytes().to_vec())))
+    }
+
+    /// A source whose every node's home is server 0 (a one-partition
+    /// placement), so a test scripts one connection and its replicas.
+    fn home0_source(transport: Arc<dyn Transport>, addrs: &[String]) -> MultiplexedStorageSource {
+        MultiplexedStorageSource::new(transport, addrs, Arc::new(HashPartitioner::new(1)))
+    }
+
+    /// Drives the collect loop until `pending` completes or fails.
+    fn collect(
+        source: &mut MultiplexedStorageSource,
+        pending: &mut PendingBatch,
+    ) -> WireResult<BatchPayloads> {
+        loop {
+            if let Some(out) = source.try_collect(pending)? {
+                return Ok(out);
+            }
+            source.idle_wait(IDLE_WAIT);
+        }
     }
 
     /// A storage stand-in that answers every batch with one payload per
@@ -806,15 +498,14 @@ mod tests {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let server = batch_server(listener, false);
-        let mut mux = BatchMux::new(Arc::clone(&transport), &[addr]);
+        let mut source = home0_source(Arc::clone(&transport), &[addr]);
         let nodes: Vec<NodeId> = (0..100).map(n).collect();
-        let req = mux.submit(0, &nodes).unwrap();
-        let payloads = mux.collect(0, req).unwrap();
+        let payloads = source.fetch_batch(&nodes);
         assert_eq!(payloads.len(), nodes.len());
         for (node, got) in nodes.iter().zip(&payloads) {
             assert_eq!(*got, payload(node.raw()));
         }
-        drop(mux);
+        drop(source);
         server.join().unwrap();
     }
 
@@ -832,19 +523,19 @@ mod tests {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let server = batch_server(listener, true);
-        let mut mux = BatchMux::new(Arc::clone(&transport), &[addr]);
+        let mut source = home0_source(Arc::clone(&transport), &[addr]);
 
         // Two batches pipelined on one connection; the server replies to
         // the *second* first, so collecting in submit order exercises the
         // stash-and-match path both ways.
-        let first = mux.submit(0, &[n(1), n(2)]).unwrap();
-        let second = mux.submit(0, &[n(7)]).unwrap();
-        assert_ne!(first, second);
-        let got_first = mux.collect(0, first).unwrap();
-        let got_second = mux.collect(0, second).unwrap();
+        let mut first = source.submit_frontier(&[n(1), n(2)]).unwrap();
+        let mut second = source.submit_frontier(&[n(7)]).unwrap();
+        assert_ne!(first.requests[0].1, second.requests[0].1);
+        let got_first = collect(&mut source, &mut first).unwrap();
+        let got_second = collect(&mut source, &mut second).unwrap();
         assert_eq!(got_first, vec![payload(1), payload(2)]);
         assert_eq!(got_second, vec![payload(7)]);
-        drop(mux);
+        drop(source);
         server.join().unwrap();
     }
 
@@ -899,15 +590,15 @@ mod tests {
             }
         });
 
-        let mut mux = BatchMux::new(Arc::clone(&transport), &[addr]);
-        let first = mux.submit(0, &[n(1), n(2), n(3)]).unwrap();
-        let second = mux.submit(0, &[n(10), n(11)]).unwrap();
+        let mut source = home0_source(Arc::clone(&transport), &[addr]);
+        let mut first = source.submit_frontier(&[n(1), n(2), n(3)]).unwrap();
+        let mut second = source.submit_frontier(&[n(10), n(11)]).unwrap();
         assert_eq!(
-            mux.collect(0, first).unwrap(),
+            collect(&mut source, &mut first).unwrap(),
             vec![payload(1), payload(2), payload(3)]
         );
         assert_eq!(
-            mux.collect(0, second).unwrap(),
+            collect(&mut source, &mut second).unwrap(),
             vec![payload(10), payload(11)]
         );
         server.join().unwrap();
@@ -946,17 +637,16 @@ mod tests {
             }
         });
 
-        let mut mux = BatchMux::new(Arc::clone(&transport), &[addr]);
-        let first = mux.submit(0, &[n(1)]).unwrap();
-        assert_eq!(mux.collect(0, first).unwrap(), vec![payload(1)]);
+        let mut source = home0_source(Arc::clone(&transport), &[addr]);
+        assert_eq!(source.fetch_batch(&[n(1)]), vec![payload(1)]);
         // The server dies holding this one; the mux must mask it.
-        let second = mux.submit(0, &[n(2), n(3)]).unwrap();
         assert_eq!(
-            mux.collect(0, second).unwrap(),
+            source.fetch_batch(&[n(2), n(3)]),
             vec![payload(2), payload(3)]
         );
-        assert_eq!(mux.reconnects, 1);
-        drop(mux);
+        assert_eq!(source.state.epoch(0), 2, "one reconnect");
+        assert_eq!(source.failover_stats().batches_resubmitted, 1);
+        drop(source);
         server.join().unwrap();
     }
 
@@ -1014,20 +704,17 @@ mod tests {
             }
         });
 
-        let mut mux = BatchMux::new(Arc::clone(&transport), &[addr]);
-        let req = mux.submit(0, &[n(1), n(2), n(3), n(4)]).unwrap();
-        let got = mux.collect(0, req).unwrap();
+        let mut source = home0_source(Arc::clone(&transport), &[addr]);
         assert_eq!(
-            got,
+            source.fetch_batch(&[n(1), n(2), n(3), n(4)]),
             vec![payload(1), payload(2), payload(3), payload(4)],
             "resubmitted batch must be answered in full, exactly once"
         );
-        assert_eq!(mux.reconnects, 1);
+        assert_eq!(source.state.epoch(0), 2, "one reconnect");
         // The mux is healthy afterwards: a new exchange works and no stale
         // reassembly entries interfere.
-        let req = mux.submit(0, &[n(9)]).unwrap();
-        assert_eq!(mux.collect(0, req).unwrap(), vec![payload(9)]);
-        drop(mux);
+        assert_eq!(source.fetch_batch(&[n(9)]), vec![payload(9)]);
+        drop(source);
         server.join().unwrap();
     }
 
@@ -1071,18 +758,18 @@ mod tests {
             let _ = conn.recv();
         });
 
-        let mut mux = BatchMux::new(Arc::clone(&transport), &[addr]);
-        let first = mux.submit(0, &[n(1)]).unwrap();
-        assert_eq!(mux.collect(0, first).unwrap(), vec![payload(1)]);
+        let mut source = home0_source(Arc::clone(&transport), &[addr]);
+        let mut first = source.submit_frontier(&[n(1)]).unwrap();
+        assert_eq!(collect(&mut source, &mut first).unwrap(), vec![payload(1)]);
         // Collecting the next request hits the stale chunk: the mux must
         // reject it as a protocol violation, not hoard it.
-        let second = mux.submit(0, &[n(2)]).unwrap();
-        let err = mux.collect(0, second).unwrap_err();
+        let mut second = source.submit_frontier(&[n(2)]).unwrap();
+        let err = collect(&mut source, &mut second).unwrap_err();
         assert!(
             matches!(err, WireError::Protocol(ref m) if m.contains("not outstanding")),
             "got {err}"
         );
-        drop(mux);
+        drop(source);
         server.join().unwrap();
     }
 
@@ -1098,7 +785,7 @@ mod tests {
             addrs.push(listener.addr());
             servers.push(batch_server(listener, false));
         }
-        let partitioner: Arc<dyn Partitioner> = Arc::new(grouting_storage::HashPartitioner::new(3));
+        let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(3));
         let mut source = MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, partitioner);
         let nodes: Vec<NodeId> = (0..30).map(n).collect();
         let mut pending = source.submit_frontier(&nodes).unwrap();
@@ -1121,6 +808,9 @@ mod tests {
 
     #[test]
     fn collect_many_drains_multiple_servers() {
+        // Three frontiers in flight at once across three servers, collected
+        // newest first: each collect drains answers belonging to the
+        // others, which must wait for their own batch.
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
         let mut addrs = Vec::new();
         let mut servers = Vec::new();
@@ -1129,21 +819,177 @@ mod tests {
             addrs.push(listener.addr());
             servers.push(batch_server(listener, false));
         }
-        let mut mux = BatchMux::new(Arc::clone(&transport), &addrs);
-        let wanted: Vec<(usize, u64)> = (0..3)
-            .map(|s| {
-                let nodes: Vec<NodeId> = (0..4).map(|i| n(s as u32 * 10 + i)).collect();
-                (s, mux.submit(s, &nodes).unwrap())
-            })
+        let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(3));
+        let mut source = MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, partitioner);
+        let frontiers: Vec<Vec<NodeId>> = (0..3)
+            .map(|f| (0..8).map(|i| n(f * 10 + i)).collect())
             .collect();
-        let responses = mux.collect_many(&wanted).unwrap();
-        for (s, payloads) in responses.iter().enumerate() {
-            assert_eq!(payloads.len(), 4);
-            assert_eq!(payloads[0], payload(s as u32 * 10));
+        let mut pending: Vec<PendingBatch> = frontiers
+            .iter()
+            .map(|nodes| source.submit_frontier(nodes).unwrap())
+            .collect();
+        assert!(
+            pending.iter().all(|p| p.requests.len() == 3),
+            "every frontier reaches every server"
+        );
+        for (nodes, p) in frontiers.iter().zip(&mut pending).rev() {
+            let got = collect(&mut source, p).unwrap();
+            let want: Vec<_> = nodes.iter().map(|w| payload(w.raw())).collect();
+            assert_eq!(got, want);
         }
-        drop(mux);
+        assert_eq!(source.state.outstanding(), 0);
+        drop(source);
         for s in servers {
             s.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn fault_free_run_reports_no_recovery() {
+        // First dials are not redials, even down a replica chain.
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let mut addrs = Vec::new();
+        let mut servers = Vec::new();
+        for _ in 0..3 {
+            let listener = transport.listen(&transport.any_addr()).unwrap();
+            addrs.push(listener.addr());
+            servers.push(batch_server(listener, false));
+        }
+        let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(3));
+        let mut source = MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, partitioner)
+            .with_replication(2);
+        for round in 0..4 {
+            let nodes: Vec<NodeId> = (0..12).map(|i| n(round * 100 + i)).collect();
+            let want: Vec<_> = nodes.iter().map(|w| payload(w.raw())).collect();
+            assert_eq!(source.fetch_batch(&nodes), want);
+        }
+        assert_eq!(source.failover_stats(), FailoverStats::default());
+        drop(source);
+        for s in servers {
+            s.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn resubmission_replays_in_request_order() {
+        // Six batches pipelined on one connection, which dies holding all
+        // of them: the fresh connection must see them in request-id order
+        // on every run, not in a hash map's order.
+        const BATCHES: u32 = 6;
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let mut listener = transport.listen(&transport.any_addr()).unwrap();
+        let addr = listener.addr();
+        let server = std::thread::spawn(move || {
+            let mut conn = listener.accept().unwrap();
+            for _ in 0..BATCHES {
+                conn.recv().unwrap();
+            }
+            drop(conn);
+            let mut conn = listener.accept().unwrap();
+            let mut replayed = Vec::new();
+            for _ in 0..BATCHES {
+                match conn.recv().unwrap() {
+                    Frame::FetchBatchRequest { req_id, nodes, .. } => {
+                        replayed.push(req_id);
+                        let payloads = nodes.iter().map(|w| payload(w.raw())).collect();
+                        conn.send(&Frame::FetchBatchResponse { req_id, payloads })
+                            .unwrap();
+                    }
+                    other => panic!("server got {}", other.kind()),
+                }
+            }
+            let _ = conn.recv();
+            replayed
+        });
+
+        let mut source = home0_source(Arc::clone(&transport), &[addr]);
+        let mut pending: Vec<PendingBatch> = (0..BATCHES)
+            .map(|i| source.submit_frontier(&[n(i)]).unwrap())
+            .collect();
+        let submitted: Vec<u64> = pending.iter().map(|p| p.requests[0].1).collect();
+        for (i, p) in (0..BATCHES).zip(&mut pending) {
+            assert_eq!(collect(&mut source, p).unwrap(), vec![payload(i)]);
+        }
+        drop(source);
+        assert_eq!(server.join().unwrap(), submitted);
+    }
+
+    #[test]
+    fn a_request_that_sees_two_deaths_is_an_error() {
+        // Every connection dies holding the request. The ladder would
+        // connect a third time, but a request outlives one death only.
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let mut listener = transport.listen(&transport.any_addr()).unwrap();
+        let addr = listener.addr();
+        let server = std::thread::spawn(move || {
+            while let Ok(mut conn) = listener.accept() {
+                match conn.recv() {
+                    Ok(Frame::FetchBatchRequest { .. }) => {}
+                    _ => return,
+                }
+            }
+        });
+
+        let mut source = home0_source(Arc::clone(&transport), std::slice::from_ref(&addr));
+        let mut pending = source.submit_frontier(&[n(1)]).unwrap();
+        let err = collect(&mut source, &mut pending).unwrap_err();
+        assert!(matches!(err, WireError::Closed), "got {err}");
+        assert_eq!(source.state.epoch(0), 2, "no third connection");
+        drop(source);
+        let mut stop = transport.dial(&addr).unwrap();
+        stop.send(&Frame::Shutdown).unwrap();
+        drop(stop);
+        server.join().unwrap();
+    }
+
+    /// What a misbehaving storage stand-in does to the first request.
+    #[derive(Clone, Copy)]
+    enum Misbehaviour {
+        AnswersExtraNodes,
+        SendsNonBatchFrame,
+        AnswersUnsentRequest,
+    }
+
+    #[test]
+    fn a_bad_storage_peer_is_a_protocol_error() {
+        for (bad, expect) in [
+            (Misbehaviour::AnswersExtraNodes, "3 nodes to a 2-node batch"),
+            (Misbehaviour::SendsNonBatchFrame, "sent shutdown"),
+            (Misbehaviour::AnswersUnsentRequest, "not outstanding"),
+        ] {
+            let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+            let mut listener = transport.listen(&transport.any_addr()).unwrap();
+            let addr = listener.addr();
+            let server = std::thread::spawn(move || {
+                let mut conn = listener.accept().unwrap();
+                let Ok(Frame::FetchBatchRequest { req_id, nodes, .. }) = conn.recv() else {
+                    panic!("expected a batch request");
+                };
+                let mut payloads: BatchPayloads = nodes.iter().map(|w| payload(w.raw())).collect();
+                let reply = match bad {
+                    Misbehaviour::AnswersExtraNodes => {
+                        payloads.push(payload(99));
+                        Frame::FetchBatchResponse { req_id, payloads }
+                    }
+                    Misbehaviour::SendsNonBatchFrame => Frame::Shutdown,
+                    Misbehaviour::AnswersUnsentRequest => Frame::FetchBatchResponse {
+                        req_id: req_id + 1000,
+                        payloads,
+                    },
+                };
+                conn.send(&reply).unwrap();
+                let _ = conn.recv();
+            });
+
+            let mut source = home0_source(Arc::clone(&transport), &[addr]);
+            let mut pending = source.submit_frontier(&[n(1), n(2)]).unwrap();
+            let err = collect(&mut source, &mut pending).unwrap_err();
+            assert!(
+                matches!(err, WireError::Protocol(ref m) if m.contains(expect)),
+                "got {err}"
+            );
+            drop(source);
+            server.join().unwrap();
         }
     }
 
@@ -1175,7 +1021,6 @@ mod tests {
 
     #[test]
     fn mux_fails_over_to_replica_then_recovers_primary() {
-        use crate::transport::RetryPolicy;
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
         let a = transport.listen(&transport.any_addr()).unwrap();
         let addr_a = a.addr();
@@ -1185,36 +1030,33 @@ mod tests {
         // each answers one request and dies holding the next.
         let sa = flaky_batch_server(a, 1);
         let sb = flaky_batch_server(b, 1);
-        let mut mux = BatchMux::new(Arc::clone(&transport), &[addr_a.clone(), addr_b])
+        let mut source = home0_source(Arc::clone(&transport), &[addr_a.clone(), addr_b])
             .with_replication(2)
             .with_retry(RetryPolicy::new(2, Duration::from_millis(1)));
 
         // Exchange 1: served by the primary endpoint.
-        let req = mux.submit(0, &[n(1)]).unwrap();
-        assert_eq!(mux.collect(0, req).unwrap(), vec![payload(1)]);
+        assert_eq!(source.fetch_batch(&[n(1)]), vec![payload(1)]);
 
         // Exchange 2: the primary dies holding it; recovery walks the
         // chain and the replica re-answers the resubmission.
-        let req = mux.submit(0, &[n(2)]).unwrap();
-        assert_eq!(mux.collect(0, req).unwrap(), vec![payload(2)]);
-        assert_eq!(mux.failover_stats().replica_failovers, 1);
+        assert_eq!(source.fetch_batch(&[n(2)]), vec![payload(2)]);
+        assert_eq!(source.failover_stats().replica_failovers, 1);
 
         // The primary re-joins at its old address; when the replica dies
         // in turn, the chain walk (primary-first) recovers the primary.
         let a2 = transport.listen(&addr_a).unwrap();
         let sa2 = batch_server(a2, false);
-        let req = mux.submit(0, &[n(3)]).unwrap();
-        assert_eq!(mux.collect(0, req).unwrap(), vec![payload(3)]);
+        assert_eq!(source.fetch_batch(&[n(3)]), vec![payload(3)]);
 
-        let stats = mux.failover_stats();
+        let stats = source.failover_stats();
         assert_eq!(
             stats.replica_failovers, 1,
             "the recovery after the replica's death lands back on the primary"
         );
         assert_eq!(stats.batches_resubmitted, 2);
         assert_eq!(stats.redials, 3, "primary-fail, replica-ok, primary-ok");
-        assert_eq!(mux.reconnects, 2);
-        drop(mux);
+        assert_eq!(source.state.epoch(0), 3, "two reconnects");
+        drop(source);
         sa.join().unwrap();
         sb.join().unwrap();
         sa2.join().unwrap();
@@ -1262,7 +1104,6 @@ mod tests {
             keep in 1usize..40,
         ) {
             use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultyTransport};
-            use crate::transport::RetryPolicy;
             let transports: Vec<Arc<dyn Transport>> =
                 vec![Arc::new(InProcTransport::new()), Arc::new(TcpTransport::new())];
             for transport in transports {
@@ -1274,28 +1115,26 @@ mod tests {
                     keep_bytes: keep,
                 }));
                 let faulty = FaultyTransport::wrap(Arc::clone(&transport), plan);
-                let mut mux = BatchMux::new(faulty, std::slice::from_ref(&addr))
+                let mut source = home0_source(faulty, std::slice::from_ref(&addr))
                     .with_retry(RetryPolicy::new(4, Duration::from_millis(1)));
 
                 // Pipeline every batch, then collect in submit order.
-                let mut wanted = Vec::new();
+                let mut pending = Vec::new();
                 for (b, &size) in sizes.iter().enumerate() {
                     let nodes: Vec<NodeId> =
                         (0..size).map(|i| n((b * 100 + i) as u32)).collect();
-                    let req = mux.submit(0, &nodes).unwrap();
-                    wanted.push((0usize, req));
+                    pending.push(source.submit_frontier(&nodes).unwrap());
                 }
-                let got = mux.collect_many(&wanted).unwrap();
-                for (b, (&size, payloads)) in sizes.iter().zip(&got).enumerate() {
+                for (b, (&size, p)) in sizes.iter().zip(&mut pending).enumerate() {
                     let want: Vec<_> =
                         (0..size).map(|i| payload((b * 100 + i) as u32)).collect();
-                    proptest::prop_assert_eq!(payloads, &want, "batch {}", b);
+                    proptest::prop_assert_eq!(collect(&mut source, p).unwrap(), want, "batch {}", b);
                 }
                 if tear < sizes.len() as u64 {
-                    proptest::prop_assert_eq!(mux.reconnects, 1);
-                    proptest::prop_assert!(mux.failover_stats().batches_resubmitted >= 1);
+                    proptest::prop_assert_eq!(source.state.epoch(0), 2);
+                    proptest::prop_assert!(source.failover_stats().batches_resubmitted >= 1);
                 }
-                drop(mux);
+                drop(source);
                 let mut stop = transport.dial(&addr).unwrap();
                 stop.send(&Frame::Shutdown).unwrap();
                 drop(stop);

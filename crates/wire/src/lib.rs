@@ -56,6 +56,7 @@ mod error;
 mod fault;
 mod flow;
 pub mod frame;
+mod mux;
 mod overlap;
 mod reactor;
 mod service;

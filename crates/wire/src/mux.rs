@@ -1,0 +1,895 @@
+//! The storage multiplexer's decisions: [`MuxState`].
+//!
+//! A processor keeps one connection per home storage server and many
+//! batch requests in flight on each. Everything the miss path decides
+//! about them lives here, in a state machine that does no I/O and reads
+//! no clock:
+//!
+//! * correlation — [`MuxState::submit`] numbers each request and builds
+//!   its frame; replies are matched by that number, so requests may
+//!   complete in any order;
+//! * reassembly — storage may answer one request in several chunks;
+//!   [`MuxState::on_frame`] stitches them in arrival order until the
+//!   requested node count is reached, and [`MuxState::take`] hands the
+//!   whole answer out;
+//! * epochs — every connection is numbered, and a frame or a close names
+//!   the connection it came from, so nothing a dead connection delivered
+//!   is stitched onto its successor;
+//! * failover — after a death ([`MuxState::on_closed`]) the home is
+//!   dialled down its replica chain, primary first, one [`RetryPolicy`]
+//!   rung per chain walk ([`MuxState::on_dial`] returns the next [`Dial`]
+//!   with its backoff), and the fresh connection resubmits what was
+//!   outstanding at the death, in request-id order. A request outlives
+//!   at most one connection death; the second is the error.
+//!
+//! The shell is `flow::MultiplexedStorageSource`: it owns the
+//! connections and the readiness wait, feeds in what happened, and sends
+//! or dials what comes out.
+//!
+//! Nothing a storage peer sends panics here: a non-batch frame, a reply
+//! to a request that is not outstanding and an answer longer than its
+//! request are each a [`WireError::Protocol`] that leaves the state as it
+//! was. The miss path's only panics are `fetch_batch` and `fetch_raw` at
+//! the `BatchSource` / `RecordSource` boundary, whose signatures return
+//! no `Result`.
+
+use std::time::Duration;
+
+use grouting_graph::NodeId;
+use grouting_metrics::FailoverStats;
+
+use crate::error::{WireError, WireResult};
+use crate::flow::BatchPayloads;
+use crate::frame::Frame;
+use crate::transport::RetryPolicy;
+
+/// One dial of a home server's ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Dial {
+    /// Endpoint to dial, one of the home's replica chain.
+    pub(crate) target: usize,
+    /// Ladder rung; one rung walks the whole chain.
+    pub(crate) attempt: u32,
+    /// Backoff to wait before dialling.
+    pub(crate) delay: Duration,
+}
+
+impl Dial {
+    /// The first dial of every ladder: the primary, at once.
+    pub(crate) fn primary(server: usize) -> Self {
+        Self {
+            target: server,
+            attempt: 0,
+            delay: Duration::ZERO,
+        }
+    }
+}
+
+/// What a dial led to.
+pub(crate) enum Dialled<C> {
+    /// The connection, and the frames to resubmit on it.
+    Connected(C, Vec<Frame>),
+    /// Refused: the ladder's next dial.
+    Retry(Dial),
+}
+
+/// One request, from submit until taken.
+#[derive(Debug, Clone)]
+struct Request {
+    nodes: Vec<NodeId>,
+    issued_ns: Option<u64>,
+    /// Chunks stitched on the current connection; `None` before the first
+    /// (an empty batch is answered by one empty chunk).
+    got: Option<BatchPayloads>,
+    /// Connection deaths this request has outlived.
+    deaths: u8,
+}
+
+impl Request {
+    fn complete(&self) -> bool {
+        self.got.as_ref().map(Vec::len) == Some(self.nodes.len())
+    }
+
+    fn frame(&self, req_id: u64) -> Frame {
+        Frame::FetchBatchRequest {
+            req_id,
+            nodes: self.nodes.clone(),
+            issued_ns: self.issued_ns,
+        }
+    }
+}
+
+/// One home server's connection and requests.
+#[derive(Debug, Clone, Default)]
+struct Server {
+    /// Requests submitted and not yet taken, by id, in submission (and
+    /// so id) order. A processor has a few in flight per server, so a
+    /// scan finds one as fast as a map would.
+    requests: Vec<(u64, Request)>,
+    /// Connections made so far, which numbers the current one.
+    epoch: u64,
+    /// Chain offset of the connected endpoint; `None` while not connected.
+    link: Option<usize>,
+}
+
+/// The miss path's correlation, reassembly, epochs and failover for one
+/// processor: see the module docs.
+#[derive(Debug, Clone)]
+pub(crate) struct MuxState {
+    servers: Vec<Server>,
+    /// Replica-chain length of the storage tier: home `s`'s payloads are
+    /// also served by endpoints `(s + k) % servers` for `k < replication`.
+    pub(crate) replication: usize,
+    /// The ladder a dial walks: rungs, and the backoff between them.
+    pub(crate) retry: RetryPolicy,
+    next_req_id: u64,
+    failover: FailoverStats,
+}
+
+impl MuxState {
+    /// No connections and no requests towards `servers` home servers.
+    pub(crate) fn new(servers: usize) -> Self {
+        Self {
+            servers: vec![Server::default(); servers],
+            replication: 1,
+            retry: RetryPolicy::default(),
+            next_req_id: 0,
+            failover: FailoverStats::default(),
+        }
+    }
+
+    /// Recovery counters: dials after a server's first, connections that
+    /// landed on a replica, and requests resubmitted.
+    pub(crate) fn failover(&self) -> FailoverStats {
+        self.failover
+    }
+
+    /// Requests submitted and not yet taken, across servers.
+    pub(crate) fn outstanding(&self) -> u64 {
+        self.servers.iter().map(|s| s.requests.len() as u64).sum()
+    }
+
+    /// The number of `server`'s current (or last) connection.
+    pub(crate) fn epoch(&self, server: usize) -> u64 {
+        self.servers[server].epoch
+    }
+
+    fn chain(&self) -> usize {
+        self.replication.min(self.servers.len()).max(1)
+    }
+
+    /// Records a request for `nodes` to home `server` and returns its id
+    /// with the frame that carries it. The caller connects first.
+    pub(crate) fn submit(
+        &mut self,
+        server: usize,
+        nodes: &[NodeId],
+        issued_ns: Option<u64>,
+    ) -> (u64, Frame) {
+        let req_id = self.next_req_id;
+        self.next_req_id += 1;
+        let request = Request {
+            nodes: nodes.to_vec(),
+            issued_ns,
+            got: None,
+            deaths: 0,
+        };
+        let frame = request.frame(req_id);
+        self.servers[server].requests.push((req_id, request));
+        (req_id, frame)
+    }
+
+    /// Stitches `frame`, read from `server`'s connection `epoch`. A frame
+    /// from a connection that has since closed changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Protocol`], with the state unchanged, for a non-batch
+    /// frame, a reply to a request that is not outstanding, and more nodes
+    /// than the request asked for.
+    pub(crate) fn on_frame(&mut self, server: usize, epoch: u64, frame: Frame) -> WireResult<()> {
+        let s = &mut self.servers[server];
+        if s.link.is_none() || epoch != s.epoch {
+            return Ok(());
+        }
+        let Frame::FetchBatchResponse { req_id, payloads } = frame else {
+            return Err(WireError::Protocol(format!(
+                "storage server {server} sent {} to a batch fetch",
+                frame.kind()
+            )));
+        };
+        let found = s
+            .requests
+            .iter_mut()
+            .find(|(id, r)| *id == req_id && !r.complete());
+        let Some((_, request)) = found else {
+            return Err(WireError::Protocol(format!(
+                "storage server {server} answered request {req_id}, which is not outstanding"
+            )));
+        };
+        let answered = request.got.as_ref().map_or(0, Vec::len) + payloads.len();
+        if answered > request.nodes.len() {
+            return Err(WireError::Protocol(format!(
+                "storage server {server} answered {answered} nodes to a {}-node batch",
+                request.nodes.len()
+            )));
+        }
+        request.got.get_or_insert_with(Vec::new).extend(payloads);
+        Ok(())
+    }
+
+    /// `req_id`'s payloads, in request order, once every node is answered.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Protocol`] when `req_id` is not a request to `server`
+    /// that is still untaken.
+    pub(crate) fn take(&mut self, server: usize, req_id: u64) -> WireResult<Option<BatchPayloads>> {
+        let requests = &mut self.servers[server].requests;
+        match requests.iter().position(|(id, _)| *id == req_id) {
+            None => Err(WireError::Protocol(format!(
+                "server {server}: collect of unknown request {req_id}"
+            ))),
+            Some(i) if requests[i].1.complete() => Ok(requests.remove(i).1.got),
+            Some(_) => Ok(None),
+        }
+    }
+
+    /// `server`'s connection `epoch` died: its partial answers are
+    /// dropped, and the caller dials from [`Dial::primary`]. A close of a
+    /// connection already closed changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Closed`] when an outstanding request had already
+    /// outlived a death.
+    pub(crate) fn on_closed(&mut self, server: usize, epoch: u64) -> WireResult<()> {
+        let s = &mut self.servers[server];
+        if s.link.is_none() || epoch != s.epoch {
+            return Ok(());
+        }
+        s.link = None;
+        let mut spent = false;
+        for (_, request) in s.requests.iter_mut().filter(|(_, r)| !r.complete()) {
+            request.got = None;
+            request.deaths += 1;
+            spent |= request.deaths > 1;
+        }
+        if spent {
+            return Err(WireError::Closed);
+        }
+        Ok(())
+    }
+
+    /// The outcome of `dial` for home `server`: connected, with the
+    /// outstanding requests to resubmit in id order, or the ladder's next
+    /// dial — the next chain endpoint at once, or the primary again after
+    /// the rung's backoff.
+    ///
+    /// # Errors
+    ///
+    /// The last dial's error once every rung has walked the whole chain.
+    pub(crate) fn on_dial<C>(
+        &mut self,
+        server: usize,
+        dial: Dial,
+        result: WireResult<C>,
+    ) -> WireResult<Dialled<C>> {
+        let (n, chain) = (self.servers.len(), self.chain());
+        let k = (dial.target + n - server) % n;
+        let s = &mut self.servers[server];
+        if s.epoch > 0 || dial != Dial::primary(server) {
+            self.failover.redials += 1;
+        }
+        match result {
+            Ok(conn) => {
+                s.epoch += 1;
+                s.link = Some(k);
+                if k > 0 {
+                    self.failover.replica_failovers += 1;
+                }
+                let resubmit: Vec<Frame> = s
+                    .requests
+                    .iter()
+                    .filter(|(_, r)| !r.complete())
+                    .map(|(req_id, r)| r.frame(*req_id))
+                    .collect();
+                self.failover.batches_resubmitted += resubmit.len() as u64;
+                Ok(Dialled::Connected(conn, resubmit))
+            }
+            Err(_) if k + 1 < chain => Ok(Dialled::Retry(Dial {
+                target: (server + k + 1) % n,
+                attempt: dial.attempt,
+                delay: Duration::ZERO,
+            })),
+            Err(_) if dial.attempt + 1 < self.retry.attempts => Ok(Dialled::Retry(Dial {
+                target: server,
+                attempt: dial.attempt + 1,
+                delay: self.retry.delay(dial.attempt, server as u64),
+            })),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+    use std::hash::{BuildHasherDefault, Hasher};
+
+    use bytes::Bytes;
+
+    use super::*;
+
+    /// What every endpoint of a node's chain answers for it. Node 4 is not
+    /// stored.
+    fn tier(node: NodeId) -> Option<(u16, Bytes)> {
+        (node.raw() != 4).then(|| (0, Bytes::from(node.raw().to_le_bytes().to_vec())))
+    }
+
+    /// A scripted batch: its home and its two nodes, so an answer comes
+    /// in one chunk or in two.
+    type Batch = (usize, [u32; 2]);
+
+    fn nodes(batch: &Batch) -> Vec<NodeId> {
+        batch.1.iter().copied().map(NodeId::new).collect()
+    }
+
+    /// A storage endpoint, and what it has spent of its one kill and one
+    /// restart.
+    #[derive(Clone, Copy)]
+    struct Endpoint {
+        up: bool,
+        killed: bool,
+        restarted: bool,
+    }
+
+    /// A connection the mux holds, as its endpoint sees it.
+    #[derive(Clone)]
+    struct Link {
+        target: usize,
+        epoch: u64,
+        /// Whether it reached the endpoint after its restart.
+        restarted: bool,
+        /// What the endpoint still owes on it: each batch with its count
+        /// of unanswered nodes, in arrival order.
+        owed: Vec<(usize, usize)>,
+    }
+
+    /// A home server, as the explorer accounts for it.
+    #[derive(Clone, Default)]
+    struct Home {
+        /// Its connection, until the mux sees it close.
+        link: Option<Link>,
+        /// The ladder's pending dial, and the rung and chain offset the
+        /// walk must be at.
+        dialing: Option<(Dial, u32, usize)>,
+        /// Dialled before, so its next dial is a redial.
+        dialled: bool,
+        /// The batches its next connection must resubmit, in order.
+        resubmit: Vec<usize>,
+    }
+
+    /// A scripted batch, as the explorer accounts for it.
+    #[derive(Clone, Copy, Default)]
+    struct Track {
+        /// Its request id, once submitted.
+        req_id: Option<u64>,
+        /// Nodes answered on the current connection.
+        answered: usize,
+        /// Connection deaths it was outstanding at.
+        deaths: u8,
+        /// Taken, which is its one completion.
+        taken: bool,
+    }
+
+    /// An explored state: the mux, the endpoints around it, and the
+    /// explorer's own account of what the mux must have done.
+    #[derive(Clone)]
+    struct World {
+        mux: MuxState,
+        endpoints: Vec<Endpoint>,
+        homes: Vec<Home>,
+        tracks: Vec<Track>,
+        /// The mux returned an error: the processor is gone.
+        failed: bool,
+        /// The counters the events so far must have produced.
+        expect: FailoverStats,
+    }
+
+    impl World {
+        fn submitted(&self) -> usize {
+            self.tracks
+                .iter()
+                .take_while(|t| t.req_id.is_some())
+                .count()
+        }
+
+        fn live(&self, home: usize) -> bool {
+            self.homes[home].link.as_ref().is_some_and(|l| {
+                let e = self.endpoints[l.target];
+                e.up && l.restarted == e.restarted
+            })
+        }
+
+        /// `home`'s submitted batches not taken and not fully answered, in
+        /// submission order.
+        fn outstanding(&self, batches: &[Batch], home: usize) -> Vec<usize> {
+            (0..self.submitted())
+                .filter(|&b| batches[b].0 == home)
+                .filter(|&b| !self.tracks[b].taken && self.tracks[b].answered < 2)
+                .collect()
+        }
+
+        fn batch_of(&self, req_id: u64) -> usize {
+            let found = self.tracks.iter().position(|t| t.req_id == Some(req_id));
+            found.expect("a submitted request")
+        }
+
+        /// A 128-bit hash of everything above, given the mux's own.
+        fn key(&self, mux_key: u128) -> u128 {
+            let mut h = Key::default();
+            h.put((mux_key >> 64) as u64);
+            h.put(mux_key as u64);
+            for e in &self.endpoints {
+                h.put(u64::from(e.up) | u64::from(e.killed) << 1 | u64::from(e.restarted) << 2);
+            }
+            for home in &self.homes {
+                if let Some(l) = &home.link {
+                    h.put(l.target as u64 | u64::from(l.restarted) << 8 | l.epoch << 16);
+                    l.owed
+                        .iter()
+                        .for_each(|&(b, rest)| h.put((b << 8 | rest) as u64));
+                }
+                if let Some((dial, attempt, k)) = home.dialing {
+                    h.put(dial.target as u64 | u64::from(dial.attempt) << 8);
+                    h.put(dial.delay.as_nanos() as u64);
+                    h.put(u64::from(attempt) << 8 | k as u64);
+                }
+                h.put(u64::from(home.dialled));
+                home.resubmit.iter().for_each(|&b| h.put(b as u64));
+                h.put(!1);
+            }
+            for t in &self.tracks {
+                h.put(t.req_id.unwrap_or(!0));
+                h.put(t.answered as u64 | u64::from(t.deaths) << 8 | u64::from(t.taken) << 16);
+            }
+            let f = self.expect;
+            [
+                u64::from(self.failed),
+                f.redials,
+                f.replica_failovers,
+                f.batches_resubmitted,
+            ]
+            .into_iter()
+            .for_each(|w| h.put(w));
+            h.finish()
+        }
+    }
+
+    /// Two multiply-mix lanes over 64-bit words.
+    struct Key(u64, u64);
+
+    impl Default for Key {
+        fn default() -> Self {
+            Key(0, !0)
+        }
+    }
+
+    impl Key {
+        fn put(&mut self, word: u64) {
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+            self.1 = (self.1 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            self.1 ^= self.1 >> 29;
+        }
+
+        fn finish(&self) -> u128 {
+            u128::from(self.0) << 64 | u128::from(self.1)
+        }
+    }
+
+    /// Everything in a [`MuxState`], payload bytes included.
+    fn mux_key(mux: &MuxState) -> u128 {
+        let mut h = Key::default();
+        for s in &mux.servers {
+            h.put(s.epoch << 8 | s.link.map_or(0xFF, |k| k as u64));
+            for (req_id, r) in &s.requests {
+                h.put(*req_id);
+                h.put(r.nodes.len() as u64 | u64::from(r.deaths) << 32);
+                h.put(r.issued_ns.unwrap_or(!0));
+                let Some(got) = &r.got else {
+                    h.put(!0);
+                    continue;
+                };
+                h.put(got.len() as u64);
+                for p in got {
+                    h.put(p.as_ref().map_or(!0, |(id, b)| {
+                        b.iter().fold(u64::from(*id), |a, &x| a << 8 | u64::from(x))
+                    }));
+                }
+            }
+            h.put(!1);
+        }
+        let f = mux.failover;
+        [
+            mux.next_req_id,
+            f.redials,
+            f.replica_failovers,
+            f.batches_resubmitted,
+        ]
+        .into_iter()
+        .for_each(|w| h.put(w));
+        h.finish()
+    }
+
+    /// Passes the explorer's already mixed 128-bit keys through.
+    #[derive(Default)]
+    struct KeyHasher(u64);
+
+    impl Hasher for KeyHasher {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+
+        fn write(&mut self, _: &[u8]) {
+            unreachable!("only u128 keys are hashed")
+        }
+
+        fn write_u128(&mut self, key: u128) {
+            self.0 = key as u64;
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Action {
+        /// First use of a home: its ladder's first dial.
+        Connect(usize),
+        /// The next batch goes to its connected home.
+        Submit,
+        /// The endpoint behind a home's connection answers `count` more
+        /// nodes of the request it owes at `index`.
+        Deliver(usize, usize, usize),
+        /// The mux hands out a batch's answer.
+        Take(usize),
+        /// The mux sees its connection to a home die, and makes the
+        /// ladder's first dial.
+        Close(usize),
+        /// The mux makes a home's next dial.
+        Dial(usize),
+        Kill(usize),
+        Restart(usize),
+    }
+
+    /// The state after `action`. Panics where the mux breaks a rule.
+    fn apply(world: &World, action: Action, batches: &[Batch]) -> World {
+        let mut w = world.clone();
+        match action {
+            Action::Connect(home) => {
+                w.homes[home].dialing = Some((Dial::primary(home), 0, 0));
+                dial(&mut w, home, batches);
+            }
+            Action::Submit => {
+                let b = w.submitted();
+                let (home, want) = (batches[b].0, nodes(&batches[b]));
+                let (req_id, frame) = w.mux.submit(home, &want, None);
+                let framed = Frame::FetchBatchRequest {
+                    req_id,
+                    nodes: want,
+                    issued_ns: None,
+                };
+                assert_eq!(frame, framed, "batch {b}'s frame");
+                w.tracks[b].req_id = Some(req_id);
+                if w.live(home) {
+                    w.homes[home].link.as_mut().expect("live").owed.push((b, 2));
+                }
+            }
+            Action::Deliver(home, index, count) => {
+                let link = w.homes[home].link.as_mut().expect("a live link");
+                let (b, rest) = link.owed[index];
+                if rest == count {
+                    link.owed.remove(index);
+                } else {
+                    link.owed[index].1 -= count;
+                }
+                let epoch = link.epoch;
+                let from = 2 - rest;
+                let req_id = w.tracks[b].req_id.expect("submitted");
+                let payloads = nodes(&batches[b])[from..from + count]
+                    .iter()
+                    .map(|&node| tier(node))
+                    .collect();
+                let chunk = Frame::FetchBatchResponse { req_id, payloads };
+                if let Err(e) = w.mux.on_frame(home, epoch, chunk) {
+                    panic!("a chunk of batch {b} on epoch {epoch} refused: {e}");
+                }
+                w.tracks[b].answered += count;
+            }
+            Action::Take(b) => {
+                let got = w
+                    .mux
+                    .take(batches[b].0, w.tracks[b].req_id.expect("submitted"));
+                let want: BatchPayloads = nodes(&batches[b]).into_iter().map(tier).collect();
+                assert_eq!(got.ok().flatten(), Some(want), "batch {b}'s answer");
+                w.tracks[b].taken = true;
+            }
+            Action::Close(home) => {
+                let epoch = w.homes[home].link.take().expect("a link").epoch;
+                let outstanding = w.outstanding(batches, home);
+                let mut spent = false;
+                for &b in &outstanding {
+                    w.tracks[b].answered = 0;
+                    w.tracks[b].deaths += 1;
+                    spent |= w.tracks[b].deaths > 1;
+                }
+                let closed = w.mux.on_closed(home, epoch);
+                assert_eq!(closed.is_err(), spent, "the one-death budget");
+                if spent {
+                    w.failed = true;
+                } else {
+                    w.homes[home].resubmit = outstanding;
+                    w.homes[home].dialing = Some((Dial::primary(home), 0, 0));
+                    dial(&mut w, home, batches);
+                }
+            }
+            Action::Dial(home) => dial(&mut w, home, batches),
+            Action::Kill(e) => {
+                w.endpoints[e].up = false;
+                w.endpoints[e].killed = true;
+                for link in w.homes.iter_mut().filter_map(|h| h.link.as_mut()) {
+                    if link.target == e {
+                        link.owed.clear();
+                    }
+                }
+            }
+            Action::Restart(e) => {
+                w.endpoints[e].up = true;
+                w.endpoints[e].restarted = true;
+            }
+        }
+        w
+    }
+
+    /// `home` makes its pending dial, which must be where the walk is:
+    /// the primary first, then down the chain, the backoff only before a
+    /// rung's first dial.
+    fn dial(w: &mut World, home: usize, batches: &[Batch]) {
+        let (servers, chain) = (w.endpoints.len(), w.mux.chain());
+        let (dial, attempt, k) = w.homes[home].dialing.take().expect("a pending dial");
+        let delay = if k == 0 && attempt > 0 {
+            w.mux.retry.delay(attempt - 1, home as u64)
+        } else {
+            Duration::ZERO
+        };
+        assert!(k < chain, "home {home} walked past its chain");
+        let walk = Dial {
+            target: (home + k) % servers,
+            attempt,
+            delay,
+        };
+        assert_eq!(dial, walk, "home {home}'s ladder");
+        if std::mem::replace(&mut w.homes[home].dialled, true) {
+            w.expect.redials += 1;
+        }
+        let Endpoint { up, restarted, .. } = w.endpoints[dial.target];
+        let result = if up { Ok(()) } else { Err(WireError::Closed) };
+        match w.mux.on_dial(home, dial, result) {
+            Ok(Dialled::Connected((), frames)) => {
+                assert!(up, "connected to a dead endpoint");
+                let mut owed = Vec::new();
+                for frame in frames {
+                    let Frame::FetchBatchRequest {
+                        req_id, nodes: n, ..
+                    } = frame
+                    else {
+                        panic!("resubmitted {}", frame.kind());
+                    };
+                    let b = w.batch_of(req_id);
+                    assert_eq!(n, nodes(&batches[b]), "batch {b} resubmitted");
+                    owed.push((b, 2));
+                }
+                let resubmitted: Vec<usize> = owed.iter().map(|&(b, _)| b).collect();
+                let want = std::mem::take(&mut w.homes[home].resubmit);
+                assert_eq!(resubmitted, want, "home {home}'s resubmission");
+                w.expect.batches_resubmitted += want.len() as u64;
+                w.expect.replica_failovers += u64::from(k > 0);
+                w.homes[home].link = Some(Link {
+                    target: dial.target,
+                    epoch: w.mux.epoch(home),
+                    restarted,
+                    owed,
+                });
+            }
+            Ok(Dialled::Retry(next)) => {
+                assert!(!up, "refused by a live endpoint");
+                let (attempt, k) = if k + 1 < chain {
+                    (attempt, k + 1)
+                } else {
+                    (attempt + 1, 0)
+                };
+                w.homes[home].dialing = Some((next, attempt, k));
+            }
+            Err(_) => {
+                assert!(!up, "gave up on a live endpoint");
+                assert_eq!(
+                    (attempt + 1, k + 1),
+                    (w.mux.retry.attempts, chain),
+                    "gave up before the ladder's end"
+                );
+                w.failed = true;
+            }
+        }
+    }
+
+    /// The invariants every reachable state holds, and the hostile inputs
+    /// every state refuses without changing.
+    fn check(world: &mut World, batches: &[Batch], before: u128) {
+        assert_eq!(world.mux.failover(), world.expect, "recovery counters");
+        let untaken = world.submitted() - world.tracks.iter().filter(|t| t.taken).count();
+        assert_eq!(world.mux.outstanding(), untaken as u64);
+        let refused = |r: WireResult<()>| matches!(r, Err(WireError::Protocol(_)));
+        let chunk = |req_id, n: usize| Frame::FetchBatchResponse {
+            req_id,
+            payloads: vec![tier(NodeId::new(1)); n],
+        };
+        for home in 0..world.homes.len() {
+            // Per home, its first batch still awaiting nodes and its first
+            // fully answered one (taken or not).
+            let of_home = |b: &usize| batches[*b].0 == home;
+            let open = world.outstanding(batches, home).first().copied();
+            let answered = (0..world.submitted())
+                .filter(of_home)
+                .find(|&b| world.tracks[b].answered == 2);
+            let id = |b: usize| world.tracks[b].req_id.expect("submitted");
+            let mux = &mut world.mux;
+            let epoch = mux.epoch(home);
+            let connected = world.homes[home].link.is_some();
+            // A chunk and a close from a connection that is gone.
+            let dead = if connected {
+                epoch.wrapping_sub(1)
+            } else {
+                epoch
+            };
+            assert!(mux
+                .on_frame(home, dead, chunk(open.map_or(0, id), 1))
+                .is_ok());
+            assert!(mux.on_closed(home, dead).is_ok());
+            if let Some(b) = open {
+                assert!(
+                    matches!(mux.take(home, id(b)), Ok(None)),
+                    "batch {b} taken early"
+                );
+            }
+            if let Some(b) = answered.filter(|&b| world.tracks[b].taken) {
+                let again = mux.take(home, id(b));
+                assert!(
+                    matches!(again, Err(WireError::Protocol(_))),
+                    "batch {b} taken twice"
+                );
+            }
+            if !connected {
+                continue;
+            }
+            assert!(refused(mux.on_frame(home, epoch, Frame::Shutdown)));
+            assert!(refused(mux.on_frame(home, epoch, chunk(1000, 0))));
+            // One node past the request; past a full answer, any node.
+            for b in open.into_iter().chain(answered) {
+                let over = 3 - world.tracks[b].answered;
+                let bad = mux.on_frame(home, epoch, chunk(id(b), over));
+                assert!(refused(bad), "{over} more nodes for batch {b}");
+            }
+        }
+        assert_eq!(
+            mux_key(&world.mux),
+            before,
+            "a refused input changed the mux"
+        );
+    }
+
+    /// Explores every interleaving of `batches` over `servers` endpoints
+    /// with replication 2 and a two-rung ladder, with one kill and one
+    /// restart per endpoint. Prints the number of distinct states and
+    /// asserts `floor`, so a broken action generator cannot pass
+    /// vacuously.
+    fn explore(servers: usize, batches: &[Batch], floor: usize) {
+        let mut mux = MuxState::new(servers);
+        mux.replication = 2;
+        mux.retry = RetryPolicy::new(2, Duration::from_millis(1));
+        let up = Endpoint {
+            up: true,
+            killed: false,
+            restarted: false,
+        };
+        let root = World {
+            mux,
+            endpoints: vec![up; servers],
+            homes: vec![Home::default(); servers],
+            tracks: vec![Track::default(); batches.len()],
+            failed: false,
+            expect: FailoverStats::default(),
+        };
+        let mut seen: HashSet<u128, BuildHasherDefault<KeyHasher>> = HashSet::default();
+        let root_mux = mux_key(&root.mux);
+        seen.insert(root.key(root_mux));
+        let mut stack = vec![(root_mux, root)];
+        let (mut completed, mut failed) = (0, 0);
+        while let Some((mux, mut world)) = stack.pop() {
+            check(&mut world, batches, mux);
+            if world.failed {
+                failed += 1;
+                continue;
+            }
+            let mut actions = Vec::new();
+            if let Some(home) = world.homes.iter().position(|h| h.dialing.is_some()) {
+                // Recovery blocks the processor: only the ladder moves.
+                actions.push(Action::Dial(home));
+            } else {
+                if let Some(&(home, _)) = batches.get(world.submitted()) {
+                    actions.push(if world.homes[home].link.is_some() {
+                        Action::Submit
+                    } else {
+                        Action::Connect(home)
+                    });
+                }
+                for (home, h) in world.homes.iter().enumerate() {
+                    let Some(link) = &h.link else { continue };
+                    if !world.live(home) {
+                        actions.push(Action::Close(home));
+                        continue;
+                    }
+                    for (index, &(_, rest)) in link.owed.iter().enumerate() {
+                        actions.push(Action::Deliver(home, index, 1));
+                        if rest > 1 {
+                            actions.push(Action::Deliver(home, index, rest));
+                        }
+                    }
+                }
+                for (b, t) in world.tracks.iter().enumerate() {
+                    if t.req_id.is_some() && !t.taken && t.answered == 2 {
+                        actions.push(Action::Take(b));
+                    }
+                }
+            }
+            if actions.is_empty() {
+                // Nothing left for the mux: every batch is done, whatever
+                // the endpoints still do.
+                assert!(
+                    world.tracks.iter().all(|t| t.taken),
+                    "wedged with a batch outstanding"
+                );
+                completed += 1;
+            }
+            // Only a dial sees a restart (a connection to the old
+            // incarnation stays dead), so a restart is explored just before
+            // the actions that dial, which covers every earlier moment.
+            let dials = actions
+                .iter()
+                .any(|a| matches!(a, Action::Connect(_) | Action::Close(_) | Action::Dial(_)));
+            for (e, endpoint) in world.endpoints.iter().enumerate() {
+                if endpoint.up && !endpoint.killed {
+                    actions.push(Action::Kill(e));
+                } else if dials && !endpoint.up && !endpoint.restarted {
+                    actions.push(Action::Restart(e));
+                }
+            }
+            for action in actions {
+                let next = apply(&world, action, batches);
+                let mux = mux_key(&next.mux);
+                if seen.insert(next.key(mux)) {
+                    stack.push((mux, next));
+                }
+            }
+        }
+        println!(
+            "{servers} servers, {} batches: {} states ({completed} with every batch done, \
+             {failed} failed)",
+            batches.len(),
+            seen.len()
+        );
+        assert!(seen.len() >= floor, "only {} states explored", seen.len());
+    }
+
+    #[test]
+    fn explore_two_servers_three_batches() {
+        explore(2, &[(0, [1, 2]), (1, [3, 4]), (0, [5, 6])], 60_000);
+    }
+}

@@ -50,7 +50,7 @@ use grouting_trace::{
 };
 
 use crate::error::{WireError, WireResult};
-use crate::flow::{BatchMux, FetchMode, MultiplexedStorageSource};
+use crate::flow::{FetchMode, MultiplexedStorageSource};
 use crate::frame::{Completion, DispatchTrace, Frame, Role};
 use crate::overlap::QueryPipeline;
 use crate::reactor::{PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
@@ -560,7 +560,10 @@ fn run_processor(
     // The router connection joins the storage connections on the source's
     // poller, so an idle processor parks on ONE wait covering dispatches
     // and fetch replies alike.
-    source.register_external(BatchMux::EXTERNAL_TOKEN_BASE, stream.raw_fd());
+    source.register_external(
+        MultiplexedStorageSource::EXTERNAL_TOKEN_BASE,
+        stream.raw_fd(),
+    );
     sink.send(&Frame::Hello {
         role: Role::Processor,
         id: id as u32,
