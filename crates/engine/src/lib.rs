@@ -178,8 +178,10 @@ impl EngineAssets {
 /// simulator can drive it inline. The engine builds
 /// workers whose source is a direct [`StorageTier`] handle;
 /// [`Worker::from_parts`] takes any [`BatchSource`], such as a
-/// transport-backed one, so the same execution code drives bytes over
-/// real connections.
+/// transport-backed one. A worker is the serial driver
+/// ([`Executor::run`]) of the same staged execution a wire processor
+/// overlaps: each query's fetches block on the source one step at a time,
+/// in the order the processor's pipeline submits them.
 pub struct Worker {
     source: Box<dyn BatchSource + Send>,
     cache: ProcessorCache,
@@ -193,9 +195,11 @@ impl Worker {
     /// Assembles a worker from explicit parts: the miss path the cache
     /// falls back to and the cache itself (usually
     /// [`EngineConfig::build_cache`]). The source's
-    /// [`BatchSource::fetch_batch`] is what the frontier-batched traversal
-    /// drives — in-process tier handles serve it directly, wire sources
+    /// [`BatchSource::fetch_batch`] answers every [`Step`] fetch a query
+    /// asks for — in-process tier handles serve it directly, wire sources
     /// turn it into one pipelined batch frame per storage server.
+    ///
+    /// [`Step`]: grouting_query::Step
     /// Prefetching starts off; see [`Worker::with_prefetch`].
     pub fn from_parts(source: Box<dyn BatchSource + Send>, cache: ProcessorCache) -> Self {
         Self {

@@ -5,21 +5,25 @@
 //! time), the wire cluster's processors, and the correctness tests (which
 //! check results against whole-graph traversals in `grouting-graph`).
 //!
-//! Two execution shapes share the same query algorithms:
+//! There is one execution shape. A [`StagedQuery`] advances until the query
+//! either finishes or needs records its cache does not hold
+//! ([`Step::Fetch`]); the caller fetches them and resumes it with the
+//! payloads. Every query kind runs the same plan → fetch → apply cycle:
+//! aggregation asks for one BFS level at a time, a random walk for one
+//! node per step, and reachability for one expanded node, or one meeting
+//! node's label, at a time. A step whose records are all cached costs no
+//! fetch. Two drivers share it:
 //!
-//! * [`Executor::run`] — runs a query to completion, blocking on every
-//!   storage fetch (the simulator, and the serial reference the staged
-//!   path is checked against);
-//! * [`StagedQuery`] — the same execution split at frontier-fetch
-//!   boundaries: each [`StagedQuery::resume`] advances until the query
-//!   either finishes or needs remote records ([`Step::Fetch`]), letting a
-//!   processor submit the fetch asynchronously and run *another* query's
-//!   compute stage while the bytes travel (cross-query fetch overlap).
-//!   Driven strictly serially it replays byte-identical cache accounting
-//!   to [`Executor::run`].
+//! * [`Executor::run`] — the serial driver (the simulator, reference
+//!   answers): resume, fetch the asked nodes in one batch, resume again;
+//! * the wire processor's pipeline — several staged queries over one
+//!   cache, one query's fetch travelling while another computes
+//!   (cross-query fetch overlap). Driven strictly serially it replays
+//!   [`Executor::run`]'s cache operations exactly.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -28,9 +32,7 @@ use grouting_graph::{NodeId, NodeLabelId, NodeMap, NodeSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fetch::{
-    AccessStats, BatchSource, CacheBackedStore, MissEvent, ProcessorCache, RecordSource,
-};
+use crate::fetch::{AccessStats, BatchSource, CacheBackedStore, MissEvent, ProcessorCache};
 use crate::types::{Query, QueryResult};
 
 /// The outcome of one query execution.
@@ -44,17 +46,19 @@ pub struct ExecOutcome {
 
 /// Executes queries against a processor cache plus a record source (the
 /// storage tier in-process, or a remote wire path).
-pub struct Executor<'a, S: RecordSource> {
+pub struct Executor<'a, S> {
     store: CacheBackedStore<'a, S>,
+    miss_log: Vec<MissEvent>,
 }
 
-impl<'a, S: RecordSource> Executor<'a, S> {
+impl<'a, S> Executor<'a, S> {
     /// Creates an executor borrowing the processor's cache for one or more
     /// query executions. `source` is the miss path — pass `&tier` for the
     /// classic in-process layout.
     pub fn new(source: S, cache: &'a mut ProcessorCache) -> Self {
         Self {
             store: CacheBackedStore::new(source, cache),
+            miss_log: Vec::new(),
         }
     }
 
@@ -71,314 +75,349 @@ impl<'a, S: RecordSource> Executor<'a, S> {
     ) -> Self {
         Self {
             store: CacheBackedStore::with_prefetch(source, cache, prefetch),
+            miss_log: Vec::new(),
         }
     }
 
     /// Drains the ordered per-miss event log accumulated by queries run so
     /// far (used by the simulator's storage-contention model).
-    pub fn take_miss_log(&mut self) -> Vec<crate::fetch::MissEvent> {
-        self.store.take_miss_log()
-    }
-
-    /// Cumulative access statistics over everything run on this executor.
-    pub fn stats(&self) -> AccessStats {
-        self.store.stats()
+    pub fn take_miss_log(&mut self) -> Vec<MissEvent> {
+        std::mem::take(&mut self.miss_log)
     }
 }
 
-impl<'a, S: BatchSource> Executor<'a, S> {
-    /// Runs one query to completion.
+impl<S: BatchSource> Executor<'_, S> {
+    /// Runs one query to completion, the serial driver: each
+    /// [`Step::Fetch`] travels as one batch, with the predictor's
+    /// speculative tail, before the query resumes.
     pub fn run(&mut self, query: &Query) -> ExecOutcome {
-        let before = self.store.stats();
-        let result = run_query(&mut self.store, query);
-        let after = self.store.stats();
-        ExecOutcome {
-            result,
-            stats: AccessStats {
-                cache_hits: after.cache_hits - before.cache_hits,
-                cache_misses: after.cache_misses - before.cache_misses,
-                miss_bytes: after.miss_bytes - before.miss_bytes,
-                evictions: after.evictions - before.evictions,
-            },
+        let mut staged = StagedQuery::new(*query);
+        let mut payloads = None;
+        loop {
+            match staged.resume(&mut self.store, payloads.take()) {
+                Step::Fetch(miss) => {
+                    payloads = Some(self.store.exchange(staged.frontier(), &miss));
+                }
+                Step::Done(outcome) => {
+                    self.miss_log.append(&mut staged.miss_log);
+                    return outcome;
+                }
+            }
         }
     }
 }
 
-/// Runs one query to completion against `store`, blocking on fetches.
-fn run_query<S: BatchSource>(store: &mut CacheBackedStore<'_, S>, query: &Query) -> QueryResult {
-    match query {
-        Query::NeighborAggregation { node, hops, label } => {
-            neighbor_aggregation(store, *node, *hops, label.as_ref().copied())
+/// What a traversal does next: ask for the records of the nodes it pushed
+/// onto its ask, or finish with its answer.
+type Next = ControlFlow<QueryResult>;
+
+/// The records answering a traversal's last ask, one per node in order
+/// (`None` where the node is not stored).
+type Got = Vec<Option<Arc<AdjacencyRecord>>>;
+
+/// One query's traversal, store-free: it asks for records and is handed
+/// them, and never sees the cache or the storage source.
+enum Traversal {
+    Bfs(BfsState),
+    Walk(WalkState),
+    Reach(ReachState),
+}
+
+impl Traversal {
+    fn new(query: &Query) -> Self {
+        match *query {
+            Query::NeighborAggregation { node, hops, label } => {
+                Self::Bfs(BfsState::new(node, hops, label))
+            }
+            Query::RandomWalk {
+                node,
+                steps,
+                restart_prob,
+                seed,
+            } => Self::Walk(WalkState {
+                node,
+                steps_left: steps,
+                restart_prob,
+                rng: StdRng::seed_from_u64(seed),
+                current: node,
+                visited: NodeSet::from_iter([node]),
+            }),
+            Query::Reachability {
+                source,
+                target,
+                hops,
+            } => Self::Reach(ReachState::new(source, target, hops, None)),
+            Query::ConstrainedReachability {
+                source,
+                target,
+                hops,
+                via_label,
+            } => Self::Reach(ReachState::new(source, target, hops, Some(via_label))),
         }
-        Query::RandomWalk {
-            node,
-            steps,
-            restart_prob,
-            seed,
-        } => random_walk(store, *node, *steps, *restart_prob, *seed),
-        Query::Reachability {
-            source,
-            target,
-            hops,
-        } => reachability(store, *source, *target, *hops, None),
-        Query::ConstrainedReachability {
-            source,
-            target,
-            hops,
-            via_label,
-        } => reachability(store, *source, *target, *hops, Some(*via_label)),
+    }
+
+    /// Drains the records of the last ask (`None` on the first call, when
+    /// nothing was asked) and either pushes its next ask onto the empty
+    /// `ask`, in access order, or finishes. Walks and reachability ask for
+    /// one node at a time.
+    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>) -> Next {
+        match self {
+            Self::Bfs(s) => s.next(got, ask),
+            Self::Walk(s) => s.next(got.map(|g| g.pop().flatten()), ask),
+            Self::Reach(s) => s.next(got.and_then(Vec::pop).flatten(), ask),
+        }
     }
 }
 
-/// Level-batched BFS over the bi-directed view (the paper's
-/// accounting: every node in `N_h(q)` is one cache/storage access).
+/// Level-batched BFS over the bi-directed view (the paper's accounting:
+/// every node in `N_h(q)` is one cache/storage access).
 ///
-/// Each hop collects the whole next frontier in discovery order and
-/// fetches it through [`CacheBackedStore::fetch_many`], so the
-/// cache-miss portion of a frontier travels as one batch per storage
-/// server instead of one round trip per node. The discovery order —
-/// each expanded node's unseen neighbours, concatenated in expansion
-/// order — is exactly the order the node-at-a-time BFS fetched in, so
-/// cache statistics are byte-identical to the scalar path.
-fn neighbor_aggregation<S: BatchSource>(
-    store: &mut CacheBackedStore<'_, S>,
-    node: NodeId,
-    hops: u32,
-    label: Option<NodeLabelId>,
-) -> QueryResult {
-    let Some(start) = store.fetch(node) else {
-        return QueryResult::Count(0);
-    };
-    let mut state = BfsState::after_root(node, hops, label, start);
-    loop {
-        let Some(frontier) = state.expand() else {
-            return QueryResult::Count(state.count);
-        };
-        let records = store.fetch_many(&frontier);
-        state.absorb(records);
-    }
-}
-
-/// The level-batched BFS state shared by the blocking and staged shapes:
-/// [`BfsState::expand`] derives the next frontier in discovery order,
-/// [`BfsState::absorb`] folds the fetched records back in. Both shapes run
-/// exactly this expand/fetch/absorb cycle, which is what keeps their
-/// results and access orders identical.
+/// The root is asked for alone, then each hop's whole frontier in
+/// discovery order — each expanded node's unseen neighbours, concatenated
+/// in expansion order — so the cache-miss portion of a frontier travels as
+/// one batch per storage server instead of one round trip per node, and
+/// the access order is exactly a node-at-a-time BFS's.
 struct BfsState {
+    node: NodeId,
     hops: u32,
     label: Option<NodeLabelId>,
     dist: NodeMap<u32>,
     count: u64,
-    /// Records of the current level, in discovery order. A node at
-    /// depth d is expanded iff d < hops; the query node always is.
-    level: Vec<Arc<AdjacencyRecord>>,
+    /// Depth of the frontier last asked for (the root's is 0).
     depth: u32,
 }
 
 impl BfsState {
-    fn after_root(
-        node: NodeId,
-        hops: u32,
-        label: Option<NodeLabelId>,
-        start: Arc<AdjacencyRecord>,
-    ) -> Self {
-        let mut dist = NodeMap::default();
-        dist.insert(node, 0);
+    fn new(node: NodeId, hops: u32, label: Option<NodeLabelId>) -> Self {
         Self {
+            node,
             hops,
             label,
-            dist,
+            dist: NodeMap::from_iter([(node, 0)]),
             count: 0,
-            level: vec![start],
             depth: 0,
         }
     }
 
-    /// The next frontier in discovery order, or `None` when the traversal
-    /// is complete (empty level or hop budget spent).
-    fn expand(&mut self) -> Option<Vec<NodeId>> {
-        if self.level.is_empty() || !(self.depth == 0 || self.depth < self.hops) {
-            return None;
+    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>) -> Next {
+        let Some(got) = got else {
+            ask.push(self.node);
+            return ControlFlow::Continue(());
+        };
+        // Count the frontier's records (the root is not its own
+        // neighbour) and keep those to expand: a node at depth d is
+        // expanded iff d < hops; the query node always is.
+        let mut level = Vec::new();
+        for rec in got.drain(..) {
+            if self.depth > 0 {
+                let labeled_ok = match self.label {
+                    None => true,
+                    Some(l) => rec.as_ref().is_some_and(|r| r.node_label == Some(l)),
+                };
+                self.count += u64::from(labeled_ok);
+            }
+            if self.depth == 0 || self.depth < self.hops {
+                level.extend(rec);
+            }
         }
-        let next_depth = self.depth + 1;
-        let mut frontier: Vec<NodeId> = Vec::new();
-        for rec in &self.level {
+        if level.is_empty() {
+            return ControlFlow::Break(QueryResult::Count(self.count));
+        }
+        self.depth += 1;
+        for rec in &level {
             for &w in rec.all_neighbors() {
                 if let Entry::Vacant(e) = self.dist.entry(w) {
-                    e.insert(next_depth);
-                    frontier.push(w);
+                    e.insert(self.depth);
+                    ask.push(w);
                 }
             }
         }
-        Some(frontier)
-    }
-
-    /// Counts the fetched frontier records and installs the next level.
-    fn absorb(&mut self, records: Vec<Option<Arc<AdjacencyRecord>>>) {
-        let next_depth = self.depth + 1;
-        let mut next = Vec::new();
-        for rec in records {
-            let labeled_ok = match (self.label, &rec) {
-                (None, _) => true,
-                (Some(l), Some(r)) => r.node_label == Some(l),
-                (Some(_), None) => false,
-            };
-            self.count += u64::from(labeled_ok);
-            if next_depth < self.hops {
-                if let Some(r) = rec {
-                    next.push(r);
-                }
-            }
-        }
-        self.level = next;
-        self.depth = next_depth;
+        ControlFlow::Continue(())
     }
 }
 
 /// h-step random walk with restart over out-edges (falling back to the
-/// bi-directed view at sink nodes so walks don't die).
-fn random_walk<S: RecordSource>(
-    store: &mut CacheBackedStore<'_, S>,
+/// bi-directed view at sink nodes so walks don't die), one node per ask.
+struct WalkState {
     node: NodeId,
-    steps: u32,
+    steps_left: u32,
     restart_prob: f64,
-    seed: u64,
-) -> QueryResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut current = node;
-    let mut visited = NodeSet::default();
-    visited.insert(node);
-    for _ in 0..steps {
-        if rng.gen::<f64>() < restart_prob {
-            current = node;
-            continue;
+    rng: StdRng,
+    current: NodeId,
+    visited: NodeSet,
+}
+
+impl WalkState {
+    fn next(&mut self, got: Option<Option<Arc<AdjacencyRecord>>>, ask: &mut Vec<NodeId>) -> Next {
+        if let Some(got) = got {
+            let Some(rec) = got else {
+                return ControlFlow::Break(self.answer());
+            };
+            self.current = if !rec.out().is_empty() {
+                rec.out()[self.rng.gen_range(0..rec.out().len())]
+            } else if !rec.inc().is_empty() {
+                rec.inc()[self.rng.gen_range(0..rec.inc().len())]
+            } else {
+                self.node // Isolated: restart.
+            };
+            self.visited.insert(self.current);
         }
-        let Some(rec) = store.fetch(current) else {
-            break;
-        };
-        let next = if !rec.out().is_empty() {
-            rec.out()[rng.gen_range(0..rec.out().len())]
-        } else if !rec.inc().is_empty() {
-            rec.inc()[rng.gen_range(0..rec.inc().len())]
-        } else {
-            node // Isolated: restart.
-        };
-        current = next;
-        visited.insert(current);
+        while self.steps_left > 0 {
+            self.steps_left -= 1;
+            if self.rng.gen::<f64>() < self.restart_prob {
+                self.current = self.node;
+                continue;
+            }
+            ask.push(self.current);
+            return ControlFlow::Continue(());
+        }
+        ControlFlow::Break(self.answer())
     }
-    QueryResult::Walk {
-        end: current,
-        visited: visited.len() as u64,
+
+    fn answer(&self) -> QueryResult {
+        QueryResult::Walk {
+            end: self.current,
+            visited: self.visited.len() as u64,
+        }
     }
 }
 
+/// Where a reachability traversal stands between asks.
+enum ReachPhase {
+    /// Pick the smaller frontier and pop its next node.
+    Pop,
+    /// The record of popped node `v` is asked for.
+    Record { v: NodeId, forward: bool, dv: u32 },
+    /// Frontiers met at intermediate nodes whose labels are read one at a
+    /// time, in discovery order; `met` when the expansion also met at a
+    /// node that needs no label.
+    Meet { reads: VecDeque<NodeId>, met: bool },
+}
+
 /// Bidirectional BFS: forward over out-edges from the source, backward
-/// over in-edges from the target, expanding the smaller frontier first.
+/// over in-edges from the target, expanding the smaller frontier first,
+/// one node at a time.
 ///
 /// With `via_label`, intermediate nodes must carry that label (the
 /// endpoints are exempt) — the §2.2 label-constrained variant. The
 /// constraint is enforced at *expansion* time: a node lacking the label
 /// may be discovered (it could be the meeting endpoint) but its record
-/// is never expanded, and a frontier meeting at an unlabelled
-/// intermediate node does not count.
-fn reachability<S: RecordSource>(
-    store: &mut CacheBackedStore<'_, S>,
+/// is never expanded, and a frontier meeting at an intermediate node
+/// counts only once that node's record shows the label.
+struct ReachState {
     source: NodeId,
     target: NodeId,
     hops: u32,
     via_label: Option<NodeLabelId>,
-) -> QueryResult {
-    if source == target {
-        return QueryResult::Reachable(true);
-    }
-    if hops == 0 {
-        return QueryResult::Reachable(false);
-    }
-    let mut fwd: NodeMap<u32> = NodeMap::default();
-    fwd.insert(source, 0);
-    let mut bwd: NodeMap<u32> = NodeMap::default();
-    bwd.insert(target, 0);
-    let mut fq: VecDeque<NodeId> = VecDeque::from([source]);
-    let mut bq: VecDeque<NodeId> = VecDeque::from([target]);
-    let fwd_budget = hops / 2 + hops % 2;
-    let bwd_budget = hops / 2;
+    fwd: NodeMap<u32>,
+    bwd: NodeMap<u32>,
+    fq: VecDeque<NodeId>,
+    bq: VecDeque<NodeId>,
+    phase: ReachPhase,
+}
 
-    // Expand each frontier level by level; meet-in-the-middle check on
-    // every discovery.
-    loop {
-        let expand_fwd = match (fq.front(), bq.front()) {
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-            (Some(_), Some(_)) => fq.len() <= bq.len(),
-        };
-        let (queue, dist, other, budget, forward) = if expand_fwd {
-            (&mut fq, &mut fwd, &bwd, fwd_budget, true)
-        } else {
-            (&mut bq, &mut bwd, &fwd, bwd_budget, false)
-        };
-        let Some(v) = queue.pop_front() else {
-            continue;
-        };
-        let dv = dist[&v];
-        if dv >= budget {
-            continue;
+impl ReachState {
+    fn new(source: NodeId, target: NodeId, hops: u32, via_label: Option<NodeLabelId>) -> Self {
+        Self {
+            source,
+            target,
+            hops,
+            via_label,
+            fwd: NodeMap::from_iter([(source, 0)]),
+            bwd: NodeMap::from_iter([(target, 0)]),
+            fq: VecDeque::from([source]),
+            bq: VecDeque::from([target]),
+            // A source that is its target has met already; zero hops
+            // leave both frontiers without budget.
+            phase: ReachPhase::Meet {
+                reads: VecDeque::new(),
+                met: source == target,
+            },
         }
-        let Some(rec) = store.fetch(v) else {
-            continue;
-        };
-        // An intermediate node (anything but the endpoints) may only be
-        // expanded if it satisfies the label constraint.
-        if v != source && v != target {
-            if let Some(l) = via_label {
-                if rec.node_label != Some(l) {
-                    continue;
+    }
+
+    /// Runs until the next ask or the answer; `got` is the record last
+    /// asked for.
+    fn next(&mut self, mut got: Option<Arc<AdjacencyRecord>>, ask: &mut Vec<NodeId>) -> Next {
+        loop {
+            match std::mem::replace(&mut self.phase, ReachPhase::Pop) {
+                ReachPhase::Pop => {
+                    let forward = match (self.fq.is_empty(), self.bq.is_empty()) {
+                        (true, true) => return ControlFlow::Break(QueryResult::Reachable(false)),
+                        (empty_f, empty_b) => {
+                            !empty_f && (empty_b || self.fq.len() <= self.bq.len())
+                        }
+                    };
+                    let (queue, dist, budget) = if forward {
+                        (&mut self.fq, &self.fwd, self.hops / 2 + self.hops % 2)
+                    } else {
+                        (&mut self.bq, &self.bwd, self.hops / 2)
+                    };
+                    let v = queue.pop_front().expect("the chosen frontier is not empty");
+                    let dv = dist[&v];
+                    if dv < budget {
+                        self.phase = ReachPhase::Record { v, forward, dv };
+                        ask.push(v);
+                        return ControlFlow::Continue(());
+                    }
+                }
+                ReachPhase::Record { v, forward, dv } => {
+                    let Some(rec) = got.take() else { continue };
+                    // An intermediate node (anything but the endpoints) may
+                    // only be expanded if it satisfies the label constraint.
+                    let endpoint = v == self.source || v == self.target;
+                    if !endpoint && self.via_label.is_some_and(|l| rec.node_label != Some(l)) {
+                        continue;
+                    }
+                    let (next, dist, queue, other) = if forward {
+                        (rec.out(), &mut self.fwd, &mut self.fq, &self.bwd)
+                    } else {
+                        (rec.inc(), &mut self.bwd, &mut self.bq, &self.fwd)
+                    };
+                    // Meetings only end the search, so discovering every
+                    // neighbour first changes no access: the label reads
+                    // still happen in discovery order, up to the first
+                    // that holds.
+                    let (mut reads, mut met) = (VecDeque::new(), false);
+                    for &w in next {
+                        if other.get(&w).is_some_and(|&dw| dv + 1 + dw <= self.hops) {
+                            met = w == self.source || w == self.target || self.via_label.is_none();
+                            if met {
+                                break;
+                            }
+                            reads.push_back(w);
+                        }
+                        if let Entry::Vacant(e) = dist.entry(w) {
+                            e.insert(dv + 1);
+                            queue.push_back(w);
+                        }
+                    }
+                    self.phase = ReachPhase::Meet { reads, met };
+                }
+                ReachPhase::Meet { mut reads, met } => {
+                    if got.take().is_some_and(|r| r.node_label == self.via_label) {
+                        return ControlFlow::Break(QueryResult::Reachable(true));
+                    }
+                    match reads.pop_front() {
+                        Some(w) => {
+                            self.phase = ReachPhase::Meet { reads, met };
+                            ask.push(w);
+                            return ControlFlow::Continue(());
+                        }
+                        None if met => return ControlFlow::Break(QueryResult::Reachable(true)),
+                        None => {}
+                    }
                 }
             }
         }
-        let next = if forward { rec.out() } else { rec.inc() };
-        for &w in next {
-            if let Some(&dw) = other.get(&w) {
-                if dv + 1 + dw <= hops && meeting_ok(store, w, source, target, via_label) {
-                    return QueryResult::Reachable(true);
-                }
-            }
-            if let Entry::Vacant(e) = dist.entry(w) {
-                e.insert(dv + 1);
-                queue.push_back(w);
-            }
-        }
-    }
-    QueryResult::Reachable(false)
-}
-
-/// Whether the frontiers may legally meet at `w`: endpoints always; an
-/// intermediate node only when it carries the required label.
-fn meeting_ok<S: RecordSource>(
-    store: &mut CacheBackedStore<'_, S>,
-    w: NodeId,
-    source: NodeId,
-    target: NodeId,
-    via_label: Option<NodeLabelId>,
-) -> bool {
-    if w == source || w == target {
-        return true;
-    }
-    match via_label {
-        None => true,
-        Some(l) => store.fetch(w).is_some_and(|rec| rec.node_label == Some(l)),
     }
 }
-
-// ---------------------------------------------------------------------------
-// Staged execution
-// ---------------------------------------------------------------------------
 
 /// What a staged query needs next.
 #[derive(Debug)]
 pub enum Step {
     /// The query needs these records fetched (the cache-miss portion of
-    /// its next frontier, deduplicated, in discovery order). Fetch them —
+    /// its next ask, deduplicated, in access order). Fetch them —
     /// asynchronously, ideally — and pass the payloads, one entry per
     /// node in the same order, to the next [`StagedQuery::resume`].
     Fetch(Vec<NodeId>),
@@ -386,52 +425,46 @@ pub enum Step {
     Done(ExecOutcome),
 }
 
-enum StagedPhase {
-    /// Nothing has run yet.
-    Start,
-    /// The root node's fetch is in flight (`pending_miss` is empty when it
-    /// was a cache hit and no fetch was needed).
-    Root,
-    /// A level's frontier fetch is in flight.
-    Level,
-    /// Terminal.
-    Finished,
-}
-
-/// A query execution split at frontier-fetch boundaries.
+/// A query execution split at fetch boundaries — the one way a query
+/// executes.
 ///
 /// Each [`StagedQuery::resume`] call advances the query as far as it can
 /// against the local cache and returns either [`Step::Fetch`] (remote
 /// records wanted — the caller fetches them and resumes with the payloads)
-/// or [`Step::Done`]. Between calls the query holds no borrow on the cache
-/// or the storage source, so a processor can keep several staged queries
-/// in flight over one cache, overlapping one query's fetch with another's
-/// compute.
+/// or [`Step::Done`]. Between calls the query holds no borrow on the cache,
+/// and no call ever touches the store's source, so a processor can keep
+/// several staged queries in flight over one cache, overlapping one
+/// query's fetch with another's compute, and never waits on storage inside
+/// a query.
+///
+/// Each ask runs plan → fetch → apply: [`CacheBackedStore::plan_many`]
+/// names the misses, and the apply replays the scalar get/insert sequence
+/// in access order. When the apply meets a node the plan counted as a hit
+/// but an earlier insert of the same ask evicted, it stops there and asks
+/// for that node alone as one more [`Step::Fetch`]
+/// ([`StagedQuery::mid_ask`]); the next resume admits it and carries on
+/// with the answers it still holds, so the cache sees exactly the
+/// operations a node-at-a-time execution would.
 ///
 /// Accounting: the query's [`AccessStats`] and miss log accumulate here,
 /// not in the (possibly shared, transient) store — each resume swaps them
-/// into the store for the duration of the step. Driven strictly serially
-/// (resume, fetch, resume, …, with nothing interleaved) the sequence of
-/// cache operations is exactly [`Executor::run`]'s, so results *and* cache
-/// statistics are byte-identical to the blocking path.
-///
-/// Only [`Query::NeighborAggregation`] — the level-batched BFS, the shape
-/// the paper's workloads are built from — actually stages its fetches;
-/// the other query kinds run to completion inside the first resume,
-/// blocking on the store's source as the serial path does.
+/// into the store for the duration of the step.
 pub struct StagedQuery {
-    query: Query,
     stats: AccessStats,
     miss_log: Vec<MissEvent>,
-    phase: StagedPhase,
-    /// BFS traversal state, present from the root fetch onwards.
-    bfs: Option<BfsState>,
-    /// The frontier whose fetch is in flight (request order for
-    /// `apply_many`).
+    traversal: Traversal,
+    started: bool,
+    finished: bool,
+    /// The nodes of the traversal's current ask, in access order.
     frontier: Vec<NodeId>,
-    /// The miss portion of `frontier` handed out in the last
-    /// [`Step::Fetch`].
-    pending_miss: Vec<NodeId>,
+    /// Records applied so far: one per node of a prefix of `frontier`.
+    records: Got,
+    /// Fetched answers not yet applied, in `frontier` order.
+    answers: VecDeque<(NodeId, Option<(u16, Bytes)>)>,
+    /// The nodes the last [`Step::Fetch`] asked for.
+    pending: Vec<NodeId>,
+    /// Whether `pending` is one node the apply stopped at.
+    refetch: bool,
 }
 
 impl StagedQuery {
@@ -439,27 +472,36 @@ impl StagedQuery {
     /// [`StagedQuery::resume`] (called with `None`).
     pub fn new(query: Query) -> Self {
         Self {
-            query,
             stats: AccessStats::default(),
             miss_log: Vec::new(),
-            phase: StagedPhase::Start,
-            bfs: None,
+            traversal: Traversal::new(&query),
+            started: false,
+            finished: false,
             frontier: Vec::new(),
-            pending_miss: Vec::new(),
+            records: Vec::new(),
+            answers: VecDeque::new(),
+            pending: Vec::new(),
+            refetch: false,
         }
     }
 
-    /// The query being executed.
-    pub fn query(&self) -> &Query {
-        &self.query
+    /// The ask whose fetch is pending (request order) — the full ask,
+    /// cache hits included, which is what a speculative predictor wants as
+    /// context alongside the [`Step::Fetch`] miss set; just the one node
+    /// when the apply stopped at a node it must re-fetch.
+    pub fn frontier(&self) -> &[NodeId] {
+        if self.refetch {
+            &self.pending
+        } else {
+            &self.frontier
+        }
     }
 
-    /// The frontier whose fetch is pending (request order) — the full
-    /// frontier, cache hits included, which is what a speculative
-    /// predictor wants as context alongside the [`Step::Fetch`] miss set.
-    /// Empty between fetches.
-    pub fn frontier(&self) -> &[NodeId] {
-        &self.frontier
+    /// Whether the query stopped partway through applying an ask: its
+    /// pending fetch is the one node the apply met evicted, and the rest of
+    /// the ask is applied when it lands.
+    pub fn mid_ask(&self) -> bool {
+        self.refetch
     }
 
     /// Drains the ordered per-miss event log accumulated so far.
@@ -471,26 +513,28 @@ impl StagedQuery {
     /// payloads answering the previous [`Step::Fetch`] (one entry per
     /// requested node, in request order) on every later call.
     ///
-    /// The store is only borrowed for the duration of the call; its
-    /// accounting is swapped out for this query's, so a transient store
-    /// over a shared cache attributes every access correctly.
+    /// The store is only borrowed for the duration of the call, and only
+    /// its cache and speculation state are used; its accounting is swapped
+    /// out for this query's, so a transient store over a shared cache
+    /// attributes every access correctly.
     ///
     /// # Panics
     ///
     /// Panics when resumed after [`Step::Done`], or when `payloads` does
     /// not answer the previous step (wrong count, or missing entirely).
-    pub fn resume<S: BatchSource>(
+    pub fn resume<S>(
         &mut self,
         store: &mut CacheBackedStore<'_, S>,
         payloads: Option<Vec<Option<(u16, Bytes)>>>,
     ) -> Step {
+        assert!(!self.finished, "resumed a finished staged query");
         store.swap_accounting(&mut self.stats, &mut self.miss_log);
-        let progress = self.advance(store, payloads);
+        let next = self.advance(store, payloads);
         store.swap_accounting(&mut self.stats, &mut self.miss_log);
-        match progress {
-            Ok(miss) => Step::Fetch(miss),
-            Err(result) => {
-                self.phase = StagedPhase::Finished;
+        match next {
+            ControlFlow::Continue(miss) => Step::Fetch(miss),
+            ControlFlow::Break(result) => {
+                self.finished = true;
                 Step::Done(ExecOutcome {
                     result,
                     stats: self.stats,
@@ -499,88 +543,45 @@ impl StagedQuery {
         }
     }
 
-    /// `Ok(miss)` = fetch wanted, `Err(result)` = finished.
-    fn advance<S: BatchSource>(
-        &mut self,
-        store: &mut CacheBackedStore<'_, S>,
-        mut payloads: Option<Vec<Option<(u16, Bytes)>>>,
-    ) -> Result<Vec<NodeId>, QueryResult> {
-        loop {
-            match self.phase {
-                StagedPhase::Start => {
-                    let Query::NeighborAggregation { node, .. } = self.query else {
-                        // Non-BFS kinds execute in one blocking step.
-                        return Err(run_query(store, &self.query));
-                    };
-                    // The root travels as a one-node frontier: identical
-                    // accounting to the serial path's scalar root fetch.
-                    self.frontier = vec![node];
-                    self.pending_miss = store.plan_many(&self.frontier);
-                    self.phase = StagedPhase::Root;
-                    if !self.pending_miss.is_empty() {
-                        return Ok(self.pending_miss.clone());
-                    }
-                }
-                StagedPhase::Root => {
-                    let got = self.apply(store, payloads.take());
-                    let Query::NeighborAggregation { node, hops, label } = self.query else {
-                        unreachable!("root phase implies an aggregation");
-                    };
-                    let Some(start) = got.into_iter().next().flatten() else {
-                        return Err(QueryResult::Count(0));
-                    };
-                    self.bfs = Some(BfsState::after_root(node, hops, label, start));
-                    self.phase = StagedPhase::Level;
-                    self.frontier = match self.bfs.as_mut().expect("just set").expand() {
-                        Some(f) => f,
-                        None => return Err(QueryResult::Count(self.finished_count())),
-                    };
-                    self.pending_miss = store.plan_many(&self.frontier);
-                    if !self.pending_miss.is_empty() {
-                        return Ok(self.pending_miss.clone());
-                    }
-                }
-                StagedPhase::Level => {
-                    let records = self.apply(store, payloads.take());
-                    let bfs = self.bfs.as_mut().expect("level phase has BFS state");
-                    bfs.absorb(records);
-                    self.frontier = match bfs.expand() {
-                        Some(f) => f,
-                        None => return Err(QueryResult::Count(self.finished_count())),
-                    };
-                    self.pending_miss = store.plan_many(&self.frontier);
-                    if !self.pending_miss.is_empty() {
-                        return Ok(self.pending_miss.clone());
-                    }
-                }
-                StagedPhase::Finished => panic!("resumed a finished staged query"),
-            }
-        }
-    }
-
-    fn apply<S: BatchSource>(
+    fn advance<S>(
         &mut self,
         store: &mut CacheBackedStore<'_, S>,
         payloads: Option<Vec<Option<(u16, Bytes)>>>,
-    ) -> Vec<Option<Arc<AdjacencyRecord>>> {
-        let payloads = if self.pending_miss.is_empty() {
-            // Fully cache-served step: nothing was requested.
-            payloads.unwrap_or_default()
-        } else {
-            payloads.expect("a pending fetch must be answered before resuming")
-        };
+    ) -> ControlFlow<QueryResult, Vec<NodeId>> {
+        let mut payloads = payloads.unwrap_or_default();
         assert_eq!(
             payloads.len(),
-            self.pending_miss.len(),
+            self.pending.len(),
             "payloads must answer the pending fetch node-for-node"
         );
-        let frontier = std::mem::take(&mut self.frontier);
-        let miss = std::mem::take(&mut self.pending_miss);
-        store.apply_many(&frontier, &miss, payloads)
-    }
-
-    fn finished_count(&self) -> u64 {
-        self.bfs.as_ref().map_or(0, |b| b.count)
+        if std::mem::take(&mut self.refetch) {
+            let record = store.admit(self.pending[0], payloads.pop().flatten());
+            self.records.push(record);
+        } else {
+            self.answers
+                .extend(self.pending.iter().copied().zip(payloads));
+        }
+        self.pending.clear();
+        loop {
+            if self.started {
+                if let Some(node) =
+                    store.apply_from(&self.frontier, &mut self.answers, &mut self.records)
+                {
+                    self.pending.push(node);
+                    self.refetch = true;
+                    return ControlFlow::Continue(self.pending.clone());
+                }
+            }
+            let got = self.started.then_some(&mut self.records);
+            self.started = true;
+            // The ask and record buffers are reused from step to step.
+            self.frontier.clear();
+            self.traversal.next(got, &mut self.frontier)?;
+            self.pending = store.plan_many(&self.frontier);
+            if !self.pending.is_empty() {
+                return ControlFlow::Continue(self.pending.clone());
+            }
+        }
     }
 }
 
@@ -846,6 +847,119 @@ mod tests {
         assert_eq!(out.result, QueryResult::Count(0));
     }
 
+    /// FNV-1a over little-endian words.
+    fn fnv1a(hash: &mut u64, words: &[u64]) {
+        for word in words {
+            for byte in word.to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Runs a fixed seeded stream (every query kind, labelled and not)
+    /// through one [`Executor`] over `cache` and folds every answer,
+    /// [`AccessStats`] and miss-log entry into one FNV-1a hash.
+    fn accounting_fingerprint(cache: &mut ProcessorCache) -> u64 {
+        let mut rng = StdRng::seed_from_u64(39);
+        let nodes = 300u32;
+        let mut b = GraphBuilder::with_nodes(nodes as usize);
+        for v in 0..nodes {
+            for _ in 0..3 {
+                b.add_edge(n(v), n(rng.gen_range(0..nodes)));
+            }
+            b.set_node_label(n(v), NodeLabelId::new((v % 3) as u16));
+        }
+        let tier = setup(&b.build().unwrap());
+        let mut ex = Executor::new(&tier, cache);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..600u32 {
+            // 120 queries of each of the five shapes, interleaved; a few
+            // anchors lie past the graph.
+            let a = rng.gen_range(0..nodes + 4);
+            let t = rng.gen_range(0..nodes);
+            let hops = 1 + rng.gen_range(0..3u32);
+            let query = match i % 5 {
+                0 => Query::NeighborAggregation {
+                    node: n(a),
+                    hops,
+                    label: None,
+                },
+                1 => Query::NeighborAggregation {
+                    node: n(a),
+                    hops,
+                    label: Some(NodeLabelId::new((a % 3) as u16)),
+                },
+                2 => Query::RandomWalk {
+                    node: n(a),
+                    steps: 4 * hops,
+                    restart_prob: 0.15,
+                    seed: u64::from(i),
+                },
+                3 => Query::Reachability {
+                    source: n(a),
+                    target: n(t),
+                    hops: hops + 1,
+                },
+                _ => Query::ConstrainedReachability {
+                    source: n(a),
+                    target: n(t),
+                    hops: hops + 1,
+                    via_label: NodeLabelId::new((t % 3) as u16),
+                },
+            };
+            let out = ex.run(&query);
+            match out.result {
+                QueryResult::Count(c) => fnv1a(&mut hash, &[0, c]),
+                QueryResult::Walk { end, visited } => {
+                    fnv1a(&mut hash, &[1, u64::from(end.raw()), visited])
+                }
+                QueryResult::Reachable(r) => fnv1a(&mut hash, &[2, u64::from(r)]),
+            }
+            let s = out.stats;
+            fnv1a(
+                &mut hash,
+                &[s.cache_hits, s.cache_misses, s.miss_bytes, s.evictions],
+            );
+            for ev in ex.take_miss_log() {
+                fnv1a(&mut hash, &[u64::from(ev.server), u64::from(ev.bytes)]);
+            }
+        }
+        hash
+    }
+
+    /// What the serial executor produced before every query kind staged
+    /// its fetches: answers, per-query statistics and miss logs over
+    /// caches that evict a planned hit mid-frontier (60 B, 300 B), one
+    /// that mostly holds the stream (64 KiB), and one that holds nothing.
+    /// The constants were computed by the blocking executor this one
+    /// replaced; they are never to be edited.
+    #[test]
+    fn serial_accounting_matches_the_pinned_fingerprints() {
+        let caches: [(&str, ProcessorCache, u64); 4] = [
+            (
+                "lru 60 B",
+                Box::new(LruCache::new(60)),
+                0x6d66_5743_0c0a_7206,
+            ),
+            (
+                "lru 300 B",
+                Box::new(LruCache::new(300)),
+                0x9dba_5bad_179c_556b,
+            ),
+            (
+                "lru 64 KiB",
+                Box::new(LruCache::new(64 << 10)),
+                0xc5cb_92b8_88ca_c0d5,
+            ),
+            ("null", Box::new(NullCache::new()), 0x45ce_1d92_3d9e_a8bc),
+        ];
+        for (name, mut cache, want) in caches {
+            let got = accounting_fingerprint(&mut cache);
+            assert_eq!(got, want, "{name}: {got:#018x}");
+        }
+    }
+
     /// Drives a [`StagedQuery`] exactly as a serial caller would: resume,
     /// fetch the requested nodes straight from the tier, resume again.
     fn run_staged(tier: &StorageTier, cache: &mut ProcessorCache, query: Query) -> ExecOutcome {
@@ -868,6 +982,9 @@ mod tests {
         }
     }
 
+    /// The hand drive above (one tier read per asked node) and
+    /// [`Executor::run`] (one batch exchange per step) leave the same
+    /// answers and accounting.
     #[test]
     fn staged_bfs_matches_serial_run_and_accounting() {
         let g = path_with_chord();
@@ -910,10 +1027,15 @@ mod tests {
     }
 
     #[test]
-    fn staged_nonbfs_kinds_complete_in_one_step() {
+    fn every_kind_stages_on_a_cold_cache_and_not_on_a_warm_one() {
         let g = path_with_chord();
         let tier = setup(&g);
         for q in [
+            Query::NeighborAggregation {
+                node: n(0),
+                hops: 2,
+                label: None,
+            },
             Query::RandomWalk {
                 node: n(0),
                 steps: 16,
@@ -925,19 +1047,29 @@ mod tests {
                 target: n(4),
                 hops: 4,
             },
+            Query::ConstrainedReachability {
+                source: n(0),
+                target: n(4),
+                hops: 4,
+                via_label: NodeLabelId::new(0),
+            },
         ] {
-            let mut serial_cache = fresh_cache();
-            let serial = Executor::new(&tier, &mut serial_cache).run(&q);
             let mut cache = fresh_cache();
             let mut staged = StagedQuery::new(q);
-            let mut source = &tier;
-            let mut store = CacheBackedStore::new(&mut source, &mut cache);
-            match staged.resume(&mut store, None) {
-                Step::Done(out) => {
-                    assert_eq!(out.result, serial.result);
-                    assert_eq!(out.stats, serial.stats);
+            let mut store = CacheBackedStore::new((), &mut cache);
+            assert!(
+                matches!(staged.resume(&mut store, None), Step::Fetch(_)),
+                "{q:?} must stage on a cold cache"
+            );
+            drop(store);
+            let cold = run_staged(&tier, &mut cache, q);
+            let mut store = CacheBackedStore::new((), &mut cache);
+            match StagedQuery::new(q).resume(&mut store, None) {
+                Step::Done(warm) => {
+                    assert_eq!(warm.result, cold.result, "{q:?}");
+                    assert_eq!(warm.stats.cache_hits, cold.stats.accesses(), "{q:?}");
                 }
-                Step::Fetch(_) => panic!("non-BFS kinds must not stage"),
+                Step::Fetch(miss) => panic!("{q:?} fetched {miss:?} on a warm cache"),
             }
         }
     }
@@ -972,17 +1104,21 @@ mod tests {
             seed: 1,
         };
         let mut staged = StagedQuery::new(q);
-        let mut source = &tier;
-        let mut store = CacheBackedStore::new(&mut source, &mut cache);
-        let _ = staged.resume(&mut store, None);
+        let mut payloads = None;
+        let mut store = CacheBackedStore::new(&tier, &mut cache);
+        while let Step::Fetch(miss) = staged.resume(&mut store, payloads.take()) {
+            payloads = Some(store.exchange(staged.frontier(), &miss));
+        }
         let _ = staged.resume(&mut store, None);
     }
 
     proptest::proptest! {
-        /// Staged execution replays byte-identical results, statistics, and
-        /// miss logs to the blocking executor for ANY mix of the four query
-        /// kinds, graph, and (tiny) cache capacity — the overlap=1
-        /// agreement contract.
+        /// A staged query driven by hand (one tier read per asked node)
+        /// replays [`Executor::run`]'s results, statistics and miss logs for
+        /// ANY mix of the four query kinds, graph, and (tiny) cache
+        /// capacity — the overlap=1 agreement contract. And whatever the
+        /// cache, each query's answer and record-access count are those of
+        /// a run that caches nothing: the cache only moves hits and misses.
         #[test]
         fn prop_staged_equals_serial(
             edges in proptest::collection::vec((0u32..20, 0u32..20), 1..80),
@@ -1031,6 +1167,15 @@ mod tests {
                 let mut ex = Executor::new(&tier, &mut serial_cache);
                 serial_outs.push(ex.run(q));
                 serial_logs.push(ex.take_miss_log());
+            }
+            let mut null_cache: ProcessorCache = Box::new(NullCache::new());
+            let mut uncached = Executor::new(&tier, &mut null_cache);
+            for (i, q) in queries.iter().enumerate() {
+                let bare = uncached.run(q);
+                proptest::prop_assert_eq!(bare.result, serial_outs[i].result, "query {}", i);
+                proptest::prop_assert_eq!(
+                    bare.stats.accesses(), serial_outs[i].stats.accesses(), "query {}", i
+                );
             }
 
             // Staged, driven strictly serially over one shared cache.

@@ -1,13 +1,15 @@
 //! The cache-then-storage fetch layer.
 //!
 //! Every adjacency record a query touches flows through here: first the
-//! processor's local cache, then (on miss) a [`RecordSource`] — the storage
-//! tier when processors hold direct handles, or a remote socket path when
-//! the cluster is deployed over a wire transport. The hit/miss tallies
-//! recorded per query are exactly the paper's cache-hit/cache-miss rates
-//! (Eq. 8/9), and the miss byte counts are what the simulator feeds into
-//! the network cost model.
+//! processor's local cache, then (on miss) the payload a fetch brought
+//! back. A staged query plans which records miss, its driver fetches them
+//! from a [`BatchSource`] — the storage tier in-process, or the wire
+//! cluster's batch protocol — and the apply pass folds the payloads in.
+//! The hit/miss tallies recorded per query are exactly the paper's
+//! cache-hit/cache-miss rates (Eq. 8/9), and the miss byte counts are what
+//! the simulator feeds into the network cost model.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -18,56 +20,21 @@ use grouting_storage::StorageTier;
 
 use crate::prefetch::PrefetchState;
 
-/// Where missed adjacency records come from.
+/// Where missed adjacency records come from: a source that serves a whole
+/// frontier's miss set in one exchange.
 ///
 /// The decoupled architecture means a processor's miss path is pluggable:
-/// an in-process [`StorageTier`] handle (the simulator and the channel
-/// runtime), or a framed socket connection to remote storage servers (the
-/// `grouting-wire` deployment). Either way the contract is the same as
-/// [`StorageTier::get`]: the serving server id plus the *encoded* value, so
-/// byte-level cache accounting is identical on every path.
-pub trait RecordSource {
-    /// Fetches the encoded adjacency value for `node`, with the id of the
-    /// storage server that served it; `None` when the node is not stored.
-    fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, Bytes)>;
-}
-
-impl RecordSource for &StorageTier {
-    fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, Bytes)> {
-        self.get(node).map(|(s, b)| (s as u16, b))
-    }
-}
-
-impl RecordSource for Arc<StorageTier> {
-    fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, Bytes)> {
-        self.get(node).map(|(s, b)| (s as u16, b))
-    }
-}
-
-impl<S: RecordSource + ?Sized> RecordSource for &mut S {
-    fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, Bytes)> {
-        (**self).fetch_raw(node)
-    }
-}
-
-/// A record source that can serve many nodes in one exchange.
-///
-/// This is the fetch-path contract the frontier-batched traversal relies
-/// on: the executor collects the cache-miss portion of a whole BFS
-/// frontier and hands it over in one call, so a wire-backed source can
-/// group the nodes per storage server and ship a single pipelined batch
-/// frame per server per hop instead of one blocking round trip per node.
-/// The default implementation degrades to per-node [`RecordSource`]
-/// fetches, which is exactly the scalar behaviour — in-process tier
-/// handles override it with a direct multi-get, remote sources with the
-/// `grouting-wire` batch protocol.
-pub trait BatchSource: RecordSource {
+/// an in-process [`StorageTier`] handle (the simulator), or the
+/// `grouting-wire` batch protocol, which groups the nodes per storage
+/// server and ships one pipelined batch frame per server. Either way the
+/// contract is [`StorageTier::get`]'s, per node: the serving server id
+/// plus the *encoded* value, so byte-level cache accounting is identical
+/// on every path.
+pub trait BatchSource {
     /// Fetches the encoded adjacency values for `nodes`, one entry per
     /// requested node in the same order (`None` where the node is not
     /// stored).
-    fn fetch_batch(&mut self, nodes: &[NodeId]) -> Vec<Option<(u16, Bytes)>> {
-        nodes.iter().map(|&n| self.fetch_raw(n)).collect()
-    }
+    fn fetch_batch(&mut self, nodes: &[NodeId]) -> Vec<Option<(u16, Bytes)>>;
 }
 
 impl BatchSource for &StorageTier {
@@ -81,10 +48,7 @@ impl BatchSource for &StorageTier {
 
 impl BatchSource for Arc<StorageTier> {
     fn fetch_batch(&mut self, nodes: &[NodeId]) -> Vec<Option<(u16, Bytes)>> {
-        self.get_many(nodes)
-            .into_iter()
-            .map(|p| p.map(|(s, b)| (s as u16, b)))
-            .collect()
+        (&**self).fetch_batch(nodes)
     }
 }
 
@@ -139,7 +103,12 @@ pub struct MissEvent {
 }
 
 /// A processor's view of the graph: its cache in front of a record source.
-pub struct CacheBackedStore<'a, S: RecordSource> {
+///
+/// A staged query uses only the cache and the speculation state, never
+/// the source; the serial conveniences ([`CacheBackedStore::fetch`],
+/// [`CacheBackedStore::fetch_many`], [`CacheBackedStore::apply_many`])
+/// fetch through it.
+pub struct CacheBackedStore<'a, S> {
     source: S,
     cache: &'a mut ProcessorCache,
     /// Speculation state borrowed from the processor, when prefetching is
@@ -151,10 +120,10 @@ pub struct CacheBackedStore<'a, S: RecordSource> {
     miss_log: Vec<MissEvent>,
 }
 
-impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
+impl<'a, S> CacheBackedStore<'a, S> {
     /// Wraps a cache and a miss-path source (`&StorageTier`, an
-    /// `Arc<StorageTier>`, or a remote transport-backed source) for one
-    /// query's execution.
+    /// `Arc<StorageTier>`, a remote batch source, or `()` for a store that
+    /// only staged queries use) for one query's execution.
     pub fn new(source: S, cache: &'a mut ProcessorCache) -> Self {
         Self {
             source,
@@ -177,102 +146,67 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
         prefetch: &'a mut PrefetchState,
     ) -> Self {
         Self {
-            source,
-            cache,
             prefetch: Some(prefetch),
-            stats: AccessStats::default(),
-            miss_log: Vec::new(),
+            ..Self::new(source, cache)
         }
     }
 
-    /// Fetches the adjacency record of `node`, counting a hit or miss.
-    pub fn fetch(&mut self, node: NodeId) -> Option<Arc<AdjacencyRecord>> {
-        self.access(node, None)
-    }
-
-    /// One cache-then-source access; `batched` is the batch exchange's
-    /// answer for this node, when the frontier's plan requested one. This
-    /// is the *only* place hits, misses, bytes, evictions, and the miss log
-    /// are recorded, so the scalar and batched paths cannot drift:
-    /// [`CacheBackedStore::fetch_many`] replays exactly this sequence per
-    /// node, merely sourcing the miss payloads from one batch exchange
-    /// instead of one round trip each.
-    fn access(
-        &mut self,
-        node: NodeId,
-        batched: Option<Option<(u16, Bytes)>>,
-    ) -> Option<Arc<AdjacencyRecord>> {
-        if let Some(rec) = self.cache.get(&node) {
-            self.stats.cache_hits += 1;
-            return Some(Arc::clone(rec));
-        }
-        // Miss-path payload priority: the batch answer for this node, then
-        // the speculative staging buffer (bytes already fetched ahead of
-        // time — counted below exactly like any other miss), then a scalar
-        // source fetch.
-        let payload = match batched {
-            Some(p) => p,
-            None => match self.prefetch.as_mut().and_then(|s| s.take(node)) {
-                Some(p) => Some(p),
-                None => self.source.fetch_raw(node),
-            },
-        };
-        let (server, bytes) = payload?;
-        let size = bytes.len();
-        self.stats.cache_misses += 1;
-        self.stats.miss_bytes += size as u64;
-        self.miss_log.push(MissEvent {
-            server,
-            bytes: size as u32,
-        });
-        let rec = Arc::new(AdjacencyRecord::decode(bytes).expect("tier stores valid records"));
-        let evicted = self
-            .cache
-            .insert(node, Arc::clone(&rec), rec.resident_len());
-        // An insert that bounces back (NullCache / oversized) is not an
-        // eviction of previously cached data.
-        self.stats.evictions += evicted.iter().filter(|(k, _)| *k != node).count() as u64;
-        Some(rec)
+    /// Fetches the adjacency record of `node`, counting a hit or miss: a
+    /// one-node [`CacheBackedStore::fetch_many`].
+    pub fn fetch(&mut self, node: NodeId) -> Option<Arc<AdjacencyRecord>>
+    where
+        S: BatchSource,
+    {
+        self.fetch_many(&[node]).pop().flatten()
     }
 
     /// Fetches a whole frontier of adjacency records through the cache,
     /// batching the miss portion into one [`BatchSource::fetch_batch`]
     /// call.
     ///
-    /// Accounting is byte-identical to calling [`CacheBackedStore::fetch`]
-    /// on each node in order (the Eq. 8/9 contract the agreement tests
-    /// pin): a first, side-effect-free pass ([`CacheBackedStore::plan_many`])
-    /// classifies each node with [`Cache::contains`] to assemble the miss
-    /// set, then a second pass ([`CacheBackedStore::apply_many`]) replays
-    /// the exact scalar get/insert sequence per node — so LRU recency
-    /// order, eviction counts, and the miss log all evolve exactly as they
-    /// would have one node at a time. Rare mid-batch reclassifications (a
-    /// predicted hit evicted by an earlier insert in the same batch, or a
-    /// duplicate whose first insert bounced) fall back to a scalar source
-    /// fetch, which is again what the scalar path would have done.
+    /// Accounting is byte-identical to accessing each node in order, one
+    /// at a time (the Eq. 8/9 contract the agreement tests pin): a first,
+    /// side-effect-free pass ([`CacheBackedStore::plan_many`]) classifies
+    /// each node with [`Cache::contains`] to assemble the miss set, then a
+    /// second pass ([`CacheBackedStore::apply_many`]) replays the exact
+    /// scalar get/insert sequence per node — so LRU recency order,
+    /// eviction counts, and the miss log all evolve exactly as they would
+    /// have one node at a time.
     pub fn fetch_many(&mut self, nodes: &[NodeId]) -> Vec<Option<Arc<AdjacencyRecord>>>
     where
         S: BatchSource,
     {
         let miss_nodes = self.plan_many(nodes);
-        // Speculation piggybacks on the demand batch: predicted next-hop
-        // nodes travel in the same exchange, land in the staging buffer,
-        // and spare a later frontier its round trip. Demand accounting is
-        // untouched — apply_many never sees the speculative tail.
-        let spec = self.plan_speculative(nodes, &miss_nodes);
-        let payloads = if miss_nodes.is_empty() {
-            Vec::new()
-        } else if spec.is_empty() {
-            self.source.fetch_batch(&miss_nodes)
-        } else {
-            let mut combined = miss_nodes.clone();
-            combined.extend(&spec);
-            let mut payloads = self.source.fetch_batch(&combined);
-            let spec_payloads = payloads.split_off(miss_nodes.len());
-            self.absorb_speculative(&spec, spec_payloads);
-            payloads
-        };
+        let payloads = self.exchange(nodes, &miss_nodes);
         self.apply_many(nodes, &miss_nodes, payloads)
+    }
+
+    /// Fetches `miss` (the miss set of `frontier`) in one batch.
+    /// Speculation piggybacks on it: predicted next-hop nodes travel in the
+    /// same exchange and land in the staging buffer, sparing a later
+    /// frontier its round trip; only the demand payloads come back, so
+    /// demand accounting never sees the speculative tail.
+    pub(crate) fn exchange(
+        &mut self,
+        frontier: &[NodeId],
+        miss: &[NodeId],
+    ) -> Vec<Option<(u16, Bytes)>>
+    where
+        S: BatchSource,
+    {
+        let spec = self.plan_speculative(frontier, miss);
+        if miss.is_empty() {
+            return Vec::new();
+        }
+        if spec.is_empty() {
+            return self.source.fetch_batch(miss);
+        }
+        let mut combined = miss.to_vec();
+        combined.extend(&spec);
+        let mut payloads = self.source.fetch_batch(&combined);
+        let spec_payloads = payloads.split_off(miss.len());
+        self.absorb_speculative(&spec, spec_payloads);
+        payloads
     }
 
     /// Pass 1 of a batched frontier fetch: the cache-miss portion of
@@ -333,31 +267,91 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
     /// sequence over `nodes` in order, sourcing miss payloads from
     /// `payloads` (one entry per `miss_nodes` entry, in that order —
     /// normally the answer to a fetch of [`CacheBackedStore::plan_many`]'s
-    /// return).
-    ///
-    /// The payloads are consumed positionally: `miss_nodes` is the
-    /// subsequence of `nodes` that missed, first occurrences only, so a
-    /// cursor over it meets each answer at the node that asked for it. A
-    /// node that slipped between the plan and this apply (the cache evicted
-    /// a predicted hit, another query's apply raced the plan, or a
-    /// duplicate's first insert bounced) finds no answer under the cursor
-    /// and falls back to a scalar source fetch, exactly as the serial path
-    /// would have; an answer whose node turned into a hit is dropped.
+    /// return). A serial driver over the apply core (`apply_from`): a
+    /// node that slipped between the plan and this apply is fetched alone
+    /// from the source, exactly as a node-at-a-time execution would have.
     pub fn apply_many(
         &mut self,
         nodes: &[NodeId],
         miss_nodes: &[NodeId],
         payloads: Vec<Option<(u16, Bytes)>>,
-    ) -> Vec<Option<Arc<AdjacencyRecord>>> {
+    ) -> Vec<Option<Arc<AdjacencyRecord>>>
+    where
+        S: BatchSource,
+    {
         debug_assert_eq!(miss_nodes.len(), payloads.len(), "one payload per miss");
-        let mut answers = miss_nodes.iter().zip(payloads).peekable();
-        nodes
-            .iter()
-            .map(|&node| {
-                let batched = answers.next_if(|(&asked, _)| asked == node);
-                self.access(node, batched.map(|(_, payload)| payload))
-            })
-            .collect()
+        let mut answers = miss_nodes.iter().copied().zip(payloads).collect();
+        let mut records = Vec::with_capacity(nodes.len());
+        while let Some(node) = self.apply_from(nodes, &mut answers, &mut records) {
+            let payload = self.source.fetch_batch(&[node]).pop().flatten();
+            records.push(self.admit(node, payload));
+        }
+        records
+    }
+
+    /// The apply core: one cache-then-payload access per node of
+    /// `nodes[records.len()..]`, in order, each record appended to
+    /// `records`. This is the *only* place hits are recorded (misses in
+    /// [`CacheBackedStore::admit`]), so every driver replays the same
+    /// sequence.
+    ///
+    /// `answers` is consumed positionally: it is the subsequence of
+    /// `nodes` that missed, first occurrences only, so its front meets each
+    /// answer at the node that asked for it. An answer whose node turned
+    /// into a hit is dropped. A miss with no answer is served from the
+    /// speculative staging buffer (counted like any other miss); failing
+    /// that — the cache evicted a planned hit, another query's apply raced
+    /// the plan, or a duplicate's first insert bounced — the apply stops
+    /// and returns the node, which the caller fetches, hands to
+    /// [`CacheBackedStore::admit`], and then calls this again.
+    pub(crate) fn apply_from(
+        &mut self,
+        nodes: &[NodeId],
+        answers: &mut VecDeque<(NodeId, Option<(u16, Bytes)>)>,
+        records: &mut Vec<Option<Arc<AdjacencyRecord>>>,
+    ) -> Option<NodeId> {
+        for &node in &nodes[records.len()..] {
+            let answer = answers.pop_front_if(|(asked, _)| *asked == node);
+            if let Some(rec) = self.cache.get(&node) {
+                self.stats.cache_hits += 1;
+                records.push(Some(Arc::clone(rec)));
+                continue;
+            }
+            // The batch's answer, else a staged speculative payload.
+            let staged = || self.prefetch.as_mut()?.take(node).map(Some);
+            let Some(payload) = answer.map(|(_, payload)| payload).or_else(staged) else {
+                return Some(node);
+            };
+            records.push(self.admit(node, payload));
+        }
+        None
+    }
+
+    /// The miss half of an access: counts the miss and its bytes, logs
+    /// it, decodes the payload and caches the record, charged its
+    /// [`AdjacencyRecord::resident_len`]. A node that is not stored
+    /// (`None`) counts nothing.
+    pub(crate) fn admit(
+        &mut self,
+        node: NodeId,
+        payload: Option<(u16, Bytes)>,
+    ) -> Option<Arc<AdjacencyRecord>> {
+        let (server, bytes) = payload?;
+        let size = bytes.len();
+        self.stats.cache_misses += 1;
+        self.stats.miss_bytes += size as u64;
+        self.miss_log.push(MissEvent {
+            server,
+            bytes: size as u32,
+        });
+        let rec = Arc::new(AdjacencyRecord::decode(bytes).expect("tier stores valid records"));
+        let evicted = self
+            .cache
+            .insert(node, Arc::clone(&rec), rec.resident_len());
+        // An insert that bounces back (NullCache / oversized) is not an
+        // eviction of previously cached data.
+        self.stats.evictions += evicted.iter().filter(|(k, _)| *k != node).count() as u64;
+        Some(rec)
     }
 
     /// Swaps this store's accumulated statistics and miss log with the
@@ -538,14 +532,6 @@ mod tests {
     struct CountingSource<'a> {
         tier: &'a StorageTier,
         batches: Vec<Vec<NodeId>>,
-        scalar_calls: usize,
-    }
-
-    impl RecordSource for CountingSource<'_> {
-        fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, Bytes)> {
-            self.scalar_calls += 1;
-            self.tier.get(node).map(|(s, b)| (s as u16, b))
-        }
     }
 
     impl BatchSource for CountingSource<'_> {
@@ -571,7 +557,6 @@ mod tests {
         let mut source = CountingSource {
             tier: &t,
             batches: Vec::new(),
-            scalar_calls: 0,
         };
         let mut store = CacheBackedStore::new(&mut source, &mut cache);
         let nodes = [n(0), n(4), n(1), n(5)];
@@ -581,8 +566,11 @@ mod tests {
         assert_eq!(s.cache_hits, 2);
         assert_eq!(s.cache_misses, 2);
         drop(store);
-        assert_eq!(source.batches, vec![vec![n(4), n(5)]], "misses only");
-        assert_eq!(source.scalar_calls, 0, "no per-node fallback needed");
+        assert_eq!(
+            source.batches,
+            vec![vec![n(4), n(5)]],
+            "misses only, and no per-node fallback"
+        );
     }
 
     #[test]

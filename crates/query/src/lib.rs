@@ -22,8 +22,6 @@ mod prefetch;
 mod types;
 
 pub use executor::{ExecOutcome, Executor, StagedQuery, Step};
-pub use fetch::{
-    AccessStats, BatchSource, CacheBackedStore, MissEvent, ProcessorCache, RecordSource,
-};
+pub use fetch::{AccessStats, BatchSource, CacheBackedStore, MissEvent, ProcessorCache};
 pub use prefetch::{PrefetchConfig, PrefetchPolicy, PrefetchState, PrefetchStats};
 pub use types::{Query, QueryResult};

@@ -4,10 +4,14 @@
 //! exchange per frontier node would make a multi-hop BFS pay one loopback
 //! RTT (~16 µs) per discovered node, serialised; this module keeps many
 //! fetches in flight per processor instead. [`MultiplexedStorageSource`]
-//! is the [`BatchSource`] a processor plugs behind its cache: it groups a
-//! frontier's miss set by the placement function and puts one
+//! groups a frontier's miss set by the placement function and puts one
 //! [`Frame::FetchBatchRequest`] per storage server on the wire before
-//! waiting for any reply; a single-node fetch is a batch of one.
+//! waiting for any reply; a single-node fetch is a batch of one. A
+//! processor's pipeline submits and collects without ever blocking
+//! ([`MultiplexedStorageSource::submit_frontier`],
+//! [`MultiplexedStorageSource::try_collect`]); the blocking
+//! [`BatchSource::fetch_batch`] drives the same two calls for serial
+//! callers.
 //!
 //! The source is the I/O shell over `mux::MuxState`, which decides
 //! everything else without a socket or a clock: correlation by `req_id`
@@ -28,7 +32,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use grouting_graph::NodeId;
 use grouting_metrics::FailoverStats;
-use grouting_query::{BatchSource, RecordSource};
+use grouting_query::BatchSource;
 use grouting_storage::Partitioner;
 use grouting_trace::TelemetryCounters;
 
@@ -72,7 +76,11 @@ struct MuxConn {
 ///
 /// Single-node fetches (reachability expansions, random-walk steps) travel
 /// as one-element batches over the same connections, so a processor
-/// speaks only the batch protocol.
+/// speaks only the batch protocol. The processor submits and collects
+/// ([`MultiplexedStorageSource::submit_frontier`],
+/// [`MultiplexedStorageSource::try_collect`]); the blocking
+/// [`BatchSource::fetch_batch`] serves serial drivers (the simulator's
+/// wire-backed workers, benches).
 pub struct MultiplexedStorageSource {
     transport: Arc<dyn Transport>,
     addrs: Vec<String>,
@@ -279,14 +287,6 @@ impl MultiplexedStorageSource {
             t.batch_submitted(self.state.outstanding());
         }
         Ok(req_id)
-    }
-}
-
-impl RecordSource for MultiplexedStorageSource {
-    fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, Bytes)> {
-        self.fetch_batch(std::slice::from_ref(&node))
-            .pop()
-            .flatten()
     }
 }
 

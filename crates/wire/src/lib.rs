@@ -86,7 +86,7 @@ mod tests {
     use grouting_engine::{EngineAssets, EngineConfig};
     use grouting_graph::{GraphBuilder, NodeId};
     use grouting_metrics::RunSnapshot;
-    use grouting_query::{Query, RecordSource};
+    use grouting_query::{BatchSource, Query};
     use grouting_route::RoutingKind;
     use grouting_storage::HashPartitioner;
     use grouting_storage::StorageTier;
@@ -176,12 +176,16 @@ mod tests {
             tier.partitioner(),
         );
         for i in 0..16 {
-            let (server, bytes) = source.fetch_raw(n(i)).expect("stored node");
+            let (server, bytes) = source
+                .fetch_batch(&[n(i)])
+                .pop()
+                .flatten()
+                .expect("stored node");
             let (want_server, want_bytes) = tier.get(n(i)).unwrap();
             assert_eq!(server as usize, want_server);
             assert_eq!(&bytes[..], &want_bytes[..]);
         }
-        assert!(source.fetch_raw(n(999)).is_none());
+        assert_eq!(source.fetch_batch(&[n(999)]), vec![None]);
         drop(source);
         handle.shutdown();
     }
@@ -330,7 +334,7 @@ mod tests {
             MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
         // A frontier spanning every server, plus misses, in one batch.
         let nodes: Vec<NodeId> = (0..70).map(n).collect();
-        let got = grouting_query::BatchSource::fetch_batch(&mut source, &nodes);
+        let got = source.fetch_batch(&nodes);
         assert_eq!(got.len(), nodes.len());
         for (&node, payload) in nodes.iter().zip(&got) {
             let want = tier.get(node).map(|(s, b)| (s as u16, b));
@@ -338,10 +342,10 @@ mod tests {
         }
         // Single-node fetches ride the same multiplexed connections.
         assert_eq!(
-            source.fetch_raw(n(5)),
-            tier.get(n(5)).map(|(s, b)| (s as u16, b))
+            source.fetch_batch(&[n(5)]),
+            vec![tier.get(n(5)).map(|(s, b)| (s as u16, b))]
         );
-        assert!(source.fetch_raw(n(999)).is_none());
+        assert_eq!(source.fetch_batch(&[n(999)]), vec![None]);
         drop(source);
         for h in handles {
             h.shutdown();

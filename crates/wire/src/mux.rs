@@ -29,9 +29,9 @@
 //! Nothing a storage peer sends panics here: a non-batch frame, a reply
 //! to a request that is not outstanding and an answer longer than its
 //! request are each a [`WireError::Protocol`] that leaves the state as it
-//! was. The miss path's only panics are `fetch_batch` and `fetch_raw` at
-//! the `BatchSource` / `RecordSource` boundary, whose signatures return
-//! no `Result`.
+//! was. The miss path's only panic is the serial `BatchSource::fetch_batch`
+//! boundary, whose signature returns no `Result`; the processor service
+//! never calls it, so there a failure is the pipeline's `WireError`.
 
 use std::time::Duration;
 

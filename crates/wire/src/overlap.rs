@@ -5,15 +5,20 @@
 //! computing. [`QueryPipeline`] closes that gap: it keeps up to
 //! `overlap` dispatched queries in flight as [`StagedQuery`] state
 //! machines over ONE cache and ONE [`MultiplexedStorageSource`], so while
-//! query A's frontier batch travels, query B's compute stage runs — and
-//! B's next batch goes on the wire before A's reply is awaited
-//! (double-buffered frontiers).
+//! query A's fetch travels, query B's compute stage runs — and B's next
+//! fetch goes on the wire before A's reply is awaited (double-buffered
+//! frontiers). Every query kind stages: an aggregation level, a walk step,
+//! a reachability expansion, a meeting node's label read and a re-fetch
+//! of a node evicted mid-apply are each one submitted fetch. A query
+//! stopped mid-apply for such a re-fetch runs alone until it lands, as it
+//! did when the re-fetch blocked, so no other query's cache operations
+//! land inside one query's ask.
 //!
 //! At `overlap == 1` the pipeline degenerates to strictly serial
 //! execution whose cache operation sequence is byte-identical to
 //! [`grouting_engine::Worker::run`] — the agreement contract pinned by
-//! `wire_agreement` — because [`StagedQuery`] replays exactly the
-//! plan/fetch/apply cycle of the blocking executor.
+//! `wire_agreement` — because both drive the same [`StagedQuery`]
+//! plan/fetch/apply cycle.
 //!
 //! Attribution under interleaving: each staged query owns its
 //! [`grouting_query::AccessStats`] (swapped into the transient store per
@@ -34,7 +39,7 @@ use grouting_query::{
 use grouting_trace::{QueryTrace, TraceLevel};
 
 use crate::error::WireResult;
-use crate::flow::{MultiplexedStorageSource, PendingBatch};
+use crate::flow::{BatchPayloads, MultiplexedStorageSource, PendingBatch};
 use crate::service::now_ns;
 
 /// One finished query, ready to be acknowledged to the router.
@@ -94,6 +99,9 @@ pub struct QueryPipeline {
     /// prefetched payloads arrive. Deterministic integer tallies, counted
     /// unconditionally — observability sampling never changes them.
     heat: HeatMap,
+    /// Whether the last [`QueryPipeline::step`] consumed any fetch's
+    /// payloads.
+    consumed: bool,
 }
 
 impl QueryPipeline {
@@ -107,6 +115,7 @@ impl QueryPipeline {
             prefetch: PrefetchState::new(PrefetchConfig::OFF),
             trace: TraceLevel::Off,
             heat: HeatMap::new(),
+            consumed: false,
         }
     }
 
@@ -153,11 +162,20 @@ impl QueryPipeline {
         self.queue.is_empty() && self.active.is_empty()
     }
 
+    /// Whether the last [`QueryPipeline::step`] consumed payloads: that
+    /// round was progress even if no query finished, so the processor
+    /// loop keeps its poller on the hot rung.
+    pub(crate) fn consumed_payloads(&self) -> bool {
+        self.consumed
+    }
+
     /// Drives every in-flight query one round: admits queued queries into
     /// free slots (running their compute until the first fetch), polls
-    /// each awaited frontier fetch, and resumes whichever queries have
-    /// their payloads — submitting their next frontier before returning.
-    /// Never blocks; returns the queries that finished this round.
+    /// each awaited fetch, and resumes whichever queries have their
+    /// payloads — submitting their next fetch before returning. Never
+    /// blocks: no query reads storage inside a resume, so the processor
+    /// waits on storage only in its own idle wait. Returns the queries
+    /// that finished this round.
     ///
     /// # Errors
     ///
@@ -169,94 +187,148 @@ impl QueryPipeline {
         cache: &mut ProcessorCache,
     ) -> WireResult<Vec<CompletedQuery>> {
         let mut completed = Vec::new();
-
-        // Admit queued queries into free slots, oldest first. Each new
-        // query computes up to its first remote fetch, which goes on the
-        // wire immediately — this is the submit-before-await that keeps
-        // the storage pipe full while older queries compute.
-        while self.active.len() < self.overlap {
-            if !self.admit_next(source, cache, &mut completed)? {
-                break;
-            }
-        }
+        self.consumed = false;
+        self.admit(source, cache, &mut completed)?;
 
         // Poll every awaited fetch, oldest query first; resume those whose
-        // payloads have fully arrived.
+        // payloads have fully arrived. A query stopped mid-ask is the only
+        // one polled until it finishes the ask.
         let mut slot = 0;
         while slot < self.active.len() {
-            let active = &mut self.active[slot];
-            let pending = active
+            match self.mid_ask() {
+                Some(stopped) if stopped < slot => break,
+                Some(stopped) => slot = stopped,
+                None => {}
+            }
+            let pending = self.active[slot]
                 .pending
                 .as_mut()
                 .expect("parked queries await a fetch");
-            let Some(mut payloads) = source.try_collect(pending)? else {
+            let Some(payloads) = source.try_collect(pending)? else {
                 slot += 1;
                 continue;
             };
-            active.pending = None;
-            // The level's fetch wait ends the moment its payloads are
-            // consumed; the resume that follows is its compute.
-            let fetch_ns = if self.trace.enabled() {
-                now_ns().saturating_sub(active.fetch_started_ns)
+            self.consumed = true;
+            if self.resume(slot, Some(payloads), source, cache, &mut completed)? {
+                slot += 1;
             } else {
-                0
+                // Backfill the freed slot from the queue so the window
+                // stays full without waiting for the next step call.
+                self.admit(source, cache, &mut completed)?;
+            }
+        }
+        Ok(completed)
+    }
+
+    /// The slot of the query stopped partway through applying an ask
+    /// ([`StagedQuery::mid_ask`]). Until its re-fetch lands no other query
+    /// computes, so no other apply evicts what the rest of its ask planned
+    /// as hits: the cache sees the operations it saw when re-fetches
+    /// blocked the processor, and re-fetches do not cascade.
+    fn mid_ask(&self) -> Option<usize> {
+        self.active.iter().position(|a| a.staged.mid_ask())
+    }
+
+    /// Admits queued queries into free slots, oldest first, while no
+    /// query is stopped mid-ask. Each new query computes up to its first
+    /// remote fetch, which goes on the wire immediately — the
+    /// submit-before-await that keeps the storage pipe full while older
+    /// queries compute.
+    fn admit(
+        &mut self,
+        source: &mut MultiplexedStorageSource,
+        cache: &mut ProcessorCache,
+        completed: &mut Vec<CompletedQuery>,
+    ) -> WireResult<()> {
+        while self.active.len() < self.overlap && self.mid_ask().is_none() {
+            let Some((seq, query)) = self.queue.pop_front() else {
+                break;
             };
-            // The speculative tail goes to the staging buffer; the staged
-            // query sees exactly the demand payloads it asked for.
-            let demand_nodes = std::mem::take(&mut active.demand);
-            let spec_payloads = payloads.split_off(demand_nodes.len());
-            let spec_nodes = std::mem::take(&mut active.spec);
+            self.active.push_back(ActiveQuery {
+                seq,
+                staged: StagedQuery::new(query),
+                pending: None,
+                demand: Vec::new(),
+                spec: Vec::new(),
+                started_ns: now_ns(),
+                fetch_started_ns: 0,
+                trace: QueryTrace::default(),
+            });
+            self.resume(self.active.len() - 1, None, source, cache, completed)?;
+        }
+        Ok(())
+    }
+
+    /// Resumes the query in `slot` with its fetch's payloads (`None` on
+    /// admission, whose compute precedes any fetch), then ships its next
+    /// fetch or retires it into `completed`. Returns whether it is still
+    /// in flight.
+    fn resume(
+        &mut self,
+        slot: usize,
+        mut payloads: Option<BatchPayloads>,
+        source: &mut MultiplexedStorageSource,
+        cache: &mut ProcessorCache,
+        completed: &mut Vec<CompletedQuery>,
+    ) -> WireResult<bool> {
+        let tracing = self.trace.enabled();
+        let active = &mut self.active[slot];
+        // A fetch wait ends the moment its payloads are consumed; the
+        // resume that follows is its compute.
+        let fetch_ns = match &payloads {
+            Some(_) if tracing => now_ns().saturating_sub(active.fetch_started_ns),
+            _ => 0,
+        };
+        // The speculative tail goes to the staging buffer; the staged
+        // query sees exactly the demand payloads it asked for.
+        let mut spec_payloads = Vec::new();
+        if let Some(payloads) = &mut payloads {
+            spec_payloads = payloads.split_off(active.demand.len());
             for (server, _) in spec_payloads.iter().flatten() {
                 self.heat.record_speculative(*server as usize, 1);
             }
-            self.prefetch.demand_arrived(&demand_nodes);
-            let resume_started_ns = if self.trace.enabled() { now_ns() } else { 0 };
-            let (step, spec) = {
-                let active = &mut self.active[slot];
-                let mut store =
-                    CacheBackedStore::with_prefetch(&mut *source, cache, &mut self.prefetch);
-                store.absorb_speculative(&spec_nodes, spec_payloads);
-                let step = active.staged.resume(&mut store, Some(payloads));
-                let spec = match &step {
-                    Step::Fetch(miss) => store.plan_speculative(active.staged.frontier(), miss),
-                    Step::Done(_) => Vec::new(),
-                };
-                (step, spec)
-            };
-            if self.trace.enabled() {
-                let compute_ns = now_ns().saturating_sub(resume_started_ns);
-                let active = &mut self.active[slot];
+            self.prefetch.demand_arrived(&active.demand);
+        }
+        let resumed_ns = if tracing { now_ns() } else { 0 };
+        let level = payloads.is_some();
+        let mut store = CacheBackedStore::with_prefetch((), cache, &mut self.prefetch);
+        store.absorb_speculative(&std::mem::take(&mut active.spec), spec_payloads);
+        let step = active.staged.resume(&mut store, payloads);
+        let spec = match &step {
+            Step::Fetch(miss) => store.plan_speculative(active.staged.frontier(), miss),
+            Step::Done(_) => Vec::new(),
+        };
+        if tracing {
+            let compute_ns = now_ns().saturating_sub(resumed_ns);
+            active.trace.compute_ns += compute_ns;
+            if level {
                 active.trace.fetch_wait_ns += fetch_ns;
-                active.trace.compute_ns += compute_ns;
                 active.trace.levels += 1;
                 if self.trace.spans() {
                     active.trace.level_spans.push((fetch_ns, compute_ns));
                 }
             }
-            match step {
-                Step::Fetch(miss) => {
-                    self.submit(source, slot, miss, spec)?;
-                    slot += 1;
+        }
+        match step {
+            Step::Fetch(miss) => {
+                self.submit(source, slot, miss, spec)?;
+                Ok(true)
+            }
+            Step::Done(outcome) => {
+                let mut finished = self.active.remove(slot).expect("slot in bounds");
+                for ev in finished.staged.take_miss_log() {
+                    self.heat.record_demand(ev.server as usize, 1);
                 }
-                Step::Done(outcome) => {
-                    let mut finished = self.active.remove(slot).expect("slot in bounds");
-                    for ev in finished.staged.take_miss_log() {
-                        self.heat.record_demand(ev.server as usize, 1);
-                    }
-                    completed.push(CompletedQuery {
-                        seq: finished.seq,
-                        outcome,
-                        started_ns: finished.started_ns,
-                        completed_ns: now_ns(),
-                        trace: self.trace.enabled().then_some(finished.trace),
-                    });
-                    // Backfill the freed slot from the queue so the window
-                    // stays full without waiting for the next step call.
-                    self.admit_next(source, cache, &mut completed)?;
-                }
+                completed.push(CompletedQuery {
+                    seq: finished.seq,
+                    outcome,
+                    started_ns: finished.started_ns,
+                    completed_ns: now_ns(),
+                    trace: tracing.then_some(finished.trace),
+                });
+                Ok(false)
             }
         }
-        Ok(completed)
     }
 
     /// Ships the demand miss set plus its speculative tail as one frontier
@@ -287,88 +359,22 @@ impl QueryPipeline {
         }
         Ok(())
     }
-
-    /// Starts the oldest queued query: runs its compute up to the first
-    /// remote fetch (submitted immediately) and parks it in the active
-    /// window, or records it as completed when it never needed the wire.
-    /// Returns whether a query was admitted.
-    fn admit_next(
-        &mut self,
-        source: &mut MultiplexedStorageSource,
-        cache: &mut ProcessorCache,
-        completed: &mut Vec<CompletedQuery>,
-    ) -> WireResult<bool> {
-        let Some((seq, query)) = self.queue.pop_front() else {
-            return Ok(false);
-        };
-        let mut staged = StagedQuery::new(query);
-        let started_ns = now_ns();
-        let (step, spec) = {
-            let mut store =
-                CacheBackedStore::with_prefetch(&mut *source, cache, &mut self.prefetch);
-            let step = staged.resume(&mut store, None);
-            let spec = match &step {
-                Step::Fetch(miss) => store.plan_speculative(staged.frontier(), miss),
-                Step::Done(_) => Vec::new(),
-            };
-            (step, spec)
-        };
-        // The admission resume is level-0 compute (it precedes any fetch).
-        let admit_compute_ns = if self.trace.enabled() {
-            now_ns().saturating_sub(started_ns)
-        } else {
-            0
-        };
-        match step {
-            Step::Fetch(miss) => {
-                self.active.push_back(ActiveQuery {
-                    seq,
-                    staged,
-                    pending: None,
-                    demand: Vec::new(),
-                    spec: Vec::new(),
-                    started_ns,
-                    fetch_started_ns: 0,
-                    trace: QueryTrace {
-                        compute_ns: admit_compute_ns,
-                        ..QueryTrace::default()
-                    },
-                });
-                let slot = self.active.len() - 1;
-                self.submit(source, slot, miss, spec)?;
-            }
-            Step::Done(outcome) => {
-                for ev in staged.take_miss_log() {
-                    self.heat.record_demand(ev.server as usize, 1);
-                }
-                completed.push(CompletedQuery {
-                    seq,
-                    outcome,
-                    started_ns,
-                    completed_ns: now_ns(),
-                    trace: self.trace.enabled().then(|| QueryTrace {
-                        compute_ns: admit_compute_ns,
-                        ..QueryTrace::default()
-                    }),
-                });
-            }
-        }
-        Ok(true)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{StorageOptions, StorageService};
-    use crate::transport::{InProcTransport, Transport};
+    use crate::service::{ServiceHandle, StorageOptions, StorageService};
+    use crate::transport::{InProcTransport, RetryPolicy, Transport};
     use grouting_cache::LruCache;
     use grouting_engine::Worker;
+    use grouting_graph::codec::AdjacencyRecord;
     use grouting_graph::{GraphBuilder, NodeId};
     use grouting_query::PrefetchPolicy;
     use grouting_storage::HashPartitioner;
-    use grouting_storage::StorageTier;
+    use grouting_storage::{NetworkModel, StorageTier};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -379,6 +385,9 @@ mod tests {
         for i in 0..nodes {
             b.add_edge(n(i), n((i + 1) % nodes));
             b.add_edge(n(i), n((i + 3) % nodes));
+            // Two labels, so constrained reachability both passes and
+            // prunes intermediates.
+            b.set_node_label(n(i), grouting_graph::NodeLabelId::new((i % 2) as u16));
         }
         let g = b.build().unwrap();
         let tier = Arc::new(StorageTier::new(Arc::new(HashPartitioner::new(servers))));
@@ -386,19 +395,52 @@ mod tests {
         tier
     }
 
+    /// One storage endpoint per tier server on a fresh in-proc fabric,
+    /// each charging `net` per fetch.
+    fn spawn_storage(
+        tier: &Arc<StorageTier>,
+        net: NetworkModel,
+    ) -> (Arc<dyn Transport>, Vec<ServiceHandle>, Vec<String>) {
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let handles: Vec<_> = (0..tier.server_count())
+            .map(|_| {
+                let opts = StorageOptions {
+                    net,
+                    ..StorageOptions::default()
+                };
+                let addr = transport.any_addr();
+                StorageService::spawn_opts(Arc::clone(&transport), &addr, Arc::clone(tier), opts)
+                    .unwrap()
+            })
+            .collect();
+        let addrs = handles.iter().map(|h| h.addr().to_string()).collect();
+        (transport, handles, addrs)
+    }
+
     fn queries(nodes: u32, count: u32) -> Vec<Query> {
         (0..count)
             .map(|i| match i % 4 {
-                3 => Query::RandomWalk {
+                0 => Query::NeighborAggregation {
+                    node: n((i * 7) % nodes),
+                    hops: 2,
+                    label: None,
+                },
+                1 => Query::Reachability {
+                    source: n((i * 11) % nodes),
+                    target: n((i * 3) % nodes),
+                    hops: 4,
+                },
+                2 => Query::ConstrainedReachability {
+                    source: n((i * 13) % nodes),
+                    target: n((i * 5) % nodes),
+                    hops: 5,
+                    via_label: grouting_graph::NodeLabelId::new((i / 4 % 2) as u16),
+                },
+                _ => Query::RandomWalk {
                     node: n((i * 5) % nodes),
                     steps: 6,
                     restart_prob: 0.2,
                     seed: u64::from(i),
-                },
-                _ => Query::NeighborAggregation {
-                    node: n((i * 7) % nodes),
-                    hops: 2,
-                    label: None,
                 },
             })
             .collect()
@@ -422,21 +464,8 @@ mod tests {
         make_cache: impl Fn() -> ProcessorCache,
     ) -> (Vec<(u64, ExecOutcome)>, PrefetchStats, HeatMap) {
         let tier = loaded_tier(48, 3);
-        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-        let handles: Vec<_> = (0..tier.server_count())
-            .map(|_| {
-                StorageService::spawn_opts(
-                    Arc::clone(&transport),
-                    &transport.any_addr(),
-                    Arc::clone(&tier),
-                    StorageOptions::default(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
-        let mut source =
-            MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
+        let (transport, handles, addrs) = spawn_storage(&tier, NetworkModel::local());
+        let mut source = MultiplexedStorageSource::new(transport, &addrs, tier.partitioner());
         let mut cache: ProcessorCache = make_cache();
         let mut pipeline = QueryPipeline::new(overlap).with_prefetch(prefetch);
         for (seq, q) in queries.iter().enumerate() {
@@ -511,6 +540,70 @@ mod tests {
     }
 
     #[test]
+    fn a_query_stopped_mid_ask_runs_alone_until_its_refetch_lands() {
+        // Every record of the ring is the same size; the cache holds two.
+        let tier = loaded_tier(48, 3);
+        let (_, record) = tier.get(n(0)).unwrap();
+        let two_records = 2 * AdjacencyRecord::decode(record).unwrap().resident_len();
+        let (transport, handles, addrs) = spawn_storage(&tier, NetworkModel::local());
+        let mut source = MultiplexedStorageSource::new(transport, &addrs, tier.partitioner());
+        let mut cache: ProcessorCache = Box::new(LruCache::new(two_records));
+        let mut pipeline = QueryPipeline::new(2);
+        let mut step = |pipeline: &mut QueryPipeline| {
+            std::thread::sleep(Duration::from_millis(2));
+            pipeline.step(&mut source, &mut cache).unwrap()
+        };
+        // A one-step walk leaves node 9 cached. Node 10's root joins it,
+        // and its first level asks for 11, 13, 7 (misses) and 9 (a
+        // planned hit) — which the inserts of 11 and 13 evict.
+        let walk = Query::RandomWalk {
+            node: n(9),
+            steps: 1,
+            restart_prob: 0.0,
+            seed: 0,
+        };
+        pipeline.push(0, walk);
+        while !pipeline.is_idle() {
+            step(&mut pipeline);
+        }
+        pipeline.push(
+            1,
+            Query::NeighborAggregation {
+                node: n(10),
+                hops: 2,
+                label: None,
+            },
+        );
+        while pipeline.mid_ask().is_none() {
+            assert!(
+                step(&mut pipeline).is_empty(),
+                "the aggregation must stop mid-ask"
+            );
+        }
+        pipeline.push(
+            2,
+            Query::NeighborAggregation {
+                node: n(30),
+                hops: 1,
+                label: None,
+            },
+        );
+        step(&mut pipeline);
+        assert_eq!(
+            pipeline.queue.len(),
+            1,
+            "admitted while a query was mid-ask"
+        );
+        while !pipeline.is_idle() {
+            step(&mut pipeline);
+        }
+        drop(source);
+        for h in handles {
+            h.shutdown();
+        }
+    }
+
+    #[test]
     fn overlap4_handles_more_queries_than_slots() {
         let q = queries(48, 9);
         let piped = run_pipeline(4, &q);
@@ -553,21 +646,8 @@ mod tests {
         // beyond the admission compute.
         let q = queries(48, 16);
         let tier = loaded_tier(48, 3);
-        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-        let handles: Vec<_> = (0..tier.server_count())
-            .map(|_| {
-                StorageService::spawn_opts(
-                    Arc::clone(&transport),
-                    &transport.any_addr(),
-                    Arc::clone(&tier),
-                    StorageOptions::default(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
-        let mut source =
-            MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
+        let (transport, handles, addrs) = spawn_storage(&tier, NetworkModel::local());
+        let mut source = MultiplexedStorageSource::new(transport, &addrs, tier.partitioner());
         let mut cache: ProcessorCache = Box::new(LruCache::new(1 << 20));
         let mut pipeline = QueryPipeline::new(3);
         pipeline.set_trace(grouting_trace::TraceLevel::Spans);
@@ -599,6 +679,94 @@ mod tests {
         }
         assert_eq!(done, q.len());
         assert!(crossed_levels, "2-hop queries over the wire must fetch");
+        drop(source);
+        for h in handles {
+            h.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_storage_failure_mid_query_is_an_error_not_a_panic() {
+        // Node 7 is two hops from anything node 0's neighbourhood caches,
+        // so each query's first record misses after storage is gone.
+        for query in [
+            Query::RandomWalk {
+                node: n(7),
+                steps: 4,
+                restart_prob: 0.0,
+                seed: 1,
+            },
+            Query::Reachability {
+                source: n(7),
+                target: n(20),
+                hops: 4,
+            },
+        ] {
+            let tier = loaded_tier(48, 1);
+            let (transport, handles, addrs) = spawn_storage(&tier, NetworkModel::local());
+            let mut source = MultiplexedStorageSource::new(transport, &addrs, tier.partitioner())
+                .with_replication(1)
+                .with_retry(RetryPolicy::new(1, Duration::from_millis(1)));
+            let mut cache: ProcessorCache = Box::new(LruCache::new(1 << 20));
+            let mut pipeline = QueryPipeline::new(1);
+            // The first exchange: node 0's one-hop neighbourhood.
+            pipeline.push(
+                0,
+                Query::NeighborAggregation {
+                    node: n(0),
+                    hops: 1,
+                    label: None,
+                },
+            );
+            while !pipeline.is_idle() {
+                pipeline.step(&mut source, &mut cache).unwrap();
+                std::thread::yield_now();
+            }
+            for h in handles {
+                h.shutdown();
+            }
+            pipeline.push(1, query);
+            // Runs until `step` returns the storage failure as an error.
+            while let Ok(done) = pipeline.step(&mut source, &mut cache) {
+                assert!(done.is_empty(), "{query:?} finished without storage");
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn a_walks_round_trips_are_booked_as_fetch_wait() {
+        let tier = loaded_tier(48, 1);
+        let net = NetworkModel {
+            rtt_ns: 200_000,
+            gbps: 10.0,
+        };
+        let (transport, handles, addrs) = spawn_storage(&tier, net);
+        let mut source = MultiplexedStorageSource::new(transport, &addrs, tier.partitioner());
+        let mut cache: ProcessorCache = Box::new(LruCache::new(1 << 20));
+        let mut pipeline = QueryPipeline::new(1);
+        pipeline.set_trace(TraceLevel::Stats);
+        pipeline.push(
+            0,
+            Query::RandomWalk {
+                node: n(0),
+                steps: 6,
+                restart_prob: 0.0,
+                seed: 3,
+            },
+        );
+        let mut done = Vec::new();
+        while !pipeline.is_idle() {
+            done.extend(pipeline.step(&mut source, &mut cache).unwrap());
+            std::thread::yield_now();
+        }
+        let trace = done
+            .pop()
+            .and_then(|c| c.trace)
+            .expect("a traced completion");
+        assert!(trace.levels >= 1, "{trace:?}");
+        assert!(trace.fetch_wait_ns >= 200_000, "{trace:?}");
+        assert!(trace.compute_ns < trace.fetch_wait_ns, "{trace:?}");
         drop(source);
         for h in handles {
             h.shutdown();

@@ -625,6 +625,10 @@ fn run_processor(
             Ok(finished) => finished,
             Err(e) => break Err(e),
         };
+        // A fetch answered and its query resumed is progress, finished or
+        // not: a walk's steps would otherwise leave the hot rung between
+        // completions.
+        progressed |= pipeline.consumed_payloads();
         for done in finished {
             cum.cache_hits += done.outcome.stats.cache_hits;
             cum.cache_misses += done.outcome.stats.cache_misses;
@@ -673,7 +677,7 @@ fn run_processor(
         if progressed {
             source.note_progress();
         } else {
-            // No dispatch drained, no query finished: the router stream
+            // No dispatch drained, no payload consumed: the router stream
             // and every awaited storage stream found their sockets empty
             // (pipeline.step never parks runnable compute), so blocking
             // until one of those sockets has traffic is safe.
