@@ -1,13 +1,13 @@
 //! The cluster's message set and its binary encoding.
 //!
 //! Every exchange between the router, the query processors, and the
-//! storage servers is one of the frames below, encoded little-endian in
-//! the style of `grouting_graph::codec` (a tag byte, then fixed-width
-//! fields, variable-length sections carrying explicit counts). On the wire
-//! each frame travels behind a `u32` length prefix (see
-//! [`Transport`](crate::Transport)); the encoding here is the payload only, so the
-//! in-process transport can carry the identical bytes without a length
-//! prefix and both paths exercise the same codec.
+//! storage servers is one of the frames below, encoded in the style of
+//! `grouting_graph::codec`: a tag byte, then the fields, variable-length
+//! sections carrying explicit counts. On the wire each frame travels
+//! behind a `u32` length prefix (see [`Transport`](crate::Transport)); the
+//! encoding here is the payload only, so the in-process transport can
+//! carry the identical bytes without a length prefix and both paths
+//! exercise the same codec.
 //!
 //! Message set (paper §3.2's router/processor protocol, plus the decoupled
 //! storage fetch path):
@@ -30,31 +30,58 @@
 //!   to the router so one scrape of the router reads the whole cluster;
 //! * [`Frame::Shutdown`] — orderly teardown.
 //!
-//! # Optional trace blocks
+//! # Per-query frames
 //!
-//! When tracing is on (`GROUTING_TRACE=stats|spans`), four frames carry
-//! an optional trace block *appended after* their PR 6 fields: `Submit`
-//! (client submit stamp), `Dispatch` (trace level + dispatch stamp, which
-//! is also how processors learn the run's trace level),
-//! `FetchBatchRequest` (issue stamp), and `Completion` (the processor's
-//! [`QueryTrace`] span block). Presence is signalled by bytes remaining
-//! after the base fields — with tracing off nothing is appended, so the
-//! encoding is byte-identical to an untraced deployment (pinned by the
-//! `wire_agreement` suite), and a PR 6-shaped frame decodes to a frame
-//! with an absent block.
+//! Every query crosses the router twice, so `Submit`, `Dispatch` and
+//! `Completion` (once per hop) are the control bytes each query costs.
+//! Their integers travel as LEB128 varints (`v` below); fixed-width
+//! fields are little-endian:
+//!
+//! * `Submit`: tag, `seq` v, query, flags, \[`submitted_ns` v\];
+//! * `Dispatch`: tag, `seq` v, query, flags, \[level u8,
+//!   `dispatched_ns` v\];
+//! * query: kind u8, then aggregation `node` v, `hops` v, label flag u8
+//!   \[label u16\]; walk `node` v, `steps` v, `restart_prob` as f64 bits
+//!   u64, `seed` u64 (full-width random, which a varint would widen);
+//!   reachability `source` v, `target` v, `hops` v, and the constrained
+//!   kind's `via_label` u16;
+//! * `Completion`: tag, `seq` v, `processor` v, result (kind u8, then a
+//!   count v, a walk's `end` v and `visited` v, or a bool u8), the four
+//!   [`AccessStats`] words v, `arrived_ns` v, `completed_ns` v,
+//!   `completed_ns − started_ns` v, flags, then the flagged blocks.
+//!
+//! Decoding is as strict as the record codec's: a varint in other than
+//! its shortest form, one longer than ten bytes or past `u64`, a value
+//! past its field's type (`u32` ids, hops, steps and processor) and a
+//! start-to-completion span longer than `completed_ns` are all rejected,
+//! so every accepted frame re-encodes to the bytes that arrived and
+//! [`Frame::encoded_len`] is their length.
+//!
+//! # Optional blocks
+//!
+//! Five frames carry optional blocks, and a flag bit announces each one;
+//! nothing is inferred from the bytes left over. `Submit` (client submit
+//! stamp), `Dispatch` (trace level + dispatch stamp, which is also how
+//! processors learn the run's trace level), `FetchBatchRequest` (issue
+//! stamp, u64) and `Metrics` (the trace layer's snapshot) each end their
+//! fields with a flags byte whose bit 0 announces the block that follows.
+//! A `Completion`'s flags byte announces its tallies (below) and, in bit
+//! 3, the processor's [`QueryTrace`] span block, which comes last. With
+//! tracing off every trace bit is clear and no block follows. The decoder
+//! rejects unknown bits, and a truncated frame whose flag announces a
+//! block it lacks.
 //!
 //! # Completion tallies
 //!
 //! A processor's prefetch, failover and heat tallies are cumulative, and
-//! the router keeps only the latest of each per processor. So after the
-//! timestamps a [`Frame::Completion`] carries one flags byte — bit 0
-//! prefetch (3 × u64), bit 1 failover (3 × u64), bit 2 heat (a
-//! [`HeatMap`]) — and the flagged blocks follow in that order. A block is
-//! present exactly when its value is not the default, and the decoder
-//! rejects unknown bits and a flagged block holding the default, so every
-//! completion has one encoding. The processor sends a tally only on the
-//! first completion after it changed; the router forwards completions to
-//! the client with all three at their defaults.
+//! the router keeps only the latest of each per processor. So a
+//! completion's flags byte has bit 0 for prefetch (3 × u64), bit 1 for
+//! failover (3 × u64) and bit 2 for heat (a [`HeatMap`]), and the flagged
+//! blocks follow in that order. A block is present exactly when its value
+//! is not the default, and the decoder rejects a flagged block holding
+//! the default, so every completion has one encoding. The processor sends
+//! a tally only on the first completion after it changed; the router
+//! forwards completions to the client with all three at their defaults.
 
 use bytes::{Buf, BufMut, Bytes};
 use grouting_graph::{NodeId, NodeLabelId};
@@ -84,11 +111,15 @@ const TAG_FETCH_BATCH_REQUEST: u8 = 11;
 const TAG_FETCH_BATCH_RESPONSE: u8 = 12;
 const TAG_OBS_PUSH: u8 = 13;
 
-// A completion's tally flags (see "Completion tallies" above).
+// A completion's flags (see "Completion tallies" above): its three
+// tallies and its trace block.
 const TALLY_PREFETCH: u8 = 1;
 const TALLY_FAILOVER: u8 = 1 << 1;
 const TALLY_HEAT: u8 = 1 << 2;
-const TALLY_ALL: u8 = TALLY_PREFETCH | TALLY_FAILOVER | TALLY_HEAT;
+const COMPLETION_TRACE: u8 = 1 << 3;
+const COMPLETION_ALL: u8 = TALLY_PREFETCH | TALLY_FAILOVER | TALLY_HEAT | COMPLETION_TRACE;
+// The one flag of every other frame with an optional block.
+const BLOCK_PRESENT: u8 = 1;
 
 /// Who a connection speaks for, announced in [`Frame::Hello`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,7 +180,8 @@ pub struct Completion {
     pub failover: FailoverStats,
     /// Router arrival timestamp (0 until the router stamps it).
     pub arrived_ns: u64,
-    /// Execution start timestamp.
+    /// Execution start timestamp, never after `completed_ns`: the wire
+    /// carries the span `completed_ns − started_ns`.
     pub started_ns: u64,
     /// Execution completion timestamp.
     pub completed_ns: u64,
@@ -167,9 +199,13 @@ pub struct Completion {
 }
 
 impl Completion {
-    /// The tally flags byte: one bit per tally that is not its default.
-    fn tally_flags(&self) -> u8 {
+    /// The flags byte: one bit per tally that is not its default, and
+    /// one for the trace block.
+    fn flags(&self) -> u8 {
         let mut flags = 0;
+        if self.trace.is_some() {
+            flags |= COMPLETION_TRACE;
+        }
         if self.prefetch != PrefetchStats::default() {
             flags |= TALLY_PREFETCH;
         }
@@ -180,6 +216,14 @@ impl Completion {
             flags |= TALLY_HEAT;
         }
         flags
+    }
+
+    /// What the wire carries for `started_ns`. A start after the
+    /// completion (which a monotonic clock never stamps) travels as a
+    /// zero-length span rather than as a frame the peer would refuse.
+    fn service_ns(&self) -> u64 {
+        debug_assert!(self.started_ns <= self.completed_ns, "{self:?}");
+        self.completed_ns.saturating_sub(self.started_ns)
     }
 }
 
@@ -310,35 +354,37 @@ impl Frame {
                 submitted_ns,
             } => {
                 buf.put_u8(TAG_SUBMIT);
-                buf.put_u64_le(*seq);
+                put_varint(buf, *seq);
                 put_query(buf, query);
+                put_presence(buf, submitted_ns.is_some());
                 if let Some(ns) = submitted_ns {
-                    buf.put_u64_le(*ns);
+                    put_varint(buf, *ns);
                 }
             }
             Frame::SubmitEnd => buf.put_u8(TAG_SUBMIT_END),
             Frame::Dispatch { seq, query, trace } => {
                 buf.put_u8(TAG_DISPATCH);
-                buf.put_u64_le(*seq);
+                put_varint(buf, *seq);
                 put_query(buf, query);
+                put_presence(buf, trace.is_some());
                 if let Some(t) = trace {
                     buf.put_u8(t.level.as_u8());
-                    buf.put_u64_le(t.dispatched_ns);
+                    put_varint(buf, t.dispatched_ns);
                 }
             }
             Frame::Completion(c) => {
                 buf.put_u8(TAG_COMPLETION);
-                buf.put_u64_le(c.seq);
-                buf.put_u32_le(c.processor);
+                put_varint(buf, c.seq);
+                put_varint(buf, u64::from(c.processor));
                 put_result(buf, &c.result);
-                buf.put_u64_le(c.stats.cache_hits);
-                buf.put_u64_le(c.stats.cache_misses);
-                buf.put_u64_le(c.stats.miss_bytes);
-                buf.put_u64_le(c.stats.evictions);
-                buf.put_u64_le(c.arrived_ns);
-                buf.put_u64_le(c.started_ns);
-                buf.put_u64_le(c.completed_ns);
-                let flags = c.tally_flags();
+                put_varint(buf, c.stats.cache_hits);
+                put_varint(buf, c.stats.cache_misses);
+                put_varint(buf, c.stats.miss_bytes);
+                put_varint(buf, c.stats.evictions);
+                put_varint(buf, c.arrived_ns);
+                put_varint(buf, c.completed_ns);
+                put_varint(buf, c.service_ns());
+                let flags = c.flags();
                 buf.put_u8(flags);
                 if flags & TALLY_PREFETCH != 0 {
                     buf.put_u64_le(c.prefetch.issued);
@@ -368,6 +414,7 @@ impl Frame {
                 for node in nodes {
                     buf.put_u32_le(node.raw());
                 }
+                put_presence(buf, issued_ns.is_some());
                 if let Some(ns) = issued_ns {
                     buf.put_u64_le(*ns);
                 }
@@ -396,6 +443,7 @@ impl Frame {
             Frame::Metrics { snapshot, trace } => {
                 buf.put_u8(TAG_METRICS);
                 buf.put_slice(&snapshot.encode());
+                put_presence(buf, trace.is_some());
                 if let Some(t) = trace {
                     t.encode_into(buf);
                 }
@@ -414,20 +462,34 @@ impl Frame {
         match self {
             Frame::Hello { .. } => 1 + 1 + 4,
             Frame::Submit {
+                seq,
                 query,
                 submitted_ns,
-                ..
-            } => 1 + 8 + query_encoded_len(query) + submitted_ns.map_or(0, |_| 8),
+            } => {
+                1 + varint_len(*seq)
+                    + query_encoded_len(query)
+                    + 1
+                    + submitted_ns.map_or(0, varint_len)
+            }
             Frame::SubmitEnd => 1,
-            Frame::Dispatch { query, trace, .. } => {
-                1 + 8 + query_encoded_len(query) + trace.map_or(0, |_| 9)
+            Frame::Dispatch { seq, query, trace } => {
+                1 + varint_len(*seq)
+                    + query_encoded_len(query)
+                    + 1
+                    + trace.map_or(0, |t| 1 + varint_len(t.dispatched_ns))
             }
             Frame::Completion(c) => {
-                let flags = c.tally_flags();
-                1 + 8
-                    + 4
+                let flags = c.flags();
+                1 + varint_len(c.seq)
+                    + varint_len(u64::from(c.processor))
                     + result_encoded_len(&c.result)
-                    + 8 * 7
+                    + varint_len(c.stats.cache_hits)
+                    + varint_len(c.stats.cache_misses)
+                    + varint_len(c.stats.miss_bytes)
+                    + varint_len(c.stats.evictions)
+                    + varint_len(c.arrived_ns)
+                    + varint_len(c.completed_ns)
+                    + varint_len(c.service_ns())
                     + 1
                     + if flags & TALLY_PREFETCH != 0 { 24 } else { 0 }
                     + if flags & TALLY_FAILOVER != 0 { 24 } else { 0 }
@@ -440,7 +502,7 @@ impl Frame {
             }
             Frame::FetchBatchRequest {
                 nodes, issued_ns, ..
-            } => 1 + 8 + 4 + 4 * nodes.len() + issued_ns.map_or(0, |_| 8),
+            } => 1 + 8 + 4 + 4 * nodes.len() + 1 + issued_ns.map_or(0, |_| 8),
             Frame::FetchBatchResponse { payloads, .. } => {
                 1 + 8
                     + 4
@@ -455,7 +517,7 @@ impl Frame {
             Frame::ObsPush { snapshot } => 1 + snapshot.encoded_len(),
             Frame::MetricsRequest => 1,
             Frame::Metrics { snapshot, trace } => {
-                1 + snapshot.encoded_len() + trace.as_ref().map_or(0, |t| t.encoded_len())
+                1 + snapshot.encoded_len() + 1 + trace.as_ref().map_or(0, |t| t.encoded_len())
             }
             Frame::Shutdown => 1,
         }
@@ -492,24 +554,19 @@ impl Frame {
                 }
             }
             TAG_SUBMIT | TAG_DISPATCH => {
-                need(&data, 8)?;
-                let seq = data.get_u64_le();
+                let seq = take_varint(&mut data)?;
                 let query = get_query(&mut data)?;
+                let present = take_presence(&mut data)?;
                 if tag == TAG_SUBMIT {
-                    let submitted_ns = if data.has_remaining() {
-                        need(&data, 8)?;
-                        Some(data.get_u64_le())
-                    } else {
-                        None
-                    };
+                    let submitted_ns = present.then(|| take_varint(&mut data)).transpose()?;
                     Frame::Submit {
                         seq,
                         query,
                         submitted_ns,
                     }
                 } else {
-                    let trace = if data.has_remaining() {
-                        need(&data, 9)?;
+                    let trace = if present {
+                        need(&data, 1)?;
                         let level = TraceLevel::from_u8(data.get_u8()).map_err(WireError::Codec)?;
                         if level == TraceLevel::Off {
                             return Err(WireError::Codec(
@@ -518,7 +575,7 @@ impl Frame {
                         }
                         Some(DispatchTrace {
                             level,
-                            dispatched_ns: data.get_u64_le(),
+                            dispatched_ns: take_varint(&mut data)?,
                         })
                     } else {
                         None
@@ -528,24 +585,28 @@ impl Frame {
             }
             TAG_SUBMIT_END => Frame::SubmitEnd,
             TAG_COMPLETION => {
-                need(&data, 12)?;
-                let seq = data.get_u64_le();
-                let processor = data.get_u32_le();
+                let seq = take_varint(&mut data)?;
+                let processor = take_u32(&mut data)?;
                 let result = get_result(&mut data)?;
-                need(&data, 7 * 8 + 1)?;
                 let stats = AccessStats {
-                    cache_hits: data.get_u64_le(),
-                    cache_misses: data.get_u64_le(),
-                    miss_bytes: data.get_u64_le(),
-                    evictions: data.get_u64_le(),
+                    cache_hits: take_varint(&mut data)?,
+                    cache_misses: take_varint(&mut data)?,
+                    miss_bytes: take_varint(&mut data)?,
+                    evictions: take_varint(&mut data)?,
                 };
-                let arrived_ns = data.get_u64_le();
-                let started_ns = data.get_u64_le();
-                let completed_ns = data.get_u64_le();
+                let arrived_ns = take_varint(&mut data)?;
+                let completed_ns = take_varint(&mut data)?;
+                let service_ns = take_varint(&mut data)?;
+                let started_ns = completed_ns.checked_sub(service_ns).ok_or_else(|| {
+                    WireError::Codec(format!(
+                        "service span {service_ns} ns exceeds completion stamp {completed_ns}"
+                    ))
+                })?;
+                need(&data, 1)?;
                 let flags = data.get_u8();
-                if flags & !TALLY_ALL != 0 {
+                if flags & !COMPLETION_ALL != 0 {
                     return Err(WireError::Codec(format!(
-                        "unknown completion tally flags {flags:#04x}"
+                        "unknown completion flags {flags:#04x}"
                     )));
                 }
                 let prefetch = tally_block(&mut data, flags, TALLY_PREFETCH, |data| {
@@ -567,11 +628,9 @@ impl Frame {
                 let heat = tally_block(&mut data, flags, TALLY_HEAT, |data| {
                     HeatMap::decode_prefix(data).map_err(WireError::Codec)
                 })?;
-                let trace = if data.has_remaining() {
-                    Some(QueryTrace::decode_prefix(&mut data).map_err(WireError::Codec)?)
-                } else {
-                    None
-                };
+                let trace = (flags & COMPLETION_TRACE != 0)
+                    .then(|| QueryTrace::decode_prefix(&mut data).map_err(WireError::Codec))
+                    .transpose()?;
                 Frame::Completion(Completion {
                     seq,
                     processor,
@@ -592,7 +651,7 @@ impl Frame {
                 let count = data.get_u32_le() as usize;
                 need(&data, count.saturating_mul(4))?;
                 let nodes = (0..count).map(|_| NodeId::new(data.get_u32_le())).collect();
-                let issued_ns = if data.has_remaining() {
+                let issued_ns = if take_presence(&mut data)? {
                     need(&data, 8)?;
                     Some(data.get_u64_le())
                 } else {
@@ -636,13 +695,10 @@ impl Frame {
             TAG_METRICS_REQUEST => Frame::MetricsRequest,
             TAG_METRICS => {
                 let snapshot = RunSnapshot::decode_prefix(&mut data).map_err(WireError::Codec)?;
-                let trace = if data.has_remaining() {
-                    Some(Box::new(
-                        TraceSnapshot::decode_prefix(&mut data).map_err(WireError::Codec)?,
-                    ))
-                } else {
-                    None
-                };
+                let trace = take_presence(&mut data)?
+                    .then(|| TraceSnapshot::decode_prefix(&mut data).map_err(WireError::Codec))
+                    .transpose()?
+                    .map(Box::new);
                 Frame::Metrics { snapshot, trace }
             }
             TAG_SHUTDOWN => Frame::Shutdown,
@@ -665,20 +721,34 @@ const QUERY_REACH: u8 = 2;
 const QUERY_LREACH: u8 = 3;
 
 fn query_encoded_len(query: &Query) -> usize {
-    match query {
-        Query::NeighborAggregation { label, .. } => 1 + 4 + 4 + 1 + label.map_or(0, |_| 2),
-        Query::RandomWalk { .. } => 1 + 4 + 4 + 8 + 8,
-        Query::Reachability { .. } => 1 + 4 + 4 + 4,
-        Query::ConstrainedReachability { .. } => 1 + 4 + 4 + 4 + 2,
+    let v = |n: NodeId| varint_len(u64::from(n.raw()));
+    let h = |hops: u32| varint_len(u64::from(hops));
+    1 + match query {
+        Query::NeighborAggregation { node, hops, label } => {
+            v(*node) + h(*hops) + 1 + label.map_or(0, |_| 2)
+        }
+        Query::RandomWalk { node, steps, .. } => v(*node) + h(*steps) + 8 + 8,
+        Query::Reachability {
+            source,
+            target,
+            hops,
+        } => v(*source) + v(*target) + h(*hops),
+        Query::ConstrainedReachability {
+            source,
+            target,
+            hops,
+            ..
+        } => v(*source) + v(*target) + h(*hops) + 2,
     }
 }
 
 fn put_query(buf: &mut Vec<u8>, query: &Query) {
+    let v32 = |buf: &mut Vec<u8>, v: u32| put_varint(buf, u64::from(v));
     match query {
         Query::NeighborAggregation { node, hops, label } => {
             buf.put_u8(QUERY_AGG);
-            buf.put_u32_le(node.raw());
-            buf.put_u32_le(*hops);
+            v32(buf, node.raw());
+            v32(buf, *hops);
             match label {
                 None => buf.put_u8(0),
                 Some(l) => {
@@ -694,8 +764,8 @@ fn put_query(buf: &mut Vec<u8>, query: &Query) {
             seed,
         } => {
             buf.put_u8(QUERY_RWR);
-            buf.put_u32_le(node.raw());
-            buf.put_u32_le(*steps);
+            v32(buf, node.raw());
+            v32(buf, *steps);
             buf.put_u64_le(restart_prob.to_bits());
             buf.put_u64_le(*seed);
         }
@@ -705,9 +775,9 @@ fn put_query(buf: &mut Vec<u8>, query: &Query) {
             hops,
         } => {
             buf.put_u8(QUERY_REACH);
-            buf.put_u32_le(source.raw());
-            buf.put_u32_le(target.raw());
-            buf.put_u32_le(*hops);
+            v32(buf, source.raw());
+            v32(buf, target.raw());
+            v32(buf, *hops);
         }
         Query::ConstrainedReachability {
             source,
@@ -716,9 +786,9 @@ fn put_query(buf: &mut Vec<u8>, query: &Query) {
             via_label,
         } => {
             buf.put_u8(QUERY_LREACH);
-            buf.put_u32_le(source.raw());
-            buf.put_u32_le(target.raw());
-            buf.put_u32_le(*hops);
+            v32(buf, source.raw());
+            v32(buf, target.raw());
+            v32(buf, *hops);
             buf.put_u16_le(via_label.0);
         }
     }
@@ -728,9 +798,9 @@ fn get_query(data: &mut Bytes) -> WireResult<Query> {
     need(data, 1)?;
     match data.get_u8() {
         QUERY_AGG => {
-            need(data, 9)?;
-            let node = NodeId::new(data.get_u32_le());
-            let hops = data.get_u32_le();
+            let node = NodeId::new(take_u32(data)?);
+            let hops = take_u32(data)?;
+            need(data, 1)?;
             let label = match data.get_u8() {
                 0 => None,
                 1 => {
@@ -742,28 +812,30 @@ fn get_query(data: &mut Bytes) -> WireResult<Query> {
             Ok(Query::NeighborAggregation { node, hops, label })
         }
         QUERY_RWR => {
-            need(data, 24)?;
+            let node = NodeId::new(take_u32(data)?);
+            let steps = take_u32(data)?;
+            need(data, 16)?;
             Ok(Query::RandomWalk {
-                node: NodeId::new(data.get_u32_le()),
-                steps: data.get_u32_le(),
+                node,
+                steps,
                 restart_prob: f64::from_bits(data.get_u64_le()),
                 seed: data.get_u64_le(),
             })
         }
-        QUERY_REACH => {
-            need(data, 12)?;
-            Ok(Query::Reachability {
-                source: NodeId::new(data.get_u32_le()),
-                target: NodeId::new(data.get_u32_le()),
-                hops: data.get_u32_le(),
-            })
-        }
+        QUERY_REACH => Ok(Query::Reachability {
+            source: NodeId::new(take_u32(data)?),
+            target: NodeId::new(take_u32(data)?),
+            hops: take_u32(data)?,
+        }),
         QUERY_LREACH => {
-            need(data, 14)?;
+            let source = NodeId::new(take_u32(data)?);
+            let target = NodeId::new(take_u32(data)?);
+            let hops = take_u32(data)?;
+            need(data, 2)?;
             Ok(Query::ConstrainedReachability {
-                source: NodeId::new(data.get_u32_le()),
-                target: NodeId::new(data.get_u32_le()),
-                hops: data.get_u32_le(),
+                source,
+                target,
+                hops,
                 via_label: NodeLabelId::new(data.get_u16_le()),
             })
         }
@@ -776,10 +848,12 @@ const RESULT_WALK: u8 = 1;
 const RESULT_REACHABLE: u8 = 2;
 
 fn result_encoded_len(result: &QueryResult) -> usize {
-    match result {
-        QueryResult::Count(_) => 1 + 8,
-        QueryResult::Walk { .. } => 1 + 4 + 8,
-        QueryResult::Reachable(_) => 1 + 1,
+    1 + match result {
+        QueryResult::Count(c) => varint_len(*c),
+        QueryResult::Walk { end, visited } => {
+            varint_len(u64::from(end.raw())) + varint_len(*visited)
+        }
+        QueryResult::Reachable(_) => 1,
     }
 }
 
@@ -787,12 +861,12 @@ fn put_result(buf: &mut Vec<u8>, result: &QueryResult) {
     match result {
         QueryResult::Count(c) => {
             buf.put_u8(RESULT_COUNT);
-            buf.put_u64_le(*c);
+            put_varint(buf, *c);
         }
         QueryResult::Walk { end, visited } => {
             buf.put_u8(RESULT_WALK);
-            buf.put_u32_le(end.raw());
-            buf.put_u64_le(*visited);
+            put_varint(buf, u64::from(end.raw()));
+            put_varint(buf, *visited);
         }
         QueryResult::Reachable(r) => {
             buf.put_u8(RESULT_REACHABLE);
@@ -804,17 +878,11 @@ fn put_result(buf: &mut Vec<u8>, result: &QueryResult) {
 fn get_result(data: &mut Bytes) -> WireResult<QueryResult> {
     need(data, 1)?;
     match data.get_u8() {
-        RESULT_COUNT => {
-            need(data, 8)?;
-            Ok(QueryResult::Count(data.get_u64_le()))
-        }
-        RESULT_WALK => {
-            need(data, 12)?;
-            Ok(QueryResult::Walk {
-                end: NodeId::new(data.get_u32_le()),
-                visited: data.get_u64_le(),
-            })
-        }
+        RESULT_COUNT => Ok(QueryResult::Count(take_varint(data)?)),
+        RESULT_WALK => Ok(QueryResult::Walk {
+            end: NodeId::new(take_u32(data)?),
+            visited: take_varint(data)?,
+        }),
         RESULT_REACHABLE => {
             need(data, 1)?;
             match data.get_u8() {
@@ -824,6 +892,69 @@ fn get_result(data: &mut Bytes) -> WireResult<QueryResult> {
             }
         }
         t => Err(WireError::Codec(format!("unknown result tag {t}"))),
+    }
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    1 + (63 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Appends `v` as an LEB128 varint: seven bits a byte, low group first,
+/// the high bit set on every byte but the last.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Reads one LEB128 `u64` off the front of `data`, in its shortest form
+/// only: a zero final byte after the first (a non-shortest encoding), a
+/// tenth byte carrying more than bit 63, and an eleventh byte are all
+/// refused, so the value has exactly one encoding.
+fn take_varint(data: &mut Bytes) -> WireResult<u64> {
+    let bytes: &[u8] = data;
+    let mut v = 0u64;
+    for (i, &b) in bytes.iter().take(10).enumerate() {
+        if b & 0x80 == 0 {
+            if i > 0 && b == 0 {
+                return Err(WireError::Codec(format!("{}-byte varint for {v}", i + 1)));
+            }
+            if i == 9 && b > 1 {
+                return Err(WireError::Codec("varint past u64".to_string()));
+            }
+            data.advance(i + 1);
+            return Ok(v | u64::from(b) << (7 * i));
+        }
+        v |= u64::from(b & 0x7F) << (7 * i);
+    }
+    Err(WireError::Codec(if bytes.len() < 10 {
+        format!("varint cut after {} bytes", bytes.len())
+    } else {
+        "varint longer than 10 bytes".to_string()
+    }))
+}
+
+/// [`take_varint`] for a `u32` field.
+fn take_u32(data: &mut Bytes) -> WireResult<u32> {
+    let v = take_varint(data)?;
+    u32::try_from(v).map_err(|_| WireError::Codec(format!("varint {v} past u32")))
+}
+
+/// Appends a flags byte announcing one optional block.
+fn put_presence(buf: &mut Vec<u8>, present: bool) {
+    buf.put_u8(if present { BLOCK_PRESENT } else { 0 });
+}
+
+/// Reads the flags byte [`put_presence`] wrote; any other bit is refused.
+fn take_presence(data: &mut Bytes) -> WireResult<bool> {
+    need(data, 1)?;
+    match data.get_u8() {
+        0 => Ok(false),
+        BLOCK_PRESENT => Ok(true),
+        f => Err(WireError::Codec(format!("unknown block flags {f:#04x}"))),
     }
 }
 
@@ -1148,47 +1279,80 @@ mod tests {
         }
     }
 
-    /// Tracing rides as a pure suffix: the traced encoding starts with
-    /// the exact untraced bytes, so a trace-off deployment emits frames
-    /// byte-identical to the pre-trace protocol — and pre-trace bytes
-    /// decode to frames with the block absent.
+    /// The presence bit of a traced frame's optional block and the
+    /// block's own bytes, encoded on their own.
+    fn trace_block(traced: &Frame) -> (u8, Vec<u8>) {
+        let mut block = Vec::new();
+        let bit = match traced {
+            Frame::Submit {
+                submitted_ns: Some(ns),
+                ..
+            } => {
+                put_varint(&mut block, *ns);
+                BLOCK_PRESENT
+            }
+            Frame::Dispatch { trace: Some(t), .. } => {
+                block.push(t.level.as_u8());
+                put_varint(&mut block, t.dispatched_ns);
+                BLOCK_PRESENT
+            }
+            Frame::Completion(Completion { trace: Some(t), .. }) => {
+                t.encode_into(&mut block);
+                COMPLETION_TRACE
+            }
+            Frame::FetchBatchRequest {
+                issued_ns: Some(ns),
+                ..
+            } => {
+                block.put_u64_le(*ns);
+                BLOCK_PRESENT
+            }
+            Frame::Metrics { trace: Some(t), .. } => {
+                t.encode_into(&mut block);
+                BLOCK_PRESENT
+            }
+            other => panic!("{} carries no trace block", other.kind()),
+        };
+        (bit, block)
+    }
+
+    /// A block's presence is announced, never inferred: the untraced
+    /// encoding has the presence bit clear and no block, and the traced
+    /// one is the same fields with only that bit set, followed by the
+    /// block. With tracing off a frame carries nothing but the clear bit.
     #[test]
-    fn trace_blocks_are_strict_suffixes() {
+    fn trace_blocks_are_announced_by_a_presence_bit() {
         for (traced, untraced) in traced_frame_pairs() {
+            let kind = traced.kind();
             let with = traced.encode();
             let without = untraced.encode();
-            assert!(with.len() > without.len(), "{}", traced.kind());
-            assert_eq!(
-                &with[..without.len()],
-                &without[..],
-                "{} block is not a suffix",
-                traced.kind()
-            );
-            assert_eq!(
-                Frame::decode(without).unwrap(),
-                untraced,
-                "{} old-shape bytes stopped decoding",
-                traced.kind()
-            );
+            let (bit, block) = trace_block(&traced);
+            assert_eq!(with.len(), without.len() + block.len(), "{kind}");
+            assert_eq!(&with[without.len()..], &block[..], "{kind} block moved");
+            let changed: Vec<usize> = (0..without.len())
+                .filter(|&i| with[i] != without[i])
+                .collect();
+            assert_eq!(changed.len(), 1, "{kind} differs in {changed:?}");
+            let flags_at = changed[0];
+            assert_eq!(without[flags_at] & bit, 0, "{kind} bit set untraced");
+            assert_eq!(with[flags_at], without[flags_at] | bit, "{kind}");
+            assert_eq!(Frame::decode(without).unwrap(), untraced, "{kind}");
         }
     }
 
-    /// Cutting a traced frame either errors or (exactly at the block
-    /// boundary) yields the legitimate untraced frame — never a third
-    /// interpretation, and never a panic.
+    /// Every strict prefix of a traced frame is refused, the cut at the
+    /// block boundary included: the flag announces a block the bytes lack.
     #[test]
-    fn traced_truncation_never_misdecodes() {
-        for (traced, untraced) in traced_frame_pairs() {
+    fn every_strict_prefix_of_a_traced_frame_is_an_error() {
+        for (traced, _) in traced_frame_pairs() {
             let bytes = traced.encode();
-            let base = untraced.encode().len();
             for cut in 0..bytes.len() {
-                match Frame::decode(bytes.slice(0..cut)) {
-                    Ok(frame) => {
-                        assert_eq!(cut, base, "{} cut {cut} decoded", traced.kind());
-                        assert_eq!(frame, untraced);
-                    }
-                    Err(_) => assert_ne!(cut, base, "{} base shape rejected", traced.kind()),
-                }
+                assert!(
+                    Frame::decode(bytes.slice(0..cut)).is_err(),
+                    "{} cut at {cut} of {} decoded",
+                    traced.kind(),
+                    bytes.len()
+                );
             }
         }
     }
@@ -1221,7 +1385,9 @@ mod tests {
             }),
         };
         let mut raw = traced.encode().to_vec();
-        let level_at = raw.len() - 9;
+        // The block is the level byte and a one-byte stamp.
+        let level_at = raw.len() - 2;
+        assert_eq!(raw[level_at], grouting_trace::TraceLevel::Stats.as_u8());
         raw[level_at] = 0; // TraceLevel::Off on the wire
         assert!(Frame::decode(Bytes::from(raw)).is_err());
     }
@@ -1253,7 +1419,10 @@ mod tests {
     #[test]
     fn completion_size_is_per_query_fields_plus_changed_tallies() {
         let bare = tally_free_completion();
-        let base = 1 + 8 + 4 + result_encoded_len(&bare.result) + 56 + 1;
+        // Tag, seq, processor, `Count(7)`, the stats (300 takes two
+        // bytes), three stamps and the flags byte: one byte a varint
+        // below 128.
+        let base = 1 + 1 + 1 + 2 + (1 + 1 + 2 + 1) + 3 + 1;
         let prefetch = PrefetchStats {
             issued: 5,
             hits: 2,
@@ -1306,14 +1475,14 @@ mod tests {
         }
     }
 
-    /// Unknown tally bits and a flagged block holding its default are
+    /// Unknown flag bits and a flagged block holding its default are
     /// both refused, so a decoded completion re-encodes to the bytes that
-    /// arrived.
+    /// arrived; the trace bit needs its block.
     #[test]
     fn completion_tally_flags_are_strict() {
         let bare = Frame::Completion(tally_free_completion()).encode().to_vec();
         let flags_at = bare.len() - 1;
-        for bit in 3..8 {
+        for bit in 4..8 {
             let mut raw = bare.clone();
             raw[flags_at] = 1 << bit;
             assert!(Frame::decode(Bytes::from(raw)).is_err(), "bit {bit}");
@@ -1334,6 +1503,215 @@ mod tests {
         let mut one_slot = 1u32.to_le_bytes().to_vec();
         one_slot.extend_from_slice(&[0; 16]);
         assert!(flagged(TALLY_HEAT, &one_slot).is_ok());
+        assert!(flagged(COMPLETION_TRACE, &[]).is_err());
+        let mut span = Vec::new();
+        QueryTrace::default().encode_into(&mut span);
+        assert!(flagged(COMPLETION_TRACE, &span).is_ok());
+    }
+
+    /// The control bytes one query costs at `resident_hot` scale (seq
+    /// below 2^21, ids below 2^17, counts below 2^14, stamps below 2^36
+    /// ns, each at its bound, and the longest service span) stay within
+    /// 60 % of what the fixed-width encoding cost: Submit + Dispatch + a
+    /// Completion on each hop, every frame behind its 4-byte prefix, was
+    /// 212 / 250 / 204 / 208 B for aggregation / walk / reachability /
+    /// constrained reachability.
+    #[test]
+    fn per_query_control_bytes_fit_the_budget() {
+        const SEQ: u64 = (1 << 21) - 1;
+        const ID: u32 = (1 << 17) - 1;
+        const COUNT: u32 = (1 << 14) - 1;
+        const STAMP: u64 = (1 << 36) - 1;
+        let count = u64::from(COUNT);
+        let cases = [
+            (
+                Query::NeighborAggregation {
+                    node: n(ID),
+                    hops: COUNT,
+                    label: None,
+                },
+                QueryResult::Count(count),
+                212,
+            ),
+            (
+                Query::RandomWalk {
+                    node: n(ID),
+                    steps: COUNT,
+                    restart_prob: 0.15,
+                    seed: u64::MAX,
+                },
+                QueryResult::Walk {
+                    end: n(ID),
+                    visited: count,
+                },
+                250,
+            ),
+            (
+                Query::Reachability {
+                    source: n(ID),
+                    target: n(ID),
+                    hops: COUNT,
+                },
+                QueryResult::Reachable(true),
+                204,
+            ),
+            (
+                Query::ConstrainedReachability {
+                    source: n(ID),
+                    target: n(ID),
+                    hops: COUNT,
+                    via_label: NodeLabelId::new(u16::MAX),
+                },
+                QueryResult::Reachable(false),
+                208,
+            ),
+        ];
+        for (query, result, fixed_width) in cases {
+            let submit = Frame::Submit {
+                seq: SEQ,
+                query,
+                submitted_ns: None,
+            };
+            let dispatch = Frame::Dispatch {
+                seq: SEQ,
+                query,
+                trace: None,
+            };
+            let completion = Frame::Completion(Completion {
+                seq: SEQ,
+                processor: ID,
+                result,
+                stats: AccessStats {
+                    cache_hits: count,
+                    cache_misses: count,
+                    miss_bytes: count,
+                    evictions: count,
+                },
+                prefetch: PrefetchStats::default(),
+                failover: FailoverStats::default(),
+                arrived_ns: STAMP,
+                started_ns: 0,
+                completed_ns: STAMP,
+                heat: HeatMap::new(),
+                trace: None,
+            });
+            let bytes = submit.encoded_len()
+                + 4
+                + dispatch.encoded_len()
+                + 4
+                + 2 * (completion.encoded_len() + 4);
+            assert!(
+                5 * bytes <= 3 * fixed_width,
+                "{query:?}: {bytes} B against {fixed_width} B"
+            );
+        }
+    }
+
+    /// The frames behind `tests/fixtures/frames_v1.hex`, which holds what
+    /// the encoder wrote for them (one hex line each, same order): one
+    /// frame of every kind, each optional block both present and absent,
+    /// every query and result kind, and varints from one byte to ten.
+    fn fixture_frames() -> Vec<Frame> {
+        let mut frames = sample_frames();
+        for (traced, untraced) in traced_frame_pairs() {
+            frames.push(traced);
+            frames.push(untraced);
+        }
+        let queries = [
+            Query::NeighborAggregation {
+                node: n(130_000),
+                hops: 300,
+                label: None,
+            },
+            Query::RandomWalk {
+                node: n(u32::MAX),
+                steps: u32::MAX,
+                restart_prob: 0.85,
+                seed: 0x9E37_79B9_7F4A_7C15,
+            },
+            Query::Reachability {
+                source: n(127),
+                target: n(128),
+                hops: 5,
+            },
+            Query::ConstrainedReachability {
+                source: n(16_384),
+                target: n(2_097_152),
+                hops: 0,
+                via_label: NodeLabelId::new(513),
+            },
+        ];
+        for (i, query) in queries.into_iter().enumerate() {
+            frames.push(Frame::Submit {
+                seq: 1 << (7 * i as u32 + 7),
+                query,
+                submitted_ns: Some(u64::MAX),
+            });
+            frames.push(Frame::Dispatch {
+                seq: u64::MAX,
+                query,
+                trace: Some(DispatchTrace {
+                    level: grouting_trace::TraceLevel::Spans,
+                    dispatched_ns: (1 << 36) + i as u64,
+                }),
+            });
+        }
+        let results = [
+            QueryResult::Count(u64::MAX),
+            QueryResult::Walk {
+                end: n(u32::MAX),
+                visited: 1 << 35,
+            },
+            QueryResult::Reachable(true),
+        ];
+        for (i, result) in results.into_iter().enumerate() {
+            frames.push(Frame::Completion(Completion {
+                seq: (1 << 21) - 1,
+                processor: u32::MAX >> (8 * i),
+                result,
+                stats: AccessStats {
+                    cache_hits: 249,
+                    cache_misses: 0,
+                    miss_bytes: u64::MAX,
+                    evictions: 1 << 63,
+                },
+                arrived_ns: 68_719_476_735,
+                started_ns: [0, 68_719_390_000, u64::MAX][i],
+                completed_ns: [68_719_476_735, 68_719_476_735, u64::MAX][i],
+                ..tally_free_completion()
+            }));
+        }
+        frames
+    }
+
+    #[test]
+    fn frames_match_the_v1_fixture_byte_for_byte() {
+        let fixture: Vec<Vec<u8>> = include_str!("../tests/fixtures/frames_v1.hex")
+            .lines()
+            .map(|line| {
+                (0..line.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&line[i..i + 2], 16).unwrap())
+                    .collect()
+            })
+            .collect();
+        let frames = fixture_frames();
+        assert_eq!(fixture.len(), frames.len());
+        for (i, (stored, frame)) in fixture.iter().zip(&frames).enumerate() {
+            let kind = frame.kind();
+            assert_eq!(
+                &frame.encode()[..],
+                &stored[..],
+                "frame {i} ({kind}): encoder drifted"
+            );
+            let back = Frame::decode(Bytes::from(stored.clone())).unwrap();
+            assert_eq!(&back, frame, "frame {i} ({kind})");
+            assert_eq!(
+                &back.encode()[..],
+                &stored[..],
+                "frame {i} ({kind}): re-encode drifted"
+            );
+        }
     }
 
     #[test]
@@ -1459,7 +1837,7 @@ mod tests {
         assert!(Frame::decode(Bytes::from(vec![6u8, 1, 0, 0, 0])).is_err());
         assert!(Frame::decode(Bytes::from(vec![7u8, 1, 0, 0, 0, 0])).is_err());
         // Unknown query tag inside a submit.
-        assert!(Frame::decode(Bytes::from(vec![TAG_SUBMIT, 0, 0, 0, 0, 0, 0, 0, 0, 77])).is_err());
+        assert!(Frame::decode(Bytes::from(vec![TAG_SUBMIT, 0, 77, 0, 0, 0, 0])).is_err());
     }
 
     /// The largest batch a real deployment would ship (a whole hot

@@ -802,8 +802,8 @@ pub fn run_router(
     // exposes next to the cumulative counters).
     let mut decayed_partition = DecayingHeat::new(HEAT_DECAY_TAU_NS);
     let mut decayed_region = DecayingHeat::new(HEAT_DECAY_TAU_NS);
-    // Landmark set for region attribution (None without the asset).
-    let landmarks = assets.landmarks.clone();
+    // Region attribution by the landmark set (None without the asset).
+    let mut regions = assets.landmarks.as_deref().map(RegionMemo::new);
 
     // Router state: which connection is which peer.
     let mut processor_conn: Vec<Option<u64>> = vec![None; p];
@@ -884,10 +884,8 @@ pub fn run_router(
                     // Region demand: one count per dispatch, against the
                     // anchor's nearest landmark (deterministic integer
                     // tally — sampling on or off never changes it).
-                    if let Some(lm) = &landmarks {
-                        if let Some(region) = nearest_region(lm, query.anchor()) {
-                            region_heat.record_demand(region, 1);
-                        }
+                    if let Some(region) = regions.as_mut().and_then(|m| m.region(query.anchor())) {
+                        region_heat.record_demand(region, 1);
                     }
                 }
             }
@@ -1028,10 +1026,12 @@ pub fn run_router(
                             // processor's previous report, attributed to the
                             // completing query's anchor region.
                             let issued = engine.report_tallies(proc_id, prefetch, failover, heat);
-                            if let Some(lm) = landmarks.as_ref().filter(|_| issued > 0) {
-                                if let Some(region) = nearest_region(lm, query.anchor()) {
-                                    region_heat.record_speculative(region, issued);
-                                }
+                            if let Some(region) = regions
+                                .as_mut()
+                                .filter(|_| issued > 0)
+                                .and_then(|m| m.region(query.anchor()))
+                            {
+                                region_heat.record_speculative(region, issued);
                             }
                             if trace.enabled() {
                                 let received_ns = now_ns();
@@ -1233,6 +1233,36 @@ fn nearest_region(landmarks: &Landmarks, node: NodeId) -> Option<usize> {
     best.map(|(_, region)| region)
 }
 
+/// [`nearest_region`] remembered per anchor. The scan reads one cold
+/// cache line from every landmark's distance row, and the router
+/// attributes every dispatch, so each node is scanned once.
+struct RegionMemo<'a> {
+    landmarks: &'a Landmarks,
+    /// Per node: 0 before its scan, 1 for no region, `region + 2` after.
+    /// Zeroed, so untouched pages cost no memory.
+    regions: Vec<u32>,
+}
+
+impl<'a> RegionMemo<'a> {
+    /// A memo over the ids every distance row covers.
+    fn new(landmarks: &'a Landmarks) -> Self {
+        let len = landmarks.dist.iter().map(Vec::len).min().unwrap_or(0);
+        Self {
+            landmarks,
+            regions: vec![0; len],
+        }
+    }
+
+    /// `nearest_region(landmarks, node)`, scanned on first use.
+    fn region(&mut self, node: NodeId) -> Option<usize> {
+        let slot = self.regions.get_mut(node.index())?;
+        if *slot == 0 {
+            *slot = nearest_region(self.landmarks, node).map_or(1, |r| r as u32 + 2);
+        }
+        (*slot as usize).checked_sub(2)
+    }
+}
+
 /// Populates the router's registry from a run snapshot — the single point
 /// where engine accounting maps onto exposition series names.
 fn fill_router_registry(
@@ -1278,6 +1308,40 @@ fn fill_router_registry(
 mod tests {
     use super::*;
     use crate::transport::InProcTransport;
+    use grouting_graph::GraphBuilder;
+
+    #[test]
+    fn the_region_memo_answers_what_the_scan_does() {
+        // Two unjoined rings of 30 with landmarks in both, three isolated
+        // nodes (60..63) and seven ids past the graph (63..70): regions
+        // for the rings, none for the rest.
+        let mut b = GraphBuilder::with_nodes(63);
+        for ring in 0..2 {
+            for i in 0..30 {
+                b.add_edge(
+                    NodeId::new(ring * 30 + i),
+                    NodeId::new(ring * 30 + (i + 1) % 30),
+                );
+            }
+        }
+        let g = b.build().unwrap();
+        let landmarks =
+            Landmarks::for_nodes(&g, [0, 15, 45].into_iter().map(NodeId::new).collect(), 2);
+        let mut memo = RegionMemo::new(&landmarks);
+        let ids: Vec<NodeId> = (0..70).map(NodeId::new).collect();
+        let scan: Vec<_> = ids.iter().map(|&v| nearest_region(&landmarks, v)).collect();
+        assert!(scan[60..63].iter().all(Option::is_none), "{scan:?}");
+        assert!(scan[63..].iter().all(Option::is_none), "{scan:?}");
+        assert!(scan[..60].iter().all(Option::is_some), "{scan:?}");
+        // Twice: the first pass fills the memo, the second reads it.
+        for _ in 0..2 {
+            let memo_says: Vec<_> = ids.iter().map(|&v| memo.region(v)).collect();
+            assert_eq!(memo_says, scan);
+        }
+        assert_eq!(memo.regions.len(), 63, "an out-of-range id grew the memo");
+        assert_eq!(memo.region(NodeId::new(u32::MAX)), None);
+        assert_eq!(memo.regions.len(), 63);
+    }
 
     #[test]
     fn oversized_batch_responses_are_chunked_under_the_frame_cap() {

@@ -10,9 +10,10 @@ use std::net::TcpStream;
 
 use bytes::Bytes;
 use grouting_graph::NodeId;
-use grouting_metrics::{FailoverStats, HeatMap};
-use grouting_query::{AccessStats, PrefetchStats, QueryResult};
-use grouting_wire::frame::MAX_FRAME_BYTES;
+use grouting_metrics::{FailoverStats, HeatMap, RunSnapshot};
+use grouting_query::{AccessStats, PrefetchStats, Query, QueryResult};
+use grouting_trace::{QueryTrace, TraceLevel, TraceSnapshot};
+use grouting_wire::frame::{DispatchTrace, MAX_FRAME_BYTES};
 use grouting_wire::{Completion, Connection, Frame, TcpTransport, Transport, WireError};
 
 /// Counts the bytes each thread requests, so a test can measure one call
@@ -189,6 +190,243 @@ fn a_batch_count_the_bytes_cannot_back_reserves_nothing() {
     let requested = requested_by(|| result = Some(Frame::decode(Bytes::from(raw))));
     assert!(result.unwrap().is_err());
     assert!(requested < 256, "{requested} bytes for a 13-byte input");
+}
+
+/// Decodes `raw` and requires a codec error, reached without asking for
+/// more memory than the bytes could describe.
+fn assert_refused(raw: &[u8], why: &str) {
+    let mut result = None;
+    let requested = requested_by(|| result = Some(Frame::decode(Bytes::copy_from_slice(raw))));
+    match result.unwrap() {
+        Err(WireError::Codec(_)) => {}
+        other => panic!("{why}: {other:?}"),
+    }
+    assert!(
+        requested <= decode_budget(raw.len()),
+        "{why}: {requested} bytes for {} of input",
+        raw.len()
+    );
+}
+
+/// A completion by hand, field by field: tag, seq, processor, a `Count`
+/// result, the four access stats, arrived, completed, the service span
+/// (completed − started) and the flags byte. Each integer is the bytes
+/// given, so a test can spell a varint any way it likes.
+fn completion_bytes(seq: &[u8], processor: &[u8], completed: &[u8], span: &[u8]) -> Vec<u8> {
+    let mut raw = vec![5];
+    raw.extend_from_slice(seq);
+    raw.extend_from_slice(processor);
+    raw.extend_from_slice(&[0, 7]); // Count(7)
+    raw.extend_from_slice(&[4, 0, 0, 0]); // hits, misses, bytes, evictions
+    raw.push(0); // arrived
+    raw.extend_from_slice(completed);
+    raw.extend_from_slice(span);
+    raw.push(0); // flags
+    raw
+}
+
+#[test]
+fn a_hand_built_completion_decodes() {
+    // The baseline the cases below damage one field of.
+    let raw = completion_bytes(&[9], &[1], &[30], &[10]);
+    let Frame::Completion(c) = Frame::decode(Bytes::from(raw)).unwrap() else {
+        panic!("not a completion");
+    };
+    assert_eq!((c.seq, c.processor), (9, 1));
+    assert_eq!((c.started_ns, c.completed_ns), (20, 30));
+}
+
+#[test]
+fn a_varint_in_other_than_its_shortest_form_is_refused() {
+    for padded in [&[0x89, 0x00][..], &[0x80, 0x00], &[0xFF, 0x80, 0x00]] {
+        assert_refused(
+            &completion_bytes(padded, &[1], &[30], &[10]),
+            &format!("seq {padded:02x?}"),
+        );
+        assert_refused(
+            &completion_bytes(&[9], &[1], padded, &[0]),
+            &format!("completed {padded:02x?}"),
+        );
+    }
+    // A padded node id inside a submit: tag, seq, aggregation, node.
+    assert_refused(&[2, 1, 0, 0x85, 0x00, 2, 0, 0], "submit node");
+}
+
+#[test]
+fn a_varint_longer_than_a_u64_is_refused() {
+    let eleven = [
+        0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,
+    ];
+    assert_refused(
+        &completion_bytes(&eleven, &[1], &[30], &[10]),
+        "11-byte seq",
+    );
+    // Ten bytes whose last carries more than bit 63.
+    let past = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02];
+    assert_refused(&completion_bytes(&past, &[1], &[30], &[10]), "seq past u64");
+    // The largest u64 is still a frame.
+    let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+    let raw = completion_bytes(&max, &[1], &[30], &[10]);
+    let frame = Frame::decode(Bytes::from(raw.clone())).unwrap();
+    assert_eq!(frame.encoded_len(), raw.len());
+    // Cut anywhere inside the varint.
+    for cut in 1..11 {
+        let mut raw = vec![5];
+        raw.extend_from_slice(&eleven[..cut]);
+        assert_refused(&raw, &format!("seq cut after {cut} bytes"));
+    }
+}
+
+#[test]
+fn a_u32_field_past_u32_max_is_refused() {
+    let past_u32 = [0x80, 0x80, 0x80, 0x80, 0x10]; // 2^32
+    let u32_max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+    assert_refused(
+        &completion_bytes(&[9], &past_u32, &[30], &[10]),
+        "processor",
+    );
+    assert!(Frame::decode(Bytes::from(completion_bytes(&[9], &u32_max, &[30], &[10]))).is_ok());
+    // A submit's query fields: an aggregation's node and hops, a
+    // reachability's source, target and hops (tag, seq, query kind, the
+    // fields, the aggregation's label flag, then the frame's flags byte).
+    let mut cases = Vec::new();
+    for at in 0..2 {
+        let mut agg = vec![2, 1, 0];
+        for field in 0..2 {
+            agg.extend_from_slice(if field == at { &past_u32[..] } else { &[3][..] });
+        }
+        agg.extend_from_slice(&[0, 0]);
+        cases.push(agg);
+    }
+    for at in 0..3 {
+        let mut reach = vec![2, 1, 2];
+        for field in 0..3 {
+            reach.extend_from_slice(if field == at { &past_u32[..] } else { &[3][..] });
+        }
+        reach.push(0);
+        cases.push(reach);
+    }
+    for raw in cases {
+        assert_refused(&raw, &format!("{raw:02x?}"));
+    }
+    // A walk result's end node: tag, seq, processor, kind 1, end.
+    let mut walk = vec![5, 9, 1, 1];
+    walk.extend_from_slice(&past_u32);
+    walk.extend_from_slice(&[3, 4, 0, 0, 0, 0, 30, 10, 0]);
+    assert_refused(&walk, "walk end");
+}
+
+#[test]
+fn a_service_span_longer_than_the_completion_stamp_is_refused() {
+    assert_refused(&completion_bytes(&[9], &[1], &[30], &[31]), "span 31 of 30");
+    assert_refused(&completion_bytes(&[9], &[1], &[0], &[1]), "span 1 of 0");
+    let Frame::Completion(c) =
+        Frame::decode(Bytes::from(completion_bytes(&[9], &[1], &[30], &[30]))).unwrap()
+    else {
+        panic!("not a completion");
+    };
+    assert_eq!(c.started_ns, 0);
+}
+
+/// One frame of each kind that has a flags byte, with every optional
+/// block present, and the offset of that byte.
+fn flagged_frames() -> Vec<(Frame, usize, u8)> {
+    let query = Query::Reachability {
+        source: NodeId::new(3),
+        target: NodeId::new(300),
+        hops: 2,
+    };
+    let with_blocks = |frame: Frame, without: Frame, known: u8| {
+        let at = without.encode().len() - 1;
+        (frame, at, known)
+    };
+    let mut trace = TraceSnapshot::new(TraceLevel::Stats);
+    trace.reactor.frames_in = 3;
+    let completion = sample_frames(7).swap_remove(0);
+    let Frame::Completion(untraced) = completion.clone() else {
+        unreachable!("the first sample is a completion");
+    };
+    vec![
+        with_blocks(
+            Frame::Submit {
+                seq: 5,
+                query,
+                submitted_ns: Some(1 << 30),
+            },
+            Frame::Submit {
+                seq: 5,
+                query,
+                submitted_ns: None,
+            },
+            1,
+        ),
+        with_blocks(
+            Frame::Dispatch {
+                seq: 5,
+                query,
+                trace: Some(DispatchTrace {
+                    level: TraceLevel::Spans,
+                    dispatched_ns: 1 << 30,
+                }),
+            },
+            Frame::Dispatch {
+                seq: 5,
+                query,
+                trace: None,
+            },
+            1,
+        ),
+        with_blocks(
+            Frame::Completion(Completion {
+                trace: Some(QueryTrace {
+                    fetch_wait_ns: 40,
+                    compute_ns: 30,
+                    levels: 1,
+                    level_spans: vec![(40, 30)],
+                }),
+                ..untraced
+            }),
+            completion,
+            0x0F,
+        ),
+        with_blocks(
+            Frame::FetchBatchRequest {
+                req_id: 4,
+                nodes: vec![NodeId::new(1), NodeId::new(2)],
+                issued_ns: Some(77),
+            },
+            Frame::FetchBatchRequest {
+                req_id: 4,
+                nodes: vec![NodeId::new(1), NodeId::new(2)],
+                issued_ns: None,
+            },
+            1,
+        ),
+        with_blocks(
+            Frame::Metrics {
+                snapshot: RunSnapshot::default(),
+                trace: Some(Box::new(trace)),
+            },
+            Frame::Metrics {
+                snapshot: RunSnapshot::default(),
+                trace: None,
+            },
+            1,
+        ),
+    ]
+}
+
+#[test]
+fn every_unknown_flag_bit_is_refused() {
+    for (frame, at, known) in flagged_frames() {
+        let good = frame.encode().to_vec();
+        assert_eq!(Frame::decode(Bytes::from(good.clone())).unwrap(), frame);
+        for bit in (0..8).filter(|bit| known & 1 << bit == 0) {
+            let mut raw = good.clone();
+            raw[at] |= 1 << bit;
+            assert_refused(&raw, &format!("{} bit {bit}", frame.kind()));
+        }
+    }
 }
 
 proptest::proptest! {
