@@ -13,23 +13,22 @@
 //!    ([`simplex`]), preserving hop distances by relative error (Eq. 4);
 //!    the router then tracks an EMA of each processor's served coordinates.
 //!
-//! [`updates`] implements the paper's incremental maintenance rules for
-//! node/edge additions and deletions, [`DynamicLandmarks`] the
-//! shortest-path-tree alternative for keeping landmark distances current,
-//! and [`error`] the relative-error evaluation used for Figure 12(a).
+//! [`updates`] implements the paper's one incremental maintenance rule
+//! (§3.4.1): after an edge is added or removed, its endpoints and their
+//! neighbours get fresh landmark distances, and a node is removed as its
+//! incident edges. [`error`] is the relative-error evaluation used for
+//! Figure 12(a).
 
 pub mod embedding;
 pub mod error;
 pub mod landmarks;
 mod pivots;
 pub mod simplex;
-mod spt;
 pub mod updates;
 
 pub use embedding::{Embedding, EmbeddingConfig};
 pub use landmarks::{LandmarkConfig, Landmarks};
 pub use pivots::ProcessorDistanceTable;
-pub use spt::{DynamicLandmarks, LandmarkTree};
 
 /// Hop distance marking "unreachable" in the `u16`-compressed matrices.
 pub const UNREACHED_U16: u16 = u16::MAX;

@@ -1,14 +1,13 @@
-//! Incremental preprocessing maintenance under graph updates (§3.4).
+//! Incremental preprocessing maintenance under graph updates (§3.4.1).
 //!
-//! The paper's rules:
-//!
-//! * **node added** — compute its distance to every landmark, then its
-//!   `d(u, p)` row (landmark routing) or its coordinates (embed routing);
-//! * **edge added/removed** — recompute the same for both endpoints and
-//!   their neighbours up to a small hop radius (default 2);
-//! * **node removed** — treated as removal of its incident edges;
-//! * after many updates the full preprocessing is redone offline
-//!   ([`StalenessTracker`] decides when).
+//! The paper keeps one rule: after an edge is added or removed, both
+//! endpoints and their one-hop neighbours on the updated graph
+//! ([`DynamicGraph::affected_nodes`]) get fresh distances to every
+//! landmark, and from them a fresh `d(u, p)` row (landmark routing) or
+//! fresh coordinates (embed routing). A new node arrives with its first
+//! edge; a node is removed as the removal of its incident edges, one
+//! update each. After many updates the full preprocessing is redone
+//! offline ([`StalenessTracker`] decides when).
 
 use std::collections::VecDeque;
 
@@ -63,16 +62,15 @@ pub fn landmark_distances_from(g: &DynamicGraph, node: NodeId, landmarks: &[Node
 
 /// Applies one update to a landmark-routing table in place.
 ///
-/// Touched nodes (endpoints plus `hops`-hop neighbours) get fresh
-/// `d(u, p)` rows computed from single-source BFS on the updated graph.
+/// Touched nodes (endpoints plus one-hop neighbours) get fresh `d(u, p)`
+/// rows computed from single-source BFS on the updated graph.
 pub fn refresh_landmark_table(
     table: &mut ProcessorDistanceTable,
     g: &DynamicGraph,
     landmarks: &[NodeId],
     update: GraphUpdate,
-    hops: u32,
 ) {
-    for v in g.affected_nodes(update, hops) {
+    for v in g.affected_nodes(update) {
         if !g.contains(v) {
             continue;
         }
@@ -89,11 +87,10 @@ pub fn refresh_embedding(
     embedding: &mut Embedding,
     g: &DynamicGraph,
     update: GraphUpdate,
-    hops: u32,
     config: &EmbeddingConfig,
 ) {
     let landmark_ids = embedding.landmark_ids().to_vec();
-    for v in g.affected_nodes(update, hops) {
+    for v in g.affected_nodes(update) {
         if !g.contains(v) {
             continue;
         }
@@ -196,7 +193,6 @@ mod tests {
             &dyn_g,
             &lm.nodes,
             GraphUpdate::AddEdge(n(16), n(3)),
-            1,
         );
         assert_eq!(table.nodes(), 17);
         // Its distances should be node 3's plus one (through the new edge).
@@ -229,9 +225,56 @@ mod tests {
         let before_far = emb.coords(n(12)).to_vec();
         let mut dyn_g = DynamicGraph::from_csr(&g);
         dyn_g.add_edge(n(0), n(8));
-        refresh_embedding(&mut emb, &dyn_g, GraphUpdate::AddEdge(n(0), n(8)), 1, &cfg);
+        refresh_embedding(&mut emb, &dyn_g, GraphUpdate::AddEdge(n(0), n(8)), &cfg);
         // Node 12 is outside the 1-hop affected set: untouched.
         assert_eq!(emb.coords(n(12)), &before_far[..]);
+    }
+
+    #[test]
+    fn removing_a_node_refreshes_its_former_neighbours() {
+        // Ring 0 → 1 → … → 20 → 0 with landmarks 0, 2 and 4: node 6 reaches
+        // landmark 4 through node 5 in two hops, and the long way round
+        // once node 5 is gone.
+        let g = ring(21);
+        let lm = Landmarks::for_nodes(&g, vec![n(0), n(2), n(4)], 2);
+        let cfg = EmbeddingConfig {
+            dimensions: 2,
+            landmark_sweeps: 1,
+            landmark_iters: 100,
+            node_iters: 40,
+            nearest_landmarks: 3,
+            seed: 9,
+        };
+        let mut table = ProcessorDistanceTable::build(&lm, 3);
+        let mut emb = Embedding::build(&lm, &cfg);
+        let mut dyn_g = DynamicGraph::from_csr(&g);
+        let before = table.row(n(6)).to_vec();
+
+        // Node 5 goes as its incident edges, one update each.
+        let removed = n(5);
+        let edges: Vec<(NodeId, NodeId)> = dyn_g
+            .out_neighbors(removed)
+            .map(|w| (removed, w))
+            .chain(dyn_g.in_neighbors(removed).map(|u| (u, removed)))
+            .collect();
+        for (s, d) in edges {
+            assert_eq!(dyn_g.remove_edge(s, d), Ok(true));
+            let update = GraphUpdate::RemoveEdge(s, d);
+            refresh_landmark_table(&mut table, &dyn_g, &lm.nodes, update);
+            refresh_embedding(&mut emb, &dyn_g, update, &cfg);
+        }
+
+        let fresh = landmark_distances_from(&dyn_g, n(6), &lm.nodes);
+        assert_eq!(fresh, vec![15, 17, 19]);
+        assert_ne!(table.row(n(6)), &before[..], "row left stale");
+        assert_eq!(table.row(n(6)), &table.row_from_landmark_vector(&fresh)[..]);
+        assert_eq!(
+            emb.coords(n(6)),
+            &emb.embed_from_landmark_distances(&fresh, &cfg)[..],
+            "coordinates left stale"
+        );
+        // The removed node stays, isolated: it reaches no landmark.
+        assert!(table.row(removed).iter().all(|&d| d == UNREACHED_U16));
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub enum GraphError {
     },
     /// An edge referenced a node that does not exist (dynamic graphs).
     UnknownNode(NodeId),
-    /// A duplicate node insertion was attempted.
-    DuplicateNode(NodeId),
     /// Adjacency value bytes failed to decode.
     Codec(String),
     /// The graph would exceed the 32-bit node-id space.
@@ -29,7 +27,6 @@ impl std::fmt::Display for GraphError {
                 write!(f, "node {node} out of range (graph has {node_count} nodes)")
             }
             GraphError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            GraphError::DuplicateNode(n) => write!(f, "duplicate node {n}"),
             GraphError::Codec(msg) => write!(f, "adjacency codec error: {msg}"),
             GraphError::TooManyNodes(n) => {
                 write!(f, "{n} nodes exceed the u32 node-id space")

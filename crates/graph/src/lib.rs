@@ -14,11 +14,11 @@
 //! * [`GraphBuilder`] — an edge-list accumulator that deduplicates and sorts;
 //! * [`CsrGraph`] — the immutable compressed-sparse-row graph with both edge
 //!   directions, the workhorse for preprocessing and query execution;
-//! * [`LabelTable`] — interned label tables for nodes and edges;
 //! * [`traversal`] — BFS distance maps, k-hop neighbourhoods and hop
 //!   distances over the in-memory graph;
-//! * [`dynamic`] — a mutable adjacency-map graph supporting the paper's
-//!   update model (§3.4, "dealing with graph updates");
+//! * [`dynamic`] — a mutable adjacency-map graph for the paper's update
+//!   model (§3.4.1): edge additions and removals, a node removed as the
+//!   removal of its incident edges;
 //! * [`subgraph`] — induced subgraphs (the refresh scope of an update);
 //! * [`stats`] — summary statistics (Table 1);
 //! * [`codec`] — the compact binary encoding of per-node adjacency values
@@ -31,7 +31,6 @@ pub mod dynamic;
 mod error;
 pub mod hash;
 mod ids;
-mod labels;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
@@ -41,7 +40,6 @@ pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use hash::{IdBuildHasher, NodeMap, NodeSet};
 pub use ids::{EdgeLabelId, NodeId, NodeLabelId};
-pub use labels::LabelTable;
 
 /// Result alias for graph operations.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -90,11 +90,17 @@ impl<S: BatchSource> Executor<'_, S> {
     /// Runs one query to completion, the serial driver: each
     /// [`Step::Fetch`] travels as one batch, with the predictor's
     /// speculative tail, before the query resumes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a fetched record fails to decode.
     pub fn run(&mut self, query: &Query) -> ExecOutcome {
         let mut staged = StagedQuery::new(*query);
         let mut payloads = None;
         loop {
-            match staged.resume(&mut self.store, payloads.take()) {
+            let step = staged.resume(&mut self.store, payloads.take());
+            self.store.expect_valid();
+            match step {
                 Step::Fetch(miss) => {
                     payloads = Some(self.store.exchange(staged.frontier(), &miss));
                 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use grouting_cache::Cache;
 use grouting_graph::codec::AdjacencyRecord;
-use grouting_graph::{NodeId, NodeSet};
+use grouting_graph::{GraphError, NodeId, NodeSet};
 use grouting_storage::StorageTier;
 
 use crate::prefetch::PrefetchState;
@@ -118,6 +118,11 @@ pub struct CacheBackedStore<'a, S> {
     prefetch: Option<&'a mut PrefetchState>,
     stats: AccessStats,
     miss_log: Vec<MissEvent>,
+    /// The first fetched payload that failed to decode: its node and the
+    /// codec's error. [`CacheBackedStore::admit`] answers such a payload
+    /// as a node that is not stored, so every caller of a resume checks here
+    /// ([`CacheBackedStore::take_corrupt`]) after each resume.
+    corrupt: Option<(NodeId, GraphError)>,
 }
 
 impl<'a, S> CacheBackedStore<'a, S> {
@@ -131,6 +136,7 @@ impl<'a, S> CacheBackedStore<'a, S> {
             prefetch: None,
             stats: AccessStats::default(),
             miss_log: Vec::new(),
+            corrupt: None,
         }
     }
 
@@ -286,7 +292,22 @@ impl<'a, S> CacheBackedStore<'a, S> {
             let payload = self.source.fetch_batch(&[node]).pop().flatten();
             records.push(self.admit(node, payload));
         }
+        self.expect_valid();
         records
+    }
+
+    /// Takes the first payload that failed to decode since the last call:
+    /// its node and the codec's error. A caller that gets one must not
+    /// trust the answer of the query it resumed.
+    pub fn take_corrupt(&mut self) -> Option<(NodeId, GraphError)> {
+        self.corrupt.take()
+    }
+
+    /// The serial executors' rule: a corrupt payload from storage panics.
+    pub(crate) fn expect_valid(&mut self) {
+        if let Some((node, err)) = self.take_corrupt() {
+            panic!("tier stores valid records, but {node}'s failed to decode: {err}");
+        }
     }
 
     /// The apply core: one cache-then-payload access per node of
@@ -330,7 +351,8 @@ impl<'a, S> CacheBackedStore<'a, S> {
     /// The miss half of an access: counts the miss and its bytes, logs
     /// it, decodes the payload and caches the record, charged its
     /// [`AdjacencyRecord::resident_len`]. A node that is not stored
-    /// (`None`) counts nothing.
+    /// (`None`) counts nothing. A payload that fails to decode is kept
+    /// for [`CacheBackedStore::take_corrupt`] and answered as `None`.
     pub(crate) fn admit(
         &mut self,
         node: NodeId,
@@ -344,7 +366,13 @@ impl<'a, S> CacheBackedStore<'a, S> {
             server,
             bytes: size as u32,
         });
-        let rec = Arc::new(AdjacencyRecord::decode(bytes).expect("tier stores valid records"));
+        let rec = match AdjacencyRecord::decode(bytes) {
+            Ok(rec) => Arc::new(rec),
+            Err(err) => {
+                self.corrupt.get_or_insert((node, err));
+                return None;
+            }
+        };
         let evicted = self
             .cache
             .insert(node, Arc::clone(&rec), rec.resident_len());

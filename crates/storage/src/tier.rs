@@ -5,7 +5,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use grouting_graph::codec::AdjacencyRecord;
 use grouting_graph::dynamic::{DynamicGraph, GraphUpdate};
-use grouting_graph::{CsrGraph, NodeId};
+use grouting_graph::{CsrGraph, EdgeLabelId, NodeId, NodeMap};
 
 use crate::log::DEFAULT_SEGMENT_BYTES;
 use crate::server::{ServerReader, StorageServer};
@@ -201,56 +201,30 @@ impl StorageTier {
         Ok(())
     }
 
-    /// Deletes `node`'s record from its replica chain, returning whether
-    /// the primary copy existed.
-    pub fn delete(&self, node: NodeId) -> bool {
-        let mut existed = false;
-        for (i, s) in self.replica_chain(node).enumerate() {
-            let removed = self.servers[s].delete(node.raw() as u64);
-            if i == 0 {
-                existed = removed;
-            }
-        }
-        existed
-    }
-
-    /// Applies one topology update by rewriting the affected records from
-    /// the post-update dynamic graph (endpoints only — their neighbours'
-    /// records mention them by id, which is unchanged).
+    /// Applies one edge update by rewriting both endpoints' records from
+    /// the post-update dynamic graph (their neighbours' records mention
+    /// them by id, which is unchanged). Each rewritten record keeps its
+    /// node label and every surviving edge's label from the stored copy;
+    /// an added edge is unlabelled.
     ///
     /// # Errors
     ///
     /// Propagates storage errors.
     pub fn apply_update(&self, g: &DynamicGraph, update: GraphUpdate) -> Result<()> {
-        let rewrite = |node: NodeId| -> Result<()> {
-            if g.contains(node) {
-                let rec = AdjacencyRecord::new(g.out_neighbors(node), g.in_neighbors(node));
-                self.put_record(node, &rec)?;
-            } else {
-                self.delete(node);
+        let (GraphUpdate::AddEdge(s, d) | GraphUpdate::RemoveEdge(s, d)) = update;
+        for node in [s, d] {
+            let old = self
+                .get_record(node)
+                .map(|(_, rec)| rec)
+                .unwrap_or_default();
+            let out = kept_labels(old.out(), old.out_labels(), g.out_neighbors(node));
+            let inc = kept_labels(old.inc(), old.in_labels(), g.in_neighbors(node));
+            let mut rec = AdjacencyRecord::new(g.out_neighbors(node), g.in_neighbors(node));
+            if out.iter().chain(&inc).any(|&l| l != EdgeLabelId::UNLABELED) {
+                rec = rec.with_edge_labels(&out, &inc);
             }
-            Ok(())
-        };
-        match update {
-            GraphUpdate::AddNode(n) => rewrite(n)?,
-            GraphUpdate::AddEdge(s, d) | GraphUpdate::RemoveEdge(s, d) => {
-                rewrite(s)?;
-                rewrite(d)?;
-            }
-            GraphUpdate::RemoveNode(n) => {
-                // The stored record still holds the pre-removal adjacency;
-                // rewrite those neighbours so they stop mentioning `n`.
-                let old = self.get_record(n);
-                rewrite(n)?;
-                if let Some((_, rec)) = old {
-                    let mut seen = std::collections::BTreeSet::new();
-                    for &v in rec.all_neighbors() {
-                        if v != n && seen.insert(v) {
-                            rewrite(v)?;
-                        }
-                    }
-                }
-            }
+            rec.node_label = old.node_label;
+            self.put_record(node, &rec)?;
         }
         Ok(())
     }
@@ -262,11 +236,25 @@ impl StorageTier {
     }
 }
 
+/// The label of each edge to `neighbours`, taken from the stored edges
+/// `ids` and their `labels` (empty when unlabelled); an edge the stored
+/// record lacks is unlabelled.
+fn kept_labels(
+    ids: &[NodeId],
+    labels: &[EdgeLabelId],
+    neighbours: impl Iterator<Item = NodeId>,
+) -> Vec<EdgeLabelId> {
+    let stored: NodeMap<EdgeLabelId> = ids.iter().copied().zip(labels.iter().copied()).collect();
+    neighbours
+        .map(|w| stored.get(&w).copied().unwrap_or(EdgeLabelId::UNLABELED))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::HashPartitioner;
-    use grouting_graph::GraphBuilder;
+    use grouting_graph::{GraphBuilder, NodeLabelId};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -323,18 +311,60 @@ mod tests {
     }
 
     #[test]
-    fn update_remove_node_deletes_record() {
+    fn removing_a_nodes_edges_isolates_its_record() {
         let (tier, g) = tier_with_path(2);
         let mut dynamic = DynamicGraph::from_csr(&g);
-        dynamic.remove_node(n(4)).unwrap();
-        tier.apply_update(&dynamic, GraphUpdate::RemoveNode(n(4)))
-            .unwrap();
-        assert!(tier.get(n(4)).is_none());
+        // Node 4 goes as its incident edges, one update each.
+        for (s, d) in [(n(3), n(4)), (n(4), n(5))] {
+            assert_eq!(dynamic.remove_edge(s, d), Ok(true));
+            tier.apply_update(&dynamic, GraphUpdate::RemoveEdge(s, d))
+                .unwrap();
+        }
+        let (_, rec4) = tier.get_record(n(4)).unwrap();
+        assert_eq!(rec4.degree(), 0);
         // Neighbour records no longer mention node 4.
         let (_, rec3) = tier.get_record(n(3)).unwrap();
         assert!(!rec3.out().contains(&n(4)));
         let (_, rec5) = tier.get_record(n(5)).unwrap();
         assert!(!rec5.inc().contains(&n(4)));
+    }
+
+    #[test]
+    fn an_update_keeps_node_and_surviving_edge_labels() {
+        let label = |i: u16| EdgeLabelId::new(i);
+        let mut b = GraphBuilder::new();
+        b.add_labeled_edge(n(0), n(1), label(3));
+        b.add_labeled_edge(n(2), n(0), label(4));
+        b.add_labeled_edge(n(0), n(3), label(5));
+        b.set_node_label(n(0), NodeLabelId::new(5));
+        b.set_node_label(n(1), NodeLabelId::new(6));
+        let g = b.build().unwrap();
+        let tier = StorageTier::new(Arc::new(HashPartitioner::new(2)));
+        tier.load_graph(&g).unwrap();
+        let mut dynamic = DynamicGraph::from_csr(&g);
+
+        dynamic.add_edge(n(0), n(4));
+        tier.apply_update(&dynamic, GraphUpdate::AddEdge(n(0), n(4)))
+            .unwrap();
+        dynamic.remove_edge(n(0), n(3)).unwrap();
+        tier.apply_update(&dynamic, GraphUpdate::RemoveEdge(n(0), n(3)))
+            .unwrap();
+
+        let (_, rec0) = tier.get_record(n(0)).unwrap();
+        assert_eq!(rec0.node_label, Some(NodeLabelId::new(5)));
+        assert_eq!(rec0.out(), [n(1), n(4)]);
+        assert_eq!(rec0.out_labels(), [label(3), EdgeLabelId::UNLABELED]);
+        assert_eq!(rec0.inc(), [n(2)]);
+        assert_eq!(rec0.in_labels(), [label(4)]);
+        // The new edge's far end is a new, unlabelled node; the removed
+        // edge's far end keeps what it had and loses the edge.
+        let (_, rec4) = tier.get_record(n(4)).unwrap();
+        assert_eq!((rec4.node_label, rec4.in_labels()), (None, &[][..]));
+        let (_, rec3) = tier.get_record(n(3)).unwrap();
+        assert_eq!(rec3.degree(), 0);
+        // Untouched records are as loaded.
+        let (_, rec1) = tier.get_record(n(1)).unwrap();
+        assert_eq!(rec1, AdjacencyRecord::from_graph(&g, n(1)).unwrap());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use grouting_query::{
 };
 use grouting_trace::{QueryTrace, TraceLevel};
 
-use crate::error::WireResult;
+use crate::error::{WireError, WireResult};
 use crate::flow::{BatchPayloads, MultiplexedStorageSource, PendingBatch};
 use crate::service::now_ns;
 
@@ -180,7 +180,8 @@ impl QueryPipeline {
     /// # Errors
     ///
     /// Propagates storage-path failures (dial/submit/poll past the
-    /// reconnect budget, protocol violations).
+    /// reconnect budget, protocol violations). A fetched record that fails
+    /// to decode is a [`WireError::Protocol`].
     pub fn step(
         &mut self,
         source: &mut MultiplexedStorageSource,
@@ -294,6 +295,11 @@ impl QueryPipeline {
         let mut store = CacheBackedStore::with_prefetch((), cache, &mut self.prefetch);
         store.absorb_speculative(&std::mem::take(&mut active.spec), spec_payloads);
         let step = active.staged.resume(&mut store, payloads);
+        if let Some((node, err)) = store.take_corrupt() {
+            return Err(WireError::Protocol(format!(
+                "storage sent a corrupt record for {node}: {err}"
+            )));
+        }
         let spec = match &step {
             Step::Fetch(miss) => store.plan_speculative(active.staged.frontier(), miss),
             Step::Done(_) => Vec::new(),
@@ -731,6 +737,41 @@ mod tests {
                 assert!(done.is_empty(), "{query:?} finished without storage");
                 std::thread::yield_now();
             }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_record_from_storage_is_a_protocol_error_not_a_panic() {
+        let tier = loaded_tier(48, 3);
+        // Truncated varints: no record decodes from these bytes.
+        let server = tier.partitioner().assign(n(7));
+        tier.server(server).put(7, &[0xff; 3]).unwrap();
+        let (transport, handles, addrs) = spawn_storage(&tier, NetworkModel::local());
+        let mut source = MultiplexedStorageSource::new(transport, &addrs, tier.partitioner());
+        let mut cache: ProcessorCache = Box::new(LruCache::new(1 << 20));
+        let mut pipeline = QueryPipeline::new(2);
+        pipeline.push(
+            0,
+            Query::NeighborAggregation {
+                node: n(7),
+                hops: 2,
+                label: None,
+            },
+        );
+        let err = loop {
+            match pipeline.step(&mut source, &mut cache) {
+                Ok(done) => assert!(done.is_empty(), "answered from a corrupt record"),
+                Err(err) => break err,
+            }
+            std::thread::yield_now();
+        };
+        assert!(
+            matches!(&err, WireError::Protocol(m) if m.contains("n7")),
+            "{err}"
+        );
+        drop(source);
+        for h in handles {
+            h.shutdown();
         }
     }
 
