@@ -864,9 +864,13 @@ mod tests {
     }
 
     /// Runs a fixed seeded stream (every query kind, labelled and not)
-    /// through one [`Executor`] over `cache` and folds every answer,
-    /// [`AccessStats`] and miss-log entry into one FNV-1a hash.
-    fn accounting_fingerprint(cache: &mut ProcessorCache) -> u64 {
+    /// through one [`Executor`] over `cache` and folds it into two FNV-1a
+    /// hashes: an access hash of every answer, [`AccessStats`] and
+    /// miss-log entry with their byte words (`miss_bytes`,
+    /// [`MissEvent::bytes`]) read as zero, and a byte hash of those byte
+    /// words alone. Which records are read, and in what order, moves the
+    /// first; how many bytes a record travels in moves only the second.
+    fn accounting_fingerprints(cache: &mut ProcessorCache) -> (u64, u64) {
         let mut rng = StdRng::seed_from_u64(39);
         let nodes = 300u32;
         let mut b = GraphBuilder::with_nodes(nodes as usize);
@@ -878,7 +882,7 @@ mod tests {
         }
         let tier = setup(&b.build().unwrap());
         let mut ex = Executor::new(&tier, cache);
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let (mut access, mut bytes) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
         for i in 0..600u32 {
             // 120 queries of each of the five shapes, interleaved; a few
             // anchors lie past the graph.
@@ -916,54 +920,72 @@ mod tests {
             };
             let out = ex.run(&query);
             match out.result {
-                QueryResult::Count(c) => fnv1a(&mut hash, &[0, c]),
+                QueryResult::Count(c) => fnv1a(&mut access, &[0, c]),
                 QueryResult::Walk { end, visited } => {
-                    fnv1a(&mut hash, &[1, u64::from(end.raw()), visited])
+                    fnv1a(&mut access, &[1, u64::from(end.raw()), visited])
                 }
-                QueryResult::Reachable(r) => fnv1a(&mut hash, &[2, u64::from(r)]),
+                QueryResult::Reachable(r) => fnv1a(&mut access, &[2, u64::from(r)]),
             }
             let s = out.stats;
-            fnv1a(
-                &mut hash,
-                &[s.cache_hits, s.cache_misses, s.miss_bytes, s.evictions],
-            );
+            fnv1a(&mut access, &[s.cache_hits, s.cache_misses, 0, s.evictions]);
+            fnv1a(&mut bytes, &[s.miss_bytes]);
             for ev in ex.take_miss_log() {
-                fnv1a(&mut hash, &[u64::from(ev.server), u64::from(ev.bytes)]);
+                fnv1a(&mut access, &[u64::from(ev.server), 0]);
+                fnv1a(&mut bytes, &[u64::from(ev.bytes)]);
             }
         }
-        hash
+        (access, bytes)
     }
 
     /// What the serial executor produced before every query kind staged
     /// its fetches: answers, per-query statistics and miss logs over
     /// caches that evict a planned hit mid-frontier (60 B, 300 B), one
     /// that mostly holds the stream (64 KiB), and one that holds nothing.
-    /// The constants were computed by the blocking executor this one
-    /// replaced; they are never to be edited.
+    /// The access constants are the fingerprints the blocking executor
+    /// this one replaced produced, with the byte words read as zero; they
+    /// are never to be edited. A change that moves them changes which
+    /// records are read or in what order.
     #[test]
     fn serial_accounting_matches_the_pinned_fingerprints() {
-        let caches: [(&str, ProcessorCache, u64); 4] = [
-            (
-                "lru 60 B",
-                Box::new(LruCache::new(60)),
-                0x6d66_5743_0c0a_7206,
-            ),
-            (
-                "lru 300 B",
-                Box::new(LruCache::new(300)),
-                0x9dba_5bad_179c_556b,
-            ),
-            (
-                "lru 64 KiB",
-                Box::new(LruCache::new(64 << 10)),
-                0xc5cb_92b8_88ca_c0d5,
-            ),
-            ("null", Box::new(NullCache::new()), 0x45ce_1d92_3d9e_a8bc),
-        ];
-        for (name, mut cache, want) in caches {
-            let got = accounting_fingerprint(&mut cache);
+        for (name, mut cache, want) in pinned_caches(ACCESS_PINS) {
+            let (got, _) = accounting_fingerprints(&mut cache);
             assert_eq!(got, want, "{name}: {got:#018x}");
         }
+    }
+
+    /// The byte words of the same stream: every query's `miss_bytes` and
+    /// every miss-log entry's payload length. They move with the record
+    /// codec and with nothing else.
+    #[test]
+    fn serial_miss_bytes_match_the_pinned_fingerprints() {
+        for (name, mut cache, want) in pinned_caches(BYTE_PINS) {
+            let (_, got) = accounting_fingerprints(&mut cache);
+            assert_eq!(got, want, "{name}: {got:#018x}");
+        }
+    }
+
+    const ACCESS_PINS: [u64; 4] = [
+        0x1a6b_9af8_4d3e_1132,
+        0x5918_f50e_17a1_6244,
+        0x0467_41a4_cca6_8a1b,
+        0x80f1_2c79_9272_845a,
+    ];
+
+    const BYTE_PINS: [u64; 4] = [
+        0x83d5_f6eb_0820_f045,
+        0xac57_5b87_8fa9_1dd2,
+        0xb19b_823f_95ed_7a7b,
+        0xc426_53cc_4bb2_15ff,
+    ];
+
+    /// The four pinned caches, each beside its pin.
+    fn pinned_caches(pins: [u64; 4]) -> [(&'static str, ProcessorCache, u64); 4] {
+        [
+            ("lru 60 B", Box::new(LruCache::new(60)), pins[0]),
+            ("lru 300 B", Box::new(LruCache::new(300)), pins[1]),
+            ("lru 64 KiB", Box::new(LruCache::new(64 << 10)), pins[2]),
+            ("null", Box::new(NullCache::new()), pins[3]),
+        ]
     }
 
     /// Drives a [`StagedQuery`] exactly as a serial caller would: resume,
