@@ -9,49 +9,73 @@
 //!
 //! # Layout
 //!
-//! A record is a *frame of reference*: one base id, the smallest neighbour,
-//! and every neighbour as a fixed-width offset from it (little endian):
+//! Each neighbour list travels as its first id and then one step per later
+//! id, the difference from the id before it (fixed-width fields little
+//! endian):
 //!
 //! ```text
 //! u8  flags            bit 0: has edge labels, bit 1: has node label
 //! u16 node label       if flag bit 1
 //! varint out_count     LEB128, shortest form, at most 5 bytes
 //! varint in_count
-//! — only if out_count + in_count > 0:
-//! varint base          the smallest neighbour id
-//! u8  width            1..=4, the fewest bytes that hold (max id − base)
-//! width × (out + in)   id − base: out-neighbours, then in-neighbours
+//! — the out-list, then the in-list, each only if not empty:
+//! varint first         the list's first id
+//! step × (count − 1)   one byte 0..=254: the id is the one before plus it;
+//!                      or 0xFF, then the step as a zigzag varint: a step
+//!                      past 254, or one below 0
+//! — then:
 //! u16 × (out + in)     edge labels, out then in (if flag bit 0)
 //! ```
 //!
-//! Worked example: `AdjacencyRecord::new([5], [7, 3])` encodes to
-//! `00 01 02 03 01 02 04 00` — no flags, one out- and two in-neighbours,
-//! base 3, width 1, offsets 2, 4 and 0. That is 8 bytes, where four-byte
-//! counts and ids took 21.
+//! Worked example: `AdjacencyRecord::new([5, 7], [9, 3])` encodes to
+//! `00 02 02 05 02 09 FF 0B` — no flags, two out- and two in-neighbours;
+//! the out-list starts at 5 and steps 2; the in-list starts at 9 and steps
+//! −6, escaped (zigzag 11). That is 8 bytes, where the frame of reference
+//! before this layout took 9 and four-byte counts and ids take 25.
 //!
-//! Neighbours keep the order they were given in, duplicates included:
-//! nothing is sorted, so a traversal meets them in the graph's order. The
-//! encoding is canonical — [`AdjacencyRecord::decode`] accepts only what
-//! [`AdjacencyRecord::encode`] writes (known flags, shortest varints, the
-//! narrowest width, a base that is the minimum, no edge-label flag without
-//! neighbours, the exact length) — so a record that decodes re-encodes to
-//! the same bytes.
+//! Neighbours keep the order they were given in, duplicates included: a
+//! step of 0 or below is escaped, so nothing has to be sorted for a record
+//! to travel. The encoding is canonical — [`AdjacencyRecord::decode`]
+//! accepts only what [`AdjacencyRecord::encode`] writes (known flags,
+//! shortest varints, no escape for a step that fits a byte, ids within
+//! `u32`, no edge-label flag without neighbours, the exact length) — so a
+//! record that decodes re-encodes to the same bytes. Its varint writer and
+//! reader, [`put_varint`] and [`take_varint`], are the cluster's only
+//! LEB128 codec: the wire frames use them too.
 //!
-//! # Why a frame of reference
+//! # Why gaps
 //!
-//! The graphs gRouting serves are id-local. The WebGraph profile is built,
-//! like the host-ordered crawl it stands in for, from id-contiguous
-//! communities, so a record's neighbours sit in a narrow id range: at
-//! scale 1.0, 105,241 of its 105,897 records need width 2, 64 width 1 and
-//! 592 width 3, and the mean record falls from 291 bytes with four bytes
-//! per id to 148 (0.509). Decoding stays one length check, one
-//! fixed-stride widening loop and one vectorised check pass: about 75 ns
-//! per WebGraph record on a 2-vCPU x86-64 host, what four-byte ids took.
-//! Zigzag-delta varints are smaller (0.28 of the bytes) but decode about
-//! twice as slowly, which cost the all-miss `scatter_cold` benchmark
-//! workload 16 % more CPU per query and 13 % of its throughput. Separate
-//! bases for the out- and in-lists gained nothing (0.513 against 0.509
-//! over the records 2-hop balls reach).
+//! The graphs gRouting serves are id-local, and their lists are sorted:
+//! the WebGraph profile is built, like the host-ordered crawl it stands in
+//! for, from id-contiguous communities, and `GraphBuilder::build` sorts
+//! every node's edges. So consecutive neighbours sit close together, and
+//! 99.4 % of steps are below 255. At scale 1.0 the mean WebGraph record
+//! falls from 148.3 bytes under the frame of reference (a base id and a
+//! 1–4-byte offset per neighbour, two bytes for most records) to 78.1
+//! (0.53; four-byte ids took 291), and the records `load/`'s
+//! `scatter_cold` workload reads in its 2-hop balls from 150 to 79.
+//!
+//! A byte per step makes decoding a running sum. On x86-64 it is taken
+//! sixteen steps at a time with SSE2: one compare finds a block's first
+//! escape, three shift-and-add rounds sum the steps before it, and the
+//! running id stays in a register from block to block. A list whose
+//! one-byte steps cannot climb past `u32::MAX` takes that path, so the
+//! range is checked once per list and once per escape, not per id; a list
+//! near the top of the range, and every list off x86-64, is read a step
+//! at a time. What costs is not the ids but the events — a list's end, an
+//! escape — each a branch the predictor misses, so the decoder adds none
+//! it can avoid: a block near the end of the input is loaded from a copy
+//! of the input's last bytes, picked by a select, and a list's last block
+//! stores only the vectors that hold its ids, so a decoded buffer keeps
+//! three ids of room, not fifteen (fifteen cost `resident_hot` 8 % of its
+//! peak RSS).
+//!
+//! Decoding every WebGraph record at scale 1.0 into [`AdjacencyRecord`]
+//! on a 2-vCPU x86-64 host, both layouts in one process: a cold pass in
+//! node order took 84–86 ns per record against the frame of reference's
+//! 91 (0.92–0.94), and warm 1,000-record batches 71.2 ns against 72.2
+//! (0.99). A first escape-byte decoder, one step at a time into a
+//! zero-filled buffer, read 103–117 ns against 86–98.
 //!
 //! How compactly a record travels does not decide how much cache it takes:
 //! caches are charged [`AdjacencyRecord::resident_len`], the size of the
@@ -180,38 +204,18 @@ impl AdjacencyRecord {
 
     /// Encoded size in bytes (matches `encode().len()` exactly).
     pub fn encoded_len(&self) -> usize {
-        self.encoded_len_in(self.frame())
-    }
-
-    /// The frame of reference: the smallest id and the offset width, or
-    /// `(0, 0)` without neighbours.
-    fn frame(&self) -> (u32, usize) {
-        let mut ids = self.ids.iter().map(|v| v.raw());
-        let Some(first) = ids.next() else {
-            return (0, 0);
-        };
-        let (lo, hi) = ids.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v)));
-        (lo, width_for(hi - lo))
-    }
-
-    fn encoded_len_in(&self, (base, width): (u32, usize)) -> usize {
-        let frame = if self.ids.is_empty() {
-            0
-        } else {
-            varint_len(base) + 1 + width * self.ids.len()
-        };
         1 + if self.node_label.is_some() { 2 } else { 0 }
-            + varint_len(self.out_len as u32)
-            + varint_len(self.inc().len() as u32)
-            + frame
+            + varint_len(self.out_len as u64)
+            + varint_len(self.inc().len() as u64)
+            + list_len(self.out())
+            + list_len(self.inc())
             + 2 * self.labels.len()
     }
 
     /// Encodes to the wire format into one buffer of exactly
     /// [`AdjacencyRecord::encoded_len`] bytes.
     pub fn encode(&self) -> Bytes {
-        let (base, width) = self.frame();
-        let len = self.encoded_len_in((base, width));
+        let len = self.encoded_len();
         let mut buf = Vec::with_capacity(len);
         let mut flags = 0u8;
         if !self.labels.is_empty() {
@@ -224,15 +228,10 @@ impl AdjacencyRecord {
         if let Some(l) = self.node_label {
             buf.extend_from_slice(&l.0.to_le_bytes());
         }
-        put_varint(&mut buf, self.out_len as u32);
-        put_varint(&mut buf, self.inc().len() as u32);
-        if !self.ids.is_empty() {
-            put_varint(&mut buf, base);
-            buf.push(width as u8);
-            for v in &self.ids {
-                buf.extend_from_slice(&(v.raw() - base).to_le_bytes()[..width]);
-            }
-        }
+        put_varint(&mut buf, self.out_len as u64);
+        put_varint(&mut buf, self.inc().len() as u64);
+        put_list(&mut buf, self.out());
+        put_list(&mut buf, self.inc());
         for l in &self.labels {
             buf.extend_from_slice(&l.0.to_le_bytes());
         }
@@ -240,10 +239,11 @@ impl AdjacencyRecord {
         Bytes::from(buf)
     }
 
-    /// Decodes from the wire format: the header is validated against the
-    /// input's length first — nothing is allocated for a record the bytes
-    /// cannot hold — and the offsets are then widened in one fixed-stride
-    /// pass.
+    /// Decodes from the wire format. The header is checked against the
+    /// input's length first — every id costs at least one byte and every
+    /// edge label two, so nothing is allocated for a record the bytes
+    /// cannot hold — and each list is then summed up from its steps
+    /// straight into the record's id buffer.
     ///
     /// # Errors
     ///
@@ -265,8 +265,8 @@ impl AdjacencyRecord {
         } else {
             None
         };
-        let out_count = take_varint(&mut rest)?;
-        let in_count = take_varint(&mut rest)?;
+        let out_count = take_varint_u32(&mut rest)?;
+        let in_count = take_varint_u32(&mut rest)?;
         let labeled = flags & FLAG_EDGE_LABELS != 0;
         // In u64 the claimed sizes cannot overflow, whatever the counts say.
         let total = u64::from(out_count) + u64::from(in_count);
@@ -280,29 +280,17 @@ impl AdjacencyRecord {
                 ..Self::default()
             });
         }
-        let base = take_varint(&mut rest)?;
-        let Some((&width, body)) = rest.split_first() else {
-            return Err(short(1, 0));
-        };
-        if !(1..=4).contains(&width) {
-            return Err(malformed(format!("offset width {width}")));
+        let label_bytes = if labeled { 2 * total } else { 0 };
+        if (rest.len() as u64) < total + label_bytes {
+            return Err(short(total + label_bytes, rest.len()));
         }
-        let width = usize::from(width);
-        exact_len(
-            total * (width as u64 + if labeled { 2 } else { 0 }),
-            body.len(),
-        )?;
-        // The length matched, so the counts fit the input (and `usize`).
-        let (offsets, labels) = body.split_at(width * total as usize);
-        let ids = match width {
-            1 => widen::<1>(offsets, base)?,
-            2 => widen::<2>(offsets, base)?,
-            3 => widen::<3>(offsets, base)?,
-            _ => widen::<4>(offsets, base)?,
-        };
+        // The input holds a byte per id, so the counts fit `usize`.
+        let mut ids = Vec::with_capacity(total as usize + SLACK);
+        take_lists(&mut rest, [out_count as usize, in_count as usize], &mut ids)?;
+        exact_len(label_bytes, rest.len())?;
         Ok(Self {
             ids,
-            labels: labels
+            labels: rest
                 .chunks_exact(2)
                 .map(|c| EdgeLabelId::new(u16::from_le_bytes([c[0], c[1]])))
                 .collect(),
@@ -312,52 +300,311 @@ impl AdjacencyRecord {
     }
 }
 
-/// Widens `W`-byte offsets from `base` into ids, then checks them
-/// against the canonical form: `W` is the narrowest width, some id sits at
-/// the base, and no id passed `u32::MAX`. The checks are a second pass of
-/// bitwise folds over the widened ids — the OR of the offsets has the
-/// largest offset's top bit and bounds it from above — which the compiler
-/// vectorises. Folding min and max instead (baseline x86-64 has no
-/// unsigned vector min), or checking inside the widening pass, made a
-/// WebGraph record's ~75 ns decode 15 to 110 ns slower.
-fn widen<const W: usize>(offsets: &[u8], base: u32) -> Result<Vec<NodeId>> {
-    let ids: Vec<NodeId> = offsets
-        .chunks_exact(W)
-        .map(|c| {
-            let mut le = [0u8; 4];
-            le[..W].copy_from_slice(c);
-            NodeId::new(base.wrapping_add(u32::from_le_bytes(le)))
-        })
-        .collect();
-    let (any, zero) = ids.iter().fold((0u32, 0u32), |(any, zero), v| {
-        let off = v.raw().wrapping_sub(base);
-        (any | off, zero | u32::from(off == 0))
-    });
-    if width_for(any) != W {
-        return Err(malformed(format!(
-            "width {W} is wider than offsets within {any:#x} need"
-        )));
-    }
-    if zero == 0 {
-        return Err(malformed(format!("base {base} is not the smallest id")));
-    }
-    // An id that passed u32::MAX wrapped around to below the base.
-    if base.checked_add(any).is_none() && ids.iter().any(|v| v.raw() < base) {
-        return Err(malformed(format!("an id past u32::MAX from base {base}")));
-    }
-    Ok(ids)
+/// The byte that announces an escaped step.
+const ESCAPE: u8 = 0xFF;
+
+/// A step from one id to the next, as the escape carries it: zigzag, so
+/// small steps of either sign take short varints.
+fn zigzag(step: i64) -> u64 {
+    ((step << 1) ^ (step >> 63)) as u64
 }
 
-/// The fewest bytes (at least one) that hold `span`.
-fn width_for(span: u32) -> usize {
-    (4 - span.leading_zeros() as usize / 8).max(1)
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
 }
 
-fn varint_len(v: u32) -> usize {
-    1 + (31 - (v | 1).leading_zeros() as usize) / 7
+/// The step from `prev` to `next`, or `None` when it takes one byte.
+fn escaped_step(prev: NodeId, next: NodeId) -> Option<u64> {
+    let step = i64::from(next.raw()) - i64::from(prev.raw());
+    (!(0..i64::from(ESCAPE)).contains(&step)).then(|| zigzag(step))
 }
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
+/// Bytes [`put_list`] writes for `ids`.
+fn list_len(ids: &[NodeId]) -> usize {
+    let Some(first) = ids.first() else {
+        return 0;
+    };
+    varint_len(u64::from(first.raw()))
+        + ids
+            .windows(2)
+            .map(|w| escaped_step(w[0], w[1]).map_or(1, |z| 1 + varint_len(z)))
+            .sum::<usize>()
+}
+
+/// Appends one neighbour list: its first id, then a step per later id.
+fn put_list(buf: &mut Vec<u8>, ids: &[NodeId]) {
+    let Some(first) = ids.first() else {
+        return;
+    };
+    put_varint(buf, u64::from(first.raw()));
+    for w in ids.windows(2) {
+        match escaped_step(w[0], w[1]) {
+            None => buf.push((w[1].raw() - w[0].raw()) as u8),
+            Some(z) => {
+                buf.push(ESCAPE);
+                put_varint(buf, z);
+            }
+        }
+    }
+}
+
+/// Steps a block holds: sixteen bytes, one SSE2 vector.
+const BLOCK: usize = 16;
+
+/// Room a decoded record's id buffer keeps past its last id: a block's
+/// ids are stored four at a time, so its last store may run three past.
+const SLACK: usize = 3;
+
+/// Reads the out-list and then the in-list, of `counts` ids, off the front
+/// of `data` onto `ids`: for each, its first id, then its steps. While no
+/// run of one-byte steps can pass `u32::MAX` the steps are read sixteen at
+/// a time (see [`sse2::take_list`]); near the top of the range, and off
+/// x86-64, one at a time.
+fn take_lists(data: &mut &[u8], counts: [usize; 2], ids: &mut Vec<NodeId>) -> Result<()> {
+    #[cfg(target_arch = "x86_64")]
+    let tail = sse2::tail(data);
+    for count in counts {
+        if count == 0 {
+            continue;
+        }
+        let first = take_varint_u32(data)?;
+        let steps = count - 1;
+        #[cfg(target_arch = "x86_64")]
+        if sse2::climbs_in_range(first, steps) {
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            unsafe { sse2::take_list(&tail, data, first, steps, ids) }?;
+            continue;
+        }
+        ids.push(NodeId::new(first));
+        take_steps(data, steps, ids, first)?;
+    }
+    Ok(())
+}
+
+/// Reads `steps` steps off the front of `data`, one at a time, and
+/// appends the ids they reach from `prev`.
+fn take_steps(data: &mut &[u8], steps: usize, ids: &mut Vec<NodeId>, mut prev: u32) -> Result<()> {
+    for left in (1..=steps).rev() {
+        let Some((&b, tail)) = data.split_first() else {
+            return Err(short(left as u64, 0));
+        };
+        *data = tail;
+        prev = if b == ESCAPE {
+            take_escaped(data, prev)?
+        } else {
+            prev.checked_add(u32::from(b))
+                .ok_or_else(|| malformed(format!("step {b} from {prev} passes u32::MAX")))?
+        };
+        ids.push(NodeId::new(prev));
+    }
+    Ok(())
+}
+
+/// Reads the zigzag varint behind an escape byte and returns the id its
+/// step reaches from `prev`.
+fn take_escaped(data: &mut &[u8], prev: u32) -> Result<u32> {
+    let step = unzigzag(take_varint(data)?);
+    if (0..i64::from(ESCAPE)).contains(&step) {
+        return Err(malformed(format!("escaped step {step} fits a byte")));
+    }
+    i64::from(prev)
+        .checked_add(step)
+        .and_then(|id| u32::try_from(id).ok())
+        .ok_or_else(|| malformed(format!("step {step} from {prev} leaves u32")))
+}
+
+#[cfg(target_arch = "x86_64")]
+mod sse2 {
+    use std::arch::x86_64::*;
+
+    use super::{short, take_escaped, take_steps};
+    use super::{BLOCK, ESCAPE, SLACK};
+    use crate::ids::NodeId;
+    use crate::Result;
+
+    /// Whether `steps` one-byte steps from `prev` stay within `u32`.
+    pub(super) fn climbs_in_range(prev: u32, steps: usize) -> bool {
+        u64::from(prev) + u64::from(ESCAPE - 1) * steps as u64 <= u64::from(u32::MAX)
+    }
+
+    /// The last block of `data` and a block of zeros after it. A block
+    /// that would read past the end of `data` reads its bytes from here
+    /// instead, at the same distance from the end, so which of the two a
+    /// block is loaded from is a select, not a branch the predictor has
+    /// to guess once per record.
+    pub(super) fn tail(data: &[u8]) -> [u8; 2 * BLOCK] {
+        let mut tail = [0u8; 2 * BLOCK];
+        match data.last_chunk::<BLOCK>() {
+            Some(last) => tail[..BLOCK].copy_from_slice(last),
+            None => tail[BLOCK - data.len()..BLOCK].copy_from_slice(data),
+        }
+        tail
+    }
+
+    /// Running sums of eight `u16` lanes: three shift-and-add rounds.
+    #[target_feature(enable = "sse2")]
+    fn prefix(v: __m128i) -> __m128i {
+        let v = _mm_add_epi16(v, _mm_slli_si128::<2>(v));
+        let v = _mm_add_epi16(v, _mm_slli_si128::<4>(v));
+        _mm_add_epi16(v, _mm_slli_si128::<8>(v))
+    }
+
+    /// Sixteen steps summed from the id in every lane of `base`: widened to
+    /// `u16` lanes (eight steps of at most 255 fit one), prefix-summed,
+    /// widened to `u32` and offset by `base`.
+    #[target_feature(enable = "sse2")]
+    fn sums(v: __m128i, base: __m128i) -> [__m128i; 4] {
+        let zero = _mm_setzero_si128();
+        let lo = prefix(_mm_unpacklo_epi8(v, zero));
+        let hi = prefix(_mm_unpackhi_epi8(v, zero));
+        let a1 = _mm_add_epi32(base, _mm_unpackhi_epi16(lo, zero));
+        let mid = _mm_shuffle_epi32::<0xFF>(a1);
+        [
+            _mm_add_epi32(base, _mm_unpacklo_epi16(lo, zero)),
+            a1,
+            _mm_add_epi32(mid, _mm_unpacklo_epi16(hi, zero)),
+            _mm_add_epi32(mid, _mm_unpackhi_epi16(hi, zero)),
+        ]
+    }
+
+    /// A bit per byte of `v` that is an [`ESCAPE`].
+    #[target_feature(enable = "sse2")]
+    fn escapes(v: __m128i) -> u32 {
+        _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8(ESCAPE as i8))) as u32
+    }
+
+    /// Appends the list that starts at `first` and then
+    /// [`super::take_steps`] sixteen at a time, for a list whose one-byte
+    /// steps cannot pass `u32::MAX`. One compare finds a block's first
+    /// escape; the block is summed whole ([`sums`]), with the running id
+    /// held in a register from block to block, and the ids before the
+    /// escape are kept. Whole blocks are stored as they are; the list's
+    /// last, partial block stores only the vectors that hold its ids, so
+    /// the buffer needs [`SLACK`] ids of room, not fifteen.
+    #[target_feature(enable = "sse2")]
+    pub(super) fn take_list(
+        tail: &[u8; 2 * BLOCK],
+        data: &mut &[u8],
+        first: u32,
+        steps: usize,
+        ids: &mut Vec<NodeId>,
+    ) -> Result<()> {
+        // An escape reads the id before it back, which may be this one.
+        ids.push(NodeId::new(first));
+        ids.reserve(steps + SLACK);
+        let start = ids.len();
+        // SAFETY: `start` is the vector's length, within its allocation.
+        let out = unsafe { ids.as_mut_ptr().add(start) };
+        let mut base = _mm_set1_epi32(first as i32);
+        let mut bytes = *data;
+        let mut done = 0;
+        loop {
+            // Whole blocks, while sixteen steps are to come and sixteen
+            // bytes are there to read.
+            let mut found = 0;
+            while let (true, Some(block)) = (steps - done >= BLOCK, bytes.first_chunk::<BLOCK>()) {
+                // SAFETY: `block` is sixteen readable bytes; the load is
+                // unaligned.
+                let v = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+                let sums = sums(v, base);
+                // SAFETY: `NodeId` is a transparent `u32`, so a vector
+                // holds four, and the sixteen ids past `start + done` are
+                // all the list's (`steps - done >= 16`).
+                unsafe {
+                    let at = out.add(done).cast::<__m128i>();
+                    for (k, sum) in sums.into_iter().enumerate() {
+                        _mm_storeu_si128(at.add(k), sum);
+                    }
+                }
+                found = escapes(v);
+                if found != 0 {
+                    break;
+                }
+                done += BLOCK;
+                bytes = &bytes[BLOCK..];
+                base = _mm_shuffle_epi32::<0xFF>(sums[3]);
+            }
+            if found == 0 {
+                // The list's last block: fewer than sixteen steps, or the
+                // input's last bytes.
+                if done == steps {
+                    break;
+                }
+                let want = (steps - done).min(BLOCK);
+                let left = bytes.len();
+                let have = want.min(left);
+                let block = if left >= BLOCK {
+                    bytes.as_ptr()
+                } else {
+                    tail.as_ptr().wrapping_add(BLOCK - left)
+                };
+                // SAFETY: sixteen bytes are readable at `block`: either
+                // `bytes` holds them, or `block` is `BLOCK - left` bytes
+                // into the `2 * BLOCK` of `tail`. The load is unaligned.
+                // (That `tail` copies the input's end makes the bytes
+                // right, not the load sound.)
+                let v = unsafe { _mm_loadu_si128(block.cast()) };
+                let sums = sums(v, base);
+                // SAFETY: as above for the vectors that hold the block's
+                // `have` ids. A vector past them lands on the block's
+                // first four instead, which `sums[0]`, stored last, then
+                // overwrites: the destination is an offset, not a branch.
+                // As `done < steps`, no store ends more than three ids
+                // past `start + steps`, within the room `reserve` left.
+                unsafe {
+                    let at = out.add(done).cast::<__m128i>();
+                    let last = have.saturating_sub(1) / 4;
+                    for k in (0..4).rev() {
+                        _mm_storeu_si128(at.add(k.min(last)), sums[k]);
+                    }
+                }
+                found = escapes(v) & ((1 << have) - 1);
+                if found == 0 {
+                    if have < want {
+                        return Err(short((steps - done) as u64, have));
+                    }
+                    done += have;
+                    bytes = &bytes[have..];
+                    break;
+                }
+            }
+            let plain = found.trailing_zeros() as usize;
+            // SAFETY: the id before the escape is initialised: the
+            // stores above wrote it, or an earlier block or escape did, or
+            // it is `first`, pushed just before `start`.
+            let mut last = unsafe { out.add(done + plain).sub(1).read() }.raw();
+            done += plain;
+            bytes = &bytes[plain + 1..];
+            // A copy, so that `bytes` can stay in a register.
+            let mut rest = bytes;
+            last = take_escaped(&mut rest, last)?;
+            bytes = rest;
+            // SAFETY: `done < steps`, within the reserved room.
+            unsafe { out.add(done).write(NodeId::new(last)) };
+            done += 1;
+            if !climbs_in_range(last, steps - done) {
+                // SAFETY: the stores wrote every id before `done`.
+                unsafe { ids.set_len(start + done) };
+                *data = bytes;
+                return take_steps(data, steps - done, ids, last);
+            }
+            base = _mm_set1_epi32(last as i32);
+        }
+        // SAFETY: the stores wrote every id before `done`.
+        unsafe { ids.set_len(start + done) };
+        *data = bytes;
+        Ok(())
+    }
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+pub fn varint_len(v: u64) -> usize {
+    1 + (63 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Appends `v` as an LEB128 varint: seven bits a byte, low group first,
+/// the high bit set on every byte but the last.
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         buf.push(v as u8 | 0x80);
         v >>= 7;
@@ -365,26 +612,69 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
     buf.push(v as u8);
 }
 
-/// Reads one LEB128 `u32` in its shortest form off the front of `data`.
-fn take_varint(data: &mut &[u8]) -> Result<u32> {
+/// Reads one LEB128 `u64` off the front of `data`, in its shortest form
+/// only: a zero final byte after the first (a non-shortest encoding), a
+/// tenth byte carrying more than bit 63, and an eleventh byte are all
+/// refused, so the value has exactly one encoding.
+///
+/// # Errors
+///
+/// Returns [`GraphError::Codec`] on a cut, non-shortest or overlong
+/// varint; `data` is then left as it was.
+#[inline(always)]
+pub fn take_varint(data: &mut &[u8]) -> Result<u64> {
+    // Counts, ids and escaped steps take one to three bytes: those forms
+    // are read inline, and anything else, errors included, by the loop.
+    match **data {
+        [b0, ref tail @ ..] if b0 < 0x80 => {
+            *data = tail;
+            Ok(u64::from(b0))
+        }
+        [b0, b1, ref tail @ ..] if b1.wrapping_sub(1) < 0x7F => {
+            *data = tail;
+            Ok(u64::from(b0 & 0x7F) | u64::from(b1) << 7)
+        }
+        [b0, b1, b2, ref tail @ ..] if b1 >= 0x80 && b2.wrapping_sub(1) < 0x7F => {
+            *data = tail;
+            Ok(u64::from(b0 & 0x7F) | u64::from(b1 & 0x7F) << 7 | u64::from(b2) << 14)
+        }
+        _ => take_long_varint(data),
+    }
+}
+
+/// [`take_varint`] past its inline forms.
+fn take_long_varint(data: &mut &[u8]) -> Result<u64> {
     let bytes = *data;
     let mut v = 0u64;
-    for (i, &b) in bytes.iter().take(5).enumerate() {
-        v |= u64::from(b & 0x7F) << (7 * i);
+    for (i, &b) in bytes.iter().take(10).enumerate() {
         if b & 0x80 == 0 {
             if i > 0 && b == 0 {
                 return Err(malformed(format!("{}-byte varint for {v}", i + 1)));
             }
-            let v = u32::try_from(v).map_err(|_| malformed(format!("varint {v} past u32")))?;
+            if i == 9 && b > 1 {
+                return Err(malformed("varint past u64".into()));
+            }
             *data = &bytes[i + 1..];
-            return Ok(v);
+            return Ok(v | u64::from(b) << (7 * i));
         }
+        v |= u64::from(b & 0x7F) << (7 * i);
     }
-    Err(if bytes.len() < 5 {
-        short(bytes.len() as u64 + 1, bytes.len())
+    Err(malformed(if bytes.len() < 10 {
+        format!("varint cut after {} bytes", bytes.len())
     } else {
-        malformed("varint longer than 5 bytes".into())
-    })
+        "varint longer than 10 bytes".into()
+    }))
+}
+
+/// [`take_varint`] for a `u32` field: a value past `u32::MAX` is refused.
+///
+/// # Errors
+///
+/// As [`take_varint`], and on a value past `u32::MAX`.
+#[inline(always)]
+pub fn take_varint_u32(data: &mut &[u8]) -> Result<u32> {
+    let v = take_varint(data)?;
+    u32::try_from(v).map_err(|_| malformed(format!("varint {v} past u32")))
 }
 
 fn exact_len(need: u64, have: usize) -> Result<()> {
@@ -444,14 +734,14 @@ mod tests {
 
     #[test]
     fn worked_example_encodes_to_eight_bytes() {
-        let rec = AdjacencyRecord::new([n(5)], [n(7), n(3)]);
+        let rec = AdjacencyRecord::new([n(5), n(7)], [n(9), n(3)]);
         let bytes = rec.encode();
         assert_eq!(
             &bytes[..],
-            &[0x00, 0x01, 0x02, 0x03, 0x01, 0x02, 0x04, 0x00]
+            &[0x00, 0x02, 0x02, 0x05, 0x02, 0x09, 0xFF, 0x0B]
         );
         assert_eq!(rec.encoded_len(), 8);
-        assert_eq!(rec.resident_len(), 21);
+        assert_eq!(rec.resident_len(), 25);
         assert_eq!(AdjacencyRecord::decode(bytes).unwrap(), rec);
     }
 
@@ -525,12 +815,12 @@ mod tests {
         assert_eq!(rec.all_neighbors(), &[n(5), n(7), n(8)]);
     }
 
-    /// The records behind `tests/fixtures/adjacency_records_v2.hex`, which
-    /// holds what the frame-of-reference encoder wrote for them (one hex
-    /// line each, same order): 24 pseudo-random records — labelled,
-    /// node-labelled, empty lists, ids near `u32::MAX` — then hand-picked
-    /// ones so that every offset width and a base within 255 of
-    /// `u32::MAX` appear.
+    /// The records behind `tests/fixtures/adjacency_records_v3.hex`, which
+    /// holds what the gap encoder wrote for them (one hex line each, same
+    /// order): 24 pseudo-random records — labelled, node-labelled, empty
+    /// lists, ids near `u32::MAX` — then four hand-picked ones from the
+    /// frame-of-reference fixture before it, then one per gap class (see
+    /// [`fixture_records_cover_every_gap_class`]).
     fn fixture_records() -> Vec<AdjacencyRecord> {
         let mut x: u32 = 0x2545_F491;
         let mut next = move || {
@@ -585,25 +875,56 @@ mod tests {
         );
         top.node_label = Some(NodeLabelId::new(7));
         records.push(top);
+        // The widest one-byte step, 254, and the narrowest escaped one.
+        records.push(AdjacencyRecord::new([n(10), n(264), n(519)], []));
+        // A descending step, then a duplicate.
+        records.push(AdjacencyRecord::new([n(7)], [n(500), n(400), n(400)]));
+        // Both ends of the id range in one list, each way round.
+        records.push(AdjacencyRecord::new(
+            [n(0), n(u32::MAX)],
+            [n(u32::MAX), n(0)],
+        ));
+        // A first id that takes all five varint bytes, labelled.
+        records.push(
+            AdjacencyRecord::new([n(1 << 28), n(1 << 28)], []).with_edge_labels(&[l(4), l(5)], &[]),
+        );
         records
     }
 
+    /// Every kind of step the layout distinguishes appears in the fixture:
+    /// the widest one-byte step (254), the narrowest escaped one (255), a
+    /// descending step, a duplicate, a list holding both 0 and
+    /// `u32::MAX`, and a first id that takes five bytes.
     #[test]
-    fn fixture_records_cover_every_width_and_a_base_near_the_top() {
-        let frames: Vec<(u32, usize)> = fixture_records()
+    fn fixture_records_cover_every_gap_class() {
+        let records = fixture_records();
+        let lists: Vec<&[NodeId]> = records.iter().flat_map(|r| [r.out(), r.inc()]).collect();
+        let steps: Vec<i64> = lists
             .iter()
-            .filter(|r| r.degree() > 0)
-            .map(AdjacencyRecord::frame)
+            .flat_map(|l| l.windows(2))
+            .map(|w| i64::from(w[1].raw()) - i64::from(w[0].raw()))
             .collect();
-        for width in 1..=4 {
-            assert!(frames.iter().any(|f| f.1 == width), "no width {width}");
+        for step in [254, 255, 0] {
+            assert!(steps.contains(&step), "no step of {step}");
         }
-        assert!(frames.iter().any(|f| f.0 >= u32::MAX - 255));
+        assert!(steps.iter().any(|&s| s < 0), "no descending step");
+        assert!(
+            lists
+                .iter()
+                .any(|l| l.contains(&n(0)) && l.contains(&n(u32::MAX))),
+            "no list spans the id range"
+        );
+        assert!(
+            lists.iter().any(|l| l
+                .first()
+                .is_some_and(|v| varint_len(u64::from(v.raw())) == 5)),
+            "no five-byte first id"
+        );
     }
 
     #[test]
     fn stored_values_round_trip_byte_for_byte() {
-        let fixture: Vec<Vec<u8>> = include_str!("../tests/fixtures/adjacency_records_v2.hex")
+        let fixture: Vec<Vec<u8>> = include_str!("../tests/fixtures/adjacency_records_v3.hex")
             .lines()
             .map(|line| {
                 (0..line.len())
@@ -643,7 +964,53 @@ mod tests {
         }
     }
 
+    /// `ids` as a walk: each entry either steps from the id before by a
+    /// few hundred at most (one byte, or just past it) or jumps anywhere
+    /// (an escape of either sign).
+    fn walk(start: u32, moves: &[(u32, bool, u32)]) -> Vec<NodeId> {
+        let mut id = start;
+        moves
+            .iter()
+            .map(|&(step, jump, to)| {
+                id = if jump { to } else { id.saturating_add(step) };
+                n(id)
+            })
+            .collect()
+    }
+
     proptest::proptest! {
+        /// The one-at-a-time path — every list off x86-64, and lists near
+        /// the top of the id range — reads what the decoder's block path
+        /// reads, escapes, runs longer than a block and all.
+        #[test]
+        fn prop_steps_one_at_a_time_match_the_decoder(
+            out in proptest::collection::vec((0u32..300, proptest::bool::ANY, 0u32..=u32::MAX), 0..80),
+            inc in proptest::collection::vec((0u32..300, proptest::bool::ANY, 0u32..=u32::MAX), 0..80),
+            start in 0u32..=u32::MAX,
+            shift in 0u32..32,
+        ) {
+            let few = |m: &[(u32, bool, u32)]| -> Vec<(u32, bool, u32)> {
+                // Jump rarely, so that most runs are longer than a block.
+                m.iter().map(|&(s, j, t)| (s, j && s % 8 == 0, t)).collect()
+            };
+            let rec = AdjacencyRecord::new(walk(start >> shift, &few(&out)), walk(start >> shift, &few(&inc)));
+            let bytes = rec.encode();
+            let decoded = AdjacencyRecord::decode(bytes.clone()).unwrap();
+            proptest::prop_assert_eq!(&decoded, &rec);
+            let header = 1 + varint_len(out.len() as u64) + varint_len(inc.len() as u64);
+            let mut data = &bytes[header..];
+            let mut ids = Vec::new();
+            for count in [out.len(), inc.len()] {
+                if count > 0 {
+                    let first = take_varint_u32(&mut data).unwrap();
+                    ids.push(NodeId::new(first));
+                    take_steps(&mut data, count - 1, &mut ids, first).unwrap();
+                }
+            }
+            proptest::prop_assert!(data.is_empty());
+            proptest::prop_assert_eq!(&ids[..], decoded.all_neighbors());
+        }
+
         #[test]
         fn prop_codec_round_trip(
             out in proptest::collection::vec(0u32..=u32::MAX, 0..50),
@@ -652,8 +1019,8 @@ mod tests {
             labeled in proptest::bool::ANY,
             node_label in proptest::option::of(0u16..100),
         ) {
-            // Shifting the ids right narrows their span, so every width
-            // (and bases from zero to near the top) gets exercised.
+            // Shifting the ids right narrows their steps, so one-byte and
+            // escaped steps of every varint length get exercised.
             let (out, inc): (Vec<u32>, Vec<u32>) = (
                 out.iter().map(|&v| v >> shift).collect(),
                 inc.iter().map(|&v| v >> shift).collect(),

@@ -972,10 +972,10 @@ mod tests {
     ];
 
     const BYTE_PINS: [u64; 4] = [
-        0x83d5_f6eb_0820_f045,
-        0xac57_5b87_8fa9_1dd2,
-        0xb19b_823f_95ed_7a7b,
-        0xc426_53cc_4bb2_15ff,
+        0x4fb6_98bc_5078_10c3,
+        0xd84a_bb3f_028e_de76,
+        0x2482_906d_deef_cda1,
+        0x022b_d86a_6288_8d27,
     ];
 
     /// The four pinned caches, each beside its pin.

@@ -455,8 +455,8 @@ mod tests {
         let mut store = CacheBackedStore::new(&t, &mut cache);
         let rec = store.fetch(n(0)).unwrap();
         assert_eq!(rec.resident_len(), 21);
-        assert_eq!(store.stats().miss_bytes, 8, "the payload as it travelled");
-        assert_eq!(store.take_miss_log()[0].bytes, 8);
+        assert_eq!(store.stats().miss_bytes, 6, "the payload as it travelled");
+        assert_eq!(store.take_miss_log()[0].bytes, 6);
         drop(store);
         assert_eq!(cache.bytes(), 21, "the record as it is held");
     }

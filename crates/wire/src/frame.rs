@@ -50,8 +50,10 @@
 //!   [`AccessStats`] words v, `arrived_ns` v, `completed_ns` v,
 //!   `completed_ns − started_ns` v, flags, then the flagged blocks.
 //!
-//! Decoding is as strict as the record codec's: a varint in other than
-//! its shortest form, one longer than ten bytes or past `u64`, a value
+//! The varints are the record codec's own (`grouting_graph::codec`'s
+//! `put_varint` and `take_varint`), and decoding is as strict as it is: a
+//! varint in other than its shortest form, one longer than ten bytes or
+//! past `u64`, a value
 //! past its field's type (`u32` ids, hops, steps and processor) and a
 //! start-to-completion span longer than `completed_ns` are all rejected,
 //! so every accepted frame re-encodes to the bytes that arrived and
@@ -84,7 +86,8 @@
 //! forwards completions to the client with all three at their defaults.
 
 use bytes::{Buf, BufMut, Bytes};
-use grouting_graph::{NodeId, NodeLabelId};
+use grouting_graph::codec::{self, put_varint, varint_len};
+use grouting_graph::{GraphError, NodeId, NodeLabelId};
 use grouting_metrics::{FailoverStats, HeatMap, RunSnapshot};
 use grouting_obs::RegistrySnapshot;
 use grouting_query::{AccessStats, PrefetchStats, Query, QueryResult};
@@ -554,11 +557,11 @@ impl Frame {
                 }
             }
             TAG_SUBMIT | TAG_DISPATCH => {
-                let seq = take_varint(&mut data)?;
+                let seq = take_u64(&mut data)?;
                 let query = get_query(&mut data)?;
                 let present = take_presence(&mut data)?;
                 if tag == TAG_SUBMIT {
-                    let submitted_ns = present.then(|| take_varint(&mut data)).transpose()?;
+                    let submitted_ns = present.then(|| take_u64(&mut data)).transpose()?;
                     Frame::Submit {
                         seq,
                         query,
@@ -575,7 +578,7 @@ impl Frame {
                         }
                         Some(DispatchTrace {
                             level,
-                            dispatched_ns: take_varint(&mut data)?,
+                            dispatched_ns: take_u64(&mut data)?,
                         })
                     } else {
                         None
@@ -585,18 +588,18 @@ impl Frame {
             }
             TAG_SUBMIT_END => Frame::SubmitEnd,
             TAG_COMPLETION => {
-                let seq = take_varint(&mut data)?;
+                let seq = take_u64(&mut data)?;
                 let processor = take_u32(&mut data)?;
                 let result = get_result(&mut data)?;
                 let stats = AccessStats {
-                    cache_hits: take_varint(&mut data)?,
-                    cache_misses: take_varint(&mut data)?,
-                    miss_bytes: take_varint(&mut data)?,
-                    evictions: take_varint(&mut data)?,
+                    cache_hits: take_u64(&mut data)?,
+                    cache_misses: take_u64(&mut data)?,
+                    miss_bytes: take_u64(&mut data)?,
+                    evictions: take_u64(&mut data)?,
                 };
-                let arrived_ns = take_varint(&mut data)?;
-                let completed_ns = take_varint(&mut data)?;
-                let service_ns = take_varint(&mut data)?;
+                let arrived_ns = take_u64(&mut data)?;
+                let completed_ns = take_u64(&mut data)?;
+                let service_ns = take_u64(&mut data)?;
                 let started_ns = completed_ns.checked_sub(service_ns).ok_or_else(|| {
                     WireError::Codec(format!(
                         "service span {service_ns} ns exceeds completion stamp {completed_ns}"
@@ -878,10 +881,10 @@ fn put_result(buf: &mut Vec<u8>, result: &QueryResult) {
 fn get_result(data: &mut Bytes) -> WireResult<QueryResult> {
     need(data, 1)?;
     match data.get_u8() {
-        RESULT_COUNT => Ok(QueryResult::Count(take_varint(data)?)),
+        RESULT_COUNT => Ok(QueryResult::Count(take_u64(data)?)),
         RESULT_WALK => Ok(QueryResult::Walk {
             end: NodeId::new(take_u32(data)?),
-            visited: take_varint(data)?,
+            visited: take_u64(data)?,
         }),
         RESULT_REACHABLE => {
             need(data, 1)?;
@@ -895,52 +898,30 @@ fn get_result(data: &mut Bytes) -> WireResult<QueryResult> {
     }
 }
 
-/// Bytes [`put_varint`] writes for `v`.
-fn varint_len(v: u64) -> usize {
-    1 + (63 - (v | 1).leading_zeros() as usize) / 7
+/// Reads one varint off the front of `data` with the record codec's
+/// strict reader ([`codec::take_varint`]): shortest form, at most ten
+/// bytes, within `u64`.
+fn take_u64(data: &mut Bytes) -> WireResult<u64> {
+    let mut rest: &[u8] = data;
+    let v = codec::take_varint(&mut rest).map_err(codec_error)?;
+    data.advance(data.len() - rest.len());
+    Ok(v)
 }
 
-/// Appends `v` as an LEB128 varint: seven bits a byte, low group first,
-/// the high bit set on every byte but the last.
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-/// Reads one LEB128 `u64` off the front of `data`, in its shortest form
-/// only: a zero final byte after the first (a non-shortest encoding), a
-/// tenth byte carrying more than bit 63, and an eleventh byte are all
-/// refused, so the value has exactly one encoding.
-fn take_varint(data: &mut Bytes) -> WireResult<u64> {
-    let bytes: &[u8] = data;
-    let mut v = 0u64;
-    for (i, &b) in bytes.iter().take(10).enumerate() {
-        if b & 0x80 == 0 {
-            if i > 0 && b == 0 {
-                return Err(WireError::Codec(format!("{}-byte varint for {v}", i + 1)));
-            }
-            if i == 9 && b > 1 {
-                return Err(WireError::Codec("varint past u64".to_string()));
-            }
-            data.advance(i + 1);
-            return Ok(v | u64::from(b) << (7 * i));
-        }
-        v |= u64::from(b & 0x7F) << (7 * i);
-    }
-    Err(WireError::Codec(if bytes.len() < 10 {
-        format!("varint cut after {} bytes", bytes.len())
-    } else {
-        "varint longer than 10 bytes".to_string()
-    }))
-}
-
-/// [`take_varint`] for a `u32` field.
+/// [`take_u64`] for a `u32` field.
 fn take_u32(data: &mut Bytes) -> WireResult<u32> {
-    let v = take_varint(data)?;
-    u32::try_from(v).map_err(|_| WireError::Codec(format!("varint {v} past u32")))
+    let mut rest: &[u8] = data;
+    let v = codec::take_varint_u32(&mut rest).map_err(codec_error)?;
+    data.advance(data.len() - rest.len());
+    Ok(v)
+}
+
+/// The record codec's refusal, as a frame codec error.
+fn codec_error(e: GraphError) -> WireError {
+    match e {
+        GraphError::Codec(msg) => WireError::Codec(msg),
+        other => WireError::Codec(other.to_string()),
+    }
 }
 
 /// Appends a flags byte announcing one optional block.
