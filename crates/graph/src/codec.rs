@@ -763,7 +763,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation() {
-        for rec in [AdjacencyRecord::new([n(1), n(2)], []), full_record()] {
+        // The third runs past a block and escapes in both lists.
+        let long = AdjacencyRecord::new((0..40).map(n), [n(5), n(1_000), n(1_001)]);
+        for rec in [AdjacencyRecord::new([n(1), n(2)], []), full_record(), long] {
             let bytes = rec.encode();
             for cut in 0..bytes.len() {
                 let r = AdjacencyRecord::decode(bytes.slice(0..cut));
