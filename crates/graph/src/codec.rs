@@ -34,8 +34,8 @@
 //! before this layout took 9 and four-byte counts and ids take 25.
 //!
 //! Neighbours keep the order they were given in, duplicates included: a
-//! step of 0 or below is escaped, so nothing has to be sorted for a record
-//! to travel. The encoding is canonical — [`AdjacencyRecord::decode`]
+//! duplicate is a step of 0 and a step below 0 is escaped, so nothing has
+//! to be sorted for a record to travel. The encoding is canonical — [`AdjacencyRecord::decode`]
 //! accepts only what [`AdjacencyRecord::encode`] writes (known flags,
 //! shortest varints, no escape for a step that fits a byte, ids within
 //! `u32`, no edge-label flag without neighbours, the exact length) — so a
@@ -74,7 +74,7 @@
 //! on a 2-vCPU x86-64 host, both layouts in one process: a cold pass in
 //! node order took 84–86 ns per record against the frame of reference's
 //! 91 (0.92–0.94), and warm 1,000-record batches 71.2 ns against 72.2
-//! (0.99). A first escape-byte decoder, one step at a time into a
+//! (0.99). A first escape-byte decoder, eight bytes at a time into a
 //! zero-filled buffer, read 103–117 ns against 86–98.
 //!
 //! How compactly a record travels does not decide how much cache it takes:
