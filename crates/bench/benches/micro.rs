@@ -474,7 +474,8 @@ fn wire_overlap_throughput(c: &mut Criterion) {
     use grouting_core::query::ProcessorCache;
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind,
+        MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind, Wake,
+        IDLE_WAIT,
     };
 
     if env_transport() == TransportKind::InProc {
@@ -529,14 +530,13 @@ fn wire_overlap_throughput(c: &mut Criterion) {
                         pipeline.push(seq as u64, *q);
                     }
                     let mut done = 0usize;
-                    let mut backoff = grouting_core::wire::Backoff::new();
                     while !pipeline.is_idle() {
-                        let finished = pipeline.step(&mut source, &mut cache).unwrap().len();
-                        if finished > 0 {
-                            done += finished;
-                            backoff.reset();
-                        } else {
-                            backoff.idle();
+                        done += pipeline.step(&mut source, &mut cache).unwrap().len();
+                        // Idle only on a round that moved nothing, as the
+                        // processor loop does.
+                        match pipeline.wake() {
+                            Wake::Now => source.note_progress(),
+                            Wake::Idle => source.idle_wait(IDLE_WAIT),
                         }
                     }
                     assert_eq!(done, queries.len());
@@ -557,7 +557,8 @@ fn wire_prefetch(c: &mut Criterion) {
     use grouting_core::query::{PrefetchConfig, PrefetchPolicy, ProcessorCache};
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        Backoff, MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind,
+        MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind, Wake,
+        IDLE_WAIT,
     };
 
     if env_transport() == TransportKind::InProc {
@@ -636,14 +637,11 @@ fn wire_prefetch(c: &mut Criterion) {
             pipeline.push(seq as u64, *q);
         }
         let mut done = 0usize;
-        let mut backoff = Backoff::new();
         while !pipeline.is_idle() {
-            let finished = pipeline.step(source, cache).unwrap().len();
-            if finished > 0 {
-                done += finished;
-                backoff.reset();
-            } else {
-                backoff.idle();
+            done += pipeline.step(source, cache).unwrap().len();
+            match pipeline.wake() {
+                Wake::Now => source.note_progress(),
+                Wake::Idle => source.idle_wait(IDLE_WAIT),
             }
         }
         assert_eq!(done, queries.len());

@@ -6,12 +6,17 @@
 //! fetches in flight per processor instead. [`MultiplexedStorageSource`]
 //! groups a frontier's miss set by the placement function and puts one
 //! [`Frame::FetchBatchRequest`] per storage server on the wire before
-//! waiting for any reply; a single-node fetch is a batch of one. A
-//! processor's pipeline submits and collects without ever blocking
-//! ([`MultiplexedStorageSource::submit_frontier`],
-//! [`MultiplexedStorageSource::try_collect`]); the blocking
+//! waiting for any reply; a single-node fetch is a batch of one.
+//!
+//! The source is the processor core's [`FetchSeam`]: the
+//! [`crate::QueryPipeline`] decides without I/O, and submits
+//! ([`FetchSeam::submit_frontier`]), polls ([`FetchSeam::try_collect`])
+//! and reads the clock ([`FetchSeam::clock_ns`]) only through it, never
+//! blocking. The pipeline's [`crate::Wake`] tells the processor loop
+//! whether to step again at once ([`MultiplexedStorageSource::note_progress`])
+//! or park ([`MultiplexedStorageSource::idle_wait`]). The blocking
 //! [`BatchSource::fetch_batch`] drives the same two calls for serial
-//! callers.
+//! callers, with the same rule.
 //!
 //! The source is the I/O shell over `mux::MuxState`, which decides
 //! everything else without a socket or a clock: correlation by `req_id`
@@ -19,7 +24,7 @@
 //! epochs, the dial ladder down the replica chain, resubmission, and the
 //! rule that a request outlives at most one connection death. The shell
 //! holds one framed connection per storage server and runs the one
-//! collect loop, [`MultiplexedStorageSource::try_collect`]: non-blocking
+//! collect loop, [`FetchSeam::try_collect`]: non-blocking
 //! polls ([`crate::transport::FrameStream::try_recv`], `set_nonblocking`
 //! under TCP) that drain whichever server answers first, with an empty
 //! round parking on the one poller of [`crate::reactor`]. It is also the
@@ -39,6 +44,7 @@ use grouting_trace::TelemetryCounters;
 use crate::error::{WireError, WireResult};
 use crate::frame::Frame;
 use crate::mux::{Dial, Dialled, MuxState};
+use crate::overlap::FetchSeam;
 use crate::reactor::{sample_pool, Poller, PollerKind, IDLE_WAIT};
 use crate::transport::{FrameSink, FrameStream, RetryPolicy, Transport};
 
@@ -77,10 +83,9 @@ struct MuxConn {
 /// Single-node fetches (reachability expansions, random-walk steps) travel
 /// as one-element batches over the same connections, so a processor
 /// speaks only the batch protocol. The processor submits and collects
-/// ([`MultiplexedStorageSource::submit_frontier`],
-/// [`MultiplexedStorageSource::try_collect`]); the blocking
-/// [`BatchSource::fetch_batch`] serves serial drivers (the simulator's
-/// wire-backed workers, benches).
+/// through the [`FetchSeam`] ([`FetchSeam::submit_frontier`],
+/// [`FetchSeam::try_collect`]); the blocking [`BatchSource::fetch_batch`]
+/// serves serial drivers (the simulator's wire-backed workers, benches).
 pub struct MultiplexedStorageSource {
     transport: Arc<dyn Transport>,
     addrs: Vec<String>,
@@ -301,10 +306,9 @@ pub const MAX_BATCH_REQUEST_NODES: usize = 1 << 20;
 /// the wire, the responses gathered so far, and where each node's payload
 /// lands in the caller's order.
 ///
-/// Returned by [`MultiplexedStorageSource::submit_frontier`] and polled
-/// with [`MultiplexedStorageSource::try_collect`] — the split that lets a
-/// processor run another query's compute stage while this fetch is in
-/// flight.
+/// Returned by [`FetchSeam::submit_frontier`] and polled with
+/// [`FetchSeam::try_collect`] — the split that lets a processor run
+/// another query's compute stage while this fetch is in flight.
 pub struct PendingBatch {
     /// (server, correlation id, caller slots) per request on the wire.
     requests: Vec<(usize, u64, Vec<usize>)>,
@@ -312,30 +316,23 @@ pub struct PendingBatch {
     collected: Vec<Option<BatchPayloads>>,
     /// Requests still awaited.
     remaining: usize,
-    /// Whether the last [`MultiplexedStorageSource::try_collect`] read a
-    /// frame or completed a request.
+    /// Whether the last [`FetchSeam::try_collect`] read a frame or
+    /// completed a request.
     progressed: bool,
     /// Caller's frontier length (shapes the final payload vector).
     node_count: usize,
 }
 
-impl PendingBatch {
-    /// Nodes the frontier asked for (the length of the eventual payload
-    /// vector).
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-}
+/// The processor core's seam onto the wire: a frontier goes out as
+/// pipelined batch requests, a fetch is polled by the one collect loop,
+/// and the clock is [`crate::service::now_ns`].
+impl FetchSeam for MultiplexedStorageSource {
+    type Fetch = PendingBatch;
 
-impl MultiplexedStorageSource {
     /// Puts a whole frontier's batch requests on the wire — grouped per
     /// storage server by the placement function, chunked under the
     /// per-frame node cap — without waiting for any reply.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dial and send failures.
-    pub fn submit_frontier(&mut self, nodes: &[NodeId]) -> WireResult<PendingBatch> {
+    fn submit_frontier(&mut self, nodes: &[NodeId]) -> WireResult<PendingBatch> {
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.addrs.len()];
         for (i, &node) in nodes.iter().enumerate() {
             groups[self.home(node)].push(i);
@@ -364,12 +361,9 @@ impl MultiplexedStorageSource {
     /// every involved server has answered, `Ok(None)` while responses are
     /// still travelling. Each awaited server is drained until its socket
     /// is empty, and answers to other batches' requests are kept for them.
-    ///
-    /// # Errors
-    ///
-    /// A connection death a request cannot outlive (see `mux`), a refused
-    /// dial ladder, and protocol violations.
-    pub fn try_collect(&mut self, pending: &mut PendingBatch) -> WireResult<Option<BatchPayloads>> {
+    /// Fails on a connection death a request cannot outlive (see `mux`),
+    /// a refused dial ladder, and protocol violations.
+    fn try_collect(&mut self, pending: &mut PendingBatch) -> WireResult<Option<BatchPayloads>> {
         pending.progressed = false;
         for (&(server, req_id, _), slot) in pending.requests.iter().zip(&mut pending.collected) {
             while slot.is_none() {
@@ -392,6 +386,10 @@ impl MultiplexedStorageSource {
             }
         }
         Ok(Some(out))
+    }
+
+    fn clock_ns(&mut self) -> u64 {
+        crate::service::now_ns()
     }
 }
 
@@ -789,7 +787,7 @@ mod tests {
         let mut source = MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, partitioner);
         let nodes: Vec<NodeId> = (0..30).map(n).collect();
         let mut pending = source.submit_frontier(&nodes).unwrap();
-        assert_eq!(pending.node_count(), nodes.len());
+        assert_eq!(pending.node_count, nodes.len());
         let got = loop {
             if let Some(out) = source.try_collect(&mut pending).unwrap() {
                 break out;

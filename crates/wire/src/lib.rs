@@ -23,10 +23,12 @@
 //!   and the one poller every loop waits on — epoll for sources with an
 //!   fd, a swept yield/sleep fallback for fd-less sources and hosts
 //!   without epoll;
-//! * `overlap` — cross-query fetch overlap ([`QueryPipeline`]): up to
-//!   [`grouting_engine::EngineConfig::overlap`] dispatched queries in
-//!   flight per processor as resumable staged executions, double-buffering
-//!   frontiers so one query's batch travels while another computes;
+//! * `overlap` — the processor's sans-IO core, cross-query fetch overlap
+//!   ([`QueryPipeline`]): up to [`grouting_engine::EngineConfig::overlap`]
+//!   dispatched queries in flight per processor as resumable staged
+//!   executions, double-buffering frontiers so one query's batch travels
+//!   while another computes. It reaches storage and the clock only through
+//!   a [`FetchSeam`], and each round ends in a [`Wake`];
 //! * `service` — the three tiers as independently runnable endpoints:
 //!   storage servers ([`StorageService`]) answering batch fetches,
 //!   processors ([`ProcessorService`]) executing dispatched queries with a
@@ -70,8 +72,8 @@ pub use error::{WireError, WireResult};
 pub use flow::{FetchMode, MultiplexedStorageSource};
 pub use frame::{Completion, Frame, Role};
 pub use grouting_obs::ObsConfig;
-pub use overlap::QueryPipeline;
-pub use reactor::{Backoff, PollerKind, Reactor, ReactorEvent};
+pub use overlap::{FetchSeam, QueryPipeline, Wake};
+pub use reactor::{Backoff, PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
 pub use service::{
     now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions, ServiceHandle,
     StorageOptions, StorageService,

@@ -22,7 +22,7 @@
 //!   outstanding at the death, in request-id order. A request outlives
 //!   at most one connection death; the second is the error.
 //!
-//! The shell is `flow::MultiplexedStorageSource`: it owns the
+//! The shell is `flow`'s multiplexed storage source: it owns the
 //! connections and the readiness wait, feeds in what happened, and sends
 //! or dials what comes out.
 //!

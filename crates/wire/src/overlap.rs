@@ -1,18 +1,28 @@
-//! Cross-query fetch overlap: a small in-flight window per processor.
+//! The processor's core: cross-query fetch overlap, decided without I/O.
 //!
 //! With frontier batching (PR 3) a processor's storage pipe is busy only
 //! while a query is *fetching*; the pipe idles whenever the processor is
 //! computing. [`QueryPipeline`] closes that gap: it keeps up to
 //! `overlap` dispatched queries in flight as [`StagedQuery`] state
-//! machines over ONE cache and ONE [`MultiplexedStorageSource`], so while
-//! query A's fetch travels, query B's compute stage runs — and B's next
-//! fetch goes on the wire before A's reply is awaited (double-buffered
-//! frontiers). Every query kind stages: an aggregation level, a walk step,
-//! a reachability expansion, a meeting node's label read and a re-fetch
-//! of a node evicted mid-apply are each one submitted fetch. A query
-//! stopped mid-apply for such a re-fetch runs alone until it lands, as it
-//! did when the re-fetch blocked, so no other query's cache operations
-//! land inside one query's ask.
+//! machines over ONE cache and ONE storage seam, so while query A's fetch
+//! travels, query B's compute stage runs — and B's next fetch goes on the
+//! wire before A's reply is awaited (double-buffered frontiers). Every
+//! query kind stages: an aggregation level, a walk step, a reachability
+//! expansion, a meeting node's label read and a re-fetch of a node
+//! evicted mid-apply are each one submitted fetch. A query stopped
+//! mid-apply for such a re-fetch runs alone until it lands, as it did when
+//! the re-fetch blocked, so no other query's cache operations land inside
+//! one query's ask.
+//!
+//! The pipeline is sans-IO. All it needs from outside goes through one
+//! [`FetchSeam`]: put a frontier on the wire, poll a submitted fetch, read
+//! the clock. The wire implements it in `flow`; tests implement it over a
+//! storage tier, delivering fetches in whatever order they choose, with a
+//! counter for a clock. Each [`QueryPipeline::step`] ends with a [`Wake`],
+//! the progress rule the processor loop honours: a round that took input
+//! (a pushed dispatch, applied payloads) or produced output (a submission,
+//! a completion) is [`Wake::Now`], and only an [`Wake::Idle`] round —
+//! which changed nothing — may park on the poller.
 //!
 //! At `overlap == 1` the pipeline degenerates to strictly serial
 //! execution whose cache operation sequence is byte-identical to
@@ -21,9 +31,9 @@
 //! plan/fetch/apply cycle.
 //!
 //! Attribution under interleaving: each staged query owns its
-//! [`grouting_query::AccessStats`] (swapped into the transient store per
-//! step), so per-query hit/miss counts sum to the true totals even though
-//! the queries share a cache. The *split* between two interleaved queries
+//! [`AccessStats`] (swapped into the transient store per step), so
+//! per-query hit/miss counts sum to the pipeline's totals even though the
+//! queries share a cache. The *split* between two interleaved queries
 //! touching the same cold record may differ from a serial run (whoever
 //! applies first takes the miss), which is why strict stat agreement is
 //! only promised at `overlap == 1`.
@@ -33,14 +43,48 @@ use std::collections::VecDeque;
 use grouting_graph::NodeId;
 use grouting_metrics::HeatMap;
 use grouting_query::{
-    CacheBackedStore, ExecOutcome, PrefetchConfig, PrefetchState, PrefetchStats, ProcessorCache,
-    Query, StagedQuery, Step,
+    AccessStats, CacheBackedStore, ExecOutcome, PrefetchConfig, PrefetchState, PrefetchStats,
+    ProcessorCache, Query, StagedQuery, Step,
 };
 use grouting_trace::{QueryTrace, TraceLevel};
 
 use crate::error::{WireError, WireResult};
-use crate::flow::{BatchPayloads, MultiplexedStorageSource, PendingBatch};
-use crate::service::now_ns;
+use crate::flow::BatchPayloads;
+
+/// Everything the processor core needs from outside it: the storage wire
+/// and the clock.
+pub trait FetchSeam {
+    /// A submitted fetch, held by its query until the payloads arrive.
+    type Fetch;
+
+    /// Puts a frontier's fetch on the wire without waiting for a reply.
+    ///
+    /// # Errors
+    ///
+    /// The storage path's dial and send failures.
+    fn submit_frontier(&mut self, nodes: &[NodeId]) -> WireResult<Self::Fetch>;
+
+    /// Polls a submitted fetch without blocking: its payloads (one per
+    /// node, in request order) once all have arrived, `None` before.
+    ///
+    /// # Errors
+    ///
+    /// The storage path's failures and protocol violations.
+    fn try_collect(&mut self, fetch: &mut Self::Fetch) -> WireResult<Option<BatchPayloads>>;
+
+    /// Nanoseconds on the processor's clock.
+    fn clock_ns(&mut self) -> u64;
+}
+
+/// What the processor loop does after a [`QueryPipeline::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// The round took input or produced output: step again at once.
+    Now,
+    /// The round did nothing: no dispatch arrived and no fetch it polled
+    /// had landed, so the loop may park until a connection has traffic.
+    Idle,
+}
 
 /// One finished query, ready to be acknowledged to the router.
 pub struct CompletedQuery {
@@ -48,50 +92,37 @@ pub struct CompletedQuery {
     pub seq: u64,
     /// Result and per-query access statistics.
     pub outcome: ExecOutcome,
-    /// When execution began (first resume), [`now_ns`] clock.
+    /// When execution began (admission), on the seam's clock.
     pub started_ns: u64,
-    /// When the query finished, [`now_ns`] clock.
+    /// When the query finished, on the seam's clock.
     pub completed_ns: u64,
     /// Fetch-wait vs compute split (per level at
     /// [`TraceLevel::Spans`]); `None` when the pipeline isn't tracing.
     pub trace: Option<QueryTrace>,
 }
 
-struct ActiveQuery {
+/// An admitted query between its fetches.
+struct Running {
     seq: u64,
     staged: StagedQuery,
-    /// The in-flight frontier fetch, `None` only transiently (a query is
-    /// parked here exactly when it awaits payloads). Covers the demand
-    /// miss set *plus* any speculative tail.
-    pending: Option<PendingBatch>,
-    /// The demand miss set `pending` answers first (its payloads lead;
+    /// The demand miss set its fetch answers first (its payloads lead;
     /// the rest are speculative and go to the staging buffer). Also
     /// registered with the prefetch state so other queries' predictions
     /// don't re-request bytes already travelling.
     demand: Vec<NodeId>,
-    /// The speculative nodes riding on `pending`, in request order.
+    /// The speculative nodes riding on its fetch, in request order.
     spec: Vec<NodeId>,
     started_ns: u64,
-    /// When the in-flight frontier went on the wire (tracing only; the
-    /// gap to payload consumption is the level's fetch wait).
+    /// When its fetch went on the wire (tracing only; the gap to payload
+    /// consumption is the level's fetch wait).
     fetch_started_ns: u64,
     /// Accumulated span block (all zeros while tracing is off).
     trace: QueryTrace,
 }
 
-/// The per-processor overlap engine: dispatched queries wait in a FIFO,
-/// up to `overlap` of them run as interleaved staged executions.
-///
-/// With prefetching configured ([`QueryPipeline::with_prefetch`]), every
-/// frontier batch going out piggybacks the configured predictor's
-/// speculative nodes; their payloads land in a processor-wide staging
-/// buffer that later frontiers (of *any* query in the pipeline) are
-/// served from without a wire exchange. Demand-side accounting is
-/// byte-identical with speculation on or off.
-pub struct QueryPipeline {
-    overlap: usize,
-    queue: VecDeque<(u64, Query)>,
-    active: VecDeque<ActiveQuery>,
+/// What every query's compute shares: speculation, heat, the trace level
+/// and the processor's running totals.
+struct Shared {
     prefetch: PrefetchState,
     trace: TraceLevel,
     /// Cumulative per-storage-server workload heat: demand counts fold in
@@ -99,23 +130,56 @@ pub struct QueryPipeline {
     /// prefetched payloads arrive. Deterministic integer tallies, counted
     /// unconditionally — observability sampling never changes them.
     heat: HeatMap,
-    /// Whether the last [`QueryPipeline::step`] consumed any fetch's
-    /// payloads.
-    consumed: bool,
+    /// The completed queries' access statistics, summed.
+    totals: AccessStats,
+    /// Queries completed.
+    completed: u64,
+    /// The queries the current round finished.
+    done: Vec<CompletedQuery>,
 }
 
-impl QueryPipeline {
+/// The per-processor overlap engine: dispatched queries wait in a FIFO,
+/// up to `overlap` of them run as interleaved staged executions. `F` is
+/// the [`FetchSeam`]'s fetch handle.
+///
+/// With prefetching configured ([`QueryPipeline::with_prefetch`]), every
+/// frontier batch going out piggybacks the configured predictor's
+/// speculative nodes; their payloads land in a processor-wide staging
+/// buffer that later frontiers (of *any* query in the pipeline) are
+/// served from without a wire exchange. Demand-side accounting is
+/// byte-identical with speculation on or off.
+pub struct QueryPipeline<F> {
+    overlap: usize,
+    queue: VecDeque<(u64, Query)>,
+    /// Admitted queries awaiting their fetches, oldest first. A parked
+    /// query always holds its fetch: the demand miss set *plus* any
+    /// speculative tail.
+    parked: VecDeque<(Running, F)>,
+    shared: Shared,
+    wake: Wake,
+    /// What the next round starts from: [`Wake::Now`] once a dispatch was
+    /// pushed, since that is input even when no slot is free for it.
+    next: Wake,
+}
+
+impl<F> QueryPipeline<F> {
     /// A pipeline admitting at most `overlap` (≥ 1) concurrent queries,
     /// with speculation off and tracing off.
     pub fn new(overlap: usize) -> Self {
         Self {
             overlap: overlap.max(1),
             queue: VecDeque::new(),
-            active: VecDeque::new(),
-            prefetch: PrefetchState::new(PrefetchConfig::OFF),
-            trace: TraceLevel::Off,
-            heat: HeatMap::new(),
-            consumed: false,
+            parked: VecDeque::new(),
+            shared: Shared {
+                prefetch: PrefetchState::new(PrefetchConfig::OFF),
+                trace: TraceLevel::Off,
+                heat: HeatMap::new(),
+                totals: AccessStats::default(),
+                completed: 0,
+                done: Vec::new(),
+            },
+            wake: Wake::Idle,
+            next: Wake::Idle,
         }
     }
 
@@ -124,49 +188,58 @@ impl QueryPipeline {
     /// traced dispatch switches instrumentation on for every query that
     /// resumes afterwards.
     pub fn set_trace(&mut self, level: TraceLevel) {
-        self.trace = self.trace.max(level);
+        self.shared.trace = self.shared.trace.max(level);
     }
 
     /// Equips the pipeline with speculative frontier prefetching per
     /// `config` ([`PrefetchConfig::OFF`] keeps it inert).
     #[must_use]
     pub fn with_prefetch(mut self, config: PrefetchConfig) -> Self {
-        self.prefetch = PrefetchState::new(config);
+        self.shared.prefetch = PrefetchState::new(config);
         self
     }
 
     /// The cumulative speculative tally (zeros while prefetching is off).
     pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.prefetch.stats()
+        self.shared.prefetch.stats()
     }
 
     /// The cumulative per-storage-server heat (demand misses of completed
     /// queries plus speculative payloads staged so far).
     pub fn heat(&self) -> &HeatMap {
-        &self.heat
+        &self.shared.heat
+    }
+
+    /// The completed queries' access statistics, summed.
+    pub fn totals(&self) -> AccessStats {
+        self.shared.totals
+    }
+
+    /// Queries completed so far.
+    pub fn queries_done(&self) -> u64 {
+        self.shared.completed
+    }
+
+    /// What the last [`QueryPipeline::step`]'s round asks of the loop.
+    pub fn wake(&self) -> Wake {
+        self.wake
     }
 
     /// Accepts a dispatched query (admitted into execution by the next
     /// [`QueryPipeline::step`] once a slot frees up).
     pub fn push(&mut self, seq: u64, query: Query) {
         self.queue.push_back((seq, query));
+        self.next = Wake::Now;
     }
 
     /// Queries accepted but not yet finished.
     pub fn in_flight(&self) -> usize {
-        self.queue.len() + self.active.len()
+        self.queue.len() + self.parked.len()
     }
 
     /// Whether nothing is queued or executing.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.active.is_empty()
-    }
-
-    /// Whether the last [`QueryPipeline::step`] consumed payloads: that
-    /// round was progress even if no query finished, so the processor
-    /// loop keeps its poller on the hot rung.
-    pub(crate) fn consumed_payloads(&self) -> bool {
-        self.consumed
+        self.queue.is_empty() && self.parked.is_empty()
     }
 
     /// Drives every in-flight query one round: admits queued queries into
@@ -175,50 +248,49 @@ impl QueryPipeline {
     /// payloads — submitting their next fetch before returning. Never
     /// blocks: no query reads storage inside a resume, so the processor
     /// waits on storage only in its own idle wait. Returns the queries
-    /// that finished this round.
+    /// that finished this round, and sets [`QueryPipeline::wake`].
     ///
     /// # Errors
     ///
     /// Propagates storage-path failures (dial/submit/poll past the
     /// reconnect budget, protocol violations). A fetched record that fails
     /// to decode is a [`WireError::Protocol`].
-    pub fn step(
+    pub fn step<S: FetchSeam<Fetch = F>>(
         &mut self,
-        source: &mut MultiplexedStorageSource,
+        seam: &mut S,
         cache: &mut ProcessorCache,
     ) -> WireResult<Vec<CompletedQuery>> {
-        let mut completed = Vec::new();
-        self.consumed = false;
-        self.admit(source, cache, &mut completed)?;
+        self.shared.done.clear();
+        self.wake = std::mem::replace(&mut self.next, Wake::Idle);
+        self.admit(seam, cache)?;
 
         // Poll every awaited fetch, oldest query first; resume those whose
         // payloads have fully arrived. A query stopped mid-ask is the only
         // one polled until it finishes the ask.
         let mut slot = 0;
-        while slot < self.active.len() {
+        while slot < self.parked.len() {
             match self.mid_ask() {
                 Some(stopped) if stopped < slot => break,
                 Some(stopped) => slot = stopped,
                 None => {}
             }
-            let pending = self.active[slot]
-                .pending
-                .as_mut()
-                .expect("parked queries await a fetch");
-            let Some(payloads) = source.try_collect(pending)? else {
+            let (query, fetch) = &mut self.parked[slot];
+            let Some(payloads) = seam.try_collect(fetch)? else {
                 slot += 1;
                 continue;
             };
-            self.consumed = true;
-            if self.resume(slot, Some(payloads), source, cache, &mut completed)? {
+            self.wake = Wake::Now;
+            if let Some(next) = self.shared.advance(query, Some(payloads), seam, cache)? {
+                *fetch = next;
                 slot += 1;
             } else {
+                self.parked.remove(slot);
                 // Backfill the freed slot from the queue so the window
                 // stays full without waiting for the next step call.
-                self.admit(source, cache, &mut completed)?;
+                self.admit(seam, cache)?;
             }
         }
-        Ok(completed)
+        Ok(std::mem::take(&mut self.shared.done))
     }
 
     /// The slot of the query stopped partway through applying an ask
@@ -227,7 +299,7 @@ impl QueryPipeline {
     /// as hits: the cache sees the operations it saw when re-fetches
     /// blocked the processor, and re-fetches do not cascade.
     fn mid_ask(&self) -> Option<usize> {
-        self.active.iter().position(|a| a.staged.mid_ask())
+        self.parked.iter().position(|(q, _)| q.staged.mid_ask())
     }
 
     /// Admits queued queries into free slots, oldest first, while no
@@ -235,143 +307,130 @@ impl QueryPipeline {
     /// remote fetch, which goes on the wire immediately — the
     /// submit-before-await that keeps the storage pipe full while older
     /// queries compute.
-    fn admit(
+    fn admit<S: FetchSeam<Fetch = F>>(
         &mut self,
-        source: &mut MultiplexedStorageSource,
+        seam: &mut S,
         cache: &mut ProcessorCache,
-        completed: &mut Vec<CompletedQuery>,
     ) -> WireResult<()> {
-        while self.active.len() < self.overlap && self.mid_ask().is_none() {
+        while self.parked.len() < self.overlap && self.mid_ask().is_none() {
             let Some((seq, query)) = self.queue.pop_front() else {
                 break;
             };
-            self.active.push_back(ActiveQuery {
+            self.wake = Wake::Now;
+            let mut query = Running {
                 seq,
                 staged: StagedQuery::new(query),
-                pending: None,
                 demand: Vec::new(),
                 spec: Vec::new(),
-                started_ns: now_ns(),
+                started_ns: seam.clock_ns(),
                 fetch_started_ns: 0,
                 trace: QueryTrace::default(),
-            });
-            self.resume(self.active.len() - 1, None, source, cache, completed)?;
+            };
+            if let Some(fetch) = self.shared.advance(&mut query, None, seam, cache)? {
+                self.parked.push_back((query, fetch));
+            }
         }
         Ok(())
     }
+}
 
-    /// Resumes the query in `slot` with its fetch's payloads (`None` on
-    /// admission, whose compute precedes any fetch), then ships its next
-    /// fetch or retires it into `completed`. Returns whether it is still
-    /// in flight.
-    fn resume(
+impl Shared {
+    /// Runs `query`'s compute on its fetch's payloads (`None` on
+    /// admission, whose compute precedes any fetch), then puts its next
+    /// fetch on the wire and returns it — or retires the query into the
+    /// round's completions and returns `None`.
+    fn advance<S: FetchSeam>(
         &mut self,
-        slot: usize,
+        query: &mut Running,
         mut payloads: Option<BatchPayloads>,
-        source: &mut MultiplexedStorageSource,
+        seam: &mut S,
         cache: &mut ProcessorCache,
-        completed: &mut Vec<CompletedQuery>,
-    ) -> WireResult<bool> {
+    ) -> WireResult<Option<S::Fetch>> {
         let tracing = self.trace.enabled();
-        let active = &mut self.active[slot];
         // A fetch wait ends the moment its payloads are consumed; the
         // resume that follows is its compute.
         let fetch_ns = match &payloads {
-            Some(_) if tracing => now_ns().saturating_sub(active.fetch_started_ns),
+            Some(_) if tracing => seam.clock_ns().saturating_sub(query.fetch_started_ns),
             _ => 0,
         };
         // The speculative tail goes to the staging buffer; the staged
         // query sees exactly the demand payloads it asked for.
         let mut spec_payloads = Vec::new();
         if let Some(payloads) = &mut payloads {
-            spec_payloads = payloads.split_off(active.demand.len());
+            spec_payloads = payloads.split_off(query.demand.len());
             for (server, _) in spec_payloads.iter().flatten() {
                 self.heat.record_speculative(*server as usize, 1);
             }
-            self.prefetch.demand_arrived(&active.demand);
+            self.prefetch.demand_arrived(&query.demand);
         }
-        let resumed_ns = if tracing { now_ns() } else { 0 };
+        let resumed_ns = if tracing { seam.clock_ns() } else { 0 };
         let level = payloads.is_some();
         let mut store = CacheBackedStore::with_prefetch((), cache, &mut self.prefetch);
-        store.absorb_speculative(&std::mem::take(&mut active.spec), spec_payloads);
-        let step = active.staged.resume(&mut store, payloads);
+        store.absorb_speculative(&std::mem::take(&mut query.spec), spec_payloads);
+        let step = query.staged.resume(&mut store, payloads);
         if let Some((node, err)) = store.take_corrupt() {
             return Err(WireError::Protocol(format!(
                 "storage sent a corrupt record for {node}: {err}"
             )));
         }
         let spec = match &step {
-            Step::Fetch(miss) => store.plan_speculative(active.staged.frontier(), miss),
+            Step::Fetch(miss) => store.plan_speculative(query.staged.frontier(), miss),
             Step::Done(_) => Vec::new(),
         };
         if tracing {
-            let compute_ns = now_ns().saturating_sub(resumed_ns);
-            active.trace.compute_ns += compute_ns;
+            let compute_ns = seam.clock_ns().saturating_sub(resumed_ns);
+            query.trace.compute_ns += compute_ns;
             if level {
-                active.trace.fetch_wait_ns += fetch_ns;
-                active.trace.levels += 1;
+                query.trace.fetch_wait_ns += fetch_ns;
+                query.trace.levels += 1;
                 if self.trace.spans() {
-                    active.trace.level_spans.push((fetch_ns, compute_ns));
+                    query.trace.level_spans.push((fetch_ns, compute_ns));
                 }
             }
         }
-        match step {
-            Step::Fetch(miss) => {
-                self.submit(source, slot, miss, spec)?;
-                Ok(true)
-            }
+        let mut miss = match step {
+            Step::Fetch(miss) => miss,
             Step::Done(outcome) => {
-                let mut finished = self.active.remove(slot).expect("slot in bounds");
-                for ev in finished.staged.take_miss_log() {
+                for ev in query.staged.take_miss_log() {
                     self.heat.record_demand(ev.server as usize, 1);
                 }
-                completed.push(CompletedQuery {
-                    seq: finished.seq,
+                self.totals.merge(&outcome.stats);
+                self.completed += 1;
+                self.done.push(CompletedQuery {
+                    seq: query.seq,
                     outcome,
-                    started_ns: finished.started_ns,
-                    completed_ns: now_ns(),
-                    trace: tracing.then_some(finished.trace),
+                    started_ns: query.started_ns,
+                    completed_ns: seam.clock_ns(),
+                    trace: tracing.then(|| std::mem::take(&mut query.trace)),
                 });
-                Ok(false)
+                return Ok(None);
             }
-        }
-    }
-
-    /// Ships the demand miss set plus its speculative tail as one frontier
-    /// submission and parks it on `self.active[slot]`.
-    fn submit(
-        &mut self,
-        source: &mut MultiplexedStorageSource,
-        slot: usize,
-        miss: Vec<NodeId>,
-        spec: Vec<NodeId>,
-    ) -> WireResult<()> {
-        let pending = if spec.is_empty() {
-            source.submit_frontier(&miss)?
-        } else {
-            let mut combined = miss.clone();
-            combined.extend(&spec);
-            source.submit_frontier(&combined)?
         };
+        // The demand miss set and its speculative tail travel as one
+        // frontier submission.
+        let demand = miss.len();
+        miss.extend(&spec);
+        let fetch = seam.submit_frontier(&miss)?;
+        miss.truncate(demand);
         // Other queries' predictions must not re-request these bytes
         // while they travel.
         self.prefetch.demand_submitted(&miss);
-        let active = &mut self.active[slot];
-        active.pending = Some(pending);
-        active.demand = miss;
-        active.spec = spec;
-        if self.trace.enabled() {
-            active.fetch_started_ns = now_ns();
+        query.demand = miss;
+        query.spec = spec;
+        if tracing {
+            query.fetch_started_ns = seam.clock_ns();
         }
-        Ok(())
+        Ok(Some(fetch))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::MultiplexedStorageSource;
     use crate::service::{ServiceHandle, StorageOptions, StorageService};
     use crate::transport::{InProcTransport, RetryPolicy, Transport};
+    use bytes::Bytes;
     use grouting_cache::LruCache;
     use grouting_engine::Worker;
     use grouting_graph::codec::AdjacencyRecord;
@@ -545,19 +604,123 @@ mod tests {
         assert_eq!(piped_accesses, serial_accesses);
     }
 
+    /// Where a fetch held by the fake seam stands.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Fate {
+        Travelling,
+        Delivered,
+        /// Delivered with its first record's bytes truncated.
+        Corrupt,
+        /// Its connection died past recovery: every poll is an error.
+        Failed,
+        Collected,
+    }
+
+    /// What the pipeline did through the fake seam, in order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Event {
+        Submit(usize),
+        Collect(usize),
+        Clock,
+    }
+
+    /// A storage seam over a tier whose fetches land only when the test
+    /// says so, with a counter for a clock.
+    #[derive(Clone)]
+    struct FakeSeam {
+        /// Every node of the ring's stored payload, by id.
+        stored: Arc<[Option<(u16, Bytes)>]>,
+        /// Every submitted fetch, by id: its nodes and its fate.
+        fetches: Vec<(Vec<NodeId>, Fate)>,
+        log: Vec<Event>,
+        clock: u64,
+    }
+
+    impl FakeSeam {
+        fn new(tier: &StorageTier) -> Self {
+            let ring: Vec<NodeId> = (0..48).map(n).collect();
+            let stored = tier.get_many(&ring).into_iter();
+            Self {
+                stored: stored
+                    .map(|p| p.map(|(s, bytes)| (s as u16, bytes)))
+                    .collect(),
+                fetches: Vec::new(),
+                log: Vec::new(),
+                clock: 0,
+            }
+        }
+
+        fn fate(&self, fetch: usize) -> Fate {
+            self.fetches[fetch].1
+        }
+
+        /// Lands a travelling fetch as `fate`.
+        fn land(&mut self, fetch: usize, fate: Fate) {
+            assert_eq!(self.fate(fetch), Fate::Travelling, "fetch {fetch}");
+            self.fetches[fetch].1 = fate;
+        }
+
+        fn travelling(&self) -> Vec<usize> {
+            (0..self.fetches.len())
+                .filter(|&f| self.fate(f) == Fate::Travelling)
+                .collect()
+        }
+    }
+
+    impl FetchSeam for FakeSeam {
+        type Fetch = usize;
+
+        fn submit_frontier(&mut self, nodes: &[NodeId]) -> WireResult<usize> {
+            self.log.push(Event::Submit(self.fetches.len()));
+            self.fetches.push((nodes.to_vec(), Fate::Travelling));
+            Ok(self.fetches.len() - 1)
+        }
+
+        fn try_collect(&mut self, fetch: &mut usize) -> WireResult<Option<BatchPayloads>> {
+            let (nodes, fate) = &mut self.fetches[*fetch];
+            let corrupt = match *fate {
+                Fate::Travelling => return Ok(None),
+                Fate::Failed => return Err(WireError::Closed),
+                Fate::Collected => panic!("fetch {fetch} collected twice"),
+                Fate::Delivered => false,
+                Fate::Corrupt => true,
+            };
+            *fate = Fate::Collected;
+            self.log.push(Event::Collect(*fetch));
+            let mut payloads: BatchPayloads = nodes
+                .iter()
+                .map(|v| self.stored[v.index()].clone())
+                .collect();
+            if corrupt {
+                // Truncated varints: no record decodes from these bytes.
+                let stored = payloads.iter_mut().flatten().next();
+                stored.expect("a stored node").1 = Bytes::from(vec![0xff; 3]);
+            }
+            Ok(Some(payloads))
+        }
+
+        fn clock_ns(&mut self) -> u64 {
+            self.log.push(Event::Clock);
+            self.clock += 1;
+            self.clock
+        }
+    }
+
+    /// An LRU holding `records` of the ring's (equally sized) records.
+    fn lru_of(tier: &StorageTier, records: usize) -> ProcessorCache {
+        let (_, record) = tier.get(n(0)).unwrap();
+        let size = AdjacencyRecord::decode(record).unwrap().resident_len();
+        Box::new(LruCache::new(records * size))
+    }
+
     #[test]
     fn a_query_stopped_mid_ask_runs_alone_until_its_refetch_lands() {
-        // Every record of the ring is the same size; the cache holds two.
         let tier = loaded_tier(48, 3);
-        let (_, record) = tier.get(n(0)).unwrap();
-        let two_records = 2 * AdjacencyRecord::decode(record).unwrap().resident_len();
-        let (transport, handles, addrs) = spawn_storage(&tier, NetworkModel::local());
-        let mut source = MultiplexedStorageSource::new(transport, &addrs, tier.partitioner());
-        let mut cache: ProcessorCache = Box::new(LruCache::new(two_records));
+        let mut seam = FakeSeam::new(&tier);
+        let mut cache = lru_of(&tier, 2);
         let mut pipeline = QueryPipeline::new(2);
-        let mut step = |pipeline: &mut QueryPipeline| {
-            std::thread::sleep(Duration::from_millis(2));
-            pipeline.step(&mut source, &mut cache).unwrap()
+        let mut step = |pipeline: &mut QueryPipeline<usize>, seam: &mut FakeSeam| {
+            pipeline.step(seam, &mut cache).unwrap()
         };
         // A one-step walk leaves node 9 cached. Node 10's root joins it,
         // and its first level asks for 11, 13, 7 (misses) and 9 (a
@@ -570,7 +733,10 @@ mod tests {
         };
         pipeline.push(0, walk);
         while !pipeline.is_idle() {
-            step(&mut pipeline);
+            seam.travelling()
+                .into_iter()
+                .for_each(|f| seam.land(f, Fate::Delivered));
+            step(&mut pipeline, &mut seam);
         }
         pipeline.push(
             1,
@@ -581,11 +747,16 @@ mod tests {
             },
         );
         while pipeline.mid_ask().is_none() {
+            seam.travelling()
+                .into_iter()
+                .for_each(|f| seam.land(f, Fate::Delivered));
             assert!(
-                step(&mut pipeline).is_empty(),
+                step(&mut pipeline, &mut seam).is_empty(),
                 "the aggregation must stop mid-ask"
             );
         }
+        let refetch = pipeline.parked[0].1;
+        assert_eq!(seam.travelling(), [refetch]);
         pipeline.push(
             2,
             Query::NeighborAggregation {
@@ -594,19 +765,31 @@ mod tests {
                 label: None,
             },
         );
-        step(&mut pipeline);
-        assert_eq!(
-            pipeline.queue.len(),
-            1,
-            "admitted while a query was mid-ask"
-        );
+        // However often it steps, the slot stays free until the refetch
+        // lands, and the waiting rounds are idle.
+        for round in 0..3 {
+            step(&mut pipeline, &mut seam);
+            assert_eq!(
+                pipeline.queue.len(),
+                1,
+                "admitted while a query was mid-ask"
+            );
+            let wake = if round == 0 { Wake::Now } else { Wake::Idle };
+            assert_eq!(pipeline.wake(), wake, "round {round}");
+        }
+        seam.land(refetch, Fate::Delivered);
+        step(&mut pipeline, &mut seam);
+        assert_eq!(seam.fate(refetch), Fate::Collected);
+        assert_eq!(pipeline.wake(), Wake::Now);
+        let mut done = Vec::new();
         while !pipeline.is_idle() {
-            step(&mut pipeline);
+            seam.travelling()
+                .into_iter()
+                .for_each(|f| seam.land(f, Fate::Delivered));
+            done.extend(step(&mut pipeline, &mut seam).into_iter().map(|c| c.seq));
         }
-        drop(source);
-        for h in handles {
-            h.shutdown();
-        }
+        done.sort_unstable();
+        assert_eq!(done, [1, 2]);
     }
 
     #[test]
@@ -618,7 +801,7 @@ mod tests {
 
     #[test]
     fn zero_overlap_is_clamped_to_serial() {
-        assert_eq!(QueryPipeline::new(0).overlap, 1);
+        assert_eq!(QueryPipeline::<()>::new(0).overlap, 1);
     }
 
     #[test]
@@ -862,5 +1045,382 @@ mod tests {
         assert_eq!(heat.total_demand(), serial_misses);
         assert_eq!(heat.total_speculative(), 0, "no speculation configured");
         assert!(heat.len() <= 3, "only three storage servers exist");
+    }
+
+    /// A step in an explored schedule.
+    #[derive(Debug, Clone, Copy)]
+    enum Action {
+        /// The next query is dispatched.
+        Push,
+        Step,
+        /// A travelling fetch lands whole, corrupt, or never (failed).
+        Land(usize, Fate),
+    }
+
+    /// What an explorer run covers: the queries in dispatch order, the
+    /// overlap, the cache, and each query's serial outcome.
+    struct Scope {
+        queries: Vec<Query>,
+        overlap: usize,
+        records: usize,
+        tier: Arc<StorageTier>,
+        serial: Vec<ExecOutcome>,
+        /// The seam every replay starts from.
+        seam: FakeSeam,
+    }
+
+    impl Scope {
+        fn new(queries: Vec<Query>, overlap: usize, records: usize) -> Self {
+            let tier = loaded_tier(48, 3);
+            let mut cache = lru_of(&tier, records);
+            let mut executor = grouting_query::Executor::new(&*tier, &mut cache);
+            let serial = queries.iter().map(|q| executor.run(q)).collect();
+            Self {
+                queries,
+                overlap,
+                records,
+                seam: FakeSeam::new(&tier),
+                tier,
+                serial,
+            }
+        }
+    }
+
+    /// A schedule replayed from the root: the pipeline, its cache and
+    /// seam, and the explorer's own account of what must have happened.
+    struct Run {
+        pipeline: QueryPipeline<usize>,
+        cache: ProcessorCache,
+        seam: FakeSeam,
+        pushed: usize,
+        /// Pushes since the last step: the next round's input.
+        fresh: usize,
+        /// Each query's outcome, once it completed.
+        done: Vec<Option<ExecOutcome>>,
+        /// The query that submitted each fetch.
+        owner: Vec<u64>,
+        /// The fetch that may land corrupt or fail, once chosen.
+        fault: Option<usize>,
+        /// The refetch of the query stopped mid-ask, after the last round.
+        alone: Option<usize>,
+        /// A step returned an error: the processor is gone.
+        failed: bool,
+        /// What decided the pipeline's state: the pushes, and each
+        /// non-idle round's seam events.
+        history: Vec<u64>,
+    }
+
+    impl Run {
+        fn replay(scope: &Scope, path: &[Action]) -> Self {
+            let mut run = Run {
+                pipeline: QueryPipeline::new(scope.overlap),
+                cache: lru_of(&scope.tier, scope.records),
+                seam: scope.seam.clone(),
+                pushed: 0,
+                fresh: 0,
+                done: vec![None; scope.queries.len()],
+                owner: Vec::new(),
+                fault: None,
+                alone: None,
+                failed: false,
+                history: Vec::new(),
+            };
+            for &action in path {
+                run.apply(action, scope);
+            }
+            run
+        }
+
+        /// What may happen next besides a round, which always may.
+        fn actions(&self, scope: &Scope) -> Vec<Action> {
+            let mut actions = Vec::new();
+            if self.pushed < scope.queries.len() {
+                actions.push(Action::Push);
+            }
+            for f in self.seam.travelling() {
+                actions.push(Action::Land(f, Fate::Delivered));
+                if self.fault.is_none() {
+                    actions.push(Action::Land(f, Fate::Corrupt));
+                    actions.push(Action::Land(f, Fate::Failed));
+                }
+            }
+            actions
+        }
+
+        /// A hash of the state `action` leads to, where that needs no
+        /// round: the history decides the pipeline, and the fates the
+        /// seam.
+        fn key_after(&self, action: Option<Action>) -> u64 {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            self.history.iter().for_each(|w| w.hash(&mut h));
+            if let Some(Action::Push) = action {
+                u64::MAX.hash(&mut h);
+            }
+            for (f, (_, fate)) in self.seam.fetches.iter().enumerate() {
+                match action {
+                    Some(Action::Land(landed, to)) if landed == f => to.hash(&mut h),
+                    _ => fate.hash(&mut h),
+                }
+            }
+            let fault = match action {
+                Some(Action::Land(f, to)) if to != Fate::Delivered => Some(f),
+                _ => self.fault,
+            };
+            (fault, self.failed).hash(&mut h);
+            h.finish()
+        }
+
+        /// Everything a round may change, for the idle check.
+        fn snapshot(&self) -> impl PartialEq + std::fmt::Debug {
+            let p = &self.pipeline;
+            let parked: Vec<_> = p.parked.iter().map(|(q, f)| (q.seq, *f)).collect();
+            let cache = (self.cache.len(), self.cache.bytes());
+            let tallies = (p.queries_done(), p.totals(), p.heat().clone());
+            (
+                p.queue.len(),
+                parked,
+                p.mid_ask(),
+                tallies,
+                cache,
+                self.seam.log.len(),
+            )
+        }
+
+        fn apply(&mut self, action: Action, scope: &Scope) {
+            match action {
+                Action::Push => {
+                    let seq = self.pushed;
+                    self.pipeline.push(seq as u64, scope.queries[seq]);
+                    self.pushed += 1;
+                    self.fresh += 1;
+                    self.history.push(u64::MAX);
+                }
+                Action::Land(fetch, fate) => {
+                    if fate != Fate::Delivered {
+                        self.fault = Some(fetch);
+                    }
+                    self.seam.land(fetch, fate);
+                }
+                Action::Step => self.step(scope),
+            }
+        }
+
+        /// One round, and every invariant it must keep.
+        fn step(&mut self, scope: &Scope) {
+            let before = self.snapshot();
+            let held_back = self.pipeline.mid_ask().is_some();
+            let logged = self.seam.log.len();
+            let result = self.pipeline.step(&mut self.seam, &mut self.cache);
+            let events = self.seam.log[logged..].to_vec();
+            let collected: Vec<usize> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Collect(f) => Some(*f),
+                    _ => None,
+                })
+                .collect();
+            let faulted = |fate| self.fault.is_some_and(|f| self.seam.fate(f) == fate);
+            let done = match result {
+                Err(e) => {
+                    let cause =
+                        faulted(Fate::Failed) || self.fault.is_some_and(|f| collected.contains(&f));
+                    assert!(cause, "a step failed with no fault to blame: {e}");
+                    self.failed = true;
+                    return;
+                }
+                Ok(done) => done,
+            };
+            // Each query completes once, with its serial answer (and, at
+            // overlap 1, its serial statistics). A corrupt record that a
+            // round collected without failing was never decoded: another
+            // query had cached its node meanwhile, so the answer stands.
+            for c in &done {
+                let seq = c.seq as usize;
+                assert!(
+                    seq < self.pushed,
+                    "query {seq} completed before its dispatch"
+                );
+                assert!(self.done[seq].is_none(), "query {seq} completed twice");
+                let serial = scope.serial[seq];
+                assert_eq!(c.outcome.result, serial.result, "query {seq}'s answer");
+                if scope.overlap == 1 {
+                    assert_eq!(c.outcome.stats, serial.stats, "query {seq}'s statistics");
+                }
+                self.done[seq] = Some(c.outcome);
+            }
+            let mut totals = AccessStats::default();
+            let finished = self
+                .done
+                .iter()
+                .flatten()
+                .inspect(|o| totals.merge(&o.stats));
+            assert_eq!(finished.count() as u64, self.pipeline.queries_done());
+            assert_eq!(self.pipeline.totals(), totals, "the totals");
+            // The progress rule.
+            let took_input = self.fresh > 0 || !collected.is_empty();
+            let gave_output =
+                !done.is_empty() || events.iter().any(|e| matches!(e, Event::Submit(_)));
+            let wake = if took_input || gave_output {
+                Wake::Now
+            } else {
+                Wake::Idle
+            };
+            assert_eq!(self.pipeline.wake(), wake, "the round's wake");
+            self.fresh = 0;
+            if wake == Wake::Idle {
+                assert_eq!(
+                    self.snapshot(),
+                    before,
+                    "an idle round changed the pipeline"
+                );
+                let waiting = self
+                    .pipeline
+                    .parked
+                    .iter()
+                    .any(|(_, f)| self.seam.fate(*f) == Fate::Travelling);
+                assert!(
+                    self.pipeline.is_idle() || waiting,
+                    "wedged with nothing travelling"
+                );
+                return;
+            }
+            // Ready queries resume oldest first.
+            for pair in collected.windows(2) {
+                let (a, b) = (self.owner[pair[0]], self.owner[pair[1]]);
+                assert!(a < b, "query {b} resumed after the younger {a}");
+            }
+            self.owner.resize(self.seam.fetches.len(), u64::MAX);
+            for (q, f) in &self.pipeline.parked {
+                self.owner[*f] = q.seq;
+            }
+            // A query stopped mid-ask runs alone: the seam sees nothing
+            // between its refetch's submission and its collection.
+            if let (Some(r), Some(first)) = (self.alone, events.first()) {
+                assert_eq!(
+                    *first,
+                    Event::Collect(r),
+                    "another query ran while {r} was refetched"
+                );
+            }
+            self.alone = self
+                .pipeline
+                .parked
+                .iter()
+                .find(|(q, _)| q.staged.mid_ask())
+                .map(|&(_, f)| f);
+            if let Some(r) = self.alone.filter(|r| events.contains(&Event::Submit(*r))) {
+                assert_eq!(
+                    events.last(),
+                    Some(&Event::Submit(r)),
+                    "another query ran after {r}'s refetch"
+                );
+            }
+            // Admission keeps the window full. Only a round that began
+            // with a query stopped mid-ask may end with a slot free and a
+            // query waiting: its admission was held back, and the next
+            // round's makes up for it.
+            let p = &self.pipeline;
+            if p.mid_ask().is_none() && !p.queue.is_empty() && p.parked.len() < scope.overlap {
+                assert!(held_back, "a slot left free with a query waiting");
+            }
+            self.history.extend(events.iter().map(|e| match *e {
+                Event::Submit(f) => (f as u64) << 2,
+                Event::Collect(f) => (f as u64) << 2 | 1,
+                Event::Clock => 2,
+            }));
+            self.history.push(u64::MAX - 1);
+        }
+    }
+
+    /// Explores every schedule of `scope`'s dispatches, deliveries and
+    /// rounds, with one fetch per schedule landing corrupt or failing.
+    /// States are branched by replay from the root. Prints the number of
+    /// distinct states and asserts `floor`, so a broken action generator
+    /// cannot pass vacuously.
+    fn explore(scope: &Scope, floor: usize) {
+        let root = Run::replay(scope, &[]);
+        let mut seen = std::collections::HashSet::from([root.key_after(None)]);
+        let mut stack = vec![Vec::new()];
+        let (mut finished, mut failed, mut stopped) = (0, 0, 0);
+        // The round's successor is pushed last, so it is popped next: its
+        // run is carried over rather than replayed.
+        let mut carried = None;
+        while let Some(path) = stack.pop() {
+            let mut run = carried.take().unwrap_or_else(|| Run::replay(scope, &path));
+            if run.failed {
+                failed += 1;
+                continue;
+            }
+            stopped += usize::from(run.alone.is_some());
+            if run.pushed == scope.queries.len() && run.pipeline.is_idle() {
+                assert!(
+                    run.done.iter().all(Option::is_some),
+                    "a query never completed"
+                );
+                finished += 1;
+            }
+            let mut branch = |action, key| {
+                let fresh = seen.insert(key);
+                if fresh {
+                    let mut longer = path.clone();
+                    longer.push(action);
+                    stack.push(longer);
+                }
+                fresh
+            };
+            // Dispatches and landings change no pipeline: their successors
+            // are hashed without a replay. The round runs last, in place.
+            for action in run.actions(scope) {
+                branch(action, run.key_after(Some(action)));
+            }
+            run.apply(Action::Step, scope);
+            if branch(Action::Step, run.key_after(None)) {
+                carried = Some(run);
+            }
+        }
+        println!(
+            "overlap {}, {} queries: {} states ({finished} with every query done, \
+             {stopped} with one stopped mid-ask, {failed} failed)",
+            scope.overlap,
+            scope.queries.len(),
+            seen.len()
+        );
+        assert!(finished > 0 && stopped > 0 && failed > 0);
+        assert!(seen.len() >= floor, "only {} states explored", seen.len());
+    }
+
+    /// A walk that leaves its start cached, an aggregation whose second
+    /// level stops mid-ask when the LRU of two evicts a planned hit, and a
+    /// reachability search.
+    fn explored_queries() -> Vec<Query> {
+        vec![
+            Query::RandomWalk {
+                node: n(9),
+                steps: 1,
+                restart_prob: 0.0,
+                seed: 0,
+            },
+            Query::NeighborAggregation {
+                node: n(10),
+                hops: 2,
+                label: None,
+            },
+            Query::Reachability {
+                source: n(12),
+                target: n(18),
+                hops: 2,
+            },
+        ]
+    }
+
+    #[test]
+    fn explore_overlap_1() {
+        explore(&Scope::new(explored_queries(), 1, 2), 1_280);
+    }
+
+    #[test]
+    fn explore_overlap_2() {
+        explore(&Scope::new(explored_queries(), 2, 2), 18_500);
     }
 }

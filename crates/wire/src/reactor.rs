@@ -81,7 +81,7 @@ impl Backoff {
 /// How long a service or fetch-collect loop parks on its poller before
 /// re-checking its own state anyway: a safety net, since an epoll wait
 /// wakes on any tracked byte and the swept fallback after one rung.
-pub(crate) const IDLE_WAIT: Duration = Duration::from_millis(5);
+pub const IDLE_WAIT: Duration = Duration::from_millis(5);
 
 /// The readiness backend a poll loop runs on — there is only one, the
 /// epoll poller with its swept fallback. Named by the benchmark (`load/`),

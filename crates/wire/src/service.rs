@@ -13,7 +13,11 @@
 //!   connection and drives a [`QueryPipeline`] over a
 //!   [`MultiplexedStorageSource`] — up to [`EngineConfig::overlap`]
 //!   dispatched queries in flight, one query's frontier batch travelling
-//!   while another's compute stage runs;
+//!   while another's compute stage runs. The pipeline decides everything
+//!   without I/O, through its [`crate::FetchSeam`]; the loop only moves
+//!   frames and honours each round's [`Wake`]: [`Wake::Now`] after a
+//!   round that took input or produced output, and a park on the poller
+//!   only after a [`Wake::Idle`] one;
 //! * [`run_router`] — the router node: accepts client and processor
 //!   connections on its reactor and moves frames for the shared
 //!   [`Engine`], which decides admission, routing, stealing, each
@@ -52,7 +56,7 @@ use grouting_trace::{
 use crate::error::{WireError, WireResult};
 use crate::flow::{FetchMode, MultiplexedStorageSource};
 use crate::frame::{Completion, DispatchTrace, Frame, Role};
-use crate::overlap::QueryPipeline;
+use crate::overlap::{QueryPipeline, Wake};
 use crate::reactor::{PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
 use crate::transport::{Listener, RetryPolicy, Transport};
 
@@ -529,11 +533,13 @@ impl ProcessorService {
     }
 }
 
-/// The processor loop: polls the router connection for dispatches
-/// (the router sends up to `overlap` ahead of acknowledgements) and
-/// drives the [`QueryPipeline`], acknowledging completions as they land —
-/// possibly out of dispatch order, which the router correlates by
-/// sequence number.
+/// The processor loop, which only moves frames: it drains the router
+/// connection's dispatches into the [`QueryPipeline`] (the router sends up
+/// to `overlap` ahead of acknowledgements), steps it, acknowledges
+/// completions with their changed tallies as they land — possibly out of
+/// dispatch order, which the router correlates by sequence number —
+/// samples observability, and honours the round's [`Wake`]. Every
+/// decision, the running totals included, is the pipeline's.
 fn run_processor(
     transport: &Arc<dyn Transport>,
     id: usize,
@@ -549,12 +555,11 @@ fn run_processor(
     if let Some(retry) = opts.retry {
         source = source.with_retry(retry);
     }
-    let telemetry = opts.telemetry.clone();
-    if let Some(t) = opts.telemetry {
-        source.set_telemetry(t);
+    if let Some(t) = &opts.telemetry {
+        source.set_telemetry(Arc::clone(t));
     }
     let mut cache = config.build_cache();
-    let mut pipeline = QueryPipeline::new(config.overlap.max(1)).with_prefetch(config.prefetch);
+    let mut pipeline = QueryPipeline::new(config.overlap).with_prefetch(config.prefetch);
     let router = transport.dial(router_addr)?;
     let (mut sink, mut stream) = router.split();
     // The router connection joins the storage connections on the source's
@@ -568,28 +573,21 @@ fn run_processor(
         role: Role::Processor,
         id: id as u32,
     })?;
-    let ready = opts.ready.clone();
-    if ready.is_some() {
+    if opts.ready.is_some() {
         sink.send(&Frame::MetricsRequest)?;
     }
     let mut obs = NodeObs::new(NodeRole::Processor, id as u16, &opts.obs);
-    let mut cum = grouting_query::AccessStats::default();
-    let mut queries_done = 0u64;
     // The cumulative tallies as last sent to the router: a completion
     // carries a tally only when it differs from these, and the default
     // (unchanged) otherwise.
     let mut sent_prefetch = PrefetchStats::default();
     let mut sent_failover = FailoverStats::default();
     let mut sent_heat = HeatMap::new();
+    let stop = opts.stop.clone().unwrap_or_default();
     let outcome: WireResult<()> = 'run: loop {
-        if opts
-            .stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
-        {
+        if stop.load(Ordering::Relaxed) {
             break Ok(());
         }
-        let mut progressed = false;
         // Drain whatever the router has sent — every queued dispatch goes
         // into the pipeline before any compute runs, so fetch submission
         // happens as early as possible.
@@ -600,14 +598,12 @@ fn run_processor(
                         pipeline.set_trace(t.level);
                     }
                     pipeline.push(seq, query);
-                    progressed = true;
                 }
                 Ok(Some(Frame::Shutdown)) | Err(WireError::Closed) => break 'run Ok(()),
-                Ok(Some(Frame::Metrics { .. })) if ready.is_some() => {
-                    if let Some(r) = &ready {
-                        r.store(true, Ordering::SeqCst);
-                    }
-                    progressed = true;
+                Ok(Some(Frame::Metrics { .. })) if opts.ready.is_some() => {
+                    opts.ready
+                        .iter()
+                        .for_each(|r| r.store(true, Ordering::SeqCst));
                 }
                 Ok(Some(other)) => {
                     break 'run Err(WireError::Protocol(format!(
@@ -625,15 +621,7 @@ fn run_processor(
             Ok(finished) => finished,
             Err(e) => break Err(e),
         };
-        // A fetch answered and its query resumed is progress, finished or
-        // not: a walk's steps would otherwise leave the hot rung between
-        // completions.
-        progressed |= pipeline.consumed_payloads();
         for done in finished {
-            cum.cache_hits += done.outcome.stats.cache_hits;
-            cum.cache_misses += done.outcome.stats.cache_misses;
-            cum.evictions += done.outcome.stats.evictions;
-            queries_done += 1;
             if let Err(e) = sink.send(&Frame::Completion(Completion {
                 seq: done.seq,
                 processor: id as u32,
@@ -649,19 +637,19 @@ fn run_processor(
             })) {
                 break 'run Err(e);
             }
-            progressed = true;
         }
         if let Some(o) = obs.as_mut() {
             let now = now_ns();
             o.maybe_sample(now, |r| {
-                r.counter("grouting_queries_total", queries_done);
+                r.counter("grouting_queries_total", pipeline.queries_done());
                 r.gauge("grouting_pipeline_in_flight", pipeline.in_flight() as f64);
+                let cum = pipeline.totals();
                 r.absorb_cache(cum.cache_hits, cum.cache_misses, cum.evictions);
                 let pf = pipeline.prefetch_stats();
                 r.absorb_prefetch(pf.issued, pf.hits, pf.wasted_bytes);
                 r.absorb_failover(&source.failover_stats());
                 r.absorb_heat("partition", pipeline.heat());
-                if let Some(t) = &telemetry {
+                if let Some(t) = &opts.telemetry {
                     r.absorb_reactor(&t.snapshot());
                 }
             });
@@ -674,14 +662,12 @@ fn run_processor(
             }
             o.poll_scrape(now);
         }
-        if progressed {
-            source.note_progress();
-        } else {
-            // No dispatch drained, no payload consumed: the router stream
-            // and every awaited storage stream found their sockets empty
-            // (pipeline.step never parks runnable compute), so blocking
-            // until one of those sockets has traffic is safe.
-            source.idle_wait(IDLE_WAIT);
+        match pipeline.wake() {
+            Wake::Now => source.note_progress(),
+            // The round drained no dispatch and moved no query: the router
+            // stream and every awaited storage stream found their sockets
+            // empty, so blocking until one of them has traffic is safe.
+            Wake::Idle => source.idle_wait(IDLE_WAIT),
         }
     };
     if let Some(o) = obs.as_ref() {
