@@ -863,14 +863,40 @@ mod tests {
         }
     }
 
-    /// Runs a fixed seeded stream (every query kind, labelled and not)
-    /// through one [`Executor`] over `cache` and folds it into two FNV-1a
-    /// hashes: an access hash of every answer, [`AccessStats`] and
-    /// miss-log entry with their byte words (`miss_bytes`,
-    /// [`MissEvent::bytes`]) read as zero, and a byte hash of those byte
-    /// words alone. Which records are read, and in what order, moves the
-    /// first; how many bytes a record travels in moves only the second.
-    fn accounting_fingerprints(cache: &mut ProcessorCache) -> (u64, u64) {
+    /// The three pinned streams, one per query kind.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        /// Aggregation, plain and labelled.
+        Aggregation,
+        Walk,
+        /// Reachability, plain and constrained.
+        Reachability,
+    }
+
+    const KINDS: [Kind; 3] = [Kind::Aggregation, Kind::Walk, Kind::Reachability];
+
+    impl Kind {
+        fn of(query: &Query) -> Self {
+            match query {
+                Query::NeighborAggregation { .. } => Self::Aggregation,
+                Query::RandomWalk { .. } => Self::Walk,
+                Query::Reachability { .. } | Query::ConstrainedReachability { .. } => {
+                    Self::Reachability
+                }
+            }
+        }
+    }
+
+    /// Runs the `kind` queries of a fixed seeded stream (every query
+    /// kind, labelled and not), in stream order, through one [`Executor`]
+    /// over `cache` and folds them into two FNV-1a hashes: an access hash
+    /// of every answer, [`AccessStats`] and miss-log entry with their byte
+    /// words (`miss_bytes`, [`MissEvent::bytes`]) read as zero, and a byte
+    /// hash of those byte words alone. Which records are read, and in what
+    /// order, moves the first; how many bytes a record travels in moves
+    /// only the second. Each kind has its own cache, so a change to one
+    /// kind's reads moves only that kind's pins.
+    fn accounting_fingerprints(kind: Kind, cache: &mut ProcessorCache) -> (u64, u64) {
         let mut rng = StdRng::seed_from_u64(39);
         let nodes = 300u32;
         let mut b = GraphBuilder::with_nodes(nodes as usize);
@@ -918,6 +944,9 @@ mod tests {
                     via_label: NodeLabelId::new((t % 3) as u16),
                 },
             };
+            if Kind::of(&query) != kind {
+                continue;
+            }
             let out = ex.run(&query);
             match out.result {
                 QueryResult::Count(c) => fnv1a(&mut access, &[0, c]),
@@ -937,45 +966,83 @@ mod tests {
         (access, bytes)
     }
 
-    /// What the serial executor produced before every query kind staged
-    /// its fetches: answers, per-query statistics and miss logs over
-    /// caches that evict a planned hit mid-frontier (60 B, 300 B), one
-    /// that mostly holds the stream (64 KiB), and one that holds nothing.
-    /// The access constants are the fingerprints the blocking executor
-    /// this one replaced produced, with the byte words read as zero; they
-    /// are never to be edited. A change that moves them changes which
-    /// records are read or in what order.
+    /// What the serial executor produces per query kind: answers,
+    /// per-query statistics and miss logs over caches that evict a planned
+    /// hit mid-frontier (60 B, 300 B), one that mostly holds the stream
+    /// (64 KiB), and one that holds nothing. A change that moves a kind's
+    /// access constants changes which records that kind reads or in what
+    /// order, and says so; the other kinds' constants stay as they are.
     #[test]
     fn serial_accounting_matches_the_pinned_fingerprints() {
-        for (name, mut cache, want) in pinned_caches(ACCESS_PINS) {
-            let (got, _) = accounting_fingerprints(&mut cache);
-            assert_eq!(got, want, "{name}: {got:#018x}");
+        for (kind, pins) in KINDS.into_iter().zip(ACCESS_PINS) {
+            for (name, mut cache, want) in pinned_caches(pins) {
+                let (got, _) = accounting_fingerprints(kind, &mut cache);
+                assert_eq!(got, want, "{kind:?}, {name}: {got:#018x}");
+            }
         }
     }
 
-    /// The byte words of the same stream: every query's `miss_bytes` and
+    /// The byte words of the same streams: every query's `miss_bytes` and
     /// every miss-log entry's payload length. They move with the record
-    /// codec and with nothing else.
+    /// codec, and with which records a kind reads.
     #[test]
     fn serial_miss_bytes_match_the_pinned_fingerprints() {
-        for (name, mut cache, want) in pinned_caches(BYTE_PINS) {
-            let (_, got) = accounting_fingerprints(&mut cache);
-            assert_eq!(got, want, "{name}: {got:#018x}");
+        for (kind, pins) in KINDS.into_iter().zip(BYTE_PINS) {
+            for (name, mut cache, want) in pinned_caches(pins) {
+                let (_, got) = accounting_fingerprints(kind, &mut cache);
+                assert_eq!(got, want, "{kind:?}, {name}: {got:#018x}");
+            }
         }
     }
 
-    const ACCESS_PINS: [u64; 4] = [
-        0x1a6b_9af8_4d3e_1132,
-        0x5918_f50e_17a1_6244,
-        0x0467_41a4_cca6_8a1b,
-        0x80f1_2c79_9272_845a,
+    /// Per kind, in [`KINDS`] order.
+    const ACCESS_PINS: [[u64; 4]; 3] = [
+        // Aggregation.
+        [
+            0x7a6f_0694_bb57_245e,
+            0x2baa_fb4c_4038_33d7,
+            0x3c43_3cdb_8253_e5ec,
+            0x298f_dc1c_4c66_e9ab,
+        ],
+        // Walk.
+        [
+            0x589e_7c7d_9e76_5e56,
+            0x7f62_2175_7710_d76d,
+            0xc161_8363_d0a1_efc5,
+            0xea19_6d73_a543_f578,
+        ],
+        // Reachability.
+        [
+            0xc6f7_a566_a450_2163,
+            0x73e2_f310_a49d_0907,
+            0xf7d8_2e4a_0e27_7ea1,
+            0x9e5a_5052_f429_e4a1,
+        ],
     ];
 
-    const BYTE_PINS: [u64; 4] = [
-        0x4fb6_98bc_5078_10c3,
-        0xd84a_bb3f_028e_de76,
-        0x2482_906d_deef_cda1,
-        0x022b_d86a_6288_8d27,
+    /// Per kind, in [`KINDS`] order.
+    const BYTE_PINS: [[u64; 4]; 3] = [
+        // Aggregation.
+        [
+            0xb11e_1adf_bd32_d921,
+            0xaaaa_cd36_619a_80d2,
+            0x7601_0e29_a438_6241,
+            0xe9a5_a534_6642_22a5,
+        ],
+        // Walk.
+        [
+            0xb35e_56db_7d56_37ab,
+            0x7dd1_e185_774f_f001,
+            0xf1bc_b78c_a184_848d,
+            0xe89e_e500_37dc_8a0f,
+        ],
+        // Reachability.
+        [
+            0x6ef9_1879_0de4_f04b,
+            0x7e2f_9068_69ef_37e5,
+            0x3f5f_dc29_4f46_e503,
+            0x1ea2_1365_a7e7_afc5,
+        ],
     ];
 
     /// The four pinned caches, each beside its pin.
