@@ -10,9 +10,10 @@
 //! ([`Step::Fetch`]); the caller fetches them and resumes it with the
 //! payloads. Every query kind runs the same plan → fetch → apply cycle:
 //! aggregation asks for one BFS level at a time, a random walk for one
-//! node per step, and reachability for one expanded node, or one meeting
-//! node's label, at a time. A step whose records are all cached costs no
-//! fetch. Two drivers share it:
+//! node per step, and reachability for both endpoints together, then for
+//! one frontier level at a time (a constrained search reads the labels of
+//! the nodes where a level met as one more ask). A step whose records are
+//! all cached costs no fetch. Two drivers share it:
 //!
 //! * [`Executor::run`] — the serial driver (the simulator, reference
 //!   answers): resume, fetch the asked nodes in one batch, resume again;
@@ -164,13 +165,13 @@ impl Traversal {
 
     /// Drains the records of the last ask (`None` on the first call, when
     /// nothing was asked) and either pushes its next ask onto the empty
-    /// `ask`, in access order, or finishes. Walks and reachability ask for
-    /// one node at a time.
+    /// `ask`, in access order, or finishes. A walk asks for one node at a
+    /// time; aggregation and reachability for a whole level.
     fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>) -> Next {
         match self {
             Self::Bfs(s) => s.next(got, ask),
             Self::Walk(s) => s.next(got.map(|g| g.pop().flatten()), ask),
-            Self::Reach(s) => s.next(got.and_then(Vec::pop).flatten(), ask),
+            Self::Reach(s) => s.next(got, ask),
         }
     }
 }
@@ -288,38 +289,63 @@ impl WalkState {
     }
 }
 
-/// Where a reachability traversal stands between asks.
-enum ReachPhase {
-    /// Pick the smaller frontier and pop its next node.
-    Pop,
-    /// The record of popped node `v` is asked for.
-    Record { v: NodeId, forward: bool, dv: u32 },
-    /// Frontiers met at intermediate nodes whose labels are read one at a
-    /// time, in discovery order; `met` when the expansion also met at a
-    /// node that needs no label.
-    Meet { reads: VecDeque<NodeId>, met: bool },
+/// One side of a reachability search: forward from the source over
+/// out-edges, or backward from the target over in-edges.
+struct Side {
+    /// The hop distance of every node this side discovered.
+    dist: NodeMap<u32>,
+    /// The nodes at `depth` not yet expanded, in discovery order.
+    level: Vec<NodeId>,
+    depth: u32,
+    /// Only levels above this depth are expanded.
+    budget: u32,
 }
 
-/// Bidirectional BFS: forward over out-edges from the source, backward
-/// over in-edges from the target, expanding the smaller frontier first,
-/// one node at a time.
+impl Side {
+    fn new(root: NodeId, budget: u32) -> Self {
+        Self {
+            dist: NodeMap::from_iter([(root, 0)]),
+            level: vec![root],
+            depth: 0,
+            budget,
+        }
+    }
+
+    /// Whether the pending level is still to be expanded.
+    fn live(&self) -> bool {
+        !self.level.is_empty() && self.depth < self.budget
+    }
+}
+
+/// Bidirectional BFS in levels: forward over out-edges from the source
+/// (⌈h/2⌉ levels), backward over in-edges from the target (⌊h/2⌋). The
+/// first ask holds both endpoints; each later ask expands one whole
+/// pending level, the smaller one (forward on a tie). So a search within
+/// h ≥ 1 hops asks at most `max(1, h − 1)` times, and no node is asked
+/// for twice: a node both sides discovered is a meeting, which ends the
+/// search or is never expanded.
 ///
 /// With `via_label`, intermediate nodes must carry that label (the
 /// endpoints are exempt) — the §2.2 label-constrained variant. The
 /// constraint is enforced at *expansion* time: a node lacking the label
 /// may be discovered (it could be the meeting endpoint) but its record
-/// is never expanded, and a frontier meeting at an intermediate node
-/// counts only once that node's record shows the label.
+/// is never expanded, and a meeting at an intermediate node counts only
+/// once that node's record shows the label. The meeting nodes of an
+/// expansion whose labels are unknown are read as one more ask.
 struct ReachState {
     source: NodeId,
     target: NodeId,
-    hops: u32,
     via_label: Option<NodeLabelId>,
-    fwd: NodeMap<u32>,
-    bwd: NodeMap<u32>,
-    fq: VecDeque<NodeId>,
-    bq: VecDeque<NodeId>,
-    phase: ReachPhase,
+    /// Forward, then backward.
+    sides: [Side; 2],
+    /// Which sides' levels the last expansion ask held, in `sides` order.
+    expanding: [bool; 2],
+    /// The meeting nodes whose labels the last ask read.
+    meets: Vec<NodeId>,
+    /// With `via_label`: whether each intermediate read so far carries
+    /// it. A meeting node awaiting its label read counts as `false`: were
+    /// it labelled, that read would end the search.
+    labelled: NodeMap<bool>,
 }
 
 impl ReachState {
@@ -327,95 +353,116 @@ impl ReachState {
         Self {
             source,
             target,
-            hops,
             via_label,
-            fwd: NodeMap::from_iter([(source, 0)]),
-            bwd: NodeMap::from_iter([(target, 0)]),
-            fq: VecDeque::from([source]),
-            bq: VecDeque::from([target]),
-            // A source that is its target has met already; zero hops
-            // leave both frontiers without budget.
-            phase: ReachPhase::Meet {
-                reads: VecDeque::new(),
-                met: source == target,
-            },
+            sides: [
+                Side::new(source, hops - hops / 2),
+                Side::new(target, hops / 2),
+            ],
+            expanding: [false; 2],
+            meets: Vec::new(),
+            labelled: NodeMap::default(),
         }
     }
 
-    /// Runs until the next ask or the answer; `got` is the record last
-    /// asked for.
-    fn next(&mut self, mut got: Option<Arc<AdjacencyRecord>>, ask: &mut Vec<NodeId>) -> Next {
-        loop {
-            match std::mem::replace(&mut self.phase, ReachPhase::Pop) {
-                ReachPhase::Pop => {
-                    let forward = match (self.fq.is_empty(), self.bq.is_empty()) {
-                        (true, true) => return ControlFlow::Break(QueryResult::Reachable(false)),
-                        (empty_f, empty_b) => {
-                            !empty_f && (empty_b || self.fq.len() <= self.bq.len())
+    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>) -> Next {
+        let met = match got {
+            // A source that is its target has met already.
+            None => self.source == self.target,
+            Some(got) if self.meets.is_empty() => self.expand_levels(got),
+            Some(got) => {
+                self.meets.clear();
+                got.drain(..)
+                    .any(|rec| rec.is_some_and(|r| r.node_label == self.via_label))
+            }
+        };
+        if met {
+            return ControlFlow::Break(QueryResult::Reachable(true));
+        }
+        if !self.meets.is_empty() {
+            ask.extend_from_slice(&self.meets);
+            return ControlFlow::Continue(());
+        }
+        // A node whose record showed no label is never expanded, nor
+        // asked for again.
+        let labelled = &self.labelled;
+        for side in &mut self.sides {
+            side.level.retain(|v| labelled.get(v) != Some(&false));
+        }
+        let [fwd, bwd] = &self.sides;
+        let forward = fwd.live() && (!bwd.live() || fwd.level.len() <= bwd.level.len());
+        self.expanding = match (fwd.live(), bwd.live()) {
+            (false, false) => return ControlFlow::Break(QueryResult::Reachable(false)),
+            // The first ask holds both endpoints.
+            (true, true) if fwd.depth + bwd.depth == 0 => [true, true],
+            _ => [forward, !forward],
+        };
+        for (side, _) in self.sides.iter().zip(self.expanding).filter(|(_, e)| *e) {
+            ask.extend_from_slice(&side.level);
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Expands the levels the last ask held, whose records `got` holds in
+    /// ask order. Returns whether the two sides met.
+    fn expand_levels(&mut self, got: &mut Got) -> bool {
+        let mut records = got.drain(..);
+        (0..2).any(|side| self.expanding[side] && self.expand(side, &mut records))
+    }
+
+    /// Expands `side`'s pending level, whose records `records` yields in
+    /// level order: each expanded node's undiscovered neighbours make the
+    /// next level, and a neighbour the other side discovered is a
+    /// meeting. Returns whether the sides met; a meeting at an
+    /// intermediate node whose label is unknown joins `meets` instead.
+    fn expand(
+        &mut self,
+        side: usize,
+        records: &mut impl Iterator<Item = Option<Arc<AdjacencyRecord>>>,
+    ) -> bool {
+        let Self {
+            source,
+            target,
+            via_label,
+            sides: [fwd, bwd],
+            meets,
+            labelled,
+            ..
+        } = self;
+        let (this, other) = if side == 0 { (fwd, bwd) } else { (bwd, fwd) };
+        let intermediate = |v: NodeId| v != *source && v != *target;
+        let level = std::mem::take(&mut this.level);
+        this.depth += 1;
+        for (v, rec) in level.into_iter().zip(records) {
+            let Some(rec) = rec else { continue };
+            if let Some(l) = via_label.filter(|_| intermediate(v)) {
+                let holds = rec.node_label == Some(l);
+                labelled.insert(v, holds);
+                if !holds {
+                    continue;
+                }
+            }
+            let next = if side == 0 { rec.out() } else { rec.inc() };
+            for &w in next {
+                if other.dist.contains_key(&w) {
+                    if via_label.is_none() || !intermediate(w) {
+                        return true;
+                    }
+                    match labelled.entry(w) {
+                        Entry::Occupied(e) if *e.get() => return true,
+                        Entry::Occupied(_) => {}
+                        Entry::Vacant(e) => {
+                            e.insert(false);
+                            meets.push(w);
                         }
-                    };
-                    let (queue, dist, budget) = if forward {
-                        (&mut self.fq, &self.fwd, self.hops / 2 + self.hops % 2)
-                    } else {
-                        (&mut self.bq, &self.bwd, self.hops / 2)
-                    };
-                    let v = queue.pop_front().expect("the chosen frontier is not empty");
-                    let dv = dist[&v];
-                    if dv < budget {
-                        self.phase = ReachPhase::Record { v, forward, dv };
-                        ask.push(v);
-                        return ControlFlow::Continue(());
                     }
                 }
-                ReachPhase::Record { v, forward, dv } => {
-                    let Some(rec) = got.take() else { continue };
-                    // An intermediate node (anything but the endpoints) may
-                    // only be expanded if it satisfies the label constraint.
-                    let endpoint = v == self.source || v == self.target;
-                    if !endpoint && self.via_label.is_some_and(|l| rec.node_label != Some(l)) {
-                        continue;
-                    }
-                    let (next, dist, queue, other) = if forward {
-                        (rec.out(), &mut self.fwd, &mut self.fq, &self.bwd)
-                    } else {
-                        (rec.inc(), &mut self.bwd, &mut self.bq, &self.fwd)
-                    };
-                    // Meetings only end the search, so discovering every
-                    // neighbour first changes no access: the label reads
-                    // still happen in discovery order, up to the first
-                    // that holds.
-                    let (mut reads, mut met) = (VecDeque::new(), false);
-                    for &w in next {
-                        if other.get(&w).is_some_and(|&dw| dv + 1 + dw <= self.hops) {
-                            met = w == self.source || w == self.target || self.via_label.is_none();
-                            if met {
-                                break;
-                            }
-                            reads.push_back(w);
-                        }
-                        if let Entry::Vacant(e) = dist.entry(w) {
-                            e.insert(dv + 1);
-                            queue.push_back(w);
-                        }
-                    }
-                    self.phase = ReachPhase::Meet { reads, met };
-                }
-                ReachPhase::Meet { mut reads, met } => {
-                    if got.take().is_some_and(|r| r.node_label == self.via_label) {
-                        return ControlFlow::Break(QueryResult::Reachable(true));
-                    }
-                    match reads.pop_front() {
-                        Some(w) => {
-                            self.phase = ReachPhase::Meet { reads, met };
-                            ask.push(w);
-                            return ControlFlow::Continue(());
-                        }
-                        None if met => return ControlFlow::Break(QueryResult::Reachable(true)),
-                        None => {}
-                    }
+                if let Entry::Vacant(e) = this.dist.entry(w) {
+                    e.insert(this.depth);
+                    this.level.push(w);
                 }
             }
         }
+        false
     }
 }
 
@@ -1013,10 +1060,10 @@ mod tests {
         ],
         // Reachability.
         [
-            0xc6f7_a566_a450_2163,
-            0x73e2_f310_a49d_0907,
-            0xf7d8_2e4a_0e27_7ea1,
-            0x9e5a_5052_f429_e4a1,
+            0x540b_27da_cfab_452f,
+            0x41a8_d100_7bd3_a208,
+            0x3d16_a66a_bdfa_d064,
+            0x10f6_1b19_0a84_68c4,
         ],
     ];
 
@@ -1038,10 +1085,10 @@ mod tests {
         ],
         // Reachability.
         [
-            0x6ef9_1879_0de4_f04b,
-            0x7e2f_9068_69ef_37e5,
-            0x3f5f_dc29_4f46_e503,
-            0x1ea2_1365_a7e7_afc5,
+            0x2185_ed1a_17b1_5325,
+            0x0aa9_0ad3_56f8_ad6b,
+            0x0116_ee4d_3d48_c9cd,
+            0xc3c6_ae0f_f422_c9eb,
         ],
     ];
 
@@ -1058,8 +1105,17 @@ mod tests {
     /// Drives a [`StagedQuery`] exactly as a serial caller would: resume,
     /// fetch the requested nodes straight from the tier, resume again.
     fn run_staged(tier: &StorageTier, cache: &mut ProcessorCache, query: Query) -> ExecOutcome {
+        run_staged_asks(tier, cache, query).0
+    }
+
+    /// [`run_staged`], also returning each [`Step::Fetch`]'s nodes in turn.
+    fn run_staged_asks(
+        tier: &StorageTier,
+        cache: &mut ProcessorCache,
+        query: Query,
+    ) -> (ExecOutcome, Vec<Vec<NodeId>>) {
         let mut staged = StagedQuery::new(query);
-        let mut payloads = None;
+        let (mut payloads, mut asks) = (None, Vec::new());
         loop {
             let mut source = tier;
             let mut store = CacheBackedStore::new(&mut source, cache);
@@ -1071,10 +1127,54 @@ mod tests {
                             .map(|&w| tier.get(w).map(|(s, b)| (s as u16, b)))
                             .collect(),
                     );
+                    asks.push(nodes);
                 }
-                Step::Done(out) => return out,
+                Step::Done(out) => return (out, asks),
             }
         }
+    }
+
+    /// A graph over `0..16` with `edges`, whose node `v` carries label 1
+    /// when bit `v` of `mask` is set and label 0 otherwise.
+    fn two_label_graph(edges: &[(u32, u32)], mask: u32) -> CsrGraph {
+        let mut b = GraphBuilder::with_nodes(16);
+        for &(s, d) in edges {
+            b.add_edge(n(s), n(d));
+        }
+        for v in 0..16 {
+            b.set_node_label(n(v), NodeLabelId::new(((mask >> v) & 1) as u16));
+        }
+        b.build().unwrap()
+    }
+
+    /// Whether `target` lies within `hops` of `source` over out-edges
+    /// through intermediates that all carry `via`: a whole-graph BFS that
+    /// expands only the source and the nodes carrying the label.
+    fn naive_constrained_reach(
+        g: &CsrGraph,
+        source: NodeId,
+        target: NodeId,
+        hops: u32,
+        via: NodeLabelId,
+    ) -> bool {
+        let mut dist = std::collections::HashMap::from([(source, 0u32)]);
+        let mut queue = VecDeque::from([source]);
+        while let Some(v) = queue.pop_front() {
+            if v == target {
+                return true;
+            }
+            let d = dist[&v];
+            if d == hops || (v != source && g.node_label(v) != Some(via)) {
+                continue;
+            }
+            for w in g.out_neighbors(v) {
+                dist.entry(w).or_insert_with(|| {
+                    queue.push_back(w);
+                    d + 1
+                });
+            }
+        }
+        false
     }
 
     /// The hand drive above (one tier read per asked node) and
@@ -1317,6 +1417,65 @@ mod tests {
             let out = ex.run(&Query::NeighborAggregation { node: n(src), hops: h, label: None });
             let truth = h_hop_neighborhood(&g, n(src), h, Direction::Both).len() as u64;
             proptest::prop_assert_eq!(out.result, QueryResult::Count(truth));
+        }
+
+        /// Constrained reachability equals a naive whole-graph search, over
+        /// a cache that holds nothing and over one that evicts mid-ask.
+        #[test]
+        fn prop_constrained_reachability_matches(
+            edges in proptest::collection::vec((0u32..16, 0u32..16), 1..60),
+            mask in 0u32..1 << 16,
+            s in 0u32..16,
+            t in 0u32..16,
+            h in 0u32..5,
+            via in 0u16..2,
+        ) {
+            let g = two_label_graph(&edges, mask);
+            let tier = setup(&g);
+            let via = NodeLabelId::new(via);
+            let truth = naive_constrained_reach(&g, n(s), n(t), h, via);
+            let caches: [ProcessorCache; 2] = [Box::new(NullCache::new()), Box::new(LruCache::new(60))];
+            for mut cache in caches {
+                let out = Executor::new(&tier, &mut cache).run(&Query::ConstrainedReachability {
+                    source: n(s),
+                    target: n(t),
+                    hops: h,
+                    via_label: via,
+                });
+                proptest::prop_assert_eq!(out.result, QueryResult::Reachable(truth));
+            }
+        }
+
+        /// Over a cache that holds nothing, every ask is one fetch step.
+        /// Reachability within `h ≥ 1` hops asks at most `max(1, h − 1)`
+        /// times, and not at all within 0 hops or from a node to itself;
+        /// the constrained kind adds at most one label ask per expansion
+        /// ask. No node is asked for twice in one query.
+        #[test]
+        fn prop_reachability_asks_stay_within_the_level_bound(
+            edges in proptest::collection::vec((0u32..16, 0u32..16), 1..60),
+            mask in 0u32..1 << 16,
+            s in 0u32..16,
+            t in 0u32..16,
+            h in 0u32..6,
+            constrained in proptest::bool::ANY,
+        ) {
+            let g = two_label_graph(&edges, mask);
+            let tier = setup(&g);
+            let (query, label_asks) = if constrained {
+                let via_label = NodeLabelId::new(1);
+                (Query::ConstrainedReachability { source: n(s), target: n(t), hops: h, via_label }, 2)
+            } else {
+                (Query::Reachability { source: n(s), target: n(t), hops: h }, 1)
+            };
+            let mut cache: ProcessorCache = Box::new(NullCache::new());
+            let (_, asks) = run_staged_asks(&tier, &mut cache, query);
+            let bound = if h == 0 || s == t { 0 } else { label_asks * (h - 1).max(1) as usize };
+            proptest::prop_assert!(asks.len() <= bound, "{:?} asked {:?}", query, asks);
+            let mut asked = NodeSet::default();
+            for &v in asks.iter().flatten() {
+                proptest::prop_assert!(asked.insert(v), "{:?} asked {} twice: {:?}", query, v, asks);
+            }
         }
 
         /// Distributed reachability equals whole-graph bidirectional BFS.

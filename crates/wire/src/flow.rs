@@ -80,8 +80,8 @@ struct MuxConn {
 /// lazily dialled connection per server with any number of batches in
 /// flight on it.
 ///
-/// Single-node fetches (reachability expansions, random-walk steps) travel
-/// as one-element batches over the same connections, so a processor
+/// Single-node fetches (random-walk steps, re-fetches) travel as
+/// one-element batches over the same connections, so a processor
 /// speaks only the batch protocol. The processor submits and collects
 /// through the [`FetchSeam`] ([`FetchSeam::submit_frontier`],
 /// [`FetchSeam::try_collect`]); the blocking [`BatchSource::fetch_batch`]

@@ -8,8 +8,9 @@
 //! travels, query B's compute stage runs — and B's next fetch goes on the
 //! wire before A's reply is awaited (double-buffered frontiers). Every
 //! query kind stages: an aggregation level, a walk step, a reachability
-//! expansion, a meeting node's label read and a re-fetch of a node
-//! evicted mid-apply are each one submitted fetch. A query stopped
+//! search's endpoints or one of its frontier levels, the label read of
+//! the nodes where a constrained search's level met, and a re-fetch of a
+//! node evicted mid-apply are each one submitted fetch. A query stopped
 //! mid-apply for such a re-fetch runs alone until it lands, as it did when
 //! the re-fetch blocked, so no other query's cache operations land inside
 //! one query's ask.
@@ -1392,7 +1393,8 @@ mod tests {
 
     /// A walk that leaves its start cached, an aggregation whose second
     /// level stops mid-ask when the LRU of two evicts a planned hit, and a
-    /// reachability search.
+    /// reachability search that takes two asks: 21 is three hops from 12,
+    /// so the endpoints' ask does not meet, and the source's level does.
     fn explored_queries() -> Vec<Query> {
         vec![
             Query::RandomWalk {
@@ -1408,8 +1410,8 @@ mod tests {
             },
             Query::Reachability {
                 source: n(12),
-                target: n(18),
-                hops: 2,
+                target: n(21),
+                hops: 4,
             },
         ]
     }
