@@ -234,7 +234,7 @@ fn wire_frames(c: &mut Criterion) {
             miss_bytes: 4096,
             evictions: 2,
         },
-        prefetch: grouting_core::query::PrefetchStats::default(),
+        prefetch: grouting_core::query::PrefetchStats,
         failover: grouting_core::metrics::FailoverStats::default(),
         arrived_ns: 1,
         started_ns: 2,
@@ -242,7 +242,7 @@ fn wire_frames(c: &mut Criterion) {
         heat: {
             let mut h = grouting_core::metrics::HeatMap::new();
             h.record_demand(1, 17);
-            h.record_speculative(2, 4);
+            h.record_demand(2, 4);
             h
         },
         trace: None,
@@ -549,174 +549,6 @@ fn wire_overlap_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-fn wire_prefetch(c: &mut Criterion) {
-    if !criterion::group_enabled("wire_prefetch") {
-        return;
-    }
-    use grouting_core::cache::{LruCache, NullCache};
-    use grouting_core::query::{PrefetchConfig, PrefetchPolicy, ProcessorCache};
-    use grouting_core::storage::{NetworkModel, StorageTier};
-    use grouting_core::wire::{
-        MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind, Wake,
-        IDLE_WAIT,
-    };
-
-    if env_transport() == TransportKind::InProc {
-        // No loopback in this sandbox; prefetch numbers over channels say
-        // nothing about hiding real wire latency, so skip.
-        return;
-    }
-
-    // The RTT-per-level scenario the subsystem exists for: cold 2-hop BFS
-    // over the emulated ~200 µs cross-rack tier (the decoupled storage the
-    // paper measures as gRouting-E). Without speculation every BFS level
-    // pays one full emulated RTT before the next can start; with it, the
-    // frontier batch going out piggybacks predicted next-hop nodes, so
-    // later levels are served from the staging buffer with no exchange at
-    // all.
-    //
-    // Two cache settings isolate the two predictors:
-    //  * NullCache — every access would cross the wire ("cold" at its
-    //    purest); the history predictor stages the hotspot region after
-    //    the first query and cuts ~2 of 3 exchanges per query thereafter.
-    //  * small LRU — the region half-fits; the structural predictor peeks
-    //    the cached frontier members and speculates on their neighbours
-    //    (the boundary the cache does not yet hold).
-    let graph = bench_graph();
-    let tier = Arc::new(StorageTier::new(Arc::new(HashPartitioner::new(3))));
-    tier.load_graph(&graph).unwrap();
-    let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
-    let remote_net = NetworkModel {
-        rtt_ns: 200_000,
-        gbps: 10.0,
-    };
-    let handles: Vec<_> = (0..tier.server_count())
-        .map(|_| spawn_storage(&transport, &tier, remote_net))
-        .collect();
-    let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
-
-    // Two workload shapes, one per predictor's honest niche. An RTT is
-    // only saved when a *whole* level is staged, so each predictor needs
-    // the repetition structure it actually exploits:
-    //
-    //  * `hotspot` — twelve 2-hop queries cycling over three hotspot
-    //    roots (the paper's hotspot workload: repeat queries concentrated
-    //    on one processor), against a NullCache so every access would
-    //    cross the wire. The history predictor stages the whole region
-    //    after the first visit and later queries run almost wire-free.
-    //  * `lru_degree` — twelve distinct roots *walking* across one
-    //    community over a 256 KiB LRU: the cache holds the recently
-    //    visited region, so each new query's frontier is partially
-    //    cached, and the structural predictor speculates on the cached
-    //    members' neighbours — the boundary the cache does not yet hold.
-    //
-    // (The inverse pairings demonstrate *waste*, not wins: repeat roots
-    // over a retaining LRU leave speculation nothing to add — README
-    // documents that trade-off.)
-    let hotspot_queries: Vec<Query> = (0..12u32)
-        .map(|i| Query::NeighborAggregation {
-            node: NodeId::new((i % 3) * 7 + 1),
-            hops: 2,
-            label: None,
-        })
-        .collect();
-    let walking_queries: Vec<Query> = (0..12u32)
-        .map(|i| Query::NeighborAggregation {
-            node: NodeId::new(i * 3 + 1),
-            hops: 2,
-            label: None,
-        })
-        .collect();
-
-    let run = |source: &mut MultiplexedStorageSource,
-               cache: &mut ProcessorCache,
-               prefetch: PrefetchConfig,
-               queries: &[Query]| {
-        let mut pipeline = QueryPipeline::new(1).with_prefetch(prefetch);
-        for (seq, q) in queries.iter().enumerate() {
-            pipeline.push(seq as u64, *q);
-        }
-        let mut done = 0usize;
-        while !pipeline.is_idle() {
-            done += pipeline.step(source, cache).unwrap().len();
-            match pipeline.wake() {
-                Wake::Now => source.note_progress(),
-                Wake::Idle => source.idle_wait(IDLE_WAIT),
-            }
-        }
-        assert_eq!(done, queries.len());
-        pipeline.prefetch_stats()
-    };
-
-    type MakeCache = fn() -> ProcessorCache;
-    let variants: [(&str, PrefetchPolicy, MakeCache, &[Query]); 4] = [
-        (
-            "off",
-            PrefetchPolicy::Off,
-            || Box::new(NullCache::new()),
-            &hotspot_queries,
-        ),
-        (
-            "hotspot",
-            PrefetchPolicy::Hotspot,
-            || Box::new(NullCache::new()),
-            &hotspot_queries,
-        ),
-        (
-            "lru_off",
-            PrefetchPolicy::Off,
-            || Box::new(LruCache::new(256 << 10)),
-            &walking_queries,
-        ),
-        (
-            "lru_degree",
-            PrefetchPolicy::Degree,
-            || Box::new(LruCache::new(256 << 10)),
-            &walking_queries,
-        ),
-    ];
-
-    let mut g = c.benchmark_group("wire_prefetch");
-    g.sample_size(10);
-    for (name, policy, make_cache, queries) in variants {
-        let mut config = PrefetchConfig::with_policy(policy);
-        if policy != PrefetchPolicy::Off {
-            // The hotspot's 2-hop union region is ~1k nodes; the budget
-            // must cover a whole level for the RTT to disappear.
-            config.max_nodes = 1024;
-        }
-        let mut source =
-            MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                // Cold per pass: fresh cache AND fresh predictor state, so
-                // each measured pass includes the predictor's warm-up —
-                // the win reported is the honest steady-state average.
-                let mut cache = make_cache();
-                std::hint::black_box(run(&mut source, &mut cache, config, queries))
-            })
-        });
-        // Publish the speculative tally of one instrumented pass next to
-        // the timings, so the uploaded artifact carries the new snapshot
-        // counters alongside the latency medians.
-        if policy != PrefetchPolicy::Off {
-            let mut cache = make_cache();
-            let stats = run(&mut source, &mut cache, config, queries);
-            criterion::record_metric(&format!("wire_prefetch/{name}_issued"), stats.issued as f64);
-            criterion::record_metric(&format!("wire_prefetch/{name}_hits"), stats.hits as f64);
-            criterion::record_metric(
-                &format!("wire_prefetch/{name}_wasted_bytes"),
-                stats.wasted_bytes as f64,
-            );
-        }
-    }
-    g.finish();
-
-    for h in handles {
-        h.shutdown();
-    }
-}
-
 fn wire_failover(c: &mut Criterion) {
     if !criterion::group_enabled("wire_failover") {
         return;
@@ -971,7 +803,7 @@ fn obs_overhead(c: &mut Criterion) {
         .partition_heat
         .cells()
         .iter()
-        .map(|c| c.demand)
+        .copied()
         .max()
         .unwrap_or(0);
     criterion::record_metric("obs_overhead/partition_demand_peak", hottest as f64);
@@ -990,7 +822,6 @@ criterion_group!(
     reactor_dispatch_latency,
     reactor_idle_cpu_1k,
     wire_overlap_throughput,
-    wire_prefetch,
     wire_failover,
     trace_overhead,
     obs_overhead

@@ -48,9 +48,10 @@ pub trait Cache<K: Eq + Hash + Clone, V>: Send {
     fn contains(&self, key: &K) -> bool;
 
     /// Looks up `key` *without* promotion side effects: recency, frequency,
-    /// and eviction state stay untouched. Speculative readers (the prefetch
-    /// predictors) use this so inspecting cache contents can never perturb
-    /// the demand path's Eq. 8/9 accounting.
+    /// and eviction state stay untouched, so inspecting cache contents can
+    /// never perturb the demand path's Eq. 8/9 accounting. Nothing in the
+    /// workspace calls it; the benchmark (`load/`) implements it, and the
+    /// next `benchmark` PR drops it.
     fn peek(&self, key: &K) -> Option<&V>;
 
     /// Resident payload bytes.

@@ -217,7 +217,7 @@ impl GRouting {
     /// socket-free channel fabric for [`TransportKind::InProc`]), with all
     /// dispatches, acknowledgements, and adjacency fetches (pipelined
     /// frontier batches) crossing connections. Every other deployment
-    /// knob (`GROUTING_OVERLAP`, `GROUTING_PREFETCH`, `GROUTING_TRACE`, …)
+    /// knob (`GROUTING_OVERLAP`, `GROUTING_TRACE`, `GROUTING_FAULTS`, …)
     /// comes from [`ClusterConfig::from_env`].
     ///
     /// # Errors

@@ -9,7 +9,7 @@
 //!
 //! * [`EngineConfig`] — the cluster-shape knobs common to every frontend
 //!   (processors, routing scheme, cache policy/capacity, EMA α, load
-//!   factor, stealing, admission window, overlap, prefetch, seed),
+//!   factor, stealing, admission window, overlap, seed),
 //!   declared once: `grouting-sim`'s `SimConfig` pairs it with a cost
 //!   model and the wire `ClusterConfig` pairs it with deployment knobs;
 //! * [`EngineAssets`] — the preprocessing products the smart strategies
@@ -21,8 +21,8 @@
 //!   of at most [`EngineConfig::overlap`] unacknowledged queries
 //!   (acknowledged in any order), processor death (the window resubmitted
 //!   under its original sequence numbers) and rejoin, and each
-//!   processor's last reported prefetch / failover / heat tallies, banked
-//!   when it dies. It reads no clock: every input is an argument;
+//!   processor's last reported failover / heat tallies, banked when it
+//!   dies. It reads no clock: every input is an argument;
 //! * [`Worker`] — a processor's executable half (cache + tier handle),
 //!   detached via [`Engine::take_workers`] for the simulator to drive.
 //!
@@ -43,8 +43,8 @@ use grouting_metrics::timeline::QueryRecord;
 use grouting_metrics::Timeline;
 use grouting_metrics::{FailoverStats, HeatMap, RunSnapshot};
 use grouting_query::{
-    AccessStats, BatchSource, ExecOutcome, Executor, MissEvent, PrefetchConfig, PrefetchState,
-    PrefetchStats, ProcessorCache, Query,
+    AccessStats, BatchSource, ExecOutcome, Executor, MissEvent, PrefetchConfig, ProcessorCache,
+    Query,
 };
 use grouting_route::{EmbedRouter, Router, RouterConfig, RoutingKind, Strategy};
 use grouting_storage::StorageTier;
@@ -79,10 +79,8 @@ pub struct EngineConfig {
     /// simulator executes serially regardless — overlap only changes
     /// behaviour where fetches actually cross a wire.
     pub overlap: usize,
-    /// Speculative frontier prefetching: policy plus per-batch/staging
-    /// budgets (default [`PrefetchConfig::OFF`]). When enabled, frontier
-    /// batches piggyback predicted next-hop nodes; demand-side Eq. 8/9
-    /// statistics stay byte-identical either way.
+    /// Nothing reads it. Named by the benchmark (`load/`); the next
+    /// `benchmark` PR drops it.
     pub prefetch: PrefetchConfig,
     /// Seed for EMA mean initialisation.
     pub seed: u64,
@@ -90,10 +88,10 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The paper's standard shape for `processors` and a routing scheme:
-    /// 4 GB LRU cache, load factor 20, stealing on, overlap 2, prefetch
-    /// off. α defaults to 0.9 — the optimum measured in *this*
-    /// implementation's sensitivity sweep (the paper tunes α the same way
-    /// and lands at 0.5 on its testbed; Figure 11(b)).
+    /// 4 GB LRU cache, load factor 20, stealing on, overlap 2. α defaults
+    /// to 0.9 — the optimum measured in *this* implementation's
+    /// sensitivity sweep (the paper tunes α the same way and lands at 0.5
+    /// on its testbed; Figure 11(b)).
     pub fn paper_default(processors: usize, routing: RoutingKind) -> Self {
         Self {
             processors,
@@ -185,10 +183,6 @@ impl EngineAssets {
 pub struct Worker {
     source: Box<dyn BatchSource + Send>,
     cache: ProcessorCache,
-    /// Per-processor speculation state (inert unless configured): the
-    /// predictor, the staged-payload buffer, and the speculative tally —
-    /// persistent across queries exactly like the cache.
-    prefetch: PrefetchState,
 }
 
 impl Worker {
@@ -200,29 +194,15 @@ impl Worker {
     /// turn it into one pipelined batch frame per storage server.
     ///
     /// [`Step`]: grouting_query::Step
-    /// Prefetching starts off; see [`Worker::with_prefetch`].
     pub fn from_parts(source: Box<dyn BatchSource + Send>, cache: ProcessorCache) -> Self {
-        Self {
-            source,
-            cache,
-            prefetch: PrefetchState::new(PrefetchConfig::OFF),
-        }
-    }
-
-    /// Equips the worker with speculative frontier prefetching per
-    /// `config` ([`PrefetchConfig::OFF`] keeps it inert).
-    #[must_use]
-    pub fn with_prefetch(mut self, config: PrefetchConfig) -> Self {
-        self.prefetch = PrefetchState::new(config);
-        self
+        Self { source, cache }
     }
 
     /// Executes one query against this processor's cache and its record
     /// source, returning the outcome plus the ordered storage-miss log
     /// (the simulator replays it through its contention model).
     pub fn run(&mut self, query: &Query) -> (ExecOutcome, Vec<MissEvent>) {
-        let mut ex =
-            Executor::with_prefetch(self.source.as_mut(), &mut self.cache, &mut self.prefetch);
+        let mut ex = Executor::new(self.source.as_mut(), &mut self.cache);
         let out = ex.run(query);
         let miss_log = ex.take_miss_log();
         (out, miss_log)
@@ -250,18 +230,16 @@ pub struct EngineRun {
     pub stolen: u64,
 }
 
-/// A processor's cumulative speculation, storage-failover and
-/// per-partition heat tallies, as it last reported them.
+/// A processor's cumulative storage-failover and per-partition heat
+/// tallies, as it last reported them.
 #[derive(Debug, Clone, Default)]
 struct Tallies {
-    prefetch: PrefetchStats,
     failover: FailoverStats,
     heat: HeatMap,
 }
 
 impl Tallies {
     fn merge(&mut self, other: &Tallies) {
-        self.prefetch.merge(&other.prefetch);
         self.failover.merge(&other.failover);
         self.heat.merge(&other.heat);
     }
@@ -354,7 +332,6 @@ impl Engine {
             (0..p)
                 .map(|_| {
                     Worker::from_parts(Box::new(Arc::clone(&assets.tier)), config.build_cache())
-                        .with_prefetch(config.prefetch)
                 })
                 .collect()
         } else {
@@ -452,29 +429,15 @@ impl Engine {
 
     /// Keeps `processor`'s latest cumulative tallies, as a completion
     /// carried them: each one rides only when it changed, so a default
-    /// (empty) tally means "unchanged" and keeps the last report. Returns
-    /// the speculative fetches the processor issued since its previous
-    /// report.
-    pub fn report_tallies(
-        &mut self,
-        processor: usize,
-        prefetch: PrefetchStats,
-        failover: FailoverStats,
-        heat: HeatMap,
-    ) -> u64 {
+    /// (empty) tally means "unchanged" and keeps the last report.
+    pub fn report_tallies(&mut self, processor: usize, failover: FailoverStats, heat: HeatMap) {
         let live = &mut self.tallies[processor];
-        let mut issued = 0;
-        if prefetch != PrefetchStats::default() {
-            issued = prefetch.issued.saturating_sub(live.prefetch.issued);
-            live.prefetch = prefetch;
-        }
         if failover != FailoverStats::default() {
             live.failover = failover;
         }
         if !heat.is_empty() {
             live.heat = heat;
         }
-        issued
     }
 
     /// Takes a dead processor out of rotation. Its queued work is
@@ -506,8 +469,7 @@ impl Engine {
 
     /// The measurements accumulated *so far*, as a wire-encodable
     /// snapshot — the router answers mid-run [`RunSnapshot`] requests with
-    /// this without finishing the run. Prefetch, failover and partition
-    /// heat are the live processors' last reports plus what dead
+    /// this without finishing the run. Failover and partition heat are the live processors' last reports plus what dead
     /// incarnations banked; `region_heat` is left empty for the wire
     /// router, which attributes dispatches to landmark regions.
     pub fn snapshot(&self) -> RunSnapshot {
@@ -521,9 +483,6 @@ impl Engine {
             cache_misses: self.totals.cache_misses,
             evictions: self.totals.evictions,
             stolen: self.router.stolen(),
-            prefetch_issued: tallies.prefetch.issued,
-            prefetch_hits: tallies.prefetch.hits,
-            prefetch_wasted_bytes: tallies.prefetch.wasted_bytes,
             redials: tallies.failover.redials,
             replica_failovers: tallies.failover.replica_failovers,
             batches_resubmitted: tallies.failover.batches_resubmitted,
@@ -832,7 +791,7 @@ mod tests {
         /// Per seq: acknowledgements the engine accepted.
         completions: Vec<u32>,
         /// Per processor: acknowledgements in its current incarnation —
-        /// the cumulative prefetch tally each acknowledgement reports.
+        /// the cumulative redial tally each acknowledgement reports.
         incarnation_acks: Vec<u64>,
         /// Kills that found a non-empty window.
         kills_with_window: u64,
@@ -893,10 +852,9 @@ mod tests {
                 .into_iter()
                 .for_each(&mut put);
             for tally in e.tallies.iter().chain([&e.retired]) {
-                let (pf, fo) = (tally.prefetch, tally.failover);
-                [pf.issued, pf.hits, pf.wasted_bytes]
+                let fo = tally.failover;
+                [fo.redials, fo.replica_failovers, fo.batches_resubmitted]
                     .into_iter()
-                    .chain([fo.redials, fo.replica_failovers, fo.batches_resubmitted])
                     .for_each(&mut put);
                 put(u64::from(tally.heat.is_empty()));
             }
@@ -969,13 +927,11 @@ mod tests {
                 assert_eq!(acked, Some(queries[seq as usize]), "ack {seq} from {p}");
                 next.completions[seq as usize] += 1;
                 next.incarnation_acks[p] += 1;
-                let prefetch = PrefetchStats {
-                    issued: next.incarnation_acks[p],
-                    ..PrefetchStats::default()
+                let failover = FailoverStats {
+                    redials: next.incarnation_acks[p],
+                    ..FailoverStats::default()
                 };
-                let issued =
-                    e.report_tallies(p, prefetch, FailoverStats::default(), HeatMap::new());
-                assert_eq!(issued, 1, "one new speculative fetch per ack");
+                e.report_tallies(p, failover, HeatMap::new());
             }
             Action::Kill(p) => {
                 if !e.windows[p].is_empty() {
@@ -1046,10 +1002,7 @@ mod tests {
         assert_eq!(snap.cache_misses, sum(|a| a.cache_misses));
         assert_eq!(snap.evictions, sum(|a| a.evictions));
         assert_eq!(snap.windows_resubmitted, state.kills_with_window);
-        assert_eq!(
-            snap.prefetch_issued, acks,
-            "banking lost or doubled a tally"
-        );
+        assert_eq!(snap.redials, acks, "banking lost or doubled a tally");
 
         // A stray acknowledgement — a duplicate, another processor's seq
         // or one never dispatched — counts nothing and changes nothing.

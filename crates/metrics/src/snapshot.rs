@@ -52,15 +52,6 @@ pub struct RunSnapshot {
     pub evictions: u64,
     /// Queries served by a non-preferred processor.
     pub stolen: u64,
-    /// Speculative nodes appended to frontier batches (prefetch traffic —
-    /// accounted apart from the Eq. 8/9 demand counters above).
-    pub prefetch_issued: u64,
-    /// Demand accesses served from the speculative staging buffer
-    /// ("hit because prefetched": still a demand miss above, but one whose
-    /// round trip was already paid).
-    pub prefetch_hits: u64,
-    /// Speculatively fetched bytes dropped without ever being demanded.
-    pub prefetch_wasted_bytes: u64,
     /// Storage connections re-established across all processors.
     pub redials: u64,
     /// Storage fetches that failed over to a non-primary replica endpoint.
@@ -72,12 +63,11 @@ pub struct RunSnapshot {
     pub windows_resubmitted: u64,
     /// Queries served per processor (index = processor id).
     pub per_processor: Vec<u64>,
-    /// Demand vs speculative adjacency fetches per storage partition
-    /// (slot = storage server id) — the workload heatmap a re-placement
-    /// policy reads.
+    /// Demand adjacency fetches per storage partition (slot = storage
+    /// server id) — the workload heatmap a re-placement policy reads.
     pub partition_heat: HeatMap,
-    /// Demand (dispatches) vs speculative fetches per landmark region
-    /// (slot = landmark index); empty when no landmark asset is deployed.
+    /// Dispatches per landmark region (slot = landmark index); empty when
+    /// no landmark asset is deployed.
     pub region_heat: HeatMap,
 }
 
@@ -92,15 +82,6 @@ impl RunSnapshot {
         }
     }
 
-    /// Fraction of issued speculations that were demanded, in `[0, 1]`.
-    pub fn prefetch_hit_rate(&self) -> f64 {
-        if self.prefetch_issued == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / self.prefetch_issued as f64
-        }
-    }
-
     /// Adds another snapshot's totals into this one (counters sum;
     /// per-processor counts sum element-wise, growing to the longer list).
     /// This is how partial snapshots — e.g. one per router epoch, or one
@@ -111,9 +92,6 @@ impl RunSnapshot {
         self.cache_misses += other.cache_misses;
         self.evictions += other.evictions;
         self.stolen += other.stolen;
-        self.prefetch_issued += other.prefetch_issued;
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_wasted_bytes += other.prefetch_wasted_bytes;
         self.redials += other.redials;
         self.replica_failovers += other.replica_failovers;
         self.batches_resubmitted += other.batches_resubmitted;
@@ -130,7 +108,7 @@ impl RunSnapshot {
 
     /// Encoded size in bytes (matches `encode().len()` exactly).
     pub fn encoded_len(&self) -> usize {
-        8 * 12
+        8 * 9
             + 4
             + 8 * self.per_processor.len()
             + self.partition_heat.encoded_len()
@@ -145,9 +123,6 @@ impl RunSnapshot {
         buf.put_u64_le(self.cache_misses);
         buf.put_u64_le(self.evictions);
         buf.put_u64_le(self.stolen);
-        buf.put_u64_le(self.prefetch_issued);
-        buf.put_u64_le(self.prefetch_hits);
-        buf.put_u64_le(self.prefetch_wasted_bytes);
         buf.put_u64_le(self.redials);
         buf.put_u64_le(self.replica_failovers);
         buf.put_u64_le(self.batches_resubmitted);
@@ -186,9 +161,9 @@ impl RunSnapshot {
     ///
     /// Returns a description of the malformation on truncated input.
     pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if data.remaining() < 8 * 12 + 4 {
+        if data.remaining() < 8 * 9 + 4 {
             return Err(format!(
-                "snapshot header needs 100 bytes, have {}",
+                "snapshot header needs 76 bytes, have {}",
                 data.remaining()
             ));
         }
@@ -197,9 +172,6 @@ impl RunSnapshot {
         let cache_misses = data.get_u64_le();
         let evictions = data.get_u64_le();
         let stolen = data.get_u64_le();
-        let prefetch_issued = data.get_u64_le();
-        let prefetch_hits = data.get_u64_le();
-        let prefetch_wasted_bytes = data.get_u64_le();
         let redials = data.get_u64_le();
         let replica_failovers = data.get_u64_le();
         let batches_resubmitted = data.get_u64_le();
@@ -221,9 +193,6 @@ impl RunSnapshot {
             cache_misses,
             evictions,
             stolen,
-            prefetch_issued,
-            prefetch_hits,
-            prefetch_wasted_bytes,
             redials,
             replica_failovers,
             batches_resubmitted,
@@ -243,7 +212,6 @@ mod tests {
         let mut partition_heat = HeatMap::new();
         partition_heat.record_demand(0, 120);
         partition_heat.record_demand(1, 80);
-        partition_heat.record_speculative(1, 30);
         let mut region_heat = HeatMap::new();
         region_heat.record_demand(2, 40);
         RunSnapshot {
@@ -252,9 +220,6 @@ mod tests {
             cache_misses: 200,
             evictions: 13,
             stolen: 4,
-            prefetch_issued: 64,
-            prefetch_hits: 48,
-            prefetch_wasted_bytes: 4096,
             redials: 3,
             replica_failovers: 2,
             batches_resubmitted: 5,
@@ -277,8 +242,6 @@ mod tests {
     fn hit_rate_math() {
         assert!((sample().hit_rate() - 0.8).abs() < 1e-12);
         assert_eq!(RunSnapshot::default().hit_rate(), 0.0);
-        assert!((sample().prefetch_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(RunSnapshot::default().prefetch_hit_rate(), 0.0);
     }
 
     #[test]
@@ -290,9 +253,6 @@ mod tests {
             cache_misses: 5,
             evictions: 1,
             stolen: 2,
-            prefetch_issued: 6,
-            prefetch_hits: 2,
-            prefetch_wasted_bytes: 100,
             redials: 7,
             replica_failovers: 1,
             batches_resubmitted: 2,
@@ -301,7 +261,7 @@ mod tests {
             partition_heat: {
                 let mut h = HeatMap::new();
                 h.record_demand(1, 20);
-                h.record_speculative(2, 6);
+                h.record_demand(2, 6);
                 h
             },
             region_heat: HeatMap::new(),
@@ -309,9 +269,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.queries, 1010);
         assert_eq!(a.cache_hits, 805);
-        assert_eq!(a.prefetch_issued, 70);
-        assert_eq!(a.prefetch_hits, 50);
-        assert_eq!(a.prefetch_wasted_bytes, 4196);
+        assert_eq!(a.stolen, 6);
         assert_eq!(a.redials, 10);
         assert_eq!(a.replica_failovers, 3);
         assert_eq!(a.batches_resubmitted, 7);
@@ -319,9 +277,9 @@ mod tests {
         // Element-wise, grown to the longer list.
         assert_eq!(a.per_processor, vec![251, 253, 252, 254, 5]);
         // Heat maps merge element-wise too, growing to the longer map.
-        assert_eq!(a.partition_heat.cell(1).demand, 100);
-        assert_eq!(a.partition_heat.cell(2).speculative, 6);
-        assert_eq!(a.region_heat.cell(2).demand, 40);
+        assert_eq!(a.partition_heat.cell(1), 100);
+        assert_eq!(a.partition_heat.cell(2), 6);
+        assert_eq!(a.region_heat.cell(2), 40);
     }
 
     #[test]
@@ -368,26 +326,21 @@ mod tests {
             misses in 0u64..1 << 40,
             evictions in 0u64..1 << 30,
             stolen in 0u64..1 << 30,
-            pf_issued in 0u64..1 << 40,
-            pf_hits in 0u64..1 << 40,
-            pf_wasted in 0u64..1 << 40,
             redials in 0u64..1 << 30,
             failovers in 0u64..1 << 30,
             resubmitted in 0u64..1 << 30,
             windows in 0u64..1 << 30,
             per in proptest::collection::vec(0u64..1 << 50, 0..12),
-            part_heat in proptest::collection::vec((0u64..1 << 50, 0u64..1 << 50), 0..8),
-            reg_heat in proptest::collection::vec((0u64..1 << 50, 0u64..1 << 50), 0..8),
+            part_heat in proptest::collection::vec(0u64..1 << 50, 0..8),
+            reg_heat in proptest::collection::vec(0u64..1 << 50, 0..8),
         ) {
             let mut partition_heat = HeatMap::new();
-            for (slot, (d, sp)) in part_heat.iter().enumerate() {
+            for (slot, d) in part_heat.iter().enumerate() {
                 partition_heat.record_demand(slot, *d);
-                partition_heat.record_speculative(slot, *sp);
             }
             let mut region_heat = HeatMap::new();
-            for (slot, (d, sp)) in reg_heat.iter().enumerate() {
+            for (slot, d) in reg_heat.iter().enumerate() {
                 region_heat.record_demand(slot, *d);
-                region_heat.record_speculative(slot, *sp);
             }
             let s = RunSnapshot {
                 queries,
@@ -395,9 +348,6 @@ mod tests {
                 cache_misses: misses,
                 evictions,
                 stolen,
-                prefetch_issued: pf_issued,
-                prefetch_hits: pf_hits,
-                prefetch_wasted_bytes: pf_wasted,
                 redials,
                 replica_failovers: failovers,
                 batches_resubmitted: resubmitted,

@@ -1,8 +1,8 @@
 //! Cluster observability: one metrics registry, sampled and scrapeable.
 //!
 //! Every gRouting runtime accumulates statistics in purpose-built structs
-//! — `StageStats`, `TelemetryCounters`, `PrefetchStats`, `FailoverStats`,
-//! the cache counters, and (new with this layer) the workload
+//! — `StageStats`, `TelemetryCounters`, `FailoverStats`, the cache
+//! counters, and (new with this layer) the workload
 //! [`grouting_metrics::HeatMap`]s. Those structs stay authoritative: they
 //! are deterministic, they cross the wire in snapshots, and the agreement
 //! tests pin them byte-identical with observability on or off. What they

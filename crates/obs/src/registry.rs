@@ -185,13 +185,6 @@ impl Registry {
         self.counter("grouting_cache_evictions_total", evictions);
     }
 
-    /// Absorbs speculative-prefetch accounting.
-    pub fn absorb_prefetch(&mut self, issued: u64, hits: u64, wasted_bytes: u64) {
-        self.counter("grouting_prefetch_issued_total", issued);
-        self.counter("grouting_prefetch_hits_total", hits);
-        self.counter("grouting_prefetch_wasted_bytes_total", wasted_bytes);
-    }
-
     /// Absorbs failover/recovery bookkeeping.
     pub fn absorb_failover(&mut self, f: &FailoverStats) {
         self.counter("grouting_failover_redials_total", f.redials);
@@ -202,20 +195,14 @@ impl Registry {
         );
     }
 
-    /// Absorbs a cumulative heatmap as per-slot demand/speculative
-    /// counters; `slot_label` is `"partition"` or `"region"`.
+    /// Absorbs a cumulative heatmap as per-slot demand counters;
+    /// `slot_label` is `"partition"` or `"region"`.
     pub fn absorb_heat(&mut self, slot_label: &str, heat: &HeatMap) {
-        for (slot, cell) in heat.cells().iter().enumerate() {
-            let slot_s = slot.to_string();
+        for (slot, &demand) in heat.cells().iter().enumerate() {
             self.counter_with(
                 &format!("grouting_{slot_label}_demand_total"),
-                &[(slot_label, &slot_s)],
-                cell.demand,
-            );
-            self.counter_with(
-                &format!("grouting_{slot_label}_speculative_total"),
-                &[(slot_label, &slot_s)],
-                cell.speculative,
+                &[(slot_label, &slot.to_string())],
+                demand,
             );
         }
     }
@@ -223,17 +210,11 @@ impl Registry {
     /// Absorbs a decayed heat view as per-slot gauges — the
     /// recency-weighted signal a re-placement policy reads.
     pub fn absorb_decayed_heat(&mut self, slot_label: &str, view: &DecayingHeat) {
-        for (slot, (&d, &s)) in view.demand().iter().zip(view.speculative()).enumerate() {
-            let slot_s = slot.to_string();
+        for (slot, &demand) in view.demand().iter().enumerate() {
             self.gauge_with(
                 &format!("grouting_{slot_label}_heat"),
-                &[(slot_label, &slot_s), ("kind", "demand")],
-                d,
-            );
-            self.gauge_with(
-                &format!("grouting_{slot_label}_heat"),
-                &[(slot_label, &slot_s), ("kind", "speculative")],
-                s,
+                &[(slot_label, &slot.to_string()), ("kind", "demand")],
+                demand,
             );
         }
     }
@@ -452,7 +433,6 @@ mod tests {
         let mut r = Registry::new(NodeRole::Processor, 2);
         r.begin(1_000);
         r.absorb_cache(80, 20, 3);
-        r.absorb_prefetch(10, 7, 512);
         r.absorb_failover(&FailoverStats {
             redials: 1,
             replica_failovers: 0,
@@ -460,7 +440,7 @@ mod tests {
         });
         let mut heat = HeatMap::new();
         heat.record_demand(0, 15);
-        heat.record_speculative(1, 4);
+        heat.record_demand(1, 4);
         r.absorb_heat("partition", &heat);
         r
     }
@@ -472,7 +452,8 @@ mod tests {
         assert_eq!(snap.role, NodeRole::Processor);
         assert_eq!(snap.id, 2);
         assert_eq!(snap.at_ns, 1_000);
-        assert!(snap.samples.len() >= 9);
+        // Three cache, three failover and two heat series.
+        assert_eq!(snap.samples.len(), 8);
         r.begin(2_000);
         assert!(r.snapshot().samples.is_empty(), "begin clears the interval");
     }

@@ -63,23 +63,6 @@ impl<'a, S> Executor<'a, S> {
         }
     }
 
-    /// An executor whose store carries the processor's speculation state:
-    /// frontier fetches piggyback predicted next-hop nodes per the
-    /// configured [`PrefetchPolicy`](crate::PrefetchPolicy), and demand
-    /// misses are served from the staging buffer when the bytes already
-    /// arrived.
-    /// Demand accounting stays byte-identical to [`Executor::new`].
-    pub fn with_prefetch(
-        source: S,
-        cache: &'a mut ProcessorCache,
-        prefetch: &'a mut crate::prefetch::PrefetchState,
-    ) -> Self {
-        Self {
-            store: CacheBackedStore::with_prefetch(source, cache, prefetch),
-            miss_log: Vec::new(),
-        }
-    }
-
     /// Drains the ordered per-miss event log accumulated by queries run so
     /// far (used by the simulator's storage-contention model).
     pub fn take_miss_log(&mut self) -> Vec<MissEvent> {
@@ -89,8 +72,7 @@ impl<'a, S> Executor<'a, S> {
 
 impl<S: BatchSource> Executor<'_, S> {
     /// Runs one query to completion, the serial driver: each
-    /// [`Step::Fetch`] travels as one batch, with the predictor's
-    /// speculative tail, before the query resumes.
+    /// [`Step::Fetch`] travels as one batch before the query resumes.
     ///
     /// # Panics
     ///
@@ -103,7 +85,7 @@ impl<S: BatchSource> Executor<'_, S> {
             self.store.expect_valid();
             match step {
                 Step::Fetch(miss) => {
-                    payloads = Some(self.store.exchange(staged.frontier(), &miss));
+                    payloads = Some(self.store.exchange(&miss));
                 }
                 Step::Done(outcome) => {
                     self.miss_log.append(&mut staged.miss_log);
@@ -539,9 +521,9 @@ impl StagedQuery {
     }
 
     /// The ask whose fetch is pending (request order) — the full ask,
-    /// cache hits included, which is what a speculative predictor wants as
-    /// context alongside the [`Step::Fetch`] miss set; just the one node
-    /// when the apply stopped at a node it must re-fetch.
+    /// cache hits included, of which the [`Step::Fetch`] miss set is the
+    /// cold part; just the one node when the apply stopped at a node it
+    /// must re-fetch.
     pub fn frontier(&self) -> &[NodeId] {
         if self.refetch {
             &self.pending
@@ -567,7 +549,7 @@ impl StagedQuery {
     /// requested node, in request order) on every later call.
     ///
     /// The store is only borrowed for the duration of the call, and only
-    /// its cache and speculation state are used; its accounting is swapped
+    /// its cache is used; its accounting is swapped
     /// out for this query's, so a transient store over a shared cache
     /// attributes every access correctly.
     ///
@@ -1302,7 +1284,7 @@ mod tests {
         let mut payloads = None;
         let mut store = CacheBackedStore::new(&tier, &mut cache);
         while let Step::Fetch(miss) = staged.resume(&mut store, payloads.take()) {
-            payloads = Some(store.exchange(staged.frontier(), &miss));
+            payloads = Some(store.exchange(&miss));
         }
         let _ = staged.resume(&mut store, None);
     }

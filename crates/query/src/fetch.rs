@@ -18,8 +18,6 @@ use grouting_graph::codec::AdjacencyRecord;
 use grouting_graph::{GraphError, NodeId, NodeSet};
 use grouting_storage::StorageTier;
 
-use crate::prefetch::PrefetchState;
-
 /// Where missed adjacency records come from: a source that serves a whole
 /// frontier's miss set in one exchange.
 ///
@@ -104,18 +102,13 @@ pub struct MissEvent {
 
 /// A processor's view of the graph: its cache in front of a record source.
 ///
-/// A staged query uses only the cache and the speculation state, never
-/// the source; the serial conveniences ([`CacheBackedStore::fetch`],
+/// A staged query uses only the cache, never the source; the serial
+/// conveniences ([`CacheBackedStore::fetch`],
 /// [`CacheBackedStore::fetch_many`], [`CacheBackedStore::apply_many`])
 /// fetch through it.
 pub struct CacheBackedStore<'a, S> {
     source: S,
     cache: &'a mut ProcessorCache,
-    /// Speculation state borrowed from the processor, when prefetching is
-    /// deployed. Demand accounting is byte-identical either way (see
-    /// [`crate::prefetch`]): the staging buffer only changes *where* a
-    /// miss's bytes come from, never whether the access counts as one.
-    prefetch: Option<&'a mut PrefetchState>,
     stats: AccessStats,
     miss_log: Vec<MissEvent>,
     /// The first fetched payload that failed to decode: its node and the
@@ -133,27 +126,9 @@ impl<'a, S> CacheBackedStore<'a, S> {
         Self {
             source,
             cache,
-            prefetch: None,
             stats: AccessStats::default(),
             miss_log: Vec::new(),
             corrupt: None,
-        }
-    }
-
-    /// Like [`CacheBackedStore::new`], with the processor's speculation
-    /// state attached: staged payloads satisfy demand misses without a
-    /// wire exchange, and [`CacheBackedStore::plan_speculative`] /
-    /// [`CacheBackedStore::absorb_speculative`] become functional. An
-    /// inert ([`PrefetchConfig::OFF`](crate::PrefetchConfig::OFF)) state
-    /// degrades every path to the plain constructor's behaviour.
-    pub fn with_prefetch(
-        source: S,
-        cache: &'a mut ProcessorCache,
-        prefetch: &'a mut PrefetchState,
-    ) -> Self {
-        Self {
-            prefetch: Some(prefetch),
-            ..Self::new(source, cache)
         }
     }
 
@@ -183,36 +158,19 @@ impl<'a, S> CacheBackedStore<'a, S> {
         S: BatchSource,
     {
         let miss_nodes = self.plan_many(nodes);
-        let payloads = self.exchange(nodes, &miss_nodes);
+        let payloads = self.exchange(&miss_nodes);
         self.apply_many(nodes, &miss_nodes, payloads)
     }
 
-    /// Fetches `miss` (the miss set of `frontier`) in one batch.
-    /// Speculation piggybacks on it: predicted next-hop nodes travel in the
-    /// same exchange and land in the staging buffer, sparing a later
-    /// frontier its round trip; only the demand payloads come back, so
-    /// demand accounting never sees the speculative tail.
-    pub(crate) fn exchange(
-        &mut self,
-        frontier: &[NodeId],
-        miss: &[NodeId],
-    ) -> Vec<Option<(u16, Bytes)>>
+    /// Fetches a miss set in one batch; an empty one makes no exchange.
+    pub(crate) fn exchange(&mut self, miss: &[NodeId]) -> Vec<Option<(u16, Bytes)>>
     where
         S: BatchSource,
     {
-        let spec = self.plan_speculative(frontier, miss);
         if miss.is_empty() {
             return Vec::new();
         }
-        if spec.is_empty() {
-            return self.source.fetch_batch(miss);
-        }
-        let mut combined = miss.to_vec();
-        combined.extend(&spec);
-        let mut payloads = self.source.fetch_batch(&combined);
-        let spec_payloads = payloads.split_off(miss.len());
-        self.absorb_speculative(&spec, spec_payloads);
-        payloads
+        self.source.fetch_batch(miss)
     }
 
     /// Pass 1 of a batched frontier fetch: the cache-miss portion of
@@ -220,53 +178,16 @@ impl<'a, S> CacheBackedStore<'a, S> {
     /// [`Cache::contains`] so no recency/frequency state moves. The staged
     /// executor calls this to learn what a frontier needs from storage
     /// *before* any bytes travel, so the fetch can be submitted
-    /// asynchronously and overlapped with another query's compute. Nodes
-    /// whose payloads are already staged speculatively need no wire
-    /// exchange either — they are left out of the miss set and the apply
-    /// pass serves them from the staging buffer.
-    pub fn plan_many(&mut self, nodes: &[NodeId]) -> Vec<NodeId> {
+    /// asynchronously and overlapped with another query's compute.
+    pub fn plan_many(&self, nodes: &[NodeId]) -> Vec<NodeId> {
         let mut miss_nodes: Vec<NodeId> = Vec::new();
         let mut miss_set = NodeSet::default();
         for &node in nodes {
-            if self.cache.contains(&node) {
-                continue;
-            }
-            // A staged payload is *reserved* here, not merely observed:
-            // leaving the node out of the demand batch is a promise the
-            // apply can consume the payload, so budget eviction must not
-            // drop it in between.
-            if let Some(state) = self.prefetch.as_mut() {
-                if state.reserve_staged(node) {
-                    continue;
-                }
-            }
-            if miss_set.insert(node) {
+            if !self.cache.contains(&node) && miss_set.insert(node) {
                 miss_nodes.push(node);
             }
         }
         miss_nodes
-    }
-
-    /// Observes `frontier` and proposes the speculative nodes to append to
-    /// the batch fetching its `miss` portion (empty without an attached,
-    /// enabled [`PrefetchState`], or when nothing is being fetched —
-    /// speculation only piggybacks, it never creates an exchange). The
-    /// caller ships `miss ++ returned` as one batch and feeds the
-    /// speculative tail to [`CacheBackedStore::absorb_speculative`].
-    pub fn plan_speculative(&mut self, frontier: &[NodeId], miss: &[NodeId]) -> Vec<NodeId> {
-        match self.prefetch.as_mut() {
-            Some(state) => state.plan(frontier, miss, &*self.cache),
-            None => Vec::new(),
-        }
-    }
-
-    /// Stages the payloads answering a speculative proposal (same order as
-    /// [`CacheBackedStore::plan_speculative`] returned it). A no-op
-    /// without an attached prefetch state.
-    pub fn absorb_speculative(&mut self, nodes: &[NodeId], payloads: Vec<Option<(u16, Bytes)>>) {
-        if let Some(state) = self.prefetch.as_mut() {
-            state.absorb(nodes, payloads, &*self.cache);
-        }
     }
 
     /// Pass 2 of a batched frontier fetch: replays the scalar access
@@ -319,12 +240,11 @@ impl<'a, S> CacheBackedStore<'a, S> {
     /// `answers` is consumed positionally: it is the subsequence of
     /// `nodes` that missed, first occurrences only, so its front meets each
     /// answer at the node that asked for it. An answer whose node turned
-    /// into a hit is dropped. A miss with no answer is served from the
-    /// speculative staging buffer (counted like any other miss); failing
-    /// that — the cache evicted a planned hit, another query's apply raced
-    /// the plan, or a duplicate's first insert bounced — the apply stops
-    /// and returns the node, which the caller fetches, hands to
-    /// [`CacheBackedStore::admit`], and then calls this again.
+    /// into a hit is dropped. A miss with no answer (the cache evicted a
+    /// planned hit, another query's apply raced the plan, or a duplicate's
+    /// first insert bounced) stops the apply: it returns the node, which
+    /// the caller fetches, hands to [`CacheBackedStore::admit`], and then
+    /// calls this again.
     pub(crate) fn apply_from(
         &mut self,
         nodes: &[NodeId],
@@ -338,9 +258,7 @@ impl<'a, S> CacheBackedStore<'a, S> {
                 records.push(Some(Arc::clone(rec)));
                 continue;
             }
-            // The batch's answer, else a staged speculative payload.
-            let staged = || self.prefetch.as_mut()?.take(node).map(Some);
-            let Some(payload) = answer.map(|(_, payload)| payload).or_else(staged) else {
+            let Some((_, payload)) = answer else {
                 return Some(node);
             };
             records.push(self.admit(node, payload));

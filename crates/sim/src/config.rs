@@ -66,14 +66,11 @@ impl Default for CostModel {
 /// model that prices it.
 ///
 /// The simulator executes one query per processor at a time, so
-/// [`EngineConfig::overlap`] is unused here. Speculative prefetching
-/// ([`EngineConfig::prefetch`]) runs on the simulated workers exactly as
-/// on the deployments, and demand-side cache statistics — hence every
-/// simulated cost — are byte-identical either way.
+/// [`EngineConfig::overlap`] is unused here.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Cluster shape: processors, routing, caches, α, load factor,
-    /// stealing, admission window, prefetch, seed.
+    /// stealing, admission window, seed.
     pub engine: EngineConfig,
     /// Cost model.
     pub cost: CostModel,

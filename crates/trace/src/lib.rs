@@ -4,8 +4,7 @@
 //! only end-of-run aggregate counters: nothing said *where* a query's
 //! time went — router queue vs dispatch vs fetch vs compute — or what the
 //! tail looked like. This crate is the observability layer the adaptive
-//! features (overlap windows, hybrid prefetch policies, workload-aware
-//! placement) feed on:
+//! features (overlap windows, workload-aware placement) feed on:
 //!
 //! * [`TraceLevel`] — the `GROUTING_TRACE=off|stats|spans` switch. `off`
 //!   is byte-identical to an untraced build on the wire; `stats` records
@@ -28,8 +27,8 @@
 //!   surfaced through `ClusterRun`.
 //!
 //! Tracing **observes**; it never steers. Routing decisions, cache
-//! statistics, and prefetch accounting are identical at every level —
-//! the `wire_agreement` suite pins that.
+//! statistics, and partition heat are identical at every level — the
+//! `wire_agreement` suite pins that.
 
 mod snapshot;
 mod span;

@@ -26,7 +26,7 @@ use grouting_metrics::log_warn;
 use grouting_metrics::timeline::QueryRecord;
 use grouting_metrics::{RunSnapshot, Timeline};
 use grouting_obs::ObsConfig;
-use grouting_query::{PrefetchConfig, Query, QueryResult};
+use grouting_query::{Query, QueryResult};
 use grouting_storage::{NetworkModel, Preset};
 use grouting_trace::{Stage, StageStats, TelemetryCounters, TraceLevel, TraceSnapshot};
 
@@ -76,7 +76,7 @@ impl std::fmt::Display for TransportKind {
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// The engine knobs (processors, routing, caches, window, overlap,
-    /// prefetch, …) — the same structure the simulator consumes, which is
+    /// …) — the same structure the simulator consumes, which is
     /// what makes wire runs comparable to simulated ones.
     pub engine: EngineConfig,
     /// Connection fabric.
@@ -129,7 +129,6 @@ impl ClusterConfig {
     /// |---|---|
     /// | `GROUTING_NO_SOCKETS=1` | [`TransportKind::InProc`] (and no scrape endpoint) |
     /// | `GROUTING_OVERLAP=N` | [`EngineConfig::overlap`], clamped to ≥ 1 |
-    /// | `GROUTING_PREFETCH=off\|degree\|hotspot[:N]` | [`EngineConfig::prefetch`] |
     /// | `GROUTING_TRACE=off\|stats\|spans` | [`ClusterConfig::trace`] |
     /// | `GROUTING_FAULTS=rule;…` | [`ClusterConfig::faults`] |
     /// | `GROUTING_METRICS_ADDR=host:port` | [`ObsConfig::metrics_addr`] |
@@ -160,16 +159,6 @@ impl ClusterConfig {
                     "invalid GROUTING_OVERLAP value {raw:?} \
                      (expected a positive integer); using default {}",
                     engine.overlap
-                ),
-            }
-        }
-        if let Some(raw) = var("GROUTING_PREFETCH") {
-            match PrefetchConfig::parse(&raw) {
-                Some(prefetch) => config.engine.prefetch = prefetch,
-                None => log_warn!(
-                    "invalid GROUTING_PREFETCH value {raw:?} \
-                     (expected off|degree|hotspot[:max_nodes]); using default {}",
-                    engine.prefetch.policy
                 ),
             }
         }
@@ -610,7 +599,6 @@ fn drive_client(
 mod tests {
     use std::collections::HashMap;
 
-    use grouting_query::PrefetchPolicy;
     use grouting_route::RoutingKind;
     use grouting_storage::HashPartitioner;
     use grouting_storage::StorageTier;
@@ -672,7 +660,6 @@ mod tests {
     fn each_variable_sets_its_field() {
         let c = read(&[
             ("GROUTING_OVERLAP", "4"),
-            ("GROUTING_PREFETCH", "degree:64"),
             ("GROUTING_TRACE", "spans"),
             ("GROUTING_FAULTS", "kill:3@:9100"),
             ("GROUTING_METRICS_ADDR", "127.0.0.1:0"),
@@ -680,8 +667,6 @@ mod tests {
         ]);
         assert_eq!(c.transport, TransportKind::Tcp);
         assert_eq!(c.engine.overlap, 4);
-        assert_eq!(c.engine.prefetch.policy, PrefetchPolicy::Degree);
-        assert_eq!(c.engine.prefetch.max_nodes, 64);
         assert_eq!(c.trace, TraceLevel::Spans);
         assert!(!c.faults.is_empty());
         assert_eq!(c.obs.metrics_addr.as_deref(), Some("127.0.0.1:0"));
@@ -700,12 +685,10 @@ mod tests {
     fn invalid_values_keep_the_default() {
         let c = read(&[
             ("GROUTING_OVERLAP", "lots"),
-            ("GROUTING_PREFETCH", "always"),
             ("GROUTING_TRACE", "spans:64"),
             ("GROUTING_OBS_DUMP", "0"),
         ]);
         assert_eq!(c.engine.overlap, engine().overlap);
-        assert_eq!(c.engine.prefetch, PrefetchConfig::OFF);
         assert_eq!(c.trace, TraceLevel::Off);
         assert!(!c.obs.dump);
     }

@@ -75,15 +75,17 @@
 //!
 //! # Completion tallies
 //!
-//! A processor's prefetch, failover and heat tallies are cumulative, and
-//! the router keeps only the latest of each per processor. So a
-//! completion's flags byte has bit 0 for prefetch (3 × u64), bit 1 for
-//! failover (3 × u64) and bit 2 for heat (a [`HeatMap`]), and the flagged
-//! blocks follow in that order. A block is present exactly when its value
-//! is not the default, and the decoder rejects a flagged block holding
-//! the default, so every completion has one encoding. The processor sends
-//! a tally only on the first completion after it changed; the router
-//! forwards completions to the client with all three at their defaults.
+//! A processor's failover and heat tallies are cumulative, and the router
+//! keeps only the latest of each per processor. So a completion's flags
+//! byte has bit 1 for failover (3 × u64) and bit 2 for heat (a
+//! [`HeatMap`]), and the flagged blocks follow in that order. A block is
+//! present exactly when its value is not the default, and the decoder
+//! rejects a flagged block holding the default, so every completion has
+//! one encoding. The processor sends a tally only on the first completion
+//! after it changed; the router forwards completions to the client with
+//! both at their defaults. Bit 0 (once a speculative-prefetch tally) is
+//! retired, not reused: a peer that still sets it is rejected as an
+//! unknown flag, and bits 1–3 keep their positions.
 
 use bytes::{Buf, BufMut, Bytes};
 use grouting_graph::codec::{self, put_varint, varint_len};
@@ -114,13 +116,12 @@ const TAG_FETCH_BATCH_REQUEST: u8 = 11;
 const TAG_FETCH_BATCH_RESPONSE: u8 = 12;
 const TAG_OBS_PUSH: u8 = 13;
 
-// A completion's flags (see "Completion tallies" above): its three
-// tallies and its trace block.
-const TALLY_PREFETCH: u8 = 1;
+// A completion's flags (see "Completion tallies" above): its two
+// tallies and its trace block. Bit 0 is retired.
 const TALLY_FAILOVER: u8 = 1 << 1;
 const TALLY_HEAT: u8 = 1 << 2;
 const COMPLETION_TRACE: u8 = 1 << 3;
-const COMPLETION_ALL: u8 = TALLY_PREFETCH | TALLY_FAILOVER | TALLY_HEAT | COMPLETION_TRACE;
+const COMPLETION_ALL: u8 = TALLY_FAILOVER | TALLY_HEAT | COMPLETION_TRACE;
 // The one flag of every other frame with an optional block.
 const BLOCK_PRESENT: u8 = 1;
 
@@ -152,9 +153,9 @@ pub struct DispatchTrace {
 /// The processor fills everything except `arrived_ns` (only the router
 /// knows when the query arrived); the router stamps it before forwarding
 /// the completion to the client, making the forwarded frame a complete
-/// lifecycle record. The three cumulative tallies (`prefetch`,
-/// `failover`, `heat`) are the exception to "per-query facts": each rides
-/// only when it changed, and the router strips them before forwarding.
+/// lifecycle record. The two cumulative tallies (`failover`, `heat`) are
+/// the exception to "per-query facts": each rides only when it changed,
+/// and the router strips them before forwarding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
     /// Workload sequence number.
@@ -165,21 +166,16 @@ pub struct Completion {
     pub result: QueryResult,
     /// Cache/storage access statistics.
     pub stats: AccessStats,
-    /// The serving processor's *cumulative* speculative-prefetch tally
-    /// (issued/hits/wasted since it started), when it changed since this
-    /// processor's previous completion; default = unchanged; always
-    /// default on the router → client hop. Cumulative rather than
-    /// per-query because speculation crosses query boundaries — one
-    /// query's piggybacked bytes serve another's demand — so the router
-    /// keeps the latest value per processor and sums those for the run
-    /// snapshot.
+    /// Encodes to no bytes. Named by the benchmark (`load/`); the next
+    /// `benchmark` PR drops it.
     pub prefetch: PrefetchStats,
     /// The serving processor's *cumulative* storage-failover tally
     /// (redials, replica failovers, resubmitted batches since it
     /// started), when it changed since this processor's previous
     /// completion; default = unchanged; always default on the router →
-    /// client hop. Cumulative for the same reason as `prefetch`: recovery
-    /// crosses query boundaries.
+    /// client hop. Cumulative rather than per-query because recovery
+    /// crosses query boundaries, so the router keeps the latest value per
+    /// processor and sums those for the run snapshot.
     pub failover: FailoverStats,
     /// Router arrival timestamp (0 until the router stamps it).
     pub arrived_ns: u64,
@@ -189,10 +185,9 @@ pub struct Completion {
     /// Execution completion timestamp.
     pub completed_ns: u64,
     /// The serving processor's *cumulative* per-partition workload heat
-    /// (demand and speculative fetches per partition slot since it
-    /// started), when it changed since this processor's previous
-    /// completion; default (empty) = unchanged; always default on the
-    /// router → client hop. Counted unconditionally, so the frame bytes
+    /// (demand fetches per partition slot since it started), when it
+    /// changed since this processor's previous completion; default
+    /// (empty) = unchanged; always default on the router → client hop. Counted unconditionally, so the frame bytes
     /// are identical with observability sampling on or off.
     pub heat: HeatMap,
     /// The processor-measured span block (fetch wait vs compute, per
@@ -208,9 +203,6 @@ impl Completion {
         let mut flags = 0;
         if self.trace.is_some() {
             flags |= COMPLETION_TRACE;
-        }
-        if self.prefetch != PrefetchStats::default() {
-            flags |= TALLY_PREFETCH;
         }
         if self.failover != FailoverStats::default() {
             flags |= TALLY_FAILOVER;
@@ -389,11 +381,6 @@ impl Frame {
                 put_varint(buf, c.service_ns());
                 let flags = c.flags();
                 buf.put_u8(flags);
-                if flags & TALLY_PREFETCH != 0 {
-                    buf.put_u64_le(c.prefetch.issued);
-                    buf.put_u64_le(c.prefetch.hits);
-                    buf.put_u64_le(c.prefetch.wasted_bytes);
-                }
                 if flags & TALLY_FAILOVER != 0 {
                     buf.put_u64_le(c.failover.redials);
                     buf.put_u64_le(c.failover.replica_failovers);
@@ -494,7 +481,6 @@ impl Frame {
                     + varint_len(c.completed_ns)
                     + varint_len(c.service_ns())
                     + 1
-                    + if flags & TALLY_PREFETCH != 0 { 24 } else { 0 }
                     + if flags & TALLY_FAILOVER != 0 { 24 } else { 0 }
                     + if flags & TALLY_HEAT != 0 {
                         c.heat.encoded_len()
@@ -612,14 +598,6 @@ impl Frame {
                         "unknown completion flags {flags:#04x}"
                     )));
                 }
-                let prefetch = tally_block(&mut data, flags, TALLY_PREFETCH, |data| {
-                    need(data, 24)?;
-                    Ok(PrefetchStats {
-                        issued: data.get_u64_le(),
-                        hits: data.get_u64_le(),
-                        wasted_bytes: data.get_u64_le(),
-                    })
-                })?;
                 let failover = tally_block(&mut data, flags, TALLY_FAILOVER, |data| {
                     need(data, 24)?;
                     Ok(FailoverStats {
@@ -639,7 +617,7 @@ impl Frame {
                     processor,
                     result,
                     stats,
-                    prefetch,
+                    prefetch: PrefetchStats,
                     failover,
                     arrived_ns,
                     started_ns,
@@ -980,11 +958,10 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn heat(cells: &[(u64, u64)]) -> HeatMap {
+    fn heat(cells: &[u64]) -> HeatMap {
         let mut h = HeatMap::new();
-        for (slot, (d, s)) in cells.iter().enumerate() {
+        for (slot, d) in cells.iter().enumerate() {
             h.record_demand(slot, *d);
-            h.record_speculative(slot, *s);
         }
         h
     }
@@ -1040,11 +1017,7 @@ mod tests {
                     miss_bytes: 300,
                     evictions: 1,
                 },
-                prefetch: PrefetchStats {
-                    issued: 12,
-                    hits: 9,
-                    wasted_bytes: 256,
-                },
+                prefetch: PrefetchStats,
                 failover: FailoverStats {
                     redials: 2,
                     replica_failovers: 1,
@@ -1053,7 +1026,7 @@ mod tests {
                 arrived_ns: 10,
                 started_ns: 20,
                 completed_ns: 30,
-                heat: heat(&[(3, 1), (0, 2)]),
+                heat: heat(&[3, 0]),
                 trace: None,
             }),
             Frame::ObsPush {
@@ -1089,16 +1062,13 @@ mod tests {
                     cache_misses: 3,
                     evictions: 0,
                     stolen: 1,
-                    prefetch_issued: 4,
-                    prefetch_hits: 2,
-                    prefetch_wasted_bytes: 64,
                     redials: 2,
                     replica_failovers: 1,
                     batches_resubmitted: 3,
                     windows_resubmitted: 1,
                     per_processor: vec![5, 5],
-                    partition_heat: heat(&[(3, 1), (0, 2)]),
-                    region_heat: heat(&[(7, 0)]),
+                    partition_heat: heat(&[3, 0]),
+                    region_heat: heat(&[7]),
                 },
                 trace: None,
             },
@@ -1134,11 +1104,7 @@ mod tests {
                 miss_bytes: 300,
                 evictions: 1,
             },
-            prefetch: PrefetchStats {
-                issued: 12,
-                hits: 9,
-                wasted_bytes: 256,
-            },
+            prefetch: PrefetchStats,
             failover: FailoverStats {
                 redials: 1,
                 replica_failovers: 0,
@@ -1147,7 +1113,7 @@ mod tests {
             arrived_ns: 10,
             started_ns: 20,
             completed_ns: 30,
-            heat: heat(&[(5, 2)]),
+            heat: heat(&[5]),
             trace: None,
         };
         let query = Query::NeighborAggregation {
@@ -1215,16 +1181,13 @@ mod tests {
                         cache_misses: 3,
                         evictions: 0,
                         stolen: 1,
-                        prefetch_issued: 4,
-                        prefetch_hits: 2,
-                        prefetch_wasted_bytes: 64,
                         redials: 0,
                         replica_failovers: 0,
                         batches_resubmitted: 0,
                         windows_resubmitted: 0,
                         per_processor: vec![5, 5],
-                        partition_heat: heat(&[(9, 4), (2, 0), (0, 1)]),
-                        region_heat: heat(&[(5, 5)]),
+                        partition_heat: heat(&[9, 2, 0]),
+                        region_heat: heat(&[5]),
                     },
                     trace: Some(Box::new(trace_snapshot)),
                 },
@@ -1235,16 +1198,13 @@ mod tests {
                         cache_misses: 3,
                         evictions: 0,
                         stolen: 1,
-                        prefetch_issued: 4,
-                        prefetch_hits: 2,
-                        prefetch_wasted_bytes: 64,
                         redials: 0,
                         replica_failovers: 0,
                         batches_resubmitted: 0,
                         windows_resubmitted: 0,
                         per_processor: vec![5, 5],
-                        partition_heat: heat(&[(9, 4), (2, 0), (0, 1)]),
-                        region_heat: heat(&[(5, 5)]),
+                        partition_heat: heat(&[9, 2, 0]),
+                        region_heat: heat(&[5]),
                     },
                     trace: None,
                 },
@@ -1384,7 +1344,7 @@ mod tests {
                 miss_bytes: 300,
                 evictions: 1,
             },
-            prefetch: PrefetchStats::default(),
+            prefetch: PrefetchStats,
             failover: FailoverStats::default(),
             arrived_ns: 10,
             started_ns: 20,
@@ -1404,25 +1364,13 @@ mod tests {
         // bytes), three stamps and the flags byte: one byte a varint
         // below 128.
         let base = 1 + 1 + 1 + 2 + (1 + 1 + 2 + 1) + 3 + 1;
-        let prefetch = PrefetchStats {
-            issued: 5,
-            hits: 2,
-            wasted_bytes: 64,
-        };
         let failover = FailoverStats {
             redials: 1,
             ..FailoverStats::default()
         };
-        let heat = heat(&[(3, 0), (1, 0)]);
+        let heat = heat(&[3, 1]);
         let cases = [
             (bare.clone(), base),
-            (
-                Completion {
-                    prefetch,
-                    ..bare.clone()
-                },
-                base + 24,
-            ),
             (
                 Completion {
                     failover,
@@ -1439,12 +1387,11 @@ mod tests {
             ),
             (
                 Completion {
-                    prefetch,
                     failover,
                     heat: heat.clone(),
                     ..bare
                 },
-                base + 48 + heat.encoded_len(),
+                base + 24 + heat.encoded_len(),
             ),
         ];
         for (completion, len) in cases {
@@ -1463,7 +1410,7 @@ mod tests {
     fn completion_tally_flags_are_strict() {
         let bare = Frame::Completion(tally_free_completion()).encode().to_vec();
         let flags_at = bare.len() - 1;
-        for bit in 4..8 {
+        for bit in [0, 4, 5, 6, 7] {
             let mut raw = bare.clone();
             raw[flags_at] = 1 << bit;
             assert!(Frame::decode(Bytes::from(raw)).is_err(), "bit {bit}");
@@ -1476,13 +1423,11 @@ mod tests {
         };
         let mut one = vec![0u8; 24];
         one[0] = 1;
-        for flag in [TALLY_PREFETCH, TALLY_FAILOVER] {
-            assert!(flagged(flag, &[0; 24]).is_err(), "default {flag:#04x}");
-            assert!(flagged(flag, &one).is_ok(), "non-default {flag:#04x}");
-        }
+        assert!(flagged(TALLY_FAILOVER, &[0; 24]).is_err());
+        assert!(flagged(TALLY_FAILOVER, &one).is_ok());
         assert!(flagged(TALLY_HEAT, &0u32.to_le_bytes()).is_err());
         let mut one_slot = 1u32.to_le_bytes().to_vec();
-        one_slot.extend_from_slice(&[0; 16]);
+        one_slot.extend_from_slice(&[0; 8]);
         assert!(flagged(TALLY_HEAT, &one_slot).is_ok());
         assert!(flagged(COMPLETION_TRACE, &[]).is_err());
         let mut span = Vec::new();
@@ -1568,7 +1513,7 @@ mod tests {
                     miss_bytes: count,
                     evictions: count,
                 },
-                prefetch: PrefetchStats::default(),
+                prefetch: PrefetchStats,
                 failover: FailoverStats::default(),
                 arrived_ns: STAMP,
                 started_ns: 0,
@@ -1943,7 +1888,7 @@ mod tests {
             misses in 0u64..1 << 40,
             bytes_ in 0u64..1 << 40,
             ts in 0u64..1 << 50,
-            heat_cells in proptest::collection::vec((0u64..1 << 40, 0u64..1 << 40), 0..5),
+            heat_cells in proptest::collection::vec(0u64..1 << 40, 0..5),
             trace in proptest::option::of((
                 0u64..1 << 40,
                 0u64..1 << 40,
@@ -1966,11 +1911,7 @@ mod tests {
                     miss_bytes: bytes_,
                     evictions: misses / 7,
                 },
-                prefetch: PrefetchStats {
-                    issued: hits / 3,
-                    hits: hits / 4,
-                    wasted_bytes: bytes_ / 2,
-                },
+                prefetch: PrefetchStats,
                 failover: FailoverStats {
                     redials: misses / 5,
                     replica_failovers: misses / 11,
@@ -2004,16 +1945,13 @@ mod tests {
                     cache_misses: queries / 3,
                     evictions: hits / 5,
                     stolen: queries / 9,
-                    prefetch_issued: hits / 2,
-                    prefetch_hits: hits / 3,
-                    prefetch_wasted_bytes: queries / 2,
                     redials: queries / 5,
                     replica_failovers: queries / 7,
                     batches_resubmitted: queries / 11,
                     windows_resubmitted: queries / 13,
                     per_processor: per,
-                    partition_heat: heat(&[(queries % 97, hits % 89), (hits % 83, 0)]),
-                    region_heat: heat(&[(queries % 13, queries % 7)]),
+                    partition_heat: heat(&[queries % 97, hits % 83]),
+                    region_heat: heat(&[queries % 13]),
                 },
                 trace: stage_ns.map(|ns| {
                     let mut t = TraceSnapshot::new(grouting_trace::TraceLevel::Stats);
@@ -2078,11 +2016,7 @@ mod tests {
                         miss_bytes: count,
                         evictions: count / 9,
                     },
-                    prefetch: PrefetchStats {
-                        issued: count / 4,
-                        hits: count / 5,
-                        wasted_bytes: count / 2,
-                    },
+                    prefetch: PrefetchStats,
                     failover: FailoverStats {
                         redials: count / 6,
                         replica_failovers: count / 7,
@@ -2091,7 +2025,7 @@ mod tests {
                     arrived_ns: seq / 3,
                     started_ns: seq / 2,
                     completed_ns: seq,
-                    heat: heat(&[(count / 3, count / 5); 2][..(id % 3) as usize]),
+                    heat: heat(&[count / 3; 2][..(id % 3) as usize]),
                     trace: (seq % 2 == 0).then(|| QueryTrace {
                         fetch_wait_ns: seq / 5,
                         compute_ns: seq / 7,
@@ -2107,16 +2041,13 @@ mod tests {
                         cache_misses: count / 3,
                         evictions: count / 5,
                         stolen: count / 7,
-                        prefetch_issued: count / 11,
-                        prefetch_hits: count / 13,
-                        prefetch_wasted_bytes: count / 2,
                         redials: count / 17,
                         replica_failovers: count / 19,
                         batches_resubmitted: count / 23,
                         windows_resubmitted: count / 29,
                         per_processor: vec![count; (id % 6) as usize],
-                        partition_heat: heat(&[(count % 101, count % 51), (count % 11, 0)]),
-                        region_heat: heat(&[(count % 5, count % 3)]),
+                        partition_heat: heat(&[count % 101, count % 11]),
+                        region_heat: heat(&[count % 5]),
                     },
                     trace: (seq % 2 == 0).then(|| {
                         let mut t = TraceSnapshot::new(grouting_trace::TraceLevel::Stats);

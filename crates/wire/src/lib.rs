@@ -145,7 +145,7 @@ mod tests {
             processor,
             result: grouting_query::QueryResult::Count(seq),
             stats: grouting_query::AccessStats::default(),
-            prefetch: grouting_query::PrefetchStats::default(),
+            prefetch: grouting_query::PrefetchStats,
             failover: grouting_metrics::FailoverStats::default(),
             arrived_ns: 0,
             started_ns: 1,
@@ -494,7 +494,7 @@ mod tests {
                         processor: 0,
                         result: out.result,
                         stats: out.stats,
-                        prefetch: grouting_query::PrefetchStats::default(),
+                        prefetch: grouting_query::PrefetchStats,
                         failover: grouting_metrics::FailoverStats::default(),
                         arrived_ns: 0,
                         started_ns: 1,
@@ -612,11 +612,6 @@ mod tests {
             })
             .unwrap();
 
-        let prefetch = grouting_query::PrefetchStats {
-            issued: 5,
-            hits: 2,
-            wasted_bytes: 64,
-        };
         let failover = grouting_metrics::FailoverStats {
             redials: 1,
             ..Default::default()
@@ -645,7 +640,6 @@ mod tests {
         let forwarded = |client: &mut Connection, seq: u64| match client.recv().unwrap() {
             Frame::Completion(c) => {
                 assert_eq!(c.seq, seq);
-                assert_eq!(c.prefetch, Default::default(), "seq {seq}");
                 assert_eq!(c.failover, Default::default(), "seq {seq}");
                 assert!(c.heat.is_empty(), "seq {seq}");
             }
@@ -660,22 +654,17 @@ mod tests {
         };
         let assert_reported = |s: &RunSnapshot| {
             assert_eq!(
-                (s.prefetch_issued, s.prefetch_hits, s.prefetch_wasted_bytes),
-                (5, 2, 64)
-            );
-            assert_eq!(
                 (s.redials, s.replica_failovers, s.batches_resubmitted),
                 (1, 0, 0)
             );
             assert_eq!(s.partition_heat, heat);
         };
 
-        // Completion 1 reports all three tallies, completion 2 none.
+        // Completion 1 reports both tallies, completion 2 none.
         submit(&mut client, 0);
         assert_eq!(dispatched(&mut scripted), 0);
         scripted
             .send(&Frame::Completion(Completion {
-                prefetch,
                 failover,
                 heat: heat.clone(),
                 ..scripted_completion(0, 0)
@@ -853,7 +842,7 @@ mod tests {
                     processor: id,
                     result: out.result,
                     stats: out.stats,
-                    prefetch: grouting_query::PrefetchStats::default(),
+                    prefetch: grouting_query::PrefetchStats,
                     failover: grouting_metrics::FailoverStats::default(),
                     arrived_ns: 0,
                     started_ns: 1,

@@ -44,8 +44,7 @@ use std::collections::VecDeque;
 use grouting_graph::NodeId;
 use grouting_metrics::HeatMap;
 use grouting_query::{
-    AccessStats, CacheBackedStore, ExecOutcome, PrefetchConfig, PrefetchState, PrefetchStats,
-    ProcessorCache, Query, StagedQuery, Step,
+    AccessStats, CacheBackedStore, ExecOutcome, ProcessorCache, Query, StagedQuery, Step,
 };
 use grouting_trace::{QueryTrace, TraceLevel};
 
@@ -106,13 +105,6 @@ pub struct CompletedQuery {
 struct Running {
     seq: u64,
     staged: StagedQuery,
-    /// The demand miss set its fetch answers first (its payloads lead;
-    /// the rest are speculative and go to the staging buffer). Also
-    /// registered with the prefetch state so other queries' predictions
-    /// don't re-request bytes already travelling.
-    demand: Vec<NodeId>,
-    /// The speculative nodes riding on its fetch, in request order.
-    spec: Vec<NodeId>,
     started_ns: u64,
     /// When its fetch went on the wire (tracing only; the gap to payload
     /// consumption is the level's fetch wait).
@@ -121,15 +113,14 @@ struct Running {
     trace: QueryTrace,
 }
 
-/// What every query's compute shares: speculation, heat, the trace level
-/// and the processor's running totals.
+/// What every query's compute shares: heat, the trace level and the
+/// processor's running totals.
 struct Shared {
-    prefetch: PrefetchState,
     trace: TraceLevel,
     /// Cumulative per-storage-server workload heat: demand counts fold in
-    /// as queries complete (from their miss logs), speculative counts as
-    /// prefetched payloads arrive. Deterministic integer tallies, counted
-    /// unconditionally — observability sampling never changes them.
+    /// as queries complete (from their miss logs). Deterministic integer
+    /// tallies, counted unconditionally — observability sampling never
+    /// changes them.
     heat: HeatMap,
     /// The completed queries' access statistics, summed.
     totals: AccessStats,
@@ -142,19 +133,11 @@ struct Shared {
 /// The per-processor overlap engine: dispatched queries wait in a FIFO,
 /// up to `overlap` of them run as interleaved staged executions. `F` is
 /// the [`FetchSeam`]'s fetch handle.
-///
-/// With prefetching configured ([`QueryPipeline::with_prefetch`]), every
-/// frontier batch going out piggybacks the configured predictor's
-/// speculative nodes; their payloads land in a processor-wide staging
-/// buffer that later frontiers (of *any* query in the pipeline) are
-/// served from without a wire exchange. Demand-side accounting is
-/// byte-identical with speculation on or off.
 pub struct QueryPipeline<F> {
     overlap: usize,
     queue: VecDeque<(u64, Query)>,
     /// Admitted queries awaiting their fetches, oldest first. A parked
-    /// query always holds its fetch: the demand miss set *plus* any
-    /// speculative tail.
+    /// query always holds its fetch.
     parked: VecDeque<(Running, F)>,
     shared: Shared,
     wake: Wake,
@@ -165,14 +148,13 @@ pub struct QueryPipeline<F> {
 
 impl<F> QueryPipeline<F> {
     /// A pipeline admitting at most `overlap` (≥ 1) concurrent queries,
-    /// with speculation off and tracing off.
+    /// with tracing off.
     pub fn new(overlap: usize) -> Self {
         Self {
             overlap: overlap.max(1),
             queue: VecDeque::new(),
             parked: VecDeque::new(),
             shared: Shared {
-                prefetch: PrefetchState::new(PrefetchConfig::OFF),
                 trace: TraceLevel::Off,
                 heat: HeatMap::new(),
                 totals: AccessStats::default(),
@@ -192,21 +174,8 @@ impl<F> QueryPipeline<F> {
         self.shared.trace = self.shared.trace.max(level);
     }
 
-    /// Equips the pipeline with speculative frontier prefetching per
-    /// `config` ([`PrefetchConfig::OFF`] keeps it inert).
-    #[must_use]
-    pub fn with_prefetch(mut self, config: PrefetchConfig) -> Self {
-        self.shared.prefetch = PrefetchState::new(config);
-        self
-    }
-
-    /// The cumulative speculative tally (zeros while prefetching is off).
-    pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.shared.prefetch.stats()
-    }
-
-    /// The cumulative per-storage-server heat (demand misses of completed
-    /// queries plus speculative payloads staged so far).
+    /// The cumulative per-storage-server heat: the demand misses of
+    /// completed queries.
     pub fn heat(&self) -> &HeatMap {
         &self.shared.heat
     }
@@ -321,8 +290,6 @@ impl<F> QueryPipeline<F> {
             let mut query = Running {
                 seq,
                 staged: StagedQuery::new(query),
-                demand: Vec::new(),
-                spec: Vec::new(),
                 started_ns: seam.clock_ns(),
                 fetch_started_ns: 0,
                 trace: QueryTrace::default(),
@@ -343,7 +310,7 @@ impl Shared {
     fn advance<S: FetchSeam>(
         &mut self,
         query: &mut Running,
-        mut payloads: Option<BatchPayloads>,
+        payloads: Option<BatchPayloads>,
         seam: &mut S,
         cache: &mut ProcessorCache,
     ) -> WireResult<Option<S::Fetch>> {
@@ -354,30 +321,15 @@ impl Shared {
             Some(_) if tracing => seam.clock_ns().saturating_sub(query.fetch_started_ns),
             _ => 0,
         };
-        // The speculative tail goes to the staging buffer; the staged
-        // query sees exactly the demand payloads it asked for.
-        let mut spec_payloads = Vec::new();
-        if let Some(payloads) = &mut payloads {
-            spec_payloads = payloads.split_off(query.demand.len());
-            for (server, _) in spec_payloads.iter().flatten() {
-                self.heat.record_speculative(*server as usize, 1);
-            }
-            self.prefetch.demand_arrived(&query.demand);
-        }
         let resumed_ns = if tracing { seam.clock_ns() } else { 0 };
         let level = payloads.is_some();
-        let mut store = CacheBackedStore::with_prefetch((), cache, &mut self.prefetch);
-        store.absorb_speculative(&std::mem::take(&mut query.spec), spec_payloads);
+        let mut store = CacheBackedStore::new((), cache);
         let step = query.staged.resume(&mut store, payloads);
         if let Some((node, err)) = store.take_corrupt() {
             return Err(WireError::Protocol(format!(
                 "storage sent a corrupt record for {node}: {err}"
             )));
         }
-        let spec = match &step {
-            Step::Fetch(miss) => store.plan_speculative(query.staged.frontier(), miss),
-            Step::Done(_) => Vec::new(),
-        };
         if tracing {
             let compute_ns = seam.clock_ns().saturating_sub(resumed_ns);
             query.trace.compute_ns += compute_ns;
@@ -389,7 +341,7 @@ impl Shared {
                 }
             }
         }
-        let mut miss = match step {
+        let miss = match step {
             Step::Fetch(miss) => miss,
             Step::Done(outcome) => {
                 for ev in query.staged.take_miss_log() {
@@ -407,17 +359,7 @@ impl Shared {
                 return Ok(None);
             }
         };
-        // The demand miss set and its speculative tail travel as one
-        // frontier submission.
-        let demand = miss.len();
-        miss.extend(&spec);
         let fetch = seam.submit_frontier(&miss)?;
-        miss.truncate(demand);
-        // Other queries' predictions must not re-request these bytes
-        // while they travel.
-        self.prefetch.demand_submitted(&miss);
-        query.demand = miss;
-        query.spec = spec;
         if tracing {
             query.fetch_started_ns = seam.clock_ns();
         }
@@ -436,7 +378,6 @@ mod tests {
     use grouting_engine::Worker;
     use grouting_graph::codec::AdjacencyRecord;
     use grouting_graph::{GraphBuilder, NodeId};
-    use grouting_query::PrefetchPolicy;
     use grouting_storage::HashPartitioner;
     use grouting_storage::{NetworkModel, StorageTier};
     use std::sync::Arc;
@@ -513,27 +454,14 @@ mod tests {
     }
 
     /// Runs `queries` through a pipeline at `overlap` against wire-backed
-    /// storage, returning (seq → outcome) in completion order.
-    fn run_pipeline(overlap: usize, queries: &[Query]) -> Vec<(u64, ExecOutcome)> {
-        run_pipeline_with(overlap, queries, PrefetchConfig::OFF, || {
-            Box::new(LruCache::new(1 << 20))
-        })
-        .0
-    }
-
-    /// Like [`run_pipeline`], with a prefetch configuration and a custom
-    /// cache; also returns the pipeline's speculative tally and heat map.
-    fn run_pipeline_with(
-        overlap: usize,
-        queries: &[Query],
-        prefetch: PrefetchConfig,
-        make_cache: impl Fn() -> ProcessorCache,
-    ) -> (Vec<(u64, ExecOutcome)>, PrefetchStats, HeatMap) {
+    /// storage, returning (seq → outcome) in completion order and the
+    /// pipeline's heat map.
+    fn run_pipeline(overlap: usize, queries: &[Query]) -> (Vec<(u64, ExecOutcome)>, HeatMap) {
         let tier = loaded_tier(48, 3);
         let (transport, handles, addrs) = spawn_storage(&tier, NetworkModel::local());
         let mut source = MultiplexedStorageSource::new(transport, &addrs, tier.partitioner());
-        let mut cache: ProcessorCache = make_cache();
-        let mut pipeline = QueryPipeline::new(overlap).with_prefetch(prefetch);
+        let mut cache: ProcessorCache = Box::new(LruCache::new(1 << 20));
+        let mut pipeline = QueryPipeline::new(overlap);
         for (seq, q) in queries.iter().enumerate() {
             pipeline.push(seq as u64, *q);
         }
@@ -546,23 +474,19 @@ mod tests {
             }
             std::thread::yield_now();
         }
-        let stats = pipeline.prefetch_stats();
         let heat = pipeline.heat().clone();
         drop(source);
         for h in handles {
             h.shutdown();
         }
-        (out, stats, heat)
+        (out, heat)
     }
 
     /// The serial reference: the same queries through an engine worker
     /// whose source is the tier itself.
     fn run_serial(queries: &[Query]) -> Vec<ExecOutcome> {
-        run_serial_with(queries, Box::new(LruCache::new(1 << 20)))
-    }
-
-    fn run_serial_with(queries: &[Query], cache: ProcessorCache) -> Vec<ExecOutcome> {
         let tier = loaded_tier(48, 3);
+        let cache = Box::new(LruCache::new(1 << 20));
         let mut worker = Worker::from_parts(Box::new(Arc::clone(&tier)), cache);
         queries.iter().map(|q| worker.run(q).0).collect()
     }
@@ -571,7 +495,7 @@ mod tests {
     fn overlap1_is_byte_identical_to_the_serial_worker() {
         let q = queries(48, 24);
         let serial = run_serial(&q);
-        let piped = run_pipeline(1, &q);
+        let (piped, _) = run_pipeline(1, &q);
         assert_eq!(piped.len(), q.len());
         for (i, (seq, outcome)) in piped.iter().enumerate() {
             // overlap=1 completes strictly in dispatch order.
@@ -585,7 +509,7 @@ mod tests {
     fn overlap2_answers_identically_and_conserves_totals() {
         let q = queries(48, 30);
         let serial = run_serial(&q);
-        let piped = run_pipeline(2, &q);
+        let (piped, _) = run_pipeline(2, &q);
         assert_eq!(piped.len(), q.len());
         let mut by_seq: Vec<Option<&ExecOutcome>> = vec![None; q.len()];
         for (seq, outcome) in &piped {
@@ -796,35 +720,13 @@ mod tests {
     #[test]
     fn overlap4_handles_more_queries_than_slots() {
         let q = queries(48, 9);
-        let piped = run_pipeline(4, &q);
+        let (piped, _) = run_pipeline(4, &q);
         assert_eq!(piped.len(), q.len());
     }
 
     #[test]
     fn zero_overlap_is_clamped_to_serial() {
         assert_eq!(QueryPipeline::<()>::new(0).overlap, 1);
-    }
-
-    #[test]
-    fn prefetching_pipeline_is_demand_identical_to_serial_worker() {
-        // The pipeline's speculative piggyback over the real wire source:
-        // at overlap 1 every demand-side number — answers, hits, misses,
-        // bytes — must match the serial no-prefetch worker exactly, for
-        // both policies.
-        let q = queries(48, 24);
-        let serial = run_serial(&q);
-        for policy in [PrefetchPolicy::Degree, PrefetchPolicy::Hotspot] {
-            let (piped, _, _) =
-                run_pipeline_with(1, &q, PrefetchConfig::with_policy(policy), || {
-                    Box::new(LruCache::new(1 << 20))
-                });
-            assert_eq!(piped.len(), q.len());
-            for (i, (seq, outcome)) in piped.iter().enumerate() {
-                assert_eq!(*seq as usize, i, "{policy}: overlap 1 is in order");
-                assert_eq!(outcome.result, serial[i].result, "{policy} seq {seq}");
-                assert_eq!(outcome.stats, serial[i].stats, "{policy} seq {seq}");
-            }
-        }
     }
 
     #[test]
@@ -999,52 +901,12 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_prefetch_stages_repeat_traffic_over_the_wire() {
-        // A cache that retains nothing forces every access over the wire;
-        // the history predictor stages the hot region so repeat queries
-        // are served from the buffer — visible as a live speculative
-        // tally, with answers still identical to the serial worker.
-        let q: Vec<Query> = (0..10u32)
-            .map(|i| Query::NeighborAggregation {
-                node: n(i % 3),
-                hops: 2,
-                label: None,
-            })
-            .collect();
-        let serial = run_serial_with(&q, Box::new(grouting_cache::NullCache::new()));
-        let (piped, stats, heat) = run_pipeline_with(
-            1,
-            &q,
-            PrefetchConfig::with_policy(PrefetchPolicy::Hotspot),
-            || Box::new(grouting_cache::NullCache::new()),
-        );
-        for (i, (_, outcome)) in piped.iter().enumerate() {
-            assert_eq!(outcome.result, serial[i].result, "seq {i}");
-            assert_eq!(outcome.stats, serial[i].stats, "seq {i}");
-        }
-        assert!(stats.issued > 0, "speculation must fire");
-        assert!(stats.hits > 0, "repeat frontiers must be served from stage");
-        // Heat mirrors the accounting exactly: one demand count per miss
-        // event, one speculative count per staged payload.
-        let serial_misses: u64 = serial.iter().map(|o| o.stats.cache_misses).sum();
-        assert_eq!(heat.total_demand(), serial_misses);
-        assert!(
-            heat.total_speculative() > 0,
-            "staged payloads must register"
-        );
-        assert!(heat.total_speculative() <= stats.issued);
-    }
-
-    #[test]
     fn pipeline_heat_tracks_demand_misses_per_server() {
         let q = queries(48, 24);
         let serial = run_serial(&q);
-        let (_, _, heat) = run_pipeline_with(2, &q, PrefetchConfig::OFF, || {
-            Box::new(LruCache::new(1 << 20))
-        });
+        let (_, heat) = run_pipeline(2, &q);
         let serial_misses: u64 = serial.iter().map(|o| o.stats.cache_misses).sum();
         assert_eq!(heat.total_demand(), serial_misses);
-        assert_eq!(heat.total_speculative(), 0, "no speculation configured");
         assert!(heat.len() <= 3, "only three storage servers exist");
     }
 

@@ -559,7 +559,7 @@ fn run_processor(
         source.set_telemetry(Arc::clone(t));
     }
     let mut cache = config.build_cache();
-    let mut pipeline = QueryPipeline::new(config.overlap).with_prefetch(config.prefetch);
+    let mut pipeline = QueryPipeline::new(config.overlap);
     let router = transport.dial(router_addr)?;
     let (mut sink, mut stream) = router.split();
     // The router connection joins the storage connections on the source's
@@ -580,7 +580,6 @@ fn run_processor(
     // The cumulative tallies as last sent to the router: a completion
     // carries a tally only when it differs from these, and the default
     // (unchanged) otherwise.
-    let mut sent_prefetch = PrefetchStats::default();
     let mut sent_failover = FailoverStats::default();
     let mut sent_heat = HeatMap::new();
     let stop = opts.stop.clone().unwrap_or_default();
@@ -627,7 +626,7 @@ fn run_processor(
                 processor: id as u32,
                 result: done.outcome.result,
                 stats: done.outcome.stats,
-                prefetch: if_changed(&pipeline.prefetch_stats(), &mut sent_prefetch),
+                prefetch: PrefetchStats,
                 failover: if_changed(&source.failover_stats(), &mut sent_failover),
                 arrived_ns: 0,
                 started_ns: done.started_ns,
@@ -645,8 +644,6 @@ fn run_processor(
                 r.gauge("grouting_pipeline_in_flight", pipeline.in_flight() as f64);
                 let cum = pipeline.totals();
                 r.absorb_cache(cum.cache_hits, cum.cache_misses, cum.evictions);
-                let pf = pipeline.prefetch_stats();
-                r.absorb_prefetch(pf.issued, pf.hits, pf.wasted_bytes);
                 r.absorb_failover(&source.failover_stats());
                 r.absorb_heat("partition", pipeline.heat());
                 if let Some(t) = &opts.telemetry {
@@ -795,8 +792,7 @@ pub fn run_router(
     let mut processor_conn: Vec<Option<u64>> = vec![None; p];
     let mut ever_connected = 0usize;
     // Router-local per-landmark-region heat: demand counted at dispatch
-    // (anchor's nearest landmark), speculation via the per-completion
-    // prefetch delta. Stays empty without a landmark asset.
+    // (anchor's nearest landmark). Stays empty without a landmark asset.
     let mut region_heat = HeatMap::new();
     // The engine's snapshot with the router's region heat filled in.
     let snapshot_now = |engine: &Engine, region_heat: &HeatMap| RunSnapshot {
@@ -981,7 +977,6 @@ pub fn run_router(
                             // The tallies ride only when they changed
                             // (default = unchanged) and never on to the
                             // client, which gets run totals in `Metrics`.
-                            let prefetch = std::mem::take(&mut completion.prefetch);
                             let failover = std::mem::take(&mut completion.failover);
                             let heat = std::mem::take(&mut completion.heat);
                             // `remove`, not `get`: each seq completes
@@ -998,27 +993,15 @@ pub fn run_router(
                             };
                             // A repeated or unknown seq would count a query
                             // twice and end the run with another in flight.
-                            let Some(query) = engine.complete(record, &completion.stats) else {
+                            if engine.complete(record, &completion.stats).is_none() {
                                 return Err(WireError::Protocol(format!(
                                     "processor {proc_id} acknowledged seq {}, which is not \
                                      in its dispatch window",
                                     completion.seq
                                 )));
-                            };
-                            completed += 1;
-                            // Region speculation: the prefetch tally is
-                            // cumulative, so this completion's newly issued
-                            // speculative fetches are the delta against the
-                            // processor's previous report, attributed to the
-                            // completing query's anchor region.
-                            let issued = engine.report_tallies(proc_id, prefetch, failover, heat);
-                            if let Some(region) = regions
-                                .as_mut()
-                                .filter(|_| issued > 0)
-                                .and_then(|m| m.region(query.anchor()))
-                            {
-                                region_heat.record_speculative(region, issued);
                             }
+                            completed += 1;
+                            engine.report_tallies(proc_id, failover, heat);
                             if trace.enabled() {
                                 let received_ns = now_ns();
                                 if let Some((queue_ns, dispatched_ns)) =
@@ -1268,11 +1251,6 @@ fn fill_router_registry(
         snap.windows_resubmitted,
     );
     r.absorb_cache(snap.cache_hits, snap.cache_misses, snap.evictions);
-    r.absorb_prefetch(
-        snap.prefetch_issued,
-        snap.prefetch_hits,
-        snap.prefetch_wasted_bytes,
-    );
     r.absorb_failover(&FailoverStats {
         redials: snap.redials,
         replica_failovers: snap.replica_failovers,

@@ -111,7 +111,7 @@ fn sample_frames(salt: u32) -> Vec<Frame> {
             miss_bytes: u64::from(salt % 5) * 295,
             evictions: 0,
         },
-        prefetch: PrefetchStats::default(),
+        prefetch: PrefetchStats,
         failover: FailoverStats::default(),
         arrived_ns: 0,
         started_ns: u64::from(salt) * 11,
@@ -122,11 +122,6 @@ fn sample_frames(salt: u32) -> Vec<Frame> {
     let mut heat = HeatMap::new();
     heat.record_demand(salt as usize % 3, u64::from(salt) + 1);
     let tallied = Completion {
-        prefetch: PrefetchStats {
-            issued: u64::from(salt % 9),
-            hits: u64::from(salt % 4),
-            wasted_bytes: 64,
-        },
         failover: FailoverStats {
             redials: 1,
             ..FailoverStats::default()
@@ -387,7 +382,7 @@ fn flagged_frames() -> Vec<(Frame, usize, u8)> {
                 ..untraced
             }),
             completion,
-            0x0F,
+            0x0E,
         ),
         with_blocks(
             Frame::FetchBatchRequest {
@@ -414,6 +409,18 @@ fn flagged_frames() -> Vec<(Frame, usize, u8)> {
             1,
         ),
     ]
+}
+
+#[test]
+fn the_retired_prefetch_tally_bit_is_refused() {
+    // Bit 0 once announced a 24-byte speculative-prefetch tally; a peer
+    // that still sends one, with a tally that was once valid, is refused.
+    let mut raw = completion_bytes(&[9], &[1], &[30], &[10]);
+    *raw.last_mut().unwrap() = 1;
+    let mut tally = [0u8; 24];
+    tally[0] = 5;
+    raw.extend_from_slice(&tally);
+    assert_refused(&raw, "prefetch tally bit");
 }
 
 #[test]

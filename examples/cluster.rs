@@ -11,9 +11,6 @@
 //! to fall back to the hermetic in-process transport (same services, same
 //! frames, same encoded bytes). Adjacency fetches are frontier-batched and
 //! pipelined (`grouting-flow`).
-//! `GROUTING_PREFETCH=degree|hotspot` piggybacks speculative next-hop
-//! nodes onto the frontier batches (demand statistics stay identical; the
-//! speculative tally is reported from the final snapshot).
 //! `GROUTING_TRACE=stats|spans` turns on the query-tracing layer: the wire
 //! runs then print a per-stage latency breakdown (router queue, dispatch
 //! RTT, fetch wait, compute, completion) and the reactor's busy/idle and
@@ -27,7 +24,6 @@
 //!
 //! ```bash
 //! cargo run --release --example cluster
-//! GROUTING_PREFETCH=hotspot cargo run --release --example cluster
 //! GROUTING_TRACE=stats cargo run --release --example cluster
 //! GROUTING_METRICS_ADDR=127.0.0.1:9464 cargo run --release --example cluster
 //! GROUTING_NO_SOCKETS=1 cargo run --release --example cluster
@@ -52,11 +48,10 @@ fn main() {
     // `GROUTING_*` variables.
     let config = ClusterConfig::from_env(*cluster.engine());
     let transport = config.transport;
-    let prefetch = config.engine.prefetch;
     println!(
         "WebGraph-profile graph: {nodes} nodes, {edges} edges; transport: {transport}; \
-         overlap: {}; prefetch: {}",
-        config.engine.overlap, prefetch.policy,
+         overlap: {}",
+        config.engine.overlap,
     );
     let queries = cluster.hotspot_workload(40, 10, 2, 2, 77);
     println!(
@@ -75,7 +70,6 @@ fn main() {
             "wall_ms",
         ],
     );
-    let mut prefetch_lines: Vec<String> = Vec::new();
     let mut failover_lines: Vec<String> = Vec::new();
     let mut heat_lines: Vec<String> = Vec::new();
     let mut traces: Vec<(RoutingKind, grouting_core::trace::TraceSnapshot)> = Vec::new();
@@ -98,21 +92,6 @@ fn main() {
             wire.snapshot.cache_misses,
             "partition heat must account for every cache miss"
         );
-        assert!(wire.snapshot.prefetch_hits <= wire.snapshot.prefetch_issued);
-        if prefetch.enabled() {
-            // The final snapshot's speculative tally — strictly separate
-            // from the demand hit rate in the table. Zero issuance is a
-            // real signal: every hot node was already cached or in
-            // flight, so the predictor had nothing worth piggybacking.
-            prefetch_lines.push(format!(
-                "{routing}: prefetch issued {} nodes, {} demanded ({:.1}% hit rate), \
-                 {} B fetched in vain",
-                wire.snapshot.prefetch_issued,
-                wire.snapshot.prefetch_hits,
-                wire.snapshot.prefetch_hit_rate() * 100.0,
-                wire.snapshot.prefetch_wasted_bytes,
-            ));
-        }
         // Recovery accounting from the final snapshot — all zeros in a
         // healthy run; the chaos example (`cargo run --example chaos`)
         // kills real nodes and shows these spent on recoveries instead.
@@ -125,21 +104,21 @@ fn main() {
             wire.snapshot.windows_resubmitted,
         ));
         // The workload heatmap from the final snapshot: cumulative
-        // demand (cache-miss fetches) and speculative (prefetched)
-        // accesses per storage partition, plus the per-landmark-region
-        // dispatch tallies when the routing scheme placed landmarks.
+        // demand (cache-miss fetches) per storage partition, plus the
+        // per-landmark-region dispatch tallies when the routing scheme
+        // placed landmarks.
         let cells = wire.snapshot.partition_heat.cells();
         let hottest = cells
             .iter()
             .enumerate()
-            .max_by_key(|(_, c)| c.total())
+            .max_by_key(|&(_, &demand)| demand)
             .map_or_else(|| "-".to_string(), |(p, _)| format!("p{p}"));
         heat_lines.push(format!(
             "{routing}: [{}] (hottest {hottest}); {} regions touched",
             cells
                 .iter()
                 .enumerate()
-                .map(|(p, c)| format!("p{p} {}+{}", c.demand, c.speculative))
+                .map(|(p, demand)| format!("p{p} {demand}"))
                 .collect::<Vec<_>>()
                 .join(", "),
             wire.snapshot.region_heat.len(),
@@ -156,14 +135,11 @@ fn main() {
         ]);
     }
     table.print();
-    for line in &prefetch_lines {
-        println!("{line}");
-    }
     println!("\nFailover counters:");
     for line in &failover_lines {
         println!("  {line}");
     }
-    println!("\nWorkload heat per partition (demand+speculative accesses):");
+    println!("\nWorkload heat per partition (demand accesses):");
     for line in &heat_lines {
         println!("  {line}");
     }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use grouting_core::engine::EngineConfig;
 use grouting_core::gen::{DatasetProfile, ProfileName};
 use grouting_core::metrics::Timeline;
-use grouting_core::query::{PrefetchConfig, Query};
+use grouting_core::query::Query;
 use grouting_core::route::RoutingKind;
 use grouting_core::sim::{simulate, CostModel, SimAssets, SimConfig, SimReport};
 use grouting_core::wire::{launch_cluster, ClusterConfig, ClusterRun, TransportKind};
@@ -167,62 +167,6 @@ fn overlap4_cluster_matches_assignments_and_results() {
 }
 
 #[test]
-fn prefetching_cluster_agrees_with_prefetch_off_engine() {
-    // The speculative-prefetch acceptance gate: with `GROUTING_PREFETCH`
-    // semantics on (hotspot policy, default budget) the wire cluster must
-    // produce identical answers, identical per-query routing assignments,
-    // and identical *demand* cache statistics to the simulator running
-    // with prefetch off — speculation moves bytes earlier, never
-    // what Eq. 8/9 count. The run must also actually speculate (a vacuous
-    // pass with zero issued prefetches would prove nothing).
-    let (assets, queries) = seeded_setup();
-    let off_cfg = deterministic_config();
-    let on_cfg = EngineConfig {
-        prefetch: PrefetchConfig::with_policy(grouting_core::query::PrefetchPolicy::Hotspot),
-        // A cache too small to retain the hotspot region: repeat traffic
-        // keeps missing, which is exactly where speculation fires.
-        cache_capacity: 64 << 10,
-        ..off_cfg
-    };
-    let small_cache_off = EngineConfig {
-        cache_capacity: 64 << 10,
-        ..off_cfg
-    };
-
-    let sim = reference(&assets, &queries, small_cache_off);
-    let wired = wire(
-        &assets,
-        &queries,
-        &ClusterConfig::new(on_cfg, env_transport()),
-    );
-
-    assert_eq!(wired.results, sim.results);
-    assert_eq!(
-        assignments(&wired.timeline, queries.len()),
-        assignments(&sim.timeline, queries.len()),
-        "routing assignments diverged under prefetch"
-    );
-    assert_eq!(
-        wired.snapshot.cache_hits, sim.cache_hits,
-        "demand hit counts diverged under prefetch"
-    );
-    assert_eq!(wired.snapshot.cache_misses, sim.cache_misses);
-    assert!(
-        wired.snapshot.prefetch_issued > 0,
-        "the run must actually speculate to pin anything"
-    );
-    assert!(
-        wired.snapshot.prefetch_hits > 0,
-        "hotspot repeats must be served from the staging buffer"
-    );
-    assert_eq!(
-        small_cache_off.prefetch,
-        PrefetchConfig::OFF,
-        "the reference must not speculate"
-    );
-}
-
-#[test]
 fn epoll_and_sweep_backends_agree_byte_for_byte() {
     // The one poller has two wait regimes, and the transport picks one:
     // TCP connections are epoll-tracked (an idle loop blocks in
@@ -231,14 +175,13 @@ fn epoll_and_sweep_backends_agree_byte_for_byte() {
     // what a run computes or counts. Same seeded workload under both:
     // identical answers, identical per-query routing assignments,
     // identical demand cache statistics, and (at overlap 1, where
-    // execution is strictly serial) an identical speculative-prefetch
-    // tally. Where the TCP side is swept too (no epoll on the host, or
+    // execution is strictly serial) identical per-partition heat. Where
+    // the TCP side is swept too (no epoll on the host, or
     // `GROUTING_NO_SOCKETS=1`), this compares the fallback with itself.
     let (assets, queries) = seeded_setup();
     let cfg = EngineConfig {
-        prefetch: PrefetchConfig::with_policy(grouting_core::query::PrefetchPolicy::Hotspot),
-        // Small enough that the hotspot region keeps missing, so the run
-        // actually speculates and the prefetch comparison pins something.
+        // Small enough that the hotspot region keeps missing, so the heat
+        // comparison pins many misses per partition.
         cache_capacity: 64 << 10,
         ..deterministic_config()
     };
@@ -260,17 +203,12 @@ fn epoll_and_sweep_backends_agree_byte_for_byte() {
     assert_eq!(epoll.snapshot.cache_misses, sweep.snapshot.cache_misses);
     assert_eq!(epoll.snapshot.stolen, sweep.snapshot.stolen);
     assert_eq!(
-        epoll.snapshot.prefetch_issued, sweep.snapshot.prefetch_issued,
-        "speculation tallies diverged between wait regimes"
-    );
-    assert_eq!(epoll.snapshot.prefetch_hits, sweep.snapshot.prefetch_hits);
-    assert_eq!(
-        epoll.snapshot.prefetch_wasted_bytes,
-        sweep.snapshot.prefetch_wasted_bytes
+        epoll.snapshot.partition_heat, sweep.snapshot.partition_heat,
+        "partition heat diverged between wait regimes"
     );
     assert!(
-        sweep.snapshot.prefetch_issued > 0,
-        "the run must actually speculate to pin anything"
+        sweep.snapshot.partition_heat.total_demand() > 0,
+        "the run must actually miss to pin anything"
     );
 }
 
@@ -279,7 +217,7 @@ fn tracing_levels_pin_byte_identical_statistics() {
     // The tracing layer is strictly observational: the same seeded
     // workload run with `ClusterConfig::trace` at off, stats, and spans must produce
     // identical answers, identical per-query routing assignments, and
-    // identical cache and prefetch statistics — tracing watches the run,
+    // identical cache statistics and partition heat — tracing watches the run,
     // it never steers it. The traced runs must also actually deliver a
     // trace (non-empty per-stage histograms covering every query, reactor
     // frame counts, and — at spans level — a non-empty span ring), while
@@ -289,9 +227,8 @@ fn tracing_levels_pin_byte_identical_statistics() {
     let (assets, queries) = seeded_setup();
     let run_at = |level: TraceLevel| {
         let cfg = EngineConfig {
-            prefetch: PrefetchConfig::with_policy(grouting_core::query::PrefetchPolicy::Hotspot),
-            // Small enough that the run actually speculates, so the
-            // prefetch-tally comparison pins something real.
+            // Small enough that the run keeps missing, so the heat
+            // comparison pins something real.
             cache_capacity: 64 << 10,
             ..deterministic_config()
         };
@@ -319,18 +256,13 @@ fn tracing_levels_pin_byte_identical_statistics() {
         assert_eq!(traced.snapshot.cache_misses, off.snapshot.cache_misses);
         assert_eq!(traced.snapshot.stolen, off.snapshot.stolen);
         assert_eq!(
-            traced.snapshot.prefetch_issued, off.snapshot.prefetch_issued,
-            "speculation tallies diverged at {level}"
-        );
-        assert_eq!(traced.snapshot.prefetch_hits, off.snapshot.prefetch_hits);
-        assert_eq!(
-            traced.snapshot.prefetch_wasted_bytes,
-            off.snapshot.prefetch_wasted_bytes
+            traced.snapshot.partition_heat, off.snapshot.partition_heat,
+            "partition heat diverged at {level}"
         );
     }
     assert!(
-        off.snapshot.prefetch_issued > 0,
-        "the run must actually speculate to pin anything"
+        off.snapshot.partition_heat.total_demand() > 0,
+        "the run must actually miss to pin anything"
     );
 
     assert!(off.trace.is_none(), "untraced run must carry no trace");
