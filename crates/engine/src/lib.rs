@@ -412,19 +412,20 @@ impl Engine {
 
     /// Acknowledges `record.seq` from `record.processor`'s dispatch window
     /// (in any order) and records the completion into the timeline and
-    /// totals, returning the acknowledged query. A seq that is not in
-    /// that processor's window — acknowledged twice, never dispatched to
-    /// it, or resubmitted after its death — counts nothing and returns
-    /// `None`.
-    pub fn complete(&mut self, record: QueryRecord, stats: &AccessStats) -> Option<Query> {
+    /// totals, returning whether the seq was in the window. A seq that is
+    /// not — acknowledged twice, never dispatched to that processor, or
+    /// resubmitted after its death — counts nothing and returns `false`.
+    pub fn complete(&mut self, record: QueryRecord, stats: &AccessStats) -> bool {
         let window = &mut self.windows[record.processor];
-        let pos = window.iter().position(|&(seq, _)| seq == record.seq)?;
-        let (_, query) = window.remove(pos);
+        let Some(pos) = window.iter().position(|&(seq, _)| seq == record.seq) else {
+            return false;
+        };
+        window.remove(pos);
         self.totals.cache_hits += stats.cache_hits;
         self.totals.cache_misses += stats.cache_misses;
         self.totals.evictions += stats.evictions;
         self.timeline.push(record);
-        Some(query)
+        true
     }
 
     /// Keeps `processor`'s latest cumulative tallies, as a completion
@@ -727,12 +728,10 @@ mod tests {
         let mut engine = Engine::new_router_only(&assets, &cfg);
         let queries: Vec<Query> = (0..3u32).map(q).collect();
         engine.admit(&mut queries.iter().copied().enumerate(), |_| {});
-        let (seq, _) = engine.next_for(0).expect("work queued");
+        let (seq, query) = engine.next_for(0).expect("work queued");
+        assert_eq!(query, queries[seq as usize]);
         assert_eq!(engine.next_for(0), None, "one query in flight");
-        assert_eq!(
-            engine.complete(ack(seq, 0), &AccessStats::default()),
-            Some(queries[seq as usize])
-        );
+        assert!(engine.complete(ack(seq, 0), &AccessStats::default()));
         assert!(engine.next_for(0).is_some(), "the ack reopens the window");
     }
 
@@ -923,8 +922,15 @@ mod tests {
                 assert_eq!(query, queries[seq as usize]);
             }
             Action::Ack(p, seq) => {
-                let acked = e.complete(ack(seq, p), &ack_stats(seq));
+                let acked = e.windows[p]
+                    .iter()
+                    .find(|&&(w, _)| w == seq)
+                    .map(|&(_, q)| q);
                 assert_eq!(acked, Some(queries[seq as usize]), "ack {seq} from {p}");
+                assert!(
+                    e.complete(ack(seq, p), &ack_stats(seq)),
+                    "ack {seq} from {p}"
+                );
                 next.completions[seq as usize] += 1;
                 next.incarnation_acks[p] += 1;
                 let failover = FailoverStats {
@@ -1016,11 +1022,7 @@ mod tests {
             .unwrap_or((0, queries.len() as u64));
         let (p, seq) = stray;
         let e = &mut state.engine;
-        assert_eq!(
-            e.complete(ack(seq, p), &ack_stats(seq)),
-            None,
-            "stray {stray:?}"
-        );
+        assert!(!e.complete(ack(seq, p), &ack_stats(seq)), "stray {stray:?}");
         // A full window or a down processor gets nothing, and the refusal
         // moves nothing either.
         for p in 0..procs {

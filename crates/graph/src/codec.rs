@@ -81,7 +81,7 @@
 //! caches are charged [`AdjacencyRecord::resident_len`], the size of the
 //! decoded record.
 
-use bytes::Bytes;
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
@@ -603,13 +603,18 @@ pub fn varint_len(v: u64) -> usize {
 }
 
 /// Appends `v` as an LEB128 varint: seven bits a byte, low group first,
-/// the high bit set on every byte but the last.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push(v as u8 | 0x80);
-        v >>= 7;
+/// the high bit set on every byte but the last. The bytes go to `buf` in
+/// one slice of [`varint_len`] bytes, so a [`ByteCount`] counts them
+/// without the loop.
+#[inline]
+pub fn put_varint<B: BufMut>(buf: &mut B, v: u64) {
+    let len = varint_len(v);
+    let mut bytes = [0u8; 10];
+    for (i, b) in bytes[..len].iter_mut().enumerate() {
+        *b = (v >> (7 * i)) as u8 | 0x80;
     }
-    buf.push(v as u8);
+    bytes[len - 1] &= 0x7F;
+    buf.put_slice(&bytes[..len]);
 }
 
 /// Reads one LEB128 `u64` off the front of `data`, in its shortest form
@@ -675,6 +680,164 @@ fn take_long_varint(data: &mut &[u8]) -> Result<u64> {
 pub fn take_varint_u32(data: &mut &[u8]) -> Result<u32> {
     let v = take_varint(data)?;
     u32::try_from(v).map_err(|_| malformed(format!("varint {v} past u32")))
+}
+
+/// A [`BufMut`] that keeps nothing and counts the bytes it is given. A
+/// wire type's encoder run into one measures its own output, so its length
+/// is counted from the one function that writes its bytes.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ByteCount(pub usize);
+
+impl BufMut for ByteCount {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// What a [`Reader`] answers: the value read, or why the bytes are refused.
+type Read<T> = std::result::Result<T, String>;
+
+/// A checked cursor over received bytes, through which every wire decoder
+/// reads: each read is bounded by the bytes at hand and answers what was
+/// missing, never a panic. A decoder bounds a claimed count with
+/// [`Reader::need`] (or [`Reader::list`]) before it sizes anything from it.
+#[derive(Debug, Clone)]
+pub struct Reader {
+    data: Bytes,
+}
+
+impl Reader {
+    /// A reader over `data`, from its first byte.
+    #[inline]
+    pub fn new(data: Bytes) -> Self {
+        Self { data }
+    }
+
+    /// Bytes not yet read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether any bytes are left.
+    #[inline]
+    pub fn has_remaining(&self) -> bool {
+        !self.data.is_empty()
+    }
+
+    /// Whether `n` more bytes are at hand.
+    ///
+    /// # Errors
+    ///
+    /// A description of the shortfall when fewer are.
+    #[inline]
+    pub fn need(&self, n: usize) -> Read<()> {
+        match self.data.len() {
+            have if have < n => Err(cut(n, have)),
+            _ => Ok(()),
+        }
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Read<[u8; N]> {
+        let array = *self
+            .data
+            .first_chunk::<N>()
+            .ok_or_else(|| cut(N, self.data.len()))?;
+        self.data.advance(N);
+        Ok(array)
+    }
+
+    /// Reads one byte.
+    ///
+    /// # Errors
+    ///
+    /// On a cut input, as every read below.
+    #[inline]
+    pub fn u8(&mut self) -> Read<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Read<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Read<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Read<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u128`.
+    #[inline]
+    pub fn u128(&mut self) -> Read<u128> {
+        self.array().map(u128::from_le_bytes)
+    }
+
+    /// Takes the next `n` bytes as a view sharing the input's allocation.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Read<Bytes> {
+        self.need(n)?;
+        let taken = self.data.slice(..n);
+        self.data.advance(n);
+        Ok(taken)
+    }
+
+    /// Reads `count` elements through `read`, each of at least `min_len`
+    /// bytes. The count is bounded by the bytes at hand first, so a
+    /// hostile one sizes nothing.
+    #[inline]
+    pub fn list<T>(
+        &mut self,
+        count: usize,
+        min_len: usize,
+        mut read: impl FnMut(&mut Self) -> Read<T>,
+    ) -> Read<Vec<T>> {
+        self.need(count.saturating_mul(min_len))?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(read(self)?);
+        }
+        Ok(items)
+    }
+
+    /// Reads one varint through [`take_varint`], as strictly.
+    #[inline]
+    pub fn varint(&mut self) -> Read<u64> {
+        self.varint_with(take_varint)
+    }
+
+    /// Reads one varint through [`take_varint_u32`], as strictly.
+    #[inline]
+    pub fn varint_u32(&mut self) -> Read<u32> {
+        self.varint_with(take_varint_u32)
+    }
+
+    #[inline]
+    fn varint_with<T>(&mut self, take: impl FnOnce(&mut &[u8]) -> Result<T>) -> Read<T> {
+        let mut rest: &[u8] = &self.data;
+        let v = take(&mut rest).map_err(|e| match e {
+            GraphError::Codec(msg) => msg,
+            other => other.to_string(),
+        })?;
+        self.data.advance(self.data.len() - rest.len());
+        Ok(v)
+    }
+}
+
+/// A [`Reader`]'s answer to a read past the bytes at hand.
+#[cold]
+fn cut(need: usize, have: usize) -> String {
+    format!("need {need} bytes, have {have}")
 }
 
 fn exact_len(need: u64, have: usize) -> Result<()> {
@@ -969,6 +1132,36 @@ mod tests {
     /// `ids` as a walk: each entry either steps from the id before by a
     /// few hundred at most (one byte, or just past it) or jumps anywhere
     /// (an escape of either sign).
+    #[test]
+    fn a_byte_count_counts_what_an_encoder_writes() {
+        for v in [0, 127, 128, 1 << 35, u64::MAX] {
+            let (mut buf, mut count) = (Vec::new(), ByteCount::default());
+            put_varint(&mut buf, v);
+            put_varint(&mut count, v);
+            assert_eq!(count.0, buf.len());
+            assert_eq!(buf.len(), varint_len(v));
+        }
+    }
+
+    #[test]
+    fn the_reader_refuses_what_the_bytes_cannot_hold() {
+        let mut buf = Vec::new();
+        buf.put_u16_le(0xBEEF);
+        put_varint(&mut buf, 300);
+        buf.put_u64_le(7);
+        buf.extend_from_slice(b"xyz");
+        let mut r = Reader::new(Bytes::from(buf));
+        assert_eq!(r.u16(), Ok(0xBEEF));
+        assert_eq!(r.varint(), Ok(300));
+        assert_eq!(r.u64(), Ok(7));
+        assert!(r.u32().is_err(), "three bytes left");
+        assert_eq!(r.remaining(), 3, "a refused read consumes nothing");
+        assert!(r.list(u32::MAX as usize, 1, Reader::u8).is_err());
+        assert_eq!(&r.bytes(3).unwrap()[..], b"xyz");
+        assert!(!r.has_remaining());
+        assert!(r.u8().is_err());
+    }
+
     fn walk(start: u32, moves: &[(u32, bool, u32)]) -> Vec<NodeId> {
         let mut id = start;
         moves

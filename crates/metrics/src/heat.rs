@@ -10,7 +10,8 @@
 //! the scrape endpoint) should read, while the raw map is what crosses
 //! the wire in snapshots.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::BufMut;
+use grouting_graph::codec::Reader;
 
 /// Cumulative demand tallies over a dense slot range.
 ///
@@ -74,14 +75,9 @@ impl HeatMap {
         }
     }
 
-    /// Encoded size in bytes (matches what `encode_into` appends).
-    pub fn encoded_len(&self) -> usize {
-        4 + 8 * self.cells.len()
-    }
-
     /// Appends the little-endian wire layout: u32 slot count, then one
     /// u64 demand per slot.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u32_le(self.cells.len() as u32);
         for &demand in &self.cells {
             buf.put_u64_le(demand);
@@ -94,22 +90,9 @@ impl HeatMap {
     /// # Errors
     ///
     /// Returns a description of the malformation on truncated input.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if data.remaining() < 4 {
-            return Err(format!(
-                "heat map count needs 4 bytes, have {}",
-                data.remaining()
-            ));
-        }
-        let slots = data.get_u32_le() as usize;
-        if data.remaining() < 8 * slots {
-            return Err(format!(
-                "heat map body needs {} bytes for {slots} slots, have {}",
-                8 * slots,
-                data.remaining()
-            ));
-        }
-        let cells = (0..slots).map(|_| data.get_u64_le()).collect();
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
+        let slots = data.u32()? as usize;
+        let cells = data.list(slots, 8, Reader::u64)?;
         Ok(Self { cells })
     }
 }
@@ -177,6 +160,7 @@ impl DecayingHeat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     #[test]
     fn record_grows_and_counts() {
@@ -211,13 +195,12 @@ mod tests {
         h.record_demand(0, 4);
         let mut buf = Vec::new();
         h.encode_into(&mut buf);
-        assert_eq!(buf.len(), h.encoded_len());
         let bytes = Bytes::from(buf);
-        let mut data = bytes.clone();
+        let mut data = Reader::new(bytes.clone());
         assert_eq!(HeatMap::decode_prefix(&mut data).unwrap(), h);
         assert!(!data.has_remaining());
         for cut in 0..bytes.len() {
-            let mut trunc = bytes.slice(0..cut);
+            let mut trunc = Reader::new(bytes.slice(0..cut));
             assert!(HeatMap::decode_prefix(&mut trunc).is_err(), "cut {cut}");
         }
     }
@@ -229,7 +212,7 @@ mod tests {
         let mut buf = Vec::new();
         h.encode_into(&mut buf);
         buf.put_u64_le(0xDEAD);
-        let mut data = Bytes::from(buf);
+        let mut data = Reader::new(Bytes::from(buf));
         assert_eq!(HeatMap::decode_prefix(&mut data).unwrap(), h);
         assert_eq!(data.remaining(), 8);
     }
@@ -275,8 +258,7 @@ mod tests {
             }
             let mut buf = Vec::new();
             h.encode_into(&mut buf);
-            proptest::prop_assert_eq!(buf.len(), h.encoded_len());
-            let mut data = Bytes::from(buf);
+            let mut data = Reader::new(Bytes::from(buf));
             proptest::prop_assert_eq!(HeatMap::decode_prefix(&mut data).unwrap(), h);
             proptest::prop_assert!(!data.has_remaining());
         }

@@ -7,7 +7,8 @@
 //! sub-buckets, giving a bounded relative error of `2^-precision` with O(1)
 //! record cost and a few KiB of memory.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::BufMut;
+use grouting_graph::codec::Reader;
 use grouting_metrics_sealed::Sealed;
 
 mod grouting_metrics_sealed {
@@ -180,18 +181,11 @@ impl Histogram {
         self.max = 0;
     }
 
-    /// Encoded size in bytes (matches what [`Histogram::encode_into`]
-    /// appends exactly). Sparse: only non-empty buckets travel.
-    pub fn encoded_len(&self) -> usize {
-        let nonzero = self.buckets.iter().filter(|&&c| c != 0).count();
-        8 + 16 + 8 + 8 + 4 + nonzero * (4 + 8)
-    }
-
     /// Appends the little-endian sparse wire layout: the summary fields,
     /// then one `(bucket index, count)` pair per non-empty bucket in index
     /// order. Two histograms with the same recorded multiset encode
     /// identically.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u64_le(self.count);
         buf.put_u128_le(self.sum);
         buf.put_u64_le(self.min);
@@ -206,13 +200,6 @@ impl Histogram {
         }
     }
 
-    /// Encodes to a standalone buffer (see [`Histogram::encode_into`]).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        Bytes::from(buf)
-    }
-
     /// Decodes one histogram from the front of `data`, consuming exactly
     /// its own bytes and leaving any remainder untouched.
     ///
@@ -221,31 +208,19 @@ impl Histogram {
     /// Returns a description of the malformation on truncated input,
     /// out-of-range or non-increasing bucket indexes, or a bucket/count
     /// mismatch.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if data.remaining() < 8 + 16 + 8 + 8 + 4 {
-            return Err(format!(
-                "histogram header needs 44 bytes, have {}",
-                data.remaining()
-            ));
-        }
-        let count = data.get_u64_le();
-        let sum = data.get_u128_le();
-        let min = data.get_u64_le();
-        let max = data.get_u64_le();
-        let nonzero = data.get_u32_le() as usize;
-        if data.remaining() < nonzero * 12 {
-            return Err(format!(
-                "histogram body needs {} bytes for {nonzero} buckets, have {}",
-                nonzero * 12,
-                data.remaining()
-            ));
-        }
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
+        let count = data.u64()?;
+        let sum = data.u128()?;
+        let min = data.u64()?;
+        let max = data.u64()?;
+        let nonzero = data.u32()? as usize;
+        data.need(nonzero.saturating_mul(12))?;
         let mut h = Self::new();
         let mut total = 0u64;
         let mut prev: Option<usize> = None;
         for _ in 0..nonzero {
-            let idx = data.get_u32_le() as usize;
-            let c = data.get_u64_le();
+            let idx = data.u32()? as usize;
+            let c = data.u64()?;
             if idx >= h.buckets.len() {
                 return Err(format!("histogram bucket index {idx} out of range"));
             }
@@ -257,7 +232,9 @@ impl Histogram {
             }
             prev = Some(idx);
             h.buckets[idx] = c;
-            total += c;
+            total = total
+                .checked_add(c)
+                .ok_or("histogram bucket total past u64")?;
         }
         if total != count {
             return Err(format!(
@@ -270,28 +247,28 @@ impl Histogram {
         h.max = max;
         Ok(h)
     }
-
-    /// Decodes from the wire layout, rejecting trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// See [`Histogram::decode_prefix`]; additionally errors when bytes
-    /// remain after the histogram.
-    pub fn decode(mut data: Bytes) -> Result<Self, String> {
-        let h = Self::decode_prefix(&mut data)?;
-        if data.has_remaining() {
-            return Err(format!(
-                "{} trailing bytes after histogram",
-                data.remaining()
-            ));
-        }
-        Ok(h)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+
+    fn encode(h: &Histogram) -> Bytes {
+        let mut buf = Vec::new();
+        h.encode_into(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Decodes `bytes` whole: one histogram, then the end of the input.
+    fn decode(bytes: Bytes) -> Result<Histogram, String> {
+        let mut data = Reader::new(bytes);
+        let h = Histogram::decode_prefix(&mut data)?;
+        match data.remaining() {
+            0 => Ok(h),
+            n => Err(format!("{n} trailing bytes")),
+        }
+    }
 
     #[test]
     fn empty_histogram() {
@@ -390,15 +367,13 @@ mod tests {
             h.record(v);
             h.record(v);
         }
-        let bytes = h.encode();
-        assert_eq!(bytes.len(), h.encoded_len());
-        assert_eq!(Histogram::decode(bytes).unwrap(), h);
+        assert_eq!(decode(encode(&h)).unwrap(), h);
     }
 
     #[test]
     fn empty_histogram_round_trips() {
         let h = Histogram::new();
-        let decoded = Histogram::decode(h.encode()).unwrap();
+        let decoded = decode(encode(&h)).unwrap();
         assert_eq!(decoded, h);
         assert_eq!(decoded.count(), 0);
         assert_eq!(decoded.quantile(0.5), None);
@@ -408,30 +383,38 @@ mod tests {
     fn decode_rejects_malformed_input() {
         let mut h = Histogram::new();
         h.record(42u64);
-        let bytes = h.encode();
+        let bytes = encode(&h);
         // Truncation at every cut point.
         for cut in 0..bytes.len() {
-            assert!(Histogram::decode(bytes.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(decode(bytes.slice(0..cut)).is_err(), "cut {cut}");
         }
         // Trailing bytes.
         let mut raw = bytes.to_vec();
         raw.push(0);
-        assert!(Histogram::decode(Bytes::from(raw)).is_err());
+        assert!(decode(Bytes::from(raw)).is_err());
         // A bucket total disagreeing with the count field.
         let mut raw = bytes.to_vec();
         raw[0] = 2; // count says 2, the single bucket still says 1
-        assert!(Histogram::decode(Bytes::from(raw)).is_err());
+        assert!(decode(Bytes::from(raw)).is_err());
+        // Two buckets whose counts sum past u64.
+        let mut raw = vec![0u8; 40];
+        raw.extend_from_slice(&2u32.to_le_bytes());
+        for idx in [1u32, 2] {
+            raw.extend_from_slice(&idx.to_le_bytes());
+            raw.extend_from_slice(&u64::MAX.to_le_bytes());
+        }
+        assert!(decode(Bytes::from(raw)).is_err());
     }
 
     #[test]
     fn decode_prefix_leaves_the_remainder() {
         let mut h = Histogram::new();
         h.record(7u64);
-        let mut raw = h.encode().to_vec();
+        let mut raw = encode(&h).to_vec();
         raw.extend_from_slice(b"tail");
-        let mut data = Bytes::from(raw);
+        let mut data = Reader::new(Bytes::from(raw));
         assert_eq!(Histogram::decode_prefix(&mut data).unwrap(), h);
-        assert_eq!(&data[..], b"tail");
+        assert_eq!(&data.bytes(data.remaining()).unwrap()[..], b"tail");
     }
 
     #[test]
@@ -448,7 +431,7 @@ mod tests {
             both.record(v);
         }
         a.merge(&b);
-        assert_eq!(a.encode(), both.encode());
+        assert_eq!(encode(&a), encode(&both));
         assert_eq!(a.p999(), both.p999());
     }
 
@@ -496,9 +479,7 @@ mod tests {
             for v in &values {
                 h.record(*v);
             }
-            let bytes = h.encode();
-            proptest::prop_assert_eq!(bytes.len(), h.encoded_len());
-            proptest::prop_assert_eq!(Histogram::decode(bytes).unwrap(), h);
+            proptest::prop_assert_eq!(decode(encode(&h)).unwrap(), h);
         }
 
         #[test]

@@ -8,7 +8,8 @@
 //! recoveries, and the per-processor service counts — in a compact
 //! little-endian encoding.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::BufMut;
+use grouting_graph::codec::Reader;
 
 use crate::heat::HeatMap;
 
@@ -106,18 +107,8 @@ impl RunSnapshot {
         self.region_heat.merge(&other.region_heat);
     }
 
-    /// Encoded size in bytes (matches `encode().len()` exactly).
-    pub fn encoded_len(&self) -> usize {
-        8 * 9
-            + 4
-            + 8 * self.per_processor.len()
-            + self.partition_heat.encoded_len()
-            + self.region_heat.encoded_len()
-    }
-
-    /// Encodes to the little-endian wire layout.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.encoded_len());
+    /// Appends the little-endian wire layout.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u64_le(self.queries);
         buf.put_u64_le(self.cache_hits);
         buf.put_u64_le(self.cache_misses);
@@ -131,26 +122,8 @@ impl RunSnapshot {
         for &c in &self.per_processor {
             buf.put_u64_le(c);
         }
-        self.partition_heat.encode_into(&mut buf);
-        self.region_heat.encode_into(&mut buf);
-        Bytes::from(buf)
-    }
-
-    /// Decodes from the wire layout, rejecting trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformation on truncated or oversized
-    /// input.
-    pub fn decode(mut data: Bytes) -> Result<Self, String> {
-        let snapshot = Self::decode_prefix(&mut data)?;
-        if data.has_remaining() {
-            return Err(format!(
-                "{} trailing bytes after snapshot",
-                data.remaining()
-            ));
-        }
-        Ok(snapshot)
+        self.partition_heat.encode_into(buf);
+        self.region_heat.encode_into(buf);
     }
 
     /// Decodes one snapshot from the front of `data`, consuming exactly
@@ -160,31 +133,18 @@ impl RunSnapshot {
     /// # Errors
     ///
     /// Returns a description of the malformation on truncated input.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if data.remaining() < 8 * 9 + 4 {
-            return Err(format!(
-                "snapshot header needs 76 bytes, have {}",
-                data.remaining()
-            ));
-        }
-        let queries = data.get_u64_le();
-        let cache_hits = data.get_u64_le();
-        let cache_misses = data.get_u64_le();
-        let evictions = data.get_u64_le();
-        let stolen = data.get_u64_le();
-        let redials = data.get_u64_le();
-        let replica_failovers = data.get_u64_le();
-        let batches_resubmitted = data.get_u64_le();
-        let windows_resubmitted = data.get_u64_le();
-        let processors = data.get_u32_le() as usize;
-        if data.remaining() < 8 * processors {
-            return Err(format!(
-                "snapshot body needs {} bytes for {processors} processors, have {}",
-                8 * processors,
-                data.remaining()
-            ));
-        }
-        let per_processor = (0..processors).map(|_| data.get_u64_le()).collect();
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
+        let queries = data.u64()?;
+        let cache_hits = data.u64()?;
+        let cache_misses = data.u64()?;
+        let evictions = data.u64()?;
+        let stolen = data.u64()?;
+        let redials = data.u64()?;
+        let replica_failovers = data.u64()?;
+        let batches_resubmitted = data.u64()?;
+        let windows_resubmitted = data.u64()?;
+        let processors = data.u32()? as usize;
+        let per_processor = data.list(processors, 8, Reader::u64)?;
         let partition_heat = HeatMap::decode_prefix(data)?;
         let region_heat = HeatMap::decode_prefix(data)?;
         Ok(Self {
@@ -207,6 +167,23 @@ impl RunSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+
+    fn encode(s: &RunSnapshot) -> Bytes {
+        let mut buf = Vec::new();
+        s.encode_into(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Decodes `bytes` whole: one snapshot, then the end of the input.
+    fn decode(bytes: Bytes) -> Result<RunSnapshot, String> {
+        let mut data = Reader::new(bytes);
+        let s = RunSnapshot::decode_prefix(&mut data)?;
+        match data.remaining() {
+            0 => Ok(s),
+            n => Err(format!("{n} trailing bytes")),
+        }
+    }
 
     fn sample() -> RunSnapshot {
         let mut partition_heat = HeatMap::new();
@@ -233,9 +210,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let s = sample();
-        let bytes = s.encode();
-        assert_eq!(bytes.len(), s.encoded_len());
-        assert_eq!(RunSnapshot::decode(bytes).unwrap(), s);
+        assert_eq!(decode(encode(&s)).unwrap(), s);
     }
 
     #[test]
@@ -306,16 +281,13 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_and_trailing() {
-        let bytes = sample().encode();
+        let bytes = encode(&sample());
         for cut in 0..bytes.len() {
-            assert!(
-                RunSnapshot::decode(bytes.slice(0..cut)).is_err(),
-                "cut {cut}"
-            );
+            assert!(decode(bytes.slice(0..cut)).is_err(), "cut {cut}");
         }
         let mut raw = bytes.to_vec();
         raw.push(0);
-        assert!(RunSnapshot::decode(Bytes::from(raw)).is_err());
+        assert!(decode(Bytes::from(raw)).is_err());
     }
 
     proptest::proptest! {
@@ -356,9 +328,7 @@ mod tests {
                 partition_heat,
                 region_heat,
             };
-            let bytes = s.encode();
-            proptest::prop_assert_eq!(bytes.len(), s.encoded_len());
-            proptest::prop_assert_eq!(RunSnapshot::decode(bytes).unwrap(), s);
+            proptest::prop_assert_eq!(decode(encode(&s)).unwrap(), s);
         }
     }
 }

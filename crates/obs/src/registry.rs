@@ -1,6 +1,7 @@
 //! The named-series registry and its wire snapshot.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::BufMut;
+use grouting_graph::codec::Reader;
 use grouting_metrics::{DecayingHeat, FailoverStats, HeatMap, Histogram};
 use grouting_trace::{ReactorStats, Stage, StageStats};
 
@@ -248,45 +249,22 @@ pub struct RegistrySnapshot {
 /// far above anything the registry emits.
 const MAX_STR: usize = 4096;
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u16_le(s.len() as u16);
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(data: &mut Bytes) -> Result<String, String> {
-    if data.remaining() < 2 {
-        return Err("string length truncated".to_string());
-    }
-    let len = data.get_u16_le() as usize;
+fn get_str(data: &mut Reader) -> Result<String, String> {
+    let len = data.u16()? as usize;
     if len > MAX_STR {
         return Err(format!("string of {len} bytes exceeds {MAX_STR}"));
     }
-    if data.remaining() < len {
-        return Err(format!(
-            "string needs {len} bytes, have {}",
-            data.remaining()
-        ));
-    }
-    let raw = data.slice(0..len).to_vec();
-    data.advance(len);
-    String::from_utf8(raw).map_err(|_| "string is not UTF-8".to_string())
+    String::from_utf8(data.bytes(len)?.to_vec()).map_err(|_| "string is not UTF-8".to_string())
 }
 
 impl RegistrySnapshot {
-    /// Encoded size in bytes (matches what `encode_into` appends).
-    pub fn encoded_len(&self) -> usize {
-        let mut len = 1 + 2 + 8 + 4;
-        for s in &self.samples {
-            len += 2 + s.name.len() + 1 + 1 + 8;
-            for (k, v) in &s.labels {
-                len += 2 + k.len() + 2 + v.len();
-            }
-        }
-        len
-    }
-
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u8(self.role.as_u8());
         buf.put_u16_le(self.id);
         buf.put_u64_le(self.at_ns);
@@ -303,13 +281,6 @@ impl RegistrySnapshot {
         }
     }
 
-    /// Encodes to a standalone buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        Bytes::from(buf)
-    }
-
     /// Decodes one snapshot from the front of `data`, consuming exactly
     /// its own bytes.
     ///
@@ -317,75 +288,31 @@ impl RegistrySnapshot {
     ///
     /// Returns a description of the malformation on truncated or invalid
     /// input.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if data.remaining() < 1 + 2 + 8 + 4 {
-            return Err(format!(
-                "registry snapshot header needs 15 bytes, have {}",
-                data.remaining()
-            ));
-        }
-        let role = NodeRole::from_u8(data.get_u8())?;
-        let id = data.get_u16_le();
-        let at_ns = data.get_u64_le();
-        let n = data.get_u32_le() as usize;
-        // Each sample takes at least 12 bytes (empty name, no labels), so
-        // a hostile count cannot force a huge allocation.
-        if data.remaining() < n.saturating_mul(12) {
-            return Err(format!(
-                "registry snapshot claims {n} samples in {} bytes",
-                data.remaining()
-            ));
-        }
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
+        let role = NodeRole::from_u8(data.u8()?)?;
+        let id = data.u16()?;
+        let at_ns = data.u64()?;
+        let n = data.u32()? as usize;
+        // Each sample takes at least 12 bytes (empty name, no labels), and
+        // each label four.
+        let samples = data.list(n, 12, |data| {
             let name = get_str(data)?;
-            if !data.has_remaining() {
-                return Err("sample kind truncated".to_string());
-            }
-            let kind = SampleKind::from_u8(data.get_u8())?;
-            if !data.has_remaining() {
-                return Err("sample label count truncated".to_string());
-            }
-            let nlabels = data.get_u8() as usize;
-            let mut labels = Vec::with_capacity(nlabels);
-            for _ in 0..nlabels {
-                let k = get_str(data)?;
-                let v = get_str(data)?;
-                labels.push((k, v));
-            }
-            if data.remaining() < 8 {
-                return Err("sample value truncated".to_string());
-            }
-            let value = f64::from_bits(data.get_u64_le());
-            samples.push(Sample {
+            let kind = SampleKind::from_u8(data.u8()?)?;
+            let nlabels = data.u8()? as usize;
+            let labels = data.list(nlabels, 4, |data| Ok((get_str(data)?, get_str(data)?)))?;
+            Ok(Sample {
                 name,
                 labels,
                 kind,
-                value,
-            });
-        }
+                value: f64::from_bits(data.u64()?),
+            })
+        })?;
         Ok(Self {
             role,
             id,
             at_ns,
             samples,
         })
-    }
-
-    /// Decodes from the wire layout, rejecting trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// See [`RegistrySnapshot::decode_prefix`].
-    pub fn decode(mut data: Bytes) -> Result<Self, String> {
-        let snapshot = Self::decode_prefix(&mut data)?;
-        if data.has_remaining() {
-            return Err(format!(
-                "{} trailing bytes after registry snapshot",
-                data.remaining()
-            ));
-        }
-        Ok(snapshot)
     }
 }
 
@@ -428,6 +355,23 @@ pub fn render_prometheus(snapshots: &[&RegistrySnapshot]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+
+    fn encode(s: &RegistrySnapshot) -> Bytes {
+        let mut buf = Vec::new();
+        s.encode_into(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Decodes `bytes` whole: one snapshot, then the end of the input.
+    fn decode(bytes: Bytes) -> Result<RegistrySnapshot, String> {
+        let mut data = Reader::new(bytes);
+        let s = RegistrySnapshot::decode_prefix(&mut data)?;
+        match data.remaining() {
+            0 => Ok(s),
+            n => Err(format!("{n} trailing bytes")),
+        }
+    }
 
     fn sample_registry() -> Registry {
         let mut r = Registry::new(NodeRole::Processor, 2);
@@ -490,23 +434,18 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let snap = sample_registry().snapshot();
-        let bytes = snap.encode();
-        assert_eq!(bytes.len(), snap.encoded_len());
-        assert_eq!(RegistrySnapshot::decode(bytes).unwrap(), snap);
+        assert_eq!(decode(encode(&snap)).unwrap(), snap);
     }
 
     #[test]
     fn decode_rejects_truncation_and_trailing() {
-        let bytes = sample_registry().snapshot().encode();
+        let bytes = encode(&sample_registry().snapshot());
         for cut in 0..bytes.len() {
-            assert!(
-                RegistrySnapshot::decode(bytes.slice(0..cut)).is_err(),
-                "cut {cut}"
-            );
+            assert!(decode(bytes.slice(0..cut)).is_err(), "cut {cut}");
         }
         let mut raw = bytes.to_vec();
         raw.push(0);
-        assert!(RegistrySnapshot::decode(Bytes::from(raw)).is_err());
+        assert!(decode(Bytes::from(raw)).is_err());
     }
 
     #[test]
@@ -516,7 +455,7 @@ mod tests {
         buf.put_u16_le(0);
         buf.put_u64_le(0);
         buf.put_u32_le(u32::MAX);
-        assert!(RegistrySnapshot::decode(Bytes::from(buf)).is_err());
+        assert!(decode(Bytes::from(buf)).is_err());
     }
 
     #[test]
@@ -579,9 +518,7 @@ mod tests {
                     })
                     .collect(),
             };
-            let bytes = snap.encode();
-            proptest::prop_assert_eq!(bytes.len(), snap.encoded_len());
-            proptest::prop_assert_eq!(RegistrySnapshot::decode(bytes).unwrap(), snap);
+            proptest::prop_assert_eq!(decode(encode(&snap)).unwrap(), snap);
         }
     }
 }

@@ -195,7 +195,7 @@ impl BfsState {
         };
         // Count the frontier's records (the root is not its own
         // neighbour) and keep those to expand: a node at depth d is
-        // expanded iff d < hops; the query node always is.
+        // expanded iff d < hops, so within 0 hops nothing is.
         let mut level = Vec::new();
         for rec in got.drain(..) {
             if self.depth > 0 {
@@ -205,7 +205,7 @@ impl BfsState {
                 };
                 self.count += u64::from(labeled_ok);
             }
-            if self.depth == 0 || self.depth < self.hops {
+            if self.depth < self.hops {
                 level.extend(rec);
             }
         }
@@ -1457,6 +1457,70 @@ mod tests {
             let mut asked = NodeSet::default();
             for &v in asks.iter().flatten() {
                 proptest::prop_assert!(asked.insert(v), "{:?} asked {} twice: {:?}", query, v, asks);
+            }
+        }
+
+        /// Over a cache that holds nothing, aggregation asks for the root
+        /// alone and then for one whole level per ask: at most `h + 1`
+        /// asks, no node asked for twice, and the records it reads are
+        /// exactly the stored nodes within `h` hops, the root included.
+        #[test]
+        fn prop_aggregation_asks_stay_within_the_level_bound(
+            edges in proptest::collection::vec((0u32..16, 0u32..16), 1..60),
+            mask in 0u32..1 << 16,
+            src in 0u32..18,
+            h in 0u32..5,
+            label in proptest::option::of(0u16..2),
+        ) {
+            let g = two_label_graph(&edges, mask);
+            let tier = setup(&g);
+            let label = label.map(NodeLabelId::new);
+            let query = Query::NeighborAggregation { node: n(src), hops: h, label };
+            let mut cache: ProcessorCache = Box::new(NullCache::new());
+            let (out, asks) = run_staged_asks(&tier, &mut cache, query);
+            proptest::prop_assert!(asks.len() <= h as usize + 1, "{:?} asked {:?}", query, asks);
+            let mut asked = NodeSet::default();
+            for &v in asks.iter().flatten() {
+                proptest::prop_assert!(asked.insert(v), "{:?} asked {} twice: {:?}", query, v, asks);
+            }
+            let within: NodeSet = if g.contains(n(src)) {
+                let mut ball = h_hop_neighborhood(&g, n(src), h, Direction::Both);
+                ball.push(n(src));
+                ball.into_iter().collect()
+            } else {
+                NodeSet::default()
+            };
+            proptest::prop_assert_eq!(out.stats.accesses(), within.len() as u64, "{:?}", query);
+            asked.retain(|&v| g.contains(v));
+            proptest::prop_assert_eq!(asked, within, "{:?}", query);
+        }
+
+        /// Over a cache that holds nothing, a walk asks for one node per
+        /// step it takes and nothing for a step that restarts: at most
+        /// `steps` asks of one node each, exactly `steps` when it never
+        /// restarts from a stored node, and none when it always restarts.
+        #[test]
+        fn prop_walk_asks_stay_within_the_step_bound(
+            edges in proptest::collection::vec((0u32..16, 0u32..16), 1..60),
+            node in 0u32..18,
+            steps in 0u32..12,
+            restart in 0usize..3,
+            seed in proptest::num::u64::ANY,
+        ) {
+            let g = two_label_graph(&edges, 0);
+            let tier = setup(&g);
+            let restart_prob = [0.0, 0.3, 1.0][restart];
+            let query = Query::RandomWalk { node: n(node), steps, restart_prob, seed };
+            let mut cache: ProcessorCache = Box::new(NullCache::new());
+            let (out, asks) = run_staged_asks(&tier, &mut cache, query);
+            proptest::prop_assert!(asks.len() <= steps as usize, "{:?} asked {:?}", query, asks);
+            proptest::prop_assert!(asks.iter().all(|ask| ask.len() == 1), "{:?} asked {:?}", query, asks);
+            if restart_prob == 1.0 {
+                proptest::prop_assert!(asks.is_empty(), "{:?} asked {:?}", query, asks);
+            }
+            if restart_prob == 0.0 && g.contains(n(node)) {
+                proptest::prop_assert_eq!(asks.len(), steps as usize, "{:?}", query);
+                proptest::prop_assert_eq!(out.stats.accesses(), u64::from(steps), "{:?}", query);
             }
         }
 

@@ -1,6 +1,7 @@
 //! The mergeable, encodable bundle of everything the trace layer saw.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::BufMut;
+use grouting_graph::codec::Reader;
 
 use crate::span::QuerySpan;
 use crate::stage::StageStats;
@@ -49,17 +50,8 @@ impl TraceSnapshot {
         self.spans_dropped += other.spans_dropped;
     }
 
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        1 + self.stages.encoded_len()
-            + ReactorStats::ENCODED_LEN
-            + 4
-            + self.spans.len() * QuerySpan::ENCODED_LEN
-            + 8
-    }
-
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u8(self.level.as_u8());
         self.stages.encode_into(buf);
         self.reactor.encode_into(buf);
@@ -70,44 +62,19 @@ impl TraceSnapshot {
         buf.put_u64_le(self.spans_dropped);
     }
 
-    /// Encodes to a standalone buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        Bytes::from(buf)
-    }
-
     /// Decodes one snapshot from the front of `data`.
     ///
     /// # Errors
     ///
     /// Returns a description of the malformation on truncated or invalid
     /// input.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if !data.has_remaining() {
-            return Err("trace snapshot needs a level byte".to_string());
-        }
-        let level = TraceLevel::from_u8(data.get_u8())?;
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
+        let level = TraceLevel::from_u8(data.u8()?)?;
         let stages = StageStats::decode_prefix(data)?;
         let reactor = ReactorStats::decode_prefix(data)?;
-        if data.remaining() < 4 {
-            return Err("trace snapshot span count truncated".to_string());
-        }
-        let n = data.get_u32_le() as usize;
-        if data.remaining() < n * QuerySpan::ENCODED_LEN {
-            return Err(format!(
-                "trace snapshot needs {} bytes for {n} spans, have {}",
-                n * QuerySpan::ENCODED_LEN,
-                data.remaining()
-            ));
-        }
-        let spans = (0..n)
-            .map(|_| QuerySpan::decode_prefix(data))
-            .collect::<Result<Vec<_>, _>>()?;
-        if data.remaining() < 8 {
-            return Err("trace snapshot dropped-span count truncated".to_string());
-        }
-        let spans_dropped = data.get_u64_le();
+        let n = data.u32()? as usize;
+        let spans = data.list(n, QuerySpan::ENCODED_LEN, QuerySpan::decode_prefix)?;
+        let spans_dropped = data.u64()?;
         Ok(Self {
             level,
             stages,
@@ -116,28 +83,29 @@ impl TraceSnapshot {
             spans_dropped,
         })
     }
-
-    /// Decodes from the wire layout, rejecting trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// See [`TraceSnapshot::decode_prefix`].
-    pub fn decode(mut data: Bytes) -> Result<Self, String> {
-        let snapshot = Self::decode_prefix(&mut data)?;
-        if data.has_remaining() {
-            return Err(format!(
-                "{} trailing bytes after trace snapshot",
-                data.remaining()
-            ));
-        }
-        Ok(snapshot)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stage::Stage;
+    use bytes::Bytes;
+
+    fn encode(s: &TraceSnapshot) -> Bytes {
+        let mut buf = Vec::new();
+        s.encode_into(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Decodes `bytes` whole: one snapshot, then the end of the input.
+    fn decode(bytes: Bytes) -> Result<TraceSnapshot, String> {
+        let mut data = Reader::new(bytes);
+        let s = TraceSnapshot::decode_prefix(&mut data)?;
+        match data.remaining() {
+            0 => Ok(s),
+            n => Err(format!("{n} trailing bytes")),
+        }
+    }
 
     fn sample() -> TraceSnapshot {
         let mut s = TraceSnapshot::new(TraceLevel::Spans);
@@ -166,35 +134,27 @@ mod tests {
     #[test]
     fn round_trips() {
         let s = sample();
-        let bytes = s.encode();
-        assert_eq!(bytes.len(), s.encoded_len());
-        assert_eq!(TraceSnapshot::decode(bytes).unwrap(), s);
+        assert_eq!(decode(encode(&s)).unwrap(), s);
     }
 
     #[test]
     fn empty_snapshot_round_trips() {
         for level in [TraceLevel::Off, TraceLevel::Stats, TraceLevel::Spans] {
             let s = TraceSnapshot::new(level);
-            assert_eq!(TraceSnapshot::decode(s.encode()).unwrap(), s);
+            assert_eq!(decode(encode(&s)).unwrap(), s);
         }
     }
 
     #[test]
     fn decode_rejects_truncation_and_trailing() {
-        let bytes = sample().encode();
+        let bytes = encode(&sample());
         for cut in 0..bytes.len() {
-            assert!(
-                TraceSnapshot::decode(bytes.slice(0..cut)).is_err(),
-                "cut {cut}"
-            );
+            assert!(decode(bytes.slice(0..cut)).is_err(), "cut {cut}");
         }
         let mut raw = bytes.to_vec();
         raw.push(0);
-        assert!(TraceSnapshot::decode(Bytes::from(raw)).is_err());
-        assert!(
-            TraceSnapshot::decode(Bytes::from(vec![9u8])).is_err(),
-            "bad level tag"
-        );
+        assert!(decode(Bytes::from(raw)).is_err());
+        assert!(decode(Bytes::from(vec![9u8])).is_err(), "bad level tag");
     }
 
     #[test]

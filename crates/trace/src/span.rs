@@ -1,7 +1,8 @@
 //! Per-query trace context: processor-side span blocks and the
 //! router-side span ring.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::BufMut;
+use grouting_graph::codec::Reader;
 use std::collections::VecDeque;
 
 /// Capacity of the router's in-memory span ring.
@@ -25,13 +26,8 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        8 + 8 + 4 + 4 + self.level_spans.len() * 16
-    }
-
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u64_le(self.fetch_wait_ns);
         buf.put_u64_le(self.compute_ns);
         buf.put_u32_le(self.levels);
@@ -47,27 +43,12 @@ impl QueryTrace {
     /// # Errors
     ///
     /// Returns a description of the malformation on truncated input.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if data.remaining() < 8 + 8 + 4 + 4 {
-            return Err(format!(
-                "query trace header needs 24 bytes, have {}",
-                data.remaining()
-            ));
-        }
-        let fetch_wait_ns = data.get_u64_le();
-        let compute_ns = data.get_u64_le();
-        let levels = data.get_u32_le();
-        let n = data.get_u32_le() as usize;
-        if data.remaining() < n * 16 {
-            return Err(format!(
-                "query trace needs {} bytes for {n} level spans, have {}",
-                n * 16,
-                data.remaining()
-            ));
-        }
-        let level_spans = (0..n)
-            .map(|_| (data.get_u64_le(), data.get_u64_le()))
-            .collect();
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
+        let fetch_wait_ns = data.u64()?;
+        let compute_ns = data.u64()?;
+        let levels = data.u32()?;
+        let n = data.u32()? as usize;
+        let level_spans = data.list(n, 16, |data| Ok((data.u64()?, data.u64()?)))?;
         Ok(Self {
             fetch_wait_ns,
             compute_ns,
@@ -100,11 +81,11 @@ pub struct QuerySpan {
 }
 
 impl QuerySpan {
-    /// Encoded size in bytes.
+    /// Encoded size in bytes, by which a decoder bounds a span count.
     pub const ENCODED_LEN: usize = 8 + 4 + 4 + 8 * 5;
 
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u64_le(self.seq);
         buf.put_u32_le(self.processor);
         buf.put_u32_le(self.levels);
@@ -120,23 +101,16 @@ impl QuerySpan {
     /// # Errors
     ///
     /// Returns a description of the malformation on truncated input.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if data.remaining() < Self::ENCODED_LEN {
-            return Err(format!(
-                "query span needs {} bytes, have {}",
-                Self::ENCODED_LEN,
-                data.remaining()
-            ));
-        }
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
         Ok(Self {
-            seq: data.get_u64_le(),
-            processor: data.get_u32_le(),
-            levels: data.get_u32_le(),
-            queue_ns: data.get_u64_le(),
-            rtt_ns: data.get_u64_le(),
-            fetch_wait_ns: data.get_u64_le(),
-            compute_ns: data.get_u64_le(),
-            completion_ns: data.get_u64_le(),
+            seq: data.u64()?,
+            processor: data.u32()?,
+            levels: data.u32()?,
+            queue_ns: data.u64()?,
+            rtt_ns: data.u64()?,
+            fetch_wait_ns: data.u64()?,
+            compute_ns: data.u64()?,
+            completion_ns: data.u64()?,
         })
     }
 }
@@ -203,6 +177,7 @@ impl SpanRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn sample_trace() -> QueryTrace {
         QueryTrace {
@@ -218,8 +193,7 @@ mod tests {
         for trace in [sample_trace(), QueryTrace::default()] {
             let mut buf = Vec::new();
             trace.encode_into(&mut buf);
-            assert_eq!(buf.len(), trace.encoded_len());
-            let mut data = Bytes::from(buf);
+            let mut data = Reader::new(Bytes::from(buf));
             assert_eq!(QueryTrace::decode_prefix(&mut data).unwrap(), trace);
             assert!(!data.has_remaining());
         }
@@ -231,7 +205,7 @@ mod tests {
         sample_trace().encode_into(&mut buf);
         let bytes = Bytes::from(buf);
         for cut in 0..bytes.len() {
-            let mut data = bytes.slice(0..cut);
+            let mut data = Reader::new(bytes.slice(0..cut));
             assert!(QueryTrace::decode_prefix(&mut data).is_err(), "cut {cut}");
         }
     }
@@ -251,7 +225,7 @@ mod tests {
         let mut buf = Vec::new();
         span.encode_into(&mut buf);
         assert_eq!(buf.len(), QuerySpan::ENCODED_LEN);
-        let mut data = Bytes::from(buf);
+        let mut data = Reader::new(Bytes::from(buf));
         assert_eq!(QuerySpan::decode_prefix(&mut data).unwrap(), span);
     }
 

@@ -1,6 +1,7 @@
 //! The pipeline stages a query crosses, and their latency histograms.
 
-use bytes::Bytes;
+use bytes::BufMut;
+use grouting_graph::codec::Reader;
 use grouting_metrics::report::Cell;
 use grouting_metrics::{nanos_to_millis, Histogram, TableReport};
 
@@ -115,15 +116,10 @@ impl StageStats {
     }
 
     /// Appends the wire layout: each stage's histogram in index order.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         for h in &self.hists {
             h.encode_into(buf);
         }
-    }
-
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.hists.iter().map(Histogram::encoded_len).sum()
     }
 
     /// Decodes stage histograms from the front of `data`, consuming
@@ -132,7 +128,7 @@ impl StageStats {
     /// # Errors
     ///
     /// Propagates histogram malformations.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
         let mut hists = Vec::with_capacity(STAGE_COUNT);
         for stage in Stage::ALL {
             hists.push(
@@ -206,8 +202,7 @@ mod tests {
         }
         let mut buf = Vec::new();
         s.encode_into(&mut buf);
-        assert_eq!(buf.len(), s.encoded_len());
-        let mut data = Bytes::from(buf);
+        let mut data = Reader::new(bytes::Bytes::from(buf));
         let decoded = StageStats::decode_prefix(&mut data).unwrap();
         assert_eq!(decoded, s);
         assert!(!data.has_remaining());
@@ -224,6 +219,4 @@ mod tests {
         assert!(rendered.contains("router_queue"));
         assert!(rendered.contains("p999"));
     }
-
-    use bytes::Buf as _;
 }

@@ -8,7 +8,8 @@
 //! [`ReactorStats`], which is what travels inside a
 //! [`crate::TraceSnapshot`].
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::BufMut;
+use grouting_graph::codec::Reader;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Point-in-time reactor/connection telemetry totals.
@@ -76,11 +77,8 @@ impl ReactorStats {
         self.pool_peak_free = self.pool_peak_free.max(other.pool_peak_free);
     }
 
-    /// Encoded size in bytes.
-    pub const ENCODED_LEN: usize = 8 * 11;
-
     /// Appends the little-endian wire layout.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         for v in [
             self.busy_ns,
             self.idle_ns,
@@ -103,26 +101,19 @@ impl ReactorStats {
     /// # Errors
     ///
     /// Returns a description of the malformation on truncated input.
-    pub fn decode_prefix(data: &mut Bytes) -> Result<Self, String> {
-        if data.remaining() < Self::ENCODED_LEN {
-            return Err(format!(
-                "reactor stats need {} bytes, have {}",
-                Self::ENCODED_LEN,
-                data.remaining()
-            ));
-        }
+    pub fn decode_prefix(data: &mut Reader) -> Result<Self, String> {
         Ok(Self {
-            busy_ns: data.get_u64_le(),
-            idle_ns: data.get_u64_le(),
-            frames_in: data.get_u64_le(),
-            frames_out: data.get_u64_le(),
-            bytes_in: data.get_u64_le(),
-            bytes_out: data.get_u64_le(),
-            batches_submitted: data.get_u64_le(),
-            batch_depth_peak: data.get_u64_le(),
-            pool_checkouts: data.get_u64_le(),
-            pool_reused: data.get_u64_le(),
-            pool_peak_free: data.get_u64_le(),
+            busy_ns: data.u64()?,
+            idle_ns: data.u64()?,
+            frames_in: data.u64()?,
+            frames_out: data.u64()?,
+            bytes_in: data.u64()?,
+            bytes_out: data.u64()?,
+            batches_submitted: data.u64()?,
+            batch_depth_peak: data.u64()?,
+            pool_checkouts: data.u64()?,
+            pool_reused: data.u64()?,
+            pool_peak_free: data.u64()?,
         })
     }
 }
@@ -273,8 +264,8 @@ mod tests {
         };
         let mut buf = Vec::new();
         a.encode_into(&mut buf);
-        assert_eq!(buf.len(), ReactorStats::ENCODED_LEN);
-        let mut data = Bytes::from(buf);
+        assert_eq!(buf.len(), 8 * 11, "eleven u64 words");
+        let mut data = Reader::new(bytes::Bytes::from(buf));
         assert_eq!(ReactorStats::decode_prefix(&mut data).unwrap(), a);
 
         let mut merged = a;

@@ -53,11 +53,21 @@
 //! The varints are the record codec's own (`grouting_graph::codec`'s
 //! `put_varint` and `take_varint`), and decoding is as strict as it is: a
 //! varint in other than its shortest form, one longer than ten bytes or
-//! past `u64`, a value
-//! past its field's type (`u32` ids, hops, steps and processor) and a
-//! start-to-completion span longer than `completed_ns` are all rejected,
-//! so every accepted frame re-encodes to the bytes that arrived and
-//! [`Frame::encoded_len`] is their length.
+//! past `u64`, a value past its field's type (`u32` ids, hops, steps and
+//! processor) and a start-to-completion span longer than `completed_ns`
+//! are all rejected, so every accepted frame re-encodes to the bytes that
+//! arrived and [`Frame::encoded_len`] is their length.
+//!
+//! # One description
+//!
+//! A frame's bytes are described once, by the function that writes them
+//! (with the statistics blocks' `encode_into` for what they carry).
+//! [`Frame::encoded_len`] runs that writer into a [`ByteCount`], so a
+//! length cannot drift from the bytes, and [`Frame::decode`] reads through
+//! one checked [`Reader`], which bounds every field and every claimed
+//! count by the bytes at hand. The adjacency records a batch response
+//! carries are opaque here: their codec, with its own length, is
+//! `grouting_graph::codec::AdjacencyRecord`.
 //!
 //! # Optional blocks
 //!
@@ -87,9 +97,9 @@
 //! retired, not reused: a peer that still sets it is rejected as an
 //! unknown flag, and bits 1–3 keep their positions.
 
-use bytes::{Buf, BufMut, Bytes};
-use grouting_graph::codec::{self, put_varint, varint_len};
-use grouting_graph::{GraphError, NodeId, NodeLabelId};
+use bytes::{BufMut, Bytes};
+use grouting_graph::codec::{put_varint, ByteCount, Reader};
+use grouting_graph::{NodeId, NodeLabelId};
 use grouting_metrics::{FailoverStats, HeatMap, RunSnapshot};
 use grouting_obs::RegistrySnapshot;
 use grouting_query::{AccessStats, PrefetchStats, Query, QueryResult};
@@ -187,8 +197,9 @@ pub struct Completion {
     /// The serving processor's *cumulative* per-partition workload heat
     /// (demand fetches per partition slot since it started), when it
     /// changed since this processor's previous completion; default
-    /// (empty) = unchanged; always default on the router → client hop. Counted unconditionally, so the frame bytes
-    /// are identical with observability sampling on or off.
+    /// (empty) = unchanged; always default on the router → client hop.
+    /// Counted unconditionally, so the frame bytes are identical with
+    /// observability sampling on or off.
     pub heat: HeatMap,
     /// The processor-measured span block (fetch wait vs compute, per
     /// level at `spans`). `None` when tracing is off, keeping the frame
@@ -320,20 +331,35 @@ impl Frame {
 
     /// Encodes this frame to its payload bytes (no length prefix).
     pub fn encode(&self) -> Bytes {
-        let mut framed = Vec::new();
+        let mut framed = Vec::with_capacity(4 + self.encoded_len());
         self.encode_into(&mut framed);
         Bytes::from(framed).slice(4..)
     }
 
     /// Appends this frame to `buf` exactly as it crosses a socket: the
     /// `u32` little-endian payload length, then the payload
-    /// [`Frame::encode`] returns. The one definition of every frame's
-    /// encoding; a sender that keeps `buf` between frames encodes without
-    /// allocating.
+    /// [`Frame::encode`] returns. A sender that keeps `buf` between frames
+    /// encodes without allocating.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.reserve(4 + self.encoded_len());
         let prefix_at = buf.len();
         buf.put_u32_le(0);
+        self.put_payload(buf);
+        let len = (buf.len() - prefix_at - 4) as u32;
+        buf[prefix_at..prefix_at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// The exact byte length [`Frame::encode`] produces: the payload
+    /// written into a [`ByteCount`], which copies nothing — cheap enough
+    /// for the reactor to count wire bytes per frame even when the frame
+    /// carries a multi-megabyte batch response.
+    pub fn encoded_len(&self) -> usize {
+        let mut count = ByteCount::default();
+        self.put_payload(&mut count);
+        count.0
+    }
+
+    /// Writes the payload: the one description of every frame's bytes.
+    fn put_payload<B: BufMut>(&self, buf: &mut B) {
         match self {
             Frame::Hello { role, id } => {
                 buf.put_u8(TAG_HELLO);
@@ -432,83 +458,13 @@ impl Frame {
             Frame::MetricsRequest => buf.put_u8(TAG_METRICS_REQUEST),
             Frame::Metrics { snapshot, trace } => {
                 buf.put_u8(TAG_METRICS);
-                buf.put_slice(&snapshot.encode());
+                snapshot.encode_into(buf);
                 put_presence(buf, trace.is_some());
                 if let Some(t) = trace {
                     t.encode_into(buf);
                 }
             }
             Frame::Shutdown => buf.put_u8(TAG_SHUTDOWN),
-        }
-        let len = (buf.len() - prefix_at - 4) as u32;
-        buf[prefix_at..prefix_at + 4].copy_from_slice(&len.to_le_bytes());
-    }
-
-    /// The exact byte length [`Frame::encode`] would produce, computed
-    /// without allocating or copying payloads — cheap enough for the
-    /// reactor to count wire bytes per frame even when the frame carries
-    /// a multi-megabyte batch response.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            Frame::Hello { .. } => 1 + 1 + 4,
-            Frame::Submit {
-                seq,
-                query,
-                submitted_ns,
-            } => {
-                1 + varint_len(*seq)
-                    + query_encoded_len(query)
-                    + 1
-                    + submitted_ns.map_or(0, varint_len)
-            }
-            Frame::SubmitEnd => 1,
-            Frame::Dispatch { seq, query, trace } => {
-                1 + varint_len(*seq)
-                    + query_encoded_len(query)
-                    + 1
-                    + trace.map_or(0, |t| 1 + varint_len(t.dispatched_ns))
-            }
-            Frame::Completion(c) => {
-                let flags = c.flags();
-                1 + varint_len(c.seq)
-                    + varint_len(u64::from(c.processor))
-                    + result_encoded_len(&c.result)
-                    + varint_len(c.stats.cache_hits)
-                    + varint_len(c.stats.cache_misses)
-                    + varint_len(c.stats.miss_bytes)
-                    + varint_len(c.stats.evictions)
-                    + varint_len(c.arrived_ns)
-                    + varint_len(c.completed_ns)
-                    + varint_len(c.service_ns())
-                    + 1
-                    + if flags & TALLY_FAILOVER != 0 { 24 } else { 0 }
-                    + if flags & TALLY_HEAT != 0 {
-                        c.heat.encoded_len()
-                    } else {
-                        0
-                    }
-                    + c.trace.as_ref().map_or(0, QueryTrace::encoded_len)
-            }
-            Frame::FetchBatchRequest {
-                nodes, issued_ns, ..
-            } => 1 + 8 + 4 + 4 * nodes.len() + 1 + issued_ns.map_or(0, |_| 8),
-            Frame::FetchBatchResponse { payloads, .. } => {
-                1 + 8
-                    + 4
-                    + payloads
-                        .iter()
-                        .map(|p| match p {
-                            None => 1,
-                            Some((_, value)) => 1 + 2 + 4 + value.len(),
-                        })
-                        .sum::<usize>()
-            }
-            Frame::ObsPush { snapshot } => 1 + snapshot.encoded_len(),
-            Frame::MetricsRequest => 1,
-            Frame::Metrics { snapshot, trace } => {
-                1 + snapshot.encoded_len() + 1 + trace.as_ref().map_or(0, |t| t.encoded_len())
-            }
-            Frame::Shutdown => 1,
         }
     }
 
@@ -526,45 +482,53 @@ impl Frame {
     ///
     /// Returns [`WireError::Codec`] on truncated, trailing, or malformed
     /// input.
-    pub fn decode(mut data: Bytes) -> WireResult<Frame> {
-        need(&data, 1)?;
-        let tag = data.get_u8();
-        let frame = match tag {
+    pub fn decode(data: Bytes) -> WireResult<Frame> {
+        let mut data = Reader::new(data);
+        let frame = Self::take_payload(&mut data).map_err(WireError::Codec)?;
+        if data.has_remaining() {
+            return Err(WireError::Codec(format!(
+                "{} trailing bytes after {} frame",
+                data.remaining(),
+                frame.kind()
+            )));
+        }
+        Ok(frame)
+    }
+
+    /// Reads the payload [`Frame::put_payload`] writes.
+    fn take_payload(data: &mut Reader) -> Result<Frame, String> {
+        let tag = data.u8()?;
+        Ok(match tag {
             TAG_HELLO => {
-                need(&data, 5)?;
-                let role = match data.get_u8() {
+                let role = match data.u8()? {
                     0 => Role::Client,
                     1 => Role::Processor,
-                    r => return Err(WireError::Codec(format!("unknown role {r}"))),
+                    r => return Err(format!("unknown role {r}")),
                 };
                 Frame::Hello {
                     role,
-                    id: data.get_u32_le(),
+                    id: data.u32()?,
                 }
             }
             TAG_SUBMIT | TAG_DISPATCH => {
-                let seq = take_u64(&mut data)?;
-                let query = get_query(&mut data)?;
-                let present = take_presence(&mut data)?;
+                let seq = data.varint()?;
+                let query = take_query(data)?;
+                let present = take_presence(data)?;
                 if tag == TAG_SUBMIT {
-                    let submitted_ns = present.then(|| take_u64(&mut data)).transpose()?;
                     Frame::Submit {
                         seq,
                         query,
-                        submitted_ns,
+                        submitted_ns: present.then(|| data.varint()).transpose()?,
                     }
                 } else {
                     let trace = if present {
-                        need(&data, 1)?;
-                        let level = TraceLevel::from_u8(data.get_u8()).map_err(WireError::Codec)?;
+                        let level = TraceLevel::from_u8(data.u8()?)?;
                         if level == TraceLevel::Off {
-                            return Err(WireError::Codec(
-                                "dispatch trace block with level off".to_string(),
-                            ));
+                            return Err("dispatch trace block with level off".to_string());
                         }
                         Some(DispatchTrace {
                             level,
-                            dispatched_ns: take_u64(&mut data)?,
+                            dispatched_ns: data.varint()?,
                         })
                     } else {
                         None
@@ -574,43 +538,35 @@ impl Frame {
             }
             TAG_SUBMIT_END => Frame::SubmitEnd,
             TAG_COMPLETION => {
-                let seq = take_u64(&mut data)?;
-                let processor = take_u32(&mut data)?;
-                let result = get_result(&mut data)?;
+                let seq = data.varint()?;
+                let processor = data.varint_u32()?;
+                let result = take_result(data)?;
                 let stats = AccessStats {
-                    cache_hits: take_u64(&mut data)?,
-                    cache_misses: take_u64(&mut data)?,
-                    miss_bytes: take_u64(&mut data)?,
-                    evictions: take_u64(&mut data)?,
+                    cache_hits: data.varint()?,
+                    cache_misses: data.varint()?,
+                    miss_bytes: data.varint()?,
+                    evictions: data.varint()?,
                 };
-                let arrived_ns = take_u64(&mut data)?;
-                let completed_ns = take_u64(&mut data)?;
-                let service_ns = take_u64(&mut data)?;
+                let arrived_ns = data.varint()?;
+                let completed_ns = data.varint()?;
+                let service_ns = data.varint()?;
                 let started_ns = completed_ns.checked_sub(service_ns).ok_or_else(|| {
-                    WireError::Codec(format!(
-                        "service span {service_ns} ns exceeds completion stamp {completed_ns}"
-                    ))
+                    format!("service span {service_ns} ns exceeds completion stamp {completed_ns}")
                 })?;
-                need(&data, 1)?;
-                let flags = data.get_u8();
+                let flags = data.u8()?;
                 if flags & !COMPLETION_ALL != 0 {
-                    return Err(WireError::Codec(format!(
-                        "unknown completion flags {flags:#04x}"
-                    )));
+                    return Err(format!("unknown completion flags {flags:#04x}"));
                 }
-                let failover = tally_block(&mut data, flags, TALLY_FAILOVER, |data| {
-                    need(data, 24)?;
+                let failover = tally_block(data, flags, TALLY_FAILOVER, |data| {
                     Ok(FailoverStats {
-                        redials: data.get_u64_le(),
-                        replica_failovers: data.get_u64_le(),
-                        batches_resubmitted: data.get_u64_le(),
+                        redials: data.u64()?,
+                        replica_failovers: data.u64()?,
+                        batches_resubmitted: data.u64()?,
                     })
                 })?;
-                let heat = tally_block(&mut data, flags, TALLY_HEAT, |data| {
-                    HeatMap::decode_prefix(data).map_err(WireError::Codec)
-                })?;
+                let heat = tally_block(data, flags, TALLY_HEAT, HeatMap::decode_prefix)?;
                 let trace = (flags & COMPLETION_TRACE != 0)
-                    .then(|| QueryTrace::decode_prefix(&mut data).map_err(WireError::Codec))
+                    .then(|| QueryTrace::decode_prefix(data))
                     .transpose()?;
                 Frame::Completion(Completion {
                     seq,
@@ -627,17 +583,10 @@ impl Frame {
                 })
             }
             TAG_FETCH_BATCH_REQUEST => {
-                need(&data, 12)?;
-                let req_id = data.get_u64_le();
-                let count = data.get_u32_le() as usize;
-                need(&data, count.saturating_mul(4))?;
-                let nodes = (0..count).map(|_| NodeId::new(data.get_u32_le())).collect();
-                let issued_ns = if take_presence(&mut data)? {
-                    need(&data, 8)?;
-                    Some(data.get_u64_le())
-                } else {
-                    None
-                };
+                let req_id = data.u64()?;
+                let count = data.u32()? as usize;
+                let nodes = data.list(count, 4, |data| data.u32().map(NodeId::new))?;
+                let issued_ns = take_presence(data)?.then(|| data.u64()).transpose()?;
                 Frame::FetchBatchRequest {
                     req_id,
                     nodes,
@@ -645,54 +594,35 @@ impl Frame {
                 }
             }
             TAG_FETCH_BATCH_RESPONSE => {
-                need(&data, 12)?;
-                let req_id = data.get_u64_le();
-                let count = data.get_u32_le() as usize;
-                // Every entry takes at least its flag byte, so the bytes
-                // at hand bound what a hostile count can reserve.
-                let mut payloads = Vec::with_capacity(count.min(data.remaining()));
-                for _ in 0..count {
-                    need(&data, 1)?;
-                    let payload = match data.get_u8() {
-                        0 => None,
-                        1 => {
-                            need(&data, 6)?;
-                            let server = data.get_u16_le();
-                            let len = data.get_u32_le() as usize;
-                            need(&data, len)?;
-                            let value = data.slice(0..len);
-                            data.advance(len);
-                            Some((server, value))
-                        }
-                        f => return Err(WireError::Codec(format!("bad payload flag {f}"))),
-                    };
-                    payloads.push(payload);
-                }
+                let req_id = data.u64()?;
+                let count = data.u32()? as usize;
+                // Every entry takes at least its flag byte.
+                let payloads = data.list(count, 1, |data| match data.u8()? {
+                    0 => Ok(None),
+                    1 => {
+                        let server = data.u16()?;
+                        let len = data.u32()? as usize;
+                        Ok(Some((server, data.bytes(len)?)))
+                    }
+                    f => Err(format!("bad payload flag {f}")),
+                })?;
                 Frame::FetchBatchResponse { req_id, payloads }
             }
             TAG_OBS_PUSH => Frame::ObsPush {
-                snapshot: RegistrySnapshot::decode_prefix(&mut data).map_err(WireError::Codec)?,
+                snapshot: RegistrySnapshot::decode_prefix(data)?,
             },
             TAG_METRICS_REQUEST => Frame::MetricsRequest,
             TAG_METRICS => {
-                let snapshot = RunSnapshot::decode_prefix(&mut data).map_err(WireError::Codec)?;
-                let trace = take_presence(&mut data)?
-                    .then(|| TraceSnapshot::decode_prefix(&mut data).map_err(WireError::Codec))
+                let snapshot = RunSnapshot::decode_prefix(data)?;
+                let trace = take_presence(data)?
+                    .then(|| TraceSnapshot::decode_prefix(data))
                     .transpose()?
                     .map(Box::new);
                 Frame::Metrics { snapshot, trace }
             }
             TAG_SHUTDOWN => Frame::Shutdown,
-            t => return Err(WireError::Codec(format!("unknown frame tag {t}"))),
-        };
-        if data.has_remaining() {
-            return Err(WireError::Codec(format!(
-                "{} trailing bytes after {} frame",
-                data.remaining(),
-                frame.kind()
-            )));
-        }
-        Ok(frame)
+            t => return Err(format!("unknown frame tag {t}")),
+        })
     }
 }
 
@@ -701,30 +631,8 @@ const QUERY_RWR: u8 = 1;
 const QUERY_REACH: u8 = 2;
 const QUERY_LREACH: u8 = 3;
 
-fn query_encoded_len(query: &Query) -> usize {
-    let v = |n: NodeId| varint_len(u64::from(n.raw()));
-    let h = |hops: u32| varint_len(u64::from(hops));
-    1 + match query {
-        Query::NeighborAggregation { node, hops, label } => {
-            v(*node) + h(*hops) + 1 + label.map_or(0, |_| 2)
-        }
-        Query::RandomWalk { node, steps, .. } => v(*node) + h(*steps) + 8 + 8,
-        Query::Reachability {
-            source,
-            target,
-            hops,
-        } => v(*source) + v(*target) + h(*hops),
-        Query::ConstrainedReachability {
-            source,
-            target,
-            hops,
-            ..
-        } => v(*source) + v(*target) + h(*hops) + 2,
-    }
-}
-
-fn put_query(buf: &mut Vec<u8>, query: &Query) {
-    let v32 = |buf: &mut Vec<u8>, v: u32| put_varint(buf, u64::from(v));
+fn put_query<B: BufMut>(buf: &mut B, query: &Query) {
+    let v32 = |buf: &mut B, v: u32| put_varint(buf, u64::from(v));
     match query {
         Query::NeighborAggregation { node, hops, label } => {
             buf.put_u8(QUERY_AGG);
@@ -775,52 +683,37 @@ fn put_query(buf: &mut Vec<u8>, query: &Query) {
     }
 }
 
-fn get_query(data: &mut Bytes) -> WireResult<Query> {
-    need(data, 1)?;
-    match data.get_u8() {
+fn take_query(data: &mut Reader) -> Result<Query, String> {
+    let node = |data: &mut Reader| data.varint_u32().map(NodeId::new);
+    match data.u8()? {
         QUERY_AGG => {
-            let node = NodeId::new(take_u32(data)?);
-            let hops = take_u32(data)?;
-            need(data, 1)?;
-            let label = match data.get_u8() {
+            let node = node(data)?;
+            let hops = data.varint_u32()?;
+            let label = match data.u8()? {
                 0 => None,
-                1 => {
-                    need(data, 2)?;
-                    Some(NodeLabelId::new(data.get_u16_le()))
-                }
-                f => return Err(WireError::Codec(format!("bad label flag {f}"))),
+                1 => Some(NodeLabelId::new(data.u16()?)),
+                f => return Err(format!("bad label flag {f}")),
             };
             Ok(Query::NeighborAggregation { node, hops, label })
         }
-        QUERY_RWR => {
-            let node = NodeId::new(take_u32(data)?);
-            let steps = take_u32(data)?;
-            need(data, 16)?;
-            Ok(Query::RandomWalk {
-                node,
-                steps,
-                restart_prob: f64::from_bits(data.get_u64_le()),
-                seed: data.get_u64_le(),
-            })
-        }
-        QUERY_REACH => Ok(Query::Reachability {
-            source: NodeId::new(take_u32(data)?),
-            target: NodeId::new(take_u32(data)?),
-            hops: take_u32(data)?,
+        QUERY_RWR => Ok(Query::RandomWalk {
+            node: node(data)?,
+            steps: data.varint_u32()?,
+            restart_prob: f64::from_bits(data.u64()?),
+            seed: data.u64()?,
         }),
-        QUERY_LREACH => {
-            let source = NodeId::new(take_u32(data)?);
-            let target = NodeId::new(take_u32(data)?);
-            let hops = take_u32(data)?;
-            need(data, 2)?;
-            Ok(Query::ConstrainedReachability {
-                source,
-                target,
-                hops,
-                via_label: NodeLabelId::new(data.get_u16_le()),
-            })
-        }
-        t => Err(WireError::Codec(format!("unknown query tag {t}"))),
+        QUERY_REACH => Ok(Query::Reachability {
+            source: node(data)?,
+            target: node(data)?,
+            hops: data.varint_u32()?,
+        }),
+        QUERY_LREACH => Ok(Query::ConstrainedReachability {
+            source: node(data)?,
+            target: node(data)?,
+            hops: data.varint_u32()?,
+            via_label: NodeLabelId::new(data.u16()?),
+        }),
+        t => Err(format!("unknown query tag {t}")),
     }
 }
 
@@ -828,17 +721,7 @@ const RESULT_COUNT: u8 = 0;
 const RESULT_WALK: u8 = 1;
 const RESULT_REACHABLE: u8 = 2;
 
-fn result_encoded_len(result: &QueryResult) -> usize {
-    1 + match result {
-        QueryResult::Count(c) => varint_len(*c),
-        QueryResult::Walk { end, visited } => {
-            varint_len(u64::from(end.raw())) + varint_len(*visited)
-        }
-        QueryResult::Reachable(_) => 1,
-    }
-}
-
-fn put_result(buf: &mut Vec<u8>, result: &QueryResult) {
+fn put_result<B: BufMut>(buf: &mut B, result: &QueryResult) {
     match result {
         QueryResult::Count(c) => {
             buf.put_u8(RESULT_COUNT);
@@ -856,64 +739,33 @@ fn put_result(buf: &mut Vec<u8>, result: &QueryResult) {
     }
 }
 
-fn get_result(data: &mut Bytes) -> WireResult<QueryResult> {
-    need(data, 1)?;
-    match data.get_u8() {
-        RESULT_COUNT => Ok(QueryResult::Count(take_u64(data)?)),
+fn take_result(data: &mut Reader) -> Result<QueryResult, String> {
+    match data.u8()? {
+        RESULT_COUNT => Ok(QueryResult::Count(data.varint()?)),
         RESULT_WALK => Ok(QueryResult::Walk {
-            end: NodeId::new(take_u32(data)?),
-            visited: take_u64(data)?,
+            end: NodeId::new(data.varint_u32()?),
+            visited: data.varint()?,
         }),
-        RESULT_REACHABLE => {
-            need(data, 1)?;
-            match data.get_u8() {
-                0 => Ok(QueryResult::Reachable(false)),
-                1 => Ok(QueryResult::Reachable(true)),
-                b => Err(WireError::Codec(format!("bad bool {b}"))),
-            }
-        }
-        t => Err(WireError::Codec(format!("unknown result tag {t}"))),
-    }
-}
-
-/// Reads one varint off the front of `data` with the record codec's
-/// strict reader ([`codec::take_varint`]): shortest form, at most ten
-/// bytes, within `u64`.
-fn take_u64(data: &mut Bytes) -> WireResult<u64> {
-    let mut rest: &[u8] = data;
-    let v = codec::take_varint(&mut rest).map_err(codec_error)?;
-    data.advance(data.len() - rest.len());
-    Ok(v)
-}
-
-/// [`take_u64`] for a `u32` field.
-fn take_u32(data: &mut Bytes) -> WireResult<u32> {
-    let mut rest: &[u8] = data;
-    let v = codec::take_varint_u32(&mut rest).map_err(codec_error)?;
-    data.advance(data.len() - rest.len());
-    Ok(v)
-}
-
-/// The record codec's refusal, as a frame codec error.
-fn codec_error(e: GraphError) -> WireError {
-    match e {
-        GraphError::Codec(msg) => WireError::Codec(msg),
-        other => WireError::Codec(other.to_string()),
+        RESULT_REACHABLE => match data.u8()? {
+            0 => Ok(QueryResult::Reachable(false)),
+            1 => Ok(QueryResult::Reachable(true)),
+            b => Err(format!("bad bool {b}")),
+        },
+        t => Err(format!("unknown result tag {t}")),
     }
 }
 
 /// Appends a flags byte announcing one optional block.
-fn put_presence(buf: &mut Vec<u8>, present: bool) {
+fn put_presence<B: BufMut>(buf: &mut B, present: bool) {
     buf.put_u8(if present { BLOCK_PRESENT } else { 0 });
 }
 
 /// Reads the flags byte [`put_presence`] wrote; any other bit is refused.
-fn take_presence(data: &mut Bytes) -> WireResult<bool> {
-    need(data, 1)?;
-    match data.get_u8() {
+fn take_presence(data: &mut Reader) -> Result<bool, String> {
+    match data.u8()? {
         0 => Ok(false),
         BLOCK_PRESENT => Ok(true),
-        f => Err(WireError::Codec(format!("unknown block flags {f:#04x}"))),
+        f => Err(format!("unknown block flags {f:#04x}")),
     }
 }
 
@@ -922,32 +774,19 @@ fn take_presence(data: &mut Bytes) -> WireResult<bool> {
 /// rejected: the encoder never writes one, so every completion has exactly
 /// one encoding.
 fn tally_block<T: Default + PartialEq>(
-    data: &mut Bytes,
+    data: &mut Reader,
     flags: u8,
     bit: u8,
-    decode: impl FnOnce(&mut Bytes) -> WireResult<T>,
-) -> WireResult<T> {
+    decode: impl FnOnce(&mut Reader) -> Result<T, String>,
+) -> Result<T, String> {
     if flags & bit == 0 {
         return Ok(T::default());
     }
     let value = decode(data)?;
     if value == T::default() {
-        return Err(WireError::Codec(format!(
-            "completion tally {bit:#04x} flagged but default"
-        )));
+        return Err(format!("completion tally {bit:#04x} flagged but default"));
     }
     Ok(value)
-}
-
-fn need(data: &Bytes, n: usize) -> WireResult<()> {
-    if data.remaining() < n {
-        Err(WireError::Codec(format!(
-            "need {n} bytes, have {}",
-            data.remaining()
-        )))
-    } else {
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1369,6 +1208,8 @@ mod tests {
             ..FailoverStats::default()
         };
         let heat = heat(&[3, 1]);
+        // The slot count, then a word per slot.
+        let heat_len = 4 + 8 * 2;
         let cases = [
             (bare.clone(), base),
             (
@@ -1383,7 +1224,7 @@ mod tests {
                     heat: heat.clone(),
                     ..bare.clone()
                 },
-                base + heat.encoded_len(),
+                base + heat_len,
             ),
             (
                 Completion {
@@ -1391,7 +1232,7 @@ mod tests {
                     heat: heat.clone(),
                     ..bare
                 },
-                base + 24 + heat.encoded_len(),
+                base + 24 + heat_len,
             ),
         ];
         for (completion, len) in cases {

@@ -993,7 +993,7 @@ pub fn run_router(
                             };
                             // A repeated or unknown seq would count a query
                             // twice and end the run with another in flight.
-                            if engine.complete(record, &completion.stats).is_none() {
+                            if !engine.complete(record, &completion.stats) {
                                 return Err(WireError::Protocol(format!(
                                     "processor {proc_id} acknowledged seq {}, which is not \
                                      in its dispatch window",

@@ -561,6 +561,19 @@ impl TcpStreamHalf {
         self.frozen.len() + self.acc.len()
     }
 
+    /// Room the next read is given when the frame at the front lacks
+    /// `lacks` bytes: all of them, within [`MIN_READ_ROOM`] and
+    /// [`MAX_READ_AHEAD`]. A frame that lacks more than that first fills
+    /// the room it has, so the buffer grows a megabyte past its bytes only
+    /// once they have arrived, not by the last read's length on every read.
+    fn read_room(&self, lacks: usize) -> usize {
+        if lacks > MAX_READ_AHEAD && self.acc.room() > 0 {
+            1
+        } else {
+            lacks.clamp(MIN_READ_ROOM, MAX_READ_AHEAD)
+        }
+    }
+
     /// Reads the 4-byte length prefix (possibly spanning the frozen/acc
     /// boundary) without consuming it.
     fn peek_len(&self) -> WireResult<usize> {
@@ -647,10 +660,8 @@ impl FrameStream for TcpStreamHalf {
                 Parsed::Frame(frame) => return Ok(frame),
                 Parsed::Lacks(n) => n,
             };
-            match self
-                .acc
-                .read_from(&mut self.stream, lacks.clamp(MIN_READ_ROOM, MAX_READ_AHEAD))
-            {
+            let room = self.read_room(lacks);
+            match self.acc.read_from(&mut self.stream, room) {
                 Ok(0) => return Err(WireError::Closed),
                 Ok(_) => {}
                 // Only reachable when `try_recv` has been used on this
@@ -677,10 +688,8 @@ impl FrameStream for TcpStreamHalf {
                 self.stream.set_nonblocking(true)?;
                 self.nonblocking = true;
             }
-            match self
-                .acc
-                .read_from(&mut self.stream, lacks.clamp(MIN_READ_ROOM, MAX_READ_AHEAD))
-            {
+            let room = self.read_room(lacks);
+            match self.acc.read_from(&mut self.stream, room) {
                 // A frame completed by the last bytes before EOF was
                 // returned above, before this read was made.
                 Ok(0) => return Err(WireError::Closed),

@@ -164,14 +164,21 @@ fn a_length_prefix_above_the_cap_reserves_nothing() {
 
 #[test]
 fn an_announced_frame_that_never_arrives_is_trusted_for_a_megabyte() {
-    // The largest frame the cap admits, announced and then abandoned.
-    let mut bytes = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
-    bytes.extend_from_slice(&[12; 9]);
-    for polled in [false, true] {
-        let (frames, end, requested) = read_to_end(&bytes, polled);
-        assert_eq!(frames, 0);
-        assert!(matches!(end, WireError::Closed), "{end:?}");
-        assert!(requested <= stream_budget(bytes.len()), "{requested}");
+    // The largest frame the cap admits, announced and then abandoned after
+    // a few bytes, or after a few thousand: a read that lands some of them
+    // does not buy the next read another megabyte.
+    for sent in [9, 5_000] {
+        let mut bytes = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&vec![12; sent]);
+        for polled in [false, true] {
+            let (frames, end, requested) = read_to_end(&bytes, polled);
+            assert_eq!(frames, 0);
+            assert!(matches!(end, WireError::Closed), "{end:?}");
+            assert!(
+                requested <= stream_budget(bytes.len()),
+                "{sent}: {requested}"
+            );
+        }
     }
 }
 
@@ -321,6 +328,72 @@ fn a_service_span_longer_than_the_completion_stamp_is_refused() {
         panic!("not a completion");
     };
     assert_eq!(c.started_ns, 0);
+}
+
+#[test]
+fn nested_counts_stay_bounded_by_the_bytes_at_hand() {
+    let cat = |parts: &[&[u8]]| parts.concat();
+    // A metrics frame: the tag and the run snapshot's nine counters; with
+    // no processors and two empty heat maps, a trace block at `stats`;
+    // then five empty stage histograms (count, sum, min, max and no
+    // buckets) and the reactor's eleven words.
+    let snapshot = cat(&[&[9], &[0; 72]]);
+    let traced = cat(&[&snapshot, &[0; 12], &[1, 1]]);
+    let histograms = [0; 5 * 44];
+    let reactor = [0; 88];
+    // An obs push: the tag, a router, its id and its sample stamp.
+    let obs = cat(&[&[13, 0], &[0; 2], &[0; 8]]);
+    // A completion with one flag set, its blocks to follow.
+    let completion = |flags: u8| {
+        let mut raw = completion_bytes(&[9], &[1], &[30], &[10]);
+        *raw.last_mut().unwrap() = flags;
+        raw
+    };
+    // Each prefix ends where a count goes. With 2^32 - 1 there and nothing
+    // behind it, the frame is refused; with zero there and the bytes given
+    // after it, the frame decodes, so what was refused is the count. (A
+    // flagged heat tally with no slots is a refused default: no such frame.)
+    let cases = [
+        (
+            snapshot.clone(),
+            Some(vec![0; 9]),
+            "run snapshot processors",
+        ),
+        (
+            cat(&[&snapshot, &[0; 4]]),
+            Some(vec![0; 5]),
+            "partition heat slots",
+        ),
+        (
+            cat(&[&snapshot, &[0; 8]]),
+            Some(vec![0; 1]),
+            "region heat slots",
+        ),
+        (
+            cat(&[&traced, &histograms[..40]]),
+            Some(cat(&[&histograms[44..], &reactor, &[0; 12]])),
+            "histogram buckets",
+        ),
+        (
+            cat(&[&traced, &histograms, &reactor]),
+            Some(vec![0; 8]),
+            "trace snapshot spans",
+        ),
+        (obs, Some(vec![]), "obs push samples"),
+        (completion(0x04), None, "completion heat slots"),
+        (
+            cat(&[&completion(0x08), &[0; 20]]),
+            Some(vec![]),
+            "completion level spans",
+        ),
+    ];
+    for (prefix, rest, why) in cases {
+        assert_refused(&cat(&[&prefix, &u32::MAX.to_le_bytes()]), why);
+        if let Some(rest) = rest {
+            let zero = Frame::decode(Bytes::from(cat(&[&prefix, &[0; 4], &rest])));
+            assert!(zero.is_ok(), "{why}: {zero:?}");
+        }
+    }
 }
 
 /// One frame of each kind that has a flags byte, with every optional
