@@ -536,7 +536,7 @@ fn wire_overlap_throughput(c: &mut Criterion) {
                         // processor loop does.
                         match pipeline.wake() {
                             Wake::Now => source.note_progress(),
-                            Wake::Idle => source.idle_wait(IDLE_WAIT),
+                            Wake::Idle | Wake::IdleUntil(_) => source.idle_wait(IDLE_WAIT),
                         }
                     }
                     assert_eq!(done, queries.len());

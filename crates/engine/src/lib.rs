@@ -35,6 +35,9 @@
 
 use std::sync::Arc;
 
+#[cfg(test)]
+mod explore;
+
 use grouting_cache::{NullCache, Policy};
 use grouting_embed::embedding::Embedding;
 use grouting_embed::landmarks::Landmarks;
@@ -510,8 +513,8 @@ mod tests {
     use grouting_embed::{EmbeddingConfig, LandmarkConfig};
     use grouting_graph::{GraphBuilder, NodeId};
     use grouting_storage::HashPartitioner;
-    use std::collections::HashSet;
-    use std::hash::{BuildHasherDefault, Hasher};
+
+    use crate::explore::{explore, Key, Model};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -590,13 +593,7 @@ mod tests {
 
         let (seq, _) = engine.next_for(0).expect("work queued");
         engine.complete(
-            QueryRecord {
-                seq,
-                arrived: 0,
-                started: 1,
-                completed: 2,
-                processor: 0,
-            },
+            ack(seq, 0),
             &AccessStats {
                 cache_hits: 3,
                 cache_misses: 1,
@@ -750,21 +747,6 @@ mod tests {
         assert!(engine.next_for(0).is_some(), "routing works workerless");
     }
 
-    /// A copy of a router-only engine, so the explorer can branch.
-    fn fork(e: &Engine) -> Engine {
-        Engine {
-            config: e.config,
-            router: e.router.clone(),
-            workers: Vec::new(),
-            timeline: e.timeline.clone(),
-            totals: e.totals,
-            windows: e.windows.clone(),
-            windows_resubmitted: e.windows_resubmitted,
-            tallies: e.tallies.clone(),
-            retired: e.retired.clone(),
-        }
-    }
-
     /// The one kill and the one rejoin an explored schedule may spend.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Phase {
@@ -798,9 +780,22 @@ mod tests {
     }
 
     impl State {
+        /// A copy, so the explorer can branch: a router-only engine has
+        /// no workers.
         fn fork(&self) -> State {
+            let e = &self.engine;
             State {
-                engine: fork(&self.engine),
+                engine: Engine {
+                    config: e.config,
+                    router: e.router.clone(),
+                    workers: Vec::new(),
+                    timeline: e.timeline.clone(),
+                    totals: e.totals,
+                    windows: e.windows.clone(),
+                    windows_resubmitted: e.windows_resubmitted,
+                    tallies: e.tallies.clone(),
+                    retired: e.retired.clone(),
+                },
                 admitted: self.admitted,
                 completions: self.completions.clone(),
                 incarnation_acks: self.incarnation_acks.clone(),
@@ -808,20 +803,118 @@ mod tests {
                 phase: self.phase,
             }
         }
+    }
+
+    /// Distinct per seq, so a lost or doubled acknowledgement shows in
+    /// the totals.
+    fn ack_stats(seq: u64) -> AccessStats {
+        AccessStats {
+            cache_hits: 1 << seq,
+            cache_misses: 100 + seq,
+            miss_bytes: 0,
+            evictions: seq * seq + 1,
+        }
+    }
+
+    /// Every schedule of admissions, dispatches and acknowledgements of
+    /// `queries` over three processors, with one kill and one rejoin.
+    struct Schedules(Vec<Query>);
+
+    impl Model for Schedules {
+        type State = State;
+        type Action = Action;
+
+        fn actions(&self, state: &State) -> (Vec<Action>, Vec<Action>) {
+            let e = &state.engine;
+            let mut work = Vec::new();
+            if state.admitted < self.0.len() && e.pending() < e.config.window() {
+                work.push(Action::Admit);
+            }
+            for p in 0..e.processors() {
+                if e.windows[p].len() < e.config.overlap.max(1) && state.phase != Phase::Down(p) {
+                    work.push(Action::Next(p));
+                }
+                for &(seq, _) in &e.windows[p] {
+                    work.push(Action::Ack(p, seq));
+                }
+            }
+            let faults = match state.phase {
+                // Never the last live processor: only one kill, P = 3.
+                Phase::Live => (0..e.processors()).map(Action::Kill).collect(),
+                Phase::Down(_) => vec![Action::Rejoin],
+                Phase::Rejoined => Vec::new(),
+            };
+            (work, faults)
+        }
+
+        /// The state after `action`, or `None` when the engine refused it
+        /// (nothing to admit, nothing to dispatch).
+        fn apply(&self, state: &State, action: Action) -> Option<State> {
+            let queries = &self.0;
+            let mut next = state.fork();
+            let e = &mut next.engine;
+            match action {
+                Action::Admit => {
+                    let from = next.admitted;
+                    let mut backlog = queries.iter().copied().enumerate().skip(from);
+                    e.admit(&mut backlog, |seq| {
+                        assert_eq!(seq, next.admitted, "admission is in order");
+                        next.admitted += 1;
+                    });
+                    if next.admitted == from {
+                        return None;
+                    }
+                }
+                Action::Next(p) => {
+                    let (seq, query) = e.next_for(p)?;
+                    assert_eq!(query, queries[seq as usize]);
+                }
+                Action::Ack(p, seq) => {
+                    let acked = e.windows[p]
+                        .iter()
+                        .find(|&&(w, _)| w == seq)
+                        .map(|&(_, q)| q);
+                    assert_eq!(acked, Some(queries[seq as usize]), "ack {seq} from {p}");
+                    assert!(
+                        e.complete(ack(seq, p), &ack_stats(seq)),
+                        "ack {seq} from {p}"
+                    );
+                    next.completions[seq as usize] += 1;
+                    next.incarnation_acks[p] += 1;
+                    let failover = FailoverStats {
+                        redials: next.incarnation_acks[p],
+                        ..FailoverStats::default()
+                    };
+                    e.report_tallies(p, failover, HeatMap::new());
+                }
+                Action::Kill(p) => {
+                    if !e.windows[p].is_empty() {
+                        next.kills_with_window += 1;
+                    }
+                    e.mark_down(p);
+                    next.incarnation_acks[p] = 0;
+                    next.phase = Phase::Down(p);
+                }
+                Action::Rejoin => {
+                    let Phase::Down(p) = next.phase else {
+                        unreachable!("rejoin follows a kill")
+                    };
+                    e.mark_up(p);
+                    next.phase = Phase::Rejoined;
+                }
+            }
+            Some(next)
+        }
 
         /// A 128-bit hash of the canonical key: the router (up flags,
         /// counters, each queue front to back, then the global queue), the
         /// windows, totals, tallies (live and banked) and the explorer's own
         /// bookkeeping. Formatting the router's `Debug` instead triples an
         /// unoptimised test build's run time.
-        fn key(&self) -> u128 {
-            let e = &self.engine;
-            let (mut a, mut b) = (0u64, !0u64);
-            let mut put = |word: u64| {
-                a = (a.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-                b = (b ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                b ^= b >> 29;
-            };
+        fn key(&self, state: &State) -> u128 {
+            let e = &state.engine;
+            let mut h = Key::default();
+            let mut put = |word: u64| h.put(word);
             // Own queues pop front first, so draining a copy `loads[p]`
             // times from each processor reads every queue in order; what
             // is left is the global queue.
@@ -859,185 +952,107 @@ mod tests {
             }
             put(e.windows_resubmitted);
             put(e.timeline.len() as u64);
-            self.completions.iter().for_each(|&c| put(c.into()));
-            self.incarnation_acks.iter().for_each(|&acks| put(acks));
-            put(self.admitted as u64);
-            put(match self.phase {
+            state.completions.iter().for_each(|&c| put(c.into()));
+            state.incarnation_acks.iter().for_each(|&acks| put(acks));
+            put(state.admitted as u64);
+            put(match state.phase {
                 Phase::Live => 0,
                 Phase::Down(p) => 1 + p as u64,
                 Phase::Rejoined => 0xFF,
             });
-            (u128::from(a) << 64) | u128::from(b)
-        }
-    }
-
-    /// Passes the explorer's already mixed 128-bit keys through.
-    #[derive(Default)]
-    struct KeyHasher(u64);
-
-    impl Hasher for KeyHasher {
-        fn finish(&self) -> u64 {
-            self.0
+            h.finish()
         }
 
-        fn write(&mut self, _: &[u8]) {
-            unreachable!("only u128 keys are hashed")
-        }
-
-        fn write_u128(&mut self, key: u128) {
-            self.0 = key as u64;
-        }
-    }
-
-    /// Distinct per seq, so a lost or doubled acknowledgement shows in
-    /// the totals.
-    fn ack_stats(seq: u64) -> AccessStats {
-        AccessStats {
-            cache_hits: 1 << seq,
-            cache_misses: 100 + seq,
-            miss_bytes: 0,
-            evictions: seq * seq + 1,
-        }
-    }
-
-    /// The state after `action`, or `None` when the engine refused it
-    /// (nothing to admit, nothing to dispatch).
-    fn apply(state: &State, action: Action, queries: &[Query]) -> Option<State> {
-        let mut next = state.fork();
-        let e = &mut next.engine;
-        match action {
-            Action::Admit => {
-                let from = next.admitted;
-                let mut backlog = queries.iter().copied().enumerate().skip(from);
-                e.admit(&mut backlog, |seq| {
-                    assert_eq!(seq, next.admitted, "admission is in order");
-                    next.admitted += 1;
-                });
-                if next.admitted == from {
-                    return None;
+        /// The invariants every reachable state must hold.
+        fn check(&mut self, state: &mut State) {
+            let queries = &self.0;
+            let e = &state.engine;
+            let procs = e.processors();
+            // Where each seq is: drain a copy of the router's queues.
+            let mut queued = vec![0u32; queries.len()];
+            let mut router = e.router.clone();
+            for p in 0..procs {
+                router.mark_up(p);
+            }
+            for p in 0..procs {
+                while let Some((seq, _)) = router.next_for(p) {
+                    queued[seq as usize] += 1;
                 }
             }
-            Action::Next(p) => {
-                let (seq, query) = e.next_for(p)?;
-                assert_eq!(query, queries[seq as usize]);
-            }
-            Action::Ack(p, seq) => {
-                let acked = e.windows[p]
+            for (seq, &done) in state.completions.iter().enumerate() {
+                let windowed = e
+                    .windows
                     .iter()
-                    .find(|&&(w, _)| w == seq)
-                    .map(|&(_, q)| q);
-                assert_eq!(acked, Some(queries[seq as usize]), "ack {seq} from {p}");
-                assert!(
-                    e.complete(ack(seq, p), &ack_stats(seq)),
-                    "ack {seq} from {p}"
+                    .flatten()
+                    .filter(|&&(s, _)| s == seq as u64)
+                    .count() as u32;
+                let expected = u32::from(seq < state.admitted);
+                assert_eq!(
+                    queued[seq] + windowed + done,
+                    expected,
+                    "seq {seq}: queued {}, windowed {windowed}, completed {done}",
+                    queued[seq]
                 );
-                next.completions[seq as usize] += 1;
-                next.incarnation_acks[p] += 1;
-                let failover = FailoverStats {
-                    redials: next.incarnation_acks[p],
-                    ..FailoverStats::default()
-                };
-                e.report_tallies(p, failover, HeatMap::new());
             }
-            Action::Kill(p) => {
-                if !e.windows[p].is_empty() {
-                    next.kills_with_window += 1;
+            for (p, window) in e.windows.iter().enumerate() {
+                assert!(
+                    window.len() <= e.config.overlap.max(1),
+                    "window {p} overflows"
+                );
+                if state.phase == Phase::Down(p) {
+                    assert!(window.is_empty(), "down processor {p} holds a window");
                 }
-                e.mark_down(p);
-                next.incarnation_acks[p] = 0;
-                next.phase = Phase::Down(p);
             }
-            Action::Rejoin => {
-                let Phase::Down(p) = next.phase else {
-                    unreachable!("rejoin follows a kill")
-                };
-                e.mark_up(p);
-                next.phase = Phase::Rejoined;
-            }
-        }
-        Some(next)
-    }
+            let snap = e.snapshot();
+            let done: Vec<u64> = (0..queries.len() as u64)
+                .filter(|&s| state.completions[s as usize] == 1)
+                .collect();
+            let acks: u64 = state.completions.iter().map(|&c| u64::from(c)).sum();
+            assert_eq!(snap.queries, acks);
+            let sum =
+                |f: fn(&AccessStats) -> u64| done.iter().map(|&s| f(&ack_stats(s))).sum::<u64>();
+            assert_eq!(snap.cache_hits, sum(|a| a.cache_hits));
+            assert_eq!(snap.cache_misses, sum(|a| a.cache_misses));
+            assert_eq!(snap.evictions, sum(|a| a.evictions));
+            assert_eq!(snap.windows_resubmitted, state.kills_with_window);
+            assert_eq!(snap.redials, acks, "banking lost or doubled a tally");
 
-    /// The invariants every reachable state must hold.
-    fn check(state: &mut State, queries: &[Query], key: u128) {
-        let e = &state.engine;
-        let procs = e.processors();
-        // Where each seq is: drain a copy of the router's queues.
-        let mut queued = vec![0u32; queries.len()];
-        let mut router = e.router.clone();
-        for p in 0..procs {
-            router.mark_up(p);
-        }
-        for p in 0..procs {
-            while let Some((seq, _)) = router.next_for(p) {
-                queued[seq as usize] += 1;
+            // A stray acknowledgement — a duplicate, another processor's seq
+            // or one never dispatched — counts nothing and changes nothing.
+            let stray = (0..procs)
+                .flat_map(|p| (0..=queries.len() as u64).map(move |s| (p, s)))
+                .find(|&(p, s)| {
+                    !e.windows[p].iter().any(|&(w, _)| w == s)
+                        && (state.completions.get(s as usize) == Some(&1)
+                            || e.windows.iter().flatten().any(|&(w, _)| w == s))
+                })
+                .unwrap_or((0, queries.len() as u64));
+            let (p, seq) = stray;
+            let e = &mut state.engine;
+            assert!(!e.complete(ack(seq, p), &ack_stats(seq)), "stray {stray:?}");
+            // A full window or a down processor gets nothing, and the refusal
+            // moves nothing either.
+            for p in 0..procs {
+                if e.windows[p].len() >= e.config.overlap.max(1) || state.phase == Phase::Down(p) {
+                    assert_eq!(e.next_for(p), None, "dispatch past window or to down {p}");
+                }
             }
         }
-        for (seq, &done) in state.completions.iter().enumerate() {
-            let windowed = e
-                .windows
-                .iter()
-                .flatten()
-                .filter(|&&(s, _)| s == seq as u64)
-                .count() as u32;
-            let expected = u32::from(seq < state.admitted);
-            assert_eq!(
-                queued[seq] + windowed + done,
-                expected,
-                "seq {seq}: queued {}, windowed {windowed}, completed {done}",
-                queued[seq]
-            );
-        }
-        for (p, window) in e.windows.iter().enumerate() {
+
+        fn terminal(&mut self, state: &State) {
+            assert_eq!(state.admitted, self.0.len(), "wedged before admitting all");
             assert!(
-                window.len() <= e.config.overlap.max(1),
-                "window {p} overflows"
+                state.completions.iter().all(|&c| c == 1),
+                "terminal state {:?} with {:?}",
+                state.phase,
+                state.completions
             );
-            if state.phase == Phase::Down(p) {
-                assert!(window.is_empty(), "down processor {p} holds a window");
-            }
         }
-        let snap = e.snapshot();
-        let done: Vec<u64> = (0..queries.len() as u64)
-            .filter(|&s| state.completions[s as usize] == 1)
-            .collect();
-        let acks: u64 = state.completions.iter().map(|&c| u64::from(c)).sum();
-        assert_eq!(snap.queries, acks);
-        let sum = |f: fn(&AccessStats) -> u64| done.iter().map(|&s| f(&ack_stats(s))).sum::<u64>();
-        assert_eq!(snap.cache_hits, sum(|a| a.cache_hits));
-        assert_eq!(snap.cache_misses, sum(|a| a.cache_misses));
-        assert_eq!(snap.evictions, sum(|a| a.evictions));
-        assert_eq!(snap.windows_resubmitted, state.kills_with_window);
-        assert_eq!(snap.redials, acks, "banking lost or doubled a tally");
-
-        // A stray acknowledgement — a duplicate, another processor's seq
-        // or one never dispatched — counts nothing and changes nothing.
-        let stray = (0..procs)
-            .flat_map(|p| (0..=queries.len() as u64).map(move |s| (p, s)))
-            .find(|&(p, s)| {
-                !e.windows[p].iter().any(|&(w, _)| w == s)
-                    && (state.completions.get(s as usize) == Some(&1)
-                        || e.windows.iter().flatten().any(|&(w, _)| w == s))
-            })
-            .unwrap_or((0, queries.len() as u64));
-        let (p, seq) = stray;
-        let e = &mut state.engine;
-        assert!(!e.complete(ack(seq, p), &ack_stats(seq)), "stray {stray:?}");
-        // A full window or a down processor gets nothing, and the refusal
-        // moves nothing either.
-        for p in 0..procs {
-            if e.windows[p].len() >= e.config.overlap.max(1) || state.phase == Phase::Down(p) {
-                assert_eq!(e.next_for(p), None, "dispatch past window or to down {p}");
-            }
-        }
-        assert_eq!(state.key(), key, "a refused call changed the state");
     }
 
     /// Explores every interleaving for one configuration: 3 processors,
     /// 4 queries, an admission window of 2, one kill and one rejoin.
-    /// Prints the number of distinct states and asserts `floor`, so a
-    /// broken action generator cannot pass vacuously.
-    fn explore(routing: RoutingKind, stealing: bool, overlap: usize, floor: usize) {
+    fn explore_router(routing: RoutingKind, stealing: bool, overlap: usize, floor: usize) {
         const PROCESSORS: usize = 3;
         // Hash sends anchors 0, 3 and 6 to processor 0, so stealing and
         // redistribution both have work to move.
@@ -1056,87 +1071,37 @@ mod tests {
             kills_with_window: 0,
             phase: Phase::Live,
         };
-        let mut seen: HashSet<u128, BuildHasherDefault<KeyHasher>> = HashSet::default();
-        seen.insert(root.key());
-        let mut stack = vec![(root.key(), root)];
-        while let Some((key, mut state)) = stack.pop() {
-            check(&mut state, &queries, key);
-            let e = &state.engine;
-            let mut actions = Vec::new();
-            if state.admitted < queries.len() && e.pending() < cfg.window() {
-                actions.push(Action::Admit);
-            }
-            for p in 0..PROCESSORS {
-                if e.windows[p].len() < overlap.max(1) && state.phase != Phase::Down(p) {
-                    actions.push(Action::Next(p));
-                }
-                for &(seq, _) in &e.windows[p] {
-                    actions.push(Action::Ack(p, seq));
-                }
-            }
-            let work = actions.len();
-            match state.phase {
-                // Never the last live processor: only one kill, P = 3.
-                Phase::Live => actions.extend((0..PROCESSORS).map(Action::Kill)),
-                Phase::Down(_) => actions.push(Action::Rejoin),
-                Phase::Rejoined => {}
-            }
-            let mut progressed = false;
-            for (i, &action) in actions.iter().enumerate() {
-                let Some(next) = apply(&state, action, &queries) else {
-                    continue;
-                };
-                let next_key = next.key();
-                assert_ne!(next_key, key, "{action:?} changed nothing");
-                progressed |= i < work;
-                if seen.insert(next_key) {
-                    stack.push((next_key, next));
-                }
-            }
-            if !progressed {
-                assert_eq!(state.admitted, queries.len(), "wedged before admitting all");
-                assert!(
-                    state.completions.iter().all(|&c| c == 1),
-                    "terminal state {:?} with {:?}",
-                    state.phase,
-                    state.completions
-                );
-            }
-        }
-        println!(
-            "{routing} stealing={stealing} overlap={overlap}: {} states",
-            seen.len()
-        );
-        assert!(seen.len() >= floor, "only {} states explored", seen.len());
+        let name = format!("{routing} stealing={stealing} overlap={overlap}");
+        explore(&mut Schedules(queries), root, &name, floor);
     }
 
     #[test]
     fn explore_hash_with_stealing_overlap_1() {
-        explore(RoutingKind::Hash, true, 1, 10_000);
+        explore_router(RoutingKind::Hash, true, 1, 10_000);
     }
 
     #[test]
     fn explore_hash_with_stealing_overlap_2() {
-        explore(RoutingKind::Hash, true, 2, 30_000);
+        explore_router(RoutingKind::Hash, true, 2, 30_000);
     }
 
     #[test]
     fn explore_hash_without_stealing_overlap_1() {
-        explore(RoutingKind::Hash, false, 1, 500);
+        explore_router(RoutingKind::Hash, false, 1, 500);
     }
 
     #[test]
     fn explore_hash_without_stealing_overlap_2() {
-        explore(RoutingKind::Hash, false, 2, 1_000);
+        explore_router(RoutingKind::Hash, false, 2, 1_000);
     }
 
     #[test]
     fn explore_next_ready_overlap_1() {
-        explore(RoutingKind::NextReady, true, 1, 5_000);
+        explore_router(RoutingKind::NextReady, true, 1, 5_000);
     }
 
     #[test]
     fn explore_next_ready_overlap_2() {
-        explore(RoutingKind::NextReady, true, 2, 15_000);
+        explore_router(RoutingKind::NextReady, true, 2, 15_000);
     }
 }

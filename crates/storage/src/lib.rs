@@ -25,7 +25,7 @@ mod server;
 mod tier;
 
 pub use hash::{HashPartitioner, Partitioner};
-pub use net::{NetworkModel, Preset};
+pub use net::NetworkModel;
 pub use tier::StorageTier;
 
 /// Storage-level errors.

@@ -6,18 +6,6 @@
 //! fetch; a wire cluster's storage endpoints can delay each reply by the
 //! same duration to emulate the relative gap on a laptop.
 
-/// Named network presets used by configs (`wire`, benches).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Preset {
-    /// 40 Gbps Infiniband with RDMA (the paper's default).
-    InfinibandRdma,
-    /// 10 Gbps Ethernet (the paper's `gRouting-E`).
-    Ethernet10G,
-    /// Zero-cost network (single-machine control).
-    #[default]
-    Local,
-}
-
 /// Latency/bandwidth model for one request/response exchange.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
@@ -54,11 +42,6 @@ impl NetworkModel {
         }
     }
 
-    /// Builds a model from a preset (alias for the [`From`] conversion).
-    pub fn preset(p: Preset) -> Self {
-        Self::from(p)
-    }
-
     /// Whether this model charges any time at all.
     pub fn is_free(&self) -> bool {
         self.rtt_ns == 0 && !self.gbps.is_finite()
@@ -73,16 +56,6 @@ impl NetworkModel {
             0
         };
         self.rtt_ns + transfer
-    }
-}
-
-impl From<Preset> for NetworkModel {
-    fn from(p: Preset) -> Self {
-        match p {
-            Preset::InfinibandRdma => Self::infiniband_rdma(),
-            Preset::Ethernet10G => Self::ethernet_10g(),
-            Preset::Local => Self::local(),
-        }
     }
 }
 
@@ -121,22 +94,17 @@ mod tests {
 
     #[test]
     fn presets_match_constructors() {
-        assert_eq!(
-            NetworkModel::from(Preset::InfinibandRdma),
-            NetworkModel::infiniband_rdma()
-        );
-        assert_eq!(
-            NetworkModel::from(Preset::Ethernet10G),
-            NetworkModel::ethernet_10g()
-        );
-        assert_eq!(NetworkModel::preset(Preset::Local), NetworkModel::local());
-        assert_eq!(Preset::default(), Preset::Local);
+        // The paper's two networks, as their constructors build them.
+        let rdma = NetworkModel::infiniband_rdma();
+        assert_eq!((rdma.rtt_ns, rdma.gbps), (6_000, 40.0));
+        let eth = NetworkModel::ethernet_10g();
+        assert_eq!((eth.rtt_ns, eth.gbps), (30_000, 10.0));
     }
 
     #[test]
     fn only_local_is_free() {
-        assert!(NetworkModel::from(Preset::Local).is_free());
-        assert!(!NetworkModel::from(Preset::InfinibandRdma).is_free());
-        assert!(!NetworkModel::from(Preset::Ethernet10G).is_free());
+        assert!(NetworkModel::local().is_free());
+        assert!(!NetworkModel::infiniband_rdma().is_free());
+        assert!(!NetworkModel::ethernet_10g().is_free());
     }
 }

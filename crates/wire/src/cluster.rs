@@ -27,7 +27,6 @@ use grouting_metrics::timeline::QueryRecord;
 use grouting_metrics::{RunSnapshot, Timeline};
 use grouting_obs::ObsConfig;
 use grouting_query::{Query, QueryResult};
-use grouting_storage::{NetworkModel, Preset};
 use grouting_trace::{Stage, StageStats, TelemetryCounters, TraceLevel, TraceSnapshot};
 
 use crate::chaos::{apply_action, ChaosScript};
@@ -81,9 +80,6 @@ pub struct ClusterConfig {
     pub engine: EngineConfig,
     /// Connection fabric.
     pub transport: TransportKind,
-    /// Emulated processor↔storage network (charged per fetch at the
-    /// storage endpoints; [`Preset::Local`] charges nothing).
-    pub net: Preset,
     /// Emit a mid-run metrics snapshot to the client every this many
     /// completions (`0` = final snapshot only).
     pub snapshot_every: u64,
@@ -113,7 +109,6 @@ impl ClusterConfig {
         Self {
             engine,
             transport,
-            net: Preset::Local,
             snapshot_every: 0,
             trace: TraceLevel::Off,
             retry: None,
@@ -278,7 +273,6 @@ pub fn launch_chaos_cluster(
 ) -> WireResult<ClusterRun> {
     validate_config(assets, config)?;
     let transport = config.transport.build();
-    let net = NetworkModel::from(config.net);
     // One shared telemetry sink for every peer in this deployment (all
     // peers are threads of this process); absent when tracing is off so
     // the hot paths skip their clock reads entirely.
@@ -302,7 +296,6 @@ pub fn launch_chaos_cluster(
             addr,
             Arc::clone(&assets.tier),
             StorageOptions {
-                net,
                 telemetry: telemetry.clone(),
                 obs: config.obs.clone(),
                 push_addr: obs_push_addr.clone(),

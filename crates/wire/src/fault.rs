@@ -299,7 +299,7 @@ struct FaultySink {
 }
 
 impl FrameSink for FaultySink {
-    fn send(&mut self, frame: &Frame) -> WireResult<()> {
+    fn send(&mut self, frame: &Frame) -> WireResult<usize> {
         if self.fault.dead.load(Ordering::Acquire) {
             self.inner = None;
             return Err(WireError::Closed);
@@ -332,7 +332,7 @@ impl FrameSink for FaultySink {
 }
 
 impl FaultySink {
-    fn forward(&mut self, frame: &Frame) -> WireResult<()> {
+    fn forward(&mut self, frame: &Frame) -> WireResult<usize> {
         match self.inner.as_mut() {
             Some(inner) => inner.send(frame),
             None => Err(WireError::Closed),
@@ -361,7 +361,7 @@ impl FrameStream for FaultyStream {
         self.gate()?.recv()
     }
 
-    fn try_recv(&mut self) -> WireResult<Option<Frame>> {
+    fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>> {
         self.gate()?.try_recv()
     }
 

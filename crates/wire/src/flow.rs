@@ -240,7 +240,7 @@ impl MultiplexedStorageSource {
     fn send(&mut self, server: usize, frame: &Frame) -> WireResult<()> {
         let conn = self.conns[server].as_mut().ok_or(WireError::Closed)?;
         match conn.sink.send(frame) {
-            Ok(()) => Ok(()),
+            Ok(_) => Ok(()),
             Err(e) => self.recover(server, e),
         }
     }
@@ -267,7 +267,7 @@ impl MultiplexedStorageSource {
     fn poll(&mut self, server: usize) -> WireResult<bool> {
         let conn = self.conns[server].as_mut().ok_or(WireError::Closed)?;
         match conn.stream.try_recv() {
-            Ok(Some(frame)) => {
+            Ok(Some((frame, _))) => {
                 sample_pool(&self.telemetry, conn.stream.as_ref(), &mut conn.pool_seen);
                 self.state.on_frame(server, conn.epoch, frame)?;
                 Ok(true)

@@ -62,6 +62,7 @@ mod mux;
 mod overlap;
 mod reactor;
 mod service;
+mod storage;
 #[cfg(target_os = "linux")]
 mod sys;
 mod transport;
@@ -81,6 +82,10 @@ pub use service::{
 pub use transport::{
     Connection, FrameSink, FrameStream, InProcTransport, RetryPolicy, TcpTransport, Transport,
 };
+
+#[cfg(test)]
+#[path = "../../engine/src/explore.rs"]
+mod explore;
 
 #[cfg(test)]
 mod tests {

@@ -314,12 +314,10 @@ impl MuxState {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
-    use std::hash::{BuildHasherDefault, Hasher};
-
     use bytes::Bytes;
 
     use super::*;
+    use crate::explore::{explore, Key, Model};
 
     /// What every endpoint of a node's chain answers for it. Node 4 is not
     /// stored.
@@ -425,67 +423,6 @@ mod tests {
             let found = self.tracks.iter().position(|t| t.req_id == Some(req_id));
             found.expect("a submitted request")
         }
-
-        /// A 128-bit hash of everything above, given the mux's own.
-        fn key(&self, mux_key: u128) -> u128 {
-            let mut h = Key::default();
-            h.put((mux_key >> 64) as u64);
-            h.put(mux_key as u64);
-            for e in &self.endpoints {
-                h.put(u64::from(e.up) | u64::from(e.killed) << 1 | u64::from(e.restarted) << 2);
-            }
-            for home in &self.homes {
-                if let Some(l) = &home.link {
-                    h.put(l.target as u64 | u64::from(l.restarted) << 8 | l.epoch << 16);
-                    l.owed
-                        .iter()
-                        .for_each(|&(b, rest)| h.put((b << 8 | rest) as u64));
-                }
-                if let Some((dial, attempt, k)) = home.dialing {
-                    h.put(dial.target as u64 | u64::from(dial.attempt) << 8);
-                    h.put(dial.delay.as_nanos() as u64);
-                    h.put(u64::from(attempt) << 8 | k as u64);
-                }
-                h.put(u64::from(home.dialled));
-                home.resubmit.iter().for_each(|&b| h.put(b as u64));
-                h.put(!1);
-            }
-            for t in &self.tracks {
-                h.put(t.req_id.unwrap_or(!0));
-                h.put(t.answered as u64 | u64::from(t.deaths) << 8 | u64::from(t.taken) << 16);
-            }
-            let f = self.expect;
-            [
-                u64::from(self.failed),
-                f.redials,
-                f.replica_failovers,
-                f.batches_resubmitted,
-            ]
-            .into_iter()
-            .for_each(|w| h.put(w));
-            h.finish()
-        }
-    }
-
-    /// Two multiply-mix lanes over 64-bit words.
-    struct Key(u64, u64);
-
-    impl Default for Key {
-        fn default() -> Self {
-            Key(0, !0)
-        }
-    }
-
-    impl Key {
-        fn put(&mut self, word: u64) {
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-            self.1 = (self.1 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            self.1 ^= self.1 >> 29;
-        }
-
-        fn finish(&self) -> u128 {
-            u128::from(self.0) << 64 | u128::from(self.1)
-        }
     }
 
     /// Everything in a [`MuxState`], payload bytes included.
@@ -522,24 +459,6 @@ mod tests {
         h.finish()
     }
 
-    /// Passes the explorer's already mixed 128-bit keys through.
-    #[derive(Default)]
-    struct KeyHasher(u64);
-
-    impl Hasher for KeyHasher {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-
-        fn write(&mut self, _: &[u8]) {
-            unreachable!("only u128 keys are hashed")
-        }
-
-        fn write_u128(&mut self, key: u128) {
-            self.0 = key as u64;
-        }
-    }
-
     #[derive(Debug, Clone, Copy)]
     enum Action {
         /// First use of a home: its ladder's first dial.
@@ -558,95 +477,6 @@ mod tests {
         Dial(usize),
         Kill(usize),
         Restart(usize),
-    }
-
-    /// The state after `action`. Panics where the mux breaks a rule.
-    fn apply(world: &World, action: Action, batches: &[Batch]) -> World {
-        let mut w = world.clone();
-        match action {
-            Action::Connect(home) => {
-                w.homes[home].dialing = Some((Dial::primary(home), 0, 0));
-                dial(&mut w, home, batches);
-            }
-            Action::Submit => {
-                let b = w.submitted();
-                let (home, want) = (batches[b].0, nodes(&batches[b]));
-                let (req_id, frame) = w.mux.submit(home, &want, None);
-                let framed = Frame::FetchBatchRequest {
-                    req_id,
-                    nodes: want,
-                    issued_ns: None,
-                };
-                assert_eq!(frame, framed, "batch {b}'s frame");
-                w.tracks[b].req_id = Some(req_id);
-                if w.live(home) {
-                    w.homes[home].link.as_mut().expect("live").owed.push((b, 2));
-                }
-            }
-            Action::Deliver(home, index, count) => {
-                let link = w.homes[home].link.as_mut().expect("a live link");
-                let (b, rest) = link.owed[index];
-                if rest == count {
-                    link.owed.remove(index);
-                } else {
-                    link.owed[index].1 -= count;
-                }
-                let epoch = link.epoch;
-                let from = 2 - rest;
-                let req_id = w.tracks[b].req_id.expect("submitted");
-                let payloads = nodes(&batches[b])[from..from + count]
-                    .iter()
-                    .map(|&node| tier(node))
-                    .collect();
-                let chunk = Frame::FetchBatchResponse { req_id, payloads };
-                if let Err(e) = w.mux.on_frame(home, epoch, chunk) {
-                    panic!("a chunk of batch {b} on epoch {epoch} refused: {e}");
-                }
-                w.tracks[b].answered += count;
-            }
-            Action::Take(b) => {
-                let got = w
-                    .mux
-                    .take(batches[b].0, w.tracks[b].req_id.expect("submitted"));
-                let want: BatchPayloads = nodes(&batches[b]).into_iter().map(tier).collect();
-                assert_eq!(got.ok().flatten(), Some(want), "batch {b}'s answer");
-                w.tracks[b].taken = true;
-            }
-            Action::Close(home) => {
-                let epoch = w.homes[home].link.take().expect("a link").epoch;
-                let outstanding = w.outstanding(batches, home);
-                let mut spent = false;
-                for &b in &outstanding {
-                    w.tracks[b].answered = 0;
-                    w.tracks[b].deaths += 1;
-                    spent |= w.tracks[b].deaths > 1;
-                }
-                let closed = w.mux.on_closed(home, epoch);
-                assert_eq!(closed.is_err(), spent, "the one-death budget");
-                if spent {
-                    w.failed = true;
-                } else {
-                    w.homes[home].resubmit = outstanding;
-                    w.homes[home].dialing = Some((Dial::primary(home), 0, 0));
-                    dial(&mut w, home, batches);
-                }
-            }
-            Action::Dial(home) => dial(&mut w, home, batches),
-            Action::Kill(e) => {
-                w.endpoints[e].up = false;
-                w.endpoints[e].killed = true;
-                for link in w.homes.iter_mut().filter_map(|h| h.link.as_mut()) {
-                    if link.target == e {
-                        link.owed.clear();
-                    }
-                }
-            }
-            Action::Restart(e) => {
-                w.endpoints[e].up = true;
-                w.endpoints[e].restarted = true;
-            }
-        }
-        w
     }
 
     /// `home` makes its pending dial, which must be where the walk is:
@@ -720,77 +550,269 @@ mod tests {
         }
     }
 
-    /// The invariants every reachable state holds, and the hostile inputs
-    /// every state refuses without changing.
-    fn check(world: &mut World, batches: &[Batch], before: u128) {
-        assert_eq!(world.mux.failover(), world.expect, "recovery counters");
-        let untaken = world.submitted() - world.tracks.iter().filter(|t| t.taken).count();
-        assert_eq!(world.mux.outstanding(), untaken as u64);
-        let refused = |r: WireResult<()>| matches!(r, Err(WireError::Protocol(_)));
-        let chunk = |req_id, n: usize| Frame::FetchBatchResponse {
-            req_id,
-            payloads: vec![tier(NodeId::new(1)); n],
-        };
-        for home in 0..world.homes.len() {
-            // Per home, its first batch still awaiting nodes and its first
-            // fully answered one (taken or not).
-            let of_home = |b: &usize| batches[*b].0 == home;
-            let open = world.outstanding(batches, home).first().copied();
-            let answered = (0..world.submitted())
-                .filter(of_home)
-                .find(|&b| world.tracks[b].answered == 2);
-            let id = |b: usize| world.tracks[b].req_id.expect("submitted");
-            let mux = &mut world.mux;
-            let epoch = mux.epoch(home);
-            let connected = world.homes[home].link.is_some();
-            // A chunk and a close from a connection that is gone.
-            let dead = if connected {
-                epoch.wrapping_sub(1)
+    /// Every interleaving of `batches` with one kill and one restart per
+    /// endpoint.
+    struct Schedules<'a>(&'a [Batch]);
+
+    impl Model for Schedules<'_> {
+        type State = World;
+        type Action = Action;
+
+        fn actions(&self, world: &World) -> (Vec<Action>, Vec<Action>) {
+            let (mut work, mut faults) = (Vec::new(), Vec::new());
+            if world.failed {
+                return (work, faults);
+            }
+            if let Some(home) = world.homes.iter().position(|h| h.dialing.is_some()) {
+                // Recovery blocks the processor: only the ladder moves.
+                work.push(Action::Dial(home));
             } else {
-                epoch
+                if let Some(&(home, _)) = self.0.get(world.submitted()) {
+                    work.push(if world.homes[home].link.is_some() {
+                        Action::Submit
+                    } else {
+                        Action::Connect(home)
+                    });
+                }
+                for (home, h) in world.homes.iter().enumerate() {
+                    let Some(link) = &h.link else { continue };
+                    if !world.live(home) {
+                        work.push(Action::Close(home));
+                        continue;
+                    }
+                    for (index, &(_, rest)) in link.owed.iter().enumerate() {
+                        work.push(Action::Deliver(home, index, 1));
+                        if rest > 1 {
+                            work.push(Action::Deliver(home, index, rest));
+                        }
+                    }
+                }
+                for (b, t) in world.tracks.iter().enumerate() {
+                    if t.req_id.is_some() && !t.taken && t.answered == 2 {
+                        work.push(Action::Take(b));
+                    }
+                }
+            }
+            // Only a dial sees a restart (a connection to the old
+            // incarnation stays dead), so a restart is explored just before
+            // the actions that dial, which covers every earlier moment.
+            let dials = work
+                .iter()
+                .any(|a| matches!(a, Action::Connect(_) | Action::Close(_) | Action::Dial(_)));
+            for (e, endpoint) in world.endpoints.iter().enumerate() {
+                if endpoint.up && !endpoint.killed {
+                    faults.push(Action::Kill(e));
+                } else if dials && !endpoint.up && !endpoint.restarted {
+                    faults.push(Action::Restart(e));
+                }
+            }
+            (work, faults)
+        }
+
+        /// The state after `action`. Panics where the mux breaks a rule.
+        fn apply(&self, world: &World, action: Action) -> Option<World> {
+            let batches = self.0;
+            let mut w = world.clone();
+            match action {
+                Action::Connect(home) => {
+                    w.homes[home].dialing = Some((Dial::primary(home), 0, 0));
+                    dial(&mut w, home, batches);
+                }
+                Action::Submit => {
+                    let b = w.submitted();
+                    let (home, want) = (batches[b].0, nodes(&batches[b]));
+                    let (req_id, frame) = w.mux.submit(home, &want, None);
+                    let framed = Frame::FetchBatchRequest {
+                        req_id,
+                        nodes: want,
+                        issued_ns: None,
+                    };
+                    assert_eq!(frame, framed, "batch {b}'s frame");
+                    w.tracks[b].req_id = Some(req_id);
+                    if w.live(home) {
+                        w.homes[home].link.as_mut().expect("live").owed.push((b, 2));
+                    }
+                }
+                Action::Deliver(home, index, count) => {
+                    let link = w.homes[home].link.as_mut().expect("a live link");
+                    let (b, rest) = link.owed[index];
+                    if rest == count {
+                        link.owed.remove(index);
+                    } else {
+                        link.owed[index].1 -= count;
+                    }
+                    let epoch = link.epoch;
+                    let from = 2 - rest;
+                    let req_id = w.tracks[b].req_id.expect("submitted");
+                    let payloads = nodes(&batches[b])[from..from + count]
+                        .iter()
+                        .map(|&node| tier(node))
+                        .collect();
+                    let chunk = Frame::FetchBatchResponse { req_id, payloads };
+                    if let Err(e) = w.mux.on_frame(home, epoch, chunk) {
+                        panic!("a chunk of batch {b} on epoch {epoch} refused: {e}");
+                    }
+                    w.tracks[b].answered += count;
+                }
+                Action::Take(b) => {
+                    let got = w
+                        .mux
+                        .take(batches[b].0, w.tracks[b].req_id.expect("submitted"));
+                    let want: BatchPayloads = nodes(&batches[b]).into_iter().map(tier).collect();
+                    assert_eq!(got.ok().flatten(), Some(want), "batch {b}'s answer");
+                    w.tracks[b].taken = true;
+                }
+                Action::Close(home) => {
+                    let epoch = w.homes[home].link.take().expect("a link").epoch;
+                    let outstanding = w.outstanding(batches, home);
+                    let mut spent = false;
+                    for &b in &outstanding {
+                        w.tracks[b].answered = 0;
+                        w.tracks[b].deaths += 1;
+                        spent |= w.tracks[b].deaths > 1;
+                    }
+                    let closed = w.mux.on_closed(home, epoch);
+                    assert_eq!(closed.is_err(), spent, "the one-death budget");
+                    if spent {
+                        w.failed = true;
+                    } else {
+                        w.homes[home].resubmit = outstanding;
+                        w.homes[home].dialing = Some((Dial::primary(home), 0, 0));
+                        dial(&mut w, home, batches);
+                    }
+                }
+                Action::Dial(home) => dial(&mut w, home, batches),
+                Action::Kill(e) => {
+                    w.endpoints[e].up = false;
+                    w.endpoints[e].killed = true;
+                    for link in w.homes.iter_mut().filter_map(|h| h.link.as_mut()) {
+                        if link.target == e {
+                            link.owed.clear();
+                        }
+                    }
+                }
+                Action::Restart(e) => {
+                    w.endpoints[e].up = true;
+                    w.endpoints[e].restarted = true;
+                }
+            }
+            Some(w)
+        }
+
+        /// A 128-bit hash of everything above, the mux included.
+        fn key(&self, world: &World) -> u128 {
+            let mux_key = mux_key(&world.mux);
+            let mut h = Key::default();
+            h.put((mux_key >> 64) as u64);
+            h.put(mux_key as u64);
+            for e in &world.endpoints {
+                h.put(u64::from(e.up) | u64::from(e.killed) << 1 | u64::from(e.restarted) << 2);
+            }
+            for home in &world.homes {
+                if let Some(l) = &home.link {
+                    h.put(l.target as u64 | u64::from(l.restarted) << 8 | l.epoch << 16);
+                    l.owed
+                        .iter()
+                        .for_each(|&(b, rest)| h.put((b << 8 | rest) as u64));
+                }
+                if let Some((dial, attempt, k)) = home.dialing {
+                    h.put(dial.target as u64 | u64::from(dial.attempt) << 8);
+                    h.put(dial.delay.as_nanos() as u64);
+                    h.put(u64::from(attempt) << 8 | k as u64);
+                }
+                h.put(u64::from(home.dialled));
+                home.resubmit.iter().for_each(|&b| h.put(b as u64));
+                h.put(!1);
+            }
+            for t in &world.tracks {
+                h.put(t.req_id.unwrap_or(!0));
+                h.put(t.answered as u64 | u64::from(t.deaths) << 8 | u64::from(t.taken) << 16);
+            }
+            let f = world.expect;
+            [
+                u64::from(world.failed),
+                f.redials,
+                f.replica_failovers,
+                f.batches_resubmitted,
+            ]
+            .into_iter()
+            .for_each(|w| h.put(w));
+            h.finish()
+        }
+
+        /// The invariants every reachable state holds, and the hostile inputs
+        /// every state refuses without changing.
+        fn check(&mut self, world: &mut World) {
+            let batches = self.0;
+            assert_eq!(world.mux.failover(), world.expect, "recovery counters");
+            let untaken = world.submitted() - world.tracks.iter().filter(|t| t.taken).count();
+            assert_eq!(world.mux.outstanding(), untaken as u64);
+            let refused = |r: WireResult<()>| matches!(r, Err(WireError::Protocol(_)));
+            let chunk = |req_id, n: usize| Frame::FetchBatchResponse {
+                req_id,
+                payloads: vec![tier(NodeId::new(1)); n],
             };
-            assert!(mux
-                .on_frame(home, dead, chunk(open.map_or(0, id), 1))
-                .is_ok());
-            assert!(mux.on_closed(home, dead).is_ok());
-            if let Some(b) = open {
-                assert!(
-                    matches!(mux.take(home, id(b)), Ok(None)),
-                    "batch {b} taken early"
-                );
-            }
-            if let Some(b) = answered.filter(|&b| world.tracks[b].taken) {
-                let again = mux.take(home, id(b));
-                assert!(
-                    matches!(again, Err(WireError::Protocol(_))),
-                    "batch {b} taken twice"
-                );
-            }
-            if !connected {
-                continue;
-            }
-            assert!(refused(mux.on_frame(home, epoch, Frame::Shutdown)));
-            assert!(refused(mux.on_frame(home, epoch, chunk(1000, 0))));
-            // One node past the request; past a full answer, any node.
-            for b in open.into_iter().chain(answered) {
-                let over = 3 - world.tracks[b].answered;
-                let bad = mux.on_frame(home, epoch, chunk(id(b), over));
-                assert!(refused(bad), "{over} more nodes for batch {b}");
+            for home in 0..world.homes.len() {
+                // Per home, its first batch still awaiting nodes and its first
+                // fully answered one (taken or not).
+                let of_home = |b: &usize| batches[*b].0 == home;
+                let open = world.outstanding(batches, home).first().copied();
+                let answered = (0..world.submitted())
+                    .filter(of_home)
+                    .find(|&b| world.tracks[b].answered == 2);
+                let id = |b: usize| world.tracks[b].req_id.expect("submitted");
+                let mux = &mut world.mux;
+                let epoch = mux.epoch(home);
+                let connected = world.homes[home].link.is_some();
+                // A chunk and a close from a connection that is gone.
+                let dead = if connected {
+                    epoch.wrapping_sub(1)
+                } else {
+                    epoch
+                };
+                assert!(mux
+                    .on_frame(home, dead, chunk(open.map_or(0, id), 1))
+                    .is_ok());
+                assert!(mux.on_closed(home, dead).is_ok());
+                if let Some(b) = open {
+                    assert!(
+                        matches!(mux.take(home, id(b)), Ok(None)),
+                        "batch {b} taken early"
+                    );
+                }
+                if let Some(b) = answered.filter(|&b| world.tracks[b].taken) {
+                    let again = mux.take(home, id(b));
+                    assert!(
+                        matches!(again, Err(WireError::Protocol(_))),
+                        "batch {b} taken twice"
+                    );
+                }
+                if !connected {
+                    continue;
+                }
+                assert!(refused(mux.on_frame(home, epoch, Frame::Shutdown)));
+                assert!(refused(mux.on_frame(home, epoch, chunk(1000, 0))));
+                // One node past the request; past a full answer, any node.
+                for b in open.into_iter().chain(answered) {
+                    let over = 3 - world.tracks[b].answered;
+                    let bad = mux.on_frame(home, epoch, chunk(id(b), over));
+                    assert!(refused(bad), "{over} more nodes for batch {b}");
+                }
             }
         }
-        assert_eq!(
-            mux_key(&world.mux),
-            before,
-            "a refused input changed the mux"
-        );
+
+        /// Nothing left for the mux: every batch is done, whatever the
+        /// endpoints still do, unless the processor is gone.
+        fn terminal(&mut self, world: &World) {
+            let done = world.failed || world.tracks.iter().all(|t| t.taken);
+            assert!(done, "wedged with a batch outstanding");
+        }
     }
 
     /// Explores every interleaving of `batches` over `servers` endpoints
     /// with replication 2 and a two-rung ladder, with one kill and one
-    /// restart per endpoint. Prints the number of distinct states and
-    /// asserts `floor`, so a broken action generator cannot pass
-    /// vacuously.
-    fn explore(servers: usize, batches: &[Batch], floor: usize) {
+    /// restart per endpoint.
+    fn explore_mux(servers: usize, batches: &[Batch], floor: usize) {
         let mut mux = MuxState::new(servers);
         mux.replication = 2;
         mux.retry = RetryPolicy::new(2, Duration::from_millis(1));
@@ -807,89 +829,12 @@ mod tests {
             failed: false,
             expect: FailoverStats::default(),
         };
-        let mut seen: HashSet<u128, BuildHasherDefault<KeyHasher>> = HashSet::default();
-        let root_mux = mux_key(&root.mux);
-        seen.insert(root.key(root_mux));
-        let mut stack = vec![(root_mux, root)];
-        let (mut completed, mut failed) = (0, 0);
-        while let Some((mux, mut world)) = stack.pop() {
-            check(&mut world, batches, mux);
-            if world.failed {
-                failed += 1;
-                continue;
-            }
-            let mut actions = Vec::new();
-            if let Some(home) = world.homes.iter().position(|h| h.dialing.is_some()) {
-                // Recovery blocks the processor: only the ladder moves.
-                actions.push(Action::Dial(home));
-            } else {
-                if let Some(&(home, _)) = batches.get(world.submitted()) {
-                    actions.push(if world.homes[home].link.is_some() {
-                        Action::Submit
-                    } else {
-                        Action::Connect(home)
-                    });
-                }
-                for (home, h) in world.homes.iter().enumerate() {
-                    let Some(link) = &h.link else { continue };
-                    if !world.live(home) {
-                        actions.push(Action::Close(home));
-                        continue;
-                    }
-                    for (index, &(_, rest)) in link.owed.iter().enumerate() {
-                        actions.push(Action::Deliver(home, index, 1));
-                        if rest > 1 {
-                            actions.push(Action::Deliver(home, index, rest));
-                        }
-                    }
-                }
-                for (b, t) in world.tracks.iter().enumerate() {
-                    if t.req_id.is_some() && !t.taken && t.answered == 2 {
-                        actions.push(Action::Take(b));
-                    }
-                }
-            }
-            if actions.is_empty() {
-                // Nothing left for the mux: every batch is done, whatever
-                // the endpoints still do.
-                assert!(
-                    world.tracks.iter().all(|t| t.taken),
-                    "wedged with a batch outstanding"
-                );
-                completed += 1;
-            }
-            // Only a dial sees a restart (a connection to the old
-            // incarnation stays dead), so a restart is explored just before
-            // the actions that dial, which covers every earlier moment.
-            let dials = actions
-                .iter()
-                .any(|a| matches!(a, Action::Connect(_) | Action::Close(_) | Action::Dial(_)));
-            for (e, endpoint) in world.endpoints.iter().enumerate() {
-                if endpoint.up && !endpoint.killed {
-                    actions.push(Action::Kill(e));
-                } else if dials && !endpoint.up && !endpoint.restarted {
-                    actions.push(Action::Restart(e));
-                }
-            }
-            for action in actions {
-                let next = apply(&world, action, batches);
-                let mux = mux_key(&next.mux);
-                if seen.insert(next.key(mux)) {
-                    stack.push((mux, next));
-                }
-            }
-        }
-        println!(
-            "{servers} servers, {} batches: {} states ({completed} with every batch done, \
-             {failed} failed)",
-            batches.len(),
-            seen.len()
-        );
-        assert!(seen.len() >= floor, "only {} states explored", seen.len());
+        let name = format!("{servers} servers, {} batches", batches.len());
+        explore(&mut Schedules(batches), root, &name, floor);
     }
 
     #[test]
     fn explore_two_servers_three_batches() {
-        explore(2, &[(0, [1, 2]), (1, [3, 4]), (0, [5, 6])], 60_000);
+        explore_mux(2, &[(0, [1, 2]), (1, [3, 4]), (0, [5, 6])], 60_000);
     }
 }

@@ -76,14 +76,17 @@ pub trait FetchSeam {
     fn clock_ns(&mut self) -> u64;
 }
 
-/// What the processor loop does after a [`QueryPipeline::step`].
+/// What a loop does after its core's round (the processor's or storage's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
     /// The round took input or produced output: step again at once.
     Now,
-    /// The round did nothing: no dispatch arrived and no fetch it polled
-    /// had landed, so the loop may park until a connection has traffic.
+    /// The round did nothing and nothing is due (no dispatch arrived, no
+    /// fetch it polled had landed): park until a connection has traffic.
     Idle,
+    /// The round did nothing, and a response falls due at this time on
+    /// the loop's clock: yield rather than park.
+    IdleUntil(u64),
 }
 
 /// One finished query, ready to be acknowledged to the router.
@@ -370,6 +373,7 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, Key, Model};
     use crate::flow::MultiplexedStorageSource;
     use crate::service::{ServiceHandle, StorageOptions, StorageService};
     use crate::transport::{InProcTransport, RetryPolicy, Transport};
@@ -530,7 +534,7 @@ mod tests {
     }
 
     /// Where a fetch held by the fake seam stands.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Fate {
         Travelling,
         Delivered,
@@ -921,7 +925,8 @@ mod tests {
     }
 
     /// What an explorer run covers: the queries in dispatch order, the
-    /// overlap, the cache, and each query's serial outcome.
+    /// overlap, the cache, and each query's serial outcome; and how many
+    /// schedules it found finished, stopped mid-ask and failed.
     struct Scope {
         queries: Vec<Query>,
         overlap: usize,
@@ -930,6 +935,7 @@ mod tests {
         serial: Vec<ExecOutcome>,
         /// The seam every replay starts from.
         seam: FakeSeam,
+        reached: [usize; 3],
     }
 
     impl Scope {
@@ -945,6 +951,7 @@ mod tests {
                 seam: FakeSeam::new(&tier),
                 tier,
                 serial,
+                reached: [0; 3],
             }
         }
     }
@@ -971,6 +978,8 @@ mod tests {
         /// What decided the pipeline's state: the pushes, and each
         /// non-idle round's seam events.
         history: Vec<u64>,
+        /// The schedule replayed.
+        path: Vec<Action>,
     }
 
     impl Run {
@@ -987,6 +996,7 @@ mod tests {
                 alone: None,
                 failed: false,
                 history: Vec::new(),
+                path: Vec::new(),
             };
             for &action in path {
                 run.apply(action, scope);
@@ -994,43 +1004,17 @@ mod tests {
             run
         }
 
-        /// What may happen next besides a round, which always may.
-        fn actions(&self, scope: &Scope) -> Vec<Action> {
-            let mut actions = Vec::new();
-            if self.pushed < scope.queries.len() {
-                actions.push(Action::Push);
-            }
-            for f in self.seam.travelling() {
-                actions.push(Action::Land(f, Fate::Delivered));
-                if self.fault.is_none() {
-                    actions.push(Action::Land(f, Fate::Corrupt));
-                    actions.push(Action::Land(f, Fate::Failed));
-                }
-            }
-            actions
-        }
-
-        /// A hash of the state `action` leads to, where that needs no
-        /// round: the history decides the pipeline, and the fates the
-        /// seam.
-        fn key_after(&self, action: Option<Action>) -> u64 {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.history.iter().for_each(|w| w.hash(&mut h));
-            if let Some(Action::Push) = action {
-                u64::MAX.hash(&mut h);
-            }
-            for (f, (_, fate)) in self.seam.fetches.iter().enumerate() {
-                match action {
-                    Some(Action::Land(landed, to)) if landed == f => to.hash(&mut h),
-                    _ => fate.hash(&mut h),
-                }
-            }
-            let fault = match action {
-                Some(Action::Land(f, to)) if to != Fate::Delivered => Some(f),
-                _ => self.fault,
-            };
-            (fault, self.failed).hash(&mut h);
+        /// A hash of the state: the history decides the pipeline, and the
+        /// fates the seam.
+        fn key(&self) -> u128 {
+            let mut h = Key::default();
+            self.history.iter().for_each(|&w| h.put(w));
+            self.seam
+                .fetches
+                .iter()
+                .for_each(|&(_, fate)| h.put(fate as u64));
+            h.put(self.fault.map_or(!0, |f| f as u64));
+            h.put(u64::from(self.failed));
             h.finish()
         }
 
@@ -1051,6 +1035,7 @@ mod tests {
         }
 
         fn apply(&mut self, action: Action, scope: &Scope) {
+            self.path.push(action);
             match action {
                 Action::Push => {
                     let seq = self.pushed;
@@ -1196,61 +1181,62 @@ mod tests {
         }
     }
 
-    /// Explores every schedule of `scope`'s dispatches, deliveries and
-    /// rounds, with one fetch per schedule landing corrupt or failing.
-    /// States are branched by replay from the root. Prints the number of
-    /// distinct states and asserts `floor`, so a broken action generator
-    /// cannot pass vacuously.
-    fn explore(scope: &Scope, floor: usize) {
-        let root = Run::replay(scope, &[]);
-        let mut seen = std::collections::HashSet::from([root.key_after(None)]);
-        let mut stack = vec![Vec::new()];
-        let (mut finished, mut failed, mut stopped) = (0, 0, 0);
-        // The round's successor is pushed last, so it is popped next: its
-        // run is carried over rather than replayed.
-        let mut carried = None;
-        while let Some(path) = stack.pop() {
-            let mut run = carried.take().unwrap_or_else(|| Run::replay(scope, &path));
-            if run.failed {
-                failed += 1;
-                continue;
+    /// Every schedule of the scope's dispatches, deliveries and rounds,
+    /// with one fetch per schedule landing corrupt or failing.
+    impl Model for Scope {
+        type State = Run;
+        type Action = Action;
+
+        /// What may happen next, and a round, which always may.
+        fn actions(&self, run: &Run) -> (Vec<Action>, Vec<Action>) {
+            let mut work = Vec::new();
+            if run.pushed < self.queries.len() {
+                work.push(Action::Push);
             }
-            stopped += usize::from(run.alone.is_some());
-            if run.pushed == scope.queries.len() && run.pipeline.is_idle() {
-                assert!(
-                    run.done.iter().all(Option::is_some),
-                    "a query never completed"
-                );
-                finished += 1;
-            }
-            let mut branch = |action, key| {
-                let fresh = seen.insert(key);
-                if fresh {
-                    let mut longer = path.clone();
-                    longer.push(action);
-                    stack.push(longer);
+            for f in run.seam.travelling() {
+                work.push(Action::Land(f, Fate::Delivered));
+                if run.fault.is_none() {
+                    work.extend([Fate::Corrupt, Fate::Failed].map(|to| Action::Land(f, to)));
                 }
-                fresh
-            };
-            // Dispatches and landings change no pipeline: their successors
-            // are hashed without a replay. The round runs last, in place.
-            for action in run.actions(scope) {
-                branch(action, run.key_after(Some(action)));
             }
-            run.apply(Action::Step, scope);
-            if branch(Action::Step, run.key_after(None)) {
-                carried = Some(run);
+            work.push(Action::Step);
+            (if run.failed { Vec::new() } else { work }, Vec::new())
+        }
+
+        /// A pipeline cannot be copied: each successor is replayed from
+        /// the root. An idle round changes nothing.
+        fn apply(&self, run: &Run, action: Action) -> Option<Run> {
+            let mut next = Run::replay(self, &run.path);
+            next.apply(action, self);
+            (next.key() != run.key()).then_some(next)
+        }
+
+        fn key(&self, run: &Run) -> u128 {
+            run.key()
+        }
+
+        fn check(&mut self, run: &mut Run) {
+            self.reached[1] += usize::from(!run.failed && run.alone.is_some());
+            self.reached[2] += usize::from(run.failed);
+        }
+
+        fn terminal(&mut self, run: &Run) {
+            if !run.failed {
+                assert!(run.pushed == self.queries.len() && run.pipeline.is_idle());
+                let all = run.done.iter().all(Option::is_some);
+                assert!(all, "a query never completed");
+                self.reached[0] += 1;
             }
         }
-        println!(
-            "overlap {}, {} queries: {} states ({finished} with every query done, \
-             {stopped} with one stopped mid-ask, {failed} failed)",
-            scope.overlap,
-            scope.queries.len(),
-            seen.len()
-        );
-        assert!(finished > 0 && stopped > 0 && failed > 0);
-        assert!(seen.len() >= floor, "only {} states explored", seen.len());
+    }
+
+    /// Explores every schedule of `scope`, and asserts that some finish,
+    /// some stop mid-ask and some fail.
+    fn explore_pipeline(mut scope: Scope, floor: usize) {
+        let root = Run::replay(&scope, &[]);
+        let name = format!("overlap {}, {} queries", scope.overlap, scope.queries.len());
+        explore(&mut scope, root, &name, floor);
+        assert!(scope.reached.iter().all(|&n| n > 0), "{:?}", scope.reached);
     }
 
     /// A walk that leaves its start cached, an aggregation whose second
@@ -1280,11 +1266,11 @@ mod tests {
 
     #[test]
     fn explore_overlap_1() {
-        explore(&Scope::new(explored_queries(), 1, 2), 1_280);
+        explore_pipeline(Scope::new(explored_queries(), 1, 2), 1_280);
     }
 
     #[test]
     fn explore_overlap_2() {
-        explore(&Scope::new(explored_queries(), 2, 2), 18_500);
+        explore_pipeline(Scope::new(explored_queries(), 2, 2), 18_500);
     }
 }

@@ -311,9 +311,9 @@ fn drain_conn(
     let result = 'drain: {
         for _ in 0..MAX_FRAMES_PER_CONN_PER_SWEEP {
             match conn.stream.try_recv() {
-                Ok(Some(frame)) => {
+                Ok(Some((frame, len))) => {
                     if let Some(t) = telemetry {
-                        t.frame_in(frame.encoded_len() as u64);
+                        t.frame_in(len as u64);
                     }
                     events.push(ReactorEvent::Frame(id, frame));
                 }
@@ -443,10 +443,11 @@ impl Reactor {
     pub fn send(&mut self, id: u64, frame: &Frame) -> WireResult<()> {
         match self.conns.get_mut(&id) {
             Some(conn) => {
+                let len = conn.sink.send(frame)?;
                 if let Some(t) = &self.telemetry {
-                    t.frame_out(frame.encoded_len() as u64);
+                    t.frame_out(len as u64);
                 }
-                conn.sink.send(frame)
+                Ok(())
             }
             None => Err(WireError::Closed),
         }
@@ -704,6 +705,54 @@ mod tests {
     fn tcp_reactor_echoes() {
         echo_reactor_over(Arc::new(TcpTransport::new()), Poller::new());
         echo_reactor_over(Arc::new(TcpTransport::new()), swept());
+    }
+
+    #[test]
+    fn tcp_reactor_counts_the_bytes_the_encoder_counts() {
+        // A few control bytes, a request, an empty and a full response.
+        let frames = vec![
+            Frame::Hello {
+                role: crate::frame::Role::Processor,
+                id: 3,
+            },
+            frame(7),
+            Frame::MetricsRequest,
+            Frame::FetchBatchResponse {
+                req_id: 1,
+                payloads: Vec::new(),
+            },
+            Frame::FetchBatchResponse {
+                req_id: 2,
+                payloads: vec![None, Some((1, vec![9u8; 5000].into()))],
+            },
+        ];
+        let want: u64 = frames.iter().map(|f| f.encoded_len() as u64).sum();
+        let telemetry = Arc::new(TelemetryCounters::new());
+        let transport = TcpTransport::new();
+        let listener = transport.listen(&transport.any_addr()).unwrap();
+        let addr = listener.addr();
+        let (counters, count) = (Arc::clone(&telemetry), frames.len());
+        let server = std::thread::spawn(move || {
+            let mut reactor = Reactor::new(listener);
+            reactor.set_telemetry(counters);
+            let (mut events, mut echoed) = (Vec::new(), 0);
+            while echoed < count {
+                reactor.wait(&mut events, &|| false).unwrap();
+                for event in events.drain(..) {
+                    if let ReactorEvent::Frame(id, f) = event {
+                        reactor.send(id, &f).unwrap();
+                        echoed += 1;
+                    }
+                }
+            }
+        });
+        let mut conn = transport.dial(&addr).unwrap();
+        for f in &frames {
+            assert_eq!(&conn.request(f).unwrap(), f);
+        }
+        server.join().unwrap();
+        let seen = telemetry.snapshot();
+        assert_eq!((seen.bytes_in, seen.bytes_out), (want, want));
     }
 
     /// 1k concurrent TCP connections through one reactor: every dial is

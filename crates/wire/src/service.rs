@@ -5,10 +5,11 @@
 //! readiness [`Reactor`] thread multiplexing all of that node's framed
 //! connections, rather than a thread per connection:
 //!
-//! * [`StorageService`] — wraps a [`StorageTier`] handle and answers
-//!   [`Frame::FetchBatchRequest`]s from every inbound connection through
-//!   one poll loop, with an optional [`NetworkModel`] delay charged per
-//!   exchange (the `gRouting-E` emulation knob);
+//! * [`StorageService`] — answers [`Frame::FetchBatchRequest`]s from every
+//!   inbound connection through one poll loop around a storage core, which
+//!   decides without I/O what a fetch returns from the [`StorageTier`] and
+//!   when its response falls due under the [`NetworkModel`] (the
+//!   `gRouting-E` emulation knob);
 //! * [`ProcessorService`] — a query processor: polls its router
 //!   connection and drives a [`QueryPipeline`] over a
 //!   [`MultiplexedStorageSource`] — up to [`EngineConfig::overlap`]
@@ -30,7 +31,8 @@
 //! same loops run over TCP loopback and the hermetic in-proc fabric. All
 //! three idle the same way, on the one poller of [`crate::reactor`] —
 //! epoll-tracked over TCP on Linux, the swept yield/sleep fallback
-//! otherwise — and none carries a spin or park of its own.
+//! otherwise — and none carries a spin or park of its own: a storage delay
+//! waits in its core's due-time queue.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -38,7 +40,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use grouting_embed::landmarks::Landmarks;
 use grouting_engine::{Engine, EngineAssets, EngineConfig};
 use grouting_graph::NodeId;
@@ -58,6 +59,7 @@ use crate::flow::{FetchMode, MultiplexedStorageSource};
 use crate::frame::{Completion, DispatchTrace, Frame, Role};
 use crate::overlap::{QueryPipeline, Wake};
 use crate::reactor::{PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
+use crate::storage::{Input, Replies, StorageCore};
 use crate::transport::{Listener, RetryPolicy, Transport};
 
 /// Monotonic nanoseconds since a process-wide epoch, shared by every
@@ -153,12 +155,9 @@ impl StorageService {
     /// how many processors dial it.
     ///
     /// Emulated delays ([`StorageOptions::net`]) model *wire latency*, not
-    /// server occupancy: microsecond-scale delays (RDMA/Ethernet presets)
-    /// are spun inline for accuracy, while delays of 100 µs and up park
-    /// the finished response in a due-time queue and keep serving — so
-    /// concurrent exchanges overlap their emulated flight time exactly as
-    /// they would over a real remote wire, instead of queueing behind one
-    /// another's sleeps.
+    /// server occupancy: every response waits in one due-time queue while
+    /// the loop keeps serving, so concurrent exchanges overlap their flight
+    /// time as over a remote wire. On a free network it is due at once.
     ///
     /// # Errors
     ///
@@ -192,67 +191,26 @@ impl StorageService {
                 reactor.set_telemetry(Arc::clone(t));
             }
             let mut obs = NodeObs::new(NodeRole::Storage, id, &obs_cfg);
-            // Served-request tallies (cheap enough to count always; only
-            // read while observability is on).
-            let (mut batches, mut records) = (0u64, 0u64);
+            let mut core = StorageCore::new(tier, net);
             // The lazily dialled anonymous connection `ObsPush` frames ride.
             let mut push_conn = None;
             let mut events: Vec<ReactorEvent> = Vec::new();
-            // Responses whose emulated flight time has not elapsed yet.
-            // Arrival order, but due times are NOT monotone (the delay
-            // depends on payload bytes), so delivery scans the whole
-            // queue — a large response must not head-of-line-block a
-            // small one behind it. Per-connection reordering is safe:
-            // batch responses correlate by req_id.
-            let mut in_flight: VecDeque<DelayedResponse> = VecDeque::new();
-            loop {
-                if stop_loop.load(Ordering::SeqCst) {
-                    break;
-                }
-                events.clear();
+            while !stop_loop.load(Ordering::SeqCst) {
                 if reactor.poll(&mut events).is_err() {
                     break;
                 }
-                let mut progressed = false;
-                for event in events.drain(..) {
-                    if let ReactorEvent::Frame(conn_id, frame) = event {
-                        if let Frame::FetchBatchRequest { nodes, .. } = &frame {
-                            batches += 1;
-                            records += nodes.len() as u64;
-                        }
-                        serve_storage_frame(
-                            &mut reactor,
-                            conn_id,
-                            frame,
-                            &tier,
-                            net,
-                            &mut in_flight,
-                        );
-                        progressed = true;
-                    }
-                }
-                // Deliver every response whose flight time has elapsed.
-                let now = Instant::now();
-                in_flight.retain(|response| {
-                    if response.due > now {
-                        return true;
-                    }
-                    progressed = true;
-                    for frame in &response.frames {
-                        if reactor.send(response.conn_id, frame).is_err() {
-                            reactor.close(response.conn_id);
-                            break;
-                        }
-                    }
-                    false
+                let now = now_ns();
+                let inputs = events.drain(..).filter_map(|event| match event {
+                    ReactorEvent::Frame(conn, frame) => Some(Input::Frame(conn, frame)),
+                    ReactorEvent::Closed(conn) => Some(Input::Closed(conn)),
+                    ReactorEvent::Opened(_) => None,
                 });
+                let wake = core.step(now, inputs, &mut reactor);
                 if let Some(o) = obs.as_mut() {
-                    let delayed = in_flight.len();
-                    let now = now_ns();
                     o.maybe_sample(now, |r| {
-                        r.counter("grouting_storage_batches_total", batches);
-                        r.counter("grouting_storage_records_total", records);
-                        r.gauge("grouting_storage_delayed_responses", delayed as f64);
+                        r.counter("grouting_storage_batches_total", core.batches);
+                        r.counter("grouting_storage_records_total", core.records);
+                        r.gauge("grouting_storage_delayed_responses", core.delayed() as f64);
                         if let Some(t) = &telemetry {
                             r.absorb_reactor(&t.snapshot());
                         }
@@ -276,18 +234,16 @@ impl StorageService {
                     }
                     o.poll_scrape(now);
                 }
-                if progressed {
-                    reactor.note_progress();
-                } else if in_flight.is_empty() {
+                match wake {
+                    Wake::Now => reactor.note_progress(),
+                    // Responses fall due within the emulated RTT; yielding
+                    // keeps due-time precision tight without burning the
+                    // core an overlapping processor is computing on.
+                    Wake::IdleUntil(_) => reactor.yield_once(),
                     // Nothing buffered, nothing due: park on the poller
                     // until a request arrives (epoll wakes on the first
                     // byte; the stop flag is re-checked on return).
-                    reactor.idle_wait(IDLE_WAIT);
-                } else {
-                    // Responses are due within the emulated RTT; yielding
-                    // keeps due-time precision tight without burning the
-                    // core an overlapping processor is computing on.
-                    reactor.yield_once();
+                    Wake::Idle => reactor.idle_wait(IDLE_WAIT),
                 }
             }
             if let Some(o) = obs.as_ref() {
@@ -302,134 +258,13 @@ impl StorageService {
     }
 }
 
-/// A finished response waiting out its emulated wire latency.
-struct DelayedResponse {
-    due: Instant,
-    conn_id: u64,
-    frames: Vec<Frame>,
-}
-
-/// Emulated delays at or above this park the response in the due-time
-/// queue; shorter ones are spun inline (`thread::sleep`'s ~50 µs kernel
-/// timer slack would swamp them, and at that scale the server is
-/// occupied-by-the-exchange anyway).
-const DELAY_QUEUE_THRESHOLD_NS: u64 = 100_000;
-
-/// Answers one frame on the storage reactor; a peer that cannot be
-/// answered (dead, or speaking the wrong protocol) is retired without
-/// taking the node down.
-fn serve_storage_frame(
-    reactor: &mut Reactor,
-    conn_id: u64,
-    frame: Frame,
-    tier: &StorageTier,
-    net: NetworkModel,
-    in_flight: &mut VecDeque<DelayedResponse>,
-) {
-    match frame {
-        Frame::FetchBatchRequest { req_id, nodes, .. } => {
-            let payloads: Vec<Option<(u16, bytes::Bytes)>> = tier
-                .get_many(&nodes)
-                .into_iter()
-                .map(|p| p.map(|(server, value)| (server as u16, value)))
-                .collect();
-            // One modelled exchange for the whole batch — exactly the
-            // RTT amortisation the batch path exists for.
-            let delay_ns = if net.is_free() {
-                0
-            } else {
-                let bytes: usize = payloads
-                    .iter()
-                    .map(|p| p.as_ref().map_or(0, |(_, v)| v.len()))
-                    .sum();
-                net.fetch_ns(bytes)
-            };
-            if delay_ns >= DELAY_QUEUE_THRESHOLD_NS {
-                let mut frames = Vec::new();
-                send_batch_response(
-                    |f| {
-                        frames.push(f);
-                        Ok(())
-                    },
-                    req_id,
-                    payloads,
-                )
-                .expect("buffering frames cannot fail");
-                in_flight.push_back(DelayedResponse {
-                    due: Instant::now() + std::time::Duration::from_nanos(delay_ns),
-                    conn_id,
-                    frames,
-                });
-                return;
-            }
-            spin_for_ns(delay_ns);
-            if send_batch_response(|f| reactor.send(conn_id, &f), req_id, payloads).is_err() {
-                reactor.close(conn_id);
-            }
-        }
-        Frame::Shutdown => reactor.close(conn_id),
-        _ => {
-            // A storage server only understands fetches; answer the
-            // confusion explicitly, then drop the peer.
-            let _ = reactor.send(conn_id, &Frame::Shutdown);
-            reactor.close(conn_id);
-        }
+impl Replies for Reactor {
+    fn send(&mut self, conn: u64, frame: &Frame) -> WireResult<()> {
+        Reactor::send(self, conn, frame)
     }
-}
 
-/// Soft byte budget per [`Frame::FetchBatchResponse`]: a batch whose
-/// payloads sum past this is streamed as several frames under the same
-/// `req_id` (the multiplexer reassembles by node count), keeping every
-/// frame comfortably under [`crate::frame::MAX_FRAME_BYTES`] no matter how
-/// large the requested frontier is. A *single* record larger than the
-/// frame cap still cannot be shipped.
-pub const BATCH_RESPONSE_SOFT_BYTES: usize = 8 << 20;
-
-/// Per-payload framing overhead assumed by the response chunker (flag +
-/// server id + length prefix, rounded up).
-const PAYLOAD_OVERHEAD: usize = 8;
-
-/// Hands `send` the response frames one by one, by value: the immediate
-/// path writes each and drops it, the due-time queue keeps it as built.
-fn send_batch_response(
-    mut send: impl FnMut(Frame) -> WireResult<()>,
-    req_id: u64,
-    payloads: Vec<Option<(u16, Bytes)>>,
-) -> WireResult<()> {
-    let mut rest = payloads;
-    loop {
-        let mut bytes = 0usize;
-        let mut take = 0usize;
-        while take < rest.len() {
-            let sz = rest[take].as_ref().map_or(0, |(_, v)| v.len()) + PAYLOAD_OVERHEAD;
-            // Always ship at least one payload per frame, else an
-            // oversized record would loop forever.
-            if take > 0 && bytes + sz > BATCH_RESPONSE_SOFT_BYTES {
-                break;
-            }
-            bytes += sz;
-            take += 1;
-        }
-        let tail = rest.split_off(take);
-        send(Frame::FetchBatchResponse {
-            req_id,
-            payloads: rest,
-        })?;
-        if tail.is_empty() {
-            return Ok(());
-        }
-        rest = tail;
-    }
-}
-
-/// Busy-waits `ns` nanoseconds — the emulation is about *relative* cost,
-/// and sleeping has far too coarse a floor for microsecond RTTs. Delays
-/// large enough to matter go through the due-time queue instead (see
-/// [`StorageService::spawn_opts`]).
-fn spin_for_ns(ns: u64) {
-    let start = Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
+    fn close(&mut self, conn: u64) {
+        Reactor::close(self, conn);
     }
 }
 
@@ -591,7 +426,7 @@ fn run_processor(
         // into the pipeline before any compute runs, so fetch submission
         // happens as early as possible.
         loop {
-            match stream.try_recv() {
+            match stream.try_recv().map(|got| got.map(|(frame, _)| frame)) {
                 Ok(Some(Frame::Dispatch { seq, query, trace })) => {
                     if let Some(t) = trace {
                         pipeline.set_trace(t.level);
@@ -664,7 +499,7 @@ fn run_processor(
             // The round drained no dispatch and moved no query: the router
             // stream and every awaited storage stream found their sockets
             // empty, so blocking until one of them has traffic is safe.
-            Wake::Idle => source.idle_wait(IDLE_WAIT),
+            Wake::Idle | Wake::IdleUntil(_) => source.idle_wait(IDLE_WAIT),
         }
     };
     if let Some(o) = obs.as_ref() {
@@ -1272,6 +1107,7 @@ fn fill_router_registry(
 mod tests {
     use super::*;
     use crate::transport::InProcTransport;
+    use bytes::Bytes;
     use grouting_graph::GraphBuilder;
 
     #[test]
@@ -1321,7 +1157,9 @@ mod tests {
             .collect();
         let expected = payloads.clone();
         let writer = std::thread::spawn(move || {
-            send_batch_response(|f| sender.send(&f), 42, payloads).unwrap();
+            for frame in crate::storage::response_frames(42, payloads) {
+                sender.send(&frame).unwrap();
+            }
         });
 
         let mut frames = 0;
@@ -1349,7 +1187,9 @@ mod tests {
         let mut listener = transport.listen(&transport.any_addr()).unwrap();
         let mut sender = transport.dial(&listener.addr()).unwrap();
         let mut receiver = listener.accept().unwrap();
-        send_batch_response(|f| sender.send(&f), 7, Vec::new()).unwrap();
+        for frame in crate::storage::response_frames(7, Vec::new()) {
+            sender.send(&frame).unwrap();
+        }
         match receiver.recv().unwrap() {
             Frame::FetchBatchResponse { req_id, payloads } => {
                 assert_eq!(req_id, 7);

@@ -38,8 +38,9 @@ use crate::frame::{Frame, MAX_FRAME_BYTES};
 
 /// The sending half of a framed connection.
 pub trait FrameSink: Send {
-    /// Writes one frame.
-    fn send(&mut self, frame: &Frame) -> WireResult<()>;
+    /// Writes one frame, returning its payload length (what
+    /// [`Frame::encoded_len`] counts).
+    fn send(&mut self, frame: &Frame) -> WireResult<usize>;
 
     /// Writes only the first `keep` bytes of the frame's encoding and
     /// stops — the fault-injection layer's mid-frame truncation primitive.
@@ -63,11 +64,12 @@ pub trait FrameStream: Send {
     /// Blocks for the next frame.
     fn recv(&mut self) -> WireResult<Frame>;
 
-    /// Polls for a frame without blocking: `Ok(Some)` when a complete
-    /// frame was ready, `Ok(None)` when the peer has sent nothing (or only
-    /// a partial frame) yet. This is the primitive the batch multiplexer's
-    /// readiness loop spins on to keep many in-flight exchanges moving
-    /// without parking on any single connection.
+    /// Polls for a frame without blocking: `Ok(Some)` with the frame and
+    /// its payload length when a complete frame was ready, `Ok(None)` when
+    /// the peer has sent nothing (or only a partial frame) yet. This is the
+    /// primitive the batch multiplexer's readiness loop spins on to keep
+    /// many in-flight exchanges moving without parking on any single
+    /// connection.
     ///
     /// Readiness contract: `Ok(None)` means the stream holds no complete
     /// buffered frame *and* its last read of the underlying source came
@@ -75,7 +77,7 @@ pub trait FrameStream: Send {
     /// Whatever arrives afterwards leaves the descriptor readable, so a
     /// level-triggered readiness poller may safely block on it, and a
     /// sweeping one picks it up on its next pass.
-    fn try_recv(&mut self) -> WireResult<Option<Frame>>;
+    fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>>;
 
     /// The underlying OS file descriptor, when the stream is backed by
     /// one — lets a readiness poller track the connection in the kernel.
@@ -111,7 +113,7 @@ impl Connection {
     /// Propagates transport failures ([`WireError::Closed`] when the peer
     /// is gone).
     pub fn send(&mut self, frame: &Frame) -> WireResult<()> {
-        self.sink.send(frame)
+        self.sink.send(frame).map(drop)
     }
 
     /// Blocks for the next frame.
@@ -131,7 +133,7 @@ impl Connection {
     /// Propagates transport failures ([`WireError::Closed`] when the peer
     /// is gone).
     pub fn try_recv(&mut self) -> WireResult<Option<Frame>> {
-        self.stream.try_recv()
+        Ok(self.stream.try_recv()?.map(|(frame, _)| frame))
     }
 
     /// Sends one frame and waits for the reply — the unary-RPC shape of
@@ -439,30 +441,31 @@ struct TcpSink {
 const SEND_BUFFER_RETAIN: usize = 256 << 10;
 
 impl TcpSink {
-    /// Encodes `frame` into the send buffer and writes the first
-    /// `keep(encoded length)` bytes of it — in one `write`, unless the
-    /// kernel takes less.
-    fn write_frame(&mut self, frame: &Frame, keep: impl FnOnce(usize) -> usize) -> WireResult<()> {
+    /// Encodes `frame` into the send buffer as `[len][payload]` and writes
+    /// it, or only its first `keep` bytes (at least one, never all), in one
+    /// `write` unless the kernel takes less. Returns the payload length.
+    fn write_frame(&mut self, frame: &Frame, keep: Option<usize>) -> WireResult<usize> {
         self.buf.clear();
         frame.encode_into(&mut self.buf);
-        let keep = keep(self.buf.len());
+        let len = self.buf.len();
+        let keep = keep.map_or(len, |keep| keep.min(len - 1).max(1));
         let sent = write_all_blocking(&mut self.stream, &self.buf[..keep]);
         if self.buf.capacity() > SEND_BUFFER_RETAIN {
             self.buf = Vec::new();
         }
-        sent
+        sent.map(|()| len - 4)
     }
 }
 
 impl FrameSink for TcpSink {
-    fn send(&mut self, frame: &Frame) -> WireResult<()> {
-        self.write_frame(frame, |len| len)
+    fn send(&mut self, frame: &Frame) -> WireResult<usize> {
+        self.write_frame(frame, None)
     }
 
     fn send_truncated(&mut self, frame: &Frame, keep: usize) -> WireResult<()> {
         // Cut `[len][payload]` at `keep` raw bytes: the peer sees a frame
         // header promising more bytes than ever arrive.
-        self.write_frame(frame, |len| keep.min(len - 1).max(1))
+        self.write_frame(frame, Some(keep)).map(drop)
     }
 }
 
@@ -637,14 +640,14 @@ impl TcpStreamHalf {
             let old = std::mem::replace(&mut self.frozen, Bytes::new());
             self.pool.checkin(old);
         }
-        frame.map(Parsed::Frame)
+        frame.map(|frame| Parsed::Frame(frame, len))
     }
 }
 
 /// What the buffered bytes amount to.
 enum Parsed {
-    /// A complete frame, now consumed.
-    Frame(Frame),
+    /// A complete frame, now consumed, and its payload length.
+    Frame(Frame, usize),
     /// No complete frame: the one at the front lacks this many bytes
     /// (counting its length prefix). The next read makes room for all of
     /// them, within [`MIN_READ_ROOM`] and [`MAX_READ_AHEAD`], so the rest
@@ -657,7 +660,7 @@ impl FrameStream for TcpStreamHalf {
     fn recv(&mut self) -> WireResult<Frame> {
         loop {
             let lacks = match self.parse_buffered()? {
-                Parsed::Frame(frame) => return Ok(frame),
+                Parsed::Frame(frame, _) => return Ok(frame),
                 Parsed::Lacks(n) => n,
             };
             let room = self.read_room(lacks);
@@ -675,10 +678,10 @@ impl FrameStream for TcpStreamHalf {
         }
     }
 
-    fn try_recv(&mut self) -> WireResult<Option<Frame>> {
+    fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>> {
         loop {
             let lacks = match self.parse_buffered()? {
-                Parsed::Frame(frame) => return Ok(Some(frame)),
+                Parsed::Frame(frame, len) => return Ok(Some((frame, len))),
                 Parsed::Lacks(n) => n,
             };
             if std::mem::take(&mut self.drained) {
@@ -827,8 +830,13 @@ struct ChanSink {
 }
 
 impl FrameSink for ChanSink {
-    fn send(&mut self, frame: &Frame) -> WireResult<()> {
-        self.tx.send(frame.encode()).map_err(|_| WireError::Closed)
+    fn send(&mut self, frame: &Frame) -> WireResult<usize> {
+        let encoded = frame.encode();
+        let len = encoded.len();
+        self.tx
+            .send(encoded)
+            .map(|()| len)
+            .map_err(|_| WireError::Closed)
     }
 
     fn send_truncated(&mut self, frame: &Frame, keep: usize) -> WireResult<()> {
@@ -853,10 +861,13 @@ impl FrameStream for ChanStream {
         Frame::decode(payload)
     }
 
-    fn try_recv(&mut self) -> WireResult<Option<Frame>> {
+    fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>> {
         use crossbeam::channel::TryRecvError;
         match self.rx.try_recv() {
-            Ok(payload) => Frame::decode(payload).map(Some),
+            Ok(payload) => {
+                let len = payload.len();
+                Frame::decode(payload).map(|frame| Some((frame, len)))
+            }
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(WireError::Closed),
         }
