@@ -347,12 +347,12 @@ fn reactor_dispatch_latency(c: &mut Criterion) {
         return;
     }
     use grouting_core::wire::{
-        Frame, InProcTransport, Reactor, ReactorEvent, TcpTransport, Transport, TransportKind,
+        Frame, InProcTransport, Reactor, ReactorEvent, TcpTransport, Transport, TransportKind, Wake,
     };
 
     // One reactor thread echoing every frame it sees — the exact wake-up
-    // path a router dispatch takes (poll sweep in, send out), measured as
-    // a client-observed round trip.
+    // path a router dispatch takes (poll in, send out, then the idle
+    // policy), measured as a client-observed round trip.
     fn echo_reactor(transport: &Arc<dyn Transport>) -> (String, std::thread::JoinHandle<()>) {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
@@ -360,9 +360,14 @@ fn reactor_dispatch_latency(c: &mut Criterion) {
             let mut reactor = Reactor::new(listener);
             let mut events = Vec::new();
             loop {
-                if reactor.wait(&mut events, &|| false).is_err() {
+                if reactor.poll(&mut events).is_err() {
                     return;
                 }
+                let wake = if events.is_empty() {
+                    Wake::Idle
+                } else {
+                    Wake::Now
+                };
                 for event in events.drain(..) {
                     match event {
                         ReactorEvent::Frame(id, Frame::Shutdown) => {
@@ -377,6 +382,7 @@ fn reactor_dispatch_latency(c: &mut Criterion) {
                         ReactorEvent::Opened(_) | ReactorEvent::Closed(_) => {}
                     }
                 }
+                reactor.honour(wake);
             }
         });
         (addr, join)
@@ -413,7 +419,7 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
     if !criterion::group_enabled("reactor_idle_cpu_1k") {
         return;
     }
-    use grouting_core::wire::{Reactor, TcpTransport, Transport, TransportKind};
+    use grouting_core::wire::{Reactor, TcpTransport, Transport, TransportKind, Wake};
 
     if env_transport() == TransportKind::InProc {
         // The number is about kernel readiness over real descriptors;
@@ -426,8 +432,8 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
     // kernel once per round, whatever the connection count; the swept
     // fallback try_recv's every connection (~495 µs per round on the
     // reference host, README "Reactor").
-    // `note_progress` before each round pins the wait to its non-blocking
-    // rung, so the number is pure CPU cost, not sleep time.
+    // Each round is a poll plus the idle policy on `Wake::Now`, which
+    // never blocks, so the number is pure CPU cost, not sleep time.
     const CONNS: usize = 1000;
     // Dial in batches under the listener's accept backlog (128 in std),
     // draining accepts between batches so no connect ever parks.
@@ -454,11 +460,8 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
     }
     g.bench_function("epoll", |b| {
         b.iter(|| {
-            reactor.note_progress();
-            events.clear();
-            reactor
-                .wait_timeout(&mut events, &|| true, std::time::Duration::ZERO)
-                .unwrap();
+            reactor.honour(Wake::Now);
+            reactor.poll(&mut events).unwrap();
             assert!(events.is_empty(), "connections must stay silent");
         })
     });
@@ -474,8 +477,7 @@ fn wire_overlap_throughput(c: &mut Criterion) {
     use grouting_core::query::ProcessorCache;
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind, Wake,
-        IDLE_WAIT,
+        MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind,
     };
 
     if env_transport() == TransportKind::InProc {
@@ -534,10 +536,7 @@ fn wire_overlap_throughput(c: &mut Criterion) {
                         done += pipeline.step(&mut source, &mut cache).unwrap().len();
                         // Idle only on a round that moved nothing, as the
                         // processor loop does.
-                        match pipeline.wake() {
-                            Wake::Now => source.note_progress(),
-                            Wake::Idle | Wake::IdleUntil(_) => source.idle_wait(IDLE_WAIT),
-                        }
+                        source.honour(pipeline.wake());
                     }
                     assert_eq!(done, queries.len());
                     done

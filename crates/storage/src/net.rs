@@ -42,11 +42,6 @@ impl NetworkModel {
         }
     }
 
-    /// Whether this model charges any time at all.
-    pub fn is_free(&self) -> bool {
-        self.rtt_ns == 0 && !self.gbps.is_finite()
-    }
-
     /// Nanoseconds to fetch a `bytes`-sized value: RTT plus serialisation
     /// time at the link bandwidth.
     pub fn fetch_ns(&self, bytes: usize) -> u64 {
@@ -103,8 +98,10 @@ mod tests {
 
     #[test]
     fn only_local_is_free() {
-        assert!(NetworkModel::local().is_free());
-        assert!(!NetworkModel::infiniband_rdma().is_free());
-        assert!(!NetworkModel::ethernet_10g().is_free());
+        for bytes in [0, 64, 1 << 20] {
+            assert_eq!(NetworkModel::local().fetch_ns(bytes), 0, "{bytes} B");
+        }
+        assert!(NetworkModel::infiniband_rdma().fetch_ns(0) > 0);
+        assert!(NetworkModel::ethernet_10g().fetch_ns(0) > 0);
     }
 }

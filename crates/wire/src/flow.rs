@@ -12,11 +12,10 @@
 //! [`crate::QueryPipeline`] decides without I/O, and submits
 //! ([`FetchSeam::submit_frontier`]), polls ([`FetchSeam::try_collect`])
 //! and reads the clock ([`FetchSeam::clock_ns`]) only through it, never
-//! blocking. The pipeline's [`crate::Wake`] tells the processor loop
-//! whether to step again at once ([`MultiplexedStorageSource::note_progress`])
-//! or park ([`MultiplexedStorageSource::idle_wait`]). The blocking
-//! [`BatchSource::fetch_batch`] drives the same two calls for serial
-//! callers, with the same rule.
+//! blocking. The processor loop hands the pipeline's [`crate::Wake`] to
+//! [`MultiplexedStorageSource::honour`], the one idle policy: step again
+//! at once, or park. The blocking [`BatchSource::fetch_batch`] honours
+//! the same rule for serial callers.
 //!
 //! The source is the I/O shell over `mux::MuxState`, which decides
 //! everything else without a socket or a clock: correlation by `req_id`
@@ -44,7 +43,7 @@ use grouting_trace::TelemetryCounters;
 use crate::error::{WireError, WireResult};
 use crate::frame::Frame;
 use crate::mux::{Dial, Dialled, MuxState};
-use crate::overlap::FetchSeam;
+use crate::overlap::{FetchSeam, Wake};
 use crate::reactor::{sample_pool, Poller, PollerKind, IDLE_WAIT};
 use crate::transport::{FrameSink, FrameStream, RetryPolicy, Transport};
 
@@ -150,18 +149,24 @@ impl MultiplexedStorageSource {
         self.poller.register(token, fd);
     }
 
-    /// Parks on the poller until any registered connection has traffic, or
-    /// `timeout` passes. Only safe to call when every awaited stream's
-    /// last poll returned `None` — its socket was empty then (see
+    /// Honours a round's [`Wake`] through the one idle policy, parking (up
+    /// to [`IDLE_WAIT`]) until any registered connection has traffic. An
+    /// idle wake is only safe when every awaited stream's last poll
+    /// returned `None` — its socket was empty then (see
     /// [`crate::transport::FrameStream::try_recv`]).
-    pub fn idle_wait(&mut self, timeout: Duration) {
-        self.poller.park(timeout);
+    pub fn honour(&mut self, wake: Wake) {
+        self.poller.park(wake, IDLE_WAIT);
     }
 
-    /// Tells the poller progress happened, resetting its idle clock so the
-    /// next wait yields briefly before blocking.
+    /// [`MultiplexedStorageSource::honour`] of an idle round, parking for
+    /// up to `timeout` instead.
+    pub fn idle_wait(&mut self, timeout: Duration) {
+        self.poller.park(Wake::Idle, timeout);
+    }
+
+    /// [`MultiplexedStorageSource::honour`] of a round that moved.
     pub fn note_progress(&mut self) {
-        self.poller.reset();
+        self.honour(Wake::Now);
     }
 
     /// Wires deployment-shared telemetry in: batch submissions count (with
@@ -408,11 +413,11 @@ impl BatchSource for MultiplexedStorageSource {
         // never drains (the router connection, other servers' answers).
         let fetched = self.submit_frontier(nodes).and_then(|mut pending| loop {
             let out = self.try_collect(&mut pending)?;
-            if pending.progressed {
-                self.note_progress();
+            self.honour(if pending.progressed {
+                Wake::Now
             } else {
-                self.idle_wait(IDLE_WAIT);
-            }
+                Wake::Idle
+            });
             if let Some(out) = out {
                 return Ok(out);
             }

@@ -20,15 +20,17 @@
 //! * `reactor` — the readiness [`Reactor`]: ONE poll loop per node
 //!   multiplexing the listener and every framed connection, replacing the
 //!   thread-per-connection control path (O(connections) → O(1) threads),
-//!   and the one poller every loop waits on — epoll for sources with an
-//!   fd, a swept yield/sleep fallback for fd-less sources and hosts
-//!   without epoll;
+//!   and the one poller with the one idle policy every loop honours its
+//!   [`Wake`] through — epoll for sources with an fd, a swept yield/sleep
+//!   fallback for fd-less sources and hosts without epoll;
 //! * `overlap` — the processor's sans-IO core, cross-query fetch overlap
 //!   ([`QueryPipeline`]): up to [`grouting_engine::EngineConfig::overlap`]
 //!   dispatched queries in flight per processor as resumable staged
 //!   executions, double-buffering frontiers so one query's batch travels
 //!   while another computes. It reaches storage and the clock only through
 //!   a [`FetchSeam`], and each round ends in a [`Wake`];
+//! * `router` and `storage` — the router's and a storage server's cores:
+//!   a round's frames and one clock reading in, replies and a [`Wake`] out;
 //! * `service` — the three tiers as independently runnable endpoints:
 //!   storage servers ([`StorageService`]) answering batch fetches,
 //!   processors ([`ProcessorService`]) executing dispatched queries with a
@@ -61,6 +63,7 @@ pub mod frame;
 mod mux;
 mod overlap;
 mod reactor;
+mod router;
 mod service;
 mod storage;
 #[cfg(target_os = "linux")]
@@ -74,7 +77,7 @@ pub use flow::{FetchMode, MultiplexedStorageSource};
 pub use frame::{Completion, Frame, Role};
 pub use grouting_obs::ObsConfig;
 pub use overlap::{FetchSeam, QueryPipeline, Wake};
-pub use reactor::{Backoff, PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
+pub use reactor::{PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
 pub use service::{
     now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions, ServiceHandle,
     StorageOptions, StorageService,

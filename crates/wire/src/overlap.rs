@@ -50,6 +50,7 @@ use grouting_trace::{QueryTrace, TraceLevel};
 
 use crate::error::{WireError, WireResult};
 use crate::flow::BatchPayloads;
+use crate::frame::Frame;
 
 /// Everything the processor core needs from outside it: the storage wire
 /// and the clock.
@@ -76,7 +77,8 @@ pub trait FetchSeam {
     fn clock_ns(&mut self) -> u64;
 }
 
-/// What a loop does after its core's round (the processor's or storage's).
+/// What a loop does after its core's round (the processor's, storage's
+/// or the router's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
     /// The round took input or produced output: step again at once.
@@ -87,6 +89,25 @@ pub enum Wake {
     /// The round did nothing, and a response falls due at this time on
     /// the loop's clock: yield rather than park.
     IdleUntil(u64),
+}
+
+/// What a reactor-driven core's round (storage's or the router's) takes
+/// in.
+#[cfg_attr(test, derive(Clone))]
+pub(crate) enum Input {
+    /// A frame arrived on a connection.
+    Frame(u64, Frame),
+    /// A connection closed.
+    Closed(u64),
+}
+
+/// Where a reactor-driven core's replies go: the shell's connections.
+pub(crate) trait Replies {
+    /// Sends one frame on connection `conn`.
+    fn send(&mut self, conn: u64, frame: &Frame) -> WireResult<()>;
+
+    /// Drops connection `conn`.
+    fn close(&mut self, conn: u64);
 }
 
 /// One finished query, ready to be acknowledged to the router.

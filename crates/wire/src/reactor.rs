@@ -7,14 +7,14 @@
 //! a dispatch wakes its processor in one poll-loop iteration rather than a
 //! channel hand-off plus a scheduler round trip.
 //!
-//! Between rounds every loop waits on one poller with one idle policy.
-//! Sources with an fd live in an epoll set (Linux): an idle reactor
-//! *blocks* in `epoll_wait` — zero syscalls per idle connection — and a
-//! woken one drains only the connections the kernel reports ready,
-//! O(ready) per wake instead of O(connections) per sweep. A source the
-//! poller cannot track — one without an fd (the in-process transport), or
-//! any source on a host without epoll — turns each wait into one rung of
-//! the [`Backoff`] yield → sleep ladder plus a full sweep. Which regime a
+//! Between rounds every loop honours its core's [`Wake`] through one idle
+//! policy (`Poller::pace`). Sources with an fd live in an epoll set
+//! (Linux): an idle reactor *blocks* in `epoll_wait` — zero syscalls per
+//! idle connection — and a woken one drains only the connections the
+//! kernel reports ready, O(ready) per round instead of O(connections). A
+//! source the poller cannot track — one without an fd (the in-process
+//! transport), or any source on a host without epoll — turns each park
+//! into a short sleep and each round into a full sweep. Which regime a
 //! wait takes never changes what a loop computes.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,62 +25,22 @@ use grouting_trace::TelemetryCounters;
 
 use crate::error::{WireError, WireResult};
 use crate::frame::Frame;
+use crate::overlap::{Replies, Wake};
 use crate::transport::{Connection, FrameSink, FrameStream, Listener};
 
-/// The yield → sleep idle ladder shared by every poll loop (the reactor,
-/// the batch multiplexer, the overlapped processor).
-///
-/// Deliberately NO spin rung: each "round" of a poll loop is a sweep of
-/// read/accept syscalls, not a free pause, so spinning between sweeps
-/// burns the very core the peer needs to produce the next frame — on a
-/// single-CPU host that multiplies round-trip latency several-fold
-/// (measured ~5× on the 64-node frontier fetch). Yielding immediately
-/// hands the core over for the price of one syscall; the kernel wakes us
-/// right back when nothing else is runnable.
-#[derive(Debug, Default)]
-pub struct Backoff {
-    /// When this idle stretch began (first idle round after progress).
-    idle_since: Option<Instant>,
-}
-
-/// How long into an idle stretch the loop keeps yielding before it starts
-/// sleeping (or, on an epoll wait, blocking). Request gaps on a loaded
-/// service are microseconds, far under this, so the hot path never pays
-/// `thread::sleep`'s timer-slack latency (~50 µs per call); a genuinely
-/// idle swept loop converges to ~10 k cheap sweeps per second instead of
-/// a 100 % yield-spin.
+/// How long into an idle stretch a loop keeps yielding before it parks.
+/// Request gaps on a loaded service are microseconds, far under this, so
+/// the hot path never pays a park's wake-up latency (~50 µs of timer
+/// slack); a genuinely idle loop parks instead of spinning on yields.
 const YIELD_FOR: Duration = Duration::from_millis(2);
 
-impl Backoff {
-    /// A fresh ladder (starts at the yield rung).
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// How long a swept (untracked) poller sleeps where an epoll one parks:
+/// an idle swept loop converges to ~10 k cheap sweeps per second.
+const SWEPT_NAP: Duration = Duration::from_micros(100);
 
-    /// Progress happened: restart from the yield rung.
-    pub fn reset(&mut self) {
-        self.idle_since = None;
-    }
-
-    /// Nothing happened this round: pay the current rung.
-    pub fn idle(&mut self) {
-        if self.on_yield_rung() {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-    }
-
-    /// Whether the current idle stretch (started now if none is running)
-    /// is still inside its yield window.
-    fn on_yield_rung(&mut self) -> bool {
-        self.idle_since.get_or_insert_with(Instant::now).elapsed() < YIELD_FOR
-    }
-}
-
-/// How long a service or fetch-collect loop parks on its poller before
-/// re-checking its own state anyway: a safety net, since an epoll wait
-/// wakes on any tracked byte and the swept fallback after one rung.
+/// How long a loop parks on its poller before re-checking its own state
+/// anyway (a stop flag, the sampler): a safety net, since an epoll wait
+/// wakes on any tracked byte.
 pub const IDLE_WAIT: Duration = Duration::from_millis(5);
 
 /// The readiness backend a poll loop runs on — there is only one, the
@@ -121,26 +81,25 @@ impl EpollFd {
 #[cfg(target_os = "linux")]
 use crate::sys::EpollFd;
 
-/// One poll loop's readiness source: an epoll set for every source with
-/// a trackable fd, a swept fallback for the rest.
+/// One poll loop's readiness source — an epoll set for every source with
+/// a trackable fd, a swept fallback for the rest — and the idle clock of
+/// the one idle policy ([`Poller::pace`]).
 ///
 /// [`Poller::wait`] either names the ready tokens (returns `false`) or
 /// declares readiness unknown (returns `true`), in which case the owner
 /// must probe every source. It names tokens only while it tracks *every*
 /// registered source: one fd-less source — whose bytes arrive without any
-/// fd becoming readable — or a missing epoll set turns each wait into one
-/// [`Backoff`] rung plus a request to sweep.
+/// fd becoming readable — or a missing epoll set turns each wait into a
+/// request to sweep.
 pub(crate) struct Poller {
     /// Absent off Linux, or when the kernel refused to create one.
     epoll: Option<EpollFd>,
     /// Tokens registered without a tracked fd: while non-empty the poller
     /// must not block, and the owner sweeps.
     untracked: BTreeSet<u64>,
-    /// The one idle clock, for both the swept ladder and epoll's
-    /// yield-then-block hybrid.
-    backoff: Backoff,
-    /// Scratch for [`Poller::park`]'s discarded ready tokens.
-    scratch: Vec<u64>,
+    /// When the current idle stretch began: the first [`Wake::Idle`]
+    /// round since the last [`Wake::Now`] one.
+    idle_since: Option<Instant>,
 }
 
 impl Poller {
@@ -159,8 +118,7 @@ impl Poller {
         Self {
             epoll,
             untracked: BTreeSet::new(),
-            backoff: Backoff::new(),
-            scratch: Vec::new(),
+            idle_since: None,
         }
     }
 
@@ -186,46 +144,67 @@ impl Poller {
         }
     }
 
-    /// Progress happened (frames were drained): idle pacing restarts from
-    /// its hot rung.
-    pub fn reset(&mut self) {
-        self.backoff.reset();
-    }
-
-    /// One idle-path wait, the loop's whole spin-or-park policy. With every
-    /// source tracked: for the first 2 ms of an idle stretch, a yield (the
-    /// peer may be about to produce our bytes) plus a non-blocking
-    /// `epoll_wait`; after that, `epoll_wait` blocking up to `timeout` —
-    /// the flat-idle-cost state where a thousand quiet connections cost
-    /// zero syscalls per round. Otherwise one [`Backoff`] rung. Appends
-    /// ready tokens to `ready`; returns `true` when the caller must probe
-    /// every source, `false` when `ready` is authoritative.
-    pub fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> bool {
-        let epoll = match &self.epoll {
-            Some(epoll) if self.untracked.is_empty() => epoll,
-            _ => {
-                self.backoff.idle();
-                return true;
+    /// The one idle policy, every node's: what a loop does after a round,
+    /// by that round's [`Wake`]. Returns how long the readiness wait that
+    /// follows may block.
+    ///
+    /// - [`Wake::Now`]: back to the hot rung; nothing waits.
+    /// - [`Wake::IdleUntil`]: hand the core over once, leaving the idle
+    ///   clock alone. The work falls due within microseconds (a storage
+    ///   response's flight time), where a park would overshoot.
+    /// - [`Wake::Idle`]: for the first [`YIELD_FOR`] of an idle stretch,
+    ///   hand the core over (the peer may be about to produce our bytes);
+    ///   after that, park: block on epoll for up to `park`, or, with an
+    ///   untracked source, sleep [`SWEPT_NAP`].
+    ///
+    /// Deliberately no spin: each round is a sweep of read syscalls, not a
+    /// free pause, so spinning between rounds burns the very core the peer
+    /// needs to produce the next frame — on a single-CPU host that
+    /// multiplied round-trip latency ~5× on the 64-node frontier fetch.
+    fn pace(&mut self, wake: Wake, park: Duration) -> Duration {
+        let (hand_over, block) = match wake {
+            Wake::Now => {
+                self.idle_since = None;
+                (false, Duration::ZERO)
+            }
+            Wake::IdleUntil(_) => (true, Duration::ZERO),
+            Wake::Idle => {
+                let since = *self.idle_since.get_or_insert_with(Instant::now);
+                let hot = since.elapsed() < YIELD_FOR;
+                (hot, if hot { Duration::ZERO } else { park })
             }
         };
-        let wait_for = if self.backoff.on_yield_rung() {
+        if hand_over {
             std::thread::yield_now();
-            Duration::ZERO
-        } else {
-            timeout
-        };
-        // An epoll failure mid-run (should not happen): fall back to
-        // sweeping rather than spinning on the error.
-        epoll.wait(ready, wait_for).is_err()
+        }
+        if block.is_zero() || (self.epoll.is_some() && self.untracked.is_empty()) {
+            return block;
+        }
+        std::thread::sleep(SWEPT_NAP);
+        Duration::ZERO
     }
 
-    /// [`Poller::wait`] with the readiness report discarded: for owners
-    /// whose next round probes every source it cares about anyway.
-    pub fn park(&mut self, timeout: Duration) {
-        let mut ready = std::mem::take(&mut self.scratch);
-        ready.clear();
-        let _ = self.wait(&mut ready, timeout);
-        self.scratch = ready;
+    /// Honours `wake` ([`Poller::pace`]), then asks which sources are
+    /// ready, blocking as long as the policy allows. Appends ready tokens
+    /// to `ready`; returns `true` when the caller must probe every source,
+    /// `false` when `ready` is authoritative.
+    pub fn wait(&mut self, wake: Wake, park: Duration, ready: &mut Vec<u64>) -> bool {
+        let block = self.pace(wake, park);
+        match &self.epoll {
+            // An epoll failure mid-run (should not happen): fall back to
+            // sweeping rather than spinning on the error.
+            Some(epoll) if self.untracked.is_empty() => epoll.wait(ready, block).is_err(),
+            _ => true,
+        }
+    }
+
+    /// Honours `wake` for an owner that probes every source it awaits each
+    /// round anyway: the kernel is asked only to park.
+    pub fn park(&mut self, wake: Wake, park: Duration) {
+        let block = self.pace(wake, park);
+        if let Some(epoll) = self.epoll.as_ref().filter(|_| !block.is_zero()) {
+            let _ = epoll.wait(&mut Vec::new(), block);
+        }
     }
 }
 
@@ -286,11 +265,6 @@ const MAX_FRAMES_PER_CONN_PER_SWEEP: usize = 32;
 /// can never collide with it).
 const LISTENER_TOKEN: u64 = u64::MAX;
 
-/// How long one blocking wait may park before re-checking the caller's
-/// stop condition. Long enough that an idle node pays ~40 wakes/s, short
-/// enough that shutdown stays prompt.
-const DEFAULT_IDLE_WAIT: Duration = Duration::from_millis(25);
-
 /// What draining one connection's ready frames observed.
 enum Drain {
     /// Everything buffered and readable was delivered.
@@ -340,13 +314,12 @@ fn drain_conn(
 /// them — because each connection is a FIFO byte stream drained
 /// sequentially; no ordering holds *across* connections.
 ///
-/// [`Reactor::poll`] is always a full sweep, while [`Reactor::wait`]
-/// blocks an idle epoll-tracked reactor and drains only the connections
-/// reported ready when woken (the module docs give the fallback).
-/// Connections whose frame drain hit the per-sweep cap are remembered as
-/// *dirty* and re-drained on the next round regardless of kernel
-/// readiness — complete frames parked in a userspace buffer make no fd
-/// readable.
+/// A shell drives it in rounds: [`Reactor::poll`], its core's step, then
+/// [`Reactor::honour`] with the step's [`Wake`] — the one wait. A poll
+/// after a wait that named the ready sources drains only those, plus the
+/// connections whose frame drain hit the per-round cap: they are
+/// remembered as *dirty* and re-drained regardless of kernel readiness,
+/// since complete frames parked in a userspace buffer make no fd readable.
 pub struct Reactor {
     listener: Option<Box<dyn Listener>>,
     // BTreeMap so sweeps visit connections in a deterministic order.
@@ -355,8 +328,13 @@ pub struct Reactor {
     /// Connections whose last drain hit the frame cap: complete frames
     /// may still sit in their userspace buffers.
     dirty: BTreeSet<u64>,
-    /// Scratch for ready tokens (reused across rounds).
+    /// What the last wait reported ready, for the next poll.
     ready: Vec<u64>,
+    /// Whether the next poll sweeps every connection: readiness is
+    /// unknown (no wait since the last poll, or an untracked source).
+    sweep: bool,
+    /// Scratch for a poll's drain targets (reused across rounds).
+    targets: Vec<u64>,
     next_id: u64,
     /// Shared telemetry sink; `None` (tracing off) keeps the loop free of
     /// clock reads and atomic bumps.
@@ -377,6 +355,8 @@ impl Reactor {
             poller,
             dirty: BTreeSet::new(),
             ready: Vec::new(),
+            sweep: true,
+            targets: Vec::new(),
             next_id: 0,
             telemetry: None,
         }
@@ -481,9 +461,13 @@ impl Reactor {
         result
     }
 
-    /// One non-blocking sweep: accept every waiting dial, then drain each
-    /// connection's ready frames (bounded per sweep), appending events in
-    /// per-connection order.
+    /// One round's drain: accepts waiting dials, then drains each
+    /// connection's ready frames (bounded per connection), appending
+    /// events in per-connection order. After a [`Reactor::honour`] whose
+    /// wait named the ready sources it drains only those and the dirty
+    /// connections, so an idle round is O(1); otherwise (a fresh reactor,
+    /// a second poll without a wait, an untracked source) it sweeps every
+    /// connection.
     ///
     /// # Errors
     ///
@@ -491,40 +475,23 @@ impl Reactor {
     /// [`ReactorEvent::Closed`] event instead.
     pub fn poll(&mut self, events: &mut Vec<ReactorEvent>) -> WireResult<()> {
         let started = self.telemetry.is_some().then(Instant::now);
-        self.accept_new(events)?;
-        let mut dead: Vec<u64> = Vec::new();
-        for (&id, conn) in self.conns.iter_mut() {
-            match drain_conn(id, conn, events, &self.telemetry) {
-                Drain::Done => {
-                    self.dirty.remove(&id);
-                }
-                Drain::Capped => {
-                    self.dirty.insert(id);
-                }
-                Drain::Dead => dead.push(id),
-            }
-        }
-        for id in dead {
-            self.retire(id);
-        }
-        self.note_busy(started);
-        Ok(())
-    }
-
-    /// One ready-round: accept when the listener is ready, then drain only
-    /// the connections the poller reported ready plus the dirty ones
-    /// holding capped userspace frames. The poller names ready tokens only
-    /// while it tracks every registered source, so nothing else can hold
-    /// frames.
-    fn poll_ready(&mut self, events: &mut Vec<ReactorEvent>, ready: &[u64]) -> WireResult<()> {
-        let started = self.telemetry.is_some().then(Instant::now);
-        if ready.contains(&LISTENER_TOKEN) {
+        let sweep = std::mem::replace(&mut self.sweep, true);
+        if sweep || self.ready.contains(&LISTENER_TOKEN) {
             self.accept_new(events)?;
         }
         // After the accept: fresh connections are dirty (forced drain).
-        let mut targets = self.dirty.clone();
-        targets.extend(ready.iter().copied().filter(|&t| t != LISTENER_TOKEN));
-        for id in targets {
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        if sweep {
+            targets.extend(self.conns.keys());
+        } else {
+            targets.extend(&self.dirty);
+            targets.extend(self.ready.iter().filter(|&&t| t != LISTENER_TOKEN));
+            targets.sort_unstable();
+            targets.dedup();
+        }
+        self.ready.clear();
+        for &id in &targets {
             let Some(conn) = self.conns.get_mut(&id) else {
                 continue;
             };
@@ -538,102 +505,41 @@ impl Reactor {
                 Drain::Dead => self.retire(id),
             }
         }
-        self.note_busy(started);
-        Ok(())
-    }
-
-    /// Folds the elapsed time since `started` into busy telemetry
-    /// (`started` is `None` exactly when telemetry is off).
-    fn note_busy(&self, started: Option<Instant>) {
+        self.targets = targets;
         if let (Some(t), Some(started)) = (&self.telemetry, started) {
             t.add_busy_ns(started.elapsed().as_nanos() as u64);
         }
+        Ok(())
     }
 
-    /// Polls until at least one event is available (or `stop` returns
-    /// true). An idle epoll-tracked reactor blocks in `epoll_wait`
-    /// (re-checking `stop` every 25 ms, `DEFAULT_IDLE_WAIT`) and a woken
-    /// one drains only ready connections; with an untracked source it
-    /// pays the [`Backoff`] ladder between full sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener failures from [`Reactor::poll`].
-    pub fn wait(
-        &mut self,
-        events: &mut Vec<ReactorEvent>,
-        stop: &dyn Fn() -> bool,
-    ) -> WireResult<()> {
-        self.wait_timeout(events, stop, DEFAULT_IDLE_WAIT)
-    }
-
-    /// [`Reactor::wait`] with an explicit cap on how long one blocking
-    /// wait may park before `stop` is re-checked.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener failures from [`Reactor::poll`].
-    pub fn wait_timeout(
-        &mut self,
-        events: &mut Vec<ReactorEvent>,
-        stop: &dyn Fn() -> bool,
-        timeout: Duration,
-    ) -> WireResult<()> {
-        loop {
-            let mut ready = std::mem::take(&mut self.ready);
-            ready.clear();
-            let parked = self.telemetry.is_some().then(Instant::now);
-            let must_sweep = self.poller.wait(&mut ready, timeout);
-            if let (Some(t), Some(parked)) = (&self.telemetry, parked) {
-                t.add_idle_ns(parked.elapsed().as_nanos() as u64);
-            }
-            let round = if must_sweep {
-                self.poll(events)
-            } else {
-                self.poll_ready(events, &ready)
-            };
-            self.ready = ready;
-            round?;
-            if !events.is_empty() {
-                self.poller.reset();
-                return Ok(());
-            }
-            if stop() {
-                return Ok(());
-            }
-        }
-    }
-
-    /// One idle-path wait *without* draining: parks (when every source is
-    /// tracked) until any source may be ready or `timeout` elapses; the
-    /// caller's next [`Reactor::poll`] picks up whatever arrived. Loops
-    /// that must interleave polling with their own work (the storage
-    /// service's delayed-response queue) use this instead of
-    /// [`Reactor::wait`].
-    pub fn idle_wait(&mut self, timeout: Duration) {
-        if !self.dirty.is_empty() {
-            // Complete frames are parked in userspace; blocking would
-            // stall them.
-            return;
-        }
+    /// The reactor's one wait: honours a round's [`Wake`] through the one
+    /// idle policy, parking up to [`IDLE_WAIT`], and notes what the next
+    /// [`Reactor::poll`] drains — the sources the wait reported ready, or
+    /// every source when it could not tell.
+    pub fn honour(&mut self, wake: Wake) {
+        // Complete frames parked in userspace make no fd readable: a
+        // reactor holding some does not idle.
+        let wake = if self.dirty.is_empty() {
+            wake
+        } else {
+            Wake::Now
+        };
         let parked = self.telemetry.is_some().then(Instant::now);
-        self.poller.park(timeout);
+        self.ready.clear();
+        self.sweep = self.poller.wait(wake, IDLE_WAIT, &mut self.ready);
         if let (Some(t), Some(parked)) = (&self.telemetry, parked) {
             t.add_idle_ns(parked.elapsed().as_nanos() as u64);
         }
     }
+}
 
-    /// Hands the core over once, with no readiness wait and no change to
-    /// idle pacing: for work due within microseconds (the storage
-    /// service's delayed responses), where a park would overshoot.
-    pub(crate) fn yield_once(&self) {
-        std::thread::yield_now();
+impl Replies for Reactor {
+    fn send(&mut self, conn: u64, frame: &Frame) -> WireResult<()> {
+        Reactor::send(self, conn, frame)
     }
 
-    /// Progress happened outside the wait path (the owner drained frames
-    /// via [`Reactor::poll`]): restart idle pacing from the hot rung.
-    pub fn note_progress(&mut self) {
-        self.poller.reset();
+    fn close(&mut self, conn: u64) {
+        Reactor::close(self, conn);
     }
 }
 
@@ -658,6 +564,28 @@ mod tests {
         Poller::with_epoll(None)
     }
 
+    /// Rounds of [`Reactor::poll`] and [`Reactor::honour`] until one
+    /// yields events or `stop` holds: a shell's drive path, with the test
+    /// handling the events in place of a core.
+    fn next_events(
+        reactor: &mut Reactor,
+        events: &mut Vec<ReactorEvent>,
+        stop: &dyn Fn() -> bool,
+    ) -> WireResult<()> {
+        loop {
+            reactor.poll(events)?;
+            let wake = if events.is_empty() {
+                Wake::Idle
+            } else {
+                Wake::Now
+            };
+            reactor.honour(wake);
+            if !events.is_empty() || stop() {
+                return Ok(());
+            }
+        }
+    }
+
     fn echo_reactor_over(transport: Arc<dyn Transport>, poller: Poller) {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
@@ -666,7 +594,7 @@ mod tests {
             let mut events = Vec::new();
             let mut served = 0;
             loop {
-                reactor.wait(&mut events, &|| false).unwrap();
+                next_events(&mut reactor, &mut events, &|| false).unwrap();
                 for event in events.drain(..) {
                     match event {
                         ReactorEvent::Frame(id, Frame::Shutdown) => {
@@ -737,7 +665,7 @@ mod tests {
             reactor.set_telemetry(counters);
             let (mut events, mut echoed) = (Vec::new(), 0);
             while echoed < count {
-                reactor.wait(&mut events, &|| false).unwrap();
+                next_events(&mut reactor, &mut events, &|| false).unwrap();
                 for event in events.drain(..) {
                     if let ReactorEvent::Frame(id, f) = event {
                         reactor.send(id, &f).unwrap();
@@ -768,7 +696,7 @@ mod tests {
             let mut echoed = 0usize;
             let mut closed = 0usize;
             while closed < CONNS {
-                reactor.wait(&mut events, &|| false).unwrap();
+                next_events(&mut reactor, &mut events, &|| false).unwrap();
                 for event in events.drain(..) {
                     match event {
                         ReactorEvent::Frame(id, f) => {
@@ -810,7 +738,7 @@ mod tests {
         poller.register(7, None);
         let started = Instant::now();
         assert!(
-            poller.wait(&mut ready, Duration::from_secs(10)),
+            poller.wait(Wake::Idle, Duration::from_secs(10), &mut ready),
             "an fd-less source must turn the wait into a sweep"
         );
         assert!(
@@ -825,7 +753,7 @@ mod tests {
         // timeout and names no token.
         std::thread::sleep(YIELD_FOR);
         let parked = Instant::now();
-        assert!(!poller.wait(&mut ready, Duration::from_millis(50)));
+        assert!(!poller.wait(Wake::Idle, Duration::from_millis(50), &mut ready));
         assert!(
             parked.elapsed() >= Duration::from_millis(40),
             "it must park"
@@ -841,12 +769,12 @@ mod tests {
         let mut reactor = Reactor::new(listener);
         let conn = transport.dial(&addr).unwrap();
         let mut events = Vec::new();
-        reactor.wait(&mut events, &|| false).unwrap();
+        next_events(&mut reactor, &mut events, &|| false).unwrap();
         assert!(matches!(events[0], ReactorEvent::Opened(_)));
         assert_eq!(reactor.connections(), 1);
         drop(conn);
         events.clear();
-        reactor.wait(&mut events, &|| false).unwrap();
+        next_events(&mut reactor, &mut events, &|| false).unwrap();
         assert!(matches!(events[0], ReactorEvent::Closed(0)));
         assert_eq!(reactor.connections(), 0);
         // Sending to the retired id reports Closed rather than panicking.
@@ -863,7 +791,7 @@ mod tests {
         let mut reactor = Reactor::new(listener);
         let mut events = Vec::new();
         // No peers at all: without the stop check this would spin forever.
-        reactor.wait(&mut events, &|| true).unwrap();
+        next_events(&mut reactor, &mut events, &|| true).unwrap();
         assert!(events.is_empty());
     }
 
@@ -934,7 +862,7 @@ mod tests {
             let mut got = 0usize;
             while got < total {
                 events.clear();
-                reactor.wait(&mut events, &|| false).unwrap();
+                next_events(&mut reactor, &mut events, &|| false).unwrap();
                 for event in events.drain(..) {
                     if let ReactorEvent::Frame(id, Frame::FetchBatchRequest { req_id, .. }) = event {
                         received.entry(id).or_default().push(req_id as u32);

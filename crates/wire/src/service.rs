@@ -3,63 +3,56 @@
 //! Three services turn the in-process cluster into independently runnable
 //! peers, one per tier of the paper's Figure 2 — each driven by ONE
 //! readiness [`Reactor`] thread multiplexing all of that node's framed
-//! connections, rather than a thread per connection:
+//! connections, rather than a thread per connection. Each loop is an I/O
+//! shell around a core that decides without I/O; the shell moves frames,
+//! reads the clock once a round and honours the round's [`crate::Wake`]:
 //!
 //! * [`StorageService`] — answers [`Frame::FetchBatchRequest`]s from every
-//!   inbound connection through one poll loop around a storage core, which
-//!   decides without I/O what a fetch returns from the [`StorageTier`] and
-//!   when its response falls due under the [`NetworkModel`] (the
-//!   `gRouting-E` emulation knob);
+//!   inbound connection through a storage core, which decides what a
+//!   fetch returns from the [`StorageTier`] and when its response falls
+//!   due under the [`NetworkModel`] (the `gRouting-E` emulation knob);
 //! * [`ProcessorService`] — a query processor: polls its router
 //!   connection and drives a [`QueryPipeline`] over a
 //!   [`MultiplexedStorageSource`] — up to [`EngineConfig::overlap`]
 //!   dispatched queries in flight, one query's frontier batch travelling
-//!   while another's compute stage runs. The pipeline decides everything
-//!   without I/O, through its [`crate::FetchSeam`]; the loop only moves
-//!   frames and honours each round's [`Wake`]: [`Wake::Now`] after a
-//!   round that took input or produced output, and a park on the poller
-//!   only after a [`Wake::Idle`] one;
+//!   while another's compute stage runs. The pipeline reaches storage and
+//!   the clock only through its [`crate::FetchSeam`];
 //! * [`run_router`] — the router node: accepts client and processor
-//!   connections on its reactor and moves frames for the shared
-//!   [`Engine`], which decides admission, routing, stealing, each
-//!   processor's dispatch window of up to `overlap` queries, death
-//!   (mark-down + resubmission of the window) and rejoin (mark-up); the
-//!   loop stamps arrivals, forwards completions, answers mid-run
-//!   [`Frame::MetricsRequest`]s, and emits the final [`RunSnapshot`].
+//!   connections and hands their frames to a router core around the
+//!   shared [`grouting_engine::Engine`], which decides admission,
+//!   routing, stealing, each processor's dispatch window of up to
+//!   `overlap` queries, death (mark-down + resubmission of the window) and
+//!   rejoin (mark-up); the core stamps arrivals, forwards completions and
+//!   answers mid-run [`Frame::MetricsRequest`]s, and the shell emits the
+//!   final [`RunSnapshot`].
 //!
 //! All three speak only [`Frame`]s over [`Transport`] connections, so the
-//! same loops run over TCP loopback and the hermetic in-proc fabric. All
-//! three idle the same way, on the one poller of [`crate::reactor`] —
-//! epoll-tracked over TCP on Linux, the swept yield/sleep fallback
-//! otherwise — and none carries a spin or park of its own: a storage delay
-//! waits in its core's due-time queue.
+//! same loops run over TCP loopback and the hermetic in-proc fabric. The
+//! storage and router shells run one drive path — [`Reactor::poll`], the
+//! core's step, [`Reactor::honour`] — and all three idle through the one
+//! idle policy of [`crate::reactor`]: epoll-tracked over TCP on Linux, the
+//! swept yield/sleep fallback otherwise. None carries a spin or park of its
+//! own: a storage delay waits in its core's due-time queue.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use grouting_embed::landmarks::Landmarks;
-use grouting_engine::{Engine, EngineAssets, EngineConfig};
-use grouting_graph::NodeId;
-use grouting_metrics::timeline::QueryRecord;
+use grouting_engine::{EngineAssets, EngineConfig};
 use grouting_metrics::{set_node_role, DecayingHeat, FailoverStats, HeatMap, RunSnapshot};
 use grouting_obs::{NodeObs, NodeRole, ObsConfig};
 use grouting_query::PrefetchStats;
 use grouting_storage::Partitioner;
 use grouting_storage::{NetworkModel, StorageTier};
-use grouting_trace::{
-    QuerySpan, SpanRing, Stage, StageStats, TelemetryCounters, TraceLevel, TraceSnapshot,
-    DEFAULT_SPAN_RING,
-};
+use grouting_trace::{TelemetryCounters, TraceLevel};
 
 use crate::error::{WireError, WireResult};
 use crate::flow::{FetchMode, MultiplexedStorageSource};
-use crate::frame::{Completion, DispatchTrace, Frame, Role};
-use crate::overlap::{QueryPipeline, Wake};
-use crate::reactor::{PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
-use crate::storage::{Input, Replies, StorageCore};
+use crate::frame::{Completion, Frame, Role};
+use crate::overlap::{Input, QueryPipeline};
+use crate::reactor::{PollerKind, Reactor, ReactorEvent};
+use crate::router::RouterCore;
+use crate::storage::StorageCore;
 use crate::transport::{Listener, RetryPolicy, Transport};
 
 /// Monotonic nanoseconds since a process-wide epoch, shared by every
@@ -234,17 +227,7 @@ impl StorageService {
                     }
                     o.poll_scrape(now);
                 }
-                match wake {
-                    Wake::Now => reactor.note_progress(),
-                    // Responses fall due within the emulated RTT; yielding
-                    // keeps due-time precision tight without burning the
-                    // core an overlapping processor is computing on.
-                    Wake::IdleUntil(_) => reactor.yield_once(),
-                    // Nothing buffered, nothing due: park on the poller
-                    // until a request arrives (epoll wakes on the first
-                    // byte; the stop flag is re-checked on return).
-                    Wake::Idle => reactor.idle_wait(IDLE_WAIT),
-                }
+                reactor.honour(wake);
             }
             if let Some(o) = obs.as_ref() {
                 o.teardown();
@@ -255,16 +238,6 @@ impl StorageService {
             stop,
             join: Some(join),
         })
-    }
-}
-
-impl Replies for Reactor {
-    fn send(&mut self, conn: u64, frame: &Frame) -> WireResult<()> {
-        Reactor::send(self, conn, frame)
-    }
-
-    fn close(&mut self, conn: u64) {
-        Reactor::close(self, conn);
     }
 }
 
@@ -373,7 +346,7 @@ impl ProcessorService {
 /// to `overlap` ahead of acknowledgements), steps it, acknowledges
 /// completions with their changed tallies as they land — possibly out of
 /// dispatch order, which the router correlates by sequence number —
-/// samples observability, and honours the round's [`Wake`]. Every
+/// samples observability, and honours the round's [`crate::Wake`]. Every
 /// decision, the running totals included, is the pipeline's.
 fn run_processor(
     transport: &Arc<dyn Transport>,
@@ -494,13 +467,10 @@ fn run_processor(
             }
             o.poll_scrape(now);
         }
-        match pipeline.wake() {
-            Wake::Now => source.note_progress(),
-            // The round drained no dispatch and moved no query: the router
-            // stream and every awaited storage stream found their sockets
-            // empty, so blocking until one of them has traffic is safe.
-            Wake::Idle | Wake::IdleUntil(_) => source.idle_wait(IDLE_WAIT),
-        }
+        // An idle round drained no dispatch and moved no query: the router
+        // stream and every awaited storage stream found their sockets
+        // empty, so blocking until one of them has traffic is safe.
+        source.honour(pipeline.wake());
     };
     if let Some(o) = obs.as_ref() {
         o.teardown();
@@ -562,34 +532,34 @@ impl Default for RouterOptions {
 
 /// Runs the router node over `listener` until the workload completes.
 ///
-/// The engine decides; this loop moves frames. The router owns the same
-/// [`Engine`] the simulator drives — admission, the strategy and its
+/// The core decides; this loop moves frames. The router core owns the
+/// same [`Engine`] the simulator drives — admission, the strategy and its
 /// queues, stealing, each processor's dispatch window, processor death and
-/// the reported tallies all run through identical code. What stays here
-/// is sockets: connections multiplexed through ONE [`Reactor`] poll loop
-/// (no acceptor thread, no reader thread per peer), arrival and trace
-/// stamps, landmark-region heat and the scrape. Returns the run's totals
-/// (also sent to the client as a [`Frame::Metrics`]).
+/// the reported tallies all run through identical code — plus the peer
+/// table, the arrival and trace stamps and the landmark-region heat. What
+/// stays here is sockets (ONE [`Reactor`] poll loop), the clock (read once
+/// a round), the observability sampler and scrape, and the teardown.
+/// Returns the run's totals (also sent to the client as a
+/// [`Frame::Metrics`]).
 ///
 /// Protocol: processors connect and announce `Hello{Processor, id}`; one
-/// client connects, announces `Hello{Client}`, streams `Submit`s, and ends
-/// with `SubmitEnd`. The engine keeps up to [`EngineConfig::overlap`]
-/// dispatches in flight per processor (the classic ack-driven one-at-a-time
-/// protocol is `overlap = 1`); a completion for a seq that is not in its
-/// processor's window is a protocol error. When every submitted query has
-/// completed, the router forwards the snapshot and `Shutdown` to the
-/// client, shuts processors down, and returns. A [`Frame::MetricsRequest`]
-/// from any peer is answered immediately with the *current* snapshot, and
+/// client connects, announces `Hello{Client}` (a second client hello is a
+/// protocol error), streams `Submit`s, and ends with `SubmitEnd`. The
+/// engine keeps up to [`EngineConfig::overlap`] dispatches in flight per
+/// processor; a completion for a seq that is not in its processor's
+/// window is a protocol error. When every submitted query has completed,
+/// the router forwards the snapshot and `Shutdown` to the client, shuts
+/// processors down, and returns. A [`Frame::MetricsRequest`] from any peer
+/// is answered with the *current* snapshot, and
 /// [`RouterOptions::snapshot_every`] streams periodic snapshots to the
 /// client unprompted.
 ///
-/// Fault masking and re-join: a processor that disconnects mid-run is
-/// marked down in the routing engine ([`Engine::mark_down`]), which
-/// redistributes its queued work and resubmits its dispatch window under
-/// the original sequence numbers — the run continues on the surviving
-/// processors. A restarted processor re-dialling with its old id is
-/// marked up again ([`Engine::mark_up`]) and re-enters rotation. Losing
-/// the client, or the *last* processor, is still fatal.
+/// Fault masking and re-join: a processor that disconnects mid-run, or
+/// that a send fails on, is marked down ([`Engine::mark_down`]): its
+/// queued work is redistributed and its dispatch window resubmitted under
+/// the original sequence numbers. A restarted processor re-dialling with
+/// its old id is marked up again ([`Engine::mark_up`]). Losing the client,
+/// or the *last* processor, is fatal.
 ///
 /// # Errors
 ///
@@ -600,6 +570,11 @@ impl Default for RouterOptions {
 ///
 /// Panics if `config` requests a smart routing scheme but `assets` lacks
 /// the matching preprocessing product (same contract as [`Engine::new`]).
+///
+/// [`Engine`]: grouting_engine::Engine
+/// [`Engine::mark_down`]: grouting_engine::Engine::mark_down
+/// [`Engine::mark_up`]: grouting_engine::Engine::mark_up
+/// [`Engine::new`]: grouting_engine::Engine::new
 pub fn run_router(
     listener: Box<dyn Listener>,
     assets: &EngineAssets,
@@ -607,465 +582,93 @@ pub fn run_router(
     opts: &RouterOptions,
 ) -> WireResult<RunSnapshot> {
     set_node_role("router");
-    let p = config.processors;
-    // Router half only: the processors (and their caches) are remote.
-    let mut engine = Engine::new_router_only(assets, config);
+    let mut core = RouterCore::new(
+        assets,
+        config,
+        opts.trace,
+        opts.snapshot_every,
+        opts.telemetry.clone(),
+    );
     let mut reactor = Reactor::new(listener);
     if let Some(t) = &opts.telemetry {
         reactor.set_telemetry(Arc::clone(t));
     }
-    let trace = opts.trace;
     let mut obs = NodeObs::new(NodeRole::Router, 0, &opts.obs);
     // Exponentially decayed heat views (the "recent demand" the scrape
     // exposes next to the cumulative counters).
     let mut decayed_partition = DecayingHeat::new(HEAT_DECAY_TAU_NS);
     let mut decayed_region = DecayingHeat::new(HEAT_DECAY_TAU_NS);
-    // Region attribution by the landmark set (None without the asset).
-    let mut regions = assets.landmarks.as_deref().map(RegionMemo::new);
-
-    // Router state: which connection is which peer.
-    let mut processor_conn: Vec<Option<u64>> = vec![None; p];
-    let mut ever_connected = 0usize;
-    // Router-local per-landmark-region heat: demand counted at dispatch
-    // (anchor's nearest landmark). Stays empty without a landmark asset.
-    let mut region_heat = HeatMap::new();
-    // The engine's snapshot with the router's region heat filled in.
-    let snapshot_now = |engine: &Engine, region_heat: &HeatMap| RunSnapshot {
-        region_heat: region_heat.clone(),
-        ..engine.snapshot()
-    };
-    let mut client_conn: Option<u64> = None;
-    let mut backlog: VecDeque<(usize, grouting_query::Query)> = VecDeque::new();
-    let mut arrivals: HashMap<u64, u64> = HashMap::new();
-    let mut submitted = 0u64;
-    let mut completed = 0u64;
-    let mut submit_done = false;
-    // Trace state (inert at TraceLevel::Off): per-stage histograms, the
-    // recent-span ring, and per-seq stamps bridging submit → dispatch →
-    // completion. The stamp maps are bounded by the in-flight window,
-    // like `arrivals`.
-    let mut stages = StageStats::default();
-    let mut spans = SpanRing::new(if trace.spans() { DEFAULT_SPAN_RING } else { 0 });
-    let mut trace_submitted: HashMap<u64, u64> = HashMap::new();
-    let mut trace_dispatched: HashMap<u64, (u64, u64)> = HashMap::new();
-
-    let result: WireResult<()> = (|| {
-        let mut events: Vec<ReactorEvent> = Vec::new();
-        loop {
-            // Admission + dispatch between event batches.
-            {
-                let mut drain = std::iter::from_fn(|| backlog.pop_front());
-                engine.admit(&mut drain, |seq| {
-                    arrivals.insert(seq as u64, now_ns());
-                });
-            }
-            // Synthetic deaths noticed at dispatch time (a send failing
-            // before the reactor has polled the peer's closed stream).
-            let mut deaths: Vec<u64> = Vec::new();
-            for (proc_id, conn) in processor_conn.iter().enumerate() {
-                let Some(conn_id) = *conn else {
-                    continue;
-                };
-                while let Some((seq, query)) = engine.next_for(proc_id) {
-                    let dispatch_trace = trace.enabled().then(|| DispatchTrace {
-                        level: trace,
-                        dispatched_ns: now_ns(),
-                    });
-                    if reactor
-                        .send(
-                            conn_id,
-                            &Frame::Dispatch {
-                                seq,
-                                query,
-                                trace: dispatch_trace,
-                            },
-                        )
-                        .is_err()
-                    {
-                        // The peer died between events; retire the
-                        // connection. The query is already in its window,
-                        // so the death handling below resubmits it.
-                        reactor.close(conn_id);
-                        deaths.push(conn_id);
-                        break;
-                    }
-                    if let Some(t) = dispatch_trace {
-                        // Queue wait ends now; a resubmitted query (its
-                        // first dispatchee died) restarts at zero.
-                        let queue_ns = t.dispatched_ns.saturating_sub(
-                            trace_submitted.remove(&seq).unwrap_or(t.dispatched_ns),
-                        );
-                        stages.record(Stage::RouterQueue, queue_ns);
-                        trace_dispatched.insert(seq, (queue_ns, t.dispatched_ns));
-                    }
-                    // Region demand: one count per dispatch, against the
-                    // anchor's nearest landmark (deterministic integer
-                    // tally — sampling on or off never changes it).
-                    if let Some(region) = regions.as_mut().and_then(|m| m.region(query.anchor())) {
-                        region_heat.record_demand(region, 1);
-                    }
-                }
-            }
-
-            // Finished? Everything submitted is done and no more will come.
-            if submit_done && completed == submitted && backlog.is_empty() && engine.pending() == 0
-            {
-                break;
-            }
-
-            if let Some(o) = obs.as_mut() {
-                let now = now_ns();
-                o.maybe_sample(now, |r| {
-                    let snap = snapshot_now(&engine, &region_heat);
-                    fill_router_registry(r, &snap, completed, submitted);
-                    if trace.enabled() {
-                        r.absorb_stages(&stages);
-                    }
-                    if let Some(t) = &opts.telemetry {
-                        r.absorb_reactor(&t.snapshot());
-                    }
-                    decayed_partition.observe(now, &snap.partition_heat);
-                    decayed_region.observe(now, &snap.region_heat);
-                    r.absorb_decayed_heat("partition", &decayed_partition);
-                    r.absorb_decayed_heat("region", &decayed_region);
-                });
-                o.poll_scrape(now);
-            }
-            events.clear();
-            if deaths.is_empty() {
-                if obs.is_some() {
-                    // Bounded park so the sampler and the scrape endpoint
-                    // keep running while the cluster idles between frames.
-                    reactor.wait_timeout(&mut events, &|| true, IDLE_WAIT)?;
-                } else {
-                    reactor.wait(&mut events, &|| false)?;
-                }
-            }
-            for conn_id in deaths {
-                events.push(ReactorEvent::Closed(conn_id));
-            }
-            for event in events.drain(..) {
-                match event {
-                    ReactorEvent::Opened(_) => {}
-                    ReactorEvent::Frame(conn_id, frame) => match frame {
-                        Frame::Hello {
-                            role: Role::Processor,
-                            id,
-                        } => {
-                            let id = id as usize;
-                            if id >= p {
-                                return Err(WireError::Protocol(format!(
-                                    "processor id {id} out of range (P = {p})"
-                                )));
-                            }
-                            if processor_conn[id].is_some() {
-                                return Err(WireError::Protocol(format!(
-                                    "processor id {id} connected twice"
-                                )));
-                            }
-                            processor_conn[id] = Some(conn_id);
-                            // Re-join: a restarted processor re-dialling
-                            // with its old id goes back into rotation (a
-                            // no-op on the first connect).
-                            engine.mark_up(id);
-                            ever_connected += 1;
-                        }
-                        Frame::Hello {
-                            role: Role::Client, ..
-                        } => client_conn = Some(conn_id),
-                        Frame::Submit {
-                            seq,
-                            query,
-                            submitted_ns,
-                        } => {
-                            if trace.enabled() {
-                                // Queue wait starts at the client's own
-                                // stamp when it traced the submit, else at
-                                // router receipt.
-                                trace_submitted.insert(seq, submitted_ns.unwrap_or_else(now_ns));
-                            }
-                            backlog.push_back((seq as usize, query));
-                            submitted += 1;
-                        }
-                        Frame::SubmitEnd => submit_done = true,
-                        Frame::Completion(mut completion) => {
-                            // Attributed by connection, not by the frame's
-                            // word: a tally is kept until the processor
-                            // reports a change, so a misattributed one
-                            // would stick to the wrong processor.
-                            let hello = processor_conn.iter().position(|&c| c == Some(conn_id));
-                            let proc_id = match hello {
-                                Some(id) if id == completion.processor as usize => id,
-                                _ => {
-                                    return Err(WireError::Protocol(format!(
-                                        "conn {conn_id} ({}) sent a completion for seq {} \
-                                         claiming processor {}",
-                                        hello.map_or_else(
-                                            || "no processor hello".to_string(),
-                                            |id| format!("hello as processor {id}")
-                                        ),
-                                        completion.seq,
-                                        completion.processor
-                                    )))
-                                }
-                            };
-                            // The tallies ride only when they changed
-                            // (default = unchanged) and never on to the
-                            // client, which gets run totals in `Metrics`.
-                            let failover = std::mem::take(&mut completion.failover);
-                            let heat = std::mem::take(&mut completion.heat);
-                            // `remove`, not `get`: each seq completes
-                            // exactly once, so this bounds the map at the
-                            // admission window instead of the whole
-                            // workload.
-                            completion.arrived_ns = arrivals.remove(&completion.seq).unwrap_or(0);
-                            let record = QueryRecord {
-                                seq: completion.seq,
-                                arrived: completion.arrived_ns,
-                                started: completion.started_ns,
-                                completed: completion.completed_ns,
-                                processor: proc_id,
-                            };
-                            // A repeated or unknown seq would count a query
-                            // twice and end the run with another in flight.
-                            if !engine.complete(record, &completion.stats) {
-                                return Err(WireError::Protocol(format!(
-                                    "processor {proc_id} acknowledged seq {}, which is not \
-                                     in its dispatch window",
-                                    completion.seq
-                                )));
-                            }
-                            completed += 1;
-                            engine.report_tallies(proc_id, failover, heat);
-                            if trace.enabled() {
-                                let received_ns = now_ns();
-                                if let Some((queue_ns, dispatched_ns)) =
-                                    trace_dispatched.remove(&completion.seq)
-                                {
-                                    let rtt_ns = received_ns.saturating_sub(dispatched_ns);
-                                    stages.record(Stage::DispatchRtt, rtt_ns);
-                                    if let Some(t) = &completion.trace {
-                                        stages.record(Stage::FetchWait, t.fetch_wait_ns);
-                                        stages.record(Stage::Compute, t.compute_ns);
-                                    }
-                                    if trace.spans() {
-                                        spans.push(QuerySpan {
-                                            seq: completion.seq,
-                                            processor: completion.processor,
-                                            levels: completion
-                                                .trace
-                                                .as_ref()
-                                                .map_or(0, |t| t.levels),
-                                            queue_ns,
-                                            rtt_ns,
-                                            fetch_wait_ns: completion
-                                                .trace
-                                                .as_ref()
-                                                .map_or(0, |t| t.fetch_wait_ns),
-                                            compute_ns: completion
-                                                .trace
-                                                .as_ref()
-                                                .map_or(0, |t| t.compute_ns),
-                                            // Router-side estimate: stamp →
-                                            // arrival here. The client
-                                            // measures the full completion
-                                            // stage for the histogram.
-                                            completion_ns: received_ns
-                                                .saturating_sub(completion.completed_ns),
-                                        });
-                                    }
-                                }
-                            }
-                            if let Some(client) = client_conn {
-                                reactor.send(client, &Frame::Completion(completion))?;
-                                if opts.snapshot_every > 0
-                                    && completed.is_multiple_of(opts.snapshot_every)
-                                    && completed < submitted
-                                {
-                                    let snap = snapshot_now(&engine, &region_heat);
-                                    let snap_trace =
-                                        trace_snapshot(trace, &stages, &spans, &opts.telemetry);
-                                    reactor.send(
-                                        client,
-                                        &Frame::Metrics {
-                                            snapshot: snap,
-                                            trace: snap_trace,
-                                        },
-                                    )?;
-                                }
-                            }
-                        }
-                        Frame::MetricsRequest => {
-                            // Any peer may sample the run mid-flight;
-                            // answer with the totals accumulated so far (a
-                            // requester that died in the meantime is
-                            // handled by its own Closed event).
-                            let snap = snapshot_now(&engine, &region_heat);
-                            let snap_trace =
-                                trace_snapshot(trace, &stages, &spans, &opts.telemetry);
-                            let _ = reactor.send(
-                                conn_id,
-                                &Frame::Metrics {
-                                    snapshot: snap,
-                                    trace: snap_trace,
-                                },
-                            );
-                        }
-                        Frame::ObsPush { snapshot } => {
-                            // A processor or storage node pushed its sampled
-                            // registry; fold it into the cluster-wide scrape.
-                            // Tolerated (and dropped) with observability off,
-                            // so mismatched configurations degrade softly.
-                            if let Some(o) = obs.as_mut() {
-                                o.absorb_push(snapshot);
-                            }
-                        }
-                        Frame::Shutdown => {
-                            // Any peer may abort the run (the harness uses
-                            // this when its client fails before connecting
-                            // properly).
-                            return Err(WireError::Protocol(format!(
-                                "run aborted by conn {conn_id}"
-                            )));
-                        }
-                        other => {
-                            return Err(WireError::Protocol(format!(
-                                "router got {} from conn {conn_id}",
-                                other.kind()
-                            )))
-                        }
-                    },
-                    ReactorEvent::Closed(conn_id) => {
-                        // A registered peer dropped. Losing the client (the
-                        // rest of the submissions and every result) is
-                        // always fatal. A processor death is masked: the
-                        // engine marks it down (redistributing its queued
-                        // work and resubmitting its dispatch window), so the
-                        // run continues on the survivors — unless none
-                        // remain. A stray dial or a peer that never said
-                        // hello is ignorable.
-                        if client_conn == Some(conn_id) {
-                            return Err(WireError::Closed);
-                        }
-                        if let Some(proc_id) =
-                            processor_conn.iter().position(|&c| c == Some(conn_id))
-                        {
-                            processor_conn[proc_id] = None;
-                            engine.mark_down(proc_id);
-                            // A fault event dumps the flight recorder
-                            // regardless of the teardown dump flag.
-                            if let Some(o) = obs.as_ref() {
-                                o.dump(&format!("processor {proc_id} died"));
-                            }
-                            let unfinished =
-                                !submit_done || completed < submitted || engine.pending() > 0;
-                            if processor_conn.iter().all(Option::is_none) && unfinished {
-                                return Err(WireError::Protocol(format!(
-                                    "all {ever_connected} connected processor(s) died mid-run"
-                                )));
-                            }
-                        }
-                    }
-                }
-            }
+    let mut events: Vec<ReactorEvent> = Vec::new();
+    let result = loop {
+        if let Err(e) = reactor.poll(&mut events) {
+            break Err(e);
         }
-        Ok(())
-    })();
+        let now = now_ns();
+        let inputs = events.drain(..).filter_map(|event| match event {
+            // A processor or storage node pushed its sampled registry: it
+            // joins the cluster-wide scrape, or is dropped with
+            // observability off, so mismatched configurations degrade
+            // softly.
+            ReactorEvent::Frame(_, Frame::ObsPush { snapshot }) => {
+                if let Some(o) = obs.as_mut() {
+                    o.absorb_push(snapshot);
+                }
+                None
+            }
+            ReactorEvent::Frame(conn, frame) => Some(Input::Frame(conn, frame)),
+            ReactorEvent::Closed(conn) => Some(Input::Closed(conn)),
+            ReactorEvent::Opened(_) => None,
+        });
+        let wake = core.step(now, inputs, &mut reactor);
+        // A fault event dumps the flight recorder regardless of the
+        // teardown dump flag.
+        for id in core.take_deaths() {
+            obs.iter()
+                .for_each(|o| o.dump(&format!("processor {id} died")));
+        }
+        let wake = match wake {
+            Ok(_) if core.finished() => break Ok(()),
+            Ok(wake) => wake,
+            Err(e) => break Err(e),
+        };
+        if let Some(o) = obs.as_mut() {
+            o.maybe_sample(now, |r| {
+                let snap = core.snapshot();
+                fill_router_registry(r, &snap, core.completed, core.submitted);
+                if opts.trace.enabled() {
+                    r.absorb_stages(&core.stages);
+                }
+                if let Some(t) = &opts.telemetry {
+                    r.absorb_reactor(&t.snapshot());
+                }
+                decayed_partition.observe(now, &snap.partition_heat);
+                decayed_region.observe(now, &snap.region_heat);
+                r.absorb_decayed_heat("partition", &decayed_partition);
+                r.absorb_decayed_heat("region", &decayed_region);
+            });
+            o.poll_scrape(now);
+        }
+        reactor.honour(wake);
+    };
 
     // Teardown: snapshot to the client, shutdown to everyone. Dropping the
     // reactor closes the listener and every connection.
-    let snapshot = snapshot_now(&engine, &region_heat);
     if let Some(o) = obs.as_ref() {
         o.teardown();
     }
-    if let Some(client) = client_conn {
-        let _ = reactor.send(
-            client,
-            &Frame::Metrics {
-                snapshot: snapshot.clone(),
-                trace: trace_snapshot(trace, &stages, &spans, &opts.telemetry),
-            },
-        );
+    if let Some(client) = core.client {
+        let _ = reactor.send(client, &core.metrics());
         let _ = reactor.send(client, &Frame::Shutdown);
     }
-    for conn_id in processor_conn.into_iter().flatten() {
-        let _ = reactor.send(conn_id, &Frame::Shutdown);
+    for conn in core.processor_conns() {
+        let _ = reactor.send(conn, &Frame::Shutdown);
     }
-
-    result.map(|()| snapshot)
-}
-
-/// The trace layer's aggregate for a [`Frame::Metrics`]: `None` at
-/// [`TraceLevel::Off`] so the frame stays byte-identical to an untraced
-/// deployment.
-fn trace_snapshot(
-    level: TraceLevel,
-    stages: &StageStats,
-    spans: &SpanRing,
-    telemetry: &Option<Arc<TelemetryCounters>>,
-) -> Option<Box<TraceSnapshot>> {
-    level.enabled().then(|| {
-        Box::new(TraceSnapshot {
-            level,
-            stages: stages.clone(),
-            reactor: telemetry.as_ref().map(|t| t.snapshot()).unwrap_or_default(),
-            spans: spans.dump(),
-            spans_dropped: spans.dropped(),
-        })
-    })
+    result.map(|()| core.snapshot())
 }
 
 /// Exponential-decay time constant for the scrape's "recent heat" gauges
 /// (~2 s half-life of relevance; cumulative counters sit next to them).
 const HEAT_DECAY_TAU_NS: u64 = 2_000_000_000;
-
-/// The landmark region a query anchored at `node` belongs to: the index
-/// of the nearest landmark by hop distance, `None` when the node is
-/// unreachable from every landmark (or out of range).
-fn nearest_region(landmarks: &Landmarks, node: NodeId) -> Option<usize> {
-    let idx = node.index();
-    let mut best: Option<(u16, usize)> = None;
-    for (region, dist) in landmarks.dist.iter().enumerate() {
-        let d = *dist.get(idx)?;
-        if d == grouting_embed::UNREACHED_U16 {
-            continue;
-        }
-        if best.is_none_or(|(bd, _)| d < bd) {
-            best = Some((d, region));
-        }
-    }
-    best.map(|(_, region)| region)
-}
-
-/// [`nearest_region`] remembered per anchor. The scan reads one cold
-/// cache line from every landmark's distance row, and the router
-/// attributes every dispatch, so each node is scanned once.
-struct RegionMemo<'a> {
-    landmarks: &'a Landmarks,
-    /// Per node: 0 before its scan, 1 for no region, `region + 2` after.
-    /// Zeroed, so untouched pages cost no memory.
-    regions: Vec<u32>,
-}
-
-impl<'a> RegionMemo<'a> {
-    /// A memo over the ids every distance row covers.
-    fn new(landmarks: &'a Landmarks) -> Self {
-        let len = landmarks.dist.iter().map(Vec::len).min().unwrap_or(0);
-        Self {
-            landmarks,
-            regions: vec![0; len],
-        }
-    }
-
-    /// `nearest_region(landmarks, node)`, scanned on first use.
-    fn region(&mut self, node: NodeId) -> Option<usize> {
-        let slot = self.regions.get_mut(node.index())?;
-        if *slot == 0 {
-            *slot = nearest_region(self.landmarks, node).map_or(1, |r| r as u32 + 2);
-        }
-        (*slot as usize).checked_sub(2)
-    }
-}
 
 /// Populates the router's registry from a run snapshot — the single point
 /// where engine accounting maps onto exposition series names.
@@ -1108,40 +711,6 @@ mod tests {
     use super::*;
     use crate::transport::InProcTransport;
     use bytes::Bytes;
-    use grouting_graph::GraphBuilder;
-
-    #[test]
-    fn the_region_memo_answers_what_the_scan_does() {
-        // Two unjoined rings of 30 with landmarks in both, three isolated
-        // nodes (60..63) and seven ids past the graph (63..70): regions
-        // for the rings, none for the rest.
-        let mut b = GraphBuilder::with_nodes(63);
-        for ring in 0..2 {
-            for i in 0..30 {
-                b.add_edge(
-                    NodeId::new(ring * 30 + i),
-                    NodeId::new(ring * 30 + (i + 1) % 30),
-                );
-            }
-        }
-        let g = b.build().unwrap();
-        let landmarks =
-            Landmarks::for_nodes(&g, [0, 15, 45].into_iter().map(NodeId::new).collect(), 2);
-        let mut memo = RegionMemo::new(&landmarks);
-        let ids: Vec<NodeId> = (0..70).map(NodeId::new).collect();
-        let scan: Vec<_> = ids.iter().map(|&v| nearest_region(&landmarks, v)).collect();
-        assert!(scan[60..63].iter().all(Option::is_none), "{scan:?}");
-        assert!(scan[63..].iter().all(Option::is_none), "{scan:?}");
-        assert!(scan[..60].iter().all(Option::is_some), "{scan:?}");
-        // Twice: the first pass fills the memo, the second reads it.
-        for _ in 0..2 {
-            let memo_says: Vec<_> = ids.iter().map(|&v| memo.region(v)).collect();
-            assert_eq!(memo_says, scan);
-        }
-        assert_eq!(memo.regions.len(), 63, "an out-of-range id grew the memo");
-        assert_eq!(memo.region(NodeId::new(u32::MAX)), None);
-        assert_eq!(memo.regions.len(), 63);
-    }
 
     #[test]
     fn oversized_batch_responses_are_chunked_under_the_frame_cap() {

@@ -12,27 +12,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use grouting_storage::{NetworkModel, StorageTier};
 
-use crate::error::WireResult;
 use crate::frame::Frame;
-use crate::overlap::Wake;
-
-/// Where the core's replies go: the shell's connections.
-pub(crate) trait Replies {
-    /// Sends one frame on connection `conn`.
-    fn send(&mut self, conn: u64, frame: &Frame) -> WireResult<()>;
-
-    /// Drops connection `conn`.
-    fn close(&mut self, conn: u64);
-}
-
-/// What a storage round takes in.
-#[cfg_attr(test, derive(Clone))]
-pub(crate) enum Input {
-    /// A frame arrived on a connection.
-    Frame(u64, Frame),
-    /// A connection closed.
-    Closed(u64),
-}
+use crate::overlap::{Input, Replies, Wake};
 
 /// A storage node's decisions: what each fetch returns, when its response
 /// is due, and what the loop does next.
@@ -184,7 +165,7 @@ pub(crate) fn response_frames(req_id: u64, mut payloads: Vec<Option<(u16, Bytes)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::WireError;
+    use crate::error::{WireError, WireResult};
     use crate::explore::{explore, Key, Model};
     use grouting_graph::{GraphBuilder, NodeId};
     use grouting_storage::HashPartitioner;
