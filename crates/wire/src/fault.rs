@@ -40,7 +40,7 @@ use crate::transport::{Connection, FrameSink, FrameStream, Listener, Transport};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The connection dies after `N` frames have been sent through it:
-    /// sends `0..N` succeed, send `N` (and everything after, both halves)
+    /// frames `0..N` go out, frame `N` (and everything after, both halves)
     /// fails with [`WireError::Closed`].
     KillAfterFrames(u64),
     /// Send number `frame` (0-based) goes out truncated to `keep_bytes`
@@ -52,7 +52,7 @@ pub enum FaultKind {
         /// How many bytes of the encoding to let through.
         keep_bytes: usize,
     },
-    /// Every send through the connection is delayed by this much first —
+    /// Every frame through the connection is delayed by this much first —
     /// for latency-tolerance tests, not a failure per se.
     DelaySend(Duration),
     /// Dials to the target fail with [`WireError::Unroutable`] for this
@@ -298,8 +298,12 @@ struct FaultySink {
     fault: Arc<ConnFault>,
 }
 
+/// Faults fire at [`FrameSink::stage`], so frames are counted one by one
+/// however a caller batches its writes. When one kills the connection,
+/// the frames staged before it still leave first, exactly as they would
+/// have had each been sent on its own.
 impl FrameSink for FaultySink {
-    fn send(&mut self, frame: &Frame) -> WireResult<usize> {
+    fn stage(&mut self, frame: &Frame) -> WireResult<usize> {
         if self.fault.dead.load(Ordering::Acquire) {
             self.inner = None;
             return Err(WireError::Closed);
@@ -307,9 +311,10 @@ impl FrameSink for FaultySink {
         let seq = self.fault.sent.fetch_add(1, Ordering::AcqRel);
         match self.fault.kind {
             FaultKind::KillAfterFrames(n) if seq >= n => {
-                self.fault.dead.store(true, Ordering::Release);
-                self.inner = None;
-                Err(WireError::Closed)
+                if let Some(inner) = self.inner.as_mut() {
+                    let _ = inner.flush();
+                }
+                self.kill()
             }
             FaultKind::TruncateFrame {
                 frame: at,
@@ -318,25 +323,31 @@ impl FrameSink for FaultySink {
                 if let Some(inner) = self.inner.as_mut() {
                     let _ = inner.send_truncated(frame, keep_bytes);
                 }
-                self.fault.dead.store(true, Ordering::Release);
-                self.inner = None;
-                Err(WireError::Closed)
+                self.kill()
             }
             FaultKind::DelaySend(pause) => {
                 std::thread::sleep(pause);
-                self.forward(frame)
+                self.inner()?.stage(frame)
             }
-            _ => self.forward(frame),
+            _ => self.inner()?.stage(frame),
         }
+    }
+
+    fn flush(&mut self) -> WireResult<()> {
+        self.inner()?.flush()
     }
 }
 
 impl FaultySink {
-    fn forward(&mut self, frame: &Frame) -> WireResult<usize> {
-        match self.inner.as_mut() {
-            Some(inner) => inner.send(frame),
-            None => Err(WireError::Closed),
-        }
+    fn inner(&mut self) -> WireResult<&mut Box<dyn FrameSink>> {
+        self.inner.as_mut().ok_or(WireError::Closed)
+    }
+
+    /// The fault has fired: the connection is dead for both halves.
+    fn kill(&mut self) -> WireResult<usize> {
+        self.fault.dead.store(true, Ordering::Release);
+        self.inner = None;
+        Err(WireError::Closed)
     }
 }
 
@@ -469,6 +480,26 @@ mod tests {
     #[test]
     fn kill_after_frames_tcp() {
         kill_after_frames_over(Arc::new(TcpTransport::new()));
+    }
+
+    #[test]
+    fn a_kill_still_sends_the_frames_staged_before_it() {
+        // Faults count staged frames: the frames before the fatal one
+        // leave, flushed or not, exactly as if each had been sent alone.
+        let inner: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let mut listener = inner.listen(&inner.any_addr()).unwrap();
+        let plan = FaultPlan::new().with(FaultRule::new(FaultKind::KillAfterFrames(2)));
+        let t = FaultyTransport::wrap(Arc::clone(&inner), plan);
+        let (mut sink, _stream) = t.dial(&listener.addr()).unwrap().split();
+        let mut server_side = listener.accept().unwrap();
+        sink.stage(&frame(0)).unwrap();
+        sink.stage(&frame(1)).unwrap();
+        assert!(matches!(sink.stage(&frame(2)), Err(WireError::Closed)));
+        assert!(matches!(sink.flush(), Err(WireError::Closed)));
+        assert_eq!(server_side.recv().unwrap(), frame(0));
+        assert_eq!(server_side.recv().unwrap(), frame(1));
+        drop(sink);
+        assert!(matches!(server_side.recv(), Err(WireError::Closed)));
     }
 
     fn truncate_tears_frame_over(inner: Arc<dyn Transport>) {

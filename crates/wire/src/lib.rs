@@ -1085,6 +1085,57 @@ mod tests {
     }
 
     #[test]
+    fn the_final_snapshot_reaches_the_client_before_shutdown_over_tcp() {
+        // The router sends its final snapshot and Shutdown after its loop
+        // has ended. Like every reply they are staged, and dropping the
+        // reactor writes them, in order, before the connection closes.
+        let tier = loaded_tier(16, 1);
+        let assets = EngineAssets::new(tier);
+        let config = EngineConfig::paper_default(1, RoutingKind::Hash);
+        let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+        let listener = transport.listen(&transport.any_addr()).unwrap();
+        let addr = listener.addr();
+        let router = std::thread::spawn(move || {
+            run_router(listener, &assets, &config, &RouterOptions::default())
+        });
+        let mut processor = join_as_processor(&*transport, &addr, 0);
+        let mut client = transport.dial(&addr).unwrap();
+        for frame in [
+            Frame::Hello {
+                role: Role::Client,
+                id: 0,
+            },
+            Frame::Submit {
+                seq: 0,
+                query: queries(16, 1)[0],
+                submitted_ns: None,
+            },
+            Frame::SubmitEnd,
+        ] {
+            client.send(&frame).unwrap();
+        }
+        match processor.recv().unwrap() {
+            Frame::Dispatch { seq: 0, .. } => {}
+            other => panic!("processor got {}", other.kind()),
+        }
+        processor
+            .send(&Frame::Completion(scripted_completion(0, 0)))
+            .unwrap();
+        let mut got = Vec::new();
+        while got.last() != Some(&Frame::Shutdown) {
+            match client.recv() {
+                Ok(frame) => got.push(frame),
+                Err(e) => panic!("client lost the stream after {} frames: {e}", got.len()),
+            }
+        }
+        let kinds: Vec<&str> = got.iter().map(Frame::kind).collect();
+        assert_eq!(kinds, ["completion", "metrics", "shutdown"]);
+        let snapshot = router.join().unwrap().expect("run completes");
+        assert!(matches!(&got[1], Frame::Metrics { snapshot: sent, .. } if *sent == snapshot));
+        assert_eq!(snapshot.queries, 1);
+    }
+
+    #[test]
     fn periodic_snapshots_stream_to_the_client() {
         // The snapshot_every knob emits unprompted mid-run snapshots; the
         // final snapshot still arrives at shutdown.

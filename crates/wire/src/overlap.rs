@@ -103,7 +103,10 @@ pub(crate) enum Input {
 
 /// Where a reactor-driven core's replies go: the shell's connections.
 pub(crate) trait Replies {
-    /// Sends one frame on connection `conn`.
+    /// Sends one frame on connection `conn`. An error means the connection
+    /// is gone now. With the reactor the frame is staged and written when
+    /// the round ends, so a write that fails then comes back as an
+    /// [`Input::Closed`] in the next round instead.
     fn send(&mut self, conn: u64, frame: &Frame) -> WireResult<()>;
 
     /// Drops connection `conn`.

@@ -16,6 +16,16 @@
 //! transport), or any source on a host without epoll — turns each park
 //! into a short sleep and each round into a full sweep. Which regime a
 //! wait takes never changes what a loop computes.
+//!
+//! Replies leave once per round. [`Reactor::send`] only stages a frame on
+//! its connection ([`crate::transport::FrameSink::stage`]); the round's
+//! [`Reactor::honour`] flushes every connection that has staged frames,
+//! one write each, before it may park, so nothing waits unsent while the
+//! node idles. A connection whose flush fails is retired and reported as
+//! [`ReactorEvent::Closed`] by the next [`Reactor::poll`], where its core
+//! runs the close path it runs for any dead peer. Closing a connection
+//! flushes it first, and so does dropping the reactor: frames staged after
+//! the last round (the router's final snapshot and `Shutdown`) still leave.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -335,6 +345,12 @@ pub struct Reactor {
     sweep: bool,
     /// Scratch for a poll's drain targets (reused across rounds).
     targets: Vec<u64>,
+    /// Connections holding staged frames: flushed by the next
+    /// [`Reactor::honour`].
+    staged: BTreeSet<u64>,
+    /// Connections a flush failed on, already retired: the next poll
+    /// reports each as [`ReactorEvent::Closed`].
+    failed: Vec<u64>,
     next_id: u64,
     /// Shared telemetry sink; `None` (tracing off) keeps the loop free of
     /// clock reads and atomic bumps.
@@ -357,6 +373,8 @@ impl Reactor {
             ready: Vec::new(),
             sweep: true,
             targets: Vec::new(),
+            staged: BTreeSet::new(),
+            failed: Vec::new(),
             next_id: 0,
             telemetry: None,
         }
@@ -407,6 +425,20 @@ impl Reactor {
             self.poller.deregister(id, conn.fd);
         }
         self.dirty.remove(&id);
+        self.staged.remove(&id);
+    }
+
+    /// Writes every connection's staged frames, one flush each. A
+    /// connection whose flush fails is retired, for the next poll to
+    /// report closed.
+    fn flush(&mut self) {
+        for id in std::mem::take(&mut self.staged) {
+            let flushed = self.conns.get_mut(&id).map(|conn| conn.sink.flush());
+            if let Some(Err(_)) = flushed {
+                self.retire(id);
+                self.failed.push(id);
+            }
+        }
     }
 
     /// Established connections currently registered.
@@ -414,27 +446,33 @@ impl Reactor {
         self.conns.len()
     }
 
-    /// Sends one frame on connection `id`.
+    /// Sends one frame on connection `id`: stages it behind the frames
+    /// already staged there this round. It leaves with them when the round
+    /// is [honoured](Reactor::honour); a write that fails then comes back
+    /// as [`ReactorEvent::Closed`] from the next [`Reactor::poll`].
     ///
     /// # Errors
     ///
     /// [`WireError::Closed`] when the id is unknown (the connection died
-    /// and was deregistered); transport errors from the send itself.
+    /// and was deregistered), or when the sink refuses the frame.
     pub fn send(&mut self, id: u64, frame: &Frame) -> WireResult<()> {
-        match self.conns.get_mut(&id) {
-            Some(conn) => {
-                let len = conn.sink.send(frame)?;
-                if let Some(t) = &self.telemetry {
-                    t.frame_out(len as u64);
-                }
-                Ok(())
-            }
-            None => Err(WireError::Closed),
+        let conn = self.conns.get_mut(&id).ok_or(WireError::Closed)?;
+        let len = conn.sink.stage(frame)?;
+        self.staged.insert(id);
+        if let Some(t) = &self.telemetry {
+            t.frame_out(len as u64);
         }
+        Ok(())
     }
 
-    /// Drops connection `id` (no event is emitted).
+    /// Drops connection `id` after writing what is staged on it (no event
+    /// is emitted).
     pub fn close(&mut self, id: u64) {
+        if self.staged.remove(&id) {
+            if let Some(conn) = self.conns.get_mut(&id) {
+                let _ = conn.sink.flush();
+            }
+        }
         self.retire(id);
     }
 
@@ -461,13 +499,13 @@ impl Reactor {
         result
     }
 
-    /// One round's drain: accepts waiting dials, then drains each
-    /// connection's ready frames (bounded per connection), appending
-    /// events in per-connection order. After a [`Reactor::honour`] whose
-    /// wait named the ready sources it drains only those and the dirty
-    /// connections, so an idle round is O(1); otherwise (a fresh reactor,
-    /// a second poll without a wait, an untracked source) it sweeps every
-    /// connection.
+    /// One round's drain: reports the connections the last flush lost,
+    /// accepts waiting dials, then drains each connection's ready frames
+    /// (bounded per connection), appending events in per-connection order.
+    /// After a [`Reactor::honour`] whose wait named the ready sources it
+    /// drains only those and the dirty connections, so an idle round is
+    /// O(1); otherwise (a fresh reactor, a second poll without a wait, an
+    /// untracked source) it sweeps every connection.
     ///
     /// # Errors
     ///
@@ -475,6 +513,7 @@ impl Reactor {
     /// [`ReactorEvent::Closed`] event instead.
     pub fn poll(&mut self, events: &mut Vec<ReactorEvent>) -> WireResult<()> {
         let started = self.telemetry.is_some().then(Instant::now);
+        events.extend(self.failed.drain(..).map(ReactorEvent::Closed));
         let sweep = std::mem::replace(&mut self.sweep, true);
         if sweep || self.ready.contains(&LISTENER_TOKEN) {
             self.accept_new(events)?;
@@ -512,14 +551,19 @@ impl Reactor {
         Ok(())
     }
 
-    /// The reactor's one wait: honours a round's [`Wake`] through the one
-    /// idle policy, parking up to [`IDLE_WAIT`], and notes what the next
-    /// [`Reactor::poll`] drains — the sources the wait reported ready, or
-    /// every source when it could not tell.
+    /// The end of a round: writes every connection's staged frames, one
+    /// write each, then the reactor's one wait — honours the round's
+    /// [`Wake`] through the one idle policy, parking up to [`IDLE_WAIT`] —
+    /// and notes what the next [`Reactor::poll`] drains: the sources the
+    /// wait reported ready, or every source when it could not tell.
     pub fn honour(&mut self, wake: Wake) {
-        // Complete frames parked in userspace make no fd readable: a
-        // reactor holding some does not idle.
-        let wake = if self.dirty.is_empty() {
+        // Flush before parking: a node must not idle on replies it has not
+        // written.
+        self.flush();
+        // Complete frames parked in userspace make no fd readable, and a
+        // failed flush is news for the next poll: a reactor holding either
+        // does not idle.
+        let wake = if self.dirty.is_empty() && self.failed.is_empty() {
             wake
         } else {
             Wake::Now
@@ -530,6 +574,13 @@ impl Reactor {
         if let (Some(t), Some(parked)) = (&self.telemetry, parked) {
             t.add_idle_ns(parked.elapsed().as_nanos() as u64);
         }
+    }
+}
+
+/// Frames staged after the last round still leave.
+impl Drop for Reactor {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -823,6 +874,148 @@ mod tests {
             .filter(|e| matches!(e, ReactorEvent::Frame(0, _)))
             .count();
         assert!(flood_frames <= MAX_FRAMES_PER_CONN_PER_SWEEP);
+    }
+
+    /// What a [`Recording`] sink was asked to do.
+    #[derive(Default)]
+    struct SinkLog {
+        stages: usize,
+        /// When each flush ran, and the frames it wrote.
+        flushes: Vec<(Instant, Vec<Frame>)>,
+    }
+
+    /// A sink that writes nothing anywhere: it logs each stage and flush,
+    /// and fails every flush when told to.
+    struct Recording {
+        log: Arc<std::sync::Mutex<SinkLog>>,
+        staged: Vec<Frame>,
+        fail: bool,
+    }
+
+    impl Recording {
+        /// The log, also after a failed assertion poisoned it: the reactor
+        /// flushes while a failing test unwinds.
+        fn log(&self) -> std::sync::MutexGuard<'_, SinkLog> {
+            self.log
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        }
+    }
+
+    impl FrameSink for Recording {
+        fn stage(&mut self, frame: &Frame) -> WireResult<usize> {
+            self.log().stages += 1;
+            self.staged.push(frame.clone());
+            Ok(frame.encoded_len())
+        }
+
+        fn flush(&mut self) -> WireResult<()> {
+            let frames = std::mem::take(&mut self.staged);
+            self.log().flushes.push((Instant::now(), frames));
+            if self.fail {
+                return Err(WireError::Closed);
+            }
+            Ok(())
+        }
+    }
+
+    /// A stream on which nothing ever arrives (and which has no fd, so the
+    /// poller sweeps it).
+    struct Silent;
+
+    impl FrameStream for Silent {
+        fn recv(&mut self) -> WireResult<Frame> {
+            Err(WireError::Closed)
+        }
+
+        fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>> {
+            Ok(None)
+        }
+    }
+
+    /// A listening reactor without sockets, and a recording connection
+    /// registered on it.
+    fn recorded(fail: bool) -> (Reactor, u64, Arc<std::sync::Mutex<SinkLog>>) {
+        let transport = InProcTransport::new();
+        let mut reactor = Reactor::new(transport.listen(&transport.any_addr()).unwrap());
+        let log = Arc::default();
+        let sink = Recording {
+            log: Arc::clone(&log),
+            staged: Vec::new(),
+            fail,
+        };
+        let id = reactor.register(Connection::from_halves(Box::new(sink), Box::new(Silent)));
+        (reactor, id, log)
+    }
+
+    #[test]
+    fn a_rounds_sends_leave_in_one_flush_when_it_is_honoured() {
+        let (mut reactor, id, log) = recorded(false);
+        for i in 0..3 {
+            reactor.send(id, &frame(i)).unwrap();
+        }
+        assert_eq!(log.lock().unwrap().stages, 3);
+        assert!(log.lock().unwrap().flushes.is_empty(), "send only stages");
+        reactor.honour(Wake::Now);
+        let log = log.lock().unwrap();
+        assert_eq!(log.stages, 3);
+        assert_eq!(log.flushes.len(), 1);
+        assert_eq!(log.flushes[0].1, vec![frame(0), frame(1), frame(2)]);
+    }
+
+    #[test]
+    fn an_idle_honour_flushes_before_it_parks() {
+        let (mut reactor, id, log) = recorded(false);
+        // Past the yield window, an idle round parks: the source is
+        // fd-less, so the park is a nap of at least SWEPT_NAP. (A fresh
+        // connection is drained once before its reactor may idle.)
+        reactor.poll(&mut Vec::new()).unwrap();
+        reactor.honour(Wake::Idle);
+        std::thread::sleep(YIELD_FOR);
+        reactor.send(id, &frame(1)).unwrap();
+        reactor.honour(Wake::Idle);
+        let returned = Instant::now();
+        let log = log.lock().unwrap();
+        assert_eq!(log.flushes.len(), 1);
+        assert!(
+            returned - log.flushes[0].0 >= SWEPT_NAP,
+            "the flush must come before the park"
+        );
+    }
+
+    #[test]
+    fn a_failed_flush_is_a_closed_connection_on_the_next_poll() {
+        let (mut reactor, id, log) = recorded(true);
+        let mut events = Vec::new();
+        reactor.poll(&mut events).unwrap();
+        reactor.send(id, &frame(1)).unwrap();
+        reactor.honour(Wake::Idle);
+        assert_eq!(log.lock().unwrap().flushes.len(), 1);
+        assert_eq!(reactor.connections(), 0, "the connection is retired");
+        reactor.poll(&mut events).unwrap();
+        assert!(
+            matches!(events[..], [ReactorEvent::Closed(closed)] if closed == id),
+            "{events:?}"
+        );
+        assert!(matches!(
+            reactor.send(id, &frame(2)),
+            Err(WireError::Closed)
+        ));
+    }
+
+    #[test]
+    fn closing_or_dropping_the_reactor_writes_what_is_staged() {
+        let (mut reactor, id, log) = recorded(false);
+        reactor.send(id, &frame(1)).unwrap();
+        reactor.close(id);
+        assert_eq!(log.lock().unwrap().flushes[0].1, vec![frame(1)]);
+        let (mut reactor, id, log) = recorded(false);
+        reactor.send(id, &frame(2)).unwrap();
+        reactor.send(id, &Frame::Shutdown).unwrap();
+        drop(reactor);
+        let log = log.lock().unwrap();
+        assert_eq!(log.flushes.len(), 1);
+        assert_eq!(log.flushes[0].1, vec![frame(2), Frame::Shutdown]);
     }
 
     proptest::proptest! {

@@ -33,6 +33,14 @@
 //! idle policy of [`crate::reactor`]: epoll-tracked over TCP on Linux, the
 //! swept yield/sleep fallback otherwise. None carries a spin or park of its
 //! own: a storage delay waits in its core's due-time queue.
+//!
+//! Replies leave once per round and connection. The router's and
+//! storage's replies are staged by [`Reactor::send`] and written when
+//! [`Reactor::honour`] ends the round; a processor stages the completions
+//! of one pipeline step and flushes them together. Only the processor's
+//! fetch requests leave as they are made: a query's fetch must be on the
+//! wire before another query's compute runs, or the pipeline's overlap is
+//! lost.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -343,9 +351,9 @@ impl ProcessorService {
 
 /// The processor loop, which only moves frames: it drains the router
 /// connection's dispatches into the [`QueryPipeline`] (the router sends up
-/// to `overlap` ahead of acknowledgements), steps it, acknowledges
-/// completions with their changed tallies as they land — possibly out of
-/// dispatch order, which the router correlates by sequence number —
+/// to `overlap` ahead of acknowledgements), steps it, acknowledges the
+/// step's completions with their changed tallies in one write — possibly
+/// out of dispatch order, which the router correlates by sequence number —
 /// samples observability, and honours the round's [`crate::Wake`]. Every
 /// decision, the running totals included, is the pipeline's.
 fn run_processor(
@@ -428,8 +436,12 @@ fn run_processor(
             Ok(finished) => finished,
             Err(e) => break Err(e),
         };
+        // A round's completions leave in one write. The fetches `step`
+        // submitted are not staged with them: the source wrote each as it
+        // was made, so a query's fetch travels while another computes.
+        let any = !finished.is_empty();
         for done in finished {
-            if let Err(e) = sink.send(&Frame::Completion(Completion {
+            if let Err(e) = sink.stage(&Frame::Completion(Completion {
                 seq: done.seq,
                 processor: id as u32,
                 result: done.outcome.result,
@@ -443,6 +455,11 @@ fn run_processor(
                 trace: done.trace,
             })) {
                 break 'run Err(e);
+            }
+        }
+        if any {
+            if let Err(e) = sink.flush() {
+                break Err(e);
             }
         }
         if let Some(o) = obs.as_mut() {
@@ -652,7 +669,8 @@ pub fn run_router(
     };
 
     // Teardown: snapshot to the client, shutdown to everyone. Dropping the
-    // reactor closes the listener and every connection.
+    // reactor writes these staged frames, then closes the listener and
+    // every connection.
     if let Some(o) = obs.as_ref() {
         o.teardown();
     }

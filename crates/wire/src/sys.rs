@@ -11,8 +11,10 @@
 //! * `struct epoll_event` is packed on x86-64 (a kernel ABI quirk dating
 //!   to the 32/64-bit compat layer) and naturally aligned everywhere
 //!   else — hence the `cfg_attr(target_arch = "x86_64", repr(packed))`.
-//! * `epoll_wait`'s timeout is **milliseconds**; callers wanting finer
-//!   idle control pass 0 (non-blocking) and pace themselves.
+//! * `epoll_wait`'s and `poll`'s timeouts are **milliseconds**: a
+//!   non-zero timeout is rounded *up* to the next one ([`timeout_ms`]),
+//!   so a 300 µs wait blocks (for a millisecond) instead of turning into
+//!   a non-blocking poll that its caller would spin on.
 
 use std::io;
 use std::os::raw::c_int;
@@ -139,6 +141,13 @@ pub fn tcp_listen_reuseaddr(addr: &std::net::SocketAddrV4) -> io::Result<std::ne
     Ok(unsafe { std::net::TcpListener::from_raw_fd(fd) })
 }
 
+/// `timeout` in the whole milliseconds `epoll_wait` and `poll` take,
+/// rounded up so that only a zero timeout is non-blocking; saturates at
+/// the largest `c_int`.
+fn timeout_ms(timeout: Duration) -> c_int {
+    c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+}
+
 /// An owned epoll instance (closed on drop).
 pub struct EpollFd(c_int);
 
@@ -186,9 +195,9 @@ impl EpollFd {
         let _ = unsafe { epoll_ctl(self.0, EPOLL_CTL_DEL, fd, &mut ev) };
     }
 
-    /// Waits up to `timeout` for readiness, appending each ready token to
-    /// `ready`. A zero timeout polls without blocking. Returns the number
-    /// of ready events.
+    /// Waits up to `timeout` (rounded up to whole milliseconds) for
+    /// readiness, appending each ready token to `ready`. A zero timeout
+    /// polls without blocking. Returns the number of ready events.
     ///
     /// # Errors
     ///
@@ -196,7 +205,7 @@ impl EpollFd {
     pub fn wait(&self, ready: &mut Vec<u64>, timeout: Duration) -> io::Result<usize> {
         const MAX_EVENTS: usize = 128;
         let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+        let timeout_ms = timeout_ms(timeout);
         loop {
             // SAFETY: the buffer outlives the call and its length is
             // passed as maxevents.
@@ -225,8 +234,9 @@ impl Drop for EpollFd {
     }
 }
 
-/// Blocks until `fd` is writable or `timeout` elapses. Returns whether
-/// the fd reported writability (false on timeout).
+/// Blocks until `fd` is writable or `timeout` (rounded up to whole
+/// milliseconds) elapses. Returns whether the fd reported writability
+/// (false on timeout).
 ///
 /// # Errors
 ///
@@ -237,7 +247,7 @@ pub fn wait_writable(fd: i32, timeout: Duration) -> io::Result<bool> {
         events: POLLOUT,
         revents: 0,
     };
-    let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    let timeout_ms = timeout_ms(timeout);
     loop {
         // SAFETY: one valid pollfd, length 1.
         let rc = unsafe { poll(&mut pfd, 1, timeout_ms) };
@@ -315,6 +325,25 @@ mod tests {
         let again = tcp_listen_reuseaddr(&addr).unwrap();
         assert_eq!(again.local_addr().unwrap().port(), addr.port());
         drop(client);
+    }
+
+    #[test]
+    fn timeouts_round_up_to_whole_milliseconds() {
+        assert_eq!(timeout_ms(Duration::ZERO), 0);
+        assert_eq!(timeout_ms(Duration::from_nanos(1)), 1);
+        assert_eq!(timeout_ms(Duration::from_micros(300)), 1);
+        assert_eq!(timeout_ms(Duration::from_millis(1)), 1);
+        assert_eq!(timeout_ms(Duration::from_micros(1900)), 2);
+        assert_eq!(timeout_ms(Duration::from_secs(u64::MAX)), c_int::MAX);
+    }
+
+    #[test]
+    fn a_sub_millisecond_wait_on_an_empty_set_blocks() {
+        let ep = EpollFd::new().unwrap();
+        let mut ready = Vec::new();
+        let started = std::time::Instant::now();
+        assert_eq!(ep.wait(&mut ready, Duration::from_micros(300)).unwrap(), 0);
+        assert!(started.elapsed() >= Duration::from_micros(300));
     }
 
     #[test]

@@ -12,16 +12,17 @@
 //!   tests and sandboxes without loopback. It still moves *encoded* bytes
 //!   (not `Frame` values), so the codec is exercised on both paths.
 //!
-//! A frame costs the TCP data plane one `write` going out and one copy
-//! coming in. Send: the sink encodes `[len][payload]` into a buffer it
-//! keeps between frames ([`Frame::encode_into`]) and hands the kernel the
-//! whole frame at once — one syscall and as few segments as the frame
-//! needs, whatever its size. Receive: the socket is read straight into the
-//! spare room of a pooled buffer ([`bytes::BufferPool`],
-//! [`bytes::BytesMut::read_from`]), sized from the peeked length prefix so
-//! a batch response completes in as few reads as the socket allows, and
-//! frame payloads are decoded as `Arc`-backed slice views of that buffer
-//! (no per-payload copy).
+//! A frame costs the TCP data plane at most one `write` going out and one
+//! copy coming in. Send: a sink [stages](FrameSink::stage) frames by
+//! encoding `[len][payload]` into a buffer it keeps between frames
+//! ([`Frame::encode_into`]), and a [flush](FrameSink::flush) hands the
+//! kernel everything staged at once — one syscall for however many frames
+//! a round produced, and as few segments as they need. Receive: the socket
+//! is read straight into the spare room of a pooled buffer
+//! ([`bytes::BufferPool`], [`bytes::BytesMut::read_from`]), sized from the
+//! peeked length prefix so a batch response completes in as few reads as
+//! the socket allows, and frame payloads are decoded as `Arc`-backed slice
+//! views of that buffer (no per-payload copy).
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -37,18 +38,51 @@ use crate::error::{WireError, WireResult};
 use crate::frame::{Frame, MAX_FRAME_BYTES};
 
 /// The sending half of a framed connection.
+///
+/// Frames leave in two steps: [`FrameSink::stage`] appends a frame to the
+/// sink's buffer and writes nothing; [`FrameSink::flush`] writes every
+/// staged frame, in the order staged. [`FrameSink::send`] is the two
+/// together. The bytes on the wire are the same whichever a caller uses;
+/// only the number of writes differs.
 pub trait FrameSink: Send {
-    /// Writes one frame, returning its payload length (what
-    /// [`Frame::encoded_len`] counts).
-    fn send(&mut self, frame: &Frame) -> WireResult<usize>;
+    /// Appends one frame to the sink's buffer, returning its payload length
+    /// (what [`Frame::encoded_len`] counts). Nothing reaches the peer until
+    /// the next [`FrameSink::flush`].
+    ///
+    /// # Errors
+    ///
+    /// Transports fail only on a flush; a fault-injecting sink may refuse
+    /// here.
+    fn stage(&mut self, frame: &Frame) -> WireResult<usize>;
 
-    /// Writes only the first `keep` bytes of the frame's encoding and
-    /// stops — the fault-injection layer's mid-frame truncation primitive.
-    /// The peer is left holding a partial frame: on TCP its stream stalls
-    /// until the connection closes, in-process the short payload decodes
-    /// as a codec error. Sinks that cannot express a partial write (the
-    /// default) send nothing at all, which a reader observes the same way
-    /// once the connection drops.
+    /// Writes every staged frame, in the order staged, and empties the
+    /// buffer. A no-op when nothing is staged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport failures ([`WireError::Closed`] when the peer
+    /// is gone); what was staged is dropped.
+    fn flush(&mut self) -> WireResult<()>;
+
+    /// Writes one frame now, behind anything already staged: stage, then
+    /// flush. Returns the frame's payload length.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameSink::stage`] and [`FrameSink::flush`].
+    fn send(&mut self, frame: &Frame) -> WireResult<usize> {
+        let len = self.stage(frame)?;
+        self.flush()?;
+        Ok(len)
+    }
+
+    /// Writes anything staged, then only the first `keep` bytes of the
+    /// frame's encoding, and stops — the fault-injection layer's mid-frame
+    /// truncation primitive. The peer is left holding a partial frame: on
+    /// TCP its stream stalls until the connection closes, in-process the
+    /// short payload decodes as a codec error. Sinks that cannot express a
+    /// partial write (the default) send nothing at all, which a reader
+    /// observes the same way once the connection drops.
     ///
     /// # Errors
     ///
@@ -430,42 +464,46 @@ impl Listener for TcpFrameListener {
 
 struct TcpSink {
     stream: TcpStream,
-    /// The frame being sent, as `[len][payload]`. Kept between sends, so a
-    /// warm connection encodes without allocating.
+    /// The frames staged since the last flush, each as `[len][payload]`.
+    /// Kept between flushes, so a warm connection encodes without
+    /// allocating.
     buf: Vec<u8>,
 }
 
-/// Most send-buffer capacity a connection keeps between frames: enough for
-/// any ordinary batch response, small enough that one multi-megabyte frame
-/// does not stay pinned to every connection that ever carried one.
+/// Most send-buffer capacity a connection keeps between flushes: enough
+/// for any ordinary round of frames, small enough that one multi-megabyte
+/// frame does not stay pinned to every connection that ever carried one.
 const SEND_BUFFER_RETAIN: usize = 256 << 10;
 
-impl TcpSink {
-    /// Encodes `frame` into the send buffer as `[len][payload]` and writes
-    /// it, or only its first `keep` bytes (at least one, never all), in one
-    /// `write` unless the kernel takes less. Returns the payload length.
-    fn write_frame(&mut self, frame: &Frame, keep: Option<usize>) -> WireResult<usize> {
-        self.buf.clear();
+impl FrameSink for TcpSink {
+    fn stage(&mut self, frame: &Frame) -> WireResult<usize> {
+        let start = self.buf.len();
         frame.encode_into(&mut self.buf);
-        let len = self.buf.len();
-        let keep = keep.map_or(len, |keep| keep.min(len - 1).max(1));
-        let sent = write_all_blocking(&mut self.stream, &self.buf[..keep]);
+        Ok(self.buf.len() - start - 4)
+    }
+
+    /// One `write` for everything staged, unless the kernel takes less.
+    fn flush(&mut self) -> WireResult<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let sent = write_all_blocking(&mut self.stream, &self.buf);
+        self.buf.clear();
         if self.buf.capacity() > SEND_BUFFER_RETAIN {
             self.buf = Vec::new();
         }
-        sent.map(|()| len - 4)
-    }
-}
-
-impl FrameSink for TcpSink {
-    fn send(&mut self, frame: &Frame) -> WireResult<usize> {
-        self.write_frame(frame, None)
+        sent
     }
 
     fn send_truncated(&mut self, frame: &Frame, keep: usize) -> WireResult<()> {
-        // Cut `[len][payload]` at `keep` raw bytes: the peer sees a frame
-        // header promising more bytes than ever arrive.
-        self.write_frame(frame, Some(keep)).map(drop)
+        // Cut `[len][payload]` at `keep` raw bytes (at least one, never
+        // all): the peer sees a frame header promising more bytes than
+        // ever arrive.
+        let start = self.buf.len();
+        frame.encode_into(&mut self.buf);
+        let len = self.buf.len() - start;
+        self.buf.truncate(start + keep.min(len - 1).max(1));
+        self.flush()
     }
 }
 
@@ -775,14 +813,20 @@ impl Transport for InProcTransport {
         let (client_tx, server_rx) = unbounded::<Bytes>();
         let (server_tx, client_rx) = unbounded::<Bytes>();
         let server_side = Connection::from_halves(
-            Box::new(ChanSink { tx: server_tx }),
+            Box::new(ChanSink {
+                tx: server_tx,
+                staged: Vec::new(),
+            }),
             Box::new(ChanStream { rx: server_rx }),
         );
         acceptor
             .send(server_side)
             .map_err(|_| WireError::Unroutable(addr.to_string()))?;
         Ok(Connection::from_halves(
-            Box::new(ChanSink { tx: client_tx }),
+            Box::new(ChanSink {
+                tx: client_tx,
+                staged: Vec::new(),
+            }),
             Box::new(ChanStream { rx: client_rx }),
         ))
     }
@@ -827,15 +871,23 @@ impl Drop for InProcListener {
 
 struct ChanSink {
     tx: Sender<Bytes>,
+    /// The frames staged since the last flush, one encoded message each:
+    /// the channel is message-based, so a flush hands each over in order.
+    staged: Vec<Bytes>,
 }
 
 impl FrameSink for ChanSink {
-    fn send(&mut self, frame: &Frame) -> WireResult<usize> {
+    fn stage(&mut self, frame: &Frame) -> WireResult<usize> {
         let encoded = frame.encode();
         let len = encoded.len();
-        self.tx
-            .send(encoded)
-            .map(|()| len)
+        self.staged.push(encoded);
+        Ok(len)
+    }
+
+    fn flush(&mut self) -> WireResult<()> {
+        self.staged
+            .drain(..)
+            .try_for_each(|encoded| self.tx.send(encoded))
             .map_err(|_| WireError::Closed)
     }
 
@@ -845,9 +897,8 @@ impl FrameSink for ChanSink {
         // rejects — the in-process spelling of a torn frame.
         let encoded = frame.encode();
         let cut = keep.min(encoded.len().saturating_sub(1)).max(1);
-        self.tx
-            .send(encoded.slice(0..cut))
-            .map_err(|_| WireError::Closed)
+        self.staged.push(encoded.slice(0..cut));
+        self.flush()
     }
 }
 
