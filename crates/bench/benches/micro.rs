@@ -379,7 +379,9 @@ fn reactor_dispatch_latency(c: &mut Criterion) {
                                 reactor.close(id);
                             }
                         }
-                        ReactorEvent::Opened(_) | ReactorEvent::Closed(_) => {}
+                        ReactorEvent::Opened(_)
+                        | ReactorEvent::Closed(_)
+                        | ReactorEvent::Dialled(..) => {}
                     }
                 }
                 reactor.honour(wake);

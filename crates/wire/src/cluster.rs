@@ -323,14 +323,16 @@ pub fn launch_chaos_cluster(
         obs: config.obs.clone(),
         ..RouterOptions::default()
     };
-    let router = std::thread::spawn(move || {
-        run_router(
-            router_listener,
-            &router_assets,
-            &router_config,
-            &router_opts,
-        )
-    });
+    let router = std::thread::Builder::new()
+        .name("router".to_string())
+        .spawn(move || {
+            run_router(
+                router_listener,
+                &router_assets,
+                &router_config,
+                &router_opts,
+            )
+        })?;
 
     // The processor fleet, each with a kill switch that stays inert unless
     // the script kills that processor. Scripted faults arm only here: the

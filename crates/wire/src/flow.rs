@@ -2,33 +2,21 @@
 //!
 //! The one processor→storage miss path. A blocking request/reply
 //! exchange per frontier node would make a multi-hop BFS pay one loopback
-//! RTT (~16 µs) per discovered node, serialised; this module keeps many
-//! fetches in flight per processor instead. [`MultiplexedStorageSource`]
-//! groups a frontier's miss set by the placement function and puts one
-//! [`Frame::FetchBatchRequest`] per storage server on the wire before
-//! waiting for any reply; a single-node fetch is a batch of one.
+//! RTT (~16 µs) per discovered node, serialised; the miss path keeps many
+//! fetches in flight per processor instead. A frontier's miss set is
+//! grouped by the placement function and goes out as one
+//! [`Frame::FetchBatchRequest`] per storage server before any reply is
+//! awaited; a single-node fetch is a batch of one.
 //!
-//! The source is the processor core's [`FetchSeam`]: the
-//! [`crate::QueryPipeline`] decides without I/O, and submits
-//! ([`FetchSeam::submit_frontier`]), polls ([`FetchSeam::try_collect`])
-//! and reads the clock ([`FetchSeam::clock_ns`]) only through it, never
-//! blocking. The processor loop hands the pipeline's [`crate::Wake`] to
-//! [`MultiplexedStorageSource::honour`], the one idle policy: step again
-//! at once, or park. The blocking [`BatchSource::fetch_batch`] honours
-//! the same rule for serial callers.
+//! Its decisions live in `mux`: correlation, reassembly, epochs, the dial
+//! ladder with each rung's backoff as a deadline, resubmission, and the
+//! one-death budget. A processor runs them in its core, on its node's
+//! reactor; [`MultiplexedStorageSource`] runs them over a listenerless
+//! [`Reactor`] of its own for serial callers — the blocking
+//! [`BatchSource::fetch_batch`] and a bare [`crate::QueryPipeline`] — and
+//! waits only in the reactor's idle policy, a backoff included.
 //!
-//! The source is the I/O shell over `mux::MuxState`, which decides
-//! everything else without a socket or a clock: correlation by `req_id`
-//! (so out-of-order completion is fine), chunk reassembly, connection
-//! epochs, the dial ladder down the replica chain, resubmission, and the
-//! rule that a request outlives at most one connection death. The shell
-//! holds one framed connection per storage server and runs the one
-//! collect loop, [`FetchSeam::try_collect`]: non-blocking
-//! polls ([`crate::transport::FrameStream::try_recv`], `set_nonblocking`
-//! under TCP) that drain whichever server answers first, with an empty
-//! round parking on the one poller of [`crate::reactor`]. It is also the
-//! one place that waits out a dial's backoff; recovery blocks the
-//! processor until the ladder ends.
+//! [`Frame::FetchBatchRequest`]: crate::Frame::FetchBatchRequest
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,14 +26,13 @@ use grouting_graph::NodeId;
 use grouting_metrics::FailoverStats;
 use grouting_query::BatchSource;
 use grouting_storage::Partitioner;
-use grouting_trace::TelemetryCounters;
 
-use crate::error::{WireError, WireResult};
-use crate::frame::Frame;
-use crate::mux::{Dial, Dialled, MuxState};
+use crate::error::WireResult;
+use crate::mux::{BatchPayloads, MuxLinks, PendingBatch};
 use crate::overlap::{FetchSeam, Wake};
-use crate::reactor::{sample_pool, Poller, PollerKind, IDLE_WAIT};
-use crate::transport::{FrameSink, FrameStream, RetryPolicy, Transport};
+use crate::reactor::{PollerKind, Reactor, ReactorEvent};
+use crate::service::now_ns;
+use crate::transport::{RetryPolicy, Transport};
 
 /// The processor↔storage fetch path — there is only one. Named by the
 /// benchmark (`load/`); the next `benchmark` PR drops it.
@@ -57,58 +44,18 @@ pub enum FetchMode {
     Batched,
 }
 
-/// One batch's worth of per-node payloads: the serving server id and
-/// encoded adjacency value, `None` where the node is not stored.
-pub type BatchPayloads = Vec<Option<(u16, Bytes)>>;
-
-/// One storage connection: its halves, its poller registration, and the
-/// epoch [`MuxState`] numbered it with.
-struct MuxConn {
-    sink: Box<dyn FrameSink>,
-    stream: Box<dyn FrameStream>,
-    /// Raw descriptor registered with the poller (`None` for fd-less
-    /// transports, which turn each wait into a swept ladder rung).
-    fd: Option<i32>,
-    epoch: u64,
-    /// Last buffer-pool counters folded into telemetry (delta sampling).
-    pool_seen: (u64, u64),
-}
-
-/// The miss path behind a processor's cache: a frontier's miss set
-/// grouped per storage server, one pipelined batch frame each, over one
-/// lazily dialled connection per server with any number of batches in
-/// flight on it.
-///
-/// Single-node fetches (random-walk steps, re-fetches) travel as
-/// one-element batches over the same connections, so a processor
-/// speaks only the batch protocol. The processor submits and collects
-/// through the [`FetchSeam`] ([`FetchSeam::submit_frontier`],
-/// [`FetchSeam::try_collect`]); the blocking [`BatchSource::fetch_batch`]
-/// serves serial drivers (the simulator's wire-backed workers, benches).
+/// The miss path for serial callers: the mux half over one lazily
+/// dialled connection per storage server, driven by a listenerless
+/// [`Reactor`]. A caller steps a pipeline over the [`FetchSeam`] and
+/// honours each round's [`Wake`] ([`MultiplexedStorageSource::honour`]),
+/// or blocks in [`BatchSource::fetch_batch`].
 pub struct MultiplexedStorageSource {
-    transport: Arc<dyn Transport>,
-    addrs: Vec<String>,
-    partitioner: Arc<dyn Partitioner>,
-    state: MuxState,
-    conns: Vec<Option<MuxConn>>,
-    /// Readiness source an unproductive collect round parks on. Connection
-    /// tokens are the server index; callers may register extra descriptors
-    /// (a processor's router connection) under tokens ≥
-    /// [`MultiplexedStorageSource::EXTERNAL_TOKEN_BASE`].
-    poller: Poller,
-    /// Deployment-shared telemetry. Doubles as the trace switch: when set,
-    /// batch requests carry their issue stamp and pool/batch-depth
-    /// counters accumulate; when unset the frames are byte-identical to an
-    /// untraced deployment.
-    telemetry: Option<Arc<TelemetryCounters>>,
+    links: MuxLinks,
+    reactor: Reactor,
+    events: Vec<ReactorEvent>,
 }
 
 impl MultiplexedStorageSource {
-    /// First token available to
-    /// [`MultiplexedStorageSource::register_external`] — far above any
-    /// storage server index.
-    pub const EXTERNAL_TOKEN_BASE: u64 = 1 << 32;
-
     /// A source fetching from `storage_addrs` (index = storage server id)
     /// with `partitioner` as the placement function.
     pub fn new(
@@ -117,19 +64,14 @@ impl MultiplexedStorageSource {
         partitioner: Arc<dyn Partitioner>,
     ) -> Self {
         Self {
-            transport,
-            addrs: storage_addrs.to_vec(),
-            partitioner,
-            state: MuxState::new(storage_addrs.len()),
-            conns: storage_addrs.iter().map(|_| None).collect(),
-            poller: Poller::new(),
-            telemetry: None,
+            links: MuxLinks::new(storage_addrs, partitioner),
+            reactor: Reactor::dialler(transport),
+            events: Vec::new(),
         }
     }
 
-    /// [`MultiplexedStorageSource::new`]: there is one poller, so the
-    /// [`PollerKind`] selects nothing. Named by the benchmark (`load/`);
-    /// the next `benchmark` PR drops it.
+    /// [`MultiplexedStorageSource::new`]; the [`PollerKind`] selects
+    /// nothing. Named by the benchmark (`load/`) until its next PR.
     pub fn with_poller(
         transport: Arc<dyn Transport>,
         storage_addrs: &[String],
@@ -139,51 +81,32 @@ impl MultiplexedStorageSource {
         Self::new(transport, storage_addrs, partitioner)
     }
 
-    /// Registers a caller-owned descriptor (token ≥
-    /// [`MultiplexedStorageSource::EXTERNAL_TOKEN_BASE`]) with the poller,
-    /// so an idle wait also wakes on that connection's traffic. An `fd` of
-    /// `None` (fd-less transport) turns every wait into a swept ladder
-    /// rung.
-    pub fn register_external(&mut self, token: u64, fd: Option<i32>) {
-        debug_assert!(token >= Self::EXTERNAL_TOKEN_BASE);
-        self.poller.register(token, fd);
-    }
-
-    /// Honours a round's [`Wake`] through the one idle policy, parking (up
-    /// to [`IDLE_WAIT`]) until any registered connection has traffic. An
-    /// idle wake is only safe when every awaited stream's last poll
-    /// returned `None` — its socket was empty then (see
-    /// [`crate::transport::FrameStream::try_recv`]).
+    /// Ends a caller's round: honours its [`Wake`] (an idle one waits for
+    /// the next dial deadline) unless drained events await a collect.
     pub fn honour(&mut self, wake: Wake) {
-        self.poller.park(wake, IDLE_WAIT);
+        let drained = !self.events.is_empty();
+        self.reactor
+            .honour(self.links.wake(if drained { Wake::Now } else { wake }));
     }
 
-    /// [`MultiplexedStorageSource::honour`] of an idle round, parking for
-    /// up to `timeout` instead.
-    pub fn idle_wait(&mut self, timeout: Duration) {
-        self.poller.park(Wake::Idle, timeout);
+    /// [`MultiplexedStorageSource::honour`] of an idle round. Named by the
+    /// benchmark (`load/`); the reactor bounds the wait itself.
+    pub fn idle_wait(&mut self, _timeout: Duration) {
+        self.honour(Wake::Idle);
     }
 
-    /// [`MultiplexedStorageSource::honour`] of a round that moved.
+    /// [`MultiplexedStorageSource::honour`] of a round that moved. Named
+    /// by the benchmark (`load/`).
     pub fn note_progress(&mut self) {
         self.honour(Wake::Now);
     }
 
-    /// Wires deployment-shared telemetry in: batch submissions count (with
-    /// outstanding-depth peaks), receive-pool reuse is sampled, and every
-    /// batch request carries its issue stamp.
-    pub fn set_telemetry(&mut self, telemetry: Arc<TelemetryCounters>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Declares the storage tier's replica-chain length: a home server's
-    /// payloads are also served by the next `replication - 1` endpoints
-    /// (mod server count), so a dial that cannot reach the primary fails
-    /// over down the chain instead of giving up. `1` (the default) means
-    /// unreplicated.
+    /// Declares the tier's replica-chain length: a home's payloads are also
+    /// served by the next `replication - 1` endpoints (mod server count),
+    /// where a refused dial fails over. `1` (the default): unreplicated.
     #[must_use]
     pub fn with_replication(mut self, replication: usize) -> Self {
-        self.state.replication = replication.max(1);
+        self.links.state.replication = replication.max(1);
         self
     }
 
@@ -191,210 +114,59 @@ impl MultiplexedStorageSource {
     /// [`RetryPolicy::default`]).
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.state.retry = retry;
+        self.links.state.retry = retry;
         self
     }
 
-    /// Recovery counters so far: dials after each server's first, times a
-    /// home's traffic failed over to a replica endpoint, and batches
-    /// resubmitted on fresh connections.
+    /// Recovery counters so far (see `MuxState::failover`).
     pub fn failover_stats(&self) -> FailoverStats {
-        self.state.failover()
+        self.links.state.failover()
     }
 
-    fn home(&self, node: NodeId) -> usize {
-        self.partitioner.assign(node) % self.addrs.len()
-    }
-
-    /// Connects home `server`: walks the dial ladder [`MuxState`] lays
-    /// out, waiting out each rung's backoff here, then resubmits the
-    /// server's outstanding requests on the fresh connection.
-    ///
-    /// # Errors
-    ///
-    /// The last dial's error once the whole ladder is refused, and
-    /// failures to resubmit.
-    fn connect(&mut self, server: usize) -> WireResult<()> {
-        let mut dial = Dial::primary(server);
-        let (conn, resubmit) = loop {
-            if !dial.delay.is_zero() {
-                std::thread::sleep(dial.delay);
+    /// Feeds drained events into the links one at a time until `pending`
+    /// completes, polling once if none are left (the rest wait for the
+    /// next collect); whether anything happened.
+    fn collect(&mut self, pending: &mut PendingBatch) -> WireResult<(Option<BatchPayloads>, bool)> {
+        let now = now_ns();
+        let (mut moved, mut polled) = (self.links.dial_due(now, &mut self.reactor), false);
+        loop {
+            if let Some(out) = self.links.collect(pending)? {
+                return Ok((Some(out), true));
             }
-            let result = self.transport.dial_once(&self.addrs[dial.target]);
-            match self.state.on_dial(server, dial, result)? {
-                Dialled::Connected(conn, resubmit) => break (conn, resubmit),
-                Dialled::Retry(next) => dial = next,
+            // Polled events are held reversed, so the next is the last.
+            match self.events.pop() {
+                Some(event) => {
+                    moved = true;
+                    if let Some(input) = event.into_input() {
+                        self.links.take(now, input, &mut self.reactor)?;
+                    }
+                }
+                None if !polled => {
+                    self.reactor.poll(&mut self.events)?;
+                    self.events.reverse();
+                    polled = true;
+                }
+                None => return Ok((None, moved)),
             }
-        };
-        let (sink, stream) = conn.split();
-        let fd = stream.raw_fd();
-        self.poller.register(server as u64, fd);
-        self.conns[server] = Some(MuxConn {
-            sink,
-            stream,
-            fd,
-            epoch: self.state.epoch(server),
-            pool_seen: (0, 0),
-        });
-        resubmit
-            .iter()
-            .try_for_each(|frame| self.send(server, frame))
-    }
-
-    /// Sends `frame` to `server`. A failed send is the connection's death.
-    fn send(&mut self, server: usize, frame: &Frame) -> WireResult<()> {
-        let conn = self.conns[server].as_mut().ok_or(WireError::Closed)?;
-        match conn.sink.send(frame) {
-            Ok(_) => Ok(()),
-            Err(e) => self.recover(server, e),
         }
-    }
-
-    /// Masks the death of `server`'s connection, seen as `error`: reconnects
-    /// and resubmits, unless a request outstanding on it has already
-    /// outlived a death (then `error` is returned).
-    fn recover(&mut self, server: usize, error: WireError) -> WireResult<()> {
-        let Some(dead) = self.conns[server].take() else {
-            return Err(error);
-        };
-        // Deregister BEFORE dialling, so a kernel-recycled descriptor
-        // number cannot be mistaken for the old registration.
-        self.poller.deregister(server as u64, dead.fd);
-        self.state
-            .on_closed(server, dead.epoch)
-            .map_err(|_| error)?;
-        drop(dead);
-        self.connect(server)
-    }
-
-    /// Reads at most one frame from `server` into the state. Returns
-    /// whether anything happened: a frame landed, or a death was masked.
-    fn poll(&mut self, server: usize) -> WireResult<bool> {
-        let conn = self.conns[server].as_mut().ok_or(WireError::Closed)?;
-        match conn.stream.try_recv() {
-            Ok(Some((frame, _))) => {
-                sample_pool(&self.telemetry, conn.stream.as_ref(), &mut conn.pool_seen);
-                self.state.on_frame(server, conn.epoch, frame)?;
-                Ok(true)
-            }
-            Ok(None) => Ok(false),
-            Err(e) => self.recover(server, e).map(|()| true),
-        }
-    }
-
-    /// Puts one batch request on the wire towards `server`, dialling it
-    /// first if it has no connection yet, and returns its correlation id.
-    fn submit(&mut self, server: usize, nodes: &[NodeId]) -> WireResult<u64> {
-        if self.conns[server].is_none() {
-            self.connect(server)?;
-        }
-        let issued_ns = self.telemetry.as_ref().map(|_| crate::service::now_ns());
-        let (req_id, frame) = self.state.submit(server, nodes, issued_ns);
-        // A failed send reconnects, and the reconnect resubmits this
-        // request with the others outstanding.
-        self.send(server, &frame)?;
-        if let Some(t) = &self.telemetry {
-            t.batch_submitted(self.state.outstanding());
-        }
-        Ok(req_id)
     }
 }
 
-/// Most nodes a single [`Frame::FetchBatchRequest`] may carry: keeps the
-/// encoded request (13 + 4·N bytes) around 4 MiB, far under
-/// [`crate::frame::MAX_FRAME_BYTES`], however large the frontier — a
-/// per-server miss set beyond this is simply pipelined as several
-/// requests on the same connection.
-pub const MAX_BATCH_REQUEST_NODES: usize = 1 << 20;
-
-/// A submitted-but-uncollected frontier fetch: the per-server requests on
-/// the wire, the responses gathered so far, and where each node's payload
-/// lands in the caller's order.
-///
-/// Returned by [`FetchSeam::submit_frontier`] and polled with
-/// [`FetchSeam::try_collect`] — the split that lets a processor run
-/// another query's compute stage while this fetch is in flight.
-pub struct PendingBatch {
-    /// (server, correlation id, caller slots) per request on the wire.
-    requests: Vec<(usize, u64, Vec<usize>)>,
-    /// Fully reassembled responses, indexed like `requests`.
-    collected: Vec<Option<BatchPayloads>>,
-    /// Requests still awaited.
-    remaining: usize,
-    /// Whether the last [`FetchSeam::try_collect`] read a frame or
-    /// completed a request.
-    progressed: bool,
-    /// Caller's frontier length (shapes the final payload vector).
-    node_count: usize,
-}
-
-/// The processor core's seam onto the wire: a frontier goes out as
-/// pipelined batch requests, a fetch is polled by the one collect loop,
-/// and the clock is [`crate::service::now_ns`].
+/// A bare pipeline's seam onto the wire; the clock is [`now_ns`].
 impl FetchSeam for MultiplexedStorageSource {
     type Fetch = PendingBatch;
 
-    /// Puts a whole frontier's batch requests on the wire — grouped per
-    /// storage server by the placement function, chunked under the
-    /// per-frame node cap — without waiting for any reply.
-    fn submit_frontier(&mut self, nodes: &[NodeId]) -> WireResult<PendingBatch> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.addrs.len()];
-        for (i, &node) in nodes.iter().enumerate() {
-            groups[self.home(node)].push(i);
-        }
-        let mut requests: Vec<(usize, u64, Vec<usize>)> = Vec::new();
-        let mut batch: Vec<NodeId> = Vec::new();
-        for (server, group) in groups.iter().enumerate() {
-            for slots in group.chunks(MAX_BATCH_REQUEST_NODES) {
-                batch.clear();
-                batch.extend(slots.iter().map(|&i| nodes[i]));
-                let req_id = self.submit(server, &batch)?;
-                requests.push((server, req_id, slots.to_vec()));
-            }
-        }
-        Ok(PendingBatch {
-            collected: vec![None; requests.len()],
-            remaining: requests.len(),
-            progressed: false,
-            requests,
-            node_count: nodes.len(),
-        })
+    fn submit_frontier(&mut self, nodes: &[NodeId]) -> PendingBatch {
+        self.links
+            .submit_frontier(nodes, now_ns(), &mut self.reactor)
     }
 
-    /// The one collect loop. Polls the in-flight batch without blocking:
-    /// `Ok(Some)` with the full frontier's payloads (caller order) once
-    /// every involved server has answered, `Ok(None)` while responses are
-    /// still travelling. Each awaited server is drained until its socket
-    /// is empty, and answers to other batches' requests are kept for them.
-    /// Fails on a connection death a request cannot outlive (see `mux`),
-    /// a refused dial ladder, and protocol violations.
     fn try_collect(&mut self, pending: &mut PendingBatch) -> WireResult<Option<BatchPayloads>> {
-        pending.progressed = false;
-        for (&(server, req_id, _), slot) in pending.requests.iter().zip(&mut pending.collected) {
-            while slot.is_none() {
-                if let Some(payloads) = self.state.take(server, req_id)? {
-                    *slot = Some(payloads);
-                    pending.remaining -= 1;
-                } else if !self.poll(server)? {
-                    break;
-                }
-                pending.progressed = true;
-            }
-        }
-        if pending.remaining > 0 {
-            return Ok(None);
-        }
-        let mut out: BatchPayloads = vec![None; pending.node_count];
-        for ((_, _, slots), payloads) in pending.requests.iter().zip(pending.collected.drain(..)) {
-            for (&slot, payload) in slots.iter().zip(payloads.into_iter().flatten()) {
-                out[slot] = payload;
-            }
-        }
-        Ok(Some(out))
+        self.collect(pending).map(|(out, _)| out)
     }
 
     fn clock_ns(&mut self) -> u64 {
-        crate::service::now_ns()
+        now_ns()
     }
 }
 
@@ -404,31 +176,29 @@ impl BatchSource for MultiplexedStorageSource {
             return Vec::new();
         }
         // Every involved server's batch goes on the wire before any reply
-        // is awaited, then the collect loop runs inline. A round that read
-        // nothing left every awaited socket empty, so parking on the
-        // poller is safe. A round that read anything, the last one
-        // included, is progress and puts the poller back on its hot rung.
-        // Without that, back-to-back blocking fetches leave the hot rung
-        // for good, and every wait returns at once on readiness this loop
-        // never drains (the router connection, other servers' answers).
-        let fetched = self.submit_frontier(nodes).and_then(|mut pending| loop {
-            let out = self.try_collect(&mut pending)?;
-            self.honour(if pending.progressed {
-                Wake::Now
-            } else {
-                Wake::Idle
-            });
+        // is awaited. A round that took nothing parks; one that took
+        // anything, the last one included, puts the poller back on its hot
+        // rung, so back-to-back fetches never start out parked.
+        // `BatchSource` returns no `Result`: a failure panics here.
+        let mut pending = self.submit_frontier(nodes);
+        loop {
+            let collected = self.collect(&mut pending);
+            let (out, moved) =
+                collected.unwrap_or_else(|e| panic!("storage batch fetch failed: {e}"));
+            self.honour(if moved { Wake::Now } else { Wake::Idle });
             if let Some(out) = out {
-                return Ok(out);
+                return out;
             }
-        });
-        fetched.unwrap_or_else(|e| panic!("storage batch fetch failed: {e}"))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WireError;
+    use crate::frame::Frame;
+    use crate::reactor::IDLE_WAIT;
     use crate::transport::{InProcTransport, Listener, TcpTransport};
     use grouting_storage::HashPartitioner;
 
@@ -531,8 +301,8 @@ mod tests {
         // Two batches pipelined on one connection; the server replies to
         // the *second* first, so collecting in submit order exercises the
         // stash-and-match path both ways.
-        let mut first = source.submit_frontier(&[n(1), n(2)]).unwrap();
-        let mut second = source.submit_frontier(&[n(7)]).unwrap();
+        let mut first = source.submit_frontier(&[n(1), n(2)]);
+        let mut second = source.submit_frontier(&[n(7)]);
         assert_ne!(first.requests[0].1, second.requests[0].1);
         let got_first = collect(&mut source, &mut first).unwrap();
         let got_second = collect(&mut source, &mut second).unwrap();
@@ -594,8 +364,8 @@ mod tests {
         });
 
         let mut source = home0_source(Arc::clone(&transport), &[addr]);
-        let mut first = source.submit_frontier(&[n(1), n(2), n(3)]).unwrap();
-        let mut second = source.submit_frontier(&[n(10), n(11)]).unwrap();
+        let mut first = source.submit_frontier(&[n(1), n(2), n(3)]);
+        let mut second = source.submit_frontier(&[n(10), n(11)]);
         assert_eq!(
             collect(&mut source, &mut first).unwrap(),
             vec![payload(1), payload(2), payload(3)]
@@ -647,7 +417,7 @@ mod tests {
             source.fetch_batch(&[n(2), n(3)]),
             vec![payload(2), payload(3)]
         );
-        assert_eq!(source.state.epoch(0), 2, "one reconnect");
+        assert_eq!(source.links.state.epoch(0), 2, "one reconnect");
         assert_eq!(source.failover_stats().batches_resubmitted, 1);
         drop(source);
         server.join().unwrap();
@@ -713,7 +483,7 @@ mod tests {
             vec![payload(1), payload(2), payload(3), payload(4)],
             "resubmitted batch must be answered in full, exactly once"
         );
-        assert_eq!(source.state.epoch(0), 2, "one reconnect");
+        assert_eq!(source.links.state.epoch(0), 2, "one reconnect");
         // The mux is healthy afterwards: a new exchange works and no stale
         // reassembly entries interfere.
         assert_eq!(source.fetch_batch(&[n(9)]), vec![payload(9)]);
@@ -762,11 +532,11 @@ mod tests {
         });
 
         let mut source = home0_source(Arc::clone(&transport), &[addr]);
-        let mut first = source.submit_frontier(&[n(1)]).unwrap();
+        let mut first = source.submit_frontier(&[n(1)]);
         assert_eq!(collect(&mut source, &mut first).unwrap(), vec![payload(1)]);
         // Collecting the next request hits the stale chunk: the mux must
         // reject it as a protocol violation, not hoard it.
-        let mut second = source.submit_frontier(&[n(2)]).unwrap();
+        let mut second = source.submit_frontier(&[n(2)]);
         let err = collect(&mut source, &mut second).unwrap_err();
         assert!(
             matches!(err, WireError::Protocol(ref m) if m.contains("not outstanding")),
@@ -791,7 +561,7 @@ mod tests {
         let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(3));
         let mut source = MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, partitioner);
         let nodes: Vec<NodeId> = (0..30).map(n).collect();
-        let mut pending = source.submit_frontier(&nodes).unwrap();
+        let mut pending = source.submit_frontier(&nodes);
         assert_eq!(pending.node_count, nodes.len());
         let got = loop {
             if let Some(out) = source.try_collect(&mut pending).unwrap() {
@@ -829,7 +599,7 @@ mod tests {
             .collect();
         let mut pending: Vec<PendingBatch> = frontiers
             .iter()
-            .map(|nodes| source.submit_frontier(nodes).unwrap())
+            .map(|nodes| source.submit_frontier(nodes))
             .collect();
         assert!(
             pending.iter().all(|p| p.requests.len() == 3),
@@ -840,7 +610,7 @@ mod tests {
             let want: Vec<_> = nodes.iter().map(|w| payload(w.raw())).collect();
             assert_eq!(got, want);
         }
-        assert_eq!(source.state.outstanding(), 0);
+        assert_eq!(source.links.state.outstanding(), 0);
         drop(source);
         for s in servers {
             s.join().unwrap();
@@ -907,7 +677,7 @@ mod tests {
 
         let mut source = home0_source(Arc::clone(&transport), &[addr]);
         let mut pending: Vec<PendingBatch> = (0..BATCHES)
-            .map(|i| source.submit_frontier(&[n(i)]).unwrap())
+            .map(|i| source.submit_frontier(&[n(i)]))
             .collect();
         let submitted: Vec<u64> = pending.iter().map(|p| p.requests[0].1).collect();
         for (i, p) in (0..BATCHES).zip(&mut pending) {
@@ -934,10 +704,10 @@ mod tests {
         });
 
         let mut source = home0_source(Arc::clone(&transport), std::slice::from_ref(&addr));
-        let mut pending = source.submit_frontier(&[n(1)]).unwrap();
+        let mut pending = source.submit_frontier(&[n(1)]);
         let err = collect(&mut source, &mut pending).unwrap_err();
         assert!(matches!(err, WireError::Closed), "got {err}");
-        assert_eq!(source.state.epoch(0), 2, "no third connection");
+        assert_eq!(source.links.state.epoch(0), 2, "no third connection");
         drop(source);
         let mut stop = transport.dial(&addr).unwrap();
         stop.send(&Frame::Shutdown).unwrap();
@@ -985,7 +755,7 @@ mod tests {
             });
 
             let mut source = home0_source(Arc::clone(&transport), &[addr]);
-            let mut pending = source.submit_frontier(&[n(1), n(2)]).unwrap();
+            let mut pending = source.submit_frontier(&[n(1), n(2)]);
             let err = collect(&mut source, &mut pending).unwrap_err();
             assert!(
                 matches!(err, WireError::Protocol(ref m) if m.contains(expect)),
@@ -1058,7 +828,7 @@ mod tests {
         );
         assert_eq!(stats.batches_resubmitted, 2);
         assert_eq!(stats.redials, 3, "primary-fail, replica-ok, primary-ok");
-        assert_eq!(source.state.epoch(0), 3, "two reconnects");
+        assert_eq!(source.links.state.epoch(0), 3, "two reconnects");
         drop(source);
         sa.join().unwrap();
         sb.join().unwrap();
@@ -1126,7 +896,7 @@ mod tests {
                 for (b, &size) in sizes.iter().enumerate() {
                     let nodes: Vec<NodeId> =
                         (0..size).map(|i| n((b * 100 + i) as u32)).collect();
-                    pending.push(source.submit_frontier(&nodes).unwrap());
+                    pending.push(source.submit_frontier(&nodes));
                 }
                 for (b, (&size, p)) in sizes.iter().zip(&mut pending).enumerate() {
                     let want: Vec<_> =
@@ -1134,7 +904,7 @@ mod tests {
                     proptest::prop_assert_eq!(collect(&mut source, p).unwrap(), want, "batch {}", b);
                 }
                 if tear < sizes.len() as u64 {
-                    proptest::prop_assert_eq!(source.state.epoch(0), 2);
+                    proptest::prop_assert_eq!(source.links.state.epoch(0), 2);
                     proptest::prop_assert!(source.failover_stats().batches_resubmitted >= 1);
                 }
                 drop(source);

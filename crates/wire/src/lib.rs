@@ -11,33 +11,27 @@
 //! * `transport` — the [`Transport`] abstraction with two fabrics:
 //!   [`TcpTransport`] (real `std::net` sockets, framed streams) and
 //!   [`InProcTransport`] (hermetic channels that still move encoded bytes);
-//! * `flow` — the one processor→storage miss path
-//!   ([`MultiplexedStorageSource`]): pipelined,
-//!   frontier-batched adjacency fetching through a non-blocking
-//!   connection multiplexer keeping one batch frame per storage server in
-//!   flight per BFS hop, correlated by request id, with redial / replica
-//!   walk / resubmit on failure; a single-node fetch is a batch of one;
-//! * `reactor` — the readiness [`Reactor`]: ONE poll loop per node
-//!   multiplexing the listener and every framed connection, replacing the
-//!   thread-per-connection control path (O(connections) → O(1) threads),
-//!   and the one poller with the one idle policy every loop honours its
-//!   [`Wake`] through — epoll for sources with an fd, a swept yield/sleep
-//!   fallback for fd-less sources and hosts without epoll;
-//! * `overlap` — the processor's sans-IO core, cross-query fetch overlap
-//!   ([`QueryPipeline`]): up to [`grouting_engine::EngineConfig::overlap`]
-//!   dispatched queries in flight per processor as resumable staged
-//!   executions, double-buffering frontiers so one query's batch travels
-//!   while another computes. It reaches storage and the clock only through
-//!   a [`FetchSeam`], and each round ends in a [`Wake`];
-//! * `router` and `storage` — the router's and a storage server's cores:
-//!   a round's frames and one clock reading in, replies and a [`Wake`] out;
-//! * `service` — the three tiers as independently runnable endpoints:
-//!   storage servers ([`StorageService`]) answering batch fetches,
-//!   processors ([`ProcessorService`]) executing dispatched queries with a
-//!   remote miss path, and the router node ([`run_router`]) driving the
-//!   *same* [`grouting_engine::Engine`] the in-proc runtimes drive —
-//!   masking mid-run processor deaths, re-admitting restarted processors,
-//!   and answering mid-run metrics requests;
+//! * `mux` and `flow` — the one processor→storage miss path: frontier
+//!   batches, one frame per storage server per BFS hop, correlated by
+//!   request id, with redial / replica walk / resubmit on failure. `mux`
+//!   decides without I/O; [`MultiplexedStorageSource`] runs it for serial
+//!   callers;
+//! * `reactor` — the readiness [`Reactor`]: ONE poll loop per node over
+//!   its listener, if any, and every framed connection (O(1) threads per
+//!   node), and the one idle policy every loop honours its [`Wake`]
+//!   through — epoll for sources with an fd, a swept fallback otherwise;
+//! * `overlap` — cross-query fetch overlap ([`QueryPipeline`]), decided
+//!   without I/O: up to [`grouting_engine::EngineConfig::overlap`]
+//!   dispatched queries in flight per processor, one query's batch
+//!   travelling while another computes, through a [`FetchSeam`];
+//! * `router`, `storage` and `processor` — the three roles' cores: a
+//!   round's inputs (frames, closes, a processor's dial outcomes) and one
+//!   clock reading in, replies and a [`Wake`] out;
+//! * `service` — the one node shell that runs every core on its reactor,
+//!   and the three tiers as endpoints: storage servers
+//!   ([`StorageService`]), processors ([`ProcessorService`]), and the
+//!   router node ([`run_router`]) driving the *same*
+//!   [`grouting_engine::Engine`] the in-proc runtimes drive;
 //! * `cluster` — the one wire launcher: router + `P` processors + `M`
 //!   storage servers as socket peers on one machine, a workload streamed
 //!   through them from a client connection, one teardown;
@@ -62,6 +56,7 @@ mod flow;
 pub mod frame;
 mod mux;
 mod overlap;
+mod processor;
 mod reactor;
 mod router;
 mod service;
@@ -416,6 +411,53 @@ mod tests {
             other => panic!("processor did not exit cleanly: {other:?}"),
         }
         storage.shutdown();
+    }
+
+    #[test]
+    fn a_processor_waiting_out_a_storage_backoff_stops_at_once() {
+        // The only storage server is dead, so the dispatched query's first
+        // miss is refused and the dial ladder's next rung is a backoff
+        // (2 s, capped at the ladder's 500 ms). Waiting it out is a
+        // deadline the processor idles towards, not a sleep, so a kill
+        // raised meanwhile ends the processor at once.
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let dead = transport.listen(&transport.any_addr()).unwrap().addr();
+        let mut router = transport.listen(&transport.any_addr()).unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let processor = ProcessorService::spawn_opts(
+            Arc::clone(&transport),
+            0,
+            router.addr(),
+            vec![dead],
+            Arc::new(HashPartitioner::new(1)),
+            EngineConfig::paper_default(1, RoutingKind::Hash),
+            FetchMode::Batched,
+            ProcessorOptions {
+                retry: Some(RetryPolicy::new(3, std::time::Duration::from_secs(2))),
+                stop: Some(Arc::clone(&stop)),
+                ..ProcessorOptions::default()
+            },
+        );
+        let mut conn = router.accept().unwrap();
+        assert!(matches!(conn.recv().unwrap(), Frame::Hello { .. }));
+        let query = queries(16, 1)[0];
+        let trace = None;
+        conn.send(&Frame::Dispatch {
+            seq: 0,
+            query,
+            trace,
+        })
+        .unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let asked = std::time::Instant::now();
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        let exit = processor.join().expect("processor thread joins");
+        let took = asked.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(500),
+            "processor took {took:?} to stop"
+        );
+        assert!(exit.is_ok(), "{exit:?}");
     }
 
     #[test]

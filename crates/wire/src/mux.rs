@@ -1,47 +1,43 @@
-//! The storage multiplexer's decisions: [`MuxState`].
+//! The storage multiplexer's decisions: [`MuxState`], and the processor's
+//! mux half around it, [`MuxLinks`]. Neither does I/O or reads a clock.
 //!
 //! A processor keeps one connection per home storage server and many
-//! batch requests in flight on each. Everything the miss path decides
-//! about them lives here, in a state machine that does no I/O and reads
-//! no clock:
+//! batch requests in flight on each. [`MuxState`] numbers each request
+//! and matches replies by that number, so they complete in any order; it
+//! stitches a reply's chunks until the request's node count is reached;
+//! it numbers connections (epochs), so nothing a dead one delivered lands
+//! on its successor; and after a death ([`MuxState::on_closed`]) it walks
+//! the home's replica chain, primary first, one [`RetryPolicy`] rung per
+//! walk ([`MuxState::on_dial`]), resubmitting what was outstanding in id
+//! order. A request outlives at most one connection death.
 //!
-//! * correlation — [`MuxState::submit`] numbers each request and builds
-//!   its frame; replies are matched by that number, so requests may
-//!   complete in any order;
-//! * reassembly — storage may answer one request in several chunks;
-//!   [`MuxState::on_frame`] stitches them in arrival order until the
-//!   requested node count is reached, and [`MuxState::take`] hands the
-//!   whole answer out;
-//! * epochs — every connection is numbered, and a frame or a close names
-//!   the connection it came from, so nothing a dead connection delivered
-//!   is stitched onto its successor;
-//! * failover — after a death ([`MuxState::on_closed`]) the home is
-//!   dialled down its replica chain, primary first, one [`RetryPolicy`]
-//!   rung per chain walk ([`MuxState::on_dial`] returns the next [`Dial`]
-//!   with its backoff), and the fresh connection resubmits what was
-//!   outstanding at the death, in request-id order. A request outlives
-//!   at most one connection death; the second is the error.
-//!
-//! The shell is `flow`'s multiplexed storage source: it owns the
-//! connections and the readiness wait, feeds in what happened, and sends
-//! or dials what comes out.
+//! [`MuxLinks`], shared by the processor core and `flow`'s blocking
+//! source, adds which connection carries each home and where its dial
+//! ladder stands. A rung's backoff is a deadline, made by the caller's
+//! first round at or after it; connections are reached through [`Dials`].
 //!
 //! Nothing a storage peer sends panics here: a non-batch frame, a reply
 //! to a request that is not outstanding and an answer longer than its
 //! request are each a [`WireError::Protocol`] that leaves the state as it
-//! was. The miss path's only panic is the serial `BatchSource::fetch_batch`
-//! boundary, whose signature returns no `Result`; the processor service
-//! never calls it, so there a failure is the pipeline's `WireError`.
+//! was.
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use grouting_graph::NodeId;
 use grouting_metrics::FailoverStats;
+use grouting_storage::Partitioner;
+use grouting_trace::TelemetryCounters;
 
 use crate::error::{WireError, WireResult};
-use crate::flow::BatchPayloads;
 use crate::frame::Frame;
+use crate::overlap::{Dials, Input, Wake};
 use crate::transport::RetryPolicy;
+
+/// One batch's worth of per-node payloads: the serving server id and
+/// encoded adjacency value, `None` where the node is not stored.
+pub type BatchPayloads = Vec<Option<(u16, Bytes)>>;
 
 /// One dial of a home server's ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,9 +98,8 @@ impl Request {
 /// One home server's connection and requests.
 #[derive(Debug, Clone, Default)]
 struct Server {
-    /// Requests submitted and not yet taken, by id, in submission (and
-    /// so id) order. A processor has a few in flight per server, so a
-    /// scan finds one as fast as a map would.
+    /// Requests submitted and not yet taken, in id order: a few per
+    /// server, so a scan finds one as fast as a map would.
     requests: Vec<(u64, Request)>,
     /// Connections made so far, which numbers the current one.
     epoch: u64,
@@ -117,8 +112,7 @@ struct Server {
 #[derive(Debug, Clone)]
 pub(crate) struct MuxState {
     servers: Vec<Server>,
-    /// Replica-chain length of the storage tier: home `s`'s payloads are
-    /// also served by endpoints `(s + k) % servers` for `k < replication`.
+    /// Replica-chain length: home `s` is also served by `(s + k) % servers`.
     pub(crate) replication: usize,
     /// The ladder a dial walks: rungs, and the backoff between them.
     pub(crate) retry: RetryPolicy,
@@ -159,7 +153,7 @@ impl MuxState {
     }
 
     /// Records a request for `nodes` to home `server` and returns its id
-    /// with the frame that carries it. The caller connects first.
+    /// with the frame that carries it.
     pub(crate) fn submit(
         &mut self,
         server: usize,
@@ -179,14 +173,13 @@ impl MuxState {
         (req_id, frame)
     }
 
-    /// Stitches `frame`, read from `server`'s connection `epoch`. A frame
-    /// from a connection that has since closed changes nothing.
+    /// Stitches `frame`, read from `server`'s connection `epoch`; one from
+    /// a connection since closed changes nothing.
     ///
     /// # Errors
     ///
-    /// [`WireError::Protocol`], with the state unchanged, for a non-batch
-    /// frame, a reply to a request that is not outstanding, and more nodes
-    /// than the request asked for.
+    /// [`WireError::Protocol`], the state unchanged: a non-batch frame, a
+    /// reply to no outstanding request, more nodes than it asked for.
     pub(crate) fn on_frame(&mut self, server: usize, epoch: u64, frame: Frame) -> WireResult<()> {
         let s = &mut self.servers[server];
         if s.link.is_none() || epoch != s.epoch {
@@ -236,8 +229,7 @@ impl MuxState {
     }
 
     /// `server`'s connection `epoch` died: its partial answers are
-    /// dropped, and the caller dials from [`Dial::primary`]. A close of a
-    /// connection already closed changes nothing.
+    /// dropped. A close of a connection already closed changes nothing.
     ///
     /// # Errors
     ///
@@ -261,10 +253,17 @@ impl MuxState {
         Ok(())
     }
 
-    /// The outcome of `dial` for home `server`: connected, with the
-    /// outstanding requests to resubmit in id order, or the ladder's next
-    /// dial — the next chain endpoint at once, or the primary again after
-    /// the rung's backoff.
+    /// Whether a request to `server` awaits nodes.
+    pub(crate) fn awaits(&self, server: usize) -> bool {
+        self.servers[server]
+            .requests
+            .iter()
+            .any(|(_, r)| !r.complete())
+    }
+
+    /// The outcome of `dial` for home `server`: connected, with what is
+    /// outstanding to send in id order, or the ladder's next dial — the
+    /// next chain endpoint at once, or the primary after a backoff.
     ///
     /// # Errors
     ///
@@ -288,13 +287,12 @@ impl MuxState {
                 if k > 0 {
                     self.failover.replica_failovers += 1;
                 }
-                let resubmit: Vec<Frame> = s
-                    .requests
-                    .iter()
-                    .filter(|(_, r)| !r.complete())
-                    .map(|(req_id, r)| r.frame(*req_id))
-                    .collect();
-                self.failover.batches_resubmitted += resubmit.len() as u64;
+                // Requests made while the home had no connection go out
+                // here too, but only what a death caught is resubmitted.
+                let open = s.requests.iter().filter(|(_, r)| !r.complete());
+                let caught = open.clone().filter(|(_, r)| r.deaths > 0).count();
+                self.failover.batches_resubmitted += caught as u64;
+                let resubmit = open.map(|(req_id, r)| r.frame(*req_id)).collect();
                 Ok(Dialled::Connected(conn, resubmit))
             }
             Err(_) if k + 1 < chain => Ok(Dialled::Retry(Dial {
@@ -309,6 +307,211 @@ impl MuxState {
             })),
             Err(e) => Err(e),
         }
+    }
+}
+
+/// Where one home server's link stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    /// Its next request dials it.
+    Down,
+    /// The ladder's next dial, due at this time.
+    Waiting(Dial, u64),
+    /// A dial is out; its outcome is a coming [`Input::Dialled`].
+    Dialling(Dial),
+    Up(u64),
+}
+
+/// Most nodes a single [`Frame::FetchBatchRequest`] may carry: keeps the
+/// encoded request (13 + 4·N bytes) around 4 MiB, far under
+/// [`crate::frame::MAX_FRAME_BYTES`]; a larger per-server miss set is
+/// pipelined as several requests.
+pub const MAX_BATCH_REQUEST_NODES: usize = 1 << 20;
+
+/// A submitted frontier fetch: (server, correlation id, caller slots) per
+/// request, the answers collected so far, and the frontier's length.
+pub struct PendingBatch {
+    pub(crate) requests: Vec<(usize, u64, Vec<usize>)>,
+    collected: Vec<Option<BatchPayloads>>,
+    pub(crate) node_count: usize,
+}
+
+/// A processor's half of the miss path, shared by its core and the
+/// blocking storage source: the [`MuxState`], the placement function,
+/// and each home's [`Link`].
+pub(crate) struct MuxLinks {
+    pub(crate) state: MuxState,
+    addrs: Vec<String>,
+    partitioner: Arc<dyn Partitioner>,
+    links: Vec<Link>,
+    /// Deployment-shared telemetry, and the trace switch: when set,
+    /// requests carry their issue stamp and batch depths are counted.
+    pub(crate) telemetry: Option<Arc<TelemetryCounters>>,
+}
+
+impl MuxLinks {
+    pub(crate) fn new(addrs: &[String], partitioner: Arc<dyn Partitioner>) -> Self {
+        Self {
+            state: MuxState::new(addrs.len()),
+            addrs: addrs.to_vec(),
+            partitioner,
+            links: vec![Link::Down; addrs.len()],
+            telemetry: None,
+        }
+    }
+
+    /// Submits a frontier at `now`, grouped per home server and chunked
+    /// under the per-frame node cap, and writes each connection at once,
+    /// so the fetch travels while the caller computes. A home without a
+    /// connection is dialled, and its requests leave when the dial lands.
+    pub(crate) fn submit_frontier(
+        &mut self,
+        nodes: &[NodeId],
+        now: u64,
+        out: &mut impl Dials,
+    ) -> PendingBatch {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.addrs.len()];
+        for (i, &node) in nodes.iter().enumerate() {
+            groups[self.partitioner.assign(node) % self.addrs.len()].push(i);
+        }
+        let issued_ns = self.telemetry.as_ref().map(|_| now);
+        let (mut requests, mut batch) = (Vec::new(), Vec::new());
+        for (server, group) in groups.iter().enumerate() {
+            for slots in group.chunks(MAX_BATCH_REQUEST_NODES) {
+                batch.clear();
+                batch.extend(slots.iter().map(|&i| nodes[i]));
+                let (req_id, frame) = self.state.submit(server, &batch, issued_ns);
+                match self.links[server] {
+                    // A failed send is a death the next round hears of.
+                    Link::Up(conn) => drop(out.send(conn, &frame)),
+                    Link::Down => self.dial(server, Dial::primary(server), out),
+                    Link::Waiting(..) | Link::Dialling(_) => {}
+                }
+                if let Some(t) = &self.telemetry {
+                    t.batch_submitted(self.state.outstanding());
+                }
+                requests.push((server, req_id, slots.to_vec()));
+            }
+        }
+        for &(server, ..) in &requests {
+            if let Link::Up(conn) = self.links[server] {
+                out.flush(conn);
+            }
+        }
+        PendingBatch {
+            collected: vec![None; requests.len()],
+            requests,
+            node_count: nodes.len(),
+        }
+    }
+
+    /// `pending`'s payloads in caller order once every request is
+    /// answered.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Protocol`] for a batch these links never made.
+    pub(crate) fn collect(
+        &mut self,
+        pending: &mut PendingBatch,
+    ) -> WireResult<Option<BatchPayloads>> {
+        let requests = pending.requests.iter().zip(&mut pending.collected);
+        for (&(server, req_id, _), slot) in requests.filter(|(_, slot)| slot.is_none()) {
+            *slot = self.state.take(server, req_id)?;
+        }
+        if pending.collected.iter().any(Option::is_none) {
+            return Ok(None);
+        }
+        let mut out: BatchPayloads = vec![None; pending.node_count];
+        for ((_, _, slots), payloads) in pending.requests.iter().zip(pending.collected.drain(..)) {
+            for (&slot, payload) in slots.iter().zip(payloads.into_iter().flatten()) {
+                out[slot] = payload;
+            }
+        }
+        Ok(Some(out))
+    }
+
+    /// Takes one of a round's storage inputs at `now`: a reply is
+    /// stitched; after a death, a home awaiting nodes dials its primary
+    /// (an idle one waits for its next request); a dial's outcome sends
+    /// what waited, walks the chain, or sets the next rung's deadline.
+    ///
+    /// # Errors
+    ///
+    /// A storage peer's protocol violation, a death a request cannot
+    /// outlive, and a ladder refused to its end.
+    pub(crate) fn take(&mut self, now: u64, input: Input, out: &mut impl Dials) -> WireResult<()> {
+        match input {
+            Input::Frame(conn, frame) => match self.home_on(conn) {
+                Some(server) => self.state.on_frame(server, self.state.epoch(server), frame),
+                None => Ok(()),
+            },
+            Input::Closed(conn) => {
+                let Some(server) = self.home_on(conn) else {
+                    return Ok(());
+                };
+                self.links[server] = Link::Down;
+                self.state.on_closed(server, self.state.epoch(server))?;
+                if self.state.awaits(server) {
+                    self.dial(server, Dial::primary(server), out);
+                }
+                Ok(())
+            }
+            Input::Dialled(tag, conn) => {
+                let server = tag as usize;
+                let Some(&Link::Dialling(dial)) = self.links.get(server) else {
+                    return Ok(());
+                };
+                let refused = || WireError::Unroutable(self.addrs[dial.target].clone());
+                match self.state.on_dial(server, dial, conn.ok_or_else(refused))? {
+                    Dialled::Connected(conn, frames) => {
+                        self.links[server] = Link::Up(conn);
+                        frames.iter().for_each(|frame| drop(out.send(conn, frame)));
+                        out.flush(conn);
+                    }
+                    Dialled::Retry(next) if next.delay.is_zero() => self.dial(server, next, out),
+                    Dialled::Retry(next) => {
+                        let due = now.saturating_add(next.delay.as_nanos() as u64);
+                        self.links[server] = Link::Waiting(next, due);
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Makes every dial due by `now`; whether it made any.
+    pub(crate) fn dial_due(&mut self, now: u64, out: &mut impl Dials) -> bool {
+        let due: Vec<(usize, Dial)> = (self.links.iter().enumerate())
+            .filter_map(|(server, link)| match *link {
+                Link::Waiting(dial, due) if due <= now => Some((server, dial)),
+                _ => None,
+            })
+            .collect();
+        due.iter()
+            .for_each(|&(server, dial)| self.dial(server, dial, out));
+        !due.is_empty()
+    }
+
+    /// `wake`, or, for an idle round, the earliest dial deadline.
+    pub(crate) fn wake(&self, wake: Wake) -> Wake {
+        let due = self.links.iter().filter_map(|link| match link {
+            Link::Waiting(_, due) => Some(*due),
+            _ => None,
+        });
+        match (wake, due.min()) {
+            (Wake::Idle, Some(due)) => Wake::IdleUntil(due),
+            (wake, _) => wake,
+        }
+    }
+
+    fn home_on(&self, conn: u64) -> Option<usize> {
+        self.links.iter().position(|&link| link == Link::Up(conn))
+    }
+
+    fn dial(&mut self, server: usize, dial: Dial, out: &mut impl Dials) {
+        self.links[server] = Link::Dialling(dial);
+        out.dial(server as u64, &self.addrs[dial.target]);
     }
 }
 

@@ -1,43 +1,29 @@
-//! The processor's core: cross-query fetch overlap, decided without I/O.
+//! Cross-query fetch overlap, decided without I/O: the half of a
+//! processor's core that runs its queries.
 //!
-//! With frontier batching (PR 3) a processor's storage pipe is busy only
-//! while a query is *fetching*; the pipe idles whenever the processor is
-//! computing. [`QueryPipeline`] closes that gap: it keeps up to
-//! `overlap` dispatched queries in flight as [`StagedQuery`] state
-//! machines over ONE cache and ONE storage seam, so while query A's fetch
-//! travels, query B's compute stage runs — and B's next fetch goes on the
-//! wire before A's reply is awaited (double-buffered frontiers). Every
-//! query kind stages: an aggregation level, a walk step, a reachability
-//! search's endpoints or one of its frontier levels, the label read of
-//! the nodes where a constrained search's level met, and a re-fetch of a
-//! node evicted mid-apply are each one submitted fetch. A query stopped
-//! mid-apply for such a re-fetch runs alone until it lands, as it did when
-//! the re-fetch blocked, so no other query's cache operations land inside
-//! one query's ask.
+//! A processor's storage pipe idles whenever it computes. [`QueryPipeline`]
+//! keeps up to `overlap` dispatched queries in flight as [`StagedQuery`]
+//! state machines over ONE cache and ONE storage seam, so while query A's
+//! fetch travels, query B computes, and B's next fetch goes on the wire
+//! before A's reply is awaited. Every query kind stages; a query stopped
+//! mid-apply for a re-fetch of an evicted node runs alone until it lands,
+//! so no other query's cache operations land inside one query's ask.
 //!
-//! The pipeline is sans-IO. All it needs from outside goes through one
-//! [`FetchSeam`]: put a frontier on the wire, poll a submitted fetch, read
-//! the clock. The wire implements it in `flow`; tests implement it over a
-//! storage tier, delivering fetches in whatever order they choose, with a
-//! counter for a clock. Each [`QueryPipeline::step`] ends with a [`Wake`],
-//! the progress rule the processor loop honours: a round that took input
-//! (a pushed dispatch, applied payloads) or produced output (a submission,
-//! a completion) is [`Wake::Now`], and only an [`Wake::Idle`] round —
-//! which changed nothing — may park on the poller.
+//! The pipeline reaches storage and the clock through one [`FetchSeam`]
+//! (submit a frontier, poll a fetch, read the clock), which the processor
+//! core and `flow`'s blocking source implement over the mux half, and
+//! tests over a storage tier, delivering fetches in any order. Each
+//! [`QueryPipeline::step`] ends with a [`Wake`]: a round that took input
+//! (a dispatch, payloads) or produced output (a submission, a completion)
+//! is [`Wake::Now`]; only an [`Wake::Idle`] round changed nothing. Every
+//! node core shares [`Wake`], [`Input`] and [`Replies`] with the shell.
 //!
-//! At `overlap == 1` the pipeline degenerates to strictly serial
-//! execution whose cache operation sequence is byte-identical to
-//! [`grouting_engine::Worker::run`] — the agreement contract pinned by
-//! `wire_agreement` — because both drive the same [`StagedQuery`]
-//! plan/fetch/apply cycle.
-//!
-//! Attribution under interleaving: each staged query owns its
-//! [`AccessStats`] (swapped into the transient store per step), so
-//! per-query hit/miss counts sum to the pipeline's totals even though the
-//! queries share a cache. The *split* between two interleaved queries
-//! touching the same cold record may differ from a serial run (whoever
-//! applies first takes the miss), which is why strict stat agreement is
-//! only promised at `overlap == 1`.
+//! At `overlap == 1` the pipeline's cache operations are byte-identical
+//! to [`grouting_engine::Worker::run`]'s (pinned by `wire_agreement`):
+//! both drive the same [`StagedQuery`] cycle. Each staged query owns its
+//! [`AccessStats`], so per-query counts sum to the totals; at higher
+//! overlap, which of two interleaved queries pays a shared cold record's
+//! miss may differ from a serial run.
 
 use std::collections::VecDeque;
 
@@ -49,8 +35,8 @@ use grouting_query::{
 use grouting_trace::{QueryTrace, TraceLevel};
 
 use crate::error::{WireError, WireResult};
-use crate::flow::BatchPayloads;
 use crate::frame::Frame;
+use crate::mux::BatchPayloads;
 
 /// Everything the processor core needs from outside it: the storage wire
 /// and the clock.
@@ -58,12 +44,9 @@ pub trait FetchSeam {
     /// A submitted fetch, held by its query until the payloads arrive.
     type Fetch;
 
-    /// Puts a frontier's fetch on the wire without waiting for a reply.
-    ///
-    /// # Errors
-    ///
-    /// The storage path's dial and send failures.
-    fn submit_frontier(&mut self, nodes: &[NodeId]) -> WireResult<Self::Fetch>;
+    /// Puts a frontier's fetch on the wire without waiting for a reply. A
+    /// connection that fails meanwhile fails the fetch's collect.
+    fn submit_frontier(&mut self, nodes: &[NodeId]) -> Self::Fetch;
 
     /// Polls a submitted fetch without blocking: its payloads (one per
     /// node, in request order) once all have arrived, `None` before.
@@ -86,31 +69,41 @@ pub enum Wake {
     /// The round did nothing and nothing is due (no dispatch arrived, no
     /// fetch it polled had landed): park until a connection has traffic.
     Idle,
-    /// The round did nothing, and a response falls due at this time on
-    /// the loop's clock: yield rather than park.
+    /// The round did nothing, and work falls due at this time on the
+    /// loop's clock (a storage response, a processor's next dial).
     IdleUntil(u64),
 }
 
-/// What a reactor-driven core's round (storage's or the router's) takes
-/// in.
+/// What a node core's round takes in.
 #[cfg_attr(test, derive(Clone))]
 pub(crate) enum Input {
     /// A frame arrived on a connection.
     Frame(u64, Frame),
     /// A connection closed.
     Closed(u64),
+    /// The dial asked for under this tag ([`Dials::dial`]) reached its peer
+    /// on this connection, or was refused (`None`). Only a processor dials.
+    Dialled(u64, Option<u64>),
 }
 
 /// Where a reactor-driven core's replies go: the shell's connections.
 pub(crate) trait Replies {
-    /// Sends one frame on connection `conn`. An error means the connection
-    /// is gone now. With the reactor the frame is staged and written when
-    /// the round ends, so a write that fails then comes back as an
-    /// [`Input::Closed`] in the next round instead.
+    /// Sends one frame on connection `conn`: an error means it is gone. The
+    /// reactor stages it for the round's end, and a write that fails then
+    /// is an [`Input::Closed`] in the next round.
     fn send(&mut self, conn: u64, frame: &Frame) -> WireResult<()>;
 
     /// Drops connection `conn`.
     fn close(&mut self, conn: u64);
+}
+
+/// What the processor's core asks of its shell beyond [`Replies`].
+pub(crate) trait Dials: Replies {
+    /// Dials `addr` once; the outcome is a coming [`Input::Dialled`].
+    fn dial(&mut self, tag: u64, addr: &str);
+
+    /// Writes what is staged on `conn` now, not when the round ends.
+    fn flush(&mut self, conn: u64);
 }
 
 /// One finished query, ready to be acknowledged to the router.
@@ -144,10 +137,8 @@ struct Running {
 /// processor's running totals.
 struct Shared {
     trace: TraceLevel,
-    /// Cumulative per-storage-server workload heat: demand counts fold in
-    /// as queries complete (from their miss logs). Deterministic integer
-    /// tallies, counted unconditionally — observability sampling never
-    /// changes them.
+    /// Cumulative per-storage-server demand, folded in from each finished
+    /// query's miss log: deterministic, whatever observability samples.
     heat: HeatMap,
     /// The completed queries' access statistics, summed.
     totals: AccessStats,
@@ -193,16 +184,13 @@ impl<F> QueryPipeline<F> {
         }
     }
 
-    /// Raises the pipeline's trace level (never lowers it). The processor
-    /// calls this with the level its dispatch frames carry, so the first
-    /// traced dispatch switches instrumentation on for every query that
-    /// resumes afterwards.
+    /// Raises the trace level (never lowers it): the first traced dispatch
+    /// switches instrumentation on for every query resumed afterwards.
     pub fn set_trace(&mut self, level: TraceLevel) {
         self.shared.trace = self.shared.trace.max(level);
     }
 
-    /// The cumulative per-storage-server heat: the demand misses of
-    /// completed queries.
+    /// The completed queries' demand misses per storage server.
     pub fn heat(&self) -> &HeatMap {
         &self.shared.heat
     }
@@ -240,18 +228,15 @@ impl<F> QueryPipeline<F> {
     }
 
     /// Drives every in-flight query one round: admits queued queries into
-    /// free slots (running their compute until the first fetch), polls
-    /// each awaited fetch, and resumes whichever queries have their
-    /// payloads — submitting their next fetch before returning. Never
-    /// blocks: no query reads storage inside a resume, so the processor
-    /// waits on storage only in its own idle wait. Returns the queries
-    /// that finished this round, and sets [`QueryPipeline::wake`].
+    /// free slots, polls each awaited fetch, and resumes the queries whose
+    /// payloads arrived, submitting their next fetch. Never blocks.
+    /// Returns the queries that finished, and sets [`QueryPipeline::wake`].
     ///
     /// # Errors
     ///
-    /// Propagates storage-path failures (dial/submit/poll past the
-    /// reconnect budget, protocol violations). A fetched record that fails
-    /// to decode is a [`WireError::Protocol`].
+    /// Propagates the collects' failures (a death a request cannot
+    /// outlive, a refused ladder, protocol violations). A fetched record
+    /// that fails to decode is a [`WireError::Protocol`].
     pub fn step<S: FetchSeam<Fetch = F>>(
         &mut self,
         seam: &mut S,
@@ -386,7 +371,7 @@ impl Shared {
                 return Ok(None);
             }
         };
-        let fetch = seam.submit_frontier(&miss)?;
+        let fetch = seam.submit_frontier(&miss);
         if tracing {
             query.fetch_started_ns = seam.clock_ns();
         }
@@ -623,10 +608,10 @@ mod tests {
     impl FetchSeam for FakeSeam {
         type Fetch = usize;
 
-        fn submit_frontier(&mut self, nodes: &[NodeId]) -> WireResult<usize> {
+        fn submit_frontier(&mut self, nodes: &[NodeId]) -> usize {
             self.log.push(Event::Submit(self.fetches.len()));
             self.fetches.push((nodes.to_vec(), Fate::Travelling));
-            Ok(self.fetches.len() - 1)
+            self.fetches.len() - 1
         }
 
         fn try_collect(&mut self, fetch: &mut usize) -> WireResult<Option<BatchPayloads>> {

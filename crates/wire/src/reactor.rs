@@ -1,31 +1,24 @@
 //! A readiness-driven reactor: one poll loop over many framed connections.
 //!
-//! Every node runs a single [`Reactor`]: it multiplexes the listener
-//! ([`Listener::try_accept`]) and every established connection
-//! ([`crate::transport::FrameStream::try_recv`]) through one non-blocking
-//! loop, so a node's thread count is O(1) rather than O(connections), and
-//! a dispatch wakes its processor in one poll-loop iteration rather than a
-//! channel hand-off plus a scheduler round trip.
+//! Every node runs a single [`Reactor`]: it multiplexes its listener, if
+//! it has one ([`Listener::try_accept`]), and every connection it
+//! accepted or dialled ([`crate::transport::FrameStream::try_recv`])
+//! through one non-blocking loop, so a node's thread count is O(1).
 //!
 //! Between rounds every loop honours its core's [`Wake`] through one idle
 //! policy (`Poller::pace`). Sources with an fd live in an epoll set
-//! (Linux): an idle reactor *blocks* in `epoll_wait` — zero syscalls per
-//! idle connection — and a woken one drains only the connections the
-//! kernel reports ready, O(ready) per round instead of O(connections). A
-//! source the poller cannot track — one without an fd (the in-process
-//! transport), or any source on a host without epoll — turns each park
+//! (Linux): an idle reactor blocks in `epoll_wait`, and a woken one drains
+//! only the connections reported ready. A source without an fd (the
+//! in-process transport), or any source without epoll, turns each park
 //! into a short sleep and each round into a full sweep. Which regime a
 //! wait takes never changes what a loop computes.
 //!
-//! Replies leave once per round. [`Reactor::send`] only stages a frame on
-//! its connection ([`crate::transport::FrameSink::stage`]); the round's
-//! [`Reactor::honour`] flushes every connection that has staged frames,
-//! one write each, before it may park, so nothing waits unsent while the
-//! node idles. A connection whose flush fails is retired and reported as
-//! [`ReactorEvent::Closed`] by the next [`Reactor::poll`], where its core
-//! runs the close path it runs for any dead peer. Closing a connection
-//! flushes it first, and so does dropping the reactor: frames staged after
-//! the last round (the router's final snapshot and `Shutdown`) still leave.
+//! Replies leave once per round: [`Reactor::send`] stages a frame and
+//! [`Reactor::honour`] writes every connection's, one write each, before
+//! it may park. An accepted connection whose write fails is retired and
+//! reported as [`ReactorEvent::Closed`] by the next [`Reactor::poll`]; a
+//! dialled one is closed by its peer, and its stream reports it. Closing
+//! a connection, or dropping the reactor, writes what is staged first.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -35,8 +28,8 @@ use grouting_trace::TelemetryCounters;
 
 use crate::error::{WireError, WireResult};
 use crate::frame::Frame;
-use crate::overlap::{Replies, Wake};
-use crate::transport::{Connection, FrameSink, FrameStream, Listener};
+use crate::overlap::{Dials, Input, Replies, Wake};
+use crate::transport::{Connection, FrameSink, FrameStream, Listener, Transport};
 
 /// How long into an idle stretch a loop keeps yielding before it parks.
 /// Request gaps on a loaded service are microseconds, far under this, so
@@ -92,15 +85,10 @@ impl EpollFd {
 use crate::sys::EpollFd;
 
 /// One poll loop's readiness source — an epoll set for every source with
-/// a trackable fd, a swept fallback for the rest — and the idle clock of
-/// the one idle policy ([`Poller::pace`]).
-///
-/// [`Poller::wait`] either names the ready tokens (returns `false`) or
-/// declares readiness unknown (returns `true`), in which case the owner
-/// must probe every source. It names tokens only while it tracks *every*
-/// registered source: one fd-less source — whose bytes arrive without any
-/// fd becoming readable — or a missing epoll set turns each wait into a
-/// request to sweep.
+/// an fd, a swept fallback for the rest — and the idle clock of the one
+/// idle policy ([`Poller::pace`]). [`Poller::wait`] names the ready tokens
+/// only while it tracks *every* source: one fd-less source, or no epoll
+/// set, turns each wait into a request to sweep.
 pub(crate) struct Poller {
     /// Absent off Linux, or when the kernel refused to create one.
     epoll: Option<EpollFd>,
@@ -155,29 +143,29 @@ impl Poller {
     }
 
     /// The one idle policy, every node's: what a loop does after a round,
-    /// by that round's [`Wake`]. Returns how long the readiness wait that
-    /// follows may block.
+    /// by its [`Wake`]. Returns how long the readiness wait may block.
     ///
     /// - [`Wake::Now`]: back to the hot rung; nothing waits.
-    /// - [`Wake::IdleUntil`]: hand the core over once, leaving the idle
-    ///   clock alone. The work falls due within microseconds (a storage
-    ///   response's flight time), where a park would overshoot.
-    /// - [`Wake::Idle`]: for the first [`YIELD_FOR`] of an idle stretch,
-    ///   hand the core over (the peer may be about to produce our bytes);
-    ///   after that, park: block on epoll for up to `park`, or, with an
-    ///   untracked source, sleep [`SWEPT_NAP`].
+    /// - [`Wake::IdleUntil`]: the idle clock stays. Work due within
+    ///   [`YIELD_FOR`] (a storage response's flight time) yields once, as
+    ///   a park would overshoot; later work (a dial's backoff) parks until
+    ///   it is due, for at most `park`.
+    /// - [`Wake::Idle`]: yield for the first [`YIELD_FOR`] of an idle
+    ///   stretch, then park: epoll for up to `park`, or [`SWEPT_NAP`].
     ///
-    /// Deliberately no spin: each round is a sweep of read syscalls, not a
-    /// free pause, so spinning between rounds burns the very core the peer
-    /// needs to produce the next frame — on a single-CPU host that
-    /// multiplied round-trip latency ~5× on the 64-node frontier fetch.
+    /// No spin: a round is a sweep of read syscalls, so spinning burns the
+    /// core the peer needs (~5× the frontier fetch's latency on one CPU).
     fn pace(&mut self, wake: Wake, park: Duration) -> Duration {
         let (hand_over, block) = match wake {
             Wake::Now => {
                 self.idle_since = None;
                 (false, Duration::ZERO)
             }
-            Wake::IdleUntil(_) => (true, Duration::ZERO),
+            Wake::IdleUntil(due) => {
+                let left = Duration::from_nanos(due.saturating_sub(crate::service::now_ns()));
+                let near = left <= YIELD_FOR;
+                (near, if near { Duration::ZERO } else { left.min(park) })
+            }
             Wake::Idle => {
                 let since = *self.idle_since.get_or_insert_with(Instant::now);
                 let hot = since.elapsed() < YIELD_FOR;
@@ -207,15 +195,6 @@ impl Poller {
             _ => true,
         }
     }
-
-    /// Honours `wake` for an owner that probes every source it awaits each
-    /// round anyway: the kernel is asked only to park.
-    pub fn park(&mut self, wake: Wake, park: Duration) {
-        let block = self.pace(wake, park);
-        if let Some(epoll) = self.epoll.as_ref().filter(|_| !block.is_zero()) {
-            let _ = epoll.wait(&mut Vec::new(), block);
-        }
-    }
 }
 
 /// Something a [`Reactor::poll`] sweep observed.
@@ -234,6 +213,22 @@ pub enum ReactorEvent {
     /// The connection died (peer closed, transport error, or stream
     /// corruption); it has already been deregistered.
     Closed(u64),
+    /// A dial its core asked for under this tag reached its peer,
+    /// now registered under this id, or was refused (`None`).
+    Dialled(u64, Option<u64>),
+}
+
+impl ReactorEvent {
+    /// What a core's round takes from this event: every event but an
+    /// accept, which a core hears of with the connection's first frame.
+    pub(crate) fn into_input(self) -> Option<Input> {
+        match self {
+            ReactorEvent::Opened(_) => None,
+            ReactorEvent::Frame(conn, frame) => Some(Input::Frame(conn, frame)),
+            ReactorEvent::Closed(conn) => Some(Input::Closed(conn)),
+            ReactorEvent::Dialled(tag, conn) => Some(Input::Dialled(tag, conn)),
+        }
+    }
 }
 
 struct ReactorConn {
@@ -249,7 +244,7 @@ struct ReactorConn {
 /// Folds a stream's buffer-pool counters into `telemetry` as deltas
 /// against `seen` (the totals already reported for this connection).
 /// A no-op when telemetry is off or the stream has no pool.
-pub(crate) fn sample_pool(
+fn sample_pool(
     telemetry: &Option<Arc<TelemetryCounters>>,
     stream: &dyn FrameStream,
     seen: &mut (u64, u64),
@@ -291,6 +286,7 @@ fn drain_conn(
     conn: &mut ReactorConn,
     events: &mut Vec<ReactorEvent>,
     telemetry: &Option<Arc<TelemetryCounters>>,
+    pools: &Option<Arc<TelemetryCounters>>,
 ) -> Drain {
     let result = 'drain: {
         for _ in 0..MAX_FRAMES_PER_CONN_PER_SWEEP {
@@ -313,23 +309,16 @@ fn drain_conn(
         }
         Drain::Capped
     };
-    sample_pool(telemetry, conn.stream.as_ref(), &mut conn.pool_seen);
+    sample_pool(pools, conn.stream.as_ref(), &mut conn.pool_seen);
     result
 }
 
-/// One node's connection multiplexer: a listener plus every accepted (or
-/// registered) connection, all driven from a single thread.
-///
-/// Frames are delivered in per-connection order — the order the peer sent
-/// them — because each connection is a FIFO byte stream drained
-/// sequentially; no ordering holds *across* connections.
-///
-/// A shell drives it in rounds: [`Reactor::poll`], its core's step, then
-/// [`Reactor::honour`] with the step's [`Wake`] — the one wait. A poll
-/// after a wait that named the ready sources drains only those, plus the
-/// connections whose frame drain hit the per-round cap: they are
-/// remembered as *dirty* and re-drained regardless of kernel readiness,
-/// since complete frames parked in a userspace buffer make no fd readable.
+/// One node's connection multiplexer, driven from a single thread in
+/// rounds: [`Reactor::poll`], its core's step, [`Reactor::honour`]. Frames
+/// arrive in per-connection order. A poll after a wait that named the
+/// ready sources drains those, plus the *dirty* connections whose drain
+/// hit the per-round cap: frames parked in a userspace buffer make no fd
+/// readable.
 pub struct Reactor {
     listener: Option<Box<dyn Listener>>,
     // BTreeMap so sweeps visit connections in a deterministic order.
@@ -351,22 +340,40 @@ pub struct Reactor {
     /// Connections a flush failed on, already retired: the next poll
     /// reports each as [`ReactorEvent::Closed`].
     failed: Vec<u64>,
+    /// What [`Dials::dial`] dials with, and what the next poll reports.
+    transport: Option<Arc<dyn Transport>>,
+    dialled: Vec<(u64, Option<u64>)>,
     next_id: u64,
     /// Shared telemetry sink; `None` (tracing off) keeps the loop free of
     /// clock reads and atomic bumps.
     telemetry: Option<Arc<TelemetryCounters>>,
+    /// Where buffer-pool reuse is sampled: the telemetry's, or a
+    /// processor's alone (the router and storage count its frames).
+    pools: Option<Arc<TelemetryCounters>>,
 }
 
 impl Reactor {
     /// A reactor accepting inbound connections from `listener`.
     pub fn new(listener: Box<dyn Listener>) -> Self {
-        Self::with(listener, Poller::new())
+        Self::with(Some(listener), None, Poller::new())
     }
 
-    fn with(listener: Box<dyn Listener>, mut poller: Poller) -> Self {
-        poller.register(LISTENER_TOKEN, listener.raw_fd());
+    /// A reactor without a listener, holding the connections its node
+    /// dials over `transport` (a processor's, and the blocking source's).
+    pub(crate) fn dialler(transport: Arc<dyn Transport>) -> Self {
+        Self::with(None, Some(transport), Poller::new())
+    }
+
+    fn with(
+        listener: Option<Box<dyn Listener>>,
+        transport: Option<Arc<dyn Transport>>,
+        mut poller: Poller,
+    ) -> Self {
+        if let Some(listener) = &listener {
+            poller.register(LISTENER_TOKEN, listener.raw_fd());
+        }
         Self {
-            listener: Some(listener),
+            listener,
             conns: BTreeMap::new(),
             poller,
             dirty: BTreeSet::new(),
@@ -375,15 +382,25 @@ impl Reactor {
             targets: Vec::new(),
             staged: BTreeSet::new(),
             failed: Vec::new(),
+            transport,
+            dialled: Vec::new(),
             next_id: 0,
             telemetry: None,
+            pools: None,
         }
     }
 
     /// Routes this reactor's frame, byte, busy/idle, and buffer-pool
     /// telemetry into the shared counters.
     pub fn set_telemetry(&mut self, telemetry: Arc<TelemetryCounters>) {
+        self.pools = Some(Arc::clone(&telemetry));
         self.telemetry = Some(telemetry);
+    }
+
+    /// Routes only this reactor's buffer-pool samples into the shared
+    /// counters: its node's frames are counted by the peers they cross.
+    pub(crate) fn sample_pools(&mut self, telemetry: Arc<TelemetryCounters>) {
+        self.pools = Some(telemetry);
     }
 
     /// The address peers dial to reach this reactor's listener (empty for
@@ -397,10 +414,6 @@ impl Reactor {
     /// one.
     pub fn register(&mut self, conn: Connection) -> u64 {
         let (sink, stream) = conn.split();
-        self.insert_conn(sink, stream)
-    }
-
-    fn insert_conn(&mut self, sink: Box<dyn FrameSink>, stream: Box<dyn FrameStream>) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let fd = stream.raw_fd();
@@ -428,16 +441,21 @@ impl Reactor {
         self.staged.remove(&id);
     }
 
-    /// Writes every connection's staged frames, one flush each. A
-    /// connection whose flush fails is retired, for the next poll to
-    /// report closed.
     fn flush(&mut self) {
         for id in std::mem::take(&mut self.staged) {
-            let flushed = self.conns.get_mut(&id).map(|conn| conn.sink.flush());
-            if let Some(Err(_)) = flushed {
-                self.retire(id);
-                self.failed.push(id);
-            }
+            self.write(id);
+        }
+    }
+
+    /// Flushes connection `id`. An accepted peer that cannot be written to
+    /// is gone: it is retired, for the next poll to report closed. A
+    /// dialled peer ends the connection itself, and its stream, which
+    /// still delivers what the peer sent, reports the close.
+    fn write(&mut self, id: u64) {
+        let flushed = self.conns.get_mut(&id).map(|conn| conn.sink.flush());
+        if let (Some(Err(_)), Some(_)) = (flushed, &self.listener) {
+            self.retire(id);
+            self.failed.push(id);
         }
     }
 
@@ -484,8 +502,7 @@ impl Reactor {
         loop {
             match listener.try_accept() {
                 Ok(Some(conn)) => {
-                    let (sink, stream) = conn.split();
-                    let id = self.insert_conn(sink, stream);
+                    let id = self.register(conn);
                     events.push(ReactorEvent::Opened(id));
                 }
                 Ok(None) => break,
@@ -514,6 +531,8 @@ impl Reactor {
     pub fn poll(&mut self, events: &mut Vec<ReactorEvent>) -> WireResult<()> {
         let started = self.telemetry.is_some().then(Instant::now);
         events.extend(self.failed.drain(..).map(ReactorEvent::Closed));
+        let dialled = self.dialled.drain(..);
+        events.extend(dialled.map(|(tag, conn)| ReactorEvent::Dialled(tag, conn)));
         let sweep = std::mem::replace(&mut self.sweep, true);
         if sweep || self.ready.contains(&LISTENER_TOKEN) {
             self.accept_new(events)?;
@@ -534,7 +553,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&id) else {
                 continue;
             };
-            match drain_conn(id, conn, events, &self.telemetry) {
+            match drain_conn(id, conn, events, &self.telemetry, &self.pools) {
                 Drain::Done => {
                     self.dirty.remove(&id);
                 }
@@ -561,9 +580,10 @@ impl Reactor {
         // written.
         self.flush();
         // Complete frames parked in userspace make no fd readable, and a
-        // failed flush is news for the next poll: a reactor holding either
-        // does not idle.
-        let wake = if self.dirty.is_empty() && self.failed.is_empty() {
+        // failed flush or a dial's outcome is news for the next poll: a
+        // reactor holding any of them does not idle.
+        let news = !(self.failed.is_empty() && self.dialled.is_empty());
+        let wake = if self.dirty.is_empty() && !news {
             wake
         } else {
             Wake::Now
@@ -591,6 +611,21 @@ impl Replies for Reactor {
 
     fn close(&mut self, conn: u64) {
         Reactor::close(self, conn);
+    }
+}
+
+impl Dials for Reactor {
+    /// Dials once and registers what answers (a listening reactor refuses).
+    fn dial(&mut self, tag: u64, addr: &str) {
+        let dialled = self.transport.as_ref().and_then(|t| t.dial_once(addr).ok());
+        let conn = dialled.map(|conn| self.register(conn));
+        self.dialled.push((tag, conn));
+    }
+
+    fn flush(&mut self, conn: u64) {
+        if self.staged.remove(&conn) {
+            self.write(conn);
+        }
     }
 }
 
@@ -641,7 +676,7 @@ mod tests {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let server = std::thread::spawn(move || {
-            let mut reactor = Reactor::with(listener, poller);
+            let mut reactor = Reactor::with(Some(listener), None, poller);
             let mut events = Vec::new();
             let mut served = 0;
             loop {
@@ -656,7 +691,7 @@ mod tests {
                             reactor.send(id, &f).unwrap();
                             served += 1;
                         }
-                        ReactorEvent::Opened(_) | ReactorEvent::Closed(_) => {}
+                        _ => {}
                     }
                 }
                 if served > 1000 {
@@ -742,7 +777,7 @@ mod tests {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let server = std::thread::spawn(move || {
-            let mut reactor = Reactor::with(listener, poller);
+            let mut reactor = Reactor::with(Some(listener), None, poller);
             let mut events = Vec::new();
             let mut echoed = 0usize;
             let mut closed = 0usize;
@@ -755,7 +790,7 @@ mod tests {
                             echoed += 1;
                         }
                         ReactorEvent::Closed(_) => closed += 1,
-                        ReactorEvent::Opened(_) => {}
+                        _ => {}
                     }
                 }
             }

@@ -126,6 +126,8 @@ impl RouterCore {
             match input {
                 Input::Frame(conn, frame) => self.take(now, conn, frame, out)?,
                 Input::Closed(conn) => self.closed(conn)?,
+                // The router dials nothing.
+                Input::Dialled(..) => {}
             }
             woke = true;
         }

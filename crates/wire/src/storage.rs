@@ -67,6 +67,8 @@ impl StorageCore {
             match input {
                 Input::Frame(conn, frame) => self.serve(now, conn, frame, out),
                 Input::Closed(conn) => self.close(conn, out),
+                // Storage dials nothing.
+                Input::Dialled(..) => {}
             }
             woke = true;
         }
@@ -366,7 +368,7 @@ mod tests {
                         conn << 8 | req_id
                     }
                     Input::Closed(conn) => 1 << 16 | conn,
-                    Input::Frame(..) => unreachable!("only fetches arrive"),
+                    Input::Frame(..) | Input::Dialled(..) => unreachable!("only fetches arrive"),
                 });
             }
             for c in 0..2 {
