@@ -16,7 +16,6 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -132,14 +131,15 @@ fn epoch() -> Instant {
 /// `log_*` macros, which check [`enabled`] before formatting.
 pub fn emit(level: Level, args: fmt::Arguments<'_>) {
     let t = epoch().elapsed().as_secs_f64();
-    // One locked write per record so concurrent services don't interleave
-    // mid-line.
-    let stderr = std::io::stderr();
-    let mut out = stderr.lock();
-    let _ = NODE_ROLE.with(|r| match r.borrow().as_deref() {
-        Some(role) => writeln!(out, "[grouting {t:9.3}s {role} {level}] {args}"),
-        None => writeln!(out, "[grouting {t:9.3}s {level}] {args}"),
+    // The record is formatted whole and written once, so concurrent
+    // services don't interleave mid-line. `eprint!` (rather than a raw
+    // `io::stderr()` write) lets the test harness capture the record with
+    // the test that emitted it instead of splicing it into its report.
+    let line = NODE_ROLE.with(|r| match r.borrow().as_deref() {
+        Some(role) => format!("[grouting {t:9.3}s {role} {level}] {args}\n"),
+        None => format!("[grouting {t:9.3}s {level}] {args}\n"),
     });
+    eprint!("{line}");
 }
 
 /// Logs at error level.

@@ -21,6 +21,19 @@
 //!   cache, one query's fetch travelling while another computes
 //!   (cross-query fetch overlap). Driven strictly serially it replays
 //!   [`Executor::run`]'s cache operations exactly.
+//!
+//! A query's buffers live in a [`Scratch`] that its driver owns and lends
+//! to one query at a time: the [`Executor`] keeps one across its runs, and
+//! the pipeline keeps a free list of at most one per slot. So a query
+//! whose every access hits allocates nothing once its driver's scratch has
+//! grown to the queries it runs. The traversals' seen sets are stamp
+//! tables indexed by node id, emptied by bumping a generation; since ids
+//! arrive from storage, the dense part holds ids below a fixed cap
+//! (2^22, 8 MiB of stamps) and a larger id goes to a hashed overflow set.
+//! The last level of an unlabelled aggregation is *count-only*: its
+//! answer is how many records the level has, so the apply still reads
+//! each node through the cache (recency, hits and misses are unchanged)
+//! but keeps no record.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -50,6 +63,8 @@ pub struct ExecOutcome {
 pub struct Executor<'a, S> {
     store: CacheBackedStore<'a, S>,
     miss_log: Vec<MissEvent>,
+    /// Lent to each query [`Executor::run`] runs, and taken back.
+    scratch: Scratch,
 }
 
 impl<'a, S> Executor<'a, S> {
@@ -60,6 +75,7 @@ impl<'a, S> Executor<'a, S> {
         Self {
             store: CacheBackedStore::new(source, cache),
             miss_log: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -78,7 +94,8 @@ impl<S: BatchSource> Executor<'_, S> {
     ///
     /// Panics when a fetched record fails to decode.
     pub fn run(&mut self, query: &Query) -> ExecOutcome {
-        let mut staged = StagedQuery::new(*query);
+        let scratch = std::mem::take(&mut self.scratch);
+        let mut staged = StagedQuery::with_scratch(*query, scratch);
         let mut payloads = None;
         loop {
             let step = staged.resume(&mut self.store, payloads.take());
@@ -89,6 +106,7 @@ impl<S: BatchSource> Executor<'_, S> {
                 }
                 Step::Done(outcome) => {
                     self.miss_log.append(&mut staged.miss_log);
+                    self.scratch = staged.take_scratch();
                     return outcome;
                 }
             }
@@ -101,8 +119,132 @@ impl<S: BatchSource> Executor<'_, S> {
 type Next = ControlFlow<QueryResult>;
 
 /// The records answering a traversal's last ask, one per node in order
-/// (`None` where the node is not stored).
+/// (`None` where the node is not stored). A count-only ask's entries are
+/// all `None`: only how many there are is read.
 type Got = Vec<Option<Arc<AdjacencyRecord>>>;
+
+/// The ids a seen table holds densely, `0..DENSE_IDS`; a larger id goes to
+/// its overflow set. Ids come from records that storage sent, so this
+/// bounds what one id can make a processor allocate (8 MiB of stamps).
+const DENSE_IDS: usize = 1 << 22;
+
+/// Dense growth rounds up to a page of stamps, so ids met in ascending
+/// order grow the table once per page, not once per id.
+const GROWTH_IDS: usize = 1024;
+
+/// A set of node ids that empties in O(1): `stamps[v]` equals `generation`
+/// exactly when `v` is in the set, so clearing bumps the generation, and
+/// the stamps are zeroed only when it wraps, once in 65,535 clears. Stamps
+/// are 16 bits wide because a processor holds two tables per query slot,
+/// and 32-bit ones read `peak_rss_mb` up to 14 % higher on the benchmark's
+/// `hotspot_local`.
+#[derive(Default)]
+struct Seen {
+    stamps: Vec<u16>,
+    /// Never 0 once cleared: a stamp of 0 is nobody's.
+    generation: u16,
+    /// The members at or above [`DENSE_IDS`].
+    overflow: NodeSet,
+}
+
+impl Seen {
+    /// Empties the set.
+    fn clear(&mut self) {
+        self.overflow.clear();
+        self.generation = self.generation.checked_add(1).unwrap_or_else(|| {
+            self.stamps.fill(0);
+            1
+        });
+    }
+
+    /// Adds `v`; returns whether it was new.
+    #[inline]
+    fn insert(&mut self, v: NodeId) -> bool {
+        let i = v.index();
+        if i >= self.stamps.len() {
+            if i >= DENSE_IDS {
+                return self.overflow.insert(v);
+            }
+            self.grow(i);
+        }
+        let stamp = &mut self.stamps[i];
+        let new = *stamp != self.generation;
+        *stamp = self.generation;
+        new
+    }
+
+    #[inline]
+    fn contains(&self, v: NodeId) -> bool {
+        match self.stamps.get(v.index()) {
+            Some(&stamp) => stamp == self.generation,
+            None => !self.overflow.is_empty() && self.overflow.contains(&v),
+        }
+    }
+
+    /// Makes room for id `i`: the table is sized to the largest id seen,
+    /// rounded up to a page, and never doubled past it.
+    #[cold]
+    fn grow(&mut self, i: usize) {
+        let len = (i + 1).next_multiple_of(GROWTH_IDS).min(DENSE_IDS);
+        self.stamps.reserve_exact(len - self.stamps.len());
+        self.stamps.resize(len, 0);
+    }
+}
+
+/// A query's buffers: the seen tables, the ask and its records, the
+/// fetched answers, and reachability's levels. A driver lends one to each
+/// query ([`StagedQuery::with_scratch`]) and takes it back when the query
+/// is done ([`StagedQuery::take_scratch`]), so the buffers keep their
+/// capacity from query to query and a warm query allocates nothing.
+#[derive(Default)]
+pub struct Scratch {
+    /// The nodes of the traversal's current ask, in access order.
+    frontier: Vec<NodeId>,
+    /// Records applied so far: one per node of a prefix of `frontier`.
+    records: Got,
+    /// Fetched answers not yet applied, in `frontier` order.
+    answers: VecDeque<(NodeId, Option<(u16, Bytes)>)>,
+    /// The nodes the last [`Step::Fetch`] asked for.
+    pending: Vec<NodeId>,
+    /// The traversal's own buffers.
+    marks: Marks,
+}
+
+impl Scratch {
+    /// Empties every buffer, keeping its capacity.
+    fn reset(&mut self) {
+        self.frontier.clear();
+        self.records.clear();
+        self.answers.clear();
+        self.pending.clear();
+        let m = &mut self.marks;
+        m.seen.iter_mut().for_each(Seen::clear);
+        m.levels.iter_mut().for_each(Vec::clear);
+        m.draining.clear();
+        m.labelled.clear();
+        m.meets.clear();
+    }
+}
+
+/// What a traversal remembers between asks beyond its scalars.
+#[derive(Default)]
+struct Marks {
+    /// Aggregation's and the walk's seen set is the first; reachability's
+    /// forward and backward sides' are the first and the second.
+    seen: [Seen; 2],
+    /// Reachability: each side's nodes at its depth not yet expanded, in
+    /// discovery order, forward then backward.
+    levels: [Vec<NodeId>; 2],
+    /// Reachability: the level being expanded.
+    draining: Vec<NodeId>,
+    /// Constrained reachability: whether each intermediate read so far
+    /// carries the label. A meeting node awaiting its label read counts as
+    /// `false`: were it labelled, that read would end the search.
+    labelled: NodeMap<bool>,
+    /// Constrained reachability: the meeting nodes whose labels the last
+    /// ask read.
+    meets: Vec<NodeId>,
+}
 
 /// One query's traversal, store-free: it asks for records and is handed
 /// them, and never sees the cache or the storage source.
@@ -113,35 +255,51 @@ enum Traversal {
 }
 
 impl Traversal {
-    fn new(query: &Query) -> Self {
+    fn new(query: &Query, marks: &mut Marks) -> Self {
         match *query {
             Query::NeighborAggregation { node, hops, label } => {
-                Self::Bfs(BfsState::new(node, hops, label))
+                marks.seen[0].insert(node);
+                Self::Bfs(BfsState {
+                    node,
+                    hops,
+                    label,
+                    count: 0,
+                    depth: 0,
+                })
             }
             Query::RandomWalk {
                 node,
                 steps,
                 restart_prob,
                 seed,
-            } => Self::Walk(WalkState {
-                node,
-                steps_left: steps,
-                restart_prob,
-                rng: StdRng::seed_from_u64(seed),
-                current: node,
-                visited: NodeSet::from_iter([node]),
-            }),
+            } => {
+                marks.seen[0].insert(node);
+                Self::Walk(WalkState {
+                    node,
+                    steps_left: steps,
+                    restart_prob,
+                    rng: StdRng::seed_from_u64(seed),
+                    current: node,
+                    visited: 1,
+                })
+            }
             Query::Reachability {
                 source,
                 target,
                 hops,
-            } => Self::Reach(ReachState::new(source, target, hops, None)),
+            } => Self::Reach(ReachState::new(source, target, hops, None, marks)),
             Query::ConstrainedReachability {
                 source,
                 target,
                 hops,
                 via_label,
-            } => Self::Reach(ReachState::new(source, target, hops, Some(via_label))),
+            } => Self::Reach(ReachState::new(
+                source,
+                target,
+                hops,
+                Some(via_label),
+                marks,
+            )),
         }
     }
 
@@ -149,12 +307,18 @@ impl Traversal {
     /// nothing was asked) and either pushes its next ask onto the empty
     /// `ask`, in access order, or finishes. A walk asks for one node at a
     /// time; aggregation and reachability for a whole level.
-    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>) -> Next {
+    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>, marks: &mut Marks) -> Next {
         match self {
-            Self::Bfs(s) => s.next(got, ask),
-            Self::Walk(s) => s.next(got.map(|g| g.pop().flatten()), ask),
-            Self::Reach(s) => s.next(got, ask),
+            Self::Bfs(s) => s.next(got, ask, &mut marks.seen[0]),
+            Self::Walk(s) => s.next(got.map(|g| g.pop().flatten()), ask, &mut marks.seen[0]),
+            Self::Reach(s) => s.next(got, ask, marks),
         }
+    }
+
+    /// Whether the ask just pushed is count-only: its answer reads how many
+    /// records it has, not what they hold.
+    fn counts_only(&self) -> bool {
+        matches!(self, Self::Bfs(s) if s.label.is_none() && s.depth == s.hops)
     }
 }
 
@@ -170,33 +334,21 @@ struct BfsState {
     node: NodeId,
     hops: u32,
     label: Option<NodeLabelId>,
-    dist: NodeMap<u32>,
     count: u64,
     /// Depth of the frontier last asked for (the root's is 0).
     depth: u32,
 }
 
 impl BfsState {
-    fn new(node: NodeId, hops: u32, label: Option<NodeLabelId>) -> Self {
-        Self {
-            node,
-            hops,
-            label,
-            dist: NodeMap::from_iter([(node, 0)]),
-            count: 0,
-            depth: 0,
-        }
-    }
-
-    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>) -> Next {
+    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>, seen: &mut Seen) -> Next {
         let Some(got) = got else {
             ask.push(self.node);
             return ControlFlow::Continue(());
         };
         // Count the frontier's records (the root is not its own
-        // neighbour) and keep those to expand: a node at depth d is
-        // expanded iff d < hops, so within 0 hops nothing is.
-        let mut level = Vec::new();
+        // neighbour) and expand them: a node at depth d is expanded iff
+        // d < hops, so within 0 hops nothing is.
+        let mut expanded = false;
         for rec in got.drain(..) {
             if self.depth > 0 {
                 let labeled_ok = match self.label {
@@ -205,22 +357,19 @@ impl BfsState {
                 };
                 self.count += u64::from(labeled_ok);
             }
-            if self.depth < self.hops {
-                level.extend(rec);
-            }
-        }
-        if level.is_empty() {
-            return ControlFlow::Break(QueryResult::Count(self.count));
-        }
-        self.depth += 1;
-        for rec in &level {
-            for &w in rec.all_neighbors() {
-                if let Entry::Vacant(e) = self.dist.entry(w) {
-                    e.insert(self.depth);
-                    ask.push(w);
+            if let Some(rec) = rec.filter(|_| self.depth < self.hops) {
+                expanded = true;
+                for &w in rec.all_neighbors() {
+                    if seen.insert(w) {
+                        ask.push(w);
+                    }
                 }
             }
         }
+        if !expanded {
+            return ControlFlow::Break(QueryResult::Count(self.count));
+        }
+        self.depth += 1;
         ControlFlow::Continue(())
     }
 }
@@ -233,11 +382,17 @@ struct WalkState {
     restart_prob: f64,
     rng: StdRng,
     current: NodeId,
-    visited: NodeSet,
+    /// Distinct nodes visited, the start included.
+    visited: u64,
 }
 
 impl WalkState {
-    fn next(&mut self, got: Option<Option<Arc<AdjacencyRecord>>>, ask: &mut Vec<NodeId>) -> Next {
+    fn next(
+        &mut self,
+        got: Option<Option<Arc<AdjacencyRecord>>>,
+        ask: &mut Vec<NodeId>,
+        seen: &mut Seen,
+    ) -> Next {
         if let Some(got) = got {
             let Some(rec) = got else {
                 return ControlFlow::Break(self.answer());
@@ -249,7 +404,7 @@ impl WalkState {
             } else {
                 self.node // Isolated: restart.
             };
-            self.visited.insert(self.current);
+            self.visited += u64::from(seen.insert(self.current));
         }
         while self.steps_left > 0 {
             self.steps_left -= 1;
@@ -266,36 +421,24 @@ impl WalkState {
     fn answer(&self) -> QueryResult {
         QueryResult::Walk {
             end: self.current,
-            visited: self.visited.len() as u64,
+            visited: self.visited,
         }
     }
 }
 
 /// One side of a reachability search: forward from the source over
-/// out-edges, or backward from the target over in-edges.
+/// out-edges, or backward from the target over in-edges. Its seen set and
+/// pending level are in the query's [`Marks`].
 struct Side {
-    /// The hop distance of every node this side discovered.
-    dist: NodeMap<u32>,
-    /// The nodes at `depth` not yet expanded, in discovery order.
-    level: Vec<NodeId>,
     depth: u32,
     /// Only levels above this depth are expanded.
     budget: u32,
 }
 
 impl Side {
-    fn new(root: NodeId, budget: u32) -> Self {
-        Self {
-            dist: NodeMap::from_iter([(root, 0)]),
-            level: vec![root],
-            depth: 0,
-            budget,
-        }
-    }
-
-    /// Whether the pending level is still to be expanded.
-    fn live(&self) -> bool {
-        !self.level.is_empty() && self.depth < self.budget
+    /// Whether the pending `level` is still to be expanded.
+    fn live(&self, level: &[NodeId]) -> bool {
+        !level.is_empty() && self.depth < self.budget
     }
 }
 
@@ -322,37 +465,36 @@ struct ReachState {
     sides: [Side; 2],
     /// Which sides' levels the last expansion ask held, in `sides` order.
     expanding: [bool; 2],
-    /// The meeting nodes whose labels the last ask read.
-    meets: Vec<NodeId>,
-    /// With `via_label`: whether each intermediate read so far carries
-    /// it. A meeting node awaiting its label read counts as `false`: were
-    /// it labelled, that read would end the search.
-    labelled: NodeMap<bool>,
 }
 
 impl ReachState {
-    fn new(source: NodeId, target: NodeId, hops: u32, via_label: Option<NodeLabelId>) -> Self {
+    fn new(
+        source: NodeId,
+        target: NodeId,
+        hops: u32,
+        via_label: Option<NodeLabelId>,
+        marks: &mut Marks,
+    ) -> Self {
+        for (side, root) in [source, target].into_iter().enumerate() {
+            marks.seen[side].insert(root);
+            marks.levels[side].push(root);
+        }
         Self {
             source,
             target,
             via_label,
-            sides: [
-                Side::new(source, hops - hops / 2),
-                Side::new(target, hops / 2),
-            ],
+            sides: [hops - hops / 2, hops / 2].map(|budget| Side { depth: 0, budget }),
             expanding: [false; 2],
-            meets: Vec::new(),
-            labelled: NodeMap::default(),
         }
     }
 
-    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>) -> Next {
+    fn next(&mut self, got: Option<&mut Got>, ask: &mut Vec<NodeId>, marks: &mut Marks) -> Next {
         let met = match got {
             // A source that is its target has met already.
             None => self.source == self.target,
-            Some(got) if self.meets.is_empty() => self.expand_levels(got),
+            Some(got) if marks.meets.is_empty() => self.expand_levels(got, marks),
             Some(got) => {
-                self.meets.clear();
+                marks.meets.clear();
                 got.drain(..)
                     .any(|rec| rec.is_some_and(|r| r.node_label == self.via_label))
             }
@@ -360,35 +502,39 @@ impl ReachState {
         if met {
             return ControlFlow::Break(QueryResult::Reachable(true));
         }
-        if !self.meets.is_empty() {
-            ask.extend_from_slice(&self.meets);
+        if !marks.meets.is_empty() {
+            ask.extend_from_slice(&marks.meets);
             return ControlFlow::Continue(());
         }
         // A node whose record showed no label is never expanded, nor
         // asked for again.
-        let labelled = &self.labelled;
-        for side in &mut self.sides {
-            side.level.retain(|v| labelled.get(v) != Some(&false));
+        let labelled = &marks.labelled;
+        if !labelled.is_empty() {
+            for level in &mut marks.levels {
+                level.retain(|v| labelled.get(v) != Some(&false));
+            }
         }
         let [fwd, bwd] = &self.sides;
-        let forward = fwd.live() && (!bwd.live() || fwd.level.len() <= bwd.level.len());
-        self.expanding = match (fwd.live(), bwd.live()) {
+        let [fwd_level, bwd_level] = &marks.levels;
+        let (fwd_live, bwd_live) = (fwd.live(fwd_level), bwd.live(bwd_level));
+        let forward = fwd_live && (!bwd_live || fwd_level.len() <= bwd_level.len());
+        self.expanding = match (fwd_live, bwd_live) {
             (false, false) => return ControlFlow::Break(QueryResult::Reachable(false)),
             // The first ask holds both endpoints.
             (true, true) if fwd.depth + bwd.depth == 0 => [true, true],
             _ => [forward, !forward],
         };
-        for (side, _) in self.sides.iter().zip(self.expanding).filter(|(_, e)| *e) {
-            ask.extend_from_slice(&side.level);
+        for (level, _) in marks.levels.iter().zip(self.expanding).filter(|(_, e)| *e) {
+            ask.extend_from_slice(level);
         }
         ControlFlow::Continue(())
     }
 
     /// Expands the levels the last ask held, whose records `got` holds in
     /// ask order. Returns whether the two sides met.
-    fn expand_levels(&mut self, got: &mut Got) -> bool {
+    fn expand_levels(&mut self, got: &mut Got, marks: &mut Marks) -> bool {
         let mut records = got.drain(..);
-        (0..2).any(|side| self.expanding[side] && self.expand(side, &mut records))
+        (0..2).any(|side| self.expanding[side] && self.expand(side, &mut records, marks))
     }
 
     /// Expands `side`'s pending level, whose records `records` yields in
@@ -400,21 +546,32 @@ impl ReachState {
         &mut self,
         side: usize,
         records: &mut impl Iterator<Item = Option<Arc<AdjacencyRecord>>>,
+        marks: &mut Marks,
     ) -> bool {
         let Self {
             source,
             target,
             via_label,
-            sides: [fwd, bwd],
-            meets,
-            labelled,
+            sides,
             ..
         } = self;
-        let (this, other) = if side == 0 { (fwd, bwd) } else { (bwd, fwd) };
+        let Marks {
+            seen: [fwd_seen, bwd_seen],
+            levels,
+            draining,
+            labelled,
+            meets,
+        } = marks;
+        let (this, other) = if side == 0 {
+            (fwd_seen, &*bwd_seen)
+        } else {
+            (bwd_seen, &*fwd_seen)
+        };
         let intermediate = |v: NodeId| v != *source && v != *target;
-        let level = std::mem::take(&mut this.level);
-        this.depth += 1;
-        for (v, rec) in level.into_iter().zip(records) {
+        let level = &mut levels[side];
+        std::mem::swap(level, draining);
+        sides[side].depth += 1;
+        for (v, rec) in draining.drain(..).zip(records) {
             let Some(rec) = rec else { continue };
             if let Some(l) = via_label.filter(|_| intermediate(v)) {
                 let holds = rec.node_label == Some(l);
@@ -425,7 +582,7 @@ impl ReachState {
             }
             let next = if side == 0 { rec.out() } else { rec.inc() };
             for &w in next {
-                if other.dist.contains_key(&w) {
+                if other.contains(w) {
                     if via_label.is_none() || !intermediate(w) {
                         return true;
                     }
@@ -438,9 +595,8 @@ impl ReachState {
                         }
                     }
                 }
-                if let Entry::Vacant(e) = this.dist.entry(w) {
-                    e.insert(this.depth);
-                    this.level.push(w);
+                if this.insert(w) {
+                    level.push(w);
                 }
             }
         }
@@ -479,7 +635,15 @@ pub enum Step {
 /// for that node alone as one more [`Step::Fetch`]
 /// ([`StagedQuery::mid_ask`]); the next resume admits it and carries on
 /// with the answers it still holds, so the cache sees exactly the
-/// operations a node-at-a-time execution would.
+/// operations a node-at-a-time execution would. A count-only ask (the
+/// last level of an unlabelled aggregation) runs the same accesses and
+/// keeps none of the records.
+///
+/// Buffers: the query runs in a [`Scratch`] its driver lends it
+/// ([`StagedQuery::with_scratch`]) and takes back once it is done
+/// ([`StagedQuery::take_scratch`]); [`StagedQuery::new`] gives it a
+/// fresh one, which allocates as it grows. The seen tables in it hold
+/// ids below 2^22 densely and larger ones in a hashed overflow set.
 ///
 /// Accounting: the query's [`AccessStats`] and miss log accumulate here,
 /// not in the (possibly shared, transient) store — each resume swaps them
@@ -490,34 +654,39 @@ pub struct StagedQuery {
     traversal: Traversal,
     started: bool,
     finished: bool,
-    /// The nodes of the traversal's current ask, in access order.
-    frontier: Vec<NodeId>,
-    /// Records applied so far: one per node of a prefix of `frontier`.
-    records: Got,
-    /// Fetched answers not yet applied, in `frontier` order.
-    answers: VecDeque<(NodeId, Option<(u16, Bytes)>)>,
-    /// The nodes the last [`Step::Fetch`] asked for.
-    pending: Vec<NodeId>,
-    /// Whether `pending` is one node the apply stopped at.
+    /// Whether `scratch.pending` is one node the apply stopped at.
     refetch: bool,
+    scratch: Scratch,
 }
 
 impl StagedQuery {
-    /// Prepares `query` for staged execution. Nothing runs until the first
-    /// [`StagedQuery::resume`] (called with `None`).
+    /// Prepares `query` for staged execution in a fresh [`Scratch`].
+    /// Nothing runs until the first [`StagedQuery::resume`] (called with
+    /// `None`).
     pub fn new(query: Query) -> Self {
+        Self::with_scratch(query, Scratch::default())
+    }
+
+    /// Prepares `query` for staged execution in `scratch`, whatever an
+    /// earlier query left in it: every buffer is emptied first, and keeps
+    /// its capacity.
+    pub fn with_scratch(query: Query, mut scratch: Scratch) -> Self {
+        scratch.reset();
         Self {
             stats: AccessStats::default(),
             miss_log: Vec::new(),
-            traversal: Traversal::new(&query),
+            traversal: Traversal::new(&query, &mut scratch.marks),
             started: false,
             finished: false,
-            frontier: Vec::new(),
-            records: Vec::new(),
-            answers: VecDeque::new(),
-            pending: Vec::new(),
             refetch: false,
+            scratch,
         }
+    }
+
+    /// Takes the query's scratch back, for the driver's next query; the
+    /// query must not be resumed afterwards.
+    pub fn take_scratch(&mut self) -> Scratch {
+        std::mem::take(&mut self.scratch)
     }
 
     /// The ask whose fetch is pending (request order) — the full ask,
@@ -526,9 +695,9 @@ impl StagedQuery {
     /// must re-fetch.
     pub fn frontier(&self) -> &[NodeId] {
         if self.refetch {
-            &self.pending
+            &self.scratch.pending
         } else {
-            &self.frontier
+            &self.scratch.frontier
         }
     }
 
@@ -583,38 +752,39 @@ impl StagedQuery {
         store: &mut CacheBackedStore<'_, S>,
         payloads: Option<Vec<Option<(u16, Bytes)>>>,
     ) -> ControlFlow<QueryResult, Vec<NodeId>> {
+        let s = &mut self.scratch;
         let mut payloads = payloads.unwrap_or_default();
         assert_eq!(
             payloads.len(),
-            self.pending.len(),
+            s.pending.len(),
             "payloads must answer the pending fetch node-for-node"
         );
+        let keep = !self.traversal.counts_only();
         if std::mem::take(&mut self.refetch) {
-            let record = store.admit(self.pending[0], payloads.pop().flatten());
-            self.records.push(record);
+            let record = store.admit(s.pending[0], payloads.pop().flatten());
+            s.records.push(record.filter(|_| keep));
         } else {
-            self.answers
-                .extend(self.pending.iter().copied().zip(payloads));
+            s.answers.extend(s.pending.iter().copied().zip(payloads));
         }
-        self.pending.clear();
+        s.pending.clear();
         loop {
             if self.started {
+                let keep = !self.traversal.counts_only();
                 if let Some(node) =
-                    store.apply_from(&self.frontier, &mut self.answers, &mut self.records)
+                    store.apply_from(&s.frontier, &mut s.answers, &mut s.records, keep)
                 {
-                    self.pending.push(node);
+                    s.pending.push(node);
                     self.refetch = true;
-                    return ControlFlow::Continue(self.pending.clone());
+                    return ControlFlow::Continue(s.pending.clone());
                 }
             }
-            let got = self.started.then_some(&mut self.records);
+            let got = self.started.then_some(&mut s.records);
             self.started = true;
-            // The ask and record buffers are reused from step to step.
-            self.frontier.clear();
-            self.traversal.next(got, &mut self.frontier)?;
-            self.pending = store.plan_many(&self.frontier);
-            if !self.pending.is_empty() {
-                return ControlFlow::Continue(self.pending.clone());
+            s.frontier.clear();
+            self.traversal.next(got, &mut s.frontier, &mut s.marks)?;
+            s.pending = store.plan_many(&s.frontier);
+            if !s.pending.is_empty() {
+                return ControlFlow::Continue(s.pending.clone());
             }
         }
     }
@@ -1287,6 +1457,221 @@ mod tests {
             payloads = Some(store.exchange(&miss));
         }
         let _ = staged.resume(&mut store, None);
+    }
+
+    /// A source over hand-made records, served from server 0.
+    struct Records(NodeMap<Bytes>);
+
+    impl BatchSource for Records {
+        fn fetch_batch(&mut self, nodes: &[NodeId]) -> Vec<Option<(u16, Bytes)>> {
+            nodes
+                .iter()
+                .map(|v| self.0.get(v).map(|b| (0, b.clone())))
+                .collect()
+        }
+    }
+
+    /// Ids near `u32::MAX` arrive from storage like any other: answers are
+    /// right, and they land in the overflow set, not the dense table.
+    #[test]
+    fn hostile_neighbour_ids_stay_out_of_the_dense_table() {
+        let far = n(u32::MAX - 1);
+        let farther = n(u32::MAX - 2);
+        let record = |out: &[NodeId], inc: &[NodeId]| {
+            AdjacencyRecord::new(out.iter().copied(), inc.iter().copied()).encode()
+        };
+        let mut source = Records(NodeMap::from_iter([
+            (n(0), record(&[n(1), far], &[])),
+            (n(1), record(&[n(2)], &[n(0)])),
+            (far, record(&[n(3), farther], &[n(0)])),
+            (farther, record(&[], &[far])),
+        ]));
+        let mut cache = fresh_cache();
+        let mut ex = Executor::new(&mut source, &mut cache);
+        // Level 1: 1 and `far`; level 2: 2 (from 1), 3 and `farther`
+        // (from `far`); 0 is the root.
+        let agg = |hops| Query::NeighborAggregation {
+            node: n(0),
+            hops,
+            label: None,
+        };
+        assert_eq!(ex.run(&agg(2)).result, QueryResult::Count(5));
+        // Count-only at the root's level and at the first.
+        assert_eq!(ex.run(&agg(0)).result, QueryResult::Count(0));
+        assert_eq!(ex.run(&agg(1)).result, QueryResult::Count(2));
+        // The backward side meets the forward one at `far`.
+        let reach = Query::Reachability {
+            source: n(0),
+            target: farther,
+            hops: 2,
+        };
+        assert_eq!(ex.run(&reach).result, QueryResult::Reachable(true));
+        let walk = Query::RandomWalk {
+            node: far,
+            steps: 6,
+            restart_prob: 0.0,
+            seed: 5,
+        };
+        let QueryResult::Walk { visited, .. } = ex.run(&walk).result else {
+            panic!("a walk answers a walk");
+        };
+        assert!((2..=4).contains(&visited), "{visited}");
+        let seen = &ex.scratch.marks.seen;
+        assert!(seen.iter().all(|s| s.stamps.len() <= GROWTH_IDS));
+        assert!(
+            seen[0].overflow.contains(&far),
+            "the walk's start overflows"
+        );
+    }
+
+    /// `count` queries from `rng`, cycling through the five kinds, over
+    /// `nodes` nodes with labels `0..labels`. Their endpoints come from four
+    /// anchors (one may lie past the graph), so they overlap as hotspot
+    /// queries do.
+    fn mixed_queries(rng: &mut StdRng, nodes: u32, labels: u16, count: usize) -> Vec<Query> {
+        let anchors: Vec<NodeId> = (0..4).map(|_| n(rng.gen_range(0..nodes + 2))).collect();
+        (0..count)
+            .map(|i| {
+                let a = anchors[rng.gen_range(0..anchors.len())];
+                let t = anchors[rng.gen_range(0..anchors.len())];
+                let hops = rng.gen_range(0..4u32);
+                let label = NodeLabelId::new(rng.gen_range(0..labels));
+                match i % 5 {
+                    0 => Query::NeighborAggregation {
+                        node: a,
+                        hops: hops.min(2),
+                        label: None,
+                    },
+                    1 => Query::NeighborAggregation {
+                        node: a,
+                        hops: hops.min(2),
+                        label: Some(label),
+                    },
+                    2 => Query::RandomWalk {
+                        node: a,
+                        steps: 2 * hops,
+                        restart_prob: 0.2,
+                        seed: rng.gen(),
+                    },
+                    3 => Query::Reachability {
+                        source: a,
+                        target: t,
+                        hops,
+                    },
+                    _ => Query::ConstrainedReachability {
+                        source: a,
+                        target: t,
+                        hops,
+                        via_label: label,
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// A scratch whose generations wrap mid-stream answers as a fresh one
+    /// does: the wrap zeroes the stamps that earlier generations left.
+    #[test]
+    fn seen_tables_answer_the_same_across_a_generation_wrap() {
+        let mut rng = StdRng::seed_from_u64(57);
+        let nodes = 200u32;
+        let mut b = GraphBuilder::with_nodes(nodes as usize);
+        for v in 0..nodes {
+            for _ in 0..3 {
+                b.add_edge(n(v), n(rng.gen_range(0..nodes)));
+            }
+            b.set_node_label(n(v), NodeLabelId::new((v % 2) as u16));
+        }
+        let tier = setup(&b.build().unwrap());
+        let queries = mixed_queries(&mut rng, nodes, 2, 20);
+        // The first round stamps generations 1..=20. The second runs the
+        // last query at u16::MAX, and then, from generation 1 again, each
+        // query over the stamps its own first run left.
+        let second = std::iter::once(&queries[19]).chain(&queries);
+        let (mut cache, mut fresh_cache) = (fresh_cache(), fresh_cache());
+        let mut ex = Executor::new(&tier, &mut cache);
+        for (i, q) in queries.iter().chain(second).enumerate() {
+            if i == 20 {
+                for seen in &mut ex.scratch.marks.seen {
+                    seen.generation = u16::MAX - 1;
+                }
+            }
+            let reused = ex.run(q);
+            let fresh = Executor::new(&tier, &mut fresh_cache).run(q);
+            assert_eq!(reused, fresh, "run {i}: {q:?}");
+        }
+        assert!(ex.scratch.marks.seen.iter().all(|s| s.generation == 20));
+    }
+
+    /// Two staged queries interleaved, each over its own cache, draw their
+    /// scratches from one pool, as the pipeline's slots do: every answer,
+    /// [`AccessStats`] and miss log equals a fresh [`Executor`]'s over a
+    /// twin cache, whatever kind ran in the scratch before. Graphs are
+    /// `gen`'s tiny profiles with two node labels, so constrained searches
+    /// both pass and prune; `PROPTEST_CASES` raises the 256 cases.
+    #[test]
+    fn prop_reused_scratch_equals_fresh_scratch() {
+        use grouting_gen::labels::{assign_labels, LabelConfig};
+        use grouting_gen::{DatasetProfile, ProfileName};
+        let labels = LabelConfig {
+            node_alphabet: 2,
+            edge_alphabet: 1,
+            skew: 1.0,
+        };
+        let graphs: Vec<(u32, StorageTier)> = ProfileName::ALL
+            .iter()
+            .map(|&name| {
+                let g = assign_labels(&DatasetProfile::tiny(name).generate(), &labels, 57);
+                (g.node_count() as u32, setup(&g))
+            })
+            .collect();
+        for case in 0..proptest::cases().max(256) {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (nodes, tier) = &graphs[rng.gen_range(0..graphs.len())];
+            let capacity = [600usize, 8 << 10, 1 << 20][rng.gen_range(0..3usize)];
+            let count = rng.gen_range(2..12usize);
+            let queries = mixed_queries(&mut rng, *nodes, 2, count);
+            let lru = || -> ProcessorCache { Box::new(LruCache::new(capacity)) };
+            let mut caches = [lru(), lru()];
+            let mut twins = [lru(), lru()];
+            let mut pool: Vec<Scratch> = Vec::new();
+            // Per lane: the query's index, its staged run, the payloads
+            // answering its last fetch, and the fresh run's outcome.
+            type Lane = (
+                usize,
+                StagedQuery,
+                Option<Vec<Option<(u16, Bytes)>>>,
+                (ExecOutcome, Vec<MissEvent>),
+            );
+            let mut lanes: [Option<Lane>; 2] = [None, None];
+            let mut next = 0;
+            while next < queries.len() || lanes.iter().any(Option::is_some) {
+                let lane = rng.gen_range(0..2usize);
+                let Some((i, staged, payloads, want)) = &mut lanes[lane] else {
+                    if next < queries.len() {
+                        let q = queries[next];
+                        let scratch = pool.pop().unwrap_or_default();
+                        let mut fresh = Executor::new(tier, &mut twins[lane]);
+                        let want = (fresh.run(&q), fresh.take_miss_log());
+                        lanes[lane] =
+                            Some((next, StagedQuery::with_scratch(q, scratch), None, want));
+                        next += 1;
+                    }
+                    continue;
+                };
+                let mut source = tier;
+                let mut store = CacheBackedStore::new(&mut source, &mut caches[lane]);
+                match staged.resume(&mut store, payloads.take()) {
+                    Step::Fetch(miss) => *payloads = Some(store.exchange(&miss)),
+                    Step::Done(out) => {
+                        let got = (out, staged.take_miss_log());
+                        assert_eq!(&got, want, "case {case}, query {i}: {:?}", queries[*i]);
+                        pool.push(staged.take_scratch());
+                        lanes[lane] = None;
+                    }
+                }
+            }
+        }
     }
 
     proptest::proptest! {

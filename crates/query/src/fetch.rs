@@ -209,7 +209,7 @@ impl<'a, S> CacheBackedStore<'a, S> {
         debug_assert_eq!(miss_nodes.len(), payloads.len(), "one payload per miss");
         let mut answers = miss_nodes.iter().copied().zip(payloads).collect();
         let mut records = Vec::with_capacity(nodes.len());
-        while let Some(node) = self.apply_from(nodes, &mut answers, &mut records) {
+        while let Some(node) = self.apply_from(nodes, &mut answers, &mut records, true) {
             let payload = self.source.fetch_batch(&[node]).pop().flatten();
             records.push(self.admit(node, payload));
         }
@@ -245,23 +245,29 @@ impl<'a, S> CacheBackedStore<'a, S> {
     /// first insert bounced) stops the apply: it returns the node, which
     /// the caller fetches, hands to [`CacheBackedStore::admit`], and then
     /// calls this again.
+    ///
+    /// Without `keep` (a count-only ask) every access runs the same way,
+    /// but `records` gets `None` for each node: a hit's record is not
+    /// cloned, and an admitted one is dropped once cached.
     pub(crate) fn apply_from(
         &mut self,
         nodes: &[NodeId],
         answers: &mut VecDeque<(NodeId, Option<(u16, Bytes)>)>,
         records: &mut Vec<Option<Arc<AdjacencyRecord>>>,
+        keep: bool,
     ) -> Option<NodeId> {
         for &node in &nodes[records.len()..] {
             let answer = answers.pop_front_if(|(asked, _)| *asked == node);
             if let Some(rec) = self.cache.get(&node) {
                 self.stats.cache_hits += 1;
-                records.push(Some(Arc::clone(rec)));
+                records.push(keep.then(|| Arc::clone(rec)));
                 continue;
             }
             let Some((_, payload)) = answer else {
                 return Some(node);
             };
-            records.push(self.admit(node, payload));
+            let record = self.admit(node, payload);
+            records.push(record.filter(|_| keep));
         }
         None
     }

@@ -20,7 +20,7 @@ mod executor;
 mod fetch;
 mod types;
 
-pub use executor::{ExecOutcome, Executor, StagedQuery, Step};
+pub use executor::{ExecOutcome, Executor, Scratch, StagedQuery, Step};
 pub use fetch::{AccessStats, BatchSource, CacheBackedStore, MissEvent, ProcessorCache};
 pub use types::{Query, QueryResult};
 

@@ -71,6 +71,7 @@ pub use error::{WireError, WireResult};
 pub use flow::{FetchMode, MultiplexedStorageSource};
 pub use frame::{Completion, Frame, Role};
 pub use grouting_obs::ObsConfig;
+pub use mux::BatchPayloads;
 pub use overlap::{FetchSeam, QueryPipeline, Wake};
 pub use reactor::{PollerKind, Reactor, ReactorEvent, IDLE_WAIT};
 pub use service::{
@@ -524,10 +525,13 @@ mod tests {
         let storage = spawn_storage(&transport, &tier);
 
         // The flaky processor: hello, execute exactly one dispatch, then
-        // die *without* acknowledging the next one.
+        // die *without* acknowledging the next one. The router answers its
+        // metrics request after its hello, which is when it has joined.
+        let flaky_joined = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let flaky_transport = Arc::clone(&transport);
         let flaky_addr = addr.clone();
         let flaky_tier = Arc::clone(&tier);
+        let joined_flag = Arc::clone(&flaky_joined);
         let flaky = std::thread::spawn(move || {
             let mut conn = flaky_transport.dial(&flaky_addr).unwrap();
             conn.send(&Frame::Hello {
@@ -535,7 +539,13 @@ mod tests {
                 id: 0,
             })
             .unwrap();
-            match conn.recv().unwrap() {
+            conn.send(&Frame::MetricsRequest).unwrap();
+            let mut frame = conn.recv().unwrap();
+            while let Frame::Metrics { .. } = frame {
+                joined_flag.store(true, std::sync::atomic::Ordering::SeqCst);
+                frame = conn.recv().unwrap();
+            }
+            match frame {
                 Frame::Dispatch { seq, query, .. } => {
                     let mut cache = config.build_cache();
                     let out = grouting_query::Executor::new(&*flaky_tier, &mut cache).run(&query);
@@ -562,8 +572,9 @@ mod tests {
         });
 
         // The healthy processor is the real service. The workload is only
-        // submitted once the router has acknowledged its join, so the
-        // flaky peer can never be the sole (and then dead) processor.
+        // submitted once the router has acknowledged both joins, so the
+        // flaky peer can never be the sole (and then dead) processor, nor
+        // join after the healthy one has finished the run.
         let joined = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let healthy = ProcessorService::spawn_opts(
             Arc::clone(&transport),
@@ -578,7 +589,10 @@ mod tests {
                 ..ProcessorOptions::default()
             },
         );
-        while !joined.load(std::sync::atomic::Ordering::SeqCst) {
+        while ![&joined, &flaky_joined]
+            .iter()
+            .all(|j| j.load(std::sync::atomic::Ordering::SeqCst))
+        {
             std::thread::yield_now();
         }
 

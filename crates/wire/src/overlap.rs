@@ -24,13 +24,19 @@
 //! [`AccessStats`], so per-query counts sum to the totals; at higher
 //! overlap, which of two interleaved queries pays a shared cold record's
 //! miss may differ from a serial run.
+//!
+//! The pipeline keeps a free list of query [`Scratch`]es, at most one per
+//! slot: admission lends one to the query, and its completion takes it
+//! back. With the completion vector handed back too
+//! ([`QueryPipeline::recycle`]), a query whose every access hits runs
+//! without allocating.
 
 use std::collections::VecDeque;
 
 use grouting_graph::NodeId;
 use grouting_metrics::HeatMap;
 use grouting_query::{
-    AccessStats, CacheBackedStore, ExecOutcome, ProcessorCache, Query, StagedQuery, Step,
+    AccessStats, CacheBackedStore, ExecOutcome, ProcessorCache, Query, Scratch, StagedQuery, Step,
 };
 use grouting_trace::{QueryTrace, TraceLevel};
 
@@ -146,6 +152,10 @@ struct Shared {
     completed: u64,
     /// The queries the current round finished.
     done: Vec<CompletedQuery>,
+    /// Scratches no query holds. A query takes one at admission (a fresh
+    /// one when none is free) and returns it at completion, so there are
+    /// never more than `overlap`.
+    scratch: Vec<Scratch>,
 }
 
 /// The per-processor overlap engine: dispatched queries wait in a FIFO,
@@ -178,6 +188,7 @@ impl<F> QueryPipeline<F> {
                 totals: AccessStats::default(),
                 completed: 0,
                 done: Vec::new(),
+                scratch: Vec::new(),
             },
             wake: Wake::Idle,
             next: Wake::Idle,
@@ -230,7 +241,8 @@ impl<F> QueryPipeline<F> {
     /// Drives every in-flight query one round: admits queued queries into
     /// free slots, polls each awaited fetch, and resumes the queries whose
     /// payloads arrived, submitting their next fetch. Never blocks.
-    /// Returns the queries that finished, and sets [`QueryPipeline::wake`].
+    /// Returns the queries that finished, and sets [`QueryPipeline::wake`];
+    /// [`QueryPipeline::recycle`] takes the vector back.
     ///
     /// # Errors
     ///
@@ -275,6 +287,13 @@ impl<F> QueryPipeline<F> {
         Ok(std::mem::take(&mut self.shared.done))
     }
 
+    /// Takes back the vector a [`QueryPipeline::step`] returned, emptied,
+    /// so the next round's completions reuse its buffer.
+    pub fn recycle(&mut self, mut done: Vec<CompletedQuery>) {
+        done.clear();
+        self.shared.done = done;
+    }
+
     /// The slot of the query stopped partway through applying an ask
     /// ([`StagedQuery::mid_ask`]). Until its re-fetch lands no other query
     /// computes, so no other apply evicts what the rest of its ask planned
@@ -299,9 +318,10 @@ impl<F> QueryPipeline<F> {
                 break;
             };
             self.wake = Wake::Now;
+            let scratch = self.shared.scratch.pop().unwrap_or_default();
             let mut query = Running {
                 seq,
-                staged: StagedQuery::new(query),
+                staged: StagedQuery::with_scratch(query, scratch),
                 started_ns: seam.clock_ns(),
                 fetch_started_ns: 0,
                 trace: QueryTrace::default(),
@@ -356,6 +376,7 @@ impl Shared {
         let miss = match step {
             Step::Fetch(miss) => miss,
             Step::Done(outcome) => {
+                self.scratch.push(query.staged.take_scratch());
                 for ev in query.staged.take_miss_log() {
                     self.heat.record_demand(ev.server as usize, 1);
                 }

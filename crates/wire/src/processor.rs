@@ -107,7 +107,8 @@ impl ProcessorCore {
         };
         // `step` folds this round's tallies in before any completion is
         // built, so the first completion after a change carries it.
-        for done in self.pipeline.step(&mut seam, &mut self.cache)? {
+        let mut finished = self.pipeline.step(&mut seam, &mut self.cache)?;
+        for done in finished.drain(..) {
             let completion = Completion {
                 seq: done.seq,
                 processor: self.id,
@@ -124,6 +125,7 @@ impl ProcessorCore {
             // A router gone is a close the next round hears of.
             let _ = out.send(self.router, &Frame::Completion(completion));
         }
+        self.pipeline.recycle(finished);
         let wake = if woke {
             Wake::Now
         } else {
