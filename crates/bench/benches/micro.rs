@@ -32,8 +32,8 @@ fn bench_graph() -> grouting_core::graph::CsrGraph {
     )
 }
 
-/// TCP, or the in-proc fabric where `GROUTING_NO_SOCKETS=1` says the
-/// sandbox has no loopback.
+/// TCP, or the in-proc fabric (Unix-domain sockets) where
+/// `GROUTING_NO_SOCKETS=1` says the sandbox has no loopback.
 fn env_transport() -> grouting_core::wire::TransportKind {
     use grouting_core::engine::EngineConfig;
     use grouting_core::route::RoutingKind;
@@ -282,9 +282,8 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     use grouting_core::wire::{MultiplexedStorageSource, TcpTransport, Transport, TransportKind};
 
     if env_transport() == TransportKind::InProc {
-        // No loopback in this sandbox; a socket round-trip cost is
-        // meaningless over channels, so skip rather than publish
-        // misleading numbers.
+        // No loopback in this sandbox; the group times a TCP deployment,
+        // so skip rather than publish a Unix-socket number under its name.
         return;
     }
 
@@ -424,8 +423,8 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
     use grouting_core::wire::{Reactor, TcpTransport, Transport, TransportKind, Wake};
 
     if env_transport() == TransportKind::InProc {
-        // The number is about kernel readiness over real descriptors;
-        // channels have none, so skip.
+        // No loopback in this sandbox; the group times idle TCP
+        // connections, so skip.
         return;
     }
 
@@ -483,8 +482,8 @@ fn wire_overlap_throughput(c: &mut Criterion) {
     };
 
     if env_transport() == TransportKind::InProc {
-        // No loopback in this sandbox; overlap numbers over channels say
-        // nothing about hiding real wire latency, so skip.
+        // No loopback in this sandbox; the group times overlap over TCP,
+        // so skip.
         return;
     }
 

@@ -213,8 +213,8 @@ impl GRouting {
 
     /// Runs the queries in real time on a wire cluster: the router, every
     /// processor, and every storage server deployed as framed-transport
-    /// peers (real loopback sockets for [`TransportKind::Tcp`], the
-    /// socket-free channel fabric for [`TransportKind::InProc`]), with all
+    /// peers (real loopback sockets for [`TransportKind::Tcp`], Unix-domain
+    /// sockets for [`TransportKind::InProc`]), with all
     /// dispatches, acknowledgements, and adjacency fetches (pipelined
     /// frontier batches) crossing connections. Every other deployment
     /// knob (`GROUTING_OVERLAP`, `GROUTING_TRACE`, `GROUTING_FAULTS`, …)

@@ -12,11 +12,10 @@
 //!
 //! With [`TransportKind::Tcp`] the peers are real socket endpoints on
 //! loopback (the honest deployment); [`TransportKind::InProc`] swaps in
-//! the hermetic channel fabric for sandboxes without loopback — same
-//! services, same frames, same encoded bytes. The transport also decides
-//! how the peers idle, with no knob of its own: on Linux socket peers
-//! block in `epoll_wait`, while fd-less in-proc peers (and every peer
-//! elsewhere) take the poller's swept fallback (see [`crate::reactor`]).
+//! Unix-domain sockets for sandboxes without loopback — same services,
+//! same framing code, same bytes. Either way every peer idles the same
+//! way: on Linux it blocks in `epoll_wait`, and only a poller without an
+//! epoll set takes the swept fallback (see [`crate::reactor`]).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -46,7 +45,7 @@ pub enum TransportKind {
     /// Real loopback sockets (`std::net`).
     #[default]
     Tcp,
-    /// Hermetic in-process channels (same frames, same encoded bytes).
+    /// Hermetic Unix-domain sockets (same frames, same bytes, no network).
     InProc,
 }
 

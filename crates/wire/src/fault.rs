@@ -278,7 +278,7 @@ impl FaultPlan {
                 fault: Arc::clone(&fault),
             }),
             Box::new(FaultyStream {
-                inner: Some(stream),
+                inner: stream,
                 fault,
             }),
         )
@@ -343,27 +343,31 @@ impl FaultySink {
         self.inner.as_mut().ok_or(WireError::Closed)
     }
 
-    /// The fault has fired: the connection is dead for both halves.
+    /// The fault has fired: the connection is dead for both halves, and
+    /// its socket is shut down, so the peer and the local poller see it.
     fn kill(&mut self) -> WireResult<usize> {
         self.fault.dead.store(true, Ordering::Release);
-        self.inner = None;
+        if let Some(mut inner) = self.inner.take() {
+            inner.shutdown();
+        }
         Err(WireError::Closed)
     }
 }
 
+/// Keeps its inner half, and so its fd, until dropped: a poller tracking
+/// the fd must not see its number reused.
 struct FaultyStream {
-    inner: Option<Box<dyn FrameStream>>,
+    inner: Box<dyn FrameStream>,
     fault: Arc<ConnFault>,
 }
 
 impl FaultyStream {
-    /// Drops the inner half once the fault has fired so the peer observes
-    /// the close; afterwards every receive reports [`WireError::Closed`].
+    /// Once the fault has fired, every receive reports the close.
     fn gate(&mut self) -> WireResult<&mut Box<dyn FrameStream>> {
         if self.fault.dead.load(Ordering::Acquire) {
-            self.inner = None;
+            return Err(WireError::Closed);
         }
-        self.inner.as_mut().ok_or(WireError::Closed)
+        Ok(&mut self.inner)
     }
 }
 
@@ -376,11 +380,10 @@ impl FrameStream for FaultyStream {
         self.gate()?.try_recv()
     }
 
-    // Deliberately no `raw_fd` override returning the inner fd: a faulted
-    // connection must not be parked in a kernel poller, because the fault
-    // fires on the *send* side and the fd would never signal readability.
-    // Reporting fd-less routes the connection onto the reactors' periodic
-    // sweep path, where `try_recv` observes the death promptly.
+    /// A fired kill shuts this socket down, so the poller wakes on it.
+    fn raw_fd(&self) -> i32 {
+        self.inner.raw_fd()
+    }
 }
 
 /// A [`Transport`] decorator injecting the faults a [`FaultPlan`]
@@ -593,17 +596,16 @@ mod tests {
             &(Arc::clone(&wrapped) as Arc<dyn Transport>),
             &wrapped
         ));
-        // An armed connection from an empty plan keeps its raw fd (no
-        // wrapper): sanity-check via a TCP dial through a non-empty plan
-        // that targets a different address.
+        // A dial through a non-empty plan that targets a different address
+        // is not wrapped, and reports its socket's fd like any other.
         let tcp: Arc<dyn Transport> = Arc::new(TcpTransport::new());
         let (addr, _server) = echoing(&*tcp);
         let t = FaultyTransport::wrap(
             Arc::clone(&tcp),
             FaultPlan::new().with(FaultRule::new(FaultKind::KillAfterFrames(1)).on("elsewhere")),
         );
-        let conn = t.dial(&addr).unwrap();
-        assert!(conn.raw_fd().is_some(), "unfaulted dial keeps its fd");
+        let (_, stream) = t.dial(&addr).unwrap().split();
+        assert!(stream.raw_fd() >= 0, "unfaulted dial keeps its fd");
     }
 
     #[test]

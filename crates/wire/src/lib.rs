@@ -8,9 +8,11 @@
 //! * [`frame`] — the router↔processor↔storage message set (submit,
 //!   dispatch, batched adjacency fetch/response, completion records,
 //!   metrics snapshots) and its length-prefixed little-endian binary codec;
-//! * `transport` — the [`Transport`] abstraction with two fabrics:
-//!   [`TcpTransport`] (real `std::net` sockets, framed streams) and
-//!   [`InProcTransport`] (hermetic channels that still move encoded bytes);
+//! * `transport` — the [`Transport`] abstraction with two fabrics, both
+//!   socket byte streams through the same framing code: [`TcpTransport`]
+//!   (real `std::net` sockets) and [`InProcTransport`] (hermetic
+//!   Unix-domain sockets, never on the network), so the crate needs a
+//!   unix target;
 //! * `mux` and `flow` — the one processor→storage miss path: frontier
 //!   batches, one frame per storage server per BFS hop, correlated by
 //!   request id, with redial / replica walk / resubmit on failure. `mux`
@@ -19,7 +21,8 @@
 //! * `reactor` — the readiness [`Reactor`]: ONE poll loop per node over
 //!   its listener, if any, and every framed connection (O(1) threads per
 //!   node), and the one idle policy every loop honours its [`Wake`]
-//!   through — epoll for sources with an fd, a swept fallback otherwise;
+//!   through — epoll over every connection's fd, a swept fallback where
+//!   there is no epoll set;
 //! * `overlap` — cross-query fetch overlap ([`QueryPipeline`]), decided
 //!   without I/O: up to [`grouting_engine::EngineConfig::overlap`]
 //!   dispatched queries in flight per processor, one query's batch

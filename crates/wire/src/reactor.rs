@@ -6,10 +6,10 @@
 //! through one non-blocking loop, so a node's thread count is O(1).
 //!
 //! Between rounds every loop honours its core's [`Wake`] through one idle
-//! policy (`Poller::pace`). Sources with an fd live in an epoll set
-//! (Linux): an idle reactor blocks in `epoll_wait`, and a woken one drains
-//! only the connections reported ready. A source without an fd (the
-//! in-process transport), or any source without epoll, turns each park
+//! policy (`Poller::pace`). Every source has an fd, and on Linux every fd
+//! lives in an epoll set: an idle reactor blocks in `epoll_wait`, and a
+//! woken one drains only the connections reported ready. A poller with no
+//! epoll set (off Linux, or when the kernel refuses one) turns each park
 //! into a short sleep and each round into a full sweep. Which regime a
 //! wait takes never changes what a loop computes.
 //!
@@ -37,7 +37,7 @@ use crate::transport::{Connection, FrameSink, FrameStream, Listener, Transport};
 /// slack); a genuinely idle loop parks instead of spinning on yields.
 const YIELD_FOR: Duration = Duration::from_millis(2);
 
-/// How long a swept (untracked) poller sleeps where an epoll one parks:
+/// How long a poller without an epoll set sleeps where an epoll one parks:
 /// an idle swept loop converges to ~10 k cheap sweeps per second.
 const SWEPT_NAP: Duration = Duration::from_micros(100);
 
@@ -84,17 +84,15 @@ impl EpollFd {
 #[cfg(target_os = "linux")]
 use crate::sys::EpollFd;
 
-/// One poll loop's readiness source — an epoll set for every source with
-/// an fd, a swept fallback for the rest — and the idle clock of the one
-/// idle policy ([`Poller::pace`]). [`Poller::wait`] names the ready tokens
-/// only while it tracks *every* source: one fd-less source, or no epoll
-/// set, turns each wait into a request to sweep.
+/// One poll loop's readiness source — an epoll set holding every
+/// source's fd, or a swept fallback where there is none — and the idle
+/// clock of the one idle policy ([`Poller::pace`]). [`Poller::wait`] names
+/// the ready tokens while it has an epoll set; without one, each wait is a
+/// request to sweep.
 pub(crate) struct Poller {
-    /// Absent off Linux, or when the kernel refused to create one.
+    /// Absent off Linux, or when the kernel refused to create it or to
+    /// track a source.
     epoll: Option<EpollFd>,
-    /// Tokens registered without a tracked fd: while non-empty the poller
-    /// must not block, and the owner sweeps.
-    untracked: BTreeSet<u64>,
     /// When the current idle stretch began: the first [`Wake::Idle`]
     /// round since the last [`Wake::Now`] one.
     idle_since: Option<Instant>,
@@ -115,29 +113,23 @@ impl Poller {
     fn with_epoll(epoll: Option<EpollFd>) -> Self {
         Self {
             epoll,
-            untracked: BTreeSet::new(),
             idle_since: None,
         }
     }
 
-    /// Starts tracking a source. Without an fd, or without an epoll set,
-    /// it joins the untracked set and every wait sweeps until it is
-    /// deregistered.
-    pub fn register(&mut self, token: u64, fd: Option<i32>) {
-        if let (Some(epoll), Some(fd)) = (&self.epoll, fd) {
-            if epoll.add(fd, token).is_ok() {
-                return;
-            }
+    /// Starts tracking source `fd` under `token`. An epoll set that
+    /// refuses it is let go of: a source it does not hold would never
+    /// wake the loop, so every wait sweeps from then on.
+    pub fn register(&mut self, token: u64, fd: i32) {
+        if let Some(Err(e)) = self.epoll.as_ref().map(|epoll| epoll.add(fd, token)) {
+            grouting_metrics::log_warn!("epoll refused a source ({e}); using sweep");
+            self.epoll = None;
         }
-        self.untracked.insert(token);
     }
 
-    /// Stops tracking a source (pass the same fd as at registration).
-    pub fn deregister(&mut self, token: u64, fd: Option<i32>) {
-        if self.untracked.remove(&token) {
-            return;
-        }
-        if let (Some(epoll), Some(fd)) = (&self.epoll, fd) {
+    /// Stops tracking source `fd`; call it while the fd is still open.
+    pub fn deregister(&mut self, fd: i32) {
+        if let Some(epoll) = &self.epoll {
             epoll.del(fd);
         }
     }
@@ -175,7 +167,7 @@ impl Poller {
         if hand_over {
             std::thread::yield_now();
         }
-        if block.is_zero() || (self.epoll.is_some() && self.untracked.is_empty()) {
+        if block.is_zero() || self.epoll.is_some() {
             return block;
         }
         std::thread::sleep(SWEPT_NAP);
@@ -191,8 +183,8 @@ impl Poller {
         match &self.epoll {
             // An epoll failure mid-run (should not happen): fall back to
             // sweeping rather than spinning on the error.
-            Some(epoll) if self.untracked.is_empty() => epoll.wait(ready, block).is_err(),
-            _ => true,
+            Some(epoll) => epoll.wait(ready, block).is_err(),
+            None => true,
         }
     }
 }
@@ -234,8 +226,8 @@ impl ReactorEvent {
 struct ReactorConn {
     sink: Box<dyn FrameSink>,
     stream: Box<dyn FrameStream>,
-    /// The stream's raw fd, as registered with the poller.
-    fd: Option<i32>,
+    /// The stream's fd, as registered with the poller.
+    fd: i32,
     /// Pool counters (checkouts, reused) already folded into telemetry —
     /// the pool exposes monotonic totals, so samples record deltas.
     pool_seen: (u64, u64),
@@ -330,7 +322,7 @@ pub struct Reactor {
     /// What the last wait reported ready, for the next poll.
     ready: Vec<u64>,
     /// Whether the next poll sweeps every connection: readiness is
-    /// unknown (no wait since the last poll, or an untracked source).
+    /// unknown (no wait since the last poll, or no epoll set).
     sweep: bool,
     /// Scratch for a poll's drain targets (reused across rounds).
     targets: Vec<u64>,
@@ -435,7 +427,7 @@ impl Reactor {
 
     fn retire(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
-            self.poller.deregister(id, conn.fd);
+            self.poller.deregister(conn.fd);
         }
         self.dirty.remove(&id);
         self.staged.remove(&id);
@@ -517,12 +509,18 @@ impl Reactor {
     }
 
     /// One round's drain: reports the connections the last flush lost,
-    /// accepts waiting dials, then drains each connection's ready frames
-    /// (bounded per connection), appending events in per-connection order.
-    /// After a [`Reactor::honour`] whose wait named the ready sources it
-    /// drains only those and the dirty connections, so an idle round is
-    /// O(1); otherwise (a fresh reactor, a second poll without a wait, an
-    /// untracked source) it sweeps every connection.
+    /// drains each connection's ready frames (bounded per connection),
+    /// appending events in per-connection order, then accepts waiting
+    /// dials. After a [`Reactor::honour`] whose wait named the ready
+    /// sources it drains only those and the dirty connections, so an idle
+    /// round is O(1); otherwise (a fresh reactor, a second poll without a
+    /// wait, a poller without an epoll set) it sweeps every connection.
+    ///
+    /// A connection accepted here is drained from the next poll on, after
+    /// every older one: a peer that closed its connection and dialled
+    /// again (a restarted processor) is seen to close before its new
+    /// connection's first frame, even where a stream saw the old one's
+    /// last bytes but not yet its end.
     ///
     /// # Errors
     ///
@@ -534,10 +532,7 @@ impl Reactor {
         let dialled = self.dialled.drain(..);
         events.extend(dialled.map(|(tag, conn)| ReactorEvent::Dialled(tag, conn)));
         let sweep = std::mem::replace(&mut self.sweep, true);
-        if sweep || self.ready.contains(&LISTENER_TOKEN) {
-            self.accept_new(events)?;
-        }
-        // After the accept: fresh connections are dirty (forced drain).
+        let accept = sweep || self.ready.contains(&LISTENER_TOKEN);
         let mut targets = std::mem::take(&mut self.targets);
         targets.clear();
         if sweep {
@@ -564,10 +559,16 @@ impl Reactor {
             }
         }
         self.targets = targets;
+        // Fresh connections are dirty: the next poll drains them.
+        let accepted = if accept {
+            self.accept_new(events)
+        } else {
+            Ok(())
+        };
         if let (Some(t), Some(started)) = (&self.telemetry, started) {
             t.add_busy_ns(started.elapsed().as_nanos() as u64);
         }
-        Ok(())
+        accepted
     }
 
     /// The end of a round: writes every connection's staged frames, one
@@ -710,8 +711,8 @@ mod tests {
 
     #[test]
     fn inproc_reactor_echoes() {
-        // In-process sources are fd-less: the poller must fall back to
-        // sweeping them rather than deafen itself in `epoll_wait`.
+        // In-process sources are Unix sockets: the epoll set tracks them
+        // as it does TCP's.
         echo_reactor_over(Arc::new(InProcTransport::new()), Poller::new());
     }
 
@@ -818,25 +819,16 @@ mod tests {
     }
 
     #[test]
-    fn fd_less_source_sweeps_until_deregistered() {
+    fn an_empty_epoll_set_parks_for_the_whole_timeout() {
         let mut poller = Poller::new();
         let mut ready = Vec::new();
-        poller.register(7, None);
-        let started = Instant::now();
-        assert!(
-            poller.wait(Wake::Idle, Duration::from_secs(10), &mut ready),
-            "an fd-less source must turn the wait into a sweep"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(1),
-            "it must not park"
-        );
-        poller.deregister(7, None);
         if poller.epoll.is_none() {
             return; // No epoll set on this host: every wait sweeps.
         }
-        // Past the yield window, an empty epoll set parks for the whole
-        // timeout and names no token.
+        // The first idle round starts the idle clock. Past the yield
+        // window, an empty epoll set parks for the whole timeout and names
+        // no token.
+        poller.wait(Wake::Idle, Duration::ZERO, &mut ready);
         std::thread::sleep(YIELD_FOR);
         let parked = Instant::now();
         assert!(!poller.wait(Wake::Idle, Duration::from_millis(50), &mut ready));
@@ -845,6 +837,54 @@ mod tests {
             "it must park"
         );
         assert!(ready.is_empty());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_inproc_frame_wakes_the_epoll_set() {
+        let transport = InProcTransport::new();
+        let mut listener = transport.listen(&transport.any_addr()).unwrap();
+        let mut client = transport.dial(&listener.addr()).unwrap();
+        let (_sink, server) = listener.accept().unwrap().split();
+        let mut poller = Poller::new();
+        poller.register(7, server.raw_fd());
+        let mut ready = Vec::new();
+        client.send(&frame(1)).unwrap();
+        assert!(
+            !poller.wait(Wake::Now, IDLE_WAIT, &mut ready),
+            "an in-proc source is tracked, so the wait names what is ready"
+        );
+        assert_eq!(ready, vec![7]);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_fired_kill_reaches_the_reactor_through_epoll_and_the_peer_as_a_close() {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultyTransport};
+        let inner: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let mut listener = inner.listen(&inner.any_addr()).unwrap();
+        let plan = FaultPlan::new().with(FaultRule::new(FaultKind::KillAfterFrames(0)));
+        let faulty = FaultyTransport::wrap(inner, plan);
+        let mut reactor = Reactor::dialler(Arc::clone(&faulty));
+        let id = reactor.register(faulty.dial(&listener.addr()).unwrap());
+        let mut peer = listener.accept().unwrap();
+        let mut events = Vec::new();
+        reactor.poll(&mut events).unwrap();
+        reactor.honour(Wake::Now);
+        assert!(events.is_empty(), "{events:?}");
+        assert!(matches!(
+            reactor.send(id, &frame(1)),
+            Err(WireError::Closed)
+        ));
+        reactor.honour(Wake::Now);
+        assert!(!reactor.sweep, "the next poll is epoll-driven");
+        assert_eq!(reactor.ready, vec![id], "the kill made the fd readable");
+        reactor.poll(&mut events).unwrap();
+        assert!(
+            matches!(events[..], [ReactorEvent::Closed(closed)] if closed == id),
+            "{events:?}"
+        );
+        assert!(matches!(peer.recv(), Err(WireError::Closed)));
     }
 
     #[test]
@@ -887,15 +927,21 @@ mod tests {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let mut reactor = Reactor::new(listener);
-        let mut flood = transport.dial(&addr).unwrap();
+        let (mut flood, _flood_stream) = transport.dial(&addr).unwrap().split();
         let mut quiet = transport.dial(&addr).unwrap();
+        // One write: nothing reads yet, and a socket buffer holds only a
+        // few hundred small writes.
         for i in 0..200 {
-            flood.send(&frame(i)).unwrap();
+            flood.stage(&frame(i)).unwrap();
         }
+        flood.flush().unwrap();
         quiet.send(&frame(9999)).unwrap();
         // One sweep caps the flooder's drain, so the quiet peer's frame is
-        // seen within the first sweep rather than after 200 frames.
+        // seen within the first sweep rather than after 200 frames. (The
+        // poll before it accepts the two connections.)
         let mut events = Vec::new();
+        reactor.poll(&mut events).unwrap();
+        events.clear();
         reactor.poll(&mut events).unwrap();
         let quiet_seen = events.iter().any(|e| {
             matches!(
@@ -954,9 +1000,12 @@ mod tests {
         }
     }
 
-    /// A stream on which nothing ever arrives (and which has no fd, so the
-    /// poller sweeps it).
-    struct Silent;
+    /// A stream on which nothing ever arrives: it holds both ends of a
+    /// socket pair, so its fd never turns readable.
+    struct Silent {
+        socket: std::os::unix::net::UnixStream,
+        _peer: std::os::unix::net::UnixStream,
+    }
 
     impl FrameStream for Silent {
         fn recv(&mut self) -> WireResult<Frame> {
@@ -966,10 +1015,14 @@ mod tests {
         fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>> {
             Ok(None)
         }
+
+        fn raw_fd(&self) -> i32 {
+            use std::os::fd::AsRawFd;
+            self.socket.as_raw_fd()
+        }
     }
 
-    /// A listening reactor without sockets, and a recording connection
-    /// registered on it.
+    /// A listening reactor, and a recording connection registered on it.
     fn recorded(fail: bool) -> (Reactor, u64, Arc<std::sync::Mutex<SinkLog>>) {
         let transport = InProcTransport::new();
         let mut reactor = Reactor::new(transport.listen(&transport.any_addr()).unwrap());
@@ -979,7 +1032,9 @@ mod tests {
             staged: Vec::new(),
             fail,
         };
-        let id = reactor.register(Connection::from_halves(Box::new(sink), Box::new(Silent)));
+        let (socket, _peer) = std::os::unix::net::UnixStream::pair().unwrap();
+        let silent = Silent { socket, _peer };
+        let id = reactor.register(Connection::from_halves(Box::new(sink), Box::new(silent)));
         (reactor, id, log)
     }
 
@@ -1001,9 +1056,10 @@ mod tests {
     #[test]
     fn an_idle_honour_flushes_before_it_parks() {
         let (mut reactor, id, log) = recorded(false);
-        // Past the yield window, an idle round parks: the source is
-        // fd-less, so the park is a nap of at least SWEPT_NAP. (A fresh
-        // connection is drained once before its reactor may idle.)
+        // Past the yield window, an idle round parks: an epoll wait of
+        // IDLE_WAIT on the silent source, or a nap of SWEPT_NAP without an
+        // epoll set. (A fresh connection is drained once before its
+        // reactor may idle.)
         reactor.poll(&mut Vec::new()).unwrap();
         reactor.honour(Wake::Idle);
         std::thread::sleep(YIELD_FOR);

@@ -4,15 +4,15 @@
 //! services in [`crate::service`] are written against these traits only,
 //! so the same router/processor/storage loops run over:
 //!
-//! * [`TcpTransport`] — real loopback/LAN sockets via `std::net`, each
-//!   connection a length-prefixed framed stream (`u32` little-endian
-//!   payload length, then the [`Frame`] payload), with bounded-backoff
-//!   dialling so peers may start in any order;
-//! * [`InProcTransport`] — a hermetic in-process fabric over channels for
-//!   tests and sandboxes without loopback. It still moves *encoded* bytes
-//!   (not `Frame` values), so the codec is exercised on both paths.
+//! * [`TcpTransport`] — real loopback/LAN sockets via `std::net`, with
+//!   bounded-backoff dialling so peers may start in any order;
+//! * [`InProcTransport`] — a hermetic fabric for tests and sandboxes
+//!   without loopback: Unix-domain sockets, never on the network.
 //!
-//! A frame costs the TCP data plane at most one `write` going out and one
+//! Every connection is a socket with an fd, framed by the same code: a
+//! `u32` little-endian payload length, then the [`Frame`] payload.
+//!
+//! A frame costs the data plane at most one `write` going out and one
 //! copy coming in. Send: a sink [stages](FrameSink::stage) frames by
 //! encoding `[len][payload]` into a buffer it keeps between frames
 //! ([`Frame::encode_into`]), and a [flush](FrameSink::flush) hands the
@@ -24,15 +24,15 @@
 //! the socket allows, and frame payloads are decoded as `Arc`-backed slice
 //! views of that buffer (no per-payload copy).
 
-use std::collections::HashMap;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::{SocketAddr, UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{Buf, BufferPool, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::error::{WireError, WireResult};
 use crate::frame::{Frame, MAX_FRAME_BYTES};
@@ -78,11 +78,10 @@ pub trait FrameSink: Send {
 
     /// Writes anything staged, then only the first `keep` bytes of the
     /// frame's encoding, and stops — the fault-injection layer's mid-frame
-    /// truncation primitive. The peer is left holding a partial frame: on
-    /// TCP its stream stalls until the connection closes, in-process the
-    /// short payload decodes as a codec error. Sinks that cannot express a
-    /// partial write (the default) send nothing at all, which a reader
-    /// observes the same way once the connection drops.
+    /// truncation primitive. The peer is left holding a partial frame: its
+    /// stream stalls until the connection closes. Sinks that cannot
+    /// express a partial write (the default) send nothing at all, which a
+    /// reader observes the same way once the connection drops.
     ///
     /// # Errors
     ///
@@ -91,6 +90,11 @@ pub trait FrameSink: Send {
         let _ = (frame, keep);
         Ok(())
     }
+
+    /// Ends the connection both ways, as a link death does — the fault
+    /// layer's kill: the peer and this connection's own stream both read
+    /// the close. Sinks with no socket under them (the default) do nothing.
+    fn shutdown(&mut self) {}
 }
 
 /// The receiving half of a framed connection.
@@ -106,19 +110,15 @@ pub trait FrameStream: Send {
     /// connection.
     ///
     /// Readiness contract: `Ok(None)` means the stream holds no complete
-    /// buffered frame *and* its last read of the underlying source came
-    /// back short or `WouldBlock` — the source was empty at that moment.
-    /// Whatever arrives afterwards leaves the descriptor readable, so a
-    /// level-triggered readiness poller may safely block on it, and a
-    /// sweeping one picks it up on its next pass.
+    /// buffered frame *and* its last read of the socket came back short
+    /// or `WouldBlock` — the socket was empty at that moment. Whatever
+    /// arrives afterwards leaves the fd readable, so a level-triggered
+    /// readiness poller may safely block on it, and a sweeping one picks
+    /// it up on its next pass.
     fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>>;
 
-    /// The underlying OS file descriptor, when the stream is backed by
-    /// one — lets a readiness poller track the connection in the kernel.
-    /// Fd-less streams (in-process channels) return `None` and get swept.
-    fn raw_fd(&self) -> Option<i32> {
-        None
-    }
+    /// The socket's fd, which a readiness poller tracks in the kernel.
+    fn raw_fd(&self) -> i32;
 
     /// Buffer-pool counters as `(checkouts, reused, free_now)` when the
     /// stream receives into a pool — monotonic totals a telemetry sampler
@@ -186,12 +186,6 @@ impl Connection {
     pub fn split(self) -> (Box<dyn FrameSink>, Box<dyn FrameStream>) {
         (self.sink, self.stream)
     }
-
-    /// The receive half's raw fd, when socket-backed (see
-    /// [`FrameStream::raw_fd`]).
-    pub fn raw_fd(&self) -> Option<i32> {
-        self.stream.raw_fd()
-    }
 }
 
 /// An endpoint accepting inbound connections.
@@ -209,11 +203,8 @@ pub trait Listener: Send {
     /// The address peers dial to reach this listener.
     fn addr(&self) -> String;
 
-    /// The listening socket's raw fd, when OS-backed (see
-    /// [`FrameStream::raw_fd`] for the contract).
-    fn raw_fd(&self) -> Option<i32> {
-        None
-    }
+    /// The listening socket's fd (see [`FrameStream::raw_fd`]).
+    fn raw_fd(&self) -> i32;
 }
 
 /// A connection fabric: names addresses, listens, dials.
@@ -306,10 +297,180 @@ impl RetryPolicy {
 }
 
 // ---------------------------------------------------------------------------
+// Sockets
+// ---------------------------------------------------------------------------
+
+/// What the framed halves need of a stream socket — TCP's, or the
+/// Unix-domain one of the in-process fabric — besides reading, writing
+/// and its fd.
+trait Socket: Read + Write + AsRawFd + Send + Sized + 'static {
+    fn try_clone(&self) -> io::Result<Self>;
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+    fn shutdown(&self, how: Shutdown) -> io::Result<()>;
+}
+
+/// A listening socket, accepting streams of one kind.
+trait Acceptor: AsRawFd + Send + 'static {
+    type Stream: Socket;
+    /// The next waiting stream, set up for framing.
+    fn accept_stream(&self) -> io::Result<Self::Stream>;
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+    /// Frees the listening name once the listener closes.
+    fn release(&self) {}
+}
+
+macro_rules! socket {
+    ($($ty:ty),*) => {$(
+        impl Socket for $ty {
+            fn try_clone(&self) -> io::Result<Self> {
+                <$ty>::try_clone(self)
+            }
+
+            fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+                <$ty>::set_nonblocking(self, nonblocking)
+            }
+
+            fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+                <$ty>::shutdown(self, how)
+            }
+        }
+    )*};
+}
+
+socket!(TcpStream, UnixStream);
+
+impl Acceptor for TcpListener {
+    type Stream = TcpStream;
+
+    fn accept_stream(&self) -> io::Result<TcpStream> {
+        let (stream, _) = self.accept()?;
+        stream.set_nodelay(true)?;
+        Ok(stream)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        TcpListener::set_nonblocking(self, nonblocking)
+    }
+}
+
+impl Acceptor for UnixListener {
+    type Stream = UnixStream;
+
+    fn accept_stream(&self) -> io::Result<UnixStream> {
+        self.accept().map(|(stream, _)| stream)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        UnixListener::set_nonblocking(self, nonblocking)
+    }
+
+    /// Off Linux the name is a file, which a close leaves behind.
+    #[cfg(not(target_os = "linux"))]
+    fn release(&self) {
+        if let Some(path) = self
+            .local_addr()
+            .ok()
+            .as_ref()
+            .and_then(SocketAddr::as_pathname)
+        {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// A refused dial, or one to a name nothing holds, is an address nothing
+/// listens at.
+fn dial_error(addr: &str, e: io::Error) -> WireError {
+    match e.kind() {
+        io::ErrorKind::ConnectionRefused | io::ErrorKind::NotFound => {
+            WireError::Unroutable(addr.to_string())
+        }
+        _ => e.into(),
+    }
+}
+
+/// Frames a connected socket: the sink writes through one handle of it,
+/// the stream reads through the other.
+fn socket_connection<S: Socket>(stream: S) -> WireResult<Connection> {
+    let writer = stream.try_clone()?;
+    Ok(Connection::from_halves(
+        Box::new(SocketSink {
+            stream: writer,
+            buf: Vec::new(),
+        }),
+        Box::new(SocketStream::new(stream)),
+    ))
+}
+
+struct SocketListener<L: Acceptor> {
+    listener: L,
+    /// What peers dial to reach it.
+    addr: String,
+    /// Set on the first `try_accept` and never reverted (same discipline
+    /// as the stream half: a listener is either blocking-driven or
+    /// reactor-polled, never interleaved).
+    nonblocking: bool,
+}
+
+impl<L: Acceptor> SocketListener<L> {
+    fn boxed(listener: L, addr: String) -> Box<dyn Listener> {
+        Box::new(Self {
+            listener,
+            addr,
+            nonblocking: false,
+        })
+    }
+}
+
+impl<L: Acceptor> Listener for SocketListener<L> {
+    fn accept(&mut self) -> WireResult<Connection> {
+        loop {
+            match self.listener.accept_stream() {
+                Ok(stream) => return socket_connection(stream),
+                // Only reachable when `try_accept` switched the socket to
+                // non-blocking; honour the blocking contract by waiting.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::yield_now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    fn try_accept(&mut self) -> WireResult<Option<Connection>> {
+        if !self.nonblocking {
+            self.listener.set_nonblocking(true)?;
+            self.nonblocking = true;
+        }
+        match self.listener.accept_stream() {
+            Ok(stream) => socket_connection(stream).map(Some),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    fn addr(&self) -> String {
+        self.addr.clone()
+    }
+
+    fn raw_fd(&self) -> i32 {
+        self.listener.as_raw_fd()
+    }
+}
+
+impl<L: Acceptor> Drop for SocketListener<L> {
+    fn drop(&mut self) {
+        self.listener.release();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // TCP
 // ---------------------------------------------------------------------------
 
-/// Real sockets via `std::net`, framed with a `u32` length prefix.
+/// Real sockets via `std::net`.
 #[derive(Debug, Clone)]
 pub struct TcpTransport {
     dial_attempts: u32,
@@ -337,42 +498,24 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn listen(&self, addr: &str) -> WireResult<Box<dyn Listener>> {
         let listener = bind_reusable(addr)?;
-        Ok(Box::new(TcpFrameListener {
-            listener,
-            nonblocking: false,
-        }))
+        let addr = listener.local_addr()?.to_string();
+        Ok(SocketListener::boxed(listener, addr))
     }
 
     fn dial(&self, addr: &str) -> WireResult<Connection> {
-        let mut last = None;
-        for attempt in 0..self.dial_attempts {
-            match TcpStream::connect(addr) {
-                Ok(stream) => return tcp_connection(stream),
-                Err(e) => {
-                    last = Some(e);
-                    if attempt + 1 < self.dial_attempts {
-                        std::thread::sleep(self.dial_backoff);
-                    }
-                }
+        for _ in 1..self.dial_attempts {
+            if let Ok(conn) = self.dial_once(addr) {
+                return Ok(conn);
             }
+            std::thread::sleep(self.dial_backoff);
         }
-        Err(match last {
-            Some(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
-                WireError::Unroutable(addr.to_string())
-            }
-            Some(e) => e.into(),
-            None => WireError::Unroutable(addr.to_string()),
-        })
+        self.dial_once(addr)
     }
 
     fn dial_once(&self, addr: &str) -> WireResult<Connection> {
-        match TcpStream::connect(addr) {
-            Ok(stream) => tcp_connection(stream),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
-                Err(WireError::Unroutable(addr.to_string()))
-            }
-            Err(e) => Err(e.into()),
-        }
+        let stream = TcpStream::connect(addr).map_err(|e| dial_error(addr, e))?;
+        stream.set_nodelay(true)?;
+        socket_connection(stream)
     }
 
     fn any_addr(&self) -> String {
@@ -385,7 +528,7 @@ impl Transport for TcpTransport {
 /// accepted there linger in `TIME_WAIT` — the chaos harness's
 /// kill-and-rebind path. Wildcard (`:0`) binds and other platforms go
 /// through the plain `std` bind.
-fn bind_reusable(addr: &str) -> std::io::Result<TcpListener> {
+fn bind_reusable(addr: &str) -> io::Result<TcpListener> {
     #[cfg(target_os = "linux")]
     {
         if let Ok(parsed) = addr.parse::<std::net::SocketAddrV4>() {
@@ -399,71 +542,86 @@ fn bind_reusable(addr: &str) -> std::io::Result<TcpListener> {
     TcpListener::bind(addr)
 }
 
-fn tcp_connection(stream: TcpStream) -> WireResult<Connection> {
-    stream.set_nodelay(true)?;
-    let writer = stream.try_clone()?;
-    Ok(Connection::from_halves(
-        Box::new(TcpSink {
-            stream: writer,
-            buf: Vec::new(),
-        }),
-        Box::new(TcpStreamHalf::new(stream)),
-    ))
+// ---------------------------------------------------------------------------
+// In-process
+// ---------------------------------------------------------------------------
+
+/// Numbers the in-process fabrics of this process.
+static FABRICS: AtomicU64 = AtomicU64::new(0);
+
+/// A hermetic in-process fabric: each `inproc:` address is a Unix-domain
+/// socket whose name also holds the process and the fabric, so addresses
+/// are scoped to this instance (and its clones), and connections are the
+/// same framed byte streams as TCP's.
+#[derive(Clone)]
+pub struct InProcTransport {
+    /// This fabric's number in the process.
+    fabric: u64,
+    /// Numbers the addresses of [`Transport::any_addr`] listeners.
+    next_name: Arc<AtomicU64>,
 }
 
-struct TcpFrameListener {
-    listener: TcpListener,
-    /// Set on the first `try_accept` and never reverted (same discipline
-    /// as the stream half: a listener is either blocking-driven or
-    /// reactor-polled, never interleaved).
-    nonblocking: bool,
-}
-
-impl Listener for TcpFrameListener {
-    fn accept(&mut self) -> WireResult<Connection> {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => return tcp_connection(stream),
-                // Only reachable when `try_accept` switched the socket to
-                // non-blocking; honour the blocking contract by waiting.
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::yield_now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
+impl Default for InProcTransport {
+    fn default() -> Self {
+        Self {
+            fabric: FABRICS.fetch_add(1, Ordering::Relaxed),
+            next_name: Arc::default(),
         }
-    }
-
-    fn try_accept(&mut self) -> WireResult<Option<Connection>> {
-        if !self.nonblocking {
-            self.listener.set_nonblocking(true)?;
-            self.nonblocking = true;
-        }
-        match self.listener.accept() {
-            Ok((stream, _)) => tcp_connection(stream).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn addr(&self) -> String {
-        self.listener
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_default()
-    }
-
-    #[cfg(unix)]
-    fn raw_fd(&self) -> Option<i32> {
-        use std::os::fd::AsRawFd;
-        Some(self.listener.as_raw_fd())
     }
 }
 
-struct TcpSink {
-    stream: TcpStream,
+impl InProcTransport {
+    /// A fresh, empty fabric (addresses are scoped to this instance).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The socket behind `addr`: on Linux a name in the abstract
+    /// namespace, which nothing on disk holds and a close frees; on other
+    /// unix targets a file in the temporary directory.
+    fn socket_addr(&self, addr: &str) -> io::Result<SocketAddr> {
+        let name = format!("grouting-{}-{}-{addr}", std::process::id(), self.fabric);
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::linux::net::SocketAddrExt;
+            SocketAddr::from_abstract_name(name)
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            SocketAddr::from_pathname(std::env::temp_dir().join(name))
+        }
+    }
+}
+
+impl Transport for InProcTransport {
+    fn listen(&self, addr: &str) -> WireResult<Box<dyn Listener>> {
+        let addr = if addr.is_empty() || addr == self.any_addr() {
+            format!("inproc:{}", self.next_name.fetch_add(1, Ordering::Relaxed))
+        } else {
+            addr.to_string()
+        };
+        let listener = UnixListener::bind_addr(&self.socket_addr(&addr)?)?;
+        Ok(SocketListener::boxed(listener, addr))
+    }
+
+    /// One connect: a local socket answers at once or not at all.
+    fn dial(&self, addr: &str) -> WireResult<Connection> {
+        let stream =
+            UnixStream::connect_addr(&self.socket_addr(addr)?).map_err(|e| dial_error(addr, e))?;
+        socket_connection(stream)
+    }
+
+    fn any_addr(&self) -> String {
+        "inproc:any".to_string()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Framing
+// ---------------------------------------------------------------------------
+
+struct SocketSink<S> {
+    stream: S,
     /// The frames staged since the last flush, each as `[len][payload]`.
     /// Kept between flushes, so a warm connection encodes without
     /// allocating.
@@ -475,7 +633,7 @@ struct TcpSink {
 /// frame does not stay pinned to every connection that ever carried one.
 const SEND_BUFFER_RETAIN: usize = 256 << 10;
 
-impl FrameSink for TcpSink {
+impl<S: Socket> FrameSink for SocketSink<S> {
     fn stage(&mut self, frame: &Frame) -> WireResult<usize> {
         let start = self.buf.len();
         frame.encode_into(&mut self.buf);
@@ -505,6 +663,11 @@ impl FrameSink for TcpSink {
         self.buf.truncate(start + keep.min(len - 1).max(1));
         self.flush()
     }
+
+    fn shutdown(&mut self) {
+        self.buf.clear();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
 }
 
 /// A full socket buffer on a (possibly non-blocking) socket: wait for
@@ -512,13 +675,12 @@ impl FrameSink for TcpSink {
 /// until the kernel drains; elsewhere a yield-then-sleep pause paces the
 /// retries without burning the core the reader needs.
 #[cfg(target_os = "linux")]
-fn wait_for_writable(stream: &TcpStream) {
-    use std::os::fd::AsRawFd;
-    let _ = crate::sys::wait_writable(stream.as_raw_fd(), Duration::from_millis(25));
+fn wait_for_writable(socket: &impl AsRawFd) {
+    let _ = crate::sys::wait_writable(socket.as_raw_fd(), Duration::from_millis(25));
 }
 
 #[cfg(not(target_os = "linux"))]
-fn wait_for_writable(_stream: &TcpStream) {
+fn wait_for_writable(_socket: &impl AsRawFd) {
     std::thread::yield_now();
     std::thread::sleep(Duration::from_micros(100));
 }
@@ -528,13 +690,13 @@ fn wait_for_writable(_stream: &TcpStream) {
 /// non-blocking on its first `try_recv` and leaves it there, so sends on
 /// the same connection must treat `WouldBlock` as "kernel buffer full,
 /// wait for writability" rather than an error.
-fn write_all_blocking(stream: &mut TcpStream, mut buf: &[u8]) -> WireResult<()> {
+fn write_all_blocking<S: Socket>(stream: &mut S, mut buf: &[u8]) -> WireResult<()> {
     while !buf.is_empty() {
         match stream.write(buf) {
             Ok(0) => return Err(WireError::Closed),
             Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => wait_for_writable(stream),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait_for_writable(stream),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
     }
@@ -557,8 +719,8 @@ const MIN_READ_ROOM: usize = 4 << 10;
 /// buffer grows past that only as the frame's bytes really arrive.
 const MAX_READ_AHEAD: usize = 1 << 20;
 
-struct TcpStreamHalf {
-    stream: TcpStream,
+struct SocketStream<S> {
+    stream: S,
     /// Recycles receive buffers so a long-lived connection stops
     /// allocating once warm. Reclamation is `Arc`-gated: a buffer re-enters
     /// the free list only when no decoded payload view references it.
@@ -584,8 +746,8 @@ struct TcpStreamHalf {
     nonblocking: bool,
 }
 
-impl TcpStreamHalf {
-    fn new(stream: TcpStream) -> Self {
+impl<S: Socket> SocketStream<S> {
+    fn new(stream: S) -> Self {
         let mut pool = BufferPool::new(RECV_BUFFER_CAPACITY, RECV_POOL_BUFFERS);
         let acc = pool.checkout();
         Self {
@@ -694,7 +856,7 @@ enum Parsed {
     Lacks(usize),
 }
 
-impl FrameStream for TcpStreamHalf {
+impl<S: Socket> FrameStream for SocketStream<S> {
     fn recv(&mut self) -> WireResult<Frame> {
         loop {
             let lacks = match self.parse_buffered()? {
@@ -707,10 +869,10 @@ impl FrameStream for TcpStreamHalf {
                 Ok(_) => {}
                 // Only reachable when `try_recv` has been used on this
                 // connection too; honour the blocking contract by waiting.
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::yield_now();
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
@@ -735,17 +897,15 @@ impl FrameStream for TcpStreamHalf {
                 // returned above, before this read was made.
                 Ok(0) => return Err(WireError::Closed),
                 Ok(_) => self.drained = self.acc.room() > 0,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
     }
 
-    #[cfg(unix)]
-    fn raw_fd(&self) -> Option<i32> {
-        use std::os::fd::AsRawFd;
-        Some(self.stream.as_raw_fd())
+    fn raw_fd(&self) -> i32 {
+        self.stream.as_raw_fd()
     }
 
     fn pool_stats(&self) -> Option<(u64, u64, u64)> {
@@ -754,174 +914,6 @@ impl FrameStream for TcpStreamHalf {
             self.pool.reused(),
             self.pool.available() as u64,
         ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// In-process
-// ---------------------------------------------------------------------------
-
-type Registry = Arc<Mutex<HashMap<String, Sender<Connection>>>>;
-
-/// A hermetic in-process fabric: listeners are names in a shared registry,
-/// connections are channel pairs carrying *encoded* frames.
-#[derive(Clone, Default)]
-pub struct InProcTransport {
-    registry: Registry,
-    next_name: Arc<AtomicU64>,
-}
-
-impl InProcTransport {
-    /// A fresh, empty fabric (addresses are scoped to this instance).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Transport for InProcTransport {
-    fn listen(&self, addr: &str) -> WireResult<Box<dyn Listener>> {
-        let name = if addr.is_empty() || addr == self.any_addr() {
-            format!("inproc:{}", self.next_name.fetch_add(1, Ordering::Relaxed))
-        } else {
-            addr.to_string()
-        };
-        let (tx, rx) = unbounded();
-        let mut reg = self.registry.lock().expect("registry poisoned");
-        if reg.contains_key(&name) {
-            return Err(WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::AddrInUse,
-                format!("inproc address {name} already bound"),
-            )));
-        }
-        reg.insert(name.clone(), tx);
-        drop(reg);
-        Ok(Box::new(InProcListener {
-            name,
-            inbox: rx,
-            registry: Arc::clone(&self.registry),
-        }))
-    }
-
-    fn dial(&self, addr: &str) -> WireResult<Connection> {
-        let acceptor = {
-            let reg = self.registry.lock().expect("registry poisoned");
-            reg.get(addr).cloned()
-        };
-        let Some(acceptor) = acceptor else {
-            return Err(WireError::Unroutable(addr.to_string()));
-        };
-        let (client_tx, server_rx) = unbounded::<Bytes>();
-        let (server_tx, client_rx) = unbounded::<Bytes>();
-        let server_side = Connection::from_halves(
-            Box::new(ChanSink {
-                tx: server_tx,
-                staged: Vec::new(),
-            }),
-            Box::new(ChanStream { rx: server_rx }),
-        );
-        acceptor
-            .send(server_side)
-            .map_err(|_| WireError::Unroutable(addr.to_string()))?;
-        Ok(Connection::from_halves(
-            Box::new(ChanSink {
-                tx: client_tx,
-                staged: Vec::new(),
-            }),
-            Box::new(ChanStream { rx: client_rx }),
-        ))
-    }
-
-    fn any_addr(&self) -> String {
-        "inproc:any".to_string()
-    }
-}
-
-struct InProcListener {
-    name: String,
-    inbox: Receiver<Connection>,
-    registry: Registry,
-}
-
-impl Listener for InProcListener {
-    fn accept(&mut self) -> WireResult<Connection> {
-        self.inbox.recv().map_err(|_| WireError::Closed)
-    }
-
-    fn try_accept(&mut self) -> WireResult<Option<Connection>> {
-        use crossbeam::channel::TryRecvError;
-        match self.inbox.try_recv() {
-            Ok(conn) => Ok(Some(conn)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(WireError::Closed),
-        }
-    }
-
-    fn addr(&self) -> String {
-        self.name.clone()
-    }
-}
-
-impl Drop for InProcListener {
-    fn drop(&mut self) {
-        if let Ok(mut reg) = self.registry.lock() {
-            reg.remove(&self.name);
-        }
-    }
-}
-
-struct ChanSink {
-    tx: Sender<Bytes>,
-    /// The frames staged since the last flush, one encoded message each:
-    /// the channel is message-based, so a flush hands each over in order.
-    staged: Vec<Bytes>,
-}
-
-impl FrameSink for ChanSink {
-    fn stage(&mut self, frame: &Frame) -> WireResult<usize> {
-        let encoded = frame.encode();
-        let len = encoded.len();
-        self.staged.push(encoded);
-        Ok(len)
-    }
-
-    fn flush(&mut self) -> WireResult<()> {
-        self.staged
-            .drain(..)
-            .try_for_each(|encoded| self.tx.send(encoded))
-            .map_err(|_| WireError::Closed)
-    }
-
-    fn send_truncated(&mut self, frame: &Frame, keep: usize) -> WireResult<()> {
-        // The channel fabric is message-based (no partial delivery), so a
-        // mid-frame cut arrives as a short encoding the peer's decoder
-        // rejects — the in-process spelling of a torn frame.
-        let encoded = frame.encode();
-        let cut = keep.min(encoded.len().saturating_sub(1)).max(1);
-        self.staged.push(encoded.slice(0..cut));
-        self.flush()
-    }
-}
-
-struct ChanStream {
-    rx: Receiver<Bytes>,
-}
-
-impl FrameStream for ChanStream {
-    fn recv(&mut self) -> WireResult<Frame> {
-        let payload = self.rx.recv().map_err(|_| WireError::Closed)?;
-        Frame::decode(payload)
-    }
-
-    fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>> {
-        use crossbeam::channel::TryRecvError;
-        match self.rx.try_recv() {
-            Ok(payload) => {
-                let len = payload.len();
-                Frame::decode(payload).map(|frame| Some((frame, len)))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(WireError::Closed),
-        }
     }
 }
 
@@ -1309,8 +1301,8 @@ mod tests {
         drop(sink);
         drop(stream);
         // The peer never assembles a frame from the torn bytes: it sees
-        // the close (TCP) or a codec rejection (in-process), never a
-        // spurious complete frame.
+        // the close (or a codec rejection), never a spurious complete
+        // frame.
         match server_side.recv() {
             Err(WireError::Closed) | Err(WireError::Codec(_)) => {}
             other => panic!("torn frame surfaced as {other:?}"),

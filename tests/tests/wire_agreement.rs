@@ -168,16 +168,18 @@ fn overlap4_cluster_matches_assignments_and_results() {
 
 #[test]
 fn epoll_and_sweep_backends_agree_byte_for_byte() {
-    // The one poller has two wait regimes, and the transport picks one:
-    // TCP connections are epoll-tracked (an idle loop blocks in
-    // `epoll_wait` on Linux), in-proc connections have no fd and take the
-    // swept yield/sleep fallback. How a loop *idles* must never change
-    // what a run computes or counts. Same seeded workload under both:
-    // identical answers, identical per-query routing assignments,
-    // identical demand cache statistics, and (at overlap 1, where
-    // execution is strictly serial) identical per-partition heat. Where
-    // the TCP side is swept too (no epoll on the host, or
-    // `GROUTING_NO_SOCKETS=1`), this compares the fallback with itself.
+    // The two fabrics: loopback TCP and the in-proc Unix-domain sockets,
+    // both epoll-tracked on Linux. Which socket carries the frames, and
+    // how a loop idles on it, must never change what a run computes or
+    // counts. Same seeded workload over both: identical answers,
+    // identical per-query routing assignments, identical demand cache
+    // statistics, and (at overlap 1, where execution is strictly serial)
+    // identical per-partition heat. Under `GROUTING_NO_SOCKETS=1` this
+    // compares the Unix fabric with itself. The swept regime (a poller
+    // without an epoll set) is covered by `reactor::tests`:
+    // `thousand_connections_echo_sweep` and the swept TCP echo. (`sweep`
+    // names the in-proc run, `epoll` the run over the environment's
+    // fabric.)
     let (assets, queries) = seeded_setup();
     let cfg = EngineConfig {
         // Small enough that the hotspot region keeps missing, so the heat
