@@ -356,7 +356,7 @@ fn reactor_dispatch_latency(c: &mut Criterion) {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let join = std::thread::spawn(move || {
-            let mut reactor = Reactor::new(listener);
+            let mut reactor = Reactor::new(listener).unwrap();
             let mut events = Vec::new();
             loop {
                 if reactor.poll(&mut events).is_err() {
@@ -430,9 +430,9 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
 
     // The idle-cost acceptance shape: ONE reactor holding ~1k established,
     // silent TCP connections, measured per idle poll round. Epoll asks the
-    // kernel once per round, whatever the connection count; the swept
-    // fallback try_recv's every connection (~495 µs per round on the
-    // reference host, README "Reactor").
+    // kernel once per round, whatever the connection count, where a
+    // try_recv of every connection cost ~495 µs per round on the reference
+    // host (README "Reactor").
     // Each round is a poll plus the idle policy on `Wake::Now`, which
     // never blocks, so the number is pure CPU cost, not sleep time.
     const CONNS: usize = 1000;
@@ -444,7 +444,7 @@ fn reactor_idle_cpu_1k(c: &mut Criterion) {
     g.sample_size(20);
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
     let listener = transport.listen(&transport.any_addr()).unwrap();
-    let mut reactor = Reactor::new(listener);
+    let mut reactor = Reactor::new(listener).unwrap();
     let addr = reactor.addr();
     let mut clients = Vec::with_capacity(CONNS);
     let mut events = Vec::new();

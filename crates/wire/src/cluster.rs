@@ -14,8 +14,7 @@
 //! loopback (the honest deployment); [`TransportKind::InProc`] swaps in
 //! Unix-domain sockets for sandboxes without loopback — same services,
 //! same framing code, same bytes. Either way every peer idles the same
-//! way: on Linux it blocks in `epoll_wait`, and only a poller without an
-//! epoll set takes the swept fallback (see [`crate::reactor`]).
+//! way: it blocks in `epoll_wait` (see [`crate::reactor`]).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;

@@ -27,7 +27,7 @@ use grouting_metrics::FailoverStats;
 use grouting_query::BatchSource;
 use grouting_storage::Partitioner;
 
-use crate::error::WireResult;
+use crate::error::{WireError, WireResult};
 use crate::mux::{BatchPayloads, MuxLinks, PendingBatch};
 use crate::overlap::{FetchSeam, Wake};
 use crate::reactor::{PollerKind, Reactor, ReactorEvent};
@@ -51,13 +51,16 @@ pub enum FetchMode {
 /// or blocks in [`BatchSource::fetch_batch`].
 pub struct MultiplexedStorageSource {
     links: MuxLinks,
-    reactor: Reactor,
+    /// The reactor, or why the kernel refused one: the first collect
+    /// reports it, and every later one [`WireError::Closed`].
+    reactor: WireResult<Reactor>,
     events: Vec<ReactorEvent>,
 }
 
 impl MultiplexedStorageSource {
     /// A source fetching from `storage_addrs` (index = storage server id)
-    /// with `partitioner` as the placement function.
+    /// with `partitioner` as the placement function. A source the kernel
+    /// refuses an epoll set sends nothing, and its first collect fails.
     pub fn new(
         transport: Arc<dyn Transport>,
         storage_addrs: &[String],
@@ -85,8 +88,9 @@ impl MultiplexedStorageSource {
     /// the next dial deadline) unless drained events await a collect.
     pub fn honour(&mut self, wake: Wake) {
         let drained = !self.events.is_empty();
-        self.reactor
-            .honour(self.links.wake(if drained { Wake::Now } else { wake }));
+        if let Ok(reactor) = &mut self.reactor {
+            reactor.honour(self.links.wake(if drained { Wake::Now } else { wake }));
+        }
     }
 
     /// [`MultiplexedStorageSource::honour`] of an idle round. Named by the
@@ -127,8 +131,12 @@ impl MultiplexedStorageSource {
     /// completes, polling once if none are left (the rest wait for the
     /// next collect); whether anything happened.
     fn collect(&mut self, pending: &mut PendingBatch) -> WireResult<(Option<BatchPayloads>, bool)> {
+        let reactor = match &mut self.reactor {
+            Ok(reactor) => reactor,
+            Err(e) => return Err(std::mem::replace(e, WireError::Closed)),
+        };
         let now = now_ns();
-        let (mut moved, mut polled) = (self.links.dial_due(now, &mut self.reactor), false);
+        let (mut moved, mut polled) = (self.links.dial_due(now, reactor), false);
         loop {
             if let Some(out) = self.links.collect(pending)? {
                 return Ok((Some(out), true));
@@ -138,11 +146,11 @@ impl MultiplexedStorageSource {
                 Some(event) => {
                     moved = true;
                     if let Some(input) = event.into_input() {
-                        self.links.take(now, input, &mut self.reactor)?;
+                        self.links.take(now, input, reactor)?;
                     }
                 }
                 None if !polled => {
-                    self.reactor.poll(&mut self.events)?;
+                    reactor.poll(&mut self.events)?;
                     self.events.reverse();
                     polled = true;
                 }
@@ -157,8 +165,11 @@ impl FetchSeam for MultiplexedStorageSource {
     type Fetch = PendingBatch;
 
     fn submit_frontier(&mut self, nodes: &[NodeId]) -> PendingBatch {
-        self.links
-            .submit_frontier(nodes, now_ns(), &mut self.reactor)
+        match &mut self.reactor {
+            Ok(reactor) => self.links.submit_frontier(nodes, now_ns(), reactor),
+            // Nothing can leave: the collect reports why.
+            Err(_) => PendingBatch::default(),
+        }
     }
 
     fn try_collect(&mut self, pending: &mut PendingBatch) -> WireResult<Option<BatchPayloads>> {

@@ -11,8 +11,8 @@
 //! * `transport` — the [`Transport`] abstraction with two fabrics, both
 //!   socket byte streams through the same framing code: [`TcpTransport`]
 //!   (real `std::net` sockets) and [`InProcTransport`] (hermetic
-//!   Unix-domain sockets, never on the network), so the crate needs a
-//!   unix target;
+//!   Unix-domain sockets in the abstract namespace, never on the
+//!   network);
 //! * `mux` and `flow` — the one processor→storage miss path: frontier
 //!   batches, one frame per storage server per BFS hop, correlated by
 //!   request id, with redial / replica walk / resubmit on failure. `mux`
@@ -21,8 +21,7 @@
 //! * `reactor` — the readiness [`Reactor`]: ONE poll loop per node over
 //!   its listener, if any, and every framed connection (O(1) threads per
 //!   node), and the one idle policy every loop honours its [`Wake`]
-//!   through — epoll over every connection's fd, a swept fallback where
-//!   there is no epoll set;
+//!   through — one epoll set over the node's every fd;
 //! * `overlap` — cross-query fetch overlap ([`QueryPipeline`]), decided
 //!   without I/O: up to [`grouting_engine::EngineConfig::overlap`]
 //!   dispatched queries in flight per processor, one query's batch
@@ -50,6 +49,13 @@
 //! assignments and cache statistics — pinned by
 //! `tests/tests/wire_agreement.rs` (which also pins answers and
 //! assignments at overlap 4).
+//!
+//! The crate builds on Linux only: every node's poller is an epoll set,
+//! and the in-process fabric names its sockets in Linux's abstract
+//! namespace.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("grouting-wire builds on Linux only: its poller is an epoll set");
 
 mod chaos;
 mod cluster;
@@ -64,7 +70,6 @@ mod reactor;
 mod router;
 mod service;
 mod storage;
-#[cfg(target_os = "linux")]
 mod sys;
 mod transport;
 

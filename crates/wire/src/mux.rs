@@ -5,16 +5,19 @@
 //! batch requests in flight on each. [`MuxState`] numbers each request
 //! and matches replies by that number, so they complete in any order; it
 //! stitches a reply's chunks until the request's node count is reached;
-//! it numbers connections (epochs), so nothing a dead one delivered lands
-//! on its successor; and after a death ([`MuxState::on_closed`]) it walks
-//! the home's replica chain, primary first, one [`RetryPolicy`] rung per
-//! walk ([`MuxState::on_dial`]), resubmitting what was outstanding in id
+//! and after a death ([`MuxState::on_closed`]) it walks the home's replica
+//! chain, primary first, one [`RetryPolicy`] rung per walk
+//! ([`MuxState::on_dial`]), resubmitting what was outstanding in id
 //! order. A request outlives at most one connection death.
 //!
 //! [`MuxLinks`], shared by the processor core and `flow`'s blocking
 //! source, adds which connection carries each home and where its dial
 //! ladder stands. A rung's backoff is a deadline, made by the caller's
 //! first round at or after it; connections are reached through [`Dials`].
+//! It hands [`MuxState`] only what its home's current connection
+//! delivered: a connection id is never reused, and a frame or close from
+//! any other is dropped, so nothing a dead connection delivered lands on
+//! its successor.
 //!
 //! Nothing a storage peer sends panics here: a non-batch frame, a reply
 //! to a request that is not outstanding and an answer longer than its
@@ -101,13 +104,13 @@ struct Server {
     /// Requests submitted and not yet taken, in id order: a few per
     /// server, so a scan finds one as fast as a map would.
     requests: Vec<(u64, Request)>,
-    /// Connections made so far, which numbers the current one.
+    /// Connections made so far (the redial count reads it).
     epoch: u64,
     /// Chain offset of the connected endpoint; `None` while not connected.
     link: Option<usize>,
 }
 
-/// The miss path's correlation, reassembly, epochs and failover for one
+/// The miss path's correlation, reassembly and failover for one
 /// processor: see the module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct MuxState {
@@ -144,6 +147,7 @@ impl MuxState {
     }
 
     /// The number of `server`'s current (or last) connection.
+    #[cfg(test)]
     pub(crate) fn epoch(&self, server: usize) -> u64 {
         self.servers[server].epoch
     }
@@ -173,16 +177,16 @@ impl MuxState {
         (req_id, frame)
     }
 
-    /// Stitches `frame`, read from `server`'s connection `epoch`; one from
-    /// a connection since closed changes nothing.
+    /// Stitches `frame`, read from `server`'s current connection; while
+    /// the server has none it changes nothing.
     ///
     /// # Errors
     ///
     /// [`WireError::Protocol`], the state unchanged: a non-batch frame, a
     /// reply to no outstanding request, more nodes than it asked for.
-    pub(crate) fn on_frame(&mut self, server: usize, epoch: u64, frame: Frame) -> WireResult<()> {
+    pub(crate) fn on_frame(&mut self, server: usize, frame: Frame) -> WireResult<()> {
         let s = &mut self.servers[server];
-        if s.link.is_none() || epoch != s.epoch {
+        if s.link.is_none() {
             return Ok(());
         }
         let Frame::FetchBatchResponse { req_id, payloads } = frame else {
@@ -228,16 +232,16 @@ impl MuxState {
         }
     }
 
-    /// `server`'s connection `epoch` died: its partial answers are
-    /// dropped. A close of a connection already closed changes nothing.
+    /// `server`'s current connection died: its partial answers are
+    /// dropped. While the server has no connection it changes nothing.
     ///
     /// # Errors
     ///
     /// [`WireError::Closed`] when an outstanding request had already
     /// outlived a death.
-    pub(crate) fn on_closed(&mut self, server: usize, epoch: u64) -> WireResult<()> {
+    pub(crate) fn on_closed(&mut self, server: usize) -> WireResult<()> {
         let s = &mut self.servers[server];
-        if s.link.is_none() || epoch != s.epoch {
+        if s.link.is_none() {
             return Ok(());
         }
         s.link = None;
@@ -330,6 +334,7 @@ pub const MAX_BATCH_REQUEST_NODES: usize = 1 << 20;
 
 /// A submitted frontier fetch: (server, correlation id, caller slots) per
 /// request, the answers collected so far, and the frontier's length.
+#[derive(Default)]
 pub struct PendingBatch {
     pub(crate) requests: Vec<(usize, u64, Vec<usize>)>,
     collected: Vec<Option<BatchPayloads>>,
@@ -443,7 +448,7 @@ impl MuxLinks {
     pub(crate) fn take(&mut self, now: u64, input: Input, out: &mut impl Dials) -> WireResult<()> {
         match input {
             Input::Frame(conn, frame) => match self.home_on(conn) {
-                Some(server) => self.state.on_frame(server, self.state.epoch(server), frame),
+                Some(server) => self.state.on_frame(server, frame),
                 None => Ok(()),
             },
             Input::Closed(conn) => {
@@ -451,7 +456,7 @@ impl MuxLinks {
                     return Ok(());
                 };
                 self.links[server] = Link::Down;
-                self.state.on_closed(server, self.state.epoch(server))?;
+                self.state.on_closed(server)?;
                 if self.state.awaits(server) {
                     self.dial(server, Dial::primary(server), out);
                 }
@@ -549,7 +554,6 @@ mod tests {
     #[derive(Clone)]
     struct Link {
         target: usize,
-        epoch: u64,
         /// Whether it reached the endpoint after its restart.
         restarted: bool,
         /// What the endpoint still owes on it: each batch with its count
@@ -727,7 +731,6 @@ mod tests {
                 w.expect.replica_failovers += u64::from(k > 0);
                 w.homes[home].link = Some(Link {
                     target: dial.target,
-                    epoch: w.mux.epoch(home),
                     restarted,
                     owed,
                 });
@@ -844,7 +847,6 @@ mod tests {
                     } else {
                         link.owed[index].1 -= count;
                     }
-                    let epoch = link.epoch;
                     let from = 2 - rest;
                     let req_id = w.tracks[b].req_id.expect("submitted");
                     let payloads = nodes(&batches[b])[from..from + count]
@@ -852,8 +854,8 @@ mod tests {
                         .map(|&node| tier(node))
                         .collect();
                     let chunk = Frame::FetchBatchResponse { req_id, payloads };
-                    if let Err(e) = w.mux.on_frame(home, epoch, chunk) {
-                        panic!("a chunk of batch {b} on epoch {epoch} refused: {e}");
+                    if let Err(e) = w.mux.on_frame(home, chunk) {
+                        panic!("a chunk of batch {b} refused: {e}");
                     }
                     w.tracks[b].answered += count;
                 }
@@ -866,7 +868,7 @@ mod tests {
                     w.tracks[b].taken = true;
                 }
                 Action::Close(home) => {
-                    let epoch = w.homes[home].link.take().expect("a link").epoch;
+                    w.homes[home].link.take().expect("a link");
                     let outstanding = w.outstanding(batches, home);
                     let mut spent = false;
                     for &b in &outstanding {
@@ -874,7 +876,7 @@ mod tests {
                         w.tracks[b].deaths += 1;
                         spent |= w.tracks[b].deaths > 1;
                     }
-                    let closed = w.mux.on_closed(home, epoch);
+                    let closed = w.mux.on_closed(home);
                     assert_eq!(closed.is_err(), spent, "the one-death budget");
                     if spent {
                         w.failed = true;
@@ -913,7 +915,7 @@ mod tests {
             }
             for home in &world.homes {
                 if let Some(l) = &home.link {
-                    h.put(l.target as u64 | u64::from(l.restarted) << 8 | l.epoch << 16);
+                    h.put(l.target as u64 | u64::from(l.restarted) << 8);
                     l.owed
                         .iter()
                         .for_each(|&(b, rest)| h.put((b << 8 | rest) as u64));
@@ -965,18 +967,12 @@ mod tests {
                     .find(|&b| world.tracks[b].answered == 2);
                 let id = |b: usize| world.tracks[b].req_id.expect("submitted");
                 let mux = &mut world.mux;
-                let epoch = mux.epoch(home);
                 let connected = world.homes[home].link.is_some();
-                // A chunk and a close from a connection that is gone.
-                let dead = if connected {
-                    epoch.wrapping_sub(1)
-                } else {
-                    epoch
-                };
-                assert!(mux
-                    .on_frame(home, dead, chunk(open.map_or(0, id), 1))
-                    .is_ok());
-                assert!(mux.on_closed(home, dead).is_ok());
+                // A chunk and a close while the home has no connection.
+                if !connected {
+                    assert!(mux.on_frame(home, chunk(open.map_or(0, id), 1)).is_ok());
+                    assert!(mux.on_closed(home).is_ok());
+                }
                 if let Some(b) = open {
                     assert!(
                         matches!(mux.take(home, id(b)), Ok(None)),
@@ -993,12 +989,12 @@ mod tests {
                 if !connected {
                     continue;
                 }
-                assert!(refused(mux.on_frame(home, epoch, Frame::Shutdown)));
-                assert!(refused(mux.on_frame(home, epoch, chunk(1000, 0))));
+                assert!(refused(mux.on_frame(home, Frame::Shutdown)));
+                assert!(refused(mux.on_frame(home, chunk(1000, 0))));
                 // One node past the request; past a full answer, any node.
                 for b in open.into_iter().chain(answered) {
                     let over = 3 - world.tracks[b].answered;
-                    let bad = mux.on_frame(home, epoch, chunk(id(b), over));
+                    let bad = mux.on_frame(home, chunk(id(b), over));
                     assert!(refused(bad), "{over} more nodes for batch {b}");
                 }
             }
@@ -1010,6 +1006,74 @@ mod tests {
             let done = world.failed || world.tracks.iter().all(|t| t.taken);
             assert!(done, "wedged with a batch outstanding");
         }
+    }
+
+    /// A shell that records what the links send and dial.
+    #[derive(Default)]
+    struct Shell {
+        sent: Vec<(u64, Frame)>,
+        dials: Vec<u64>,
+    }
+
+    impl crate::overlap::Replies for Shell {
+        fn send(&mut self, conn: u64, frame: &Frame) -> WireResult<()> {
+            self.sent.push((conn, frame.clone()));
+            Ok(())
+        }
+
+        fn close(&mut self, conn: u64) {
+            panic!("the links closed connection {conn}");
+        }
+    }
+
+    impl Dials for Shell {
+        fn dial(&mut self, tag: u64, _addr: &str) {
+            self.dials.push(tag);
+        }
+
+        fn flush(&mut self, _conn: u64) {}
+    }
+
+    #[test]
+    fn links_drop_what_a_closed_connection_delivers() {
+        let partitioner = Arc::new(grouting_storage::HashPartitioner::new(1));
+        let mut links = MuxLinks::new(&["s0".to_string()], partitioner);
+        let mut shell = Shell::default();
+        let want = [NodeId::new(1), NodeId::new(2)];
+        let mut pending = links.submit_frontier(&want, 0, &mut shell);
+        // The first connection carries the request and dies half answered.
+        links
+            .take(0, Input::Dialled(0, Some(7)), &mut shell)
+            .unwrap();
+        let answer = |from: usize, to: usize| Frame::FetchBatchResponse {
+            req_id: 0,
+            payloads: want[from..to].iter().map(|&n| tier(n)).collect(),
+        };
+        links
+            .take(0, Input::Frame(7, answer(0, 1)), &mut shell)
+            .unwrap();
+        links.take(0, Input::Closed(7), &mut shell).unwrap();
+        links
+            .take(0, Input::Dialled(0, Some(8)), &mut shell)
+            .unwrap();
+        assert_eq!(shell.dials, vec![0, 0], "one redial");
+        assert_eq!(shell.sent.len(), 2, "sent, then resubmitted");
+        // What the dead connection still delivers changes nothing: a whole
+        // answer would otherwise complete the request, and a second close
+        // would cost it its one death.
+        let before = mux_key(&links.state);
+        links
+            .take(0, Input::Frame(7, answer(0, 2)), &mut shell)
+            .unwrap();
+        links.take(0, Input::Closed(7), &mut shell).unwrap();
+        assert_eq!(mux_key(&links.state), before);
+        assert_eq!(shell.dials.len(), 2, "no dial for a stale close");
+        assert!(links.collect(&mut pending).unwrap().is_none());
+        links
+            .take(0, Input::Frame(8, answer(0, 2)), &mut shell)
+            .unwrap();
+        let got = links.collect(&mut pending).unwrap();
+        assert_eq!(got, Some(want.iter().map(|&n| tier(n)).collect()));
     }
 
     /// Explores every interleaving of `batches` over `servers` endpoints

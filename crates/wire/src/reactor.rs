@@ -6,12 +6,11 @@
 //! through one non-blocking loop, so a node's thread count is O(1).
 //!
 //! Between rounds every loop honours its core's [`Wake`] through one idle
-//! policy (`Poller::pace`). Every source has an fd, and on Linux every fd
-//! lives in an epoll set: an idle reactor blocks in `epoll_wait`, and a
-//! woken one drains only the connections reported ready. A poller with no
-//! epoll set (off Linux, or when the kernel refuses one) turns each park
-//! into a short sleep and each round into a full sweep. Which regime a
-//! wait takes never changes what a loop computes.
+//! policy (`Poller::pace`). Every source has an fd, and every fd lives in
+//! the poller's epoll set: an idle reactor blocks in `epoll_wait`, and a
+//! woken one drains only the connections reported ready. A reactor that
+//! cannot get an epoll set is not built, and a source the set refuses is
+//! closed.
 //!
 //! Replies leave once per round: [`Reactor::send`] stages a frame and
 //! [`Reactor::honour`] writes every connection's, one write each, before
@@ -37,18 +36,14 @@ use crate::transport::{Connection, FrameSink, FrameStream, Listener, Transport};
 /// slack); a genuinely idle loop parks instead of spinning on yields.
 const YIELD_FOR: Duration = Duration::from_millis(2);
 
-/// How long a poller without an epoll set sleeps where an epoll one parks:
-/// an idle swept loop converges to ~10 k cheap sweeps per second.
-const SWEPT_NAP: Duration = Duration::from_micros(100);
-
 /// How long a loop parks on its poller before re-checking its own state
 /// anyway (a stop flag, the sampler): a safety net, since an epoll wait
 /// wakes on any tracked byte.
 pub const IDLE_WAIT: Duration = Duration::from_millis(5);
 
 /// The readiness backend a poll loop runs on — there is only one, the
-/// epoll poller with its swept fallback. Named by the benchmark (`load/`),
-/// with the `poller` fields of the service options and
+/// epoll poller. Named by the benchmark (`load/`), with the `poller`
+/// fields of the service options and
 /// `MultiplexedStorageSource::with_poller`; the next `benchmark` PR drops
 /// them all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,77 +56,44 @@ impl PollerKind {
     }
 }
 
-/// Off Linux there is no epoll set to hold: an uninhabited stand-in, so
-/// the poller's `Option<EpollFd>` is simply always `None` there.
-#[cfg(not(target_os = "linux"))]
-enum EpollFd {}
-
-#[cfg(not(target_os = "linux"))]
-impl EpollFd {
-    fn add(&self, _fd: i32, _token: u64) -> std::io::Result<()> {
-        match *self {}
-    }
-
-    fn del(&self, _fd: i32) {
-        match *self {}
-    }
-
-    fn wait(&self, _ready: &mut Vec<u64>, _timeout: Duration) -> std::io::Result<usize> {
-        match *self {}
-    }
-}
-
-#[cfg(target_os = "linux")]
 use crate::sys::EpollFd;
 
 /// One poll loop's readiness source — an epoll set holding every
-/// source's fd, or a swept fallback where there is none — and the idle
-/// clock of the one idle policy ([`Poller::pace`]). [`Poller::wait`] names
-/// the ready tokens while it has an epoll set; without one, each wait is a
-/// request to sweep.
+/// source's fd — and the idle clock of the one idle policy
+/// ([`Poller::pace`]).
 pub(crate) struct Poller {
-    /// Absent off Linux, or when the kernel refused to create it or to
-    /// track a source.
-    epoll: Option<EpollFd>,
+    epoll: EpollFd,
     /// When the current idle stretch began: the first [`Wake::Idle`]
     /// round since the last [`Wake::Now`] one.
     idle_since: Option<Instant>,
 }
 
 impl Poller {
-    /// A poller on the host's epoll set, or on the swept fallback alone
-    /// where there is none.
-    pub fn new() -> Self {
-        #[cfg(target_os = "linux")]
-        match EpollFd::new() {
-            Ok(epoll) => return Self::with_epoll(Some(epoll)),
-            Err(e) => grouting_metrics::log_warn!("epoll unavailable ({e}); using sweep"),
-        }
-        Self::with_epoll(None)
-    }
-
-    fn with_epoll(epoll: Option<EpollFd>) -> Self {
-        Self {
-            epoll,
+    /// A poller on a fresh epoll set.
+    ///
+    /// # Errors
+    ///
+    /// The kernel's refusal to create the set (fd or memory exhaustion).
+    pub fn new() -> std::io::Result<Self> {
+        Ok(Self {
+            epoll: EpollFd::new()?,
             idle_since: None,
-        }
+        })
     }
 
-    /// Starts tracking source `fd` under `token`. An epoll set that
-    /// refuses it is let go of: a source it does not hold would never
-    /// wake the loop, so every wait sweeps from then on.
-    pub fn register(&mut self, token: u64, fd: i32) {
-        if let Some(Err(e)) = self.epoll.as_ref().map(|epoll| epoll.add(fd, token)) {
-            grouting_metrics::log_warn!("epoll refused a source ({e}); using sweep");
-            self.epoll = None;
-        }
+    /// Starts tracking source `fd` under `token`.
+    ///
+    /// # Errors
+    ///
+    /// The kernel's refusal to track it (`EPERM` for an fd epoll cannot
+    /// watch, `ENOSPC` past `max_user_watches`).
+    pub fn register(&mut self, token: u64, fd: i32) -> std::io::Result<()> {
+        self.epoll.add(fd, token)
     }
 
     /// Stops tracking source `fd`; call it while the fd is still open.
     pub fn deregister(&mut self, fd: i32) {
-        if let Some(epoll) = &self.epoll {
-            epoll.del(fd);
-        }
+        self.epoll.del(fd);
     }
 
     /// The one idle policy, every node's: what a loop does after a round,
@@ -143,9 +105,9 @@ impl Poller {
     ///   a park would overshoot; later work (a dial's backoff) parks until
     ///   it is due, for at most `park`.
     /// - [`Wake::Idle`]: yield for the first [`YIELD_FOR`] of an idle
-    ///   stretch, then park: epoll for up to `park`, or [`SWEPT_NAP`].
+    ///   stretch, then park in the epoll wait for up to `park`.
     ///
-    /// No spin: a round is a sweep of read syscalls, so spinning burns the
+    /// No spin: a round is a drain of read syscalls, so spinning burns the
     /// core the peer needs (~5× the frontier fetch's latency on one CPU).
     fn pace(&mut self, wake: Wake, park: Duration) -> Duration {
         let (hand_over, block) = match wake {
@@ -167,11 +129,7 @@ impl Poller {
         if hand_over {
             std::thread::yield_now();
         }
-        if block.is_zero() || self.epoll.is_some() {
-            return block;
-        }
-        std::thread::sleep(SWEPT_NAP);
-        Duration::ZERO
+        block
     }
 
     /// Honours `wake` ([`Poller::pace`]), then asks which sources are
@@ -180,12 +138,9 @@ impl Poller {
     /// `false` when `ready` is authoritative.
     pub fn wait(&mut self, wake: Wake, park: Duration, ready: &mut Vec<u64>) -> bool {
         let block = self.pace(wake, park);
-        match &self.epoll {
-            // An epoll failure mid-run (should not happen): fall back to
-            // sweeping rather than spinning on the error.
-            Some(epoll) => epoll.wait(ready, block).is_err(),
-            None => true,
-        }
+        // An epoll failure mid-run (should not happen): the next poll
+        // drains every source rather than trusting an empty list.
+        self.epoll.wait(ready, block).is_err()
     }
 }
 
@@ -322,15 +277,16 @@ pub struct Reactor {
     /// What the last wait reported ready, for the next poll.
     ready: Vec<u64>,
     /// Whether the next poll sweeps every connection: readiness is
-    /// unknown (no wait since the last poll, or no epoll set).
+    /// unknown (no wait since the last poll, or a failed one).
     sweep: bool,
     /// Scratch for a poll's drain targets (reused across rounds).
     targets: Vec<u64>,
     /// Connections holding staged frames: flushed by the next
     /// [`Reactor::honour`].
     staged: BTreeSet<u64>,
-    /// Connections a flush failed on, already retired: the next poll
-    /// reports each as [`ReactorEvent::Closed`].
+    /// Connections a flush failed on, already retired, and sources the
+    /// poller refused: the next poll reports each as
+    /// [`ReactorEvent::Closed`].
     failed: Vec<u64>,
     /// What [`Dials::dial`] dials with, and what the next poll reports.
     transport: Option<Arc<dyn Transport>>,
@@ -346,25 +302,33 @@ pub struct Reactor {
 
 impl Reactor {
     /// A reactor accepting inbound connections from `listener`.
-    pub fn new(listener: Box<dyn Listener>) -> Self {
-        Self::with(Some(listener), None, Poller::new())
+    ///
+    /// # Errors
+    ///
+    /// The kernel refused an epoll set, or refused to track the listener.
+    pub fn new(listener: Box<dyn Listener>) -> WireResult<Self> {
+        Self::with(Some(listener), None)
     }
 
     /// A reactor without a listener, holding the connections its node
     /// dials over `transport` (a processor's, and the blocking source's).
-    pub(crate) fn dialler(transport: Arc<dyn Transport>) -> Self {
-        Self::with(None, Some(transport), Poller::new())
+    ///
+    /// # Errors
+    ///
+    /// The kernel refused an epoll set.
+    pub(crate) fn dialler(transport: Arc<dyn Transport>) -> WireResult<Self> {
+        Self::with(None, Some(transport))
     }
 
     fn with(
         listener: Option<Box<dyn Listener>>,
         transport: Option<Arc<dyn Transport>>,
-        mut poller: Poller,
-    ) -> Self {
+    ) -> WireResult<Self> {
+        let mut poller = Poller::new()?;
         if let Some(listener) = &listener {
-            poller.register(LISTENER_TOKEN, listener.raw_fd());
+            poller.register(LISTENER_TOKEN, listener.raw_fd())?;
         }
-        Self {
+        Ok(Self {
             listener,
             conns: BTreeMap::new(),
             poller,
@@ -379,7 +343,7 @@ impl Reactor {
             next_id: 0,
             telemetry: None,
             pools: None,
-        }
+        })
     }
 
     /// Routes this reactor's frame, byte, busy/idle, and buffer-pool
@@ -403,13 +367,29 @@ impl Reactor {
 
     /// Registers an outbound connection (a dial this node made) under a
     /// fresh id, returning it. The connection is polled like any accepted
-    /// one.
+    /// one; one whose fd the poller refuses is closed at once, and the
+    /// next poll reports it as [`ReactorEvent::Closed`].
     pub fn register(&mut self, conn: Connection) -> u64 {
+        let id = self.next_id;
+        if let Err(e) = self.track(conn) {
+            grouting_metrics::log_warn!("epoll refused connection {id} ({e}); closing it");
+            self.failed.push(id);
+        }
+        id
+    }
+
+    /// Tracks `conn` under the next id, returning it.
+    ///
+    /// # Errors
+    ///
+    /// The poller refused the connection's fd: the id is spent, and the
+    /// connection dropped.
+    pub(crate) fn track(&mut self, conn: Connection) -> WireResult<u64> {
         let (sink, stream) = conn.split();
         let id = self.next_id;
         self.next_id += 1;
         let fd = stream.raw_fd();
-        self.poller.register(id, fd);
+        self.poller.register(id, fd)?;
         // Bytes may already be buffered (frames that arrived before
         // registration): force one drain regardless of readiness.
         self.dirty.insert(id);
@@ -422,7 +402,7 @@ impl Reactor {
                 pool_seen: (0, 0),
             },
         );
-        id
+        Ok(id)
     }
 
     fn retire(&mut self, id: u64) {
@@ -514,7 +494,7 @@ impl Reactor {
     /// dials. After a [`Reactor::honour`] whose wait named the ready
     /// sources it drains only those and the dirty connections, so an idle
     /// round is O(1); otherwise (a fresh reactor, a second poll without a
-    /// wait, a poller without an epoll set) it sweeps every connection.
+    /// wait, a failed wait) it sweeps every connection.
     ///
     /// A connection accepted here is drained from the next poll on, after
     /// every older one: a peer that closed its connection and dialled
@@ -616,10 +596,17 @@ impl Replies for Reactor {
 }
 
 impl Dials for Reactor {
-    /// Dials once and registers what answers (a listening reactor refuses).
+    /// Dials once and tracks what answers; a dial the poller cannot track
+    /// counts as refused, as does any dial of a listening reactor.
     fn dial(&mut self, tag: u64, addr: &str) {
         let dialled = self.transport.as_ref().and_then(|t| t.dial_once(addr).ok());
-        let conn = dialled.map(|conn| self.register(conn));
+        let conn = dialled.and_then(|conn| match self.track(conn) {
+            Ok(id) => Some(id),
+            Err(e) => {
+                grouting_metrics::log_warn!("epoll refused the dial to {addr} ({e})");
+                None
+            }
+        });
         self.dialled.push((tag, conn));
     }
 
@@ -645,12 +632,6 @@ mod tests {
         }
     }
 
-    /// The poller every host without epoll runs on: each wait takes the
-    /// swept fallback.
-    fn swept() -> Poller {
-        Poller::with_epoll(None)
-    }
-
     /// Rounds of [`Reactor::poll`] and [`Reactor::honour`] until one
     /// yields events or `stop` holds: a shell's drive path, with the test
     /// handling the events in place of a core.
@@ -673,11 +654,11 @@ mod tests {
         }
     }
 
-    fn echo_reactor_over(transport: Arc<dyn Transport>, poller: Poller) {
+    fn echo_reactor_over(transport: Arc<dyn Transport>) {
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let server = std::thread::spawn(move || {
-            let mut reactor = Reactor::with(Some(listener), None, poller);
+            let mut reactor = Reactor::new(listener).unwrap();
             let mut events = Vec::new();
             let mut served = 0;
             loop {
@@ -713,13 +694,12 @@ mod tests {
     fn inproc_reactor_echoes() {
         // In-process sources are Unix sockets: the epoll set tracks them
         // as it does TCP's.
-        echo_reactor_over(Arc::new(InProcTransport::new()), Poller::new());
+        echo_reactor_over(Arc::new(InProcTransport::new()));
     }
 
     #[test]
     fn tcp_reactor_echoes() {
-        echo_reactor_over(Arc::new(TcpTransport::new()), Poller::new());
-        echo_reactor_over(Arc::new(TcpTransport::new()), swept());
+        echo_reactor_over(Arc::new(TcpTransport::new()));
     }
 
     #[test]
@@ -748,7 +728,7 @@ mod tests {
         let addr = listener.addr();
         let (counters, count) = (Arc::clone(&telemetry), frames.len());
         let server = std::thread::spawn(move || {
-            let mut reactor = Reactor::new(listener);
+            let mut reactor = Reactor::new(listener).unwrap();
             reactor.set_telemetry(counters);
             let (mut events, mut echoed) = (Vec::new(), 0);
             while echoed < count {
@@ -772,13 +752,14 @@ mod tests {
 
     /// 1k concurrent TCP connections through one reactor: every dial is
     /// accepted, every frame echoed, every close observed.
-    fn thousand_connections_echo(poller: Poller) {
+    #[test]
+    fn thousand_connections_echo_epoll() {
         const CONNS: usize = 1000;
         let transport = TcpTransport::new();
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
         let server = std::thread::spawn(move || {
-            let mut reactor = Reactor::with(Some(listener), None, poller);
+            let mut reactor = Reactor::new(listener).unwrap();
             let mut events = Vec::new();
             let mut echoed = 0usize;
             let mut closed = 0usize;
@@ -809,22 +790,9 @@ mod tests {
     }
 
     #[test]
-    fn thousand_connections_echo_sweep() {
-        thousand_connections_echo(swept());
-    }
-
-    #[test]
-    fn thousand_connections_echo_epoll() {
-        thousand_connections_echo(Poller::new());
-    }
-
-    #[test]
     fn an_empty_epoll_set_parks_for_the_whole_timeout() {
-        let mut poller = Poller::new();
+        let mut poller = Poller::new().unwrap();
         let mut ready = Vec::new();
-        if poller.epoll.is_none() {
-            return; // No epoll set on this host: every wait sweeps.
-        }
         // The first idle round starts the idle clock. Past the yield
         // window, an empty epoll set parks for the whole timeout and names
         // no token.
@@ -839,15 +807,14 @@ mod tests {
         assert!(ready.is_empty());
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn an_inproc_frame_wakes_the_epoll_set() {
         let transport = InProcTransport::new();
         let mut listener = transport.listen(&transport.any_addr()).unwrap();
         let mut client = transport.dial(&listener.addr()).unwrap();
         let (_sink, server) = listener.accept().unwrap().split();
-        let mut poller = Poller::new();
-        poller.register(7, server.raw_fd());
+        let mut poller = Poller::new().unwrap();
+        poller.register(7, server.raw_fd()).unwrap();
         let mut ready = Vec::new();
         client.send(&frame(1)).unwrap();
         assert!(
@@ -857,7 +824,6 @@ mod tests {
         assert_eq!(ready, vec![7]);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_fired_kill_reaches_the_reactor_through_epoll_and_the_peer_as_a_close() {
         use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultyTransport};
@@ -865,7 +831,7 @@ mod tests {
         let mut listener = inner.listen(&inner.any_addr()).unwrap();
         let plan = FaultPlan::new().with(FaultRule::new(FaultKind::KillAfterFrames(0)));
         let faulty = FaultyTransport::wrap(inner, plan);
-        let mut reactor = Reactor::dialler(Arc::clone(&faulty));
+        let mut reactor = Reactor::dialler(Arc::clone(&faulty)).unwrap();
         let id = reactor.register(faulty.dial(&listener.addr()).unwrap());
         let mut peer = listener.accept().unwrap();
         let mut events = Vec::new();
@@ -892,7 +858,7 @@ mod tests {
         let transport = InProcTransport::new();
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
-        let mut reactor = Reactor::new(listener);
+        let mut reactor = Reactor::new(listener).unwrap();
         let conn = transport.dial(&addr).unwrap();
         let mut events = Vec::new();
         next_events(&mut reactor, &mut events, &|| false).unwrap();
@@ -910,11 +876,129 @@ mod tests {
         ));
     }
 
+    /// A peer that sends a frame, closes and dials again at once (a
+    /// restarted processor) is seen to close before its new connection's
+    /// first frame: a poll drains every older connection before it
+    /// accepts.
+    fn a_close_comes_before_the_redials_first_frame(transport: Arc<dyn Transport>) {
+        let listener = transport.listen(&transport.any_addr()).unwrap();
+        let addr = listener.addr();
+        let mut reactor = Reactor::new(listener).unwrap();
+        let mut events = Vec::new();
+        // The old connection is accepted and drained, as a long-lived one is.
+        let mut old = transport.dial(&addr).unwrap();
+        old.send(&frame(0)).unwrap();
+        let old_id = loop {
+            next_events(&mut reactor, &mut events, &|| false).unwrap();
+            let framed = events.drain(..).find_map(|e| match e {
+                ReactorEvent::Frame(id, _) => Some(id),
+                _ => None,
+            });
+            if let Some(id) = framed {
+                break id;
+            }
+        };
+        old.send(&frame(1)).unwrap();
+        drop(old);
+        let mut new = transport.dial(&addr).unwrap();
+        new.send(&frame(2)).unwrap();
+        // Each event as (from the old connection, its frame or `None` for
+        // the close), accepts left out.
+        let mut seen: Vec<(bool, Option<Frame>)> = Vec::new();
+        while !seen.iter().any(|&(from_old, _)| !from_old) {
+            next_events(&mut reactor, &mut events, &|| false).unwrap();
+            seen.extend(events.drain(..).filter_map(|e| match e {
+                ReactorEvent::Frame(id, f) => Some((id == old_id, Some(f))),
+                ReactorEvent::Closed(id) => Some((id == old_id, None)),
+                _ => None,
+            }));
+        }
+        let want = vec![
+            (true, Some(frame(1))),
+            (true, None),
+            (false, Some(frame(2))),
+        ];
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn a_close_comes_before_the_redials_first_frame_inproc() {
+        a_close_comes_before_the_redials_first_frame(Arc::new(InProcTransport::new()));
+    }
+
+    #[test]
+    fn a_close_comes_before_the_redials_first_frame_tcp() {
+        a_close_comes_before_the_redials_first_frame(Arc::new(TcpTransport::new()));
+    }
+
+    /// A stream over a regular file, which epoll refuses to watch
+    /// (`EPERM`).
+    struct OnDisk(std::fs::File);
+
+    impl FrameStream for OnDisk {
+        fn recv(&mut self) -> WireResult<Frame> {
+            Err(WireError::Closed)
+        }
+
+        fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>> {
+            Ok(None)
+        }
+
+        fn raw_fd(&self) -> i32 {
+            use std::os::fd::AsRawFd;
+            self.0.as_raw_fd()
+        }
+    }
+
+    #[test]
+    fn a_source_epoll_refuses_is_closed_and_the_others_keep_echoing() {
+        let transport = InProcTransport::new();
+        let listener = transport.listen(&transport.any_addr()).unwrap();
+        let mut client = transport.dial(&listener.addr()).unwrap();
+        let mut reactor = Reactor::new(listener).unwrap();
+        let sink = Recording {
+            log: Arc::default(),
+            staged: Vec::new(),
+            fail: false,
+        };
+        let file = std::fs::File::open(std::env::current_exe().unwrap()).unwrap();
+        let conn = Connection::from_halves(Box::new(sink), Box::new(OnDisk(file)));
+        let refused = reactor.register(conn);
+        let mut events = Vec::new();
+        reactor.poll(&mut events).unwrap();
+        assert!(
+            matches!(events[0], ReactorEvent::Closed(id) if id == refused),
+            "{events:?}"
+        );
+        assert!(matches!(
+            reactor.send(refused, &frame(0)),
+            Err(WireError::Closed)
+        ));
+        for i in 1..4 {
+            client.send(&frame(i)).unwrap();
+            let got = loop {
+                events.clear();
+                next_events(&mut reactor, &mut events, &|| false).unwrap();
+                let framed = events.drain(..).find_map(|e| match e {
+                    ReactorEvent::Frame(id, f) => Some((id, f)),
+                    _ => None,
+                });
+                if let Some(got) = framed {
+                    break got;
+                }
+            };
+            reactor.send(got.0, &got.1).unwrap();
+            reactor.honour(Wake::Now);
+            assert_eq!(client.recv().unwrap(), frame(i));
+        }
+        assert_eq!(reactor.connections(), 1, "only the client is held");
+    }
+
     #[test]
     fn wait_respects_stop() {
         let transport = InProcTransport::new();
         let listener = transport.listen(&transport.any_addr()).unwrap();
-        let mut reactor = Reactor::new(listener);
+        let mut reactor = Reactor::new(listener).unwrap();
         let mut events = Vec::new();
         // No peers at all: without the stop check this would spin forever.
         next_events(&mut reactor, &mut events, &|| true).unwrap();
@@ -926,7 +1010,7 @@ mod tests {
         let transport = InProcTransport::new();
         let listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
-        let mut reactor = Reactor::new(listener);
+        let mut reactor = Reactor::new(listener).unwrap();
         let (mut flood, _flood_stream) = transport.dial(&addr).unwrap().split();
         let mut quiet = transport.dial(&addr).unwrap();
         // One write: nothing reads yet, and a socket buffer holds only a
@@ -1025,7 +1109,7 @@ mod tests {
     /// A listening reactor, and a recording connection registered on it.
     fn recorded(fail: bool) -> (Reactor, u64, Arc<std::sync::Mutex<SinkLog>>) {
         let transport = InProcTransport::new();
-        let mut reactor = Reactor::new(transport.listen(&transport.any_addr()).unwrap());
+        let mut reactor = Reactor::new(transport.listen(&transport.any_addr()).unwrap()).unwrap();
         let log = Arc::default();
         let sink = Recording {
             log: Arc::clone(&log),
@@ -1057,9 +1141,8 @@ mod tests {
     fn an_idle_honour_flushes_before_it_parks() {
         let (mut reactor, id, log) = recorded(false);
         // Past the yield window, an idle round parks: an epoll wait of
-        // IDLE_WAIT on the silent source, or a nap of SWEPT_NAP without an
-        // epoll set. (A fresh connection is drained once before its
-        // reactor may idle.)
+        // IDLE_WAIT on the silent source, which nothing wakes. (A fresh
+        // connection is drained once before its reactor may idle.)
         reactor.poll(&mut Vec::new()).unwrap();
         reactor.honour(Wake::Idle);
         std::thread::sleep(YIELD_FOR);
@@ -1069,7 +1152,7 @@ mod tests {
         let log = log.lock().unwrap();
         assert_eq!(log.flushes.len(), 1);
         assert!(
-            returned - log.flushes[0].0 >= SWEPT_NAP,
+            returned - log.flushes[0].0 >= IDLE_WAIT / 2,
             "the flush must come before the park"
         );
     }
@@ -1119,7 +1202,7 @@ mod tests {
             let transport = InProcTransport::new();
             let listener = transport.listen(&transport.any_addr()).unwrap();
             let addr = listener.addr();
-            let mut reactor = Reactor::new(listener);
+            let mut reactor = Reactor::new(listener).unwrap();
 
             // Each sender thread streams `counts[k]` numbered frames,
             // racing the others for interleaving.

@@ -161,7 +161,8 @@ impl StorageService {
     ///
     /// # Errors
     ///
-    /// Fails when the transport cannot bind a listener at `addr`.
+    /// Fails when the transport cannot bind a listener at `addr`, or the
+    /// kernel refuses the node's epoll set.
     pub fn spawn_opts(
         transport: Arc<dyn Transport>,
         addr: &str,
@@ -170,6 +171,7 @@ impl StorageService {
     ) -> WireResult<ServiceHandle> {
         let listener = transport.listen(addr)?;
         let addr = listener.addr();
+        let mut reactor = Reactor::new(listener)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stopped = Arc::clone(&stop);
         // The thread carries the same name the log prefix does, so
@@ -179,7 +181,6 @@ impl StorageService {
         let join = thread.spawn(move || {
             set_node_role(role);
             let (telemetry, push_addr) = (opts.telemetry, opts.push_addr);
-            let mut reactor = Reactor::new(listener);
             if let Some(t) = &telemetry {
                 reactor.set_telemetry(Arc::clone(t));
             }
@@ -291,6 +292,10 @@ impl ProcessorService {
     /// `overlap = 1` it replays byte-identical cache accounting to the
     /// serial paths, so wire runs agree with in-proc runs on every cache
     /// statistic.
+    ///
+    /// The thread's result is an error when the kernel refuses the node's
+    /// epoll set or to track its router connection, when the router
+    /// cannot be dialled, and when the run fails.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_opts(
         transport: Arc<dyn Transport>,
@@ -313,12 +318,12 @@ impl ProcessorService {
                 let mut links = MuxLinks::new(&storage_addrs, partitioner);
                 links.state.replication = opts.replication.max(1);
                 links.state.retry = opts.retry.unwrap_or_default();
-                let mut reactor = Reactor::dialler(Arc::clone(&transport));
+                let mut reactor = Reactor::dialler(Arc::clone(&transport))?;
                 if let Some(t) = &opts.telemetry {
                     reactor.sample_pools(Arc::clone(t));
                     links.telemetry = Some(Arc::clone(t));
                 }
-                let router = reactor.register(transport.dial(&router_addr)?);
+                let router = reactor.track(transport.dial(&router_addr)?)?;
                 let id = id as u32;
                 reactor.send(
                     router,
@@ -418,8 +423,9 @@ pub struct RouterOptions {
 ///
 /// # Errors
 ///
-/// Transport errors towards the client, a premature client disconnect,
-/// the death of every processor, and protocol violations.
+/// The kernel's refusal of the node's epoll set, transport errors
+/// towards the client, a premature client disconnect, the death of every
+/// processor, and protocol violations.
 ///
 /// # Panics
 ///
@@ -444,7 +450,7 @@ pub fn run_router(
         opts.snapshot_every,
         opts.telemetry.clone(),
     );
-    let mut reactor = Reactor::new(listener);
+    let mut reactor = Reactor::new(listener)?;
     if let Some(t) = &opts.telemetry {
         reactor.set_telemetry(Arc::clone(t));
     }

@@ -2,9 +2,8 @@
 //!
 //! The build is offline — no `libc` crate — so the epoll and poll entry
 //! points the reactor needs are declared here directly against the C ABI.
-//! Everything is gated to Linux by the module declaration in `lib.rs`;
-//! on other platforms every wait takes the poller's swept fallback and
-//! nothing references these symbols.
+//! The crate builds on Linux only (`lib.rs` refuses any other target), so
+//! nothing here is gated.
 //!
 //! ABI notes worth keeping visible:
 //!

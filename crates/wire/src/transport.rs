@@ -27,6 +27,7 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::linux::net::SocketAddrExt;
 use std::os::unix::net::{SocketAddr, UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -113,8 +114,7 @@ pub trait FrameStream: Send {
     /// buffered frame *and* its last read of the socket came back short
     /// or `WouldBlock` — the socket was empty at that moment. Whatever
     /// arrives afterwards leaves the fd readable, so a level-triggered
-    /// readiness poller may safely block on it, and a sweeping one picks
-    /// it up on its next pass.
+    /// readiness poller may safely block on it.
     fn try_recv(&mut self) -> WireResult<Option<(Frame, usize)>>;
 
     /// The socket's fd, which a readiness poller tracks in the kernel.
@@ -315,8 +315,6 @@ trait Acceptor: AsRawFd + Send + 'static {
     /// The next waiting stream, set up for framing.
     fn accept_stream(&self) -> io::Result<Self::Stream>;
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
-    /// Frees the listening name once the listener closes.
-    fn release(&self) {}
 }
 
 macro_rules! socket {
@@ -362,19 +360,6 @@ impl Acceptor for UnixListener {
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         UnixListener::set_nonblocking(self, nonblocking)
-    }
-
-    /// Off Linux the name is a file, which a close leaves behind.
-    #[cfg(not(target_os = "linux"))]
-    fn release(&self) {
-        if let Some(path) = self
-            .local_addr()
-            .ok()
-            .as_ref()
-            .and_then(SocketAddr::as_pathname)
-        {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -460,12 +445,6 @@ impl<L: Acceptor> Listener for SocketListener<L> {
     }
 }
 
-impl<L: Acceptor> Drop for SocketListener<L> {
-    fn drop(&mut self) {
-        self.listener.release();
-    }
-}
-
 // ---------------------------------------------------------------------------
 // TCP
 // ---------------------------------------------------------------------------
@@ -523,19 +502,15 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Binds a listening socket with `SO_REUSEADDR` on Linux, so a restarted
-/// service can reclaim its concrete address even while connections it
-/// accepted there linger in `TIME_WAIT` — the chaos harness's
-/// kill-and-rebind path. Wildcard (`:0`) binds and other platforms go
-/// through the plain `std` bind.
+/// Binds a listening socket with `SO_REUSEADDR`, so a restarted service
+/// can reclaim its concrete address even while connections it accepted
+/// there linger in `TIME_WAIT` — the chaos harness's kill-and-rebind
+/// path. Wildcard (`:0`) binds go through the plain `std` bind.
 fn bind_reusable(addr: &str) -> io::Result<TcpListener> {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(parsed) = addr.parse::<std::net::SocketAddrV4>() {
-            if parsed.port() != 0 {
-                if let Ok(listener) = crate::sys::tcp_listen_reuseaddr(&parsed) {
-                    return Ok(listener);
-                }
+    if let Ok(parsed) = addr.parse::<std::net::SocketAddrV4>() {
+        if parsed.port() != 0 {
+            if let Ok(listener) = crate::sys::tcp_listen_reuseaddr(&parsed) {
+                return Ok(listener);
             }
         }
     }
@@ -576,20 +551,11 @@ impl InProcTransport {
         Self::default()
     }
 
-    /// The socket behind `addr`: on Linux a name in the abstract
-    /// namespace, which nothing on disk holds and a close frees; on other
-    /// unix targets a file in the temporary directory.
+    /// The socket behind `addr`: a name in the abstract namespace, which
+    /// nothing on disk holds and a close frees.
     fn socket_addr(&self, addr: &str) -> io::Result<SocketAddr> {
         let name = format!("grouting-{}-{}-{addr}", std::process::id(), self.fabric);
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::linux::net::SocketAddrExt;
-            SocketAddr::from_abstract_name(name)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            SocketAddr::from_pathname(std::env::temp_dir().join(name))
-        }
+        SocketAddr::from_abstract_name(name)
     }
 }
 
@@ -670,19 +636,10 @@ impl<S: Socket> FrameSink for SocketSink<S> {
     }
 }
 
-/// A full socket buffer on a (possibly non-blocking) socket: wait for
-/// write readiness instead of spinning. On Linux this parks in `poll`
-/// until the kernel drains; elsewhere a yield-then-sleep pause paces the
-/// retries without burning the core the reader needs.
-#[cfg(target_os = "linux")]
+/// A full socket buffer on a (possibly non-blocking) socket: park in
+/// `poll` until the kernel drains it, instead of spinning.
 fn wait_for_writable(socket: &impl AsRawFd) {
     let _ = crate::sys::wait_writable(socket.as_raw_fd(), Duration::from_millis(25));
-}
-
-#[cfg(not(target_os = "linux"))]
-fn wait_for_writable(_socket: &impl AsRawFd) {
-    std::thread::yield_now();
-    std::thread::sleep(Duration::from_micros(100));
 }
 
 /// `write_all` that tolerates a socket left in non-blocking mode: the

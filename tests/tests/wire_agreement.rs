@@ -167,19 +167,16 @@ fn overlap4_cluster_matches_assignments_and_results() {
 }
 
 #[test]
-fn epoll_and_sweep_backends_agree_byte_for_byte() {
+fn tcp_and_unix_fabrics_agree_byte_for_byte() {
     // The two fabrics: loopback TCP and the in-proc Unix-domain sockets,
-    // both epoll-tracked on Linux. Which socket carries the frames, and
-    // how a loop idles on it, must never change what a run computes or
-    // counts. Same seeded workload over both: identical answers,
-    // identical per-query routing assignments, identical demand cache
-    // statistics, and (at overlap 1, where execution is strictly serial)
-    // identical per-partition heat. Under `GROUTING_NO_SOCKETS=1` this
-    // compares the Unix fabric with itself. The swept regime (a poller
-    // without an epoll set) is covered by `reactor::tests`:
-    // `thousand_connections_echo_sweep` and the swept TCP echo. (`sweep`
-    // names the in-proc run, `epoll` the run over the environment's
-    // fabric.)
+    // both epoll-tracked. Which socket carries the frames must never
+    // change what a run computes or counts. Same seeded workload over
+    // both: identical answers, identical per-query routing assignments,
+    // identical demand cache statistics, and (at overlap 1, where
+    // execution is strictly serial) identical per-partition heat. Under
+    // `GROUTING_NO_SOCKETS=1` this compares the Unix fabric with itself.
+    // (`unix` names the in-proc run, `chosen` the run over the
+    // environment's fabric.)
     let (assets, queries) = seeded_setup();
     let cfg = EngineConfig {
         // Small enough that the hotspot region keeps missing, so the heat
@@ -189,27 +186,27 @@ fn epoll_and_sweep_backends_agree_byte_for_byte() {
     };
     let run_over =
         |transport: TransportKind| wire(&assets, &queries, &ClusterConfig::new(cfg, transport));
-    let sweep = run_over(TransportKind::InProc);
-    let epoll = run_over(env_transport());
+    let unix = run_over(TransportKind::InProc);
+    let chosen = run_over(env_transport());
 
-    assert_eq!(epoll.results, sweep.results);
+    assert_eq!(chosen.results, unix.results);
     assert_eq!(
-        assignments(&epoll.timeline, queries.len()),
-        assignments(&sweep.timeline, queries.len()),
-        "routing assignments diverged between wait regimes"
+        assignments(&chosen.timeline, queries.len()),
+        assignments(&unix.timeline, queries.len()),
+        "routing assignments diverged between fabrics"
     );
     assert_eq!(
-        epoll.snapshot.cache_hits, sweep.snapshot.cache_hits,
-        "hit counts diverged between wait regimes"
+        chosen.snapshot.cache_hits, unix.snapshot.cache_hits,
+        "hit counts diverged between fabrics"
     );
-    assert_eq!(epoll.snapshot.cache_misses, sweep.snapshot.cache_misses);
-    assert_eq!(epoll.snapshot.stolen, sweep.snapshot.stolen);
+    assert_eq!(chosen.snapshot.cache_misses, unix.snapshot.cache_misses);
+    assert_eq!(chosen.snapshot.stolen, unix.snapshot.stolen);
     assert_eq!(
-        epoll.snapshot.partition_heat, sweep.snapshot.partition_heat,
-        "partition heat diverged between wait regimes"
+        chosen.snapshot.partition_heat, unix.snapshot.partition_heat,
+        "partition heat diverged between fabrics"
     );
     assert!(
-        sweep.snapshot.partition_heat.total_demand() > 0,
+        unix.snapshot.partition_heat.total_demand() > 0,
         "the run must actually miss to pin anything"
     );
 }
