@@ -30,6 +30,30 @@ impl<K: Eq + Hash + Clone, V> FifoCache<K, V> {
         }
     }
 
+    /// The one insert: hands each entry that leaves to `out`, with
+    /// whether it is another key's (an eviction) rather than the entry
+    /// `key` replaces or a `value` too large to ever fit.
+    fn put(&mut self, key: K, value: V, bytes: usize, mut out: impl FnMut(K, V, bool)) {
+        if let Some((old, size)) = self.map.remove(&key) {
+            self.bytes -= size;
+            out(key.clone(), old, false);
+            // The stale queue slot is skipped lazily by pop_oldest.
+        }
+        if bytes > self.capacity {
+            out(key, value, false);
+            return;
+        }
+        while self.bytes + bytes > self.capacity {
+            match self.pop_oldest() {
+                Some((k, v)) => out(k, v, true),
+                None => break,
+            }
+        }
+        self.order.push_back(key.clone());
+        self.map.insert(key, (value, bytes));
+        self.bytes += bytes;
+    }
+
     fn pop_oldest(&mut self) -> Option<(K, V)> {
         while let Some(key) = self.order.pop_front() {
             if let Some((value, size)) = self.map.remove(&key) {
@@ -49,25 +73,16 @@ impl<K: Eq + Hash + Clone + Send, V: Send> Cache<K, V> for FifoCache<K, V> {
 
     fn insert(&mut self, key: K, value: V, bytes: usize) -> Vec<(K, V)> {
         let mut evicted = Vec::new();
-        if let Some((old, size)) = self.map.remove(&key) {
-            self.bytes -= size;
-            evicted.push((key.clone(), old));
-            // The stale queue slot is skipped lazily by pop_oldest.
-        }
-        if bytes > self.capacity {
-            evicted.push((key, value));
-            return evicted;
-        }
-        while self.bytes + bytes > self.capacity {
-            match self.pop_oldest() {
-                Some(pair) => evicted.push(pair),
-                None => break,
-            }
-        }
-        self.order.push_back(key.clone());
-        self.map.insert(key, (value, bytes));
-        self.bytes += bytes;
+        self.put(key, value, bytes, |k, v, _| evicted.push((k, v)));
         evicted
+    }
+
+    fn insert_counted(&mut self, key: K, value: V, bytes: usize) -> usize {
+        let mut others = 0;
+        self.put(key, value, bytes, |_, _, other| {
+            others += usize::from(other)
+        });
+        others
     }
 
     fn contains(&self, key: &K) -> bool {

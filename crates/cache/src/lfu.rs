@@ -46,6 +46,38 @@ impl<K: Eq + Hash + Clone + Ord, V> LfuCache<K, V> {
         self.clock
     }
 
+    /// The one insert: hands each entry that leaves to `out`, with
+    /// whether it is another key's (an eviction) rather than the entry
+    /// `key` replaces or a `value` too large to ever fit.
+    fn put(&mut self, key: K, value: V, bytes: usize, mut out: impl FnMut(K, V, bool)) {
+        if let Some(old) = self.map.remove(&key) {
+            self.bytes -= old.bytes;
+            out(key.clone(), old.value, false);
+        }
+        if bytes > self.capacity {
+            out(key, value, false);
+            return;
+        }
+        while self.bytes + bytes > self.capacity {
+            match self.pop_least_frequent() {
+                Some((k, v)) => out(k, v, true),
+                None => break,
+            }
+        }
+        let t = self.tick();
+        self.heap.push(Reverse((1, t, key.clone())));
+        self.map.insert(
+            key,
+            Slot {
+                value,
+                bytes,
+                freq: 1,
+                tick: t,
+            },
+        );
+        self.bytes += bytes;
+    }
+
     fn pop_least_frequent(&mut self) -> Option<(K, V)> {
         while let Some(Reverse((freq, tick, key))) = self.heap.pop() {
             let stale = match self.map.get(&key) {
@@ -75,33 +107,16 @@ impl<K: Eq + Hash + Clone + Ord + Send, V: Send> Cache<K, V> for LfuCache<K, V> 
 
     fn insert(&mut self, key: K, value: V, bytes: usize) -> Vec<(K, V)> {
         let mut evicted = Vec::new();
-        if let Some(old) = self.map.remove(&key) {
-            self.bytes -= old.bytes;
-            evicted.push((key.clone(), old.value));
-        }
-        if bytes > self.capacity {
-            evicted.push((key, value));
-            return evicted;
-        }
-        while self.bytes + bytes > self.capacity {
-            match self.pop_least_frequent() {
-                Some(pair) => evicted.push(pair),
-                None => break,
-            }
-        }
-        let t = self.tick();
-        self.heap.push(Reverse((1, t, key.clone())));
-        self.map.insert(
-            key,
-            Slot {
-                value,
-                bytes,
-                freq: 1,
-                tick: t,
-            },
-        );
-        self.bytes += bytes;
+        self.put(key, value, bytes, |k, v, _| evicted.push((k, v)));
         evicted
+    }
+
+    fn insert_counted(&mut self, key: K, value: V, bytes: usize) -> usize {
+        let mut others = 0;
+        self.put(key, value, bytes, |_, _, other| {
+            others += usize::from(other)
+        });
+        others
     }
 
     fn contains(&self, key: &K) -> bool {

@@ -36,13 +36,29 @@ type Index<K, V> = HashMap<K, V, grouting_graph::IdBuildHasher>;
 ///
 /// `insert` returns the entries evicted to make room; if the new entry
 /// itself exceeds the whole capacity it is rejected and returned instead
-/// (callers treat both uniformly as "no longer cached").
+/// (callers treat both uniformly as "no longer cached"), and an entry it
+/// replaces comes back too. A caller that only counts what left calls
+/// [`Cache::insert_counted`], which every policy here answers without
+/// collecting the entries, so a miss's admission allocates nothing in
+/// the cache once its tables have grown.
 pub trait Cache<K: Eq + Hash + Clone, V>: Send {
     /// Looks up `key`, promoting it per the policy; `None` on miss.
     fn get(&mut self, key: &K) -> Option<&V>;
 
     /// Inserts an entry of `bytes` size, returning evicted entries.
     fn insert(&mut self, key: K, value: V, bytes: usize) -> Vec<(K, V)>;
+
+    /// Inserts like [`Cache::insert`] and returns how many *other* keys'
+    /// entries it evicted: neither the entry it replaced nor a rejected
+    /// `value` counts. The provided body counts `insert`'s vector; the
+    /// policies here override it so that nothing is collected.
+    fn insert_counted(&mut self, key: K, value: V, bytes: usize) -> usize {
+        let probe = key.clone();
+        self.insert(key, value, bytes)
+            .iter()
+            .filter(|(k, _)| *k != probe)
+            .count()
+    }
 
     /// Whether `key` is resident (no promotion side effects).
     fn contains(&self, key: &K) -> bool;
@@ -119,6 +135,113 @@ mod tests {
             assert!(c.insert(1, 10, 4).is_empty());
             assert_eq!(c.get(&1), Some(&10));
             assert_eq!(c.capacity(), 100);
+        }
+    }
+
+    /// A policy seen only through `insert`: its `insert_counted` is the
+    /// provided one, which counts `insert`'s vector.
+    struct InsertOnly(Box<dyn Cache<u32, u32>>);
+
+    impl Cache<u32, u32> for InsertOnly {
+        fn get(&mut self, key: &u32) -> Option<&u32> {
+            self.0.get(key)
+        }
+        fn insert(&mut self, key: u32, value: u32, bytes: usize) -> Vec<(u32, u32)> {
+            self.0.insert(key, value, bytes)
+        }
+        fn contains(&self, key: &u32) -> bool {
+            self.0.contains(key)
+        }
+        fn peek(&self, key: &u32) -> Option<&u32> {
+            self.0.peek(key)
+        }
+        fn bytes(&self) -> usize {
+            self.0.bytes()
+        }
+        fn capacity(&self) -> usize {
+            self.0.capacity()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn clear(&mut self) {
+            self.0.clear()
+        }
+    }
+
+    /// Keys the random sequences draw from.
+    const KEYS: u32 = 16;
+
+    /// Replays `ops` — inserts (`op` 0 or 1) and gets — on two caches of
+    /// one policy, one inserting through its own `insert_counted` and the
+    /// other through `insert`: each insert reports the same count, every
+    /// get the same value, and after each step both hold the same
+    /// entries and bytes.
+    fn counted_equals_collected(build: fn() -> Box<dyn Cache<u32, u32>>, ops: &[(u8, u32, usize)]) {
+        let mut counted = build();
+        let mut collected = InsertOnly(build());
+        for (step, &(op, key, size)) in ops.iter().enumerate() {
+            let value = step as u32;
+            if op < 2 {
+                let want = collected
+                    .insert(key, value, size)
+                    .iter()
+                    .filter(|(k, _)| *k != key)
+                    .count();
+                assert_eq!(
+                    counted.insert_counted(key, value, size),
+                    want,
+                    "step {step}"
+                );
+            } else {
+                assert_eq!(counted.get(&key), collected.get(&key), "step {step}");
+            }
+            assert_eq!(counted.bytes(), collected.bytes());
+            assert_eq!(counted.len(), collected.len());
+            for k in 0..KEYS {
+                assert_eq!(counted.peek(&k), collected.peek(&k), "key {k}, step {step}");
+            }
+        }
+        // The provided body agrees with the collected count too.
+        let mut provided = InsertOnly(build());
+        let mut collected = InsertOnly(build());
+        for &(_, key, size) in ops {
+            let want = collected
+                .insert(key, 0, size)
+                .iter()
+                .filter(|(k, _)| *k != key)
+                .count();
+            assert_eq!(provided.insert_counted(key, 0, size), want);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_lru_counted_insert_equals_collected(
+            ops in proptest::collection::vec((0u8..3, 0u32..KEYS, 1usize..50), 1..200),
+        ) {
+            counted_equals_collected(|| Box::new(LruCache::new(100)), &ops);
+        }
+
+        #[test]
+        fn prop_fifo_counted_insert_equals_collected(
+            ops in proptest::collection::vec((0u8..3, 0u32..KEYS, 1usize..50), 1..200),
+        ) {
+            counted_equals_collected(|| Box::new(FifoCache::new(100)), &ops);
+        }
+
+        #[test]
+        fn prop_lfu_counted_insert_equals_collected(
+            ops in proptest::collection::vec((0u8..3, 0u32..KEYS, 1usize..50), 1..200),
+        ) {
+            counted_equals_collected(|| Box::new(LfuCache::new(100)), &ops);
+        }
+
+        #[test]
+        fn prop_null_counted_insert_equals_collected(
+            ops in proptest::collection::vec((0u8..3, 0u32..KEYS, 1usize..50), 1..200),
+        ) {
+            counted_equals_collected(|| Box::new(NullCache::new()), &ops);
         }
     }
 

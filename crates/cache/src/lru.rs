@@ -91,6 +91,52 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some((e.key, e.value))
     }
 
+    /// The one insert: hands each entry that leaves to `out`, with
+    /// whether it is another key's (an eviction) rather than the entry
+    /// `key` replaces or a `value` too large to ever fit.
+    fn put(&mut self, key: K, value: V, bytes: usize, mut out: impl FnMut(K, V, bool)) {
+        // Replace an existing entry in place.
+        if let Some(&idx) = self.map.get(&key) {
+            self.detach(idx);
+            let e = self.slab[idx].take().expect("replaced entry live");
+            self.free.push(idx);
+            self.map.remove(&e.key);
+            self.bytes -= e.bytes;
+            out(e.key, e.value, false);
+        }
+
+        if bytes > self.capacity {
+            // Cannot ever fit: reject, handing the value back.
+            out(key, value, false);
+            return;
+        }
+
+        while self.bytes + bytes > self.capacity {
+            match self.pop_tail() {
+                Some((k, v)) => out(k, v, true),
+                None => break,
+            }
+        }
+
+        let idx = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.slab.push(None);
+                self.slab.len() - 1
+            }
+        };
+        self.slab[idx] = Some(Entry {
+            key: key.clone(),
+            value,
+            bytes,
+            prev: NIL,
+            next: NIL,
+        });
+        self.attach_front(idx);
+        self.map.insert(key, idx);
+        self.bytes += bytes;
+    }
+
     /// Iterates over resident keys from most- to least-recently used.
     pub fn keys_mru(&self) -> impl Iterator<Item = &K> + '_ {
         let mut cursor = self.head;
@@ -120,48 +166,16 @@ impl<K: Eq + Hash + Clone + Send, V: Send> Cache<K, V> for LruCache<K, V> {
 
     fn insert(&mut self, key: K, value: V, bytes: usize) -> Vec<(K, V)> {
         let mut evicted = Vec::new();
-
-        // Replace an existing entry in place.
-        if let Some(&idx) = self.map.get(&key) {
-            self.detach(idx);
-            let e = self.slab[idx].take().expect("replaced entry live");
-            self.free.push(idx);
-            self.map.remove(&e.key);
-            self.bytes -= e.bytes;
-            evicted.push((e.key, e.value));
-        }
-
-        if bytes > self.capacity {
-            // Cannot ever fit: reject, handing the value back.
-            evicted.push((key, value));
-            return evicted;
-        }
-
-        while self.bytes + bytes > self.capacity {
-            match self.pop_tail() {
-                Some(pair) => evicted.push(pair),
-                None => break,
-            }
-        }
-
-        let idx = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.slab.push(None);
-                self.slab.len() - 1
-            }
-        };
-        self.slab[idx] = Some(Entry {
-            key: key.clone(),
-            value,
-            bytes,
-            prev: NIL,
-            next: NIL,
-        });
-        self.attach_front(idx);
-        self.map.insert(key, idx);
-        self.bytes += bytes;
+        self.put(key, value, bytes, |k, v, _| evicted.push((k, v)));
         evicted
+    }
+
+    fn insert_counted(&mut self, key: K, value: V, bytes: usize) -> usize {
+        let mut others = 0;
+        self.put(key, value, bytes, |_, _, other| {
+            others += usize::from(other)
+        });
+        others
     }
 
     fn contains(&self, key: &K) -> bool {

@@ -81,6 +81,8 @@
 //! caches are charged [`AdjacencyRecord::resident_len`], the size of the
 //! decoded record.
 
+use std::ops::Range;
+
 use bytes::{Buf, BufMut, Bytes};
 
 use crate::csr::CsrGraph;
@@ -93,19 +95,22 @@ const FLAG_NODE_LABEL: u8 = 0b10;
 
 /// A node's complete adjacency record — the storage-tier value.
 ///
-/// Decoded form of the wire layout, kept the way it arrives: one id buffer
-/// holding the out-neighbours followed by the in-neighbours (so an
-/// unlabelled record is a single allocation and the bi-directed view is a
-/// plain slice), and one label buffer laid out the same way, empty when the
-/// graph carries no edge labels.
+/// Decoded form of the wire layout, kept the way it arrives, in one
+/// buffer: the out-neighbours, then the in-neighbours (so the bi-directed
+/// view is a plain slice), then — when the graph carries edge labels —
+/// the labels parallel to them, two to a slot, low half first. A record
+/// is that buffer and the `Arc` a cache holds it in.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AdjacencyRecord {
-    /// Out-neighbour ids, then in-neighbour ids.
-    ids: Vec<NodeId>,
-    /// Edge labels parallel to `ids`, or empty when unlabelled.
-    labels: Vec<EdgeLabelId>,
-    /// How many of `ids` are out-neighbours.
+    /// Out-neighbour ids, then in-neighbour ids, then the packed edge
+    /// labels of a labelled record (a trailing odd half is zero).
+    slab: Vec<NodeId>,
+    /// How many of `slab` are neighbour ids.
+    degree: usize,
+    /// How many of them are out-neighbours.
     out_len: usize,
+    /// Whether the record carries edge labels.
+    labeled: bool,
     /// The node's own label, if any.
     pub node_label: Option<NodeLabelId>,
 }
@@ -116,11 +121,12 @@ impl AdjacencyRecord {
         out: impl IntoIterator<Item = NodeId>,
         inc: impl IntoIterator<Item = NodeId>,
     ) -> Self {
-        let mut ids: Vec<NodeId> = out.into_iter().collect();
-        let out_len = ids.len();
-        ids.extend(inc);
+        let mut slab: Vec<NodeId> = out.into_iter().collect();
+        let out_len = slab.len();
+        slab.extend(inc);
         Self {
-            ids,
+            degree: slab.len(),
+            slab,
             out_len,
             ..Self::default()
         }
@@ -134,61 +140,99 @@ impl AdjacencyRecord {
     /// Panics unless both slices are empty or each matches its neighbour
     /// list in length.
     pub fn with_edge_labels(mut self, out: &[EdgeLabelId], inc: &[EdgeLabelId]) -> Self {
-        if !(out.is_empty() && inc.is_empty()) {
+        self.slab.truncate(self.degree);
+        self.labeled = !(out.is_empty() && inc.is_empty());
+        if self.labeled {
             assert_eq!(out.len(), self.out_len, "one label per out-edge");
             assert_eq!(inc.len(), self.inc().len(), "one label per in-edge");
+            self.push_labels(out.iter().chain(inc).copied());
         }
-        self.labels = [out, inc].concat();
         self
+    }
+
+    /// Packs `labels` onto the slab behind the ids, two to a slot.
+    fn push_labels(&mut self, labels: impl Iterator<Item = EdgeLabelId>) {
+        let mut labels = labels.map(|l| u32::from(l.0));
+        while let Some(low) = labels.next() {
+            let high = labels.next().unwrap_or(0);
+            self.slab.push(NodeId::new(low | high << 16));
+        }
     }
 
     /// Extracts the record for `node` from an in-memory graph.
     pub fn from_graph(g: &CsrGraph, node: NodeId) -> Result<Self> {
         g.check(node)?;
-        let (ids, labels): (Vec<NodeId>, Vec<EdgeLabelId>) =
-            g.out_edges(node).chain(g.in_edges(node)).unzip();
-        let labeled = labels.iter().any(|l| *l != EdgeLabelId::UNLABELED);
-        Ok(Self {
-            ids,
-            labels: if labeled { labels } else { Vec::new() },
+        let edges = || g.out_edges(node).chain(g.in_edges(node));
+        let labeled = edges().any(|(_, l)| l != EdgeLabelId::UNLABELED);
+        let degree = g.degree(node);
+        let slots = if labeled { degree.div_ceil(2) } else { 0 };
+        let mut slab = Vec::with_capacity(degree + slots);
+        slab.extend(edges().map(|(v, _)| v));
+        let mut rec = Self {
+            slab,
+            degree,
             out_len: g.out_degree(node),
+            labeled,
             node_label: g.node_label(node),
-        })
+        };
+        if labeled {
+            rec.push_labels(edges().map(|(_, l)| l));
+        }
+        Ok(rec)
     }
 
     /// Out-neighbour node ids.
     #[inline]
     pub fn out(&self) -> &[NodeId] {
-        &self.ids[..self.out_len]
+        &self.slab[..self.out_len]
     }
 
     /// In-neighbour node ids.
     #[inline]
     pub fn inc(&self) -> &[NodeId] {
-        &self.ids[self.out_len..]
+        &self.slab[self.out_len..self.degree]
     }
 
     /// All neighbours in the bi-directed view (out then in).
     #[inline]
     pub fn all_neighbors(&self) -> &[NodeId] {
-        &self.ids
+        &self.slab[..self.degree]
     }
 
-    /// Out-edge labels, parallel to [`AdjacencyRecord::out`]; empty when
+    /// Out-edge labels, parallel to [`AdjacencyRecord::out`]; none when
     /// unlabelled.
-    pub fn out_labels(&self) -> &[EdgeLabelId] {
-        &self.labels[..self.out_len.min(self.labels.len())]
+    pub fn out_labels(&self) -> impl ExactSizeIterator<Item = EdgeLabelId> + '_ {
+        self.labels(0..self.out_len)
     }
 
-    /// In-edge labels, parallel to [`AdjacencyRecord::inc`]; empty when
+    /// In-edge labels, parallel to [`AdjacencyRecord::inc`]; none when
     /// unlabelled.
-    pub fn in_labels(&self) -> &[EdgeLabelId] {
-        &self.labels[self.out_len.min(self.labels.len())..]
+    pub fn in_labels(&self) -> impl ExactSizeIterator<Item = EdgeLabelId> + '_ {
+        self.labels(self.out_len..self.degree)
+    }
+
+    /// The labels of the edges at `edges` (positions in
+    /// [`AdjacencyRecord::all_neighbors`]); none when unlabelled.
+    fn labels(&self, edges: Range<usize>) -> impl ExactSizeIterator<Item = EdgeLabelId> + '_ {
+        let edges = if self.labeled { edges } else { 0..0 };
+        edges.map(|i| {
+            let slot = self.slab[self.degree + i / 2].raw();
+            EdgeLabelId::new((slot >> (16 * (i % 2))) as u16)
+        })
+    }
+
+    /// How many edge labels the record carries: one per edge, or none.
+    fn label_count(&self) -> usize {
+        if self.labeled {
+            self.degree
+        } else {
+            0
+        }
     }
 
     /// Bi-directed degree.
     pub fn degree(&self) -> usize {
-        self.ids.len()
+        self.degree
     }
 
     /// What the record stands for in a cache: the size of a fixed-width
@@ -197,9 +241,7 @@ impl AdjacencyRecord {
     /// are charged this, not the encoded length, so a cache of N bytes
     /// holds the same records however compactly they travel.
     pub fn resident_len(&self) -> usize {
-        9 + 4 * self.ids.len()
-            + 2 * self.labels.len()
-            + if self.node_label.is_some() { 2 } else { 0 }
+        9 + 4 * self.degree + 2 * self.label_count() + if self.node_label.is_some() { 2 } else { 0 }
     }
 
     /// Encoded size in bytes (matches `encode().len()` exactly).
@@ -209,7 +251,7 @@ impl AdjacencyRecord {
             + varint_len(self.inc().len() as u64)
             + list_len(self.out())
             + list_len(self.inc())
-            + 2 * self.labels.len()
+            + 2 * self.label_count()
     }
 
     /// Encodes to the wire format into one buffer of exactly
@@ -218,7 +260,7 @@ impl AdjacencyRecord {
         let len = self.encoded_len();
         let mut buf = Vec::with_capacity(len);
         let mut flags = 0u8;
-        if !self.labels.is_empty() {
+        if self.labeled {
             flags |= FLAG_EDGE_LABELS;
         }
         if self.node_label.is_some() {
@@ -232,7 +274,7 @@ impl AdjacencyRecord {
         put_varint(&mut buf, self.inc().len() as u64);
         put_list(&mut buf, self.out());
         put_list(&mut buf, self.inc());
-        for l in &self.labels {
+        for l in self.labels(0..self.degree) {
             buf.extend_from_slice(&l.0.to_le_bytes());
         }
         debug_assert_eq!(buf.len(), len);
@@ -285,16 +327,26 @@ impl AdjacencyRecord {
             return Err(short(total + label_bytes, rest.len()));
         }
         // The input holds a byte per id, so the counts fit `usize`.
-        let mut ids = Vec::with_capacity(total as usize + SLACK);
-        take_lists(&mut rest, [out_count as usize, in_count as usize], &mut ids)?;
+        let degree = total as usize;
+        let slots = if labeled { degree.div_ceil(2) } else { 0 };
+        let mut slab = Vec::with_capacity(degree + slots.max(SLACK));
+        take_lists(
+            &mut rest,
+            [out_count as usize, in_count as usize],
+            &mut slab,
+        )?;
         exact_len(label_bytes, rest.len())?;
+        // Two little-endian labels are one little-endian slot, low first.
+        slab.extend(rest.chunks(4).map(|c| {
+            let mut slot = [0; 4];
+            slot[..c.len()].copy_from_slice(c);
+            NodeId::new(u32::from_le_bytes(slot))
+        }));
         Ok(Self {
-            ids,
-            labels: rest
-                .chunks_exact(2)
-                .map(|c| EdgeLabelId::new(u16::from_le_bytes([c[0], c[1]])))
-                .collect(),
+            slab,
+            degree,
             out_len: out_count as usize,
+            labeled,
             node_label,
         })
     }
@@ -888,10 +940,10 @@ mod tests {
         assert_eq!(bytes.len(), rec.encoded_len());
         let back = AdjacencyRecord::decode(bytes).unwrap();
         assert_eq!(back, rec);
-        assert_eq!(back.out_labels(), &[EdgeLabelId::new(4)]);
+        assert_eq!(back.out_labels().collect::<Vec<_>>(), [EdgeLabelId::new(4)]);
         assert_eq!(
-            back.in_labels(),
-            &[EdgeLabelId::new(5), EdgeLabelId::new(6)]
+            back.in_labels().collect::<Vec<_>>(),
+            [EdgeLabelId::new(5), EdgeLabelId::new(6)]
         );
     }
 
@@ -906,6 +958,32 @@ mod tests {
         assert_eq!(rec.encoded_len(), 8);
         assert_eq!(rec.resident_len(), 25);
         assert_eq!(AdjacencyRecord::decode(bytes).unwrap(), rec);
+    }
+
+    #[test]
+    fn edge_labels_pack_two_to_a_slot_behind_the_ids() {
+        let labels = [0xFFFF, 1, 0x8001].map(EdgeLabelId::new);
+        let rec =
+            AdjacencyRecord::new([n(1), n(2)], [n(3)]).with_edge_labels(&labels[..2], &labels[2..]);
+        assert_eq!(rec.slab.len(), 3 + 2, "three ids, then two slots");
+        assert_eq!(rec.slab[3..], [n(0x0001_FFFF), n(0x8001)]);
+        assert_eq!(rec.all_neighbors(), [n(1), n(2), n(3)]);
+        assert_eq!(rec.out_labels().collect::<Vec<_>>(), labels[..2]);
+        assert_eq!(rec.in_labels().collect::<Vec<_>>(), labels[2..]);
+        assert_eq!(rec.resident_len(), 9 + 4 * 3 + 2 * 3);
+        let back = AdjacencyRecord::decode(rec.encode()).unwrap();
+        assert_eq!(back, rec);
+        assert_eq!(
+            back.slab.capacity(),
+            3 + SLACK,
+            "one allocation, sized once"
+        );
+        // Relabelling replaces the labels; unlabelling drops them.
+        let relabelled = rec.clone().with_edge_labels(&labels[1..], &labels[..1]);
+        assert_eq!(relabelled.out_labels().collect::<Vec<_>>(), labels[1..]);
+        assert_eq!(relabelled.slab.len(), 5);
+        let bare = rec.with_edge_labels(&[], &[]);
+        assert_eq!(bare, AdjacencyRecord::new([n(1), n(2)], [n(3)]));
     }
 
     #[test]
@@ -969,8 +1047,8 @@ mod tests {
         let rec = AdjacencyRecord::from_graph(&g, n(0)).unwrap();
         assert_eq!(rec.out(), &[n(1)]);
         assert_eq!(rec.inc(), &[n(2)]);
-        assert!(rec.out_labels().is_empty());
-        assert!(rec.in_labels().is_empty());
+        assert_eq!(rec.out_labels().len(), 0);
+        assert_eq!(rec.in_labels().len(), 0);
         assert!(AdjacencyRecord::from_graph(&g, n(9)).is_err());
     }
 
@@ -1221,9 +1299,9 @@ mod tests {
                 inc.iter().map(|&v| v >> shift).collect(),
             );
             let mut rec = AdjacencyRecord::new(out.iter().map(|&v| n(v)), inc.iter().map(|&v| n(v)));
+            let out_labels: Vec<_> = out.iter().map(|&v| EdgeLabelId::new((v % 7) as u16)).collect();
+            let in_labels: Vec<_> = inc.iter().map(|&v| EdgeLabelId::new(v as u16)).collect();
             if labeled {
-                let out_labels: Vec<_> = out.iter().map(|&v| EdgeLabelId::new((v % 7) as u16)).collect();
-                let in_labels: Vec<_> = inc.iter().map(|&v| EdgeLabelId::new((v % 5) as u16)).collect();
                 rec = rec.with_edge_labels(&out_labels, &in_labels);
             }
             rec.node_label = node_label.map(NodeLabelId::new);
@@ -1234,6 +1312,10 @@ mod tests {
             proptest::prop_assert_eq!(back.inc(), rec.inc());
             proptest::prop_assert_eq!(back.out_labels().len(), if labeled { out.len() } else { 0 });
             proptest::prop_assert_eq!(back.in_labels().len(), if labeled { inc.len() } else { 0 });
+            if labeled {
+                proptest::prop_assert_eq!(back.out_labels().collect::<Vec<_>>(), out_labels);
+                proptest::prop_assert_eq!(back.in_labels().collect::<Vec<_>>(), in_labels);
+            }
             proptest::prop_assert_eq!(back, rec);
         }
     }

@@ -26,7 +26,11 @@
 //! to one query at a time: the [`Executor`] keeps one across its runs, and
 //! the pipeline keeps a free list of at most one per slot. So a query
 //! whose every access hits allocates nothing once its driver's scratch has
-//! grown to the queries it runs. The traversals' seen sets are stamp
+//! grown to the queries it runs, and one whose every access misses
+//! allocates its records (each a slab and an `Arc`) and what its driver's
+//! fetch needs, nothing else: the miss set travels in the scratch's own
+//! buffer, which the driver hands back, and the miss log stays in the
+//! scratch. The traversals' seen sets are stamp
 //! tables indexed by node id, emptied by bumping a generation; since ids
 //! arrive from storage, the dense part holds ids below a fixed cap
 //! (2^22, 8 MiB of stamps) and a larger id goes to a hashed overflow set.
@@ -103,9 +107,10 @@ impl<S: BatchSource> Executor<'_, S> {
             match step {
                 Step::Fetch(miss) => {
                     payloads = Some(self.store.exchange(&miss));
+                    staged.hand_back(miss);
                 }
                 Step::Done(outcome) => {
-                    self.miss_log.append(&mut staged.miss_log);
+                    self.miss_log.append(&mut staged.scratch.miss_log);
                     self.scratch = staged.take_scratch();
                     return outcome;
                 }
@@ -202,10 +207,15 @@ pub struct Scratch {
     frontier: Vec<NodeId>,
     /// Records applied so far: one per node of a prefix of `frontier`.
     records: Got,
-    /// Fetched answers not yet applied, in `frontier` order.
+    /// The planned misses of the current ask, in `frontier` order, each
+    /// with its answer once the fetch has landed.
     answers: VecDeque<(NodeId, Option<(u16, Bytes)>)>,
-    /// The nodes the last [`Step::Fetch`] asked for.
+    /// The buffer the next [`Step::Fetch`] carries. It leaves with the
+    /// step, and a driver that hands it back ([`StagedQuery::hand_back`])
+    /// lets the next ask plan into the same capacity.
     pending: Vec<NodeId>,
+    /// The query's misses, in order (see [`StagedQuery::take_miss_log`]).
+    miss_log: Vec<MissEvent>,
     /// The traversal's own buffers.
     marks: Marks,
 }
@@ -217,6 +227,7 @@ impl Scratch {
         self.records.clear();
         self.answers.clear();
         self.pending.clear();
+        self.miss_log.clear();
         let m = &mut self.marks;
         m.seen.iter_mut().for_each(Seen::clear);
         m.levels.iter_mut().for_each(Vec::clear);
@@ -608,9 +619,11 @@ impl ReachState {
 #[derive(Debug)]
 pub enum Step {
     /// The query needs these records fetched (the cache-miss portion of
-    /// its next ask, deduplicated, in access order). Fetch them —
-    /// asynchronously, ideally — and pass the payloads, one entry per
-    /// node in the same order, to the next [`StagedQuery::resume`].
+    /// its next ask, in access order; an ask never repeats a node). Fetch
+    /// them — asynchronously, ideally — and pass the payloads, one entry
+    /// per node in the same order, to the next [`StagedQuery::resume`].
+    /// The vector is the query's own buffer: a driver that hands it back
+    /// ([`StagedQuery::hand_back`]) saves the next ask an allocation.
     Fetch(Vec<NodeId>),
     /// The query finished.
     Done(ExecOutcome),
@@ -628,11 +641,13 @@ pub enum Step {
 /// query's fetch with another's compute, and never waits on storage inside
 /// a query.
 ///
-/// Each ask runs plan → fetch → apply: [`CacheBackedStore::plan_many`]
-/// names the misses, and the apply replays the scalar get/insert sequence
-/// in access order. When the apply meets a node the plan counted as a hit
-/// but an earlier insert of the same ask evicted, it stops there and asks
-/// for that node alone as one more [`Step::Fetch`]
+/// Each ask runs plan → fetch → apply: the plan names the misses into the
+/// scratch's buffer (as [`CacheBackedStore::plan_many`] does, less its
+/// deduplication, which an ask never needs), and the apply replays the
+/// scalar get/insert sequence in access order. When the apply meets a
+/// node the plan counted as a hit but an earlier insert of the same ask
+/// evicted, it stops there and asks for that node alone as one more
+/// [`Step::Fetch`]
 /// ([`StagedQuery::mid_ask`]); the next resume admits it and carries on
 /// with the answers it still holds, so the cache sees exactly the
 /// operations a node-at-a-time execution would. A count-only ask (the
@@ -645,17 +660,17 @@ pub enum Step {
 /// fresh one, which allocates as it grows. The seen tables in it hold
 /// ids below 2^22 densely and larger ones in a hashed overflow set.
 ///
-/// Accounting: the query's [`AccessStats`] and miss log accumulate here,
-/// not in the (possibly shared, transient) store — each resume swaps them
-/// into the store for the duration of the step.
+/// Accounting: the query's [`AccessStats`] and miss log (kept in its
+/// scratch) accumulate here, not in the (possibly shared, transient)
+/// store — each resume swaps them into the store for the duration of the
+/// step.
 pub struct StagedQuery {
     stats: AccessStats,
-    miss_log: Vec<MissEvent>,
     traversal: Traversal,
     started: bool,
     finished: bool,
-    /// Whether `scratch.pending` is one node the apply stopped at.
-    refetch: bool,
+    /// The one node the apply stopped at, whose re-fetch is pending.
+    refetch: Option<NodeId>,
     scratch: Scratch,
 }
 
@@ -674,11 +689,10 @@ impl StagedQuery {
         scratch.reset();
         Self {
             stats: AccessStats::default(),
-            miss_log: Vec::new(),
             traversal: Traversal::new(&query, &mut scratch.marks),
             started: false,
             finished: false,
-            refetch: false,
+            refetch: None,
             scratch,
         }
     }
@@ -694,10 +708,9 @@ impl StagedQuery {
     /// cold part; just the one node when the apply stopped at a node it
     /// must re-fetch.
     pub fn frontier(&self) -> &[NodeId] {
-        if self.refetch {
-            &self.scratch.pending
-        } else {
-            &self.scratch.frontier
+        match &self.refetch {
+            Some(node) => std::slice::from_ref(node),
+            None => &self.scratch.frontier,
         }
     }
 
@@ -705,12 +718,27 @@ impl StagedQuery {
     /// pending fetch is the one node the apply met evicted, and the rest of
     /// the ask is applied when it lands.
     pub fn mid_ask(&self) -> bool {
-        self.refetch
+        self.refetch.is_some()
     }
 
-    /// Drains the ordered per-miss event log accumulated so far.
+    /// Hands back the vector a [`Step::Fetch`] carried, once the fetch no
+    /// longer needs it, so the next ask plans into its capacity instead of
+    /// a fresh allocation. The query works the same without it.
+    pub fn hand_back(&mut self, mut ask: Vec<NodeId>) {
+        ask.clear();
+        self.scratch.pending = ask;
+    }
+
+    /// The ordered per-miss event log accumulated so far.
+    pub fn miss_log(&self) -> &[MissEvent] {
+        &self.scratch.miss_log
+    }
+
+    /// Drains the ordered per-miss event log accumulated so far; its
+    /// buffer leaves the scratch with it ([`StagedQuery::miss_log`] reads
+    /// it in place).
     pub fn take_miss_log(&mut self) -> Vec<MissEvent> {
-        std::mem::take(&mut self.miss_log)
+        std::mem::take(&mut self.scratch.miss_log)
     }
 
     /// Advances the query: pass `None` on the first call, and the fetched
@@ -732,9 +760,9 @@ impl StagedQuery {
         payloads: Option<Vec<Option<(u16, Bytes)>>>,
     ) -> Step {
         assert!(!self.finished, "resumed a finished staged query");
-        store.swap_accounting(&mut self.stats, &mut self.miss_log);
+        store.swap_accounting(&mut self.stats, &mut self.scratch.miss_log);
         let next = self.advance(store, payloads);
-        store.swap_accounting(&mut self.stats, &mut self.miss_log);
+        store.swap_accounting(&mut self.stats, &mut self.scratch.miss_log);
         match next {
             ControlFlow::Continue(miss) => Step::Fetch(miss),
             ControlFlow::Break(result) => {
@@ -754,37 +782,48 @@ impl StagedQuery {
     ) -> ControlFlow<QueryResult, Vec<NodeId>> {
         let s = &mut self.scratch;
         let mut payloads = payloads.unwrap_or_default();
+        let asked = if self.refetch.is_some() {
+            1
+        } else {
+            s.answers.len()
+        };
         assert_eq!(
             payloads.len(),
-            s.pending.len(),
+            asked,
             "payloads must answer the pending fetch node-for-node"
         );
         let keep = !self.traversal.counts_only();
-        if std::mem::take(&mut self.refetch) {
-            let record = store.admit(s.pending[0], payloads.pop().flatten());
+        if let Some(node) = self.refetch.take() {
+            let record = store.admit(node, payloads.pop().flatten());
             s.records.push(record.filter(|_| keep));
         } else {
-            s.answers.extend(s.pending.iter().copied().zip(payloads));
+            for ((_, answer), payload) in s.answers.iter_mut().zip(payloads) {
+                *answer = payload;
+            }
         }
-        s.pending.clear();
         loop {
             if self.started {
                 let keep = !self.traversal.counts_only();
                 if let Some(node) =
                     store.apply_from(&s.frontier, &mut s.answers, &mut s.records, keep)
                 {
+                    self.refetch = Some(node);
+                    s.pending.clear();
                     s.pending.push(node);
-                    self.refetch = true;
-                    return ControlFlow::Continue(s.pending.clone());
+                    return ControlFlow::Continue(std::mem::take(&mut s.pending));
                 }
             }
             let got = self.started.then_some(&mut s.records);
             self.started = true;
             s.frontier.clear();
             self.traversal.next(got, &mut s.frontier, &mut s.marks)?;
-            s.pending = store.plan_many(&s.frontier);
+            // Every answer of the last ask has been applied, so `answers`
+            // is empty and takes this ask's misses, to be answered in place.
+            s.pending.clear();
+            store.plan_into(&s.frontier, &mut s.pending);
             if !s.pending.is_empty() {
-                return ControlFlow::Continue(s.pending.clone());
+                s.answers.extend(s.pending.iter().map(|&node| (node, None)));
+                return ControlFlow::Continue(std::mem::take(&mut s.pending));
             }
         }
     }

@@ -175,19 +175,29 @@ impl<'a, S> CacheBackedStore<'a, S> {
 
     /// Pass 1 of a batched frontier fetch: the cache-miss portion of
     /// `nodes` (first occurrence of each), classified with
-    /// [`Cache::contains`] so no recency/frequency state moves. The staged
-    /// executor calls this to learn what a frontier needs from storage
-    /// *before* any bytes travel, so the fetch can be submitted
-    /// asynchronously and overlapped with another query's compute.
+    /// [`Cache::contains`] so no recency/frequency state moves. A wrapper
+    /// over the staged executor's plan, which learns what an ask needs
+    /// from storage *before* any bytes travel, so the fetch can be
+    /// submitted asynchronously and overlapped with another query's
+    /// compute.
     pub fn plan_many(&self, nodes: &[NodeId]) -> Vec<NodeId> {
-        let mut miss_nodes: Vec<NodeId> = Vec::new();
-        let mut miss_set = NodeSet::default();
-        for &node in nodes {
-            if !self.cache.contains(&node) && miss_set.insert(node) {
-                miss_nodes.push(node);
-            }
-        }
+        let mut miss_nodes = Vec::new();
+        self.plan_into(nodes, &mut miss_nodes);
+        let mut firsts = NodeSet::default();
+        miss_nodes.retain(|&node| firsts.insert(node));
         miss_nodes
+    }
+
+    /// Appends the cache-miss portion of `nodes` to `miss`, in order. A
+    /// staged query's asks never repeat a node (its seen tables make each
+    /// ask), so nothing here deduplicates them.
+    pub(crate) fn plan_into(&self, nodes: &[NodeId], miss: &mut Vec<NodeId>) {
+        miss.extend(
+            nodes
+                .iter()
+                .copied()
+                .filter(|node| !self.cache.contains(node)),
+        );
     }
 
     /// Pass 2 of a batched frontier fetch: replays the scalar access
@@ -297,12 +307,13 @@ impl<'a, S> CacheBackedStore<'a, S> {
                 return None;
             }
         };
+        // An insert that bounces back (NullCache / oversized) is not an
+        // eviction of previously cached data, and `insert_counted` does not
+        // count it.
         let evicted = self
             .cache
-            .insert(node, Arc::clone(&rec), rec.resident_len());
-        // An insert that bounces back (NullCache / oversized) is not an
-        // eviction of previously cached data.
-        self.stats.evictions += evicted.iter().filter(|(k, _)| *k != node).count() as u64;
+            .insert_counted(node, Arc::clone(&rec), rec.resident_len());
+        self.stats.evictions += evicted as u64;
         Some(rec)
     }
 
@@ -709,7 +720,97 @@ mod tests {
         }
     }
 
+    /// A cache seen only through `insert`: its `insert_counted` is the
+    /// trait's provided body, which counts `insert`'s vector.
+    struct InsertOnly(ProcessorCache);
+
+    impl Cache<NodeId, Arc<AdjacencyRecord>> for InsertOnly {
+        fn get(&mut self, key: &NodeId) -> Option<&Arc<AdjacencyRecord>> {
+            self.0.get(key)
+        }
+        fn insert(
+            &mut self,
+            key: NodeId,
+            value: Arc<AdjacencyRecord>,
+            bytes: usize,
+        ) -> Vec<(NodeId, Arc<AdjacencyRecord>)> {
+            self.0.insert(key, value, bytes)
+        }
+        fn contains(&self, key: &NodeId) -> bool {
+            self.0.contains(key)
+        }
+        fn peek(&self, key: &NodeId) -> Option<&Arc<AdjacencyRecord>> {
+            self.0.peek(key)
+        }
+        fn bytes(&self) -> usize {
+            self.0.bytes()
+        }
+        fn capacity(&self) -> usize {
+            self.0.capacity()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn clear(&mut self) {
+            self.0.clear()
+        }
+    }
+
+    /// Cache `policy` (0–2: LRU, FIFO, LFU; 3: `NullCache`) of room for
+    /// none of the test tier's records (each insert is rejected), about
+    /// one, about three, or all of them.
+    fn policy_cache(policy: usize, room: usize) -> ProcessorCache {
+        use grouting_cache::Policy;
+        let capacity = [10usize, 40, 80, 1 << 20][room];
+        match policy {
+            0 => Policy::Lru.build(capacity),
+            1 => Policy::Fifo.build(capacity),
+            2 => Policy::Lfu.build(capacity),
+            _ => Box::new(NullCache::new()),
+        }
+    }
+
+    /// What [`admit_all`] leaves behind.
+    type Admitted = (
+        Vec<Option<Arc<AdjacencyRecord>>>,
+        AccessStats,
+        Vec<MissEvent>,
+        Vec<Option<Arc<AdjacencyRecord>>>,
+    );
+
+    /// Fetches `accesses` one at a time through `cache`; returns the
+    /// records, the accounting and what the cache holds afterwards.
+    fn admit_all(t: &StorageTier, mut cache: ProcessorCache, accesses: &[u32]) -> Admitted {
+        let mut store = CacheBackedStore::new(t, &mut cache);
+        let records = accesses.iter().map(|&v| store.fetch(n(v))).collect();
+        let (stats, log) = (store.stats(), store.take_miss_log());
+        drop(store);
+        let held = (0..13).map(|v| cache.peek(&n(v)).cloned()).collect();
+        (records, stats, log, held)
+    }
+
     proptest::proptest! {
+        /// Counting evictions leaves the same trace as collecting them:
+        /// for each policy, a store over the policy as it is (its own
+        /// `insert_counted`) and one over the policy seen only through
+        /// `insert` return the same records and `AccessStats` (evictions
+        /// included), log the same misses, and leave the same entries.
+        #[test]
+        fn prop_counted_admission_equals_collected_evictions(
+            accesses in proptest::collection::vec(0u32..13, 1..60),
+            policy in 0usize..4,
+            room in 0usize..4,
+        ) {
+            let t = tier();
+            let counted = admit_all(&t, policy_cache(policy, room), &accesses);
+            let collected = admit_all(
+                &t,
+                Box::new(InsertOnly(policy_cache(policy, room))),
+                &accesses,
+            );
+            proptest::prop_assert_eq!(counted, collected);
+        }
+
         /// The batched fetch path leaves behind exactly what serial scalar
         /// fetches do — records, statistics, miss log and the LRU's
         /// recency order — for ANY access sequence (duplicates and unknown

@@ -13,7 +13,9 @@
 //!   (RAMCloud's high-memory-utilisation design);
 //! * `server` — a storage server wrapping one log store behind a lock;
 //! * [`StorageTier`] — the horizontal partitioning of the graph across
-//!   servers and the graph-level load/get/update API;
+//!   servers and the graph-level load/get/update API; a load seals every
+//!   server's head segment, so each read of a loaded record is a slice
+//!   of the segment that holds it, never a copy;
 //! * [`NetworkModel`] — network cost models (Infiniband RDMA, 10 Gbps
 //!   Ethernet, and custom) that the simulator charges per fetch.
 

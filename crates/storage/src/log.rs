@@ -7,7 +7,9 @@
 //! RAMCloud its "high memory utilization" (§4.1). This module reproduces it:
 //!
 //! * entries are framed as `[u64 key][u32 len][len bytes]`;
-//! * sealed segments are frozen [`Bytes`] so `get` is zero-copy;
+//! * sealed segments are frozen [`Bytes`] so `get` is zero-copy, while a
+//!   value in the open head segment is copied out; a bulk load therefore
+//!   ends with [`LogStore::seal`], and the next put opens a fresh head;
 //! * the cleaner compacts any segment whose dead fraction exceeds a
 //!   threshold.
 
@@ -117,10 +119,7 @@ impl LogStore {
         };
         if needs_roll {
             // Seal the current head and open a fresh one.
-            if let Segment::Open(b) = &mut self.segments[head] {
-                let frozen = std::mem::take(b).freeze();
-                self.segments[head] = Segment::Sealed(frozen);
-            }
+            self.seal();
             self.segments
                 .push(Segment::Open(BytesMut::with_capacity(self.segment_bytes)));
             self.live.push(0);
@@ -155,6 +154,21 @@ impl LogStore {
         self.puts += 1;
         self.maybe_clean();
         Ok(())
+    }
+
+    /// Seals the head segment, so that every value stored so far is read
+    /// as a zero-copy slice: a value in the open segment is copied out on
+    /// each `get`. The next put rolls to a fresh open segment, as it does
+    /// when a segment fills. Sealing an empty head, or a sealed one, does
+    /// nothing.
+    pub fn seal(&mut self) {
+        let head = self.head();
+        if let Segment::Open(b) = &mut self.segments[head] {
+            if !b.is_empty() {
+                let frozen = std::mem::take(b).freeze();
+                self.segments[head] = Segment::Sealed(frozen);
+            }
+        }
     }
 
     /// Fetches the current value of `key`.
@@ -344,6 +358,44 @@ mod tests {
             "utilization {} too low after cleaning",
             s.utilization()
         );
+    }
+
+    /// Whether `value` is a view into `segment`'s sealed allocation.
+    fn within(segment: &Segment, value: &Bytes) -> bool {
+        let Segment::Sealed(data) = segment else {
+            return false;
+        };
+        let range = data.as_ptr_range();
+        range.start <= value.as_ptr() && value.as_ptr_range().end <= range.end
+    }
+
+    #[test]
+    fn a_sealed_head_serves_slices_and_a_later_put_reads_back() {
+        let mut s = LogStore::default();
+        s.put(1, b"hello").unwrap();
+        s.put(2, b"world").unwrap();
+        s.seal();
+        s.seal();
+        assert_eq!(s.segments.len(), 1, "sealing twice rolls nothing");
+        let hello = s.get(1).unwrap();
+        assert!(within(&s.segments[0], &hello), "a sealed read is a slice");
+        s.put(3, b"after").unwrap();
+        s.put(1, b"again").unwrap();
+        assert_eq!(s.segments.len(), 2, "the put rolled to a fresh segment");
+        assert!(matches!(s.segments[1], Segment::Open(_)));
+        assert_eq!(s.get(3).unwrap().as_ref(), b"after");
+        assert_eq!(s.get(1).unwrap().as_ref(), b"again");
+        assert_eq!(s.get(2).unwrap().as_ref(), b"world");
+        assert_eq!(hello.as_ref(), b"hello", "an earlier view is untouched");
+    }
+
+    #[test]
+    fn sealing_an_empty_store_does_nothing() {
+        let mut s = LogStore::default();
+        s.seal();
+        s.put(1, b"x").unwrap();
+        assert_eq!(s.segments.len(), 1);
+        assert_eq!(s.get(1).unwrap().as_ref(), b"x");
     }
 
     #[test]

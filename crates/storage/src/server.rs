@@ -63,6 +63,11 @@ impl StorageServer {
         self.log.write().put(key, value)
     }
 
+    /// Seals the log's head segment (see [`LogStore::seal`]).
+    pub fn seal(&self) {
+        self.log.write().seal();
+    }
+
     /// Deletes a key, returning whether it existed.
     pub fn delete(&self, key: u64) -> bool {
         self.log.write().delete(key)

@@ -124,7 +124,10 @@ impl StorageTier {
         &self.servers[id]
     }
 
-    /// Loads every node's adjacency record from an in-memory graph.
+    /// Loads every node's adjacency record from an in-memory graph, then
+    /// seals each server's head segment, so every read of what was loaded
+    /// is a zero-copy slice of a sealed segment. A later put rolls to a
+    /// fresh open segment.
     ///
     /// # Errors
     ///
@@ -134,6 +137,7 @@ impl StorageTier {
             let rec = AdjacencyRecord::from_graph(g, v).expect("node in range");
             self.put_record(v, &rec)?;
         }
+        self.servers.iter().for_each(|s| s.seal());
         Ok(())
     }
 
@@ -237,14 +241,14 @@ impl StorageTier {
 }
 
 /// The label of each edge to `neighbours`, taken from the stored edges
-/// `ids` and their `labels` (empty when unlabelled); an edge the stored
+/// `ids` and their `labels` (none when unlabelled); an edge the stored
 /// record lacks is unlabelled.
 fn kept_labels(
     ids: &[NodeId],
-    labels: &[EdgeLabelId],
+    labels: impl Iterator<Item = EdgeLabelId>,
     neighbours: impl Iterator<Item = NodeId>,
 ) -> Vec<EdgeLabelId> {
-    let stored: NodeMap<EdgeLabelId> = ids.iter().copied().zip(labels.iter().copied()).collect();
+    let stored: NodeMap<EdgeLabelId> = ids.iter().copied().zip(labels).collect();
     neighbours
         .map(|w| stored.get(&w).copied().unwrap_or(EdgeLabelId::UNLABELED))
         .collect()
@@ -353,13 +357,16 @@ mod tests {
         let (_, rec0) = tier.get_record(n(0)).unwrap();
         assert_eq!(rec0.node_label, Some(NodeLabelId::new(5)));
         assert_eq!(rec0.out(), [n(1), n(4)]);
-        assert_eq!(rec0.out_labels(), [label(3), EdgeLabelId::UNLABELED]);
+        assert_eq!(
+            rec0.out_labels().collect::<Vec<_>>(),
+            [label(3), EdgeLabelId::UNLABELED]
+        );
         assert_eq!(rec0.inc(), [n(2)]);
-        assert_eq!(rec0.in_labels(), [label(4)]);
+        assert_eq!(rec0.in_labels().collect::<Vec<_>>(), [label(4)]);
         // The new edge's far end is a new, unlabelled node; the removed
         // edge's far end keeps what it had and loses the edge.
         let (_, rec4) = tier.get_record(n(4)).unwrap();
-        assert_eq!((rec4.node_label, rec4.in_labels()), (None, &[][..]));
+        assert_eq!((rec4.node_label, rec4.in_labels().len()), (None, 0));
         let (_, rec3) = tier.get_record(n(3)).unwrap();
         assert_eq!(rec3.degree(), 0);
         // Untouched records are as loaded.
@@ -494,6 +501,29 @@ mod tests {
                 batched.mark_up(s);
             }
         }
+    }
+
+    #[test]
+    fn a_loaded_record_is_read_from_its_sealed_segment_and_a_later_put_reads_back() {
+        let (tier, g) = tier_with_path(2);
+        for v in g.nodes() {
+            // Two reads alive at once: a copy out of an open segment would
+            // be two allocations, a slice of the sealed one is one.
+            let (_, first) = tier.get(v).unwrap();
+            let (_, second) = tier.get(v).unwrap();
+            assert_eq!(first.as_ptr(), second.as_ptr(), "{v} was copied");
+        }
+        let (_, before) = tier.get(n(3)).unwrap();
+        let mut dynamic = DynamicGraph::from_csr(&g);
+        dynamic.add_edge(n(3), n(7));
+        tier.apply_update(&dynamic, GraphUpdate::AddEdge(n(3), n(7)))
+            .unwrap();
+        let (_, rec3) = tier.get_record(n(3)).unwrap();
+        assert_eq!(rec3.out(), [n(4), n(7)]);
+        assert_eq!(
+            before,
+            AdjacencyRecord::from_graph(&g, n(3)).unwrap().encode()
+        );
     }
 
     #[test]

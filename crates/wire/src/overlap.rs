@@ -376,10 +376,10 @@ impl Shared {
         let miss = match step {
             Step::Fetch(miss) => miss,
             Step::Done(outcome) => {
-                self.scratch.push(query.staged.take_scratch());
-                for ev in query.staged.take_miss_log() {
+                for ev in query.staged.miss_log() {
                     self.heat.record_demand(ev.server as usize, 1);
                 }
+                self.scratch.push(query.staged.take_scratch());
                 self.totals.merge(&outcome.stats);
                 self.completed += 1;
                 self.done.push(CompletedQuery {
@@ -393,6 +393,7 @@ impl Shared {
             }
         };
         let fetch = seam.submit_frontier(&miss);
+        query.staged.hand_back(miss);
         if tracing {
             query.fetch_started_ns = seam.clock_ns();
         }
